@@ -6,7 +6,7 @@ use fissione::{FissioneConfig, FissioneNet};
 use kautz::naming::{MultiHash, SingleHash};
 use kautz::KautzStr;
 use rand::rngs::SmallRng;
-use simnet::{FaultPlan, NodeId};
+use simnet::NodeId;
 use std::collections::BTreeSet;
 
 /// Handle of a published record (dense, starting at 0).
@@ -180,7 +180,9 @@ impl SingleArmada {
             .collect()
     }
 
-    /// Runs a PIRA range query from `origin` (fault-free).
+    /// Runs a plain PIRA range query from `origin`: fresh buffers, no
+    /// faults, no trace. [`pira::query`](crate::pira::query) is the full
+    /// surface.
     ///
     /// # Errors
     ///
@@ -192,14 +194,11 @@ impl SingleArmada {
         hi: f64,
         seed: u64,
     ) -> Result<QueryOutcome, ArmadaError> {
-        let mut scratch = simnet::QueryScratch::new();
-        crate::pira::query(self, origin, lo, hi, seed, &FaultPlan::new(), &mut scratch)
+        self.pira_query_scratch(origin, lo, hi, seed, &mut simnet::QueryScratch::new())
     }
 
-    /// [`pira_query`](Self::pira_query) with a caller-owned scratch: batch
-    /// drivers pass one [`simnet::QueryScratch`] per worker thread so the
-    /// simulator queues and routing buffers are allocated once, not per
-    /// query. Outcomes are bit-identical to the scratch-free path.
+    /// [`pira_query`](Self::pira_query) with a caller-owned scratch.
+    /// Outcomes are bit-identical to the scratch-free path.
     ///
     /// # Errors
     ///
@@ -212,61 +211,7 @@ impl SingleArmada {
         seed: u64,
         scratch: &mut simnet::QueryScratch,
     ) -> Result<QueryOutcome, ArmadaError> {
-        crate::pira::query(self, origin, lo, hi, seed, &FaultPlan::new(), scratch)
-    }
-
-    /// Runs a PIRA range query under a fault plan (drops/crashes).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for dead origins or empty ranges.
-    pub fn pira_query_with_faults(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> Result<QueryOutcome, ArmadaError> {
-        let mut scratch = simnet::QueryScratch::new();
-        crate::pira::query(self, origin, lo, hi, seed, faults, &mut scratch)
-    }
-
-    /// [`pira_query`](Self::pira_query) with the simulator's trace sink
-    /// attached: the identical outcome plus the full virtual-time event
-    /// stream (hops, deliveries, answers).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for dead origins or empty ranges.
-    pub fn pira_query_traced(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<(QueryOutcome, Vec<simnet::TraceRecord>), ArmadaError> {
-        let mut scratch = simnet::QueryScratch::new();
-        crate::pira::query_traced(self, origin, lo, hi, seed, &FaultPlan::new(), &mut scratch)
-    }
-
-    /// [`pira_query_with_faults`](Self::pira_query_with_faults) with the
-    /// trace sink attached — fault verdicts (drops, losses, crashed
-    /// receivers) appear in the stream alongside the hops they pruned.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for dead origins or empty ranges.
-    pub fn pira_query_traced_with_faults(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> Result<(QueryOutcome, Vec<simnet::TraceRecord>), ArmadaError> {
-        let mut scratch = simnet::QueryScratch::new();
-        crate::pira::query_traced(self, origin, lo, hi, seed, faults, &mut scratch)
+        crate::pira::query(self, origin, lo, hi, seed, None, false, scratch).map(|(out, _)| out)
     }
 }
 
@@ -412,7 +357,9 @@ impl MultiArmada {
             .collect()
     }
 
-    /// Runs a MIRA multi-attribute range query from `origin` (fault-free).
+    /// Runs a plain MIRA multi-attribute range query from `origin`: fresh
+    /// buffers, no faults. [`mira::query`](crate::mira::query) is the full
+    /// surface.
     ///
     /// # Errors
     ///
@@ -423,41 +370,7 @@ impl MultiArmada {
         query: &[(f64, f64)],
         seed: u64,
     ) -> Result<QueryOutcome, ArmadaError> {
-        let mut scratch = simnet::QueryScratch::new();
-        crate::mira::query(self, origin, query, seed, &FaultPlan::new(), &mut scratch)
-    }
-
-    /// [`mira_query`](Self::mira_query) with a caller-owned scratch, for
-    /// batch drivers that amortize per-query setup allocations across a
-    /// worker thread. Outcomes are bit-identical to the scratch-free path.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for dead origins, arity mismatches, or empty ranges.
-    pub fn mira_query_scratch(
-        &self,
-        origin: NodeId,
-        query: &[(f64, f64)],
-        seed: u64,
-        scratch: &mut simnet::QueryScratch,
-    ) -> Result<QueryOutcome, ArmadaError> {
-        crate::mira::query(self, origin, query, seed, &FaultPlan::new(), scratch)
-    }
-
-    /// Runs a MIRA query under a fault plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for dead origins, arity mismatches or empty ranges.
-    pub fn mira_query_with_faults(
-        &self,
-        origin: NodeId,
-        query: &[(f64, f64)],
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> Result<QueryOutcome, ArmadaError> {
-        let mut scratch = simnet::QueryScratch::new();
-        crate::mira::query(self, origin, query, seed, faults, &mut scratch)
+        crate::mira::query(self, origin, query, seed, None, &mut simnet::QueryScratch::new())
     }
 }
 

@@ -65,18 +65,21 @@ impl Default for MiraScratch {
     }
 }
 
-/// Executes a MIRA multi-attribute range query; see the module docs.
+/// Executes a MIRA multi-attribute range query; see the module docs. The
+/// engine's one full-surface entry point: an optional fault plan and the
+/// caller's scratch (outcomes are bit-identical for any scratch, fresh or
+/// reused).
 ///
 /// # Errors
 ///
 /// Returns [`ArmadaError::BadOrigin`] for dead origins and naming errors for
 /// arity mismatches or empty ranges.
-pub(crate) fn query(
+pub fn query(
     armada: &MultiArmada,
     origin: NodeId,
     ranges: &[(f64, f64)],
     seed: u64,
-    faults: &FaultPlan,
+    faults: Option<&FaultPlan>,
     scratch: &mut QueryScratch,
 ) -> Result<QueryOutcome, ArmadaError> {
     let net = armada.net();
@@ -91,9 +94,10 @@ pub(crate) fn query(
 
     let MiraScratch { sim: sim_scratch, subs, arrivals, nbrs, shift, wbuf, zone, wrect } =
         scratch.slot::<MiraScratch>();
-    let mut sim: Sim<MiraMsg> = Sim::from_scratch(seed, sim_scratch)
-        .with_faults_ref(faults)
-        .with_net(*armada.net_model());
+    let mut sim: Sim<MiraMsg> = Sim::from_scratch(seed, sim_scratch).with_net(*armada.net_model());
+    if let Some(faults) = faults {
+        sim = sim.with_faults_ref(faults);
+    }
     subs.clear();
     for sub in corner.split_by_common_prefix() {
         let com_t = sub.common_prefix();

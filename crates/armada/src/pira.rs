@@ -74,54 +74,28 @@ impl Default for PiraScratch {
     }
 }
 
-/// Executes a PIRA range query; see the module docs.
+/// Executes a PIRA range query; see the module docs. The engine's one
+/// full-surface entry point: an optional fault plan (drops, crashes, the
+/// hostile families), an optional trace, the caller's scratch.
+///
+/// With `trace` set the simulator's sink is attached and the full
+/// virtual-time event stream (hops, fault verdicts, deliveries, answers)
+/// comes back beside the outcome. The outcome is bitwise identical either
+/// way — tracing reads the schedule, it never perturbs it — and for any
+/// scratch, fresh or reused.
 ///
 /// # Errors
 ///
 /// Returns [`ArmadaError::BadOrigin`] for dead origins and naming errors for
 /// empty ranges.
-pub(crate) fn query(
-    armada: &SingleArmada,
-    origin: NodeId,
-    lo: f64,
-    hi: f64,
-    seed: u64,
-    faults: &FaultPlan,
-    scratch: &mut QueryScratch,
-) -> Result<QueryOutcome, ArmadaError> {
-    let (out, _) = query_impl(armada, origin, lo, hi, seed, faults, false, scratch)?;
-    Ok(out)
-}
-
-/// [`query`] with the simulator's trace sink attached: returns the outcome
-/// *plus* the full virtual-time event stream (hops, fault verdicts,
-/// deliveries, answers). The outcome is bitwise identical to the untraced
-/// run — tracing reads the schedule, it never perturbs it.
-///
-/// # Errors
-///
-/// Same as [`query`].
-pub(crate) fn query_traced(
-    armada: &SingleArmada,
-    origin: NodeId,
-    lo: f64,
-    hi: f64,
-    seed: u64,
-    faults: &FaultPlan,
-    scratch: &mut QueryScratch,
-) -> Result<(QueryOutcome, Vec<simnet::TraceRecord>), ArmadaError> {
-    let (out, records) = query_impl(armada, origin, lo, hi, seed, faults, true, scratch)?;
-    Ok((out, records.unwrap_or_default()))
-}
-
 #[allow(clippy::too_many_arguments)]
-fn query_impl(
+pub fn query(
     armada: &SingleArmada,
     origin: NodeId,
     lo: f64,
     hi: f64,
     seed: u64,
-    faults: &FaultPlan,
+    faults: Option<&FaultPlan>,
     trace: bool,
     scratch: &mut QueryScratch,
 ) -> Result<(QueryOutcome, Option<Vec<simnet::TraceRecord>>), ArmadaError> {
@@ -135,9 +109,10 @@ fn query_impl(
 
     let PiraScratch { sim: sim_scratch, subs, arrivals, nbrs, shift } =
         scratch.slot::<PiraScratch>();
-    let mut sim: Sim<PiraMsg> = Sim::from_scratch(seed, sim_scratch)
-        .with_faults_ref(faults)
-        .with_net(*armada.net_model());
+    let mut sim: Sim<PiraMsg> = Sim::from_scratch(seed, sim_scratch).with_net(*armada.net_model());
+    if let Some(faults) = faults {
+        sim = sim.with_faults_ref(faults);
+    }
     if trace {
         sim = sim.with_trace(simnet::TraceSink::new());
     }
@@ -232,9 +207,23 @@ fn query_impl(
 
 #[cfg(test)]
 mod tests {
-    use crate::SingleArmada;
+    use crate::{QueryOutcome, SingleArmada};
     use fissione::FissioneConfig;
     use rand::Rng;
+    use simnet::{FaultPlan, TraceRecord};
+
+    /// One query through the full-surface entry point with a fresh scratch.
+    fn query(
+        a: &SingleArmada,
+        (origin, lo, hi, seed): (usize, f64, f64, u64),
+        faults: Option<&FaultPlan>,
+        trace: bool,
+    ) -> (QueryOutcome, Vec<TraceRecord>) {
+        let mut scratch = simnet::QueryScratch::new();
+        let (out, records) =
+            super::query(a, origin, lo, hi, seed, faults, trace, &mut scratch).unwrap();
+        (out, records.unwrap_or_default())
+    }
 
     fn small_cfg() -> FissioneConfig {
         FissioneConfig { object_id_len: 24, ..FissioneConfig::default() }
@@ -373,7 +362,7 @@ mod tests {
             let hi = lo + rng.gen_range(0.5..100.0);
             let origin = a.net().random_peer(&mut rng);
             let plain = a.pira_query(origin, lo, hi, q).unwrap();
-            let (traced, records) = a.pira_query_traced(origin, lo, hi, q).unwrap();
+            let (traced, records) = query(&a, (origin, lo, hi, q), None, true);
             assert_eq!(plain, traced, "tracing perturbed query [{lo}, {hi}]");
             // One Answer event per reached peer, and the deepest answer
             // carries exactly the reported delay.
@@ -396,14 +385,13 @@ mod tests {
     fn traced_query_under_faults_logs_verdicts() {
         let a = build(250, 71);
         let mut rng = simnet::rng_from_seed(710);
-        let faults = simnet::FaultPlan::with_drop_prob(0.15);
+        let faults = FaultPlan::with_drop_prob(0.15);
         let mut saw_verdict = false;
         for q in 0..20 {
             let lo = rng.gen_range(0.0..800.0);
             let origin = a.net().random_peer(&mut rng);
-            let plain = a.pira_query_with_faults(origin, lo, lo + 150.0, q, &faults).unwrap();
-            let (traced, records) =
-                a.pira_query_traced_with_faults(origin, lo, lo + 150.0, q, &faults).unwrap();
+            let (plain, _) = query(&a, (origin, lo, lo + 150.0, q), Some(&faults), false);
+            let (traced, records) = query(&a, (origin, lo, lo + 150.0, q), Some(&faults), true);
             assert_eq!(plain, traced);
             saw_verdict |=
                 records.iter().any(|r| matches!(r.event, simnet::TraceEvent::FaultVerdict { .. }));
@@ -415,12 +403,12 @@ mod tests {
     fn pira_under_message_loss_degrades_gracefully() {
         let a = build(300, 69);
         let mut rng = simnet::rng_from_seed(690);
-        let faults = simnet::FaultPlan::with_drop_prob(0.10);
+        let faults = FaultPlan::with_drop_prob(0.10);
         let mut recalls = Vec::new();
         for q in 0..100 {
             let lo = rng.gen_range(0.0..800.0);
             let origin = a.net().random_peer(&mut rng);
-            let out = a.pira_query_with_faults(origin, lo, lo + 150.0, q, &faults).unwrap();
+            let (out, _) = query(&a, (origin, lo, lo + 150.0, q), Some(&faults), false);
             recalls.push(out.metrics.peer_recall());
             assert!(out.metrics.reached_peers <= out.metrics.dest_peers);
         }

@@ -23,11 +23,12 @@
 use crate::{ArmadaError, MultiArmada, QueryOutcome, SingleArmada};
 use dht_api::{
     BuildParams, Dht, DynamicScheme, FetchCost, MultiBuildParams, MultiRangeScheme, OutcomeCosts,
-    RangeOutcome, RangeScheme, ReplicaRouting, SchemeError, SchemeRegistry,
+    QueryCtx, RangeOutcome, RangeRequest, RangeScheme, RectRequest, ReplicaRouting, SchemeError,
+    SchemeRegistry,
 };
 use fissione::FissioneConfig;
 use rand::rngs::SmallRng;
-use simnet::{FaultPlan, NodeId};
+use simnet::{NodeId, QueryScratch};
 
 impl From<ArmadaError> for SchemeError {
     fn from(e: ArmadaError) -> Self {
@@ -132,10 +133,6 @@ impl RangeScheme for PiraScheme {
         self.inner.net().len()
     }
 
-    fn supports_rect(&self) -> bool {
-        true // the Armada family: MIRA answers rectangles
-    }
-
     fn publish(&mut self, value: f64, handle: u64) -> Result<(), SchemeError> {
         self.inner.publish(value);
         self.handles.push(handle);
@@ -153,91 +150,32 @@ impl RangeScheme for PiraScheme {
         hi: f64,
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
-        let out = self.inner.pira_query(origin, lo, hi, seed)?;
-        Ok(remap(out, &self.handles))
+        self.range_query_scratch(origin, lo, hi, seed, &mut QueryScratch::new())
     }
 
-    fn range_query_scratch(
+    fn query(
         &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-        scratch: &mut simnet::QueryScratch,
+        req: &RangeRequest,
+        cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
-        let out = self.inner.pira_query_scratch(origin, lo, hi, seed, scratch)?;
-        Ok(remap(out, &self.handles))
+        let faults = cx.faults_within(self.node_count())?;
+        let (out, records) = crate::pira::query(
+            &self.inner,
+            req.origin(),
+            req.lo(),
+            req.hi(),
+            req.seed(),
+            faults,
+            cx.trace.is_some(),
+            cx.scratch,
+        )?;
+        let out = remap(out, &self.handles);
+        cx.trace_sim_records("pira", records, &out);
+        Ok(out)
     }
 
     fn supports_fault_injection(&self) -> bool {
         true
-    }
-
-    fn range_query_with_faults(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> Result<RangeOutcome, SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
-        // A plan crashing a peer outside the id space would silently be a
-        // no-op (nothing routes to it); reject it instead.
-        if let Some(node) = faults.first_out_of_range(self.node_count()) {
-            return Err(SchemeError::FaultPlanOutOfRange { node, n: self.node_count() });
-        }
-        let out = self.inner.pira_query_with_faults(origin, lo, hi, seed, faults)?;
-        Ok(remap(out, &self.handles))
-    }
-
-    fn supports_tracing(&self) -> bool {
-        true
-    }
-
-    fn trace_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<(RangeOutcome, dht_api::QueryTrace), SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
-        let (out, records) = self.inner.pira_query_traced(origin, lo, hi, seed)?;
-        let converted = remap(out, &self.handles);
-        let trace = dht_api::QueryTrace::from_sim_records("pira", records, &converted);
-        Ok((converted, trace))
-    }
-
-    fn trace_query_with_faults(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> Result<(RangeOutcome, dht_api::QueryTrace), SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
-        if let Some(node) = faults.first_out_of_range(self.node_count()) {
-            return Err(SchemeError::FaultPlanOutOfRange { node, n: self.node_count() });
-        }
-        let (out, records) =
-            self.inner.pira_query_traced_with_faults(origin, lo, hi, seed, faults)?;
-        let converted = remap(out, &self.handles);
-        let trace = dht_api::QueryTrace::from_sim_records("pira", records, &converted);
-        Ok((converted, trace))
     }
 
     fn as_dynamic(&mut self) -> Option<&mut dyn DynamicScheme> {
@@ -383,33 +321,27 @@ impl RangeScheme for SeqWalkScheme {
         origin: NodeId,
         lo: f64,
         hi: f64,
-        _seed: u64,
+        seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
-        let out = crate::seqwalk::query(&self.inner, origin, lo, hi)?;
-        Ok(remap(out, &self.handles))
+        self.range_query_scratch(origin, lo, hi, seed, &mut QueryScratch::new())
     }
 
-    fn supports_tracing(&self) -> bool {
-        true
-    }
-
-    fn trace_query(
+    fn query(
         &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        _seed: u64,
-    ) -> Result<(RangeOutcome, dht_api::QueryTrace), SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
-        let (out, records) = crate::seqwalk::query_traced(&self.inner, origin, lo, hi)?;
-        let converted = remap(out, &self.handles);
-        let trace = dht_api::QueryTrace::from_sim_records("seqwalk", records, &converted);
-        Ok((converted, trace))
+        req: &RangeRequest,
+        cx: &mut QueryCtx<'_>,
+    ) -> Result<RangeOutcome, SchemeError> {
+        cx.refuse_faults("seqwalk")?;
+        let (out, records) = crate::seqwalk::query(
+            &self.inner,
+            req.origin(),
+            req.lo(),
+            req.hi(),
+            cx.trace.is_some(),
+        )?;
+        let out = remap(out, &self.handles);
+        cx.trace_sim_records("seqwalk", records, &out);
+        Ok(out)
     }
 
     fn as_dynamic(&mut self) -> Option<&mut dyn DynamicScheme> {
@@ -490,31 +422,31 @@ impl MultiRangeScheme for MiraScheme {
         rect: &[(f64, f64)],
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        if rect.len() != self.dims {
-            return Err(SchemeError::WrongArity { expected: self.dims, got: rect.len() });
-        }
-        if let Some(&(lo, hi)) = rect.iter().find(|&&(lo, hi)| lo > hi) {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
-        let out = self.inner.mira_query(origin, rect, seed)?;
-        Ok(remap(out, &self.handles))
+        let req = RectRequest::new(origin, rect, seed)?;
+        MultiRangeScheme::query(self, &req, &mut QueryCtx::new(&mut QueryScratch::new()))
     }
 
-    fn rect_query_scratch(
+    /// MIRA simulates a fault plan natively; it records no event stream, so
+    /// a requested trace is the modeled decomposition of the outcome.
+    fn query(
         &self,
-        origin: NodeId,
-        rect: &[(f64, f64)],
-        seed: u64,
-        scratch: &mut simnet::QueryScratch,
+        req: &RectRequest<'_>,
+        cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        if rect.len() != self.dims {
-            return Err(SchemeError::WrongArity { expected: self.dims, got: rect.len() });
+        if req.rect().len() != self.dims {
+            return Err(SchemeError::WrongArity { expected: self.dims, got: req.rect().len() });
         }
-        if let Some(&(lo, hi)) = rect.iter().find(|&&(lo, hi)| lo > hi) {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
-        let out = self.inner.mira_query_scratch(origin, rect, seed, scratch)?;
-        Ok(remap(out, &self.handles))
+        let out = crate::mira::query(
+            &self.inner,
+            req.origin(),
+            req.rect(),
+            req.seed(),
+            cx.faults,
+            cx.scratch,
+        )?;
+        let out = remap(out, &self.handles);
+        cx.trace_modeled("mira", req.origin(), &out);
+        Ok(out)
     }
 }
 
@@ -528,10 +460,23 @@ pub fn register(reg: &mut SchemeRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht_api::QueryTrace;
     use rand::Rng;
+    use simnet::FaultPlan;
 
     fn params(n: usize) -> BuildParams {
         BuildParams::new(n, 0.0, 1000.0).with_object_id_len(24)
+    }
+
+    /// `[lo, hi]` from `origin` through the full-surface call.
+    fn query(
+        scheme: &dyn RangeScheme,
+        (origin, lo, hi, seed): (NodeId, f64, f64, u64),
+        faults: Option<&FaultPlan>,
+        trace: Option<&mut QueryTrace>,
+    ) -> Result<RangeOutcome, SchemeError> {
+        let req = RangeRequest::new(origin, lo, hi, seed)?;
+        scheme.query(&req, &mut QueryCtx { scratch: &mut QueryScratch::new(), faults, trace })
     }
 
     #[test]
@@ -605,11 +550,28 @@ mod tests {
         expect.sort_unstable();
         assert_eq!(out.results, expect);
         assert!(out.exact);
-        // Arity errors are uniform.
+        // Arity errors are uniform, and malformed bounds are typed errors.
         assert!(matches!(
             scheme.rect_query(origin, &[(0.0, 1.0)], 1),
             Err(SchemeError::WrongArity { .. })
         ));
+        assert!(matches!(
+            scheme.rect_query(origin, &[(20.0, 60.0), (f64::NAN, 70.0)], 1),
+            Err(SchemeError::EmptyRange { .. })
+        ));
+        // The full-surface call: a reused scratch and a requested trace
+        // leave the outcome alone; an injected plan reaches the engine.
+        let req = RectRequest::new(origin, &rect, 1).unwrap();
+        let mut scratch = QueryScratch::new();
+        for _ in 0..2 {
+            let mut trace = QueryTrace::default();
+            let mut cx = QueryCtx::new(&mut scratch).with_trace(&mut trace);
+            assert_eq!(MultiRangeScheme::query(&scheme, &req, &mut cx).unwrap(), out);
+            assert_eq!(trace.root.total(), (out.delay, out.latency, out.messages));
+        }
+        let lossy = FaultPlan::with_drop_prob(1.0);
+        let mut cx = QueryCtx::new(&mut scratch).with_faults(&lossy);
+        assert!(!MultiRangeScheme::query(&scheme, &req, &mut cx).unwrap().exact);
     }
 
     #[test]
@@ -659,11 +621,11 @@ mod tests {
         for h in 0..150u64 {
             scheme.publish(rng.gen_range(0.0..=1000.0), h).unwrap();
         }
-        let mut faults = simnet::FaultPlan::with_drop_prob(0.3);
+        let mut faults = FaultPlan::with_drop_prob(0.3);
         let mut degraded = false;
         for q in 0..20 {
             let origin = scheme.random_origin(&mut rng);
-            let out = scheme.range_query_with_faults(origin, 100.0, 400.0, q, &faults).unwrap();
+            let out = query(&scheme, (origin, 100.0, 400.0, q), Some(&faults), None).unwrap();
             degraded |= out.peer_recall() < 1.0;
         }
         assert!(degraded, "30% loss should cost some recall");
@@ -671,7 +633,7 @@ mod tests {
         faults.set_drop_prob(0.0);
         let origin = scheme.random_origin(&mut rng);
         let a = scheme.range_query(origin, 100.0, 400.0, 1).unwrap();
-        let b = scheme.range_query_with_faults(origin, 100.0, 400.0, 1, &faults).unwrap();
+        let b = query(&scheme, (origin, 100.0, 400.0, 1), Some(&faults), None).unwrap();
         assert_eq!(a, b);
     }
 
@@ -683,13 +645,13 @@ mod tests {
         let mut faults = FaultPlan::new();
         faults.crash(scheme.node_count() + 5);
         let origin = scheme.random_origin(&mut rng);
-        let err = scheme.range_query_with_faults(origin, 1.0, 2.0, 0, &faults).unwrap_err();
+        let err = query(&scheme, (origin, 1.0, 2.0, 0), Some(&faults), None).unwrap_err();
         assert!(matches!(err, SchemeError::FaultPlanOutOfRange { .. }), "{err}");
         assert!(err.to_string().contains("80"));
         // In-range plans still run.
         let mut ok = FaultPlan::new();
         ok.crash(scheme.node_count() - 1);
-        assert!(scheme.range_query_with_faults(origin, 1.0, 2.0, 0, &ok).is_ok());
+        assert!(query(&scheme, (origin, 1.0, 2.0, 0), Some(&ok), None).is_ok());
     }
 
     #[test]
@@ -755,14 +717,14 @@ mod tests {
             pira.publish(v, h).unwrap();
             walk.publish(v, h).unwrap();
         }
-        assert!(pira.supports_tracing() && walk.supports_tracing());
         for q in 0..15 {
             let lo = data_rng.gen_range(0.0..900.0);
             let hi = lo + data_rng.gen_range(0.5..80.0);
             let origin = pira.random_origin(&mut data_rng);
             for scheme in [&pira as &dyn RangeScheme, &walk as &dyn RangeScheme] {
                 let plain = scheme.range_query(origin, lo, hi, q).unwrap();
-                let (traced, trace) = scheme.trace_query(origin, lo, hi, q).unwrap();
+                let mut trace = QueryTrace::default();
+                let traced = query(scheme, (origin, lo, hi, q), None, Some(&mut trace)).unwrap();
                 assert_eq!(plain, traced, "{} query [{lo}, {hi}]", scheme.scheme_name());
                 assert_eq!(
                     trace.root.total(),
@@ -786,9 +748,10 @@ mod tests {
         let faults = FaultPlan::with_drop_prob(0.2);
         for q in 0..15 {
             let origin = scheme.random_origin(&mut rng);
-            let plain = scheme.range_query_with_faults(origin, 100.0, 400.0, q, &faults).unwrap();
-            let (traced, trace) =
-                scheme.trace_query_with_faults(origin, 100.0, 400.0, q, &faults).unwrap();
+            let at = (origin, 100.0, 400.0, q);
+            let plain = query(&scheme, at, Some(&faults), None).unwrap();
+            let mut trace = QueryTrace::default();
+            let traced = query(&scheme, at, Some(&faults), Some(&mut trace)).unwrap();
             assert_eq!(plain, traced);
             assert_eq!(trace.root.total(), (traced.delay, traced.latency, traced.messages));
         }

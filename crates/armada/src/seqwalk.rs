@@ -19,39 +19,17 @@ use std::collections::BTreeSet;
 /// Executes a sequential range walk: route to the first destination, then
 /// traverse the destination run peer by peer.
 ///
+/// With `trace` set the event stream comes back beside the outcome. The
+/// walk is not simulator-driven, so the events are synthesized from the
+/// *actual* routed path and successor edges — every hop a real overlay
+/// edge priced by the cost model, answers at each destination. The outcome
+/// is identical either way.
+///
 /// # Errors
 ///
 /// Returns [`ArmadaError::BadOrigin`] for dead origins and naming errors
 /// for empty ranges.
 pub fn query(
-    armada: &SingleArmada,
-    origin: simnet::NodeId,
-    lo: f64,
-    hi: f64,
-) -> Result<QueryOutcome, ArmadaError> {
-    let (out, _) = query_impl(armada, origin, lo, hi, false)?;
-    Ok(out)
-}
-
-/// [`query`] with event synthesis: the walk is not simulator-driven, so the
-/// trace is built from the *actual* routed path and successor edges — every
-/// hop a real overlay edge priced by the cost model, answers at each
-/// destination. The outcome is identical to [`query`]'s.
-///
-/// # Errors
-///
-/// Same as [`query`].
-pub fn query_traced(
-    armada: &SingleArmada,
-    origin: simnet::NodeId,
-    lo: f64,
-    hi: f64,
-) -> Result<(QueryOutcome, Vec<TraceRecord>), ArmadaError> {
-    let (out, records) = query_impl(armada, origin, lo, hi, true)?;
-    Ok((out, records.unwrap_or_default()))
-}
-
-fn query_impl(
     armada: &SingleArmada,
     origin: simnet::NodeId,
     lo: f64,
@@ -194,7 +172,7 @@ mod tests {
             let lo: f64 = rng.gen_range(0.0..900.0);
             let hi = lo + rng.gen_range(0.5..100.0);
             let origin = a.net().random_peer(&mut rng);
-            let walk = super::query(&a, origin, lo, hi).unwrap();
+            let walk = super::query(&a, origin, lo, hi, false).unwrap().0;
             let pira = a.pira_query(origin, lo, hi, q).unwrap();
             assert_eq!(walk.results, pira.results, "query [{lo}, {hi}]");
             assert_eq!(walk.metrics.dest_peers, pira.metrics.dest_peers);
@@ -206,8 +184,8 @@ mod tests {
         let a = build(500, 0, 122);
         let mut rng = simnet::rng_from_seed(1220);
         let origin = a.net().random_peer(&mut rng);
-        let small = super::query(&a, origin, 500.0, 510.0).unwrap();
-        let large = super::query(&a, origin, 100.0, 900.0).unwrap();
+        let small = super::query(&a, origin, 500.0, 510.0, false).unwrap().0;
+        let large = super::query(&a, origin, 100.0, 900.0, false).unwrap().0;
         // delay ≈ route + (n − 1): the large query pays for every peer.
         assert!(large.metrics.delay as usize >= large.metrics.dest_peers - 1);
         assert!(large.metrics.delay > 4 * small.metrics.delay);
@@ -221,7 +199,7 @@ mod tests {
         for _ in 0..20 {
             let lo: f64 = rng.gen_range(0.0..800.0);
             let origin = a.net().random_peer(&mut rng);
-            let out = super::query(&a, origin, lo, lo + 100.0).unwrap();
+            let out = super::query(&a, origin, lo, lo + 100.0, false).unwrap().0;
             let n = out.metrics.dest_peers as f64;
             let d = f64::from(out.metrics.delay);
             assert!(d >= n - 1.0);

@@ -12,7 +12,7 @@
 //! whenever the data is not pathologically sparse near the top.
 
 use crate::{ArmadaError, QueryMetrics, RecordId, SingleArmada};
-use simnet::{FaultPlan, NodeId};
+use simnet::NodeId;
 
 /// Result of a top-k query.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,15 +69,8 @@ impl SingleArmada {
         let mut scratch = simnet::QueryScratch::new();
         loop {
             let lo = (top - delta).max(space.lo());
-            let probe = crate::pira::query(
-                self,
-                origin,
-                lo,
-                top,
-                seed.wrapping_add(outcome.probes as u64),
-                &FaultPlan::new(),
-                &mut scratch,
-            )?;
+            let probe_seed = seed.wrapping_add(outcome.probes as u64);
+            let probe = self.pira_query_scratch(origin, lo, top, probe_seed, &mut scratch)?;
             outcome.probes += 1;
             outcome.delay += probe.metrics.delay;
             outcome.messages += probe.metrics.messages;

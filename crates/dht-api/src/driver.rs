@@ -6,7 +6,7 @@
 //! owns the per-query loop and the aggregation, so a new scheme or workload
 //! never re-implements measurement glue.
 
-use crate::scheme::{MultiRangeScheme, RangeScheme, SchemeError};
+use crate::scheme::{MultiRangeScheme, QueryCtx, RangeRequest, RangeScheme, SchemeError};
 use rand::rngs::SmallRng;
 use simnet::{Samples, Summary};
 
@@ -250,13 +250,8 @@ impl QueryDriver {
         for q in 0..self.queries {
             let (lo, hi) = next_range(rng);
             let origin = scheme.random_origin(rng);
-            let out = scheme.range_query_scratch(
-                origin,
-                lo,
-                hi,
-                self.seed.wrapping_add(q as u64),
-                &mut scratch,
-            )?;
+            let req = RangeRequest::new(origin, lo, hi, self.seed.wrapping_add(q as u64))?;
+            let out = scheme.query(&req, &mut QueryCtx::new(&mut scratch))?;
             acc.push(&out, n_peers, origin);
         }
         if let Some(m) = acc.metrics_mut() {

@@ -27,7 +27,7 @@ use simnet::{HopKind, NodeId, TraceEvent, TraceRecord, TraceSink, Verdict};
 /// One node of the causal cost tree. A node's own `hops`/`latency`/
 /// `messages` are its *direct* contribution; [`total`](Self::total) adds
 /// children recursively.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CostNode {
     /// Human-readable label (e.g. `"hop 3: 17 → 42 (+12 ms)"`).
     pub label: String,
@@ -88,8 +88,10 @@ impl CostNode {
 }
 
 /// A query's full observability record: the raw event stream plus the
-/// causal cost tree derived from it.
-#[derive(Debug, Clone, PartialEq)]
+/// causal cost tree derived from it. The default is the empty record a
+/// caller hands to [`QueryCtx::with_trace`](crate::QueryCtx::with_trace)
+/// for the scheme to fill.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryTrace {
     /// The structured event stream, in `(time, id)` order.
     pub events: Vec<TraceRecord>,

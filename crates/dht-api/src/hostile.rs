@@ -13,10 +13,10 @@
 //! [`RangeScheme::supports_fault_injection`]:
 //!
 //! * **Native** — schemes whose engine runs a real simulator (PIRA,
-//!   DCF-CAN) receive the fault plan through
-//!   [`range_query_with_faults`](RangeScheme::range_query_with_faults);
-//!   the simulator itself drops, blocks, and throttles messages, so loss
-//!   interacts with the scheme's actual dissemination tree.
+//!   DCF-CAN) receive the fault plan through their
+//!   [`QueryCtx`]; the simulator itself drops, blocks, and throttles
+//!   messages, so loss interacts with the scheme's actual dissemination
+//!   tree.
 //! * **Generic** — every other scheme answers fault-free, and the wrapper
 //!   degrades the *response plane*: each of the outcome's `dest_peers`
 //!   ground-truth destinations becomes a slot with a virtual peer
@@ -38,7 +38,7 @@
 //! keep measuring the dissemination structure, latency measures the wait.
 
 use crate::explain::{CostNode, QueryTrace};
-use crate::scheme::{RangeOutcome, RangeScheme, SchemeError};
+use crate::scheme::{QueryCtx, RangeOutcome, RangeRequest, RangeScheme, SchemeError};
 use simnet::{mix, FaultPlan, NetModel, NodeId, TraceEvent, TraceSink};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -219,65 +219,39 @@ impl Hostile {
 
     /// Native path: every attempt runs the inner scheme's own faulted
     /// simulation under the wrapped plan; retries re-roll verdicts via
-    /// their mixed attempt seed.
-    fn native_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<RangeOutcome, SchemeError> {
-        let mut merged: Option<RangeOutcome> = None;
-        let mut waits = 0u64;
-        for attempt in 0..self.retry.attempts {
-            let aseed = RetryPolicy::attempt_seed(seed, attempt);
-            let out = self.inner.range_query_with_faults(origin, lo, hi, aseed, &self.plan)?;
-            if attempt > 0 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-            }
-            let acc = match merged.take() {
-                None => out,
-                Some(acc) => merge_attempts(acc, out),
-            };
-            let exact = acc.exact;
-            merged = Some(acc);
-            if exact {
-                break;
-            }
-            if attempt + 1 < self.retry.attempts {
-                waits += self.retry.timeout_ms
-                    + self.retry.backoff_wait(self.plan.plan_seed(), seed, attempt + 1);
-            }
-        }
-        let mut out = merged.expect("at least one attempt always runs");
-        out.latency += waits;
-        Ok(out)
-    }
-
-    /// The native path with tracing: same attempt loop, same merge, same
-    /// wait accounting as [`native_query`](Self::native_query) — plus each
-    /// attempt's event stream spliced onto one merged timeline (later
-    /// attempts offset by the accumulated latency + waits), a
-    /// [`TraceEvent::RetryAttempt`] stamp per executed retry, and a cost
+    /// their mixed attempt seed. When the context asks for a trace, each
+    /// attempt's event stream is spliced onto one merged timeline (later
+    /// attempts offset by the accumulated latency + waits) with a
+    /// [`TraceEvent::RetryAttempt`] stamp per executed retry, under a cost
     /// tree of per-attempt subtrees whose totals telescope to the merged
     /// outcome.
-    fn native_trace(
+    fn native_query(
         &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<(RangeOutcome, QueryTrace), SchemeError> {
+        req: &RangeRequest,
+        cx: &mut QueryCtx<'_>,
+    ) -> Result<RangeOutcome, SchemeError> {
+        let seed = req.seed();
+        let backoff = |attempt| {
+            self.retry.timeout_ms + self.retry.backoff_wait(self.plan.plan_seed(), seed, attempt)
+        };
         let mut merged: Option<RangeOutcome> = None;
         let mut waits = 0u64;
-        let mut timeline = 0u64;
-        let mut sink = TraceSink::new();
-        let mut root =
-            CostNode::group(format!("{} [hostile: {}]", self.inner.scheme_name(), self.spec));
+        // (merged event stream, cost tree, timeline position) when traced.
+        let mut traced = cx.trace.is_some().then(|| {
+            let label = format!("{} [hostile: {}]", self.inner.scheme_name(), self.spec);
+            (TraceSink::new(), CostNode::group(label), 0u64)
+        });
         for attempt in 0..self.retry.attempts {
-            let aseed = RetryPolicy::attempt_seed(seed, attempt);
-            let (out, tr) =
-                self.inner.trace_query_with_faults(origin, lo, hi, aseed, &self.plan)?;
+            let attempt_req = req.with_seed(RetryPolicy::attempt_seed(seed, attempt));
+            let mut attempt_trace = traced.is_some().then(QueryTrace::default);
+            let out = self.inner.query(
+                &attempt_req,
+                &mut QueryCtx {
+                    scratch: &mut *cx.scratch,
+                    faults: Some(&self.plan),
+                    trace: attempt_trace.as_mut(),
+                },
+            )?;
             if attempt > 0 {
                 self.retries.fetch_add(1, Ordering::Relaxed);
             }
@@ -288,67 +262,62 @@ impl Hostile {
             };
             let exact = acc.exact;
             merged = Some(acc);
-            if attempt > 0 {
-                let wait = self.retry.timeout_ms
-                    + self.retry.backoff_wait(self.plan.plan_seed(), seed, attempt);
-                timeline += wait;
-                sink.emit(timeline, TraceEvent::RetryAttempt { attempt, wait_ms: wait, exact });
+            if let (Some((sink, root, timeline)), Some(tr)) = (traced.as_mut(), attempt_trace) {
+                if attempt > 0 {
+                    let wait = backoff(attempt);
+                    *timeline += wait;
+                    sink.emit(
+                        *timeline,
+                        TraceEvent::RetryAttempt { attempt, wait_ms: wait, exact },
+                    );
+                }
+                sink.append_offset(tr.events, *timeline);
+                *timeline += attempt_latency;
+                let mut node = tr.root;
+                node.label = format!("attempt {attempt}: {}", node.label);
+                root.children.push(node);
             }
-            sink.append_offset(tr.events, timeline);
-            timeline += attempt_latency;
-            let mut node = tr.root;
-            node.label = format!("attempt {attempt}: {}", node.label);
-            root.children.push(node);
             if exact {
                 break;
             }
             if attempt + 1 < self.retry.attempts {
-                waits += self.retry.timeout_ms
-                    + self.retry.backoff_wait(self.plan.plan_seed(), seed, attempt + 1);
+                waits += backoff(attempt + 1);
             }
         }
         let mut out = merged.expect("at least one attempt always runs");
         out.latency += waits;
-        if waits > 0 {
-            root.children.push(CostNode::leaf(
-                format!("retry waits (+{waits} ms timeout + backoff)"),
-                0,
-                waits,
-                0,
-            ));
+        if let (Some(trace), Some((sink, mut root, _))) = (cx.trace.as_deref_mut(), traced) {
+            if waits > 0 {
+                root.children.push(CostNode::leaf(
+                    format!("retry waits (+{waits} ms timeout + backoff)"),
+                    0,
+                    waits,
+                    0,
+                ));
+            }
+            *trace = QueryTrace { events: sink.into_records(), root };
         }
-        Ok((out, QueryTrace { events: sink.into_records(), root }))
+        Ok(out)
     }
 
     /// Generic path: answer fault-free, then degrade the response plane —
-    /// see the module docs for the slot model.
+    /// see the module docs for the slot model. The inner scheme's own trace
+    /// covers the fault-free base query; the degradation's extra charges —
+    /// one retransmission batch + wait per executed retry, rate-limit
+    /// queueing — append as their own cost nodes, so a requested trace's
+    /// total telescopes to the degraded outcome.
     fn generic_query(
         &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
+        req: &RangeRequest,
+        cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        let base = self.inner.range_query(origin, lo, hi, seed)?;
-        Ok(self.degrade(origin, seed, base, None))
-    }
-
-    /// The generic path with tracing: the inner scheme's own trace covers
-    /// the fault-free base query; the degradation's extra charges — one
-    /// retransmission batch + wait per executed retry, rate-limit
-    /// queueing — append as their own cost nodes, so the tree's total
-    /// telescopes to the degraded outcome.
-    fn generic_trace(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<(RangeOutcome, QueryTrace), SchemeError> {
-        let (base, mut trace) = self.inner.trace_query(origin, lo, hi, seed)?;
+        let base = self.inner.query(req, cx)?;
         let base_latency = base.latency;
-        let mut log = GenericLog::default();
-        let out = self.degrade(origin, seed, base, Some(&mut log));
+        let mut log = cx.trace.is_some().then(GenericLog::default);
+        let out = self.degrade(req.origin(), req.seed(), base, log.as_mut());
+        let (Some(trace), Some(log)) = (cx.trace.as_deref_mut(), log) else {
+            return Ok(out);
+        };
         let inner_root = std::mem::replace(
             &mut trace.root,
             CostNode::group(format!(
@@ -379,12 +348,11 @@ impl Hostile {
             ));
         }
         trace.append_events(sink.into_records(), base_latency);
-        Ok((out, trace))
+        Ok(out)
     }
 
-    /// The response-plane degradation shared by
-    /// [`generic_query`](Self::generic_query) and
-    /// [`generic_trace`](Self::generic_trace) — see the module docs for
+    /// The response-plane degradation of
+    /// [`generic_query`](Self::generic_query) — see the module docs for
     /// the slot model. When `log` is present every executed retry and the
     /// rate-limit charge are recorded; the outcome is identical either
     /// way.
@@ -529,10 +497,6 @@ impl RangeScheme for Hostile {
         self.inner.node_count()
     }
 
-    fn supports_rect(&self) -> bool {
-        self.inner.supports_rect()
-    }
-
     fn publish(&mut self, value: f64, handle: u64) -> Result<(), SchemeError> {
         self.inner.publish(value, handle)
     }
@@ -548,28 +512,21 @@ impl RangeScheme for Hostile {
         hi: f64,
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        if self.inner.supports_fault_injection() {
-            self.native_query(origin, lo, hi, seed)
-        } else {
-            self.generic_query(origin, lo, hi, seed)
-        }
+        self.range_query_scratch(origin, lo, hi, seed, &mut simnet::QueryScratch::new())
     }
 
-    fn supports_tracing(&self) -> bool {
-        self.inner.supports_tracing()
-    }
-
-    fn trace_query(
+    /// Runs under the *wrapped* plan; a caller-supplied plan that injects
+    /// is refused (the wrapper is the fault source, not a fault target).
+    fn query(
         &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<(RangeOutcome, QueryTrace), SchemeError> {
+        req: &RangeRequest,
+        cx: &mut QueryCtx<'_>,
+    ) -> Result<RangeOutcome, SchemeError> {
+        cx.refuse_faults(self.scheme_name())?;
         if self.inner.supports_fault_injection() {
-            self.native_trace(origin, lo, hi, seed)
+            self.native_query(req, cx)
         } else {
-            self.generic_trace(origin, lo, hi, seed)
+            self.generic_query(req, cx)
         }
     }
 
@@ -660,20 +617,6 @@ mod tests {
                 exact: true,
             })
         }
-        fn supports_tracing(&self) -> bool {
-            true
-        }
-        fn trace_query(
-            &self,
-            origin: NodeId,
-            lo: f64,
-            hi: f64,
-            seed: u64,
-        ) -> Result<(RangeOutcome, QueryTrace), SchemeError> {
-            let out = self.range_query(origin, lo, hi, seed)?;
-            let trace = QueryTrace::modeled("toy", origin, &out);
-            Ok((out, trace))
-        }
     }
 
     /// A toy *native-fault* scheme: supports fault injection and tracing,
@@ -725,40 +668,24 @@ mod tests {
         fn supports_fault_injection(&self) -> bool {
             true
         }
-        fn range_query_with_faults(
+        fn query(
             &self,
-            origin: NodeId,
-            lo: f64,
-            hi: f64,
-            seed: u64,
-            _faults: &FaultPlan,
+            req: &RangeRequest,
+            cx: &mut QueryCtx<'_>,
         ) -> Result<RangeOutcome, SchemeError> {
-            self.range_query(origin, lo, hi, seed)
+            let out = Self::outcome();
+            cx.trace_modeled("native-toy", req.origin(), &out);
+            Ok(out)
         }
-        fn supports_tracing(&self) -> bool {
-            true
-        }
-        fn trace_query(
-            &self,
-            origin: NodeId,
-            lo: f64,
-            hi: f64,
-            seed: u64,
-        ) -> Result<(RangeOutcome, QueryTrace), SchemeError> {
-            let out = self.range_query(origin, lo, hi, seed)?;
-            let trace = QueryTrace::modeled("native-toy", origin, &out);
-            Ok((out, trace))
-        }
-        fn trace_query_with_faults(
-            &self,
-            origin: NodeId,
-            lo: f64,
-            hi: f64,
-            seed: u64,
-            _faults: &FaultPlan,
-        ) -> Result<(RangeOutcome, QueryTrace), SchemeError> {
-            self.trace_query(origin, lo, hi, seed)
-        }
+    }
+
+    /// Query `q` from peer 0 with a trace requested.
+    fn traced(h: &Hostile, q: u64) -> (RangeOutcome, QueryTrace) {
+        let mut trace = QueryTrace::default();
+        let mut scratch = simnet::QueryScratch::new();
+        let req = RangeRequest::new(0, 0.0, 1.0, q).unwrap();
+        let out = h.query(&req, &mut QueryCtx::new(&mut scratch).with_trace(&mut trace)).unwrap();
+        (out, trace)
     }
 
     fn hostile(plan_name: &str, attempts: u32) -> Hostile {
@@ -941,32 +868,10 @@ mod tests {
     }
 
     #[test]
-    fn traced_generic_query_matches_untraced_and_keeps_the_invariant() {
-        let h = hostile("lossy-30", 3);
-        assert!(h.supports_tracing());
-        assert_eq!(h.retry_attempts(), 0);
-        let mut saw_retry_event = false;
-        for q in 0..20u64 {
-            let plain = h.range_query(0, 0.0, 1.0, q).unwrap();
-            let (traced, tr) = h.trace_query(0, 0.0, 1.0, q).unwrap();
-            assert_eq!(plain, traced, "query {q}: tracing must not perturb the outcome");
-            assert_eq!(
-                tr.root.total(),
-                (traced.delay, traced.latency, traced.messages),
-                "query {q}: explain totals must reproduce the degraded outcome"
-            );
-            saw_retry_event |=
-                tr.events.iter().any(|r| matches!(r.event, TraceEvent::RetryAttempt { .. }));
-        }
-        assert!(saw_retry_event, "30% loss over 20 queries must execute some retry");
-        assert!(h.retry_attempts() > 0, "executed retries must meter");
-    }
-
-    #[test]
     fn traced_throttle_charges_queueing_as_its_own_node() {
         let h = hostile("throttle", 1);
         let plain = h.range_query(0, 0.0, 1.0, 7).unwrap();
-        let (traced, tr) = h.trace_query(0, 0.0, 1.0, 7).unwrap();
+        let (traced, tr) = traced(&h, 7);
         assert_eq!(plain, traced);
         assert_eq!(tr.root.total(), (traced.delay, traced.latency, traced.messages));
         assert!(tr.explain_text().contains("rate-limit queueing"), "{}", tr.explain_text());
@@ -984,7 +889,7 @@ mod tests {
         )
         .unwrap();
         let plain = h.range_query(0, 0.0, 1.0, 7).unwrap();
-        let (traced, tr) = h.trace_query(0, 0.0, 1.0, 7).unwrap();
+        let (traced, tr) = traced(&h, 7);
         assert_eq!(plain, traced, "tracing must not perturb the merged outcome");
         assert_eq!(tr.root.total(), (traced.delay, traced.latency, traced.messages));
         // All three attempts ran (NativeToy is never exact): two retry

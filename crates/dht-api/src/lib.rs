@@ -103,7 +103,10 @@ pub use replication::{
     ring_owners, value_key, FetchCost, ReplicaKind, ReplicaPolicy, ReplicaRepair, ReplicaRouting,
     Replicated, ReplicationControl,
 };
-pub use scheme::{MultiRangeScheme, OutcomeCosts, RangeOutcome, RangeScheme, SchemeError};
+pub use scheme::{
+    MultiRangeScheme, OutcomeCosts, QueryCtx, RangeOutcome, RangeRequest, RangeScheme, RectRequest,
+    SchemeError,
+};
 pub use workload::{WorkloadGen, WorkloadKind, WORKLOAD_NAMES};
 
 // The observability plane's event vocabulary. Defined in `simnet` (the

@@ -18,9 +18,16 @@
 
 use crate::churn::{ChurnPlan, ChurnStats};
 use crate::driver::{Accumulator, EpochSummary};
-use crate::scheme::{MultiRangeScheme, RangeScheme, SchemeError};
+use crate::scheme::{
+    MultiRangeScheme, QueryCtx, RangeOutcome, RangeRequest, RangeScheme, RectRequest, SchemeError,
+};
 use crate::workload::WorkloadGen;
-use crate::DriverReport;
+use crate::{DriverReport, QueryTrace};
+use simnet::{NodeId, QueryScratch};
+
+/// What a shard — or the whole sharded batch — comes back with: its
+/// accumulator plus one extra value per query, in query-index order.
+type Sharded<X> = Result<(Accumulator, Vec<X>), SchemeError>;
 
 /// Salt separating origin-selection RNG streams from workload streams.
 const ORIGIN_SALT: u64 = 0x0419_0419_0419_0419;
@@ -140,7 +147,7 @@ impl ParallelDriver {
     /// driver's origin derivation, so out-of-band tools (the
     /// `trace_explain` bin) can re-run *exactly* the query a report
     /// measured. Pure in `(self.seed, q, scheme membership)`.
-    pub fn query_origin(&self, scheme: &dyn RangeScheme, q: usize) -> simnet::NodeId {
+    pub fn query_origin(&self, scheme: &dyn RangeScheme, q: usize) -> NodeId {
         scheme.random_origin(&mut self.origin_rng(q))
     }
 
@@ -160,30 +167,28 @@ impl ParallelDriver {
             .collect()
     }
 
-    /// Runs one shard's worth of work and hands back its accumulator; the
-    /// closure maps a query index to an outcome. Shards are *submitted* in
+    /// Runs every shard and merges the accumulators — and whatever extra
+    /// value `X` each query yields (nothing, or its trace), concatenated in
+    /// query-index order. The closure maps a query index to its outcome,
+    /// origin and extra. Shards are *submitted* in
     /// [`shard_salt`](Self::shard_salt)-permuted order but their results
     /// are re-placed by shard index before merging, so neither scheduling
     /// nor submission order can reach the report.
-    fn run_sharded<F>(&self, per_query: F) -> Result<Accumulator, SchemeError>
+    fn run_sharded<X, F>(&self, n_peers: usize, per_query: F) -> Sharded<X>
     where
-        F: Fn(
-                usize,
-                &mut simnet::QueryScratch,
-            ) -> Result<(crate::RangeOutcome, usize, simnet::NodeId), SchemeError>
-            + Sync,
+        X: Send,
+        F: Fn(usize, &mut QueryScratch) -> Result<(RangeOutcome, NodeId, X), SchemeError> + Sync,
     {
         let shards = self.shards();
         let mut order: Vec<usize> = (0..shards.len()).collect();
         if self.shard_salt != 0 {
             order.sort_by_key(|&i| splitmix64(self.shard_salt ^ i as u64));
         }
-        let metrics = self.metrics;
-        let mut shard_results: Vec<Option<Result<Accumulator, SchemeError>>> =
-            (0..shards.len()).map(|_| None).collect();
+        let run = |shard| run_shard(shard, n_peers, &per_query, self.metrics);
+        let mut shard_results: Vec<Option<Sharded<X>>> = (0..shards.len()).map(|_| None).collect();
         if shards.len() <= 1 {
             for &i in &order {
-                shard_results[i] = Some(run_shard(shards[i].clone(), &per_query, metrics));
+                shard_results[i] = Some(run(shards[i].clone()));
             }
         } else {
             std::thread::scope(|scope| {
@@ -191,7 +196,7 @@ impl ParallelDriver {
                     .iter()
                     .map(|&i| {
                         let shard = shards[i].clone();
-                        (i, scope.spawn(|| run_shard(shard, &per_query, metrics)))
+                        (i, scope.spawn(|| run(shard)))
                     })
                     .collect();
                 for (i, h) in handles {
@@ -200,10 +205,55 @@ impl ParallelDriver {
             });
         }
         let mut merged = Accumulator::default();
+        let mut extras = Vec::with_capacity(self.queries);
         for r in shard_results {
-            merged.merge(r.expect("every shard ran")?);
+            let (acc, extra) = r.expect("every shard ran")?;
+            merged.merge(acc);
+            extras.extend(extra);
         }
-        Ok(merged)
+        Ok((merged, extras))
+    }
+
+    /// Query `g` of the batch over `(lo, hi)`: the one place the driver
+    /// derives the origin and the scheme seed and calls
+    /// [`RangeScheme::query`].
+    fn query_at(
+        &self,
+        scheme: &dyn RangeScheme,
+        g: usize,
+        (lo, hi): (f64, f64),
+        cx: &mut QueryCtx<'_>,
+    ) -> Result<(RangeOutcome, NodeId), SchemeError> {
+        let origin = self.query_origin(scheme, g);
+        let out = scheme.query(&RangeRequest::new(origin, lo, hi, self.query_seed(g))?, cx)?;
+        Ok((out, origin))
+    }
+
+    /// A plain sharded batch over `range_of`, with the hostile wrapper's
+    /// retry traffic metered around it: each query's attempt count is
+    /// deterministic, so the batch delta of the cumulative counter is too,
+    /// whatever the interleaving.
+    fn run_batch<W, S>(
+        &self,
+        scheme: &dyn RangeScheme,
+        range_of: W,
+        sink: S,
+    ) -> Result<DriverReport, SchemeError>
+    where
+        W: Fn(u64) -> (f64, f64) + Sync,
+        S: Fn(usize, &RangeOutcome) + Sync,
+    {
+        let retries_before = scheme.retry_attempts();
+        let (mut acc, _) = self.run_sharded(scheme.node_count(), |q, scratch| {
+            let (out, origin) =
+                self.query_at(scheme, q, range_of(q as u64), &mut QueryCtx::new(scratch))?;
+            sink(q, &out);
+            Ok((out, origin, ()))
+        })?;
+        if let Some(m) = acc.metrics_mut() {
+            m.inc("retry_attempts", scheme.retry_attempts() - retries_before);
+        }
+        Ok(acc.report(scheme.scheme_name(), self.queries))
     }
 
     /// Runs the batch against a single-attribute scheme: query `q` executes
@@ -273,27 +323,7 @@ impl ParallelDriver {
     where
         W: Fn(u64) -> (f64, f64) + Sync,
     {
-        let n_peers = scheme.node_count();
-        let retries_before = scheme.retry_attempts();
-        let mut acc = self.run_sharded(|q, scratch| {
-            let (lo, hi) = next_range(q as u64);
-            let origin = scheme.random_origin(&mut self.origin_rng(q));
-            let out = scheme.range_query_scratch(
-                origin,
-                lo,
-                hi,
-                self.seed.wrapping_add(q as u64),
-                scratch,
-            )?;
-            Ok((out, n_peers, origin))
-        })?;
-        if let Some(m) = acc.metrics_mut() {
-            // The hostile wrapper's cumulative attempt counter: each
-            // query's attempt count is deterministic, so the batch delta
-            // is too, whatever the interleaving.
-            m.inc("retry_attempts", scheme.retry_attempts() - retries_before);
-        }
-        Ok(acc.report(scheme.scheme_name(), self.queries))
+        self.run_batch(scheme, next_range, |_, _| {})
     }
 
     /// The result-streaming form of [`run`](Self::run): every query's full
@@ -322,27 +352,9 @@ impl ParallelDriver {
         sink: S,
     ) -> Result<DriverReport, SchemeError>
     where
-        S: Fn(usize, &crate::RangeOutcome) + Sync,
+        S: Fn(usize, &RangeOutcome) + Sync,
     {
-        let n_peers = scheme.node_count();
-        let retries_before = scheme.retry_attempts();
-        let mut acc = self.run_sharded(|q, scratch| {
-            let (lo, hi) = workload.range(self.seed, q as u64);
-            let origin = scheme.random_origin(&mut self.origin_rng(q));
-            let out = scheme.range_query_scratch(
-                origin,
-                lo,
-                hi,
-                self.seed.wrapping_add(q as u64),
-                scratch,
-            )?;
-            sink(q, &out);
-            Ok((out, n_peers, origin))
-        })?;
-        if let Some(m) = acc.metrics_mut() {
-            m.inc("retry_attempts", scheme.retry_attempts() - retries_before);
-        }
-        Ok(acc.report(scheme.scheme_name(), self.queries))
+        self.run_batch(scheme, |q| workload.range(self.seed, q), sink)
     }
 
     /// Runs the batch against a multi-attribute scheme: query `q` executes
@@ -357,13 +369,11 @@ impl ParallelDriver {
         domains: &[(f64, f64)],
         workload: &WorkloadGen,
     ) -> Result<DriverReport, SchemeError> {
-        let n_peers = scheme.node_count();
-        let acc = self.run_sharded(|q, scratch| {
+        let (acc, _) = self.run_sharded(scheme.node_count(), |q, scratch| {
             let rect = workload.rect(domains, self.seed, q as u64);
             let origin = scheme.random_origin(&mut self.origin_rng(q));
-            let out =
-                scheme.rect_query_scratch(origin, &rect, self.seed.wrapping_add(q as u64), scratch)?;
-            Ok((out, n_peers, origin))
+            let req = RectRequest::new(origin, &rect, self.query_seed(q))?;
+            Ok((scheme.query(&req, &mut QueryCtx::new(scratch))?, origin, ()))
         })?;
         Ok(acc.report(scheme.scheme_name(), self.queries))
     }
@@ -416,20 +426,13 @@ impl ParallelDriver {
             }
             let n_peers = scheme.node_count();
             let base = epoch * self.queries;
-            let acc = {
+            let (acc, _) = {
                 let shared: &dyn RangeScheme = &*scheme;
-                self.run_sharded(|q, scratch| {
-                    let g = (base + q) as u64;
-                    let (lo, hi) = workload.range(self.seed, g);
-                    let origin = shared.random_origin(&mut self.origin_rng(base + q));
-                    let out = shared.range_query_scratch(
-                        origin,
-                        lo,
-                        hi,
-                        self.seed.wrapping_add(g),
-                        scratch,
-                    )?;
-                    Ok((out, n_peers, origin))
+                self.run_sharded(n_peers, |q, scratch| {
+                    let range = workload.range(self.seed, (base + q) as u64);
+                    let (out, origin) =
+                        self.query_at(shared, base + q, range, &mut QueryCtx::new(scratch))?;
+                    Ok((out, origin, ()))
                 })?
             };
             let epoch_report = acc.clone().report(&name, self.queries);
@@ -476,21 +479,34 @@ impl ParallelDriver {
 
     /// Runs one query of the batch with tracing: the exact `(range,
     /// origin, seed)` triple [`run`](Self::run) would use for index `q`,
-    /// through the scheme's [`trace_query`](RangeScheme::trace_query) path.
+    /// with a trace requested in the [`QueryCtx`].
     ///
     /// # Errors
     ///
-    /// [`SchemeError::Unsupported`] when the scheme does not support
-    /// tracing; otherwise as [`run`](Self::run).
+    /// As [`run`](Self::run).
     pub fn trace_one(
         &self,
         scheme: &dyn RangeScheme,
         workload: &WorkloadGen,
         q: usize,
-    ) -> Result<(crate::RangeOutcome, crate::QueryTrace), SchemeError> {
-        let (lo, hi) = workload.range(self.seed, q as u64);
-        let origin = self.query_origin(scheme, q);
-        scheme.trace_query(origin, lo, hi, self.query_seed(q))
+    ) -> Result<(RangeOutcome, QueryTrace), SchemeError> {
+        let (out, _, trace) = self.trace_at(scheme, workload, q, &mut QueryScratch::new())?;
+        Ok((out, trace))
+    }
+
+    /// [`trace_one`](Self::trace_one) on the caller's scratch, origin included.
+    fn trace_at(
+        &self,
+        scheme: &dyn RangeScheme,
+        workload: &WorkloadGen,
+        q: usize,
+        scratch: &mut QueryScratch,
+    ) -> Result<(RangeOutcome, NodeId, QueryTrace), SchemeError> {
+        let mut trace = QueryTrace::default();
+        let range = workload.range(self.seed, q as u64);
+        let mut cx = QueryCtx::new(scratch).with_trace(&mut trace);
+        let (out, origin) = self.query_at(scheme, q, range, &mut cx)?;
+        Ok((out, origin, trace))
     }
 
     /// The traced form of [`run`](Self::run): the same sharded execution,
@@ -501,66 +517,21 @@ impl ParallelDriver {
     /// byte-identical across `{1, n}` threads and every submission order
     /// (pinned by `tests/parallel_determinism.rs`).
     ///
-    /// The report's summary statistics are **not** derived from the traced
-    /// path's outcomes being special in any way: `trace_query` returns the
-    /// same outcome `range_query` would, so the report matches an untraced
-    /// [`run`](Self::run) field for field.
+    /// Requesting a trace never moves an outcome, so the report matches an
+    /// untraced [`run`](Self::run) field for field.
     ///
     /// # Errors
     ///
     /// Propagates the lowest-indexed query error across all shards.
-    ///
-    /// [`QueryTrace`]: crate::QueryTrace
     pub fn run_traced(
         &self,
         scheme: &dyn RangeScheme,
         workload: &WorkloadGen,
-    ) -> Result<(DriverReport, Vec<crate::QueryTrace>), SchemeError> {
-        type ShardOut = Result<(Accumulator, Vec<crate::QueryTrace>), SchemeError>;
-        let n_peers = scheme.node_count();
-        let shards = self.shards();
-        let mut order: Vec<usize> = (0..shards.len()).collect();
-        if self.shard_salt != 0 {
-            order.sort_by_key(|&i| splitmix64(self.shard_salt ^ i as u64));
-        }
-        let run_one = |shard: std::ops::Range<usize>| -> ShardOut {
-            let mut acc =
-                if self.metrics { Accumulator::with_metrics() } else { Accumulator::default() };
-            let mut traces = Vec::with_capacity(shard.len());
-            for q in shard {
-                let (out, tr) = self.trace_one(scheme, workload, q)?;
-                acc.push(&out, n_peers, self.query_origin(scheme, q));
-                traces.push(tr);
-            }
-            Ok((acc, traces))
-        };
-        let mut shard_results: Vec<Option<ShardOut>> = (0..shards.len()).map(|_| None).collect();
-        if shards.len() <= 1 {
-            for &i in &order {
-                shard_results[i] = Some(run_one(shards[i].clone()));
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = order
-                    .iter()
-                    .map(|&i| {
-                        let shard = shards[i].clone();
-                        (i, scope.spawn(|| run_one(shard)))
-                    })
-                    .collect();
-                for (i, h) in handles {
-                    shard_results[i] = Some(h.join().expect("worker panicked"));
-                }
-            });
-        }
-        let mut merged = Accumulator::default();
-        let mut all = Vec::with_capacity(self.queries);
-        for r in shard_results {
-            let (acc, traces) = r.expect("every shard ran")?;
-            merged.merge(acc);
-            all.extend(traces);
-        }
-        Ok((merged.report(scheme.scheme_name(), self.queries), all))
+    ) -> Result<(DriverReport, Vec<QueryTrace>), SchemeError> {
+        let (acc, traces) = self.run_sharded(scheme.node_count(), |q, scratch| {
+            self.trace_at(scheme, workload, q, scratch)
+        })?;
+        Ok((acc.report(scheme.scheme_name(), self.queries), traces))
     }
 
     /// Origin-selection RNG for query `q`: index-derived, like the
@@ -582,28 +553,27 @@ fn splitmix64(v: u64) -> u64 {
 }
 
 /// Executes one contiguous shard serially, in index order, with one
-/// [`QueryScratch`](simnet::QueryScratch) for the whole shard — per-query
-/// setup allocations are paid once per worker thread, and the scratch
-/// contract (bit-identical outcomes) keeps the shard-invariance guarantee
-/// intact.
-fn run_shard<F>(
+/// [`QueryScratch`] for the whole shard — per-query setup allocations are
+/// paid once per worker thread, and the scratch contract (bit-identical
+/// outcomes) keeps the shard-invariance guarantee intact.
+fn run_shard<X, F>(
     shard: std::ops::Range<usize>,
+    n_peers: usize,
     per_query: &F,
     metrics: bool,
-) -> Result<Accumulator, SchemeError>
+) -> Sharded<X>
 where
-    F: Fn(
-        usize,
-        &mut simnet::QueryScratch,
-    ) -> Result<(crate::RangeOutcome, usize, simnet::NodeId), SchemeError>,
+    F: Fn(usize, &mut QueryScratch) -> Result<(RangeOutcome, NodeId, X), SchemeError>,
 {
     let mut acc = if metrics { Accumulator::with_metrics() } else { Accumulator::default() };
-    let mut scratch = simnet::QueryScratch::new();
+    let mut extras = Vec::with_capacity(shard.len());
+    let mut scratch = QueryScratch::new();
     for q in shard {
-        let (out, n_peers, origin) = per_query(q, &mut scratch)?;
+        let (out, origin, extra) = per_query(q, &mut scratch)?;
         acc.push(&out, n_peers, origin);
+        extras.push(extra);
     }
-    Ok(acc)
+    Ok((acc, extras))
 }
 
 #[cfg(test)]

@@ -37,13 +37,6 @@ pub struct BuildParams {
     /// default — one attempt, no waits). Ignored unless the name carries
     /// a hostile suffix.
     pub retry: RetryPolicy,
-    /// Whether the caller intends to trace queries on the built scheme
-    /// (`false` by default). Construction itself is unchanged — tracing is
-    /// a per-query capability — but a build with `trace` set refuses
-    /// compositions whose outermost scheme cannot honor
-    /// [`RangeScheme::trace_query`], so a `--trace` run fails at build
-    /// time instead of on its first query.
-    pub trace: bool,
 }
 
 impl BuildParams {
@@ -56,7 +49,6 @@ impl BuildParams {
             replication: ReplicaPolicy::none(),
             net: NetModel::unit(),
             retry: RetryPolicy::none(),
-            trace: false,
         }
     }
 
@@ -81,14 +73,6 @@ impl BuildParams {
     /// Sets the default retry policy for hostile-wrapped builds.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Declares that the caller intends to trace queries: the build then
-    /// refuses schemes that cannot honor
-    /// [`RangeScheme::trace_query`](crate::RangeScheme::trace_query).
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
         self
     }
 }
@@ -305,18 +289,13 @@ impl SchemeRegistry {
         let policy = suffix_policy.unwrap_or_else(|| params.replication.clone());
         let scheme: Box<dyn RangeScheme> =
             if policy.is_none() { inner } else { Box::new(Replicated::new(inner, policy)?) };
-        let scheme = match suffixes.hostile {
+        Ok(match suffixes.hostile {
             None => scheme,
             Some((plan, retry, spec)) => {
                 let retry = retry.unwrap_or(effective.retry);
                 Box::new(Hostile::new(scheme, plan, retry, effective.net, spec)?)
-                    as Box<dyn RangeScheme>
             }
-        };
-        if effective.trace && !scheme.supports_tracing() {
-            return Err(SchemeError::Unsupported { scheme: name.to_string(), feature: "tracing" });
-        }
-        Ok(scheme)
+        })
     }
 
     /// Builds the multi-attribute scheme registered under `name`.
@@ -576,27 +555,6 @@ mod tests {
         assert_eq!(wrapped.as_hostile().unwrap().retry_policy().attempts, 3);
         let mut overridden = reg.build_single("local-scan@lossy-p/r2", &params, &mut rng).unwrap();
         assert_eq!(overridden.as_hostile().unwrap().retry_policy().attempts, 2);
-    }
-
-    #[test]
-    fn trace_builds_refuse_schemes_without_tracing() {
-        let reg = toy_registry();
-        let mut rng = simnet::rng_from_seed(1);
-        let params = BuildParams::new(8, 0.0, 10.0).with_trace(true);
-        // LocalScan has no trace_query; the refusal happens at build time,
-        // and propagates honestly through the hostile wrapper (which only
-        // supports tracing when its inner scheme does).
-        for name in ["local-scan", "local-scan@lossy-p"] {
-            let err = reg.build_single(name, &params, &mut rng).map(|_| ()).unwrap_err();
-            assert!(
-                matches!(err, SchemeError::Unsupported { feature: "tracing", .. }),
-                "{name}: {err}"
-            );
-        }
-        // Without the knob the same names build fine.
-        assert!(reg
-            .build_single("local-scan", &params.clone().with_trace(false), &mut rng)
-            .is_ok());
     }
 
     #[test]

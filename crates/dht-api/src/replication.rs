@@ -55,7 +55,7 @@
 //! live holder.
 
 use crate::dynamics::DynamicScheme;
-use crate::scheme::{RangeOutcome, RangeScheme, SchemeError};
+use crate::scheme::{QueryCtx, RangeOutcome, RangeRequest, RangeScheme, SchemeError};
 use rand::rngs::SmallRng;
 use simnet::NodeId;
 use std::collections::BTreeSet;
@@ -398,17 +398,16 @@ impl Replicated {
     /// query outcome is identical either way.
     fn recover(
         &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
+        req: &RangeRequest,
         mut out: RangeOutcome,
-        faults: Option<(&simnet::FaultPlan, u64)>,
+        faults: Option<&simnet::FaultPlan>,
         mut fetch_log: Option<&mut Vec<(NodeId, FetchCost, bool)>>,
     ) -> RangeOutcome {
         use rand::Rng as _;
         if self.policy.is_none() {
             return out;
         }
+        let (origin, lo, hi) = (req.origin(), req.lo(), req.hi());
         let expected = self.expected(lo, hi);
         if expected == out.results {
             return out;
@@ -419,7 +418,7 @@ impl Replicated {
         let missing_n = missing.len();
         let routing = self.routing();
         let mut fault_state =
-            faults.map(|(plan, seed)| (plan, simnet::rng_from_seed(seed ^ FETCH_SALT)));
+            faults.map(|plan| (plan, simnet::rng_from_seed(req.seed() ^ FETCH_SALT)));
         let mut fetched: Vec<u64> = Vec::new();
         let mut fetch_delay = 0u64;
         let mut fetch_latency = 0u64;
@@ -591,10 +590,6 @@ impl RangeScheme for Replicated {
         self.inner.node_count()
     }
 
-    fn supports_rect(&self) -> bool {
-        self.inner.supports_rect()
-    }
-
     fn publish(&mut self, value: f64, handle: u64) -> Result<(), SchemeError> {
         let owners = if self.policy.is_none() {
             Vec::new()
@@ -619,63 +614,32 @@ impl RangeScheme for Replicated {
         hi: f64,
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        let out = self.inner.range_query(origin, lo, hi, seed)?;
-        Ok(self.recover(origin, lo, hi, out, None, None))
+        self.range_query_scratch(origin, lo, hi, seed, &mut simnet::QueryScratch::new())
+    }
+
+    /// The inner query under the same context, then the fetch phase —
+    /// obeying the context's fault plan, spliced into its trace.
+    fn query(
+        &self,
+        req: &RangeRequest,
+        cx: &mut QueryCtx<'_>,
+    ) -> Result<RangeOutcome, SchemeError> {
+        let out = self.inner.query(req, cx)?;
+        let phase_start = out.latency;
+        let mut log = cx.trace.is_some().then(Vec::new);
+        let out = self.recover(req, out, cx.faults, log.as_mut());
+        if let (Some(trace), Some(log)) = (cx.trace.as_deref_mut(), log) {
+            splice_fetch_phase(trace, req.origin(), phase_start, &log);
+        }
+        Ok(out)
     }
 
     fn supports_fault_injection(&self) -> bool {
         self.inner.supports_fault_injection()
     }
 
-    fn range_query_with_faults(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-        faults: &simnet::FaultPlan,
-    ) -> Result<RangeOutcome, SchemeError> {
-        let out = self.inner.range_query_with_faults(origin, lo, hi, seed, faults)?;
-        Ok(self.recover(origin, lo, hi, out, Some((faults, seed)), None))
-    }
-
-    fn supports_tracing(&self) -> bool {
-        self.inner.supports_tracing()
-    }
-
     fn retry_attempts(&self) -> u64 {
         self.inner.retry_attempts()
-    }
-
-    fn trace_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<(RangeOutcome, crate::QueryTrace), SchemeError> {
-        let (out, mut trace) = self.inner.trace_query(origin, lo, hi, seed)?;
-        let phase_start = out.latency;
-        let mut log = Vec::new();
-        let out = self.recover(origin, lo, hi, out, None, Some(&mut log));
-        splice_fetch_phase(&mut trace, origin, phase_start, &log);
-        Ok((out, trace))
-    }
-
-    fn trace_query_with_faults(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-        faults: &simnet::FaultPlan,
-    ) -> Result<(RangeOutcome, crate::QueryTrace), SchemeError> {
-        let (out, mut trace) = self.inner.trace_query_with_faults(origin, lo, hi, seed, faults)?;
-        let phase_start = out.latency;
-        let mut log = Vec::new();
-        let out = self.recover(origin, lo, hi, out, Some((faults, seed)), Some(&mut log));
-        splice_fetch_phase(&mut trace, origin, phase_start, &log);
-        Ok((out, trace))
     }
 
     fn as_dynamic(&mut self) -> Option<&mut dyn DynamicScheme> {
@@ -854,51 +818,26 @@ mod tests {
         fn supports_fault_injection(&self) -> bool {
             true
         }
-        fn range_query_with_faults(
+        fn query(
             &self,
-            origin: NodeId,
-            lo: f64,
-            hi: f64,
-            seed: u64,
-            faults: &simnet::FaultPlan,
+            req: &RangeRequest,
+            cx: &mut QueryCtx<'_>,
         ) -> Result<RangeOutcome, SchemeError> {
-            // Owners crashed by the plan cannot answer this query.
-            let mut out = self.range_query(origin, lo, hi, seed)?;
-            let lost: Vec<u64> = self
-                .records
-                .iter()
-                .filter(|&&(v, _, owner)| v >= lo && v <= hi && faults.is_crashed(owner))
-                .map(|&(_, h, _)| h)
-                .collect();
-            out.results.retain(|h| !lost.contains(h));
-            out.exact = lost.is_empty() && out.exact;
+            let (lo, hi) = (req.lo(), req.hi());
+            let mut out = self.range_query(req.origin(), lo, hi, req.seed())?;
+            if let Some(faults) = cx.faults {
+                // Owners crashed by the plan cannot answer this query.
+                let lost: Vec<u64> = self
+                    .records
+                    .iter()
+                    .filter(|&&(v, _, owner)| v >= lo && v <= hi && faults.is_crashed(owner))
+                    .map(|&(_, h, _)| h)
+                    .collect();
+                out.results.retain(|h| !lost.contains(h));
+                out.exact = lost.is_empty() && out.exact;
+            }
+            cx.trace_modeled("shard-scan", req.origin(), &out);
             Ok(out)
-        }
-        fn supports_tracing(&self) -> bool {
-            true
-        }
-        fn trace_query(
-            &self,
-            origin: NodeId,
-            lo: f64,
-            hi: f64,
-            seed: u64,
-        ) -> Result<(RangeOutcome, crate::QueryTrace), SchemeError> {
-            let out = self.range_query(origin, lo, hi, seed)?;
-            let trace = crate::QueryTrace::modeled("shard-scan", origin, &out);
-            Ok((out, trace))
-        }
-        fn trace_query_with_faults(
-            &self,
-            origin: NodeId,
-            lo: f64,
-            hi: f64,
-            seed: u64,
-            faults: &simnet::FaultPlan,
-        ) -> Result<(RangeOutcome, crate::QueryTrace), SchemeError> {
-            let out = self.range_query_with_faults(origin, lo, hi, seed, faults)?;
-            let trace = crate::QueryTrace::modeled("shard-scan", origin, &out);
-            Ok((out, trace))
         }
     }
 
@@ -952,6 +891,17 @@ mod tests {
             wrapped.publish((h as f64 * 37.0) % 1000.0, h).unwrap();
         }
         wrapped
+    }
+
+    /// The whole-domain query from peer 0 through the full-surface call.
+    fn query_all(
+        scheme: &dyn RangeScheme,
+        faults: Option<&simnet::FaultPlan>,
+        trace: Option<&mut crate::QueryTrace>,
+    ) -> RangeOutcome {
+        let req = RangeRequest::new(0, 0.0, 1000.0, 0).unwrap();
+        let mut scratch = simnet::QueryScratch::new();
+        scheme.query(&req, &mut QueryCtx { scratch: &mut scratch, faults, trace }).unwrap()
     }
 
     #[test]
@@ -1124,7 +1074,7 @@ mod tests {
         let owners = ring_owners(&inner_live, value_key(37.0), 3);
         let mut faults = simnet::FaultPlan::new();
         faults.crash(owners[0]);
-        let out = scheme.range_query_with_faults(0, 0.0, 1000.0, 0, &faults).unwrap();
+        let out = query_all(&scheme, Some(&faults), None);
         assert_eq!(out.results.len(), 60, "a live replica must cover the faulted primary");
 
         // Fault-crash the whole replica set: recovery must NOT resurrect
@@ -1132,7 +1082,7 @@ mod tests {
         for &o in &owners {
             faults.crash(o);
         }
-        let out = scheme.range_query_with_faults(0, 0.0, 1000.0, 0, &faults).unwrap();
+        let out = query_all(&scheme, Some(&faults), None);
         assert!(
             out.results.len() < 60,
             "records whose full replica set is faulted must stay missing"
@@ -1142,8 +1092,8 @@ mod tests {
         // Total message loss: fetches are paid for but recover nothing.
         let mut lossy = simnet::FaultPlan::with_drop_prob(1.0);
         lossy.crash(owners[0]);
-        let dropped = scheme.range_query_with_faults(0, 0.0, 1000.0, 0, &lossy).unwrap();
-        let inner_only = scheme.inner().range_query_with_faults(0, 0.0, 1000.0, 0, &lossy).unwrap();
+        let dropped = query_all(&scheme, Some(&lossy), None);
+        let inner_only = query_all(scheme.inner(), Some(&lossy), None);
         assert_eq!(
             dropped.results, inner_only.results,
             "at 100% loss no fetch can land, so no record comes back"
@@ -1197,7 +1147,8 @@ mod tests {
             DynamicScheme::crash(&mut scheme, victim).unwrap();
         }
         let plain = scheme.range_query(0, 0.0, 1000.0, 0).unwrap();
-        let (traced, tr) = scheme.trace_query(0, 0.0, 1000.0, 0).unwrap();
+        let mut tr = crate::QueryTrace::default();
+        let traced = query_all(&scheme, None, Some(&mut tr));
         assert_eq!(plain, traced, "tracing must not perturb the outcome");
         assert_eq!(tr.root.total(), (traced.delay, traced.latency, traced.messages));
         let fetches = tr
@@ -1221,8 +1172,9 @@ mod tests {
         let owners = ring_owners(&inner_live, value_key(37.0), 3);
         let mut lossy = simnet::FaultPlan::with_drop_prob(1.0);
         lossy.crash(owners[0]);
-        let plain = scheme.range_query_with_faults(0, 0.0, 1000.0, 0, &lossy).unwrap();
-        let (traced, tr) = scheme.trace_query_with_faults(0, 0.0, 1000.0, 0, &lossy).unwrap();
+        let plain = query_all(&scheme, Some(&lossy), None);
+        let mut tr = crate::QueryTrace::default();
+        let traced = query_all(&scheme, Some(&lossy), Some(&mut tr));
         assert_eq!(plain, traced, "traced faulted recovery must replay the same verdicts");
         assert_eq!(tr.root.total(), (traced.delay, traced.latency, traced.messages));
         let lost = tr

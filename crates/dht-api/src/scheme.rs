@@ -121,7 +121,8 @@ pub enum SchemeError {
         /// The offending node id.
         origin: NodeId,
     },
-    /// The queried range (or a per-attribute range) was empty.
+    /// The queried range (or a per-attribute range) holds no value:
+    /// `lo > hi`, or a NaN bound.
     EmptyRange {
         /// Lower endpoint as supplied.
         lo: f64,
@@ -246,6 +247,194 @@ impl std::fmt::Display for SchemeError {
 
 impl std::error::Error for SchemeError {}
 
+/// One validated single-attribute range request: who asks (`origin`), what
+/// for (`[lo, hi]`) and the per-query `seed`. [`new`](Self::new) is the one
+/// place bounds are checked, so a request that exists is well-formed and
+/// no scheme re-validates it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RangeRequest {
+    origin: NodeId,
+    lo: f64,
+    hi: f64,
+    seed: u64,
+}
+
+impl RangeRequest {
+    /// Validates the bounds and builds the request. Infinite and
+    /// out-of-domain bounds pass (every scheme clamps them to its domain).
+    ///
+    /// # Errors
+    ///
+    /// [`SchemeError::EmptyRange`] for `lo > hi` or a NaN bound.
+    pub fn new(origin: NodeId, lo: f64, hi: f64, seed: u64) -> Result<Self, SchemeError> {
+        check_bounds(lo, hi)?;
+        Ok(RangeRequest { origin, lo, hi, seed })
+    }
+
+    /// The querying peer.
+    pub fn origin(&self) -> NodeId {
+        self.origin
+    }
+
+    /// Lower bound of the range.
+    pub fn lo(&self) -> f64 {
+        self.lo
+    }
+
+    /// Upper bound of the range.
+    pub fn hi(&self) -> f64 {
+        self.hi
+    }
+
+    /// Seed for schemes with internal randomness.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The same request under another seed (retry attempts re-roll theirs).
+    pub fn with_seed(self, seed: u64) -> Self {
+        RangeRequest { seed, ..self }
+    }
+}
+
+/// One validated rectangle request — [`RangeRequest`]'s multi-attribute
+/// twin, borrowing its `(lo, hi)`-per-attribute rectangle. Arity is the
+/// scheme's to check (only it knows its dimension count).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RectRequest<'a> {
+    origin: NodeId,
+    rect: &'a [(f64, f64)],
+    seed: u64,
+}
+
+impl<'a> RectRequest<'a> {
+    /// Validates every per-attribute range and builds the request.
+    ///
+    /// # Errors
+    ///
+    /// [`SchemeError::EmptyRange`] for the first attribute with `lo > hi`
+    /// or a NaN bound.
+    pub fn new(origin: NodeId, rect: &'a [(f64, f64)], seed: u64) -> Result<Self, SchemeError> {
+        rect.iter().try_for_each(|&(lo, hi)| check_bounds(lo, hi))?;
+        Ok(RectRequest { origin, rect, seed })
+    }
+
+    /// The querying peer.
+    pub fn origin(&self) -> NodeId {
+        self.origin
+    }
+
+    /// One `(lo, hi)` per attribute.
+    pub fn rect(&self) -> &'a [(f64, f64)] {
+        self.rect
+    }
+
+    /// Seed for schemes with internal randomness.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+}
+
+/// NaN compares false against everything, so `lo <= hi` rejects it along
+/// with inverted bounds: a range with a NaN bound holds no value.
+fn check_bounds(lo: f64, hi: f64) -> Result<(), SchemeError> {
+    if lo <= hi {
+        Ok(())
+    } else {
+        Err(SchemeError::EmptyRange { lo, hi })
+    }
+}
+
+/// Everything a query may carry besides the request itself: the caller's
+/// reusable buffers, a fault plan to inject, and a trace to fill. Wrappers
+/// hand the same context down their stack, so an axis set at the top
+/// reaches the engine at the bottom.
+pub struct QueryCtx<'a> {
+    /// Reusable per-thread buffers. Drivers own one per worker and pass it
+    /// to every query on that thread; reuse may only move allocation
+    /// counts, never an outcome.
+    pub scratch: &'a mut simnet::QueryScratch,
+    /// The fault plan to run under (message drops, crashed responders,
+    /// loss/partition/rate-limit families); `None` for a fault-free query.
+    pub faults: Option<&'a simnet::FaultPlan>,
+    /// Where to write the query's observability record; `None` skips
+    /// tracing. Tracing observes, never perturbs: the outcome is the same
+    /// either way.
+    pub trace: Option<&'a mut crate::QueryTrace>,
+}
+
+impl<'a> QueryCtx<'a> {
+    /// A plain context: scratch only, no faults, no trace.
+    pub fn new(scratch: &'a mut simnet::QueryScratch) -> Self {
+        QueryCtx { scratch, faults: None, trace: None }
+    }
+
+    /// Runs the query under `faults`.
+    pub fn with_faults(mut self, faults: &'a simnet::FaultPlan) -> Self {
+        self.faults = Some(faults);
+        self
+    }
+
+    /// Records the query into `trace`.
+    pub fn with_trace(mut self, trace: &'a mut crate::QueryTrace) -> Self {
+        self.trace = Some(trace);
+        self
+    }
+
+    /// For schemes without a native fault path: accepts an absent or
+    /// fault-free plan, refuses one that injects.
+    ///
+    /// # Errors
+    ///
+    /// [`SchemeError::Unsupported`] naming `scheme` when the plan injects
+    /// faults.
+    pub fn refuse_faults(&self, scheme: &str) -> Result<(), SchemeError> {
+        match self.faults {
+            Some(plan) if !plan.is_fault_free() => Err(SchemeError::Unsupported {
+                scheme: scheme.to_string(),
+                feature: "fault injection",
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// For schemes with a native fault path over `n` peers: the plan to
+    /// simulate under. A plan crashing a peer outside the id space would
+    /// silently be a no-op (nothing routes to it), so it is rejected.
+    ///
+    /// # Errors
+    ///
+    /// [`SchemeError::FaultPlanOutOfRange`] naming the smallest offender.
+    pub fn faults_within(&self, n: usize) -> Result<Option<&'a simnet::FaultPlan>, SchemeError> {
+        match self.faults.and_then(|plan| plan.first_out_of_range(n)) {
+            Some(node) => Err(SchemeError::FaultPlanOutOfRange { node, n }),
+            None => Ok(self.faults),
+        }
+    }
+
+    /// Fills the requested trace (if any) with the analytic decomposition
+    /// of `outcome` — see [`QueryTrace::modeled`](crate::QueryTrace::modeled).
+    pub fn trace_modeled(&mut self, label: &str, origin: NodeId, outcome: &RangeOutcome) {
+        if let Some(trace) = self.trace.as_deref_mut() {
+            *trace = crate::QueryTrace::modeled(label, origin, outcome);
+        }
+    }
+
+    /// Fills the requested trace (if any) from the event stream a
+    /// simulation-backed engine recorded for `outcome` — see
+    /// [`QueryTrace::from_sim_records`](crate::QueryTrace::from_sim_records).
+    pub fn trace_sim_records(
+        &mut self,
+        label: &str,
+        records: Option<Vec<simnet::TraceRecord>>,
+        outcome: &RangeOutcome,
+    ) {
+        if let (Some(trace), Some(records)) = (self.trace.as_deref_mut(), records) {
+            *trace = crate::QueryTrace::from_sim_records(label, records, outcome);
+        }
+    }
+}
+
 /// A single-attribute range-query scheme: publish `(value, handle)` records,
 /// answer `[lo, hi]` queries with a [`RangeOutcome`].
 ///
@@ -254,6 +443,62 @@ impl std::error::Error for SchemeError {}
 /// flooding), PHT (over FissionE and over Chord), Skip Graph, Squid, and
 /// SCRAP (the latter two over one-dimensional builds of their native
 /// multi-attribute machinery).
+///
+/// # Two query methods
+///
+/// The trait has the `Read::read` / `read_vectored` shape. A scheme
+/// implements **one** of:
+///
+/// * [`range_query`](Self::range_query) — the plain positional call. An
+///   analytic scheme implements only this; the provided
+///   [`query`](Self::query) answers a plain request through it, fills a
+///   requested trace with a modeled decomposition, and refuses a fault
+///   plan that injects.
+/// * [`query`](Self::query) — the full surface: a validated
+///   [`RangeRequest`] plus a [`QueryCtx`] carrying scratch, faults and
+///   trace in one call. Simulation-backed schemes and the wrappers
+///   override this, and implement `range_query` as
+///   `self.range_query_scratch(…, &mut QueryScratch::new())`.
+///
+/// Overriding neither recurses forever, as with `Read`.
+///
+/// ```
+/// # use dht_api::{QueryCtx, QueryTrace, RangeOutcome, RangeRequest, RangeScheme, SchemeError};
+/// # struct One;
+/// # impl RangeScheme for One {
+/// #     fn scheme_name(&self) -> &'static str { "one" }
+/// #     fn substrate(&self) -> String { "local".into() }
+/// #     fn degree(&self) -> String { "0".into() }
+/// #     fn node_count(&self) -> usize { 1 }
+/// #     fn publish(&mut self, _: f64, _: u64) -> Result<(), SchemeError> { Ok(()) }
+/// #     fn random_origin(&self, _: &mut rand::rngs::SmallRng) -> usize { 0 }
+/// #     fn range_query(&self, o: usize, lo: f64, hi: f64, s: u64)
+/// #         -> Result<RangeOutcome, SchemeError> {
+/// #         RangeRequest::new(o, lo, hi, s)?;
+/// #         Ok(RangeOutcome { results: vec![7], delay: 2, latency: 2, messages: 3,
+/// #             dest_peers: 1, reached_peers: 1, exact: true })
+/// #     }
+/// # }
+/// # let scheme = One;
+/// # let origin = 0;
+/// // The plain call…
+/// let outcome = scheme.range_query(origin, 10.0, 20.0, 0)?;
+/// assert!(outcome.exact);
+/// assert!(outcome.mesg_ratio() >= 1.0); // messages per useful peer
+///
+/// // …and the same query with a reused scratch and a trace, in one call.
+/// let mut scratch = simnet::QueryScratch::new();
+/// let mut trace = QueryTrace::default();
+/// let request = RangeRequest::new(origin, 10.0, 20.0, 0)?;
+/// let traced = scheme.query(&request, &mut QueryCtx::new(&mut scratch).with_trace(&mut trace))?;
+/// assert_eq!(traced, outcome); // tracing observes, never perturbs
+/// assert_eq!(trace.root.total(), (outcome.delay, outcome.latency, outcome.messages));
+///
+/// // Malformed bounds never reach a scheme: the request refuses them.
+/// assert!(matches!(RangeRequest::new(origin, 20.0, 10.0, 0), Err(SchemeError::EmptyRange { .. })));
+/// assert!(matches!(scheme.range_query(origin, f64::NAN, 10.0, 0), Err(SchemeError::EmptyRange { .. })));
+/// # Ok::<(), SchemeError>(())
+/// ```
 ///
 /// # Thread safety
 ///
@@ -279,12 +524,6 @@ pub trait RangeScheme: Send + Sync {
     /// Number of live peers/zones.
     fn node_count(&self) -> usize;
 
-    /// Whether the scheme family also answers multi-attribute rectangles
-    /// (Table 1's "multi-attr" column).
-    fn supports_rect(&self) -> bool {
-        false
-    }
-
     /// Publishes a record: `handle` becomes retrievable by range queries
     /// covering `value`.
     ///
@@ -296,51 +535,18 @@ pub trait RangeScheme: Send + Sync {
     /// A uniformly random live query origin.
     fn random_origin(&self, rng: &mut rand::rngs::SmallRng) -> NodeId;
 
-    /// Executes a range query over `[lo, hi]` from `origin`. `seed` feeds
-    /// schemes with internal randomness (tie-breaking, simulation); pure
-    /// schemes ignore it. Takes `&self`: queries never mutate scheme state,
-    /// which is what lets [`ParallelDriver`](crate::ParallelDriver) share
-    /// one instance across threads.
+    /// Executes a plain range query over `[lo, hi]` from `origin`: fresh
+    /// buffers, no faults, no trace. `seed` feeds schemes with internal
+    /// randomness (tie-breaking, simulation); pure schemes ignore it.
+    /// Takes `&self`: queries never mutate scheme state, which is what
+    /// lets [`ParallelDriver`](crate::ParallelDriver) share one instance
+    /// across threads.
     ///
     /// # Errors
     ///
     /// [`SchemeError::BadOrigin`] for dead origins,
-    /// [`SchemeError::EmptyRange`] for `lo > hi`, scheme-specific wraps
-    /// otherwise.
-    ///
-    /// # Example
-    ///
-    /// The uniform call sequence (toy scheme hidden; every registered
-    /// scheme answers the same way):
-    ///
-    /// ```
-    /// # use dht_api::{RangeOutcome, RangeScheme, SchemeError};
-    /// # struct One;
-    /// # impl RangeScheme for One {
-    /// #     fn scheme_name(&self) -> &'static str { "one" }
-    /// #     fn substrate(&self) -> String { "local".into() }
-    /// #     fn degree(&self) -> String { "0".into() }
-    /// #     fn node_count(&self) -> usize { 1 }
-    /// #     fn publish(&mut self, _: f64, _: u64) -> Result<(), SchemeError> { Ok(()) }
-    /// #     fn random_origin(&self, _: &mut rand::rngs::SmallRng) -> usize { 0 }
-    /// #     fn range_query(&self, _o: usize, lo: f64, hi: f64, _s: u64)
-    /// #         -> Result<RangeOutcome, SchemeError> {
-    /// #         if lo > hi { return Err(SchemeError::EmptyRange { lo, hi }); }
-    /// #         Ok(RangeOutcome { results: vec![7], delay: 2, latency: 2, messages: 3,
-    /// #             dest_peers: 1, reached_peers: 1, exact: true })
-    /// #     }
-    /// # }
-    /// # let scheme = One;
-    /// # let origin = 0;
-    /// let outcome = scheme.range_query(origin, 10.0, 20.0, 0)?;
-    /// assert!(outcome.exact);
-    /// assert!(outcome.mesg_ratio() >= 1.0); // messages per useful peer
-    /// assert!(matches!(
-    ///     scheme.range_query(origin, 20.0, 10.0, 0), // lo > hi
-    ///     Err(SchemeError::EmptyRange { .. })
-    /// ));
-    /// # Ok::<(), SchemeError>(())
-    /// ```
+    /// [`SchemeError::EmptyRange`] for `lo > hi` or a NaN bound (validate
+    /// with [`RangeRequest::new`]), scheme-specific wraps otherwise.
     fn range_query(
         &self,
         origin: NodeId,
@@ -349,22 +555,35 @@ pub trait RangeScheme: Send + Sync {
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError>;
 
-    /// [`range_query`](Self::range_query) with a caller-owned
-    /// [`QueryScratch`](simnet::QueryScratch): drivers own one scratch per
-    /// worker thread and pass it to every query on that thread, so
-    /// simulation-backed schemes amortize their per-query setup
-    /// allocations (event queues, routing buffers) across the batch.
-    ///
-    /// The contract is strict observational equivalence: for identical
-    /// arguments the outcome must be bit-identical to
-    /// [`range_query`](Self::range_query) — scratch reuse may only affect
-    /// allocation counts, never results or metrics. The default delegates
-    /// to [`range_query`](Self::range_query), which is always correct;
-    /// schemes with reusable state override it.
+    /// Executes `req` under `cx` — scratch reuse, fault injection and
+    /// tracing in any combination, on any stack. For identical requests
+    /// the outcome is bit-identical to [`range_query`](Self::range_query)
+    /// whatever scratch or trace the context carries; a filled trace's
+    /// [`total`](crate::CostNode::total) reproduces the outcome's
+    /// `delay`/`latency`/`messages` exactly.
     ///
     /// # Errors
     ///
-    /// As [`range_query`](Self::range_query).
+    /// As [`range_query`](Self::range_query); the provided implementation
+    /// adds [`SchemeError::Unsupported`] for a plan that injects faults.
+    fn query(
+        &self,
+        req: &RangeRequest,
+        cx: &mut QueryCtx<'_>,
+    ) -> Result<RangeOutcome, SchemeError> {
+        cx.refuse_faults(self.scheme_name())?;
+        let out = self.range_query(req.origin, req.lo, req.hi, req.seed)?;
+        cx.trace_modeled(self.scheme_name(), req.origin, &out);
+        Ok(out)
+    }
+
+    /// [`query`](Self::query) for a plain request in positional form:
+    /// validate, then run with the caller's `scratch`. Not meant to be
+    /// overridden.
+    ///
+    /// # Errors
+    ///
+    /// As [`query`](Self::query).
     fn range_query_scratch(
         &self,
         origin: NodeId,
@@ -373,103 +592,15 @@ pub trait RangeScheme: Send + Sync {
         seed: u64,
         scratch: &mut simnet::QueryScratch,
     ) -> Result<RangeOutcome, SchemeError> {
-        let _ = scratch;
-        self.range_query(origin, lo, hi, seed)
+        self.query(&RangeRequest::new(origin, lo, hi, seed)?, &mut QueryCtx::new(scratch))
     }
 
-    /// Whether the scheme models per-query fault injection — i.e. whether
-    /// [`range_query_with_faults`](Self::range_query_with_faults) is a
-    /// real implementation rather than the refusing default. Overridden
-    /// alongside it, so drivers and experiments discover support at
-    /// runtime instead of hard-coding scheme lists.
+    /// Whether [`query`](Self::query) simulates an injecting fault plan
+    /// natively instead of refusing it. [`Hostile`](crate::Hostile) picks
+    /// native vs response-plane degradation from this before it queries,
+    /// and experiments filter on it instead of hard-coding scheme lists.
     fn supports_fault_injection(&self) -> bool {
         false
-    }
-
-    /// Executes a range query under a fault plan (message drops, crashed
-    /// responders, hostile loss/partition/rate-limit families). Schemes
-    /// whose native engine models per-query faults (PIRA, DCF-CAN)
-    /// override this; the default answers fault-free plans via
-    /// [`range_query`](Self::range_query) and refuses real fault injection
-    /// honestly.
-    ///
-    /// # Errors
-    ///
-    /// [`SchemeError::Unsupported`] from the default implementation when
-    /// the plan actually injects faults; otherwise as
-    /// [`range_query`](Self::range_query).
-    fn range_query_with_faults(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-        faults: &simnet::FaultPlan,
-    ) -> Result<RangeOutcome, SchemeError> {
-        if faults.is_fault_free() {
-            return self.range_query(origin, lo, hi, seed);
-        }
-        Err(SchemeError::Unsupported {
-            scheme: self.scheme_name().to_string(),
-            feature: "fault injection",
-        })
-    }
-
-    /// Whether [`trace_query`](Self::trace_query) is a real implementation
-    /// rather than the refusing default. All registry schemes support it —
-    /// simulation-backed engines (PIRA, DCF-CAN) with real event streams,
-    /// analytic schemes with honestly-labeled modeled decompositions.
-    fn supports_tracing(&self) -> bool {
-        false
-    }
-
-    /// Executes a range query *and* returns its observability record: the
-    /// structured event stream plus the causal cost tree, whose
-    /// [`total`](crate::CostNode::total) exactly reproduces the outcome's
-    /// `delay`/`latency`/`messages`. The outcome is identical to what
-    /// [`range_query`](Self::range_query) returns for the same arguments —
-    /// tracing observes, never perturbs.
-    ///
-    /// # Errors
-    ///
-    /// [`SchemeError::Unsupported`] from the default implementation;
-    /// otherwise as [`range_query`](Self::range_query).
-    fn trace_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<(RangeOutcome, crate::QueryTrace), SchemeError> {
-        let _ = (origin, lo, hi, seed);
-        Err(SchemeError::Unsupported { scheme: self.scheme_name().to_string(), feature: "tracing" })
-    }
-
-    /// [`trace_query`](Self::trace_query) under a fault plan. The default
-    /// answers fault-free plans via `trace_query` and refuses real fault
-    /// injection; simulation-backed schemes override it so lost edges show
-    /// up as [`FaultVerdict`](simnet::TraceEvent::FaultVerdict) events.
-    ///
-    /// # Errors
-    ///
-    /// [`SchemeError::Unsupported`] when the plan injects faults and the
-    /// scheme has no traced fault path; otherwise as
-    /// [`trace_query`](Self::trace_query).
-    fn trace_query_with_faults(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-        faults: &simnet::FaultPlan,
-    ) -> Result<(RangeOutcome, crate::QueryTrace), SchemeError> {
-        if faults.is_fault_free() {
-            return self.trace_query(origin, lo, hi, seed);
-        }
-        Err(SchemeError::Unsupported {
-            scheme: self.scheme_name().to_string(),
-            feature: "traced fault injection",
-        })
     }
 
     /// Cumulative retry attempts this scheme has spent beyond each query's
@@ -518,12 +649,14 @@ pub trait RangeScheme: Send + Sync {
 /// A multi-attribute range-query scheme: publish points, answer
 /// hyper-rectangle queries.
 ///
-/// Implemented by Armada/MIRA, Squid, and SCRAP.
+/// Implemented by Armada/MIRA, Squid, and SCRAP. The same two-level shape
+/// as [`RangeScheme`]: implement [`rect_query`](Self::rect_query) *or*
+/// override [`query`](Self::query).
 ///
 /// # Thread safety
 ///
 /// `Send + Sync` are supertraits under the same contract as
-/// [`RangeScheme`]: `rect_query` takes `&self`, so built instances shard
+/// [`RangeScheme`]: queries take `&self`, so built instances shard
 /// across [`ParallelDriver`](crate::ParallelDriver) threads by reference.
 pub trait MultiRangeScheme: Send + Sync {
     /// Registry name of the scheme (e.g. `"mira"`, `"squid"`).
@@ -551,12 +684,13 @@ pub trait MultiRangeScheme: Send + Sync {
     /// A uniformly random live query origin.
     fn random_origin(&self, rng: &mut rand::rngs::SmallRng) -> NodeId;
 
-    /// Executes a rectangle query (one `(lo, hi)` per attribute).
+    /// Executes a plain rectangle query (one `(lo, hi)` per attribute).
     ///
     /// # Errors
     ///
     /// [`SchemeError::WrongArity`] on arity mismatch,
-    /// [`SchemeError::EmptyRange`] for an empty per-attribute range,
+    /// [`SchemeError::EmptyRange`] for a per-attribute range with
+    /// `lo > hi` or a NaN bound (validate with [`RectRequest::new`]),
     /// scheme-specific wraps otherwise.
     fn rect_query(
         &self,
@@ -565,25 +699,23 @@ pub trait MultiRangeScheme: Send + Sync {
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError>;
 
-    /// [`rect_query`](Self::rect_query) with a caller-owned
-    /// [`QueryScratch`](simnet::QueryScratch), under the same strict
-    /// observational-equivalence contract as
-    /// [`RangeScheme::range_query_scratch`]: outcomes must be bit-identical
-    /// to [`rect_query`](Self::rect_query); only allocation counts may
-    /// differ. The default delegates to [`rect_query`](Self::rect_query).
+    /// Executes `req` under `cx`, with the contract of
+    /// [`RangeScheme::query`]: outcomes bit-identical to
+    /// [`rect_query`](Self::rect_query), a requested trace filled.
     ///
     /// # Errors
     ///
-    /// As [`rect_query`](Self::rect_query).
-    fn rect_query_scratch(
+    /// As [`rect_query`](Self::rect_query); the provided implementation
+    /// adds [`SchemeError::Unsupported`] for a plan that injects faults.
+    fn query(
         &self,
-        origin: NodeId,
-        rect: &[(f64, f64)],
-        seed: u64,
-        scratch: &mut simnet::QueryScratch,
+        req: &RectRequest<'_>,
+        cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        let _ = scratch;
-        self.rect_query(origin, rect, seed)
+        cx.refuse_faults(self.scheme_name())?;
+        let out = self.rect_query(req.origin, req.rect, req.seed)?;
+        cx.trace_modeled(self.scheme_name(), req.origin, &out);
+        Ok(out)
     }
 }
 
@@ -618,5 +750,20 @@ mod tests {
         assert!(e.to_string().contains("nope"));
         assert!(SchemeError::EmptyRange { lo: 5.0, hi: 1.0 }.to_string().contains("[5, 1]"));
         assert!(SchemeError::WrongArity { expected: 2, got: 3 }.to_string().contains("2"));
+    }
+
+    #[test]
+    fn requests_reject_inverted_and_nan_bounds_only() {
+        let empty = |r: Result<_, SchemeError>| matches!(r, Err(SchemeError::EmptyRange { .. }));
+        for (lo, hi) in [(5.0, 1.0), (f64::NAN, 1.0), (1.0, f64::NAN), (f64::NAN, f64::NAN)] {
+            assert!(empty(RangeRequest::new(0, lo, hi, 0).map(|_| ())), "[{lo}, {hi}]");
+            assert!(empty(RectRequest::new(0, &[(0.0, 1.0), (lo, hi)], 0).map(|_| ())));
+        }
+        // Points, infinities and out-of-domain bounds are the schemes' to clamp.
+        for (lo, hi) in [(2.0, 2.0), (f64::NEG_INFINITY, f64::INFINITY), (-1e9, 1e9)] {
+            assert!(RangeRequest::new(0, lo, hi, 0).is_ok(), "[{lo}, {hi}]");
+            assert!(RectRequest::new(0, &[(lo, hi)], 0).is_ok());
+        }
+        assert_eq!(RangeRequest::new(3, 1.0, 2.0, 9).unwrap().with_seed(4).seed(), 4);
     }
 }

@@ -76,7 +76,9 @@ struct DcfScratch {
     targets: Vec<NodeId>,
 }
 
-/// Executes a DCF range query from `origin` over `[lo, hi]`.
+/// Executes a plain DCF range query from `origin` over `[lo, hi]`: fresh
+/// buffers, no faults, the `unit` cost model, no trace. [`query`] is the
+/// full surface.
 ///
 /// # Errors
 ///
@@ -90,53 +92,11 @@ pub fn range_query(
     seed: u64,
     mode: FloodMode,
 ) -> Result<DcfOutcome, CanError> {
-    range_query_priced(net, origin, lo, hi, seed, mode, &FaultPlan::new(), &NetModel::unit())
+    let (unit, mut scratch) = (NetModel::unit(), QueryScratch::new());
+    query(net, origin, lo, hi, seed, mode, None, &unit, false, &mut scratch).map(|(out, _)| out)
 }
 
-/// [`range_query`] under a fault plan (message drops / crashed zones).
-///
-/// # Errors
-///
-/// Same conditions as [`range_query`].
-pub fn range_query_with_faults(
-    net: &CanNet,
-    origin: NodeId,
-    lo: f64,
-    hi: f64,
-    seed: u64,
-    mode: FloodMode,
-    faults: &FaultPlan,
-) -> Result<DcfOutcome, CanError> {
-    range_query_priced(net, origin, lo, hi, seed, mode, faults, &NetModel::unit())
-}
-
-/// The full-surface query: fault plan plus network cost model. Hop
-/// metrics, message counts, and result sets are model-invariant (the cost
-/// layer never perturbs event scheduling); only [`DcfOutcome::latency`]
-/// moves with the model.
-///
-/// # Errors
-///
-/// Same conditions as [`range_query`].
-#[allow(clippy::too_many_arguments)]
-pub fn range_query_priced(
-    net: &CanNet,
-    origin: NodeId,
-    lo: f64,
-    hi: f64,
-    seed: u64,
-    mode: FloodMode,
-    faults: &FaultPlan,
-    model: &NetModel,
-) -> Result<DcfOutcome, CanError> {
-    let mut scratch = QueryScratch::new();
-    range_query_priced_scratch(net, origin, lo, hi, seed, mode, faults, model, &mut scratch)
-}
-
-/// [`range_query_priced`] with a caller-owned scratch: batch drivers pass
-/// one [`QueryScratch`] per worker thread so the simulator queues and flood
-/// buffers are allocated once, not per query. Outcomes are bit-identical to
-/// the scratch-free path.
+/// [`query`] under a fault plan with a caller-owned scratch, untraced.
 ///
 /// # Errors
 ///
@@ -153,45 +113,34 @@ pub fn range_query_priced_scratch(
     model: &NetModel,
     scratch: &mut QueryScratch,
 ) -> Result<DcfOutcome, CanError> {
-    let (out, _) = query_impl(net, origin, lo, hi, seed, mode, faults, model, false, scratch)?;
-    Ok(out)
+    query(net, origin, lo, hi, seed, mode, Some(faults), model, false, scratch).map(|(out, _)| out)
 }
 
-/// [`range_query_priced`] with the simulator's trace sink attached: the
-/// identical outcome plus the full virtual-time event stream — routing
-/// hops, the route→flood local hand-off, flood hops, fault verdicts, and
-/// one answer event per qualifying zone delivery. Tracing observes the
-/// schedule; it never perturbs it.
+/// The engine's one full-surface entry point: an optional fault plan
+/// (message drops, crashed zones, the hostile families), the network cost
+/// model, an optional trace, the caller's scratch.
+///
+/// Hop metrics, message counts, and result sets are model-invariant (the
+/// cost layer never perturbs event scheduling); only
+/// [`DcfOutcome::latency`] moves with the model. With `trace` set the
+/// simulator's sink is attached and the full virtual-time event stream —
+/// routing hops, the route→flood local hand-off, flood hops, fault
+/// verdicts, and one answer event per qualifying zone delivery — comes
+/// back beside the outcome. The outcome is bit-identical either way, and
+/// for any scratch, fresh or reused.
 ///
 /// # Errors
 ///
 /// Same conditions as [`range_query`].
 #[allow(clippy::too_many_arguments)]
-pub fn range_query_traced(
+pub fn query(
     net: &CanNet,
     origin: NodeId,
     lo: f64,
     hi: f64,
     seed: u64,
     mode: FloodMode,
-    faults: &FaultPlan,
-    model: &NetModel,
-) -> Result<(DcfOutcome, Vec<simnet::TraceRecord>), CanError> {
-    let mut scratch = QueryScratch::new();
-    let (out, records) =
-        query_impl(net, origin, lo, hi, seed, mode, faults, model, true, &mut scratch)?;
-    Ok((out, records.unwrap_or_default()))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn query_impl(
-    net: &CanNet,
-    origin: NodeId,
-    lo: f64,
-    hi: f64,
-    seed: u64,
-    mode: FloodMode,
-    faults: &FaultPlan,
+    faults: Option<&FaultPlan>,
     model: &NetModel,
     trace: bool,
     scratch: &mut QueryScratch,
@@ -226,8 +175,10 @@ fn query_impl(
     // Median target point.
     let (mx, my) = net.point_of_value((lo + hi) / 2.0);
 
-    let mut sim: Sim<DcfMsg> =
-        Sim::from_scratch(seed, sim_scratch).with_faults_ref(faults).with_net(*model);
+    let mut sim: Sim<DcfMsg> = Sim::from_scratch(seed, sim_scratch).with_net(*model);
+    if let Some(faults) = faults {
+        sim = sim.with_faults_ref(faults);
+    }
     if trace {
         sim = sim.with_trace(simnet::TraceSink::new());
     }

@@ -14,11 +14,11 @@
 use crate::dcf::{self, DcfOutcome, FloodMode};
 use crate::{CanConfig, CanError, CanNet};
 use dht_api::{
-    BuildParams, DynamicScheme, FetchCost, OutcomeCosts, RangeOutcome, RangeScheme, ReplicaRouting,
-    SchemeError, SchemeRegistry,
+    BuildParams, DynamicScheme, FetchCost, OutcomeCosts, QueryCtx, RangeOutcome, RangeRequest,
+    RangeScheme, ReplicaRouting, SchemeError, SchemeRegistry,
 };
 use rand::rngs::SmallRng;
-use simnet::{FaultPlan, NetModel, NodeId};
+use simnet::{NetModel, NodeId, QueryScratch};
 
 impl From<CanError> for SchemeError {
     fn from(e: CanError) -> Self {
@@ -155,121 +155,34 @@ impl RangeScheme for DcfScheme {
         hi: f64,
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        let out = dcf::range_query_priced(
-            &self.net,
-            origin,
-            lo,
-            hi,
-            seed,
-            self.mode,
-            &FaultPlan::new(),
-            &self.net_model,
-        )?;
-        Ok(out.into_outcome())
+        self.range_query_scratch(origin, lo, hi, seed, &mut QueryScratch::new())
     }
 
-    fn range_query_scratch(
+    fn query(
         &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-        scratch: &mut simnet::QueryScratch,
+        req: &RangeRequest,
+        cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        let out = dcf::range_query_priced_scratch(
+        let faults = cx.faults_within(self.node_count())?;
+        let (out, records) = dcf::query(
             &self.net,
-            origin,
-            lo,
-            hi,
-            seed,
+            req.origin(),
+            req.lo(),
+            req.hi(),
+            req.seed(),
             self.mode,
-            &FaultPlan::new(),
+            faults,
             &self.net_model,
-            scratch,
+            cx.trace.is_some(),
+            cx.scratch,
         )?;
-        Ok(out.into_outcome())
+        let out = out.into_outcome();
+        cx.trace_sim_records(self.scheme_name(), records, &out);
+        Ok(out)
     }
 
     fn supports_fault_injection(&self) -> bool {
         true
-    }
-
-    fn range_query_with_faults(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> Result<RangeOutcome, SchemeError> {
-        // A plan crashing a zone outside the id space would silently be a
-        // no-op (no message ever reaches it); reject it instead.
-        if let Some(node) = faults.first_out_of_range(self.node_count()) {
-            return Err(SchemeError::FaultPlanOutOfRange { node, n: self.node_count() });
-        }
-        let out = dcf::range_query_priced(
-            &self.net,
-            origin,
-            lo,
-            hi,
-            seed,
-            self.mode,
-            faults,
-            &self.net_model,
-        )?;
-        Ok(out.into_outcome())
-    }
-
-    fn supports_tracing(&self) -> bool {
-        true
-    }
-
-    fn trace_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<(RangeOutcome, dht_api::QueryTrace), SchemeError> {
-        let (out, records) = dcf::range_query_traced(
-            &self.net,
-            origin,
-            lo,
-            hi,
-            seed,
-            self.mode,
-            &FaultPlan::new(),
-            &self.net_model,
-        )?;
-        let converted = out.into_outcome();
-        let trace = dht_api::QueryTrace::from_sim_records(self.scheme_name(), records, &converted);
-        Ok((converted, trace))
-    }
-
-    fn trace_query_with_faults(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> Result<(RangeOutcome, dht_api::QueryTrace), SchemeError> {
-        if let Some(node) = faults.first_out_of_range(self.node_count()) {
-            return Err(SchemeError::FaultPlanOutOfRange { node, n: self.node_count() });
-        }
-        let (out, records) = dcf::range_query_traced(
-            &self.net,
-            origin,
-            lo,
-            hi,
-            seed,
-            self.mode,
-            faults,
-            &self.net_model,
-        )?;
-        let converted = out.into_outcome();
-        let trace = dht_api::QueryTrace::from_sim_records(self.scheme_name(), records, &converted);
-        Ok((converted, trace))
     }
 
     fn as_dynamic(&mut self) -> Option<&mut dyn DynamicScheme> {
@@ -360,7 +273,20 @@ pub fn register(reg: &mut SchemeRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht_api::QueryTrace;
     use rand::Rng;
+    use simnet::FaultPlan;
+
+    /// `[lo, hi]` from `origin` through the full-surface call.
+    fn query(
+        scheme: &DcfScheme,
+        (origin, lo, hi, seed): (NodeId, f64, f64, u64),
+        faults: Option<&FaultPlan>,
+        trace: Option<&mut QueryTrace>,
+    ) -> Result<RangeOutcome, SchemeError> {
+        let req = RangeRequest::new(origin, lo, hi, seed)?;
+        scheme.query(&req, &mut QueryCtx { scratch: &mut QueryScratch::new(), faults, trace })
+    }
 
     #[test]
     fn dcf_scheme_is_exact_and_flags_modes() {
@@ -456,12 +382,12 @@ mod tests {
                 .unwrap();
         let mut faults = FaultPlan::new();
         faults.crash(scheme.node_count());
-        let err = scheme.range_query_with_faults(0, 1.0, 2.0, 0, &faults).unwrap_err();
+        let err = query(&scheme, (0, 1.0, 2.0, 0), Some(&faults), None).unwrap_err();
         assert!(matches!(err, SchemeError::FaultPlanOutOfRange { .. }), "{err}");
         // In-range plans still run.
         let mut ok = FaultPlan::new();
         ok.crash(scheme.node_count() - 1);
-        assert!(scheme.range_query_with_faults(0, 1.0, 2.0, 0, &ok).is_ok());
+        assert!(query(&scheme, (0, 1.0, 2.0, 0), Some(&ok), None).is_ok());
     }
 
     #[test]
@@ -474,14 +400,14 @@ mod tests {
         for h in 0..200u64 {
             scheme.publish(rng.gen_range(0.0..=1000.0), h).unwrap();
         }
-        assert!(scheme.supports_tracing());
         let faults = FaultPlan::with_drop_prob(0.1);
         for q in 0..15 {
             let lo = rng.gen_range(0.0..850.0);
             let hi = lo + rng.gen_range(0.5..120.0);
             let origin = scheme.random_origin(&mut rng);
             let plain = scheme.range_query(origin, lo, hi, q).unwrap();
-            let (traced, trace) = scheme.trace_query(origin, lo, hi, q).unwrap();
+            let mut trace = QueryTrace::default();
+            let traced = query(&scheme, (origin, lo, hi, q), None, Some(&mut trace)).unwrap();
             assert_eq!(plain, traced, "tracing perturbed query [{lo}, {hi}]");
             assert_eq!(
                 trace.root.total(),
@@ -490,9 +416,10 @@ mod tests {
                 trace.explain_text()
             );
             // And under faults too.
-            let plain_f = scheme.range_query_with_faults(origin, lo, hi, q, &faults).unwrap();
-            let (traced_f, trace_f) =
-                scheme.trace_query_with_faults(origin, lo, hi, q, &faults).unwrap();
+            let plain_f = query(&scheme, (origin, lo, hi, q), Some(&faults), None).unwrap();
+            let mut trace_f = QueryTrace::default();
+            let traced_f =
+                query(&scheme, (origin, lo, hi, q), Some(&faults), Some(&mut trace_f)).unwrap();
             assert_eq!(plain_f, traced_f);
             assert_eq!(trace_f.root.total(), (traced_f.delay, traced_f.latency, traced_f.messages));
         }

@@ -5,16 +5,15 @@
 //! a scheme degrades when the overlay misbehaves (a dropped message prunes
 //! a whole subtree of PIRA's descent; a crashed zone swallows a flood
 //! branch). It is scheme-generic: anything whose
-//! [`range_query_with_faults`](dht_api::RangeScheme::range_query_with_faults)
-//! override models per-query faults is measured — discovered at runtime
-//! through
+//! [`query`](dht_api::RangeScheme::query) simulates the fault plan its
+//! [`QueryCtx`] carries is measured — discovered at runtime through
 //! [`supports_fault_injection`](dht_api::RangeScheme::supports_fault_injection)
 //! (PIRA and both DCF-CAN variants today) — and everything is built by
 //! registry name, never through a native constructor.
 
 use crate::output::Table;
 use crate::{paper, standard_registry, Scale};
-use dht_api::{BuildParams, RangeScheme};
+use dht_api::{BuildParams, QueryCtx, RangeRequest, RangeScheme};
 use rand::Rng;
 use simnet::FaultPlan;
 
@@ -108,6 +107,7 @@ fn measure(
     let mut delay = 0f64;
     let mut exact = 0usize;
     let mut ran = 0usize;
+    let mut scratch = simnet::QueryScratch::new();
     for q in 0..queries {
         let lo = rng.gen_range(paper::DOMAIN_LO..(paper::DOMAIN_HI - range));
         let origin = scheme.random_origin(rng);
@@ -115,8 +115,9 @@ fn measure(
             continue; // a crashed client issues nothing
         }
         ran += 1;
+        let req = RangeRequest::new(origin, lo, lo + range, q as u64).expect("well-formed range");
         let out = scheme
-            .range_query_with_faults(origin, lo, lo + range, q as u64, faults)
+            .query(&req, &mut QueryCtx::new(&mut scratch).with_faults(faults))
             .expect("query runs");
         recalls.push(out.peer_recall());
         delay += out.delay as f64;

@@ -46,8 +46,7 @@ struct RowSpec {
     rng: RngSource,
     /// Query shape and data loading.
     shape: Shape,
-    /// Multi-attribute column text (presentation; `supports_rect` is the
-    /// programmatic flag).
+    /// Multi-attribute column text (presentation).
     multi_attr: &'static str,
     /// Annotation appended to the measured average delay; `{logN}`
     /// interpolates.

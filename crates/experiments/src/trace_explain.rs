@@ -140,8 +140,8 @@ pub fn sampled_indices(queries: usize, k: u64) -> Vec<usize> {
         .collect()
 }
 
-/// Builds the configured scheme with tracing on and replays query `q`
-/// through [`ParallelDriver::trace_one`], verifying the accounting
+/// Builds the configured scheme and replays query `q` through
+/// [`ParallelDriver::trace_one`], verifying the accounting
 /// invariant before returning.
 ///
 /// # Errors
@@ -263,7 +263,7 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Builds the configured scheme (tracing on), publishes `n` records, and
+/// Builds the configured scheme, publishes `n` records, and
 /// wires the driver + workload the explain replays run under. The build
 /// and publish seeds follow the baseline convention (`seed ^
 /// fnv1a(scheme)`), so explains line up with baseline cells of the same
@@ -273,9 +273,7 @@ fn build(
 ) -> Result<(Box<dyn dht_api::RangeScheme>, ParallelDriver, WorkloadGen), SchemeError> {
     let registry = standard_registry();
     let domain = (crate::paper::DOMAIN_LO, crate::paper::DOMAIN_HI);
-    let params = BuildParams::new(cfg.n, domain.0, domain.1)
-        .with_object_id_len(cfg.object_id_len)
-        .with_trace(true);
+    let params = BuildParams::new(cfg.n, domain.0, domain.1).with_object_id_len(cfg.object_id_len);
     let mut rng = simnet::rng_from_seed(cfg.seed ^ dht_api::fnv1a(cfg.scheme.as_bytes()));
     let mut scheme = registry.build_single(&cfg.scheme, &params, &mut rng)?;
     for h in 0..cfg.n as u64 {

@@ -14,7 +14,7 @@
 use crate::{Pht, PhtOutcome};
 use dht_api::{
     BuildParams, Dht, DynamicDht, DynamicScheme, FetchCost, OutcomeCosts, RangeOutcome,
-    RangeScheme, ReplicaRouting, SchemeError, SchemeRegistry,
+    RangeRequest, RangeScheme, ReplicaRouting, SchemeError, SchemeRegistry,
 };
 use rand::rngs::SmallRng;
 use simnet::NodeId;
@@ -84,10 +84,6 @@ impl<D: Dht> RangeScheme for PhtScheme<D> {
         self.pht.dht().node_count()
     }
 
-    fn supports_rect(&self) -> bool {
-        true // the PHT paper answers rectangles via SFC linearisation
-    }
-
     fn publish(&mut self, value: f64, handle: u64) -> Result<(), SchemeError> {
         self.pht.insert(value, handle);
         Ok(())
@@ -102,31 +98,10 @@ impl<D: Dht> RangeScheme for PhtScheme<D> {
         origin: NodeId,
         lo: f64,
         hi: f64,
-        _seed: u64,
-    ) -> Result<RangeOutcome, SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
-        Ok(self.pht.range_query(origin, lo, hi).into_outcome())
-    }
-
-    fn supports_tracing(&self) -> bool {
-        true
-    }
-
-    fn trace_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
         seed: u64,
-    ) -> Result<(RangeOutcome, dht_api::QueryTrace), SchemeError> {
-        // PHT's costs come from the analytic trie/lookup model, not a
-        // per-message simulation, so the trace is an honestly-labeled
-        // modeled decomposition of the reported totals.
-        let out = self.range_query(origin, lo, hi, seed)?;
-        let trace = dht_api::QueryTrace::modeled(self.scheme_name(), origin, &out);
-        Ok((out, trace))
+    ) -> Result<RangeOutcome, SchemeError> {
+        RangeRequest::new(origin, lo, hi, seed)?;
+        Ok(self.pht.range_query(origin, lo, hi).into_outcome())
     }
 }
 
@@ -168,10 +143,6 @@ impl<D: DynamicDht> RangeScheme for DynamicPhtScheme<D> {
         self.0.node_count()
     }
 
-    fn supports_rect(&self) -> bool {
-        self.0.supports_rect()
-    }
-
     fn publish(&mut self, value: f64, handle: u64) -> Result<(), SchemeError> {
         self.0.publish(value, handle)
     }
@@ -188,20 +159,6 @@ impl<D: DynamicDht> RangeScheme for DynamicPhtScheme<D> {
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
         self.0.range_query(origin, lo, hi, seed)
-    }
-
-    fn supports_tracing(&self) -> bool {
-        self.0.supports_tracing()
-    }
-
-    fn trace_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<(RangeOutcome, dht_api::QueryTrace), SchemeError> {
-        self.0.trace_query(origin, lo, hi, seed)
     }
 
     fn as_dynamic(&mut self) -> Option<&mut dyn DynamicScheme> {

@@ -14,8 +14,8 @@
 
 use crate::{ScrapError, ScrapNet, ScrapOutcome};
 use dht_api::{
-    BuildParams, MultiBuildParams, MultiRangeScheme, OutcomeCosts, RangeOutcome, RangeScheme,
-    SchemeError, SchemeRegistry,
+    BuildParams, MultiBuildParams, MultiRangeScheme, OutcomeCosts, RangeOutcome, RangeRequest,
+    RangeScheme, RectRequest, SchemeError, SchemeRegistry,
 };
 use rand::rngs::SmallRng;
 use simnet::NodeId;
@@ -75,10 +75,6 @@ impl RangeScheme for ScrapNet {
         self.len()
     }
 
-    fn supports_rect(&self) -> bool {
-        true
-    }
-
     fn publish(&mut self, value: f64, handle: u64) -> Result<(), SchemeError> {
         if self.dims() != 1 {
             return Err(SchemeError::WrongArity { expected: self.dims(), got: 1 });
@@ -96,34 +92,13 @@ impl RangeScheme for ScrapNet {
         origin: NodeId,
         lo: f64,
         hi: f64,
-        _seed: u64,
+        seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
         if self.dims() != 1 {
             return Err(SchemeError::WrongArity { expected: self.dims(), got: 1 });
         }
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        RangeRequest::new(origin, lo, hi, seed)?;
         Ok(ScrapNet::range_query(self, origin, &[(lo, hi)])?.into_outcome())
-    }
-
-    fn supports_tracing(&self) -> bool {
-        true
-    }
-
-    fn trace_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<(RangeOutcome, dht_api::QueryTrace), SchemeError> {
-        // SCRAP's costs come from the analytic curve-range model, not a
-        // per-message simulation, so the trace is an honestly-labeled
-        // modeled decomposition of the reported totals.
-        let out = RangeScheme::range_query(self, origin, lo, hi, seed)?;
-        let trace = dht_api::QueryTrace::modeled(RangeScheme::scheme_name(self), origin, &out);
-        Ok((out, trace))
     }
 }
 
@@ -165,11 +140,9 @@ impl MultiRangeScheme for ScrapNet {
         &self,
         origin: NodeId,
         rect: &[(f64, f64)],
-        _seed: u64,
+        seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        if let Some(&(lo, hi)) = rect.iter().find(|&&(lo, hi)| lo > hi) {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        RectRequest::new(origin, rect, seed)?;
         Ok(ScrapNet::range_query(self, origin, rect)?.into_outcome())
     }
 }

@@ -4,9 +4,9 @@
 //! each scheme stashes its own scratch type (a [`SimScratch`] plus
 //! whatever working buffers its routing loop needs) under the type's
 //! [`TypeId`] and gets the same instance back on the next query. Drivers
-//! own one per worker thread and pass it to
-//! `RangeScheme::range_query_scratch`, so a sharded sweep pays each
-//! scheme's setup allocations once per thread instead of once per query.
+//! own one per worker thread and hand it to every query in its
+//! `QueryCtx`, so a sharded sweep pays each scheme's setup allocations
+//! once per thread instead of once per query.
 //!
 //! Reuse is observationally inert: every slot is reset by its scheme at
 //! the start of a query, so results, metrics, digests, and traces are

@@ -12,7 +12,7 @@
 //! epoch-driven churn runs skip it at runtime.
 
 use crate::{SkipGraphNet, SkipOutcome};
-use dht_api::{OutcomeCosts, RangeOutcome, RangeScheme, SchemeError, SchemeRegistry};
+use dht_api::{OutcomeCosts, RangeOutcome, RangeRequest, RangeScheme, SchemeError, SchemeRegistry};
 use rand::rngs::SmallRng;
 use simnet::NodeId;
 
@@ -75,34 +75,13 @@ impl RangeScheme for SkipGraphNet {
         origin: NodeId,
         lo: f64,
         hi: f64,
-        _seed: u64,
+        seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        if lo > hi {
-            return Err(SchemeError::EmptyRange { lo, hi });
-        }
+        RangeRequest::new(origin, lo, hi, seed)?;
         if origin >= self.len() {
             return Err(SchemeError::BadOrigin { origin });
         }
         Ok(SkipGraphNet::range_query(self, origin, lo, hi).into_outcome())
-    }
-
-    fn supports_tracing(&self) -> bool {
-        true
-    }
-
-    fn trace_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<(RangeOutcome, dht_api::QueryTrace), SchemeError> {
-        // Skip Graph's costs come from the analytic walk model, not a
-        // per-message simulation, so the trace is an honestly-labeled
-        // modeled decomposition of the reported totals.
-        let out = RangeScheme::range_query(self, origin, lo, hi, seed)?;
-        let trace = dht_api::QueryTrace::modeled(RangeScheme::scheme_name(self), origin, &out);
-        Ok((out, trace))
     }
 }
 

@@ -11,7 +11,9 @@
 //! Other schemes: `cargo run --release --example churn_and_faults -- pira pht-chord`
 //! Explain the first query hop by hop: add `--trace`
 
-use armada_suite::dht_api::{BuildParams, ChurnPlan, ParallelDriver, SchemeError, WorkloadGen};
+use armada_suite::dht_api::{
+    BuildParams, ChurnPlan, ParallelDriver, QueryCtx, RangeRequest, SchemeError, WorkloadGen,
+};
 use armada_suite::experiments::standard_registry;
 use rand::Rng;
 use simnet::FaultPlan;
@@ -29,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for name in &names {
         println!("\n=== {name} ===");
         let mut rng = simnet::rng_from_seed(13);
-        let params = BuildParams::new(300, 0.0, 1000.0).with_trace(trace);
+        let params = BuildParams::new(300, 0.0, 1000.0);
         let mut scheme = registry.build_single(name, &params, &mut rng)?;
         let mut data = Vec::new();
         for h in 0..1000u64 {
@@ -98,6 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Lossy network: recall degrades smoothly, never catastrophically.
         println!("  recall under message loss (100 queries each):");
+        let mut scratch = simnet::QueryScratch::new();
         for p in [0.0, 0.05, 0.10, 0.20] {
             let faults = FaultPlan::with_drop_prob(p);
             let mut recall_sum = 0.0;
@@ -105,7 +108,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             for q in 0..100 {
                 let lo: f64 = rng.gen_range(0.0..900.0);
                 let origin = scheme.random_origin(&mut rng);
-                match scheme.range_query_with_faults(origin, lo, lo + 100.0, q, &faults) {
+                let req = RangeRequest::new(origin, lo, lo + 100.0, q)?;
+                match scheme.query(&req, &mut QueryCtx::new(&mut scratch).with_faults(&faults)) {
                     Ok(out) => recall_sum += out.peer_recall(),
                     Err(SchemeError::Unsupported { .. }) => {
                         supported = false;

@@ -5,7 +5,7 @@
 //! Try another scheme: `cargo run --release --example quickstart -- skipgraph`
 //! See where every hop went: `cargo run --release --example quickstart -- pira --trace`
 
-use armada_suite::dht_api::{BuildParams, QueryDriver};
+use armada_suite::dht_api::{BuildParams, QueryCtx, QueryDriver, QueryTrace, RangeRequest};
 use armada_suite::experiments::standard_registry;
 use rand::Rng;
 
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // paper's simulation setup (§4.3.3).
     println!("available schemes : {:?}", registry.single_names());
     println!("building a 500-peer {name} system…");
-    let params = BuildParams::new(500, 0.0, 1000.0).with_trace(trace);
+    let params = BuildParams::new(500, 0.0, 1000.0);
     let mut scheme = registry.build_single(&name, &params, &mut rng)?;
     println!(
         "  substrate: {}, degree: {}, peers: {}",
@@ -37,18 +37,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("  published 2000 records");
 
-    // The paper's motivating query: "70 ≤ score ≤ 80". With `--trace` the
-    // same call also returns its causal cost tree — the outcome is
-    // identical either way, tracing observes without perturbing.
+    // The paper's motivating query: "70 ≤ score ≤ 80" (the plain spelling is
+    // `scheme.range_query(origin, 70.0, 80.0, 1)`). With `--trace` the same
+    // call also fills in its causal cost tree — the outcome is identical
+    // either way, tracing observes without perturbing.
     let origin = scheme.random_origin(&mut rng);
-    let outcome = if trace {
-        let (outcome, trace) = scheme.trace_query(origin, 70.0, 80.0, 1)?;
+    let mut explain = QueryTrace::default();
+    let mut scratch = simnet::QueryScratch::new();
+    let mut cx = QueryCtx::new(&mut scratch);
+    if trace {
+        cx = cx.with_trace(&mut explain);
+    }
+    let outcome = scheme.query(&RangeRequest::new(origin, 70.0, 80.0, 1)?, &mut cx)?;
+    if trace {
         println!("\nper-hop explain tree for the query:");
-        print!("{}", trace.explain_text());
-        outcome
-    } else {
-        scheme.range_query(origin, 70.0, 80.0, 1)?
-    };
+        print!("{}", explain.explain_text());
+    }
 
     let log_n = (scheme.node_count() as f64).log2();
     println!("\n{name} range query [70, 80] from peer {origin}:");

@@ -18,7 +18,9 @@
 //! the steady-state figure — exactly how the bench's allocation probe
 //! measures.
 
-use armada_suite::dht_api::{BuildParams, MultiBuildParams, WorkloadGen};
+use armada_suite::dht_api::{
+    BuildParams, MultiBuildParams, QueryCtx, RangeRequest, RectRequest, WorkloadGen,
+};
 use armada_suite::experiments::standard_registry;
 use armada_suite::rand::Rng;
 
@@ -46,8 +48,10 @@ fn allocs_per_query(name: &str) -> f64 {
         let (lo, hi) = workload.range(7, q as u64);
         let mut orng = simnet::rng_from_seed(0x0e15 ^ q as u64);
         let origin = scheme.random_origin(&mut orng);
-        let out = scheme.range_query_scratch(origin, lo, hi, 7 + q as u64, &mut scratch).unwrap();
-        assert!(out.exact, "{name}: query {q} inexact on a clean network");
+        let req = RangeRequest::new(origin, lo, hi, 7 + q as u64).unwrap();
+        let out = scheme.query(&req, &mut QueryCtx::new(&mut scratch)).unwrap();
+        let clean = !name.contains("lossy");
+        assert!(out.exact || !clean, "{name}: query {q} inexact on a clean network");
     };
     for q in 0..WARMUP {
         run(q);
@@ -59,7 +63,7 @@ fn allocs_per_query(name: &str) -> f64 {
     (counting_alloc::allocation_count() - before) as f64 / MEASURED as f64
 }
 
-/// Same metering for the multi-attribute scheme, through `rect_query_scratch`.
+/// Same metering for the multi-attribute scheme.
 fn rect_allocs_per_query(name: &str, dims: usize) -> f64 {
     let registry = standard_registry();
     let domains: Vec<(f64, f64)> = vec![DOMAIN; dims];
@@ -76,7 +80,8 @@ fn rect_allocs_per_query(name: &str, dims: usize) -> f64 {
         let rect = workload.rect(&domains, 7, q as u64);
         let mut orng = simnet::rng_from_seed(0x0e15 ^ q as u64);
         let origin = scheme.random_origin(&mut orng);
-        scheme.rect_query_scratch(origin, &rect, 7 + q as u64, &mut scratch).unwrap();
+        let req = RectRequest::new(origin, &rect, 7 + q as u64).unwrap();
+        scheme.query(&req, &mut QueryCtx::new(&mut scratch)).unwrap();
     };
     for q in 0..WARMUP {
         run(q);
@@ -105,17 +110,25 @@ fn steady_state_allocations_per_query_stay_within_budget() {
         ("dcf-can-naive", 110.0),
         ("pht-chord", 410.0),
         ("skipgraph", 20.0),
+        // Composed stacks: the wrappers thread the caller's scratch down
+        // to the engine, so a faulted retry attempt costs what a bare
+        // query does. Measured: 32.7, 29.2, 83.8, 766.7 (the last is
+        // `Replicated::recover` rebuilding its sets per faulted attempt).
+        ("pira+r3", 130.0),
+        ("pira@wan", 120.0),
+        ("pira@lossy-p/r3", 340.0),
+        ("pira+r3@wan@lossy-p/r3", 3100.0),
     ];
     let mut failures = Vec::new();
     for (name, ceiling) in budgets {
         let got = allocs_per_query(name);
-        eprintln!("alloc budget: {name:>14} {got:>10.2} / {ceiling}");
+        eprintln!("alloc budget: {name:>22} {got:>10.2} / {ceiling}");
         if got > ceiling {
             failures.push(format!("{name}: {got:.2} allocs/query exceeds budget {ceiling}"));
         }
     }
     let got = rect_allocs_per_query("mira", 2);
-    eprintln!("alloc budget: {:>14} {got:>10.2} / {}", "mira", 120.0);
+    eprintln!("alloc budget: {:>22} {got:>10.2} / {}", "mira", 120.0);
     if got > 120.0 {
         failures.push(format!("mira: {got:.2} allocs/query exceeds budget 120"));
     }

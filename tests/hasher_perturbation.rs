@@ -252,8 +252,7 @@ fn traced_runs_digest_identically_to_untraced_runs() {
     let registry = standard_registry();
     for name in ["pira", "seqwalk@straggler", "pira+r3@lossy-p/r2", "skipgraph@throttle"] {
         let build = || {
-            let params =
-                BuildParams::new(N, DOMAIN.0, DOMAIN.1).with_object_id_len(32).with_trace(true);
+            let params = BuildParams::new(N, DOMAIN.0, DOMAIN.1).with_object_id_len(32);
             let mut rng = simnet::rng_from_seed(0x0ca9_a817);
             let mut scheme = registry.build_single(name, &params, &mut rng).expect("scheme builds");
             for h in 0..N as u64 {
@@ -277,12 +276,11 @@ fn traced_runs_digest_identically_to_untraced_runs() {
             "{name}: tracing moved the report digest"
         );
         assert_eq!(traces.len(), BATCH_QUERIES, "{name}: one trace per query");
-        // And the trace-off build digests exactly like the canary's
-        // (tracing defaults off; `with_trace(true)` only arms collection).
+        // And the plain run digests exactly like the canary's.
         assert_eq!(
             DigestReport::of(&plain),
             batch_digest(name, 1, 0),
-            "{name}: trace-armed build changed the report"
+            "{name}: the plain run moved off the canary digest"
         );
     }
 }

@@ -231,7 +231,7 @@ fn trace_streams_are_byte_identical_across_threads_and_shard_salts() {
     // must be byte-identical however the batch was sharded.
     let registry = standard_registry();
     let name = "pira+r2@straggler@split-brain";
-    let params = BuildParams::new(150, DOMAIN.0, DOMAIN.1).with_object_id_len(32).with_trace(true);
+    let params = BuildParams::new(150, DOMAIN.0, DOMAIN.1).with_object_id_len(32);
     let mut rng = simnet::rng_from_seed(0xe90c);
     let mut scheme = registry.build_single(name, &params, &mut rng).unwrap();
     for h in 0..150u64 {

@@ -16,8 +16,16 @@
 //! heals, `stabilize()` + `re_replicate()` must restore identical exact
 //! result sets with full recall — a partition is loud while open but may
 //! leave no permanent disagreement behind.
+//!
+//! Last, the one-query-path contract, table-driven over every registered
+//! name × wrapper stack: malformed bounds are typed errors, a reused
+//! scratch never moves an outcome, and a requested trace never moves one
+//! either while its cost tree sums to exactly what the outcome reports.
 
-use armada_suite::dht_api::{BuildParams, ChurnPlan, RangeScheme, CHURN_PLAN_NAMES};
+use armada_suite::dht_api::{
+    BuildParams, ChurnPlan, QueryCtx, QueryTrace, RangeRequest, RangeScheme, SchemeError,
+    TraceEvent, CHURN_PLAN_NAMES,
+};
 use armada_suite::experiments::standard_registry;
 use proptest::prelude::*;
 use rand::Rng;
@@ -252,5 +260,97 @@ proptest! {
                 s.scheme_name()
             );
         }
+    }
+}
+
+/// Every registered single-attribute name × {bare, `+r3`, `@wan`,
+/// `+r3@wan@lossy-p/r3`}, all through `RangeScheme::query`.
+#[test]
+fn one_query_path_holds_on_every_stack() {
+    const N: usize = 60;
+    let registry = standard_registry();
+    let params = BuildParams::new(N, DOMAIN.0, DOMAIN.1).with_object_id_len(24);
+    let build = |stack: &str| {
+        let mut rng = simnet::rng_from_seed(0x0173 ^ dht_api::fnv1a(stack.as_bytes()));
+        let mut scheme = registry.build_single(stack, &params, &mut rng)?;
+        for h in 0..200u64 {
+            scheme.publish(rng.gen_range(DOMAIN.0..=DOMAIN.1), h)?;
+        }
+        Ok::<_, SchemeError>(scheme)
+    };
+    let mut retried = Vec::new();
+    for name in registry.single_names() {
+        let routable = build(name).expect("bare build").as_replica_routing().is_some();
+        for suffix in ["", "+r3", "@wan", "+r3@wan@lossy-p/r3"] {
+            let stack = if routable || !suffix.contains("+r3") {
+                format!("{name}{suffix}")
+            } else {
+                // No replica routing: the wrapper refuses, typed; the rest
+                // of the stack still has to hold.
+                let refused = build(&format!("{name}{suffix}")).map(|_| ());
+                assert!(
+                    matches!(refused, Err(SchemeError::Unsupported { feature: "replication", .. })),
+                    "{name}{suffix}: {refused:?}"
+                );
+                format!("{name}{}", suffix.replace("+r3", ""))
+            };
+            let scheme = build(&stack).expect("stack builds");
+            let hostile = stack.contains("lossy");
+            let mut scratch = simnet::QueryScratch::new();
+            let mut qrng = simnet::rng_from_seed(0x9e4 ^ dht_api::fnv1a(stack.as_bytes()));
+            let mut saw_retry = false;
+            for q in 0..12u64 {
+                let lo: f64 = qrng.gen_range(DOMAIN.0..DOMAIN.1);
+                let hi = (lo + qrng.gen_range(0.1f64..300.0)).min(DOMAIN.1);
+                let origin = scheme.random_origin(&mut qrng);
+
+                // (a) NaN bounds are a typed error on every stack — never a
+                // panic, never a silently empty "exact" answer.
+                for (lo, hi) in [(f64::NAN, hi), (lo, f64::NAN)] {
+                    let err = scheme.range_query(origin, lo, hi, q).map(|_| ());
+                    assert!(
+                        matches!(err, Err(SchemeError::EmptyRange { .. })),
+                        "{stack}: [{lo}, {hi}] gave {err:?}"
+                    );
+                }
+
+                // (b) One scratch reused across the whole batch answers
+                // bit for bit like the plain call — on hostile stacks too:
+                // every fault verdict is a pure hash of the request.
+                let req = RangeRequest::new(origin, lo, hi, q).expect("well-formed");
+                let reused = scheme.query(&req, &mut QueryCtx::new(&mut scratch)).expect("query");
+                let plain = scheme.range_query(origin, lo, hi, q).expect("plain query");
+                assert_eq!(reused, plain, "{stack}: scratch reuse moved query {q} [{lo}, {hi}]");
+                assert!(plain.exact || hostile, "{stack}: inexact on a clean network");
+
+                // (c) Requesting a trace observes, never perturbs, and the
+                // cost tree accounts for every reported hop, ms and message.
+                let mut trace = QueryTrace::default();
+                let mut cx = QueryCtx::new(&mut scratch).with_trace(&mut trace);
+                let traced = scheme.query(&req, &mut cx).expect("traced query");
+                assert_eq!(traced, plain, "{stack}: tracing moved query {q} [{lo}, {hi}]");
+                assert_eq!(
+                    trace.root.total(),
+                    (traced.delay, traced.latency, traced.messages),
+                    "{stack}: query {q} explain tree does not sum to the outcome\n{}",
+                    trace.explain_text()
+                );
+                saw_retry |=
+                    trace.events.iter().any(|r| matches!(r.event, TraceEvent::RetryAttempt { .. }));
+            }
+            // Retries execute only under a hostile plan; when they do they
+            // show up in the stream as stamped events and meter on the
+            // wrapper.
+            assert!(hostile || !saw_retry, "{stack}: retried on a clean network");
+            assert_eq!(scheme.retry_attempts() > 0, saw_retry, "{stack}: retry metering");
+            if saw_retry {
+                retried.push(stack);
+            }
+        }
+    }
+    // Both hostile execution paths retried somewhere: the native one (the
+    // engine simulates the plan) and the response-plane one.
+    for name in ["dcf-can", "skipgraph"] {
+        assert!(retried.iter().any(|s| s.starts_with(name)), "{name} never retried: {retried:?}");
     }
 }
