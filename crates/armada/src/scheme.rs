@@ -244,17 +244,21 @@ macro_rules! impl_fissione_replication {
                 let net = self.inner.net();
                 let model = self.inner.net_model();
                 let response = model.edge_cost(holder, origin);
-                let (hops, route_latency) =
-                    net.peer_id(holder).and_then(|id| net.route(origin, id)).map_or_else(
-                        |_| {
-                            // Unroutable (dead holder): fall back to the
-                            // log N lookup model, priced at the direct
-                            // origin→holder edge per modeled hop.
-                            let h = (net.len() as f64).log2().ceil() as u64;
-                            (h, h * model.edge_cost(origin, holder))
-                        },
-                        |r| (r.hops() as u64, model.path_cost(r.path())),
-                    );
+                let routed = net.peer_id(holder).and_then(|id| {
+                    net.route_fold(origin, id, (0, 0), |(hops, ms), src, dst| {
+                        (hops + 1, ms + model.edge_cost(src, dst))
+                    })
+                });
+                let (hops, route_latency) = routed.map_or_else(
+                    |_| {
+                        // Unroutable (dead holder): fall back to the
+                        // log N lookup model, priced at the direct
+                        // origin→holder edge per modeled hop.
+                        let h = (net.len() as f64).log2().ceil() as u64;
+                        (h, h * model.edge_cost(origin, holder))
+                    },
+                    |(_, cost)| cost,
+                );
                 FetchCost {
                     hops: hops + 1, // routed request + direct response
                     latency: route_latency + response,

@@ -62,32 +62,28 @@ pub fn query(
 
     // Phase 1: DHT-route to the first destination (the owner of LowT).
     let model = armada.net_model();
-    let route = net.route(origin, region.low())?;
-    debug_assert_eq!(Some(&route.dest()), destinations.first());
-    let mut messages = route.hops() as u64;
-    let mut delay = route.hops() as u32;
-    // The routing phase's edges, priced by the cost model.
-    let mut latency = model.path_cost(route.path());
-    if let Some(s) = &mut sink {
-        let mut cum = 0;
-        for (i, w) in route.path().windows(2).enumerate() {
-            let edge = model.edge_cost(w[0], w[1]);
-            cum += edge;
-            let hop = (i + 1) as u32;
-            s.emit(
-                u64::from(hop),
-                TraceEvent::Hop {
-                    src: w[0],
-                    dst: w[1],
-                    hop,
-                    edge_cost_ms: edge,
-                    cost_ms: cum,
-                    kind: HopKind::Network,
-                },
-            );
-        }
-        debug_assert_eq!(cum, latency);
-    }
+    // Every routed edge joins the critical path, priced by the cost model.
+    let (first, (mut delay, mut latency)) =
+        net.route_fold(origin, region.low(), (0u32, 0u64), |(hop, cum), src, dst| {
+            let edge = model.edge_cost(src, dst);
+            let (hop, cum) = (hop + 1, cum + edge);
+            if let Some(s) = &mut sink {
+                s.emit(
+                    u64::from(hop),
+                    TraceEvent::Hop {
+                        src,
+                        dst,
+                        hop,
+                        edge_cost_ms: edge,
+                        cost_ms: cum,
+                        kind: HopKind::Network,
+                    },
+                );
+            }
+            (hop, cum)
+        })?;
+    debug_assert_eq!(Some(&first), destinations.first());
+    let mut messages = u64::from(delay);
 
     // Phase 2: walk the contiguous destination run, one hop per successor.
     // The walk is strictly sequential, so every successor edge joins the

@@ -15,8 +15,8 @@
 //!   garage/Dynamo discipline) or `neighbor-set-r` (the substrate's close
 //!   group around the primary owner, the maidsafe discipline).
 //! * [`ReplicaRouting`] — what a scheme exposes so the layer can place and
-//!   read replicas: deterministic owner selection and honest point-fetch
-//!   cost accounting. Schemes opt in through
+//!   read replicas: the live membership, the substrate's close group and
+//!   honest point-fetch cost accounting. Schemes opt in through
 //!   [`RangeScheme::as_replica_routing`].
 //! * [`Replicated`] — the wrapper: composes over any boxed [`RangeScheme`],
 //!   publishes each record to `r` deterministically chosen owners, answers
@@ -58,6 +58,7 @@ use crate::dynamics::DynamicScheme;
 use crate::scheme::{QueryCtx, RangeOutcome, RangeRequest, RangeScheme, SchemeError};
 use rand::rngs::SmallRng;
 use simnet::NodeId;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// Salt separating replica-fetch drop draws from every other seeded
@@ -181,12 +182,34 @@ impl ReplicaPolicy {
     }
 }
 
-/// A peer's position on the consistent-hash ring used by
-/// [`ring_owners`] — a pure function of the node id, so positions survive
-/// churn (only a changed peer's own arc moves, the property consistent
-/// hashing exists for).
+/// A peer's position on the consistent-hash ring — a pure function of the
+/// node id, so positions survive churn (only a changed peer's own arc
+/// moves, the property consistent hashing exists for).
 fn ring_position(node: NodeId) -> u64 {
     crate::fnv1a(&(node as u64).to_le_bytes())
+}
+
+/// The consistent-hash ring over one live peer set: `(position, peer)`
+/// pairs in position order. Building it is the `O(N log N)` part of
+/// placement; [`Replicated`] keeps one and rebuilds it only after a
+/// membership change.
+struct Ring(Vec<(u64, NodeId)>);
+
+impl Ring {
+    fn new(live: &[NodeId]) -> Self {
+        let mut ring: Vec<(u64, NodeId)> = live.iter().map(|&n| (ring_position(n), n)).collect();
+        ring.sort_unstable();
+        Ring(ring)
+    }
+
+    /// The first `r` peers clockwise from `key`'s ring point (fewer when
+    /// the ring is smaller): one binary search, then a walk.
+    fn owners(&self, key: u64, r: usize) -> Vec<NodeId> {
+        let ring = &self.0;
+        let point = crate::fnv1a(&key.to_le_bytes());
+        let start = ring.partition_point(|&(p, _)| p < point);
+        (0..r.min(ring.len())).map(|i| ring[(start + i) % ring.len()].1).collect()
+    }
 }
 
 /// Successor-style owner selection over a live peer set: hash `key` to a
@@ -196,14 +219,7 @@ fn ring_position(node: NodeId) -> u64 {
 /// `r + 1` — the property that makes recall monotone in the replication
 /// factor under identical churn histories.
 pub fn ring_owners(live: &[NodeId], key: u64, r: usize) -> Vec<NodeId> {
-    if live.is_empty() || r == 0 {
-        return Vec::new();
-    }
-    let mut ring: Vec<(u64, NodeId)> = live.iter().map(|&n| (ring_position(n), n)).collect();
-    ring.sort_unstable();
-    let point = crate::fnv1a(&key.to_le_bytes());
-    let start = ring.partition_point(|&(p, _)| p < point);
-    (0..r.min(ring.len())).map(|i| ring[(start + i) % ring.len()].1).collect()
+    Ring::new(live).owners(key, r)
 }
 
 /// Hashes a record's attribute value into the opaque key space replica
@@ -238,23 +254,6 @@ pub trait ReplicaRouting {
     /// node, the `O(log N)` lookup model otherwise — with latency
     /// accumulated over the same edges the hop figure counts).
     fn fetch_cost(&self, origin: NodeId, holder: NodeId) -> FetchCost;
-
-    /// The `policy.factor()` distinct live owners for the record keyed by
-    /// `value`, primary first — a pure function of `(value, policy, live
-    /// membership)`. [`ReplicaKind::Successor`] walks the consistent-hash
-    /// ring over [`live_peers`](Self::live_peers) ([`ring_owners`], whose
-    /// prefix property makes recall monotone in the factor);
-    /// [`ReplicaKind::NeighborSet`] delegates to
-    /// [`close_group`](Self::close_group).
-    fn replica_owners(&self, value: f64, policy: &ReplicaPolicy) -> Vec<NodeId> {
-        match policy.kind() {
-            ReplicaKind::None => Vec::new(),
-            ReplicaKind::Successor => {
-                ring_owners(&self.live_peers(), value_key(value), policy.factor())
-            }
-            ReplicaKind::NeighborSet => self.close_group(value, policy.factor()),
-        }
-    }
 }
 
 /// The cost of one replica point fetch (or copy transfer): the overlay
@@ -343,7 +342,45 @@ pub struct Replicated {
     /// `holders[i]` = peers currently holding a replica of record `i`
     /// (the primary copy lives inside the inner scheme and is not listed).
     holders: Vec<Vec<NodeId>>,
+    /// `(value, publish index)` of every record in value order, so a query
+    /// finds its in-range records in `O(log R + answer)`.
+    by_value: BTreeSet<(ValueOrd, usize)>,
+    /// The successor ring over the inner scheme's live peers; `None` once
+    /// a membership call may have changed them (every one passes through
+    /// this wrapper, which owns the inner scheme), rebuilt on next use.
+    ring: Option<Ring>,
 }
+
+/// A record value as an index key: `f64::total_cmp` order with `-0.0`
+/// folded onto `0.0`, which agrees with the range contract's `lo <= v &&
+/// v <= hi` on every non-NaN value and sorts NaNs outside every range.
+struct ValueOrd(f64);
+
+impl ValueOrd {
+    fn new(value: f64) -> Self {
+        ValueOrd(if value == 0.0 { 0.0 } else { value })
+    }
+}
+
+impl Ord for ValueOrd {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+impl PartialOrd for ValueOrd {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ValueOrd {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ValueOrd {}
 
 impl Replicated {
     /// Wraps `inner` under `policy`.
@@ -359,7 +396,14 @@ impl Replicated {
                 feature: "replication",
             });
         }
-        Ok(Replicated { inner, policy, published: Vec::new(), holders: Vec::new() })
+        Ok(Replicated {
+            inner,
+            policy,
+            published: Vec::new(),
+            holders: Vec::new(),
+            by_value: BTreeSet::new(),
+            ring: None,
+        })
     }
 
     /// The wrapped scheme.
@@ -367,22 +411,48 @@ impl Replicated {
         self.inner.as_ref()
     }
 
+    /// The peers currently holding a replica of the `record`-th published
+    /// record, in placement order (the primary copy lives inside the inner
+    /// scheme and is not listed).
+    ///
+    /// # Panics
+    ///
+    /// Panics when fewer than `record + 1` records were published.
+    pub fn replica_holders(&self, record: usize) -> &[NodeId] {
+        &self.holders[record]
+    }
+
     fn routing(&self) -> &dyn ReplicaRouting {
         self.inner.as_replica_routing().expect("checked at construction")
     }
 
-    /// Ground-truth handles for `[lo, hi]`, ascending and deduplicated —
-    /// the same contract as [`RangeOutcome::results`].
-    fn expected(&self, lo: f64, hi: f64) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .published
-            .iter()
-            .filter(|&&(value, _)| value >= lo && value <= hi)
-            .map(|&(_, h)| h)
+    /// The policy's owners for the record keyed by `value`, primary first —
+    /// a pure function of `(value, policy, live membership)`:
+    /// [`ReplicaKind::Successor`] walks the cached ring (the same list
+    /// [`ring_owners`] computes over [`ReplicaRouting::live_peers`]),
+    /// [`ReplicaKind::NeighborSet`] asks the substrate for its
+    /// [`close_group`](ReplicaRouting::close_group).
+    fn owners(&mut self, value: f64) -> Vec<NodeId> {
+        let routing = self.inner.as_replica_routing().expect("checked at construction");
+        match self.policy.kind() {
+            ReplicaKind::None => Vec::new(),
+            ReplicaKind::Successor => self
+                .ring
+                .get_or_insert_with(|| Ring::new(&routing.live_peers()))
+                .owners(value_key(value), self.policy.factor()),
+            ReplicaKind::NeighborSet => routing.close_group(value, self.policy.factor()),
+        }
+    }
+
+    /// Publish indices of the records valued in `[lo, hi]`, ascending.
+    fn in_range(&self, lo: f64, hi: f64) -> Vec<usize> {
+        let mut records: Vec<usize> = self
+            .by_value
+            .range((ValueOrd::new(lo), 0)..=(ValueOrd::new(hi), usize::MAX))
+            .map(|&(_, idx)| idx)
             .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        records.sort_unstable();
+        records
     }
 
     /// The second query phase: fetch records the primary path missed from
@@ -407,23 +477,37 @@ impl Replicated {
         if self.policy.is_none() {
             return out;
         }
-        let (origin, lo, hi) = (req.origin(), req.lo(), req.hi());
-        let expected = self.expected(lo, hi);
+        let origin = req.origin();
+        let in_range = self.in_range(req.lo(), req.hi());
+        // Ground truth, ascending and deduplicated — the same contract as
+        // `RangeOutcome::results`.
+        let mut expected: Vec<u64> = in_range.iter().map(|&idx| self.published[idx].1).collect();
+        expected.sort_unstable();
+        expected.dedup();
         if expected == out.results {
             return out;
         }
-        let have: BTreeSet<u64> = out.results.iter().copied().collect();
-        let mut missing: BTreeSet<u64> =
-            expected.iter().copied().filter(|h| !have.contains(h)).collect();
-        let missing_n = missing.len();
+        // `expected − results` by one merge over the two ascending lists;
+        // `got[i]` turns true once a fetch for `missing[i]` lands.
+        let mut have = out.results.iter().copied().peekable();
+        let missing: Vec<u64> = expected
+            .iter()
+            .copied()
+            .filter(|&h| {
+                while have.next_if(|&x| x < h).is_some() {}
+                have.peek() != Some(&h)
+            })
+            .collect();
+        let mut got = vec![false; missing.len()];
         let routing = self.routing();
         let mut fault_state =
             faults.map(|plan| (plan, simnet::rng_from_seed(req.seed() ^ FETCH_SALT)));
-        let mut fetched: Vec<u64> = Vec::new();
         let mut fetch_delay = 0u64;
         let mut fetch_latency = 0u64;
-        for (idx, &(value, handle)) in self.published.iter().enumerate() {
-            if value < lo || value > hi || !missing.contains(&handle) {
+        // Publish order: the seeded drop draws are consumed in it.
+        for idx in in_range {
+            let Ok(slot) = missing.binary_search(&self.published[idx].1) else { continue };
+            if got[slot] {
                 continue;
             }
             let holder = match &fault_state {
@@ -444,11 +528,7 @@ impl Replicated {
             if let Some(log) = fetch_log.as_deref_mut() {
                 log.push((holder, cost, landed));
             }
-            if !landed {
-                continue;
-            }
-            fetched.push(handle);
-            missing.remove(&handle);
+            got[slot] = landed;
         }
         // Fetches run in parallel, but only after the primary phase came
         // back short — a strictly two-phase read (dropped fetches extend
@@ -456,11 +536,12 @@ impl Replicated {
         // critical paths extend by the slowest fetch in their own currency.
         out.delay += fetch_delay;
         out.latency += fetch_latency;
-        if fetched.is_empty() {
+        let recovered = got.iter().filter(|&&landed| landed).count();
+        if recovered == 0 {
             return out;
         }
-        let recovered = fetched.len();
-        out.results.extend(fetched);
+        out.results
+            .extend(missing.iter().zip(&got).filter(|&(_, &landed)| landed).map(|(&h, _)| h));
         out.results.sort_unstable();
         out.results.dedup();
         out.exact = out.results == expected;
@@ -471,7 +552,7 @@ impl Replicated {
             // records, flooring so a partially-recovered query can never
             // report the full-recall figure exact recovery earns.
             let gap = out.dest_peers.saturating_sub(out.reached_peers);
-            let gain = gap * recovered / missing_n;
+            let gain = gap * recovered / missing.len();
             out.reached_peers = (out.reached_peers + gain)
                 .min(out.dest_peers.saturating_sub(1))
                 .max(out.reached_peers);
@@ -486,11 +567,15 @@ impl Replicated {
         }
     }
 
+    /// The inner scheme's membership surface. Every caller is about to
+    /// change the live peer set, so the cached ring is dropped here.
     fn dynamic_inner(&mut self) -> Result<&mut dyn DynamicScheme, SchemeError> {
-        let name = self.inner.scheme_name().to_string();
-        self.inner
-            .as_dynamic()
-            .ok_or(SchemeError::Unsupported { scheme: name, feature: "dynamics" })
+        self.ring = None;
+        let name = self.inner.scheme_name();
+        self.inner.as_dynamic().ok_or_else(|| SchemeError::Unsupported {
+            scheme: name.to_string(),
+            feature: "dynamics",
+        })
     }
 }
 
@@ -591,12 +676,9 @@ impl RangeScheme for Replicated {
     }
 
     fn publish(&mut self, value: f64, handle: u64) -> Result<(), SchemeError> {
-        let owners = if self.policy.is_none() {
-            Vec::new()
-        } else {
-            self.routing().replica_owners(value, &self.policy)
-        };
+        let owners = if self.policy.is_none() { Vec::new() } else { self.owners(value) };
         self.inner.publish(value, handle)?;
+        self.by_value.insert((ValueOrd::new(value), self.published.len()));
         self.published.push((value, handle));
         // The primary copy (owners[0]) lives inside the inner scheme.
         self.holders.push(owners.into_iter().skip(1).collect());
@@ -695,13 +777,8 @@ impl ReplicationControl for Replicated {
             return repair;
         }
         for idx in 0..self.published.len() {
-            let (value, _) = self.published[idx];
-            let owners = self
-                .inner
-                .as_replica_routing()
-                .expect("checked")
-                .replica_owners(value, &self.policy);
-            let desired: Vec<NodeId> = owners.iter().skip(1).copied().collect();
+            let owners = self.owners(self.published[idx].0);
+            let desired = owners.get(1..).unwrap_or(&[]);
             let primary = owners.first().copied();
             let current = &mut self.holders[idx];
             let before = current.len();
@@ -709,7 +786,7 @@ impl ReplicationControl for Replicated {
             let retired = before - current.len();
             repair.dropped += retired;
             repair.messages += retired as u64; // one retirement message each
-            for &owner in &desired {
+            for &owner in desired {
                 if !current.contains(&owner) {
                     // Copy transfer from the primary owner's side.
                     let cost = self
@@ -1102,6 +1179,65 @@ mod tests {
             dropped.messages > inner_only.messages,
             "the dropped fetches were still sent and must be charged"
         );
+    }
+
+    #[test]
+    fn the_value_index_answers_ranges_as_ieee_comparisons_do() {
+        let values =
+            [-0.0, 0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 5.0, 5.0, 1e9];
+        let mut scheme =
+            Replicated::new(Box::new(ShardScan::new(40)), ReplicaPolicy::successor(3)).unwrap();
+        // Every primary is down for the query, so each record in the answer
+        // was found through the index and fetched from a replica.
+        let live: Vec<NodeId> = (0..40).collect();
+        let mut faults = simnet::FaultPlan::new();
+        for (h, &value) in values.iter().enumerate() {
+            scheme.publish(value, h as u64).unwrap();
+            faults.crash(ring_owners(&live, value_key(value), 1)[0]);
+        }
+        for (lo, hi) in [
+            (0.0, 10.0),
+            (-0.0, 0.0),
+            (0.0, -0.0),
+            (5.0, 5.0),
+            (-1.0, -0.5),
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (1e8, f64::INFINITY),
+        ] {
+            let oracle: Vec<u64> = (0..values.len())
+                .filter(|&h| values[h] >= lo && values[h] <= hi)
+                .map(|h| h as u64)
+                .collect();
+            let req = RangeRequest::new(0, lo, hi, 0).unwrap();
+            let mut scratch = simnet::QueryScratch::new();
+            let mut cx = QueryCtx { scratch: &mut scratch, faults: Some(&faults), trace: None };
+            let out = scheme.query(&req, &mut cx).unwrap();
+            assert_eq!(out.results, oracle, "[{lo}, {hi}]");
+            assert!(out.exact, "[{lo}, {hi}]");
+        }
+    }
+
+    #[test]
+    fn a_handle_published_twice_is_fetched_until_one_copy_lands() {
+        // Handle 7 sits under two values; at 100 % loss both of its records
+        // are tried (and charged), on a clean network only the first.
+        let mut scheme =
+            Replicated::new(Box::new(ShardScan::new(12)), ReplicaPolicy::successor(3)).unwrap();
+        scheme.publish(10.0, 7).unwrap();
+        scheme.publish(20.0, 7).unwrap();
+        let live: Vec<NodeId> = (0..12).collect();
+        let mut crashed = simnet::FaultPlan::new();
+        let mut lossy = simnet::FaultPlan::with_drop_prob(1.0);
+        for value in [10.0, 20.0] {
+            let primary = ring_owners(&live, value_key(value), 1)[0];
+            crashed.crash(primary);
+            lossy.crash(primary);
+        }
+        let base = query_all(scheme.inner(), Some(&crashed), None).messages;
+        let clean = query_all(&scheme, Some(&crashed), None);
+        assert_eq!((clean.results, clean.messages), (vec![7], base + 2));
+        let dropped = query_all(&scheme, Some(&lossy), None);
+        assert_eq!((dropped.results, dropped.messages), (vec![], base + 4));
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! Criterion benches for the substrate building blocks: naming, routing and
-//! network construction.
+//! Criterion benches for the substrate building blocks: naming, routing,
+//! network construction, and the three layers a replicated stack adds
+//! (placement, repair, the fetch route).
 
+use armada_experiments::standard_registry;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dht_api::{BuildParams, RangeScheme};
 use fissione::{FissioneConfig, FissioneNet};
 use kautz::naming::{MultiHash, SingleHash};
 use kautz::KautzStr;
@@ -68,5 +71,52 @@ fn bench_build(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_naming, bench_routing, bench_build);
+/// `name` at `n` peers with `n` records published, from a fixed seed.
+fn loaded(name: &str, n: usize) -> Box<dyn RangeScheme> {
+    let mut rng = simnet::rng_from_seed(7 + n as u64);
+    let params = BuildParams::new(n, 0.0, 1000.0);
+    let mut scheme = standard_registry().build_single(name, &params, &mut rng).expect("build");
+    for h in 0..n as u64 {
+        scheme.publish(rng.gen_range(0.0..=1000.0), h).expect("publish");
+    }
+    scheme
+}
+
+fn bench_replication(c: &mut Criterion) {
+    // Placement: one record onto a loaded `pira+r3` (the parameter is the
+    // peer count; the cost must not grow with it).
+    let mut group = c.benchmark_group("replicated_publish");
+    for n in [1000usize, 10_000] {
+        let mut scheme = loaded("pira+r3", n);
+        let mut rng = simnet::rng_from_seed(8);
+        let mut handle = n as u64;
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                handle += 1;
+                scheme.publish(rng.gen_range(0.0..=1000.0), handle).expect("publish")
+            });
+        });
+    }
+    group.finish();
+
+    // Repair: a whole pass over 4 000 records that finds nothing to move.
+    let mut scheme = loaded("pira+r3", 4000);
+    let control = scheme.as_replicated().expect("pira+r3 is replicated");
+    c.bench_function("re_replicate_noop/4000", |b| b.iter(|| control.re_replicate()));
+
+    // The fetch route: one point fetch between two random live peers.
+    let scheme = loaded("pira", 10_000);
+    let routing = scheme.as_replica_routing().expect("pira routes replicas");
+    let peers = routing.live_peers();
+    let mut rng = simnet::rng_from_seed(9);
+    c.bench_function("replica_fetch_cost/10000", |b| {
+        b.iter(|| {
+            let origin = peers[rng.gen_range(0..peers.len())];
+            let holder = peers[rng.gen_range(0..peers.len())];
+            routing.fetch_cost(origin, holder)
+        })
+    });
+}
+
+criterion_group!(benches, bench_naming, bench_routing, bench_build, bench_replication);
 criterion_main!(benches);

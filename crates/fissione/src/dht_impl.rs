@@ -31,16 +31,20 @@ impl FissioneNet {
 
 impl Dht for FissioneNet {
     fn route_key(&self, from: NodeId, key: u64) -> Lookup {
-        let target = self.key_to_kautz(key);
-        let route = self.route(from, &target).expect("routing on a complete cover succeeds");
-        Lookup { owner: route.dest(), hops: route.hops() }
+        let (owner, hops) = self
+            .route_fold(from, &self.key_to_kautz(key), 0, |hops, _, _| hops + 1)
+            .expect("routing on a complete cover succeeds");
+        Lookup { owner, hops }
     }
 
     fn route_key_latency(&self, from: NodeId, key: u64, net: &simnet::NetModel) -> (Lookup, u64) {
         // The real Kautz long path, priced edge by edge.
-        let target = self.key_to_kautz(key);
-        let route = self.route(from, &target).expect("routing on a complete cover succeeds");
-        (Lookup { owner: route.dest(), hops: route.hops() }, net.path_cost(route.path()))
+        let (owner, (hops, cost)) = self
+            .route_fold(from, &self.key_to_kautz(key), (0, 0), |(hops, cost), src, dst| {
+                (hops + 1, cost + net.edge_cost(src, dst))
+            })
+            .expect("routing on a complete cover succeeds");
+        (Lookup { owner, hops }, cost)
     }
 
     fn owner_of_key(&self, key: u64) -> NodeId {

@@ -90,7 +90,7 @@ const ENC_SYMS: usize = 64;
 /// # Panics
 ///
 /// Panics if `id` is deeper than [`ENC_SYMS`].
-fn enc_id(id: &KautzStr) -> u128 {
+pub(crate) fn enc_id(id: &KautzStr) -> u128 {
     assert!(id.len() <= ENC_SYMS, "PeerID depth {} exceeds key capacity", id.len());
     let mut k = 0u128;
     for (i, &s) in id.symbols().iter().enumerate() {
@@ -104,7 +104,7 @@ fn enc_id(id: &KautzStr) -> u128 {
 /// exactly within that window, and live peer depths never approach it, so
 /// every order/prefix relation between a peer id and a probe is decided
 /// inside the window.
-fn enc_probe(s: &KautzStr) -> u128 {
+pub(crate) fn enc_probe(s: &KautzStr) -> u128 {
     let mut k = 0u128;
     for (i, &sym) in s.symbols().iter().take(ENC_SYMS).enumerate() {
         k |= (u128::from(sym) + 1) << (126 - 2 * i);
@@ -114,7 +114,7 @@ fn enc_probe(s: &KautzStr) -> u128 {
 
 /// Symbol count encoded in a nonzero key (the position of its lowest
 /// nonzero 2-bit group).
-fn enc_len(k: u128) -> usize {
+pub(crate) fn enc_len(k: u128) -> usize {
     debug_assert_ne!(k, 0, "the empty string is never a PeerID");
     (129 - k.trailing_zeros() as usize) / 2
 }
@@ -127,7 +127,7 @@ fn enc_subtree_end(k: u128) -> Option<u128> {
 
 /// Whether the id encoded by nonzero `k` is a (non-strict) prefix of the
 /// string encoded by `probe`.
-fn enc_is_prefix(k: u128, probe: u128) -> bool {
+pub(crate) fn enc_is_prefix(k: u128, probe: u128) -> bool {
     k <= probe && enc_subtree_end(k).is_none_or(|end| probe < end)
 }
 
@@ -263,14 +263,23 @@ impl FissioneNet {
     /// Returns [`FissioneError::TargetTooShort`] if `s` is shorter than the
     /// owning region's depth (no PeerID prefixes it).
     pub fn owner_of(&self, s: &KautzStr) -> Result<NodeId, FissioneError> {
-        let key = enc_probe(s);
+        self.owner_of_enc(enc_probe(s), s.len()).map(|(_, node)| node)
+    }
+
+    /// [`owner_of`](Self::owner_of) on an [`enc_probe`] key, also returning
+    /// the owner's own [`enc_id`] key; `len` is the probed string's full
+    /// length (the error reports it).
+    pub(crate) fn owner_of_enc(
+        &self,
+        key: u128,
+        len: usize,
+    ) -> Result<(u128, NodeId), FissioneError> {
         let candidate = self.by_id.range((Bound::Unbounded, Bound::Included(key))).next_back();
         match candidate {
-            Some((&k, &node)) if enc_is_prefix(k, key) => Ok(node),
-            _ => Err(FissioneError::TargetTooShort {
-                target_len: s.len(),
-                max_depth: self.max_depth(),
-            }),
+            Some((&k, &node)) if enc_is_prefix(k, key) => Ok((k, node)),
+            _ => {
+                Err(FissioneError::TargetTooShort { target_len: len, max_depth: self.max_depth() })
+            }
         }
     }
 
