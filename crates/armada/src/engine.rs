@@ -3,7 +3,7 @@
 
 use crate::{ArmadaError, QueryOutcome};
 use fissione::{FissioneConfig, FissioneNet};
-use kautz::naming::{MultiHash, SingleHash};
+use kautz::naming::{MultiHash, ScaledRect, SingleHash};
 use kautz::KautzStr;
 use rand::rngs::SmallRng;
 use simnet::NodeId;
@@ -333,10 +333,14 @@ impl MultiArmada {
         &self,
         query: &[(f64, f64)],
     ) -> Result<BTreeSet<NodeId>, ArmadaError> {
-        let rect = self.naming.query_rect(query)?;
+        Ok(self.peers_intersecting_rect(&self.naming.query_rect(query)?).into_iter().collect())
+    }
+
+    /// The live peers whose hyper-rectangle intersects `rect`, in PeerID
+    /// order.
+    pub(crate) fn peers_intersecting_rect(&self, rect: &ScaledRect) -> Vec<NodeId> {
         let mut zone = Vec::new();
-        Ok(self
-            .net
+        self.net
             .live_peers()
             .filter(|&n| {
                 self.naming
@@ -344,7 +348,7 @@ impl MultiArmada {
                     .expect("peer depths are within naming depth");
                 rect.intersects(&zone)
             })
-            .collect())
+            .collect()
     }
 
     /// Ground truth: records a correct query must return.
@@ -371,6 +375,81 @@ impl MultiArmada {
         seed: u64,
     ) -> Result<QueryOutcome, ArmadaError> {
         crate::mira::query(self, origin, query, seed, None, &mut simnet::QueryScratch::new())
+    }
+}
+
+/// A query's answer bookkeeping, kept in the engine's scratch across
+/// queries: which peers answered against which were due, and the records
+/// they handed over.
+///
+/// One stamp per `NodeId` replaces two ordered sets: `epoch` marks a
+/// ground-truth destination of the current query and `epoch + 1` one that
+/// has answered; stamps of earlier queries match neither, so starting a
+/// query costs only its destinations.
+#[derive(Default)]
+pub(crate) struct Answers {
+    stamps: Vec<u32>,
+    epoch: u32,
+    due: usize,
+    reached: usize,
+    /// A peer outside the ground truth answered.
+    stray: bool,
+    records: Vec<RecordId>,
+}
+
+impl Answers {
+    /// Starts a query over node ids below `node_bound` whose ground-truth
+    /// destinations are `truth` (distinct).
+    pub(crate) fn begin(&mut self, node_bound: usize, truth: &[NodeId]) {
+        if self.stamps.len() < node_bound {
+            self.stamps.resize(node_bound, 0);
+        }
+        if self.epoch > u32::MAX - 3 {
+            self.stamps.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 2;
+        for &node in truth {
+            self.stamps[node] = self.epoch;
+        }
+        (self.due, self.reached, self.stray) = (truth.len(), 0, false);
+        self.records.clear();
+    }
+
+    /// Records an answer from `node`; `true` the first time it answers.
+    pub(crate) fn first_answer(&mut self, node: NodeId) -> bool {
+        let stamp = &mut self.stamps[node];
+        if *stamp == self.epoch + 1 {
+            return false;
+        }
+        self.stray |= *stamp != self.epoch;
+        *stamp = self.epoch + 1;
+        self.reached += 1;
+        true
+    }
+
+    /// Adds a matching record an answering peer holds.
+    pub(crate) fn push(&mut self, record: RecordId) {
+        self.records.push(record);
+    }
+
+    /// Distinct peers that answered.
+    pub(crate) fn reached(&self) -> usize {
+        self.reached
+    }
+
+    /// Whether the peers that answered are exactly the ground truth: none
+    /// outside it, and as many as it holds.
+    pub(crate) fn exact(&self) -> bool {
+        !self.stray && self.reached == self.due
+    }
+
+    /// The query's result set: the records handed over, ascending and
+    /// distinct, in one allocation of their size.
+    pub(crate) fn results(&mut self) -> Vec<RecordId> {
+        self.records.sort_unstable();
+        self.records.dedup();
+        self.records.clone()
     }
 }
 

@@ -12,12 +12,11 @@
 //! `< 2·log₂N` worst case and `< log₂N` on average, independent of the
 //! query volume.
 
-use crate::engine::descent_budget;
+use crate::engine::{descent_budget, Answers};
 use crate::{ArmadaError, MultiArmada, QueryMetrics, QueryOutcome, RecordId};
 use kautz::fixed::BoundaryInterval;
 use kautz::KautzStr;
 use simnet::{Envelope, FaultPlan, NodeId, QueryScratch, Sim, SimScratch};
-use std::collections::BTreeSet;
 
 /// One in-flight MIRA sub-query message — `Copy`, like [`PiraMsg`]: the
 /// sub-query's `ComS` lives once per query in [`MiraScratch::subs`],
@@ -41,8 +40,7 @@ struct MiraScratch {
     /// suffix of the origin's PeerID).
     subs: Vec<KautzStr>,
     arrivals: Vec<(NodeId, u64)>,
-    nbrs: Vec<NodeId>,
-    shift: KautzStr,
+    answers: Answers,
     /// Subtree-prefix buffer: `ComS ++ cid[strip..]` per candidate child.
     wbuf: KautzStr,
     /// Rectangle buffers for the answer and prune tests.
@@ -56,8 +54,7 @@ impl Default for MiraScratch {
             sim: SimScratch::new(),
             subs: Vec::new(),
             arrivals: Vec::new(),
-            nbrs: Vec::new(),
-            shift: KautzStr::empty(2),
+            answers: Answers::default(),
             wbuf: KautzStr::empty(2),
             zone: Vec::new(),
             wrect: Vec::new(),
@@ -89,10 +86,11 @@ pub fn query(
     let naming = armada.naming();
     let rect = naming.query_rect(ranges)?;
     let corner = naming.corner_region(ranges)?;
-    let truth = armada.ground_truth_peers(ranges)?;
+    let truth = armada.peers_intersecting_rect(&rect);
     let origin_id = net.peer_id(origin)?;
+    let table = net.route_table();
 
-    let MiraScratch { sim: sim_scratch, subs, arrivals, nbrs, shift, wbuf, zone, wrect } =
+    let MiraScratch { sim: sim_scratch, subs, arrivals, answers, wbuf, zone, wrect } =
         scratch.slot::<MiraScratch>();
     let mut sim: Sim<MiraMsg> = Sim::from_scratch(seed, sim_scratch).with_net(*armada.net_model());
     if let Some(faults) = faults {
@@ -106,11 +104,10 @@ pub fn query(
         subs.push(com_t.take_front(f));
     }
 
-    let mut answered: BTreeSet<NodeId> = BTreeSet::new();
+    answers.begin(table.node_bound(), &truth);
     // Flat arrival log reduced by a sorted post-pass (min cost per peer,
     // max over peers — order-independent; see pira.rs).
     arrivals.clear();
-    let mut results: BTreeSet<RecordId> = BTreeSet::new();
     let mut delay: u32 = 0;
     sim.run(|sim, env: Envelope<MiraMsg>| {
         let node = env.to;
@@ -121,7 +118,7 @@ pub fn query(
         naming.prefix_rect_into(id, zone).expect("peer depth within naming depth");
         if rect.intersects(zone) {
             arrivals.push((node, env.cost));
-            if answered.insert(node) {
+            if answers.first_answer(node) {
                 delay = delay.max(env.hop);
                 let peer = net.peer(node).expect("live");
                 for (_oid, handles) in peer.objects_in_range(corner.low(), corner.high()) {
@@ -133,7 +130,7 @@ pub fn query(
                             .zip(ranges.iter())
                             .all(|(&v, &(lo, hi))| v >= lo && v <= hi);
                         if inside {
-                            results.insert(record);
+                            answers.push(record);
                         }
                     }
                 }
@@ -145,8 +142,7 @@ pub fn query(
         if d > 0 {
             let f = com_s.len();
             let strip = f + d - 1;
-            net.out_neighbors_into(node, shift, nbrs);
-            for &c in nbrs.iter() {
+            for c in table.out(node) {
                 let cid = net.peer_id(c).expect("live");
                 // `ComS ++ cid[strip..]`; on a repeated junction symbol the
                 // buffer degrades to `ComS` alone — PIRA's never-prune
@@ -161,20 +157,18 @@ pub fn query(
         }
     });
 
-    let reached = answered.len();
-    let exact = answered == truth;
     let latency = simnet::last_first_arrival(arrivals);
     let messages = sim.stats().messages_sent;
     sim.recycle(sim_scratch);
     Ok(QueryOutcome {
-        results: results.into_iter().collect(),
+        results: answers.results(),
         metrics: QueryMetrics {
             delay,
             latency,
             messages,
             dest_peers: truth.len(),
-            reached_peers: reached,
-            exact,
+            reached_peers: answers.reached(),
+            exact: answers.exact(),
         },
     })
 }

@@ -22,16 +22,15 @@
 //! size: `< 2·log₂N` worst case, `< log₂N` on average — the paper's
 //! headline result.
 
-use crate::engine::descent_budget;
+use crate::engine::{descent_budget, Answers};
 use crate::{ArmadaError, QueryMetrics, QueryOutcome, RecordId, SingleArmada};
-use kautz::{KautzRegion, KautzStr};
+use fissione::KeyRegion;
 use simnet::{Envelope, FaultPlan, NodeId, QueryScratch, Sim, SimScratch};
-use std::collections::BTreeSet;
 
 /// One in-flight PIRA sub-query message — `Copy`, so forwarding a message
 /// down the routing tree moves twenty-four bytes instead of cloning two
-/// Kautz strings per hop. The region bounds and `ComS` live once per
-/// sub-query in [`PiraScratch::subs`], indexed by `sub`.
+/// Kautz strings per hop. The sub-region lives once per sub-query in
+/// [`PiraScratch::subs`], indexed by `sub`.
 #[derive(Debug, Clone, Copy)]
 struct PiraMsg {
     /// Index into the per-query sub-region table.
@@ -42,41 +41,28 @@ struct PiraMsg {
     hops_left: usize,
 }
 
-/// Per-sub-query routing state, computed once at send time.
-struct SubQuery {
-    /// The sub-region `⟨low, high⟩` (full ObjectID length).
-    region: KautzRegion,
-    /// `ComS = low.take_front(f)` — the prefix every subtree test extends.
-    com_s: KautzStr,
-}
-
 /// PIRA's reusable per-thread state, slotted into a [`QueryScratch`]: the
 /// simulator's collections plus the routing loop's working buffers. Every
 /// field is reset at query start, so reuse is invisible to results,
 /// metrics, and traces.
+#[derive(Default)]
 struct PiraScratch {
     sim: SimScratch<PiraMsg>,
-    subs: Vec<SubQuery>,
+    /// The sub-regions `⟨low, high⟩` in key space; `ComS` is the first `f`
+    /// symbols of `low`.
+    subs: Vec<KeyRegion>,
     arrivals: Vec<(NodeId, u64)>,
-    nbrs: Vec<NodeId>,
-    shift: KautzStr,
-}
-
-impl Default for PiraScratch {
-    fn default() -> Self {
-        PiraScratch {
-            sim: SimScratch::new(),
-            subs: Vec::new(),
-            arrivals: Vec::new(),
-            nbrs: Vec::new(),
-            shift: KautzStr::empty(2),
-        }
-    }
+    answers: Answers,
 }
 
 /// Executes a PIRA range query; see the module docs. The engine's one
 /// full-surface entry point: an optional fault plan (drops, crashes, the
 /// hostile families), an optional trace, the caller's scratch.
+///
+/// Every peer forwards from its own row of the network's
+/// [`RouteTable`](fissione::RouteTable) and prunes in key space
+/// ([`KeyRegion`]): a delivery touches no ordered map and compares no
+/// strings.
 ///
 /// With `trace` set the simulator's sink is attached and the full
 /// virtual-time event stream (hops, fault verdicts, deliveries, answers)
@@ -104,11 +90,12 @@ pub fn query(
         return Err(ArmadaError::BadOrigin { origin });
     }
     let region = armada.naming().region(lo, hi)?;
-    let truth = armada.ground_truth_peers(lo, hi)?;
+    let truth = net.peers_intersecting_range(region.low(), region.high())?;
     let origin_id = net.peer_id(origin)?;
+    let table = net.route_table();
+    let whole = KeyRegion::new(&region);
 
-    let PiraScratch { sim: sim_scratch, subs, arrivals, nbrs, shift } =
-        scratch.slot::<PiraScratch>();
+    let PiraScratch { sim: sim_scratch, subs, arrivals, answers } = scratch.slot::<PiraScratch>();
     let mut sim: Sim<PiraMsg> = Sim::from_scratch(seed, sim_scratch).with_net(*armada.net_model());
     if let Some(faults) = faults {
         sim = sim.with_faults_ref(faults);
@@ -118,71 +105,70 @@ pub fn query(
     }
     subs.clear();
     for sub in region.split_by_common_prefix() {
-        let com_t = sub.common_prefix();
-        let (f, hops_left) = descent_budget(origin_id, &com_t);
-        let com_s = sub.low().take_front(f);
+        let (f, hops_left) = descent_budget(origin_id, &sub.common_prefix());
         sim.send(origin, origin, 0, PiraMsg { sub: subs.len() as u8, f, hops_left });
-        subs.push(SubQuery { region: sub, com_s });
+        subs.push(KeyRegion::new(&sub));
     }
 
-    let mut answered: BTreeSet<NodeId> = BTreeSet::new();
+    answers.begin(table.node_bound(), &truth);
     // Flat arrival log, one entry per qualifying delivery; the sorted
     // post-pass (`last_first_arrival`) reduces it to the min cost per peer
     // and the max over peers — independent of delivery order (scheduling
     // stays on unit ticks; the cost model rides along in the envelopes).
     arrivals.clear();
-    let mut results: BTreeSet<RecordId> = BTreeSet::new();
     let mut delay: u32 = 0;
     sim.run(|sim, env: Envelope<PiraMsg>| {
         let node = env.to;
-        let id = net.peer_id(node).expect("messages are delivered to live peers");
+        let key = table.key(node);
         let sub = &subs[env.payload.sub as usize];
 
         // Local answer: this peer's region intersects the sub-region.
         // Records are collected against the *full* query so one visit per
         // peer suffices even when it straddles several sub-regions.
-        if sub.region.intersects_prefix(id) {
+        if sub.intersects(key) {
             arrivals.push((node, env.cost));
             sim.trace_answer(&env);
-            if answered.insert(node) {
+            if answers.first_answer(node) {
                 delay = delay.max(env.hop);
-                let peer = net.peer(node).expect("live");
-                for (_oid, handles) in peer.objects_in_range(region.low(), region.high()) {
-                    for &h in handles {
-                        let record = RecordId(h);
+                let peer = net.peer(node).expect("messages are delivered to live peers");
+                let mut collect = |handles: &[u64]| {
+                    for record in handles.iter().map(|&h| RecordId(h)) {
                         let v = armada.value(record);
                         if v >= lo && v <= hi {
-                            results.insert(record);
+                            answers.push(record);
                         }
                     }
+                };
+                // A peer strictly inside the query hands over its whole
+                // store; only the (at most two) peers on the query's edges
+                // pay the ordered-map bound searches on full ObjectIDs.
+                if whole.covers(key) {
+                    peer.objects().for_each(|(_oid, handles)| collect(handles));
+                } else {
+                    peer.objects_in_range(region.low(), region.high())
+                        .for_each(|(_oid, handles)| collect(handles));
                 }
             }
         }
 
-        // Pruned descent.
+        // Pruned descent: forward to an out-neighbor `C` iff the sub-region
+        // meets `ComS ++ C.id[strip..]`, C's subtree prefix at the
+        // destination level. Children shorter than the transit prefix
+        // (possible only when the neighborhood invariant is violated)
+        // degrade to the never-prune test `ComS`, as a repeated junction
+        // symbol does.
         let d = env.payload.hops_left;
         if d > 0 {
             let f = env.payload.f;
             let strip = f + d - 1; // transit-prefix length at the children
-            net.out_neighbors_into(node, shift, nbrs);
-            for &c in nbrs.iter() {
-                let cid = net.peer_id(c).expect("live");
-                // Subtree prefix of C at the destination level, tested as
-                // `ComS ++ cid[strip..]` without materializing it. Children
-                // shorter than the transit prefix (possible only when the
-                // neighborhood invariant is violated) degrade to the
-                // never-prune test `ComS` — the parts test's junction
-                // fallback does the same for repeated junction symbols.
-                let tail = cid.symbols().get(strip..).unwrap_or(&[]);
-                if sub.region.intersects_prefix_parts(&sub.com_s, tail) {
+            for c in table.out(node) {
+                if sub.intersects_subtree(f, table.key(c), strip) {
                     sim.forward(&env, c, PiraMsg { sub: env.payload.sub, f, hops_left: d - 1 });
                 }
             }
         }
     });
 
-    let reached = answered.len();
-    let exact = answered == truth;
     // Critical path in virtual ms: the query completes when the last
     // destination first learns of it.
     let latency = simnet::last_first_arrival(arrivals);
@@ -191,14 +177,14 @@ pub fn query(
     sim.recycle(sim_scratch);
     Ok((
         QueryOutcome {
-            results: results.into_iter().collect(),
+            results: answers.results(),
             metrics: QueryMetrics {
                 delay,
                 latency,
                 messages,
                 dest_peers: truth.len(),
-                reached_peers: reached,
-                exact,
+                reached_peers: answers.reached(),
+                exact: answers.exact(),
             },
         },
         records,

@@ -44,8 +44,14 @@ impl QueryOutcome {
     /// [`RecordId`](crate::RecordId) values; adapters that track caller
     /// handles remap before converting.
     pub fn into_outcome(self) -> RangeOutcome {
+        self.outcome_with(|record| record.0)
+    }
+
+    /// The scheme-generic outcome with every result mapped through
+    /// `handle`.
+    fn outcome_with(self, handle: impl Fn(crate::RecordId) -> u64) -> RangeOutcome {
         RangeOutcome::from_native(
-            self.results.iter().map(|r| r.0).collect(),
+            self.results.iter().map(|&record| handle(record)).collect(),
             OutcomeCosts {
                 hops: u64::from(self.metrics.delay),
                 latency: self.metrics.latency,
@@ -66,11 +72,12 @@ impl From<QueryOutcome> for RangeOutcome {
 
 /// Remaps a native outcome's `RecordId` results through a handle table.
 fn remap(out: QueryOutcome, handles: &[u64]) -> RangeOutcome {
-    let mut converted = out.into_outcome();
-    for r in &mut converted.results {
-        *r = handles[*r as usize];
+    let mut converted = out.outcome_with(|record| handles[record.0 as usize]);
+    // Results arrive in `RecordId` order, so handles handed out in publish
+    // order — the common case — are ascending already.
+    if !converted.results.is_sorted() {
+        converted.results.sort_unstable();
     }
-    converted.results.sort_unstable();
     converted
 }
 

@@ -1,7 +1,10 @@
 //! Criterion benches for the substrate building blocks: naming, routing,
-//! network construction, and the three layers a replicated stack adds
-//! (placement, repair, the fetch route).
+//! network construction, the three layers a replicated stack adds
+//! (placement, repair, the fetch route), and PIRA's two halves — the
+//! routing table a membership epoch pays for once and the handler every
+//! delivery runs.
 
+use armada::SingleArmada;
 use armada_experiments::standard_registry;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dht_api::{BuildParams, RangeScheme};
@@ -118,5 +121,46 @@ fn bench_replication(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_naming, bench_routing, bench_build, bench_replication);
+fn bench_pira(c: &mut Criterion) {
+    // The table: what the first query after a membership change pays. Each
+    // iteration also pays the join + leave (tens of µs) that drops it and
+    // puts the cover back as it was.
+    let mut group = c.benchmark_group("route_table_build");
+    for n in [10_000usize, 100_000] {
+        let mut rng = simnet::rng_from_seed(10 + n as u64);
+        let mut net = FissioneNet::build(FissioneConfig::default(), n, &mut rng).unwrap();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                let newcomer = net.join(&mut rng);
+                net.leave(newcomer).expect("the split leaf takes its half back");
+                net.route_table().node_bound()
+            });
+        });
+    }
+    group.finish();
+
+    // The handler: native queries over a built table and a warm scratch, at
+    // the benchmark's two corners (`pira-narrow`, `pira-scan`).
+    let mut group = c.benchmark_group("pira_query");
+    for (label, n, width) in [("narrow_1e4", 10_000usize, 2.0), ("scan_1e5", 100_000, 200.0)] {
+        let mut rng = simnet::rng_from_seed(11 + n as u64);
+        let mut armada = SingleArmada::build(n, 0.0, 1000.0, &mut rng).unwrap();
+        for _ in 0..n {
+            armada.publish(rng.gen_range(0.0..=1000.0));
+        }
+        let mut scratch = simnet::QueryScratch::new();
+        let mut seed = 0u64;
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                seed += 1;
+                let lo = rng.gen_range(0.0..=1000.0 - width);
+                let origin = armada.net().random_peer(&mut rng);
+                armada.pira_query_scratch(origin, lo, lo + width, seed, &mut scratch).unwrap()
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_naming, bench_routing, bench_build, bench_replication, bench_pira);
 criterion_main!(benches);

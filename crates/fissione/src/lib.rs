@@ -59,7 +59,7 @@ pub mod proto;
 mod routing;
 mod stats;
 
-pub use net::{FissioneNet, InvariantReport, Peer};
+pub use net::{FissioneNet, InvariantReport, KeyRegion, Peer, PeerKey, RouteTable, MAX_PEER_DEPTH};
 pub use routing::Route;
 pub use stats::{DegreeStats, DepthStats, RoutingSample};
 

@@ -1,13 +1,14 @@
 //! The FISSIONE peer table: prefix-free cover, churn, neighbors, storage.
 
 use crate::{BalanceRule, FissioneConfig, FissioneError};
-use kautz::KautzStr;
+use kautz::{KautzRegion, KautzStr};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::NodeId;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::Bound;
+use std::sync::OnceLock;
 
 /// A live FISSIONE peer: its PeerID and the objects it stores.
 #[derive(Debug, Clone)]
@@ -77,6 +78,13 @@ pub struct InvariantReport {
 /// on the order of 2⁶³ peers.
 const ENC_SYMS: usize = 64;
 
+/// The deepest PeerID the key arithmetic is defined for, one symbol short
+/// of the key's capacity: a query shifts keys by `2·f` bits for a `ComS` of
+/// `f ≤ depth` symbols, and a 128-bit shift by `2·ENC_SYMS` overflows.
+/// [`FissioneNet::split_leaf`] — the only operation that deepens a PeerID —
+/// refuses to pass it, so every live key satisfies it.
+pub const MAX_PEER_DEPTH: usize = ENC_SYMS - 1;
+
 /// Order-preserving fixed-width key for a PeerID: symbol `s` becomes the
 /// 2-bit group `s + 1`, packed MSB-first and zero-padded. Integer order on
 /// keys coincides with lexicographic order on ids (a proper prefix sorts
@@ -131,6 +139,157 @@ pub(crate) fn enc_is_prefix(k: u128, probe: u128) -> bool {
     k <= probe && enc_subtree_end(k).is_none_or(|end| probe < end)
 }
 
+/// Mask keeping the leading `n ≤ ENC_SYMS` symbol groups of a key.
+fn enc_mask(n: usize) -> u128 {
+    u128::MAX.checked_shl(128 - 2 * n as u32).unwrap_or(0)
+}
+
+/// A live peer's [`enc_id`] key, as handed out by a [`RouteTable`]: the
+/// form in which a query handler compares PeerIDs against a [`KeyRegion`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeerKey(u128);
+
+/// A Kautz region `⟨low, high⟩` in key space: the [`enc_probe`] windows of
+/// its endpoints. A prefix `p` of `n ≤ MAX_PEER_DEPTH` symbols has a
+/// member of the region below it iff `low[..n] ≤ p ≤ high[..n]` (the
+/// minimal extension of `p` is `≤ high` exactly when `p` is not above
+/// `high`'s first `n` symbols, and dually for `low`), and truncating a key
+/// to `n` symbols is one mask — so PIRA's two pruning predicates,
+/// [`KautzRegion::intersects_prefix`] and
+/// [`KautzRegion::intersects_prefix_parts`], become integer comparisons.
+/// The string forms stay the reference these are property-tested against.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyRegion {
+    low: u128,
+    high: u128,
+    /// The region's string length `k`; longer prefixes intersect nothing.
+    len: usize,
+}
+
+impl KeyRegion {
+    /// The key-space form of `region`.
+    pub fn new(region: &KautzRegion) -> Self {
+        KeyRegion {
+            low: enc_probe(region.low()),
+            high: enc_probe(region.high()),
+            len: region.string_len(),
+        }
+    }
+
+    /// The endpoints truncated to their first `n` symbols; `None` when the
+    /// region's strings are shorter than that.
+    fn truncated(&self, n: usize) -> Option<(u128, u128)> {
+        let mask = enc_mask(n);
+        (n <= self.len).then_some((self.low & mask, self.high & mask))
+    }
+
+    /// Whether some member of the region extends the `n`-symbol prefix
+    /// whose key is `prefix`.
+    fn intersects_prefix_key(&self, prefix: u128, n: usize) -> bool {
+        self.truncated(n).is_some_and(|(low, high)| low <= prefix && prefix <= high)
+    }
+
+    /// Whether the peer's region intersects this one —
+    /// [`KautzRegion::intersects_prefix`] of its PeerID.
+    pub fn intersects(&self, peer: PeerKey) -> bool {
+        self.intersects_prefix_key(peer.0, enc_len(peer.0))
+    }
+
+    /// Whether the peer's whole region lies strictly inside this one, so
+    /// that everything the peer stores is a member.
+    pub fn covers(&self, peer: PeerKey) -> bool {
+        self.truncated(enc_len(peer.0)).is_some_and(|(low, high)| low < peer.0 && peer.0 < high)
+    }
+
+    /// PIRA's subtree test for an out-neighbor `child`: whether the region
+    /// intersects the prefix `ComS ++ child.id[strip..]`, where `ComS` is
+    /// the region's first `f` symbols —
+    /// [`KautzRegion::intersects_prefix_parts`]`(low[..f], child.id[strip..])`
+    /// with both of its fallbacks: a child no longer than `strip`, or a
+    /// junction that would repeat a symbol, tests `ComS` alone.
+    ///
+    /// `f ≤ MAX_PEER_DEPTH`, and `ComS` plus the tail must fit a key
+    /// (in a descent they total at most the child's own depth).
+    pub fn intersects_subtree(&self, f: usize, child: PeerKey, strip: usize) -> bool {
+        debug_assert!(f <= MAX_PEER_DEPTH, "ComS of {f} symbols exceeds MAX_PEER_DEPTH");
+        let head = self.low & enc_mask(f);
+        let child_len = enc_len(child.0);
+        let (mut tail, mut tail_len) =
+            if strip < child_len { (child.0 << (2 * strip), child_len - strip) } else { (0, 0) };
+        if f > 0 && (head >> (128 - 2 * f)) & 3 == tail >> 126 {
+            (tail, tail_len) = (0, 0);
+        }
+        debug_assert!(f + tail_len <= ENC_SYMS, "subtree prefix exceeds key capacity");
+        self.intersects_prefix_key(head | tail >> (2 * f), f + tail_len)
+    }
+}
+
+/// Every live peer's routing state in one dense read-only structure: its
+/// [`PeerKey`] and its out-neighbor list (§3's routing table), indexed by
+/// `NodeId`. A query handler reads this instead of re-deriving a peer's
+/// neighbors from the ordered cover on every delivery.
+///
+/// Built by [`FissioneNet::route_table`] on first use and dropped by every
+/// membership change; never updated in place (one split rewrites the rows
+/// of all the split peer's in-neighbors, and CSR rows cannot grow).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouteTable {
+    /// Key per slot; `0` (no PeerID encodes to it) for a dead slot.
+    keys: Vec<u128>,
+    /// CSR row starts into `nbrs`: one per slot plus the end sentinel.
+    starts: Vec<u32>,
+    /// Rows in [`FissioneNet::out_neighbors`] order.
+    nbrs: Vec<u32>,
+}
+
+impl RouteTable {
+    fn build(net: &FissioneNet) -> Self {
+        let slots = net.slots.len();
+        let index = |n: usize| u32::try_from(n).expect("routing table indices fit u32");
+        let mut keys = vec![0; slots];
+        let mut starts = Vec::with_capacity(slots + 1);
+        let mut nbrs = Vec::new();
+        let mut shift = KautzStr::empty(net.cfg.base);
+        let mut row = Vec::new();
+        for (node, slot) in net.slots.iter().enumerate() {
+            starts.push(index(nbrs.len()));
+            if let Some(peer) = slot {
+                keys[node] = enc_id(&peer.id);
+                net.out_neighbors_into(node, &mut shift, &mut row);
+                nbrs.extend(row.iter().map(|&n| index(n)));
+            }
+        }
+        starts.push(index(nbrs.len()));
+        RouteTable { keys, starts, nbrs }
+    }
+
+    /// One past the largest `NodeId` the table has a row for.
+    pub fn node_bound(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The key of live peer `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the slot table.
+    pub fn key(&self, node: NodeId) -> PeerKey {
+        debug_assert_ne!(self.keys[node], 0, "peer {node} is not live");
+        PeerKey(self.keys[node])
+    }
+
+    /// Out-neighbors of `node`, in [`FissioneNet::out_neighbors`] order
+    /// (empty for a dead slot).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the slot table.
+    pub fn out(&self, node: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        let row = self.starts[node] as usize..self.starts[node + 1] as usize;
+        self.nbrs[row].iter().map(|&n| n as NodeId)
+    }
+}
+
 /// The FISSIONE network: a prefix-free cover of the Kautz namespace under
 /// churn, with object storage and neighbor computation.
 ///
@@ -149,6 +308,11 @@ pub struct FissioneNet {
     /// Free slots as a min-heap: allocation recycles the lowest free index,
     /// matching the old slot scan without its O(N) cost.
     free_slots: BinaryHeap<Reverse<usize>>,
+    /// The routing table of the current cover: built by the first
+    /// [`route_table`](Self::route_table) call after a membership change
+    /// (a `OnceLock` because queries hold `&self` across driver threads),
+    /// dropped by [`cover_changed`](Self::cover_changed).
+    table: OnceLock<RouteTable>,
 }
 
 impl FissioneNet {
@@ -161,6 +325,7 @@ impl FissioneNet {
             live: 0,
             depth_hist: Vec::new(),
             free_slots: BinaryHeap::new(),
+            table: OnceLock::new(),
         };
         for sym in 0..=cfg.base {
             let id = KautzStr::new(cfg.base, vec![sym]).expect("single symbol is valid");
@@ -373,6 +538,22 @@ impl FissioneNet {
         out.extend(self.peers_with_prefix(shift));
     }
 
+    /// The routing table of the current cover, built on the first call
+    /// after a membership change (`O(N log N)`; concurrent first callers
+    /// wait for one build) and shared by every query until the next one.
+    /// Maintenance paths (`join`'s descent, `stabilize`) keep reading the
+    /// ordered cover directly: they run between the changes that would
+    /// invalidate a table, so they must never build one.
+    pub fn route_table(&self) -> &RouteTable {
+        self.table.get_or_init(|| RouteTable::build(self))
+    }
+
+    /// Drops the routing table. Called by everything that rewrites
+    /// `by_id`, before it does.
+    fn cover_changed(&mut self) {
+        self.table.take();
+    }
+
     /// In-neighbors of `node`: every live peer `W` with `node ∈ out(W)`.
     ///
     /// # Panics
@@ -491,13 +672,20 @@ impl FissioneNet {
     ///
     /// # Panics
     ///
-    /// Panics if `node` is not live or sits at the ObjectID depth limit.
+    /// Panics if `node` is not live, sits at the ObjectID depth limit, or
+    /// sits at [`MAX_PEER_DEPTH`].
     pub fn split_leaf(&mut self, node: NodeId) -> (NodeId, NodeId) {
+        self.cover_changed();
         let peer = self.slots[node].as_mut().expect("live node");
         let old_id = peer.id.clone();
         assert!(
             old_id.len() < self.cfg.object_id_len,
             "peer regions cannot outgrow ObjectID resolution"
+        );
+        assert!(
+            old_id.len() < MAX_PEER_DEPTH,
+            "cannot split a depth-{} leaf: PeerID keys hold MAX_PEER_DEPTH = {MAX_PEER_DEPTH} symbols",
+            old_id.len()
         );
         let mut kids = old_id.child_symbols();
         let a = kids.next().expect("base ≥ 1 gives two children");
@@ -558,6 +746,7 @@ impl FissioneNet {
         if self.live <= self.cfg.base as usize + 1 {
             return Err(FissioneError::TooSmall);
         }
+        self.cover_changed();
 
         // Fast path: the sibling leaf exists and can absorb the parent.
         if id.len() > 1 {
@@ -693,6 +882,7 @@ impl FissioneNet {
         if sib_node == target || donor == target {
             return;
         }
+        self.cover_changed();
         let parent = deep_id.take_front(deep_id.len() - 1);
         let mut donor_objects =
             std::mem::take(&mut self.slots[donor].as_mut().expect("live").objects);
@@ -773,6 +963,10 @@ impl FissioneNet {
         if live != self.live || self.by_id.len() != live {
             return Err(FissioneError::InvariantViolated(report));
         }
+        // A routing table that outlived a membership change would be stale.
+        if self.table.get().is_some_and(|cached| *cached != RouteTable::build(self)) {
+            return Err(FissioneError::InvariantViolated(report));
+        }
         // Prefix-freeness: adjacent sorted ids must not nest (encoded key
         // order is id order, and nesting is exactly the prefix interval).
         let keys: Vec<u128> = self.by_id.keys().copied().collect();
@@ -845,6 +1039,7 @@ impl FissioneNet {
     }
 
     fn insert_peer(&mut self, id: KautzStr) -> NodeId {
+        self.cover_changed();
         let key = enc_id(&id);
         let node = self.alloc_slot(Peer { id: id.clone(), objects: BTreeMap::new() });
         self.bump_depth(id.len(), 1);
@@ -891,6 +1086,7 @@ impl FissioneNet {
 mod tests {
     use super::*;
     use crate::FissioneConfig;
+    use proptest::prelude::*;
 
     fn small_cfg() -> FissioneConfig {
         FissioneConfig { object_id_len: 24, ..FissioneConfig::default() }
@@ -1139,6 +1335,187 @@ mod tests {
         }
         for _ in 0..50 {
             assert!(net.is_live(net.random_peer(&mut rng)));
+        }
+    }
+
+    #[test]
+    fn split_leaf_stops_at_the_key_depth_limit() {
+        // The paper's ObjectID length (100) would allow deeper leaves than
+        // the key arithmetic does; the split that would cross the limit
+        // must say so instead of overflowing a shift.
+        let mut net = FissioneNet::new(FissioneConfig::default());
+        let leaf = net.live_peers().next().unwrap();
+        while net.peer(leaf).unwrap().depth() < MAX_PEER_DEPTH {
+            net.split_leaf(leaf);
+        }
+        net.check_invariants().unwrap();
+        assert_table_matches_the_cover(&net);
+        let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.split_leaf(leaf)))
+            .expect_err("a split past the limit must be refused");
+        let message = hit.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(message.contains("MAX_PEER_DEPTH = 63"), "{message}");
+    }
+
+    fn key(id: &KautzStr) -> PeerKey {
+        PeerKey(enc_id(id))
+    }
+
+    /// A region of `k`-symbol strings whose endpoints share their first
+    /// `share` symbols (junction permitting) and are otherwise independent.
+    fn random_region(k: usize, share: usize, rng: &mut SmallRng) -> KautzRegion {
+        let a = KautzStr::random(2, k, rng);
+        let b = KautzStr::random(2, k, rng);
+        let b = a.take_front(share).concat(&b.drop_front(share)).unwrap_or(b);
+        let (low, high) = if a <= b { (a, b) } else { (b, a) };
+        KautzRegion::new(low, high).unwrap()
+    }
+
+    /// `region` and the sub-regions PIRA routes it as.
+    fn with_sub_regions(region: KautzRegion) -> Vec<KautzRegion> {
+        let mut all = region.split_by_common_prefix();
+        all.push(region);
+        all
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn key_space_region_test_equals_intersects_prefix(
+            seed in any::<u64>(),
+            k in prop_oneof![Just(24usize), Just(100usize)],
+            share in 0usize..100,
+        ) {
+            let mut rng = simnet::rng_from_seed(seed);
+            for region in with_sub_regions(random_region(k, share % k, &mut rng)) {
+                let keys = KeyRegion::new(&region);
+                // Every depth a live PeerID can have, past `k` included
+                // (a prefix longer than the region's strings meets nothing).
+                for n in 1..=MAX_PEER_DEPTH {
+                    let (low, high) = (region.low().take_front(n), region.high().take_front(n));
+                    let edge = [low.successor(), high.successor()].into_iter().flatten();
+                    let probes = [low.clone(), high.clone(), KautzStr::random(2, n, &mut rng)];
+                    for p in probes.into_iter().chain(edge) {
+                        prop_assert_eq!(
+                            keys.intersects(key(&p)),
+                            region.intersects_prefix(&p),
+                            "{} ∩ {}", region, p
+                        );
+                        let inside = p.len() <= k && low < p && p < high;
+                        prop_assert_eq!(keys.covers(key(&p)), inside, "{} ⊃ {}", region, p);
+                        if inside {
+                            prop_assert!(region.contains(&p.min_extension(k)));
+                            prop_assert!(region.contains(&p.max_extension(k)));
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn key_space_subtree_test_equals_intersects_prefix_parts(
+            seed in any::<u64>(),
+            k in prop_oneof![Just(24usize), Just(100usize)],
+            share in 0usize..100,
+        ) {
+            let mut rng = simnet::rng_from_seed(seed);
+            let (mut pruned, mut kept) = (0, 0);
+            for region in with_sub_regions(random_region(k, share % k, &mut rng)) {
+                let keys = KeyRegion::new(&region);
+                for f in 0..=k.min(MAX_PEER_DEPTH) {
+                    let com_s = region.low().take_front(f);
+                    for _ in 0..6 {
+                        // A child of any live depth, stripped by anything up
+                        // to past its end (`strip ≥ len(child)`: no tail).
+                        let child_len = rng.gen_range(1..=MAX_PEER_DEPTH);
+                        let strip = rng.gen_range(0..child_len + 3);
+                        let t = child_len.saturating_sub(strip);
+                        if f + t > ENC_SYMS {
+                            continue;
+                        }
+                        // The tail continues the region's own endpoints as
+                        // often as not (else nearly everything prunes); a
+                        // random tail repeats the junction symbol one time
+                        // in three.
+                        let end = [region.low(), region.high()][rng.gen_range(0..2usize)];
+                        let tail = if f + t <= k && rng.gen_range(0..2) == 0 {
+                            end.drop_front(f).take_front(t)
+                        } else {
+                            KautzStr::random(2, t, &mut rng)
+                        };
+                        let child = loop {
+                            let head = KautzStr::random(2, child_len - t, &mut rng);
+                            if let Ok(child) = head.concat(&tail) {
+                                break child;
+                            }
+                        };
+                        let expect = region.intersects_prefix_parts(
+                            &com_s,
+                            child.symbols().get(strip..).unwrap_or(&[]),
+                        );
+                        prop_assert_eq!(
+                            keys.intersects_subtree(f, key(&child), strip),
+                            expect,
+                            "{} vs {} ++ {}[{}..]", region, com_s, child, strip
+                        );
+                        if expect { kept += 1 } else { pruned += 1 }
+                    }
+                }
+            }
+            prop_assert!(pruned > 0 && kept > 0, "one-sided case: {} pruned, {} kept", pruned, kept);
+        }
+    }
+
+    /// The table's rows and keys against the cover they were built from.
+    fn assert_table_matches_the_cover(net: &FissioneNet) {
+        let table = net.route_table();
+        assert_eq!(table.node_bound(), net.slots.len());
+        for node in 0..table.node_bound() {
+            let row: Vec<NodeId> = table.out(node).collect();
+            match net.peer_id(node) {
+                Ok(id) => {
+                    assert_eq!(table.key(node), key(id));
+                    assert_eq!(row, net.out_neighbors(node), "row of {id}");
+                }
+                Err(_) => assert!(row.is_empty(), "dead slot {node} has a row"),
+            }
+        }
+    }
+
+    #[test]
+    fn route_table_rows_equal_out_neighbors() {
+        for (n, seed) in [(3, 16), (40, 17), (700, 18)] {
+            assert_table_matches_the_cover(&build(n, seed));
+        }
+    }
+
+    // The churn schedules of `tests/churn_properties.rs`, with the table
+    // built before every operation: whichever one runs, the next read must
+    // see the new cover, never the table of the old one.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn route_table_never_outlives_a_membership_change(
+            seed in 0u64..1000,
+            ops in prop::collection::vec((0u8..8, any::<usize>()), 1..60),
+        ) {
+            let mut rng = simnet::rng_from_seed(seed);
+            let mut net = build(12, seed);
+            for (op, raw) in ops {
+                net.route_table();
+                let peers: Vec<NodeId> = net.live_peers().collect();
+                let victim = peers[raw % peers.len()];
+                match op {
+                    0..=2 => drop(net.join(&mut rng)),
+                    3..=4 => drop(net.leave(victim)),
+                    5 => drop(net.crash(victim)),
+                    6 if net.peer(victim).unwrap().depth() < 20 => drop(net.split_leaf(victim)),
+                    _ => drop(net.stabilize()),
+                }
+                assert_table_matches_the_cover(&net);
+                net.check_invariants().unwrap();
+            }
         }
     }
 }
