@@ -378,81 +378,6 @@ impl MultiArmada {
     }
 }
 
-/// A query's answer bookkeeping, kept in the engine's scratch across
-/// queries: which peers answered against which were due, and the records
-/// they handed over.
-///
-/// One stamp per `NodeId` replaces two ordered sets: `epoch` marks a
-/// ground-truth destination of the current query and `epoch + 1` one that
-/// has answered; stamps of earlier queries match neither, so starting a
-/// query costs only its destinations.
-#[derive(Default)]
-pub(crate) struct Answers {
-    stamps: Vec<u32>,
-    epoch: u32,
-    due: usize,
-    reached: usize,
-    /// A peer outside the ground truth answered.
-    stray: bool,
-    records: Vec<RecordId>,
-}
-
-impl Answers {
-    /// Starts a query over node ids below `node_bound` whose ground-truth
-    /// destinations are `truth` (distinct).
-    pub(crate) fn begin(&mut self, node_bound: usize, truth: &[NodeId]) {
-        if self.stamps.len() < node_bound {
-            self.stamps.resize(node_bound, 0);
-        }
-        if self.epoch > u32::MAX - 3 {
-            self.stamps.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 2;
-        for &node in truth {
-            self.stamps[node] = self.epoch;
-        }
-        (self.due, self.reached, self.stray) = (truth.len(), 0, false);
-        self.records.clear();
-    }
-
-    /// Records an answer from `node`; `true` the first time it answers.
-    pub(crate) fn first_answer(&mut self, node: NodeId) -> bool {
-        let stamp = &mut self.stamps[node];
-        if *stamp == self.epoch + 1 {
-            return false;
-        }
-        self.stray |= *stamp != self.epoch;
-        *stamp = self.epoch + 1;
-        self.reached += 1;
-        true
-    }
-
-    /// Adds a matching record an answering peer holds.
-    pub(crate) fn push(&mut self, record: RecordId) {
-        self.records.push(record);
-    }
-
-    /// Distinct peers that answered.
-    pub(crate) fn reached(&self) -> usize {
-        self.reached
-    }
-
-    /// Whether the peers that answered are exactly the ground truth: none
-    /// outside it, and as many as it holds.
-    pub(crate) fn exact(&self) -> bool {
-        !self.stray && self.reached == self.due
-    }
-
-    /// The query's result set: the records handed over, ascending and
-    /// distinct, in one allocation of their size.
-    pub(crate) fn results(&mut self) -> Vec<RecordId> {
-        self.records.sort_unstable();
-        self.records.dedup();
-        self.records.clone()
-    }
-}
-
 /// Computes `ComS` and the descent budget for a query sub-region whose
 /// endpoints share the common prefix `com_t`, from the origin's PeerID:
 /// `f = |ComS|`, `hops_left = b − f` (§4.2).

@@ -12,11 +12,11 @@
 //! `< 2·log₂N` worst case and `< log₂N` on average, independent of the
 //! query volume.
 
-use crate::engine::{descent_budget, Answers};
+use crate::engine::descent_budget;
 use crate::{ArmadaError, MultiArmada, QueryMetrics, QueryOutcome, RecordId};
 use kautz::fixed::BoundaryInterval;
 use kautz::KautzStr;
-use simnet::{Envelope, FaultPlan, NodeId, QueryScratch, Sim, SimScratch};
+use simnet::{Answers, Envelope, FaultPlan, NodeId, QueryScratch, Sim, SimScratch};
 
 /// One in-flight MIRA sub-query message — `Copy`, like [`PiraMsg`]: the
 /// sub-query's `ComS` lives once per query in [`MiraScratch::subs`],
@@ -40,7 +40,7 @@ struct MiraScratch {
     /// suffix of the origin's PeerID).
     subs: Vec<KautzStr>,
     arrivals: Vec<(NodeId, u64)>,
-    answers: Answers,
+    answers: Answers<RecordId>,
     /// Subtree-prefix buffer: `ComS ++ cid[strip..]` per candidate child.
     wbuf: KautzStr,
     /// Rectangle buffers for the answer and prune tests.

@@ -22,10 +22,10 @@
 //! size: `< 2·log₂N` worst case, `< log₂N` on average — the paper's
 //! headline result.
 
-use crate::engine::{descent_budget, Answers};
+use crate::engine::descent_budget;
 use crate::{ArmadaError, QueryMetrics, QueryOutcome, RecordId, SingleArmada};
 use fissione::KeyRegion;
-use simnet::{Envelope, FaultPlan, NodeId, QueryScratch, Sim, SimScratch};
+use simnet::{Answers, Envelope, FaultPlan, NodeId, QueryScratch, Sim, SimScratch};
 
 /// One in-flight PIRA sub-query message — `Copy`, so forwarding a message
 /// down the routing tree moves twenty-four bytes instead of cloning two
@@ -52,7 +52,7 @@ struct PiraScratch {
     /// symbols of `low`.
     subs: Vec<KeyRegion>,
     arrivals: Vec<(NodeId, u64)>,
-    answers: Answers,
+    answers: Answers<RecordId>,
 }
 
 /// Executes a PIRA range query; see the module docs. The engine's one

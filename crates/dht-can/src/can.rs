@@ -222,6 +222,12 @@ impl CanNet {
         self.zones.get(id).is_some_and(Option::is_some)
     }
 
+    /// One past the largest zone id ever handed out: the length a table
+    /// indexed by [`NodeId`] needs, dead slots included.
+    pub fn node_bound(&self) -> usize {
+        self.zones.len()
+    }
+
     /// Live zone ids in ascending slot order (a deterministic order churn
     /// plans rely on for victim selection).
     pub fn live_zones(&self) -> impl Iterator<Item = NodeId> + '_ {
@@ -268,6 +274,43 @@ impl CanNet {
             node = if self.tree[a].rect.contains(x, y) { a } else { b };
         }
         self.tree[node].zone.expect("leaves carry live zones")
+    }
+
+    /// Every live zone whose rectangle overlaps one of `boxes` with positive
+    /// area (a shared edge is not a hit), appended to `out` once each, in
+    /// split-tree order; `out` is cleared first and `boxes` is permuted.
+    ///
+    /// One descent of the split tree from the root: a node's children
+    /// partition its rectangle and every leaf's rectangle is its zone's,
+    /// so a subtree holds a hit iff its root's rectangle meets a box, and
+    /// only the boxes that do are carried further down (kept as a prefix
+    /// of `boxes`, so the descent needs no storage of its own). Costs
+    /// `O(answer · depth)` rectangle tests per carried box where the scan
+    /// over [`live_zones`](Self::live_zones) pays `N · |boxes|`.
+    pub fn zones_intersecting_into(&self, boxes: &mut [Rect], out: &mut Vec<NodeId>) {
+        out.clear();
+        self.collect_intersecting(0, boxes, out);
+    }
+
+    fn collect_intersecting(&self, node: usize, boxes: &mut [Rect], out: &mut Vec<NodeId>) {
+        let SplitNode { rect, kids, zone, .. } = &self.tree[node];
+        let mut carried = 0;
+        for i in 0..boxes.len() {
+            if boxes[i].intersects(rect) {
+                boxes.swap(carried, i);
+                carried += 1;
+            }
+        }
+        if carried == 0 {
+            return;
+        }
+        match *kids {
+            None => out.push(zone.expect("leaves carry live zones")),
+            Some((a, b)) => {
+                self.collect_intersecting(a, &mut boxes[..carried], out);
+                self.collect_intersecting(b, &mut boxes[..carried], out);
+            }
+        }
     }
 
     /// The `r` distinct zones that should hold copies of `value`'s record:
@@ -976,6 +1019,45 @@ mod tests {
             let dest = *net.route_to_point(from, x, y).unwrap().last().unwrap();
             assert!(net.zone(dest).unwrap().rect().contains(x, y));
         }
+    }
+
+    #[test]
+    fn range_descent_equals_the_scan_through_both_departure_paths() {
+        // The descent reads rectangles off the tree; both departure paths
+        // rewrite the tree (the donor path re-homes a zone on another
+        // leaf) and free arena entries the next join recycles.
+        let mut net = build(120, 92);
+        let mut rng = simnet::rng_from_seed(920);
+        let (mut absorbed, mut donated, mut recycled) = (0, 0, 0);
+        for i in 0..300 {
+            if i % 2 == 0 {
+                let victim = net.random_zone(&mut rng);
+                *(if net.leaf_sibling(victim).is_some() { &mut absorbed } else { &mut donated }) +=
+                    1;
+                net.leave(victim).unwrap();
+            } else {
+                recycled += usize::from(!net.free_nodes.is_empty());
+                net.join(&mut rng);
+            }
+            let [x, y, w, h]: [f64; 4] = std::array::from_fn(|_| rng.gen());
+            let mut boxes = [
+                Rect { x0: x, x1: (x + w / 4.0).min(1.0), y0: y, y1: (y + h / 4.0).min(1.0) },
+                Rect { x0: 0.0, x1: 0.125, y0: 0.5, y1: 0.75 },
+            ];
+            let mut expect: Vec<NodeId> = net
+                .live_zones()
+                .filter(|&z| {
+                    boxes.iter().any(|b| net.zones[z].as_ref().unwrap().rect.intersects(b))
+                })
+                .collect();
+            let mut got = Vec::new();
+            net.zones_intersecting_into(&mut boxes, &mut got);
+            got.sort_unstable();
+            expect.sort_unstable();
+            assert_eq!(got, expect, "after event {i}");
+        }
+        net.check_invariants().unwrap();
+        assert!(absorbed > 20 && donated > 20 && recycled > 100, "{absorbed} {donated} {recycled}");
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //!
 //! A query `[lo, hi]` maps to the Hilbert-curve segment of its normalised
 //! endpoints; the segment's aligned-block decomposition gives the square
-//! footprint the flood must cover. The query first routes greedily to the
-//! zone owning the **median** value, then spreads over every zone whose
-//! rectangle intersects the footprint:
+//! footprint the flood must cover. One descent of the CAN's split tree
+//! ([`CanNet::zones_intersecting_into`]) turns the footprint into the set
+//! of zones it touches — the query's ground truth — once per query; every
+//! later "does this zone meet the range" is a stamp read. The query first
+//! routes greedily to the zone owning the **median** value, then spreads
+//! over those zones:
 //!
 //! * [`FloodMode::Directed`] — each message piggybacks the set of zones
 //!   already informed along its branch, so a zone never forwards to a zone
@@ -15,14 +18,23 @@
 //!   unconditionally; receivers dedup. The `ablation_flood` experiment
 //!   quantifies the difference.
 //!
+//! The piggybacked set is simulated, not copied. A branch's informed set
+//! is the median zone plus the targets of every forwarding step from there
+//! to the message in hand; a message carries the index of the last step's
+//! *frame* `{parent, start, len}` — that step's own targets, as a run of
+//! one per-query id arena — and membership walks the parent chain.
+//! "Controlled" means what it did with a copied, sorted set per hop: the
+//! same zones are skipped, the same messages go out in the same order.
+//! The arena holds one id per flood message sent, where copies held
+//! `Σ |informed|` over every forwarding zone.
+//!
 //! Delay = median-routing hops + flood eccentricity. Both grow with `√N`,
 //! and the second also grows with the queried range — the behaviour the
 //! Armada paper's Figures 5 and 7 contrast with PIRA.
 
+use crate::hilbert::{self, CellSquare};
 use crate::{CanError, CanNet, Rect};
-use simnet::{Envelope, FaultPlan, NetModel, NodeId, QueryScratch, Sim, SimScratch};
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use simnet::{Answers, Envelope, FaultPlan, NetModel, NodeId, QueryScratch, Sim, SimScratch};
 
 /// Duplicate-suppression strategy for the flooding phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,24 +67,81 @@ pub struct DcfOutcome {
     pub exact: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum DcfMsg {
     /// Greedy routing toward the median point.
     Route,
-    /// Flooding phase; `informed` = zones this branch already covered.
-    /// Shared by reference across a hop's fan-out, so forwarding clones a
-    /// refcount instead of the whole set.
-    Flood { informed: Arc<Vec<NodeId>> },
+    /// Flooding phase; the branch's informed set is the median zone plus
+    /// the targets of every frame on the chain from `frame` up
+    /// ([`NO_FRAME`]: the median zone alone).
+    Flood { frame: u32 },
+}
+
+/// The empty chain: a flood message nobody has forwarded yet, or any
+/// message of a naive flood.
+const NO_FRAME: u32 = u32::MAX;
+
+/// One forwarding step of a directed flood: the zones it sent to
+/// (`ids[start..start + len]` of the arena) and the step it continues.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    parent: u32,
+    start: u32,
+    len: u32,
+}
+
+/// The informed sets of one directed flood as parent-pointer frames over
+/// one id arena (see the module docs). Membership walks the chain: the
+/// `O(|informed|)` a lookup in a copied set costs as well.
+#[derive(Default)]
+struct Informed {
+    frames: Vec<Frame>,
+    ids: Vec<NodeId>,
+}
+
+impl Informed {
+    fn clear(&mut self) {
+        self.frames.clear();
+        self.ids.clear();
+    }
+
+    /// Whether the chain ending at `frame` already covers `zone`.
+    fn contains(&self, mut frame: u32, zone: NodeId) -> bool {
+        while frame != NO_FRAME {
+            let Frame { parent, start, len } = self.frames[frame as usize];
+            if self.ids[start as usize..][..len as usize].contains(&zone) {
+                return true;
+            }
+            frame = parent;
+        }
+        false
+    }
+
+    /// Extends the chain ending at `parent` by one step that informs
+    /// `targets`; the new chain's end.
+    fn push(&mut self, parent: u32, targets: &[NodeId]) -> u32 {
+        let fit = |n: usize| u32::try_from(n).expect("a flood forwards fewer than 2^32 messages");
+        let frame = fit(self.frames.len());
+        self.frames.push(Frame { parent, start: fit(self.ids.len()), len: fit(targets.len()) });
+        self.ids.extend_from_slice(targets);
+        frame
+    }
 }
 
 /// DCF's reusable per-thread state, slotted into a [`QueryScratch`]. Every
-/// field is reset at query start, so reuse is invisible to results,
-/// metrics, and traces.
+/// field is reset at query start (the [`Answers`] stamps by generation),
+/// so reuse is invisible to results, metrics, and traces — across
+/// membership changes too.
 #[derive(Default)]
 struct DcfScratch {
     sim: SimScratch<DcfMsg>,
     arrivals: Vec<(NodeId, u64)>,
+    blocks: Vec<CellSquare>,
     boxes: Vec<Rect>,
+    /// The ground truth: every zone meeting the query's image.
+    truth: Vec<NodeId>,
+    answers: Answers<u64>,
+    informed: Informed,
     targets: Vec<NodeId>,
 }
 
@@ -82,8 +151,8 @@ struct DcfScratch {
 ///
 /// # Errors
 ///
-/// Returns [`CanError::EmptyRange`] if `lo > hi` and
-/// [`CanError::NoSuchZone`] for dead origins.
+/// Returns [`CanError::EmptyRange`] unless `lo <= hi` (inverted or NaN
+/// bounds) and [`CanError::NoSuchZone`] for dead origins.
 pub fn range_query(
     net: &CanNet,
     origin: NodeId,
@@ -145,32 +214,29 @@ pub fn query(
     trace: bool,
     scratch: &mut QueryScratch,
 ) -> Result<(DcfOutcome, Option<Vec<simnet::TraceRecord>>), CanError> {
-    if lo > hi {
+    // NaN compares false against everything, so requiring `lo <= hi`
+    // rejects a NaN bound along with inverted ones (`lo > hi` lets it by).
+    let ordered = lo <= hi;
+    if !ordered {
         return Err(CanError::EmptyRange { lo, hi });
     }
     net.zone(origin)?;
     let order = net.config().hilbert_order;
 
-    let DcfScratch { sim: sim_scratch, arrivals, boxes, targets } = scratch.slot::<DcfScratch>();
+    let DcfScratch { sim: sim_scratch, arrivals, blocks, boxes, truth, answers, informed, targets } =
+        scratch.slot::<DcfScratch>();
 
     // The query's image: curve cells of the normalised range, decomposed
-    // into aligned squares.
-    let ta = crate::hilbert::cell_of(order, net.normalize(lo));
-    let tb = crate::hilbert::cell_of(order, net.normalize(hi));
+    // into aligned squares. One descent of the split tree turns it into
+    // the ground truth, stamped per zone: from here on "does this zone
+    // meet the range" is `answers.is_due`, one read.
+    let ta = hilbert::cell_of(order, net.normalize(lo));
+    let tb = hilbert::cell_of(order, net.normalize(hi));
+    hilbert::interval_blocks_into(order, ta, tb, blocks);
     boxes.clear();
-    boxes.extend(
-        crate::hilbert::interval_blocks(order, ta, tb)
-            .into_iter()
-            .map(|b| b.to_unit_rect(order)),
-    );
-    let boxes: &[Rect] = boxes;
-    let hits = |zone: NodeId| -> bool {
-        let r = net.zone(zone).expect("live zone").rect();
-        boxes.iter().any(|b| r.intersects(b))
-    };
-
-    // Ground truth.
-    let truth: BTreeSet<NodeId> = net.live_zones().filter(|&z| hits(z)).collect();
+    boxes.extend(blocks.iter().map(|b| b.to_unit_rect(order)));
+    net.zones_intersecting_into(boxes, truth);
+    answers.begin(net.node_bound(), truth);
 
     // Median target point.
     let (mx, my) = net.point_of_value((lo + hi) / 2.0);
@@ -184,104 +250,87 @@ pub fn query(
     }
     sim.send(origin, origin, 0, DcfMsg::Route);
 
-    let mut answered: BTreeSet<NodeId> = BTreeSet::new();
     // Flat arrival log reduced by a sorted post-pass (min cost per zone,
     // max over zones — order-independent, since scheduling stays on unit
     // ticks and the cost model rides along in the envelopes).
     arrivals.clear();
-    let mut results: BTreeSet<u64> = BTreeSet::new();
+    informed.clear();
     let mut delay: u32 = 0;
-    // Naive floods carry an empty informed set: one shared allocation per
-    // query, refcount-cloned into every forward.
-    let empty_informed: Arc<Vec<NodeId>> = Arc::new(Vec::new());
+    // The zone the routing phase ended at: on every branch's informed set
+    // from the start, so kept beside the frames rather than in each chain.
+    let mut median = origin;
     sim.run(|sim, env: Envelope<DcfMsg>| {
         let node = env.to;
-        match &env.payload {
+        match env.payload {
             DcfMsg::Route => {
                 let rect = net.zone(node).expect("live").rect();
                 if rect.torus_dist2(mx, my) > 0.0 {
                     // Continue greedy routing.
-                    let next = net
+                    let (_, next) = net
                         .neighbors(node)
                         .iter()
-                        .copied()
-                        .min_by(|&a, &b| {
-                            let da = net.zone(a).expect("live").rect().torus_dist2(mx, my);
-                            let db = net.zone(b).expect("live").rect().torus_dist2(mx, my);
-                            da.partial_cmp(&db).expect("finite")
-                        })
+                        .map(|&n| (net.zone(n).expect("live").rect().torus_dist2(mx, my), n))
+                        .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"))
                         .expect("zones have neighbors");
                     sim.forward(&env, next, DcfMsg::Route);
                 } else {
                     // Arrived at the median zone: switch to flooding by
                     // re-delivering locally as a flood message (carrying
                     // the routing phase's accumulated cost).
-                    let informed = Arc::new(vec![node]);
-                    sim.send_with_cost(node, node, env.hop, env.cost, DcfMsg::Flood { informed });
+                    median = node;
+                    let flood = DcfMsg::Flood { frame: NO_FRAME };
+                    sim.send_with_cost(node, node, env.hop, env.cost, flood);
                 }
             }
-            DcfMsg::Flood { informed } => {
-                if !hits(node) {
+            DcfMsg::Flood { frame } => {
+                if !answers.is_due(node) {
                     return;
                 }
                 arrivals.push((node, env.cost));
                 sim.trace_answer(&env);
-                let first_visit = answered.insert(node);
-                if first_visit {
-                    delay = delay.max(env.hop);
-                    for &(v, h) in net.zone(node).expect("live").records() {
-                        if v >= lo && v <= hi {
-                            results.insert(h);
-                        }
-                    }
-                } else if mode == FloodMode::Naive {
-                    // Receiver-side dedup: do not re-forward.
-                    return;
-                } else if mode == FloodMode::Directed && !first_visit {
+                // Receiver-side dedup in both modes: only a zone's first
+                // visit collects and forwards.
+                if !answers.first_answer(node) {
                     return;
                 }
-                targets.clear();
-                targets.extend(
-                    net.neighbors(node).iter().copied().filter(|&n| hits(n)).filter(|n| {
-                        match mode {
-                            FloodMode::Directed => !informed.contains(n),
-                            FloodMode::Naive => true,
-                        }
-                    }),
-                );
-                let new_informed: Arc<Vec<NodeId>> = match mode {
-                    FloodMode::Directed => {
-                        let mut v = Vec::with_capacity(informed.len() + targets.len());
-                        v.extend_from_slice(informed);
-                        v.extend(targets.iter());
-                        v.sort_unstable();
-                        v.dedup();
-                        Arc::new(v)
+                delay = delay.max(env.hop);
+                for &(v, h) in net.zone(node).expect("live").records() {
+                    if v >= lo && v <= hi {
+                        answers.push(h);
                     }
-                    FloodMode::Naive => Arc::clone(&empty_informed),
-                };
+                }
+                // Targets go out in `neighbors(node)` order: the order of
+                // sends is the order of deliveries, and which duplicate
+                // arrives first decides who forwards.
+                let directed = mode == FloodMode::Directed;
+                targets.clear();
+                targets.extend(net.neighbors(node).iter().copied().filter(|&n| {
+                    answers.is_due(n) && !(directed && (n == median || informed.contains(frame, n)))
+                }));
+                if targets.is_empty() {
+                    return;
+                }
+                let frame = if directed { informed.push(frame, targets) } else { NO_FRAME };
                 for &t in targets.iter() {
-                    sim.forward(&env, t, DcfMsg::Flood { informed: Arc::clone(&new_informed) });
+                    sim.forward(&env, t, DcfMsg::Flood { frame });
                 }
             }
         }
     });
 
-    let reached = answered.len();
-    let exact = answered == truth;
     let latency = simnet::last_first_arrival(arrivals);
     let records = sim.take_trace().map(simnet::TraceSink::into_records);
     let messages = sim.stats().messages_sent;
     sim.recycle(sim_scratch);
     Ok((
         DcfOutcome {
-            results: results.into_iter().collect(),
+            results: answers.results(),
             delay,
             latency,
             messages,
             dest_zones: truth.len(),
-            reached_zones: reached,
-            exact,
+            reached_zones: answers.reached(),
+            exact: answers.exact(),
         },
         records,
     ))
@@ -386,6 +435,57 @@ mod tests {
             range_query(&net, 0, 5.0, 1.0, 1, FloodMode::Directed),
             Err(CanError::EmptyRange { .. })
         ));
+    }
+
+    #[test]
+    fn nan_bounds_are_an_empty_range_on_the_native_entry_points() {
+        // Regression: `lo > hi` let NaN by — a NaN `lo` came back `Ok`,
+        // empty and "exact"; a NaN `hi` panicked in `interval_blocks`.
+        let net = build(10, 5, 95);
+        let (faults, unit) = (FaultPlan::new(), NetModel::unit());
+        for (lo, hi) in [(f64::NAN, 5.0), (5.0, f64::NAN), (f64::NAN, f64::NAN)] {
+            for mode in [FloodMode::Directed, FloodMode::Naive] {
+                let plain = range_query(&net, 0, lo, hi, 1, mode);
+                assert!(matches!(plain, Err(CanError::EmptyRange { .. })), "[{lo}, {hi}]");
+                let mut scratch = QueryScratch::new();
+                let priced = range_query_priced_scratch(
+                    &net,
+                    0,
+                    lo,
+                    hi,
+                    1,
+                    mode,
+                    &faults,
+                    &unit,
+                    &mut scratch,
+                );
+                assert!(matches!(priced, Err(CanError::EmptyRange { .. })), "[{lo}, {hi}]");
+            }
+        }
+    }
+
+    #[test]
+    fn informed_set_memory_is_one_id_per_flood_message() {
+        // A whole-domain flood: every zone answers and forwards. Copied
+        // informed sets would total Σ|informed| over the forwarding zones;
+        // the frames hold the forwarders' own targets and nothing else.
+        let net = build(2000, 0, 97);
+        let mut scratch = QueryScratch::new();
+        let unit = NetModel::unit();
+        let (out, _) =
+            query(&net, 7, 0.0, 1000.0, 3, FloodMode::Directed, None, &unit, false, &mut scratch)
+                .unwrap();
+        assert!(out.exact);
+        assert_eq!(out.dest_zones, 2000);
+        let informed = &scratch.slot::<DcfScratch>().informed;
+        assert!(
+            informed.ids.len() as u64 <= out.messages,
+            "{} informed ids for {} messages",
+            informed.ids.len(),
+            out.messages
+        );
+        assert!(informed.ids.len() >= 1999, "every other zone was some forwarder's target");
+        assert!(informed.frames.len() <= 2000, "at most one frame per forwarding zone");
     }
 
     #[test]

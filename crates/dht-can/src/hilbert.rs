@@ -106,9 +106,21 @@ pub fn point_of_cell(order: u32, d: u64) -> (f64, f64) {
 ///
 /// Panics if `a > b` or `b` exceeds the curve length.
 pub fn interval_blocks(order: u32, a: u64, b: u64) -> Vec<CellSquare> {
+    let mut out = Vec::new();
+    interval_blocks_into(order, a, b, &mut out);
+    out
+}
+
+/// [`interval_blocks`] into a caller-owned buffer (cleared first), so a
+/// query path that decomposes one interval per query reuses its capacity.
+///
+/// # Panics
+///
+/// Same conditions as [`interval_blocks`].
+pub fn interval_blocks_into(order: u32, a: u64, b: u64, out: &mut Vec<CellSquare>) {
     assert!(a <= b, "empty interval");
     assert!(b < 1u64 << (2 * order), "interval beyond curve");
-    let mut out = Vec::new();
+    out.clear();
     let mut h = a;
     loop {
         // Largest aligned block starting at h that fits within [h, b].
@@ -133,7 +145,6 @@ pub fn interval_blocks(order: u32, a: u64, b: u64) -> Vec<CellSquare> {
             break;
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ pub enum CanError {
         /// The offending zone id.
         zone: simnet::NodeId,
     },
-    /// A query range was empty (`lo > hi`).
+    /// A query range was empty (`lo > hi`, or a NaN bound).
     EmptyRange {
         /// Supplied lower bound.
         lo: f64,

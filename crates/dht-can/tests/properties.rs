@@ -1,10 +1,62 @@
 //! Property tests: Hilbert-curve invariants, CAN tiling under arbitrary
-//! growth, and DCF exactness on random workloads.
+//! growth, the split-tree range descent against the full-tiling scan, and
+//! DCF exactness on random workloads — with a scratch reused across
+//! membership changes.
 
-use dht_can::dcf::{self, FloodMode};
-use dht_can::{hilbert, CanConfig, CanNet};
+use dht_can::dcf::{self, DcfOutcome, FloodMode};
+use dht_can::{hilbert, CanConfig, CanNet, Rect};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
 use rand::Rng;
+use simnet::{NetModel, NodeId, QueryScratch, TraceRecord};
+
+/// The reference the descent is tested against: every live zone tested
+/// against every box.
+fn scan(net: &CanNet, boxes: &[Rect]) -> Vec<NodeId> {
+    net.live_zones()
+        .filter(|&z| boxes.iter().any(|b| net.zone(z).unwrap().rect().intersects(b)))
+        .collect()
+}
+
+/// The descent's answer, ascending; into a dirty buffer, which it clears.
+fn descent(net: &CanNet, boxes: &[Rect]) -> Vec<NodeId> {
+    let (mut boxes, mut zones) = (boxes.to_vec(), vec![usize::MAX; 3]);
+    net.zones_intersecting_into(&mut boxes, &mut zones);
+    zones.sort_unstable();
+    zones
+}
+
+/// The footprint `dcf::query` floods for `[lo, hi]`.
+fn image_of(net: &CanNet, lo: f64, hi: f64) -> Vec<Rect> {
+    let order = net.config().hilbert_order;
+    let (a, b) =
+        (hilbert::cell_of(order, net.normalize(lo)), hilbert::cell_of(order, net.normalize(hi)));
+    hilbert::interval_blocks(order, a, b).into_iter().map(|s| s.to_unit_rect(order)).collect()
+}
+
+/// One membership event drawn from `(op, pick)`: joins half the time, a
+/// graceful leave or a crash of a random live zone otherwise. Departures
+/// take the sibling-absorb or the donor path as the tree dictates and free
+/// zone slots and tree-arena entries that later joins recycle.
+fn churn(net: &mut CanNet, rng: &mut SmallRng, op: u8, pick: u64) {
+    let live: Vec<NodeId> = net.live_zones().collect();
+    let victim = live[(pick % live.len() as u64) as usize];
+    match op {
+        0 | 1 => drop(net.join(rng)),
+        2 => drop(net.leave(victim)),
+        _ => drop(net.crash(victim)),
+    }
+}
+
+/// `[lo, hi]` from `origin`, traced, through the engine's full surface.
+fn traced(
+    net: &CanNet,
+    (origin, lo, hi, seed): (NodeId, f64, f64, u64),
+    mode: FloodMode,
+    scratch: &mut QueryScratch,
+) -> (DcfOutcome, Option<Vec<TraceRecord>>) {
+    dcf::query(net, origin, lo, hi, seed, mode, None, &NetModel::unit(), true, scratch).unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -91,5 +143,94 @@ proptest! {
             .collect();
         expect.sort_unstable();
         prop_assert_eq!(out.results, expect);
+    }
+
+    #[test]
+    fn split_tree_descent_equals_the_full_tiling_scan(
+        n in 1usize..150,
+        seed in 0u64..10_000,
+        ops in prop::collection::vec((0u8..4, any::<u64>()), 0..60),
+        lo_frac in 0f64..1.0,
+        size_frac in 0f64..1.0,
+        cell_raw in any::<u64>(),
+    ) {
+        let mut rng = simnet::rng_from_seed(seed);
+        let mut net = CanNet::build(CanConfig::default(), n, &mut rng).unwrap();
+        // Checked on the built net (round 0) and after the churn (round 1).
+        for round in 0..2 {
+            if round == 1 {
+                for &(op, pick) in &ops {
+                    churn(&mut net, &mut rng, op, pick);
+                }
+                net.check_invariants().map_err(TestCaseError::fail)?;
+            }
+            let lo = lo_frac * 999.0;
+            let hi = (lo + size_frac * (1000.0 - lo)).min(1000.0);
+            let image = image_of(&net, lo, hi);
+            prop_assert_eq!(descent(&net, &image), scan(&net, &image), "[{}, {}]", lo, hi);
+
+            // The whole square is every live zone; no box is no zone.
+            prop_assert_eq!(descent(&net, &[Rect::UNIT]), net.live_zones().collect::<Vec<_>>());
+            prop_assert_eq!(descent(&net, &[]), Vec::<NodeId>::new());
+
+            // One curve cell lies in exactly one zone: its point's owner.
+            let order = net.config().hilbert_order;
+            let cell = cell_raw % (1u64 << (2 * order));
+            let (x, y) = hilbert::d2xy(order, cell);
+            let square = hilbert::CellSquare { x, y, side: 1 }.to_unit_rect(order);
+            let (px, py) = hilbert::point_of_cell(order, cell);
+            prop_assert_eq!(descent(&net, &[square]), vec![net.owner_of_point(px, py)]);
+
+            // Boxes whose edges coincide with zone edges: `intersects` is
+            // strict, so a zone's own rectangle hits that zone and none of
+            // the neighbors it shares an edge with.
+            let z = net.random_zone(&mut rng);
+            let own = *net.zone(z).unwrap().rect();
+            prop_assert_eq!(descent(&net, &[own]), vec![z]);
+            let mut edges: Vec<Rect> =
+                net.neighbors(z).iter().map(|&n| *net.zone(n).unwrap().rect()).collect();
+            edges.push(Rect { x0: own.x1, x1: own.x1, ..own }); // zero width: no area, no hit
+            prop_assert_eq!(descent(&net, &edges), scan(&net, &edges));
+            prop_assert!(!descent(&net, &edges).contains(&z));
+        }
+    }
+
+    #[test]
+    fn a_reused_scratch_is_invisible_across_membership_changes(
+        n in 4usize..100,
+        seed in 0u64..10_000,
+        ops in prop::collection::vec((0u8..4, any::<u64>()), 1..40),
+    ) {
+        let cfg = CanConfig { domain_lo: 0.0, domain_hi: 1000.0, ..CanConfig::default() };
+        let mut rng = simnet::rng_from_seed(seed);
+        let mut net = CanNet::build(cfg, n, &mut rng).unwrap();
+        for h in 0..80u64 {
+            net.publish(rng.gen_range(0.0..=1000.0), h);
+        }
+        // One scratch lives through every query on every tiling; its
+        // stamps, frames and buffers from an earlier query — or an earlier
+        // tiling, whose zone ids may since have been freed and recycled —
+        // must match nothing in a later one.
+        let mut reused = QueryScratch::new();
+        let mut q = 0u64;
+        for step in 0..=ops.len() {
+            if step > 0 {
+                let (op, pick) = ops[step - 1];
+                churn(&mut net, &mut rng, op, pick);
+                if step % 8 != 0 && step != ops.len() {
+                    continue;
+                }
+            }
+            for mode in [FloodMode::Directed, FloodMode::Naive] {
+                let lo = rng.gen_range(0.0..900.0);
+                let hi = lo + rng.gen_range(0.0..300.0);
+                let req = (net.random_zone(&mut rng), lo, hi, q);
+                q += 1;
+                let fresh = traced(&net, req, mode, &mut QueryScratch::new());
+                prop_assert_eq!(&traced(&net, req, mode, &mut reused), &fresh, "step {}", step);
+                prop_assert!(fresh.0.exact);
+                prop_assert_eq!(fresh.0.dest_zones, scan(&net, &image_of(&net, lo, hi)).len());
+            }
+        }
     }
 }

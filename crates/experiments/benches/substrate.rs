@@ -1,13 +1,16 @@
 //! Criterion benches for the substrate building blocks: naming, routing,
 //! network construction, the three layers a replicated stack adds
-//! (placement, repair, the fetch route), and PIRA's two halves — the
+//! (placement, repair, the fetch route), PIRA's two halves — the
 //! routing table a membership epoch pays for once and the handler every
-//! delivery runs.
+//! delivery runs — and DCF's: the split-tree descent a query pays for once
+//! and the flood handler.
 
 use armada::SingleArmada;
 use armada_experiments::standard_registry;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dht_api::{BuildParams, RangeScheme};
+use dht_can::dcf::{self, FloodMode};
+use dht_can::{hilbert, CanConfig, CanNet, Rect};
 use fissione::{FissioneConfig, FissioneNet};
 use kautz::naming::{MultiHash, SingleHash};
 use kautz::KautzStr;
@@ -162,5 +165,71 @@ fn bench_pira(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_naming, bench_routing, bench_build, bench_replication, bench_pira);
+fn bench_dcf(c: &mut Criterion) {
+    // The descent: the Hilbert image of a width-20 range (some fifty
+    // boxes) to the zones it touches.
+    let mut group = c.benchmark_group("can_zones_intersecting");
+    for n in [10_000usize, 100_000] {
+        let mut rng = simnet::rng_from_seed(12 + n as u64);
+        let net = CanNet::build(CanConfig::default(), n, &mut rng).unwrap();
+        let order = net.config().hilbert_order;
+        let (mut blocks, mut boxes, mut zones) = (Vec::new(), Vec::<Rect>::new(), Vec::new());
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                let lo = rng.gen_range(0.0..=980.0);
+                let cell = |v| hilbert::cell_of(order, net.normalize(v));
+                hilbert::interval_blocks_into(order, cell(lo), cell(lo + 20.0), &mut blocks);
+                boxes.clear();
+                boxes.extend(blocks.iter().map(|s| s.to_unit_rect(order)));
+                net.zones_intersecting_into(&mut boxes, &mut zones);
+                zones.len()
+            });
+        });
+    }
+    group.finish();
+
+    // The whole engine: native queries over a warm scratch, at the
+    // benchmark's width (`dcf-can-uniform`) and ten times it.
+    let mut group = c.benchmark_group("dcf_query");
+    let mut rng = simnet::rng_from_seed(13);
+    let mut net = CanNet::build(CanConfig::default(), 10_000, &mut rng).unwrap();
+    for h in 0..10_000u64 {
+        net.publish(rng.gen_range(0.0..=1000.0), h);
+    }
+    let (faults, unit) = (simnet::FaultPlan::new(), simnet::NetModel::unit());
+    for (label, width) in [("uniform_1e4", 20.0), ("wide_1e4", 200.0)] {
+        let mut scratch = simnet::QueryScratch::new();
+        let mut seed = 0u64;
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                seed += 1;
+                let lo = rng.gen_range(0.0..=1000.0 - width);
+                let origin = net.random_zone(&mut rng);
+                dcf::range_query_priced_scratch(
+                    &net,
+                    origin,
+                    lo,
+                    lo + width,
+                    seed,
+                    FloodMode::Directed,
+                    &faults,
+                    &unit,
+                    &mut scratch,
+                )
+                .unwrap()
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_naming,
+    bench_routing,
+    bench_build,
+    bench_replication,
+    bench_pira,
+    bench_dcf
+);
 criterion_main!(benches);

@@ -64,9 +64,9 @@ mod stats;
 mod trace;
 
 pub use engine::{Envelope, LatencyModel, Sim, SimScratch};
-pub use scratch::QueryScratch;
 pub use faults::{FaultPlan, LossPlan, PartitionPlan, RateLimitPlan, HOSTILE_PLAN_NAMES};
 pub use net::{mix, NetModel, NetModelKind, NET_MODEL_NAMES};
+pub use scratch::{Answers, QueryScratch};
 pub use stats::{last_first_arrival, Samples, SimStats, Summary};
 pub use trace::{HopKind, TraceEvent, TraceRecord, TraceSink, Verdict};
 

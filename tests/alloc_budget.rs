@@ -153,11 +153,14 @@ fn steady_state_allocations_per_query_stay_within_budget() {
     // pira figure at this N was ≈ 1854. The pira rungs sit at 1.5× now
     // that the handler fills no ordered sets: what is left is per query
     // (naming, sub-regions, the ground-truth list, one result buffer).
+    // The dcf-can rungs likewise (measured 1.04 and 1.03, × 1.5 rounded up
+    // to a whole allocation): the result buffer, and what scratch growth
+    // the warm-up did not reach.
     let budgets = [
         ("pira", 19.0),
         ("seqwalk", 220.0),
-        ("dcf-can", 370.0),
-        ("dcf-can-naive", 110.0),
+        ("dcf-can", 2.0),
+        ("dcf-can-naive", 2.0),
         ("pht-chord", 410.0),
         ("skipgraph", 20.0),
         // Composed stacks: the wrappers thread the caller's scratch down
@@ -191,11 +194,22 @@ fn steady_state_allocations_per_query_stay_within_budget() {
     // sub-regions more often — 8.7 against 20.8 when this was written.
     // Per-peer or per-record bookkeeping (the three ordered sets the
     // handler used to fill: 14.2 against 98.8) does not fit under it.
-    let [narrow, wide] =
-        [2.0, 200.0].map(|width| allocs_per_query("pira", &WorkloadGen::uniform(DOMAIN, width)));
-    eprintln!("alloc budget: pira at width 2 {narrow:.2}, at width 200 {wide:.2}");
-    if wide > narrow + 16.0 {
-        failures.push(format!("pira: {narrow:.2} allocs/query at width 2, {wide:.2} at width 200"));
+    //
+    // dcf-can the same way over a tenfold range (some twenty zones against
+    // some two hundred at this N): the flood's ground truth, stamps, informed-set frames and
+    // targets all live in the scratch, so the difference is scratch
+    // growth alone — 1.01 against 1.00 when this was written, where a
+    // copied informed set per forwarding zone read 65.6 against 486.3.
+    for (name, widths, slack) in [("pira", [2.0, 200.0], 16.0), ("dcf-can", [20.0, 200.0], 8.0)] {
+        let [narrow, wide] =
+            widths.map(|width| allocs_per_query(name, &WorkloadGen::uniform(DOMAIN, width)));
+        let [w0, w1] = widths;
+        eprintln!("alloc budget: {name} at width {w0} {narrow:.2}, at width {w1} {wide:.2}");
+        if wide > narrow + slack {
+            failures.push(format!(
+                "{name}: {narrow:.2} allocs/query at width {w0}, {wide:.2} at width {w1}"
+            ));
+        }
     }
     assert!(failures.is_empty(), "hot-path allocation regressions:\n{}", failures.join("\n"));
 }

@@ -354,3 +354,60 @@ fn one_query_path_holds_on_every_stack() {
         assert!(retried.iter().any(|s| s.starts_with(name)), "{name} never retried: {retried:?}");
     }
 }
+
+/// `DigestReport`s of one fixed batch (N = 600, 600 records, 200 `mixed`
+/// queries, seed `0xdcf`) on every stack that runs the DCF engine, and the
+/// FNV-1a hash of the `trace_explain --sample 1/1 --format jsonl` stream
+/// for `dcf-can@wan` — recorded before `dcf::query` moved onto the
+/// split-tree descent and the shared stamp ledger (PR 15), so an engine
+/// rewrite that shifts one hop, one virtual millisecond, one message or
+/// one trace line fails here by name.
+const DCF_GOLDEN_DIGESTS: [(&str, u64); 5] = [
+    ("dcf-can", 0x276e_7871_be11_4ac8),
+    ("dcf-can-naive", 0xe04e_8999_b93e_839e),
+    ("dcf-can@wan", 0x4716_7b5b_4a6e_84f3),
+    ("dcf-can@lossy-p/r3", 0xde18_822f_67ae_9f22),
+    ("dcf-can+r3", 0x0ba7_e0da_43e0_a2bd),
+];
+const DCF_WAN_TRACE_JSONL_FNV: u64 = 0xb217_704c_ee65_32dd;
+
+#[test]
+fn dcf_golden_digests_hold() {
+    use armada_suite::dht_api::{DigestReport, ParallelDriver, WorkloadGen};
+    use armada_suite::experiments::trace_explain::{run_sampled, Format, TraceExplainConfig};
+    const N: usize = 600;
+    const QUERIES: usize = 200;
+    const SEED: u64 = 0xdcf;
+
+    let registry = standard_registry();
+    let params = BuildParams::new(N, DOMAIN.0, DOMAIN.1);
+    let workload = WorkloadGen::named("mixed", DOMAIN).expect("cataloged");
+    for (stack, want) in DCF_GOLDEN_DIGESTS {
+        let mut rng = simnet::rng_from_seed(SEED ^ dht_api::fnv1a(stack.as_bytes()));
+        let mut scheme = registry.build_single(stack, &params, &mut rng).expect("stack builds");
+        for h in 0..N as u64 {
+            scheme.publish(rng.gen_range(DOMAIN.0..=DOMAIN.1), h).expect("publish");
+        }
+        let driver = ParallelDriver {
+            queries: QUERIES,
+            seed: SEED,
+            threads: 1,
+            shard_salt: 0,
+            metrics: false,
+        };
+        let got = DigestReport::of(&driver.run(scheme.as_ref(), &workload).expect("batch runs"));
+        assert_eq!(got.value(), want, "{stack}: digest moved to {:#018x}", got.value());
+    }
+
+    let cfg = TraceExplainConfig {
+        scheme: "dcf-can@wan".into(),
+        n: N,
+        queries: QUERIES,
+        seed: SEED,
+        workload: "mixed".into(),
+        ..TraceExplainConfig::default()
+    };
+    let jsonl = run_sampled(&cfg, 1, Format::Jsonl).expect("trace stream renders");
+    let got = dht_api::fnv1a(jsonl.as_bytes());
+    assert_eq!(got, DCF_WAN_TRACE_JSONL_FNV, "dcf-can@wan trace stream moved to {got:#018x}");
+}
