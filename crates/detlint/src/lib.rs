@@ -730,8 +730,7 @@ pub fn scan_source(path: &Path, text: &str) -> (Vec<Finding>, Vec<Allowance>) {
 
     // Pass 2: rule tokens on the stripped code.
     let bound = bound_names(&lines, &D1_TOKENS);
-    let routing_bound =
-        if d6_applies(path) { bound_names(&lines, &D6_TYPES) } else { Vec::new() };
+    let routing_bound = if d6_applies(path) { bound_names(&lines, &D6_TYPES) } else { Vec::new() };
     let mut allowed = Vec::new();
     let mut emit = |line_idx: usize, rule: Rule, token: String, findings: &mut Vec<Finding>| {
         if let Some((_, reason)) = covers[line_idx].iter().find(|(r, _)| *r == rule) {

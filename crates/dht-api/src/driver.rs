@@ -1,27 +1,12 @@
-//! A generic batched query driver: run a workload of range queries against
-//! *any* scheme and aggregate the outcomes into summary statistics.
+//! What a driver run measures: [`DriverReport`] (the summary statistics
+//! of a batch), [`EpochSummary`] (one epoch of an epoch-driven run), and
+//! the per-shard sample accumulator they are built from.
 //!
-//! This is the hook the experiment harness (and future throughput work —
-//! batched pipelines, parallel drivers, new overlays) builds on: the driver
-//! owns the per-query loop and the aggregation, so a new scheme or workload
-//! never re-implements measurement glue.
+//! The driver itself is [`ParallelDriver`](crate::ParallelDriver): it owns
+//! the per-query loop, so a new scheme or workload never re-implements
+//! measurement glue; this module owns the aggregation.
 
-use crate::scheme::{MultiRangeScheme, QueryCtx, RangeRequest, RangeScheme, SchemeError};
-use rand::rngs::SmallRng;
 use simnet::{Samples, Summary};
-
-/// A batched driver: `queries` queries, per-query seeds derived from
-/// `seed` by addition (query `q` runs with `seed + q`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryDriver {
-    /// Number of queries to run.
-    pub queries: usize,
-    /// Base seed for per-query scheme randomness.
-    pub seed: u64,
-    /// Whether to fill [`DriverReport::metrics`] (off by default, so
-    /// existing reports — and their digests — are unchanged).
-    pub metrics: bool,
-}
 
 /// Aggregated measurements over one driver run.
 #[derive(Debug, Clone, Default)]
@@ -57,8 +42,8 @@ pub struct DriverReport {
     /// The metrics registry collected alongside the run — counters,
     /// fixed-bucket histograms, and per-peer query load, merged
     /// shard-order-deterministically. Empty unless the driver ran with
-    /// metrics enabled ([`QueryDriver::with_metrics`],
-    /// [`ParallelDriver::with_metrics`](crate::ParallelDriver::with_metrics)),
+    /// metrics enabled
+    /// ([`ParallelDriver::with_metrics`](crate::ParallelDriver::with_metrics)),
     /// and an empty registry contributes nothing to
     /// [`DigestReport`](crate::DigestReport) — so pre-metrics digests are
     /// unchanged.
@@ -92,10 +77,10 @@ pub struct EpochSummary {
     pub results_returned: u64,
 }
 
-/// Sample accumulator shared by the single- and multi-attribute loops —
-/// and, shard by shard, by [`ParallelDriver`](crate::ParallelDriver), whose
-/// worker threads each fill one `Accumulator` and [`merge`](Self::merge)
-/// them back in shard order.
+/// Sample accumulator shared by the single- and multi-attribute loops of
+/// [`ParallelDriver`](crate::ParallelDriver), shard by shard: its worker
+/// threads each fill one `Accumulator` and [`merge`](Self::merge) them
+/// back in shard order.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Accumulator {
     delay: Samples,
@@ -195,109 +180,20 @@ impl Accumulator {
     }
 }
 
-impl QueryDriver {
-    /// A driver running `queries` queries with base seed 0 (per-query seed
-    /// equals the query index).
-    pub fn new(queries: usize) -> Self {
-        QueryDriver { queries, seed: 0, metrics: false }
-    }
-
-    /// Sets the base seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enables (or disables) metrics collection for subsequent runs.
-    pub fn with_metrics(mut self, metrics: bool) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    pub(crate) fn accumulator(&self) -> Accumulator {
-        if self.metrics {
-            Accumulator::with_metrics()
-        } else {
-            Accumulator::default()
-        }
-    }
-
-    /// Runs the workload against a single-attribute scheme. For each query,
-    /// `next_range` draws `(lo, hi)` from the workload distribution, then
-    /// the driver picks a random origin and executes — the same call
-    /// sequence every experiment previously hand-rolled.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first query error (fault-free workloads on live
-    /// origins never fail).
-    pub fn run<W>(
-        &self,
-        scheme: &dyn RangeScheme,
-        rng: &mut SmallRng,
-        mut next_range: W,
-    ) -> Result<DriverReport, SchemeError>
-    where
-        W: FnMut(&mut SmallRng) -> (f64, f64),
-    {
-        let n_peers = scheme.node_count();
-        let mut acc = self.accumulator();
-        let retries_before = scheme.retry_attempts();
-        // One scratch for the whole batch: per-query setup allocations are
-        // paid once, and outcomes are contractually bit-identical to the
-        // scratch-free path.
-        let mut scratch = simnet::QueryScratch::new();
-        for q in 0..self.queries {
-            let (lo, hi) = next_range(rng);
-            let origin = scheme.random_origin(rng);
-            let req = RangeRequest::new(origin, lo, hi, self.seed.wrapping_add(q as u64))?;
-            let out = scheme.query(&req, &mut QueryCtx::new(&mut scratch))?;
-            acc.push(&out, n_peers, origin);
-        }
-        if let Some(m) = acc.metrics_mut() {
-            m.inc("retry_attempts", scheme.retry_attempts() - retries_before);
-        }
-        Ok(acc.report(scheme.scheme_name(), self.queries))
-    }
-
-    /// Runs the workload against a multi-attribute scheme; `next_rect`
-    /// draws one rectangle per query.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first query error.
-    pub fn run_multi<W>(
-        &self,
-        scheme: &dyn MultiRangeScheme,
-        rng: &mut SmallRng,
-        mut next_rect: W,
-    ) -> Result<DriverReport, SchemeError>
-    where
-        W: FnMut(&mut SmallRng) -> Vec<(f64, f64)>,
-    {
-        let n_peers = scheme.node_count();
-        let mut acc = self.accumulator();
-        for q in 0..self.queries {
-            let rect = next_rect(rng);
-            let origin = scheme.random_origin(rng);
-            let out = scheme.rect_query(origin, &rect, self.seed.wrapping_add(q as u64))?;
-            acc.push(&out, n_peers, origin);
-        }
-        Ok(acc.report(scheme.scheme_name(), self.queries))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scheme::{RangeOutcome, RangeScheme};
+    use crate::scheme::{RangeOutcome, RangeScheme, SchemeError};
+    use crate::{ParallelDriver, WorkloadGen};
+    use rand::rngs::SmallRng;
     use rand::Rng;
     use simnet::NodeId;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Fixed-cost fake scheme: every query costs `delay = 2`, `messages =
     /// 5`, reaches 4/4 destinations and returns one result per whole unit
-    /// of range width.
-    struct Fixed;
+    /// of range width; every query also counts as one retry attempt.
+    #[derive(Default)]
+    struct Fixed(AtomicU64);
 
     impl RangeScheme for Fixed {
         fn scheme_name(&self) -> &'static str {
@@ -331,6 +227,7 @@ mod tests {
             hi: f64,
             _seed: u64,
         ) -> Result<RangeOutcome, SchemeError> {
+            self.0.fetch_add(1, Ordering::Relaxed);
             Ok(RangeOutcome {
                 results: (0..(hi - lo).round() as u64).collect(),
                 delay: 2,
@@ -341,17 +238,20 @@ mod tests {
                 exact: true,
             })
         }
+
+        fn retry_attempts(&self) -> u64 {
+            self.0.load(Ordering::Relaxed)
+        }
+    }
+
+    fn serial(queries: usize, metrics: bool) -> ParallelDriver {
+        ParallelDriver { queries, seed: 9, threads: 1, shard_salt: 0, metrics }
     }
 
     #[test]
     fn driver_aggregates_fixed_costs_exactly() {
-        let driver = QueryDriver::new(50);
-        let mut rng = simnet::rng_from_seed(9);
-        let report = driver.run(&Fixed, &mut rng, |rng| {
-            let lo = rng.gen_range(0.0..100.0);
-            (lo, lo + 3.0)
-        });
-        let report = report.unwrap();
+        let workload = WorkloadGen::uniform((0.0, 100.0), 3.0);
+        let report = serial(50, false).run(&Fixed::default(), &workload).unwrap();
         assert_eq!(report.queries, 50);
         assert_eq!(report.delay.mean, 2.0);
         assert_eq!(report.delay.max, 2.0);
@@ -362,54 +262,25 @@ mod tests {
         // 3 results per query (range width 3).
         assert_eq!(report.results_returned, 150);
         assert_eq!(report.scheme, "fixed");
+        assert!(report.metrics.is_empty(), "metrics are opt-in");
     }
 
     #[test]
-    fn driver_seeds_are_distinct_per_query() {
-        struct SeedProbe(std::sync::Mutex<Vec<u64>>);
-        impl RangeScheme for SeedProbe {
-            fn scheme_name(&self) -> &'static str {
-                "probe"
-            }
-            fn substrate(&self) -> String {
-                "test".into()
-            }
-            fn degree(&self) -> String {
-                "0".into()
-            }
-            fn node_count(&self) -> usize {
-                1
-            }
-            fn publish(&mut self, _: f64, _: u64) -> Result<(), SchemeError> {
-                Ok(())
-            }
-            fn random_origin(&self, _: &mut SmallRng) -> NodeId {
-                0
-            }
-            fn range_query(
-                &self,
-                _: NodeId,
-                _: f64,
-                _: f64,
-                seed: u64,
-            ) -> Result<RangeOutcome, SchemeError> {
-                self.0.lock().unwrap().push(seed);
-                Ok(RangeOutcome {
-                    results: vec![],
-                    delay: 0,
-                    latency: 0,
-                    messages: 0,
-                    dest_peers: 0,
-                    reached_peers: 0,
-                    exact: true,
-                })
-            }
-        }
-
-        let probe = SeedProbe(std::sync::Mutex::new(Vec::new()));
-        let driver = QueryDriver::new(4).with_seed(100);
-        let mut rng = simnet::rng_from_seed(1);
-        driver.run(&probe, &mut rng, |_| (0.0, 1.0)).unwrap();
-        assert_eq!(*probe.0.lock().unwrap(), vec![100, 101, 102, 103]);
+    fn metrics_registry_and_retry_attempts_are_accounted_per_batch() {
+        let workload = WorkloadGen::uniform((0.0, 100.0), 3.0);
+        let scheme = Fixed::default();
+        // A warm-up batch first: the retry counter is cumulative on the
+        // scheme, and a batch must report only its own delta.
+        serial(7, true).run(&scheme, &workload).unwrap();
+        let m = serial(50, true).run(&scheme, &workload).unwrap().metrics;
+        assert_eq!(m.counter("queries"), 50);
+        assert_eq!(m.counter("messages"), 250);
+        assert_eq!(m.counter("results"), 150);
+        assert_eq!(m.counter("exact"), 50);
+        assert_eq!(m.counter("reached_peers"), 200);
+        assert_eq!(m.counter("dest_peers"), 200);
+        assert_eq!(m.counter("retry_attempts"), 50);
+        assert_eq!(m.histogram("delay_hops").map(|h| (h.count(), h.sum())), Some((50, 100)));
+        assert_eq!(m.peer_loads().map(|(_, load)| load).sum::<u64>(), 50);
     }
 }

@@ -15,14 +15,13 @@
 //!   [`RangeOutcome`] metric vocabulary.
 //! * [`SchemeRegistry`] — name → builder tables so callers select schemes
 //!   at runtime as trait objects.
-//! * [`QueryDriver`] — a batched serial workload runner aggregating
-//!   [`RangeOutcome`]s into [`DriverReport`] summary statistics.
 //! * [`WorkloadGen`] — named, seeded query mixes (uniform, Zipf-skewed hot
 //!   ranges, clustered, wide scans, correlated rectangles, a production
 //!   blend), addressed by query *index* so a workload is identical however
 //!   it is sharded.
-//! * [`ParallelDriver`] — the sharded driver: fans a batch across OS
-//!   threads over one shared `&dyn` scheme and merges per-thread
+//! * [`ParallelDriver`] — the one driver: fans a batch across OS threads
+//!   over one shared `&dyn` scheme, aggregates [`RangeOutcome`]s into
+//!   [`DriverReport`] summary statistics and merges per-thread
 //!   [`Summary`](simnet::Summary) statistics deterministically — the same
 //!   report for any thread count.
 //! * [`DynamicScheme`] / [`DynamicDht`] — the dynamics layer: churn
@@ -92,7 +91,7 @@ mod workload;
 
 pub use churn::{ChurnEvent, ChurnPlan, ChurnStats, CHURN_PLAN_NAMES};
 pub use digest::DigestReport;
-pub use driver::{DriverReport, EpochSummary, QueryDriver};
+pub use driver::{DriverReport, EpochSummary};
 pub use dynamics::{DynamicDht, DynamicScheme};
 pub use explain::{CostNode, QueryTrace};
 pub use hostile::{Hostile, HostileControl, RetryPolicy};

@@ -1,12 +1,12 @@
 //! The metrics registry: named counters, fixed-bucket histograms, and
-//! per-peer load — merged shard-order-deterministically by the drivers.
+//! per-peer load — merged shard-order-deterministically by the driver.
 //!
 //! Everything is a `BTreeMap` keyed by name (or peer id), so iteration,
 //! merging, JSON rendering, and digest folding are all independent of
 //! insertion order and hasher state — the same discipline the rest of the
 //! workspace follows (detlint rule D1). Collection is **opt-in** per
-//! driver run ([`QueryDriver::with_metrics`](crate::QueryDriver),
-//! [`ParallelDriver::with_metrics`](crate::ParallelDriver)); a report with
+//! driver run ([`ParallelDriver::with_metrics`](crate::ParallelDriver)); a
+//! report with
 //! an empty registry digests exactly as it did before the registry
 //! existed, which is what keeps the committed canaries bit-for-bit.
 //!

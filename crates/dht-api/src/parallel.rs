@@ -1,10 +1,10 @@
 //! A sharded workload driver: fan a batch of queries across OS threads
 //! against one shared scheme instance, with a determinism guarantee.
 //!
-//! [`QueryDriver`](crate::QueryDriver) runs its workload serially and
-//! threads one RNG through the loop, so its results depend on execution
-//! order. [`ParallelDriver`] removes that dependence: every query `q` is
-//! fully determined by `(workload, seed, q)` — the range comes from
+//! A driver that threads one RNG through its query loop makes results
+//! depend on execution order. [`ParallelDriver`] has no such dependence:
+//! every query `q` is fully determined by `(workload, seed, q)` — the
+//! range comes from
 //! [`WorkloadGen::range`](crate::WorkloadGen::range) and the origin from an
 //! RNG derived from `(seed, q)` — so the work can be cut into contiguous
 //! index shards, one per thread, and merged back in shard order. The merged
@@ -151,8 +151,7 @@ impl ParallelDriver {
         scheme.random_origin(&mut self.origin_rng(q))
     }
 
-    /// The scheme seed query `q` runs with (the `seed + q` convention
-    /// shared with [`QueryDriver`](crate::QueryDriver)).
+    /// The scheme seed query `q` runs with (the `seed + q` convention).
     pub fn query_seed(&self, q: usize) -> u64 {
         self.seed.wrapping_add(q as u64)
     }
@@ -258,21 +257,19 @@ impl ParallelDriver {
 
     /// Runs the batch against a single-attribute scheme: query `q` executes
     /// `workload.range(seed, q)` from an origin drawn via a `(seed, q)`
-    /// RNG, with scheme seed `seed + q` (matching [`QueryDriver`]'s
-    /// per-query seed convention).
+    /// RNG, with scheme seed `seed + q`.
     ///
     /// This is the **streaming** mode: each worker derives its shard's
     /// ranges from the workload generator on the fly, so memory stays
     /// `O(queries / threads)` regardless of batch size — the mode the
     /// scaling sweeps rely on at `N = 10⁶`. Because `workload.range` is a
     /// pure function of `(seed, q)`, the report is bitwise identical to
-    /// [`run_materialized`](Self::run_materialized) at every thread count.
+    /// [`run_indexed`](Self::run_indexed) over a pre-generated range
+    /// table at every thread count.
     ///
     /// # Errors
     ///
     /// Propagates the lowest-indexed query error across all shards.
-    ///
-    /// [`QueryDriver`]: crate::QueryDriver
     pub fn run(
         &self,
         scheme: &dyn RangeScheme,
@@ -281,36 +278,12 @@ impl ParallelDriver {
         self.run_indexed(scheme, |q| workload.range(self.seed, q))
     }
 
-    /// The **materialized** counterpart of [`run`](Self::run): pre-generates
-    /// every query range into one `O(queries)` table, then drives the same
-    /// sharded execution by table lookup.
-    ///
-    /// Exists as the oracle for the streaming contract — both modes address
-    /// query `q` by the pure function `workload.range(seed, q)`, one eagerly
-    /// and one lazily, so their [`DriverReport`]s must be bitwise identical
-    /// (pinned by `tests/parallel_determinism.rs`). Prefer
-    /// [`run`](Self::run): it has
-    /// the same report and does not hold the whole range table in memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-indexed query error across all shards.
-    pub fn run_materialized(
-        &self,
-        scheme: &dyn RangeScheme,
-        workload: &WorkloadGen,
-    ) -> Result<DriverReport, SchemeError> {
-        let ranges: Vec<(f64, f64)> =
-            (0..self.queries as u64).map(|q| workload.range(self.seed, q)).collect();
-        self.run_indexed(scheme, |q| ranges[q as usize])
-    }
-
     /// The general index-addressed form of [`run`](Self::run): `next_range`
     /// maps a query index to its `(lo, hi)` range and must be a pure
     /// function of that index — the determinism guarantee is exactly as
-    /// strong as that purity. Useful when the range stream must be decoupled
-    /// from the driver's seed (e.g. paired cross-scheme sweeps that share
-    /// ranges but not origin streams).
+    /// strong as that purity. Its caller is the streaming contract's oracle,
+    /// `tests/parallel_determinism.rs::streaming_and_materialized_drivers_are_interchangeable_at_scale`,
+    /// which materializes the whole range table and drives it by lookup.
     ///
     /// # Errors
     ///
@@ -673,16 +646,17 @@ mod tests {
     }
 
     #[test]
-    fn per_query_seed_convention_matches_query_driver() {
-        // results carry the scheme seed in Synth; with base seed 10 and 4
-        // queries the batch must have used seeds 10..14.
+    fn per_query_scheme_seeds_are_seed_plus_index() {
+        // Synth returns its scheme seed as the sole result: with base seed
+        // 100 the serial batch must hand out exactly 100, 101, 102, 103.
         let wl = WorkloadGen::named("uniform", (0.0, 1000.0)).unwrap();
-        let d = ParallelDriver { queries: 4, seed: 10, threads: 2, shard_salt: 0, metrics: false };
-        let report = d.run(&Synth, &wl).unwrap();
-        // One result per query; sum of seeds 10+11+12+13 = 46 is invisible
-        // through the report, but the count is exact.
-        assert_eq!(report.results_returned, 4);
-        assert_eq!(report.queries, 4);
+        let d = ParallelDriver { queries: 4, seed: 100, threads: 1, shard_salt: 0, metrics: false };
+        let seen = std::sync::Mutex::new(Vec::<u64>::new());
+        let report =
+            d.run_streaming(&Synth, &wl, |_, out| seen.lock().unwrap().extend(&out.results));
+        assert_eq!(report.unwrap().queries, 4);
+        assert_eq!(*seen.lock().unwrap(), vec![100, 101, 102, 103]);
+        assert_eq!((d.query_seed(0), d.query_seed(3)), (100, 103));
     }
 
     #[test]

@@ -579,6 +579,17 @@ impl Replicated {
     }
 }
 
+/// The virtual time the fetch phase is stamped from: the primary phase's
+/// reported latency, or — when every branch was lost and nobody answered,
+/// so that latency reads 0 — the tick of the last record the primary phase
+/// already traced, whichever is later. A zero-latency local fetch
+/// (`holder == origin`) then still lands after everything before it, and
+/// the stream stays `(t, id)`-sorted. Only event stamps depend on this;
+/// no outcome or cost node does.
+fn fetch_phase_start(latency: u64, trace: Option<&crate::QueryTrace>) -> u64 {
+    trace.and_then(|t| t.events.last()).map_or(latency, |last| latency.max(last.time))
+}
+
 /// Splices a recorded fetch phase into a query trace: one
 /// [`ReplicaFetch`](simnet::TraceEvent::ReplicaFetch) event per attempted
 /// fetch (time-based after the primary phase — fetches run in parallel, so
@@ -707,7 +718,7 @@ impl RangeScheme for Replicated {
         cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
         let out = self.inner.query(req, cx)?;
-        let phase_start = out.latency;
+        let phase_start = fetch_phase_start(out.latency, cx.trace.as_deref());
         let mut log = cx.trace.is_some().then(Vec::new);
         let out = self.recover(req, out, cx.faults, log.as_mut());
         if let (Some(trace), Some(log)) = (cx.trace.as_deref_mut(), log) {
@@ -1299,6 +1310,40 @@ mod tests {
         let mut sorted = stamps.clone();
         sorted.sort_unstable();
         assert_eq!(stamps, sorted, "fetch events must splice in time order");
+    }
+
+    #[test]
+    fn a_local_fetch_after_an_unanswered_primary_phase_stays_in_time_order() {
+        // The shape `pira+r3@wan@lossy-10/r2` hits: every primary branch is
+        // lost, so the reported latency is 0 while the traced records
+        // already reach tick 5 — and the origin itself holds a replica, a
+        // zero-latency fetch.
+        let mut sink = simnet::TraceSink::new();
+        for t in [0, 3, 5] {
+            sink.emit(
+                t,
+                simnet::TraceEvent::ReplicaFetch {
+                    origin: 1,
+                    holder: 2,
+                    hops: 0,
+                    latency_ms: 0,
+                    messages: 0,
+                    recovered: false,
+                },
+            );
+        }
+        let mut tr = crate::QueryTrace { events: sink.into_records(), ..Default::default() };
+        assert_eq!(fetch_phase_start(0, Some(&tr)), 5, "never before the last traced tick");
+        assert_eq!(fetch_phase_start(9, Some(&tr)), 9, "an answered phase ends at its latency");
+        assert_eq!(fetch_phase_start(4, None), 4);
+        let local = FetchCost { hops: 0, latency: 0, messages: 0 };
+        let remote = FetchCost { hops: 2, latency: 2, messages: 2 };
+        let start = fetch_phase_start(0, Some(&tr));
+        splice_fetch_phase(&mut tr, 1, start, &[(7, remote, true), (1, local, true)]);
+        let stamps: Vec<(u64, u64)> = tr.events.iter().map(|r| (r.time, r.id)).collect();
+        assert_eq!(stamps, vec![(0, 0), (3, 1), (5, 2), (5, 3), (7, 4)]);
+        // The cost node carries the phase's deltas, not its stamps.
+        assert_eq!(tr.root.total(), (2, 2, 2));
     }
 
     #[test]

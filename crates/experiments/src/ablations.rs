@@ -134,11 +134,11 @@ pub mod balance {
 }
 
 /// A3 — PHT delay decomposition over constant-degree vs logarithmic-degree
-/// substrates, against PIRA — three registry names, one measurement loop.
+/// substrates, against PIRA — three registry names, one cell each.
 pub mod pht_substrate {
     use super::*;
-    use dht_api::{BuildParams, DriverReport, QueryDriver, SchemeRegistry};
-    use rand::rngs::SmallRng;
+    use crate::cell;
+    use dht_api::{DriverReport, WorkloadGen};
 
     /// Runs the PHT substrate ablation over swept `N`.
     pub fn run(scale: Scale) -> Table {
@@ -146,9 +146,9 @@ pub mod pht_substrate {
             Scale::Full => vec![500, 1000, 2000, 4000],
             Scale::Quick => vec![200, 500],
         };
-        let queries = scale.queries() / 2;
         let range = paper::FIG78_RANGE;
         let registry = crate::standard_registry();
+        let workload = WorkloadGen::uniform(cell::DOMAIN, range);
         let mut t = Table::new(
             format!("A3 — PHT substrate vs PIRA (range = {range})"),
             &[
@@ -162,10 +162,16 @@ pub mod pht_substrate {
             ],
         );
         for n in ns {
-            let mut rng = simnet::rng_from_seed(0x9417 ^ n as u64);
-            let f = measure(&registry, "pht-fissione", n, queries, range, true, &mut rng);
-            let c = measure(&registry, "pht-chord", n, queries, range, true, &mut rng);
-            let p = measure(&registry, "pira", n, queries, range, false, &mut rng);
+            // One driver seed per N: the three schemes answer the same
+            // ranges from the same origin stream.
+            let driver =
+                cell::driver(scale.queries() / 2, 0x9417 ^ n as u64, dht_api::default_threads());
+            let measure = |name: &str| -> DriverReport {
+                let seed = 0x9417 ^ n as u64 ^ dht_api::fnv1a(name.as_bytes());
+                let scheme = cell::loaded(&registry, name, n, paper::OBJECT_ID_LEN, seed);
+                driver.run(scheme.as_ref(), &workload).expect("query")
+            };
+            let (f, c, p) = (measure("pht-fissione"), measure("pht-chord"), measure("pira"));
             t.push_row(vec![
                 n.to_string(),
                 Table::fmt_f64(f.delay.mean),
@@ -177,31 +183,6 @@ pub mod pht_substrate {
             ]);
         }
         t
-    }
-
-    fn measure(
-        registry: &SchemeRegistry,
-        name: &str,
-        n: usize,
-        queries: usize,
-        range: f64,
-        publish: bool,
-        rng: &mut SmallRng,
-    ) -> DriverReport {
-        let params = BuildParams::new(n, paper::DOMAIN_LO, paper::DOMAIN_HI);
-        let mut scheme = registry.build_single(name, &params, rng).expect("build");
-        if publish {
-            for h in 0..n as u64 {
-                let v = rng.gen_range(paper::DOMAIN_LO..=paper::DOMAIN_HI);
-                scheme.publish(v, h).expect("publish");
-            }
-        }
-        QueryDriver::new(queries)
-            .run(scheme.as_ref(), rng, |rng| {
-                let lo = rng.gen_range(paper::DOMAIN_LO..(paper::DOMAIN_HI - range));
-                (lo, lo + range)
-            })
-            .expect("query")
     }
 }
 

@@ -2,9 +2,9 @@
 //! named workload, measured once and written to `BENCH_baseline.json` at
 //! the workspace root.
 //!
-//! This is the repo's first durable perf artifact: the `bench_baseline`
-//! binary runs the full scheme × workload grid through
-//! [`ParallelDriver`] at a fixed network size,
+//! This is the repo's first durable perf artifact: `armada-exp
+//! bench_baseline` runs the full scheme × workload grid through
+//! [`ParallelDriver`](dht_api::ParallelDriver) at a fixed network size,
 //! records throughput (queries/second, wall clock) next to the simulated
 //! metrics (mean/p99 delay, messages per query, MesgRatio), and persists
 //! the grid as JSON so future PRs can diff their numbers against a
@@ -12,21 +12,21 @@
 //! only the `qps` column moves with the hardware. `qps` is thereby the
 //! **one** metric exempt from the bitwise-reproducibility contract: its
 //! wall-clock stopwatch is the workspace's sole audited D2 allowance
-//! (`detlint: allow(D2)` at each read — see the "Determinism contract"
-//! section of ARCHITECTURE.md), and nothing derived from it feeds back
-//! into a simulated metric.
+//! (`detlint: allow(D2)` at its one read, `stopwatch` — see the
+//! "Determinism contract" section of ARCHITECTURE.md), and nothing derived
+//! from it feeds back into a simulated metric.
 //!
 //! Since the dynamics layer landed, the artifact also carries a **churn
 //! section**: every dynamic scheme × every [`ChurnPlan`] catalog entry,
-//! run epoch-driven through [`ParallelDriver::run_epochs`] with the
-//! per-epoch recall/exactness/delay series persisted alongside the merged
-//! metrics. Schema v3 adds a **replication section**: the same
+//! run epoch-driven through
+//! [`run_epochs`](dht_api::ParallelDriver::run_epochs) with the per-epoch
+//! recall/exactness/delay series persisted alongside the merged metrics. Schema v3 adds a **replication section**: the same
 //! scheme × plan grid re-run at higher replication factors
 //! (`successor-r` placement through the replication layer), with replica
 //! recovery visible in the recall/message metrics and the per-epoch
 //! repair traffic persisted next to the churn stats. Schema v4 adds a
 //! **latency section**: every single-attribute scheme rebuilt under every
-//! [`NetModel`] catalog entry from the same seed, so
+//! [`NetModel`](dht_api::NetModel) catalog entry from the same seed, so
 //! hop metrics pair bit-for-bit across the model axis while the latency
 //! columns show the virtual-millisecond cost surface — plus `delay_p95`
 //! and `latency_mean` columns on the existing grids (whose v3 metric
@@ -41,7 +41,7 @@
 //! touches none of the existing cells. Schema v6 adds a **scaling
 //! section**: four representative schemes ([`SCALING_SCHEMES`]) rebuilt at
 //! each `N` in `config.scaling_ns` (`{10³, 10⁴, 10⁵}` at full scale;
-//! `10⁶` joins behind the `bench_baseline --huge` flag), with build and
+//! `10⁶` joins behind `bench_baseline --huge`), with build and
 //! publish wall time, query throughput, heap allocations per query (when
 //! the `bench-alloc` feature installs the counting allocator; `null`
 //! otherwise), and the process peak-RSS proxy (`VmHWM` from
@@ -61,21 +61,25 @@
 //! (`qps`, `allocs_per_query`, `build_ms`) move, and every simulated
 //! metric — delays, messages, results, latency summaries — is bit-for-bit
 //! identical to v7, which is exactly the claim the bump records.
+//!
+//! Every section is the same measurement — one [`cell`] per row, one
+//! [`Row`] per cell — so the module is the sections' nested loops (each
+//! with its own seeding convention) over one loop body, one row type, and
+//! one table and one JSON writer driven by a per-section column list.
 
-use crate::output::Table;
-use crate::{dynamic_single_names, standard_registry};
+use crate::output::{Column, Table};
+use crate::row::{blank_machine_columns, Machine, Row, Section};
+use crate::{cell, dynamic_single_names, paper, standard_registry};
 use dht_api::{
-    BuildParams, ChurnPlan, DriverReport, EpochSummary, MultiBuildParams, NetModel, ParallelDriver,
-    ReplicaPolicy, WorkloadGen, CHURN_PLAN_NAMES, NET_MODEL_NAMES,
+    ChurnPlan, DriverReport, SchemeError, WorkloadGen, CHURN_PLAN_NAMES, NET_MODEL_NAMES,
 };
-use rand::Rng;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::Instant; // detlint: allow(D2) — qps stopwatch import; every read annotated below
 
 /// The schema tag written to (and expected in) `BENCH_baseline.json` —
-/// bumped whenever the JSON shape changes, and pinned by the CI
-/// bench-schema smoke job (`bench_baseline --quick --check-schema`).
+/// bumped whenever the JSON shape changes; the CI bench-schema job
+/// (`armada-exp bench_baseline --check-simulated`) compares the whole
+/// artifact, tag included.
 pub const SCHEMA_VERSION: &str = "bench-baseline-v8";
 
 /// Hostile-network specs measured in the hostile section: loss alone, the
@@ -102,31 +106,30 @@ pub const SINGLE_WORKLOADS: [&str; 5] = ["uniform", "zipf-hot", "clustered", "wi
 /// Multi-attribute workloads measured for the rectangle schemes.
 pub const MULTI_WORKLOADS: [&str; 2] = ["rect-correlated", "mixed"];
 
-/// Baseline run configuration.
+/// Master seed of the artifact (simulated metrics are a pure function of
+/// it and the configuration).
+pub const SEED: u64 = 0xba5e;
+
+/// Epochs per epoch-driven cell (the churn, replication and hostile
+/// sections split `queries` evenly across them).
+pub const EPOCHS: usize = 4;
+
+/// Replication factors measured in the replication section (factor 1 is
+/// the unreplicated cross-check against the churn section).
+pub const REPLICATION_FACTORS: [usize; 2] = [1, 3];
+
+/// Baseline run configuration: what differs between the committed scale,
+/// `--quick`, and the CI scaling gate.
 #[derive(Debug, Clone)]
 pub struct BaselineConfig {
     /// Network size every scheme is built at.
     pub n: usize,
     /// Queries per (scheme, workload) cell.
     pub queries: usize,
-    /// Master seed (simulated metrics are a pure function of it).
-    pub seed: u64,
     /// Worker threads for the parallel driver.
     pub threads: usize,
     /// ObjectID length for Kautz-named schemes.
     pub object_id_len: usize,
-    /// Epochs per churn cell (the churn section splits `queries` evenly
-    /// across them).
-    pub churn_epochs: usize,
-    /// Replication factors measured in the replication section (factor 1
-    /// is the unreplicated cross-check against the churn section).
-    pub replication_factors: Vec<usize>,
-    /// Net models measured in the latency section (the `unit` row is the
-    /// hop-metric cross-check against the fault-free grid).
-    pub net_models: Vec<String>,
-    /// Hostile-network specs measured in the hostile section
-    /// (`plan[/rN]` registry-suffix spellings).
-    pub hostile_specs: Vec<String>,
     /// Network sizes measured in the scaling section (each
     /// [`SCALING_SCHEMES`] entry is rebuilt and measured at every size).
     pub scaling_ns: Vec<usize>,
@@ -139,13 +142,8 @@ impl BaselineConfig {
         BaselineConfig {
             n: 1000,
             queries: 1000,
-            seed: 0xba5e,
             threads: dht_api::default_threads(),
-            object_id_len: crate::paper::OBJECT_ID_LEN,
-            churn_epochs: 4,
-            replication_factors: vec![1, 3],
-            net_models: NET_MODEL_NAMES.iter().map(|s| s.to_string()).collect(),
-            hostile_specs: HOSTILE_SPECS.iter().map(|s| s.to_string()).collect(),
+            object_id_len: paper::OBJECT_ID_LEN,
             scaling_ns: vec![1_000, 10_000, 100_000],
         }
     }
@@ -162,461 +160,196 @@ impl BaselineConfig {
     }
 }
 
-/// One measured cell of the scheme × workload grid.
-#[derive(Debug, Clone)]
-pub struct BaselineRow {
-    /// Registry name of the scheme.
-    pub scheme: String,
-    /// Query shape: `"single"` or `"rect"`.
-    pub shape: &'static str,
-    /// Workload name from the catalog.
-    pub workload: String,
-    /// Wall-clock throughput, queries per second (hardware-dependent).
-    pub qps: f64,
-    /// The full deterministic metric report for the cell.
-    pub report: DriverReport,
-}
-
-/// One measured cell of the scheme × net-model latency grid.
-#[derive(Debug, Clone)]
-pub struct LatencyBaselineRow {
-    /// Registry name of the scheme.
-    pub scheme: String,
-    /// Net model name from the [`NetModel`] catalog.
-    pub net: String,
-    /// Wall-clock throughput, queries per second (hardware-dependent).
-    pub qps: f64,
-    /// The full deterministic metric report for the cell (`delay` in hops
-    /// — identical across the model axis — and `latency` in virtual ms).
-    pub report: DriverReport,
-}
-
-/// One measured cell of the dynamic-scheme × churn-plan grid.
-#[derive(Debug, Clone)]
-pub struct ChurnBaselineRow {
-    /// Registry name of the scheme.
-    pub scheme: String,
-    /// Churn plan name from the [`ChurnPlan`] catalog.
-    pub plan: String,
-    /// Wall-clock throughput, queries per second (hardware-dependent).
-    pub qps: f64,
-    /// The merged epoch-driven report (carries the per-epoch series).
-    pub report: DriverReport,
-    /// Live peers after the final epoch.
-    pub final_peers: usize,
-}
-
-/// One measured cell of the scheme × plan × replication-factor grid.
-#[derive(Debug, Clone)]
-pub struct ReplicationBaselineRow {
-    /// Registry name of the scheme.
-    pub scheme: String,
-    /// Churn plan name from the [`ChurnPlan`] catalog.
-    pub plan: String,
-    /// Replication factor (total copies per record; 1 = unreplicated).
-    pub factor: usize,
-    /// Canonical replica policy name (`"none"` at factor 1).
-    pub policy: String,
-    /// Wall-clock throughput, queries per second (hardware-dependent).
-    pub qps: f64,
-    /// The merged epoch-driven report (per-epoch series included).
-    pub report: DriverReport,
-    /// Replica copies placed by repair across all epochs.
-    pub repair_placed: usize,
-    /// Messages spent by repair across all epochs.
-    pub repair_messages: u64,
-    /// Live peers after the final epoch.
-    pub final_peers: usize,
-}
-
-/// One measured cell of the dynamic-scheme × hostile-spec grid.
-#[derive(Debug, Clone)]
-pub struct HostileBaselineRow {
-    /// Registry name of the base scheme (no suffixes).
-    pub scheme: String,
-    /// Hostile spec suffix (`plan[/rN]`) the scheme ran under.
-    pub spec: String,
-    /// Wall-clock throughput, queries per second (hardware-dependent).
-    pub qps: f64,
-    /// The merged epoch-driven report (per-epoch series included — the
-    /// partition specs' recall timeline lives there).
-    pub report: DriverReport,
-}
-
-/// One measured cell of the scheme × network-size scaling grid.
-#[derive(Debug, Clone)]
-pub struct ScalingRow {
-    /// Registry name of the scheme.
-    pub scheme: String,
-    /// Network size the scheme was built at.
-    pub n: usize,
-    /// Wall-clock milliseconds to build the network (hardware-dependent).
-    pub build_ms: f64,
-    /// Wall-clock milliseconds to publish `n` records (hardware-dependent).
-    pub publish_ms: f64,
-    /// Wall-clock throughput, queries per second (hardware-dependent).
-    pub qps: f64,
-    /// Heap allocations per query, metered over a single-threaded pass by
-    /// the `bench-alloc` counting allocator — `None` (JSON `null`) when
-    /// the feature is off or the allocator is not installed.
-    pub allocs_per_query: Option<f64>,
-    /// Process peak resident set (`VmHWM`, KiB) after this cell — a
-    /// monotone high-water proxy, `None` off Linux.
-    pub peak_rss_kb: Option<u64>,
-    /// The full deterministic metric report for the cell.
-    pub report: DriverReport,
-}
-
-/// A complete baseline run: configuration plus the measured grids.
+/// A complete baseline run: configuration plus the measured rows.
 #[derive(Debug, Clone)]
 pub struct BaselineReport {
-    /// The configuration the grid ran under.
+    /// The configuration the grids ran under.
     pub config: BaselineConfig,
-    /// One row per (scheme, workload) cell.
-    pub rows: Vec<BaselineRow>,
-    /// One row per (single scheme, net model) cell — the uniform workload
-    /// re-priced under every cataloged cost model.
-    pub latency_rows: Vec<LatencyBaselineRow>,
-    /// One row per (dynamic scheme, churn plan) cell — queries under
-    /// epoch-driven membership churn.
-    pub churn_rows: Vec<ChurnBaselineRow>,
-    /// One row per (dynamic scheme, churn plan, replication factor) cell —
-    /// the same churn grid behind the replication layer.
-    pub replication_rows: Vec<ReplicationBaselineRow>,
-    /// One row per (dynamic scheme, hostile spec) cell — frozen membership
-    /// under the hostile-network layer.
-    pub hostile_rows: Vec<HostileBaselineRow>,
-    /// One row per ([`SCALING_SCHEMES`] scheme, network size) cell — the
-    /// scaling curves (build/publish time, qps, allocations, peak RSS).
-    pub scaling_rows: Vec<ScalingRow>,
+    /// Every measured cell, section by section in [`Section::ALL`] order.
+    pub rows: Vec<Row>,
 }
 
-/// Runs the full grid: every registered single-attribute scheme ×
+/// Runs `f` under the baseline's one wall-clock stopwatch and returns its
+/// value with the elapsed seconds — the workspace's sole audited D2
+/// allowance; nothing derived from it feeds back into a simulated metric.
+fn stopwatch<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    #[allow(clippy::disallowed_methods)]
+    let start = std::time::Instant::now(); // detlint: allow(D2) — the baseline's one stopwatch: qps, build_ms, publish_ms
+    let out = f();
+    (out, start.elapsed().as_secs_f64())
+}
+
+/// Drives one batch of `queries` queries under the stopwatch: the report
+/// and its `qps`. Panics if the batch errs — fault-free queries and
+/// cataloged plans never do, and a baseline with silently missing cells
+/// would be worse than no baseline.
+fn timed(
+    queries: usize,
+    batch: impl FnOnce() -> Result<DriverReport, SchemeError>,
+) -> (DriverReport, Machine) {
+    let (report, secs) = stopwatch(batch);
+    let qps = queries as f64 / secs.max(1e-9);
+    (report.expect("baseline cells never error"), Machine { qps, ..Machine::default() })
+}
+
+/// Runs the full artifact: every registered single-attribute scheme ×
 /// [`SINGLE_WORKLOADS`], every multi-attribute scheme ×
-/// [`MULTI_WORKLOADS`] on 2-attribute squares, and every dynamic scheme ×
-/// the [`ChurnPlan`] catalog under epoch-driven churn.
+/// [`MULTI_WORKLOADS`] on 2-attribute squares, then the latency, churn,
+/// replication, hostile and scaling sections (see [`Section`]).
 ///
 /// # Panics
 ///
-/// Panics if a scheme fails to build or a fault-free query errs — a
-/// baseline with silently missing cells would be worse than no baseline.
+/// Panics if a scheme fails to build or a query errs.
 pub fn run(cfg: &BaselineConfig) -> BaselineReport {
     let registry = standard_registry();
-    let domain = (crate::paper::DOMAIN_LO, crate::paper::DOMAIN_HI);
+    let dynamic = dynamic_single_names();
+    // Key columns hold JSON values: names quoted, counts bare.
+    let text = |s: &str| format!("\"{s}\"");
+    // Seeds are the master seed salted by a name: the *base* scheme name
+    // for builds (so every stack over one scheme measures the identical
+    // network and record load), the workload/plan/section for drivers.
+    let salted = |salt: &str| SEED ^ dht_api::fnv1a(salt.as_bytes());
+    let uniform = WorkloadGen::named("uniform", cell::DOMAIN).expect("cataloged");
     let mut rows = Vec::new();
-
-    for name in registry.single_names() {
-        let params =
-            BuildParams::new(cfg.n, domain.0, domain.1).with_object_id_len(cfg.object_id_len);
-        let mut rng = simnet::rng_from_seed(cfg.seed ^ dht_api::fnv1a(name.as_bytes()));
-        let mut scheme = registry.build_single(name, &params, &mut rng).expect("scheme builds");
-        for h in 0..cfg.n as u64 {
-            scheme.publish(rng.gen_range(domain.0..=domain.1), h).expect("publish");
-        }
-        for wl_name in SINGLE_WORKLOADS {
-            let workload = WorkloadGen::named(wl_name, domain).expect("cataloged");
-            let driver = ParallelDriver {
-                queries: cfg.queries,
-                seed: cfg.seed ^ dht_api::fnv1a(wl_name.as_bytes()),
-                threads: cfg.threads,
-                shard_salt: 0,
-                metrics: false,
-            };
-            #[allow(clippy::disallowed_methods)]
-            let start = Instant::now(); // detlint: allow(D2) — qps stopwatch
-            let report = driver.run(scheme.as_ref(), &workload).expect("fault-free queries");
-            let qps = cfg.queries as f64 / start.elapsed().as_secs_f64().max(1e-9);
-            rows.push(BaselineRow {
-                scheme: name.to_string(),
-                shape: "single",
-                workload: wl_name.to_string(),
-                qps,
-                report,
-            });
-        }
-    }
-
-    let domains = [(0.0, 100.0), (0.0, 100.0)];
-    for name in registry.multi_names() {
-        let params = MultiBuildParams::new(cfg.n, &domains).with_object_id_len(cfg.object_id_len);
-        let mut rng = simnet::rng_from_seed(cfg.seed ^ dht_api::fnv1a(name.as_bytes()) ^ 0xd1);
-        let mut scheme = registry.build_multi(name, &params, &mut rng).expect("scheme builds");
-        for h in 0..cfg.n as u64 {
-            let p = [rng.gen_range(0.0..=100.0), rng.gen_range(0.0..=100.0)];
-            scheme.publish_point(&p, h).expect("publish");
-        }
-        for wl_name in MULTI_WORKLOADS {
-            let workload = WorkloadGen::named(wl_name, (0.0, 100.0)).expect("cataloged");
-            let driver = ParallelDriver {
-                queries: cfg.queries,
-                seed: cfg.seed ^ dht_api::fnv1a(wl_name.as_bytes()),
-                threads: cfg.threads,
-                shard_salt: 0,
-                metrics: false,
-            };
-            #[allow(clippy::disallowed_methods)]
-            let start = Instant::now(); // detlint: allow(D2) — qps stopwatch
-            let report =
-                driver.run_multi(scheme.as_ref(), &domains, &workload).expect("fault-free");
-            let qps = cfg.queries as f64 / start.elapsed().as_secs_f64().max(1e-9);
-            rows.push(BaselineRow {
-                scheme: name.to_string(),
-                shape: "rect",
-                workload: wl_name.to_string(),
-                qps,
-                report,
-            });
-        }
-    }
-
-    // Latency section: every single scheme rebuilt under every cataloged
-    // net model from the *same* seed (so hop metrics pair bit-for-bit
-    // across the model axis; the `unit` row reproduces the fault-free
-    // grid's uniform-workload hop numbers exactly).
-    let mut latency_rows = Vec::new();
-    for name in registry.single_names() {
-        for net_name in &cfg.net_models {
-            let net = NetModel::named(net_name).expect("cataloged net model");
-            let params = BuildParams::new(cfg.n, domain.0, domain.1)
-                .with_object_id_len(cfg.object_id_len)
-                .with_net(net);
-            let mut rng = simnet::rng_from_seed(cfg.seed ^ dht_api::fnv1a(name.as_bytes()));
-            let mut scheme = registry.build_single(name, &params, &mut rng).expect("scheme builds");
-            for h in 0..cfg.n as u64 {
-                scheme.publish(rng.gen_range(domain.0..=domain.1), h).expect("publish");
-            }
-            let workload = WorkloadGen::named("uniform", domain).expect("cataloged");
-            let driver = ParallelDriver {
-                queries: cfg.queries,
-                seed: cfg.seed ^ dht_api::fnv1a(b"uniform"),
-                threads: cfg.threads,
-                shard_salt: 0,
-                metrics: false,
-            };
-            #[allow(clippy::disallowed_methods)]
-            let start = Instant::now(); // detlint: allow(D2) — qps stopwatch
-            let report = driver.run(scheme.as_ref(), &workload).expect("fault-free queries");
-            let qps = cfg.queries as f64 / start.elapsed().as_secs_f64().max(1e-9);
-            latency_rows.push(LatencyBaselineRow {
-                scheme: name.to_string(),
-                net: net_name.clone(),
-                qps,
-                report,
-            });
-        }
-    }
-
-    // Churn section: every dynamic scheme under every named plan.
-    let mut churn_rows = Vec::new();
-    let epoch_queries = (cfg.queries / cfg.churn_epochs).max(1);
-    let churn_cell = |name: &str, plan_name: &str, factor: usize| {
-        let policy =
-            if factor <= 1 { ReplicaPolicy::none() } else { ReplicaPolicy::successor(factor) };
-        let params = BuildParams::new(cfg.n, domain.0, domain.1)
-            .with_object_id_len(cfg.object_id_len)
-            .with_replication(policy);
-        let mut rng = simnet::rng_from_seed(cfg.seed ^ dht_api::fnv1a(name.as_bytes()));
-        let mut scheme = registry.build_single(name, &params, &mut rng).expect("scheme builds");
-        for h in 0..cfg.n as u64 {
-            scheme.publish(rng.gen_range(domain.0..=domain.1), h).expect("publish");
-        }
-        let plan = ChurnPlan::named(plan_name).expect("cataloged");
-        let driver = ParallelDriver {
-            queries: epoch_queries,
-            seed: cfg.seed ^ dht_api::fnv1a(plan_name.as_bytes()),
-            threads: cfg.threads,
-            shard_salt: 0,
-            metrics: false,
-        };
-        let policy_name =
-            scheme.as_replicated().map_or_else(|| "none".to_string(), |c| c.policy().name());
-        #[allow(clippy::disallowed_methods)]
-        let start = Instant::now(); // detlint: allow(D2) — qps stopwatch
-        let report = driver
-            .run_epochs(scheme.as_mut(), &churn_workload(domain), &plan, cfg.churn_epochs)
-            .expect("dynamic schemes run every cataloged plan");
-        let total_queries = epoch_queries * cfg.churn_epochs;
-        let qps = total_queries as f64 / start.elapsed().as_secs_f64().max(1e-9);
-        (report, qps, policy_name)
+    let mut push = |section, stack: &str, scheme: &str, keys, machine, report| {
+        let (stack, scheme) = (stack.to_string(), scheme.to_string());
+        rows.push(Row { section, stack, scheme, keys, machine, report });
     };
-    for name in dynamic_single_names() {
-        for plan_name in CHURN_PLAN_NAMES {
-            let (report, qps, _) = churn_cell(&name, plan_name, 1);
-            let final_peers = report.epochs.last().expect("epochs ran").peers;
-            churn_rows.push(ChurnBaselineRow {
-                scheme: name.clone(),
-                plan: plan_name.to_string(),
-                qps,
-                report,
-                final_peers,
+
+    for name in registry.single_names() {
+        let scheme = cell::loaded(&registry, name, cfg.n, cfg.object_id_len, salted(name));
+        for wl_name in SINGLE_WORKLOADS {
+            let workload = WorkloadGen::named(wl_name, cell::DOMAIN).expect("cataloged");
+            let driver = cell::driver(cfg.queries, salted(wl_name), cfg.threads);
+            let (report, machine) = timed(cfg.queries, || driver.run(scheme.as_ref(), &workload));
+            let keys = vec![("shape", text("single")), ("workload", text(wl_name))];
+            push(Section::Grid, name, name, keys, machine, report);
+        }
+    }
+    for name in registry.multi_names() {
+        let seed = salted(name) ^ 0xd1;
+        let scheme = cell::loaded_multi(&registry, name, cfg.n, cfg.object_id_len, seed);
+        for wl_name in MULTI_WORKLOADS {
+            let workload = WorkloadGen::named(wl_name, cell::RECT_DOMAINS[0]).expect("cataloged");
+            let driver = cell::driver(cfg.queries, salted(wl_name), cfg.threads);
+            let (report, machine) = timed(cfg.queries, || {
+                driver.run_multi(scheme.as_ref(), &cell::RECT_DOMAINS, &workload)
             });
+            let keys = vec![("shape", text("rect")), ("workload", text(wl_name))];
+            push(Section::Grid, name, name, keys, machine, report);
         }
     }
 
-    // Replication section: the same grid again, behind the replication
-    // layer at each configured factor (factor 1 rebuilds the unreplicated
-    // scheme and must reproduce the churn section bit for bit — the
-    // cross-check the quick tests pin).
-    let mut replication_rows = Vec::new();
-    for name in dynamic_single_names() {
+    // Latency: every stack `scheme@net` shares its scheme's seed, so hop
+    // metrics pair bit-for-bit across the model axis and the `unit` row
+    // reproduces the grid's uniform-workload hop numbers exactly.
+    for name in registry.single_names() {
+        for net in NET_MODEL_NAMES {
+            let stack = format!("{name}@{net}");
+            let scheme = cell::loaded(&registry, &stack, cfg.n, cfg.object_id_len, salted(name));
+            let driver = cell::driver(cfg.queries, salted("uniform"), cfg.threads);
+            let (report, machine) = timed(cfg.queries, || driver.run(scheme.as_ref(), &uniform));
+            push(Section::Latency, &stack, name, vec![("net", text(net))], machine, report);
+        }
+    }
+
+    // The three epoch-driven sections share one cell body: `queries` split
+    // evenly across [`EPOCHS`] epochs of the uniform workload.
+    let epoch_queries = (cfg.queries / EPOCHS).max(1);
+    let epoch_cell = |stack: &str, base: &str, plan: &ChurnPlan, driver_salt: &str| {
+        let mut scheme = cell::loaded(&registry, stack, cfg.n, cfg.object_id_len, salted(base));
+        let policy =
+            scheme.as_replicated().map_or_else(|| "none".to_string(), |c| c.policy().name());
+        let driver = cell::driver(epoch_queries, salted(driver_salt), cfg.threads);
+        let (report, machine) = timed(epoch_queries * EPOCHS, || {
+            driver.run_epochs(scheme.as_mut(), &uniform, plan, EPOCHS)
+        });
+        (report, machine, policy)
+    };
+    for name in &dynamic {
         for plan_name in CHURN_PLAN_NAMES {
-            for &factor in &cfg.replication_factors {
-                let (report, qps, policy) = churn_cell(&name, plan_name, factor);
-                let repair_placed = report.epochs.iter().map(|e| e.repair.placed).sum();
-                let repair_messages = report.epochs.iter().map(|e| e.repair.messages).sum();
-                let final_peers = report.epochs.last().expect("epochs ran").peers;
-                replication_rows.push(ReplicationBaselineRow {
-                    scheme: name.clone(),
-                    plan: plan_name.to_string(),
-                    factor,
-                    policy,
-                    qps,
-                    report,
-                    repair_placed,
-                    repair_messages,
-                    final_peers,
-                });
+            let plan = ChurnPlan::named(plan_name).expect("cataloged");
+            let (report, machine, _) = epoch_cell(name, name, &plan, plan_name);
+            push(Section::Churn, name, name, vec![("plan", text(plan_name))], machine, report);
+        }
+    }
+    // Replication: the churn grid again as `scheme+r{factor}` (`+r1` is the
+    // unreplicated scheme and must reproduce the churn section bit for bit
+    // — the cross-check the quick tests pin).
+    for name in &dynamic {
+        for plan_name in CHURN_PLAN_NAMES {
+            let plan = ChurnPlan::named(plan_name).expect("cataloged");
+            for factor in REPLICATION_FACTORS {
+                let stack = format!("{name}+r{factor}");
+                let (report, machine, policy) = epoch_cell(&stack, name, &plan, plan_name);
+                let keys = vec![
+                    ("plan", text(plan_name)),
+                    ("factor", factor.to_string()),
+                    ("policy", text(&policy)),
+                ];
+                push(Section::Replication, &stack, name, keys, machine, report);
             }
         }
     }
-
-    // Hostile section: every dynamic scheme under every configured
-    // hostile spec, epoch-driven with a frozen membership (rate-0 plan) so
-    // partition specs traverse their open/heal schedule while loss and
-    // rate-limit specs simply answer every epoch under fire. The build
-    // RNG is seeded by the *base* name — the same network the churn
-    // section measures, so recall deltas are attributable to the faults.
-    let mut hostile_rows = Vec::new();
+    // Hostile: frozen membership (rate-0 plan), so partition specs traverse
+    // their open/heal schedule while loss and rate-limit specs answer every
+    // epoch under fire. One driver seed for the whole section: every spec
+    // answers the *same* queries, so recall/message deltas across specs
+    // (the retry premium, the partition dip) are attributable to the faults.
     let frozen = ChurnPlan::named("steady-churn").expect("cataloged").with_rate(0);
-    for name in dynamic_single_names() {
-        for spec in &cfg.hostile_specs {
-            let full = format!("{name}@{spec}");
-            let params =
-                BuildParams::new(cfg.n, domain.0, domain.1).with_object_id_len(cfg.object_id_len);
-            let mut rng = simnet::rng_from_seed(cfg.seed ^ dht_api::fnv1a(name.as_bytes()));
-            let mut scheme =
-                registry.build_single(&full, &params, &mut rng).expect("scheme builds");
-            for h in 0..cfg.n as u64 {
-                scheme.publish(rng.gen_range(domain.0..=domain.1), h).expect("publish");
-            }
-            // One driver seed for the whole section: every spec answers
-            // the *same* queries, so recall/message deltas across specs
-            // (the retry premium, the partition dip) are attributable to
-            // the faults alone.
-            let driver = ParallelDriver {
-                queries: epoch_queries,
-                seed: cfg.seed ^ dht_api::fnv1a(b"hostile"),
-                threads: cfg.threads,
-                shard_salt: 0,
-                metrics: false,
-            };
-            #[allow(clippy::disallowed_methods)]
-            let start = Instant::now(); // detlint: allow(D2) — qps stopwatch
-            let report = driver
-                .run_epochs(scheme.as_mut(), &churn_workload(domain), &frozen, cfg.churn_epochs)
-                .expect("hostile queries degrade, never error");
-            let total_queries = epoch_queries * cfg.churn_epochs;
-            let qps = total_queries as f64 / start.elapsed().as_secs_f64().max(1e-9);
-            hostile_rows.push(HostileBaselineRow {
-                scheme: name.clone(),
-                spec: spec.clone(),
-                qps,
-                report,
-            });
+    for name in &dynamic {
+        for spec in HOSTILE_SPECS {
+            let stack = format!("{name}@{spec}");
+            let (report, machine, _) = epoch_cell(&stack, name, &frozen, "hostile");
+            push(Section::Hostile, &stack, name, vec![("spec", text(spec))], machine, report);
         }
     }
 
-    // Scaling section: the representative scheme set rebuilt at each
-    // configured network size, with the machine-facing columns (wall
-    // time, allocations, peak RSS) next to the usual simulated metrics.
-    // Cells use the paper's ObjectID length and a fixed query count even
-    // under --quick, so a (scheme, n) cell is comparable across runs.
-    let mut scaling_rows = Vec::new();
+    // Scaling: the representative scheme set rebuilt at each size, build
+    // and load timed apart. Cells use the paper's ObjectID length and a
+    // fixed query count even under --quick, so a (scheme, n) cell is
+    // comparable across runs.
     for &n in &cfg.scaling_ns {
         for name in SCALING_SCHEMES {
-            let params = BuildParams::new(n, domain.0, domain.1)
-                .with_object_id_len(crate::paper::OBJECT_ID_LEN);
-            let mut rng =
-                simnet::rng_from_seed(cfg.seed ^ dht_api::fnv1a(name.as_bytes()) ^ n as u64);
-            #[allow(clippy::disallowed_methods)]
-            let start = Instant::now(); // detlint: allow(D2) — build stopwatch
-            let mut scheme = registry.build_single(name, &params, &mut rng).expect("scheme builds");
-            let build_ms = start.elapsed().as_secs_f64() * 1e3;
-            #[allow(clippy::disallowed_methods)]
-            let start = Instant::now(); // detlint: allow(D2) — publish stopwatch
-            for h in 0..n as u64 {
-                scheme.publish(rng.gen_range(domain.0..=domain.1), h).expect("publish");
-            }
-            let publish_ms = start.elapsed().as_secs_f64() * 1e3;
-            let workload = WorkloadGen::named("uniform", domain).expect("cataloged");
-            let driver = ParallelDriver {
-                queries: SCALING_QUERIES,
-                seed: cfg.seed ^ dht_api::fnv1a(b"scaling"),
-                threads: cfg.threads,
-                shard_salt: 0,
-                metrics: false,
-            };
-            #[allow(clippy::disallowed_methods)]
-            let start = Instant::now(); // detlint: allow(D2) — qps stopwatch
-            let report = driver.run(scheme.as_ref(), &workload).expect("fault-free queries");
-            let qps = SCALING_QUERIES as f64 / start.elapsed().as_secs_f64().max(1e-9);
+            let seed = salted(name) ^ n as u64;
+            let (built, build_secs) =
+                stopwatch(|| cell::build(&registry, name, n, paper::OBJECT_ID_LEN, seed));
+            let (scheme, publish_secs) = stopwatch(|| built.and_then(cell::Built::load));
+            let scheme = scheme.unwrap_or_else(|e| panic!("scaling cell {name} (N = {n}): {e}"));
+            let driver = cell::driver(SCALING_QUERIES, salted("scaling"), cfg.threads);
+            let (report, machine) =
+                timed(SCALING_QUERIES, || driver.run(scheme.as_ref(), &uniform));
             // The allocation probe re-runs the same cell on one thread:
             // the counter is process-wide, so the single-threaded pass is
             // the only one whose delta is attributable to the queries.
-            let single = ParallelDriver { threads: 1, ..driver };
-            let allocs_per_query = metered_allocs(|| {
-                driver_must_run(&single, scheme.as_ref(), &workload);
-            })
-            .map(|allocs| allocs as f64 / SCALING_QUERIES as f64);
-            scaling_rows.push(ScalingRow {
-                scheme: name.to_string(),
-                n,
-                build_ms,
-                publish_ms,
-                qps,
-                allocs_per_query,
-                peak_rss_kb: peak_rss_kb(),
-                report,
+            let allocs = metered_allocs(|| {
+                driver.with_threads(1).run(scheme.as_ref(), &uniform).expect("fault-free queries");
             });
+            let machine = Machine {
+                build_ms: build_secs * 1e3,
+                publish_ms: publish_secs * 1e3,
+                allocs_per_query: allocs.map(|a| a as f64 / SCALING_QUERIES as f64),
+                peak_rss_kb: peak_rss_kb(),
+                ..machine
+            };
+            push(Section::Scaling, name, name, vec![("n", n.to_string())], machine, report);
         }
     }
 
-    BaselineReport {
-        config: cfg.clone(),
-        rows,
-        latency_rows,
-        churn_rows,
-        replication_rows,
-        hostile_rows,
-        scaling_rows,
-    }
-}
-
-/// Runs a driver pass for its allocator side effects alone (the metered
-/// closure must return `()`; the report is the qps pass's job).
-fn driver_must_run(driver: &ParallelDriver, scheme: &dyn dht_api::RangeScheme, wl: &WorkloadGen) {
-    driver.run(scheme, wl).expect("fault-free queries");
+    BaselineReport { config: cfg.clone(), rows }
 }
 
 /// Allocation count across `f`, when the `bench-alloc` counting allocator
 /// is compiled in *and* installed as the global allocator; `None` (JSON
 /// `null`) otherwise. `f` still runs either way, so row shapes do not
 /// depend on the feature.
-#[cfg(feature = "bench-alloc")]
 fn metered_allocs(f: impl FnOnce()) -> Option<u64> {
-    if !counting_alloc::is_installed() {
+    #[cfg(feature = "bench-alloc")]
+    if counting_alloc::is_installed() {
+        let before = counting_alloc::allocation_count();
         f();
-        return None;
+        return Some(counting_alloc::allocation_count() - before);
     }
-    let before = counting_alloc::allocation_count();
-    f();
-    Some(counting_alloc::allocation_count() - before)
-}
-
-/// Without the `bench-alloc` feature there is no counter: run `f` and
-/// report `None`.
-#[cfg(not(feature = "bench-alloc"))]
-fn metered_allocs(f: impl FnOnce()) -> Option<u64> {
     f();
     None
 }
@@ -630,141 +363,51 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// The workload the churn section drives (the paper's uniform mix keeps
-/// the section comparable with Table 1's fault-free numbers).
-fn churn_workload(domain: (f64, f64)) -> WorkloadGen {
-    WorkloadGen::named("uniform", domain).expect("cataloged")
-}
-
 impl BaselineReport {
-    /// Renders the grid as a printable [`Table`].
+    /// The rows of one section, in measurement order.
+    pub fn section(&self, section: Section) -> impl Iterator<Item = &Row> {
+        self.rows.iter().filter(move |r| r.section == section)
+    }
+
+    /// Renders every row as a printable [`Table`]: stack, section label,
+    /// the axis the section sweeps, `qps`, and the seven headline metrics.
     pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            format!(
-                "Bench baseline — N = {}, {} queries/cell, {} threads",
-                self.config.n, self.config.queries, self.config.threads
-            ),
-            &[
-                "scheme",
-                "shape",
-                "workload",
-                "qps",
-                "delay_mean",
-                "delay_p95",
-                "delay_p99",
-                "latency_mean",
-                "msgs/query",
-                "mesg_ratio",
-                "exact",
-            ],
+        let title = format!(
+            "Bench baseline — N = {}, {} queries/cell, {} threads",
+            self.config.n, self.config.queries, self.config.threads
         );
-        for r in &self.rows {
-            t.push_row(vec![
-                r.scheme.clone(),
-                r.shape.to_string(),
-                r.workload.clone(),
-                format!("{:.0}", r.qps),
-                format!("{:.2}", r.report.delay.mean),
-                format!("{:.1}", r.report.delay.p95),
-                format!("{:.1}", r.report.delay.p99),
-                format!("{:.2}", r.report.latency.mean),
-                format!("{:.1}", r.report.messages.mean),
-                format!("{:.2}", r.report.mesg_ratio.mean),
-                format!("{:.2}", r.report.exact_rate),
-            ]);
-        }
-        for r in &self.latency_rows {
-            t.push_row(vec![
-                format!("{}@{}", r.scheme, r.net),
-                "latency".to_string(),
-                "uniform".to_string(),
-                format!("{:.0}", r.qps),
-                format!("{:.2}", r.report.delay.mean),
-                format!("{:.1}", r.report.delay.p95),
-                format!("{:.1}", r.report.delay.p99),
-                format!("{:.2}", r.report.latency.mean),
-                format!("{:.1}", r.report.messages.mean),
-                format!("{:.2}", r.report.mesg_ratio.mean),
-                format!("{:.2}", r.report.exact_rate),
-            ]);
-        }
-        for r in &self.churn_rows {
-            t.push_row(vec![
-                r.scheme.clone(),
-                "churn".to_string(),
-                r.plan.clone(),
-                format!("{:.0}", r.qps),
-                format!("{:.2}", r.report.delay.mean),
-                format!("{:.1}", r.report.delay.p95),
-                format!("{:.1}", r.report.delay.p99),
-                format!("{:.2}", r.report.latency.mean),
-                format!("{:.1}", r.report.messages.mean),
-                format!("{:.2}", r.report.mesg_ratio.mean),
-                format!("{:.2}", r.report.exact_rate),
-            ]);
-        }
-        for r in &self.replication_rows {
-            t.push_row(vec![
-                format!("{}+r{}", r.scheme, r.factor),
-                "replication".to_string(),
-                r.plan.clone(),
-                format!("{:.0}", r.qps),
-                format!("{:.2}", r.report.delay.mean),
-                format!("{:.1}", r.report.delay.p95),
-                format!("{:.1}", r.report.delay.p99),
-                format!("{:.2}", r.report.latency.mean),
-                format!("{:.1}", r.report.messages.mean),
-                format!("{:.2}", r.report.mesg_ratio.mean),
-                format!("{:.2}", r.report.exact_rate),
-            ]);
-        }
-        for r in &self.hostile_rows {
-            t.push_row(vec![
-                format!("{}@{}", r.scheme, r.spec),
-                "hostile".to_string(),
-                "uniform".to_string(),
-                format!("{:.0}", r.qps),
-                format!("{:.2}", r.report.delay.mean),
-                format!("{:.1}", r.report.delay.p95),
-                format!("{:.1}", r.report.delay.p99),
-                format!("{:.2}", r.report.latency.mean),
-                format!("{:.1}", r.report.messages.mean),
-                format!("{:.2}", r.report.mesg_ratio.mean),
-                format!("{:.2}", r.report.exact_rate),
-            ]);
-        }
-        for r in &self.scaling_rows {
-            t.push_row(vec![
-                r.scheme.clone(),
-                "scaling".to_string(),
-                format!("n={}", r.n),
-                format!("{:.0}", r.qps),
-                format!("{:.2}", r.report.delay.mean),
-                format!("{:.1}", r.report.delay.p95),
-                format!("{:.1}", r.report.delay.p99),
-                format!("{:.2}", r.report.latency.mean),
-                format!("{:.1}", r.report.messages.mean),
-                format!("{:.2}", r.report.mesg_ratio.mean),
-                format!("{:.2}", r.report.exact_rate),
-            ]);
-        }
-        t
+        let columns: [Column<Row>; 11] = [
+            ("scheme", |r| r.stack.clone()),
+            ("shape", |r| r.label_and_axis().0),
+            ("workload", |r| r.label_and_axis().1),
+            ("qps", |r| format!("{:.0}", r.machine.qps)),
+            ("delay_mean", |r| format!("{:.2}", r.report.delay.mean)),
+            ("delay_p95", |r| format!("{:.1}", r.report.delay.p95)),
+            ("delay_p99", |r| format!("{:.1}", r.report.delay.p99)),
+            ("latency_mean", |r| format!("{:.2}", r.report.latency.mean)),
+            ("msgs/query", |r| format!("{:.1}", r.report.messages.mean)),
+            ("mesg_ratio", |r| format!("{:.2}", r.report.mesg_ratio.mean)),
+            ("exact", |r| format!("{:.2}", r.report.exact_rate)),
+        ];
+        Table::of(title, &columns, &self.rows)
     }
 
     /// Serializes the report as pretty-printed JSON (hand-rolled — the
-    /// build environment has no serde).
+    /// build environment has no serde): the schema tag, the configuration,
+    /// then one array of row objects per [`Section`].
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         let c = &self.config;
         // `threads` is deliberately omitted: it provably cannot affect any
         // simulated metric (see tests/parallel_determinism.rs) and is
-        // machine-local. The per-row `qps` field is the one remaining
-        // machine-dependent value — filter it out when diffing regenerated
-        // baselines (everything else is a pure function of the seed).
-        let factors: Vec<String> = c.replication_factors.iter().map(usize::to_string).collect();
-        let nets: Vec<String> = c.net_models.iter().map(|m| format!("\"{m}\"")).collect();
-        let hostile: Vec<String> = c.hostile_specs.iter().map(|m| format!("\"{m}\"")).collect();
-        let scaling_ns: Vec<String> = c.scaling_ns.iter().map(usize::to_string).collect();
+        // machine-local. The [`Machine`] columns are the remaining
+        // machine-dependent values — [`blank_machine_columns`] filters them
+        // out when diffing regenerated baselines (everything else is a pure
+        // function of the seed).
+        let quoted = |names: &[&str]| {
+            names.iter().map(|m| format!("\"{m}\"")).collect::<Vec<_>>().join(", ")
+        };
+        let counts = |ns: &[usize]| ns.iter().map(usize::to_string).collect::<Vec<_>>().join(", ");
         let _ = writeln!(s, "{{");
         let _ = writeln!(s, "  \"schema\": \"{SCHEMA_VERSION}\",");
         let _ = writeln!(
@@ -774,360 +417,169 @@ impl BaselineReport {
              \"hostile_specs\": [{}], \"scaling_ns\": [{}] }},",
             c.n,
             c.queries,
-            c.seed,
+            SEED,
             c.object_id_len,
-            c.churn_epochs,
-            factors.join(", "),
-            nets.join(", "),
-            hostile.join(", "),
-            scaling_ns.join(", ")
+            EPOCHS,
+            counts(&REPLICATION_FACTORS),
+            quoted(&NET_MODEL_NAMES),
+            quoted(&HOSTILE_SPECS),
+            counts(&c.scaling_ns)
         );
-        let _ = writeln!(s, "  \"results\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 < self.rows.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{ \"scheme\": \"{}\", \"shape\": \"{}\", \"workload\": \"{}\", \
-                 \"qps\": {}, \"delay_mean\": {}, \"delay_p50\": {}, \"delay_p95\": {}, \
-                 \"delay_p99\": {}, \"delay_max\": {}, \"latency_mean\": {}, \
-                 \"messages_mean\": {}, \"messages_p99\": {}, \
-                 \"dest_peers_mean\": {}, \"mesg_ratio_mean\": {}, \"incre_ratio_mean\": {}, \
-                 \"exact_rate\": {}, \"results_returned\": {} }}{comma}",
-                r.scheme,
-                r.shape,
-                r.workload,
-                json_f64(r.qps),
-                json_f64(r.report.delay.mean),
-                json_f64(r.report.delay.p50),
-                json_f64(r.report.delay.p95),
-                json_f64(r.report.delay.p99),
-                json_f64(r.report.delay.max),
-                json_f64(r.report.latency.mean),
-                json_f64(r.report.messages.mean),
-                json_f64(r.report.messages.p99),
-                json_f64(r.report.dest_peers.mean),
-                json_f64(r.report.mesg_ratio.mean),
-                json_f64(r.report.incre_ratio.mean),
-                json_f64(r.report.exact_rate),
-                r.report.results_returned,
-            );
+        for section in Section::ALL {
+            let rows: Vec<String> = self.section(section).map(Row::to_json).collect();
+            let _ = writeln!(s, "  \"{}\": [", section.name());
+            for (i, row) in rows.iter().enumerate() {
+                let comma = if i + 1 < rows.len() { "," } else { "" };
+                let _ = writeln!(s, "    {row}{comma}");
+            }
+            let _ = writeln!(s, "  ]{}", if section == Section::Scaling { "" } else { "," });
         }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"latency\": [");
-        for (i, r) in self.latency_rows.iter().enumerate() {
-            let comma = if i + 1 < self.latency_rows.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{ \"scheme\": \"{}\", \"net\": \"{}\", \"qps\": {}, \
-                 \"delay_mean\": {}, \"delay_p50\": {}, \"delay_p95\": {}, \"delay_p99\": {}, \
-                 \"latency_mean\": {}, \"latency_p50\": {}, \"latency_p95\": {}, \
-                 \"latency_p99\": {}, \"latency_max\": {}, \"messages_mean\": {}, \
-                 \"exact_rate\": {}, \"results_returned\": {} }}{comma}",
-                r.scheme,
-                r.net,
-                json_f64(r.qps),
-                json_f64(r.report.delay.mean),
-                json_f64(r.report.delay.p50),
-                json_f64(r.report.delay.p95),
-                json_f64(r.report.delay.p99),
-                json_f64(r.report.latency.mean),
-                json_f64(r.report.latency.p50),
-                json_f64(r.report.latency.p95),
-                json_f64(r.report.latency.p99),
-                json_f64(r.report.latency.max),
-                json_f64(r.report.messages.mean),
-                json_f64(r.report.exact_rate),
-                r.report.results_returned,
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"churn\": [");
-        for (i, r) in self.churn_rows.iter().enumerate() {
-            let comma = if i + 1 < self.churn_rows.len() { "," } else { "" };
-            let epochs: Vec<String> = r.report.epochs.iter().map(epoch_json).collect();
-            let _ = writeln!(
-                s,
-                "    {{ \"scheme\": \"{}\", \"plan\": \"{}\", \"qps\": {}, \
-                 \"delay_mean\": {}, \"delay_p95\": {}, \"delay_p99\": {}, \
-                 \"latency_mean\": {}, \"messages_mean\": {}, \
-                 \"mesg_ratio_mean\": {}, \"recall_mean\": {}, \"exact_rate\": {}, \
-                 \"results_returned\": {}, \"final_peers\": {}, \"epochs\": [{}] }}{comma}",
-                r.scheme,
-                r.plan,
-                json_f64(r.qps),
-                json_f64(r.report.delay.mean),
-                json_f64(r.report.delay.p95),
-                json_f64(r.report.delay.p99),
-                json_f64(r.report.latency.mean),
-                json_f64(r.report.messages.mean),
-                json_f64(r.report.mesg_ratio.mean),
-                json_f64(r.report.recall.mean),
-                json_f64(r.report.exact_rate),
-                r.report.results_returned,
-                r.final_peers,
-                epochs.join(", "),
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"replication\": [");
-        for (i, r) in self.replication_rows.iter().enumerate() {
-            let comma = if i + 1 < self.replication_rows.len() { "," } else { "" };
-            let epochs: Vec<String> = r.report.epochs.iter().map(epoch_json).collect();
-            let _ = writeln!(
-                s,
-                "    {{ \"scheme\": \"{}\", \"plan\": \"{}\", \"factor\": {}, \
-                 \"policy\": \"{}\", \"qps\": {}, \"delay_mean\": {}, \"delay_p95\": {}, \
-                 \"delay_p99\": {}, \"latency_mean\": {}, \
-                 \"messages_mean\": {}, \"mesg_ratio_mean\": {}, \"recall_mean\": {}, \
-                 \"exact_rate\": {}, \"results_returned\": {}, \"repair_placed\": {}, \
-                 \"repair_messages\": {}, \"final_peers\": {}, \"epochs\": [{}] }}{comma}",
-                r.scheme,
-                r.plan,
-                r.factor,
-                r.policy,
-                json_f64(r.qps),
-                json_f64(r.report.delay.mean),
-                json_f64(r.report.delay.p95),
-                json_f64(r.report.delay.p99),
-                json_f64(r.report.latency.mean),
-                json_f64(r.report.messages.mean),
-                json_f64(r.report.mesg_ratio.mean),
-                json_f64(r.report.recall.mean),
-                json_f64(r.report.exact_rate),
-                r.report.results_returned,
-                r.repair_placed,
-                r.repair_messages,
-                r.final_peers,
-                epochs.join(", "),
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"hostile\": [");
-        for (i, r) in self.hostile_rows.iter().enumerate() {
-            let comma = if i + 1 < self.hostile_rows.len() { "," } else { "" };
-            let epochs: Vec<String> = r.report.epochs.iter().map(epoch_json).collect();
-            let _ = writeln!(
-                s,
-                "    {{ \"scheme\": \"{}\", \"spec\": \"{}\", \"qps\": {}, \
-                 \"delay_mean\": {}, \"delay_p95\": {}, \"delay_p99\": {}, \
-                 \"latency_mean\": {}, \"messages_mean\": {}, \
-                 \"mesg_ratio_mean\": {}, \"recall_mean\": {}, \"exact_rate\": {}, \
-                 \"results_returned\": {}, \"epochs\": [{}] }}{comma}",
-                r.scheme,
-                r.spec,
-                json_f64(r.qps),
-                json_f64(r.report.delay.mean),
-                json_f64(r.report.delay.p95),
-                json_f64(r.report.delay.p99),
-                json_f64(r.report.latency.mean),
-                json_f64(r.report.messages.mean),
-                json_f64(r.report.mesg_ratio.mean),
-                json_f64(r.report.recall.mean),
-                json_f64(r.report.exact_rate),
-                r.report.results_returned,
-                epochs.join(", "),
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"scaling\": [");
-        for (i, r) in self.scaling_rows.iter().enumerate() {
-            let comma = if i + 1 < self.scaling_rows.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{ \"scheme\": \"{}\", \"n\": {}, \"build_ms\": {}, \"publish_ms\": {}, \
-                 \"qps\": {}, \"allocs_per_query\": {}, \"peak_rss_kb\": {}, \
-                 \"delay_mean\": {}, \"delay_p99\": {}, \"messages_mean\": {}, \
-                 \"mesg_ratio_mean\": {}, \"exact_rate\": {}, \"results_returned\": {} }}{comma}",
-                r.scheme,
-                r.n,
-                json_f64(r.build_ms),
-                json_f64(r.publish_ms),
-                json_f64(r.qps),
-                r.allocs_per_query.map_or_else(|| "null".to_string(), json_f64),
-                r.peak_rss_kb.map_or_else(|| "null".to_string(), |kb| kb.to_string()),
-                json_f64(r.report.delay.mean),
-                json_f64(r.report.delay.p99),
-                json_f64(r.report.messages.mean),
-                json_f64(r.report.mesg_ratio.mean),
-                json_f64(r.report.exact_rate),
-                r.report.results_returned,
-            );
-        }
-        let _ = writeln!(s, "  ]");
         let _ = writeln!(s, "}}");
         s
     }
 
-    /// Writes the JSON to [`baseline_path`] and returns the path.
+    /// Compares this run with a `committed` baseline on every simulated
+    /// value: both JSON texts, byte for byte, after
+    /// [`blank_machine_columns`]. Subsumes a schema-tag check — the tag is
+    /// one of the compared lines.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
-    pub fn write_json(&self) -> std::io::Result<PathBuf> {
-        self.write_json_to(baseline_path())
-    }
-
-    /// Writes the JSON to an explicit path (quick/smoke runs use this to
-    /// avoid clobbering the committed full-scale baseline).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_json_to(&self, path: PathBuf) -> std::io::Result<PathBuf> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
+    /// The first differing line of the two artifacts.
+    pub fn check_simulated(&self, committed: &str) -> Result<(), String> {
+        let ours = blank_machine_columns(&self.to_json());
+        let theirs = blank_machine_columns(committed);
+        let (mut a, mut b) = (ours.lines(), theirs.lines());
+        for line in 1.. {
+            match (a.next(), b.next()) {
+                (None, None) => break,
+                (ours, theirs) if ours == theirs => {}
+                (ours, theirs) => {
+                    let show = |l: Option<&str>| l.unwrap_or("<end of file>").to_string();
+                    return Err(format!(
+                        "simulated columns differ from the committed baseline at line {line}:\n  \
+                         this tree: {}\n  committed: {}",
+                        show(ours),
+                        show(theirs)
+                    ));
+                }
+            }
         }
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-}
-
-/// Renders one epoch of an epoch-driven report (shared by the churn and
-/// replication sections; unreplicated rows report all-zero repair).
-fn epoch_json(e: &EpochSummary) -> String {
-    format!(
-        "{{ \"epoch\": {}, \"peers\": {}, \"events\": {}, \"delay_mean\": {}, \
-         \"latency_mean\": {}, \"exact_rate\": {}, \"recall_mean\": {}, \"results\": {}, \
-         \"repair_placed\": {}, \"repair_messages\": {} }}",
-        e.epoch,
-        e.peers,
-        e.churn.events(),
-        json_f64(e.delay_mean),
-        json_f64(e.latency_mean),
-        json_f64(e.exact_rate),
-        json_f64(e.recall_mean),
-        e.results_returned,
-        e.repair.placed,
-        e.repair.messages,
-    )
-}
-
-/// JSON-safe float rendering (JSON has no NaN/∞; neither should a
-/// baseline, but a corrupt artifact must never be written).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.4}")
-    } else {
-        "null".to_string()
+        Ok(())
     }
 }
 
 /// Where the committed baseline lives: `BENCH_baseline.json` at the
 /// workspace root.
 pub fn baseline_path() -> PathBuf {
-    let base = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| PathBuf::from(d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."));
-    base.join("BENCH_baseline.json")
+    crate::output::workspace_root().join("BENCH_baseline.json")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht_api::{ChurnStats, EpochSummary, ReplicaRepair};
+    use simnet::Summary;
+
+    fn cell_of<'a>(report: &'a BaselineReport, section: Section, stack: &str) -> Vec<&'a Row> {
+        report.section(section).filter(|r| r.stack == stack).collect()
+    }
 
     #[test]
     fn quick_grid_covers_every_scheme_workload_churn_plan_and_factor() {
         let report = run(&BaselineConfig::quick());
         // Coverage counts come from the registry, not hand-kept lists.
         let registry = standard_registry();
-        let singles: Vec<_> = report.rows.iter().filter(|r| r.shape == "single").collect();
-        let rects: Vec<_> = report.rows.iter().filter(|r| r.shape == "rect").collect();
-        assert_eq!(singles.len(), registry.single_names().len() * SINGLE_WORKLOADS.len());
-        assert_eq!(rects.len(), registry.multi_names().len() * MULTI_WORKLOADS.len());
-        for r in &report.rows {
-            assert!(r.qps > 0.0, "{}/{} qps", r.scheme, r.workload);
+        let grid: Vec<&Row> = report.section(Section::Grid).collect();
+        let singles = grid.iter().filter(|r| r.key("shape") == "single").count();
+        assert_eq!(singles, registry.single_names().len() * SINGLE_WORKLOADS.len());
+        assert_eq!(grid.len() - singles, registry.multi_names().len() * MULTI_WORKLOADS.len());
+        for r in &grid {
+            assert!(r.machine.qps > 0.0, "{}/{} qps", r.stack, r.key("workload"));
             assert_eq!(r.report.queries, report.config.queries);
-            assert_eq!(r.report.exact_rate, 1.0, "{}/{} inexact", r.scheme, r.workload);
+            assert_eq!(r.report.exact_rate, 1.0, "{}/{} inexact", r.stack, r.key("workload"));
         }
         // Latency section: every single scheme × every cataloged net
         // model, with model-invariant hop metrics and a unit row that
         // reproduces the fault-free grid's uniform cell exactly.
-        assert_eq!(
-            report.latency_rows.len(),
-            registry.single_names().len() * report.config.net_models.len()
-        );
-        for r in &report.latency_rows {
-            assert_eq!(r.report.exact_rate, 1.0, "{}@{} inexact", r.scheme, r.net);
-            let unit = report
-                .latency_rows
-                .iter()
-                .find(|u| u.net == "unit" && u.scheme == r.scheme)
-                .expect("unit row exists");
-            assert_eq!(r.report.delay, unit.report.delay, "{}@{} hop drift", r.scheme, r.net);
+        let latency: Vec<&Row> = report.section(Section::Latency).collect();
+        assert_eq!(latency.len(), registry.single_names().len() * NET_MODEL_NAMES.len());
+        for r in &latency {
+            assert_eq!(r.report.exact_rate, 1.0, "{} inexact", r.stack);
+            assert_eq!(r.stack, format!("{}@{}", r.scheme, r.key("net")));
+            let unit = cell_of(&report, Section::Latency, &format!("{}@unit", r.scheme))[0];
+            assert_eq!(r.report.delay, unit.report.delay, "{} hop drift", r.stack);
             assert_eq!(r.report.messages, unit.report.messages);
             assert_eq!(r.report.results_returned, unit.report.results_returned);
-            if r.net == "unit" {
+            match r.key("net") {
                 // The unit row is the cross-check against the fault-free
                 // grid's uniform cell: same build seed, same driver seed.
-                let grid = report
-                    .rows
-                    .iter()
-                    .find(|g| {
-                        g.shape == "single" && g.scheme == r.scheme && g.workload == "uniform"
-                    })
-                    .expect("uniform grid cell exists");
-                assert_eq!(r.report.delay, grid.report.delay, "{} unit != grid", r.scheme);
-                assert_eq!(r.report.latency, grid.report.latency);
-            } else if r.net == "wan" {
-                assert!(
+                "unit" => {
+                    let cell = grid
+                        .iter()
+                        .find(|g| g.stack == r.scheme && g.key("workload") == "uniform")
+                        .expect("uniform grid cell exists");
+                    assert_eq!(r.report.delay, cell.report.delay, "{} unit != grid", r.scheme);
+                    assert_eq!(r.report.latency, cell.report.latency);
+                }
+                "wan" => assert!(
                     r.report.latency.mean >= 30.0 * unit.report.latency.mean,
-                    "{}@wan latency too cheap",
-                    r.scheme
-                );
+                    "{} latency too cheap",
+                    r.stack
+                ),
+                _ => {}
             }
         }
         // Churn section: every dynamic scheme × every cataloged plan.
         let dynamic = dynamic_single_names();
-        assert_eq!(report.churn_rows.len(), dynamic.len() * CHURN_PLAN_NAMES.len());
-        for r in &report.churn_rows {
-            assert!(r.qps > 0.0, "{}/{} qps", r.scheme, r.plan);
-            assert_eq!(r.report.epochs.len(), report.config.churn_epochs);
-            assert!(r.final_peers > 0);
+        let churn: Vec<&Row> = report.section(Section::Churn).collect();
+        assert_eq!(churn.len(), dynamic.len() * CHURN_PLAN_NAMES.len());
+        for r in &churn {
+            assert!(r.machine.qps > 0.0, "{}/{} qps", r.stack, r.key("plan"));
+            assert_eq!(r.report.epochs.len(), EPOCHS);
+            assert!(r.report.epochs.last().unwrap().peers > 0);
             // Epoch 0 always queries the as-built, fully-exact network.
-            assert_eq!(r.report.epochs[0].exact_rate, 1.0, "{}/{}", r.scheme, r.plan);
+            assert_eq!(r.report.epochs[0].exact_rate, 1.0, "{}/{}", r.stack, r.key("plan"));
         }
-        // Replication section: the churn grid × every configured factor.
-        let factors = &report.config.replication_factors;
-        assert_eq!(
-            report.replication_rows.len(),
-            dynamic.len() * CHURN_PLAN_NAMES.len() * factors.len()
-        );
-        for r in &report.replication_rows {
-            assert_eq!(r.report.epochs.len(), report.config.churn_epochs);
-            if r.factor <= 1 {
-                assert_eq!(r.policy, "none");
-                assert_eq!(r.repair_placed, 0, "{}/{} unreplicated repair", r.scheme, r.plan);
-            } else {
-                assert_eq!(r.policy, format!("successor-{}", r.factor));
+        // Replication section: the churn grid × every factor.
+        let replication: Vec<&Row> = report.section(Section::Replication).collect();
+        assert_eq!(replication.len(), churn.len() * REPLICATION_FACTORS.len());
+        let placed = |r: &Row| r.report.epochs.iter().map(|e| e.repair.placed).sum::<usize>();
+        for r in &replication {
+            assert_eq!(r.report.epochs.len(), EPOCHS);
+            match r.key("factor") {
+                "1" => {
+                    assert_eq!(r.key("policy"), "none");
+                    assert_eq!(placed(r), 0, "{}/{} unreplicated repair", r.stack, r.key("plan"));
+                }
+                factor => assert_eq!(r.key("policy"), format!("successor-{factor}")),
             }
         }
-        // Factor-1 rows rebuild the unreplicated scheme from the same seed
+        // `+r1` rows rebuild the unreplicated scheme from the same seed
         // and must reproduce the churn section exactly.
-        for c in &report.churn_rows {
-            let r1 = report
-                .replication_rows
+        for c in &churn {
+            let r1 = replication
                 .iter()
-                .find(|r| r.factor == 1 && r.scheme == c.scheme && r.plan == c.plan)
+                .find(|r| r.stack == format!("{}+r1", c.scheme) && r.key("plan") == c.key("plan"))
                 .expect("factor-1 row exists");
-            assert_eq!(r1.report.delay, c.report.delay, "{}/{}", c.scheme, c.plan);
+            assert_eq!(r1.report.delay, c.report.delay, "{}/{}", c.scheme, c.key("plan"));
             assert_eq!(r1.report.results_returned, c.report.results_returned);
-            assert_eq!(r1.final_peers, c.final_peers);
+            assert_eq!(
+                r1.report.epochs.last().unwrap().peers,
+                c.report.epochs.last().unwrap().peers
+            );
         }
-        // Hostile section: every dynamic scheme × every configured spec.
-        let specs = &report.config.hostile_specs;
-        assert_eq!(report.hostile_rows.len(), dynamic.len() * specs.len());
-        for r in &report.hostile_rows {
-            assert!(r.qps > 0.0, "{}@{} qps", r.scheme, r.spec);
-            assert_eq!(r.report.epochs.len(), report.config.churn_epochs);
+        // Hostile section: every dynamic scheme × every spec.
+        assert_eq!(report.section(Section::Hostile).count(), dynamic.len() * HOSTILE_SPECS.len());
+        for r in report.section(Section::Hostile) {
+            assert!(r.machine.qps > 0.0, "{} qps", r.stack);
+            assert_eq!(r.report.epochs.len(), EPOCHS);
             assert!(r.report.recall.mean <= 1.0 + 1e-12);
         }
         for name in &dynamic {
             let cell = |spec: &str| {
-                report
-                    .hostile_rows
-                    .iter()
-                    .find(|r| &r.scheme == name && r.spec == spec)
-                    .unwrap_or_else(|| panic!("{name}@{spec} missing"))
+                let rows = cell_of(&report, Section::Hostile, &format!("{name}@{spec}"));
+                rows.first().copied().unwrap_or_else(|| panic!("{name}@{spec} missing"))
             };
             // Loss costs recall; the 3-attempt retry budget wins some back
             // and pays for it in messages.
@@ -1148,33 +600,30 @@ mod tests {
         }
         // Scaling section: every scaling scheme × every configured size,
         // exact answers and a fixed query count at every N.
-        assert_eq!(
-            report.scaling_rows.len(),
-            report.config.scaling_ns.len() * SCALING_SCHEMES.len()
-        );
-        for r in &report.scaling_rows {
-            assert!(r.qps > 0.0, "{} n={} qps", r.scheme, r.n);
-            assert!(r.build_ms >= 0.0 && r.publish_ms >= 0.0);
-            assert_eq!(r.report.queries, SCALING_QUERIES, "{} n={}", r.scheme, r.n);
-            assert_eq!(r.report.exact_rate, 1.0, "{} n={} inexact", r.scheme, r.n);
+        let scaling: Vec<&Row> = report.section(Section::Scaling).collect();
+        assert_eq!(scaling.len(), report.config.scaling_ns.len() * SCALING_SCHEMES.len());
+        for r in &scaling {
+            let tag = format!("{} n={}", r.stack, r.key("n"));
+            assert!(r.machine.qps > 0.0, "{tag} qps");
+            assert!(r.machine.build_ms >= 0.0 && r.machine.publish_ms >= 0.0);
+            assert_eq!(r.report.queries, SCALING_QUERIES, "{tag}");
+            assert_eq!(r.report.exact_rate, 1.0, "{tag} inexact");
             if cfg!(feature = "bench-alloc") {
                 // The feature installs the allocator for this crate's
                 // test binary too, so the column must be live — a `None`
                 // here means the counter was compiled in but unreachable.
-                let a = r.allocs_per_query.expect("bench-alloc counter installed");
-                assert!(a > 0.0, "{} n={} counted no allocations", r.scheme, r.n);
+                let a = r.machine.allocs_per_query.expect("bench-alloc counter installed");
+                assert!(a > 0.0, "{tag} counted no allocations");
             } else {
-                assert!(r.allocs_per_query.is_none(), "{} n={} phantom counter", r.scheme, r.n);
+                assert!(r.machine.allocs_per_query.is_none(), "{tag} phantom counter");
             }
             #[cfg(target_os = "linux")]
-            assert!(r.peak_rss_kb.unwrap_or(0) > 0, "{} n={} no VmHWM", r.scheme, r.n);
+            assert!(r.machine.peak_rss_kb.unwrap_or(0) > 0, "{tag} no VmHWM");
         }
         for name in SCALING_SCHEMES {
             for &n in &report.config.scaling_ns {
-                assert!(
-                    report.scaling_rows.iter().any(|r| r.scheme == name && r.n == n),
-                    "scaling cell {name} n={n} missing"
-                );
+                let found = scaling.iter().any(|r| r.stack == name && r.key("n") == n.to_string());
+                assert!(found, "scaling cell {name} n={n} missing");
             }
         }
 
@@ -1185,22 +634,9 @@ mod tests {
             assert!(json.contains(&format!("\"scheme\": \"{name}\"")), "{name} missing");
         }
         assert!(json.contains(&format!("\"schema\": \"{SCHEMA_VERSION}\"")));
-        assert!(json.contains("\"replication\": ["));
-        assert!(json.contains("\"repair_placed\""));
-        assert!(json.contains("\"latency\": ["));
-        assert!(json.contains("\"latency_p95\""));
-        assert!(json.contains("\"delay_p95\""));
-        // v7: the latency section carries the delay median alongside the
-        // latency one (both were always computed; v7 writes them out).
-        assert!(json.contains("\"delay_p50\""));
-        assert!(json.contains("\"latency_p50\""));
-        assert!(json.contains("\"hostile\": ["));
-        assert!(json.contains("\"hostile_specs\": ["));
-        assert!(json.contains("\"scaling\": ["));
-        assert!(json.contains("\"scaling_ns\": ["));
-        assert!(json.contains("\"allocs_per_query\""));
-        assert!(json.contains("\"peak_rss_kb\""));
-        assert!(json.contains("\"build_ms\""));
+        for section in Section::ALL {
+            assert!(json.contains(&format!("\"{}\": [", section.name())));
+        }
         for spec in HOSTILE_SPECS {
             assert!(json.contains(&format!("\"spec\": \"{spec}\"")), "{spec} missing");
         }
@@ -1210,16 +646,10 @@ mod tests {
         for plan in CHURN_PLAN_NAMES {
             assert!(json.contains(&format!("\"plan\": \"{plan}\"")), "{plan} missing");
         }
-        // The table mirrors every grid.
-        assert_eq!(
-            report.to_table().rows.len(),
-            report.rows.len()
-                + report.latency_rows.len()
-                + report.churn_rows.len()
-                + report.replication_rows.len()
-                + report.hostile_rows.len()
-                + report.scaling_rows.len()
-        );
+        // The table mirrors every grid, and the run matches itself on
+        // every simulated column whatever the stopwatch read.
+        assert_eq!(report.to_table().rows.len(), report.rows.len());
+        assert_eq!(report.check_simulated(&json), Ok(()));
     }
 
     #[test]
@@ -1230,44 +660,174 @@ mod tests {
             scaling_ns: vec![120],
             ..BaselineConfig::quick()
         };
-        let a = run(&cfg);
-        let b = run(&cfg);
-        for (ra, rb) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(ra.scheme, rb.scheme);
-            assert_eq!(ra.report.delay, rb.report.delay, "{}/{}", ra.scheme, ra.workload);
-            assert_eq!(ra.report.messages, rb.report.messages);
-            assert_eq!(ra.report.results_returned, rb.report.results_returned);
+        let (a, b) = (run(&cfg), run(&cfg));
+        assert_eq!(a.rows.len(), b.rows.len());
+        assert_eq!(a.check_simulated(&b.to_json()), Ok(()));
+        // And a different configuration is a different artifact, reported
+        // at the first line that moved.
+        let other = run(&BaselineConfig { queries: 16, ..cfg });
+        let e = a.check_simulated(&other.to_json()).unwrap_err();
+        assert!(e.contains("line 3") && e.contains("\"queries\": 16"), "{e}");
+    }
+
+    fn summary(base: f64) -> Summary {
+        Summary {
+            count: 3,
+            mean: base + 0.5,
+            min: base,
+            max: base + 4.0,
+            p50: base + 1.0,
+            p95: base + 2.0,
+            p99: base + 3.0,
+            stddev: 0.25,
         }
-        for (ra, rb) in a.churn_rows.iter().zip(&b.churn_rows) {
-            assert_eq!(ra.scheme, rb.scheme);
-            assert_eq!(ra.plan, rb.plan);
-            assert_eq!(ra.report.delay, rb.report.delay, "{}/{}", ra.scheme, ra.plan);
-            assert_eq!(ra.report.results_returned, rb.report.results_returned);
-            assert_eq!(ra.final_peers, rb.final_peers);
+    }
+
+    /// A report with a non-finite float in two columns and the given
+    /// epoch series.
+    fn crafted(epochs: Vec<EpochSummary>) -> DriverReport {
+        DriverReport {
+            scheme: "pira".into(),
+            queries: 3,
+            delay: summary(1.0),
+            latency: Summary { mean: f64::NAN, max: f64::INFINITY, ..summary(10.0) },
+            messages: summary(20.0),
+            dest_peers: summary(4.0),
+            mesg_ratio: summary(1.125),
+            incre_ratio: summary(0.0625),
+            recall: summary(0.5),
+            exact_rate: 2.0 / 3.0,
+            results_returned: 7,
+            epochs,
+            ..DriverReport::default()
         }
-        for (ra, rb) in a.replication_rows.iter().zip(&b.replication_rows) {
-            assert_eq!((&ra.scheme, &ra.plan, ra.factor), (&rb.scheme, &rb.plan, rb.factor));
-            assert_eq!(
-                ra.report.delay, rb.report.delay,
-                "{}/{}@r{}",
-                ra.scheme, ra.plan, ra.factor
-            );
-            assert_eq!(ra.report.results_returned, rb.report.results_returned);
-            assert_eq!(ra.repair_placed, rb.repair_placed);
-            assert_eq!(ra.repair_messages, rb.repair_messages);
-        }
-        for (ra, rb) in a.hostile_rows.iter().zip(&b.hostile_rows) {
-            assert_eq!((&ra.scheme, &ra.spec), (&rb.scheme, &rb.spec));
-            assert_eq!(ra.report.recall, rb.report.recall, "{}@{}", ra.scheme, ra.spec);
-            assert_eq!(ra.report.messages, rb.report.messages);
-            assert_eq!(ra.report.latency, rb.report.latency);
-            assert_eq!(ra.report.results_returned, rb.report.results_returned);
-        }
-        for (ra, rb) in a.scaling_rows.iter().zip(&b.scaling_rows) {
-            assert_eq!((&ra.scheme, ra.n), (&rb.scheme, rb.n));
-            assert_eq!(ra.report.delay, rb.report.delay, "{} n={}", ra.scheme, ra.n);
-            assert_eq!(ra.report.messages, rb.report.messages);
-            assert_eq!(ra.report.results_returned, rb.report.results_returned);
-        }
+    }
+
+    fn two_epochs() -> Vec<EpochSummary> {
+        let first = EpochSummary {
+            epoch: 0,
+            peers: 40,
+            delay_mean: 1.5,
+            latency_mean: 1.5,
+            exact_rate: 1.0,
+            recall_mean: 1.0,
+            results_returned: 4,
+            ..EpochSummary::default()
+        };
+        let second = EpochSummary {
+            epoch: 1,
+            peers: 38,
+            churn: ChurnStats { joins: 1, leaves: 2, crashes: 3, ..ChurnStats::default() },
+            repair: ReplicaRepair { placed: 5, dropped: 1, messages: 11, latency: 2 },
+            delay_mean: 2.25,
+            latency_mean: f64::NAN,
+            exact_rate: 0.5,
+            recall_mean: 0.75,
+            results_returned: 3,
+        };
+        vec![first, second]
+    }
+
+    /// The column-list writers reproduce, byte for byte, what the six
+    /// hand-written per-section format strings they replaced produced for
+    /// the same rows (fixtures generated by the parent commit's writers):
+    /// a `null` machine column, non-finite floats, an empty epoch series.
+    #[test]
+    fn column_list_writers_reproduce_the_hand_written_formats() {
+        let text = |s: &str| format!("\"{s}\"");
+        let qps = |qps: f64| Machine { qps, ..Machine::default() };
+        let scaling = |allocs_per_query, peak_rss_kb| Machine {
+            qps: 99.0,
+            build_ms: 1.25,
+            publish_ms: 2.5,
+            allocs_per_query,
+            peak_rss_kb,
+        };
+        let row = |section, stack: &str, scheme: &str, keys, machine, epochs| Row {
+            section,
+            stack: stack.into(),
+            scheme: scheme.into(),
+            keys,
+            machine,
+            report: crafted(epochs),
+        };
+        let plan = || ("plan", text("massacre"));
+        let rows = vec![
+            row(
+                Section::Grid,
+                "pira",
+                "pira",
+                vec![("shape", text("single")), ("workload", text("uniform"))],
+                qps(1234.5),
+                vec![],
+            ),
+            row(
+                Section::Grid,
+                "mira",
+                "mira",
+                vec![("shape", text("rect")), ("workload", text("mixed"))],
+                qps(f64::INFINITY),
+                vec![],
+            ),
+            row(
+                Section::Latency,
+                "pira@wan",
+                "pira",
+                vec![("net", text("wan"))],
+                qps(10.0),
+                vec![],
+            ),
+            row(Section::Churn, "pira", "pira", vec![plan()], qps(10.0), two_epochs()),
+            row(
+                Section::Replication,
+                "pira+r3",
+                "pira",
+                vec![plan(), ("factor", "3".to_string()), ("policy", text("successor-3"))],
+                qps(10.0),
+                two_epochs(),
+            ),
+            row(
+                Section::Hostile,
+                "pira@lossy-p/r3",
+                "pira",
+                vec![("spec", text("lossy-p/r3"))],
+                qps(10.0),
+                vec![],
+            ),
+            row(
+                Section::Scaling,
+                "pira",
+                "pira",
+                vec![("n", "1000".to_string())],
+                scaling(None, None),
+                vec![],
+            ),
+            row(
+                Section::Scaling,
+                "dcf-can",
+                "dcf-can",
+                vec![("n", "250".to_string())],
+                scaling(Some(13.5), Some(4096)),
+                vec![],
+            ),
+        ];
+        let config = BaselineConfig { threads: 1, ..BaselineConfig::quick() };
+        let report = BaselineReport { config, rows };
+        assert_eq!(report.to_json(), include_str!("../tests/golden/baseline_rows.json"));
+        assert_eq!(
+            report.to_table().to_markdown(),
+            include_str!("../tests/golden/baseline_rows.md")
+        );
+        // Blanking touches the machine values and nothing else.
+        let blanked = blank_machine_columns(&report.to_json());
+        assert!(blanked.contains("\"n\": 250, \"build_ms\": null, \"publish_ms\": null, \"qps\": null, \"allocs_per_query\": null, \"peak_rss_kb\": null, \"delay_mean\": 1.5000,"));
+        assert!(
+            blanked.contains("\"workload\": \"uniform\", \"qps\": null, \"delay_mean\": 1.5000,")
+        );
+        assert_eq!(
+            blanked.matches("null").count(),
+            8 + 8 + report.to_json().matches("null").count() - 3
+        );
+        assert_eq!(blank_machine_columns(&blanked), blanked);
     }
 }

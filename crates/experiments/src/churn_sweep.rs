@@ -13,64 +13,22 @@
 //! *other* epoch), so the per-epoch series visibly dips where crashes have
 //! eaten records and recovers where the stabilize pass re-published them;
 //! the table reports both the mean and the worst epoch. The sweep is
-//! filterable for local iteration — [`ChurnSweepConfig`] selects schemes,
-//! plans, and the worker thread count, mirrored by the binary's
-//! `--schemes`, `--plans`, and `--threads` flags.
+//! filterable for local iteration — [`Filters`] selects schemes, plans, and
+//! the worker thread count (`armada-exp churn_sweep --schemes`, `--plans`,
+//! `--threads`); the all-defaults filter reproduces the committed R2
+//! numbers.
 
-use crate::output::Table;
-use crate::{standard_registry, Scale};
-use dht_api::{BuildParams, ChurnPlan, DriverReport, ParallelDriver, WorkloadGen};
-use rand::Rng;
+use crate::cli::{Filters, Tables};
+use crate::output::{Column, Table};
+use crate::{cell, standard_registry, Scale};
+use dht_api::{ChurnPlan, DriverReport, WorkloadGen, CHURN_PLAN_NAMES};
 
 /// Churn rates swept (membership events per epoch transition); 0 is the
 /// frozen control every other rate is compared against.
 pub const CHURN_RATES: [usize; 3] = [0, 4, 16];
 
-/// Names of every registered single-attribute scheme that opts into the
-/// dynamics layer (re-exported for compatibility; see
-/// [`crate::dynamic_single_names`]).
-pub fn dynamic_single_names() -> Vec<String> {
-    crate::dynamic_single_names()
-}
-
-/// What the sweep runs: scale plus optional scheme/plan filters — the
-/// all-defaults config reproduces the committed R2 numbers.
-#[derive(Debug, Clone)]
-pub struct ChurnSweepConfig {
-    /// Experiment scale (network size, epochs, queries per epoch).
-    pub scale: Scale,
-    /// Schemes to sweep; `None` = every dynamic scheme.
-    pub schemes: Option<Vec<String>>,
-    /// Churn plans to sweep; the default is `["massacre"]`, the
-    /// recall-stress plan.
-    pub plans: Vec<String>,
-    /// Worker threads for the parallel driver (the report is identical for
-    /// any value; this only tunes wall-clock time).
-    pub threads: usize,
-}
-
-impl ChurnSweepConfig {
-    /// The default sweep at the given scale.
-    pub fn new(scale: Scale) -> Self {
-        ChurnSweepConfig {
-            scale,
-            schemes: None,
-            plans: vec!["massacre".to_string()],
-            threads: dht_api::default_threads(),
-        }
-    }
-
-    /// The scheme names this config selects, in registry order.
-    pub fn scheme_names(&self) -> Vec<String> {
-        match &self.schemes {
-            None => crate::dynamic_single_names(),
-            Some(filter) => crate::dynamic_single_names()
-                .into_iter()
-                .filter(|n| filter.iter().any(|f| f == n))
-                .collect(),
-        }
-    }
-}
+/// Build and driver seed of the sweep.
+const SWEEP_SEED: u64 = 0xc482;
 
 /// One scheme × plan × churn-rate measurement.
 #[derive(Debug, Clone)]
@@ -93,65 +51,59 @@ pub struct ChurnPoint {
     pub final_peers: usize,
 }
 
-/// Runs the default sweep (every dynamic scheme, the `massacre` plan) and
-/// returns each scheme's points in rate order.
+/// `(result recall, worst-epoch recall)` of an epoch-driven `report`
+/// against its control's per-epoch result counts: the share of the
+/// control's answers that survived overall, and in the worst single epoch
+/// (an epoch the control answered with nothing counts as fully recalled).
+pub(crate) fn recall_against(report: &DriverReport, control_epochs: &[u64]) -> (f64, f64) {
+    let share = |got: u64, want: u64| if want == 0 { 1.0 } else { got as f64 / want as f64 };
+    let worst = report
+        .epochs
+        .iter()
+        .zip(control_epochs)
+        .map(|(e, &want)| share(e.results_returned, want))
+        .fold(f64::INFINITY, f64::min);
+    (share(report.results_returned, control_epochs.iter().sum()), worst)
+}
+
+/// Runs the sweep — by default every dynamic scheme under the `massacre`
+/// plan — and returns each scheme's points in rate order.
+///
+/// # Errors
+///
+/// A `--schemes` or `--plans` name outside its catalog.
 ///
 /// # Panics
 ///
 /// Panics if a dynamic scheme fails to build or errors on a fault-free
 /// query — the sweep is meaningless with missing cells.
-pub fn run_points(scale: Scale) -> Vec<ChurnPoint> {
-    run_points_with(&ChurnSweepConfig::new(scale))
-}
-
-/// Runs the sweep under an explicit config (scheme/plan/thread filters).
-///
-/// # Panics
-///
-/// As [`run_points`].
-pub fn run_points_with(cfg: &ChurnSweepConfig) -> Vec<ChurnPoint> {
+pub fn run_points(scale: Scale, filters: &Filters) -> Result<Vec<ChurnPoint>, String> {
+    let schemes = filters.schemes(&crate::dynamic_single_names())?;
+    let plans = filters.plans(&["massacre"], &CHURN_PLAN_NAMES, |p| ChurnPlan::named(p).is_ok())?;
     let registry = standard_registry();
-    let (n, epochs) = match cfg.scale {
+    let (n, epochs) = match scale {
         Scale::Full => (600, 6),
         Scale::Quick => (150, 4),
     };
-    let queries_per_epoch = (cfg.scale.queries() / epochs).max(10);
-    let domain = (crate::paper::DOMAIN_LO, crate::paper::DOMAIN_HI);
-    let params = BuildParams::new(n, domain.0, domain.1).with_object_id_len(32);
-    let workload = WorkloadGen::named("uniform", domain).expect("cataloged");
-    let driver = ParallelDriver::new(queries_per_epoch).with_seed(0xc482).with_threads(cfg.threads);
+    let queries_per_epoch = (scale.queries() / epochs).max(10);
+    let workload = WorkloadGen::named("uniform", cell::DOMAIN).expect("cataloged");
+    let driver = cell::driver(queries_per_epoch, SWEEP_SEED, filters.threads);
 
     let mut points = Vec::new();
-    for name in cfg.scheme_names() {
-        for plan_name in &cfg.plans {
+    for name in &schemes {
+        for plan_name in &plans {
             let mut control_epochs: Vec<u64> = Vec::new();
             for &rate in &CHURN_RATES {
-                let mut rng = simnet::rng_from_seed(0xc482 ^ dht_api::fnv1a(name.as_bytes()));
-                let mut scheme =
-                    registry.build_single(&name, &params, &mut rng).expect("scheme builds");
-                for h in 0..n as u64 {
-                    scheme.publish(rng.gen_range(domain.0..=domain.1), h).expect("publish");
-                }
-                let plan = ChurnPlan::named(plan_name).expect("cataloged").with_rate(rate);
+                let seed = SWEEP_SEED ^ dht_api::fnv1a(name.as_bytes());
+                let mut scheme = cell::loaded(&registry, name, n, 32, seed);
+                let plan = ChurnPlan::named(plan_name).expect("checked above").with_rate(rate);
                 let report = driver
                     .run_epochs(scheme.as_mut(), &workload, &plan, epochs)
                     .expect("epoch run");
-                let per_epoch: Vec<u64> =
-                    report.epochs.iter().map(|e| e.results_returned).collect();
                 if rate == 0 {
-                    control_epochs = per_epoch.clone();
+                    control_epochs = report.epochs.iter().map(|e| e.results_returned).collect();
                 }
-                let control_total: u64 = control_epochs.iter().sum();
-                let result_recall = if control_total == 0 {
-                    1.0
-                } else {
-                    report.results_returned as f64 / control_total as f64
-                };
-                let worst_epoch_recall = per_epoch
-                    .iter()
-                    .zip(&control_epochs)
-                    .map(|(&got, &want)| if want == 0 { 1.0 } else { got as f64 / want as f64 })
-                    .fold(f64::INFINITY, f64::min);
+                let (result_recall, worst_epoch_recall) = recall_against(&report, &control_epochs);
                 let final_peers = report.epochs.last().expect("epochs ran").peers;
                 points.push(ChurnPoint {
                     scheme: name.clone(),
@@ -165,45 +117,25 @@ pub fn run_points_with(cfg: &ChurnSweepConfig) -> Vec<ChurnPoint> {
             }
         }
     }
-    points
+    Ok(points)
 }
 
-/// Runs the sweep and renders the recall-vs-churn-rate table.
-pub fn run(scale: Scale) -> Table {
-    run_with(&ChurnSweepConfig::new(scale))
-}
-
-/// Renders the table for an explicit config.
-pub fn run_with(cfg: &ChurnSweepConfig) -> Table {
-    let points = run_points_with(cfg);
-    let mut t = Table::new(
-        "R2 — recall under churn (epoch-driven)",
-        &[
-            "scheme",
-            "plan",
-            "churn rate",
-            "final peers",
-            "avg delay",
-            "exact rate",
-            "peer recall",
-            "result recall",
-            "worst epoch",
-        ],
-    );
-    for p in &points {
-        t.push_row(vec![
-            p.scheme.clone(),
-            p.plan.clone(),
-            p.rate.to_string(),
-            p.final_peers.to_string(),
-            format!("{:.2}", p.report.delay.mean),
-            format!("{:.3}", p.report.exact_rate),
-            format!("{:.3}", p.report.recall.mean),
-            format!("{:.3}", p.result_recall),
-            format!("{:.3}", p.worst_epoch_recall),
-        ]);
-    }
-    t
+/// Runs the sweep and renders the recall-vs-churn-rate table (errors and
+/// panics as [`run_points`]).
+pub fn run(scale: Scale, filters: &Filters) -> Result<Tables, String> {
+    let columns: [Column<ChurnPoint>; 9] = [
+        ("scheme", |p| p.scheme.clone()),
+        ("plan", |p| p.plan.clone()),
+        ("churn rate", |p| p.rate.to_string()),
+        ("final peers", |p| p.final_peers.to_string()),
+        ("avg delay", |p| format!("{:.2}", p.report.delay.mean)),
+        ("exact rate", |p| format!("{:.3}", p.report.exact_rate)),
+        ("peer recall", |p| format!("{:.3}", p.report.recall.mean)),
+        ("result recall", |p| format!("{:.3}", p.result_recall)),
+        ("worst epoch", |p| format!("{:.3}", p.worst_epoch_recall)),
+    ];
+    let title = "R2 — recall under churn (epoch-driven)";
+    Ok(vec![("churn_sweep", Table::of(title, &columns, &run_points(scale, filters)?))])
 }
 
 #[cfg(test)]
@@ -212,7 +144,7 @@ mod tests {
 
     #[test]
     fn every_dynamic_scheme_is_swept_and_controls_are_perfect() {
-        let points = run_points(Scale::Quick);
+        let points = run_points(Scale::Quick, &Filters::default()).unwrap();
         let schemes = crate::dynamic_single_names();
         assert_eq!(
             schemes,
@@ -236,14 +168,14 @@ mod tests {
 
     #[test]
     fn filters_narrow_the_sweep() {
-        let cfg = ChurnSweepConfig {
-            schemes: Some(vec!["pira".into(), "no-such-scheme".into()]),
-            plans: vec!["steady-churn".into(), "join-storm".into()],
+        let plans = ["steady-churn", "join-storm"].map(String::from).to_vec();
+        let filters = Filters {
+            schemes: Some(vec!["pira".into()]),
+            plans: Some(plans),
             threads: 2,
-            ..ChurnSweepConfig::new(Scale::Quick)
+            ..Filters::default()
         };
-        assert_eq!(cfg.scheme_names(), vec!["pira"], "unknown names filter out silently");
-        let points = run_points_with(&cfg);
+        let points = run_points(Scale::Quick, &filters).unwrap();
         // 1 scheme × 2 plans × 3 rates.
         assert_eq!(points.len(), 2 * CHURN_RATES.len());
         assert!(points.iter().all(|p| p.scheme == "pira"));
@@ -252,5 +184,11 @@ mod tests {
         for p in &points {
             assert!(p.result_recall > 0.999, "{}/{}@{}", p.scheme, p.plan, p.rate);
         }
+        // A name outside the catalog is an error, not a silently smaller sweep.
+        let typo = Filters { schemes: Some(vec!["pira".into(), "typo".into()]), ..filters.clone() };
+        let e = run_points(Scale::Quick, &typo).unwrap_err();
+        assert!(e.contains("\"typo\"") && e.contains("seqwalk"), "{e}");
+        let bad_plan = Filters { plans: Some(vec!["armageddon".into()]), ..filters };
+        assert!(run_points(Scale::Quick, &bad_plan).unwrap_err().contains("massacre"));
     }
 }

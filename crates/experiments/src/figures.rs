@@ -1,7 +1,7 @@
 //! Table builders for Figures 5–8.
 
 use crate::output::Table;
-use crate::sweeps::{network_sweep, range_sweep, PointMetrics, SweepConfig};
+use crate::sweeps::{network_sweep, range_sweep, FigureSweep, PointMetrics};
 use crate::{paper, Scale};
 
 fn f(x: f64) -> String {
@@ -14,7 +14,7 @@ pub mod fig5 {
 
     /// Runs the Figure 5 experiment.
     pub fn run(scale: Scale) -> Table {
-        let cfg = SweepConfig { queries: scale.queries(), ..SweepConfig::default() };
+        let cfg = FigureSweep { queries: scale.queries(), ..FigureSweep::default() };
         let n = match scale {
             Scale::Full => paper::FIG56_N,
             Scale::Quick => 500,
@@ -52,7 +52,7 @@ pub mod fig6 {
 
     /// Runs the Figure 6 experiment (both panels in one table).
     pub fn run(scale: Scale) -> Table {
-        let cfg = SweepConfig { queries: scale.queries(), ..SweepConfig::default() };
+        let cfg = FigureSweep { queries: scale.queries(), ..FigureSweep::default() };
         let n = match scale {
             Scale::Full => paper::FIG56_N,
             Scale::Quick => 500,
@@ -95,7 +95,7 @@ pub mod fig7 {
 
     /// Runs the Figure 7 experiment.
     pub fn run(scale: Scale) -> Table {
-        let cfg = SweepConfig { queries: scale.queries(), ..SweepConfig::default() };
+        let cfg = FigureSweep { queries: scale.queries(), ..FigureSweep::default() };
         let ns: Vec<usize> = match scale {
             Scale::Full => paper::NETWORK_SIZES.to_vec(),
             Scale::Quick => vec![250, 500, 1000],
@@ -133,7 +133,7 @@ pub mod fig8 {
 
     /// Runs the Figure 8 experiment (both panels in one table).
     pub fn run(scale: Scale) -> Table {
-        let cfg = SweepConfig { queries: scale.queries(), ..SweepConfig::default() };
+        let cfg = FigureSweep { queries: scale.queries(), ..FigureSweep::default() };
         let ns: Vec<usize> = match scale {
             Scale::Full => paper::NETWORK_SIZES.to_vec(),
             Scale::Quick => vec![250, 500, 1000],

@@ -4,7 +4,7 @@
 //! The paper states its headline bound — PIRA's query delay stays below
 //! `log₂ N` *hops* regardless of the queried range — on a network where
 //! every edge costs the same. This experiment re-examines that bound in
-//! **virtual milliseconds** under the [`NetModel`]
+//! **virtual milliseconds** under the [`NetModel`](dht_api::NetModel)
 //! catalog: homogeneous `lan`/`wan` (where hop counts and wall clocks are
 //! proportional and the bound survives trivially), `cluster` transit-stub
 //! (where some edges cost 30× others), and `straggler` (where a
@@ -24,14 +24,15 @@
 //!   critical path. The hop bound translates to a latency bound up to the
 //!   (bounded) per-path straggler tax.
 //!
-//! Filterable like the other sweeps: [`LatencySweepConfig`] selects
-//! schemes, net models, and the worker thread count, mirrored by the
-//! binary's `--schemes`, `--net`, and `--threads` flags.
+//! Filterable like the other sweeps: [`Filters`] selects schemes, net
+//! models, and the worker thread count (`armada-exp latency_sweep
+//! --schemes`, `--nets`, `--threads`); the all-defaults filter is the
+//! committed R4 grid.
 
-use crate::output::Table;
-use crate::{paper, standard_registry, Scale};
-use dht_api::{BuildParams, DriverReport, NetModel, ParallelDriver, WorkloadGen, NET_MODEL_NAMES};
-use rand::Rng;
+use crate::cli::{Filters, Tables};
+use crate::output::{Column, Table};
+use crate::{cell, paper, standard_registry, Scale};
+use dht_api::{DriverReport, WorkloadGen, NET_MODEL_NAMES};
 
 /// Which axis a [`LatencyPoint`] sits on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,69 +49,6 @@ impl SweepAxis {
         match self {
             SweepAxis::RangeSize => "range",
             SweepAxis::NetworkSize => "n",
-        }
-    }
-}
-
-/// What the sweep runs: scale plus optional scheme/net filters — the
-/// all-defaults config is the committed R4 grid.
-#[derive(Debug, Clone)]
-pub struct LatencySweepConfig {
-    /// Experiment scale (network sizes, queries per point).
-    pub scale: Scale,
-    /// Schemes to sweep; `None` = every registered single-attribute
-    /// scheme.
-    pub schemes: Option<Vec<String>>,
-    /// Net models to sweep; the default is the whole catalog.
-    pub nets: Vec<String>,
-    /// Worker threads for the parallel driver (reports are identical for
-    /// any value; this only tunes wall-clock time).
-    pub threads: usize,
-}
-
-impl LatencySweepConfig {
-    /// The default sweep at the given scale.
-    pub fn new(scale: Scale) -> Self {
-        LatencySweepConfig {
-            scale,
-            schemes: None,
-            nets: NET_MODEL_NAMES.iter().map(|s| s.to_string()).collect(),
-            threads: dht_api::default_threads(),
-        }
-    }
-
-    /// The scheme names this config selects, in registry order.
-    pub fn scheme_names(&self) -> Vec<String> {
-        let all: Vec<String> =
-            standard_registry().single_names().into_iter().map(str::to_string).collect();
-        match &self.schemes {
-            None => all,
-            Some(filter) => all.into_iter().filter(|n| filter.iter().any(|f| f == n)).collect(),
-        }
-    }
-
-    /// Fixed network size for the range-size axis.
-    fn range_axis_n(&self) -> usize {
-        match self.scale {
-            Scale::Full => 1000,
-            Scale::Quick => 200,
-        }
-    }
-
-    /// Range sizes swept on the range-size axis.
-    fn range_sizes(&self) -> Vec<f64> {
-        match self.scale {
-            Scale::Full => paper::RANGE_SIZES.to_vec(),
-            Scale::Quick => vec![2.0, 50.0, 300.0],
-        }
-    }
-
-    /// Network sizes swept on the network-size axis (fixed range
-    /// [`paper::FIG78_RANGE`]).
-    fn network_sizes(&self) -> Vec<usize> {
-        match self.scale {
-            Scale::Full => vec![1000, 2000, 4000],
-            Scale::Quick => vec![150, 300],
         }
     }
 }
@@ -132,161 +70,106 @@ pub struct LatencyPoint {
     pub report: DriverReport,
 }
 
-/// Runs the default sweep (every scheme × every net model).
+/// Runs the sweep — by default every registered single-attribute scheme ×
+/// every net model.
+///
+/// # Errors
+///
+/// A `--schemes` name outside the registry (net models are checked when
+/// the flags are parsed).
 ///
 /// # Panics
 ///
 /// Panics if a scheme fails to build or errs on a fault-free query — a
 /// sweep with silently missing cells would be worse than none.
-pub fn run_points(scale: Scale) -> Vec<LatencyPoint> {
-    run_points_with(&LatencySweepConfig::new(scale))
-}
-
-/// Runs the sweep under an explicit config (scheme/net/thread filters).
-///
-/// # Panics
-///
-/// As [`run_points`].
-pub fn run_points_with(cfg: &LatencySweepConfig) -> Vec<LatencyPoint> {
-    let mut points = Vec::new();
-    // Axis 1: fixed N, swept range size.
-    let n = cfg.range_axis_n();
-    for net_name in &cfg.nets {
-        for scheme_name in cfg.scheme_names() {
-            let scheme = build_loaded(cfg, &scheme_name, net_name, n);
-            for &size in &cfg.range_sizes() {
-                let report = measure(cfg, scheme.as_ref(), size, n);
-                points.push(LatencyPoint {
-                    scheme: scheme_name.clone(),
-                    net: net_name.clone(),
-                    axis: SweepAxis::RangeSize,
-                    n_peers: n,
-                    range_size: size,
-                    report,
-                });
-            }
-        }
-    }
-    // Axis 2: fixed range size, swept N.
-    for net_name in &cfg.nets {
-        for &n in &cfg.network_sizes() {
-            for scheme_name in cfg.scheme_names() {
-                let scheme = build_loaded(cfg, &scheme_name, net_name, n);
-                let report = measure(cfg, scheme.as_ref(), paper::FIG78_RANGE, n);
-                points.push(LatencyPoint {
-                    scheme: scheme_name.clone(),
-                    net: net_name.clone(),
-                    axis: SweepAxis::NetworkSize,
-                    n_peers: n,
-                    range_size: paper::FIG78_RANGE,
-                    report,
-                });
-            }
-        }
-    }
-    points
-}
-
-/// Builds one scheme under one net model at size `n` and publishes `n`
-/// records — the same build/data seed for every net model, so hop metrics
-/// pair bit-for-bit across the model axis.
-fn build_loaded(
-    cfg: &LatencySweepConfig,
-    scheme_name: &str,
-    net_name: &str,
-    n: usize,
-) -> Box<dyn dht_api::RangeScheme> {
+pub fn run_points(scale: Scale, filters: &Filters) -> Result<Vec<LatencyPoint>, String> {
     let registry = standard_registry();
-    let domain = (paper::DOMAIN_LO, paper::DOMAIN_HI);
-    // Named `net_model`, not `net`: the `LatencyPoint.net` label field is a
-    // plain String, and sharing the name would pull its clone under D6.
-    let net_model = NetModel::named(net_name).expect("cataloged net model");
-    let object_id_len = if cfg.scale == Scale::Full { paper::OBJECT_ID_LEN } else { 32 };
-    let params = BuildParams::new(n, domain.0, domain.1)
-        .with_object_id_len(object_id_len)
-        .with_net(net_model);
-    // Seed depends on (scheme, n) but NOT the net model: identical
-    // networks and data under every model.
-    let mut rng = simnet::rng_from_seed(0x1a7e ^ dht_api::fnv1a(scheme_name.as_bytes()) ^ n as u64);
-    let mut scheme = registry.build_single(scheme_name, &params, &mut rng).expect("scheme builds");
-    for h in 0..n as u64 {
-        scheme.publish(rng.gen_range(domain.0..=domain.1), h).expect("publish");
-    }
-    scheme
-}
-
-/// One measurement cell: `queries` fixed-width random ranges through the
-/// parallel driver (driver seed depends on the point, not the net model,
-/// so queries pair across models too).
-fn measure(
-    cfg: &LatencySweepConfig,
-    scheme: &dyn dht_api::RangeScheme,
-    range_size: f64,
-    n: usize,
-) -> DriverReport {
-    let workload = WorkloadGen::uniform((paper::DOMAIN_LO, paper::DOMAIN_HI), range_size);
-    let driver = ParallelDriver {
-        queries: cfg.scale.queries(),
-        seed: 0x5eed ^ range_size.to_bits() ^ n as u64,
-        threads: cfg.threads,
-        shard_salt: 0,
-        metrics: false,
+    let singles: Vec<String> = registry.single_names().into_iter().map(String::from).collect();
+    let schemes = filters.schemes(&singles)?;
+    let nets = filters.nets(&NET_MODEL_NAMES)?;
+    let (range_axis_n, range_sizes, network_sizes, object_id_len) = match scale {
+        Scale::Full => {
+            (1000, paper::RANGE_SIZES.to_vec(), vec![1000, 2000, 4000], paper::OBJECT_ID_LEN)
+        }
+        Scale::Quick => (200, vec![2.0, 50.0, 300.0], vec![150, 300], 32),
     };
-    let report = driver.run(scheme, &workload).expect("fault-free queries succeed");
-    assert_eq!(report.exact_rate, 1.0, "{} missed destinations fault-free", scheme.scheme_name());
-    report
-}
-
-/// Runs the sweep and renders the latency table.
-pub fn run(scale: Scale) -> Table {
-    run_with(&LatencySweepConfig::new(scale))
-}
-
-/// Renders the table for an explicit config.
-pub fn run_with(cfg: &LatencySweepConfig) -> Table {
-    let points = run_points_with(cfg);
-    let mut t = Table::new(
-        "R4 — query latency in virtual ms under the net-model catalog",
-        &[
-            "scheme",
-            "net",
-            "axis",
-            "N",
-            "range",
-            "delay_mean (hops)",
-            "latency_mean (ms)",
-            "latency_p95",
-            "latency_p99",
-            "latency_max",
-        ],
-    );
-    for p in &points {
-        t.push_row(vec![
-            p.scheme.clone(),
-            p.net.clone(),
-            p.axis.label().to_string(),
-            p.n_peers.to_string(),
-            format!("{:.0}", p.range_size),
-            format!("{:.2}", p.report.delay.mean),
-            format!("{:.2}", p.report.latency.mean),
-            format!("{:.1}", p.report.latency.p95),
-            format!("{:.1}", p.report.latency.p99),
-            format!("{:.0}", p.report.latency.max),
-        ]);
+    // Two axes, each a list of `(N, range sizes)` legs: fixed N with swept
+    // range size, then fixed range size ([`paper::FIG78_RANGE`]) with
+    // swept N.
+    let range_axis = (SweepAxis::RangeSize, vec![(range_axis_n, range_sizes)]);
+    let legs = network_sizes.iter().map(|&n| (n, vec![paper::FIG78_RANGE])).collect();
+    let network_axis = (SweepAxis::NetworkSize, legs);
+    let mut points = Vec::new();
+    for (axis, legs) in [range_axis, network_axis] {
+        for net_name in &nets {
+            for (n, sizes) in &legs {
+                for scheme_name in &schemes {
+                    // Build and driver seeds depend on the point but NOT on
+                    // the net model: identical networks, data and queries
+                    // under every model, so hop metrics pair bit-for-bit
+                    // across the model axis.
+                    let seed = 0x1a7e ^ dht_api::fnv1a(scheme_name.as_bytes()) ^ *n as u64;
+                    let stack = format!("{scheme_name}@{net_name}");
+                    let scheme = cell::loaded(&registry, &stack, *n, object_id_len, seed);
+                    for &size in sizes {
+                        let workload = WorkloadGen::uniform(cell::DOMAIN, size);
+                        let seed = 0x5eed ^ size.to_bits() ^ *n as u64;
+                        let report = cell::driver(scale.queries(), seed, filters.threads)
+                            .run(scheme.as_ref(), &workload)
+                            .expect("fault-free queries succeed");
+                        assert_eq!(
+                            report.exact_rate, 1.0,
+                            "{stack} missed destinations fault-free"
+                        );
+                        points.push(LatencyPoint {
+                            scheme: scheme_name.clone(),
+                            net: net_name.clone(),
+                            axis,
+                            n_peers: *n,
+                            range_size: size,
+                            report,
+                        });
+                    }
+                }
+            }
+        }
     }
-    t
+    Ok(points)
+}
+
+/// Runs the sweep and renders the latency table (errors and panics as
+/// [`run_points`]).
+pub fn run(scale: Scale, filters: &Filters) -> Result<Tables, String> {
+    let columns: [Column<LatencyPoint>; 10] = [
+        ("scheme", |p| p.scheme.clone()),
+        ("net", |p| p.net.clone()),
+        ("axis", |p| p.axis.label().to_string()),
+        ("N", |p| p.n_peers.to_string()),
+        ("range", |p| format!("{:.0}", p.range_size)),
+        ("delay_mean (hops)", |p| format!("{:.2}", p.report.delay.mean)),
+        ("latency_mean (ms)", |p| format!("{:.2}", p.report.latency.mean)),
+        ("latency_p95", |p| format!("{:.1}", p.report.latency.p95)),
+        ("latency_p99", |p| format!("{:.1}", p.report.latency.p99)),
+        ("latency_max", |p| format!("{:.0}", p.report.latency.max)),
+    ];
+    let title = "R4 — query latency in virtual ms under the net-model catalog";
+    Ok(vec![("latency_sweep", Table::of(title, &columns, &run_points(scale, filters)?))])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quick_cfg(schemes: &[&str], nets: &[&str]) -> LatencySweepConfig {
-        LatencySweepConfig {
+    fn quick_cfg(schemes: &[&str], nets: &[&str]) -> Filters {
+        Filters {
             schemes: Some(schemes.iter().map(|s| s.to_string()).collect()),
-            nets: nets.iter().map(|s| s.to_string()).collect(),
-            ..LatencySweepConfig::new(Scale::Quick)
+            nets: Some(nets.iter().map(|s| s.to_string()).collect()),
+            ..Filters::default()
         }
+    }
+
+    fn run_points_with(filters: &Filters) -> Vec<LatencyPoint> {
+        run_points(Scale::Quick, filters).unwrap()
     }
 
     #[test]
@@ -302,7 +185,7 @@ mod tests {
             assert!(p.report.latency.count > 0);
         }
         // Table mirrors the grid.
-        assert_eq!(run_with(&cfg).rows.len(), points.len());
+        assert_eq!(run(Scale::Quick, &cfg).unwrap()[0].1.rows.len(), points.len());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Experiment harness regenerating every table and figure of the ICDCS'06
 //! Armada paper, plus ablations and robustness studies.
 //!
-//! Every experiment is a library function returning a [`Table`]; the
-//! `src/bin/*` wrappers print the paper-style series and write CSVs to
-//! `target/experiments/`. The mapping from paper artifact to module:
+//! Every experiment is a library function returning a [`Table`]; the one
+//! binary, `armada-exp <subcommand> [--quick] [filters]`, prints the
+//! paper-style series and writes CSVs to `target/experiments/`. The
+//! mapping from paper artifact to module and subcommand (the dispatch
+//! table is [`cli::EXPERIMENTS`]):
 //!
-//! | Paper artifact | Module | Binary |
+//! | Paper artifact | Module | `armada-exp` subcommand |
 //! |---|---|---|
 //! | Table 1 (scheme comparison) | [`table1`] | `table1` |
 //! | Figure 5 (delay vs range size) | [`figures::fig5`] | `fig5` |
@@ -15,14 +17,18 @@
 //! | §3 substrate claims | [`substrate`] | `fissione_props` |
 //! | §5 MIRA analysis | [`mira_eval`] | `mira_bounds` |
 //! | §6 future work (top-k) | [`topk_eval`] | `topk_eval` |
-//! | ablations (ours) | [`ablations`] | `ablation_*` |
+//! | ablations (ours) | [`ablations`] | `ablation_flood`, `ablation_balance`, `ablation_pht` |
 //! | robustness (ours) | [`faults`] | `fault_tolerance` |
+//! | all twelve of the above | [`cli`] | `all_experiments` |
 //! | churn dynamics (ours) | [`churn_sweep`] | `churn_sweep` |
 //! | replication (ours) | [`replication_sweep`] | `replication_sweep` |
 //! | hostile networks (ours) | [`partition_sweep`] | `partition_sweep` |
 //! | latency in ms (ours) | [`latency_sweep`] | `latency_sweep` |
 //! | perf baseline (ours) | [`baseline`] | `bench_baseline` |
 //! | query tracing (ours) | [`trace_explain`] | `trace_explain` |
+//!
+//! The harness builds, loads and drives a scheme stack in exactly one
+//! place, [`cell`]; the sweeps and the baseline are nested loops over it.
 //!
 //! All runs are deterministic given a seed — including under the parallel
 //! driver, whose per-thread statistics merge identically for any thread
@@ -48,7 +54,9 @@ static COUNTING_ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingA
 
 pub mod ablations;
 pub mod baseline;
+pub mod cell;
 pub mod churn_sweep;
+pub mod cli;
 pub mod faults;
 pub mod figures;
 pub mod latency_sweep;
@@ -56,6 +64,7 @@ pub mod mira_eval;
 pub mod output;
 pub mod partition_sweep;
 pub mod replication_sweep;
+pub mod row;
 pub mod substrate;
 pub mod sweeps;
 pub mod table1;
@@ -81,71 +90,6 @@ pub fn dynamic_single_names() -> Vec<String> {
         })
         .map(str::to_string)
         .collect()
-}
-
-/// Shared CLI convention for the experiment binaries: the value following
-/// `--name` (or inline as `--name=value`), if present.
-pub fn arg_value(name: &str) -> Option<String> {
-    let flag = format!("--{name}");
-    let inline = format!("--{name}=");
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&inline) {
-            return Some(v.to_string());
-        }
-        if *a == flag {
-            return args.get(i + 1).cloned();
-        }
-    }
-    None
-}
-
-/// Parses a comma-separated `--name a,b,c` CLI filter into a list.
-pub fn arg_list(name: &str) -> Option<Vec<String>> {
-    arg_value(name)
-        .map(|v| v.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect())
-}
-
-/// The shared `--schemes` / `--plans` / `--threads` CLI contract of the
-/// sweep binaries (`churn_sweep`, `replication_sweep`): parses and
-/// validates the three filters, exiting with a usage error on an unknown
-/// plan name or a non-positive thread count. Each slot is `None` when its
-/// flag is absent.
-pub fn sweep_filter_args() -> (Option<Vec<String>>, Option<Vec<String>>, Option<usize>) {
-    let schemes = arg_list("schemes");
-    let plans = arg_list("plans");
-    if let Some(plans) = &plans {
-        for plan in plans {
-            if dht_api::ChurnPlan::named(plan).is_err() {
-                // detlint: allow(D5) — shared CLI usage error; exits before any report runs
-                eprintln!(
-                    "error: unknown churn plan {plan:?} (catalog: {})",
-                    dht_api::CHURN_PLAN_NAMES.join(", ")
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let threads = arg_value("threads").map(|raw| match raw.parse::<usize>() {
-        Ok(t) if t > 0 => t,
-        _ => {
-            eprintln!("error: --threads wants a positive integer, got {raw:?}"); // detlint: allow(D5) — shared CLI usage error; exits before any report runs
-            std::process::exit(2);
-        }
-    });
-    (schemes, plans, threads)
-}
-
-/// Exits with a usage error when a `--schemes` filter matched nothing.
-pub fn require_schemes(selected: &[String]) {
-    if selected.is_empty() {
-        // detlint: allow(D5) — shared CLI usage error; exits before any report runs
-        eprintln!(
-            "error: no dynamic scheme matches the --schemes filter (have: {})",
-            dynamic_single_names().join(", ")
-        );
-        std::process::exit(2);
-    }
 }
 
 /// The full workspace registry: every scheme of the paper's Table 1,
@@ -196,15 +140,6 @@ impl Scale {
         match self {
             Scale::Full => 1000,
             Scale::Quick => 100,
-        }
-    }
-
-    /// Parses `--quick` from CLI arguments (binaries' shared convention).
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
         }
     }
 }

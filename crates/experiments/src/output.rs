@@ -3,6 +3,10 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+/// One column of a [`Table::of`] table: its header and the cell it renders
+/// for an item.
+pub type Column<T> = (&'static str, fn(&T) -> String);
+
 /// A rectangular result table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
@@ -22,6 +26,14 @@ impl Table {
             columns: columns.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
+    }
+
+    /// A table with one row per item, one cell per column.
+    pub fn of<T>(title: impl Into<String>, columns: &[Column<T>], items: &[T]) -> Self {
+        let headers: Vec<&str> = columns.iter().map(|(header, _)| *header).collect();
+        let mut t = Table::new(title, &headers);
+        t.rows = items.iter().map(|i| columns.iter().map(|(_, cell)| cell(i)).collect()).collect();
+        t
     }
 
     /// Appends a row of already-formatted cells.
@@ -99,14 +111,18 @@ impl Table {
     }
 }
 
-/// Where experiment CSVs land: `target/experiments/` relative to the
-/// workspace (or the current directory when run elsewhere).
-pub fn output_dir() -> PathBuf {
+/// The workspace root under `cargo run` (or the current directory when
+/// run elsewhere).
+pub fn workspace_root() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/experiments; hop to the workspace root.
-    let base = std::env::var("CARGO_MANIFEST_DIR")
+    std::env::var("CARGO_MANIFEST_DIR")
         .map(|d| PathBuf::from(d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."));
-    base.join("target/experiments")
+        .unwrap_or_else(|_| PathBuf::from("."))
+}
+
+/// Where experiment CSVs land: `target/experiments/` in the workspace.
+pub fn output_dir() -> PathBuf {
+    workspace_root().join("target/experiments")
 }
 
 #[cfg(test)]

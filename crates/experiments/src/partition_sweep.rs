@@ -22,10 +22,10 @@
 //!   attempt budget: retries buy recall and the table prices exactly
 //!   what they cost.
 
-use crate::output::Table;
-use crate::{standard_registry, Scale};
-use dht_api::{BuildParams, ChurnPlan, DriverReport, ParallelDriver, WorkloadGen};
-use rand::Rng;
+use crate::cli::{Filters, Tables};
+use crate::output::{Column, Table};
+use crate::{cell, standard_registry, Scale};
+use dht_api::{ChurnPlan, DriverReport, WorkloadGen};
 use simnet::FaultPlan;
 
 /// Partition plans swept by default (both shapes in the hostile catalog).
@@ -46,54 +46,6 @@ pub const TIMELINE_EPOCHS: usize = 5;
 /// Driver seed for both experiments (distinct from the churn sweep's).
 const SWEEP_SEED: u64 = 0x9a17;
 
-/// What the sweep runs: scale plus optional scheme/plan/net filters — the
-/// all-defaults config reproduces the committed R3 numbers.
-#[derive(Debug, Clone)]
-pub struct PartitionSweepConfig {
-    /// Experiment scale (network size, queries per epoch).
-    pub scale: Scale,
-    /// Schemes to sweep; `None` = every dynamic scheme.
-    pub schemes: Option<Vec<String>>,
-    /// Partition plans for the timeline experiment.
-    pub plans: Vec<String>,
-    /// Net models the timeline crosses the plans with.
-    pub nets: Vec<String>,
-    /// Worker threads for the parallel driver (the report is identical
-    /// for any value; this only tunes wall-clock time).
-    pub threads: usize,
-}
-
-impl PartitionSweepConfig {
-    /// The default sweep at the given scale.
-    pub fn new(scale: Scale) -> Self {
-        PartitionSweepConfig {
-            scale,
-            schemes: None,
-            plans: PARTITION_PLANS.iter().map(|s| s.to_string()).collect(),
-            nets: PARTITION_NETS.iter().map(|s| s.to_string()).collect(),
-            threads: dht_api::default_threads(),
-        }
-    }
-
-    /// The scheme names this config selects, in registry order.
-    pub fn scheme_names(&self) -> Vec<String> {
-        match &self.schemes {
-            None => crate::dynamic_single_names(),
-            Some(filter) => crate::dynamic_single_names()
-                .into_iter()
-                .filter(|n| filter.iter().any(|f| f == n))
-                .collect(),
-        }
-    }
-
-    fn network_size(&self) -> usize {
-        match self.scale {
-            Scale::Full => 500,
-            Scale::Quick => 150,
-        }
-    }
-}
-
 /// One scheme × partition plan × net model timeline measurement.
 #[derive(Debug, Clone)]
 pub struct PartitionPoint {
@@ -107,29 +59,35 @@ pub struct PartitionPoint {
     pub open_epoch: u64,
     /// First epoch the split is healed again.
     pub heal_epoch: u64,
-    /// Mean peer recall per epoch, in epoch order.
-    pub epoch_recall: Vec<f64>,
-    /// Exact-answer rate per epoch, in epoch order.
-    pub epoch_exact: Vec<f64>,
-    /// The merged epoch-driven report.
+    /// The merged epoch-driven report (its per-epoch series carries the
+    /// recall and exact-answer timeline).
     pub report: DriverReport,
 }
 
 impl PartitionPoint {
+    /// Mean of the per-epoch recall means over `epochs` (1.0 over none).
+    fn recall(&self, epochs: std::ops::Range<usize>) -> f64 {
+        let series = &self.report.epochs[epochs];
+        if series.is_empty() {
+            return 1.0;
+        }
+        series.iter().map(|e| e.recall_mean).sum::<f64>() / series.len() as f64
+    }
+
     /// Mean recall over the epochs the split is open.
     pub fn split_recall(&self) -> f64 {
-        mean(&self.epoch_recall[self.open_epoch as usize..self.heal_epoch as usize])
+        self.recall(self.open_epoch as usize..self.heal_epoch as usize)
     }
 
     /// Mean recall over the epochs at or after the heal.
     pub fn healed_recall(&self) -> f64 {
-        mean(&self.epoch_recall[self.heal_epoch as usize..])
+        self.recall(self.heal_epoch as usize..self.report.epochs.len())
     }
 
     /// Mean recall over the epochs before the split opens (`None` for
     /// plans that open at epoch 0).
     pub fn pre_split_recall(&self) -> Option<f64> {
-        (self.open_epoch > 0).then(|| mean(&self.epoch_recall[..self.open_epoch as usize]))
+        (self.open_epoch > 0).then(|| self.recall(0..self.open_epoch as usize))
     }
 }
 
@@ -144,62 +102,60 @@ pub struct RetryPoint {
     pub report: DriverReport,
 }
 
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
+/// Network size of both experiments.
+fn network_size(scale: Scale) -> usize {
+    match scale {
+        Scale::Full => 500,
+        Scale::Quick => 150,
     }
-    xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Build-time RNG seeded by the *base* scheme name, so every suffixed
-/// variant of a scheme measures the identical network and record load —
-/// the comparisons across plans and retry budgets are same-network.
-fn build_rng(base: &str) -> rand::rngs::SmallRng {
-    simnet::rng_from_seed(SWEEP_SEED ^ dht_api::fnv1a(base.as_bytes()))
+/// Build seed from the *base* scheme name, so every suffixed variant of a
+/// scheme measures the identical network and record load — the comparisons
+/// across plans and retry budgets are same-network.
+fn build_seed(base: &str) -> u64 {
+    SWEEP_SEED ^ dht_api::fnv1a(base.as_bytes())
 }
 
-/// Runs the partition timeline for the default config.
+/// The partition a `--plans` name opens, if it is a partition plan.
+fn partition_of(plan: &str) -> Option<simnet::PartitionPlan> {
+    FaultPlan::named_hostile(plan).and_then(|p| p.partition().copied())
+}
+
+/// Runs the partition timeline — by default every dynamic scheme ×
+/// [`PARTITION_PLANS`] × [`PARTITION_NETS`] (`armada-exp partition_sweep
+/// --schemes`, `--plans`, `--nets`, `--threads` narrow it).
+///
+/// # Errors
+///
+/// A `--schemes` name outside the dynamic schemes, or a `--plans` name
+/// that is not a partition plan.
 ///
 /// # Panics
 ///
 /// Panics if a dynamic scheme fails to build or errors on a query — the
 /// sweep is meaningless with missing cells.
-pub fn run_timeline_points(scale: Scale) -> Vec<PartitionPoint> {
-    run_timeline_points_with(&PartitionSweepConfig::new(scale))
-}
-
-/// Runs the partition timeline under an explicit config.
-///
-/// # Panics
-///
-/// As [`run_timeline_points`].
-pub fn run_timeline_points_with(cfg: &PartitionSweepConfig) -> Vec<PartitionPoint> {
+pub fn run_timeline_points(scale: Scale, filters: &Filters) -> Result<Vec<PartitionPoint>, String> {
+    let schemes = filters.schemes(&crate::dynamic_single_names())?;
+    let catalog = ["split-brain", "island-K"];
+    let plans = filters.plans(&PARTITION_PLANS, &catalog, |p| partition_of(p).is_some())?;
+    let nets = filters.nets(&PARTITION_NETS)?;
     let registry = standard_registry();
-    let n = cfg.network_size();
-    let queries_per_epoch = (cfg.scale.queries() / TIMELINE_EPOCHS).max(10);
-    let domain = (crate::paper::DOMAIN_LO, crate::paper::DOMAIN_HI);
-    let params = BuildParams::new(n, domain.0, domain.1).with_object_id_len(32);
-    let workload = WorkloadGen::named("uniform", domain).expect("cataloged");
-    let driver =
-        ParallelDriver::new(queries_per_epoch).with_seed(SWEEP_SEED).with_threads(cfg.threads);
+    let n = network_size(scale);
+    let queries_per_epoch = (scale.queries() / TIMELINE_EPOCHS).max(10);
+    let workload = WorkloadGen::named("uniform", cell::DOMAIN).expect("cataloged");
+    let driver = cell::driver(queries_per_epoch, SWEEP_SEED, filters.threads);
     // Queries never change membership and the rate-0 plan applies no
     // events: the timeline isolates the partition itself.
     let frozen = ChurnPlan::named("steady-churn").expect("cataloged").with_rate(0);
 
     let mut points = Vec::new();
-    for name in cfg.scheme_names() {
-        for plan_name in &cfg.plans {
-            let schedule = FaultPlan::named_hostile(plan_name)
-                .unwrap_or_else(|| panic!("{plan_name}: not a hostile plan"));
-            let partition = schedule.partition().expect("partition plans only");
-            for net in &cfg.nets {
-                let full = format!("{name}@{net}@{plan_name}");
-                let mut rng = build_rng(&name);
-                let mut scheme =
-                    registry.build_single(&full, &params, &mut rng).expect("scheme builds");
-                for h in 0..n as u64 {
-                    scheme.publish(rng.gen_range(domain.0..=domain.1), h).expect("publish");
-                }
+    for name in &schemes {
+        for plan_name in &plans {
+            let partition = partition_of(plan_name).expect("checked above");
+            for net in &nets {
+                let stack = format!("{name}@{net}@{plan_name}");
+                let mut scheme = cell::loaded(&registry, &stack, n, 32, build_seed(name));
                 let report = driver
                     .run_epochs(scheme.as_mut(), &workload, &frozen, TIMELINE_EPOCHS)
                     .expect("epoch run");
@@ -209,112 +165,68 @@ pub fn run_timeline_points_with(cfg: &PartitionSweepConfig) -> Vec<PartitionPoin
                     net: net.clone(),
                     open_epoch: partition.open_epoch(),
                     heal_epoch: partition.heal_epoch(),
-                    epoch_recall: report.epochs.iter().map(|e| e.recall_mean).collect(),
-                    epoch_exact: report.epochs.iter().map(|e| e.exact_rate).collect(),
                     report,
                 });
             }
         }
     }
-    points
+    Ok(points)
 }
 
-/// Runs the retry-premium experiment for the default config.
-///
-/// # Panics
-///
-/// As [`run_timeline_points`].
-pub fn run_retry_points(scale: Scale) -> Vec<RetryPoint> {
-    run_retry_points_with(&PartitionSweepConfig::new(scale))
-}
-
-/// Runs the retry-premium experiment under an explicit config: every
-/// selected scheme at each retry budget against `lossy-p`, in attempt
-/// order per scheme.
-///
-/// # Panics
-///
-/// As [`run_timeline_points`].
-pub fn run_retry_points_with(cfg: &PartitionSweepConfig) -> Vec<RetryPoint> {
+/// Runs the retry-premium experiment: every selected scheme at each retry
+/// budget against `lossy-p`, in attempt order per scheme. Errors on a
+/// `--schemes` name outside the dynamic schemes; panics as
+/// [`run_timeline_points`].
+pub fn run_retry_points(scale: Scale, filters: &Filters) -> Result<Vec<RetryPoint>, String> {
+    let schemes = filters.schemes(&crate::dynamic_single_names())?;
     let registry = standard_registry();
-    let n = cfg.network_size();
-    let domain = (crate::paper::DOMAIN_LO, crate::paper::DOMAIN_HI);
-    let params = BuildParams::new(n, domain.0, domain.1).with_object_id_len(32);
-    let workload = WorkloadGen::named("uniform", domain).expect("cataloged");
-    let driver =
-        ParallelDriver::new(cfg.scale.queries()).with_seed(SWEEP_SEED).with_threads(cfg.threads);
+    let workload = WorkloadGen::named("uniform", cell::DOMAIN).expect("cataloged");
+    let driver = cell::driver(scale.queries(), SWEEP_SEED, filters.threads);
 
     let mut points = Vec::new();
-    for name in cfg.scheme_names() {
+    for name in &schemes {
         for &attempts in &RETRY_ATTEMPTS {
-            let full = format!("{name}@lossy-p/r{attempts}");
-            let mut rng = build_rng(&name);
-            let mut scheme =
-                registry.build_single(&full, &params, &mut rng).expect("scheme builds");
-            for h in 0..n as u64 {
-                scheme.publish(rng.gen_range(domain.0..=domain.1), h).expect("publish");
-            }
+            let stack = format!("{name}@lossy-p/r{attempts}");
+            let scheme = cell::loaded(&registry, &stack, network_size(scale), 32, build_seed(name));
             let report = driver.run(scheme.as_ref(), &workload).expect("batch run");
             points.push(RetryPoint { scheme: name.clone(), attempts, report });
         }
     }
-    points
+    Ok(points)
 }
 
-/// Runs the timeline and renders its table.
-pub fn run(scale: Scale) -> Table {
-    run_with(&PartitionSweepConfig::new(scale))
-}
-
-/// Renders the timeline table for an explicit config.
-pub fn run_with(cfg: &PartitionSweepConfig) -> Table {
-    let points = run_timeline_points_with(cfg);
-    let mut t = Table::new(
+/// Runs both experiments and renders their tables: the partition timeline
+/// (`partition_sweep`) and the retry premium (`partition_retry_premium`).
+/// Errors and panics as [`run_timeline_points`].
+pub fn run(scale: Scale, filters: &Filters) -> Result<Tables, String> {
+    let timeline: [Column<PartitionPoint>; 8] = [
+        ("scheme", |p| p.scheme.clone()),
+        ("plan", |p| p.plan.clone()),
+        ("net", |p| p.net.clone()),
+        ("open..heal", |p| format!("{}..{}", p.open_epoch, p.heal_epoch)),
+        ("pre recall", |p| {
+            p.pre_split_recall().map_or_else(|| "—".to_string(), |r| format!("{r:.3}"))
+        }),
+        ("split recall", |p| format!("{:.3}", p.split_recall())),
+        ("healed recall", |p| format!("{:.3}", p.healed_recall())),
+        ("avg delay", |p| format!("{:.2}", p.report.delay.mean)),
+    ];
+    let retry: [Column<RetryPoint>; 6] = [
+        ("scheme", |p| p.scheme.clone()),
+        ("attempts", |p| p.attempts.to_string()),
+        ("peer recall", |p| format!("{:.3}", p.report.recall.mean)),
+        ("exact rate", |p| format!("{:.3}", p.report.exact_rate)),
+        ("avg messages", |p| format!("{:.2}", p.report.messages.mean)),
+        ("avg latency", |p| format!("{:.2}", p.report.latency.mean)),
+    ];
+    let (a, b) = (
         "R3a — recall through a partition (epoch-driven)",
-        &[
-            "scheme",
-            "plan",
-            "net",
-            "open..heal",
-            "pre recall",
-            "split recall",
-            "healed recall",
-            "avg delay",
-        ],
-    );
-    for p in &points {
-        t.push_row(vec![
-            p.scheme.clone(),
-            p.plan.clone(),
-            p.net.clone(),
-            format!("{}..{}", p.open_epoch, p.heal_epoch),
-            p.pre_split_recall().map_or_else(|| "—".to_string(), |r| format!("{r:.3}")),
-            format!("{:.3}", p.split_recall()),
-            format!("{:.3}", p.healed_recall()),
-            format!("{:.2}", p.report.delay.mean),
-        ]);
-    }
-    t
-}
-
-/// Runs the retry-premium experiment and renders its table.
-pub fn run_retry_with(cfg: &PartitionSweepConfig) -> Table {
-    let points = run_retry_points_with(cfg);
-    let mut t = Table::new(
         "R3b — retry premium under lossy-p (10% per-edge loss)",
-        &["scheme", "attempts", "peer recall", "exact rate", "avg messages", "avg latency"],
     );
-    for p in &points {
-        t.push_row(vec![
-            p.scheme.clone(),
-            p.attempts.to_string(),
-            format!("{:.3}", p.report.recall.mean),
-            format!("{:.3}", p.report.exact_rate),
-            format!("{:.2}", p.report.messages.mean),
-            format!("{:.2}", p.report.latency.mean),
-        ]);
-    }
-    t
+    Ok(vec![
+        ("partition_sweep", Table::of(a, &timeline, &run_timeline_points(scale, filters)?)),
+        ("partition_retry_premium", Table::of(b, &retry, &run_retry_points(scale, filters)?)),
+    ])
 }
 
 #[cfg(test)]
@@ -323,33 +235,31 @@ mod tests {
 
     #[test]
     fn recall_dips_during_the_split_and_heals_within_one_epoch() {
-        let cfg = PartitionSweepConfig::new(Scale::Quick);
-        let points = run_timeline_points_with(&cfg);
+        let points = run_timeline_points(Scale::Quick, &Filters::default()).unwrap();
         let schemes = crate::dynamic_single_names();
         assert_eq!(points.len(), schemes.len() * PARTITION_PLANS.len() * PARTITION_NETS.len());
         for p in &points {
             let tag = format!("{}@{}@{}", p.scheme, p.net, p.plan);
-            assert_eq!(p.epoch_recall.len(), TIMELINE_EPOCHS, "{tag}");
+            assert_eq!(p.report.epochs.len(), TIMELINE_EPOCHS, "{tag}");
             // Before the split opens the network is fault-free.
             for e in 0..p.open_epoch as usize {
-                assert_eq!(p.epoch_recall[e], 1.0, "{tag} epoch {e} pre-split");
-                assert_eq!(p.epoch_exact[e], 1.0, "{tag} epoch {e} pre-split");
+                assert_eq!(p.report.epochs[e].recall_mean, 1.0, "{tag} epoch {e} pre-split");
+                assert_eq!(p.report.epochs[e].exact_rate, 1.0, "{tag} epoch {e} pre-split");
             }
             // The split visibly costs recall while it is open...
             assert!(p.split_recall() < 0.9999, "{tag}: split recall {}", p.split_recall());
             // ...and recall is perfect again from the very first healed
             // epoch — no scars on a static membership.
             for e in p.heal_epoch as usize..TIMELINE_EPOCHS {
-                assert_eq!(p.epoch_recall[e], 1.0, "{tag} epoch {e} post-heal");
-                assert_eq!(p.epoch_exact[e], 1.0, "{tag} epoch {e} post-heal");
+                assert_eq!(p.report.epochs[e].recall_mean, 1.0, "{tag} epoch {e} post-heal");
+                assert_eq!(p.report.epochs[e].exact_rate, 1.0, "{tag} epoch {e} post-heal");
             }
         }
     }
 
     #[test]
     fn retries_buy_recall_and_pay_in_messages_monotonically() {
-        let cfg = PartitionSweepConfig::new(Scale::Quick);
-        let points = run_retry_points_with(&cfg);
+        let points = run_retry_points(Scale::Quick, &Filters::default()).unwrap();
         let schemes = crate::dynamic_single_names();
         assert_eq!(points.len(), schemes.len() * RETRY_ATTEMPTS.len());
         for chunk in points.chunks(RETRY_ATTEMPTS.len()) {
@@ -387,18 +297,22 @@ mod tests {
 
     #[test]
     fn filters_narrow_the_sweep() {
-        let cfg = PartitionSweepConfig {
-            schemes: Some(vec!["pira".into(), "no-such-scheme".into()]),
-            plans: vec!["split-brain".into()],
-            nets: vec!["unit".into()],
+        let filters = Filters {
+            schemes: Some(vec!["pira".into()]),
+            plans: Some(vec!["split-brain".into()]),
+            nets: Some(vec!["unit".into()]),
             threads: 2,
-            ..PartitionSweepConfig::new(Scale::Quick)
         };
-        assert_eq!(cfg.scheme_names(), vec!["pira"], "unknown names filter out silently");
-        let points = run_timeline_points_with(&cfg);
+        let points = run_timeline_points(Scale::Quick, &filters).unwrap();
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].plan, "split-brain");
         assert_eq!((points[0].open_epoch, points[0].heal_epoch), (1, 3));
         assert_eq!(points[0].pre_split_recall(), Some(1.0));
+        // `lossy-p` is a hostile plan but opens no partition: refused by name.
+        let lossy = Filters { plans: Some(vec!["lossy-p".into()]), ..filters.clone() };
+        let e = run_timeline_points(Scale::Quick, &lossy).unwrap_err();
+        assert!(e.contains("\"lossy-p\"") && e.contains("island-K"), "{e}");
+        let typo = Filters { schemes: Some(vec!["no-such-scheme".into()]), ..filters };
+        assert!(run_retry_points(Scale::Quick, &typo).is_err());
     }
 }

@@ -23,59 +23,22 @@
 //! replication factor** under *identical* churn histories — pinned by this
 //! module's tests for PIRA and DCF-CAN under every cataloged plan.
 
-use crate::output::Table;
-use crate::{standard_registry, Scale};
-use dht_api::{
-    BuildParams, ChurnPlan, DriverReport, ParallelDriver, ReplicaPolicy, WorkloadGen,
-    CHURN_PLAN_NAMES,
-};
-use rand::Rng;
+use crate::churn_sweep::recall_against;
+use crate::cli::{Filters, Tables};
+use crate::output::{Column, Table};
+use crate::{cell, standard_registry, Scale};
+use dht_api::{ChurnPlan, DriverReport, WorkloadGen, CHURN_PLAN_NAMES};
 
 /// Replication factors swept (total copies per record, primary included);
 /// factor 1 is the unreplicated baseline.
 pub const REPLICATION_FACTORS: [usize; 4] = [1, 2, 3, 5];
 
-/// What the sweep runs: scale plus optional scheme/plan filters, mirroring
-/// [`ChurnSweepConfig`](crate::churn_sweep::ChurnSweepConfig).
-#[derive(Debug, Clone)]
-pub struct ReplicationSweepConfig {
-    /// Experiment scale (network size, epochs, queries per epoch).
-    pub scale: Scale,
-    /// Schemes to sweep; `None` = every dynamic scheme.
-    pub schemes: Option<Vec<String>>,
-    /// Churn plans to sweep; the default is the full catalog.
-    pub plans: Vec<String>,
-    /// Events per epoch transition (the plans' default rate keeps the
-    /// comparison honest across plans).
-    pub rate: usize,
-    /// Worker threads for the parallel driver.
-    pub threads: usize,
-}
+/// Events per epoch transition (the plans' default rate keeps the
+/// comparison honest across plans).
+const CHURN_RATE: usize = 8;
 
-impl ReplicationSweepConfig {
-    /// The default sweep at the given scale: every dynamic scheme × every
-    /// cataloged plan × [`REPLICATION_FACTORS`].
-    pub fn new(scale: Scale) -> Self {
-        ReplicationSweepConfig {
-            scale,
-            schemes: None,
-            plans: CHURN_PLAN_NAMES.iter().map(|s| s.to_string()).collect(),
-            rate: 8,
-            threads: dht_api::default_threads(),
-        }
-    }
-
-    /// The scheme names this config selects, in registry order.
-    pub fn scheme_names(&self) -> Vec<String> {
-        match &self.schemes {
-            None => crate::dynamic_single_names(),
-            Some(filter) => crate::dynamic_single_names()
-                .into_iter()
-                .filter(|n| filter.iter().any(|f| f == n))
-                .collect(),
-        }
-    }
-}
+/// Build and driver seed of the sweep.
+const SWEEP_SEED: u64 = 0x4e91;
 
 /// One scheme × plan × factor measurement.
 #[derive(Debug, Clone)]
@@ -102,81 +65,60 @@ pub struct ReplicationPoint {
     pub final_peers: usize,
 }
 
-/// Runs the default sweep; see [`run_points_with`].
+/// Runs the sweep — by default every dynamic scheme × every cataloged
+/// plan × [`REPLICATION_FACTORS`]. Every `(scheme, plan, factor)` cell
+/// rebuilds the stack `scheme+r{factor}` from the same seed and drives the
+/// identical epoch workload, so cells differ *only* in the replication
+/// factor; the control (result-recall denominator) is the scheme's
+/// churn-free run.
+///
+/// # Errors
+///
+/// A `--schemes` or `--plans` name outside its catalog.
 ///
 /// # Panics
 ///
 /// Panics if a scheme fails to build or errors on a fault-free query.
-pub fn run_points(scale: Scale) -> Vec<ReplicationPoint> {
-    run_points_with(&ReplicationSweepConfig::new(scale))
-}
-
-/// Runs the sweep under an explicit config. Every `(scheme, plan, factor)`
-/// cell rebuilds the scheme from the same seed and drives the identical
-/// epoch workload, so cells differ *only* in the replication factor; the
-/// control (result-recall denominator) is the scheme's churn-free run.
-///
-/// # Panics
-///
-/// As [`run_points`].
-pub fn run_points_with(cfg: &ReplicationSweepConfig) -> Vec<ReplicationPoint> {
+pub fn run_points(scale: Scale, filters: &Filters) -> Result<Vec<ReplicationPoint>, String> {
+    let schemes = filters.schemes(&crate::dynamic_single_names())?;
+    let plans =
+        filters.plans(&CHURN_PLAN_NAMES, &CHURN_PLAN_NAMES, |p| ChurnPlan::named(p).is_ok())?;
     let registry = standard_registry();
-    let (n, epochs) = match cfg.scale {
+    let (n, epochs) = match scale {
         Scale::Full => (600, 6),
         Scale::Quick => (150, 4),
     };
-    let queries_per_epoch = (cfg.scale.queries() / epochs).max(10);
-    let domain = (crate::paper::DOMAIN_LO, crate::paper::DOMAIN_HI);
-    let workload = WorkloadGen::named("uniform", domain).expect("cataloged");
-    let driver = ParallelDriver::new(queries_per_epoch).with_seed(0x4e91).with_threads(cfg.threads);
-
+    let queries_per_epoch = (scale.queries() / epochs).max(10);
+    let workload = WorkloadGen::named("uniform", cell::DOMAIN).expect("cataloged");
+    let driver = cell::driver(queries_per_epoch, SWEEP_SEED, filters.threads);
     let build = |name: &str, factor: usize| {
-        let policy =
-            if factor <= 1 { ReplicaPolicy::none() } else { ReplicaPolicy::successor(factor) };
-        let params =
-            BuildParams::new(n, domain.0, domain.1).with_object_id_len(32).with_replication(policy);
-        let mut rng = simnet::rng_from_seed(0x4e91 ^ dht_api::fnv1a(name.as_bytes()));
-        let mut scheme = registry.build_single(name, &params, &mut rng).expect("scheme builds");
-        for h in 0..n as u64 {
-            scheme.publish(rng.gen_range(domain.0..=domain.1), h).expect("publish");
-        }
-        scheme
+        let seed = SWEEP_SEED ^ dht_api::fnv1a(name.as_bytes());
+        cell::loaded(&registry, &format!("{name}+r{factor}"), n, 32, seed)
     };
 
     let mut points = Vec::new();
-    for name in cfg.scheme_names() {
+    for name in &schemes {
         // The churn-free control: the same epoch workload with no
         // membership events (shared across plans and factors).
         let control = {
-            let mut scheme = build(&name, 1);
+            let mut scheme = build(name, 1);
             let plan = ChurnPlan::named("steady-churn").expect("cataloged").with_rate(0);
             driver.run_epochs(scheme.as_mut(), &workload, &plan, epochs).expect("control run")
         };
         let control_epochs: Vec<u64> = control.epochs.iter().map(|e| e.results_returned).collect();
-        let control_total: u64 = control_epochs.iter().sum();
 
-        for plan_name in &cfg.plans {
+        for plan_name in &plans {
             for &factor in &REPLICATION_FACTORS {
-                let mut scheme = build(&name, factor);
+                let mut scheme = build(name, factor);
                 let policy_name = scheme
                     .as_replicated()
                     .map_or_else(|| "none".to_string(), |c| c.policy().name());
-                let plan = ChurnPlan::named(plan_name).expect("cataloged").with_rate(cfg.rate);
+                let plan =
+                    ChurnPlan::named(plan_name).expect("checked above").with_rate(CHURN_RATE);
                 let report = driver
                     .run_epochs(scheme.as_mut(), &workload, &plan, epochs)
                     .expect("epoch run");
-                let result_recall = if control_total == 0 {
-                    1.0
-                } else {
-                    report.results_returned as f64 / control_total as f64
-                };
-                let worst_epoch_recall = report
-                    .epochs
-                    .iter()
-                    .map(|e| e.results_returned)
-                    .zip(&control_epochs)
-                    .map(|(got, &want)| if want == 0 { 1.0 } else { got as f64 / want as f64 })
-                    .fold(f64::INFINITY, f64::min);
+                let (result_recall, worst_epoch_recall) = recall_against(&report, &control_epochs);
                 let repair_placed: usize = report.epochs.iter().map(|e| e.repair.placed).sum();
                 let repair_messages: u64 = report.epochs.iter().map(|e| e.repair.messages).sum();
                 let final_peers = report.epochs.last().expect("epochs ran").peers;
@@ -195,49 +137,27 @@ pub fn run_points_with(cfg: &ReplicationSweepConfig) -> Vec<ReplicationPoint> {
             }
         }
     }
-    points
+    Ok(points)
 }
 
-/// Runs the default sweep and renders the recall-vs-replication table.
-pub fn run(scale: Scale) -> Table {
-    run_with(&ReplicationSweepConfig::new(scale))
-}
-
-/// Renders the table for an explicit config.
-pub fn run_with(cfg: &ReplicationSweepConfig) -> Table {
-    let points = run_points_with(cfg);
-    let mut t = Table::new(
-        "R3 — recall vs replication factor (epoch-driven churn)",
-        &[
-            "scheme",
-            "plan",
-            "r",
-            "final peers",
-            "avg delay",
-            "mesg ratio",
-            "peer recall",
-            "result recall",
-            "worst epoch",
-            "repair placed",
-            "repair msgs",
-        ],
-    );
-    for p in &points {
-        t.push_row(vec![
-            p.scheme.clone(),
-            p.plan.clone(),
-            p.factor.to_string(),
-            p.final_peers.to_string(),
-            format!("{:.2}", p.report.delay.mean),
-            format!("{:.2}", p.report.mesg_ratio.mean),
-            format!("{:.3}", p.report.recall.mean),
-            format!("{:.3}", p.result_recall),
-            format!("{:.3}", p.worst_epoch_recall),
-            p.repair_placed.to_string(),
-            p.repair_messages.to_string(),
-        ]);
-    }
-    t
+/// Runs the sweep and renders the recall-vs-replication table (errors and
+/// panics as [`run_points`]).
+pub fn run(scale: Scale, filters: &Filters) -> Result<Tables, String> {
+    let columns: [Column<ReplicationPoint>; 11] = [
+        ("scheme", |p| p.scheme.clone()),
+        ("plan", |p| p.plan.clone()),
+        ("r", |p| p.factor.to_string()),
+        ("final peers", |p| p.final_peers.to_string()),
+        ("avg delay", |p| format!("{:.2}", p.report.delay.mean)),
+        ("mesg ratio", |p| format!("{:.2}", p.report.mesg_ratio.mean)),
+        ("peer recall", |p| format!("{:.3}", p.report.recall.mean)),
+        ("result recall", |p| format!("{:.3}", p.result_recall)),
+        ("worst epoch", |p| format!("{:.3}", p.worst_epoch_recall)),
+        ("repair placed", |p| p.repair_placed.to_string()),
+        ("repair msgs", |p| p.repair_messages.to_string()),
+    ];
+    let title = "R3 — recall vs replication factor (epoch-driven churn)";
+    Ok(vec![("replication_sweep", Table::of(title, &columns, &run_points(scale, filters)?))])
 }
 
 #[cfg(test)]
@@ -250,11 +170,9 @@ mod tests {
     /// policy's prefix property make this exact, not statistical.
     #[test]
     fn recall_is_monotone_in_the_replication_factor() {
-        let cfg = ReplicationSweepConfig {
-            schemes: Some(vec!["pira".into(), "dcf-can".into()]),
-            ..ReplicationSweepConfig::new(Scale::Quick)
-        };
-        let points = run_points_with(&cfg);
+        let filters =
+            Filters { schemes: Some(vec!["pira".into(), "dcf-can".into()]), ..Filters::default() };
+        let points = run_points(Scale::Quick, &filters).unwrap();
         assert_eq!(points.len(), 2 * CHURN_PLAN_NAMES.len() * REPLICATION_FACTORS.len());
         for scheme in ["pira", "dcf-can"] {
             for plan in CHURN_PLAN_NAMES {
@@ -299,12 +217,12 @@ mod tests {
 
     #[test]
     fn replication_cost_shows_up_in_the_message_metrics() {
-        let cfg = ReplicationSweepConfig {
+        let filters = Filters {
             schemes: Some(vec!["pira".into()]),
-            plans: vec!["massacre".into()],
-            ..ReplicationSweepConfig::new(Scale::Quick)
+            plans: Some(vec!["massacre".into()]),
+            ..Filters::default()
         };
-        let points = run_points_with(&cfg);
+        let points = run_points(Scale::Quick, &filters).unwrap();
         let r1 = points.iter().find(|p| p.factor == 1).unwrap();
         let r5 = points.iter().find(|p| p.factor == 5).unwrap();
         // Recovery fetches are counted: more copies, more recovered

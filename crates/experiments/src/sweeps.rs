@@ -3,14 +3,15 @@
 //! [`dht_api`] interface (PIRA and DCF-CAN by default, matching the
 //! paper's Figures 5–8).
 //!
-//! Since PR 2 the sweeps run through [`ParallelDriver`]: queries fan out
-//! across `threads` OS threads against each pre-built scheme, and because
+//! Since PR 2 the sweeps run through
+//! [`ParallelDriver`](dht_api::ParallelDriver): queries fan out across
+//! `threads` OS threads against each pre-built scheme, and because
 //! every query is derived from its index the measured figures are
 //! identical for any thread count — sweep output is a function of the
 //! seed alone.
 
 use crate::paper;
-use dht_api::{BuildParams, DriverReport, ParallelDriver, RangeScheme, WorkloadGen};
+use dht_api::{BuildParams, DriverReport, RangeScheme, WorkloadGen};
 
 /// Aggregated measurements for one sweep point: one [`DriverReport`] per
 /// swept scheme, keyed by registry name.
@@ -40,7 +41,7 @@ impl PointMetrics {
 
 /// Sweep configuration.
 #[derive(Debug, Clone)]
-pub struct SweepConfig {
+pub struct FigureSweep {
     /// Queries per point (the paper averages over 1000).
     pub queries: usize,
     /// Master seed.
@@ -54,9 +55,9 @@ pub struct SweepConfig {
     pub threads: usize,
 }
 
-impl Default for SweepConfig {
+impl Default for FigureSweep {
     fn default() -> Self {
-        SweepConfig {
+        FigureSweep {
             queries: 1000,
             seed: 20060704,
             object_id_len: paper::OBJECT_ID_LEN,
@@ -67,7 +68,7 @@ impl Default for SweepConfig {
 }
 
 /// Builds every configured scheme at size `n` from one shared seed stream.
-pub fn build_schemes(cfg: &SweepConfig, n: usize) -> Vec<Box<dyn RangeScheme>> {
+pub fn build_schemes(cfg: &FigureSweep, n: usize) -> Vec<Box<dyn RangeScheme>> {
     let registry = crate::standard_registry();
     let params = BuildParams::new(n, paper::DOMAIN_LO, paper::DOMAIN_HI)
         .with_object_id_len(cfg.object_id_len);
@@ -82,26 +83,21 @@ pub fn build_schemes(cfg: &SweepConfig, n: usize) -> Vec<Box<dyn RangeScheme>> {
 
 /// Runs `cfg.queries` random queries of the given size against every
 /// pre-built scheme, fanned across `cfg.threads` threads by
-/// [`ParallelDriver`]. Every scheme runs under the **same driver seed**,
-/// so query `q` pairs completely across schemes: the same range, the same
+/// [`ParallelDriver`](dht_api::ParallelDriver). Every scheme runs under
+/// the **same driver seed**, so query `q` pairs completely across schemes: the same range, the same
 /// origin-selection stream (each scheme maps it into its own peer space),
 /// and the same scheme-internal seed — the cross-scheme comparison is
 /// paired query-for-query as in the paper's harness. Exactness violations
 /// (impossible fault-free) panic loudly rather than skewing the figures.
 pub fn measure_point(
-    cfg: &SweepConfig,
+    cfg: &FigureSweep,
     schemes: &[Box<dyn RangeScheme>],
     range_size: f64,
 ) -> PointMetrics {
     let n = schemes.first().map_or(0, |s| s.node_count());
     let workload = WorkloadGen::uniform((paper::DOMAIN_LO, paper::DOMAIN_HI), range_size);
-    let driver = ParallelDriver {
-        queries: cfg.queries,
-        seed: cfg.seed ^ 0x5eed ^ range_size.to_bits() ^ n as u64,
-        threads: cfg.threads,
-        shard_salt: 0,
-        metrics: false,
-    };
+    let seed = cfg.seed ^ 0x5eed ^ range_size.to_bits() ^ n as u64;
+    let driver = crate::cell::driver(cfg.queries, seed, cfg.threads);
     let reports = schemes
         .iter()
         .map(|scheme| {
@@ -119,13 +115,13 @@ pub fn measure_point(
 }
 
 /// Figure 5/6 workload: fixed `N`, swept range size.
-pub fn range_sweep(cfg: &SweepConfig, n: usize, sizes: &[f64]) -> Vec<PointMetrics> {
+pub fn range_sweep(cfg: &FigureSweep, n: usize, sizes: &[f64]) -> Vec<PointMetrics> {
     let schemes = build_schemes(cfg, n);
     sizes.iter().map(|&s| measure_point(cfg, &schemes, s)).collect()
 }
 
 /// Figure 7/8 workload: fixed range size, swept `N`.
-pub fn network_sweep(cfg: &SweepConfig, ns: &[usize], range_size: f64) -> Vec<PointMetrics> {
+pub fn network_sweep(cfg: &FigureSweep, ns: &[usize], range_size: f64) -> Vec<PointMetrics> {
     ns.iter()
         .map(|&n| {
             let schemes = build_schemes(cfg, n);
@@ -138,8 +134,8 @@ pub fn network_sweep(cfg: &SweepConfig, ns: &[usize], range_size: f64) -> Vec<Po
 mod tests {
     use super::*;
 
-    fn quick_cfg() -> SweepConfig {
-        SweepConfig { queries: 40, seed: 7, object_id_len: 32, ..SweepConfig::default() }
+    fn quick_cfg() -> FigureSweep {
+        FigureSweep { queries: 40, seed: 7, object_id_len: 32, ..FigureSweep::default() }
     }
 
     #[test]
@@ -180,12 +176,12 @@ mod tests {
     fn sweeps_extend_to_any_registered_scheme() {
         // The point of the unified API: adding a scheme to a sweep is one
         // name in the config, no new glue.
-        let cfg = SweepConfig {
+        let cfg = FigureSweep {
             queries: 20,
             seed: 7,
             object_id_len: 32,
             schemes: vec!["pira".into(), "skipgraph".into(), "scrap".into()],
-            ..SweepConfig::default()
+            ..FigureSweep::default()
         };
         let points = range_sweep(&cfg, 150, &[50.0]);
         assert_eq!(points[0].reports.len(), 3);

@@ -3,7 +3,7 @@
 //! tree — as human-readable text, as the raw JSON-Lines event stream, or
 //! as a Chrome-trace array for `chrome://tracing` / Perfetto.
 //!
-//! The module is the library half of the `trace_explain` binary. Every
+//! The module is the library half of `armada-exp trace_explain`. Every
 //! function returns a `String` (or a structured report) rather than
 //! printing — the workspace determinism linter bans stdout in library
 //! crates — and every rendered explanation is checked against the
@@ -19,9 +19,8 @@
 //! hash of the index, so the 1-in-K stream is a strict subset of the
 //! 1-in-1 stream for the same configuration.
 
-use crate::standard_registry;
-use dht_api::{BuildParams, ParallelDriver, QueryTrace, RangeOutcome, SchemeError, WorkloadGen};
-use rand::Rng;
+use crate::{cell, standard_registry};
+use dht_api::{ParallelDriver, QueryTrace, RangeOutcome, SchemeError, WorkloadGen};
 use std::fmt::Write as _;
 
 /// Salt mixed into the per-index sampling hash (distinct from every other
@@ -103,25 +102,13 @@ pub struct Explained {
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first mismatching column.
+/// Returns a human-readable description of the mismatch.
 pub fn verify_accounting(out: &RangeOutcome, trace: &QueryTrace) -> Result<(), String> {
-    let (hops, latency, messages) = trace.root.total();
-    if hops != out.delay {
-        return Err(format!("explain tree sums {hops} hops, query reported delay {}", out.delay));
+    let (summed, reported) = (trace.root.total(), (out.delay, out.latency, out.messages));
+    if summed == reported {
+        return Ok(());
     }
-    if latency != out.latency {
-        return Err(format!(
-            "explain tree sums {latency} ms, query reported latency {} ms",
-            out.latency
-        ));
-    }
-    if messages != out.messages {
-        return Err(format!(
-            "explain tree sums {messages} messages, query reported {}",
-            out.messages
-        ));
-    }
-    Ok(())
+    Err(format!("explain tree sums (hops, ms, messages) = {summed:?}, query reported {reported:?}"))
 }
 
 /// The driver-index subset a `1/k` sample selects: index `q` is in iff
@@ -263,33 +250,18 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Builds the configured scheme, publishes `n` records, and
-/// wires the driver + workload the explain replays run under. The build
-/// and publish seeds follow the baseline convention (`seed ^
-/// fnv1a(scheme)`), so explains line up with baseline cells of the same
-/// seed.
+/// The configured cell — the stack built and loaded with `n` records —
+/// plus the driver and workload the explain replays run under. The build
+/// seed follows the baseline convention (`seed ^ fnv1a(scheme)`), so
+/// explains line up with baseline cells of the same seed.
 fn build(
     cfg: &TraceExplainConfig,
 ) -> Result<(Box<dyn dht_api::RangeScheme>, ParallelDriver, WorkloadGen), SchemeError> {
-    let registry = standard_registry();
-    let domain = (crate::paper::DOMAIN_LO, crate::paper::DOMAIN_HI);
-    let params = BuildParams::new(cfg.n, domain.0, domain.1).with_object_id_len(cfg.object_id_len);
-    let mut rng = simnet::rng_from_seed(cfg.seed ^ dht_api::fnv1a(cfg.scheme.as_bytes()));
-    let mut scheme = registry.build_single(&cfg.scheme, &params, &mut rng)?;
-    for h in 0..cfg.n as u64 {
-        scheme
-            .publish(rng.gen_range(domain.0..=domain.1), h)
-            .map_err(|e| SchemeError::Build(format!("publish: {e}")))?;
-    }
-    let workload = WorkloadGen::named(&cfg.workload, domain)?;
-    let driver = ParallelDriver {
-        queries: cfg.queries,
-        seed: cfg.seed,
-        threads: 1,
-        shard_salt: 0,
-        metrics: false,
-    };
-    Ok((scheme, driver, workload))
+    let seed = cfg.seed ^ dht_api::fnv1a(cfg.scheme.as_bytes());
+    let scheme =
+        cell::build(&standard_registry(), &cfg.scheme, cfg.n, cfg.object_id_len, seed)?.load()?;
+    let workload = WorkloadGen::named(&cfg.workload, cell::DOMAIN)?;
+    Ok((scheme, cell::driver(cfg.queries, cfg.seed, 1), workload))
 }
 
 /// Replays one query on an already-built scheme and accounting-checks it.
@@ -332,23 +304,7 @@ mod tests {
         let cfg = quick("pira");
         let e = explain_one(&cfg, 7).unwrap();
         // The replayed query must be byte-for-byte the driver's query 7.
-        let registry = standard_registry();
-        let domain = (crate::paper::DOMAIN_LO, crate::paper::DOMAIN_HI);
-        let params =
-            BuildParams::new(cfg.n, domain.0, domain.1).with_object_id_len(cfg.object_id_len);
-        let mut rng = simnet::rng_from_seed(cfg.seed ^ dht_api::fnv1a(cfg.scheme.as_bytes()));
-        let mut scheme = registry.build_single(&cfg.scheme, &params, &mut rng).unwrap();
-        for h in 0..cfg.n as u64 {
-            scheme.publish(rng.gen_range(domain.0..=domain.1), h).unwrap();
-        }
-        let workload = WorkloadGen::named(&cfg.workload, domain).unwrap();
-        let driver = ParallelDriver {
-            queries: cfg.queries,
-            seed: cfg.seed,
-            threads: 1,
-            shard_salt: 0,
-            metrics: false,
-        };
+        let (scheme, driver, workload) = build(&cfg).unwrap();
         let (lo, hi) = workload.range(driver.seed, 7);
         let origin = driver.query_origin(scheme.as_ref(), 7);
         let plain = scheme.range_query(origin, lo, hi, driver.query_seed(7)).unwrap();

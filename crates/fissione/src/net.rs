@@ -144,12 +144,12 @@ fn enc_mask(n: usize) -> u128 {
     u128::MAX.checked_shl(128 - 2 * n as u32).unwrap_or(0)
 }
 
-/// A live peer's [`enc_id`] key, as handed out by a [`RouteTable`]: the
+/// A live peer's `enc_id` key, as handed out by a [`RouteTable`]: the
 /// form in which a query handler compares PeerIDs against a [`KeyRegion`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerKey(u128);
 
-/// A Kautz region `⟨low, high⟩` in key space: the [`enc_probe`] windows of
+/// A Kautz region `⟨low, high⟩` in key space: the `enc_probe` windows of
 /// its endpoints. A prefix `p` of `n ≤ MAX_PEER_DEPTH` symbols has a
 /// member of the region below it iff `low[..n] ≤ p ≤ high[..n]` (the
 /// minimal extension of `p` is `≤ high` exactly when `p` is not above

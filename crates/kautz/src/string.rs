@@ -607,11 +607,8 @@ mod tests {
         for a in &strings {
             for b in strings.iter().filter(|b| !b.is_empty()) {
                 let k = b.len();
-                let expect = if a.len() <= k {
-                    a.min_extension(k).cmp(b)
-                } else {
-                    a.take_front(k).cmp(b)
-                };
+                let expect =
+                    if a.len() <= k { a.min_extension(k).cmp(b) } else { a.take_front(k).cmp(b) };
                 assert_eq!(a.cmp_min_extension(b), expect, "a={a} b={b}");
             }
         }

@@ -872,8 +872,7 @@ mod tests {
         use crate::trace::{TraceEvent, TraceSink, Verdict};
         let plan = FaultPlan::new().with_loss(LossPlan::bernoulli(0.5));
         let run = || {
-            let mut sim: Sim<u8> =
-                Sim::new(6).with_faults_ref(&plan).with_trace(TraceSink::new());
+            let mut sim: Sim<u8> = Sim::new(6).with_faults_ref(&plan).with_trace(TraceSink::new());
             for _ in 0..16 {
                 sim.send(2, 3, 0, 0);
             }
@@ -912,8 +911,7 @@ mod tests {
         use crate::trace::TraceSink;
         let plan = FaultPlan::new().with_loss(LossPlan::bernoulli(0.3));
         let run = |traced: bool| {
-            let mut sim: Sim<u64> =
-                Sim::new(21).with_faults_ref(&plan).with_net(NetModel::wan());
+            let mut sim: Sim<u64> = Sim::new(21).with_faults_ref(&plan).with_net(NetModel::wan());
             if traced {
                 sim = sim.with_trace(TraceSink::new());
             }

@@ -5,7 +5,9 @@
 //! Try another scheme: `cargo run --release --example quickstart -- skipgraph`
 //! See where every hop went: `cargo run --release --example quickstart -- pira --trace`
 
-use armada_suite::dht_api::{BuildParams, QueryCtx, QueryDriver, QueryTrace, RangeRequest};
+use armada_suite::dht_api::{
+    BuildParams, ParallelDriver, QueryCtx, QueryTrace, RangeRequest, WorkloadGen,
+};
 use armada_suite::experiments::standard_registry;
 use rand::Rng;
 
@@ -66,11 +68,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  messages         : {} (MesgRatio = {:.2})", outcome.messages, outcome.mesg_ratio());
 
-    // A batched workload through the generic driver.
-    let report = QueryDriver::new(200).run(scheme.as_ref(), &mut rng, |rng| {
-        let lo = rng.gen_range(0.0..990.0);
-        (lo, lo + 10.0)
-    })?;
+    // A batched workload through the driver: 200 uniform ranges of width
+    // 10, fanned across threads — the report is the same for any count.
+    let workload = WorkloadGen::uniform((0.0, 1000.0), 10.0);
+    let report = ParallelDriver::new(200).with_seed(2006).run(scheme.as_ref(), &workload)?;
     println!("\n200-query batched workload (range size 10):");
     println!("  avg delay  : {:.2} hops (max {:.0})", report.delay.mean, report.delay.max);
     println!("  avg msgs   : {:.1}", report.messages.mean);

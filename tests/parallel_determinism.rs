@@ -210,7 +210,10 @@ fn streaming_and_materialized_drivers_are_interchangeable_at_scale() {
             let driver =
                 ParallelDriver { queries, seed: 0xba5e, threads, shard_salt: 0, metrics: false };
             let streamed = driver.run(scheme.as_ref(), &workload).unwrap();
-            let materialized = driver.run_materialized(scheme.as_ref(), &workload).unwrap();
+            // The oracle: the whole range table, generated up front.
+            let ranges: Vec<(f64, f64)> =
+                (0..queries as u64).map(|q| workload.range(driver.seed, q)).collect();
+            let materialized = driver.run_indexed(scheme.as_ref(), |q| ranges[q as usize]).unwrap();
             let ctx = format!("pira/q{queries}/t{threads}");
             assert_reports_identical(&streamed, &materialized, &ctx);
             // And across thread counts, both match the t = 1 report.
