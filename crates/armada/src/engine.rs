@@ -107,7 +107,7 @@ impl SingleArmada {
         let id = RecordId(self.values.len() as u64);
         let object = self.naming.object_id(value);
         self.values.push(value);
-        self.net.publish(object, id.0).expect("ObjectIDs always have an owner");
+        self.net.publish(&object, id.0).expect("ObjectIDs always have an owner");
         id
     }
 
@@ -118,13 +118,13 @@ impl SingleArmada {
 
     /// Re-publishes every record that is no longer stored anywhere in the
     /// network — the data-repair half of stabilization after crashes
-    /// (graceful leaves hand records over; crashes drop them). Returns the
-    /// number of records restored.
+    /// (a graceful leave's interval is taken over with what is in it; a
+    /// crash deletes that). Returns the number of records restored.
     ///
     /// The record table is the ground truth the engine already keeps for
     /// exactness checking, so repair is a lookup-and-republish sweep: a
-    /// record is missing iff its ObjectID's owner no longer holds its
-    /// handle.
+    /// record is missing iff its handle is no longer stored under its
+    /// ObjectID.
     pub fn repair_records(&mut self) -> usize {
         let missing: Vec<(KautzStr, u64)> = self
             .values
@@ -132,13 +132,13 @@ impl SingleArmada {
             .enumerate()
             .filter_map(|(i, &v)| {
                 let object = self.naming.object_id(v);
-                let (_, handles) = self.net.lookup(&object).expect("cover is complete");
-                (!handles.contains(&(i as u64))).then_some((object, i as u64))
+                let (_, mut handles) = self.net.lookup(&object).expect("cover is complete");
+                (!handles.any(|h| h == i as u64)).then_some((object, i as u64))
             })
             .collect();
         let restored = missing.len();
         for (object, handle) in missing {
-            self.net.publish(object, handle).expect("ObjectIDs always have an owner");
+            self.net.publish(&object, handle).expect("ObjectIDs always have an owner");
         }
         restored
     }
@@ -320,7 +320,7 @@ impl MultiArmada {
         let object = self.naming.object_id(values)?;
         let id = RecordId(self.points.len() as u64);
         self.points.push(values.to_vec());
-        self.net.publish(object, id.0).expect("ObjectIDs always have an owner");
+        self.net.publish(&object, id.0).expect("ObjectIDs always have an owner");
         Ok(id)
     }
 

@@ -120,18 +120,13 @@ pub fn query(
             arrivals.push((node, env.cost));
             if answers.first_answer(node) {
                 delay = delay.max(env.hop);
-                let peer = net.peer(node).expect("live");
-                for (_oid, handles) in peer.objects_in_range(corner.low(), corner.high()) {
-                    for &h in handles {
-                        let record = RecordId(h);
-                        let point = armada.point(record);
-                        let inside = point
-                            .iter()
-                            .zip(ranges.iter())
-                            .all(|(&v, &(lo, hi))| v >= lo && v <= hi);
-                        if inside {
-                            answers.push(record);
-                        }
+                for h in net.handles_in_range(node, corner.low(), corner.high()) {
+                    let record = RecordId(h);
+                    let point = armada.point(record);
+                    let inside =
+                        point.iter().zip(ranges.iter()).all(|(&v, &(lo, hi))| v >= lo && v <= hi);
+                    if inside {
+                        answers.push(record);
                     }
                 }
             }

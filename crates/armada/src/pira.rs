@@ -18,13 +18,21 @@
 //!   reached peer; answering along the way additionally keeps the algorithm
 //!   exact on covers that violate the neighborhood invariant).
 //!
+//! The message handler only *marks* the answer. The records are read after
+//! the run, by [`gather`]: the destination peers sorted by PeerID tile the
+//! query's ObjectID range, so what the peers that answered hold is one
+//! ordered pass over one run of the network's object table, not a scan per
+//! peer. The result set is sorted either way, so the order in which the
+//! records were read is unobservable.
+//!
 //! Delay is bounded by `hops_left ≤ len(origin.id)` regardless of the range
 //! size: `< 2·log₂N` worst case, `< log₂N` on average — the paper's
 //! headline result.
 
 use crate::engine::descent_budget;
 use crate::{ArmadaError, QueryMetrics, QueryOutcome, RecordId, SingleArmada};
-use fissione::KeyRegion;
+use fissione::{KeyRegion, ObjectKey};
+use kautz::KautzRegion;
 use simnet::{Answers, Envelope, FaultPlan, NodeId, QueryScratch, Sim, SimScratch};
 
 /// One in-flight PIRA sub-query message — `Copy`, so forwarding a message
@@ -93,7 +101,6 @@ pub fn query(
     let truth = net.peers_intersecting_range(region.low(), region.high())?;
     let origin_id = net.peer_id(origin)?;
     let table = net.route_table();
-    let whole = KeyRegion::new(&region);
 
     let PiraScratch { sim: sim_scratch, subs, arrivals, answers } = scratch.slot::<PiraScratch>();
     let mut sim: Sim<PiraMsg> = Sim::from_scratch(seed, sim_scratch).with_net(*armada.net_model());
@@ -122,32 +129,14 @@ pub fn query(
         let key = table.key(node);
         let sub = &subs[env.payload.sub as usize];
 
-        // Local answer: this peer's region intersects the sub-region.
-        // Records are collected against the *full* query so one visit per
-        // peer suffices even when it straddles several sub-regions.
+        // Local answer: this peer's region intersects the sub-region. It
+        // is marked once however many sub-regions the peer straddles; what
+        // it holds is read after the run, against the *full* query.
         if sub.intersects(key) {
             arrivals.push((node, env.cost));
             sim.trace_answer(&env);
             if answers.first_answer(node) {
                 delay = delay.max(env.hop);
-                let peer = net.peer(node).expect("messages are delivered to live peers");
-                let mut collect = |handles: &[u64]| {
-                    for record in handles.iter().map(|&h| RecordId(h)) {
-                        let v = armada.value(record);
-                        if v >= lo && v <= hi {
-                            answers.push(record);
-                        }
-                    }
-                };
-                // A peer strictly inside the query hands over its whole
-                // store; only the (at most two) peers on the query's edges
-                // pay the ordered-map bound searches on full ObjectIDs.
-                if whole.covers(key) {
-                    peer.objects().for_each(|(_oid, handles)| collect(handles));
-                } else {
-                    peer.objects_in_range(region.low(), region.high())
-                        .for_each(|(_oid, handles)| collect(handles));
-                }
             }
         }
 
@@ -175,6 +164,7 @@ pub fn query(
     let records = sim.take_trace().map(simnet::TraceSink::into_records);
     let messages = sim.stats().messages_sent;
     sim.recycle(sim_scratch);
+    gather(armada, &region, &truth, (lo, hi), answers);
     Ok((
         QueryOutcome {
             results: answers.results(),
@@ -189,6 +179,43 @@ pub fn query(
         },
         records,
     ))
+}
+
+/// Hands `answers` the records of `[lo, hi]` held by the peers that answered.
+///
+/// `run` is the query's destination run — the peers whose regions meet
+/// `region`, in PeerID order — so its key intervals tile `region` in table
+/// order: one seek at `region.low()`, then the table iterator and the run
+/// cursor advance together. A peer outside the run stores nothing inside
+/// the region, so whether a stray answered changes nothing here.
+///
+/// # Panics
+///
+/// Panics if `run` stops short of the peer that owns `region.high()`.
+pub fn gather(
+    armada: &SingleArmada,
+    region: &KautzRegion,
+    run: &[NodeId],
+    (lo, hi): (f64, f64),
+    answers: &mut Answers<RecordId>,
+) {
+    let net = armada.net();
+    let table = net.route_table();
+    let mut run = run.iter();
+    // The last key of the current peer's interval, and whether it answered;
+    // the first entry moves off `MIN` onto the run's first peer.
+    let (mut last, mut answered) = (ObjectKey::MIN, false);
+    for (key, handle) in net.objects_in_range(region.low(), region.high()) {
+        while key > last {
+            let &node = run.next().expect("the destination run covers the region");
+            last = *table.key(node).interval().end();
+            answered = answers.answered(node);
+        }
+        let record = RecordId(handle);
+        if answered && (lo..=hi).contains(&armada.value(record)) {
+            answers.push(record);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -115,14 +115,11 @@ pub fn query(
                 TraceEvent::Answer { node: peer, hop: delay, cost_ms: latency },
             );
         }
-        let p = net.peer(peer).expect("live");
-        for (_oid, handles) in p.objects_in_range(region.low(), region.high()) {
-            for &h in handles {
-                let record = RecordId(h);
-                let v = armada.value(record);
-                if v >= lo && v <= hi {
-                    results.insert(record);
-                }
+        for h in net.handles_in_range(peer, region.low(), region.high()) {
+            let record = RecordId(h);
+            let v = armada.value(record);
+            if v >= lo && v <= hi {
+                results.insert(record);
             }
         }
     }

@@ -1,10 +1,12 @@
 //! Property tests: PIRA/MIRA exactness and delay bounds over randomly grown
 //! networks, random data and random queries — the core claims of the paper.
 
-use armada::{MultiArmada, SingleArmada};
+use armada::{MultiArmada, RecordId, SingleArmada};
 use fissione::FissioneConfig;
 use proptest::prelude::*;
 use rand::Rng;
+use simnet::{FaultPlan, TraceEvent};
+use std::collections::BTreeSet;
 
 fn small_cfg() -> FissioneConfig {
     FissioneConfig { object_id_len: 24, ..FissioneConfig::default() }
@@ -90,6 +92,68 @@ proptest! {
         prop_assert_eq!(out.results, m.expected_results(&query));
         let b = m.net().peer(origin).unwrap().depth() as u32;
         prop_assert!(out.metrics.delay <= b);
+    }
+
+    #[test]
+    fn pira_returns_a_record_iff_its_owner_answered(
+        seed in 0u64..10_000,
+        n in 10usize..220,
+        records in 1usize..200,
+        lo_frac in 0f64..1.0,
+        size_frac in 0f64..1.0,
+        drop_prob in 0f64..0.4,
+    ) {
+        // The gather after the run ≡ one read per answering peer ≡ brute
+        // force over the record table, when some destinations never answer:
+        // every other one has crashed, and any message may be dropped.
+        let mut rng = simnet::rng_from_seed(seed);
+        let mut a = SingleArmada::build_with(small_cfg(), n, 0.0, 1000.0, &mut rng).unwrap();
+        for _ in 0..records {
+            let v: f64 = rng.gen_range(0.0..=1000.0);
+            a.publish(v);
+        }
+        let lo = lo_frac * 1000.0;
+        let hi = (lo + size_frac * (1000.0 - lo)).min(1000.0);
+        let origin = a.net().random_peer(&mut rng);
+        let region = a.naming().region(lo, hi).unwrap();
+        let due = a.net().peers_intersecting_range(region.low(), region.high()).unwrap();
+        let mut faults = FaultPlan::with_drop_prob(drop_prob);
+        let crashed: Vec<_> = due.iter().copied().step_by(2).filter(|&p| p != origin).collect();
+        crashed.iter().for_each(|&p| faults.crash(p));
+
+        let mut scratch = simnet::QueryScratch::new();
+        let (out, trace) =
+            armada::pira::query(&a, origin, lo, hi, seed, Some(&faults), true, &mut scratch)
+                .unwrap();
+        let answered: BTreeSet<_> = trace
+            .unwrap()
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::Answer { node, .. } => Some(node),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(answered.len(), out.metrics.reached_peers);
+        prop_assert!(crashed.iter().all(|p| !answered.contains(p)));
+        prop_assert_eq!(out.metrics.exact, answered.len() == due.len());
+
+        let wanted = |r: &RecordId| (lo..=hi).contains(&a.value(*r));
+        let per_peer: BTreeSet<RecordId> = answered
+            .iter()
+            .flat_map(|&p| a.net().handles_in_range(p, region.low(), region.high()))
+            .map(RecordId)
+            .filter(wanted)
+            .collect();
+        let brute: Vec<RecordId> = (0..records as u64)
+            .map(RecordId)
+            .filter(wanted)
+            .filter(|&r| {
+                let owner = a.net().owner_of(&a.naming().object_id(a.value(r))).unwrap();
+                answered.contains(&owner)
+            })
+            .collect();
+        prop_assert_eq!(&out.results, &brute);
+        prop_assert_eq!(out.results, per_peer.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Criterion benches for the substrate building blocks: naming, routing,
 //! network construction, the three layers a replicated stack adds
-//! (placement, repair, the fetch route), PIRA's two halves — the
-//! routing table a membership epoch pays for once and the handler every
-//! delivery runs — and DCF's: the split-tree descent a query pays for once
-//! and the flood handler.
+//! (placement, repair, the fetch route), PIRA's parts — the routing table
+//! a membership epoch pays for once, the handler every delivery runs, the
+//! gather over the object table a query ends with, and a publish into that
+//! table — and DCF's: the split-tree descent a query pays for once and the
+//! flood handler.
 
-use armada::SingleArmada;
+use armada::{pira, SingleArmada};
 use armada_experiments::standard_registry;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dht_api::{BuildParams, RangeScheme};
@@ -142,26 +143,77 @@ fn bench_pira(c: &mut Criterion) {
     }
     group.finish();
 
-    // The handler: native queries over a built table and a warm scratch, at
-    // the benchmark's two corners (`pira-narrow`, `pira-scan`).
-    let mut group = c.benchmark_group("pira_query");
-    for (label, n, width) in [("narrow_1e4", 10_000usize, 2.0), ("scan_1e5", 100_000, 200.0)] {
+    // The benchmark's two corners (`pira-narrow`, `pira-scan`): a loaded
+    // network each, and the width of its queries.
+    let corners = [("narrow_1e4", 10_000usize, 2.0), ("scan_1e5", 100_000, 200.0)];
+    let mut nets = corners.map(|(label, n, width)| {
         let mut rng = simnet::rng_from_seed(11 + n as u64);
         let mut armada = SingleArmada::build(n, 0.0, 1000.0, &mut rng).unwrap();
         for _ in 0..n {
             armada.publish(rng.gen_range(0.0..=1000.0));
         }
+        (label, width, armada, rng)
+    });
+
+    // The handler: native queries over a built table and a warm scratch.
+    let mut group = c.benchmark_group("pira_query");
+    for (label, width, armada, rng) in &mut nets {
         let mut scratch = simnet::QueryScratch::new();
         let mut seed = 0u64;
-        group.bench_function(label, |b| {
+        group.bench_function(*label, |b| {
             b.iter(|| {
                 seed += 1;
-                let lo = rng.gen_range(0.0..=1000.0 - width);
-                let origin = armada.net().random_peer(&mut rng);
-                armada.pira_query_scratch(origin, lo, lo + width, seed, &mut scratch).unwrap()
+                let lo = rng.gen_range(0.0..=1000.0 - *width);
+                let origin = armada.net().random_peer(rng);
+                armada.pira_query_scratch(origin, lo, lo + *width, seed, &mut scratch).unwrap()
             });
         });
     }
+    group.finish();
+
+    // The gather: the merged pass over the object table alone, every
+    // destination having answered (marking them is inside the timing; the
+    // region and the destination run are not).
+    let mut group = c.benchmark_group("pira_gather");
+    for (label, width, armada, rng) in &mut nets {
+        let queries: Vec<_> = (0..64)
+            .map(|_| {
+                let lo = rng.gen_range(0.0..=1000.0 - *width);
+                let region = armada.naming().region(lo, lo + *width).unwrap();
+                let run = armada.net().peers_intersecting_range(region.low(), region.high());
+                (region, run.unwrap(), (lo, lo + *width))
+            })
+            .collect();
+        let node_bound = armada.net().route_table().node_bound();
+        let mut answers = simnet::Answers::default();
+        let mut next = 0;
+        group.bench_function(*label, |b| {
+            b.iter(|| {
+                next += 1;
+                let (region, run, range) = &queries[next % queries.len()];
+                answers.begin(node_bound, run);
+                for &peer in run {
+                    answers.first_answer(peer);
+                }
+                pira::gather(armada, region, run, *range, &mut answers);
+            });
+        });
+    }
+    group.finish();
+
+    // Publish: one new pair into the 10⁵-record table, the ObjectID given.
+    let (_, _, armada, rng) = &mut nets[1];
+    let ids: Vec<_> =
+        (0..4096).map(|_| armada.naming().object_id(rng.gen_range(0.0..=1000.0))).collect();
+    let net = armada.net_mut();
+    let mut handle = 100_000u64;
+    let mut group = c.benchmark_group("fissione_publish");
+    group.bench_function("100000", |b| {
+        b.iter(|| {
+            handle += 1;
+            net.publish(&ids[handle as usize % ids.len()], handle).unwrap()
+        });
+    });
     group.finish();
 }
 

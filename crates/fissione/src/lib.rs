@@ -9,6 +9,13 @@
 //!   (length-`k`, default 100) has exactly one peer whose PeerID prefixes it.
 //!   Equivalently, live peers are the leaf frontier of a pruned partition
 //!   tree [`kautz::partition`].
+//! * **Storage**: live PeerIDs tile the namespace in leaf order, so the
+//!   published objects sorted by ObjectID are already partitioned peer by
+//!   peer into contiguous runs. The network keeps them that way — one
+//!   ordered table of `(`[`ObjectKey`]`, handle)` entries — and a peer
+//!   *stores* the entries in the key interval its PeerID covers
+//!   ([`PeerKey::interval`]): a store is derived from the cover, never
+//!   moved when the cover changes.
 //! * **Topology**: peer `U = u1…ul` links to every peer whose PeerID is
 //!   prefix-compatible with `u2…ul` (the left shift). Under the paper's
 //!   *neighborhood invariant* (neighbor depths differ by ≤ 1) this is exactly
@@ -20,10 +27,13 @@
 //!   routing < log₂N).
 //! * **Join** ("fission"): route to a random point in the namespace, descend
 //!   to a locally minimal-depth peer, and split its leaf; the joiner adopts
-//!   one child label. **Leave/crash**: the sibling leaf (or, if the sibling
-//!   region is subdivided, a peer freed by merging its deepest sibling-leaf
-//!   pair) takes over; [`FissioneNet::stabilize`] repairs neighborhood
-//!   violations after churn.
+//!   one child label — and the upper part of the split peer's interval.
+//!   **Leave/crash**: the sibling leaf (or, if the sibling region is
+//!   subdivided, a peer freed by merging its deepest sibling-leaf pair)
+//!   takes over the region, and with it the interval; a crash is a leave
+//!   after which the entries in that interval are deleted.
+//!   [`FissioneNet::stabilize`] repairs neighborhood violations after
+//!   churn. None of join, leave, merge or `stabilize` touches an object.
 //! * **Routing** (long-path Kautz routing): toward target `T`, a peer `C`
 //!   computes the longest suffix of its ID that prefixes `T` and forwards to
 //!   the out-neighbor owning `C.id[1..] ++ T[j..]`; every hop makes strict
@@ -59,7 +69,10 @@ pub mod proto;
 mod routing;
 mod stats;
 
-pub use net::{FissioneNet, InvariantReport, KeyRegion, Peer, PeerKey, RouteTable, MAX_PEER_DEPTH};
+pub use net::{
+    FissioneNet, InvariantReport, KeyRegion, ObjectKey, Peer, PeerKey, RouteTable,
+    MAX_OBJECT_ID_LEN, MAX_PEER_DEPTH,
+};
 pub use routing::Route;
 pub use stats::{DegreeStats, DepthStats, RoutingSample};
 
@@ -98,6 +111,25 @@ pub struct FissioneConfig {
     pub balance: BalanceRule,
 }
 
+impl FissioneConfig {
+    /// Checks what [`FissioneNet`] relies on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FissioneError::UnsupportedObjectIdLen`] if `object_id_len`
+    /// is zero or above [`MAX_OBJECT_ID_LEN`].
+    pub fn validate(&self) -> Result<(), FissioneError> {
+        if (1..=MAX_OBJECT_ID_LEN).contains(&self.object_id_len) {
+            Ok(())
+        } else {
+            Err(FissioneError::UnsupportedObjectIdLen {
+                len: self.object_id_len,
+                max: MAX_OBJECT_ID_LEN,
+            })
+        }
+    }
+}
+
 impl Default for FissioneConfig {
     fn default() -> Self {
         FissioneConfig { base: 2, object_id_len: 100, balance: BalanceRule::default() }
@@ -123,6 +155,22 @@ pub enum FissioneError {
         /// Maximum live PeerID length.
         max_depth: usize,
     },
+    /// A string offered as an ObjectID does not have the network's
+    /// ObjectID length.
+    ObjectIdLen {
+        /// Length of the supplied string.
+        len: usize,
+        /// The configured `object_id_len`.
+        expected: usize,
+    },
+    /// The configured ObjectID length is zero or above
+    /// [`MAX_OBJECT_ID_LEN`].
+    UnsupportedObjectIdLen {
+        /// The configured `object_id_len`.
+        len: usize,
+        /// [`MAX_OBJECT_ID_LEN`].
+        max: usize,
+    },
     /// An invariant check failed (see [`InvariantReport`]).
     InvariantViolated(InvariantReport),
     /// No live route exists (everything usable is crashed).
@@ -140,6 +188,12 @@ impl std::fmt::Display for FissioneError {
                 f,
                 "target of length {target_len} shorter than deepest peer id ({max_depth})"
             ),
+            FissioneError::ObjectIdLen { len, expected } => {
+                write!(f, "ObjectID of {len} symbols in a network of {expected}-symbol ObjectIDs")
+            }
+            FissioneError::UnsupportedObjectIdLen { len, max } => {
+                write!(f, "ObjectID length {len} outside 1..={max}")
+            }
             FissioneError::InvariantViolated(report) => {
                 write!(f, "invariant violated: {report:?}")
             }

@@ -1,4 +1,5 @@
-//! The FISSIONE peer table: prefix-free cover, churn, neighbors, storage.
+//! The FISSIONE peer table: prefix-free cover, churn, neighbors, and the
+//! one ordered object table every peer's store is an interval of.
 
 use crate::{BalanceRule, FissioneConfig, FissioneError};
 use kautz::{KautzRegion, KautzStr};
@@ -6,15 +7,16 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::NodeId;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::ops::Bound;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::ops::{Bound, RangeInclusive};
 use std::sync::OnceLock;
 
-/// A live FISSIONE peer: its PeerID and the objects it stores.
+/// A live FISSIONE peer: its PeerID, and nothing else. What it *stores* is
+/// derived from that: the [`PeerKey::interval`] of the network's object
+/// table, the entries whose ObjectIDs the PeerID prefixes.
 #[derive(Debug, Clone)]
 pub struct Peer {
     id: KautzStr,
-    objects: BTreeMap<KautzStr, Vec<u64>>,
 }
 
 impl Peer {
@@ -26,34 +28,6 @@ impl Peer {
     /// The peer's depth in the partition tree.
     pub fn depth(&self) -> usize {
         self.id.len()
-    }
-
-    /// Objects stored at this peer: `(ObjectID, handles)` in ObjectID order.
-    pub fn objects(&self) -> impl Iterator<Item = (&KautzStr, &[u64])> {
-        self.objects.iter().map(|(k, v)| (k, v.as_slice()))
-    }
-
-    /// Handles published under one exact ObjectID.
-    pub fn handles_for(&self, object: &KautzStr) -> &[u64] {
-        self.objects.get(object).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Stored objects whose ObjectIDs fall in the closed lexicographic range
-    /// `[low, high]` — the local scan a destination peer performs to answer
-    /// a range query.
-    pub fn objects_in_range<'a>(
-        &'a self,
-        low: &KautzStr,
-        high: &KautzStr,
-    ) -> impl Iterator<Item = (&'a KautzStr, &'a [u64])> {
-        self.objects
-            .range::<KautzStr, _>((Bound::Included(low), Bound::Included(high)))
-            .map(|(k, v)| (k, v.as_slice()))
-    }
-
-    /// Number of stored handles.
-    pub fn object_count(&self) -> usize {
-        self.objects.values().map(Vec::len).sum()
     }
 }
 
@@ -85,6 +59,54 @@ const ENC_SYMS: usize = 64;
 /// refuses to pass it, so every live key satisfies it.
 pub const MAX_PEER_DEPTH: usize = ENC_SYMS - 1;
 
+/// The longest ObjectID a network can be configured for: the largest both
+/// [`KautzStr::count`] (`join` draws a uniform namespace point; `3·2^(k−1)`
+/// must fit a `u128`) and [`ObjectKey`] (128 symbols) represent.
+pub const MAX_OBJECT_ID_LEN: usize = 127;
+
+/// The exact fixed-width form of an ObjectID: `enc_probe`'s packing
+/// continued past its 64-symbol window, so that key order is ObjectID order
+/// *and* distinct ids get distinct keys (the window alone merges ids that
+/// first differ after symbol 64). The object table sorted by key is the
+/// namespace in leaf order: the ObjectIDs below a PeerID are one contiguous
+/// interval of it, and so is a range query's answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ObjectKey([u64; 4]);
+
+impl ObjectKey {
+    /// The key of the empty string: below the key of every ObjectID.
+    pub const MIN: ObjectKey = ObjectKey([0; 4]);
+
+    /// Keeps the key's 128 symbols: all of an ObjectID (whose length
+    /// `object_key` checks), and of a longer range bound all that matters.
+    fn new(id: &KautzStr) -> Self {
+        let mut words = [0u64; 4];
+        for (i, &s) in id.symbols().iter().take(2 * ENC_SYMS).enumerate() {
+            words[i / 32] |= (u64::from(s) + 1) << (62 - 2 * (i % 32));
+        }
+        ObjectKey(words)
+    }
+
+    /// The [`enc_probe`] window of the id: its first [`ENC_SYMS`] symbols.
+    fn head(self) -> u128 {
+        u128::from(self.0[0]) << 64 | u128::from(self.0[1])
+    }
+
+    /// The least (`tail = 0`) or greatest (`u64::MAX`) key whose window is
+    /// `head`.
+    fn from_head(head: u128, tail: u64) -> Self {
+        ObjectKey([(head >> 64) as u64, head as u64, tail, tail])
+    }
+
+    /// The string this key encodes; `None` if no Kautz string does.
+    fn decode(self, base: u8) -> Option<KautzStr> {
+        let groups = (0..2 * ENC_SYMS).map(|i| (self.0[i / 32] >> (62 - 2 * (i % 32))) as u8 & 3);
+        let syms: Vec<u8> = groups.clone().take_while(|&g| g != 0).map(|g| g - 1).collect();
+        let padded = groups.skip(syms.len()).all(|g| g == 0);
+        KautzStr::new(base, syms).ok().filter(|_| padded)
+    }
+}
+
 /// Order-preserving fixed-width key for a PeerID: symbol `s` becomes the
 /// 2-bit group `s + 1`, packed MSB-first and zero-padded. Integer order on
 /// keys coincides with lexicographic order on ids (a proper prefix sorts
@@ -100,11 +122,7 @@ pub const MAX_PEER_DEPTH: usize = ENC_SYMS - 1;
 /// Panics if `id` is deeper than [`ENC_SYMS`].
 pub(crate) fn enc_id(id: &KautzStr) -> u128 {
     assert!(id.len() <= ENC_SYMS, "PeerID depth {} exceeds key capacity", id.len());
-    let mut k = 0u128;
-    for (i, &s) in id.symbols().iter().enumerate() {
-        k |= (u128::from(s) + 1) << (126 - 2 * i);
-    }
-    k
+    enc_probe(id)
 }
 
 /// Key of the first [`ENC_SYMS`] symbols of an arbitrary-length string.
@@ -149,6 +167,15 @@ fn enc_mask(n: usize) -> u128 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerKey(u128);
 
+impl PeerKey {
+    /// The keys of the ObjectIDs this PeerID prefixes: the interval of the
+    /// object table the peer stores.
+    pub fn interval(self) -> RangeInclusive<ObjectKey> {
+        let below = (1u128 << (128 - 2 * enc_len(self.0))) - 1;
+        ObjectKey::from_head(self.0, 0)..=ObjectKey::from_head(self.0 | below, u64::MAX)
+    }
+}
+
 /// A Kautz region `⟨low, high⟩` in key space: the `enc_probe` windows of
 /// its endpoints. A prefix `p` of `n ≤ MAX_PEER_DEPTH` symbols has a
 /// member of the region below it iff `low[..n] ≤ p ≤ high[..n]` (the
@@ -176,29 +203,18 @@ impl KeyRegion {
         }
     }
 
-    /// The endpoints truncated to their first `n` symbols; `None` when the
-    /// region's strings are shorter than that.
-    fn truncated(&self, n: usize) -> Option<(u128, u128)> {
-        let mask = enc_mask(n);
-        (n <= self.len).then_some((self.low & mask, self.high & mask))
-    }
-
     /// Whether some member of the region extends the `n`-symbol prefix
-    /// whose key is `prefix`.
+    /// whose key is `prefix`: it lies between the endpoints' first `n`
+    /// symbols (none when the region's strings are shorter than that).
     fn intersects_prefix_key(&self, prefix: u128, n: usize) -> bool {
-        self.truncated(n).is_some_and(|(low, high)| low <= prefix && prefix <= high)
+        let mask = enc_mask(n);
+        n <= self.len && self.low & mask <= prefix && prefix <= self.high & mask
     }
 
     /// Whether the peer's region intersects this one —
     /// [`KautzRegion::intersects_prefix`] of its PeerID.
     pub fn intersects(&self, peer: PeerKey) -> bool {
         self.intersects_prefix_key(peer.0, enc_len(peer.0))
-    }
-
-    /// Whether the peer's whole region lies strictly inside this one, so
-    /// that everything the peer stores is a member.
-    pub fn covers(&self, peer: PeerKey) -> bool {
-        self.truncated(enc_len(peer.0)).is_some_and(|(low, high)| low < peer.0 && peer.0 < high)
     }
 
     /// PIRA's subtree test for an out-neighbor `child`: whether the region
@@ -291,7 +307,12 @@ impl RouteTable {
 }
 
 /// The FISSIONE network: a prefix-free cover of the Kautz namespace under
-/// churn, with object storage and neighbor computation.
+/// churn, with neighbor computation and one ordered object table.
+///
+/// Published objects live in one set sorted by [`ObjectKey`], not at peers:
+/// a peer *stores* the entries in the [`PeerKey::interval`] of its id, so a
+/// store is derived, never moved. Join, graceful leave, merge and
+/// `stabilize` touch no object; a crash deletes the crashed peer's interval.
 ///
 /// `NodeId`s are stable: a peer keeps its id for its lifetime, and slots of
 /// departed peers are reused only by [`FissioneNet::stabilize`]'s internal
@@ -308,6 +329,8 @@ pub struct FissioneNet {
     /// Free slots as a min-heap: allocation recycles the lowest free index,
     /// matching the old slot scan without its O(N) cost.
     free_slots: BinaryHeap<Reverse<usize>>,
+    /// Every published `(ObjectID, handle)`, in ObjectID order.
+    objects: BTreeSet<(ObjectKey, u64)>,
     /// The routing table of the current cover: built by the first
     /// [`route_table`](Self::route_table) call after a membership change
     /// (a `OnceLock` because queries hold `&self` across driver threads),
@@ -317,7 +340,13 @@ pub struct FissioneNet {
 
 impl FissioneNet {
     /// Creates the minimal network: the `base + 1` root peers `0, 1, …, d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`FissioneConfig::validate`], which
+    /// [`build`](Self::build) reports as an error instead.
     pub fn new(cfg: FissioneConfig) -> Self {
+        cfg.validate().expect("a network needs a valid configuration");
         let mut net = FissioneNet {
             cfg,
             slots: Vec::new(),
@@ -325,6 +354,7 @@ impl FissioneNet {
             live: 0,
             depth_hist: Vec::new(),
             free_slots: BinaryHeap::new(),
+            objects: BTreeSet::new(),
             table: OnceLock::new(),
         };
         for sym in 0..=cfg.base {
@@ -338,8 +368,10 @@ impl FissioneNet {
     ///
     /// # Errors
     ///
-    /// Returns [`FissioneError::TooSmall`] if `n` is below the root count.
+    /// Returns [`FissioneError::TooSmall`] if `n` is below the root count
+    /// and the error of [`FissioneConfig::validate`] if `cfg` fails it.
     pub fn build(cfg: FissioneConfig, n: usize, rng: &mut SmallRng) -> Result<Self, FissioneError> {
+        cfg.validate()?;
         if n < cfg.base as usize + 1 {
             return Err(FissioneError::TooSmall);
         }
@@ -665,8 +697,9 @@ impl FissioneNet {
     }
 
     /// Splits the leaf of `node` into its two children; `node` keeps the
-    /// lexicographically first child, a fresh peer takes the second.
-    /// Stored objects are repartitioned by prefix.
+    /// lexicographically first child, a fresh peer takes the second — and
+    /// with it the upper part of the split peer's key interval: no object
+    /// moves.
     ///
     /// Returns `(node, newcomer)`.
     ///
@@ -676,8 +709,7 @@ impl FissioneNet {
     /// sits at [`MAX_PEER_DEPTH`].
     pub fn split_leaf(&mut self, node: NodeId) -> (NodeId, NodeId) {
         self.cover_changed();
-        let peer = self.slots[node].as_mut().expect("live node");
-        let old_id = peer.id.clone();
+        let old_id = self.slots[node].as_ref().expect("live node").id.clone();
         assert!(
             old_id.len() < self.cfg.object_id_len,
             "peer regions cannot outgrow ObjectID resolution"
@@ -692,56 +724,28 @@ impl FissioneNet {
         let b = kids.next().expect("base ≥ 2 gives two children");
         let left = old_id.child(a).expect("legal child");
         let right = old_id.child(b).expect("legal child");
-
-        // Partition stored objects by the symbol at the split depth.
-        let split_pos = old_id.len();
-        let mut right_objects = BTreeMap::new();
-        let keys: Vec<KautzStr> = peer.objects.keys().cloned().collect();
-        for key in keys {
-            if key.symbols()[split_pos] == b {
-                let v = peer.objects.remove(&key).expect("key just listed");
-                right_objects.insert(key, v);
-            }
-        }
-        peer.id = left.clone();
+        self.slots[node].as_mut().expect("live node").id = left.clone();
 
         self.by_id.remove(&enc_id(&old_id));
         self.by_id.insert(enc_id(&left), node);
         self.bump_depth(old_id.len(), -1);
         self.bump_depth(old_id.len() + 1, 1);
 
-        let newcomer = self.alloc_slot(Peer { id: right.clone(), objects: right_objects });
+        let newcomer = self.alloc_slot(Peer { id: right.clone() });
         self.by_id.insert(enc_id(&right), newcomer);
         self.bump_depth(old_id.len() + 1, 1);
         self.live += 1;
         (node, newcomer)
     }
 
-    /// Graceful departure: the peer's region and objects are taken over as
-    /// described in the crate docs.
+    /// Graceful departure: the peer's region — and with it the interval of
+    /// the object table it stored — is taken over as the crate docs describe.
     ///
     /// # Errors
     ///
     /// Returns [`FissioneError::NoSuchPeer`] for dead ids and
     /// [`FissioneError::TooSmall`] when only the root peers remain.
     pub fn leave(&mut self, node: NodeId) -> Result<(), FissioneError> {
-        self.remove_peer(node, true)
-    }
-
-    /// Abrupt failure: like [`FissioneNet::leave`] but the peer's stored
-    /// objects are lost (self-stabilisation reclaims only the region).
-    /// Returns the number of handles lost.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FissioneNet::leave`].
-    pub fn crash(&mut self, node: NodeId) -> Result<usize, FissioneError> {
-        let lost = self.peer(node)?.object_count();
-        self.remove_peer(node, false)?;
-        Ok(lost)
-    }
-
-    fn remove_peer(&mut self, node: NodeId, keep_objects: bool) -> Result<(), FissioneError> {
         let id = self.peer(node)?.id().clone();
         if self.live <= self.cfg.base as usize + 1 {
             return Err(FissioneError::TooSmall);
@@ -753,17 +757,10 @@ impl FissioneNet {
             let sibling = Self::sibling_label(&id);
             if let Some(&sib_node) = self.by_id.get(&enc_id(&sibling)) {
                 let parent = id.take_front(id.len() - 1);
-                let mut objects = if keep_objects {
-                    std::mem::take(&mut self.slots[node].as_mut().expect("live").objects)
-                } else {
-                    BTreeMap::new()
-                };
                 self.free_slot(node, &id);
-                let sib = self.slots[sib_node].as_mut().expect("live sibling");
-                sib.objects.append(&mut objects);
                 self.by_id.remove(&enc_id(&sibling));
                 self.by_id.insert(enc_id(&parent), sib_node);
-                sib.id = parent;
+                self.slots[sib_node].as_mut().expect("live sibling").id = parent;
                 self.bump_depth(id.len(), -1);
                 self.bump_depth(id.len() - 1, 1);
                 return Ok(());
@@ -792,30 +789,16 @@ impl FissioneNet {
             *self.by_id.get(&enc_id(&deep_sibling)).expect("sibling of a deepest leaf is a leaf");
         debug_assert_ne!(sib_node, node);
         let parent = deep_id.take_front(deep_id.len() - 1);
-        let mut donor_objects =
-            std::mem::take(&mut self.slots[deepest].as_mut().expect("live").objects);
-        {
-            let sib = self.slots[sib_node].as_mut().expect("live sibling");
-            sib.objects.append(&mut donor_objects);
-            self.by_id.remove(&enc_id(&deep_sibling));
-            self.by_id.insert(enc_id(&parent), sib_node);
-            sib.id = parent;
-            self.bump_depth(deep_id.len(), -2);
-            self.bump_depth(deep_id.len() - 1, 1);
-        }
+        self.by_id.remove(&enc_id(&deep_sibling));
+        self.by_id.insert(enc_id(&parent), sib_node);
+        self.slots[sib_node].as_mut().expect("live sibling").id = parent;
+        self.bump_depth(deep_id.len(), -2);
+        self.bump_depth(deep_id.len() - 1, 1);
 
-        // The freed donor adopts the leaver's label and objects.
-        let objects = if keep_objects {
-            std::mem::take(&mut self.slots[node].as_mut().expect("live").objects)
-        } else {
-            BTreeMap::new()
-        };
+        // The freed donor adopts the leaver's label, and with it the
+        // leaver's interval.
         self.by_id.remove(&enc_id(&deep_id));
-        {
-            let donor = self.slots[deepest].as_mut().expect("live donor");
-            donor.id = id.clone();
-            donor.objects = objects;
-        }
+        self.slots[deepest].as_mut().expect("live donor").id = id.clone();
         // The donor replaces the leaver under the same label, so the depth
         // histogram at `id.len()` is unchanged; only the slot and live count
         // of the leaver go away.
@@ -824,6 +807,20 @@ impl FissioneNet {
         self.free_slots.push(Reverse(node));
         self.live -= 1;
         Ok(())
+    }
+
+    /// Abrupt failure: a [`leave`](Self::leave) after which the entries in
+    /// the peer's interval are deleted from the object table
+    /// (self-stabilisation reclaims only the region). Returns the number of
+    /// handles lost; a refused crash loses nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`FissioneNet::leave`].
+    pub fn crash(&mut self, node: NodeId) -> Result<usize, FissioneError> {
+        let (first, last) = PeerKey(enc_id(self.peer(node)?.id())).interval().into_inner();
+        self.leave(node)?;
+        Ok(self.objects.extract_if((first, 0)..=(last, u64::MAX), |_| true).count())
     }
 
     /// Repairs neighborhood-invariant violations by migrating peers from the
@@ -884,65 +881,108 @@ impl FissioneNet {
         }
         self.cover_changed();
         let parent = deep_id.take_front(deep_id.len() - 1);
-        let mut donor_objects =
-            std::mem::take(&mut self.slots[donor].as_mut().expect("live").objects);
-        {
-            let sib = self.slots[sib_node].as_mut().expect("live");
-            sib.objects.append(&mut donor_objects);
-            self.by_id.remove(&enc_id(&sibling));
-            self.by_id.insert(enc_id(&parent), sib_node);
-            sib.id = parent;
-            self.bump_depth(deep_id.len(), -2);
-            self.bump_depth(deep_id.len() - 1, 1);
-        }
+        self.by_id.remove(&enc_id(&sibling));
+        self.by_id.insert(enc_id(&parent), sib_node);
+        self.slots[sib_node].as_mut().expect("live").id = parent;
+        self.bump_depth(deep_id.len(), -2);
+        self.bump_depth(deep_id.len() - 1, 1);
         self.by_id.remove(&enc_id(&deep_id));
         self.live -= 1; // donor temporarily out
         self.slots[donor] = None;
         self.free_slots.push(Reverse(donor));
 
-        // Split the target; the freed slot takes the right child.
-        let (kept, newcomer) = self.split_leaf(target);
+        // Split the target; the lowest free slot takes the right child.
+        let (kept, _newcomer) = self.split_leaf(target);
         debug_assert_eq!(kept, target);
-        // Move the newcomer's identity into the freed donor slot so donor
-        // ids stay stable? Both slots are ours; keep it simple: the freed
-        // donor slot stays empty and the newcomer occupies a (possibly
-        // recycled) slot — slot identity of migrated peers changes, which
-        // callers observe through liveness checks.
-        let _ = newcomer;
     }
 
-    /// Publishes an object handle; returns the storing peer.
+    /// The table key of `object`, or [`FissioneError::ObjectIdLen`] unless
+    /// it has exactly `object_id_len` symbols: a string of another length
+    /// would sort into the table without being an ObjectID.
+    pub(crate) fn object_key(&self, object: &KautzStr) -> Result<ObjectKey, FissioneError> {
+        let (len, expected) = (object.len(), self.cfg.object_id_len);
+        if len != expected {
+            return Err(FissioneError::ObjectIdLen { len, expected });
+        }
+        Ok(ObjectKey::new(object))
+    }
+
+    /// Table entries with keys in `[from, to]`, ascending (none when
+    /// `from > to`): one seek, then a walk.
+    fn entries(
+        &self,
+        from: ObjectKey,
+        to: ObjectKey,
+    ) -> impl Iterator<Item = (ObjectKey, u64)> + '_ {
+        self.objects.range((from, 0)..).copied().take_while(move |&(key, _)| key <= to)
+    }
+
+    /// Publishes an object handle; returns the storing peer. The pair is
+    /// stored once however often it is published.
     ///
     /// # Errors
     ///
-    /// Returns [`FissioneError::TargetTooShort`] if the ObjectID is shorter
-    /// than the owner region's depth (callers should use the configured
-    /// `object_id_len`).
-    pub fn publish(&mut self, object: KautzStr, handle: u64) -> Result<NodeId, FissioneError> {
-        let owner = self.owner_of(&object)?;
-        self.slots[owner]
-            .as_mut()
-            .expect("owner is live")
-            .objects
-            .entry(object)
-            .or_default()
-            .push(handle);
+    /// Returns [`FissioneError::ObjectIdLen`] unless `object` has exactly
+    /// `object_id_len` symbols.
+    pub fn publish(&mut self, object: &KautzStr, handle: u64) -> Result<NodeId, FissioneError> {
+        let key = self.object_key(object)?;
+        let (_, owner) = self.owner_of_enc(key.head(), object.len())?;
+        self.objects.insert((key, handle));
         Ok(owner)
     }
 
-    /// All handles published under an exact ObjectID (resolved at the
-    /// owner), with the owner's node id.
+    /// All handles published under an exact ObjectID, ascending, with the
+    /// node id of the peer that stores them.
     ///
     /// # Errors
     ///
-    /// Returns [`FissioneError::TargetTooShort`] for malformed ObjectIDs.
-    pub fn lookup(&self, object: &KautzStr) -> Result<(NodeId, &[u64]), FissioneError> {
-        let owner = self.owner_of(object)?;
-        Ok((owner, self.slots[owner].as_ref().expect("live").handles_for(object)))
+    /// As [`publish`](Self::publish).
+    pub fn lookup(
+        &self,
+        object: &KautzStr,
+    ) -> Result<(NodeId, impl Iterator<Item = u64> + '_), FissioneError> {
+        let key = self.object_key(object)?;
+        let (_, owner) = self.owner_of_enc(key.head(), object.len())?;
+        Ok((owner, self.handles_under(key)))
     }
 
-    /// Verifies the hard invariants (complete prefix-free cover, object
-    /// placement, internal bookkeeping) and reports soft statistics.
+    /// The handles published under the ObjectID whose key is `key`.
+    pub(crate) fn handles_under(&self, key: ObjectKey) -> impl Iterator<Item = u64> + '_ {
+        self.entries(key, key).map(|(_, handle)| handle)
+    }
+
+    /// Every stored `(key, handle)` with an ObjectID in the closed range
+    /// `[low, high]`, in ObjectID order across all peers: a range query's
+    /// answer is this one run of the table, and [`PeerKey::interval`] says
+    /// where each peer's share of it ends.
+    pub fn objects_in_range(
+        &self,
+        low: &KautzStr,
+        high: &KautzStr,
+    ) -> impl Iterator<Item = (ObjectKey, u64)> + '_ {
+        self.entries(ObjectKey::new(low), ObjectKey::new(high))
+    }
+
+    /// The handles `node` stores under ObjectIDs in `[low, high]` — the
+    /// local scan one destination peer performs to answer a range query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not live.
+    pub fn handles_in_range(
+        &self,
+        node: NodeId,
+        low: &KautzStr,
+        high: &KautzStr,
+    ) -> impl Iterator<Item = u64> + '_ {
+        let id = self.peer(node).expect("live node").id();
+        let (first, last) = PeerKey(enc_id(id)).interval().into_inner();
+        self.entries(first.max(ObjectKey::new(low)), last.min(ObjectKey::new(high)))
+            .map(|(_, handle)| handle)
+    }
+
+    /// Verifies the hard invariants (complete prefix-free cover, well-formed
+    /// object keys, internal bookkeeping) and reports soft statistics.
     ///
     /// # Errors
     ///
@@ -988,13 +1028,13 @@ impl FissioneNet {
         if total != 3u128 << (d_max - 1) {
             return Err(FissioneError::InvariantViolated(report));
         }
-        // Object placement: stored keys extend the holder's id.
-        for peer in self.slots.iter().flatten() {
-            for (key, _) in peer.objects() {
-                if !peer.id().is_prefix_of(key) || key.len() != self.cfg.object_id_len {
-                    return Err(FissioneError::InvariantViolated(report));
-                }
-            }
+        // The object table: every key is the exact form of an ObjectID of
+        // the configured length (which peer stores it needs no check: that
+        // is read off the key).
+        let is_object_id = |id: KautzStr| id.len() == self.cfg.object_id_len;
+        if !self.objects.iter().all(|(key, _)| key.decode(self.cfg.base).is_some_and(is_object_id))
+        {
+            return Err(FissioneError::InvariantViolated(report));
         }
         Ok(report)
     }
@@ -1016,7 +1056,7 @@ impl FissioneNet {
             max_depth: self.max_depth(),
             min_depth: self.min_depth(),
             neighborhood_violations: violations,
-            total_objects: self.slots.iter().flatten().map(Peer::object_count).sum(),
+            total_objects: self.objects.len(),
         }
     }
 
@@ -1041,7 +1081,7 @@ impl FissioneNet {
     fn insert_peer(&mut self, id: KautzStr) -> NodeId {
         self.cover_changed();
         let key = enc_id(&id);
-        let node = self.alloc_slot(Peer { id: id.clone(), objects: BTreeMap::new() });
+        let node = self.alloc_slot(Peer { id: id.clone() });
         self.bump_depth(id.len(), 1);
         self.by_id.insert(key, node);
         self.live += 1;
@@ -1221,8 +1261,9 @@ mod tests {
         let mut rng = simnet::rng_from_seed(88);
         for h in 0..50u64 {
             let obj = KautzStr::random(2, net.config().object_id_len, &mut rng);
-            let owner = net.publish(obj.clone(), h).unwrap();
+            let owner = net.publish(&obj, h).unwrap();
             let (found, handles) = net.lookup(&obj).unwrap();
+            let handles: Vec<u64> = handles.collect();
             assert_eq!(found, owner);
             assert!(handles.contains(&h));
         }
@@ -1235,7 +1276,7 @@ mod tests {
         let mut rng = simnet::rng_from_seed(9);
         for h in 0..200u64 {
             let obj = KautzStr::random(2, net.config().object_id_len, &mut rng);
-            net.publish(obj, h).unwrap();
+            net.publish(&obj, h).unwrap();
         }
         for _ in 0..50 {
             net.join(&mut rng);
@@ -1266,7 +1307,7 @@ mod tests {
         // Publish objects, then churn heavily.
         for h in 0..100u64 {
             let obj = KautzStr::random(2, net.config().object_id_len, &mut rng);
-            net.publish(obj, h).unwrap();
+            net.publish(&obj, h).unwrap();
         }
         for _ in 0..30 {
             let victim = net.random_peer(&mut rng);
@@ -1285,7 +1326,7 @@ mod tests {
         let mut published = 0;
         for h in 0..60u64 {
             let obj = KautzStr::random(2, net.config().object_id_len, &mut rng);
-            net.publish(obj, h).unwrap();
+            net.publish(&obj, h).unwrap();
             published += 1;
         }
         let victim = net.random_peer(&mut rng);
@@ -1401,12 +1442,6 @@ mod tests {
                             region.intersects_prefix(&p),
                             "{} ∩ {}", region, p
                         );
-                        let inside = p.len() <= k && low < p && p < high;
-                        prop_assert_eq!(keys.covers(key(&p)), inside, "{} ⊃ {}", region, p);
-                        if inside {
-                            prop_assert!(region.contains(&p.min_extension(k)));
-                            prop_assert!(region.contains(&p.max_extension(k)));
-                        }
                     }
                 }
             }
@@ -1489,33 +1524,221 @@ mod tests {
         }
     }
 
-    // The churn schedules of `tests/churn_properties.rs`, with the table
-    // built before every operation: whichever one runs, the next read must
-    // see the new cover, never the table of the old one.
+    #[test]
+    fn ids_that_first_differ_past_the_window_get_distinct_ordered_keys() {
+        let mut rng = simnet::rng_from_seed(19);
+        for k in [100, 120] {
+            let a = KautzStr::random(2, k, &mut rng);
+            let stem = a.take_front(90);
+            let other = stem.child_symbols().find(|&s| s != a.symbols()[90]).unwrap();
+            let b = stem.child(other).unwrap().min_extension(k);
+            assert_eq!(a.common_prefix_len(&b), 90);
+            let (ka, kb) = (ObjectKey::new(&a), ObjectKey::new(&b));
+            assert_eq!(ka.head(), kb.head(), "the window alone cannot tell them apart");
+            assert_eq!(ka.cmp(&kb), a.cmp(&b));
+            assert_ne!(ka, kb);
+        }
+    }
+
+    #[test]
+    fn object_ids_of_another_length_are_refused_at_the_door() {
+        let mut net = build(50, 20);
+        for len in [23, 25, 30, 200] {
+            let stray = ks("0").min_extension(len);
+            let refused = FissioneError::ObjectIdLen { len, expected: 24 };
+            assert_eq!(net.publish(&stray, 7).unwrap_err(), refused);
+            assert_eq!(net.lookup(&stray).map(|_| ()).unwrap_err(), refused);
+            let sent = net.lookup_via_sim(0, &stray, 1, &simnet::FaultPlan::new());
+            assert_eq!(sent.unwrap_err(), refused);
+        }
+        assert_eq!(net.check_invariants().unwrap().total_objects, 0);
+    }
+
+    #[test]
+    fn build_names_the_object_id_length_limit() {
+        let mut rng = simnet::rng_from_seed(21);
+        let cfg = |object_id_len| FissioneConfig { object_id_len, ..FissioneConfig::default() };
+        for len in [0, MAX_OBJECT_ID_LEN + 1, 200] {
+            let refused = FissioneError::UnsupportedObjectIdLen { len, max: MAX_OBJECT_ID_LEN };
+            assert_eq!(FissioneNet::build(cfg(len), 10, &mut rng).unwrap_err(), refused);
+        }
+        for len in [125, 126, MAX_OBJECT_ID_LEN] {
+            let mut net = FissioneNet::build(cfg(len), 40, &mut rng).unwrap();
+            let object = KautzStr::random(2, len, &mut rng);
+            let owner = net.publish(&object, 3).unwrap();
+            assert_eq!(net.lookup(&object).unwrap().0, owner);
+            assert_eq!(net.handles_under(ObjectKey::new(&object)).collect::<Vec<_>>(), [3]);
+            assert_eq!(net.check_invariants().unwrap().total_objects, 1);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn object_keys_order_and_partition_like_the_strings(
+            seed in any::<u64>(),
+            k in prop_oneof![Just(24usize), Just(64), Just(65), Just(100), Just(120)],
+            share in 0usize..120,
+        ) {
+            let mut rng = simnet::rng_from_seed(seed);
+            let region = random_region(k, share % k, &mut rng);
+            let (a, b) = (region.low(), region.high());
+            let (ka, kb) = (ObjectKey::new(a), ObjectKey::new(b));
+            // Same order, and equal keys only for equal ids.
+            prop_assert_eq!(ka.cmp(&kb), a.cmp(b), "{} vs {}", a, b);
+            prop_assert_eq!(ka.decode(2).as_ref(), Some(a));
+            prop_assert_eq!(ka.head(), enc_probe(a));
+            // A peer of any live depth stores exactly what its id prefixes.
+            for n in 1..=MAX_PEER_DEPTH.min(k) {
+                let (low, high) = (a.take_front(n), b.take_front(n));
+                let edge = [low.successor(), high.successor()].into_iter().flatten();
+                let peers = [low.clone(), high.clone(), KautzStr::random(2, n, &mut rng)];
+                for p in peers.into_iter().chain(edge) {
+                    for (o, ko) in [(a, ka), (b, kb)] {
+                        let stores = key(&p).interval().contains(&ko);
+                        prop_assert_eq!(stores, p.is_prefix_of(o), "{} under {}", o, p);
+                    }
+                }
+            }
+        }
+    }
+
+    /// What `node` stores, read off the table: the entries in its interval.
+    fn stored_at(net: &FissioneNet, node: NodeId) -> Vec<(KautzStr, u64)> {
+        let (first, last) = key(net.peer_id(node).unwrap()).interval().into_inner();
+        net.entries(first, last).map(|(k, h)| (k.decode(2).expect("a valid key"), h)).collect()
+    }
+
+    type Model = BTreeSet<(KautzStr, u64)>;
+
+    /// The model's pairs that satisfy `keep`, in table order.
+    fn pairs(model: &Model, keep: impl Fn(&KautzStr) -> bool) -> Vec<(KautzStr, u64)> {
+        model.iter().filter(|(o, _)| keep(o)).cloned().collect()
+    }
+
+    /// Every live peer's derived store, and every read of the table, against
+    /// the model; `[low, high]` is the range the range reads are tried on.
+    fn assert_table_matches_the_model(net: &FissioneNet, model: &Model, rng: &mut SmallRng) {
+        assert_eq!(net.report().total_objects, model.len());
+        let ends = [KautzStr::random(2, 24, rng), KautzStr::random(2, 24, rng)];
+        let (low, high) = (ends.iter().min().unwrap(), ends.iter().max().unwrap());
+        let in_range = |o: &KautzStr| low <= o && o <= high;
+        let whole: Vec<_> =
+            net.objects_in_range(low, high).map(|(k, h)| (k.decode(2).unwrap(), h)).collect();
+        assert_eq!(whole, pairs(model, in_range), "[{low}, {high}]");
+        for node in net.live_peers() {
+            let id = net.peer_id(node).unwrap();
+            assert_eq!(stored_at(net, node), pairs(model, |o| id.is_prefix_of(o)), "store of {id}");
+            let local: Vec<u64> = net.handles_in_range(node, low, high).collect();
+            let expect = pairs(model, |o| id.is_prefix_of(o) && in_range(o));
+            assert_eq!(local, expect.iter().map(|&(_, h)| h).collect::<Vec<_>>(), "{id}");
+        }
+        for (object, _) in model {
+            let (owner, handles) = net.lookup(object).unwrap();
+            assert!(net.peer_id(owner).unwrap().is_prefix_of(object));
+            let expect = pairs(model, |o| o == object);
+            assert_eq!(
+                handles.collect::<Vec<_>>(),
+                expect.iter().map(|&(_, h)| h).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    /// Crashes `victim`: exactly the model's pairs under its id go, and the
+    /// crash says how many; a refused crash takes nothing.
+    fn crash(
+        net: &mut FissioneNet,
+        model: &mut Model,
+        victim: NodeId,
+    ) -> Result<(), FissioneError> {
+        let id = net.peer_id(victim).unwrap().clone();
+        let under = pairs(model, |o| id.is_prefix_of(o));
+        let lost = net.crash(victim)?;
+        assert_eq!(lost, under.len(), "crash of {id}");
+        model.retain(|pair| !under.contains(pair));
+        Ok(())
+    }
+
+    /// Publishes the least and the greatest ObjectID below each of `peers`.
+    fn publish_under(net: &mut FissioneNet, model: &mut Model, peers: &[NodeId]) {
+        for &node in peers {
+            let id = net.peer_id(node).unwrap().clone();
+            for object in [id.min_extension(24), id.max_extension(24)] {
+                assert_eq!(net.publish(&object, node as u64).unwrap(), node);
+                model.insert((object, node as u64));
+            }
+        }
+    }
+
+    // The churn schedules of `tests/churn_properties.rs` with publishes
+    // between them, against a model of the published pairs, and with the
+    // routing table built before every operation: whichever one runs, no
+    // object moves or goes missing unless a crash took it, and the next read
+    // sees the new cover, never the table of the old one.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
-        fn route_table_never_outlives_a_membership_change(
+        fn stores_and_route_table_follow_every_membership_change(
             seed in 0u64..1000,
-            ops in prop::collection::vec((0u8..8, any::<usize>()), 1..60),
+            ops in prop::collection::vec((0u8..11, any::<usize>()), 1..60),
         ) {
             let mut rng = simnet::rng_from_seed(seed);
             let mut net = build(12, seed);
+            let mut model = Model::new();
+            let check = |net: &FissioneNet, model: &Model, rng: &mut SmallRng| {
+                assert_table_matches_the_cover(net);
+                net.check_invariants().unwrap();
+                assert_table_matches_the_model(net, model, rng);
+            };
             for (op, raw) in ops {
                 net.route_table();
                 let peers: Vec<NodeId> = net.live_peers().collect();
                 let victim = peers[raw % peers.len()];
                 match op {
-                    0..=2 => drop(net.join(&mut rng)),
-                    3..=4 => drop(net.leave(victim)),
-                    5 => drop(net.crash(victim)),
-                    6 if net.peer(victim).unwrap().depth() < 20 => drop(net.split_leaf(victim)),
+                    // A fresh pair two times in three, else one stored before.
+                    0..=2 => {
+                        let again = model.iter().nth(raw % model.len().max(1)).cloned();
+                        let fresh = (KautzStr::random(2, 24, &mut rng), raw as u64 % 4);
+                        let (object, handle) = again.filter(|_| op == 0).unwrap_or(fresh);
+                        net.publish(&object, handle).unwrap();
+                        model.insert((object, handle));
+                    }
+                    3..=5 => drop(net.join(&mut rng)),
+                    6..=7 => drop(net.leave(victim)),
+                    8 => drop(crash(&mut net, &mut model, victim)),
+                    9 if net.peer(victim).unwrap().depth() < 20 => drop(net.split_leaf(victim)),
                     _ => drop(net.stabilize()),
                 }
-                assert_table_matches_the_cover(&net);
-                net.check_invariants().unwrap();
+                check(&net, &model, &mut rng);
             }
+
+            // Both removal paths and the refusal, with objects in every
+            // interval involved. Sibling-absorb: the crashed leaf's sibling
+            // is a leaf.
+            let leaf = net.live_peers().min_by_key(|&n| net.peer(n).unwrap().depth()).unwrap();
+            let (left, right) = net.split_leaf(leaf);
+            publish_under(&mut net, &mut model, &[left, right]);
+            net.route_table();
+            crash(&mut net, &mut model, right).unwrap();
+            check(&net, &model, &mut rng);
+            // Donor: the crashed leaf's sibling region is subdivided.
+            let (left, right) = net.split_leaf(left);
+            let (right, far_right) = net.split_leaf(right);
+            publish_under(&mut net, &mut model, &[left, right, far_right]);
+            net.route_table();
+            crash(&mut net, &mut model, left).unwrap();
+            check(&net, &model, &mut rng);
+            // Refused: only the root peers remain.
+            while net.len() > 3 {
+                let last = net.live_peers().last().unwrap();
+                net.leave(last).unwrap();
+            }
+            let root = net.live_peers().next().unwrap();
+            let refused = crash(&mut net, &mut model, root);
+            prop_assert_eq!(refused, Err(FissioneError::TooSmall));
+            check(&net, &model, &mut rng);
         }
     }
 }

@@ -42,7 +42,9 @@ impl FissioneNet {
     ///
     /// # Errors
     ///
-    /// Returns [`FissioneError::NoSuchPeer`] if `from` is dead.
+    /// Returns [`FissioneError::NoSuchPeer`] if `from` is dead and
+    /// [`FissioneError::ObjectIdLen`] if `target` is not an ObjectID of this
+    /// network.
     pub fn lookup_via_sim(
         &self,
         from: NodeId,
@@ -51,6 +53,7 @@ impl FissioneNet {
         faults: &FaultPlan,
     ) -> Result<SimLookup, FissioneError> {
         self.peer(from)?;
+        let key = self.object_key(target)?;
         let mut sim: Sim<LookupMsg> = Sim::new(seed).with_faults_ref(faults);
         sim.send(from, from, 0, LookupMsg::Request { target: target.clone(), client: from });
 
@@ -69,7 +72,7 @@ impl FissioneNet {
                         // This peer owns the target: answer directly.
                         result.owner = Some(node);
                         result.request_hops = env.hop;
-                        let handles = self.peer(node).expect("live").handles_for(target).to_vec();
+                        let handles: Vec<u64> = self.handles_under(key).collect();
                         result.handles = handles.clone();
                         sim.forward(&env, *client, LookupMsg::Response { handles });
                     }
@@ -130,8 +133,8 @@ mod tests {
         let mut net = build(100, 52);
         let mut rng = simnet::rng_from_seed(520);
         let obj = KautzStr::random(2, 24, &mut rng);
-        net.publish(obj.clone(), 77).unwrap();
-        net.publish(obj.clone(), 78).unwrap();
+        net.publish(&obj, 77).unwrap();
+        net.publish(&obj, 78).unwrap();
         let from = net.random_peer(&mut rng);
         let out = net.lookup_via_sim(from, &obj, 1, &FaultPlan::new()).unwrap();
         assert_eq!(out.handles, vec![77, 78]);

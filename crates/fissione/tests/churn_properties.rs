@@ -62,7 +62,7 @@ proptest! {
                 }
                 Op::Publish(h) => {
                     let obj = KautzStr::random(2, 24, &mut rng);
-                    net.publish(obj, h).unwrap();
+                    net.publish(&obj, h).unwrap();
                     published += 1;
                 }
                 Op::Stabilize => {
@@ -94,7 +94,7 @@ proptest! {
         let mut placed = Vec::new();
         for &h in &objects {
             let obj = KautzStr::random(2, 24, &mut rng);
-            net.publish(obj.clone(), h).unwrap();
+            net.publish(&obj, h).unwrap();
             placed.push((obj, h));
         }
         // Grow some more, then every object must still be resolvable.
@@ -103,6 +103,7 @@ proptest! {
         }
         for (obj, h) in placed {
             let (_owner, handles) = net.lookup(&obj).unwrap();
+            let handles: Vec<u64> = handles.collect();
             prop_assert!(handles.contains(&h));
         }
     }

@@ -281,6 +281,20 @@ mod tests {
     }
 
     #[test]
+    fn an_unsupported_object_id_length_is_a_build_error() {
+        // Reachable through the registry; the substrate used to panic in
+        // `join`'s namespace draw instead.
+        let mut reg = SchemeRegistry::new();
+        register(&mut reg);
+        let mut rng = simnet::rng_from_seed(911);
+        for len in [0, fissione::MAX_OBJECT_ID_LEN + 1, 200] {
+            let params = BuildParams::new(80, 0.0, 1000.0).with_object_id_len(len);
+            let refused = reg.build_single("pht-fissione", &params, &mut rng).map(|_| ());
+            assert!(matches!(refused, Err(SchemeError::Build(_))), "{len}: {refused:?}");
+        }
+    }
+
+    #[test]
     fn dynamics_churn_then_stabilize_keeps_queries_exact_on_both_substrates() {
         let mut reg = SchemeRegistry::new();
         register(&mut reg);

@@ -135,6 +135,11 @@ impl<R: Copy + Ord> Answers<R> {
         self.stamps[node].wrapping_sub(self.epoch) < 2
     }
 
+    /// Whether `node` has answered the current query.
+    pub fn answered(&self, node: NodeId) -> bool {
+        self.stamps[node] == self.epoch + 1
+    }
+
     /// Records an answer from `node`; `true` the first time it answers.
     pub fn first_answer(&mut self, node: NodeId) -> bool {
         let stamp = &mut self.stamps[node];
@@ -210,8 +215,10 @@ mod tests {
         let mut a = Answers::<u64>::default();
         a.begin(8, &[1, 4, 6]);
         assert!(a.is_due(4) && !a.is_due(0) && !a.is_due(7));
+        assert!(!a.answered(4));
         assert!(a.first_answer(4) && !a.first_answer(4));
         assert!(a.is_due(4), "an answered destination is still one");
+        assert!(a.answered(4) && !a.answered(1) && !a.answered(0));
         a.push(9);
         a.push(3);
         a.push(9);
