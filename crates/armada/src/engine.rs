@@ -28,6 +28,9 @@ pub struct SingleArmada {
     naming: SingleHash,
     values: Vec<f64>,
     net_model: simnet::NetModel,
+    /// [`FissioneNet::lost_handles`] as of the last
+    /// [`repair_records`](Self::repair_records) sweep.
+    repaired_through: u64,
 }
 
 impl SingleArmada {
@@ -56,7 +59,13 @@ impl SingleArmada {
     ) -> Result<Self, ArmadaError> {
         let naming = SingleHash::new(lo, hi, cfg.object_id_len)?;
         let net = FissioneNet::build(cfg, n, rng)?;
-        Ok(SingleArmada { net, naming, values: Vec::new(), net_model: simnet::NetModel::unit() })
+        Ok(SingleArmada {
+            net,
+            naming,
+            values: Vec::new(),
+            net_model: simnet::NetModel::unit(),
+            repaired_through: 0,
+        })
     }
 
     /// Replaces the network cost model queries price their edges with
@@ -124,8 +133,15 @@ impl SingleArmada {
     /// The record table is the ground truth the engine already keeps for
     /// exactness checking, so repair is a lookup-and-republish sweep: a
     /// record is missing iff its handle is no longer stored under its
-    /// ObjectID.
+    /// ObjectID. Only a crash removes anything, so the sweep runs only when
+    /// the network has counted a loss since the last one (the count is the
+    /// network's own: `net_mut().crash()` reaches it past any adapter).
     pub fn repair_records(&mut self) -> usize {
+        let lost = self.net.lost_handles();
+        if lost == self.repaired_through {
+            return 0;
+        }
+        self.repaired_through = lost;
         let missing: Vec<(KautzStr, u64)> = self
             .values
             .iter()
@@ -463,6 +479,35 @@ mod tests {
         let out = a.pira_query(a.net().random_peer(&mut rng), 0.0, 1000.0, 1).unwrap();
         assert_eq!(out.results.len(), 120);
         a.net().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn repair_sweeps_once_per_loss_and_finds_nothing_after_graceful_churn() {
+        let mut rng = simnet::rng_from_seed(57);
+        let mut a = SingleArmada::build_with(small_cfg(), 80, 0.0, 1000.0, &mut rng).unwrap();
+        use rand::Rng;
+        for _ in 0..120 {
+            a.publish(rng.gen_range(0.0..=1000.0));
+        }
+        // Joins and leaves move no object.
+        for _ in 0..20 {
+            a.net_mut().join(&mut rng);
+            let victim = a.net().random_peer(&mut rng);
+            a.net_mut().leave(victim).unwrap();
+        }
+        assert_eq!(a.repair_records(), 0);
+        // Crash, repair, crash, repair: each loss is restored exactly once,
+        // though the crashes go to the network past the engine.
+        for _ in 0..2 {
+            let mut lost = 0;
+            while lost == 0 {
+                let victim = a.net().random_peer(&mut rng);
+                lost = a.net_mut().crash(victim).unwrap();
+            }
+            assert_eq!(a.repair_records(), lost);
+            assert_eq!(a.net().report().total_objects, 120);
+            assert_eq!(a.repair_records(), 0);
+        }
     }
 
     #[test]

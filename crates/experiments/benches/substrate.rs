@@ -8,7 +8,7 @@
 
 use armada::{pira, SingleArmada};
 use armada_experiments::standard_registry;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use dht_api::{BuildParams, RangeScheme};
 use dht_can::dcf::{self, FloodMode};
 use dht_can::{hilbert, CanConfig, CanNet, Rect};
@@ -110,6 +110,31 @@ fn bench_replication(c: &mut Criterion) {
     let mut scheme = loaded("pira+r3", 4000);
     let control = scheme.as_replicated().expect("pira+r3 is replicated");
     c.bench_function("re_replicate_noop/4000", |b| b.iter(|| control.re_replicate()));
+
+    // Invariant repair on the bare overlay: a built network after 32 joins
+    // and 32 leaves (the churn is the same every iteration, and off the
+    // clock), one `stabilize` call.
+    let mut group = c.benchmark_group("fissione_stabilize");
+    for n in [4000usize, 100_000] {
+        let mut rng = simnet::rng_from_seed(14 + n as u64);
+        let built = FissioneNet::build(FissioneConfig::default(), n, &mut rng).unwrap();
+        let churned = || {
+            let mut net = built.clone();
+            let mut rng = simnet::rng_from_seed(15);
+            for _ in 0..32 {
+                net.join(&mut rng);
+            }
+            let victims: Vec<_> = net.live_peers().step_by(5).take(32).collect();
+            for victim in victims {
+                net.leave(victim).expect("a live peer above the minimum size");
+            }
+            net
+        };
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter_batched(churned, |mut net| net.stabilize(), BatchSize::LargeInput);
+        });
+    }
+    group.finish();
 
     // The fetch route: one point fetch between two random live peers.
     let scheme = loaded("pira", 10_000);

@@ -33,7 +33,9 @@
 //!   takes over the region, and with it the interval; a crash is a leave
 //!   after which the entries in that interval are deleted.
 //!   [`FissioneNet::stabilize`] repairs neighborhood violations after
-//!   churn. None of join, leave, merge or `stabilize` touches an object.
+//!   churn: one pass over the out-edges finds them, and each migration
+//!   re-derives only the neighborhood it moved. None of join, leave, merge
+//!   or `stabilize` touches an object.
 //! * **Routing** (long-path Kautz routing): toward target `T`, a peer `C`
 //!   computes the longest suffix of its ID that prefixes `T` and forwards to
 //!   the out-neighbor owning `C.id[1..] ++ T[j..]`; every hop makes strict

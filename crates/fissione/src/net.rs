@@ -306,6 +306,25 @@ impl RouteTable {
     }
 }
 
+/// What one [`FissioneNet::stabilize`] call works on: every slot's gap and
+/// the buffers its neighbor walks reuse. A local of that call — a table that
+/// outlived it would have to be kept current by every join and leave.
+struct Gaps {
+    /// Per slot, the deepest neighbor's depth minus the peer's own: 0 when
+    /// no neighbor is deeper, and for a dead slot.
+    gap: Vec<u8>,
+    label: KautzStr,
+    row: Vec<NodeId>,
+    /// The peers a migration moved, and their neighbors.
+    moved: Vec<NodeId>,
+}
+
+/// How far below a peer at depth `own` a neighbor at depth `neighbor` sits
+/// (0 if not below). Depths stay within [`MAX_PEER_DEPTH`], so it fits.
+fn gap_between(own: usize, neighbor: usize) -> u8 {
+    neighbor.saturating_sub(own) as u8
+}
+
 /// The FISSIONE network: a prefix-free cover of the Kautz namespace under
 /// churn, with neighbor computation and one ordered object table.
 ///
@@ -331,6 +350,8 @@ pub struct FissioneNet {
     free_slots: BinaryHeap<Reverse<usize>>,
     /// Every published `(ObjectID, handle)`, in ObjectID order.
     objects: BTreeSet<(ObjectKey, u64)>,
+    /// Handles [`crash`](Self::crash) has deleted from `objects` so far.
+    lost_handles: u64,
     /// The routing table of the current cover: built by the first
     /// [`route_table`](Self::route_table) call after a membership change
     /// (a `OnceLock` because queries hold `&self` across driver threads),
@@ -355,6 +376,7 @@ impl FissioneNet {
             depth_hist: Vec::new(),
             free_slots: BinaryHeap::new(),
             objects: BTreeSet::new(),
+            lost_handles: 0,
             table: OnceLock::new(),
         };
         for sym in 0..=cfg.base {
@@ -820,44 +842,145 @@ impl FissioneNet {
     pub fn crash(&mut self, node: NodeId) -> Result<usize, FissioneError> {
         let (first, last) = PeerKey(enc_id(self.peer(node)?.id())).interval().into_inner();
         self.leave(node)?;
-        Ok(self.objects.extract_if((first, 0)..=(last, u64::MAX), |_| true).count())
+        let lost = self.objects.extract_if((first, 0)..=(last, u64::MAX), |_| true).count();
+        self.lost_handles += lost as u64;
+        Ok(lost)
+    }
+
+    /// Handles deleted by crashes over the network's lifetime. A crash is
+    /// the only operation that removes an object, so whoever republished
+    /// everything missing at one reading has nothing to look for until the
+    /// next reading differs.
+    pub fn lost_handles(&self) -> u64 {
+        self.lost_handles
     }
 
     /// Repairs neighborhood-invariant violations by migrating peers from the
     /// deepest sibling-leaf pairs onto too-shallow leaves. Returns the
     /// number of migrations performed (bounded by the peer count).
+    ///
+    /// A peer's *gap* is its deepest neighbor's depth minus its own; a gap
+    /// of 2 or more is a violation. Each round migrates the deepest leaf
+    /// pair onto the peer with the widest gap. Ties break in **PeerID
+    /// order** — the first of the widest gaps, the last of the deepest
+    /// leaves — and that order is part of the determinism contract: which
+    /// pair migrates decides the cover, and the cover every query digest
+    /// after it.
+    ///
+    /// Cost: one `O(N)` pass over out-edges for the gaps, then per migration
+    /// a linear read of them and of the depths plus `O(deg²)` probes to
+    /// re-derive the gaps of the neighborhood that moved. Debug builds
+    /// assert every round's pick against a full re-derivation.
     pub fn stabilize(&mut self) -> usize {
+        let mut gaps = self.gaps();
         let mut ops = 0;
         let cap = self.live;
-        while ops < cap {
-            let Some(shallow) = self.worst_violation() else { break };
-            let shallow_depth = self.slots[shallow].as_ref().expect("live").id.len();
-            // Deepest leaf overall.
-            let deepest = self
-                .live_peers()
-                .max_by_key(|&n| self.slots[n].as_ref().expect("live").id.len())
-                .expect("non-empty");
-            let deep_len = self.slots[deepest].as_ref().expect("live").id.len();
-            if deep_len < shallow_depth + 2 || deepest == shallow {
-                break; // cannot improve further
-            }
-            self.migrate(deepest, shallow);
+        while ops < cap && self.stabilize_round(&mut gaps) {
             ops += 1;
         }
         ops
     }
 
-    /// Finds a peer with a neighbor at depth ≥ its own + 2 (shallow side).
+    /// Every slot's gap, from one pass over out-edges: in-neighbors are the
+    /// reverse of the out-neighbor relation, so each edge `u → v` is folded
+    /// into both endpoints' gaps.
+    fn gaps(&self) -> Gaps {
+        let mut gaps = Gaps {
+            gap: vec![0; self.slots.len()],
+            label: KautzStr::empty(self.cfg.base),
+            row: Vec::new(),
+            moved: Vec::new(),
+        };
+        for (node, slot) in self.slots.iter().enumerate() {
+            let Some(peer) = slot else { continue };
+            self.out_neighbors_into(node, &mut gaps.label, &mut gaps.row);
+            for &nb in &gaps.row {
+                let (depth, nb_depth) = (peer.depth(), self.depth_of(nb));
+                gaps.gap[node] = gaps.gap[node].max(gap_between(depth, nb_depth));
+                gaps.gap[nb] = gaps.gap[nb].max(gap_between(nb_depth, depth));
+            }
+        }
+        gaps
+    }
+
+    /// The gap of live peer `node`, derived from both its neighbor sets.
+    fn gap_of(&self, node: NodeId, label: &mut KautzStr, row: &mut Vec<NodeId>) -> u8 {
+        let depth = self.depth_of(node);
+        let widest = |row: &[NodeId]| {
+            row.iter().map(|&nb| gap_between(depth, self.depth_of(nb))).max().unwrap_or(0)
+        };
+        self.out_neighbors_into(node, label, row);
+        let out_gap = widest(row);
+        self.in_neighbors_into(node, label, row);
+        out_gap.max(widest(row))
+    }
+
+    /// The round's `(donor, target)`: the last deepest leaf and the first
+    /// peer with the widest violating gap, both in PeerID order. `None` when
+    /// no gap reaches 2.
+    fn pick_migration(&self, gap: &[u8]) -> Option<(NodeId, NodeId)> {
+        let mut worst: Option<(u8, NodeId)> = None;
+        for node in self.live_peers() {
+            if gap[node] >= 2 && worst.is_none_or(|(widest, _)| gap[node] > widest) {
+                worst = Some((gap[node], node));
+            }
+        }
+        let shallow = worst.map(|(_, node)| node);
+        #[cfg(debug_assertions)]
+        assert_eq!(shallow, self.worst_violation(), "the pick differs from the full scan's");
+        let shallow = shallow?;
+        let deepest = self.live_peers().max_by_key(|&n| self.depth_of(n)).expect("non-empty");
+        debug_assert!(
+            self.depth_of(deepest) >= self.depth_of(shallow) + 2,
+            "a gap of 2 has a neighbor two levels down"
+        );
+        Some((deepest, shallow))
+    }
+
+    /// One round of [`stabilize`](Self::stabilize): migrates the picked
+    /// pair and brings `gaps` up to date with the cover; `false`, the cover
+    /// untouched, when nothing violates.
+    ///
+    /// Only the neighborhood that moved is re-derived: the three peers
+    /// whose PeerID changed and their *current* neighbors. A merged parent's
+    /// neighbors are a superset of both children's old ones and a split
+    /// leaf's old neighbors are the union of its children's new ones, so
+    /// every peer that gained or lost a neighbor, or has one whose depth
+    /// changed, is among them.
+    fn stabilize_round(&mut self, gaps: &mut Gaps) -> bool {
+        let Some((donor, target)) = self.pick_migration(&gaps.gap) else { return false };
+        let changed = self.migrate(donor, target);
+        // The donor's slot is free again and reads 0 already: nothing was
+        // deeper than the deepest leaf. The newcomer took the lowest free
+        // slot — that one or another, never a new one.
+        debug_assert_eq!(gaps.gap[donor], 0);
+        debug_assert_eq!(gaps.gap.len(), self.slots.len());
+        gaps.moved.clear();
+        for node in changed {
+            gaps.moved.push(node);
+            self.out_neighbors_into(node, &mut gaps.label, &mut gaps.row);
+            gaps.moved.extend_from_slice(&gaps.row);
+            self.in_neighbors_into(node, &mut gaps.label, &mut gaps.row);
+            gaps.moved.extend_from_slice(&gaps.row);
+        }
+        gaps.moved.sort_unstable();
+        gaps.moved.dedup();
+        for &node in &gaps.moved {
+            gaps.gap[node] = self.gap_of(node, &mut gaps.label, &mut gaps.row);
+        }
+        true
+    }
+
+    /// The full scan [`pick_migration`](Self::pick_migration) is asserted
+    /// against: the first peer in PeerID order with the widest gap of 2 or
+    /// more, every gap derived afresh from [`neighbors`](Self::neighbors).
+    #[cfg(any(test, debug_assertions))]
     fn worst_violation(&self) -> Option<NodeId> {
         let mut worst: Option<(usize, NodeId)> = None;
         for node in self.live_peers() {
-            let d = self.slots[node].as_ref().expect("live").id.len();
-            let max_nb = self
-                .neighbors(node)
-                .into_iter()
-                .map(|n| self.slots[n].as_ref().expect("live").id.len())
-                .max()
-                .unwrap_or(d);
+            let d = self.depth_of(node);
+            let max_nb =
+                self.neighbors(node).into_iter().map(|n| self.depth_of(n)).max().unwrap_or(d);
             if max_nb >= d + 2 {
                 let gap = max_nb - d;
                 if worst.is_none_or(|(g, _)| gap > g) {
@@ -869,16 +992,18 @@ impl FissioneNet {
     }
 
     /// Merges `donor`'s sibling pair and re-splits `target` with the freed
-    /// peer.
-    fn migrate(&mut self, donor: NodeId, target: NodeId) {
+    /// peer. Returns the peers whose PeerID changed: the donor's sibling
+    /// (now their parent), `target` (now its left child) and the newcomer on
+    /// the right child.
+    fn migrate(&mut self, donor: NodeId, target: NodeId) -> [NodeId; 3] {
         let deep_id = self.slots[donor].as_ref().expect("live").id.clone();
         debug_assert!(deep_id.len() > 1, "root peers are never deepest in a violation");
         let sibling = Self::sibling_label(&deep_id);
         let sib_node =
             *self.by_id.get(&enc_id(&sibling)).expect("sibling of the deepest leaf is a leaf");
-        if sib_node == target || donor == target {
-            return;
-        }
+        // Both sit two levels or more below the target, so neither is it.
+        debug_assert_ne!(donor, target, "the deepest leaf violates nothing");
+        debug_assert_ne!(sib_node, target, "the donor's sibling is as deep as the donor");
         self.cover_changed();
         let parent = deep_id.take_front(deep_id.len() - 1);
         self.by_id.remove(&enc_id(&sibling));
@@ -892,8 +1017,9 @@ impl FissioneNet {
         self.free_slots.push(Reverse(donor));
 
         // Split the target; the lowest free slot takes the right child.
-        let (kept, _newcomer) = self.split_leaf(target);
+        let (kept, newcomer) = self.split_leaf(target);
         debug_assert_eq!(kept, target);
+        [sib_node, target, newcomer]
     }
 
     /// The table key of `object`, or [`FissioneError::ObjectIdLen`] unless
@@ -1067,6 +1193,11 @@ impl FissioneNet {
 
     // ------------------------------------------------------------------
     // internals
+
+    /// Depth of live peer `node`.
+    fn depth_of(&self, node: NodeId) -> usize {
+        self.slots[node].as_ref().expect("live").id.len()
+    }
 
     fn sibling_label(id: &KautzStr) -> KautzStr {
         let parent = id.take_front(id.len() - 1);
@@ -1347,23 +1478,131 @@ mod tests {
         assert_eq!(err, FissioneError::TooSmall);
     }
 
-    #[test]
-    fn stabilize_reduces_violations_after_churn() {
-        let mut rng = simnet::rng_from_seed(14);
-        // Use the unbalanced rule to provoke violations.
+    /// A network churned under the unbalanced join rule, which leaves
+    /// violations behind and slot order unrelated to PeerID order.
+    fn churned(n: usize, events: usize, seed: u64) -> FissioneNet {
+        let mut rng = simnet::rng_from_seed(seed);
         let cfg = FissioneConfig { balance: BalanceRule::RandomOwner, ..small_cfg() };
-        let mut net = FissioneNet::build(cfg, 400, &mut rng).unwrap();
-        for _ in 0..150 {
+        let mut net = FissioneNet::build(cfg, n, &mut rng).unwrap();
+        for _ in 0..events {
             let victim = net.random_peer(&mut rng);
             let _ = net.leave(victim);
             net.join(&mut rng);
         }
+        net
+    }
+
+    #[test]
+    fn stabilize_reduces_violations_after_churn() {
+        let mut net = churned(400, 150, 14);
         let before = net.report().neighborhood_violations;
         net.stabilize();
         let after = net.report().neighborhood_violations;
         net.check_invariants().unwrap();
         assert!(after <= before, "stabilize must not make things worse");
         assert_eq!(after, 0, "stabilize converges to the invariant");
+    }
+
+    /// The PeerID in every slot.
+    fn cover(net: &FissioneNet) -> Vec<Option<KautzStr>> {
+        net.slots.iter().map(|slot| slot.as_ref().map(|peer| peer.id.clone())).collect()
+    }
+
+    /// Every slot's gap by the public per-peer derivation: `neighbors()`,
+    /// then depths.
+    fn fresh_gaps(net: &FissioneNet) -> Vec<u8> {
+        let depth = |n: NodeId| net.peer(n).unwrap().depth();
+        let gap_of = |node: NodeId| {
+            let deepest = net.neighbors(node).into_iter().map(depth).max().unwrap_or(0);
+            deepest.saturating_sub(depth(node)) as u8
+        };
+        (0..net.slots.len()).map(|node| if net.is_live(node) { gap_of(node) } else { 0 }).collect()
+    }
+
+    #[test]
+    fn ties_break_in_peer_id_order_not_node_id_order() {
+        // A seed that ties two peers on the widest gap and two on the
+        // greatest depth, with slot order disagreeing on both.
+        let net = churned(200, 80, 44);
+        let gap = net.gaps().gap;
+        let by_id: Vec<NodeId> = net.live_peers().collect();
+        let widest = by_id.iter().map(|&n| gap[n]).max().unwrap();
+        assert!(widest >= 2, "nothing violates");
+        let tied_gap: Vec<NodeId> = by_id.iter().copied().filter(|&n| gap[n] == widest).collect();
+        let tied_depth: Vec<NodeId> =
+            by_id.iter().copied().filter(|&n| net.depth_of(n) == net.max_depth()).collect();
+        assert_eq!((tied_gap.len(), tied_depth.len()), (2, 2));
+        // The pin bites only where slot order would choose differently: a
+        // scan by NodeId keeps the lowest slot of the widest gaps and the
+        // highest of the deepest leaves.
+        let (target, donor) = (tied_gap[0], *tied_depth.last().unwrap());
+        assert_ne!(target, *tied_gap.iter().min().unwrap(), "first widest gap in either order");
+        assert_ne!(donor, *tied_depth.iter().max().unwrap(), "last deepest leaf in either order");
+        assert_eq!(net.pick_migration(&gap), Some((donor, target)));
+    }
+
+    /// `stabilize` round by round: the maintained gaps against a fresh
+    /// derivation of every slot's — the first pass, then after each
+    /// migration — and each round's answer against what it did to the cover.
+    /// Returns the number of rounds that changed it.
+    fn stabilize_checking_rounds(net: &mut FissioneNet) -> usize {
+        let mut gaps = net.gaps();
+        assert_eq!(gaps.gap, fresh_gaps(net), "the out-edge pass");
+        let mut migrations = 0;
+        loop {
+            let before = cover(net);
+            let migrated = net.stabilize_round(&mut gaps);
+            assert_eq!(migrated, cover(net) != before, "a round reports what it did");
+            if !migrated {
+                break;
+            }
+            migrations += 1;
+            assert_eq!(gaps.gap, fresh_gaps(net), "after migration {migrations}");
+        }
+        assert_eq!(net.report().neighborhood_violations, 0);
+        migrations
+    }
+
+    #[test]
+    fn stabilize_returns_the_number_of_rounds_that_changed_the_cover() {
+        for seed in [22, 23, 24] {
+            let mut net = churned(300, 120, seed);
+            let reported = net.clone().stabilize();
+            assert!(reported > 0, "seed {seed} left nothing to repair");
+            assert_eq!(reported, stabilize_checking_rounds(&mut net));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn the_refreshed_neighborhood_holds_every_gap_a_migration_moves(
+            seed in 0u64..1000,
+            ops in prop::collection::vec((0u8..10, any::<usize>()), 1..40),
+        ) {
+            let mut rng = simnet::rng_from_seed(seed);
+            let mut net = churned(24, 8, seed);
+            for (op, raw) in ops {
+                let peers: Vec<NodeId> = net.live_peers().collect();
+                let victim = peers[raw % peers.len()];
+                match op {
+                    0..=2 => drop(net.join(&mut rng)),
+                    3..=4 => drop(net.leave(victim)),
+                    5 => drop(net.crash(victim)),
+                    6..=7 if net.depth_of(victim) < 20 => drop(net.split_leaf(victim)),
+                    _ => drop(stabilize_checking_rounds(&mut net)),
+                }
+            }
+            // However the schedule left it: two more levels under the
+            // deepest leaf put its neighbors two levels up, so something
+            // must migrate.
+            let leaf = net.live_peers().max_by_key(|&n| net.depth_of(n)).unwrap();
+            net.split_leaf(leaf);
+            net.split_leaf(leaf);
+            prop_assert!(stabilize_checking_rounds(&mut net) > 0);
+            net.check_invariants().unwrap();
+        }
     }
 
     #[test]

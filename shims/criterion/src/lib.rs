@@ -91,6 +91,44 @@ impl Bencher {
     }
 }
 
+impl Bencher {
+    /// Times `routine` on a fresh input from `setup` per iteration; only
+    /// the routine is on the clock. Same warm-up and target as
+    /// [`iter`](Self::iter), counting routine time alone.
+    #[allow(clippy::disallowed_methods)]
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let mut timed = |iters: u64, budget: Duration| {
+            let (mut done, mut elapsed) = (0u64, Duration::ZERO);
+            while done < iters && elapsed < budget {
+                let input = setup();
+                let start = Instant::now();
+                black_box(routine(input));
+                elapsed += start.elapsed();
+                done += 1;
+            }
+            (done, elapsed)
+        };
+        timed(10, Duration::from_millis(50));
+        (self.iterations, self.elapsed) = timed(100_000, Duration::from_millis(200));
+    }
+}
+
+/// How many inputs real criterion prepares per batch (accepted for API
+/// compatibility; this shim always prepares one per iteration).
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    /// Small inputs: many per batch.
+    SmallInput,
+    /// Large inputs: few per batch.
+    LargeInput,
+    /// One input per iteration.
+    PerIteration,
+}
+
 fn fmt_duration(d: Duration) -> String {
     let nanos = d.as_nanos();
     if nanos >= 1_000_000_000 {

@@ -1,10 +1,11 @@
 //! The incremental-maintenance equivalence contract, pinned as a property
 //! across seeds and churn plans: after any sequence of membership events,
 //! the routing state produced by the substrates' incremental repairs —
-//! Chord's shifted-arc finger updates, CAN's localized adjacency rebuilds —
-//! must be **byte-identical** to a from-scratch recomputation on the same
-//! membership, and a query batch driven over either state must produce the
-//! same [`DigestReport`].
+//! Chord's shifted-arc finger updates, CAN's localized adjacency rebuilds,
+//! FissionE's `stabilize` re-deriving only the neighborhood a migration
+//! moved — must be **byte-identical** to a from-scratch recomputation on
+//! the same membership, and a query batch driven over either state must
+//! produce the same [`DigestReport`].
 //!
 //! This is what licenses the scaling pass: the flat-storage substrates
 //! repair `O(log N)` state per event instead of rebuilding `O(N log N)`,
@@ -16,6 +17,7 @@ use armada_suite::dht_api::{
     SchemeError, WorkloadGen,
 };
 use armada_suite::dht_can::{CanConfig, CanNet};
+use armada_suite::fissione::{FissioneConfig, FissioneNet};
 use armada_suite::rand::Rng;
 use proptest::prelude::*;
 
@@ -69,26 +71,72 @@ fn churn_can(net: &mut CanNet, plan: &ChurnPlan, seed: u64, epochs: u64) {
     }
 }
 
-/// A minimal [`RangeScheme`] over a raw Chord ring: each query routes to
-/// the owners of two index-derived ring points, so hop counts — and with
-/// them the whole [`DigestReport`] — are a function of the finger tables
-/// under test.
-struct ChordProbe {
-    net: ChordNet,
+/// Replays a plan's event stream onto a FissionE cover.
+fn churn_fissione(net: &mut FissioneNet, plan: &ChurnPlan, seed: u64, epochs: u64) {
+    for epoch in 0..epochs {
+        let mut rng = plan.epoch_rng(seed, epoch);
+        for event in plan.events(epoch) {
+            if event == ChurnEvent::Join {
+                net.join(&mut rng);
+                continue;
+            }
+            let live: Vec<usize> = net.live_peers().collect();
+            let victim = live[rng.gen_range(0..live.len())];
+            let _ = if event == ChurnEvent::Leave {
+                net.leave(victim)
+            } else {
+                net.crash(victim).map(drop)
+            };
+        }
+    }
+}
+
+/// `FissioneNet::stabilize` as it was before it kept a gap table, written
+/// against the public API: every round re-derives every live peer's
+/// neighbors, takes the first widest gap of two or more and the last
+/// deepest leaf in PeerID order, and migrates — `leave` of a deepest leaf
+/// is absorbed by its sibling, `split_leaf` hands the freed slot the
+/// shallow peer's right child. Returns the number of migrations.
+fn stabilize_by_full_scan(net: &mut FissioneNet) -> usize {
+    let depth = |net: &FissioneNet, node: usize| net.peer(node).expect("live").depth();
+    let mut migrations = 0;
+    loop {
+        let mut worst: Option<(usize, usize)> = None;
+        for node in net.live_peers() {
+            let deepest_nb = net.neighbors(node).into_iter().map(|n| depth(net, n)).max();
+            let gap = deepest_nb.unwrap_or(0).saturating_sub(depth(net, node));
+            if gap >= 2 && worst.is_none_or(|(widest, _)| gap > widest) {
+                worst = Some((gap, node));
+            }
+        }
+        let Some((_, shallow)) = worst else { return migrations };
+        let deepest = net.live_peers().max_by_key(|&n| depth(net, n)).expect("non-empty");
+        net.leave(deepest).expect("a deepest leaf below a violation can leave");
+        net.split_leaf(shallow);
+        migrations += 1;
+    }
+}
+
+/// A minimal [`RangeScheme`] over a raw substrate: each query routes to
+/// the owners of two index-derived keys, so hop counts — and with them the
+/// whole [`DigestReport`] — are a function of the routing state under
+/// test.
+struct RouteProbe<D> {
+    net: D,
     records: Vec<(f64, u64)>,
 }
 
-impl RangeScheme for ChordProbe {
+impl<D: Dht> RangeScheme for RouteProbe<D> {
     fn scheme_name(&self) -> &'static str {
-        "chord-probe"
+        "route-probe"
     }
 
     fn substrate(&self) -> String {
-        "chord".into()
+        self.net.name().into()
     }
 
     fn degree(&self) -> String {
-        "64".into()
+        "n/a".into()
     }
 
     fn node_count(&self) -> usize {
@@ -113,8 +161,8 @@ impl RangeScheme for ChordProbe {
     ) -> Result<RangeOutcome, SchemeError> {
         let key_lo = armada_suite::dht_api::fnv1a(&lo.to_bits().to_le_bytes()) ^ seed;
         let key_hi = armada_suite::dht_api::fnv1a(&hi.to_bits().to_le_bytes()) ^ seed;
-        let a = self.net.route_point(origin, key_lo);
-        let b = self.net.route_point(origin, key_hi);
+        let a = self.net.route_key(origin, key_lo);
+        let b = self.net.route_key(origin, key_hi);
         let mut results: Vec<u64> =
             self.records.iter().filter(|&&(v, _)| v >= lo && v <= hi).map(|&(_, h)| h).collect();
         results.sort_unstable();
@@ -132,8 +180,8 @@ impl RangeScheme for ChordProbe {
     }
 }
 
-fn probe_digest(net: ChordNet, seed: u64) -> DigestReport {
-    let mut probe = ChordProbe { net, records: Vec::new() };
+fn probe_digest(net: impl Dht, seed: u64) -> DigestReport {
+    let mut probe = RouteProbe { net, records: Vec::new() };
     let mut rng = simnet::rng_from_seed(seed ^ 0x9ec0);
     for h in 0..80u64 {
         probe.publish(rng.gen_range(DOMAIN.0..=DOMAIN.1), h).unwrap();
@@ -171,6 +219,45 @@ proptest! {
                 "{}: digest diverged (seed {})", plan_name, seed
             );
         }
+    }
+
+    #[test]
+    fn fissione_incremental_stabilize_equals_full_scan(seed in 0u64..10_000) {
+        let mut migrated = 0;
+        for plan_name in PLANS {
+            let plan = ChurnPlan::named(plan_name).unwrap().with_rate(24);
+            let mut rng = simnet::rng_from_seed(seed);
+            let mut net = FissioneNet::build(FissioneConfig::default(), 160, &mut rng).unwrap();
+            churn_fissione(&mut net, &plan, seed, 4);
+
+            let mut reference = net.clone();
+            let migrations = net.stabilize();
+            prop_assert_eq!(
+                migrations,
+                stabilize_by_full_scan(&mut reference),
+                "{}: migration count diverged (seed {})", plan_name, seed
+            );
+            migrated += migrations;
+            net.check_invariants().map_err(|e| TestCaseError::fail(e.to_string()))?;
+
+            // The same PeerID in every slot, dead ones included.
+            let last = net.live_peers().chain(reference.live_peers()).max().unwrap();
+            for node in 0..=last {
+                prop_assert_eq!(
+                    net.peer_id(node).ok(),
+                    reference.peer_id(node).ok(),
+                    "{}: slot {} diverged (seed {})", plan_name, node, seed
+                );
+            }
+
+            // And a driven query batch cannot tell the two apart.
+            prop_assert_eq!(
+                probe_digest(net, seed),
+                probe_digest(reference, seed),
+                "{}: digest diverged (seed {})", plan_name, seed
+            );
+        }
+        prop_assert!(migrated > 0, "seed {}: the plans left nothing to repair", seed);
     }
 
     #[test]
