@@ -121,6 +121,12 @@ impl PiraScheme {
     pub fn inner(&self) -> &SingleArmada {
         &self.inner
     }
+
+    /// The engine's network, mutably: membership changes the
+    /// [`DynamicScheme`] surface has no name for (`split_leaf`).
+    pub fn net_mut(&mut self) -> &mut fissione::FissioneNet {
+        self.inner.net_mut()
+    }
 }
 
 impl RangeScheme for PiraScheme {
@@ -202,7 +208,7 @@ macro_rules! impl_fissione_dynamics {
     ($adapter:ty) => {
         impl DynamicScheme for $adapter {
             fn join(&mut self, rng: &mut SmallRng) -> Result<NodeId, SchemeError> {
-                Ok(self.inner.net_mut().join(rng))
+                self.inner.net_mut().try_join(rng).map_err(SchemeError::from)
             }
 
             fn leave(&mut self, node: NodeId) -> Result<(), SchemeError> {
@@ -583,6 +589,35 @@ mod tests {
         let lossy = FaultPlan::with_drop_prob(1.0);
         let mut cx = QueryCtx::new(&mut scratch).with_faults(&lossy);
         assert!(!MultiRangeScheme::query(&scheme, &req, &mut cx).unwrap().exact);
+    }
+
+    #[test]
+    fn an_object_id_length_too_short_for_the_peer_count_is_a_typed_error() {
+        // 200 peers outgrow the 96 six-symbol ObjectIDs: some join on the
+        // way finds only leaves one ObjectID wide, which cannot split.
+        let mut reg = SchemeRegistry::new();
+        register(&mut reg);
+        let mut rng = simnet::rng_from_seed(806);
+        let short = BuildParams::new(200, 0.0, 1000.0).with_object_id_len(6);
+        for name in ["pira", "seqwalk"] {
+            let refused = reg.build_single(name, &short, &mut rng).map(|_| ());
+            assert!(matches!(refused, Err(SchemeError::Build(_))), "{name}: {refused:?}");
+        }
+        // A network that fits joins until a join picks a leaf one ObjectID
+        // wide; the refusal leaves it answering exactly.
+        let fits = BuildParams::new(40, 0.0, 1000.0).with_object_id_len(6);
+        let mut scheme = reg.build_single("pira", &fits, &mut rng).unwrap();
+        for h in 0..60u64 {
+            scheme.publish(rng.gen_range(0.0..=1000.0), h).unwrap();
+        }
+        let dynamic = scheme.as_dynamic().expect("pira is dynamic");
+        let refused = (0..96).find_map(|_| dynamic.join(&mut rng).err());
+        let Some(SchemeError::Build(why)) = refused else { panic!("no refusal: {refused:?}") };
+        assert!(why.contains("depth-6") && why.contains("6 symbols"), "{why}");
+        let origin = scheme.random_origin(&mut rng);
+        let out = scheme.range_query(origin, 0.0, 1000.0, 1).unwrap();
+        assert!(out.exact);
+        assert_eq!(out.results.len(), 60);
     }
 
     #[test]

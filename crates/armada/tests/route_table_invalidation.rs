@@ -3,12 +3,15 @@
 //! the change equal the same queries on a `clone()` taken before the table
 //! existed and put through the same change.
 
-use armada::{MultiArmada, PiraScheme, SingleArmada};
-use dht_api::{BuildParams, DigestReport, ParallelDriver, RangeScheme, WorkloadGen};
-use fissione::{FissioneConfig, FissioneNet};
+use armada::{MultiArmada, PiraScheme, QueryOutcome, SingleArmada};
+use dht_api::{
+    BuildParams, DigestReport, FetchCost, ParallelDriver, RangeScheme, ReplicaRouting, WorkloadGen,
+};
+use fissione::{FissioneConfig, FissioneError, FissioneNet};
+use kautz::KautzStr;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use simnet::{NodeId, QueryScratch};
+use simnet::{NetModel, NodeId, QueryScratch, TraceRecord};
 
 const DOMAIN: (f64, f64) = (0.0, 1000.0);
 
@@ -135,6 +138,62 @@ fn mira_never_reads_a_table_built_before_a_membership_change() {
             .collect::<Vec<_>>()
     };
     assert_no_stale_reads(&base, MultiArmada::net_mut, run, |out| out.metrics.exact);
+}
+
+/// What a route through the table produced, in each of its three users'
+/// terms.
+#[derive(Debug, PartialEq)]
+enum Routed {
+    Path(Result<Vec<NodeId>, FissioneError>),
+    Fetch(FetchCost),
+    Walk(QueryOutcome, Option<Vec<TraceRecord>>),
+}
+
+#[test]
+fn routes_never_read_a_table_built_before_a_membership_change() {
+    let wan = NetModel::named("wan").unwrap();
+    let params = BuildParams::new(150, DOMAIN.0, DOMAIN.1).with_object_id_len(24).with_net(wan);
+    let mut rng = simnet::rng_from_seed(94);
+    let mut base = PiraScheme::build(&params, &mut rng).unwrap();
+    for h in 0..300 {
+        base.publish(rng.gen_range(DOMAIN.0..=DOMAIN.1), h).unwrap();
+    }
+    unbalance(base.net_mut());
+    // Exact-match routes to PeerIDs, ObjectIDs and a prefix too short to
+    // have an owner, replica fetches priced over the same walk, and the
+    // sequential walk's routed first phase: a list fixed by the network it
+    // runs on, so the same on a network and its clone.
+    let run = |scheme: &PiraScheme, _: &mut QueryScratch| {
+        let net = scheme.inner().net();
+        let peers: Vec<NodeId> = net.live_peers().collect();
+        let mut rng = simnet::rng_from_seed(940);
+        let mut routed = Vec::new();
+        for _ in 0..12 {
+            let object = KautzStr::random(2, 24, &mut rng);
+            let peer_id = net.peer_id(peers[rng.gen_range(0..peers.len())]).unwrap().clone();
+            for target in [peer_id, object.take_front(3), object] {
+                let from = peers[rng.gen_range(0..peers.len())];
+                routed.push(Routed::Path(net.route(from, &target).map(|r| r.path().to_vec())));
+            }
+            for _ in 0..2 {
+                let origin = peers[rng.gen_range(0..peers.len())];
+                let holder = peers[rng.gen_range(0..peers.len())];
+                routed.push(Routed::Fetch(scheme.fetch_cost(origin, holder)));
+            }
+        }
+        let (walk, trace) =
+            armada::seqwalk::query(scheme.inner(), shallowest(net), 100.0, 400.0, true).unwrap();
+        routed.push(Routed::Walk(walk, trace));
+        routed
+    };
+    // Every source is live, so a path ends at an owner or names a target
+    // too short to have one; only the walk claims exactness.
+    let exact = |routed: &Routed| match routed {
+        Routed::Path(path) => !matches!(path, Err(FissioneError::NoSuchPeer { .. })),
+        Routed::Fetch(_) => true,
+        Routed::Walk(walk, _) => walk.metrics.exact,
+    };
+    assert_no_stale_reads(&base, PiraScheme::net_mut, run, exact);
 }
 
 #[test]

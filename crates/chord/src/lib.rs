@@ -384,8 +384,8 @@ impl Dht for ChordNet {
 }
 
 impl DynamicDht for ChordNet {
-    fn join(&mut self, rng: &mut SmallRng) -> NodeId {
-        ChordNet::join(self, rng)
+    fn join(&mut self, rng: &mut SmallRng) -> Result<NodeId, SchemeError> {
+        Ok(ChordNet::join(self, rng))
     }
 
     fn leave(&mut self, node: NodeId) -> Result<(), SchemeError> {

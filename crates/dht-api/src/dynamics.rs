@@ -89,7 +89,12 @@ pub trait DynamicScheme {
 /// `chord::ChordNet`.
 pub trait DynamicDht: crate::Dht {
     /// A new node joins; returns its id.
-    fn join(&mut self, rng: &mut SmallRng) -> NodeId;
+    ///
+    /// # Errors
+    ///
+    /// Substrate-specific build-time limits (e.g. a region cannot split
+    /// below its resolution floor).
+    fn join(&mut self, rng: &mut SmallRng) -> Result<NodeId, SchemeError>;
 
     /// Graceful departure.
     ///

@@ -44,6 +44,10 @@ fn bench_routing(c: &mut Criterion) {
         let cfg = FissioneConfig { object_id_len: 100, ..FissioneConfig::default() };
         let mut rng = simnet::rng_from_seed(6 + n as u64);
         let net = FissioneNet::build(cfg, n, &mut rng).unwrap();
+        // The first route after a membership change builds the table; the
+        // shim sizes a run from its first iteration, so build it off the
+        // clock.
+        net.route_table();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let target = KautzStr::random(2, 100, &mut rng);
@@ -53,6 +57,23 @@ fn bench_routing(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // The hop on its own: peer to peer (≈ 11.6 hops at 10⁴), each edge
+    // priced under `wan` as a replica fetch prices it, no path kept.
+    let mut rng = simnet::rng_from_seed(16);
+    let net = FissioneNet::build(FissioneConfig::default(), 10_000, &mut rng).unwrap();
+    let peers: Vec<_> = net.live_peers().collect();
+    let wan = simnet::NetModel::named("wan").expect("a catalog model");
+    net.route_table();
+    c.bench_function("fissione_route_fold/10000", |b| {
+        b.iter(|| {
+            let from = peers[rng.gen_range(0..peers.len())];
+            let to = net.peer_id(peers[rng.gen_range(0..peers.len())]).expect("a live peer");
+            net.route_fold(from, to, (0u64, 0u64), |(hops, ms), src, dst| {
+                (hops + 1, ms + wan.edge_cost(src, dst))
+            })
+        });
+    });
 }
 
 fn bench_build(c: &mut Criterion) {
@@ -141,6 +162,8 @@ fn bench_replication(c: &mut Criterion) {
     let routing = scheme.as_replica_routing().expect("pira routes replicas");
     let peers = routing.live_peers();
     let mut rng = simnet::rng_from_seed(9);
+    // The first fetch builds the routing table: keep it off the clock.
+    routing.fetch_cost(peers[0], peers[1]);
     c.bench_function("replica_fetch_cost/10000", |b| {
         b.iter(|| {
             let origin = peers[rng.gen_range(0..peers.len())];

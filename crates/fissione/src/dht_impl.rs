@@ -11,6 +11,7 @@ impl From<FissioneError> for SchemeError {
     fn from(e: FissioneError) -> Self {
         match e {
             FissioneError::NoSuchPeer { node } => SchemeError::BadOrigin { origin: node },
+            limit @ FissioneError::ObjectIdTooShort { .. } => SchemeError::Build(limit.to_string()),
             other => SchemeError::Query(other.to_string()),
         }
     }
@@ -95,8 +96,8 @@ impl Dht for FissioneNet {
 }
 
 impl DynamicDht for FissioneNet {
-    fn join(&mut self, rng: &mut SmallRng) -> NodeId {
-        FissioneNet::join(self, rng)
+    fn join(&mut self, rng: &mut SmallRng) -> Result<NodeId, SchemeError> {
+        self.try_join(rng).map_err(SchemeError::from)
     }
 
     fn leave(&mut self, node: NodeId) -> Result<(), SchemeError> {
@@ -141,7 +142,7 @@ mod tests {
         let mut rng = simnet::rng_from_seed(43);
         let mut net = FissioneNet::build(cfg, 60, &mut rng).unwrap();
         for _ in 0..20 {
-            DynamicDht::join(&mut net, &mut rng);
+            DynamicDht::join(&mut net, &mut rng).unwrap();
         }
         for _ in 0..15 {
             let live = net.live_nodes();

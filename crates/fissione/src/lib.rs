@@ -173,6 +173,15 @@ pub enum FissioneError {
         /// [`MAX_OBJECT_ID_LEN`].
         max: usize,
     },
+    /// A join picked a leaf already at the ObjectID depth: its region is a
+    /// single ObjectID and cannot be split. `object_id_len` is too small
+    /// for the peer count.
+    ObjectIdTooShort {
+        /// Depth of the leaf the join would have split.
+        depth: usize,
+        /// The configured `object_id_len`.
+        object_id_len: usize,
+    },
     /// An invariant check failed (see [`InvariantReport`]).
     InvariantViolated(InvariantReport),
     /// No live route exists (everything usable is crashed).
@@ -196,6 +205,11 @@ impl std::fmt::Display for FissioneError {
             FissioneError::UnsupportedObjectIdLen { len, max } => {
                 write!(f, "ObjectID length {len} outside 1..={max}")
             }
+            FissioneError::ObjectIdTooShort { depth, object_id_len } => write!(
+                f,
+                "cannot split a depth-{depth} peer: ObjectIDs of {object_id_len} symbols resolve \
+                 no deeper (object_id_len is too small for this many peers)"
+            ),
             FissioneError::InvariantViolated(report) => {
                 write!(f, "invariant violated: {report:?}")
             }

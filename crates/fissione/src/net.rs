@@ -304,6 +304,12 @@ impl RouteTable {
         let row = self.starts[node] as usize..self.starts[node + 1] as usize;
         self.nbrs[row].iter().map(|&n| n as NodeId)
     }
+
+    /// The bare [`enc_id`] key of `node`: the integer a route hop shifts
+    /// (`0` for a dead slot, where [`key`](Self::key) asserts).
+    pub(crate) fn enc(&self, node: NodeId) -> u128 {
+        self.keys[node]
+    }
 }
 
 /// What one [`FissioneNet::stabilize`] call works on: every slot's gap and
@@ -390,8 +396,10 @@ impl FissioneNet {
     ///
     /// # Errors
     ///
-    /// Returns [`FissioneError::TooSmall`] if `n` is below the root count
-    /// and the error of [`FissioneConfig::validate`] if `cfg` fails it.
+    /// Returns [`FissioneError::TooSmall`] if `n` is below the root count,
+    /// the error of [`FissioneConfig::validate`] if `cfg` fails it, and
+    /// [`FissioneError::ObjectIdTooShort`] if a join on the way to `n` peers
+    /// is refused ([`try_join`](Self::try_join)).
     pub fn build(cfg: FissioneConfig, n: usize, rng: &mut SmallRng) -> Result<Self, FissioneError> {
         cfg.validate()?;
         if n < cfg.base as usize + 1 {
@@ -399,7 +407,7 @@ impl FissioneNet {
         }
         let mut net = FissioneNet::new(cfg);
         while net.len() < n {
-            net.join(rng);
+            net.try_join(rng)?;
         }
         Ok(net)
     }
@@ -482,24 +490,23 @@ impl FissioneNet {
     /// Returns [`FissioneError::TargetTooShort`] if `s` is shorter than the
     /// owning region's depth (no PeerID prefixes it).
     pub fn owner_of(&self, s: &KautzStr) -> Result<NodeId, FissioneError> {
-        self.owner_of_enc(enc_probe(s), s.len()).map(|(_, node)| node)
+        self.owner_of_enc(enc_probe(s), s.len())
     }
 
-    /// [`owner_of`](Self::owner_of) on an [`enc_probe`] key, also returning
-    /// the owner's own [`enc_id`] key; `len` is the probed string's full
-    /// length (the error reports it).
-    pub(crate) fn owner_of_enc(
-        &self,
-        key: u128,
-        len: usize,
-    ) -> Result<(u128, NodeId), FissioneError> {
+    /// [`owner_of`](Self::owner_of) on an [`enc_probe`] key; `len` is the
+    /// probed string's full length (the error reports it).
+    pub(crate) fn owner_of_enc(&self, key: u128, len: usize) -> Result<NodeId, FissioneError> {
         let candidate = self.by_id.range((Bound::Unbounded, Bound::Included(key))).next_back();
         match candidate {
-            Some((&k, &node)) if enc_is_prefix(k, key) => Ok((k, node)),
-            _ => {
-                Err(FissioneError::TargetTooShort { target_len: len, max_depth: self.max_depth() })
-            }
+            Some((&k, &node)) if enc_is_prefix(k, key) => Ok(node),
+            _ => Err(self.target_too_short(len)),
         }
+    }
+
+    /// The error for a probed string of `target_len` symbols that no live
+    /// PeerID prefixes.
+    pub(crate) fn target_too_short(&self, target_len: usize) -> FissioneError {
+        FissioneError::TargetTooShort { target_len, max_depth: self.max_depth() }
     }
 
     /// Live peers whose PeerIDs start with `prefix` (PeerID order).
@@ -594,10 +601,18 @@ impl FissioneNet {
 
     /// The routing table of the current cover, built on the first call
     /// after a membership change (`O(N log N)`; concurrent first callers
-    /// wait for one build) and shared by every query until the next one.
-    /// Maintenance paths (`join`'s descent, `stabilize`) keep reading the
-    /// ordered cover directly: they run between the changes that would
-    /// invalidate a table, so they must never build one.
+    /// wait for one build) and shared by every reader until the next one.
+    ///
+    /// Who builds one: PIRA and MIRA queries, and every route — `next_hop`,
+    /// `route_fold`, `route`, `route_avoiding`, `lookup_via_sim` — hence a
+    /// replica `fetch_cost`, also the ones `re_replicate` prices for the
+    /// copies it places: one build per batch of membership changes, the
+    /// same one the next query would have paid. Who must not: the paths that
+    /// run *between* the changes of such a batch — `join`'s descent (the
+    /// owner probe and the neighbor walks to a local minimum) and
+    /// `stabilize` — keep reading the ordered cover directly, or every
+    /// join would pay an `O(N log N)` build for a table the split it ends
+    /// in drops.
     pub fn route_table(&self) -> &RouteTable {
         self.table.get_or_init(|| RouteTable::build(self))
     }
@@ -668,15 +683,37 @@ impl FissioneNet {
     /// A new peer joins: routes to a random namespace point, descends to a
     /// locally minimal-depth leaf per the configured [`BalanceRule`], and
     /// splits it. Returns the newcomer's node id.
-    pub fn join(&mut self, rng: &mut SmallRng) -> NodeId {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FissioneError::ObjectIdTooShort`], the network untouched
+    /// (the namespace point drawn from `rng` all the same), if the leaf
+    /// picked already sits at the ObjectID depth: its region is one ObjectID
+    /// and cannot be halved. The configured `object_id_len` is too small
+    /// for this many peers.
+    pub fn try_join(&mut self, rng: &mut SmallRng) -> Result<NodeId, FissioneError> {
         let probe = KautzStr::random(self.cfg.base, self.cfg.object_id_len, rng);
         let owner = self.owner_of(&probe).expect("cover is complete");
         let victim = match self.cfg.balance {
             BalanceRule::RandomOwner => owner,
             BalanceRule::LocalMin { max_steps } => self.descend_to_local_min(owner, max_steps),
         };
+        let (depth, object_id_len) = (self.depth_of(victim), self.cfg.object_id_len);
+        if depth >= object_id_len {
+            return Err(FissioneError::ObjectIdTooShort { depth, object_id_len });
+        }
         let (_kept, newcomer) = self.split_leaf(victim);
-        newcomer
+        Ok(newcomer)
+    }
+
+    /// [`try_join`](Self::try_join) for callers that sized `object_id_len`
+    /// for their peer count.
+    ///
+    /// # Panics
+    ///
+    /// Panics where `try_join` returns an error.
+    pub fn join(&mut self, rng: &mut SmallRng) -> NodeId {
+        self.try_join(rng).expect("object_id_len resolves one level below the leaf a join splits")
     }
 
     /// Hill-descends from `start` towards a peer whose depth is minimal
@@ -1052,7 +1089,7 @@ impl FissioneNet {
     /// `object_id_len` symbols.
     pub fn publish(&mut self, object: &KautzStr, handle: u64) -> Result<NodeId, FissioneError> {
         let key = self.object_key(object)?;
-        let (_, owner) = self.owner_of_enc(key.head(), object.len())?;
+        let owner = self.owner_of_enc(key.head(), object.len())?;
         self.objects.insert((key, handle));
         Ok(owner)
     }
@@ -1068,7 +1105,7 @@ impl FissioneNet {
         object: &KautzStr,
     ) -> Result<(NodeId, impl Iterator<Item = u64> + '_), FissioneError> {
         let key = self.object_key(object)?;
-        let (_, owner) = self.owner_of_enc(key.head(), object.len())?;
+        let owner = self.owner_of_enc(key.head(), object.len())?;
         Ok((owner, self.handles_under(key)))
     }
 
@@ -1809,6 +1846,32 @@ mod tests {
             assert_eq!(net.handles_under(ObjectKey::new(&object)).collect::<Vec<_>>(), [3]);
             assert_eq!(net.check_invariants().unwrap().total_objects, 1);
         }
+    }
+
+    #[test]
+    fn a_join_below_the_object_id_resolution_is_refused() {
+        let cfg = FissioneConfig { object_id_len: 4, ..FissioneConfig::default() };
+        let capacity = KautzStr::count(2, 4) as usize;
+        let refused = FissioneError::ObjectIdTooShort { depth: 4, object_id_len: 4 };
+        let mut rng = simnet::rng_from_seed(22);
+        // More peers than ObjectIDs.
+        assert_eq!(FissioneNet::build(cfg, capacity + 1, &mut rng).unwrap_err(), refused);
+        // A net at the limit, one peer per ObjectID (a draw that lands on a
+        // full-depth local minimum on the way there is refused like any).
+        let mut net = FissioneNet::new(cfg);
+        while net.len() < capacity {
+            assert!(net.try_join(&mut rng).map_or_else(|e| e == refused, |_| true));
+        }
+        assert_eq!((net.min_depth(), net.max_depth()), (4, 4));
+        let full = net.check_invariants().unwrap();
+        let mut twin = rng.clone();
+        assert_eq!(net.try_join(&mut rng), Err(refused.clone()));
+        // The refused join drew its namespace point all the same.
+        KautzStr::random(2, 4, &mut twin);
+        assert_eq!(rng.gen::<u64>(), twin.gen::<u64>());
+        let limit = dht_api::DynamicDht::join(&mut net, &mut rng);
+        assert_eq!(limit, Err(dht_api::SchemeError::Build(refused.to_string())));
+        assert_eq!(net.check_invariants().unwrap(), full);
     }
 
     proptest! {

@@ -7,11 +7,22 @@
 //! `len(source.id)` hops: `< 2·log₂N` worst case, `< log₂N` on average under
 //! the neighborhood invariant.
 //!
-//! The hop rule runs on the order-preserving `u128` keys the peer table is
-//! already ordered by: the suffix match, the shift and the owner probe are
-//! integer operations, so a hop allocates nothing.
+//! A hop is a read of the current peer's [`RouteTable`] row — §3's routing
+//! table *is* the out-neighbor list. `I` extends the left shift `C.id[1..]`,
+//! so its owner is by definition one of the out-neighbors the row lists: the
+//! hop finds `j` and `I` on the order-preserving `u128` keys with integer
+//! operations, then scans the row (2–3 entries under balance) for the one
+//! key that prefixes `I`. It allocates nothing and never probes the global
+//! ordered cover; it costs three dependent reads (row bounds, row, neighbor
+//! keys), ≈ 45 ns at N = 10⁴. The first route after a membership change
+//! builds the table ([`FissioneNet::route_table`]); every later one shares
+//! it.
+//!
+//! Debug builds assert every hop — the pick and the error arm — against the
+//! ordered-cover probe behind [`FissioneNet::owner_of`], and the tests below
+//! hold both against the §3 rule on strings.
 
-use crate::net::{enc_id, enc_is_prefix, enc_len, enc_probe};
+use crate::net::{enc_is_prefix, enc_len, enc_probe, RouteTable};
 use crate::{FissioneError, FissioneNet};
 use kautz::KautzStr;
 use simnet::{FaultPlan, NodeId};
@@ -62,7 +73,8 @@ impl Target {
 
 impl FissioneNet {
     /// The next hop from `node` toward `target`, or `None` if `node` already
-    /// owns it.
+    /// owns it: a read of `node`'s row of the routing table (which this
+    /// call builds if a membership change dropped it).
     ///
     /// # Errors
     ///
@@ -74,37 +86,72 @@ impl FissioneNet {
         node: NodeId,
         target: &KautzStr,
     ) -> Result<Option<NodeId>, FissioneError> {
-        let next = self.hop(enc_id(self.peer_id(node)?), Target::of(target))?;
-        Ok(next.map(|(_, node)| node))
+        // Liveness before the table: a dead slot has no key to shift.
+        self.peer(node)?;
+        let table = self.route_table();
+        let next = self.hop(table, node, table.enc(node), Target::of(target))?;
+        Ok(next.map(|(node, _)| node))
     }
 
-    /// The hop rule: from the peer whose [`enc_id`] key is `id`, the next
-    /// peer toward `target` and that peer's own key (the owner probe reads
-    /// it anyway, so a route never looks a PeerID up after its first hop).
-    fn hop(&self, id: u128, target: Target) -> Result<Option<(u128, NodeId)>, FissioneError> {
+    /// The hop rule: from live peer `node`, whose `RouteTable::enc` key is
+    /// `id`, the next peer toward `target` and that peer's own key (the row
+    /// scan reads it anyway, so a route looks no key up twice).
+    ///
+    /// Cost: the suffix match slides the id left one symbol at a time (a
+    /// constant shift and a `leading_zeros` per step, at most `len(id)`
+    /// steps), the ideal continuation is one more shift, and the owner is
+    /// found among the row's 2–3 keys.
+    fn hop(
+        &self,
+        table: &RouteTable,
+        node: NodeId,
+        id: u128,
+        target: Target,
+    ) -> Result<Option<(NodeId, u128)>, FissioneError> {
         if enc_is_prefix(id, target.probe) {
             return Ok(None);
         }
         let len = enc_len(id);
-        // The longest suffix of the id that prefixes the target: its last
-        // `j` 2-bit groups against the target's first `j`. The whole id
-        // cannot match (it is no prefix of the target), so `j < len`.
-        let j = (1..len.min(target.len + 1))
-            .rev()
-            .find(|&j| (id << (2 * (len - j))) >> (128 - 2 * j) == target.probe >> (128 - 2 * j))
-            .unwrap_or(0);
-        // The ideal continuation `id[1..] ++ target[j..]`, windowed like
-        // any other probe.
-        let ideal = (id << 2) | ((target.probe << (2 * j)) >> (2 * (len - 1)));
-        let next = self.owner_of_enc(ideal, len - 1 + target.len - j)?;
-        debug_assert_ne!(next.0, id, "Kautz shift cannot map a peer to itself");
+        // The longest suffix of the id that prefixes the target: with the
+        // id's last `j` groups slid to the top of the key, they equal the
+        // target's first `j` iff the two keys first differ below them (a
+        // target shorter than `j` has a zero group there, an id never). The
+        // whole id cannot match (it is no prefix of the target), so the
+        // slide starts at `j = len − 1`, and the first hit is the longest.
+        let (mut suffix, mut j) = (id << 2, len - 1);
+        while j > 0 && (suffix ^ target.probe).leading_zeros() < 2 * j as u32 {
+            suffix <<= 2;
+            j -= 1;
+        }
+        // The ideal continuation `id[1..] ++ target[j..]`, windowed like any
+        // other probe: the target laid over the shift's last `j` groups,
+        // which it repeats.
+        let ideal = (id << 2) | (target.probe >> (2 * (len - 1 - j)));
+        let ideal_len = len - 1 + target.len - j;
+        // Its owner prefixes an extension of the shift `id[1..]`, which makes
+        // it an out-neighbor; the cover being prefix-free, at most one key
+        // in the row qualifies, and none exactly when no live PeerID does.
+        let next = table
+            .out(node)
+            .map(|n| (n, table.enc(n)))
+            .find(|&(_, key)| enc_is_prefix(key, ideal))
+            .ok_or_else(|| self.target_too_short(ideal_len));
+        debug_assert_eq!(
+            next.clone().map(|(owner, _)| owner),
+            self.owner_of_enc(ideal, ideal_len),
+            "the row of peer {node} and the ordered cover disagree on an owner"
+        );
+        let next = next?;
+        debug_assert_ne!(next.0, node, "Kautz shift cannot map a peer to itself");
         Ok(Some(next))
     }
 
     /// Walks the route from `from` to the owner of `target` (an
     /// ObjectID-length Kautz string, or a PeerID), folding `f(acc, src,
     /// dst)` over its edges in order. Returns the owner and the folded
-    /// value; nothing is allocated unless `f` does.
+    /// value; nothing is allocated unless `f` does. The walk fetches the
+    /// routing table once — building it if this is the first route since a
+    /// membership change — and every hop reads one row of it.
     ///
     /// # Errors
     ///
@@ -118,14 +165,17 @@ impl FissioneNet {
     ) -> Result<(NodeId, A), FissioneError> {
         let target = Target::of(target);
         let mut acc = init;
-        let (mut cur, mut id) = (from, enc_id(self.peer_id(from)?));
+        // Liveness before the table, as in `next_hop`.
+        self.peer(from)?;
+        let table = self.route_table();
+        let (mut cur, mut id) = (from, table.enc(from));
         // `len(id) − j` strictly decreases each hop; the initial ID length
         // bounds the loop. Guard with a generous cap for defence in depth.
         let cap = self.max_depth() + 2;
         for _ in 0..=cap {
-            match self.hop(id, target)? {
+            match self.hop(table, cur, id, target)? {
                 None => return Ok((cur, acc)),
-                Some((key, next)) => {
+                Some((next, key)) => {
                     acc = f(acc, cur, next);
                     (cur, id) = (next, key);
                 }
@@ -241,14 +291,37 @@ mod tests {
         net.owner_of(&ideal).map(Some)
     }
 
-    /// Compares the two hop rules at every live peer for PeerID targets,
-    /// truncated ObjectIDs and 100-symbol ObjectIDs, and checks the fold
-    /// against the materialised route under three cost models. Returns how
-    /// many comparisons came out `Err(TargetTooShort)`.
-    fn assert_key_space_equals_strings(net: &FissioneNet, rng: &mut SmallRng) -> usize {
+    /// The route on strings: the chain of [`next_hop_on_strings`] calls from
+    /// `from`, as where it ends and the edges it crosses.
+    fn route_on_strings(
+        net: &FissioneNet,
+        from: NodeId,
+        target: &KautzStr,
+    ) -> Result<(NodeId, Vec<(NodeId, NodeId)>), FissioneError> {
+        let (mut cur, mut edges) = (from, Vec::new());
+        while let Some(next) = next_hop_on_strings(net, cur, target)? {
+            edges.push((cur, next));
+            cur = next;
+        }
+        Ok((cur, edges))
+    }
+
+    /// Compares the two hop rules at every live peer, at `usize::MAX` and at
+    /// each of `also` (ids that may have departed), for `rounds` each of
+    /// PeerID targets, truncated ObjectIDs and 100-symbol ObjectIDs, and for
+    /// the empty target; checks the fold's edge sequence against the chain
+    /// of string hops, and its value against the materialised route under
+    /// three cost models. Returns how many comparisons came out
+    /// `Err(TargetTooShort)`.
+    fn assert_key_space_equals_strings(
+        net: &FissioneNet,
+        rng: &mut SmallRng,
+        rounds: usize,
+        also: &[NodeId],
+    ) -> usize {
         let peers: Vec<NodeId> = net.live_peers().collect();
-        let mut targets: Vec<KautzStr> = Vec::new();
-        for _ in 0..6 {
+        let mut targets = vec![KautzStr::empty(2)];
+        for _ in 0..rounds {
             let long = KautzStr::random(2, 100, rng);
             targets.push(net.peer_id(peers[rng.gen_range(0..peers.len())]).unwrap().clone());
             targets.push(long.take_front(rng.gen_range(0..8)));
@@ -257,25 +330,27 @@ mod tests {
         let models = ["unit", "wan", "cluster"].map(|m| simnet::NetModel::named(m).unwrap());
         let mut too_short = 0;
         for target in &targets {
-            for &node in &peers {
+            for &node in peers.iter().chain(also).chain(&[usize::MAX]) {
                 let hop = net.next_hop(node, target);
                 assert_eq!(hop, next_hop_on_strings(net, node, target), "{node} -> {target}");
                 too_short += usize::from(matches!(hop, Err(FissioneError::TargetTooShort { .. })));
             }
-            let from = peers[rng.gen_range(0..peers.len())];
-            let Ok(route) = net.route(from, target) else { continue };
-            for model in &models {
-                let folded = net.route_fold(from, target, (0, 0), |(hops, cost), src, dst| {
-                    (hops + 1, cost + model.edge_cost(src, dst))
+            for &from in [peers[rng.gen_range(0..peers.len())]].iter().chain(also) {
+                let edges = net.route_fold(from, target, Vec::new(), |mut edges, src, dst| {
+                    edges.push((src, dst));
+                    edges
                 });
-                let walked = (route.hops(), model.path_cost(route.path()));
-                assert_eq!(folded, Ok((route.dest(), walked)), "{} from {from}", model.name());
+                assert_eq!(edges, route_on_strings(net, from, target), "{from} -> {target}");
+                let Ok(route) = net.route(from, target) else { continue };
+                for model in &models {
+                    let folded = net.route_fold(from, target, (0, 0), |(hops, cost), src, dst| {
+                        (hops + 1, cost + model.edge_cost(src, dst))
+                    });
+                    let walked = (route.hops(), model.path_cost(route.path()));
+                    assert_eq!(folded, Ok((route.dest(), walked)), "{} from {from}", model.name());
+                }
             }
         }
-        assert_eq!(
-            net.next_hop(usize::MAX, &targets[0]),
-            next_hop_on_strings(net, usize::MAX, &targets[0])
-        );
         too_short
     }
 
@@ -283,15 +358,24 @@ mod tests {
     fn key_space_hops_equal_the_string_reference() {
         let mut too_short = 0;
         for (n, seed) in [(3, 27), (40, 28), (700, 29)] {
-            too_short +=
-                assert_key_space_equals_strings(&build(n, seed), &mut simnet::rng_from_seed(seed));
+            let mut rng = simnet::rng_from_seed(seed);
+            let mut net = build(n, seed);
+            too_short += assert_key_space_equals_strings(&net, &mut rng, 6, &[]);
+            // A peer that has just departed, its slot still in the table.
+            let leaver = net.random_peer(&mut rng);
+            if net.leave(leaver).is_ok() {
+                assert!(!net.is_live(leaver));
+                too_short += assert_key_space_equals_strings(&net, &mut rng, 1, &[leaver]);
+            }
         }
         assert!(too_short > 0, "short targets must exercise the TargetTooShort arm");
     }
 
     // The same comparison on nets shaped by the churn schedules of
     // `tests/churn_properties.rs` (3 : 2 : 1 : 1 join, leave, crash,
-    // stabilize).
+    // stabilize), after every operation: each comparison builds the routing
+    // table, so each operation has one to drop, and a hop that read a table
+    // which outlived a change would differ from the strings here.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -302,6 +386,7 @@ mod tests {
         ) {
             let mut rng = simnet::rng_from_seed(seed);
             let mut net = build(12, seed);
+            assert_key_space_equals_strings(&net, &mut rng, 1, &[]);
             for (op, raw) in ops {
                 let peers: Vec<NodeId> = net.live_peers().collect();
                 let victim = peers[raw % peers.len()];
@@ -311,8 +396,9 @@ mod tests {
                     5 => drop(net.crash(victim)),
                     _ => drop(net.stabilize()),
                 }
+                // The victim too: departed, if the operation removed it.
+                assert_key_space_equals_strings(&net, &mut rng, 1, &[victim]);
             }
-            assert_key_space_equals_strings(&net, &mut rng);
         }
     }
 

@@ -199,7 +199,7 @@ impl<D: DynamicDht> ReplicaRouting for DynamicPhtScheme<D> {
 
 impl<D: DynamicDht> DynamicScheme for DynamicPhtScheme<D> {
     fn join(&mut self, rng: &mut SmallRng) -> Result<NodeId, SchemeError> {
-        Ok(self.0.pht.dht_mut().join(rng))
+        self.0.pht.dht_mut().join(rng)
     }
 
     fn leave(&mut self, node: NodeId) -> Result<(), SchemeError> {
@@ -283,14 +283,16 @@ mod tests {
     #[test]
     fn an_unsupported_object_id_length_is_a_build_error() {
         // Reachable through the registry; the substrate used to panic in
-        // `join`'s namespace draw instead.
+        // `join`'s namespace draw instead. The last case is a length the
+        // substrate supports and the peer count outgrows: there are 96
+        // six-symbol ObjectIDs, and a leaf one ObjectID wide cannot split.
         let mut reg = SchemeRegistry::new();
         register(&mut reg);
         let mut rng = simnet::rng_from_seed(911);
-        for len in [0, fissione::MAX_OBJECT_ID_LEN + 1, 200] {
-            let params = BuildParams::new(80, 0.0, 1000.0).with_object_id_len(len);
+        for (n, len) in [(80, 0), (80, fissione::MAX_OBJECT_ID_LEN + 1), (80, 200), (200, 6)] {
+            let params = BuildParams::new(n, 0.0, 1000.0).with_object_id_len(len);
             let refused = reg.build_single("pht-fissione", &params, &mut rng).map(|_| ());
-            assert!(matches!(refused, Err(SchemeError::Build(_))), "{len}: {refused:?}");
+            assert!(matches!(refused, Err(SchemeError::Build(_))), "{n} x {len}: {refused:?}");
         }
     }
 
