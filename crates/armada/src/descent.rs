@@ -1,0 +1,207 @@
+//! The pruned descent of the forward routing tree that PIRA (§4.2) and MIRA
+//! (§5) share: one message, one handler, one scratch, one gather.
+//!
+//! A query region whose endpoints share no prefix splits into at most three
+//! sub-regions that do (the paper's rule). Each sub-query descends the
+//! origin's forward routing tree as a message `(sub, f, hops_left)`:
+//!
+//! * `f = |ComS|` where `ComS` is the longest string that is both a prefix
+//!   of the sub-region's common prefix and a suffix of the origin's PeerID;
+//! * a peer holding the message with `d = hops_left` covers — at the
+//!   destination level — exactly the strings prefixed by
+//!   `ComS ++ id[(f+d)..]`, so it forwards to an out-neighbor `C` iff the
+//!   query can meet a string prefixed by `ComS ++ C.id[(f+d−1)..]`;
+//! * any visited peer whose own zone meets the query answers (at the
+//!   destination level `d = 0` that is every reached peer; answering along
+//!   the way additionally keeps the algorithm exact on covers that violate
+//!   the neighborhood invariant).
+//!
+//! "Meets the query" is the one thing the two algorithms differ in, so it is
+//! the one thing the descent is handed: `answers` and `forwards`, over a
+//! per-sub-query state `prepare` builds. [`pira`](crate::pira) compares
+//! routing-table keys against the region; [`mira`](crate::mira) intersects
+//! rectangles.
+//!
+//! The handler only *marks* an answer. The records are read after the run,
+//! by [`gather`], from the one ordered object table the network keeps.
+
+use crate::engine::descent_budget;
+use crate::{ArmadaError, QueryMetrics, QueryOutcome, RecordId};
+use fissione::FissioneNet;
+use kautz::KautzRegion;
+use simnet::{Answers, Envelope, FaultPlan, NetModel, NodeId, Sim, SimScratch, TraceRecord};
+
+/// One in-flight sub-query message — `Copy`, so forwarding a message down
+/// the routing tree moves twenty-four bytes instead of cloning Kautz strings
+/// per hop. What the sub-query prunes with lives once per query in
+/// [`State::subs`], indexed by `sub`.
+#[derive(Debug, Clone, Copy)]
+struct Msg {
+    /// Index into the per-query sub-query table.
+    sub: u8,
+    /// `|ComS|` for this sub-query.
+    f: usize,
+    /// Remaining descent levels.
+    hops_left: usize,
+}
+
+/// The descent's reusable per-thread state, slotted into a
+/// [`QueryScratch`](simnet::QueryScratch): the simulator's collections plus
+/// the routing loop's working buffers. Every field is reset at query start,
+/// so reuse is invisible to results, metrics, and traces.
+pub(crate) struct State<S> {
+    sim: SimScratch<Msg>,
+    /// What each sub-query prunes with.
+    subs: Vec<S>,
+    arrivals: Vec<(NodeId, u64)>,
+    answers: Answers<RecordId>,
+}
+
+impl<S> Default for State<S> {
+    fn default() -> Self {
+        State {
+            sim: SimScratch::new(),
+            subs: Vec::new(),
+            arrivals: Vec::new(),
+            answers: Answers::default(),
+        }
+    }
+}
+
+/// Runs one query: seeds a sub-query per sub-region of `region`, descends
+/// the origin's forward routing tree, and gathers what the peers that
+/// answered hold.
+///
+/// `run` is the region's destination run (the peers whose zones meet
+/// `region`, in PeerID order) and `truth` the peers of it a fault-free query
+/// must reach — the ones `answers` holds for. `prepare(sub_region, f)` builds
+/// a sub-query's pruning state; `answers(state, peer)` says whether `peer`'s
+/// zone meets the query and `forwards(state, f, child, strip)` whether the
+/// subtree `ComS ++ child.id[strip..]` can; `keep` is the query itself, on
+/// records.
+///
+/// Every peer forwards from its own row of the network's
+/// [`RouteTable`](fissione::RouteTable). With `trace` set the simulator's
+/// sink is attached and the full virtual-time event stream (hops, fault
+/// verdicts, deliveries, answers) comes back beside the outcome. The outcome
+/// is bitwise identical either way — tracing reads the schedule, it never
+/// perturbs it — and for any scratch, fresh or reused.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn descend<S>(
+    net: &FissioneNet,
+    model: &NetModel,
+    origin: NodeId,
+    seed: u64,
+    faults: Option<&FaultPlan>,
+    trace: bool,
+    region: &KautzRegion,
+    run: &[NodeId],
+    truth: &[NodeId],
+    State { sim: sim_scratch, subs, arrivals, answers: ledger }: &mut State<S>,
+    prepare: impl Fn(&KautzRegion, usize) -> S,
+    mut answers: impl FnMut(&S, NodeId) -> bool,
+    mut forwards: impl FnMut(&S, usize, NodeId, usize) -> bool,
+    keep: impl Fn(RecordId) -> bool,
+) -> Result<(QueryOutcome, Option<Vec<TraceRecord>>), ArmadaError> {
+    let origin_id = net.peer_id(origin).map_err(|_| ArmadaError::BadOrigin { origin })?;
+    let table = net.route_table();
+
+    let mut sim: Sim<Msg> = Sim::from_scratch(seed, sim_scratch).with_net(*model);
+    if let Some(faults) = faults {
+        sim = sim.with_faults_ref(faults);
+    }
+    if trace {
+        sim = sim.with_trace(simnet::TraceSink::new());
+    }
+    subs.clear();
+    for sub in region.split_by_common_prefix() {
+        let (f, hops_left) = descent_budget(origin_id, &sub.common_prefix());
+        sim.send(origin, origin, 0, Msg { sub: subs.len() as u8, f, hops_left });
+        subs.push(prepare(&sub, f));
+    }
+
+    ledger.begin(table.node_bound(), truth);
+    // Flat arrival log, one entry per qualifying delivery; the sorted
+    // post-pass (`last_first_arrival`) reduces it to the min cost per peer
+    // and the max over peers — independent of delivery order (scheduling
+    // stays on unit ticks; the cost model rides along in the envelopes).
+    arrivals.clear();
+    let mut delay: u32 = 0;
+    sim.run(|sim, env: Envelope<Msg>| {
+        let (node, Msg { sub, f, hops_left: d }) = (env.to, env.payload);
+        let state = &subs[sub as usize];
+
+        // Local answer: this peer's zone meets the query. It is marked once
+        // however many sub-regions the peer straddles; what it holds is
+        // read after the run, against the *full* query.
+        if answers(state, node) {
+            arrivals.push((node, env.cost));
+            sim.trace_answer(&env);
+            if ledger.first_answer(node) {
+                delay = delay.max(env.hop);
+            }
+        }
+
+        // Pruned descent: forward to an out-neighbor `C` iff the query can
+        // meet `ComS ++ C.id[strip..]`, C's subtree prefix at the
+        // destination level. Children shorter than the transit prefix
+        // (possible only when the neighborhood invariant is violated)
+        // degrade to the never-prune test `ComS`, as a repeated junction
+        // symbol does.
+        if d > 0 {
+            let strip = f + d - 1; // transit-prefix length at the children
+            for c in table.out(node) {
+                if forwards(state, f, c, strip) {
+                    sim.forward(&env, c, Msg { sub, f, hops_left: d - 1 });
+                }
+            }
+        }
+    });
+
+    // Critical path in virtual ms: the query completes when the last
+    // destination first learns of it.
+    let latency = simnet::last_first_arrival(arrivals);
+    let records = sim.take_trace().map(simnet::TraceSink::into_records);
+    let messages = sim.stats().messages_sent;
+    sim.recycle(sim_scratch);
+    gather(net, region, run, ledger, keep);
+    let metrics = QueryMetrics {
+        delay,
+        latency,
+        messages,
+        dest_peers: truth.len(),
+        reached_peers: ledger.reached(),
+        exact: ledger.exact(),
+    };
+    Ok((QueryOutcome { results: ledger.results(), metrics }, records))
+}
+
+/// Hands `answers` the records satisfying `keep` that the peers of `run`
+/// which answered hold inside `region`.
+///
+/// `run` is the region's destination run — the peers whose zones meet
+/// `region`, in PeerID order — so their stores are adjacent intervals of the
+/// object table: every maximal stretch of peers that answered is one seek
+/// and one ordered pass (a fault-free PIRA query is one stretch). A peer
+/// outside the run stores nothing inside the region, so whether a stray
+/// answered changes nothing here.
+pub fn gather(
+    net: &FissioneNet,
+    region: &KautzRegion,
+    run: &[NodeId],
+    answers: &mut Answers<RecordId>,
+    keep: impl Fn(RecordId) -> bool,
+) {
+    let mut rest = run;
+    while let Some(first) = rest.iter().position(|&peer| answers.answered(peer)) {
+        let len = rest[first..].iter().take_while(|&&peer| answers.answered(peer)).count();
+        let (stretch, after) = rest[first..].split_at(len);
+        let ends = (stretch[0], stretch[len - 1]);
+        for handle in net.handles_in_stretch(ends, region.low(), region.high()) {
+            if keep(RecordId(handle)) {
+                answers.push(RecordId(handle));
+            }
+        }
+        rest = after;
+    }
+}

@@ -3,7 +3,7 @@
 
 use crate::{ArmadaError, QueryOutcome};
 use fissione::{FissioneConfig, FissioneNet};
-use kautz::naming::{MultiHash, ScaledRect, SingleHash};
+use kautz::naming::{MultiHash, SingleHash};
 use kautz::KautzStr;
 use rand::rngs::SmallRng;
 use simnet::NodeId;
@@ -340,7 +340,12 @@ impl MultiArmada {
         Ok(id)
     }
 
-    /// Ground truth: peers whose hyper-rectangle intersects the query.
+    /// Ground truth: peers whose hyper-rectangle intersects the query, by
+    /// exhaustive scan (`O(N·k)`) — the reference [`mira::query`]'s
+    /// destinations (the matching peers of the corner region's run) are
+    /// tested against.
+    ///
+    /// [`mira::query`]: crate::mira::query
     ///
     /// # Errors
     ///
@@ -349,22 +354,15 @@ impl MultiArmada {
         &self,
         query: &[(f64, f64)],
     ) -> Result<BTreeSet<NodeId>, ArmadaError> {
-        Ok(self.peers_intersecting_rect(&self.naming.query_rect(query)?).into_iter().collect())
-    }
-
-    /// The live peers whose hyper-rectangle intersects `rect`, in PeerID
-    /// order.
-    pub(crate) fn peers_intersecting_rect(&self, rect: &ScaledRect) -> Vec<NodeId> {
+        let rect = self.naming.query_rect(query)?;
         let mut zone = Vec::new();
-        self.net
-            .live_peers()
-            .filter(|&n| {
-                self.naming
-                    .prefix_rect_into(self.net.peer_id(n).expect("live"), &mut zone)
-                    .expect("peer depths are within naming depth");
-                rect.intersects(&zone)
-            })
-            .collect()
+        let meets = |&n: &NodeId| {
+            self.naming
+                .prefix_rect_into(self.net.peer_id(n).expect("live"), &mut zone)
+                .expect("peer depths are within naming depth");
+            rect.intersects(&zone)
+        };
+        Ok(self.net.live_peers().filter(meets).collect())
     }
 
     /// Ground truth: records a correct query must return.
@@ -378,8 +376,8 @@ impl MultiArmada {
     }
 
     /// Runs a plain MIRA multi-attribute range query from `origin`: fresh
-    /// buffers, no faults. [`mira::query`](crate::mira::query) is the full
-    /// surface.
+    /// buffers, no faults, no trace. [`mira::query`](crate::mira::query) is
+    /// the full surface.
     ///
     /// # Errors
     ///
@@ -390,7 +388,8 @@ impl MultiArmada {
         query: &[(f64, f64)],
         seed: u64,
     ) -> Result<QueryOutcome, ArmadaError> {
-        crate::mira::query(self, origin, query, seed, None, &mut simnet::QueryScratch::new())
+        crate::mira::query(self, origin, query, seed, None, false, &mut simnet::QueryScratch::new())
+            .map(|(out, _)| out)
     }
 }
 

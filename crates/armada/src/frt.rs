@@ -84,16 +84,6 @@ impl ForwardRoutingTree {
         kids.sort();
         kids.into_iter().map(|(_, n)| n).collect()
     }
-
-    /// The destination level for a query whose endpoints share the common
-    /// prefix `com_t`: `b − f` where `f = |ComS|` and `ComS` is the longest
-    /// string that is both a prefix of `com_t` and a suffix of the root's
-    /// PeerID (§4.2).
-    pub fn destination_level(net: &FissioneNet, root: NodeId, com_t: &KautzStr) -> usize {
-        let id = net.peer_id(root).expect("root must be live");
-        let f = id.longest_suffix_prefix(com_t);
-        id.len() - f
-    }
 }
 
 #[cfg(test)]
@@ -173,19 +163,6 @@ mod tests {
             expect.sort_unstable();
             assert_eq!(reached, expect, "level {} covers level {}", lvl, lvl + 1);
         }
-    }
-
-    #[test]
-    fn destination_level_from_paper_example() {
-        // Peer 212, query [0.1, 0.24] → ⟨0120, 0202⟩, ComT = "0": no suffix
-        // of 212 prefixes "0", so f = 0 and destinations sit at level b = 3.
-        let (net, _) = k23_cover();
-        let root = find(&net, "212");
-        let com_t: KautzStr = "0".parse().unwrap();
-        assert_eq!(ForwardRoutingTree::destination_level(&net, root, &com_t), 3);
-        // A query whose ComT starts with 12 (suffix of 212): f = 2, level 1.
-        let com_t: KautzStr = "120".parse().unwrap();
-        assert_eq!(ForwardRoutingTree::destination_level(&net, root, &com_t), 1);
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //!    origin's ID. [`pira`] (single-attribute) and [`mira`]
 //!    (multi-attribute) descend this tree, pruning subtrees whose namespace
 //!    prefix cannot intersect the query, and answer at the destination
-//!    level.
+//!    level. The two are one [`descent`] — one message, one handler, one
+//!    gather over the network's object table — around which each supplies
+//!    its region, its pruning predicate (an interval in key space; a
+//!    rectangle) and its record filter. The explicit tree is the oracle
+//!    their traces are tested against.
 //!
 //! Both algorithms are **delay-bounded**: every query completes within the
 //! origin's ID length in hops — `< 2·log₂N` worst case and `< log₂N` on
@@ -47,6 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod descent;
 mod engine;
 mod frt;
 mod metrics;

@@ -2,70 +2,48 @@
 //!
 //! A rectangle query `Ω = ⟨[x0,y0], …, [x(m-1),y(m-1)]⟩` is bounded by the
 //! corner region `⟨Multiple_hash(mins), Multiple_hash(maxs)⟩` (partial-order
-//! preservation, Definition 4). MIRA descends the origin's forward routing
-//! tree exactly like PIRA — same `ComS`/`hops_left` accounting over the
-//! corner region — but prunes with the *real* query: a subtree whose
-//! namespace prefix maps to a hyper-rectangle disjoint from `Ω` is cut, and
-//! a visited peer answers iff its own rectangle intersects `Ω`.
+//! preservation, Definition 4): every peer whose rectangle meets `Ω` lies in
+//! the corner region's destination run, but not every peer of the run does.
+//! MIRA is the shared [descent](crate::descent) — the same `ComS`/`hops_left`
+//! accounting, message, handler and gather as [PIRA](crate::pira) — with
+//! three things supplied:
+//!
+//! * the **region** is the corner region, and the destinations are the
+//!   peers of its run whose own rectangle meets `Ω`;
+//! * the **predicate** is the *real* query: a visited peer answers iff the
+//!   hyper-rectangle of its PeerID intersects `Ω` (the same test that picks
+//!   the destinations), and a subtree is cut when its namespace prefix
+//!   `ComS ++ child.id[strip..]` maps to a rectangle disjoint from `Ω`;
+//! * the **record filter** is `point ∈ Ω`.
 //!
 //! Like PIRA, MIRA is delay-bounded by the origin's PeerID length:
 //! `< 2·log₂N` worst case and `< log₂N` on average, independent of the
 //! query volume.
 
-use crate::engine::descent_budget;
-use crate::{ArmadaError, MultiArmada, QueryMetrics, QueryOutcome, RecordId};
+use crate::descent::{descend, State};
+use crate::{ArmadaError, MultiArmada, QueryOutcome};
 use kautz::fixed::BoundaryInterval;
 use kautz::KautzStr;
-use simnet::{Answers, Envelope, FaultPlan, NodeId, QueryScratch, Sim, SimScratch};
+use simnet::{FaultPlan, NodeId, QueryScratch, TraceRecord};
 
-/// One in-flight MIRA sub-query message — `Copy`, like [`PiraMsg`]: the
-/// sub-query's `ComS` lives once per query in [`MiraScratch::subs`],
-/// indexed by `sub`, instead of being cloned into every hop.
-///
-/// [`PiraMsg`]: crate::pira
-#[derive(Debug, Clone, Copy)]
-struct MiraMsg {
-    /// Index into the per-query `ComS` table.
-    sub: u8,
-    /// Remaining descent levels.
-    hops_left: usize,
-}
-
-/// MIRA's reusable per-thread state, slotted into a [`QueryScratch`]. Every
-/// field is reset at query start, so reuse is invisible to results and
-/// metrics.
-struct MiraScratch {
-    sim: SimScratch<MiraMsg>,
-    /// `ComS` per sub-query (prefix of the sub-region's common prefix,
-    /// suffix of the origin's PeerID).
-    subs: Vec<KautzStr>,
-    arrivals: Vec<(NodeId, u64)>,
-    answers: Answers<RecordId>,
+/// MIRA's working buffers, slotted into the [`QueryScratch`] beside the
+/// descent's [`State`] (whose per-sub-query entry is `ComS`): each is
+/// overwritten before it is read.
+#[derive(Default)]
+struct Bufs {
     /// Subtree-prefix buffer: `ComS ++ cid[strip..]` per candidate child.
-    wbuf: KautzStr,
+    prefix: Option<KautzStr>,
     /// Rectangle buffers for the answer and prune tests.
     zone: Vec<BoundaryInterval>,
-    wrect: Vec<BoundaryInterval>,
-}
-
-impl Default for MiraScratch {
-    fn default() -> Self {
-        MiraScratch {
-            sim: SimScratch::new(),
-            subs: Vec::new(),
-            arrivals: Vec::new(),
-            answers: Answers::default(),
-            wbuf: KautzStr::empty(2),
-            zone: Vec::new(),
-            wrect: Vec::new(),
-        }
-    }
+    subtree: Vec<BoundaryInterval>,
 }
 
 /// Executes a MIRA multi-attribute range query; see the module docs. The
-/// engine's one full-surface entry point: an optional fault plan and the
-/// caller's scratch (outcomes are bit-identical for any scratch, fresh or
-/// reused).
+/// engine's one full-surface entry point, with [`pira::query`]'s planes: an
+/// optional fault plan, an optional trace, the caller's scratch (outcomes
+/// are bit-identical for any scratch, fresh or reused, traced or not).
+///
+/// [`pira::query`]: crate::pira::query
 ///
 /// # Errors
 ///
@@ -77,95 +55,50 @@ pub fn query(
     ranges: &[(f64, f64)],
     seed: u64,
     faults: Option<&FaultPlan>,
+    trace: bool,
     scratch: &mut QueryScratch,
-) -> Result<QueryOutcome, ArmadaError> {
-    let net = armada.net();
-    if !net.is_live(origin) {
-        return Err(ArmadaError::BadOrigin { origin });
-    }
-    let naming = armada.naming();
+) -> Result<(QueryOutcome, Option<Vec<TraceRecord>>), ArmadaError> {
+    let (net, naming) = (armada.net(), armada.naming());
     let rect = naming.query_rect(ranges)?;
     let corner = naming.corner_region(ranges)?;
-    let truth = armada.peers_intersecting_rect(&rect);
-    let origin_id = net.peer_id(origin)?;
-    let table = net.route_table();
+    let run = net.peers_intersecting_range(corner.low(), corner.high())?;
 
-    let MiraScratch { sim: sim_scratch, subs, arrivals, answers, wbuf, zone, wrect } =
-        scratch.slot::<MiraScratch>();
-    let mut sim: Sim<MiraMsg> = Sim::from_scratch(seed, sim_scratch).with_net(*armada.net_model());
-    if let Some(faults) = faults {
-        sim = sim.with_faults_ref(faults);
-    }
-    subs.clear();
-    for sub in corner.split_by_common_prefix() {
-        let com_t = sub.common_prefix();
-        let (f, hops_left) = descent_budget(origin_id, &com_t);
-        sim.send(origin, origin, 0, MiraMsg { sub: subs.len() as u8, hops_left });
-        subs.push(com_t.take_front(f));
-    }
-
-    answers.begin(table.node_bound(), &truth);
-    // Flat arrival log reduced by a sorted post-pass (min cost per peer,
-    // max over peers — order-independent; see pira.rs).
-    arrivals.clear();
-    let mut delay: u32 = 0;
-    sim.run(|sim, env: Envelope<MiraMsg>| {
-        let node = env.to;
-        let id = net.peer_id(node).expect("messages are delivered to live peers");
-        let com_s = &subs[env.payload.sub as usize];
-
-        // Local answer: this peer's hyper-rectangle intersects the query.
+    let (state, Bufs { prefix, zone, subtree }) = scratch.slot::<(State<KautzStr>, Bufs)>();
+    let prefix = prefix.get_or_insert_with(|| KautzStr::empty(corner.base()));
+    // One definition of "destination": the test a visited peer answers by.
+    let mut meets = |peer: NodeId| {
+        let id = net.peer_id(peer).expect("run and delivery peers are live");
         naming.prefix_rect_into(id, zone).expect("peer depth within naming depth");
-        if rect.intersects(zone) {
-            arrivals.push((node, env.cost));
-            if answers.first_answer(node) {
-                delay = delay.max(env.hop);
-                for h in net.handles_in_range(node, corner.low(), corner.high()) {
-                    let record = RecordId(h);
-                    let point = armada.point(record);
-                    let inside =
-                        point.iter().zip(ranges.iter()).all(|(&v, &(lo, hi))| v >= lo && v <= hi);
-                    if inside {
-                        answers.push(record);
-                    }
-                }
-            }
-        }
-
-        // Pruned descent against the real rectangle.
-        let d = env.payload.hops_left;
-        if d > 0 {
-            let f = com_s.len();
-            let strip = f + d - 1;
-            for c in table.out(node) {
-                let cid = net.peer_id(c).expect("live");
-                // `ComS ++ cid[strip..]`; on a repeated junction symbol the
-                // buffer degrades to `ComS` alone — PIRA's never-prune
-                // fallback for covers violating the neighborhood invariant.
-                let tail = cid.symbols().get(strip..).unwrap_or(&[]);
-                let _ = wbuf.assign_concat(com_s, tail);
-                naming.prefix_rect_into(wbuf, wrect).expect("subtree prefix within depth");
-                if rect.intersects(wrect) {
-                    sim.forward(&env, c, MiraMsg { sub: env.payload.sub, hops_left: d - 1 });
-                }
-            }
-        }
-    });
-
-    let latency = simnet::last_first_arrival(arrivals);
-    let messages = sim.stats().messages_sent;
-    sim.recycle(sim_scratch);
-    Ok(QueryOutcome {
-        results: answers.results(),
-        metrics: QueryMetrics {
-            delay,
-            latency,
-            messages,
-            dest_peers: truth.len(),
-            reached_peers: answers.reached(),
-            exact: answers.exact(),
+        rect.intersects(zone)
+    };
+    let truth: Vec<NodeId> = run.iter().copied().filter(|&peer| meets(peer)).collect();
+    descend(
+        net,
+        armada.net_model(),
+        origin,
+        seed,
+        faults,
+        trace,
+        &corner,
+        &run,
+        &truth,
+        state,
+        |sub, f| sub.low().take_front(f),
+        |_, peer| meets(peer),
+        |com_s, _, child, strip| {
+            // `ComS ++ cid[strip..]`; on a repeated junction symbol the
+            // buffer degrades to `ComS` alone — PIRA's never-prune fallback
+            // for covers violating the neighborhood invariant.
+            let cid = net.peer_id(child).expect("out-neighbors are live");
+            let _ = prefix.assign_concat(com_s, cid.symbols().get(strip..).unwrap_or(&[]));
+            naming.prefix_rect_into(prefix, subtree).expect("subtree prefix within depth");
+            rect.intersects(subtree)
         },
-    })
+        |record| {
+            let point = armada.point(record);
+            point.iter().zip(ranges).all(|(&v, &(lo, hi))| v >= lo && v <= hi)
+        },
+    )
 }
 
 #[cfg(test)]

@@ -2,81 +2,42 @@
 //! (§4.2).
 //!
 //! A query `[lo, hi]` maps to the Kautz region `⟨LowT, HighT⟩` via
-//! `Single_hash`; if its endpoints share no prefix it splits into at most
-//! three sub-regions that do (the paper's rule). Each sub-query descends the
-//! origin's forward routing tree as a message
-//! `(low, high, f, hops_left)`:
+//! `Single_hash`, and interval preservation makes that region the query's
+//! exact image. PIRA is the shared [descent](crate::descent) with three
+//! things supplied:
 //!
-//! * `f = |ComS|` where `ComS` is the longest string that is both a prefix
-//!   of the sub-region's common prefix and a suffix of the origin's PeerID;
-//! * a peer holding the message with `d = hops_left` covers — at the
-//!   destination level — exactly the strings prefixed by
-//!   `ComS ++ id[(f+d)..]`, so it forwards to an out-neighbor `C` iff the
-//!   sub-region contains a string prefixed by `ComS ++ C.id[(f+d−1)..]`;
-//! * any visited peer whose own region intersects the sub-region answers
-//!   from local storage (at the destination level `d = 0` that is every
-//!   reached peer; answering along the way additionally keeps the algorithm
-//!   exact on covers that violate the neighborhood invariant).
+//! * the **region** is `⟨LowT, HighT⟩`, and every peer of its destination
+//!   run is a destination;
+//! * the **predicate** is membership in key space: each sub-region becomes
+//!   a [`KeyRegion`], a visited peer answers iff its
+//!   [`RouteTable`](fissione::RouteTable) key
+//!   [`intersects`](KeyRegion::intersects) it, and a child is forwarded to
+//!   iff its subtree prefix [does](KeyRegion::intersects_subtree) — a
+//!   delivery touches no ordered map and compares no strings;
+//! * the **record filter** is `lo ≤ value ≤ hi`.
 //!
-//! The message handler only *marks* the answer. The records are read after
-//! the run, by [`gather`]: the destination peers sorted by PeerID tile the
-//! query's ObjectID range, so what the peers that answered hold is one
-//! ordered pass over one run of the network's object table, not a scan per
-//! peer. The result set is sorted either way, so the order in which the
-//! records were read is unobservable.
+//! The destination peers sorted by PeerID tile the query's ObjectID range,
+//! so what the peers that answered hold is read by [`gather`] as one ordered
+//! pass over one run of the network's object table, not a scan per peer. The
+//! result set is sorted either way, so the order in which the records were
+//! read is unobservable.
 //!
 //! Delay is bounded by `hops_left ≤ len(origin.id)` regardless of the range
 //! size: `< 2·log₂N` worst case, `< log₂N` on average — the paper's
 //! headline result.
+//!
+//! [`gather`]: crate::descent::gather
 
-use crate::engine::descent_budget;
-use crate::{ArmadaError, QueryMetrics, QueryOutcome, RecordId, SingleArmada};
-use fissione::{KeyRegion, ObjectKey};
-use kautz::KautzRegion;
-use simnet::{Answers, Envelope, FaultPlan, NodeId, QueryScratch, Sim, SimScratch};
-
-/// One in-flight PIRA sub-query message — `Copy`, so forwarding a message
-/// down the routing tree moves twenty-four bytes instead of cloning two
-/// Kautz strings per hop. The sub-region lives once per sub-query in
-/// [`PiraScratch::subs`], indexed by `sub`.
-#[derive(Debug, Clone, Copy)]
-struct PiraMsg {
-    /// Index into the per-query sub-region table.
-    sub: u8,
-    /// `|ComS|` for this sub-query.
-    f: usize,
-    /// Remaining descent levels.
-    hops_left: usize,
-}
-
-/// PIRA's reusable per-thread state, slotted into a [`QueryScratch`]: the
-/// simulator's collections plus the routing loop's working buffers. Every
-/// field is reset at query start, so reuse is invisible to results,
-/// metrics, and traces.
-#[derive(Default)]
-struct PiraScratch {
-    sim: SimScratch<PiraMsg>,
-    /// The sub-regions `⟨low, high⟩` in key space; `ComS` is the first `f`
-    /// symbols of `low`.
-    subs: Vec<KeyRegion>,
-    arrivals: Vec<(NodeId, u64)>,
-    answers: Answers<RecordId>,
-}
+use crate::descent::{descend, State};
+use crate::{ArmadaError, QueryOutcome, SingleArmada};
+use fissione::KeyRegion;
+use simnet::{FaultPlan, NodeId, QueryScratch, TraceRecord};
 
 /// Executes a PIRA range query; see the module docs. The engine's one
 /// full-surface entry point: an optional fault plan (drops, crashes, the
-/// hostile families), an optional trace, the caller's scratch.
-///
-/// Every peer forwards from its own row of the network's
-/// [`RouteTable`](fissione::RouteTable) and prunes in key space
-/// ([`KeyRegion`]): a delivery touches no ordered map and compares no
-/// strings.
-///
-/// With `trace` set the simulator's sink is attached and the full
-/// virtual-time event stream (hops, fault verdicts, deliveries, answers)
-/// comes back beside the outcome. The outcome is bitwise identical either
-/// way — tracing reads the schedule, it never perturbs it — and for any
-/// scratch, fresh or reused.
+/// hostile families), an optional trace (the simulator's event stream,
+/// beside an outcome it never perturbs), the caller's scratch (outcomes are
+/// bit-identical for any scratch, fresh or reused).
 ///
 /// # Errors
 ///
@@ -92,130 +53,27 @@ pub fn query(
     faults: Option<&FaultPlan>,
     trace: bool,
     scratch: &mut QueryScratch,
-) -> Result<(QueryOutcome, Option<Vec<simnet::TraceRecord>>), ArmadaError> {
+) -> Result<(QueryOutcome, Option<Vec<TraceRecord>>), ArmadaError> {
     let net = armada.net();
-    if !net.is_live(origin) {
-        return Err(ArmadaError::BadOrigin { origin });
-    }
     let region = armada.naming().region(lo, hi)?;
-    let truth = net.peers_intersecting_range(region.low(), region.high())?;
-    let origin_id = net.peer_id(origin)?;
+    let run = net.peers_intersecting_range(region.low(), region.high())?;
     let table = net.route_table();
-
-    let PiraScratch { sim: sim_scratch, subs, arrivals, answers } = scratch.slot::<PiraScratch>();
-    let mut sim: Sim<PiraMsg> = Sim::from_scratch(seed, sim_scratch).with_net(*armada.net_model());
-    if let Some(faults) = faults {
-        sim = sim.with_faults_ref(faults);
-    }
-    if trace {
-        sim = sim.with_trace(simnet::TraceSink::new());
-    }
-    subs.clear();
-    for sub in region.split_by_common_prefix() {
-        let (f, hops_left) = descent_budget(origin_id, &sub.common_prefix());
-        sim.send(origin, origin, 0, PiraMsg { sub: subs.len() as u8, f, hops_left });
-        subs.push(KeyRegion::new(&sub));
-    }
-
-    answers.begin(table.node_bound(), &truth);
-    // Flat arrival log, one entry per qualifying delivery; the sorted
-    // post-pass (`last_first_arrival`) reduces it to the min cost per peer
-    // and the max over peers — independent of delivery order (scheduling
-    // stays on unit ticks; the cost model rides along in the envelopes).
-    arrivals.clear();
-    let mut delay: u32 = 0;
-    sim.run(|sim, env: Envelope<PiraMsg>| {
-        let node = env.to;
-        let key = table.key(node);
-        let sub = &subs[env.payload.sub as usize];
-
-        // Local answer: this peer's region intersects the sub-region. It
-        // is marked once however many sub-regions the peer straddles; what
-        // it holds is read after the run, against the *full* query.
-        if sub.intersects(key) {
-            arrivals.push((node, env.cost));
-            sim.trace_answer(&env);
-            if answers.first_answer(node) {
-                delay = delay.max(env.hop);
-            }
-        }
-
-        // Pruned descent: forward to an out-neighbor `C` iff the sub-region
-        // meets `ComS ++ C.id[strip..]`, C's subtree prefix at the
-        // destination level. Children shorter than the transit prefix
-        // (possible only when the neighborhood invariant is violated)
-        // degrade to the never-prune test `ComS`, as a repeated junction
-        // symbol does.
-        let d = env.payload.hops_left;
-        if d > 0 {
-            let f = env.payload.f;
-            let strip = f + d - 1; // transit-prefix length at the children
-            for c in table.out(node) {
-                if sub.intersects_subtree(f, table.key(c), strip) {
-                    sim.forward(&env, c, PiraMsg { sub: env.payload.sub, f, hops_left: d - 1 });
-                }
-            }
-        }
-    });
-
-    // Critical path in virtual ms: the query completes when the last
-    // destination first learns of it.
-    let latency = simnet::last_first_arrival(arrivals);
-    let records = sim.take_trace().map(simnet::TraceSink::into_records);
-    let messages = sim.stats().messages_sent;
-    sim.recycle(sim_scratch);
-    gather(armada, &region, &truth, (lo, hi), answers);
-    Ok((
-        QueryOutcome {
-            results: answers.results(),
-            metrics: QueryMetrics {
-                delay,
-                latency,
-                messages,
-                dest_peers: truth.len(),
-                reached_peers: answers.reached(),
-                exact: answers.exact(),
-            },
-        },
-        records,
-    ))
-}
-
-/// Hands `answers` the records of `[lo, hi]` held by the peers that answered.
-///
-/// `run` is the query's destination run — the peers whose regions meet
-/// `region`, in PeerID order — so its key intervals tile `region` in table
-/// order: one seek at `region.low()`, then the table iterator and the run
-/// cursor advance together. A peer outside the run stores nothing inside
-/// the region, so whether a stray answered changes nothing here.
-///
-/// # Panics
-///
-/// Panics if `run` stops short of the peer that owns `region.high()`.
-pub fn gather(
-    armada: &SingleArmada,
-    region: &KautzRegion,
-    run: &[NodeId],
-    (lo, hi): (f64, f64),
-    answers: &mut Answers<RecordId>,
-) {
-    let net = armada.net();
-    let table = net.route_table();
-    let mut run = run.iter();
-    // The last key of the current peer's interval, and whether it answered;
-    // the first entry moves off `MIN` onto the run's first peer.
-    let (mut last, mut answered) = (ObjectKey::MIN, false);
-    for (key, handle) in net.objects_in_range(region.low(), region.high()) {
-        while key > last {
-            let &node = run.next().expect("the destination run covers the region");
-            last = *table.key(node).interval().end();
-            answered = answers.answered(node);
-        }
-        let record = RecordId(handle);
-        if answered && (lo..=hi).contains(&armada.value(record)) {
-            answers.push(record);
-        }
-    }
+    descend(
+        net,
+        armada.net_model(),
+        origin,
+        seed,
+        faults,
+        trace,
+        &region,
+        &run,
+        &run,
+        scratch.slot::<State<KeyRegion>>(),
+        |sub, _| KeyRegion::new(sub),
+        |sub, peer| sub.intersects(table.key(peer)),
+        |sub, f, child, strip| sub.intersects_subtree(f, table.key(child), strip),
+        |record| (lo..=hi).contains(&armada.value(record)),
+    )
 }
 
 #[cfg(test)]
@@ -368,29 +226,49 @@ mod tests {
 
     #[test]
     fn traced_query_matches_untraced_and_streams_answers() {
+        // Both engines ride the one descent: `[lo, hi]` under PIRA, the
+        // square `[lo, hi]²` under MIRA.
         let a = build(200, 70);
         let mut rng = simnet::rng_from_seed(700);
+        let mut m = crate::MultiArmada::build_with(small_cfg(), 200, &[(0.0, 1000.0); 2], &mut rng)
+            .unwrap();
+        for _ in 0..200 {
+            m.publish(&[rng.gen_range(0.0..=1000.0), rng.gen_range(0.0..=1000.0)]).unwrap();
+        }
+        type Run<'a> = &'a dyn Fn((usize, f64, f64, u64), bool) -> (QueryOutcome, Vec<TraceRecord>);
+        let mira = |(origin, lo, hi, seed), trace| {
+            let mut scratch = simnet::QueryScratch::new();
+            let square = [(lo, hi); 2];
+            let (out, records) =
+                crate::mira::query(&m, origin, &square, seed, None, trace, &mut scratch).unwrap();
+            (out, records.unwrap_or_default())
+        };
+        let runs: [Run; 2] = [&|at, trace| query(&a, at, None, trace), &mira];
         for q in 0..20 {
             let lo: f64 = rng.gen_range(0.0..900.0);
             let hi = lo + rng.gen_range(0.5..100.0);
             let origin = a.net().random_peer(&mut rng);
-            let plain = a.pira_query(origin, lo, hi, q).unwrap();
-            let (traced, records) = query(&a, (origin, lo, hi, q), None, true);
-            assert_eq!(plain, traced, "tracing perturbed query [{lo}, {hi}]");
-            // One Answer event per reached peer, and the deepest answer
-            // carries exactly the reported delay.
-            let answers: Vec<_> = records
-                .iter()
-                .filter_map(|r| match r.event {
-                    simnet::TraceEvent::Answer { node, hop, cost_ms } => Some((node, hop, cost_ms)),
-                    _ => None,
-                })
-                .collect();
-            let distinct: std::collections::BTreeSet<_> =
-                answers.iter().map(|&(n, _, _)| n).collect();
-            assert_eq!(distinct.len(), traced.metrics.reached_peers);
-            let max_hop = answers.iter().map(|&(_, h, _)| h).max().unwrap();
-            assert_eq!(max_hop, traced.metrics.delay);
+            for run in runs {
+                let (plain, _) = run((origin, lo, hi, q), false);
+                let (traced, records) = run((origin, lo, hi, q), true);
+                assert_eq!(plain, traced, "tracing perturbed query [{lo}, {hi}]");
+                // One Answer event per reached peer, and the deepest answer
+                // carries exactly the reported delay.
+                let answers: Vec<_> = records
+                    .iter()
+                    .filter_map(|r| match r.event {
+                        simnet::TraceEvent::Answer { node, hop, cost_ms } => {
+                            Some((node, hop, cost_ms))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let distinct: std::collections::BTreeSet<_> =
+                    answers.iter().map(|&(n, _, _)| n).collect();
+                assert_eq!(distinct.len(), traced.metrics.reached_peers);
+                let max_hop = answers.iter().map(|&(_, h, _)| h).max().unwrap();
+                assert_eq!(max_hop, traced.metrics.delay);
+            }
         }
     }
 

@@ -11,12 +11,13 @@
 //! threads by reference; [`register`] wires their builders into the
 //! [`SchemeRegistry`] under `"pira"`, `"seqwalk"`, and `"mira"`.
 //!
-//! The single-attribute adapters also opt into the dynamics layer
-//! ([`RangeScheme::as_dynamic`]): FISSIONE supplies
-//! join/leave/crash/stabilize natively, and the adapters add the
-//! data-repair half — [`SingleArmada::repair_records`] re-publishes
-//! whatever crashed peers lost, restoring the post-stabilize exactness
-//! contract.
+//! The single-attribute adapters also opt into the dynamics and replication
+//! layers ([`RangeScheme::as_dynamic`], [`RangeScheme::as_replica_routing`])
+//! by handing out their engine: [`SingleArmada`] implements both once.
+//! FISSIONE supplies join/leave/crash/stabilize natively, and the engine
+//! adds the data-repair half — [`SingleArmada::repair_records`]
+//! re-publishes whatever crashed peers lost, restoring the post-stabilize
+//! exactness contract.
 //!
 //! [`RangeOutcome::results`]: dht_api::RangeOutcome
 
@@ -40,13 +41,6 @@ impl From<ArmadaError> for SchemeError {
 }
 
 impl QueryOutcome {
-    /// Converts into the scheme-generic outcome. `results` carries raw
-    /// [`RecordId`](crate::RecordId) values; adapters that track caller
-    /// handles remap before converting.
-    pub fn into_outcome(self) -> RangeOutcome {
-        self.outcome_with(|record| record.0)
-    }
-
     /// The scheme-generic outcome with every result mapped through
     /// `handle`.
     fn outcome_with(self, handle: impl Fn(crate::RecordId) -> u64) -> RangeOutcome {
@@ -61,12 +55,6 @@ impl QueryOutcome {
             self.metrics.reached_peers,
             self.metrics.exact,
         )
-    }
-}
-
-impl From<QueryOutcome> for RangeOutcome {
-    fn from(out: QueryOutcome) -> Self {
-        out.into_outcome()
     }
 }
 
@@ -192,98 +180,84 @@ impl RangeScheme for PiraScheme {
     }
 
     fn as_dynamic(&mut self) -> Option<&mut dyn DynamicScheme> {
-        Some(self)
+        Some(&mut self.inner)
     }
 
     fn as_replica_routing(&self) -> Option<&dyn ReplicaRouting> {
-        Some(self)
+        Some(&self.inner)
     }
 }
 
-/// FISSIONE-backed dynamics shared by the PIRA and sequential-walk
-/// adapters: churn goes straight to the substrate, and stabilization pairs
-/// the overlay's invariant repair with a record-repair sweep re-publishing
-/// whatever crashes lost (the engine's record table is the ground truth).
-macro_rules! impl_fissione_dynamics {
-    ($adapter:ty) => {
-        impl DynamicScheme for $adapter {
-            fn join(&mut self, rng: &mut SmallRng) -> Result<NodeId, SchemeError> {
-                self.inner.net_mut().try_join(rng).map_err(SchemeError::from)
-            }
+/// FISSIONE-backed dynamics, shared by the PIRA and sequential-walk
+/// adapters through their engine: churn goes straight to the substrate, and
+/// stabilization pairs the overlay's invariant repair with a record-repair
+/// sweep re-publishing whatever crashes lost (the engine's record table is
+/// the ground truth).
+impl DynamicScheme for SingleArmada {
+    fn join(&mut self, rng: &mut SmallRng) -> Result<NodeId, SchemeError> {
+        self.net_mut().try_join(rng).map_err(SchemeError::from)
+    }
 
-            fn leave(&mut self, node: NodeId) -> Result<(), SchemeError> {
-                self.inner.net_mut().leave(node).map_err(SchemeError::from)
-            }
+    fn leave(&mut self, node: NodeId) -> Result<(), SchemeError> {
+        self.net_mut().leave(node).map_err(SchemeError::from)
+    }
 
-            fn crash(&mut self, node: NodeId) -> Result<(), SchemeError> {
-                self.inner.net_mut().crash(node).map(|_lost| ()).map_err(SchemeError::from)
-            }
+    fn crash(&mut self, node: NodeId) -> Result<(), SchemeError> {
+        self.net_mut().crash(node).map(|_lost| ()).map_err(SchemeError::from)
+    }
 
-            fn stabilize(&mut self) -> usize {
-                let migrations = self.inner.net_mut().stabilize();
-                migrations + self.inner.repair_records()
-            }
+    fn stabilize(&mut self) -> usize {
+        let migrations = self.net_mut().stabilize();
+        migrations + self.repair_records()
+    }
 
-            fn live_peers(&self) -> Vec<NodeId> {
-                self.inner.net().live_peers().collect()
-            }
-        }
-    };
+    fn live_peers(&self) -> Vec<NodeId> {
+        self.net().live_peers().collect()
+    }
 }
 
-impl_fissione_dynamics!(PiraScheme);
-impl_fissione_dynamics!(SeqWalkScheme);
+/// FISSIONE-backed replica routing, shared the same way: close groups come
+/// from the substrate's Kautz neighborhood ([`Dht::replica_owners`]), and
+/// point fetches pay the real routed path to the holder plus one direct
+/// response hop — with the same edges priced by the engine's cost model for
+/// the latency figure.
+impl ReplicaRouting for SingleArmada {
+    fn live_peers(&self) -> Vec<NodeId> {
+        self.net().live_peers().collect()
+    }
 
-/// FISSIONE-backed replica routing shared by the single-attribute
-/// adapters: close groups come from the substrate's Kautz neighborhood
-/// ([`Dht::replica_owners`]), and point fetches pay the real routed path
-/// to the holder plus one direct response hop — with the same edges
-/// priced by the engine's cost model for the latency figure.
-macro_rules! impl_fissione_replication {
-    ($adapter:ty) => {
-        impl ReplicaRouting for $adapter {
-            fn live_peers(&self) -> Vec<NodeId> {
-                self.inner.net().live_peers().collect()
-            }
+    fn close_group(&self, value: f64, r: usize) -> Vec<NodeId> {
+        self.net().replica_owners(dht_api::value_key(value), r)
+    }
 
-            fn close_group(&self, value: f64, r: usize) -> Vec<NodeId> {
-                self.inner.net().replica_owners(dht_api::value_key(value), r)
-            }
-
-            fn fetch_cost(&self, origin: NodeId, holder: NodeId) -> FetchCost {
-                if origin == holder {
-                    return FetchCost::default(); // the copy is local
-                }
-                let net = self.inner.net();
-                let model = self.inner.net_model();
-                let response = model.edge_cost(holder, origin);
-                let routed = net.peer_id(holder).and_then(|id| {
-                    net.route_fold(origin, id, (0, 0), |(hops, ms), src, dst| {
-                        (hops + 1, ms + model.edge_cost(src, dst))
-                    })
-                });
-                let (hops, route_latency) = routed.map_or_else(
-                    |_| {
-                        // Unroutable (dead holder): fall back to the
-                        // log N lookup model, priced at the direct
-                        // origin→holder edge per modeled hop.
-                        let h = (net.len() as f64).log2().ceil() as u64;
-                        (h, h * model.edge_cost(origin, holder))
-                    },
-                    |(_, cost)| cost,
-                );
-                FetchCost {
-                    hops: hops + 1, // routed request + direct response
-                    latency: route_latency + response,
-                    messages: hops + 1,
-                }
-            }
+    fn fetch_cost(&self, origin: NodeId, holder: NodeId) -> FetchCost {
+        if origin == holder {
+            return FetchCost::default(); // the copy is local
         }
-    };
+        let (net, model) = (self.net(), self.net_model());
+        let response = model.edge_cost(holder, origin);
+        let routed = net.peer_id(holder).and_then(|id| {
+            net.route_fold(origin, id, (0, 0), |(hops, ms), src, dst| {
+                (hops + 1, ms + model.edge_cost(src, dst))
+            })
+        });
+        let (hops, route_latency) = routed.map_or_else(
+            |_| {
+                // Unroutable (dead holder): fall back to the log N lookup
+                // model, priced at the direct origin→holder edge per
+                // modeled hop.
+                let h = (net.len() as f64).log2().ceil() as u64;
+                (h, h * model.edge_cost(origin, holder))
+            },
+            |(_, cost)| cost,
+        );
+        FetchCost {
+            hops: hops + 1, // routed request + direct response
+            latency: route_latency + response,
+            messages: hops + 1,
+        }
+    }
 }
-
-impl_fissione_replication!(PiraScheme);
-impl_fissione_replication!(SeqWalkScheme);
 
 /// The sequential-walk reference baseline as a [`RangeScheme`].
 ///
@@ -362,11 +336,11 @@ impl RangeScheme for SeqWalkScheme {
     }
 
     fn as_dynamic(&mut self) -> Option<&mut dyn DynamicScheme> {
-        Some(self)
+        Some(&mut self.inner)
     }
 
     fn as_replica_routing(&self) -> Option<&dyn ReplicaRouting> {
-        Some(self)
+        Some(&self.inner)
     }
 }
 
@@ -443,8 +417,6 @@ impl MultiRangeScheme for MiraScheme {
         MultiRangeScheme::query(self, &req, &mut QueryCtx::new(&mut QueryScratch::new()))
     }
 
-    /// MIRA simulates a fault plan natively; it records no event stream, so
-    /// a requested trace is the modeled decomposition of the outcome.
     fn query(
         &self,
         req: &RectRequest<'_>,
@@ -453,16 +425,18 @@ impl MultiRangeScheme for MiraScheme {
         if req.rect().len() != self.dims {
             return Err(SchemeError::WrongArity { expected: self.dims, got: req.rect().len() });
         }
-        let out = crate::mira::query(
+        let faults = cx.faults_within(self.node_count())?;
+        let (out, records) = crate::mira::query(
             &self.inner,
             req.origin(),
             req.rect(),
             req.seed(),
-            cx.faults,
+            faults,
+            cx.trace.is_some(),
             cx.scratch,
         )?;
         let out = remap(out, &self.handles);
-        cx.trace_modeled("mira", req.origin(), &out);
+        cx.trace_sim_records("mira", records, &out);
         Ok(out)
     }
 }
@@ -495,6 +469,39 @@ mod tests {
         let req = RangeRequest::new(origin, lo, hi, seed)?;
         scheme.query(&req, &mut QueryCtx { scratch: &mut QueryScratch::new(), faults, trace })
     }
+
+    /// MIRA over `[0, 1000]²`, `n` peers and `n` records.
+    fn loaded_mira(n: usize, seed: u64) -> MiraScheme {
+        let mut rng = simnet::rng_from_seed(seed);
+        let p = MultiBuildParams::new(n, &[(0.0, 1000.0); 2]).with_object_id_len(24);
+        let mut scheme = MiraScheme::build(&p, &mut rng).unwrap();
+        for h in 0..n as u64 {
+            let point = [rng.gen_range(0.0..=1000.0), rng.gen_range(0.0..=1000.0)];
+            scheme.publish_point(&point, h).unwrap();
+        }
+        scheme
+    }
+
+    /// The square `[lo, hi]²` from `origin` through MIRA's full-surface call.
+    fn square_query(
+        scheme: &MiraScheme,
+        (origin, lo, hi, seed): (NodeId, f64, f64, u64),
+        faults: Option<&FaultPlan>,
+        trace: Option<&mut QueryTrace>,
+    ) -> Result<RangeOutcome, SchemeError> {
+        let square = [(lo, hi); 2];
+        let req = RectRequest::new(origin, &square, seed)?;
+        let mut cx = QueryCtx { scratch: &mut QueryScratch::new(), faults, trace };
+        MultiRangeScheme::query(scheme, &req, &mut cx)
+    }
+
+    /// A full-surface call with the scheme bound: what lets one test body
+    /// take single- and multi-attribute schemes as inputs.
+    type Ask<'a> = &'a dyn Fn(
+        (NodeId, f64, f64, u64),
+        Option<&FaultPlan>,
+        Option<&mut QueryTrace>,
+    ) -> Result<RangeOutcome, SchemeError>;
 
     #[test]
     fn pira_scheme_matches_native_engine() {
@@ -685,19 +692,27 @@ mod tests {
 
     #[test]
     fn out_of_range_fault_plans_are_rejected_not_ignored() {
-        // Regression: a plan crashing peer ≥ N used to be a silent no-op.
+        // Regression: a plan crashing peer ≥ N used to be a silent no-op —
+        // under MIRA for as long as its adapter had a call shape of its own.
         let mut rng = simnet::rng_from_seed(808);
-        let scheme = PiraScheme::build(&params(80), &mut rng).unwrap();
-        let mut faults = FaultPlan::new();
-        faults.crash(scheme.node_count() + 5);
-        let origin = scheme.random_origin(&mut rng);
-        let err = query(&scheme, (origin, 1.0, 2.0, 0), Some(&faults), None).unwrap_err();
-        assert!(matches!(err, SchemeError::FaultPlanOutOfRange { .. }), "{err}");
-        assert!(err.to_string().contains("80"));
-        // In-range plans still run.
-        let mut ok = FaultPlan::new();
-        ok.crash(scheme.node_count() - 1);
-        assert!(query(&scheme, (origin, 1.0, 2.0, 0), Some(&ok), None).is_ok());
+        let pira = PiraScheme::build(&params(80), &mut rng).unwrap();
+        let mira = loaded_mira(80, 8080);
+        let origin = pira.random_origin(&mut rng);
+        let asks: [(usize, Ask); 2] = [
+            (pira.node_count(), &|at, faults, trace| query(&pira, at, faults, trace)),
+            (mira.node_count(), &|at, faults, trace| square_query(&mira, at, faults, trace)),
+        ];
+        for (node_count, ask) in asks {
+            let mut faults = FaultPlan::new();
+            faults.crash(node_count + 5);
+            let err = ask((origin, 1.0, 2.0, 0), Some(&faults), None).unwrap_err();
+            assert!(matches!(err, SchemeError::FaultPlanOutOfRange { .. }), "{err}");
+            assert!(err.to_string().contains("80"));
+            // In-range plans still run.
+            let mut ok = FaultPlan::new();
+            ok.crash(node_count - 1);
+            assert!(ask((origin, 1.0, 2.0, 0), Some(&ok), None).is_ok());
+        }
     }
 
     #[test]
@@ -751,32 +766,37 @@ mod tests {
 
     #[test]
     fn trace_totals_reproduce_reported_costs() {
-        // The tentpole accounting invariant, on both traced adapters: the
-        // explain tree's total is exactly (delay, latency, messages).
+        // The tentpole accounting invariant, on all three traced adapters:
+        // the explain tree's total is exactly (delay, latency, messages).
         let mut rng = simnet::rng_from_seed(809);
         let mut pira = PiraScheme::build(&params(150), &mut rng).unwrap();
         let mut rng2 = simnet::rng_from_seed(809);
         let mut walk = SeqWalkScheme::build(&params(150), &mut rng2).unwrap();
+        let mira = loaded_mira(150, 8091);
         let mut data_rng = simnet::rng_from_seed(8090);
         for h in 0..300u64 {
             let v = data_rng.gen_range(0.0..=1000.0);
             pira.publish(v, h).unwrap();
             walk.publish(v, h).unwrap();
         }
+        let asks: [(&str, Ask); 3] = [
+            ("pira", &|at, faults, trace| query(&pira, at, faults, trace)),
+            ("seqwalk", &|at, faults, trace| query(&walk, at, faults, trace)),
+            ("mira", &|at, faults, trace| square_query(&mira, at, faults, trace)),
+        ];
         for q in 0..15 {
             let lo = data_rng.gen_range(0.0..900.0);
             let hi = lo + data_rng.gen_range(0.5..80.0);
             let origin = pira.random_origin(&mut data_rng);
-            for scheme in [&pira as &dyn RangeScheme, &walk as &dyn RangeScheme] {
-                let plain = scheme.range_query(origin, lo, hi, q).unwrap();
+            for (name, ask) in asks {
+                let plain = ask((origin, lo, hi, q), None, None).unwrap();
                 let mut trace = QueryTrace::default();
-                let traced = query(scheme, (origin, lo, hi, q), None, Some(&mut trace)).unwrap();
-                assert_eq!(plain, traced, "{} query [{lo}, {hi}]", scheme.scheme_name());
+                let traced = ask((origin, lo, hi, q), None, Some(&mut trace)).unwrap();
+                assert_eq!(plain, traced, "{name} query [{lo}, {hi}]");
                 assert_eq!(
                     trace.root.total(),
                     (traced.delay, traced.latency, traced.messages),
-                    "{} explain tree must sum to the outcome: [{lo}, {hi}]\n{}",
-                    scheme.scheme_name(),
+                    "{name} explain tree must sum to the outcome: [{lo}, {hi}]\n{}",
                     trace.explain_text()
                 );
                 assert!(!trace.events.is_empty());
@@ -787,19 +807,26 @@ mod tests {
     #[test]
     fn traced_faults_keep_the_accounting_invariant() {
         let mut rng = simnet::rng_from_seed(810);
-        let mut scheme = PiraScheme::build(&params(150), &mut rng).unwrap();
+        let mut pira = PiraScheme::build(&params(150), &mut rng).unwrap();
         for h in 0..200u64 {
-            scheme.publish(rng.gen_range(0.0..=1000.0), h).unwrap();
+            pira.publish(rng.gen_range(0.0..=1000.0), h).unwrap();
         }
+        let mira = loaded_mira(150, 8100);
+        let asks: [Ask; 2] =
+            [&|at, faults, trace| query(&pira, at, faults, trace), &|at, faults, trace| {
+                square_query(&mira, at, faults, trace)
+            }];
         let faults = FaultPlan::with_drop_prob(0.2);
         for q in 0..15 {
-            let origin = scheme.random_origin(&mut rng);
+            let origin = pira.random_origin(&mut rng);
             let at = (origin, 100.0, 400.0, q);
-            let plain = query(&scheme, at, Some(&faults), None).unwrap();
-            let mut trace = QueryTrace::default();
-            let traced = query(&scheme, at, Some(&faults), Some(&mut trace)).unwrap();
-            assert_eq!(plain, traced);
-            assert_eq!(trace.root.total(), (traced.delay, traced.latency, traced.messages));
+            for ask in asks {
+                let plain = ask(at, Some(&faults), None).unwrap();
+                let mut trace = QueryTrace::default();
+                let traced = ask(at, Some(&faults), Some(&mut trace)).unwrap();
+                assert_eq!(plain, traced);
+                assert_eq!(trace.root.total(), (traced.delay, traced.latency, traced.messages));
+            }
         }
     }
 

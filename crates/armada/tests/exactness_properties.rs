@@ -1,19 +1,104 @@
 //! Property tests: PIRA/MIRA exactness and delay bounds over randomly grown
 //! networks, random data and random queries — the core claims of the paper.
 
-use armada::{MultiArmada, RecordId, SingleArmada};
-use fissione::FissioneConfig;
+use armada::{ForwardRoutingTree, MultiArmada, QueryOutcome, RecordId, SingleArmada};
+use fissione::{FissioneConfig, FissioneNet};
 use proptest::prelude::*;
 use rand::Rng;
-use simnet::{FaultPlan, TraceEvent};
-use std::collections::BTreeSet;
+use simnet::{FaultPlan, NodeId, TraceEvent, TraceRecord};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn small_cfg() -> FissioneConfig {
     FissioneConfig { object_id_len: 24, ..FissioneConfig::default() }
 }
 
+/// The trace-level oracle of one traced descent from `origin`: every answer
+/// comes from a ground-truth peer and every such peer answers, the deepest
+/// hop at which a peer first answers is the reported delay (on a cover that
+/// violates the neighborhood invariant a peer can be reached twice), and —
+/// where `levels` says the cover keeps that invariant — every delivery at
+/// hop `h` lands in level `h` of the origin's explicitly built forward
+/// routing tree.
+fn check_against_the_frt(
+    net: &FissioneNet,
+    origin: NodeId,
+    (out, trace): &(QueryOutcome, Option<Vec<TraceRecord>>),
+    truth: &BTreeSet<NodeId>,
+    levels: bool,
+) -> Result<(), TestCaseError> {
+    let frt = ForwardRoutingTree::build(net, origin);
+    let mut first_answer = BTreeMap::new();
+    for record in trace.as_ref().expect("the query was traced") {
+        match record.event {
+            TraceEvent::Delivery { node, hop, .. } if levels => {
+                let level = frt.level(hop as usize);
+                prop_assert!(level.contains(&node), "peer {} delivered at hop {}", node, hop);
+            }
+            TraceEvent::Answer { node, hop, .. } => {
+                let first = first_answer.entry(node).or_insert(hop);
+                *first = hop.min(*first);
+            }
+            _ => {}
+        }
+    }
+    prop_assert_eq!(&first_answer.keys().copied().collect::<BTreeSet<_>>(), truth);
+    prop_assert_eq!(first_answer.values().max(), Some(&out.metrics.delay));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn traced_descents_follow_the_forward_routing_tree(
+        seed in 0u64..10_000,
+        n in 12usize..160,
+        churn in prop::collection::vec(any::<usize>(), 0..60),
+        stabilize in any::<bool>(),
+        q in 0f64..1.0, w in 0f64..1.0,
+    ) {
+        // Built networks (no churn), and the joins and leaves of
+        // `fissione/tests/churn_properties.rs`, stabilized or left as they
+        // fell. On a cover that was churned and not stabilized a descent may
+        // deliver to a peer whose PeerID is *shorter* than its level's
+        // anchor `u_{h+1}…u_b` — it owns the anchor's subtree without
+        // extending it, so `peers_with_prefix`, and with it the tree's
+        // level, rightly excludes it: only the answers and the delay are
+        // asserted there.
+        let mut rng = simnet::rng_from_seed(seed);
+        let mut a = SingleArmada::build_with(small_cfg(), n, 0.0, 1000.0, &mut rng).unwrap();
+        let mut m = MultiArmada::build_with(small_cfg(), n, &[(0.0, 1000.0); 2], &mut rng).unwrap();
+        for net in [a.net_mut(), m.net_mut()] {
+            for &raw in &churn {
+                // Three joins to two leaves, as there.
+                if raw % 5 < 3 {
+                    net.join(&mut rng);
+                } else {
+                    let peers: Vec<_> = net.live_peers().collect();
+                    let _ = net.leave(peers[raw / 5 % peers.len()]);
+                }
+            }
+            if stabilize {
+                net.stabilize();
+            }
+        }
+        let levels = churn.is_empty() || stabilize;
+        let (lo, hi) = (q * 1000.0, (q + w * (1.0 - q)).min(1.0) * 1000.0);
+        let mut scratch = simnet::QueryScratch::new();
+
+        let origin = a.net().random_peer(&mut rng);
+        let run = armada::pira::query(&a, origin, lo, hi, seed, None, true, &mut scratch).unwrap();
+        let truth = a.ground_truth_peers_scan(lo, hi).unwrap();
+        check_against_the_frt(a.net(), origin, &run, &truth, levels)?;
+
+        let origin = m.net().random_peer(&mut rng);
+        // A thinner second side, so that the corner region bounds the
+        // rectangle loosely and MIRA has subtrees to cut.
+        let rect = [(lo, hi), (lo, lo + (hi - lo) / 8.0)];
+        let run = armada::mira::query(&m, origin, &rect, seed, None, true, &mut scratch).unwrap();
+        let truth = m.ground_truth_peers(&rect).unwrap();
+        check_against_the_frt(m.net(), origin, &run, &truth, levels)?;
+    }
 
     #[test]
     fn pira_exact_for_any_network_and_query(
@@ -72,6 +157,7 @@ proptest! {
         records in 0usize..120,
         q0 in 0f64..1.0, w0 in 0f64..1.0,
         q1 in 0f64..1.0, w1 in 0f64..1.0,
+        shape in 0usize..4, d in 0u32..6,
     ) {
         let mut rng = simnet::rng_from_seed(seed);
         let mut m = MultiArmada::build_with(
@@ -81,14 +167,23 @@ proptest! {
             let p = [rng.gen_range(0.0..=50.0), rng.gen_range(0.0..=200.0)];
             m.publish(&p).unwrap();
         }
-        let lo0 = q0 * 50.0;
-        let hi0 = (lo0 + w0 * (50.0 - lo0)).min(50.0);
-        let lo1 = q1 * 200.0;
-        let hi1 = (lo1 + w1 * (200.0 - lo1)).min(200.0);
-        let query = [(lo0, hi0), (lo1, hi1)];
+        // A quarter of the rectangles have every endpoint on a partition
+        // boundary `j·|D|/(3·2^d)` (or, for a third that no float is, on the
+        // float next to it), a quarter are single points.
+        let cells = f64::from(3u32 << d);
+        let snap = |frac: f64| if shape == 0 { (frac * cells).round() / cells } else { frac };
+        let side = |q: f64, w: f64, size: f64| {
+            let lo = snap(q);
+            let hi = if shape == 1 { lo } else { snap(q + w * (1.0 - q)).min(1.0) };
+            (lo * size, hi * size)
+        };
+        let query = [side(q0, w0, 50.0), side(q1, w1, 200.0)];
         let origin = m.net().random_peer(&mut rng);
         let out = m.mira_query(origin, &query, seed).unwrap();
         prop_assert!(out.metrics.exact, "missed peers for {:?}", query);
+        // The destinations MIRA counts — the matching peers of the corner
+        // region's run — are the ones a scan of every peer finds.
+        prop_assert_eq!(out.metrics.dest_peers, m.ground_truth_peers(&query).unwrap().len());
         prop_assert_eq!(out.results, m.expected_results(&query));
         let b = m.net().peer(origin).unwrap().depth() as u32;
         prop_assert!(out.metrics.delay <= b);

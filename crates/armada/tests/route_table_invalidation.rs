@@ -134,10 +134,12 @@ fn mira_never_reads_a_table_built_before_a_membership_change() {
         rects
             .iter()
             .enumerate()
-            .map(|(q, rect)| armada::mira::query(m, origin, rect, q as u64, None, scratch).unwrap())
+            .map(|(q, rect)| {
+                armada::mira::query(m, origin, rect, q as u64, None, true, scratch).unwrap()
+            })
             .collect::<Vec<_>>()
     };
-    assert_no_stale_reads(&base, MultiArmada::net_mut, run, |out| out.metrics.exact);
+    assert_no_stale_reads(&base, MultiArmada::net_mut, run, |(out, _)| out.metrics.exact);
 }
 
 /// What a route through the table produced, in each of its three users'
@@ -178,7 +180,7 @@ fn routes_never_read_a_table_built_before_a_membership_change() {
             for _ in 0..2 {
                 let origin = peers[rng.gen_range(0..peers.len())];
                 let holder = peers[rng.gen_range(0..peers.len())];
-                routed.push(Routed::Fetch(scheme.fetch_cost(origin, holder)));
+                routed.push(Routed::Fetch(scheme.inner().fetch_cost(origin, holder)));
             }
         }
         let (walk, trace) =

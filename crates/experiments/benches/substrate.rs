@@ -1,12 +1,13 @@
 //! Criterion benches for the substrate building blocks: naming, routing,
 //! network construction, the three layers a replicated stack adds
-//! (placement, repair, the fetch route), PIRA's parts — the routing table
-//! a membership epoch pays for once, the handler every delivery runs, the
-//! gather over the object table a query ends with, and a publish into that
-//! table — and DCF's: the split-tree descent a query pays for once and the
-//! flood handler.
+//! (placement, repair, the fetch route), the parts of Armada's descent — the
+//! routing table a membership epoch pays for once, the handler every
+//! delivery runs under PIRA's and under MIRA's predicate, the gather over
+//! the object table a query ends with, and a publish into that table — and
+//! DCF's: the split-tree descent a query pays for once and the flood
+//! handler.
 
-use armada::{pira, SingleArmada};
+use armada::{descent, MultiArmada, SingleArmada};
 use armada_experiments::standard_registry;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use dht_api::{BuildParams, RangeScheme};
@@ -219,6 +220,33 @@ fn bench_pira(c: &mut Criterion) {
     }
     group.finish();
 
+    // The same handler under MIRA's predicate: two attributes over
+    // `[0, 1000]²`, rectangles with 50-wide sides, as many records as peers.
+    let mut group = c.benchmark_group("mira_query");
+    for n in [4000usize, 10_000] {
+        let mut rng = simnet::rng_from_seed(17 + n as u64);
+        let mut armada = MultiArmada::build(n, &[(0.0, 1000.0); 2], &mut rng).unwrap();
+        for _ in 0..n {
+            armada.publish(&[rng.gen_range(0.0..=1000.0), rng.gen_range(0.0..=1000.0)]).unwrap();
+        }
+        armada.net().route_table();
+        let mut scratch = simnet::QueryScratch::new();
+        let mut seed = 0u64;
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                seed += 1;
+                let rect = [0; 2].map(|_| {
+                    let lo = rng.gen_range(0.0..=950.0);
+                    (lo, lo + 50.0)
+                });
+                let origin = armada.net().random_peer(&mut rng);
+                armada::mira::query(&armada, origin, &rect, seed, None, false, &mut scratch)
+                    .unwrap()
+            });
+        });
+    }
+    group.finish();
+
     // The gather: the merged pass over the object table alone, every
     // destination having answered (marking them is inside the timing; the
     // region and the destination run are not).
@@ -243,7 +271,8 @@ fn bench_pira(c: &mut Criterion) {
                 for &peer in run {
                     answers.first_answer(peer);
                 }
-                pira::gather(armada, region, run, *range, &mut answers);
+                let keep = |record| (range.0..=range.1).contains(&armada.value(record));
+                descent::gather(armada.net(), region, run, &mut answers, keep);
             });
         });
     }

@@ -74,9 +74,6 @@ pub const MAX_OBJECT_ID_LEN: usize = 127;
 pub struct ObjectKey([u64; 4]);
 
 impl ObjectKey {
-    /// The key of the empty string: below the key of every ObjectID.
-    pub const MIN: ObjectKey = ObjectKey([0; 4]);
-
     /// Keeps the key's 128 symbols: all of an ObjectID (whose length
     /// `object_key` checks), and of a longer range bound all that matters.
     fn new(id: &KautzStr) -> Self {
@@ -1114,16 +1111,25 @@ impl FissioneNet {
         self.entries(key, key).map(|(_, handle)| handle)
     }
 
-    /// Every stored `(key, handle)` with an ObjectID in the closed range
-    /// `[low, high]`, in ObjectID order across all peers: a range query's
-    /// answer is this one run of the table, and [`PeerKey::interval`] says
-    /// where each peer's share of it ends.
-    pub fn objects_in_range(
+    /// The handles the consecutive peers `first ..= last` (PeerID order)
+    /// store under ObjectIDs in `[low, high]`, in ObjectID order: their
+    /// stores are adjacent intervals of the table, so a stretch of a range
+    /// query's destinations is one seek and one walk however many peers it
+    /// spans.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first` or `last` is not live.
+    pub fn handles_in_stretch(
         &self,
+        (first, last): (NodeId, NodeId),
         low: &KautzStr,
         high: &KautzStr,
-    ) -> impl Iterator<Item = (ObjectKey, u64)> + '_ {
-        self.entries(ObjectKey::new(low), ObjectKey::new(high))
+    ) -> impl Iterator<Item = u64> + '_ {
+        let interval = |node| PeerKey(enc_id(self.peer(node).expect("live node").id())).interval();
+        let (from, to) = (*interval(first).start(), *interval(last).end());
+        self.entries(from.max(ObjectKey::new(low)), to.min(ObjectKey::new(high)))
+            .map(|(_, handle)| handle)
     }
 
     /// The handles `node` stores under ObjectIDs in `[low, high]` — the
@@ -1138,10 +1144,7 @@ impl FissioneNet {
         low: &KautzStr,
         high: &KautzStr,
     ) -> impl Iterator<Item = u64> + '_ {
-        let id = self.peer(node).expect("live node").id();
-        let (first, last) = PeerKey(enc_id(id)).interval().into_inner();
-        self.entries(first.max(ObjectKey::new(low)), last.min(ObjectKey::new(high)))
-            .map(|(_, handle)| handle)
+        self.handles_in_stretch((node, node), low, high)
     }
 
     /// Verifies the hard invariants (complete prefix-free cover, well-formed
@@ -1926,9 +1929,12 @@ mod tests {
         let ends = [KautzStr::random(2, 24, rng), KautzStr::random(2, 24, rng)];
         let (low, high) = (ends.iter().min().unwrap(), ends.iter().max().unwrap());
         let in_range = |o: &KautzStr| low <= o && o <= high;
-        let whole: Vec<_> =
-            net.objects_in_range(low, high).map(|(k, h)| (k.decode(2).unwrap(), h)).collect();
-        assert_eq!(whole, pairs(model, in_range), "[{low}, {high}]");
+        // The whole destination run as one stretch, then every peer alone.
+        let run = net.peers_intersecting_range(low, high).unwrap();
+        let whole: Vec<u64> =
+            net.handles_in_stretch((run[0], *run.last().unwrap()), low, high).collect();
+        let expect = pairs(model, in_range);
+        assert_eq!(whole, expect.iter().map(|&(_, h)| h).collect::<Vec<_>>(), "[{low}, {high}]");
         for node in net.live_peers() {
             let id = net.peer_id(node).unwrap();
             assert_eq!(stored_at(net, node), pairs(model, |o| id.is_prefix_of(o)), "store of {id}");
