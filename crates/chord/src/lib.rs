@@ -110,11 +110,6 @@ impl ChordNet {
         }
     }
 
-    /// Finger `b` of a live slot: the node owning `slots[slot] + 2^b`.
-    fn finger(&self, slot: NodeId, b: usize) -> NodeId {
-        self.fingers[slot * RING_BITS as usize + b]
-    }
-
     /// The node owning `point` (its successor on the ring).
     pub fn successor_of(&self, point: u64) -> NodeId {
         match self.ring.binary_search_by_key(&point, |&(id, _)| id) {
@@ -275,45 +270,61 @@ impl ChordNet {
     ///
     /// Panics if `from` is dead.
     pub fn route_point(&self, from: NodeId, key: u64) -> Lookup {
-        let (lookup, _) = self.route_point_path(from, key);
-        lookup
+        let (owner, hops) = self.route_fold(from, key, 0, |hops, _, _| hops + 1);
+        Lookup { owner, hops }
     }
 
-    /// [`route_point`](Self::route_point) returning the full traversed
-    /// path, `[from, ..., owner]` — what per-edge cost models price.
+    /// Walks the greedy finger route from `from` to the owner of ring
+    /// point `key`, folding `f(acc, src, dst)` over its edges in order.
+    /// Returns the owner and the folded value; nothing is allocated unless
+    /// `f` does.
+    ///
+    /// Each hop reads one finger row. The farthest-preceding-finger scan
+    /// starts at the top bit of the clockwise distance `key − id(cur)`:
+    /// finger `b` owns `id(cur) + 2^b`, so it lies at least `2^b` clockwise
+    /// of `cur` (or is `cur` itself) and can never precede a key closer
+    /// than that. The hops are those of the full 64-bit scan.
     ///
     /// # Panics
     ///
     /// Panics if `from` is dead.
-    pub fn route_point_path(&self, from: NodeId, key: u64) -> (Lookup, Vec<NodeId>) {
+    pub fn route_fold<A>(
+        &self,
+        from: NodeId,
+        key: u64,
+        init: A,
+        mut f: impl FnMut(A, NodeId, NodeId) -> A,
+    ) -> (NodeId, A) {
         let owner = self.successor_of(key);
-        let mut cur = from;
-        let mut path = vec![from];
-        while cur != owner {
-            // If the owner is our direct successor, one hop finishes.
-            let succ = self.finger(cur, 0);
-            if Self::in_interval(self.id_of(cur), self.id_of(succ), key) {
+        let (mut cur, mut cur_id, mut acc) = (from, self.id_of(from), init);
+        // Every hop strictly shortens the clockwise distance to the key, so
+        // no node is visited twice: the ring size bounds the loop.
+        for _ in 0..=self.ring.len() {
+            if cur == owner {
+                return (owner, acc);
+            }
+            let row = &self.fingers[cur * RING_BITS as usize..][..RING_BITS as usize];
+            // If the owner is our direct successor, one hop finishes;
+            // otherwise jump through the farthest finger preceding the key.
+            let succ = row[0];
+            let next = if Self::in_interval(cur_id, self.id_of(succ), key) {
                 debug_assert_eq!(succ, owner);
-                path.push(succ);
-                break;
-            }
-            // Otherwise jump through the farthest finger preceding the key.
-            let mut next = succ;
-            for b in (0..RING_BITS as usize).rev() {
-                let f = self.finger(cur, b);
-                if f != cur && Self::in_interval(self.id_of(cur), key, self.id_of(f)) {
-                    next = f;
-                    break;
-                }
-            }
-            if next == cur {
-                next = succ;
-            }
-            cur = next;
-            path.push(next);
-            debug_assert!(path.len() <= self.ring.len() + 1, "routing must terminate");
+                succ
+            } else {
+                // `key ≠ id(cur)` here (`cur` would own it), so the
+                // distance is non-zero.
+                let top = (RING_BITS - 1 - key.wrapping_sub(cur_id).leading_zeros()) as usize;
+                row[..=top]
+                    .iter()
+                    .rev()
+                    .copied()
+                    .find(|&f| f != cur && Self::in_interval(cur_id, key, self.id_of(f)))
+                    .unwrap_or(succ)
+            };
+            acc = f(acc, cur, next);
+            (cur, cur_id) = (next, self.id_of(next));
         }
-        (Lookup { owner, hops: path.len() - 1 }, path)
+        unreachable!("routing exceeded its progress bound");
     }
 
     /// Whether `x` lies in the half-open clockwise interval `(a, b]`.
@@ -342,8 +353,14 @@ impl Dht for ChordNet {
 
     fn route_key_latency(&self, from: NodeId, key: u64, net: &simnet::NetModel) -> (Lookup, u64) {
         // The real finger path, priced edge by edge.
-        let (lookup, path) = self.route_point_path(from, key);
-        (lookup, net.path_cost(&path))
+        let (owner, (hops, cost)) = self.route_fold(from, key, (0, 0), |(hops, cost), src, dst| {
+            (hops + 1, cost + net.edge_cost(src, dst))
+        });
+        (Lookup { owner, hops }, cost)
+    }
+
+    fn is_live(&self, node: NodeId) -> bool {
+        ChordNet::is_live(self, node)
     }
 
     fn owner_of_key(&self, key: u64) -> NodeId {
@@ -413,10 +430,102 @@ impl DynamicDht for ChordNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn build(n: usize, seed: u64) -> ChordNet {
         let mut rng = simnet::rng_from_seed(seed);
         ChordNet::build(n, &mut rng)
+    }
+
+    /// The walk `route_fold` replaced, kept as its reference: every hop
+    /// scans all 64 fingers for the farthest one preceding the key.
+    fn full_scan_path(net: &ChordNet, from: NodeId, key: u64) -> Vec<NodeId> {
+        let owner = net.successor_of(key);
+        let finger = |slot: NodeId, b: usize| net.fingers[slot * RING_BITS as usize + b];
+        let mut cur = from;
+        let mut path = vec![from];
+        while cur != owner {
+            let succ = finger(cur, 0);
+            if ChordNet::in_interval(net.id_of(cur), net.id_of(succ), key) {
+                path.push(succ);
+                break;
+            }
+            let mut next = succ;
+            for b in (0..RING_BITS as usize).rev() {
+                let f = finger(cur, b);
+                if f != cur && ChordNet::in_interval(net.id_of(cur), key, net.id_of(f)) {
+                    next = f;
+                    break;
+                }
+            }
+            cur = next;
+            path.push(next);
+            assert!(path.len() <= net.ring.len() + 1, "routing must terminate");
+        }
+        path
+    }
+
+    /// The nodes `route_fold` visits, `[from, …, owner]`, checking that
+    /// consecutive edges chain.
+    fn fold_path(net: &ChordNet, from: NodeId, key: u64) -> Vec<NodeId> {
+        let (owner, path) = net.route_fold(from, key, vec![from], |mut path, src, dst| {
+            assert_eq!(path.last(), Some(&src), "edges chain");
+            path.push(dst);
+            path
+        });
+        assert_eq!(path.last(), Some(&owner));
+        path
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn route_fold_takes_the_full_scan_hops(
+            n in 1usize..160,
+            seed in 0u64..10_000,
+            churn in prop::collection::vec(any::<bool>(), 0..40),
+            probes in prop::collection::vec((any::<u64>(), any::<usize>(), 0u8..4), 1..24),
+        ) {
+            let mut rng = simnet::rng_from_seed(seed);
+            let mut net = ChordNet::build(n, &mut rng);
+            // Join on `true`, remove the middle member on `false` (refused
+            // on a one-node ring).
+            for join in churn {
+                if join {
+                    net.join(&mut rng);
+                } else {
+                    let victim = net.live_members().nth(net.node_count() / 2).unwrap();
+                    let _ = net.remove(victim);
+                }
+            }
+            let live: Vec<NodeId> = net.live_members().collect();
+            for (raw_key, raw_from, kind) in probes {
+                let from = live[raw_from % live.len()];
+                let at = net.id_of(live[raw_key as usize % live.len()]);
+                // Arbitrary keys, keys on a member's id and just past it,
+                // and self-routes.
+                let key = match kind {
+                    0 => raw_key,
+                    1 => at,
+                    2 => at.wrapping_add(1),
+                    _ => net.id_of(from),
+                };
+                let path = fold_path(&net, from, key);
+                prop_assert_eq!(&path, &full_scan_path(&net, from, key), "{} -> {:#x}", from, key);
+                let lookup = net.route_point(from, key);
+                prop_assert_eq!((lookup.owner, lookup.hops), (path[path.len() - 1], path.len() - 1));
+            }
+        }
+    }
+
+    #[test]
+    fn route_fold_on_a_one_node_ring_folds_nothing() {
+        let net = build(1, 12);
+        let only = net.any_node();
+        for key in [0, net.id_of(only), u64::MAX] {
+            assert_eq!(net.route_fold(only, key, 7u32, |_, _, _| unreachable!()), (only, 7));
+        }
     }
 
     #[test]

@@ -165,6 +165,11 @@ pub trait Dht: Send + Sync {
         (lookup, per_edge * lookup.hops as u64)
     }
 
+    /// Whether `node` is a live peer — what a layered scheme checks before
+    /// it routes from a caller-supplied origin, since the routing methods
+    /// may panic on a dead or unknown one.
+    fn is_live(&self, node: NodeId) -> bool;
+
     /// The peer owning `key`.
     ///
     /// **Cost:** the default implementation pays a full [`route_key`]

@@ -5,12 +5,13 @@
 //! delivery runs under PIRA's and under MIRA's predicate, the gather over
 //! the object table a query ends with, and a publish into that table — and
 //! DCF's: the split-tree descent a query pays for once and the flood
-//! handler.
+//! handler — and PHT's over Chord: the finger walk every trie get pays, and
+//! the whole layered query.
 
 use armada::{descent, MultiArmada, SingleArmada};
 use armada_experiments::standard_registry;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use dht_api::{BuildParams, RangeScheme};
+use dht_api::{BuildParams, Dht, RangeScheme};
 use dht_can::dcf::{self, FloodMode};
 use dht_can::{hilbert, CanConfig, CanNet, Rect};
 use fissione::{FissioneConfig, FissioneNet};
@@ -352,6 +353,36 @@ fn bench_dcf(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_pht(c: &mut Criterion) {
+    // The walk one trie get pays: a greedy finger route to a random key at
+    // 10⁴ peers (≈ 6.6 hops), each edge priced under `wan`, no path kept.
+    let mut rng = simnet::rng_from_seed(18);
+    let ring = chord::ChordNet::build(10_000, &mut rng);
+    let wan = simnet::NetModel::named("wan").expect("a catalog model");
+    c.bench_function("chord_route_fold/10000", |b| {
+        b.iter(|| {
+            let from = ring.random_node(&mut rng);
+            ring.route_fold(from, rng.gen(), (0u64, 0u64), |(hops, ms), src, dst| {
+                (hops + 1, ms + wan.edge_cost(src, dst))
+            })
+        });
+    });
+
+    // The whole layered query at `pht-chord-uniform`'s shape: 10⁴ peers and
+    // records, width-20 ranges, some 170 trie gets each.
+    let mut pht = pht::Pht::new(ring, 0.0, 1000.0);
+    for h in 0..10_000 {
+        pht.insert(rng.gen_range(0.0..=1000.0), h);
+    }
+    c.bench_function("pht_query/10000", |b| {
+        b.iter(|| {
+            let lo = rng.gen_range(0.0..=980.0);
+            let from = pht.dht().random_node(&mut rng);
+            pht.range_query(from, lo, lo + 20.0)
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_naming,
@@ -359,6 +390,7 @@ criterion_group!(
     bench_build,
     bench_replication,
     bench_pira,
-    bench_dcf
+    bench_dcf,
+    bench_pht
 );
 criterion_main!(benches);

@@ -48,6 +48,10 @@ impl Dht for FissioneNet {
         (Lookup { owner, hops }, cost)
     }
 
+    fn is_live(&self, node: NodeId) -> bool {
+        FissioneNet::is_live(self, node)
+    }
+
     fn owner_of_key(&self, key: u64) -> NodeId {
         self.owner_of(&self.key_to_kautz(key)).expect("cover is complete")
     }

@@ -43,10 +43,12 @@ pub use scheme::{register, DynamicPhtScheme, PhtScheme};
 
 use dht_api::Dht;
 use simnet::NodeId;
-use std::collections::BTreeMap;
 
 /// Default key width in bits (quantisation of the attribute domain).
 pub const DEFAULT_WIDTH: u32 = 16;
+
+/// Widest supported key, in bits.
+const MAX_WIDTH: u32 = 30;
 
 /// Default leaf capacity `B` before a split.
 pub const DEFAULT_LEAF_CAPACITY: usize = 4;
@@ -99,8 +101,9 @@ impl Label {
         self.key_lo(width) <= b && self.key_hi(width) >= a
     }
 
-    /// Stable bytes for hashing onto the DHT.
-    fn hash_key(self) -> u64 {
+    /// The DHT key the label's trie node is stored under: FNV-1a of its
+    /// bits and length.
+    pub fn dht_key(self) -> u64 {
         let mut buf = [0u8; 8];
         buf[..4].copy_from_slice(&self.bits.to_be_bytes());
         buf[4..].copy_from_slice(&self.len.to_be_bytes());
@@ -108,12 +111,34 @@ impl Label {
     }
 }
 
+/// A stored record as a leaf bucket holds it: `(key, value, handle)`.
+pub type Entry = (u32, f64, u64);
+
+/// A leaf bucket's entries.
+type Entries = Vec<Entry>;
+
+/// One trie node in the arena.
 #[derive(Debug, Clone)]
-enum Node {
-    /// Internal node: both children exist (PHT tries are complete).
-    Internal,
-    /// Leaf bucket: `(key, value, handle)` entries.
-    Leaf(Vec<(u32, f64, u64)>),
+struct Node {
+    label: Label,
+    /// [`Label::dht_key`] of `label`, hashed once when the node is made.
+    key: u64,
+    body: Body,
+}
+
+#[derive(Debug, Clone)]
+enum Body {
+    /// Internal node: both children exist (PHT tries are complete). The
+    /// 0-child sits at this arena index, the 1-child right after it.
+    Internal(usize),
+    /// Leaf bucket.
+    Leaf(Entries),
+}
+
+impl Node {
+    fn new(label: Label, body: Body) -> Node {
+        Node { label, key: label.dht_key(), body }
+    }
 }
 
 /// Result of a PHT range query.
@@ -142,9 +167,10 @@ pub struct PhtOutcome {
 
 /// A Prefix Hash Tree over a generic DHT substrate.
 ///
-/// The trie's node table is held here for simulation (its *placement* is
-/// what the DHT determines; every access is charged the full routing cost
-/// from the querying client, exactly as the layered scheme would pay).
+/// The trie is held here for simulation, as an arena of nodes (its
+/// *placement* is what the DHT determines; every access is charged the
+/// full routing cost from the querying client, exactly as the layered
+/// scheme would pay).
 #[derive(Debug, Clone)]
 pub struct Pht<D: Dht> {
     dht: D,
@@ -153,7 +179,8 @@ pub struct Pht<D: Dht> {
     domain_lo: f64,
     domain_hi: f64,
     net: simnet::NetModel,
-    nodes: BTreeMap<Label, Node>,
+    /// The trie: the root at index 0, children allocated as a pair.
+    nodes: Vec<Node>,
 }
 
 impl<D: Dht> Pht<D> {
@@ -173,10 +200,8 @@ impl<D: Dht> Pht<D> {
     /// Panics unless `lo < hi`, `1 ≤ width ≤ 30` and `capacity ≥ 1`.
     pub fn with_params(dht: D, lo: f64, hi: f64, width: u32, capacity: usize) -> Self {
         assert!(lo < hi, "empty attribute domain");
-        assert!((1..=30).contains(&width), "width out of range");
+        assert!((1..=MAX_WIDTH).contains(&width), "width out of range");
         assert!(capacity >= 1, "leaf capacity must be positive");
-        let mut nodes = BTreeMap::new();
-        nodes.insert(Label::ROOT, Node::Leaf(Vec::new()));
         Pht {
             dht,
             width,
@@ -184,7 +209,7 @@ impl<D: Dht> Pht<D> {
             domain_lo: lo,
             domain_hi: hi,
             net: simnet::NetModel::unit(),
-            nodes,
+            nodes: vec![Node::new(Label::ROOT, Body::Leaf(Vec::new()))],
         }
     }
 
@@ -207,7 +232,7 @@ impl<D: Dht> Pht<D> {
 
     /// The substrate, mutably (churn drives membership through here).
     ///
-    /// The trie's node table itself is unaffected by substrate membership:
+    /// The trie itself is unaffected by substrate membership:
     /// PHT assumes DHT-level replication of trie nodes (the original paper
     /// stores each node under a replicated put/get interface), so a peer
     /// crash changes routing costs and origins but loses no index state.
@@ -226,86 +251,85 @@ impl<D: Dht> Pht<D> {
     pub fn insert(&mut self, value: f64, handle: u64) {
         let key = self.quantize(value);
         let leaf = self.find_leaf(key);
-        match self.nodes.get_mut(&leaf).expect("trie is complete") {
-            Node::Leaf(entries) => entries.push((key, value, handle)),
-            Node::Internal => unreachable!("find_leaf returns leaves"),
+        match &mut self.nodes[leaf].body {
+            Body::Leaf(entries) => entries.push((key, value, handle)),
+            Body::Internal(_) => unreachable!("find_leaf returns leaves"),
         }
         self.split_while_overflowing(leaf);
     }
 
     /// Number of stored records.
     pub fn record_count(&self) -> usize {
-        self.nodes
-            .values()
-            .map(|n| match n {
-                Node::Leaf(e) => e.len(),
-                Node::Internal => 0,
-            })
-            .sum()
+        self.trie().map(|(_, entries)| entries.map_or(0, <[_]>::len)).sum()
     }
 
     /// Depth of the deepest leaf (the paper's `b`).
     pub fn depth(&self) -> u32 {
-        self.nodes
-            .iter()
-            .filter(|(_, n)| matches!(n, Node::Leaf(_)))
-            .map(|(l, _)| l.len())
+        self.trie()
+            .filter(|(_, entries)| entries.is_some())
+            .map(|(label, _)| label.len())
             .max()
             .unwrap_or(0)
     }
 
-    fn find_leaf(&self, key: u32) -> Label {
-        let mut label = Label::ROOT;
+    /// Every trie node in arena order: its label, and a leaf's entries
+    /// (`None` for an internal node).
+    pub fn trie(&self) -> impl Iterator<Item = (Label, Option<&[Entry]>)> + '_ {
+        self.nodes.iter().map(|node| match &node.body {
+            Body::Leaf(entries) => (node.label, Some(entries.as_slice())),
+            Body::Internal(_) => (node.label, None),
+        })
+    }
+
+    /// The child `key` descends into from an internal node at `depth` whose
+    /// 0-child sits at arena index `first_child`.
+    fn child_toward(&self, first_child: usize, depth: u32, key: u32) -> usize {
+        first_child + ((key >> (self.width - depth - 1)) & 1) as usize
+    }
+
+    fn find_leaf(&self, key: u32) -> usize {
+        let mut i = 0;
         loop {
-            match self.nodes.get(&label).expect("trie is complete") {
-                Node::Leaf(_) => return label,
-                Node::Internal => {
-                    let bit = (key >> (self.width - label.len() - 1)) & 1;
-                    label = label.child(bit);
+            match self.nodes[i].body {
+                Body::Leaf(_) => return i,
+                Body::Internal(first) => {
+                    i = self.child_toward(first, self.nodes[i].label.len(), key)
                 }
             }
         }
     }
 
-    fn split_while_overflowing(&mut self, mut label: Label) {
+    fn split_while_overflowing(&mut self, mut i: usize) {
         loop {
-            let needs_split = match self.nodes.get(&label) {
-                Some(Node::Leaf(e)) => e.len() > self.leaf_capacity && label.len() < self.width,
-                _ => false,
+            let label = self.nodes[i].label;
+            let entries = match &mut self.nodes[i].body {
+                Body::Leaf(e) if e.len() > self.leaf_capacity && label.len() < self.width => {
+                    std::mem::take(e)
+                }
+                _ => return,
             };
-            if !needs_split {
-                return;
-            }
-            let entries = match self.nodes.insert(label, Node::Internal) {
-                Some(Node::Leaf(e)) => e,
-                _ => unreachable!("checked leaf above"),
-            };
+            let first = self.nodes.len();
+            self.nodes[i].body = Body::Internal(first);
             let bit_pos = self.width - label.len() - 1;
-            let (ones, zeros): (Vec<_>, Vec<_>) =
+            let (ones, zeros): (Entries, Entries) =
                 entries.into_iter().partition(|&(k, _, _)| (k >> bit_pos) & 1 == 1);
-            let left = label.child(0);
-            let right = label.child(1);
-            self.nodes.insert(left, Node::Leaf(zeros));
-            self.nodes.insert(right, Node::Leaf(ones));
             // At most one child can still overflow; recurse into it.
-            for child in [left, right] {
-                if let Some(Node::Leaf(e)) = self.nodes.get(&child) {
-                    if e.len() > self.leaf_capacity {
-                        label = child;
-                    }
-                }
-            }
-            if matches!(self.nodes.get(&label), Some(Node::Internal)) {
-                return;
+            let overflowing = [&zeros, &ones].iter().position(|e| e.len() > self.leaf_capacity);
+            self.nodes.push(Node::new(label.child(0), Body::Leaf(zeros)));
+            self.nodes.push(Node::new(label.child(1), Body::Leaf(ones)));
+            match overflowing {
+                Some(bit) => i = first + bit,
+                None => return,
             }
         }
     }
 
-    /// One DHT get of a trie node from the client: returns `(hops_rtt,
-    /// latency_rtt, messages)` — request routing plus a one-hop direct
-    /// response, in hops, cost-model virtual milliseconds, and messages.
-    fn get_cost(&self, from: NodeId, label: Label) -> (u64, u64, u64) {
-        let (lookup, route_latency) = self.dht.route_key_latency(from, label.hash_key(), &self.net);
+    /// One DHT get of the trie node stored under `key` from the client:
+    /// returns `(hops_rtt, latency_rtt, messages)` — request routing plus a
+    /// one-hop direct response, in hops, cost-model virtual milliseconds,
+    /// and messages.
+    fn get_cost(&self, from: NodeId, key: u64) -> (u64, u64, u64) {
+        let (lookup, route_latency) = self.dht.route_key_latency(from, key, &self.net);
         let rtt = lookup.hops as u64 + 1;
         let latency = route_latency + self.net.edge_cost(lookup.owner, from);
         (rtt, latency, rtt)
@@ -327,20 +351,34 @@ impl<D: Dht> Pht<D> {
         let lcp_len = (a ^ b).leading_zeros().saturating_sub(32 - self.width);
         let lcp = Label { bits: a >> (self.width - lcp_len), len: lcp_len };
 
+        // The existing nodes on the lcp path, by depth: the trie is
+        // complete, so a prefix of the lcp exists iff it is no longer than
+        // the deepest node the walk reaches.
+        let mut path = [0usize; MAX_WIDTH as usize + 1];
+        let mut deepest = 0u32;
+        while deepest < lcp_len {
+            let Body::Internal(first) = self.nodes[path[deepest as usize]].body else { break };
+            path[deepest as usize + 1] = self.child_toward(first, deepest, a);
+            deepest += 1;
+        }
+
         // Binary search over prefix lengths for the deepest existing node on
-        // the lcp path (sequential DHT gets).
-        let (mut lo_len, mut hi_len) = (0u32, lcp.len());
-        let mut start = Label::ROOT;
+        // the lcp path (sequential DHT gets; a missing probe still pays its
+        // get).
+        let (mut lo_len, mut hi_len) = (0u32, lcp_len);
+        let mut start = 0;
         while lo_len <= hi_len {
             let mid = (lo_len + hi_len).div_ceil(2);
-            let probe = lcp.prefix(mid);
-            let (rtt, lat, msg) = self.get_cost(from, probe);
+            let exists = mid <= deepest;
+            let key =
+                if exists { self.nodes[path[mid as usize]].key } else { lcp.prefix(mid).dht_key() };
+            let (rtt, lat, msg) = self.get_cost(from, key);
             delay += rtt;
             latency += lat; // binary-search probes are sequential
             messages += msg;
             visited += 1;
-            if self.nodes.contains_key(&probe) {
-                start = probe;
+            if exists {
+                start = path[mid as usize];
                 if mid == hi_len {
                     break;
                 }
@@ -353,22 +391,23 @@ impl<D: Dht> Pht<D> {
             }
         }
 
-        // Parallel descent from `start`.
+        // Parallel descent from `start`, one level of arena indices at a
+        // time.
         let mut results = Vec::new();
         let mut dest_leaves = 0usize;
-        let mut frontier = vec![start];
+        let (mut frontier, mut next) = (vec![start], Vec::new());
         while !frontier.is_empty() {
-            let mut next = Vec::new();
             let mut level_delay = 0u64;
             let mut level_latency = 0u64;
-            for label in frontier {
-                let (rtt, lat, msg) = self.get_cost(from, label);
+            for &i in &frontier {
+                let node = &self.nodes[i];
+                let (rtt, lat, msg) = self.get_cost(from, node.key);
                 level_delay = level_delay.max(rtt);
                 level_latency = level_latency.max(lat); // parallel gets
                 messages += msg;
                 visited += 1;
-                match self.nodes.get(&label).expect("descent stays inside the trie") {
-                    Node::Leaf(entries) => {
+                match &node.body {
+                    Body::Leaf(entries) => {
                         let mut hit = false;
                         for &(k, v, h) in entries {
                             if k >= a && k <= b && v >= lo && v <= hi {
@@ -376,23 +415,21 @@ impl<D: Dht> Pht<D> {
                                 hit = true;
                             }
                         }
-                        if hit || label.overlaps(self.width, a, b) {
+                        if hit || node.label.overlaps(self.width, a, b) {
                             dest_leaves += 1;
                         }
                     }
-                    Node::Internal => {
-                        for bit in 0..2 {
-                            let c = label.child(bit);
-                            if c.overlaps(self.width, a, b) {
-                                next.push(c);
-                            }
-                        }
-                    }
+                    &Body::Internal(first) => next.extend(
+                        [first, first + 1]
+                            .into_iter()
+                            .filter(|&c| self.nodes[c].label.overlaps(self.width, a, b)),
+                    ),
                 }
             }
             delay += level_delay;
             latency += level_latency;
-            frontier = next;
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
         }
 
         results.sort_unstable();

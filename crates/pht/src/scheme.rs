@@ -101,6 +101,9 @@ impl<D: Dht> RangeScheme for PhtScheme<D> {
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
         RangeRequest::new(origin, lo, hi, seed)?;
+        if !self.pht.dht().is_live(origin) {
+            return Err(SchemeError::BadOrigin { origin });
+        }
         Ok(self.pht.range_query(origin, lo, hi).into_outcome())
     }
 }
@@ -341,6 +344,9 @@ mod tests {
             fn route_key(&self, _: NodeId, _: u64) -> dht_api::Lookup {
                 dht_api::Lookup { owner: 0, hops: 0 }
             }
+            fn is_live(&self, node: NodeId) -> bool {
+                node == 0
+            }
             fn any_node(&self) -> NodeId {
                 0
             }
@@ -362,6 +368,34 @@ mod tests {
         let out = scheme.range_query(0, 4.0, 6.0, 0).unwrap();
         assert_eq!(out.results, vec![1]);
         assert!(scheme.as_dynamic().is_none());
+    }
+
+    #[test]
+    fn a_dead_or_unknown_origin_is_a_typed_error_on_both_substrates() {
+        // Both used to panic in the substrate's routing instead.
+        let mut reg = SchemeRegistry::new();
+        register(&mut reg);
+        for name in ["pht-chord", "pht-fissione"] {
+            let mut rng = simnet::rng_from_seed(913);
+            let params = BuildParams::new(40, 0.0, 1000.0).with_object_id_len(24);
+            let mut scheme = reg.build_single(name, &params, &mut rng).unwrap();
+            scheme.publish(500.0, 1).unwrap();
+            let dynamic = scheme.as_dynamic().expect("pht schemes are dynamic");
+            let departed = dynamic
+                .live_peers()
+                .into_iter()
+                .find(|&peer| dynamic.leave(peer).is_ok())
+                .expect("some peer can leave");
+            for origin in [departed, 1_000_000] {
+                let refused = scheme.range_query(origin, 100.0, 900.0, 0);
+                assert!(
+                    matches!(refused, Err(SchemeError::BadOrigin { origin: o }) if o == origin),
+                    "{name} from {origin}: {refused:?}"
+                );
+            }
+            let live = scheme.random_origin(&mut rng);
+            assert_eq!(scheme.range_query(live, 100.0, 900.0, 0).unwrap().results, vec![1]);
+        }
     }
 
     #[test]

@@ -247,10 +247,10 @@ impl SquidNet {
             for cluster in level_clusters {
                 // Route to the cluster's first key: the real finger path,
                 // priced edge by edge, plus the direct response edge.
-                let (lookup, path) =
-                    self.chord.route_point_path(origin, self.ring_point(cluster.lo));
+                let (lookup, path_latency) =
+                    self.chord.route_key_latency(origin, self.ring_point(cluster.lo), model);
                 let rtt = lookup.hops as u64 + 1;
-                let rtt_latency = model.path_cost(&path) + model.edge_cost(lookup.owner, origin);
+                let rtt_latency = path_latency + model.edge_cost(lookup.owner, origin);
                 level_delay = level_delay.max(rtt);
                 messages += rtt;
                 // Walk the successor chain of nodes owning keys in

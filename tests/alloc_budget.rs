@@ -185,13 +185,15 @@ fn steady_state_allocations_per_query_stay_within_budget() {
     // (naming, sub-regions, the ground-truth list, one result buffer).
     // The dcf-can rungs likewise (measured 1.04 and 1.03, × 1.5 rounded up
     // to a whole allocation): the result buffer, and what scratch growth
-    // the warm-up did not reach.
+    // the warm-up did not reach. pht-chord likewise (measured 7.6 once a
+    // Chord route kept no path and the trie became an arena, × 1.5): the
+    // result buffer and the two descent frontiers, per query.
     let budgets = [
         ("pira", 19.0),
         ("seqwalk", 220.0),
         ("dcf-can", 2.0),
         ("dcf-can-naive", 2.0),
-        ("pht-chord", 410.0),
+        ("pht-chord", 12.0),
         ("skipgraph", 20.0),
         // Composed stacks: the wrappers thread the caller's scratch down
         // to the engine, so a faulted retry attempt costs what a bare
@@ -233,7 +235,17 @@ fn steady_state_allocations_per_query_stay_within_budget() {
     // targets all live in the scratch, so the difference is scratch
     // growth alone — 1.01 against 1.00 when this was written, where a
     // copied informed set per forwarding zone read 65.6 against 486.3.
-    for (name, widths, slack) in [("pira", [2.0, 200.0], 16.0), ("dcf-can", [20.0, 200.0], 8.0)] {
+    //
+    // pht-chord over the same tenfold range sends some 1 050 messages a
+    // query against 150 (a trie get is a Chord route of several hops plus
+    // its response); only the result buffer and the two frontiers grow, by
+    // doubling — 7.9 against 17.8 when this was written. One allocation per
+    // get or per hop does not fit under it.
+    for (name, widths, slack) in [
+        ("pira", [2.0, 200.0], 16.0),
+        ("dcf-can", [20.0, 200.0], 8.0),
+        ("pht-chord", [20.0, 200.0], 16.0),
+    ] {
         let [narrow, wide] =
             widths.map(|width| allocs_per_query(name, &WorkloadGen::uniform(DOMAIN, width)));
         let [w0, w1] = widths;

@@ -411,3 +411,60 @@ fn dcf_golden_digests_hold() {
     let got = dht_api::fnv1a(jsonl.as_bytes());
     assert_eq!(got, DCF_WAN_TRACE_JSONL_FNV, "dcf-can@wan trace stream moved to {got:#018x}");
 }
+
+/// `DigestReport`s of one fixed batch (N = 600, 600 records, 200 `mixed`
+/// queries, seed `0x947`) on the layered PHT stacks, and of a 200-rectangle
+/// `rect-correlated` batch on `squid@wan` through `run_multi` — recorded
+/// before Chord routing became an allocation-free fold and the PHT trie an
+/// arena (PR 25). `pht-chord@wan` and `squid@wan` price every finger edge,
+/// so a route that takes one different hop fails here by name, as does a
+/// trie walk that probes or visits one different node.
+const LAYERED_GOLDEN_DIGESTS: [(&str, u64); 4] = [
+    ("pht-chord", 0xfe36_8a7f_4b13_c742),
+    ("pht-fissione", 0x80a8_5c6b_f7d2_4b92),
+    ("pht-chord@wan", 0xf7ae_1808_3b05_5de5),
+    ("pht-chord+r3", 0x9429_23f2_6e56_fee2),
+];
+const SQUID_WAN_RECT_DIGEST: u64 = 0x3e35_75a9_73ac_298f;
+
+#[test]
+fn layered_golden_digests_hold() {
+    use armada_suite::dht_api::{DigestReport, MultiBuildParams, ParallelDriver, WorkloadGen};
+    const N: usize = 600;
+    const QUERIES: usize = 200;
+    const SEED: u64 = 0x947;
+
+    let registry = standard_registry();
+    let driver =
+        ParallelDriver { queries: QUERIES, seed: SEED, threads: 1, shard_salt: 0, metrics: false };
+    let params = BuildParams::new(N, DOMAIN.0, DOMAIN.1).with_object_id_len(24);
+    let workload = WorkloadGen::named("mixed", DOMAIN).expect("cataloged");
+    let mut moved = Vec::new();
+    for (stack, want) in LAYERED_GOLDEN_DIGESTS {
+        let mut rng = simnet::rng_from_seed(SEED ^ dht_api::fnv1a(stack.as_bytes()));
+        let mut scheme = registry.build_single(stack, &params, &mut rng).expect("stack builds");
+        for h in 0..N as u64 {
+            scheme.publish(rng.gen_range(DOMAIN.0..=DOMAIN.1), h).expect("publish");
+        }
+        let got = DigestReport::of(&driver.run(scheme.as_ref(), &workload).expect("batch runs"));
+        if got.value() != want {
+            moved.push(format!("{stack}: digest moved to {:#018x}", got.value()));
+        }
+    }
+
+    let domains = [DOMAIN, DOMAIN];
+    let params = MultiBuildParams::new(N, &domains);
+    let mut rng = simnet::rng_from_seed(SEED ^ dht_api::fnv1a(b"squid@wan"));
+    let mut scheme = registry.build_multi("squid@wan", &params, &mut rng).expect("squid builds");
+    for h in 0..N as u64 {
+        let p = [rng.gen_range(DOMAIN.0..=DOMAIN.1), rng.gen_range(DOMAIN.0..=DOMAIN.1)];
+        scheme.publish_point(&p, h).expect("publish");
+    }
+    let rects = WorkloadGen::named("rect-correlated", DOMAIN).expect("cataloged");
+    let got =
+        DigestReport::of(&driver.run_multi(scheme.as_ref(), &domains, &rects).expect("batch runs"));
+    if got.value() != SQUID_WAN_RECT_DIGEST {
+        moved.push(format!("squid@wan: digest moved to {:#018x}", got.value()));
+    }
+    assert!(moved.is_empty(), "layered engines moved:\n{}", moved.join("\n"));
+}
