@@ -53,18 +53,12 @@ pub(crate) struct State<S> {
     sim: SimScratch<Msg>,
     /// What each sub-query prunes with.
     subs: Vec<S>,
-    arrivals: Vec<(NodeId, u64)>,
     answers: Answers<RecordId>,
 }
 
 impl<S> Default for State<S> {
     fn default() -> Self {
-        State {
-            sim: SimScratch::new(),
-            subs: Vec::new(),
-            arrivals: Vec::new(),
-            answers: Answers::default(),
-        }
+        State { sim: SimScratch::new(), subs: Vec::new(), answers: Answers::default() }
     }
 }
 
@@ -97,7 +91,7 @@ pub(crate) fn descend<S>(
     region: &KautzRegion,
     run: &[NodeId],
     truth: &[NodeId],
-    State { sim: sim_scratch, subs, arrivals, answers: ledger }: &mut State<S>,
+    State { sim: sim_scratch, subs, answers: ledger }: &mut State<S>,
     prepare: impl Fn(&KautzRegion, usize) -> S,
     mut answers: impl FnMut(&S, NodeId) -> bool,
     mut forwards: impl FnMut(&S, usize, NodeId, usize) -> bool,
@@ -121,23 +115,18 @@ pub(crate) fn descend<S>(
     }
 
     ledger.begin(table.node_bound(), truth);
-    // Flat arrival log, one entry per qualifying delivery; the sorted
-    // post-pass (`last_first_arrival`) reduces it to the min cost per peer
-    // and the max over peers — independent of delivery order (scheduling
-    // stays on unit ticks; the cost model rides along in the envelopes).
-    arrivals.clear();
     let mut delay: u32 = 0;
     sim.run(|sim, env: Envelope<Msg>| {
         let (node, Msg { sub, f, hops_left: d }) = (env.to, env.payload);
         let state = &subs[sub as usize];
 
         // Local answer: this peer's zone meets the query. It is marked once
-        // however many sub-regions the peer straddles; what it holds is
-        // read after the run, against the *full* query.
+        // however many sub-regions the peer straddles (the ledger keeps its
+        // cheapest arrival); what it holds is read after the run, against
+        // the *full* query.
         if answers(state, node) {
-            arrivals.push((node, env.cost));
             sim.trace_answer(&env);
-            if ledger.first_answer(node) {
+            if ledger.first_answer(node, env.cost) {
                 delay = delay.max(env.hop);
             }
         }
@@ -158,16 +147,15 @@ pub(crate) fn descend<S>(
         }
     });
 
-    // Critical path in virtual ms: the query completes when the last
-    // destination first learns of it.
-    let latency = simnet::last_first_arrival(arrivals);
     let records = sim.take_trace().map(simnet::TraceSink::into_records);
     let messages = sim.stats().messages_sent;
     sim.recycle(sim_scratch);
     gather(net, region, run, ledger, keep);
     let metrics = QueryMetrics {
         delay,
-        latency,
+        // Critical path in virtual ms: the query completes when the last
+        // destination first learns of it.
+        latency: ledger.latency(),
         messages,
         dest_peers: truth.len(),
         reached_peers: ledger.reached(),

@@ -159,7 +159,7 @@ impl RangeScheme for PiraScheme {
         req: &RangeRequest,
         cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        let faults = cx.faults_within(self.node_count())?;
+        let faults = cx.faults_within(self.node_count(), |peer| self.inner.net().is_live(peer))?;
         let (out, records) = crate::pira::query(
             &self.inner,
             req.origin(),
@@ -371,6 +371,12 @@ impl MiraScheme {
     pub fn inner(&self) -> &MultiArmada {
         &self.inner
     }
+
+    /// The engine's network, mutably: membership changes, which the
+    /// multi-attribute surface has no [`DynamicScheme`] hook for.
+    pub fn net_mut(&mut self) -> &mut fissione::FissioneNet {
+        self.inner.net_mut()
+    }
 }
 
 impl MultiRangeScheme for MiraScheme {
@@ -425,7 +431,7 @@ impl MultiRangeScheme for MiraScheme {
         if req.rect().len() != self.dims {
             return Err(SchemeError::WrongArity { expected: self.dims, got: req.rect().len() });
         }
-        let faults = cx.faults_within(self.node_count())?;
+        let faults = cx.faults_within(self.node_count(), |peer| self.inner.net().is_live(peer))?;
         let (out, records) = crate::mira::query(
             &self.inner,
             req.origin(),

@@ -166,7 +166,7 @@ impl QueryTrace {
     ///
     /// `delay` is defined by the answer with the deepest hop; `latency` by
     /// the last-first-arrival answer (max over answering nodes of their
-    /// min chain cost — the same rule as [`simnet::last_first_arrival`]).
+    /// min chain cost — the same rule as [`simnet::Answers::latency`]).
     /// Each path is recovered by walking back from its defining answer,
     /// matching `(node, hop, cost)` against the `Hop` event that scheduled
     /// the delivery; candidate event ids must strictly decrease, which

@@ -172,13 +172,13 @@ pub enum SchemeError {
         /// The name looked up.
         name: String,
     },
-    /// A fault plan names a peer outside the scheme's id space — rejected
-    /// instead of silently ignored, so a typo'd crash list cannot pass as
-    /// a fault-free run.
+    /// A fault plan crashes an id that names no live peer — rejected
+    /// instead of silently ignored, so a typo'd crash list (or one written
+    /// before a peer departed) cannot pass as a fault-free run.
     FaultPlanOutOfRange {
         /// The smallest offending node id.
         node: NodeId,
-        /// The scheme's peer count (valid ids are `0..n`).
+        /// The scheme's live peer count.
         n: usize,
     },
     /// The scheme does not support the requested capability (e.g. dynamics
@@ -234,7 +234,10 @@ impl std::fmt::Display for SchemeError {
                 )
             }
             SchemeError::FaultPlanOutOfRange { node, n } => {
-                write!(f, "fault plan names peer {node} but the scheme has {n} peers (0..{n})")
+                write!(
+                    f,
+                    "fault plan names peer {node}, which is none of the scheme's {n} live peers"
+                )
             }
             SchemeError::Unsupported { scheme, feature } => {
                 write!(f, "scheme {scheme:?} does not support {feature}")
@@ -398,15 +401,24 @@ impl<'a> QueryCtx<'a> {
         }
     }
 
-    /// For schemes with a native fault path over `n` peers: the plan to
-    /// simulate under. A plan crashing a peer outside the id space would
-    /// silently be a no-op (nothing routes to it), so it is rejected.
+    /// For schemes with a native fault path over `n` live peers, `is_live`
+    /// telling them apart: the plan to simulate under. A plan crashing an
+    /// id that names no live peer — one past the ids ever handed out, or a
+    /// departed peer's freed slot on a churned network — would silently be
+    /// a no-op (nothing routes to it), so it is rejected. `n` only feeds
+    /// the error. The check asks `is_live` once per crashed id, so a query
+    /// pays time linear in the plan's crash list (none for a plan that
+    /// only drops, loses or partitions messages).
     ///
     /// # Errors
     ///
     /// [`SchemeError::FaultPlanOutOfRange`] naming the smallest offender.
-    pub fn faults_within(&self, n: usize) -> Result<Option<&'a simnet::FaultPlan>, SchemeError> {
-        match self.faults.and_then(|plan| plan.first_out_of_range(n)) {
+    pub fn faults_within(
+        &self,
+        n: usize,
+        is_live: impl Fn(NodeId) -> bool,
+    ) -> Result<Option<&'a simnet::FaultPlan>, SchemeError> {
+        match self.faults.and_then(|plan| plan.crashed_nodes().find(|&node| !is_live(node))) {
             Some(node) => Err(SchemeError::FaultPlanOutOfRange { node, n }),
             None => Ok(self.faults),
         }

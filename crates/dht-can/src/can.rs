@@ -6,7 +6,7 @@
 //! `fissione` uses, so churn plans and drivers can hold `NodeId`s across
 //! membership events on either substrate.
 
-use crate::CanError;
+use crate::{hilbert, CanError};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::NodeId;
@@ -129,15 +129,72 @@ impl Default for CanConfig {
 /// every peer's region a rectangle: a deepest internal node's children are
 /// both leaves, so *some* sibling pair can always merge back into its
 /// parent (FISSIONE's donor discipline, transplanted to rectangles).
+///
+/// Splits alternate from the unit square: a node at even depth is a dyadic
+/// square, one at odd depth its left or right half, a 2:1 rectangle of two
+/// such squares stacked. On the Hilbert curve an aligned square of `4^k`
+/// cells is one aligned run of `4^k` positions, so a node's cells are one
+/// or two curve intervals of a length its depth fixes ([`block_len`]) —
+/// `span` keeps where they start, and "does this node meet a range of
+/// curve cells" is an integer comparison, not a box test.
 #[derive(Debug, Clone)]
 struct SplitNode {
     rect: Rect,
-    depth: usize,
+    /// First curve cells of the node's aligned blocks: the bottom and top
+    /// halves of a 2:1 rectangle (not necessarily adjacent on the curve),
+    /// or the one block of a square, twice. A node below the cell
+    /// resolution lies inside one cell: that cell, twice.
+    span: [u64; 2],
     parent: Option<usize>,
-    /// Child tree-node indices after a split; `None` for leaves.
-    kids: Option<(usize, usize)>,
     /// The live zone occupying this leaf; `None` for internal nodes.
     zone: Option<NodeId>,
+    depth: u32,
+    /// Child tree-node indices after a split; `None` for leaves.
+    kids: Option<(u32, u32)>,
+}
+
+// A 128-byte node (the span on top of `usize` depth and kids) read
+// +0.6–1.1 MiB `peak_rss_mb` on `dcf-can-uniform` — 6–10 % against the
+// benchmark's 10 % bound, from where glibc placed the tree `Vec`, not from
+// the bytes themselves. Narrowing `depth` and `kids` pays for the span.
+const _: () = assert!(std::mem::size_of::<SplitNode>() == 96);
+
+impl SplitNode {
+    /// A leaf holding `zone`, its span read off the curve of `order`.
+    fn leaf(order: u32, rect: Rect, depth: u32, parent: Option<usize>, zone: NodeId) -> Self {
+        let side = 1u64 << order;
+        let (x, y) = ((rect.x0 * side as f64) as u64, (rect.y0 * side as f64) as u64);
+        let len = block_len(order, depth);
+        let start = |y| hilbert::xy2d(order, x, y) & !(len - 1);
+        let halves = depth % 2 == 1 && depth < 2 * order;
+        let top = if halves { y + (1 << (order - depth / 2 - 1)) } else { y };
+        SplitNode {
+            rect,
+            span: [start(y), start(top)],
+            parent,
+            zone: Some(zone),
+            depth,
+            kids: None,
+        }
+    }
+
+    /// Child tree-node indices after a split; `None` for leaves.
+    fn kids(&self) -> Option<(usize, usize)> {
+        self.kids.map(|(a, b)| (a as usize, b as usize))
+    }
+
+    /// Whether one of the node's cells lies in `[a, b]`.
+    fn meets_cells(&self, order: u32, a: u64, b: u64) -> bool {
+        let len = block_len(order, self.depth);
+        self.span.iter().any(|&s| s <= b && a < s + len)
+    }
+}
+
+/// Curve cells per aligned block of a split-tree node at `depth`: `4^k`
+/// for a square of side `2^k` cells or a 2:1 rectangle of two, 1 once the
+/// node is no bigger than a cell.
+fn block_len(order: u32, depth: u32) -> u64 {
+    1 << (2 * order.saturating_sub(depth.div_ceil(2)))
 }
 
 /// A 2-d CAN whose zones tile the unit torus, with the attribute interval
@@ -161,7 +218,7 @@ pub struct CanNet {
     /// lowest parent index is the last element — the merge candidate
     /// [`deepest_leaf_pair`](Self::deepest_leaf_pair) used to find by a
     /// full scan.
-    merge_pairs: BTreeSet<(usize, Reverse<usize>)>,
+    merge_pairs: BTreeSet<(u32, Reverse<usize>)>,
 }
 
 impl CanNet {
@@ -172,13 +229,7 @@ impl CanNet {
             zones: vec![Some(Zone { rect: Rect::UNIT, records: Vec::new() })],
             neighbors: vec![Vec::new()],
             live: 1,
-            tree: vec![SplitNode {
-                rect: Rect::UNIT,
-                depth: 0,
-                parent: None,
-                kids: None,
-                zone: Some(0),
-            }],
+            tree: vec![SplitNode::leaf(cfg.hilbert_order, Rect::UNIT, 0, None, 0)],
             free_nodes: Vec::new(),
             node_of: vec![0],
             free_slots: BinaryHeap::new(),
@@ -270,33 +321,90 @@ impl CanNet {
         // old linear scan found.
         assert!(self.tree[0].rect.contains(x, y), "zones tile the unit square");
         let mut node = 0;
-        while let Some((a, b)) = self.tree[node].kids {
+        while let Some((a, b)) = self.tree[node].kids() {
             node = if self.tree[a].rect.contains(x, y) { a } else { b };
         }
         self.tree[node].zone.expect("leaves carry live zones")
+    }
+
+    /// Every live zone holding one of the curve cells `a..=b`, appended to
+    /// `out` once each, in split-tree order; `out` is cleared first. These
+    /// are the zones a DCF query over those cells must reach.
+    ///
+    /// One descent of the split tree from the root: a node's children
+    /// partition its cells and every leaf's cells are its zone's, so a
+    /// subtree holds a hit iff its root meets the interval — one integer
+    /// test against the node's curve span, whatever the interval's shape
+    /// in the square. Debug builds check every answer against the box
+    /// descent ([`zones_intersecting_into`](Self::zones_intersecting_into)
+    /// over the interval's aligned squares).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a > b` or `b` lies beyond the curve (debug builds).
+    pub fn zones_meeting_cells(&self, a: u64, b: u64, out: &mut Vec<NodeId>) {
+        out.clear();
+        self.collect_meeting(0, a, b, out);
+        #[cfg(debug_assertions)]
+        self.assert_equals_the_box_descent(a, b, out);
+    }
+
+    fn collect_meeting(&self, node: usize, a: u64, b: u64, out: &mut Vec<NodeId>) {
+        let split = &self.tree[node];
+        if !split.meets_cells(self.cfg.hilbert_order, a, b) {
+            return;
+        }
+        match split.kids() {
+            None => out.push(split.zone.expect("leaves carry live zones")),
+            Some((l, r)) => {
+                self.collect_meeting(l, a, b, out);
+                self.collect_meeting(r, a, b, out);
+            }
+        }
+    }
+
+    /// The per-query check behind
+    /// [`zones_meeting_cells`](Self::zones_meeting_cells): the same zones,
+    /// in the same order, as the box descent over the cells' aligned
+    /// squares. Its buffers live per thread, so the check adds no
+    /// steady-state allocation to a query (the allocation budgets are
+    /// metered in debug builds too).
+    #[cfg(debug_assertions)]
+    fn assert_equals_the_box_descent(&self, a: u64, b: u64, got: &[NodeId]) {
+        use hilbert::CellSquare;
+        use std::cell::RefCell;
+        thread_local! {
+            static ORACLE: RefCell<(Vec<CellSquare>, Vec<Rect>, Vec<NodeId>)> =
+                RefCell::default();
+        }
+        let order = self.cfg.hilbert_order;
+        ORACLE.with_borrow_mut(|(blocks, boxes, want)| {
+            hilbert::interval_blocks_into(order, a, b, blocks);
+            boxes.clear();
+            boxes.extend(blocks.iter().map(|s| s.to_unit_rect(order)));
+            self.zones_intersecting_into(boxes, want);
+            assert_eq!(got, &want[..], "span and box descents differ over cells [{a}, {b}]");
+        });
     }
 
     /// Every live zone whose rectangle overlaps one of `boxes` with positive
     /// area (a shared edge is not a hit), appended to `out` once each, in
     /// split-tree order; `out` is cleared first and `boxes` is permuted.
     ///
-    /// One descent of the split tree from the root: a node's children
-    /// partition its rectangle and every leaf's rectangle is its zone's,
-    /// so a subtree holds a hit iff its root's rectangle meets a box, and
-    /// only the boxes that do are carried further down (kept as a prefix
-    /// of `boxes`, so the descent needs no storage of its own). Costs
-    /// `O(answer · depth)` rectangle tests per carried box where the scan
-    /// over [`live_zones`](Self::live_zones) pays `N · |boxes|`.
+    /// One descent of the split tree from the root, carrying down only the
+    /// boxes that meet a node (kept as a prefix of `boxes`). The geometric
+    /// reference [`zones_meeting_cells`](Self::zones_meeting_cells) is
+    /// tested against; no query path calls it.
     pub fn zones_intersecting_into(&self, boxes: &mut [Rect], out: &mut Vec<NodeId>) {
         out.clear();
         self.collect_intersecting(0, boxes, out);
     }
 
     fn collect_intersecting(&self, node: usize, boxes: &mut [Rect], out: &mut Vec<NodeId>) {
-        let SplitNode { rect, kids, zone, .. } = &self.tree[node];
+        let split = &self.tree[node];
         let mut carried = 0;
         for i in 0..boxes.len() {
-            if boxes[i].intersects(rect) {
+            if boxes[i].intersects(&split.rect) {
                 boxes.swap(carried, i);
                 carried += 1;
             }
@@ -304,8 +412,8 @@ impl CanNet {
         if carried == 0 {
             return;
         }
-        match *kids {
-            None => out.push(zone.expect("leaves carry live zones")),
+        match split.kids() {
+            None => out.push(split.zone.expect("leaves carry live zones")),
             Some((a, b)) => {
                 self.collect_intersecting(a, &mut boxes[..carried], out);
                 self.collect_intersecting(b, &mut boxes[..carried], out);
@@ -411,21 +519,10 @@ impl CanNet {
         // with one child leaf per half.
         let parent = self.node_of[owner];
         let depth = self.tree[parent].depth + 1;
-        let keep_node = self.alloc_node(SplitNode {
-            rect: keep,
-            depth,
-            parent: Some(parent),
-            kids: None,
-            zone: Some(owner),
-        });
-        let give_node = self.alloc_node(SplitNode {
-            rect: give,
-            depth,
-            parent: Some(parent),
-            kids: None,
-            zone: Some(newcomer),
-        });
-        self.tree[parent].kids = Some((keep_node, give_node));
+        let keep_node = self.alloc_node(keep, depth, parent, owner);
+        let give_node = self.alloc_node(give, depth, parent, newcomer);
+        let fit = |i: usize| u32::try_from(i).expect("a split tree of fewer than 2^32 nodes");
+        self.tree[parent].kids = Some((fit(keep_node), fit(give_node)));
         self.tree[parent].zone = None;
         self.node_of[owner] = keep_node;
         self.node_of[newcomer] = give_node;
@@ -537,7 +634,7 @@ impl CanNet {
     fn leaf_sibling(&self, id: NodeId) -> Option<NodeId> {
         let node = self.node_of[id];
         let parent = self.tree[node].parent?;
-        let (a, b) = self.tree[parent].kids.expect("parents are internal");
+        let (a, b) = self.tree[parent].kids().expect("parents are internal");
         let sibling = if a == node { b } else { a };
         self.tree[sibling].zone
     }
@@ -552,7 +649,7 @@ impl CanNet {
         // the same winner the old full scan picked. `exclude` occupies one
         // leaf, so at most one candidate is skipped.
         for &(_, Reverse(parent)) in self.merge_pairs.iter().rev() {
-            let (a, b) = self.tree[parent].kids.expect("indexed pairs are internal");
+            let (a, b) = self.tree[parent].kids().expect("indexed pairs are internal");
             let (za, zb) = (self.tree[a].zone.expect("leaf"), self.tree[b].zone.expect("leaf"));
             if za == exclude || zb == exclude {
                 continue;
@@ -566,7 +663,8 @@ impl CanNet {
     /// absorbing zone takes over the parent rectangle, both child nodes are
     /// freed. The caller moves records and frees the other zone slot.
     fn merge_pair_into(&mut self, parent: usize, absorber: NodeId) {
-        let (a, b) = self.tree[parent].kids.take().expect("parent is internal");
+        let (a, b) = self.tree[parent].kids().expect("parent is internal");
+        self.tree[parent].kids = None;
         self.tree[parent].zone = Some(absorber);
         self.free_nodes.push(a);
         self.free_nodes.push(b);
@@ -583,7 +681,7 @@ impl CanNet {
     fn refresh_merge_pair(&mut self, node: usize) {
         let key = (self.tree[node].depth + 1, Reverse(node));
         let both_leaves = self.tree[node]
-            .kids
+            .kids()
             .is_some_and(|(a, b)| self.tree[a].kids.is_none() && self.tree[b].kids.is_none());
         if both_leaves {
             self.merge_pairs.insert(key);
@@ -748,7 +846,7 @@ impl CanNet {
         let mut expected = BTreeSet::new();
         let mut stack = vec![0usize];
         while let Some(n) = stack.pop() {
-            if let Some((a, b)) = self.tree[n].kids {
+            if let Some((a, b)) = self.tree[n].kids() {
                 if self.tree[a].kids.is_none() && self.tree[b].kids.is_none() {
                     expected.insert((self.tree[n].depth + 1, Reverse(n)));
                 }
@@ -813,7 +911,10 @@ impl CanNet {
         }
     }
 
-    fn alloc_node(&mut self, node: SplitNode) -> usize {
+    /// A tree node for a new leaf `rect` under `parent`, holding `zone`:
+    /// a recycled arena entry if one is free.
+    fn alloc_node(&mut self, rect: Rect, depth: u32, parent: usize, zone: NodeId) -> usize {
+        let node = SplitNode::leaf(self.cfg.hilbert_order, rect, depth, Some(parent), zone);
         if let Some(i) = self.free_nodes.pop() {
             self.tree[i] = node;
             i
@@ -1023,12 +1124,14 @@ mod tests {
 
     #[test]
     fn range_descent_equals_the_scan_through_both_departure_paths() {
-        // The descent reads rectangles off the tree; both departure paths
+        // The descent reads curve spans off the tree; both departure paths
         // rewrite the tree (the donor path re-homes a zone on another
         // leaf) and free arena entries the next join recycles.
         let mut net = build(120, 92);
+        let order = net.cfg.hilbert_order;
+        let cells = 1u64 << (2 * order);
         let mut rng = simnet::rng_from_seed(920);
-        let (mut absorbed, mut donated, mut recycled) = (0, 0, 0);
+        let (mut absorbed, mut donated, mut recycled, mut apart) = (0, 0, 0, 0);
         for i in 0..300 {
             if i % 2 == 0 {
                 let victim = net.random_zone(&mut rng);
@@ -1039,25 +1142,74 @@ mod tests {
                 recycled += usize::from(!net.free_nodes.is_empty());
                 net.join(&mut rng);
             }
+            let scan = |boxes: &[Rect]| -> Vec<NodeId> {
+                net.live_zones()
+                    .filter(|&z| {
+                        boxes.iter().any(|b| net.zones[z].as_ref().unwrap().rect.intersects(b))
+                    })
+                    .collect()
+            };
+            let a = rng.gen_range(0..cells);
+            let b = (a + rng.gen_range(0..cells / 16)).min(cells - 1);
+            let boxes: Vec<Rect> = hilbert::interval_blocks(order, a, b)
+                .into_iter()
+                .map(|s| s.to_unit_rect(order))
+                .collect();
+            let mut got = Vec::new();
+            net.zones_meeting_cells(a, b, &mut got);
+            got.sort_unstable();
+            assert_eq!(got, scan(&boxes), "cells [{a}, {b}] after event {i}");
+            // The box descent, on boxes off the cell grid as well.
             let [x, y, w, h]: [f64; 4] = std::array::from_fn(|_| rng.gen());
             let mut boxes = [
                 Rect { x0: x, x1: (x + w / 4.0).min(1.0), y0: y, y1: (y + h / 4.0).min(1.0) },
                 Rect { x0: 0.0, x1: 0.125, y0: 0.5, y1: 0.75 },
             ];
-            let mut expect: Vec<NodeId> = net
-                .live_zones()
-                .filter(|&z| {
-                    boxes.iter().any(|b| net.zones[z].as_ref().unwrap().rect.intersects(b))
-                })
-                .collect();
-            let mut got = Vec::new();
+            let expect = scan(&boxes);
             net.zones_intersecting_into(&mut boxes, &mut got);
             got.sort_unstable();
-            expect.sort_unstable();
-            assert_eq!(got, expect, "after event {i}");
+            assert_eq!(got, expect, "boxes {boxes:?} after event {i}");
+            // 2:1 leaves whose halves are apart on the curve: one interval
+            // from the first cell to the last would claim cells between.
+            apart += net
+                .live_zones()
+                .map(|z| &net.tree[net.node_of[z]])
+                .filter(|n| n.span[0].abs_diff(n.span[1]) > block_len(order, n.depth))
+                .count();
         }
         net.check_invariants().unwrap();
         assert!(absorbed > 20 && donated > 20 && recycled > 100, "{absorbed} {donated} {recycled}");
+        assert!(apart > 0, "no 2:1 zone with curve-separated halves");
+    }
+
+    #[test]
+    fn spans_are_the_cells_of_each_node() {
+        // Small enough to enumerate: at order 3 a 100-zone tiling has
+        // leaves above, at and below the cell resolution.
+        let cfg = CanConfig { hilbert_order: 3, ..CanConfig::default() };
+        let mut net = CanNet::build(cfg, 100, &mut simnet::rng_from_seed(93)).unwrap();
+        net.leave(7).unwrap();
+        net.crash(40).unwrap();
+        let side = 8.0;
+        let depths: BTreeSet<u32> =
+            net.live_zones().map(|z| net.tree[net.node_of[z]].depth).collect();
+        assert!(
+            depths.first() < Some(&6) && depths.contains(&6) && depths.last() > Some(&6),
+            "{depths:?}"
+        );
+        for node in net.live_zones().map(|z| net.node_of[z]) {
+            let SplitNode { rect, span, depth, .. } = net.tree[node];
+            let len = block_len(3, depth);
+            let held: BTreeSet<u64> = span.iter().flat_map(|&s| s..s + len).collect();
+            // The cells the rectangle overlaps with positive area.
+            let cell_rect = |d: u64| {
+                let (x, y) = hilbert::d2xy(3, d);
+                let (x, y) = (x as f64 / side, y as f64 / side);
+                Rect { x0: x, x1: x + 1.0 / side, y0: y, y1: y + 1.0 / side }
+            };
+            let want: BTreeSet<u64> = (0..64).filter(|&d| cell_rect(d).intersects(&rect)).collect();
+            assert_eq!(held, want, "node {node} at depth {depth}: {rect:?}");
+        }
     }
 
     #[test]

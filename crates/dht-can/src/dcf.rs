@@ -2,13 +2,13 @@
 //! (Andrzejak & Xu's directed controlled flooding).
 //!
 //! A query `[lo, hi]` maps to the Hilbert-curve segment of its normalised
-//! endpoints; the segment's aligned-block decomposition gives the square
-//! footprint the flood must cover. One descent of the CAN's split tree
-//! ([`CanNet::zones_intersecting_into`]) turns the footprint into the set
-//! of zones it touches — the query's ground truth — once per query; every
-//! later "does this zone meet the range" is a stamp read. The query first
-//! routes greedily to the zone owning the **median** value, then spreads
-//! over those zones:
+//! endpoints: the cells, scattered over the square, the flood must cover.
+//! One descent of the CAN's split tree ([`CanNet::zones_meeting_cells`])
+//! turns the segment into the set of zones holding one of its cells — the
+//! query's ground truth — once per query, testing each tree node's curve
+//! span against the segment as integers; every later "does this zone meet
+//! the range" is a stamp read. The query first routes greedily to the zone
+//! owning the **median** value, then spreads over those zones:
 //!
 //! * [`FloodMode::Directed`] — each message piggybacks the set of zones
 //!   already informed along its branch, so a zone never forwards to a zone
@@ -21,19 +21,24 @@
 //! The piggybacked set is simulated, not copied. A branch's informed set
 //! is the median zone plus the targets of every forwarding step from there
 //! to the message in hand; a message carries the index of the last step's
-//! *frame* `{parent, start, len}` — that step's own targets, as a run of
-//! one per-query id arena — and membership walks the parent chain.
-//! "Controlled" means what it did with a copied, sorted set per hop: the
-//! same zones are skipped, the same messages go out in the same order.
-//! The arena holds one id per flood message sent, where copies held
-//! `Σ |informed|` over every forwarding zone.
+//! *frame* `{parent, start, len, mask}` — that step's own targets, as a run
+//! of one per-query id arena, and a 64-bit filter of every target on the
+//! chain — and membership walks the parent chain only while the filter
+//! says the zone may be on it. "Controlled" means what it did with a
+//! copied, sorted set per hop: the same zones are skipped, the same
+//! messages go out in the same order. The arena holds one id per flood
+//! message sent, where copies held `Σ |informed|` over every forwarding
+//! zone.
+//!
+//! The [`Answers`] ledger keeps each zone's cheapest arrival as it
+//! answers, so the query's latency needs no log of deliveries.
 //!
 //! Delay = median-routing hops + flood eccentricity. Both grow with `√N`,
 //! and the second also grows with the queried range — the behaviour the
 //! Armada paper's Figures 5 and 7 contrast with PIRA.
 
-use crate::hilbert::{self, CellSquare};
-use crate::{CanError, CanNet, Rect};
+use crate::hilbert;
+use crate::{CanError, CanNet};
 use simnet::{Answers, Envelope, FaultPlan, NetModel, NodeId, QueryScratch, Sim, SimScratch};
 
 /// Duplicate-suppression strategy for the flooding phase.
@@ -82,17 +87,30 @@ enum DcfMsg {
 const NO_FRAME: u32 = u32::MAX;
 
 /// One forwarding step of a directed flood: the zones it sent to
-/// (`ids[start..start + len]` of the arena) and the step it continues.
+/// (`ids[start..start + len]` of the arena), the step it continues, and
+/// the filter of every zone on the chain it ends.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     parent: u32,
     start: u32,
     len: u32,
+    /// The parent's mask with [`bit`] set for each of this step's targets:
+    /// a clear bit means no frame from here up informed the zone.
+    mask: u64,
+}
+
+/// The one bit of a 64-bit frame mask a zone sets: the top six bits of a
+/// multiply-shift hash of its id.
+fn bit(zone: NodeId) -> u64 {
+    1 << ((zone as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58)
 }
 
 /// The informed sets of one directed flood as parent-pointer frames over
-/// one id arena (see the module docs). Membership walks the chain: the
-/// `O(|informed|)` a lookup in a copied set costs as well.
+/// one id arena (see the module docs). Membership walks the chain — the
+/// `O(|informed|)` a lookup in a copied set costs as well — but stops at
+/// the first frame whose mask rules the zone out: a width-20 query at
+/// `N = 10⁴` makes ≈ 1 900 frame visits for its ≈ 830 lookups, where the
+/// plain walk made ≈ 4 200.
 #[derive(Default)]
 struct Informed {
     frames: Vec<Frame>,
@@ -107,8 +125,13 @@ impl Informed {
 
     /// Whether the chain ending at `frame` already covers `zone`.
     fn contains(&self, mut frame: u32, zone: NodeId) -> bool {
+        let bit = bit(zone);
         while frame != NO_FRAME {
-            let Frame { parent, start, len } = self.frames[frame as usize];
+            let Frame { parent, start, len, mask } = self.frames[frame as usize];
+            // Masks only lose bits toward the root.
+            if mask & bit == 0 {
+                return false;
+            }
             if self.ids[start as usize..][..len as usize].contains(&zone) {
                 return true;
             }
@@ -122,7 +145,10 @@ impl Informed {
     fn push(&mut self, parent: u32, targets: &[NodeId]) -> u32 {
         let fit = |n: usize| u32::try_from(n).expect("a flood forwards fewer than 2^32 messages");
         let frame = fit(self.frames.len());
-        self.frames.push(Frame { parent, start: fit(self.ids.len()), len: fit(targets.len()) });
+        let inherited = if parent == NO_FRAME { 0 } else { self.frames[parent as usize].mask };
+        let mask = targets.iter().fold(inherited, |mask, &t| mask | bit(t));
+        let (start, len) = (fit(self.ids.len()), fit(targets.len()));
+        self.frames.push(Frame { parent, start, len, mask });
         self.ids.extend_from_slice(targets);
         frame
     }
@@ -135,10 +161,7 @@ impl Informed {
 #[derive(Default)]
 struct DcfScratch {
     sim: SimScratch<DcfMsg>,
-    arrivals: Vec<(NodeId, u64)>,
-    blocks: Vec<CellSquare>,
-    boxes: Vec<Rect>,
-    /// The ground truth: every zone meeting the query's image.
+    /// The ground truth: every zone holding a cell of the query's segment.
     truth: Vec<NodeId>,
     answers: Answers<u64>,
     informed: Informed,
@@ -223,19 +246,16 @@ pub fn query(
     net.zone(origin)?;
     let order = net.config().hilbert_order;
 
-    let DcfScratch { sim: sim_scratch, arrivals, blocks, boxes, truth, answers, informed, targets } =
+    let DcfScratch { sim: sim_scratch, truth, answers, informed, targets } =
         scratch.slot::<DcfScratch>();
 
-    // The query's image: curve cells of the normalised range, decomposed
-    // into aligned squares. One descent of the split tree turns it into
-    // the ground truth, stamped per zone: from here on "does this zone
-    // meet the range" is `answers.is_due`, one read.
+    // The query's segment: curve cells of the normalised range. One
+    // descent of the split tree turns it into the ground truth, stamped
+    // per zone: from here on "does this zone meet the range" is
+    // `answers.is_due`, one read.
     let ta = hilbert::cell_of(order, net.normalize(lo));
     let tb = hilbert::cell_of(order, net.normalize(hi));
-    hilbert::interval_blocks_into(order, ta, tb, blocks);
-    boxes.clear();
-    boxes.extend(blocks.iter().map(|b| b.to_unit_rect(order)));
-    net.zones_intersecting_into(boxes, truth);
+    net.zones_meeting_cells(ta, tb, truth);
     answers.begin(net.node_bound(), truth);
 
     // Median target point.
@@ -250,10 +270,6 @@ pub fn query(
     }
     sim.send(origin, origin, 0, DcfMsg::Route);
 
-    // Flat arrival log reduced by a sorted post-pass (min cost per zone,
-    // max over zones — order-independent, since scheduling stays on unit
-    // ticks and the cost model rides along in the envelopes).
-    arrivals.clear();
     informed.clear();
     let mut delay: u32 = 0;
     // The zone the routing phase ended at: on every branch's informed set
@@ -286,11 +302,11 @@ pub fn query(
                 if !answers.is_due(node) {
                     return;
                 }
-                arrivals.push((node, env.cost));
                 sim.trace_answer(&env);
                 // Receiver-side dedup in both modes: only a zone's first
-                // visit collects and forwards.
-                if !answers.first_answer(node) {
+                // visit collects and forwards (a later one can only lower
+                // its arrival cost).
+                if !answers.first_answer(node, env.cost) {
                     return;
                 }
                 delay = delay.max(env.hop);
@@ -318,7 +334,6 @@ pub fn query(
         }
     });
 
-    let latency = simnet::last_first_arrival(arrivals);
     let records = sim.take_trace().map(simnet::TraceSink::into_records);
     let messages = sim.stats().messages_sent;
     sim.recycle(sim_scratch);
@@ -326,7 +341,7 @@ pub fn query(
         DcfOutcome {
             results: answers.results(),
             delay,
-            latency,
+            latency: answers.latency(),
             messages,
             dest_zones: truth.len(),
             reached_zones: answers.reached(),
@@ -340,6 +355,7 @@ pub fn query(
 mod tests {
     use super::*;
     use crate::CanConfig;
+    use proptest::prelude::*;
     use rand::Rng;
 
     fn build(n: usize, records: usize, seed: u64) -> CanNet {
@@ -486,6 +502,47 @@ mod tests {
         );
         assert!(informed.ids.len() >= 1999, "every other zone was some forwarder's target");
         assert!(informed.frames.len() <= 2000, "at most one frame per forwarding zone");
+    }
+
+    proptest! {
+        #[test]
+        fn the_masked_chain_answers_what_the_unmasked_walk_does(
+            steps in prop::collection::vec((any::<u32>(), prop::collection::vec(0usize..300, 1..6)), 1..120),
+            probes in prop::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..200),
+        ) {
+            // A random frame tree: each step continues a random earlier
+            // chain or starts a new one, over ids dense enough that their
+            // mask bits collide.
+            let mut informed = Informed::default();
+            let chain = |informed: &Informed, pick: u32| {
+                let frames = informed.frames.len() as u32;
+                Some(pick % (frames + 1)).filter(|&f| f < frames).unwrap_or(NO_FRAME)
+            };
+            for (pick, targets) in &steps {
+                informed.push(chain(&informed, *pick), targets);
+            }
+            // The walk the mask cuts short: every frame's ids, up the chain.
+            let walk = |mut frame: u32, zone: NodeId| {
+                while frame != NO_FRAME {
+                    let Frame { parent, start, len, .. } = informed.frames[frame as usize];
+                    if informed.ids[start as usize..][..len as usize].contains(&zone) {
+                        return true;
+                    }
+                    frame = parent;
+                }
+                false
+            };
+            // Probes name an informed id half the time, any id otherwise.
+            for &(pick, raw, informed_id) in &probes {
+                let zone = if informed_id {
+                    informed.ids[raw as usize % informed.ids.len()]
+                } else {
+                    raw as usize % 300
+                };
+                let frame = chain(&informed, pick);
+                prop_assert_eq!(informed.contains(frame, zone), walk(frame, zone));
+            }
+        }
     }
 
     #[test]

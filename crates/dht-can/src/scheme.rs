@@ -163,7 +163,7 @@ impl RangeScheme for DcfScheme {
         req: &RangeRequest,
         cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        let faults = cx.faults_within(self.node_count())?;
+        let faults = cx.faults_within(self.node_count(), |zone| self.net.is_live(zone))?;
         let (out, records) = dcf::query(
             &self.net,
             req.origin(),

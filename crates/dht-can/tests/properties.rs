@@ -1,7 +1,7 @@
 //! Property tests: Hilbert-curve invariants, CAN tiling under arbitrary
-//! growth, the split-tree range descent against the full-tiling scan, and
-//! DCF exactness on random workloads — with a scratch reused across
-//! membership changes.
+//! growth, the split tree's curve-span descent against the box descent and
+//! the full-tiling scan, and DCF exactness on random workloads — with a
+//! scratch reused across membership changes.
 
 use dht_can::dcf::{self, DcfOutcome, FloodMode};
 use dht_can::{hilbert, CanConfig, CanNet, Rect};
@@ -18,20 +18,56 @@ fn scan(net: &CanNet, boxes: &[Rect]) -> Vec<NodeId> {
         .collect()
 }
 
-/// The descent's answer, ascending; into a dirty buffer, which it clears.
-fn descent(net: &CanNet, boxes: &[Rect]) -> Vec<NodeId> {
+/// The box descent's answer, in split-tree order; into a dirty buffer,
+/// which it clears.
+fn box_descent(net: &CanNet, boxes: &[Rect]) -> Vec<NodeId> {
     let (mut boxes, mut zones) = (boxes.to_vec(), vec![usize::MAX; 3]);
     net.zones_intersecting_into(&mut boxes, &mut zones);
-    zones.sort_unstable();
     zones
 }
 
-/// The footprint `dcf::query` floods for `[lo, hi]`.
-fn image_of(net: &CanNet, lo: f64, hi: f64) -> Vec<Rect> {
+/// The span descent's answer for curve cells `a..=b`, in split-tree order;
+/// into a dirty buffer, which it clears.
+fn span_descent(net: &CanNet, (a, b): (u64, u64)) -> Vec<NodeId> {
+    let mut zones = vec![usize::MAX; 3];
+    net.zones_meeting_cells(a, b, &mut zones);
+    zones
+}
+
+/// The curve cells `dcf::query` floods for `[lo, hi]`.
+fn cells_of(net: &CanNet, lo: f64, hi: f64) -> (u64, u64) {
     let order = net.config().hilbert_order;
-    let (a, b) =
-        (hilbert::cell_of(order, net.normalize(lo)), hilbert::cell_of(order, net.normalize(hi)));
+    (hilbert::cell_of(order, net.normalize(lo)), hilbert::cell_of(order, net.normalize(hi)))
+}
+
+/// The geometric footprint of curve cells `a..=b`: their aligned squares.
+fn image_of(net: &CanNet, (a, b): (u64, u64)) -> Vec<Rect> {
+    let order = net.config().hilbert_order;
     hilbert::interval_blocks(order, a, b).into_iter().map(|s| s.to_unit_rect(order)).collect()
+}
+
+/// A zone's cells as curve intervals, read off its rectangle alone: one
+/// aligned block for a square, one per stacked half for a 2:1 rectangle,
+/// the one cell holding it below the cell resolution.
+fn zone_intervals(net: &CanNet, zone: NodeId) -> Vec<(u64, u64)> {
+    let order = net.config().hilbert_order;
+    let side = (1u64 << order) as f64;
+    let r = *net.zone(zone).unwrap().rect();
+    let (x, y) = ((r.x0 * side) as u64, (r.y0 * side) as u64);
+    let (w, h) = ((r.x1 - r.x0) * side, (r.y1 - r.y0) * side);
+    let block = |y: u64, side: u64| {
+        let len = side * side;
+        let start = hilbert::xy2d(order, x, y) & !(len - 1);
+        (start, start + len - 1)
+    };
+    if w < 1.0 || h < 1.0 {
+        vec![block(y, 1)]
+    } else if w == h {
+        vec![block(y, w as u64)]
+    } else {
+        assert_eq!(h, 2.0 * w, "splits alternate: zone {zone} is a square or a tall 2:1");
+        vec![block(y, w as u64), block(y + w as u64, w as u64)]
+    }
 }
 
 /// One membership event drawn from `(op, pick)`: joins half the time, a
@@ -156,7 +192,22 @@ proptest! {
     ) {
         let mut rng = simnet::rng_from_seed(seed);
         let mut net = CanNet::build(CanConfig::default(), n, &mut rng).unwrap();
-        // Checked on the built net (round 0) and after the churn (round 1).
+        let order = net.config().hilbert_order;
+        let last_cell = (1u64 << (2 * order)) - 1;
+        // The span descent names the zones the box descent over the same
+        // cells' aligned squares names, in the same order, and the set the
+        // full-tiling scan finds.
+        let agree = |net: &CanNet, cells: (u64, u64)| -> Result<Vec<NodeId>, TestCaseError> {
+            let (image, got) = (image_of(net, cells), span_descent(net, cells));
+            prop_assert_eq!(&got, &box_descent(net, &image), "cells {:?}", cells);
+            let mut sorted = got.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(sorted, scan(net, &image), "cells {:?}", cells);
+            Ok(got)
+        };
+        // Checked on the built net (round 0) and after the churn (round 1),
+        // whose departures take the sibling-absorb and the donor path and
+        // whose joins recycle freed tree nodes.
         for round in 0..2 {
             if round == 1 {
                 for &(op, pick) in &ops {
@@ -166,32 +217,59 @@ proptest! {
             }
             let lo = lo_frac * 999.0;
             let hi = (lo + size_frac * (1000.0 - lo)).min(1000.0);
-            let image = image_of(&net, lo, hi);
-            prop_assert_eq!(descent(&net, &image), scan(&net, &image), "[{}, {}]", lo, hi);
+            agree(&net, cells_of(&net, lo, hi))?;
 
-            // The whole square is every live zone; no box is no zone.
-            prop_assert_eq!(descent(&net, &[Rect::UNIT]), net.live_zones().collect::<Vec<_>>());
-            prop_assert_eq!(descent(&net, &[]), Vec::<NodeId>::new());
+            // The whole square is every live zone, in tree order.
+            let mut all = agree(&net, (0, last_cell))?;
+            all.sort_unstable();
+            prop_assert_eq!(all, net.live_zones().collect::<Vec<_>>());
 
             // One curve cell lies in exactly one zone: its point's owner.
-            let order = net.config().hilbert_order;
-            let cell = cell_raw % (1u64 << (2 * order));
-            let (x, y) = hilbert::d2xy(order, cell);
-            let square = hilbert::CellSquare { x, y, side: 1 }.to_unit_rect(order);
+            let cell = cell_raw % (last_cell + 1);
             let (px, py) = hilbert::point_of_cell(order, cell);
-            prop_assert_eq!(descent(&net, &[square]), vec![net.owner_of_point(px, py)]);
+            prop_assert_eq!(agree(&net, (cell, cell))?, vec![net.owner_of_point(px, py)]);
+
+            // Every zone's own blocks hit that zone alone — a donor that
+            // adopted a leaver's leaf included. A 2:1 zone whose halves
+            // are not adjacent on the curve misses the cells between them:
+            // one interval from its first cell to its last would not.
+            for z in net.live_zones() {
+                let blocks = zone_intervals(&net, z);
+                for &block in &blocks {
+                    prop_assert_eq!(agree(&net, block)?, vec![z], "zone {} block {:?}", z, block);
+                }
+                if let [(s0, e0), (s1, e1)] = blocks[..] {
+                    let gap = (e0.min(e1) + 1, s0.max(s1) - 1);
+                    if gap.0 <= gap.1 {
+                        prop_assert!(!agree(&net, gap)?.contains(&z), "zone {} gap {:?}", z, gap);
+                    }
+                }
+            }
+
+            // The box descent on boxes no curve interval yields: the whole
+            // square is every live zone; no box is no zone.
+            let sorted = |mut zones: Vec<NodeId>| {
+                zones.sort_unstable();
+                zones
+            };
+            prop_assert_eq!(
+                sorted(box_descent(&net, &[Rect::UNIT])),
+                net.live_zones().collect::<Vec<_>>()
+            );
+            prop_assert_eq!(box_descent(&net, &[]), Vec::<NodeId>::new());
 
             // Boxes whose edges coincide with zone edges: `intersects` is
             // strict, so a zone's own rectangle hits that zone and none of
             // the neighbors it shares an edge with.
             let z = net.random_zone(&mut rng);
             let own = *net.zone(z).unwrap().rect();
-            prop_assert_eq!(descent(&net, &[own]), vec![z]);
+            prop_assert_eq!(box_descent(&net, &[own]), vec![z]);
             let mut edges: Vec<Rect> =
                 net.neighbors(z).iter().map(|&n| *net.zone(n).unwrap().rect()).collect();
             edges.push(Rect { x0: own.x1, x1: own.x1, ..own }); // zero width: no area, no hit
-            prop_assert_eq!(descent(&net, &edges), scan(&net, &edges));
-            prop_assert!(!descent(&net, &edges).contains(&z));
+            let hits = sorted(box_descent(&net, &edges));
+            prop_assert!(!hits.contains(&z));
+            prop_assert_eq!(hits, scan(&net, &edges));
         }
     }
 
@@ -229,7 +307,8 @@ proptest! {
                 let fresh = traced(&net, req, mode, &mut QueryScratch::new());
                 prop_assert_eq!(&traced(&net, req, mode, &mut reused), &fresh, "step {}", step);
                 prop_assert!(fresh.0.exact);
-                prop_assert_eq!(fresh.0.dest_zones, scan(&net, &image_of(&net, lo, hi)).len());
+                let image = image_of(&net, cells_of(&net, lo, hi));
+                prop_assert_eq!(fresh.0.dest_zones, scan(&net, &image).len());
             }
         }
     }

@@ -13,7 +13,7 @@ use armada_experiments::standard_registry;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use dht_api::{BuildParams, Dht, RangeScheme};
 use dht_can::dcf::{self, FloodMode};
-use dht_can::{hilbert, CanConfig, CanNet, Rect};
+use dht_can::{hilbert, CanConfig, CanNet};
 use fissione::{FissioneConfig, FissioneNet};
 use kautz::naming::{MultiHash, SingleHash};
 use kautz::KautzStr;
@@ -270,7 +270,7 @@ fn bench_pira(c: &mut Criterion) {
                 let (region, run, range) = &queries[next % queries.len()];
                 answers.begin(node_bound, run);
                 for &peer in run {
-                    answers.first_answer(peer);
+                    answers.first_answer(peer, 0);
                 }
                 let keep = |record| (range.0..=range.1).contains(&armada.value(record));
                 descent::gather(armada.net(), region, run, &mut answers, keep);
@@ -296,22 +296,19 @@ fn bench_pira(c: &mut Criterion) {
 }
 
 fn bench_dcf(c: &mut Criterion) {
-    // The descent: the Hilbert image of a width-20 range (some fifty
-    // boxes) to the zones it touches.
-    let mut group = c.benchmark_group("can_zones_intersecting");
+    // The descent: the curve cells of a width-20 range to the zones that
+    // hold them, one span test per split-tree node.
+    let mut group = c.benchmark_group("can_zones_meeting");
     for n in [10_000usize, 100_000] {
         let mut rng = simnet::rng_from_seed(12 + n as u64);
         let net = CanNet::build(CanConfig::default(), n, &mut rng).unwrap();
         let order = net.config().hilbert_order;
-        let (mut blocks, mut boxes, mut zones) = (Vec::new(), Vec::<Rect>::new(), Vec::new());
+        let mut zones = Vec::new();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let lo = rng.gen_range(0.0..=980.0);
                 let cell = |v| hilbert::cell_of(order, net.normalize(v));
-                hilbert::interval_blocks_into(order, cell(lo), cell(lo + 20.0), &mut blocks);
-                boxes.clear();
-                boxes.extend(blocks.iter().map(|s| s.to_unit_rect(order)));
-                net.zones_intersecting_into(&mut boxes, &mut zones);
+                net.zones_meeting_cells(cell(lo), cell(lo + 20.0), &mut zones);
                 zones.len()
             });
         });

@@ -67,7 +67,7 @@ pub use engine::{Envelope, LatencyModel, Sim, SimScratch};
 pub use faults::{FaultPlan, LossPlan, PartitionPlan, RateLimitPlan, HOSTILE_PLAN_NAMES};
 pub use net::{mix, NetModel, NetModelKind, NET_MODEL_NAMES};
 pub use scratch::{Answers, QueryScratch};
-pub use stats::{last_first_arrival, Samples, SimStats, Summary};
+pub use stats::{Samples, SimStats, Summary};
 pub use trace::{HopKind, TraceEvent, TraceRecord, TraceSink, Verdict};
 
 /// Identifier of a simulated node (index into the caller's node table).

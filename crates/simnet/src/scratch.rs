@@ -70,19 +70,27 @@ impl std::fmt::Debug for QueryScratch {
 }
 
 /// A query's answer bookkeeping, kept in an engine's scratch slot across
-/// queries: which nodes answered against which were due, and the records
-/// they handed over.
+/// queries: which nodes answered against which were due, when each first
+/// heard the query, and the records they handed over.
 ///
 /// One stamp per [`NodeId`] replaces two ordered sets: `epoch` marks a
 /// ground-truth destination of the current query and `epoch + 1` one that
 /// has answered; stamps of earlier queries match neither, so starting a
 /// query costs only its destinations — whatever the membership did to the
-/// node table in between.
+/// node table in between. Beside the stamps, one cost per node holds the
+/// cheapest delivery that answered for it (meaningful only once stamped
+/// answered, so it is never reset), and the answered nodes are listed in
+/// answer order: the query's [`latency`](Self::latency) is a pass over
+/// that list, not a sort of every delivery.
 pub struct Answers<R> {
     stamps: Vec<u32>,
+    /// The cheapest accumulated cost an answering delivery carried, per
+    /// node stamped answered.
+    costs: Vec<u64>,
     epoch: u32,
     due: usize,
-    reached: usize,
+    /// Nodes that answered the current query, each once, in answer order.
+    answered: Vec<NodeId>,
     /// A node outside the ground truth answered.
     stray: bool,
     records: Vec<R>,
@@ -100,9 +108,10 @@ impl<R> Default for Answers<R> {
     fn default() -> Self {
         Answers {
             stamps: Vec::new(),
+            costs: Vec::new(),
             epoch: 0,
             due: 0,
-            reached: 0,
+            answered: Vec::new(),
             stray: false,
             records: Vec::new(),
         }
@@ -115,6 +124,7 @@ impl<R: Copy + Ord> Answers<R> {
     pub fn begin(&mut self, node_bound: usize, truth: &[NodeId]) {
         if self.stamps.len() < node_bound {
             self.stamps.resize(node_bound, 0);
+            self.costs.resize(node_bound, 0);
         }
         if self.epoch > u32::MAX - 3 {
             self.stamps.fill(0);
@@ -124,7 +134,8 @@ impl<R: Copy + Ord> Answers<R> {
         for &node in truth {
             self.stamps[node] = self.epoch;
         }
-        (self.due, self.reached, self.stray) = (truth.len(), 0, false);
+        (self.due, self.stray) = (truth.len(), false);
+        self.answered.clear();
         self.records.clear();
     }
 
@@ -140,15 +151,19 @@ impl<R: Copy + Ord> Answers<R> {
         self.stamps[node] == self.epoch + 1
     }
 
-    /// Records an answer from `node`; `true` the first time it answers.
-    pub fn first_answer(&mut self, node: NodeId) -> bool {
+    /// Records an answer from `node` by a delivery whose accumulated cost
+    /// is `cost`; `true` the first time it answers. A repeat answer only
+    /// lowers the node's arrival cost if it came cheaper.
+    pub fn first_answer(&mut self, node: NodeId, cost: u64) -> bool {
         let stamp = &mut self.stamps[node];
         if *stamp == self.epoch + 1 {
+            self.costs[node] = self.costs[node].min(cost);
             return false;
         }
         self.stray |= *stamp != self.epoch;
         *stamp = self.epoch + 1;
-        self.reached += 1;
+        self.costs[node] = cost;
+        self.answered.push(node);
         true
     }
 
@@ -159,13 +174,21 @@ impl<R: Copy + Ord> Answers<R> {
 
     /// Distinct nodes that answered.
     pub fn reached(&self) -> usize {
-        self.reached
+        self.answered.len()
+    }
+
+    /// When the query completed: the largest, over the nodes that answered
+    /// (strays too), of the cheapest cost among the deliveries each answered
+    /// by — when the last of them first heard it. Zero when none answered.
+    /// A max of mins, so the order deliveries came in does not matter.
+    pub fn latency(&self) -> u64 {
+        self.answered.iter().map(|&node| self.costs[node]).max().unwrap_or(0)
     }
 
     /// Whether the nodes that answered are exactly the ground truth: none
     /// outside it, and as many as it holds.
     pub fn exact(&self) -> bool {
-        !self.stray && self.reached == self.due
+        !self.stray && self.answered.len() == self.due
     }
 
     /// The query's result set: the records handed over, ascending and
@@ -180,6 +203,7 @@ impl<R: Copy + Ord> Answers<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[derive(Default)]
     struct A {
@@ -216,20 +240,23 @@ mod tests {
         a.begin(8, &[1, 4, 6]);
         assert!(a.is_due(4) && !a.is_due(0) && !a.is_due(7));
         assert!(!a.answered(4));
-        assert!(a.first_answer(4) && !a.first_answer(4));
+        assert!(a.first_answer(4, 9) && !a.first_answer(4, 7));
         assert!(a.is_due(4), "an answered destination is still one");
         assert!(a.answered(4) && !a.answered(1) && !a.answered(0));
         a.push(9);
         a.push(3);
         a.push(9);
-        assert_eq!((a.reached(), a.exact()), (1, false));
-        assert!(a.first_answer(1) && a.first_answer(6));
+        assert_eq!((a.reached(), a.exact(), a.latency()), (1, false, 7));
+        assert!(a.first_answer(1, 5) && a.first_answer(6, 2));
         assert!(a.exact());
+        assert_eq!(a.latency(), 7, "the last node to first hear it heard it at 7");
         assert_eq!(a.results(), vec![3, 9]);
-        // A node outside the ground truth spoils exactness, never the count.
+        // A node outside the ground truth spoils exactness, never the count,
+        // and its arrival counts toward the latency.
         a.begin(8, &[2]);
-        assert!(a.first_answer(2) && a.first_answer(5));
-        assert_eq!((a.reached(), a.exact()), (2, false));
+        assert_eq!(a.latency(), 0, "nothing answered yet");
+        assert!(a.first_answer(2, 1) && a.first_answer(5, 4));
+        assert_eq!((a.reached(), a.exact(), a.latency()), (2, false, 4));
         assert!(a.results().is_empty());
     }
 
@@ -239,16 +266,73 @@ mod tests {
         // Stamp the last generation before the wrap, answered and not…
         a.set_epoch(u32::MAX - 3);
         a.begin(6, &[0, 1, 2]);
-        assert!(a.first_answer(1));
+        assert!(a.first_answer(1, 0));
         // …then wrap: every old stamp, due (MAX − 1) or answered (MAX),
         // must read as neither in the restarted numbering, and a grown
         // node table starts clean.
         a.begin(9, &[3]);
         assert_eq!((0..9).filter(|&n| a.is_due(n)).collect::<Vec<_>>(), vec![3]);
-        assert!(a.first_answer(3) && a.exact());
+        assert!(a.first_answer(3, 0) && a.exact());
         a.begin(9, &[1, 8]);
         assert_eq!((0..9).filter(|&n| a.is_due(n)).collect::<Vec<_>>(), vec![1, 8]);
-        assert!(a.first_answer(1) && !a.exact());
+        assert!(a.first_answer(1, 0) && !a.exact());
+    }
+
+    /// The reference [`Answers::latency`] replaced: every answering
+    /// delivery logged as `(node, cost)`, sorted, and reduced to the max
+    /// over nodes of each node's cheapest arrival. Zero for an empty log.
+    fn last_first_arrival(log: &mut [(NodeId, u64)]) -> u64 {
+        log.sort_unstable();
+        let mut worst = 0;
+        let mut i = 0;
+        while i < log.len() {
+            let (node, first) = log[i];
+            worst = worst.max(first); // sorted: a node's first entry is its min
+            while i < log.len() && log[i].0 == node {
+                i += 1;
+            }
+        }
+        worst
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn latency_is_the_last_first_arrival_of_the_delivery_log(
+            bound in 1usize..24,
+            rounds in prop::collection::vec(
+                (
+                    prop::collection::vec(any::<u64>(), 0..12),
+                    prop::collection::vec((any::<u64>(), 0u64..64), 0..48),
+                ),
+                1..5,
+            ),
+        ) {
+            // One ledger across every round: costs from an earlier query
+            // (the column is never reset) must not leak into a later one.
+            let mut answers = Answers::<u64>::default();
+            for (truth_raw, deliveries) in rounds {
+                let mut truth: Vec<NodeId> =
+                    truth_raw.iter().map(|&r| (r % bound as u64) as NodeId).collect();
+                truth.sort_unstable();
+                truth.dedup();
+                answers.begin(bound, &truth);
+                // Repeats and strays alike: small ids collide often.
+                let mut log: Vec<(NodeId, u64)> = deliveries
+                    .iter()
+                    .map(|&(node, cost)| ((node % bound as u64) as NodeId, cost))
+                    .collect();
+                for &(node, cost) in &log {
+                    answers.first_answer(node, cost);
+                }
+                let mut distinct: Vec<NodeId> = log.iter().map(|&(node, _)| node).collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                prop_assert_eq!(answers.reached(), distinct.len());
+                prop_assert_eq!(answers.latency(), last_first_arrival(&mut log));
+            }
+        }
     }
 
     #[test]

@@ -160,36 +160,6 @@ impl FromIterator<f64> for Samples {
     }
 }
 
-/// Completion cost of a scatter phase from a flat arrival log: the maximum
-/// over peers of each peer's *minimum* cost — i.e. when the last reached
-/// peer first heard the message. Zero for an empty log.
-///
-/// Protocol handlers append `(peer, cost)` per qualifying delivery and pay
-/// one sort afterwards, instead of maintaining a per-peer map on the
-/// delivery hot path; the result is identical because only the
-/// max-over-peers of the min-over-deliveries is consumed.
-///
-/// # Example
-///
-/// ```
-/// let mut log = vec![(4, 9), (2, 5), (4, 3), (2, 7)];
-/// // peer 2 first hears at 5, peer 4 at 3; the phase completes at 5.
-/// assert_eq!(simnet::last_first_arrival(&mut log), 5);
-/// ```
-pub fn last_first_arrival(log: &mut [(crate::NodeId, u64)]) -> u64 {
-    log.sort_unstable();
-    let mut worst = 0;
-    let mut i = 0;
-    while i < log.len() {
-        let (peer, first) = log[i];
-        worst = worst.max(first); // sorted: a peer's first entry is its min
-        while i < log.len() && log[i].0 == peer {
-            i += 1;
-        }
-    }
-    worst
-}
-
 /// Linear-interpolated percentile of a **sorted** slice.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     debug_assert!(!sorted.is_empty());

@@ -8,17 +8,20 @@
 //! across threads, wall-clock timeouts, iteration order of a fault set)
 //! would shard-split differently at different thread counts and move the
 //! digest. The battery also pins the retry *trace* — messages and
-//! virtual-ms latency, where timeouts and backoff are priced — and the
+//! virtual-ms latency, where timeouts and backoff are priced — the
 //! wrap-time rejection of fault plans that name peers outside the
-//! scheme's id space.
+//! scheme's id space, and the native engines' rejection of plans naming
+//! no live peer on a churned network.
 
+use armada_suite::armada::MiraScheme;
 use armada_suite::dht_api::{
-    BuildParams, ChurnPlan, DigestReport, Hostile, ParallelDriver, RangeScheme, RetryPolicy,
+    BuildParams, ChurnPlan, DigestReport, Hostile, MultiBuildParams, MultiRangeScheme,
+    ParallelDriver, QueryCtx, RangeOutcome, RangeRequest, RangeScheme, RectRequest, RetryPolicy,
     SchemeError, WorkloadGen,
 };
 use armada_suite::experiments::{dynamic_single_names, standard_registry};
 use armada_suite::rand::Rng;
-use simnet::FaultPlan;
+use simnet::{FaultPlan, NodeId, QueryScratch};
 
 const DOMAIN: (f64, f64) = (0.0, 1000.0);
 const N: usize = 100;
@@ -150,3 +153,67 @@ fn out_of_range_fault_plans_are_rejected_at_wrap_time() {
         other => panic!("wrong error for out-of-range plan: {other}"),
     }
 }
+
+#[test]
+fn native_fault_plans_are_bounded_by_liveness_on_a_churned_network() {
+    // Regression: PIRA, MIRA and DCF bounded a plan by the live *count*, so
+    // after one of 50 peers left, crashing the highest live id (49) was
+    // refused as `FaultPlanOutOfRange { node: 49, n: 49 }`, while a plan
+    // crashing the departed id ran as a silent no-op.
+    const N: usize = 50;
+    let plan = |node: NodeId| {
+        let mut plan = FaultPlan::new();
+        plan.crash(node);
+        plan
+    };
+    let check = |name: &str, mut live: Vec<NodeId>, ask: &dyn Fn(&FaultPlan) -> RangeQuery| {
+        live.sort_unstable();
+        let departed = (0..N).find(|id| live.binary_search(id).is_err()).expect("one peer left");
+        assert_eq!((live.len(), live.last()), (N - 1, Some(&(N - 1))), "{name}: {live:?}");
+        // A live peer crashes for real: the whole domain misses it.
+        let out = ask(&plan(N - 1)).unwrap_or_else(|e| panic!("{name}: crashing peer 49: {e}"));
+        assert!(!out.exact, "{name}: the crash of live peer 49 was a no-op");
+        // An id naming no live peer — freed by a departure, or never
+        // handed out — is the typed error.
+        for node in [departed, N] {
+            let err = ask(&plan(node)).expect_err(name);
+            assert_eq!(err, SchemeError::FaultPlanOutOfRange { node, n: N - 1 }, "{name}");
+        }
+    };
+
+    let registry = standard_registry();
+    let params = BuildParams::new(N, DOMAIN.0, DOMAIN.1).with_object_id_len(32);
+    for name in ["pira", "dcf-can", "dcf-can-naive"] {
+        let mut rng = simnet::rng_from_seed(0x11fe);
+        let mut scheme = registry.build_single(name, &params, &mut rng).expect("scheme builds");
+        for h in 0..N as u64 {
+            scheme.publish(rng.gen_range(DOMAIN.0..=DOMAIN.1), h).expect("publish");
+        }
+        let dynamic = scheme.as_dynamic().expect("dynamic");
+        dynamic.leave(N / 2).expect("a peer leaves");
+        let live = dynamic.live_peers();
+        let req = RangeRequest::new(live[0], DOMAIN.0, DOMAIN.1, 1).unwrap();
+        check(name, live, &|faults| {
+            scheme.query(&req, &mut QueryCtx::new(&mut QueryScratch::new()).with_faults(faults))
+        });
+    }
+
+    let mut rng = simnet::rng_from_seed(0x11fe);
+    let domains = [DOMAIN; 2];
+    let params = MultiBuildParams::new(N, &domains).with_object_id_len(32);
+    let mut mira = MiraScheme::build(&params, &mut rng).expect("mira builds");
+    for h in 0..N as u64 {
+        let point = [rng.gen_range(DOMAIN.0..=DOMAIN.1), rng.gen_range(DOMAIN.0..=DOMAIN.1)];
+        mira.publish_point(&point, h).expect("publish");
+    }
+    mira.net_mut().leave(N / 2).expect("a peer leaves");
+    let live: Vec<NodeId> = mira.inner().net().live_peers().collect();
+    let req = RectRequest::new(live[0], &domains, 1).unwrap();
+    check("mira", live, &|faults| {
+        let mut scratch = QueryScratch::new();
+        MultiRangeScheme::query(&mira, &req, &mut QueryCtx::new(&mut scratch).with_faults(faults))
+    });
+}
+
+/// What a query under a fault plan returns.
+type RangeQuery = Result<RangeOutcome, SchemeError>;
