@@ -1,15 +1,15 @@
-//! A counting wrapper around the system allocator, used by the
-//! `bench-alloc` feature of `armada-experiments` to report heap
-//! allocations per query in the scaling section of `BENCH_baseline.json`.
+//! A counting wrapper around the system allocator, installed by
+//! `tests/alloc_budget.rs` to pin heap allocations per query and by the
+//! `bench/` package's traced binary to report them.
 //!
 //! The counters are process-wide relaxed atomics: cheap enough to leave in
 //! the hot path of a benchmark run, and exact when the measured region is
-//! single-threaded (the baseline's allocation probe drives queries on one
+//! single-threaded (both installers drive the measured queries on one
 //! thread for precisely this reason). This crate is the workspace's only
 //! `unsafe` surface — the [`GlobalAlloc`] trait requires it — and the
 //! wrapper adds no behavior beyond counting: every call forwards to
-//! [`System`] untouched, so enabling the feature cannot change any
-//! simulated metric.
+//! [`System`] untouched, so installing it cannot change any simulated
+//! metric.
 
 #![warn(missing_docs)]
 

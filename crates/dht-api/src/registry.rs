@@ -32,11 +32,6 @@ pub struct BuildParams {
     /// field. Hop metrics are model-invariant by construction; only
     /// [`RangeOutcome::latency`](crate::RangeOutcome) moves.
     pub net: NetModel,
-    /// Default retry policy a hostile-wrapped build uses when its `@plan`
-    /// suffix carries no `/rN` override ([`RetryPolicy::none`] by
-    /// default — one attempt, no waits). Ignored unless the name carries
-    /// a hostile suffix.
-    pub retry: RetryPolicy,
 }
 
 impl BuildParams {
@@ -48,7 +43,6 @@ impl BuildParams {
             object_id_len: 100,
             replication: ReplicaPolicy::none(),
             net: NetModel::unit(),
-            retry: RetryPolicy::none(),
         }
     }
 
@@ -67,12 +61,6 @@ impl BuildParams {
     /// Sets the network cost model built schemes price their edges with.
     pub fn with_net(mut self, net: NetModel) -> Self {
         self.net = net;
-        self
-    }
-
-    /// Sets the default retry policy for hostile-wrapped builds.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 }
@@ -292,7 +280,7 @@ impl SchemeRegistry {
         Ok(match suffixes.hostile {
             None => scheme,
             Some((plan, retry, spec)) => {
-                let retry = retry.unwrap_or(effective.retry);
+                let retry = retry.unwrap_or_else(RetryPolicy::none);
                 Box::new(Hostile::new(scheme, plan, retry, effective.net, spec)?)
             }
         })
@@ -538,23 +526,6 @@ mod tests {
         let err =
             reg.build_single("local-scan+r2@lossy-p", &params, &mut rng).map(|_| ()).unwrap_err();
         assert!(matches!(err, SchemeError::Unsupported { feature: "replication", .. }), "{err}");
-    }
-
-    #[test]
-    fn params_retry_is_the_default_for_suffixes_without_override() {
-        let reg = toy_registry();
-        let mut rng = simnet::rng_from_seed(1);
-        let params = BuildParams::new(8, 0.0, 10.0).with_retry(RetryPolicy::with_attempts(3));
-        assert_eq!(params.retry.attempts, 3);
-        // No hostile suffix: retry field is inert, no wrapper.
-        let plain = reg.build_single("local-scan", &params, &mut rng).unwrap();
-        assert!(!plain.substrate().contains("hostile"));
-        // With a suffix, the field supplies the default attempts; the
-        // control surface confirms what was wired.
-        let mut wrapped = reg.build_single("local-scan@lossy-p", &params, &mut rng).unwrap();
-        assert_eq!(wrapped.as_hostile().unwrap().retry_policy().attempts, 3);
-        let mut overridden = reg.build_single("local-scan@lossy-p/r2", &params, &mut rng).unwrap();
-        assert_eq!(overridden.as_hostile().unwrap().retry_policy().attempts, 2);
     }
 
     #[test]

@@ -1,20 +1,16 @@
-//! The persisted performance baseline: every registered scheme × every
-//! named workload, measured once and written to `BENCH_baseline.json` at
-//! the workspace root.
+//! The persisted baseline: every registered scheme × every named
+//! workload, measured once and written to `BENCH_baseline.json` at the
+//! workspace root.
 //!
-//! This is the repo's first durable perf artifact: `armada-exp
-//! bench_baseline` runs the full scheme × workload grid through
+//! `armada-exp bench_baseline` runs the full scheme × workload grid through
 //! [`ParallelDriver`](dht_api::ParallelDriver) at a fixed network size,
-//! records throughput (queries/second, wall clock) next to the simulated
-//! metrics (mean/p99 delay, messages per query, MesgRatio), and persists
-//! the grid as JSON so future PRs can diff their numbers against a
-//! committed trajectory. The simulated metrics are deterministic per seed;
-//! only the `qps` column moves with the hardware. `qps` is thereby the
-//! **one** metric exempt from the bitwise-reproducibility contract: its
-//! wall-clock stopwatch is the workspace's sole audited D2 allowance
-//! (`detlint: allow(D2)` at its one read, `stopwatch` — see the
-//! "Determinism contract" section of ARCHITECTURE.md), and nothing derived
-//! from it feeds back into a simulated metric.
+//! records the simulated metrics (mean/p99 delay, messages per query,
+//! MesgRatio, …), and persists the grid as JSON so future PRs can diff
+//! their numbers against a committed trajectory. Every value in the
+//! artifact is a pure function of `(scheme, seed, config)`, which makes the
+//! file a golden artifact: `bench_baseline --check` regenerates it and
+//! compares it line for line. Nothing here reads a clock — wall time,
+//! throughput and memory are measured by the `bench/` harness alone.
 //!
 //! Since the dynamics layer landed, the artifact also carries a **churn
 //! section**: every dynamic scheme × every [`ChurnPlan`] catalog entry,
@@ -40,27 +36,20 @@
 //! unchanged: the hostile grid builds *additional* suffixed schemes and
 //! touches none of the existing cells. Schema v6 adds a **scaling
 //! section**: four representative schemes ([`SCALING_SCHEMES`]) rebuilt at
-//! each `N` in `config.scaling_ns` (`{10³, 10⁴, 10⁵}` at full scale;
-//! `10⁶` joins behind `bench_baseline --huge`), with build and
-//! publish wall time, query throughput, heap allocations per query (when
-//! the `bench-alloc` feature installs the counting allocator; `null`
-//! otherwise), and the process peak-RSS proxy (`VmHWM` from
-//! `/proc/self/status`; `null` off Linux) committed as scaling curves.
-//! Like `qps`, the wall-clock, allocation, and RSS columns are
-//! machine/toolchain-dependent and exempt from the bitwise contract; the
-//! embedded simulated metrics (delay, messages, results) are not. Every
-//! v5 metric is again unchanged — the scaling grid builds additional
+//! each `N` in `config.scaling_ns` (`{10³, 10⁴, 10⁵}` at full scale), so
+//! delay and message growth with `N` is committed as curves. Every v5
+//! metric is again unchanged — the scaling grid builds additional
 //! networks from its own seeds and touches none of the existing cells.
 //! Schema v7 surfaces the median on the latency grid: every latency-section
 //! row gains `delay_p50` and `latency_p50` was already present — the p50
-//! was always computed by [`DriverReport`]'s summaries, v7 just writes it
-//! out. Every v6 metric value is bit-for-bit unchanged: v7 adds columns,
+//! was always computed by [`DriverReport`](dht_api::DriverReport)'s
+//! summaries, v7 just writes it out. Every v6 metric value is bit-for-bit unchanged: v7 adds columns,
 //! never touches an existing cell. Schema v8 changes no columns at all —
-//! it marks the zero-allocation query hot path (scratch reuse, `Sim`
-//! recycling, borrowed fault plans): the scaling section's perf columns
-//! (`qps`, `allocs_per_query`, `build_ms`) move, and every simulated
-//! metric — delays, messages, results, latency summaries — is bit-for-bit
-//! identical to v7, which is exactly the claim the bump records.
+//! it marks the zero-allocation query hot path, and every simulated metric
+//! is bit-for-bit identical to v7. Schema v9 drops the columns that read
+//! the machine (wall-clock throughput on every row; build and publish
+//! time, allocations per query and peak RSS on the scaling rows): every
+//! value left is bit-for-bit its v8 value.
 //!
 //! Every section is the same measurement — one [`cell`] per row, one
 //! [`Row`] per cell — so the module is the sections' nested loops (each
@@ -68,19 +57,17 @@
 //! one table and one JSON writer driven by a per-section column list.
 
 use crate::output::{Column, Table};
-use crate::row::{blank_machine_columns, Machine, Row, Section};
+use crate::row::{Row, Section};
 use crate::{cell, dynamic_single_names, paper, standard_registry};
-use dht_api::{
-    ChurnPlan, DriverReport, SchemeError, WorkloadGen, CHURN_PLAN_NAMES, NET_MODEL_NAMES,
-};
+use dht_api::{ChurnPlan, WorkloadGen, CHURN_PLAN_NAMES, NET_MODEL_NAMES};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// The schema tag written to (and expected in) `BENCH_baseline.json` —
-/// bumped whenever the JSON shape changes; the CI bench-schema job
-/// (`armada-exp bench_baseline --check-simulated`) compares the whole
-/// artifact, tag included.
-pub const SCHEMA_VERSION: &str = "bench-baseline-v8";
+/// bumped whenever the JSON shape changes; the CI golden job
+/// (`armada-exp bench_baseline --check`) compares the whole artifact, tag
+/// included.
+pub const SCHEMA_VERSION: &str = "bench-baseline-v9";
 
 /// Hostile-network specs measured in the hostile section: loss alone, the
 /// same loss with a 3-attempt retry budget, the two-island partition, and
@@ -91,13 +78,11 @@ pub const HOSTILE_SPECS: [&str; 4] = ["lossy-p", "lossy-p/r3", "split-brain", "t
 /// FissionE/Kautz (`pira`), CAN (`dcf-can`), Chord (`pht-chord`), and the
 /// skip graph. Scaling cells always use the paper's ObjectID length and a
 /// fixed query count ([`SCALING_QUERIES`]) regardless of quick/full scale,
-/// so a cell at a given `N` is comparable across runs — that is what the
-/// `bench_baseline --gate-qps` regression gate diffs against.
+/// so a cell at a given `N` is the same cell in every run.
 pub const SCALING_SCHEMES: [&str; 4] = ["pira", "dcf-can", "pht-chord", "skipgraph"];
 
-/// Queries per scaling cell (kept small: at `N = 10⁵`–`10⁶` the point of
-/// the section is build/maintenance cost and per-query footprint, not
-/// tight quantiles — the main grid owns those).
+/// Queries per scaling cell (kept small: the section tracks how delay and
+/// messages grow with `N`; the main grid owns the tight quantiles).
 pub const SCALING_QUERIES: usize = 200;
 
 /// Single-attribute workloads measured in the baseline grid.
@@ -118,8 +103,8 @@ pub const EPOCHS: usize = 4;
 /// the unreplicated cross-check against the churn section).
 pub const REPLICATION_FACTORS: [usize; 2] = [1, 3];
 
-/// Baseline run configuration: what differs between the committed scale,
-/// `--quick`, and the CI scaling gate.
+/// Baseline run configuration: what differs between the committed scale
+/// and `--quick`.
 #[derive(Debug, Clone)]
 pub struct BaselineConfig {
     /// Network size every scheme is built at.
@@ -169,29 +154,6 @@ pub struct BaselineReport {
     pub rows: Vec<Row>,
 }
 
-/// Runs `f` under the baseline's one wall-clock stopwatch and returns its
-/// value with the elapsed seconds — the workspace's sole audited D2
-/// allowance; nothing derived from it feeds back into a simulated metric.
-fn stopwatch<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    #[allow(clippy::disallowed_methods)]
-    let start = std::time::Instant::now(); // detlint: allow(D2) — the baseline's one stopwatch: qps, build_ms, publish_ms
-    let out = f();
-    (out, start.elapsed().as_secs_f64())
-}
-
-/// Drives one batch of `queries` queries under the stopwatch: the report
-/// and its `qps`. Panics if the batch errs — fault-free queries and
-/// cataloged plans never do, and a baseline with silently missing cells
-/// would be worse than no baseline.
-fn timed(
-    queries: usize,
-    batch: impl FnOnce() -> Result<DriverReport, SchemeError>,
-) -> (DriverReport, Machine) {
-    let (report, secs) = stopwatch(batch);
-    let qps = queries as f64 / secs.max(1e-9);
-    (report.expect("baseline cells never error"), Machine { qps, ..Machine::default() })
-}
-
 /// Runs the full artifact: every registered single-attribute scheme ×
 /// [`SINGLE_WORKLOADS`], every multi-attribute scheme ×
 /// [`MULTI_WORKLOADS`] on 2-attribute squares, then the latency, churn,
@@ -199,8 +161,11 @@ fn timed(
 ///
 /// # Panics
 ///
-/// Panics if a scheme fails to build or a query errs.
+/// Panics if a scheme fails to build or a query errs — fault-free queries
+/// and cataloged plans never do, and a baseline with silently missing
+/// cells would be worse than no baseline.
 pub fn run(cfg: &BaselineConfig) -> BaselineReport {
+    const NEVER_ERRS: &str = "baseline cells never error";
     let registry = standard_registry();
     let dynamic = dynamic_single_names();
     // Key columns hold JSON values: names quoted, counts bare.
@@ -211,9 +176,9 @@ pub fn run(cfg: &BaselineConfig) -> BaselineReport {
     let salted = |salt: &str| SEED ^ dht_api::fnv1a(salt.as_bytes());
     let uniform = WorkloadGen::named("uniform", cell::DOMAIN).expect("cataloged");
     let mut rows = Vec::new();
-    let mut push = |section, stack: &str, scheme: &str, keys, machine, report| {
+    let mut push = |section, stack: &str, scheme: &str, keys, report| {
         let (stack, scheme) = (stack.to_string(), scheme.to_string());
-        rows.push(Row { section, stack, scheme, keys, machine, report });
+        rows.push(Row { section, stack, scheme, keys, report });
     };
 
     for name in registry.single_names() {
@@ -221,9 +186,9 @@ pub fn run(cfg: &BaselineConfig) -> BaselineReport {
         for wl_name in SINGLE_WORKLOADS {
             let workload = WorkloadGen::named(wl_name, cell::DOMAIN).expect("cataloged");
             let driver = cell::driver(cfg.queries, salted(wl_name), cfg.threads);
-            let (report, machine) = timed(cfg.queries, || driver.run(scheme.as_ref(), &workload));
+            let report = driver.run(scheme.as_ref(), &workload).expect(NEVER_ERRS);
             let keys = vec![("shape", text("single")), ("workload", text(wl_name))];
-            push(Section::Grid, name, name, keys, machine, report);
+            push(Section::Grid, name, name, keys, report);
         }
     }
     for name in registry.multi_names() {
@@ -232,11 +197,11 @@ pub fn run(cfg: &BaselineConfig) -> BaselineReport {
         for wl_name in MULTI_WORKLOADS {
             let workload = WorkloadGen::named(wl_name, cell::RECT_DOMAINS[0]).expect("cataloged");
             let driver = cell::driver(cfg.queries, salted(wl_name), cfg.threads);
-            let (report, machine) = timed(cfg.queries, || {
-                driver.run_multi(scheme.as_ref(), &cell::RECT_DOMAINS, &workload)
-            });
+            let report = driver
+                .run_multi(scheme.as_ref(), &cell::RECT_DOMAINS, &workload)
+                .expect(NEVER_ERRS);
             let keys = vec![("shape", text("rect")), ("workload", text(wl_name))];
-            push(Section::Grid, name, name, keys, machine, report);
+            push(Section::Grid, name, name, keys, report);
         }
     }
 
@@ -248,8 +213,8 @@ pub fn run(cfg: &BaselineConfig) -> BaselineReport {
             let stack = format!("{name}@{net}");
             let scheme = cell::loaded(&registry, &stack, cfg.n, cfg.object_id_len, salted(name));
             let driver = cell::driver(cfg.queries, salted("uniform"), cfg.threads);
-            let (report, machine) = timed(cfg.queries, || driver.run(scheme.as_ref(), &uniform));
-            push(Section::Latency, &stack, name, vec![("net", text(net))], machine, report);
+            let report = driver.run(scheme.as_ref(), &uniform).expect(NEVER_ERRS);
+            push(Section::Latency, &stack, name, vec![("net", text(net))], report);
         }
     }
 
@@ -261,16 +226,14 @@ pub fn run(cfg: &BaselineConfig) -> BaselineReport {
         let policy =
             scheme.as_replicated().map_or_else(|| "none".to_string(), |c| c.policy().name());
         let driver = cell::driver(epoch_queries, salted(driver_salt), cfg.threads);
-        let (report, machine) = timed(epoch_queries * EPOCHS, || {
-            driver.run_epochs(scheme.as_mut(), &uniform, plan, EPOCHS)
-        });
-        (report, machine, policy)
+        let report = driver.run_epochs(scheme.as_mut(), &uniform, plan, EPOCHS).expect(NEVER_ERRS);
+        (report, policy)
     };
     for name in &dynamic {
         for plan_name in CHURN_PLAN_NAMES {
             let plan = ChurnPlan::named(plan_name).expect("cataloged");
-            let (report, machine, _) = epoch_cell(name, name, &plan, plan_name);
-            push(Section::Churn, name, name, vec![("plan", text(plan_name))], machine, report);
+            let (report, _) = epoch_cell(name, name, &plan, plan_name);
+            push(Section::Churn, name, name, vec![("plan", text(plan_name))], report);
         }
     }
     // Replication: the churn grid again as `scheme+r{factor}` (`+r1` is the
@@ -281,13 +244,13 @@ pub fn run(cfg: &BaselineConfig) -> BaselineReport {
             let plan = ChurnPlan::named(plan_name).expect("cataloged");
             for factor in REPLICATION_FACTORS {
                 let stack = format!("{name}+r{factor}");
-                let (report, machine, policy) = epoch_cell(&stack, name, &plan, plan_name);
+                let (report, policy) = epoch_cell(&stack, name, &plan, plan_name);
                 let keys = vec![
                     ("plan", text(plan_name)),
                     ("factor", factor.to_string()),
                     ("policy", text(&policy)),
                 ];
-                push(Section::Replication, &stack, name, keys, machine, report);
+                push(Section::Replication, &stack, name, keys, report);
             }
         }
     }
@@ -300,67 +263,25 @@ pub fn run(cfg: &BaselineConfig) -> BaselineReport {
     for name in &dynamic {
         for spec in HOSTILE_SPECS {
             let stack = format!("{name}@{spec}");
-            let (report, machine, _) = epoch_cell(&stack, name, &frozen, "hostile");
-            push(Section::Hostile, &stack, name, vec![("spec", text(spec))], machine, report);
+            let (report, _) = epoch_cell(&stack, name, &frozen, "hostile");
+            push(Section::Hostile, &stack, name, vec![("spec", text(spec))], report);
         }
     }
 
-    // Scaling: the representative scheme set rebuilt at each size, build
-    // and load timed apart. Cells use the paper's ObjectID length and a
-    // fixed query count even under --quick, so a (scheme, n) cell is
-    // comparable across runs.
+    // Scaling: the representative scheme set rebuilt at each size. Cells
+    // use the paper's ObjectID length and a fixed query count even under
+    // --quick, so a (scheme, n) cell is the same cell in every run.
     for &n in &cfg.scaling_ns {
         for name in SCALING_SCHEMES {
             let seed = salted(name) ^ n as u64;
-            let (built, build_secs) =
-                stopwatch(|| cell::build(&registry, name, n, paper::OBJECT_ID_LEN, seed));
-            let (scheme, publish_secs) = stopwatch(|| built.and_then(cell::Built::load));
-            let scheme = scheme.unwrap_or_else(|e| panic!("scaling cell {name} (N = {n}): {e}"));
+            let scheme = cell::loaded(&registry, name, n, paper::OBJECT_ID_LEN, seed);
             let driver = cell::driver(SCALING_QUERIES, salted("scaling"), cfg.threads);
-            let (report, machine) =
-                timed(SCALING_QUERIES, || driver.run(scheme.as_ref(), &uniform));
-            // The allocation probe re-runs the same cell on one thread:
-            // the counter is process-wide, so the single-threaded pass is
-            // the only one whose delta is attributable to the queries.
-            let allocs = metered_allocs(|| {
-                driver.with_threads(1).run(scheme.as_ref(), &uniform).expect("fault-free queries");
-            });
-            let machine = Machine {
-                build_ms: build_secs * 1e3,
-                publish_ms: publish_secs * 1e3,
-                allocs_per_query: allocs.map(|a| a as f64 / SCALING_QUERIES as f64),
-                peak_rss_kb: peak_rss_kb(),
-                ..machine
-            };
-            push(Section::Scaling, name, name, vec![("n", n.to_string())], machine, report);
+            let report = driver.run(scheme.as_ref(), &uniform).expect(NEVER_ERRS);
+            push(Section::Scaling, name, name, vec![("n", n.to_string())], report);
         }
     }
 
     BaselineReport { config: cfg.clone(), rows }
-}
-
-/// Allocation count across `f`, when the `bench-alloc` counting allocator
-/// is compiled in *and* installed as the global allocator; `None` (JSON
-/// `null`) otherwise. `f` still runs either way, so row shapes do not
-/// depend on the feature.
-fn metered_allocs(f: impl FnOnce()) -> Option<u64> {
-    #[cfg(feature = "bench-alloc")]
-    if counting_alloc::is_installed() {
-        let before = counting_alloc::allocation_count();
-        f();
-        return Some(counting_alloc::allocation_count() - before);
-    }
-    f();
-    None
-}
-
-/// The process's peak resident set size in KiB (`VmHWM` from
-/// `/proc/self/status`) — a monotone high-water proxy for the memory the
-/// sweep has needed so far. `None` when the proc file is absent (non-Linux).
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 impl BaselineReport {
@@ -370,17 +291,16 @@ impl BaselineReport {
     }
 
     /// Renders every row as a printable [`Table`]: stack, section label,
-    /// the axis the section sweeps, `qps`, and the seven headline metrics.
+    /// the axis the section sweeps, and the seven headline metrics.
     pub fn to_table(&self) -> Table {
         let title = format!(
             "Bench baseline — N = {}, {} queries/cell, {} threads",
             self.config.n, self.config.queries, self.config.threads
         );
-        let columns: [Column<Row>; 11] = [
+        let columns: [Column<Row>; 10] = [
             ("scheme", |r| r.stack.clone()),
             ("shape", |r| r.label_and_axis().0),
             ("workload", |r| r.label_and_axis().1),
-            ("qps", |r| format!("{:.0}", r.machine.qps)),
             ("delay_mean", |r| format!("{:.2}", r.report.delay.mean)),
             ("delay_p95", |r| format!("{:.1}", r.report.delay.p95)),
             ("delay_p99", |r| format!("{:.1}", r.report.delay.p99)),
@@ -400,10 +320,7 @@ impl BaselineReport {
         let c = &self.config;
         // `threads` is deliberately omitted: it provably cannot affect any
         // simulated metric (see tests/parallel_determinism.rs) and is
-        // machine-local. The [`Machine`] columns are the remaining
-        // machine-dependent values — [`blank_machine_columns`] filters them
-        // out when diffing regenerated baselines (everything else is a pure
-        // function of the seed).
+        // machine-local. Everything written is a pure function of the seed.
         let quoted = |names: &[&str]| {
             names.iter().map(|m| format!("\"{m}\"")).collect::<Vec<_>>().join(", ")
         };
@@ -438,18 +355,17 @@ impl BaselineReport {
         s
     }
 
-    /// Compares this run with a `committed` baseline on every simulated
-    /// value: both JSON texts, byte for byte, after
-    /// [`blank_machine_columns`]. Subsumes a schema-tag check — the tag is
-    /// one of the compared lines.
+    /// Compares this run with a `committed` baseline line for line: every
+    /// column is simulated, so any difference is a moved metric or
+    /// configuration. Subsumes a schema-tag check — the tag is one of the
+    /// compared lines.
     ///
     /// # Errors
     ///
     /// The first differing line of the two artifacts.
-    pub fn check_simulated(&self, committed: &str) -> Result<(), String> {
-        let ours = blank_machine_columns(&self.to_json());
-        let theirs = blank_machine_columns(committed);
-        let (mut a, mut b) = (ours.lines(), theirs.lines());
+    pub fn check(&self, committed: &str) -> Result<(), String> {
+        let ours = self.to_json();
+        let (mut a, mut b) = (ours.lines(), committed.lines());
         for line in 1.. {
             match (a.next(), b.next()) {
                 (None, None) => break,
@@ -457,7 +373,7 @@ impl BaselineReport {
                 (ours, theirs) => {
                     let show = |l: Option<&str>| l.unwrap_or("<end of file>").to_string();
                     return Err(format!(
-                        "simulated columns differ from the committed baseline at line {line}:\n  \
+                        "the regenerated baseline differs from the committed one at line {line}:\n  \
                          this tree: {}\n  committed: {}",
                         show(ours),
                         show(theirs)
@@ -478,7 +394,7 @@ pub fn baseline_path() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dht_api::{ChurnStats, EpochSummary, ReplicaRepair};
+    use dht_api::{ChurnStats, DriverReport, EpochSummary, ReplicaRepair};
     use simnet::Summary;
 
     fn cell_of<'a>(report: &'a BaselineReport, section: Section, stack: &str) -> Vec<&'a Row> {
@@ -495,7 +411,6 @@ mod tests {
         assert_eq!(singles, registry.single_names().len() * SINGLE_WORKLOADS.len());
         assert_eq!(grid.len() - singles, registry.multi_names().len() * MULTI_WORKLOADS.len());
         for r in &grid {
-            assert!(r.machine.qps > 0.0, "{}/{} qps", r.stack, r.key("workload"));
             assert_eq!(r.report.queries, report.config.queries);
             assert_eq!(r.report.exact_rate, 1.0, "{}/{} inexact", r.stack, r.key("workload"));
         }
@@ -535,7 +450,6 @@ mod tests {
         let churn: Vec<&Row> = report.section(Section::Churn).collect();
         assert_eq!(churn.len(), dynamic.len() * CHURN_PLAN_NAMES.len());
         for r in &churn {
-            assert!(r.machine.qps > 0.0, "{}/{} qps", r.stack, r.key("plan"));
             assert_eq!(r.report.epochs.len(), EPOCHS);
             assert!(r.report.epochs.last().unwrap().peers > 0);
             // Epoch 0 always queries the as-built, fully-exact network.
@@ -572,7 +486,6 @@ mod tests {
         // Hostile section: every dynamic scheme × every spec.
         assert_eq!(report.section(Section::Hostile).count(), dynamic.len() * HOSTILE_SPECS.len());
         for r in report.section(Section::Hostile) {
-            assert!(r.machine.qps > 0.0, "{} qps", r.stack);
             assert_eq!(r.report.epochs.len(), EPOCHS);
             assert!(r.report.recall.mean <= 1.0 + 1e-12);
         }
@@ -604,21 +517,8 @@ mod tests {
         assert_eq!(scaling.len(), report.config.scaling_ns.len() * SCALING_SCHEMES.len());
         for r in &scaling {
             let tag = format!("{} n={}", r.stack, r.key("n"));
-            assert!(r.machine.qps > 0.0, "{tag} qps");
-            assert!(r.machine.build_ms >= 0.0 && r.machine.publish_ms >= 0.0);
             assert_eq!(r.report.queries, SCALING_QUERIES, "{tag}");
             assert_eq!(r.report.exact_rate, 1.0, "{tag} inexact");
-            if cfg!(feature = "bench-alloc") {
-                // The feature installs the allocator for this crate's
-                // test binary too, so the column must be live — a `None`
-                // here means the counter was compiled in but unreachable.
-                let a = r.machine.allocs_per_query.expect("bench-alloc counter installed");
-                assert!(a > 0.0, "{tag} counted no allocations");
-            } else {
-                assert!(r.machine.allocs_per_query.is_none(), "{tag} phantom counter");
-            }
-            #[cfg(target_os = "linux")]
-            assert!(r.machine.peak_rss_kb.unwrap_or(0) > 0, "{tag} no VmHWM");
         }
         for name in SCALING_SCHEMES {
             for &n in &report.config.scaling_ns {
@@ -646,10 +546,9 @@ mod tests {
         for plan in CHURN_PLAN_NAMES {
             assert!(json.contains(&format!("\"plan\": \"{plan}\"")), "{plan} missing");
         }
-        // The table mirrors every grid, and the run matches itself on
-        // every simulated column whatever the stopwatch read.
+        // The table mirrors every grid, and the run matches itself.
         assert_eq!(report.to_table().rows.len(), report.rows.len());
-        assert_eq!(report.check_simulated(&json), Ok(()));
+        assert_eq!(report.check(&json), Ok(()));
     }
 
     #[test]
@@ -662,11 +561,11 @@ mod tests {
         };
         let (a, b) = (run(&cfg), run(&cfg));
         assert_eq!(a.rows.len(), b.rows.len());
-        assert_eq!(a.check_simulated(&b.to_json()), Ok(()));
+        assert_eq!(a.check(&b.to_json()), Ok(()));
         // And a different configuration is a different artifact, reported
         // at the first line that moved.
         let other = run(&BaselineConfig { queries: 16, ..cfg });
-        let e = a.check_simulated(&other.to_json()).unwrap_err();
+        let e = a.check(&other.to_json()).unwrap_err();
         assert!(e.contains("line 3") && e.contains("\"queries\": 16"), "{e}");
     }
 
@@ -730,25 +629,17 @@ mod tests {
 
     /// The column-list writers reproduce, byte for byte, what the six
     /// hand-written per-section format strings they replaced produced for
-    /// the same rows (fixtures generated by the parent commit's writers):
-    /// a `null` machine column, non-finite floats, an empty epoch series.
+    /// the same rows (fixtures generated by those writers, less the
+    /// machine columns a later schema dropped): non-finite floats, an
+    /// empty epoch series.
     #[test]
     fn column_list_writers_reproduce_the_hand_written_formats() {
         let text = |s: &str| format!("\"{s}\"");
-        let qps = |qps: f64| Machine { qps, ..Machine::default() };
-        let scaling = |allocs_per_query, peak_rss_kb| Machine {
-            qps: 99.0,
-            build_ms: 1.25,
-            publish_ms: 2.5,
-            allocs_per_query,
-            peak_rss_kb,
-        };
-        let row = |section, stack: &str, scheme: &str, keys, machine, epochs| Row {
+        let row = |section, stack: &str, scheme: &str, keys, epochs| Row {
             section,
             stack: stack.into(),
             scheme: scheme.into(),
             keys,
-            machine,
             report: crafted(epochs),
         };
         let plan = || ("plan", text("massacre"));
@@ -758,7 +649,6 @@ mod tests {
                 "pira",
                 "pira",
                 vec![("shape", text("single")), ("workload", text("uniform"))],
-                qps(1234.5),
                 vec![],
             ),
             row(
@@ -766,24 +656,15 @@ mod tests {
                 "mira",
                 "mira",
                 vec![("shape", text("rect")), ("workload", text("mixed"))],
-                qps(f64::INFINITY),
                 vec![],
             ),
-            row(
-                Section::Latency,
-                "pira@wan",
-                "pira",
-                vec![("net", text("wan"))],
-                qps(10.0),
-                vec![],
-            ),
-            row(Section::Churn, "pira", "pira", vec![plan()], qps(10.0), two_epochs()),
+            row(Section::Latency, "pira@wan", "pira", vec![("net", text("wan"))], vec![]),
+            row(Section::Churn, "pira", "pira", vec![plan()], two_epochs()),
             row(
                 Section::Replication,
                 "pira+r3",
                 "pira",
                 vec![plan(), ("factor", "3".to_string()), ("policy", text("successor-3"))],
-                qps(10.0),
                 two_epochs(),
             ),
             row(
@@ -791,25 +672,10 @@ mod tests {
                 "pira@lossy-p/r3",
                 "pira",
                 vec![("spec", text("lossy-p/r3"))],
-                qps(10.0),
                 vec![],
             ),
-            row(
-                Section::Scaling,
-                "pira",
-                "pira",
-                vec![("n", "1000".to_string())],
-                scaling(None, None),
-                vec![],
-            ),
-            row(
-                Section::Scaling,
-                "dcf-can",
-                "dcf-can",
-                vec![("n", "250".to_string())],
-                scaling(Some(13.5), Some(4096)),
-                vec![],
-            ),
+            row(Section::Scaling, "pira", "pira", vec![("n", "1000".to_string())], vec![]),
+            row(Section::Scaling, "dcf-can", "dcf-can", vec![("n", "250".to_string())], vec![]),
         ];
         let config = BaselineConfig { threads: 1, ..BaselineConfig::quick() };
         let report = BaselineReport { config, rows };
@@ -818,16 +684,5 @@ mod tests {
             report.to_table().to_markdown(),
             include_str!("../tests/golden/baseline_rows.md")
         );
-        // Blanking touches the machine values and nothing else.
-        let blanked = blank_machine_columns(&report.to_json());
-        assert!(blanked.contains("\"n\": 250, \"build_ms\": null, \"publish_ms\": null, \"qps\": null, \"allocs_per_query\": null, \"peak_rss_kb\": null, \"delay_mean\": 1.5000,"));
-        assert!(
-            blanked.contains("\"workload\": \"uniform\", \"qps\": null, \"delay_mean\": 1.5000,")
-        );
-        assert_eq!(
-            blanked.matches("null").count(),
-            8 + 8 + report.to_json().matches("null").count() - 3
-        );
-        assert_eq!(blank_machine_columns(&blanked), blanked);
     }
 }

@@ -10,22 +10,21 @@
 //!
 //! 1. [`build`] — the registry resolves the **stack string**
 //!    (`pira+r3@wan@lossy-p/r3`: each suffix is the matching
-//!    [`BuildParams`] field) from an RNG seeded with `seed`;
-//! 2. [`Built::load`] — the same RNG stream draws `N` uniform record
-//!    values and publishes them under handles `0..N`;
-//! 3. [`driver`] — the [`ParallelDriver`] every batch and epoch run uses.
+//!    [`BuildParams`] field) from an RNG seeded with `seed`, and the same
+//!    RNG stream draws `N` uniform record values and publishes them under
+//!    handles `0..N`;
+//! 2. [`driver`] — the [`ParallelDriver`] every batch and epoch run uses.
 //!
 //! The seed is the caller's: two stacks built from one seed share network
 //! and records (hop metrics pair across net models only because the sweeps
-//! leave the net out of the seed). Build and load are two steps because
-//! the baseline's scaling section times them apart; [`loaded`] is both.
+//! leave the net out of the seed). [`loaded`] is [`build`] for the sweeps,
+//! which panic rather than skip a cell.
 
 use crate::paper;
 use dht_api::{
     BuildParams, MultiBuildParams, MultiRangeScheme, ParallelDriver, RangeScheme, SchemeError,
     SchemeRegistry,
 };
-use rand::rngs::SmallRng;
 use rand::Rng;
 
 /// The attribute interval every single-attribute cell is built over.
@@ -34,44 +33,30 @@ pub const DOMAIN: (f64, f64) = (paper::DOMAIN_LO, paper::DOMAIN_HI);
 /// The per-attribute domains of the two-attribute rectangle cells.
 pub const RECT_DOMAINS: [(f64, f64); 2] = [(0.0, 100.0), (0.0, 100.0)];
 
-/// A built, still empty scheme plus the RNG stream that built it (the
-/// record values continue that stream).
-pub struct Built {
-    scheme: Box<dyn RangeScheme>,
-    rng: SmallRng,
-    n: usize,
-}
-
-/// Builds the scheme stack `stack` names at `n` peers over [`DOMAIN`].
-/// Errors are the registry's: an unknown scheme, policy, net model or
-/// hostile plan in the stack string, or the scheme's own build error.
+/// Builds the scheme stack `stack` names at `n` peers over [`DOMAIN`] and
+/// publishes `n` uniform records (handles `0..n`) from the same RNG stream.
+/// Errors are the registry's — an unknown scheme, policy, net model or
+/// hostile plan in the stack string, or the scheme's own build error — or
+/// a refused publish, as a [`SchemeError::Build`].
 pub fn build(
     registry: &SchemeRegistry,
     stack: &str,
     n: usize,
     object_id_len: usize,
     seed: u64,
-) -> Result<Built, SchemeError> {
+) -> Result<Box<dyn RangeScheme>, SchemeError> {
     let params = BuildParams::new(n, DOMAIN.0, DOMAIN.1).with_object_id_len(object_id_len);
     let mut rng = simnet::rng_from_seed(seed);
-    let scheme = registry.build_single(stack, &params, &mut rng)?;
-    Ok(Built { scheme, rng, n })
-}
-
-impl Built {
-    /// Publishes `n` uniform records (handles `0..n`) and hands the loaded
-    /// scheme over; a refused publish is a [`SchemeError::Build`].
-    pub fn load(mut self) -> Result<Box<dyn RangeScheme>, SchemeError> {
-        for h in 0..self.n as u64 {
-            self.scheme
-                .publish(self.rng.gen_range(DOMAIN.0..=DOMAIN.1), h)
-                .map_err(|e| SchemeError::Build(format!("publish: {e}")))?;
-        }
-        Ok(self.scheme)
+    let mut scheme = registry.build_single(stack, &params, &mut rng)?;
+    for h in 0..n as u64 {
+        scheme
+            .publish(rng.gen_range(DOMAIN.0..=DOMAIN.1), h)
+            .map_err(|e| SchemeError::Build(format!("publish: {e}")))?;
     }
+    Ok(scheme)
 }
 
-/// [`build`] then [`Built::load`], for the sweeps.
+/// [`build`], for the sweeps.
 ///
 /// # Panics
 ///
@@ -85,7 +70,6 @@ pub fn loaded(
     seed: u64,
 ) -> Box<dyn RangeScheme> {
     build(registry, stack, n, object_id_len, seed)
-        .and_then(Built::load)
         .unwrap_or_else(|e| panic!("cell {stack} (N = {n}): {e}"))
 }
 

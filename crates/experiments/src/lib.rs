@@ -44,14 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// With the `bench-alloc` feature on, every binary and test of this crate
-// runs under the counting allocator, and the baseline's scaling section
-// reports allocations per query instead of `null`. The declaration is
-// safe code — the (audited) unsafe forwarding lives in `counting-alloc`.
-#[cfg(feature = "bench-alloc")]
-#[global_allocator]
-static COUNTING_ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
-
 pub mod ablations;
 pub mod baseline;
 pub mod cell;

@@ -1,4 +1,4 @@
-//! Table rendering (markdown to stdout, CSV to `target/experiments/`).
+//! Table rendering (markdown, and CSV to `target/experiments/`).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -98,16 +98,6 @@ impl Table {
         let path = dir.join(format!("{name}.csv"));
         std::fs::write(&path, self.to_csv())?;
         Ok(path)
-    }
-
-    /// Prints markdown to stdout and writes the CSV; the binaries' shared
-    /// epilogue.
-    pub fn emit(&self, name: &str) {
-        print!("{}", self.to_markdown());
-        match self.write_csv(name) {
-            Ok(path) => println!("\n[csv] {}\n", path.display()), // detlint: allow(D5) — the binaries' shared stdout epilogue; never on a report path
-            Err(e) => eprintln!("warning: could not write csv: {e}"), // detlint: allow(D5) — CLI warning for the same epilogue
-        }
     }
 }
 

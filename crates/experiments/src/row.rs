@@ -2,12 +2,10 @@
 //! renders it from a per-section column list.
 //!
 //! A row of `BENCH_baseline.json` is `scheme`, the section's key columns,
-//! the [`Machine`] columns, then the section's simulated columns — every
-//! one of the last a pure function of the cell's [`DriverReport`], looked
-//! up by name in `SIMULATED`. The machine columns are the only values in
-//! the artifact that are not a pure function of the seed; their key list
-//! lives here, beside the row, so [`blank_machine_columns`] cannot miss a
-//! column the writer emits.
+//! then the section's simulated columns — each a pure function of the
+//! cell's [`DriverReport`], looked up by name in `SIMULATED`. No column
+//! depends on the machine that ran the cell, so a configuration writes the
+//! same bytes on every run.
 
 use crate::output::Column;
 use dht_api::{DriverReport, EpochSummary};
@@ -55,7 +53,7 @@ impl Section {
     }
 
     /// The `SIMULATED` columns the section's JSON rows carry after their
-    /// key and machine columns, in order.
+    /// key columns, in order.
     fn columns(self) -> impl Iterator<Item = &'static str> {
         const EPOCH_DRIVEN: &str = "delay_mean delay_p95 delay_p99 latency_mean messages_mean \
             mesg_ratio_mean recall_mean exact_rate results_returned";
@@ -110,71 +108,6 @@ const SIMULATED: [Column<DriverReport>; 22] = [
     ("epochs", |r| format!("[{}]", r.epochs.iter().map(epoch_json).collect::<Vec<_>>().join(", "))),
 ];
 
-/// The machine columns of a row — wall clock, allocator and RSS readings.
-/// Every row carries `qps`; the rest are the scaling section's.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Machine {
-    /// Wall-clock throughput of the driven batch, queries per second.
-    pub qps: f64,
-    /// Wall-clock milliseconds to build the network.
-    pub build_ms: f64,
-    /// Wall-clock milliseconds to publish `n` records.
-    pub publish_ms: f64,
-    /// Heap allocations per query, metered over a single-threaded pass by
-    /// the `bench-alloc` counting allocator — `None` (JSON `null`) when
-    /// the feature is off or the allocator is not installed.
-    pub allocs_per_query: Option<f64>,
-    /// Process peak resident set (`VmHWM`, KiB) after the cell — a
-    /// monotone high-water proxy, `None` off Linux.
-    pub peak_rss_kb: Option<u64>,
-}
-
-impl Machine {
-    /// The JSON keys of every machine column, in scaling-row order. The
-    /// writer emits machine values only under these names and
-    /// [`blank_machine_columns`] blanks exactly these, so a machine column
-    /// cannot be added without being masked.
-    pub const COLUMNS: [&'static str; 5] =
-        ["build_ms", "publish_ms", "qps", "allocs_per_query", "peak_rss_kb"];
-
-    /// The `(key, JSON value)` cells `section` writes: all five for the
-    /// scaling section, `qps` alone elsewhere.
-    fn cells(&self, section: Section) -> impl Iterator<Item = (&'static str, String)> {
-        let null = || "null".to_string();
-        let values = [
-            json_f64(self.build_ms),
-            json_f64(self.publish_ms),
-            json_f64(self.qps),
-            self.allocs_per_query.map_or_else(null, json_f64),
-            self.peak_rss_kb.map_or_else(null, |kb| kb.to_string()),
-        ];
-        let cells = Machine::COLUMNS.into_iter().zip(values);
-        cells.filter(move |(key, _)| section == Section::Scaling || *key == "qps")
-    }
-}
-
-/// `json` with the value of every [`Machine::COLUMNS`] key replaced by
-/// `null` — what is left is a pure function of the seed, and two baselines
-/// compare byte for byte.
-pub fn blank_machine_columns(json: &str) -> String {
-    let mut text = json.to_string();
-    for key in Machine::COLUMNS {
-        let pattern = format!("\"{key}\": ");
-        let mut out = String::with_capacity(text.len());
-        let mut rest = text.as_str();
-        while let Some(at) = rest.find(&pattern) {
-            let (head, tail) = rest.split_at(at + pattern.len());
-            out.push_str(head);
-            out.push_str("null");
-            // A value is a number or `null`: it ends at the next `,` or ` }`.
-            rest = &tail[tail.find([',', ' ']).unwrap_or(tail.len())..];
-        }
-        out.push_str(rest);
-        text = out;
-    }
-    text
-}
-
 /// One measured cell of the baseline, whatever its section.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -189,8 +122,6 @@ pub struct Row {
     /// `shape` and `workload`; `net`; `plan`; `plan`, `factor` and
     /// `policy`; `spec`; `n`. Names are quoted JSON strings, counts bare.
     pub keys: Vec<(&'static str, String)>,
-    /// The machine-dependent columns.
-    pub machine: Machine,
     /// The full deterministic metric report of the cell (carries the
     /// per-epoch series for the epoch-driven sections).
     pub report: DriverReport,
@@ -212,7 +143,6 @@ impl Row {
         });
         let cells = std::iter::once(("scheme", format!("\"{}\"", self.scheme)))
             .chain(self.keys.iter().cloned())
-            .chain(self.machine.cells(self.section))
             .chain(simulated);
         let cells: Vec<String> = cells.map(|(k, v)| format!("\"{k}\": {v}")).collect();
         format!("{{ {} }}", cells.join(", "))

@@ -258,8 +258,7 @@ fn build(
     cfg: &TraceExplainConfig,
 ) -> Result<(Box<dyn dht_api::RangeScheme>, ParallelDriver, WorkloadGen), SchemeError> {
     let seed = cfg.seed ^ dht_api::fnv1a(cfg.scheme.as_bytes());
-    let scheme =
-        cell::build(&standard_registry(), &cfg.scheme, cfg.n, cfg.object_id_len, seed)?.load()?;
+    let scheme = cell::build(&standard_registry(), &cfg.scheme, cfg.n, cfg.object_id_len, seed)?;
     let workload = WorkloadGen::named(&cfg.workload, cell::DOMAIN)?;
     Ok((scheme, cell::driver(cfg.queries, cfg.seed, 1), workload))
 }

@@ -98,6 +98,9 @@ impl RangeScheme for ScrapNet {
             return Err(SchemeError::WrongArity { expected: self.dims(), got: 1 });
         }
         RangeRequest::new(origin, lo, hi, seed)?;
+        if origin >= self.len() {
+            return Err(SchemeError::BadOrigin { origin });
+        }
         Ok(ScrapNet::range_query(self, origin, &[(lo, hi)])?.into_outcome())
     }
 }
@@ -143,6 +146,9 @@ impl MultiRangeScheme for ScrapNet {
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
         RectRequest::new(origin, rect, seed)?;
+        if origin >= self.len() {
+            return Err(SchemeError::BadOrigin { origin });
+        }
         Ok(ScrapNet::range_query(self, origin, rect)?.into_outcome())
     }
 }

@@ -783,7 +783,9 @@ mod tests {
     #[test]
     fn partition_refuses_cross_side_delivery_until_heal() {
         use crate::faults::PartitionPlan;
-        let plan = FaultPlan::new().with_partition(PartitionPlan::new(2, 1, 3)).with_plan_seed(0x9);
+        let new_plan =
+            || FaultPlan::new().with_partition(PartitionPlan::new(2, 1, 3)).with_plan_seed(0x9);
+        let plan = new_plan();
         // Find a cross-side pair under this sim's effective verdict seed.
         let probe: Sim<()> = Sim::new(4).with_faults_ref(&plan);
         let seed = probe.faults().plan_seed() ^ 4;
@@ -793,8 +795,7 @@ mod tests {
             .find(|&b| part.side_of(seed, a, probe.net()) != part.side_of(seed, b, probe.net()))
             .expect("a 2-island split has both sides");
         let deliveries = |epoch: u64| {
-            // detlint: allow(D6) — test builds an owned per-epoch variant to mutate
-            let mut p = plan.clone();
+            let mut p = new_plan();
             p.set_epoch(epoch);
             let mut sim: Sim<()> = Sim::new(4).with_faults(p);
             sim.send(a, b, 0, ());

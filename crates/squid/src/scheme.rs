@@ -95,6 +95,9 @@ impl RangeScheme for SquidNet {
             return Err(SchemeError::WrongArity { expected: self.dims(), got: 1 });
         }
         RangeRequest::new(origin, lo, hi, seed)?;
+        if origin >= self.len() {
+            return Err(SchemeError::BadOrigin { origin });
+        }
         Ok(SquidNet::range_query(self, origin, &[(lo, hi)])?.into_outcome())
     }
 }
@@ -140,6 +143,9 @@ impl MultiRangeScheme for SquidNet {
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
         RectRequest::new(origin, rect, seed)?;
+        if origin >= self.len() {
+            return Err(SchemeError::BadOrigin { origin });
+        }
         Ok(SquidNet::range_query(self, origin, rect)?.into_outcome())
     }
 }

@@ -263,6 +263,44 @@ proptest! {
     }
 }
 
+/// A query from an origin past the live set is a typed `BadOrigin` on
+/// every registered name, both shapes — never a panic inside a substrate.
+#[test]
+fn out_of_range_origins_are_bad_origin_errors_everywhere() {
+    use armada_suite::dht_api::MultiBuildParams;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    const N: usize = 40;
+    let registry = standard_registry();
+    let params = BuildParams::new(N, DOMAIN.0, DOMAIN.1).with_object_id_len(24);
+    let domains = [DOMAIN, DOMAIN];
+    let multi_params = MultiBuildParams::new(N, &domains).with_object_id_len(24);
+    let mut wrong = Vec::new();
+    let mut check = |name: String, origin: usize, query: &dyn Fn() -> Result<(), SchemeError>| {
+        match catch_unwind(AssertUnwindSafe(query)) {
+            Ok(Err(SchemeError::BadOrigin { origin: got })) if got == origin => {}
+            Ok(other) => wrong.push(format!("{name} from {origin}: {other:?}")),
+            Err(_) => wrong.push(format!("{name} from {origin}: panicked")),
+        }
+    };
+    for name in registry.single_names() {
+        let mut rng = simnet::rng_from_seed(0xbad ^ dht_api::fnv1a(name.as_bytes()));
+        let scheme = registry.build_single(name, &params, &mut rng).expect("build");
+        for origin in [scheme.node_count(), usize::MAX] {
+            let query = || scheme.range_query(origin, 10.0, 20.0, 0).map(|_| ());
+            check(format!("single {name}"), origin, &query);
+        }
+    }
+    for name in registry.multi_names() {
+        let mut rng = simnet::rng_from_seed(0xbad ^ dht_api::fnv1a(name.as_bytes()));
+        let scheme = registry.build_multi(name, &multi_params, &mut rng).expect("build");
+        for origin in [scheme.node_count(), usize::MAX] {
+            let query = || scheme.rect_query(origin, &[(10.0, 20.0), (10.0, 20.0)], 0).map(|_| ());
+            check(format!("multi {name}"), origin, &query);
+        }
+    }
+    assert!(wrong.is_empty(), "out-of-range origins not refused:\n{}", wrong.join("\n"));
+}
+
 /// Every registered single-attribute name × {bare, `+r3`, `@wan`,
 /// `+r3@wan@lossy-p/r3`}, all through `RangeScheme::query`.
 #[test]
