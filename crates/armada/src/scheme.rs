@@ -27,7 +27,7 @@ use dht_api::{
     QueryCtx, RangeOutcome, RangeRequest, RangeScheme, RectRequest, ReplicaRouting, SchemeError,
     SchemeRegistry,
 };
-use fissione::FissioneConfig;
+use fissione::{FissioneConfig, RouteTree};
 use rand::rngs::SmallRng;
 use simnet::{NodeId, QueryScratch};
 
@@ -220,7 +220,9 @@ impl DynamicScheme for SingleArmada {
 /// from the substrate's Kautz neighborhood ([`Dht::replica_owners`]), and
 /// point fetches pay the real routed path to the holder plus one direct
 /// response hop — with the same edges priced by the engine's cost model for
-/// the latency figure.
+/// the latency figure. A batch of fetches from one origin is priced over
+/// one route tree ([`fissione::FissioneNet::route_tree_fold`]); a single
+/// fetch is a batch of one, so every fetch is priced by the same code.
 impl ReplicaRouting for SingleArmada {
     fn live_peers(&self) -> Vec<NodeId> {
         self.net().live_peers().collect()
@@ -231,31 +233,70 @@ impl ReplicaRouting for SingleArmada {
     }
 
     fn fetch_cost(&self, origin: NodeId, holder: NodeId) -> FetchCost {
-        if origin == holder {
-            return FetchCost::default(); // the copy is local
-        }
+        let mut cost = Vec::with_capacity(1);
+        self.price_fetches(origin, &[holder], &mut RouteTree::default(), &mut cost);
+        cost[0]
+    }
+
+    fn fetch_costs(
+        &self,
+        origin: NodeId,
+        holders: &[NodeId],
+        scratch: &mut QueryScratch,
+        costs: &mut Vec<FetchCost>,
+    ) {
+        self.price_fetches(origin, holders, scratch.slot(), costs);
+    }
+}
+
+impl SingleArmada {
+    /// FissionE's one fetch pricing: [`ReplicaRouting::fetch_costs`] over
+    /// the route tree `tree`.
+    fn price_fetches(
+        &self,
+        origin: NodeId,
+        holders: &[NodeId],
+        tree: &mut RouteTree<(u64, u64)>,
+        costs: &mut Vec<FetchCost>,
+    ) {
         let (net, model) = (self.net(), self.net_model());
-        let response = model.edge_cost(holder, origin);
-        let routed = net.peer_id(holder).and_then(|id| {
-            net.route_fold(origin, id, (0, 0), |(hops, ms), src, dst| {
-                (hops + 1, ms + model.edge_cost(src, dst))
-            })
-        });
-        let (hops, route_latency) = routed.map_or_else(
-            |_| {
-                // Unroutable (dead holder): fall back to the log N lookup
-                // model, priced at the direct origin→holder edge per
-                // modeled hop.
-                let h = (net.len() as f64).log2().ceil() as u64;
-                (h, h * model.edge_cost(origin, holder))
-            },
-            |(_, cost)| cost,
+        // A local copy costs nothing and a dead holder has no PeerID to
+        // route to: only the others are walked, in `holders` order.
+        let routed = |&holder: &NodeId| match holder == origin {
+            true => None,
+            false => net.peer_id(holder).ok(),
+        };
+        net.route_tree_fold(
+            origin,
+            holders.iter().filter_map(routed),
+            (0, 0),
+            |(hops, ms), src, dst| (hops + 1, ms + model.edge_cost(src, dst)),
+            tree,
         );
-        FetchCost {
-            hops: hops + 1, // routed request + direct response
-            latency: route_latency + response,
-            messages: hops + 1,
-        }
+        let mut results = tree.results().iter();
+        costs.extend(holders.iter().map(|holder| {
+            let holder = *holder;
+            if holder == origin {
+                return FetchCost::default(); // the copy is local
+            }
+            let route = routed(&holder)
+                .and_then(|_| results.next().expect("one result per routed holder").as_ref().ok());
+            let (hops, route_latency) = route.map_or_else(
+                || {
+                    // Unroutable (dead holder): fall back to the log N lookup
+                    // model, priced at the direct origin→holder edge per
+                    // modeled hop.
+                    let h = (net.len() as f64).log2().ceil() as u64;
+                    (h, h * model.edge_cost(origin, holder))
+                },
+                |&(_, cost)| cost,
+            );
+            FetchCost {
+                hops: hops + 1, // routed request + direct response
+                latency: route_latency + model.edge_cost(holder, origin),
+                messages: hops + 1,
+            }
+        }));
     }
 }
 

@@ -162,10 +162,11 @@ fn routes_never_read_a_table_built_before_a_membership_change() {
     }
     unbalance(base.net_mut());
     // Exact-match routes to PeerIDs, ObjectIDs and a prefix too short to
-    // have an owner, replica fetches priced over the same walk, and the
-    // sequential walk's routed first phase: a list fixed by the network it
-    // runs on, so the same on a network and its clone.
-    let run = |scheme: &PiraScheme, _: &mut QueryScratch| {
+    // have an owner, replica fetch phases priced over the same walk (in one
+    // batch, and one fetch at a time), and the sequential walk's routed
+    // first phase: a list fixed by the network it runs on, so the same on a
+    // network and its clone.
+    let run = |scheme: &PiraScheme, scratch: &mut QueryScratch| {
         let net = scheme.inner().net();
         let peers: Vec<NodeId> = net.live_peers().collect();
         let mut rng = simnet::rng_from_seed(940);
@@ -177,10 +178,20 @@ fn routes_never_read_a_table_built_before_a_membership_change() {
                 let from = peers[rng.gen_range(0..peers.len())];
                 routed.push(Routed::Path(net.route(from, &target).map(|r| r.path().to_vec())));
             }
-            for _ in 0..2 {
-                let origin = peers[rng.gen_range(0..peers.len())];
-                let holder = peers[rng.gen_range(0..peers.len())];
-                routed.push(Routed::Fetch(scheme.inner().fetch_cost(origin, holder)));
+            // A fetch phase: random holders, one of them twice, the origin
+            // itself and a node that is not live, priced in one batch that
+            // must agree with each fetch priced alone.
+            let origin = peers[rng.gen_range(0..peers.len())];
+            let mut holders: Vec<NodeId> =
+                (0..4).map(|_| peers[rng.gen_range(0..peers.len())]).collect();
+            let dead = (0..).find(|&n| !net.is_live(n)).unwrap();
+            holders.extend([holders[0], origin, dead]);
+            let mut batch = Vec::new();
+            scheme.inner().fetch_costs(origin, &holders, scratch, &mut batch);
+            assert_eq!(batch.len(), holders.len());
+            for (&holder, cost) in holders.iter().zip(batch) {
+                assert_eq!(cost, scheme.inner().fetch_cost(origin, holder), "{origin} -> {holder}");
+                routed.push(Routed::Fetch(cost));
             }
         }
         let (walk, trace) =

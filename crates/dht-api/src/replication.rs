@@ -57,13 +57,20 @@
 use crate::dynamics::DynamicScheme;
 use crate::scheme::{QueryCtx, RangeOutcome, RangeRequest, RangeScheme, SchemeError};
 use rand::rngs::SmallRng;
-use simnet::NodeId;
+use simnet::{NodeId, QueryScratch};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// Salt separating replica-fetch drop draws from every other seeded
 /// stream (workload, origin, churn).
 const FETCH_SALT: u64 = 0xfe7c_fe7c_fe7c_fe7c;
+
+/// The most fetches [`Replicated::recover`] prices in one
+/// [`ReplicaRouting::fetch_costs`] call: above a typical query's fetch
+/// phase (≈ 220 under `pira+r3@wan@lossy-p/r3` at N = 10⁴), so that one is
+/// priced whole, while a query fetching thousands of records keeps its
+/// per-fetch buffers at this size.
+const FETCH_BATCH: usize = 512;
 
 /// Replica placement disciplines a [`ReplicaPolicy`] can name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,6 +261,25 @@ pub trait ReplicaRouting {
     /// node, the `O(log N)` lookup model otherwise — with latency
     /// accumulated over the same edges the hop figure counts).
     fn fetch_cost(&self, origin: NodeId, holder: NodeId) -> FetchCost;
+
+    /// Appends [`fetch_cost`](Self::fetch_cost)`(origin, holder)` to
+    /// `costs` for every holder in `holders`, in order: the pricing of a
+    /// query's whole fetch phase, which leaves from one origin. The default
+    /// prices one fetch at a time; a substrate whose routes from one origin
+    /// share hops may walk them together, keeping its buffers in `scratch`,
+    /// so long as every cost equals the fetch's priced alone (debug builds
+    /// of [`Replicated`] hold each cost against a call with that holder
+    /// alone).
+    fn fetch_costs(
+        &self,
+        origin: NodeId,
+        holders: &[NodeId],
+        scratch: &mut QueryScratch,
+        costs: &mut Vec<FetchCost>,
+    ) {
+        let _ = scratch;
+        costs.extend(holders.iter().map(|&holder| self.fetch_cost(origin, holder)));
+    }
 }
 
 /// The cost of one replica point fetch (or copy transfer): the overlay
@@ -382,6 +408,28 @@ impl PartialEq for ValueOrd {
 
 impl Eq for ValueOrd {}
 
+/// The buffers of one query's fetch phase ([`Replicated::recover`]),
+/// kept in a [`QueryScratch`] slot across queries.
+#[derive(Default)]
+struct FetchPhase {
+    /// Publish indices of the records in range, ascending.
+    in_range: Vec<usize>,
+    /// Their handles, ascending and deduplicated.
+    expected: Vec<u64>,
+    /// The handles the primary phase missed, ascending.
+    missing: Vec<u64>,
+    /// Per missing handle, whether a fetch for it landed.
+    got: Vec<bool>,
+    /// The current batch of fetches, in publish order: holder, and whether
+    /// it lands.
+    holders: Vec<NodeId>,
+    lands: Vec<bool>,
+    /// Their costs, in the same order.
+    costs: Vec<FetchCost>,
+    /// One fetch priced alone: what debug builds hold each cost against.
+    alone: Vec<FetchCost>,
+}
+
 impl Replicated {
     /// Wraps `inner` under `policy`.
     ///
@@ -444,91 +492,148 @@ impl Replicated {
         }
     }
 
-    /// Publish indices of the records valued in `[lo, hi]`, ascending.
-    fn in_range(&self, lo: f64, hi: f64) -> Vec<usize> {
-        let mut records: Vec<usize> = self
-            .by_value
-            .range((ValueOrd::new(lo), 0)..=(ValueOrd::new(hi), usize::MAX))
-            .map(|&(_, idx)| idx)
-            .collect();
+    /// Publish indices of the records valued in `[lo, hi]`, ascending, into
+    /// `records`.
+    fn in_range(&self, lo: f64, hi: f64, records: &mut Vec<usize>) {
+        records.clear();
+        records.extend(
+            self.by_value
+                .range((ValueOrd::new(lo), 0)..=(ValueOrd::new(hi), usize::MAX))
+                .map(|&(_, idx)| idx),
+        );
         records.sort_unstable();
-        records
     }
 
     /// The second query phase: fetch records the primary path missed from
     /// any live replica, with honest cost accounting. Under fault
-    /// injection (`faults` present) the fetches obey the same plan the
+    /// injection (`faults` present) the fetches obey part of the plan the
     /// primary phase did: holders the plan has crashed cannot serve, and
-    /// each fetch is dropped with the plan's message-loss probability,
-    /// drawn from an RNG derived from the query seed so the outcome stays
-    /// deterministic. Dropped fetches still cost their messages and delay.
+    /// each fetch is dropped with the plan's `drop_prob`, drawn from an RNG
+    /// derived from the query seed so the outcome stays deterministic.
+    /// Dropped fetches still cost their messages and delay. The plan's
+    /// hash-verdict loss (`lossy-p`, `bursty`) and its partitions never
+    /// touch a fetch.
+    ///
+    /// Deciding and pricing are separate: in publish order (the seeded
+    /// drop draws are consumed in it), each missing record's holder and
+    /// whether its fetch lands are decided; the decided fetches are then
+    /// priced together, [`FETCH_BATCH`] at a time, by
+    /// [`ReplicaRouting::fetch_costs`]. The phase's slowest fetch and
+    /// message sum do not depend on the order or grouping fetches are
+    /// priced in. Every buffer lives in `scratch`, so the phase allocates
+    /// nothing per query once grown, and the batch cap keeps the per-fetch
+    /// buffers at a typical query's size however wide a query is.
     ///
     /// When `fetch_log` is present every attempted fetch is recorded as
-    /// `(holder, cost, recovered)` — the trace plane's raw material; the
-    /// query outcome is identical either way.
+    /// `(holder, cost, recovered)`, in publish order — the trace plane's
+    /// raw material; the query outcome is identical either way.
     fn recover(
+        &self,
+        req: &RangeRequest,
+        out: RangeOutcome,
+        faults: Option<&simnet::FaultPlan>,
+        scratch: &mut QueryScratch,
+        fetch_log: Option<&mut Vec<(NodeId, FetchCost, bool)>>,
+    ) -> RangeOutcome {
+        if self.policy.is_none() {
+            return out;
+        }
+        let mut phase = std::mem::take(scratch.slot::<FetchPhase>());
+        let out = self.fetch_phase(req, out, faults, &mut phase, scratch, fetch_log);
+        *scratch.slot::<FetchPhase>() = phase;
+        out
+    }
+
+    /// [`recover`](Self::recover) on its buffers.
+    fn fetch_phase(
         &self,
         req: &RangeRequest,
         mut out: RangeOutcome,
         faults: Option<&simnet::FaultPlan>,
+        phase: &mut FetchPhase,
+        scratch: &mut QueryScratch,
         mut fetch_log: Option<&mut Vec<(NodeId, FetchCost, bool)>>,
     ) -> RangeOutcome {
         use rand::Rng as _;
-        if self.policy.is_none() {
-            return out;
-        }
+        let FetchPhase { in_range, expected, missing, got, holders, lands, costs, alone } = phase;
         let origin = req.origin();
-        let in_range = self.in_range(req.lo(), req.hi());
+        self.in_range(req.lo(), req.hi(), in_range);
         // Ground truth, ascending and deduplicated — the same contract as
         // `RangeOutcome::results`.
-        let mut expected: Vec<u64> = in_range.iter().map(|&idx| self.published[idx].1).collect();
+        expected.clear();
+        expected.extend(in_range.iter().map(|&idx| self.published[idx].1));
         expected.sort_unstable();
         expected.dedup();
-        if expected == out.results {
+        if *expected == out.results {
             return out;
         }
         // `expected − results` by one merge over the two ascending lists;
         // `got[i]` turns true once a fetch for `missing[i]` lands.
         let mut have = out.results.iter().copied().peekable();
-        let missing: Vec<u64> = expected
-            .iter()
-            .copied()
-            .filter(|&h| {
-                while have.next_if(|&x| x < h).is_some() {}
-                have.peek() != Some(&h)
-            })
-            .collect();
-        let mut got = vec![false; missing.len()];
-        let routing = self.routing();
+        missing.clear();
+        missing.extend(expected.iter().copied().filter(|&h| {
+            while have.next_if(|&x| x < h).is_some() {}
+            have.peek() != Some(&h)
+        }));
+        got.clear();
+        got.resize(missing.len(), false);
         let mut fault_state =
             faults.map(|plan| (plan, simnet::rng_from_seed(req.seed() ^ FETCH_SALT)));
-        let mut fetch_delay = 0u64;
-        let mut fetch_latency = 0u64;
+        let routing = self.routing();
+        let (mut fetch_delay, mut fetch_latency) = (0u64, 0u64);
         // Publish order: the seeded drop draws are consumed in it.
-        for idx in in_range {
-            let Ok(slot) = missing.binary_search(&self.published[idx].1) else { continue };
-            if got[slot] {
-                continue;
-            }
-            let holder = match &fault_state {
-                None => self.holders[idx].first().copied(),
-                Some((plan, _)) => self.holders[idx].iter().copied().find(|&h| !plan.is_crashed(h)),
-            };
-            let Some(holder) = holder else { continue };
-            let cost = routing.fetch_cost(origin, holder);
-            fetch_delay = fetch_delay.max(cost.hops);
-            fetch_latency = fetch_latency.max(cost.latency);
-            out.messages += cost.messages;
-            let mut landed = true;
-            if let Some((plan, rng)) = &mut fault_state {
-                if plan.drop_prob() > 0.0 && rng.gen::<f64>() < plan.drop_prob() {
-                    landed = false; // paid for, lost in transit
+        let mut records = in_range.iter();
+        loop {
+            holders.clear();
+            lands.clear();
+            for &idx in records.by_ref() {
+                let Ok(slot) = missing.binary_search(&self.published[idx].1) else { continue };
+                if got[slot] {
+                    continue;
+                }
+                let holder = match &fault_state {
+                    None => self.holders[idx].first().copied(),
+                    Some((plan, _)) => {
+                        self.holders[idx].iter().copied().find(|&h| !plan.is_crashed(h))
+                    }
+                };
+                let Some(holder) = holder else { continue };
+                let mut landed = true;
+                if let Some((plan, rng)) = &mut fault_state {
+                    if plan.drop_prob() > 0.0 && rng.gen::<f64>() < plan.drop_prob() {
+                        landed = false; // paid for, lost in transit
+                    }
+                }
+                got[slot] = landed;
+                holders.push(holder);
+                lands.push(landed);
+                if holders.len() == FETCH_BATCH {
+                    break;
                 }
             }
-            if let Some(log) = fetch_log.as_deref_mut() {
-                log.push((holder, cost, landed));
+            if holders.is_empty() {
+                break;
             }
-            got[slot] = landed;
+            costs.clear();
+            routing.fetch_costs(origin, holders, scratch, costs);
+            debug_assert_eq!(costs.len(), holders.len(), "one cost per fetch");
+            for ((&holder, &landed), &cost) in holders.iter().zip(lands.iter()).zip(costs.iter()) {
+                if cfg!(debug_assertions) {
+                    alone.clear();
+                    routing.fetch_costs(origin, &[holder], scratch, alone);
+                    assert_eq!(
+                        alone[..],
+                        [cost],
+                        "the batch priced the fetch {origin} -> {holder} unlike a fetch alone"
+                    );
+                }
+                fetch_delay = fetch_delay.max(cost.hops);
+                fetch_latency = fetch_latency.max(cost.latency);
+                out.messages += cost.messages;
+                if let Some(log) = fetch_log.as_deref_mut() {
+                    log.push((holder, cost, landed));
+                }
+            }
         }
         // Fetches run in parallel, but only after the primary phase came
         // back short — a strictly two-phase read (dropped fetches extend
@@ -541,10 +646,10 @@ impl Replicated {
             return out;
         }
         out.results
-            .extend(missing.iter().zip(&got).filter(|&(_, &landed)| landed).map(|(&h, _)| h));
+            .extend(missing.iter().zip(got.iter()).filter(|&(_, &landed)| landed).map(|(&h, _)| h));
         out.results.sort_unstable();
         out.results.dedup();
-        out.exact = out.results == expected;
+        out.exact = out.results == *expected;
         if out.exact {
             out.reached_peers = out.dest_peers;
         } else {
@@ -720,7 +825,7 @@ impl RangeScheme for Replicated {
         let out = self.inner.query(req, cx)?;
         let phase_start = fetch_phase_start(out.latency, cx.trace.as_deref());
         let mut log = cx.trace.is_some().then(Vec::new);
-        let out = self.recover(req, out, cx.faults, log.as_mut());
+        let out = self.recover(req, out, cx.faults, cx.scratch, log.as_mut());
         if let (Some(trace), Some(log)) = (cx.trace.as_deref_mut(), log) {
             splice_fetch_phase(trace, req.origin(), phase_start, &log);
         }
@@ -787,31 +892,35 @@ impl ReplicationControl for Replicated {
         if self.policy.is_none() {
             return repair;
         }
+        // Buffers for the whole pass: the copies one record still needs,
+        // and their transfer costs.
+        let mut scratch = QueryScratch::new();
+        let (mut transfers, mut costs) = (Vec::new(), Vec::new());
         for idx in 0..self.published.len() {
             let owners = self.owners(self.published[idx].0);
             let desired = owners.get(1..).unwrap_or(&[]);
-            let primary = owners.first().copied();
             let current = &mut self.holders[idx];
             let before = current.len();
             current.retain(|h| desired.contains(h));
             let retired = before - current.len();
             repair.dropped += retired;
             repair.messages += retired as u64; // one retirement message each
-            for &owner in desired {
-                if !current.contains(&owner) {
-                    // Copy transfer from the primary owner's side.
-                    let cost = self
-                        .inner
-                        .as_replica_routing()
-                        .expect("checked")
-                        .fetch_cost(primary.unwrap_or(owner), owner);
-                    repair.messages += cost.messages;
-                    // Transfers run in parallel: the pass's virtual-time
-                    // critical path is its slowest single transfer.
-                    repair.latency = repair.latency.max(cost.latency);
-                    current.push(owner);
-                    repair.placed += 1;
-                }
+            transfers.clear();
+            transfers.extend(desired.iter().copied().filter(|owner| !current.contains(owner)));
+            if transfers.is_empty() {
+                continue;
+            }
+            current.extend_from_slice(&transfers);
+            repair.placed += transfers.len();
+            // Copy transfers from the primary owner's side.
+            costs.clear();
+            let routing = self.inner.as_replica_routing().expect("checked");
+            routing.fetch_costs(owners[0], &transfers, &mut scratch, &mut costs);
+            for cost in &costs {
+                repair.messages += cost.messages;
+                // Transfers run in parallel: the pass's virtual-time
+                // critical path is its slowest single transfer.
+                repair.latency = repair.latency.max(cost.latency);
             }
         }
         repair

@@ -1,6 +1,7 @@
 //! Criterion benches for the substrate building blocks: naming, routing,
 //! network construction, the three layers a replicated stack adds
-//! (placement, repair, the fetch route), the parts of Armada's descent — the
+//! (placement, repair, the fetch route and a query's whole fetch phase),
+//! the parts of Armada's descent — the
 //! routing table a membership epoch pays for once, the handler every
 //! delivery runs under PIRA's and under MIRA's predicate, the gather over
 //! the object table a query ends with, and a publish into that table — and
@@ -18,6 +19,7 @@ use fissione::{FissioneConfig, FissioneNet};
 use kautz::naming::{MultiHash, SingleHash};
 use kautz::KautzStr;
 use rand::Rng;
+use simnet::QueryScratch;
 
 fn bench_naming(c: &mut Criterion) {
     let single = SingleHash::new(0.0, 1000.0, 100).unwrap();
@@ -171,6 +173,21 @@ fn bench_replication(c: &mut Criterion) {
             let origin = peers[rng.gen_range(0..peers.len())];
             let holder = peers[rng.gen_range(0..peers.len())];
             routing.fetch_cost(origin, holder)
+        })
+    });
+    // A query's whole fetch phase: one origin, 223 random holders (what a
+    // `stack-hostile` query fetches on average), priced in one call
+    // through a scratch kept across iterations.
+    let mut scratch = QueryScratch::new();
+    let (mut holders, mut costs) = (Vec::with_capacity(223), Vec::with_capacity(223));
+    c.bench_function("replica_fetch_phase/10000", |b| {
+        b.iter(|| {
+            let origin = peers[rng.gen_range(0..peers.len())];
+            holders.clear();
+            holders.extend((0..223).map(|_| peers[rng.gen_range(0..peers.len())]));
+            costs.clear();
+            routing.fetch_costs(origin, &holders, &mut scratch, &mut costs);
+            costs.len()
         })
     });
 }

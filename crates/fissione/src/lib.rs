@@ -75,7 +75,7 @@ pub use net::{
     FissioneNet, InvariantReport, KeyRegion, ObjectKey, Peer, PeerKey, RouteTable,
     MAX_OBJECT_ID_LEN, MAX_PEER_DEPTH,
 };
-pub use routing::Route;
+pub use routing::{Route, RouteTree};
 pub use stats::{DegreeStats, DepthStats, RoutingSample};
 
 use simnet::NodeId;

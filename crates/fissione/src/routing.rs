@@ -10,17 +10,26 @@
 //! A hop is a read of the current peer's [`RouteTable`] row — §3's routing
 //! table *is* the out-neighbor list. `I` extends the left shift `C.id[1..]`,
 //! so its owner is by definition one of the out-neighbors the row lists: the
-//! hop finds `j` and `I` on the order-preserving `u128` keys with integer
+//! hop forms `I` on the order-preserving `u128` keys with integer
 //! operations, then scans the row (2–3 entries under balance) for the one
-//! key that prefixes `I`. It allocates nothing and never probes the global
-//! ordered cover; it costs three dependent reads (row bounds, row, neighbor
-//! keys), ≈ 45 ns at N = 10⁴. The first route after a membership change
-//! builds the table ([`FissioneNet::route_table`]); every later one shares
-//! it.
+//! key that prefixes `I`. The hop carries the next peer's `j` with it — a
+//! neighbor no shorter than the shift is `C.id[1..] ++ T[j..j']`, so `j'`
+//! follows from its length — and a route slides for `j` symbol by symbol
+//! only at its origin and after a short neighbor. A hop allocates nothing
+//! and never probes the global ordered cover; it costs three dependent
+//! reads (row bounds, row, neighbor keys), ≈ 40 ns at N = 10⁴. The first
+//! route after a membership change builds the table
+//! ([`FissioneNet::route_table`]); every later one shares it.
 //!
-//! Debug builds assert every hop — the pick and the error arm — against the
-//! ordered-cover probe behind [`FissioneNet::owner_of`], and the tests below
-//! hold both against the §3 rule on strings.
+//! Many routes from one origin — a query's replica fetches — are walked as
+//! one route tree ([`FissioneNet::route_tree_fold`]): in target key order,
+//! each resumes from the deepest peer of the previous route it provably
+//! shares, so the hops near the origin are walked once for the batch.
+//!
+//! Debug builds assert every hop — the pick, the error arm and the carried
+//! `j` — against the ordered-cover probe behind [`FissioneNet::owner_of`]
+//! and the slide, and the tests below hold routes against the §3 rule on
+//! strings and route trees against one route per target.
 
 use crate::net::{enc_is_prefix, enc_len, enc_probe, RouteTable};
 use crate::{FissioneError, FissioneNet};
@@ -59,7 +68,7 @@ impl Route {
 /// string (its first 64 symbols — live PeerID depths never approach that,
 /// so every prefix and suffix relation a hop needs is decided inside it)
 /// and the string's full length.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct Target {
     probe: u128,
     len: usize,
@@ -68,6 +77,81 @@ struct Target {
 impl Target {
     fn of(target: &KautzStr) -> Self {
         Target { probe: enc_probe(target), len: target.len() }
+    }
+}
+
+/// Where a route stands: at live peer `node`, whose `RouteTable::enc` key
+/// is `key`, and `j`, the length of the longest proper suffix of that key
+/// which prefixes the target (the overlap the next hop continues from).
+#[derive(Debug, Clone, Copy)]
+struct At {
+    node: NodeId,
+    key: u128,
+    j: usize,
+}
+
+impl At {
+    /// A route's first position: the overlap found by sliding.
+    fn start(table: &RouteTable, node: NodeId, target: Target) -> Self {
+        let key = table.enc(node);
+        At { node, key, j: overlap(key, target) }
+    }
+}
+
+/// The longest proper suffix of the id keyed `id` that prefixes `target`:
+/// with the id's last `j` groups slid to the top of the key, they equal the
+/// target's first `j` iff the two keys first differ below them (a target
+/// shorter than `j` has a zero group there, an id never). The slide starts
+/// at `j = len − 1` and the first hit is the longest; it costs a constant
+/// shift and a `leading_zeros` per step, at most `len(id)` steps.
+fn overlap(id: u128, target: Target) -> usize {
+    let (mut suffix, mut j) = (id << 2, enc_len(id) - 1);
+    while j > 0 && (suffix ^ target.probe).leading_zeros() < 2 * j as u32 {
+        suffix <<= 2;
+        j -= 1;
+    }
+    j
+}
+
+/// One peer on the route [`FissioneNet::route_tree_fold`] walked last: where
+/// it stood, how many leading target symbols the walk from the origin
+/// depended on to get there (`need`; `usize::MAX` once a hop needed a
+/// slide), and the value folded so far.
+#[derive(Debug, Clone, Copy)]
+struct Frame<A> {
+    at: At,
+    need: usize,
+    acc: A,
+}
+
+/// What one call of [`FissioneNet::route_tree_fold`] works on and returns:
+/// the targets' keys, their sort order, the frames of the route walked
+/// last, and one result per target. Kept across calls (a query scratch
+/// slot), it allocates nothing once grown.
+#[derive(Debug)]
+pub struct RouteTree<A> {
+    targets: Vec<Target>,
+    order: Vec<u32>,
+    frames: Vec<Frame<A>>,
+    results: Vec<Result<(NodeId, A), FissioneError>>,
+}
+
+impl<A> Default for RouteTree<A> {
+    fn default() -> Self {
+        RouteTree {
+            targets: Vec::new(),
+            order: Vec::new(),
+            frames: Vec::new(),
+            results: Vec::new(),
+        }
+    }
+}
+
+impl<A> RouteTree<A> {
+    /// The last call's results, one per target in the order given: what
+    /// [`FissioneNet::route_fold`] returns for that target.
+    pub fn results(&self) -> &[Result<(NodeId, A), FissioneError>] {
+        &self.results
     }
 }
 
@@ -89,40 +173,33 @@ impl FissioneNet {
         // Liveness before the table: a dead slot has no key to shift.
         self.peer(node)?;
         let table = self.route_table();
-        let next = self.hop(table, node, table.enc(node), Target::of(target))?;
-        Ok(next.map(|(node, _)| node))
+        let target = Target::of(target);
+        let next = self.hop(table, At::start(table, node, target), target)?;
+        Ok(next.map(|(next, _)| next.node))
     }
 
-    /// The hop rule: from live peer `node`, whose `RouteTable::enc` key is
-    /// `id`, the next peer toward `target` and that peer's own key (the row
-    /// scan reads it anyway, so a route looks no key up twice).
+    /// The hop rule: from `at`, the next position toward `target` and
+    /// whether its overlap was carried (`true`) or had to be slid for.
     ///
-    /// Cost: the suffix match slides the id left one symbol at a time (a
-    /// constant shift and a `leading_zeros` per step, at most `len(id)`
-    /// steps), the ideal continuation is one more shift, and the owner is
-    /// found among the row's 2–3 keys.
+    /// Cost: the ideal continuation is one shift of the current key, and
+    /// its owner is found among the row's 2–3 keys. The next peer's overlap
+    /// is carried, not slid for: the owner prefixes `id[1..] ++ T[j..]`, so
+    /// a next key of `l ≥ len − 1` symbols is `id[1..] ++ T[j..j']` with
+    /// `j' = j + l − (len − 1)`, and a longer overlap would make one of the
+    /// current id longer than `j`. Only a short neighbor (`l < len − 1`,
+    /// which the neighborhood invariant rules out) is slid for.
     fn hop(
         &self,
         table: &RouteTable,
-        node: NodeId,
-        id: u128,
+        at: At,
         target: Target,
-    ) -> Result<Option<(NodeId, u128)>, FissioneError> {
+    ) -> Result<Option<(At, bool)>, FissioneError> {
+        let At { node, key: id, j } = at;
         if enc_is_prefix(id, target.probe) {
             return Ok(None);
         }
+        debug_assert_eq!(j, overlap(id, target), "peer {node} carried a wrong overlap");
         let len = enc_len(id);
-        // The longest suffix of the id that prefixes the target: with the
-        // id's last `j` groups slid to the top of the key, they equal the
-        // target's first `j` iff the two keys first differ below them (a
-        // target shorter than `j` has a zero group there, an id never). The
-        // whole id cannot match (it is no prefix of the target), so the
-        // slide starts at `j = len − 1`, and the first hit is the longest.
-        let (mut suffix, mut j) = (id << 2, len - 1);
-        while j > 0 && (suffix ^ target.probe).leading_zeros() < 2 * j as u32 {
-            suffix <<= 2;
-            j -= 1;
-        }
         // The ideal continuation `id[1..] ++ target[j..]`, windowed like any
         // other probe: the target laid over the shift's last `j` groups,
         // which it repeats.
@@ -141,9 +218,12 @@ impl FissioneNet {
             self.owner_of_enc(ideal, ideal_len),
             "the row of peer {node} and the ordered cover disagree on an owner"
         );
-        let next = next?;
-        debug_assert_ne!(next.0, node, "Kautz shift cannot map a peer to itself");
-        Ok(Some(next))
+        let (next, key) = next?;
+        debug_assert_ne!(next, node, "Kautz shift cannot map a peer to itself");
+        let next_len = enc_len(key);
+        let carried = next_len + 1 >= len;
+        let j = if carried { j + next_len + 1 - len } else { overlap(key, target) };
+        Ok(Some((At { node: next, key, j }, carried)))
     }
 
     /// Walks the route from `from` to the owner of `target` (an
@@ -168,20 +248,94 @@ impl FissioneNet {
         // Liveness before the table, as in `next_hop`.
         self.peer(from)?;
         let table = self.route_table();
-        let (mut cur, mut id) = (from, table.enc(from));
+        let mut at = At::start(table, from, target);
         // `len(id) − j` strictly decreases each hop; the initial ID length
         // bounds the loop. Guard with a generous cap for defence in depth.
         let cap = self.max_depth() + 2;
         for _ in 0..=cap {
-            match self.hop(table, cur, id, target)? {
-                None => return Ok((cur, acc)),
-                Some((next, key)) => {
-                    acc = f(acc, cur, next);
-                    (cur, id) = (next, key);
+            match self.hop(table, at, target)? {
+                None => return Ok((at.node, acc)),
+                Some((next, _)) => {
+                    acc = f(acc, at.node, next.node);
+                    at = next;
                 }
             }
         }
         unreachable!("routing exceeded its progress bound");
+    }
+
+    /// [`route_fold`](Self::route_fold) from one origin to many targets at
+    /// once, priced as one route tree: `out.results()[i]` is what
+    /// `route_fold(from, targets[i], init, f)` returns, for a pure `f`.
+    ///
+    /// Routes from one origin share their first hops, and a hop depends on
+    /// the target only through the overlap it continues from and the
+    /// target symbols it appends. So the targets are walked in key order
+    /// and each resumes from the deepest peer of the previous route it
+    /// provably shares: its own overlap at the origin equals the previous
+    /// target's, it agrees with the previous target on every symbol the
+    /// walk to that peer appended (none of whose hops needed a slide), and
+    /// no peer before that one owns it. `f` runs once per edge walked, and
+    /// a resumed target starts from the value folded up to its peer.
+    /// Allocates nothing once `out` has grown to the batch.
+    pub fn route_tree_fold<'t, A: Copy>(
+        &self,
+        from: NodeId,
+        targets: impl IntoIterator<Item = &'t KautzStr>,
+        init: A,
+        mut f: impl FnMut(A, NodeId, NodeId) -> A,
+        out: &mut RouteTree<A>,
+    ) {
+        let RouteTree { targets: keys, order, frames, results } = out;
+        keys.clear();
+        keys.extend(targets.into_iter().map(Target::of));
+        results.clear();
+        frames.clear();
+        if let Err(e) = self.peer(from) {
+            results.extend(keys.iter().map(|_| Err(e.clone())));
+            return;
+        }
+        results.resize(keys.len(), Ok((from, init)));
+        order.clear();
+        order.extend(0..u32::try_from(keys.len()).expect("route tree targets fit u32"));
+        order.sort_unstable_by_key(|&i| keys[i as usize].probe);
+        let table = self.route_table();
+        let cap = self.max_depth() + 2;
+        // The probe of the target whose route `frames` holds.
+        let mut prev = 0u128;
+        for &i in order.iter() {
+            let target = keys[i as usize];
+            let start = At::start(table, from, target);
+            let mut depth = 0;
+            if frames.first().is_some_and(|origin| origin.at.j == start.j) {
+                let common = ((target.probe ^ prev).leading_zeros() / 2) as usize;
+                while depth + 1 < frames.len()
+                    && frames[depth + 1].need <= common
+                    && !enc_is_prefix(frames[depth].at.key, target.probe)
+                {
+                    depth += 1;
+                }
+                frames.truncate(depth + 1);
+            } else {
+                frames.clear();
+                frames.push(Frame { at: start, need: 0, acc: init });
+            }
+            prev = target.probe;
+            let Frame { mut at, mut need, mut acc } = frames[depth];
+            results[i as usize] = loop {
+                assert!(frames.len() <= cap + 2, "routing exceeded its progress bound");
+                match self.hop(table, at, target) {
+                    Ok(None) => break Ok((at.node, acc)),
+                    Err(e) => break Err(e),
+                    Ok(Some((next, carried))) => {
+                        acc = f(acc, at.node, next.node);
+                        need = if carried && need != usize::MAX { next.j } else { usize::MAX };
+                        at = next;
+                        frames.push(Frame { at, need, acc });
+                    }
+                }
+            };
+        }
     }
 
     /// Routes from `from` to the owner of `target`, returning the full
@@ -398,6 +552,127 @@ mod tests {
                 }
                 // The victim too: departed, if the operation removed it.
                 assert_key_space_equals_strings(&net, &mut rng, 1, &[victim]);
+            }
+        }
+    }
+
+    /// A route tree's fold: the hop count and a digest of the edges walked,
+    /// in order (so two folds agree only on the same path).
+    fn path_digest((hops, digest): (u64, u64), src: NodeId, dst: NodeId) -> (u64, u64) {
+        (hops + 1, simnet::mix(digest, src as u64, dst as u64))
+    }
+
+    /// The batch of route-tree targets from `from`: the origin's own PeerID,
+    /// live PeerIDs (some twice), the ids in `departed`, ObjectIDs at the
+    /// network's length and at 100 symbols, ObjectID-length extensions of
+    /// PeerIDs (which share long prefixes with them), and prefixes too short
+    /// to have an owner.
+    fn tree_targets(
+        net: &FissioneNet,
+        rng: &mut SmallRng,
+        from: NodeId,
+        departed: &[KautzStr],
+    ) -> Vec<KautzStr> {
+        let peers: Vec<NodeId> = net.live_peers().collect();
+        let k = net.config().object_id_len;
+        let mut targets: Vec<KautzStr> = departed.to_vec();
+        targets.extend(net.peer_id(from).ok().cloned());
+        for _ in 0..12 {
+            let id = net.peer_id(peers[rng.gen_range(0..peers.len())]).unwrap().clone();
+            let object = KautzStr::random(2, k, rng);
+            targets.push(id.min_extension(k));
+            targets.push(object.take_front(rng.gen_range(0..8)));
+            targets.push(KautzStr::random(2, 100, rng));
+            targets.extend([id.clone(), id, object]);
+        }
+        let again = targets[rng.gen_range(0..targets.len())].clone();
+        targets.push(again);
+        targets
+    }
+
+    /// Holds one route tree per origin against one `route_fold` per target,
+    /// result for result, through one reused [`RouteTree`]; returns the
+    /// edges the trees walked and the edges the routes did.
+    fn assert_tree_equals_routes(
+        net: &FissioneNet,
+        rng: &mut SmallRng,
+        origins: &[NodeId],
+        departed: &[KautzStr],
+    ) -> (u64, u64) {
+        let mut tree = RouteTree::default();
+        let (mut walked, mut routed) = (0, 0);
+        for &from in origins {
+            let targets = tree_targets(net, rng, from, departed);
+            let count = |acc, src, dst| {
+                walked += 1;
+                path_digest(acc, src, dst)
+            };
+            net.route_tree_fold(from, &targets, (0, 0), count, &mut tree);
+            assert_eq!(tree.results().len(), targets.len());
+            for (target, got) in targets.iter().zip(tree.results()) {
+                let want = net.route_fold(from, target, (0, 0), path_digest);
+                assert_eq!(*got, want, "{from} -> {target}");
+                routed += want.map_or(0, |(_, (hops, _))| hops);
+            }
+        }
+        (walked, routed)
+    }
+
+    #[test]
+    fn route_trees_equal_one_route_per_target() {
+        for (n, seed) in [(3, 31), (40, 32), (700, 33)] {
+            let mut rng = simnet::rng_from_seed(seed);
+            let mut net = build(n, seed);
+            let origins: Vec<NodeId> = (0..8).map(|_| net.random_peer(&mut rng)).collect();
+            let (walked, routed) = assert_tree_equals_routes(&net, &mut rng, &origins, &[]);
+            assert!(walked < routed, "N = {n}: the trees shared no hop");
+            // Deepen some leaves past their neighbors' depth, so hops reach
+            // short neighbors and slide; then a departed origin and departed
+            // targets.
+            for _ in 0..4 {
+                let leaf = net.random_peer(&mut rng);
+                net.split_leaf(leaf);
+                net.split_leaf(leaf);
+            }
+            let leaver = net.random_peer(&mut rng);
+            let departed = vec![net.peer_id(leaver).unwrap().clone()];
+            if net.leave(leaver).is_ok() {
+                let mut origins: Vec<NodeId> = (0..8).map(|_| net.random_peer(&mut rng)).collect();
+                origins.push(leaver);
+                assert_tree_equals_routes(&net, &mut rng, &origins, &departed);
+            }
+        }
+    }
+
+    // The same comparison on churned covers (3 : 2 : 1 join, leave, crash),
+    // never stabilized, so the neighborhood invariant breaks: after every
+    // operation, from two live origins and from the victim, with the ids of
+    // every departed peer among the targets.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn route_trees_equal_one_route_per_target_after_churn(
+            seed in 0u64..1000,
+            ops in prop::collection::vec((0u8..6, any::<usize>()), 1..60),
+        ) {
+            let mut rng = simnet::rng_from_seed(seed);
+            let mut net = build(12, seed);
+            let mut departed = Vec::new();
+            for (op, raw) in ops {
+                let peers: Vec<NodeId> = net.live_peers().collect();
+                let victim = peers[raw % peers.len()];
+                let id = net.peer_id(victim).unwrap().clone();
+                let gone = match op {
+                    0..=2 => { net.join(&mut rng); false }
+                    3..=4 => net.leave(victim).is_ok(),
+                    _ => net.crash(victim).is_ok(),
+                };
+                if gone {
+                    departed.push(id);
+                }
+                let origins = [peers[raw % 7 % peers.len()], net.random_peer(&mut rng), victim];
+                assert_tree_equals_routes(&net, &mut rng, &origins, &departed);
             }
         }
     }

@@ -1,5 +1,6 @@
 //! The event-queue kernel: virtual clock, message scheduling, delivery.
 
+use crate::counts::{Counted, SendCounts};
 use crate::faults::FaultPlan;
 use crate::net::NetModel;
 use crate::stats::SimStats;
@@ -7,7 +8,7 @@ use crate::trace::{HopKind, TraceEvent, TraceSink, Verdict};
 use crate::{NodeId, SimTime};
 use rand::rngs::SmallRng;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Per-hop virtual latency model governing **event scheduling** (the
 /// simulator's clock).
@@ -146,13 +147,11 @@ pub struct Sim<'p, M> {
     net: NetModel,
     faults: Cow<'p, FaultPlan>,
     stats: SimStats,
-    // Hostile-fault bookkeeping, touched only when the matching family is
-    // attached. BTreeMaps (not HashMaps): entries are created in
-    // deterministic event order and must never leak hasher state.
-    /// Delivery attempts per directed edge — the loss plan's attempt index.
-    edge_attempts: BTreeMap<(NodeId, NodeId), u64>,
-    /// Network messages sent per peer — the rate limiter's bucket counter.
-    peer_sends: BTreeMap<NodeId, u64>,
+    /// Hostile-fault bookkeeping, touched only when the matching family is
+    /// attached: delivery attempts per directed edge (the loss plan's
+    /// attempt index) and network messages per peer (the rate limiter's
+    /// bucket), in one flat table that is read by key and never iterated.
+    counts: SendCounts,
     /// The observability plane: `None` (the default) keeps every emission
     /// site a single branch with no allocation, so traced-off runs are
     /// bit-identical to pre-trace builds.
@@ -185,8 +184,7 @@ impl<'p, M> Sim<'p, M> {
             net: NetModel::unit(),
             faults: Cow::Owned(FaultPlan::default()),
             stats: SimStats::default(),
-            edge_attempts: BTreeMap::new(),
-            peer_sends: BTreeMap::new(),
+            counts: SendCounts::default(),
             trace: None,
         }
     }
@@ -200,28 +198,25 @@ impl<'p, M> Sim<'p, M> {
         sim.queue = std::mem::take(&mut scratch.queue);
         sim.cur = std::mem::take(&mut scratch.cur);
         sim.next = std::mem::take(&mut scratch.next);
-        sim.edge_attempts = std::mem::take(&mut scratch.edge_attempts);
-        sim.peer_sends = std::mem::take(&mut scratch.peer_sends);
+        sim.counts = std::mem::take(&mut scratch.counts);
         debug_assert!(sim.pending() == 0, "recycled scratch must arrive empty");
         sim
     }
 
     /// Parks this simulator's collections in `scratch` for the next
-    /// [`from_scratch`](Sim::from_scratch), clearing them first. The heap
-    /// and lanes retain capacity across the round trip; the fault
-    /// bookkeeping maps are node-allocated (`BTreeMap`) so clearing frees
-    /// them, but they are only ever populated under hostile plans.
+    /// [`from_scratch`](Sim::from_scratch), clearing them first. The heap,
+    /// the lanes and the fault counters all retain capacity across the
+    /// round trip; clearing the counters costs only the entries this run
+    /// filled.
     pub fn recycle(mut self, scratch: &mut SimScratch<M>) {
         self.queue.clear();
         self.cur.clear();
         self.next.clear();
-        self.edge_attempts.clear();
-        self.peer_sends.clear();
+        self.counts.clear();
         scratch.queue = std::mem::take(&mut self.queue);
         scratch.cur = std::mem::take(&mut self.cur);
         scratch.next = std::mem::take(&mut self.next);
-        scratch.edge_attempts = std::mem::take(&mut self.edge_attempts);
-        scratch.peer_sends = std::mem::take(&mut self.peer_sends);
+        scratch.counts = std::mem::take(&mut self.counts);
     }
 
     /// Attaches a [`TraceSink`]: from here on every send verdict, scheduled
@@ -363,9 +358,7 @@ impl<'p, M> Sim<'p, M> {
         if is_network {
             self.stats.messages_sent += 1;
             if let Some(rl) = self.faults.rate_limit() {
-                let sent = self.peer_sends.entry(from).or_insert(0);
-                *sent += 1;
-                queueing = rl.queue_delay(*sent);
+                queueing = rl.queue_delay(self.counts.bump(Counted::Peer(from)));
                 if queueing > 0 {
                     self.stats.messages_throttled += 1;
                     if self.trace.is_some() {
@@ -422,9 +415,8 @@ impl<'p, M> Sim<'p, M> {
             // verdicts while the whole stream stays a pure function of the
             // event order — itself deterministic per seed.
             if let Some(loss) = self.faults.loss() {
-                let attempt = self.edge_attempts.get(&(from, to)).copied().unwrap_or(0);
+                let attempt = self.counts.bump(Counted::Edge(from, to)) - 1;
                 let verdict = loss.lost(self.faults.plan_seed() ^ self.seed, from, to, attempt);
-                self.edge_attempts.insert((from, to), attempt + 1);
                 if verdict {
                     self.stats.messages_lost += 1;
                     if self.trace.is_some() {
@@ -582,7 +574,7 @@ impl<'p, M> Sim<'p, M> {
 }
 
 /// Parked [`Sim`] collections for reuse across queries: the far-future
-/// event heap, both cohort lanes, and the fault-bookkeeping maps. One
+/// event heap, both cohort lanes, and the fault-bookkeeping counters. One
 /// lives per driver thread; a query builds its simulator with
 /// [`Sim::from_scratch`] and parks the collections back with
 /// [`Sim::recycle`], so steady-state scheduling allocates nothing.
@@ -595,8 +587,7 @@ pub struct SimScratch<M> {
     queue: BinaryHeap<Scheduled<M>>,
     cur: VecDeque<Envelope<M>>,
     next: VecDeque<Envelope<M>>,
-    edge_attempts: BTreeMap<(NodeId, NodeId), u64>,
-    peer_sends: BTreeMap<NodeId, u64>,
+    counts: SendCounts,
 }
 
 impl<M> Default for SimScratch<M> {
@@ -605,8 +596,7 @@ impl<M> Default for SimScratch<M> {
             queue: BinaryHeap::new(),
             cur: VecDeque::new(),
             next: VecDeque::new(),
-            edge_attempts: BTreeMap::new(),
-            peer_sends: BTreeMap::new(),
+            counts: SendCounts::default(),
         }
     }
 }
@@ -958,6 +948,96 @@ mod tests {
                 .with_faults_ref(&plan);
             assert_eq!(run(&mut sim), fresh, "round {round} diverged");
             sim.recycle(&mut scratch);
+        }
+    }
+
+    #[test]
+    fn send_counters_reproduce_an_ordered_map_oracle_across_recycles() {
+        // Forwarding chains over six nodes repeat every edge many times.
+        // Under per-edge loss, bursty loss and a rate limit, a recycled
+        // simulator's stats and trace equal a fresh one's byte for byte, and
+        // each network send's ruling in the trace replays against attempt
+        // indices and bucket counts kept in ordered maps.
+        use crate::trace::{TraceRecord, TraceSink};
+        use std::collections::BTreeMap;
+        let run = |sim: &mut Sim<'_, u64>, round: u64| -> (String, Vec<TraceRecord>) {
+            for i in 0..24 {
+                sim.send(i % 6, (i * 7 + round as usize) % 6, 0, 40 + i as u64);
+            }
+            sim.run(|sim, env| {
+                if env.payload > 0 {
+                    let to = (env.to + 1 + (env.payload * 13 + round) as usize % 5) % 6;
+                    sim.forward(&env, to, env.payload - 1);
+                }
+            });
+            let records = sim.take_trace().unwrap().into_records();
+            (format!("{:?}", sim.stats()), records)
+        };
+        let json = |records: &[TraceRecord]| -> Vec<String> {
+            records.iter().map(TraceRecord::to_json_line).collect()
+        };
+        for name in ["lossy-p", "bursty", "throttle"] {
+            let plan = FaultPlan::named_hostile(name).unwrap();
+            let mut scratch = SimScratch::new();
+            for round in 0..4 {
+                let seed = 90 + round;
+                let traced = |sim: Sim<'static, u64>| sim.with_trace(TraceSink::new());
+                let mut sim = traced(Sim::from_scratch(seed, &mut scratch)).with_faults_ref(&plan);
+                let (stats, records) = run(&mut sim, round);
+                sim.recycle(&mut scratch);
+                let mut fresh = traced(Sim::new(seed)).with_faults_ref(&plan);
+                let (fresh_stats, fresh) = run(&mut fresh, round);
+                assert_eq!(stats, fresh_stats, "{name} round {round}");
+                assert_eq!(json(&records), json(&fresh), "{name} round {round}");
+
+                let salt = plan.plan_seed() ^ seed;
+                let mut attempts: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
+                let mut sends: BTreeMap<NodeId, u64> = BTreeMap::new();
+                let (mut lost, mut throttled, mut announced) = (0, 0, None);
+                for r in &records {
+                    match &r.event {
+                        TraceEvent::FaultVerdict { src, dst, verdict, plan: ruling } => {
+                            if *verdict == Verdict::Throttled {
+                                announced = Some((*src, *dst, ruling.clone()));
+                                continue;
+                            }
+                            assert_eq!(*verdict, Verdict::Lost, "{name}: {ruling}");
+                            let a = attempts.entry((*src, *dst)).or_insert(0);
+                            assert!(plan.loss().unwrap().lost(salt, *src, *dst, *a));
+                            assert_eq!(*ruling, format!("hash-loss attempt {a}"));
+                            *a += 1;
+                            lost += 1;
+                        }
+                        TraceEvent::Hop {
+                            src, dst, edge_cost_ms, kind: HopKind::Network, ..
+                        } => {
+                            if let Some(loss) = plan.loss() {
+                                let a = attempts.entry((*src, *dst)).or_insert(0);
+                                assert!(
+                                    !loss.lost(salt, *src, *dst, *a),
+                                    "{name}: delivered a loss"
+                                );
+                                *a += 1;
+                            }
+                            let queueing = plan.rate_limit().map_or(0, |rl| {
+                                let sent = sends.entry(*src).or_insert(0);
+                                *sent += 1;
+                                rl.queue_delay(*sent)
+                            });
+                            let want = (queueing > 0)
+                                .then(|| (*src, *dst, format!("rate-limit +{queueing}ms")));
+                            throttled += u64::from(queueing > 0);
+                            assert_eq!(announced.take(), want, "{name} round {round}");
+                            let edge = NetModel::unit().edge_cost(*src, *dst);
+                            assert_eq!(*edge_cost_ms, queueing + edge);
+                        }
+                        _ => {}
+                    }
+                }
+                assert!(lost + throttled > 0, "{name} round {round}: the plan never ruled");
+                assert!(stats.contains(&format!("messages_lost: {lost},")), "{stats}");
+                assert!(stats.contains(&format!("messages_throttled: {throttled},")), "{stats}");
+            }
         }
     }
 

@@ -56,6 +56,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod counts;
 mod engine;
 mod faults;
 mod net;

@@ -6,10 +6,10 @@
 //! interned routing state) drove steady-state allocations per query down
 //! to O(results); these ceilings pin that property so a regressed hot
 //! path — a reintroduced per-hop clone, a `Sim::new` per query — fails
-//! `cargo test`, not just the (slower, feature-gated) bench gate. Each
-//! ceiling carries ~4× headroom over the measured steady state so routine
-//! drift stays quiet while an accidental O(messages) regression (tens of
-//! allocations per hop at these sizes) trips immediately.
+//! `cargo test`. Each ceiling carries headroom over the measured steady
+//! state (1.5× for the tight rungs, up to ~4× for the loose ones) so
+//! routine drift stays quiet while an accidental O(messages) regression
+//! (tens of allocations per hop at these sizes) trips immediately.
 //!
 //! The same test pins two layouts without a stopwatch: what `publish` and
 //! a no-op `re_replicate` ask of the allocator per record on the
@@ -197,13 +197,17 @@ fn steady_state_allocations_per_query_stay_within_budget() {
         ("skipgraph", 20.0),
         // Composed stacks: the wrappers thread the caller's scratch down
         // to the engine, so a faulted retry attempt costs what a bare
-        // query does. Measured: 17.2, 12.7, 52.2, 28.1, each at 1.5×: a
-        // fetch phase allocates per query, never per fetch or per routed
-        // hop, and a tight ceiling says so.
+        // query does. Measured: 17.2, 12.7, each at 1.5×. The hostile
+        // rungs were re-measured once the loss plan's attempt counters
+        // became a flat table kept across recycles and the fetch phase's
+        // buffers moved into the scratch: 36.0 and 14.4 (52.2 and 28.1
+        // before, mostly ordered-map nodes), each at 1.5×. A fetch phase
+        // allocates nothing per fetch or per routed hop, in debug builds
+        // too (their per-fetch check prices through the same scratch).
         ("pira+r3", 26.0),
         ("pira@wan", 19.0),
-        ("pira@lossy-p/r3", 78.0),
-        ("pira+r3@wan@lossy-p/r3", 42.0),
+        ("pira@lossy-p/r3", 54.0),
+        ("pira+r3@wan@lossy-p/r3", 22.0),
     ];
     let mixed = WorkloadGen::named("mixed", DOMAIN).unwrap();
     let mut failures = Vec::new();
