@@ -22,6 +22,14 @@
 //! routing-table keys against the region; [`mira`](crate::mira) intersects
 //! rectangles.
 //!
+//! The descent works on *ranks*, positions in the network's
+//! [`RouteTable`](fissione::RouteTable), which lists the peers in PeerID
+//! order: a peer's row is a rank interval, a region's destination run is a
+//! rank range, and the answer ledger is indexed by rank, so a wide query
+//! reads the table and the ledger in order. The simulator, the net model,
+//! fault verdicts and traces see `NodeId`s; a message names its receiver
+//! both ways.
+//!
 //! The handler only *marks* an answer. The records are read after the run,
 //! by [`gather`], from the one ordered object table the network keeps.
 
@@ -30,6 +38,7 @@ use crate::{ArmadaError, QueryMetrics, QueryOutcome, RecordId};
 use fissione::FissioneNet;
 use kautz::KautzRegion;
 use simnet::{Answers, Envelope, FaultPlan, NetModel, NodeId, Sim, SimScratch, TraceRecord};
+use std::ops::Range;
 
 /// One in-flight sub-query message — `Copy`, so forwarding a message down
 /// the routing tree moves twenty-four bytes instead of cloning Kautz strings
@@ -39,11 +48,15 @@ use simnet::{Answers, Envelope, FaultPlan, NetModel, NodeId, Sim, SimScratch, Tr
 struct Msg {
     /// Index into the per-query sub-query table.
     sub: u8,
+    /// The receiver's routing-table rank (in what would be `sub`'s padding).
+    rank: u32,
     /// `|ComS|` for this sub-query.
     f: usize,
     /// Remaining descent levels.
     hops_left: usize,
 }
+
+const _: () = assert!(std::mem::size_of::<Msg>() == 24, "a descent message outgrew 24 bytes");
 
 /// The descent's reusable per-thread state, slotted into a
 /// [`QueryScratch`](simnet::QueryScratch): the simulator's collections plus
@@ -66,13 +79,13 @@ impl<S> Default for State<S> {
 /// the origin's forward routing tree, and gathers what the peers that
 /// answered hold.
 ///
-/// `run` is the region's destination run (the peers whose zones meet
-/// `region`, in PeerID order) and `truth` the peers of it a fault-free query
-/// must reach — the ones `answers` holds for. `prepare(sub_region, f)` builds
-/// a sub-query's pruning state; `answers(state, peer)` says whether `peer`'s
-/// zone meets the query and `forwards(state, f, child, strip)` whether the
-/// subtree `ComS ++ child.id[strip..]` can; `keep` is the query itself, on
-/// records.
+/// `run` is the region's destination run (the ranks of the peers whose zones
+/// meet `region`) and `truth` the ranks of it a fault-free query must reach
+/// — the ones `answers` holds for. `prepare(sub_region, f)` builds a
+/// sub-query's pruning state; `answers(state, rank)` says whether that
+/// peer's zone meets the query and `forwards(state, f, child, strip)`
+/// whether the subtree `ComS ++ child.id[strip..]` of the peer ranked
+/// `child` can; `keep` is the query itself, on records.
 ///
 /// Every peer forwards from its own row of the network's
 /// [`RouteTable`](fissione::RouteTable). With `trace` set the simulator's
@@ -89,16 +102,17 @@ pub(crate) fn descend<S>(
     faults: Option<&FaultPlan>,
     trace: bool,
     region: &KautzRegion,
-    run: &[NodeId],
-    truth: &[NodeId],
+    run: Range<usize>,
+    truth: impl IntoIterator<Item = usize>,
     State { sim: sim_scratch, subs, answers: ledger }: &mut State<S>,
     prepare: impl Fn(&KautzRegion, usize) -> S,
-    mut answers: impl FnMut(&S, NodeId) -> bool,
-    mut forwards: impl FnMut(&S, usize, NodeId, usize) -> bool,
+    mut answers: impl FnMut(&S, usize) -> bool,
+    mut forwards: impl FnMut(&S, usize, usize, usize) -> bool,
     keep: impl Fn(RecordId) -> bool,
 ) -> Result<(QueryOutcome, Option<Vec<TraceRecord>>), ArmadaError> {
     let origin_id = net.peer_id(origin).map_err(|_| ArmadaError::BadOrigin { origin })?;
     let table = net.route_table();
+    let rank = table.rank(origin).expect("a live peer has a rank") as u32;
 
     let mut sim: Sim<Msg> = Sim::from_scratch(seed, sim_scratch).with_net(*model);
     if let Some(faults) = faults {
@@ -110,23 +124,24 @@ pub(crate) fn descend<S>(
     subs.clear();
     for sub in region.split_by_common_prefix() {
         let (f, hops_left) = descent_budget(origin_id, &sub.common_prefix());
-        sim.send(origin, origin, 0, Msg { sub: subs.len() as u8, f, hops_left });
+        sim.send(origin, origin, 0, Msg { sub: subs.len() as u8, rank, f, hops_left });
         subs.push(prepare(&sub, f));
     }
 
-    ledger.begin(table.node_bound(), truth);
+    ledger.begin(table.len(), truth);
     let mut delay: u32 = 0;
     sim.run(|sim, env: Envelope<Msg>| {
-        let (node, Msg { sub, f, hops_left: d }) = (env.to, env.payload);
-        let state = &subs[sub as usize];
+        let Msg { sub, rank, f, hops_left: d } = env.payload;
+        let (rank, state) = (rank as usize, &subs[sub as usize]);
+        debug_assert_eq!(table.node(rank), env.to, "a message names its receiver twice");
 
         // Local answer: this peer's zone meets the query. It is marked once
         // however many sub-regions the peer straddles (the ledger keeps its
         // cheapest arrival); what it holds is read after the run, against
         // the *full* query.
-        if answers(state, node) {
+        if answers(state, rank) {
             sim.trace_answer(&env);
-            if ledger.first_answer(node, env.cost) {
+            if ledger.first_answer(rank, env.cost) {
                 delay = delay.max(env.hop);
             }
         }
@@ -139,9 +154,10 @@ pub(crate) fn descend<S>(
         // symbol does.
         if d > 0 {
             let strip = f + d - 1; // transit-prefix length at the children
-            for c in table.out(node) {
+            for c in table.out(rank) {
                 if forwards(state, f, c, strip) {
-                    sim.forward(&env, c, Msg { sub, f, hops_left: d - 1 });
+                    let msg = Msg { sub, rank: c as u32, f, hops_left: d - 1 };
+                    sim.forward(&env, table.node(c), msg);
                 }
             }
         }
@@ -157,39 +173,39 @@ pub(crate) fn descend<S>(
         // destination first learns of it.
         latency: ledger.latency(),
         messages,
-        dest_peers: truth.len(),
+        dest_peers: ledger.due(),
         reached_peers: ledger.reached(),
         exact: ledger.exact(),
     };
     Ok((QueryOutcome { results: ledger.results(), metrics }, records))
 }
 
-/// Hands `answers` the records satisfying `keep` that the peers of `run`
-/// which answered hold inside `region`.
+/// Hands `answers` (indexed by rank) the records satisfying `keep` that the
+/// peers of `run` which answered hold inside `region`.
 ///
-/// `run` is the region's destination run — the peers whose zones meet
-/// `region`, in PeerID order — so their stores are adjacent intervals of the
-/// object table: every maximal stretch of peers that answered is one seek
+/// `run` is the region's destination run — the ranks of the peers whose
+/// zones meet `region` — so their stores are adjacent intervals of the
+/// object table: every maximal stretch of ranks that answered is one seek
 /// and one ordered pass (a fault-free PIRA query is one stretch). A peer
 /// outside the run stores nothing inside the region, so whether a stray
 /// answered changes nothing here.
 pub fn gather(
     net: &FissioneNet,
     region: &KautzRegion,
-    run: &[NodeId],
+    run: Range<usize>,
     answers: &mut Answers<RecordId>,
     keep: impl Fn(RecordId) -> bool,
 ) {
+    let table = net.route_table();
     let mut rest = run;
-    while let Some(first) = rest.iter().position(|&peer| answers.answered(peer)) {
-        let len = rest[first..].iter().take_while(|&&peer| answers.answered(peer)).count();
-        let (stretch, after) = rest[first..].split_at(len);
-        let ends = (stretch[0], stretch[len - 1]);
+    while let Some(first) = rest.clone().find(|&rank| answers.answered(rank)) {
+        let end = (first..rest.end).find(|&rank| !answers.answered(rank)).unwrap_or(rest.end);
+        let ends = (table.node(first), table.node(end - 1));
         for handle in net.handles_in_stretch(ends, region.low(), region.high()) {
             if keep(RecordId(handle)) {
                 answers.push(RecordId(handle));
             }
         }
-        rest = after;
+        rest = end..rest.end;
     }
 }

@@ -31,6 +31,8 @@ use simnet::{FaultPlan, NodeId, QueryScratch, TraceRecord};
 /// overwritten before it is read.
 #[derive(Default)]
 struct Bufs {
+    /// The ranks of the corner run whose rectangle meets the query.
+    truth: Vec<usize>,
     /// Subtree-prefix buffer: `ComS ++ cid[strip..]` per candidate child.
     prefix: Option<KautzStr>,
     /// Rectangle buffers for the answer and prune tests.
@@ -61,17 +63,19 @@ pub fn query(
     let (net, naming) = (armada.net(), armada.naming());
     let rect = naming.query_rect(ranges)?;
     let corner = naming.corner_region(ranges)?;
-    let run = net.peers_intersecting_range(corner.low(), corner.high())?;
+    let table = net.route_table();
+    let run = table.run(corner.low(), corner.high())?;
 
-    let (state, Bufs { prefix, zone, subtree }) = scratch.slot::<(State<KautzStr>, Bufs)>();
+    let (state, Bufs { truth, prefix, zone, subtree }) = scratch.slot::<(State<KautzStr>, Bufs)>();
     let prefix = prefix.get_or_insert_with(|| KautzStr::empty(corner.base()));
     // One definition of "destination": the test a visited peer answers by.
-    let mut meets = |peer: NodeId| {
-        let id = net.peer_id(peer).expect("run and delivery peers are live");
+    let mut meets = |rank: usize| {
+        let id = net.peer_id(table.node(rank)).expect("every rank is a live peer");
         naming.prefix_rect_into(id, zone).expect("peer depth within naming depth");
         rect.intersects(zone)
     };
-    let truth: Vec<NodeId> = run.iter().copied().filter(|&peer| meets(peer)).collect();
+    truth.clear();
+    truth.extend(run.clone().filter(|&rank| meets(rank)));
     descend(
         net,
         armada.net_model(),
@@ -80,16 +84,16 @@ pub fn query(
         faults,
         trace,
         &corner,
-        &run,
-        &truth,
+        run,
+        truth.iter().copied(),
         state,
         |sub, f| sub.low().take_front(f),
-        |_, peer| meets(peer),
+        |_, rank| meets(rank),
         |com_s, _, child, strip| {
             // `ComS ++ cid[strip..]`; on a repeated junction symbol the
             // buffer degrades to `ComS` alone — PIRA's never-prune fallback
             // for covers violating the neighborhood invariant.
-            let cid = net.peer_id(child).expect("out-neighbors are live");
+            let cid = net.peer_id(table.node(child)).expect("out-neighbors are live");
             let _ = prefix.assign_concat(com_s, cid.symbols().get(strip..).unwrap_or(&[]));
             naming.prefix_rect_into(prefix, subtree).expect("subtree prefix within depth");
             rect.intersects(subtree)

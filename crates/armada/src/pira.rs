@@ -7,7 +7,9 @@
 //! things supplied:
 //!
 //! * the **region** is `⟨LowT, HighT⟩`, and every peer of its destination
-//!   run is a destination;
+//!   run — one range of routing-table ranks, found by two binary searches —
+//!   is a destination, so the ground truth is that range itself and no list
+//!   is built;
 //! * the **predicate** is membership in key space: each sub-region becomes
 //!   a [`KeyRegion`], a visited peer answers iff its
 //!   [`RouteTable`](fissione::RouteTable) key
@@ -56,8 +58,8 @@ pub fn query(
 ) -> Result<(QueryOutcome, Option<Vec<TraceRecord>>), ArmadaError> {
     let net = armada.net();
     let region = armada.naming().region(lo, hi)?;
-    let run = net.peers_intersecting_range(region.low(), region.high())?;
     let table = net.route_table();
+    let run = table.run(region.low(), region.high())?;
     descend(
         net,
         armada.net_model(),
@@ -66,11 +68,11 @@ pub fn query(
         faults,
         trace,
         &region,
-        &run,
-        &run,
+        run.clone(),
+        run,
         scratch.slot::<State<KeyRegion>>(),
         |sub, _| KeyRegion::new(sub),
-        |sub, peer| sub.intersects(table.key(peer)),
+        |sub, rank| sub.intersects(table.key(rank)),
         |sub, f, child, strip| sub.intersects_subtree(f, table.key(child), strip),
         |record| (lo..=hi).contains(&armada.value(record)),
     )

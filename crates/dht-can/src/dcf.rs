@@ -256,7 +256,7 @@ pub fn query(
     let ta = hilbert::cell_of(order, net.normalize(lo));
     let tb = hilbert::cell_of(order, net.normalize(hi));
     net.zones_meeting_cells(ta, tb, truth);
-    answers.begin(net.node_bound(), truth);
+    answers.begin(net.node_bound(), truth.iter().copied());
 
     // Median target point.
     let (mx, my) = net.point_of_value((lo + hi) / 2.0);

@@ -204,7 +204,7 @@ fn bench_pira(c: &mut Criterion) {
             b.iter(|| {
                 let newcomer = net.join(&mut rng);
                 net.leave(newcomer).expect("the split leaf takes its half back");
-                net.route_table().node_bound()
+                net.route_table().len()
             });
         });
     }
@@ -267,30 +267,30 @@ fn bench_pira(c: &mut Criterion) {
 
     // The gather: the merged pass over the object table alone, every
     // destination having answered (marking them is inside the timing; the
-    // region and the destination run are not).
+    // region and its destination run of ranks are not).
     let mut group = c.benchmark_group("pira_gather");
     for (label, width, armada, rng) in &mut nets {
+        let table = armada.net().route_table();
         let queries: Vec<_> = (0..64)
             .map(|_| {
                 let lo = rng.gen_range(0.0..=1000.0 - *width);
                 let region = armada.naming().region(lo, lo + *width).unwrap();
-                let run = armada.net().peers_intersecting_range(region.low(), region.high());
-                (region, run.unwrap(), (lo, lo + *width))
+                let run = table.run(region.low(), region.high()).unwrap();
+                (region, run, (lo, lo + *width))
             })
             .collect();
-        let node_bound = armada.net().route_table().node_bound();
         let mut answers = simnet::Answers::default();
         let mut next = 0;
         group.bench_function(*label, |b| {
             b.iter(|| {
                 next += 1;
                 let (region, run, range) = &queries[next % queries.len()];
-                answers.begin(node_bound, run);
-                for &peer in run {
-                    answers.first_answer(peer, 0);
+                answers.begin(table.len(), run.clone());
+                for rank in run.clone() {
+                    answers.first_answer(rank, 0);
                 }
                 let keep = |record| (range.0..=range.1).contains(&armada.value(record));
-                descent::gather(armada.net(), region, run, &mut answers, keep);
+                descent::gather(armada.net(), region, run.clone(), &mut answers, keep);
             });
         });
     }

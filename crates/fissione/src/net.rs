@@ -8,7 +8,7 @@ use rand::Rng;
 use simnet::NodeId;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::ops::{Bound, RangeInclusive};
+use std::ops::{Bound, Range, RangeInclusive};
 use std::sync::OnceLock;
 
 /// A live FISSIONE peer: its PeerID, and nothing else. What it *stores* is
@@ -237,75 +237,170 @@ impl KeyRegion {
     }
 }
 
-/// Every live peer's routing state in one dense read-only structure: its
-/// [`PeerKey`] and its out-neighbor list (§3's routing table), indexed by
-/// `NodeId`. A query handler reads this instead of re-deriving a peer's
-/// neighbors from the ordered cover on every delivery.
+/// Every live peer's routing state in one dense read-only structure, in
+/// PeerID order: its [`PeerKey`] and its out-neighbors (§3's routing
+/// table), indexed by *rank*, the peer's position in that order. A query
+/// handler reads this instead of re-deriving a peer's neighbors from the
+/// ordered cover on every delivery, and a range query's destinations — one
+/// run of consecutive PeerIDs — are one range of ranks, so a wide descent
+/// reads the table in order.
+///
+/// A row is an interval of ranks, not a list. A peer's out-neighbors are
+/// the owner of a proper prefix of its shift `id[1..]`, or every peer that
+/// extends the shift (the cover is prefix-free, so never both): the
+/// extensions are one subtree of the cover, and the ancestor is the key
+/// just before where that subtree would start. Either way the row is
+/// consecutive ranks, in [`FissioneNet::out_neighbors`] order.
 ///
 /// Built by [`FissioneNet::route_table`] on first use and dropped by every
-/// membership change; never updated in place (one split rewrites the rows
-/// of all the split peer's in-neighbors, and CSR rows cannot grow).
+/// membership change; never updated in place (a split inserts a rank, which
+/// renumbers every rank after it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteTable {
-    /// Key per slot; `0` (no PeerID encodes to it) for a dead slot.
+    /// Key per rank, ascending.
     keys: Vec<u128>,
-    /// CSR row starts into `nbrs`: one per slot plus the end sentinel.
-    starts: Vec<u32>,
-    /// Rows in [`FissioneNet::out_neighbors`] order.
-    nbrs: Vec<u32>,
+    /// `NodeId` per rank.
+    nodes: Vec<u32>,
+    /// Out-neighbors per rank: the rank interval `[first, end)`.
+    rows: Vec<(u32, u32)>,
+    /// Rank per slot; `u32::MAX` for a dead slot.
+    ranks: Vec<u32>,
+    /// The deepest PeerID's length, for [`run`](Self::run)'s error.
+    max_depth: usize,
+}
+
+/// The out-neighbors of the peer keyed `key` among the sorted cover `keys`,
+/// as a rank interval: the subtree below its shift `key << 2`, or, when
+/// that is empty, the key just before it if that one prefixes the shift.
+/// A depth-1 id's shift is empty and prefixes every PeerID.
+fn row_of(keys: &[u128], key: u128) -> Range<usize> {
+    let shift = key << 2;
+    if shift == 0 {
+        return 0..keys.len();
+    }
+    let first = keys.partition_point(|&k| k < shift);
+    let end = match enc_subtree_end(shift) {
+        Some(end_key) => first + keys[first..].partition_point(|&k| k < end_key),
+        None => keys.len(),
+    };
+    match first.checked_sub(1) {
+        Some(ancestor) if first == end && enc_is_prefix(keys[ancestor], shift) => ancestor..first,
+        _ => first..end,
+    }
 }
 
 impl RouteTable {
     fn build(net: &FissioneNet) -> Self {
-        let slots = net.slots.len();
         let index = |n: usize| u32::try_from(n).expect("routing table indices fit u32");
-        let mut keys = vec![0; slots];
-        let mut starts = Vec::with_capacity(slots + 1);
-        let mut nbrs = Vec::new();
-        let mut shift = KautzStr::empty(net.cfg.base);
-        let mut row = Vec::new();
-        for (node, slot) in net.slots.iter().enumerate() {
-            starts.push(index(nbrs.len()));
-            if let Some(peer) = slot {
-                keys[node] = enc_id(&peer.id);
+        let (keys, nodes): (Vec<u128>, Vec<u32>) =
+            net.by_id.iter().map(|(&key, &node)| (key, index(node))).unzip();
+        let mut ranks = vec![u32::MAX; net.slots.len()];
+        for (rank, &node) in nodes.iter().enumerate() {
+            ranks[node as usize] = index(rank);
+        }
+        let rows = keys
+            .iter()
+            .map(|&key| {
+                let row = row_of(&keys, key);
+                (index(row.start), index(row.end))
+            })
+            .collect();
+        let table = RouteTable { keys, nodes, rows, ranks, max_depth: net.max_depth() };
+        #[cfg(debug_assertions)]
+        {
+            let (mut shift, mut row) = (KautzStr::empty(net.cfg.base), Vec::new());
+            for rank in 0..table.len() {
+                let node = table.node(rank);
                 net.out_neighbors_into(node, &mut shift, &mut row);
-                nbrs.extend(row.iter().map(|&n| index(n)));
+                let interval = table.out(rank).map(|r| table.node(r));
+                assert!(interval.eq(row.iter().copied()), "the row of peer {node} is no interval");
             }
         }
-        starts.push(index(nbrs.len()));
-        RouteTable { keys, starts, nbrs }
+        table
     }
 
-    /// One past the largest `NodeId` the table has a row for.
-    pub fn node_bound(&self) -> usize {
+    /// The number of live peers (one rank each).
+    pub fn len(&self) -> usize {
         self.keys.len()
     }
 
-    /// The key of live peer `node`.
+    /// Whether the table holds no peer (never: the root peers cannot leave).
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The rank of `node`; `None` unless it is a live peer.
+    pub fn rank(&self, node: NodeId) -> Option<usize> {
+        self.ranks.get(node).filter(|&&rank| rank != u32::MAX).map(|&rank| rank as usize)
+    }
+
+    /// The peer at `rank`.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is outside the slot table.
-    pub fn key(&self, node: NodeId) -> PeerKey {
-        debug_assert_ne!(self.keys[node], 0, "peer {node} is not live");
-        PeerKey(self.keys[node])
+    /// Panics if `rank` is not below [`len`](Self::len).
+    pub fn node(&self, rank: usize) -> NodeId {
+        self.nodes[rank] as NodeId
     }
 
-    /// Out-neighbors of `node`, in [`FissioneNet::out_neighbors`] order
-    /// (empty for a dead slot).
+    /// The key of the peer at `rank`.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is outside the slot table.
-    pub fn out(&self, node: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        let row = self.starts[node] as usize..self.starts[node + 1] as usize;
-        self.nbrs[row].iter().map(|&n| n as NodeId)
+    /// Panics if `rank` is not below [`len`](Self::len).
+    pub fn key(&self, rank: usize) -> PeerKey {
+        PeerKey(self.keys[rank])
     }
 
-    /// The bare [`enc_id`] key of `node`: the integer a route hop shifts
-    /// (`0` for a dead slot, where [`key`](Self::key) asserts).
-    pub(crate) fn enc(&self, node: NodeId) -> u128 {
-        self.keys[node]
+    /// The ranks of the out-neighbors of the peer at `rank`, in
+    /// [`FissioneNet::out_neighbors`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is not below [`len`](Self::len).
+    pub fn out(&self, rank: usize) -> Range<usize> {
+        let (first, end) = self.rows[rank];
+        first as usize..end as usize
+    }
+
+    /// The ranks of the peers whose regions intersect the lexicographic
+    /// ObjectID range `[low, high]` (a range query's destination peers):
+    /// they partition the namespace in leaf order, so the run starts at
+    /// `low`'s owner and ends at the last key not above `high`. Two binary
+    /// searches; empty when `low > high`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FissioneError::TargetTooShort`] if `low` is shorter than
+    /// its owning region's depth.
+    pub fn run(&self, low: &KautzStr, high: &KautzStr) -> Result<Range<usize>, FissioneError> {
+        let (low_key, high_key) = (enc_probe(low), enc_probe(high));
+        // `low`'s owner is the greatest key not above it, if that prefixes
+        // it. A peer's region starts above `high` exactly when its key does
+        // (a minimal extension never exceeds `high` while the two agree).
+        let owner = self.keys.partition_point(|&k| k <= low_key).checked_sub(1);
+        match owner {
+            Some(first) if enc_is_prefix(self.keys[first], low_key) => {
+                Ok(first..first + self.keys[first..].partition_point(|&k| k <= high_key))
+            }
+            _ => Err(FissioneError::TargetTooShort {
+                target_len: low.len(),
+                max_depth: self.max_depth,
+            }),
+        }
+    }
+
+    /// The bare [`enc_id`] key of the peer at `rank`: the integer a route
+    /// hop shifts.
+    pub(crate) fn enc(&self, rank: usize) -> u128 {
+        self.keys[rank]
+    }
+
+    /// The rank among `ranks` whose key prefixes `probe`, if one does, and
+    /// its key.
+    pub(crate) fn prefixing(&self, ranks: Range<usize>, probe: u128) -> Option<(usize, u128)> {
+        let keys = &self.keys[ranks.clone()];
+        ranks.zip(keys.iter().copied()).find(|&(_, k)| enc_is_prefix(k, probe))
     }
 }
 
@@ -522,9 +617,8 @@ impl FissioneNet {
     /// Live peers whose regions intersect the lexicographic ObjectID range
     /// `[low, high]` (the query's "destination peers"), in PeerID order.
     ///
-    /// Because live PeerIDs partition the namespace in leaf order, the
-    /// intersecting peers form a contiguous run starting at `low`'s owner —
-    /// `O(log N + answer)` instead of scanning every peer.
+    /// The routing table's [`RouteTable::run`] of `[low, high]` as node ids
+    /// (building the table if a membership change dropped it).
     ///
     /// # Errors
     ///
@@ -535,23 +629,8 @@ impl FissioneNet {
         low: &KautzStr,
         high: &KautzStr,
     ) -> Result<Vec<NodeId>, FissioneError> {
-        let first = self.owner_of(low)?;
-        let first_key = enc_id(&self.slots[first].as_ref().expect("live").id);
-        let high_key = enc_probe(high);
-        let mut out = Vec::new();
-        for (&k, &node) in self.by_id.range((Bound::Included(first_key), Bound::Unbounded)) {
-            // A peer's region starts above `high` once its minimal
-            // extension exceeds it; on encoded keys that is exactly
-            // `k > high_key` (a min-extension symbol never exceeds the
-            // corresponding symbol of `high` while the two agree, so
-            // `Greater` can only come from a real symbol mismatch — which
-            // integer order sees identically).
-            if k > high_key {
-                break;
-            }
-            out.push(node);
-        }
-        Ok(out)
+        let table = self.route_table();
+        Ok(table.run(low, high)?.map(|rank| table.node(rank)).collect())
     }
 
     /// Out-neighbors of `node`: every live peer prefix-compatible with the
@@ -600,9 +679,10 @@ impl FissioneNet {
     /// after a membership change (`O(N log N)`; concurrent first callers
     /// wait for one build) and shared by every reader until the next one.
     ///
-    /// Who builds one: PIRA and MIRA queries, and every route — `next_hop`,
-    /// `route_fold`, `route`, `route_avoiding`, `lookup_via_sim` — hence a
-    /// replica `fetch_cost`, also the ones `re_replicate` prices for the
+    /// Who builds one: PIRA and MIRA queries, `peers_intersecting_range`,
+    /// and every route — `next_hop`, `route_fold`, `route`,
+    /// `route_avoiding`, `lookup_via_sim` — hence a replica `fetch_cost`,
+    /// also the ones `re_replicate` prices for the
     /// copies it places: one build per batch of membership changes, the
     /// same one the next query would have paid. Who must not: the paths that
     /// run *between* the changes of such a batch — `join`'s descent (the
@@ -1780,26 +1860,95 @@ mod tests {
         }
     }
 
-    /// The table's rows and keys against the cover they were built from.
+    /// The table against the cover it was built from: its keys are the
+    /// ordered cover's, rank for rank; `ranks` and `nodes` are inverse (a
+    /// dead or unknown slot has no rank); and every live peer's row, mapped
+    /// through `nodes`, is its out-neighbor list.
     fn assert_table_matches_the_cover(net: &FissioneNet) {
         let table = net.route_table();
-        assert_eq!(table.node_bound(), net.slots.len());
-        for node in 0..table.node_bound() {
-            let row: Vec<NodeId> = table.out(node).collect();
-            match net.peer_id(node) {
-                Ok(id) => {
-                    assert_eq!(table.key(node), key(id));
-                    assert_eq!(row, net.out_neighbors(node), "row of {id}");
-                }
-                Err(_) => assert!(row.is_empty(), "dead slot {node} has a row"),
+        assert_eq!(table.len(), net.len());
+        for (rank, (&k, &node)) in net.by_id.iter().enumerate() {
+            assert_eq!((table.enc(rank), table.node(rank)), (k, node), "rank {rank}");
+            assert_eq!(table.rank(node), Some(rank));
+            assert_eq!(table.key(rank), key(net.peer_id(node).unwrap()));
+            let row: Vec<NodeId> = table.out(rank).map(|r| table.node(r)).collect();
+            assert_eq!(row, net.out_neighbors(node), "row of {}", net.peer_id(node).unwrap());
+        }
+        for node in (0..net.slots.len() + 2).chain([usize::MAX]) {
+            assert_eq!(table.rank(node).is_some(), net.is_live(node), "slot {node}");
+        }
+    }
+
+    /// The destination run as the ordered-map walk it replaced: from `low`'s
+    /// owner up to the last key not above `high`.
+    fn run_by_walk(
+        net: &FissioneNet,
+        low: &KautzStr,
+        high: &KautzStr,
+    ) -> Result<Vec<NodeId>, FissioneError> {
+        let first = enc_id(net.peer_id(net.owner_of(low)?).unwrap());
+        let high = enc_probe(high);
+        Ok(net.by_id.range(first..).take_while(|&(&k, _)| k <= high).map(|(_, &n)| n).collect())
+    }
+
+    /// [`RouteTable::run`] against the walk, on random regions of ObjectIDs
+    /// and of PeerID-length strings, both ways round, and on lower ends too
+    /// short to have an owner. Returns how many came out `TargetTooShort`.
+    fn assert_runs_match_the_walk(net: &FissioneNet, rng: &mut SmallRng) -> usize {
+        let table = net.route_table();
+        let mut too_short = 0;
+        for _ in 0..6 {
+            let k = [24, rng.gen_range(1..=net.max_depth() + 1)][rng.gen_range(0..2usize)];
+            let region = random_region(k, rng.gen_range(0..k), rng);
+            let (low, high) = (region.low(), region.high());
+            let short = low.take_front(rng.gen_range(0..3));
+            for (low, high) in [(low, high), (high, low), (&short, high)] {
+                let run = table.run(low, high).map(|run| run.map(|r| table.node(r)).collect());
+                assert_eq!(run, run_by_walk(net, low, high), "[{low}, {high}]");
+                too_short += usize::from(matches!(run, Err(FissioneError::TargetTooShort { .. })));
             }
         }
+        too_short
     }
 
     #[test]
     fn route_table_rows_equal_out_neighbors() {
+        let mut too_short = 0;
         for (n, seed) in [(3, 16), (40, 17), (700, 18)] {
-            assert_table_matches_the_cover(&build(n, seed));
+            let net = build(n, seed);
+            assert_table_matches_the_cover(&net);
+            too_short += assert_runs_match_the_walk(&net, &mut simnet::rng_from_seed(seed));
+        }
+        assert!(too_short > 0, "short lower ends must exercise the TargetTooShort arm");
+    }
+
+    // The table in rank order against the cover and the walk, after every
+    // operation of a schedule that starts unbalanced (slot order unrelated
+    // to PeerID order) and splits leaves past their neighbors, so rows reach
+    // short ancestors as well as subtrees.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn the_rank_ordered_table_equals_the_cover_after_every_operation(
+            seed in 0u64..1000,
+            ops in prop::collection::vec((0u8..9, any::<usize>()), 1..50),
+        ) {
+            let mut rng = simnet::rng_from_seed(seed);
+            let mut net = churned(20, 6, seed);
+            for (op, raw) in ops {
+                let peers: Vec<NodeId> = net.live_peers().collect();
+                let victim = peers[raw % peers.len()];
+                match op {
+                    0..=1 => drop(net.join(&mut rng)),
+                    2..=3 => drop(net.leave(victim)),
+                    4 => drop(net.crash(victim)),
+                    5..=6 if net.depth_of(victim) < 20 => drop(net.split_leaf(victim)),
+                    _ => drop(net.stabilize()),
+                }
+                assert_table_matches_the_cover(&net);
+                assert_runs_match_the_walk(&net, &mut rng);
+            }
         }
     }
 

@@ -9,17 +9,20 @@
 //!
 //! A hop is a read of the current peer's [`RouteTable`] row — §3's routing
 //! table *is* the out-neighbor list. `I` extends the left shift `C.id[1..]`,
-//! so its owner is by definition one of the out-neighbors the row lists: the
+//! so its owner is by definition one of the out-neighbors the row holds: the
 //! hop forms `I` on the order-preserving `u128` keys with integer
 //! operations, then scans the row (2–3 entries under balance) for the one
-//! key that prefixes `I`. The hop carries the next peer's `j` with it — a
-//! neighbor no shorter than the shift is `C.id[1..] ++ T[j..j']`, so `j'`
-//! follows from its length — and a route slides for `j` symbol by symbol
-//! only at its origin and after a short neighbor. A hop allocates nothing
-//! and never probes the global ordered cover; it costs three dependent
-//! reads (row bounds, row, neighbor keys), ≈ 40 ns at N = 10⁴. The first
-//! route after a membership change builds the table
-//! ([`FissioneNet::route_table`]); every later one shares it.
+//! key that prefixes `I`. A route stands at a *rank* (the peer's position in
+//! PeerID order), and a row is an interval of ranks, so the scan reads the
+//! neighbors' keys where they lie, in the table's key column; a rank becomes
+//! a `NodeId` only for the fold's edge callback and the result. The hop
+//! carries the next peer's `j` with it — a neighbor no shorter than the
+//! shift is `C.id[1..] ++ T[j..j']`, so `j'` follows from its length — and a
+//! route slides for `j` symbol by symbol only at its origin and after a
+//! short neighbor. A hop allocates nothing and never probes the global
+//! ordered cover; it costs two dependent reads (the row's interval, then
+//! the keys in it). The first route after a membership change builds the
+//! table ([`FissioneNet::route_table`]); every later one shares it.
 //!
 //! Many routes from one origin — a query's replica fetches — are walked as
 //! one route tree ([`FissioneNet::route_tree_fold`]): in target key order,
@@ -80,11 +83,14 @@ impl Target {
     }
 }
 
-/// Where a route stands: at live peer `node`, whose `RouteTable::enc` key
-/// is `key`, and `j`, the length of the longest proper suffix of that key
-/// which prefixes the target (the overlap the next hop continues from).
+/// Where a route stands: at the live peer of rank `rank` (node id `node`,
+/// read as the hop lands, for the fold's edge callback and the result),
+/// whose `RouteTable::enc` key is `key`, and `j`, the length of the longest
+/// proper suffix of that key which prefixes the target (the overlap the
+/// next hop continues from).
 #[derive(Debug, Clone, Copy)]
 struct At {
+    rank: usize,
     node: NodeId,
     key: u128,
     j: usize,
@@ -92,9 +98,9 @@ struct At {
 
 impl At {
     /// A route's first position: the overlap found by sliding.
-    fn start(table: &RouteTable, node: NodeId, target: Target) -> Self {
-        let key = table.enc(node);
-        At { node, key, j: overlap(key, target) }
+    fn start(table: &RouteTable, rank: usize, target: Target) -> Self {
+        let key = table.enc(rank);
+        At { rank, node: table.node(rank), key, j: overlap(key, target) }
     }
 }
 
@@ -156,6 +162,14 @@ impl<A> RouteTree<A> {
 }
 
 impl FissioneNet {
+    /// The routing table (built if a membership change dropped it) and the
+    /// rank of `node` in it.
+    fn table_at(&self, node: NodeId) -> Result<(&RouteTable, usize), FissioneError> {
+        let table = self.route_table();
+        let rank = table.rank(node).ok_or(FissioneError::NoSuchPeer { node })?;
+        Ok((table, rank))
+    }
+
     /// The next hop from `node` toward `target`, or `None` if `node` already
     /// owns it: a read of `node`'s row of the routing table (which this
     /// call builds if a membership change dropped it).
@@ -170,11 +184,9 @@ impl FissioneNet {
         node: NodeId,
         target: &KautzStr,
     ) -> Result<Option<NodeId>, FissioneError> {
-        // Liveness before the table: a dead slot has no key to shift.
-        self.peer(node)?;
-        let table = self.route_table();
+        let (table, rank) = self.table_at(node)?;
         let target = Target::of(target);
-        let next = self.hop(table, At::start(table, node, target), target)?;
+        let next = self.hop(table, At::start(table, rank, target), target)?;
         Ok(next.map(|(next, _)| next.node))
     }
 
@@ -194,11 +206,11 @@ impl FissioneNet {
         at: At,
         target: Target,
     ) -> Result<Option<(At, bool)>, FissioneError> {
-        let At { node, key: id, j } = at;
+        let At { rank, key: id, j, .. } = at;
         if enc_is_prefix(id, target.probe) {
             return Ok(None);
         }
-        debug_assert_eq!(j, overlap(id, target), "peer {node} carried a wrong overlap");
+        debug_assert_eq!(j, overlap(id, target), "rank {rank} carried a wrong overlap");
         let len = enc_len(id);
         // The ideal continuation `id[1..] ++ target[j..]`, windowed like any
         // other probe: the target laid over the shift's last `j` groups,
@@ -208,22 +220,19 @@ impl FissioneNet {
         // Its owner prefixes an extension of the shift `id[1..]`, which makes
         // it an out-neighbor; the cover being prefix-free, at most one key
         // in the row qualifies, and none exactly when no live PeerID does.
-        let next = table
-            .out(node)
-            .map(|n| (n, table.enc(n)))
-            .find(|&(_, key)| enc_is_prefix(key, ideal))
-            .ok_or_else(|| self.target_too_short(ideal_len));
+        let next =
+            table.prefixing(table.out(rank), ideal).ok_or_else(|| self.target_too_short(ideal_len));
         debug_assert_eq!(
-            next.clone().map(|(owner, _)| owner),
+            next.clone().map(|(owner, _)| table.node(owner)),
             self.owner_of_enc(ideal, ideal_len),
-            "the row of peer {node} and the ordered cover disagree on an owner"
+            "the row of rank {rank} and the ordered cover disagree on an owner"
         );
         let (next, key) = next?;
-        debug_assert_ne!(next, node, "Kautz shift cannot map a peer to itself");
+        debug_assert_ne!(next, rank, "Kautz shift cannot map a peer to itself");
         let next_len = enc_len(key);
         let carried = next_len + 1 >= len;
         let j = if carried { j + next_len + 1 - len } else { overlap(key, target) };
-        Ok(Some((At { node: next, key, j }, carried)))
+        Ok(Some((At { rank: next, node: table.node(next), key, j }, carried)))
     }
 
     /// Walks the route from `from` to the owner of `target` (an
@@ -245,10 +254,8 @@ impl FissioneNet {
     ) -> Result<(NodeId, A), FissioneError> {
         let target = Target::of(target);
         let mut acc = init;
-        // Liveness before the table, as in `next_hop`.
-        self.peer(from)?;
-        let table = self.route_table();
-        let mut at = At::start(table, from, target);
+        let (table, rank) = self.table_at(from)?;
+        let mut at = At::start(table, rank, target);
         // `len(id) − j` strictly decreases each hop; the initial ID length
         // bounds the loop. Guard with a generous cap for defence in depth.
         let cap = self.max_depth() + 2;
@@ -291,21 +298,23 @@ impl FissioneNet {
         keys.extend(targets.into_iter().map(Target::of));
         results.clear();
         frames.clear();
-        if let Err(e) = self.peer(from) {
-            results.extend(keys.iter().map(|_| Err(e.clone())));
-            return;
-        }
+        let (table, rank) = match self.table_at(from) {
+            Ok(at) => at,
+            Err(e) => {
+                results.extend(keys.iter().map(|_| Err(e.clone())));
+                return;
+            }
+        };
         results.resize(keys.len(), Ok((from, init)));
         order.clear();
         order.extend(0..u32::try_from(keys.len()).expect("route tree targets fit u32"));
         order.sort_unstable_by_key(|&i| keys[i as usize].probe);
-        let table = self.route_table();
         let cap = self.max_depth() + 2;
         // The probe of the target whose route `frames` holds.
         let mut prev = 0u128;
         for &i in order.iter() {
             let target = keys[i as usize];
-            let start = At::start(table, from, target);
+            let start = At::start(table, rank, target);
             let mut depth = 0;
             if frames.first().is_some_and(|origin| origin.at.j == start.j) {
                 let common = ((target.probe ^ prev).leading_zeros() / 2) as usize;

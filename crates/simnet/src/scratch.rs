@@ -73,15 +73,19 @@ impl std::fmt::Debug for QueryScratch {
 /// queries: which nodes answered against which were due, when each first
 /// heard the query, and the records they handed over.
 ///
-/// One stamp per [`NodeId`] replaces two ordered sets: `epoch` marks a
-/// ground-truth destination of the current query and `epoch + 1` one that
-/// has answered; stamps of earlier queries match neither, so starting a
-/// query costs only its destinations — whatever the membership did to the
-/// node table in between. Beside the stamps, one cost per node holds the
-/// cheapest delivery that answered for it (meaningful only once stamped
-/// answered, so it is never reset), and the answered nodes are listed in
-/// answer order: the query's [`latency`](Self::latency) is a pass over
-/// that list, not a sort of every delivery.
+/// A node is any dense index an engine keys its peers by: a [`NodeId`] for
+/// DCF's zones, a routing-table rank (the peer's position in PeerID order)
+/// for the FissionE descent, whose destinations are then one range of
+/// consecutive indices. One stamp per node replaces two ordered sets:
+/// `epoch` marks a ground-truth destination of the current query and
+/// `epoch + 1` one that has answered; stamps of earlier queries match
+/// neither, so starting a query costs only its destinations — whatever the
+/// membership did to the node table in between. Beside the stamps, one cost
+/// per node holds the cheapest delivery that answered for it (meaningful
+/// only once stamped answered, so it is never reset), and the answered
+/// nodes are listed in answer order: the query's
+/// [`latency`](Self::latency) is a pass over that list, not a sort of every
+/// delivery.
 pub struct Answers<R> {
     stamps: Vec<u32>,
     /// The cheapest accumulated cost an answering delivery carried, per
@@ -119,9 +123,9 @@ impl<R> Default for Answers<R> {
 }
 
 impl<R: Copy + Ord> Answers<R> {
-    /// Starts a query over node ids below `node_bound` whose ground-truth
+    /// Starts a query over nodes below `node_bound` whose ground-truth
     /// destinations are `truth` (distinct).
-    pub fn begin(&mut self, node_bound: usize, truth: &[NodeId]) {
+    pub fn begin(&mut self, node_bound: usize, truth: impl IntoIterator<Item = NodeId>) {
         if self.stamps.len() < node_bound {
             self.stamps.resize(node_bound, 0);
             self.costs.resize(node_bound, 0);
@@ -131,10 +135,12 @@ impl<R: Copy + Ord> Answers<R> {
             self.epoch = 0;
         }
         self.epoch += 2;
-        for &node in truth {
+        self.due = 0;
+        for node in truth {
             self.stamps[node] = self.epoch;
+            self.due += 1;
         }
-        (self.due, self.stray) = (truth.len(), false);
+        self.stray = false;
         self.answered.clear();
         self.records.clear();
     }
@@ -170,6 +176,11 @@ impl<R: Copy + Ord> Answers<R> {
     /// Adds a matching record an answering node holds.
     pub fn push(&mut self, record: R) {
         self.records.push(record);
+    }
+
+    /// Ground-truth destinations of the current query.
+    pub fn due(&self) -> usize {
+        self.due
     }
 
     /// Distinct nodes that answered.
@@ -237,7 +248,7 @@ mod tests {
     #[test]
     fn answers_check_exactness_against_the_due_set() {
         let mut a = Answers::<u64>::default();
-        a.begin(8, &[1, 4, 6]);
+        a.begin(8, [1, 4, 6]);
         assert!(a.is_due(4) && !a.is_due(0) && !a.is_due(7));
         assert!(!a.answered(4));
         assert!(a.first_answer(4, 9) && !a.first_answer(4, 7));
@@ -253,7 +264,7 @@ mod tests {
         assert_eq!(a.results(), vec![3, 9]);
         // A node outside the ground truth spoils exactness, never the count,
         // and its arrival counts toward the latency.
-        a.begin(8, &[2]);
+        a.begin(8, [2]);
         assert_eq!(a.latency(), 0, "nothing answered yet");
         assert!(a.first_answer(2, 1) && a.first_answer(5, 4));
         assert_eq!((a.reached(), a.exact(), a.latency()), (2, false, 4));
@@ -265,15 +276,15 @@ mod tests {
         let mut a = Answers::<u64>::default();
         // Stamp the last generation before the wrap, answered and not…
         a.set_epoch(u32::MAX - 3);
-        a.begin(6, &[0, 1, 2]);
+        a.begin(6, 0..3);
         assert!(a.first_answer(1, 0));
         // …then wrap: every old stamp, due (MAX − 1) or answered (MAX),
         // must read as neither in the restarted numbering, and a grown
         // node table starts clean.
-        a.begin(9, &[3]);
+        a.begin(9, [3]);
         assert_eq!((0..9).filter(|&n| a.is_due(n)).collect::<Vec<_>>(), vec![3]);
         assert!(a.first_answer(3, 0) && a.exact());
-        a.begin(9, &[1, 8]);
+        a.begin(9, [1, 8]);
         assert_eq!((0..9).filter(|&n| a.is_due(n)).collect::<Vec<_>>(), vec![1, 8]);
         assert!(a.first_answer(1, 0) && !a.exact());
     }
@@ -317,7 +328,8 @@ mod tests {
                     truth_raw.iter().map(|&r| (r % bound as u64) as NodeId).collect();
                 truth.sort_unstable();
                 truth.dedup();
-                answers.begin(bound, &truth);
+                answers.begin(bound, truth.iter().copied());
+                prop_assert_eq!(answers.due(), truth.len());
                 // Repeats and strays alike: small ids collide often.
                 let mut log: Vec<(NodeId, u64)> = deliveries
                     .iter()
