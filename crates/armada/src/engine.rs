@@ -1,9 +1,18 @@
-//! Client-facing engines: a FISSIONE network plus order-preserving naming
-//! plus a record table, with ground-truth checkers.
+//! The client-facing engine: a FISSIONE network plus an order-preserving
+//! naming plus a record table, with ground-truth checkers.
+//!
+//! [`Armada<N>`] is one engine over either naming, as the paper's §5 has
+//! MIRA be PIRA under `Multiple_hash` instead of `Single_hash`:
+//! [`SingleArmada`] and [`MultiArmada`] are its two instances. A record is
+//! a point of the naming's arity, stored flat, so publishing, record repair,
+//! the ground-truth record filter and the dynamics
+//! ([`DynamicScheme`](dht_api::DynamicScheme), in [`crate::scheme`]) are
+//! written once. What stays per naming is how a query is spelled and how its
+//! destination peers are found.
 
 use crate::{ArmadaError, QueryOutcome};
 use fissione::{FissioneConfig, FissioneNet};
-use kautz::naming::{MultiHash, SingleHash};
+use kautz::naming::{MultiHash, Naming, SingleHash};
 use kautz::KautzStr;
 use rand::rngs::SmallRng;
 use simnet::NodeId;
@@ -19,50 +28,63 @@ impl std::fmt::Display for RecordId {
     }
 }
 
-/// Single-attribute Armada: FISSIONE + `Single_hash` naming + records.
+/// Armada: FISSIONE + an order-preserving [`Naming`] + records.
 ///
 /// See the [crate docs](crate) for a quickstart.
 #[derive(Debug, Clone)]
-pub struct SingleArmada {
+pub struct Armada<N> {
     net: FissioneNet,
-    naming: SingleHash,
-    values: Vec<f64>,
+    naming: N,
+    /// Every record's point, [`Naming::arity`] values each, in `RecordId`
+    /// order.
+    records: Vec<f64>,
     net_model: simnet::NetModel,
     /// [`FissioneNet::lost_handles`] as of the last
     /// [`repair_records`](Self::repair_records) sweep.
     repaired_through: u64,
 }
 
-impl SingleArmada {
-    /// Builds a network of `n` peers over the attribute domain `[lo, hi]`
-    /// with the paper's defaults (base 2, ObjectIDs of length 100).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid domains or `n` below the root count.
-    pub fn build(n: usize, lo: f64, hi: f64, rng: &mut SmallRng) -> Result<Self, ArmadaError> {
-        Self::build_with(FissioneConfig::default(), n, lo, hi, rng)
-    }
+/// Single-attribute Armada: `Single_hash` naming, queried by [`pira`].
+///
+/// [`pira`]: crate::pira
+pub type SingleArmada = Armada<SingleHash>;
 
-    /// Builds with an explicit FISSIONE configuration (tests use shorter
-    /// ObjectIDs for exhaustive checking).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid domains or `n` below the root count.
-    pub fn build_with(
+/// Multi-attribute Armada: `Multiple_hash` naming, queried by [`mira`].
+///
+/// # Example
+///
+/// ```
+/// use armada::MultiArmada;
+///
+/// let mut rng = simnet::rng_from_seed(2);
+/// // Grid information service: (memory MB, disk GB).
+/// let mut grid =
+///     MultiArmada::build(80, &[(0.0, 4096.0), (0.0, 500.0)], &mut rng)?;
+/// grid.publish(&[2048.0, 120.0])?;
+/// grid.publish(&[512.0, 400.0])?;
+/// let origin = grid.net().random_peer(&mut rng);
+/// // 1GB ≤ memory ≤ 4GB and 50GB ≤ disk ≤ 200GB (the paper's example).
+/// let rect = [(1024.0, 4096.0), (50.0, 200.0)];
+/// let mut scratch = simnet::QueryScratch::new();
+/// let (out, _) = armada::mira::query(&grid, origin, &rect, 3, None, false, &mut scratch)?;
+/// assert_eq!(out.results.len(), 1);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// [`mira`]: crate::mira
+pub type MultiArmada = Armada<MultiHash>;
+
+impl<N: Naming> Armada<N> {
+    fn with_naming(
         cfg: FissioneConfig,
         n: usize,
-        lo: f64,
-        hi: f64,
+        naming: N,
         rng: &mut SmallRng,
     ) -> Result<Self, ArmadaError> {
-        let naming = SingleHash::new(lo, hi, cfg.object_id_len)?;
-        let net = FissioneNet::build(cfg, n, rng)?;
-        Ok(SingleArmada {
-            net,
+        Ok(Armada {
+            net: FissioneNet::build(cfg, n, rng)?,
             naming,
-            values: Vec::new(),
+            records: Vec::new(),
             net_model: simnet::NetModel::unit(),
             repaired_through: 0,
         })
@@ -92,37 +114,34 @@ impl SingleArmada {
     }
 
     /// The naming scheme.
-    pub fn naming(&self) -> &SingleHash {
+    pub fn naming(&self) -> &N {
         &self.naming
     }
 
     /// Number of published records.
     pub fn record_count(&self) -> usize {
-        self.values.len()
+        self.records.len() / self.naming.arity()
     }
 
-    /// The attribute value of a record.
+    /// The attribute vector of a record.
     ///
     /// # Panics
     ///
     /// Panics on unknown record ids.
-    pub fn value(&self, record: RecordId) -> f64 {
-        self.values[record.0 as usize]
+    pub fn point(&self, record: RecordId) -> &[f64] {
+        let d = self.naming.arity();
+        let at = record.0 as usize * d;
+        &self.records[at..at + d]
     }
 
-    /// Publishes a record with the given attribute value; its ObjectID is
-    /// `Single_hash(value)` and it is stored at the owning peer.
-    pub fn publish(&mut self, value: f64) -> RecordId {
-        let id = RecordId(self.values.len() as u64);
-        let object = self.naming.object_id(value);
-        self.values.push(value);
+    /// Publishes a record at `point`: its ObjectID is the naming's, and it
+    /// is stored at the owning peer.
+    fn push(&mut self, point: &[f64]) -> Result<RecordId, ArmadaError> {
+        let object = self.naming.point_id(point)?;
+        let id = RecordId(self.record_count() as u64);
+        self.records.extend_from_slice(point);
         self.net.publish(&object, id.0).expect("ObjectIDs always have an owner");
-        id
-    }
-
-    /// Publishes many records.
-    pub fn publish_all<I: IntoIterator<Item = f64>>(&mut self, values: I) -> Vec<RecordId> {
-        values.into_iter().map(|v| self.publish(v)).collect()
+        Ok(id)
     }
 
     /// Re-publishes every record that is no longer stored anywhere in the
@@ -142,14 +161,13 @@ impl SingleArmada {
             return 0;
         }
         self.repaired_through = lost;
-        let missing: Vec<(KautzStr, u64)> = self
-            .values
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &v)| {
-                let object = self.naming.object_id(v);
-                let (_, mut handles) = self.net.lookup(&object).expect("cover is complete");
-                (!handles.any(|h| h == i as u64)).then_some((object, i as u64))
+        let (net, naming) = (&self.net, &self.naming);
+        let missing: Vec<(KautzStr, u64)> = (0..)
+            .zip(self.records.chunks_exact(naming.arity()))
+            .filter_map(|(handle, point)| {
+                let object = naming.point_id(point).expect("a stored point has the arity");
+                let (_, mut handles) = net.lookup(&object).expect("cover is complete");
+                (!handles.any(|h| h == handle)).then_some((object, handle))
             })
             .collect();
         let restored = missing.len();
@@ -157,6 +175,71 @@ impl SingleArmada {
             self.net.publish(&object, handle).expect("ObjectIDs always have an owner");
         }
         restored
+    }
+
+    /// Ground truth: the records whose point lies in the closed rectangle
+    /// `query`.
+    fn records_in(&self, query: &[(f64, f64)]) -> Vec<RecordId> {
+        (0..)
+            .zip(self.records.chunks_exact(self.naming.arity()))
+            .filter(|(_, point)| in_rect(point, query))
+            .map(|(i, _)| RecordId(i))
+            .collect()
+    }
+}
+
+/// Whether `point` lies in the closed rectangle `query`: the record filter
+/// of every query and of its ground truth.
+pub(crate) fn in_rect(point: &[f64], query: &[(f64, f64)]) -> bool {
+    point.iter().zip(query).all(|(&v, &(lo, hi))| v >= lo && v <= hi)
+}
+
+impl Armada<SingleHash> {
+    /// Builds a network of `n` peers over the attribute domain `[lo, hi]`
+    /// with the paper's defaults (base 2, ObjectIDs of length 100).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for invalid domains or `n` below the root count.
+    pub fn build(n: usize, lo: f64, hi: f64, rng: &mut SmallRng) -> Result<Self, ArmadaError> {
+        Self::build_with(FissioneConfig::default(), n, lo, hi, rng)
+    }
+
+    /// Builds with an explicit FISSIONE configuration (tests use shorter
+    /// ObjectIDs for exhaustive checking).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for invalid domains or `n` below the root count.
+    pub fn build_with(
+        cfg: FissioneConfig,
+        n: usize,
+        lo: f64,
+        hi: f64,
+        rng: &mut SmallRng,
+    ) -> Result<Self, ArmadaError> {
+        let naming = SingleHash::new(lo, hi, cfg.object_id_len)?;
+        Self::with_naming(cfg, n, naming, rng)
+    }
+
+    /// The attribute value of a record.
+    ///
+    /// # Panics
+    ///
+    /// Panics on unknown record ids.
+    pub fn value(&self, record: RecordId) -> f64 {
+        self.records[record.0 as usize]
+    }
+
+    /// Publishes a record with the given attribute value; its ObjectID is
+    /// `Single_hash(value)` and it is stored at the owning peer.
+    pub fn publish(&mut self, value: f64) -> RecordId {
+        self.push(&[value]).expect("a value is a one-attribute point")
+    }
+
+    /// Publishes many records.
+    pub fn publish_all<I: IntoIterator<Item = f64>>(&mut self, values: I) -> Vec<RecordId> {
+        values.into_iter().map(|v| self.publish(v)).collect()
     }
 
     /// Ground truth: the set of peers whose region intersects the query's
@@ -188,12 +271,7 @@ impl SingleArmada {
 
     /// Ground truth: the records a correct query must return.
     pub fn expected_results(&self, lo: f64, hi: f64) -> Vec<RecordId> {
-        self.values
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v >= lo && v <= hi)
-            .map(|(i, _)| RecordId(i as u64))
-            .collect()
+        self.records_in(&[(lo, hi)])
     }
 
     /// Runs a plain PIRA range query from `origin`: fresh buffers, no
@@ -231,34 +309,7 @@ impl SingleArmada {
     }
 }
 
-/// Multi-attribute Armada: FISSIONE + `Multiple_hash` naming + records.
-///
-/// # Example
-///
-/// ```
-/// use armada::MultiArmada;
-///
-/// let mut rng = simnet::rng_from_seed(2);
-/// // Grid information service: (memory MB, disk GB).
-/// let mut grid =
-///     MultiArmada::build(80, &[(0.0, 4096.0), (0.0, 500.0)], &mut rng)?;
-/// grid.publish(&[2048.0, 120.0])?;
-/// grid.publish(&[512.0, 400.0])?;
-/// let origin = grid.net().random_peer(&mut rng);
-/// // 1GB ≤ memory ≤ 4GB and 50GB ≤ disk ≤ 200GB (the paper's example).
-/// let out = grid.mira_query(origin, &[(1024.0, 4096.0), (50.0, 200.0)], 3)?;
-/// assert_eq!(out.results.len(), 1);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct MultiArmada {
-    net: FissioneNet,
-    naming: MultiHash,
-    points: Vec<Vec<f64>>,
-    net_model: simnet::NetModel,
-}
-
-impl MultiArmada {
+impl Armada<MultiHash> {
     /// Builds a network of `n` peers over the given per-attribute domains.
     ///
     /// # Errors
@@ -284,47 +335,7 @@ impl MultiArmada {
         rng: &mut SmallRng,
     ) -> Result<Self, ArmadaError> {
         let naming = MultiHash::new(domains, cfg.object_id_len)?;
-        let net = FissioneNet::build(cfg, n, rng)?;
-        Ok(MultiArmada { net, naming, points: Vec::new(), net_model: simnet::NetModel::unit() })
-    }
-
-    /// Replaces the network cost model (see [`SingleArmada::set_net_model`]).
-    pub fn set_net_model(&mut self, model: simnet::NetModel) {
-        self.net_model = model;
-    }
-
-    /// The network cost model in force.
-    pub fn net_model(&self) -> &simnet::NetModel {
-        &self.net_model
-    }
-
-    /// The underlying DHT (read-only).
-    pub fn net(&self) -> &FissioneNet {
-        &self.net
-    }
-
-    /// The underlying DHT (mutable).
-    pub fn net_mut(&mut self) -> &mut FissioneNet {
-        &mut self.net
-    }
-
-    /// The naming scheme.
-    pub fn naming(&self) -> &MultiHash {
-        &self.naming
-    }
-
-    /// Number of published records.
-    pub fn record_count(&self) -> usize {
-        self.points.len()
-    }
-
-    /// The attribute vector of a record.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown record ids.
-    pub fn point(&self, record: RecordId) -> &[f64] {
-        &self.points[record.0 as usize]
+        Self::with_naming(cfg, n, naming, rng)
     }
 
     /// Publishes a record with the given attribute vector.
@@ -333,11 +344,7 @@ impl MultiArmada {
     ///
     /// Returns an error on arity mismatch.
     pub fn publish(&mut self, values: &[f64]) -> Result<RecordId, ArmadaError> {
-        let object = self.naming.object_id(values)?;
-        let id = RecordId(self.points.len() as u64);
-        self.points.push(values.to_vec());
-        self.net.publish(&object, id.0).expect("ObjectIDs always have an owner");
-        Ok(id)
+        self.push(values)
     }
 
     /// Ground truth: peers whose hyper-rectangle intersects the query, by
@@ -367,29 +374,7 @@ impl MultiArmada {
 
     /// Ground truth: records a correct query must return.
     pub fn expected_results(&self, query: &[(f64, f64)]) -> Vec<RecordId> {
-        self.points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.iter().zip(query.iter()).all(|(&v, &(lo, hi))| v >= lo && v <= hi))
-            .map(|(i, _)| RecordId(i as u64))
-            .collect()
-    }
-
-    /// Runs a plain MIRA multi-attribute range query from `origin`: fresh
-    /// buffers, no faults, no trace. [`mira::query`](crate::mira::query) is
-    /// the full surface.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for dead origins, arity mismatches or empty ranges.
-    pub fn mira_query(
-        &self,
-        origin: NodeId,
-        query: &[(f64, f64)],
-        seed: u64,
-    ) -> Result<QueryOutcome, ArmadaError> {
-        crate::mira::query(self, origin, query, seed, None, false, &mut simnet::QueryScratch::new())
-            .map(|(out, _)| out)
+        self.records_in(query)
     }
 }
 
@@ -516,6 +501,33 @@ mod tests {
             MultiArmada::build_with(small_cfg(), 20, &[(0.0, 1.0), (0.0, 1.0)], &mut rng).unwrap();
         assert!(m.publish(&[0.5]).is_err());
         assert!(m.publish(&[0.5, 0.5]).is_ok());
+        // The refused point left no trace in the flat record table.
+        assert_eq!(m.record_count(), 1);
+    }
+
+    #[test]
+    fn multi_points_round_trip_and_crashes_are_repaired() {
+        let mut rng = simnet::rng_from_seed(58);
+        let mut m =
+            MultiArmada::build_with(small_cfg(), 80, &[(0.0, 10.0), (0.0, 500.0)], &mut rng)
+                .unwrap();
+        use rand::Rng;
+        let points: Vec<[f64; 2]> =
+            (0..120).map(|_| [rng.gen_range(0.0..=10.0), rng.gen_range(0.0..=500.0)]).collect();
+        for p in &points {
+            let r = m.publish(p).unwrap();
+            assert_eq!(m.point(r), p);
+        }
+        assert_eq!(m.record_count(), 120);
+        assert_eq!(m.expected_results(&[(0.0, 10.0), (0.0, 500.0)]).len(), 120);
+        let mut lost = 0;
+        while lost == 0 {
+            let victim = m.net().random_peer(&mut rng);
+            lost = m.net_mut().crash(victim).unwrap();
+        }
+        assert_eq!(m.repair_records(), lost);
+        assert_eq!(m.net().report().total_objects, 120);
+        assert_eq!(m.repair_records(), 0);
     }
 
     #[test]

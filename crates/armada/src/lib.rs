@@ -61,7 +61,7 @@ pub mod scheme;
 pub mod seqwalk;
 pub mod topk;
 
-pub use engine::{MultiArmada, RecordId, SingleArmada};
+pub use engine::{Armada, MultiArmada, RecordId, SingleArmada};
 pub use frt::ForwardRoutingTree;
 pub use metrics::{QueryMetrics, QueryOutcome};
 pub use scheme::{register, MiraScheme, PiraScheme, SeqWalkScheme};

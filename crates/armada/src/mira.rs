@@ -21,6 +21,7 @@
 //! query volume.
 
 use crate::descent::{descend, State};
+use crate::engine::in_rect;
 use crate::{ArmadaError, MultiArmada, QueryOutcome};
 use kautz::fixed::BoundaryInterval;
 use kautz::KautzStr;
@@ -98,21 +99,25 @@ pub fn query(
             naming.prefix_rect_into(prefix, subtree).expect("subtree prefix within depth");
             rect.intersects(subtree)
         },
-        |record| {
-            let point = armada.point(record);
-            point.iter().zip(ranges).all(|(&v, &(lo, hi))| v >= lo && v <= hi)
-        },
+        |record| in_rect(armada.point(record), ranges),
     )
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::MultiArmada;
+    use crate::{MultiArmada, QueryOutcome};
     use fissione::FissioneConfig;
     use rand::Rng;
+    use simnet::NodeId;
 
     fn small_cfg() -> FissioneConfig {
         FissioneConfig { object_id_len: 24, ..FissioneConfig::default() }
+    }
+
+    /// One plain query: fresh scratch, no faults, no trace.
+    fn ask(m: &MultiArmada, origin: NodeId, rect: &[(f64, f64)], seed: u64) -> QueryOutcome {
+        let mut scratch = simnet::QueryScratch::new();
+        super::query(m, origin, rect, seed, None, false, &mut scratch).unwrap().0
     }
 
     fn build2(n: usize, records: usize, seed: u64) -> MultiArmada {
@@ -144,7 +149,7 @@ mod tests {
         for q in 0..80 {
             let query = random_query(&mut rng);
             let origin = m.net().random_peer(&mut rng);
-            let out = m.mira_query(origin, &query, q).unwrap();
+            let out = ask(&m, origin, &query, q);
             assert!(out.metrics.exact, "query {query:?} missed peers");
             assert_eq!(out.results, m.expected_results(&query), "query {query:?}");
         }
@@ -157,7 +162,7 @@ mod tests {
         for q in 0..60 {
             let query = random_query(&mut rng);
             let origin = m.net().random_peer(&mut rng);
-            let out = m.mira_query(origin, &query, q).unwrap();
+            let out = ask(&m, origin, &query, q);
             let b = m.net().peer(origin).unwrap().depth() as u32;
             assert!(out.metrics.delay <= b);
         }
@@ -176,7 +181,7 @@ mod tests {
                 let lo1 = rng.gen_range(0.0..(100.0 - side));
                 let query = vec![(lo0, lo0 + side), (lo1, lo1 + side)];
                 let origin = m.net().random_peer(&mut rng);
-                let out = m.mira_query(origin, &query, q).unwrap();
+                let out = ask(&m, origin, &query, q);
                 total += u64::from(out.metrics.delay);
             }
             let avg = total as f64 / queries as f64;
@@ -190,10 +195,23 @@ mod tests {
         let mut rng = simnet::rng_from_seed(740);
         let origin = m.net().random_peer(&mut rng);
         let query = vec![(0.0, 100.0), (0.0, 100.0)];
-        let out = m.mira_query(origin, &query, 1).unwrap();
+        let out = ask(&m, origin, &query, 1);
         assert_eq!(out.metrics.dest_peers, m.net().len());
         assert!(out.metrics.exact);
         assert_eq!(out.results.len(), m.record_count());
+    }
+
+    #[test]
+    fn mira_rejects_nan_bounds() {
+        let m = build2(60, 20, 77);
+        let origin = m.net().live_peers().next().unwrap();
+        let mut scratch = simnet::QueryScratch::new();
+        for (lo, hi) in [(10.0, f64::NAN), (f64::NAN, 60.0)] {
+            let rect = [(0.0, 100.0), (lo, hi)];
+            let err = super::query(&m, origin, &rect, 1, None, false, &mut scratch).unwrap_err();
+            let empty = kautz::naming::NamingError::EmptyRange { attribute: 1 };
+            assert_eq!(err, crate::ArmadaError::Naming(empty), "{rect:?}");
+        }
     }
 
     #[test]
@@ -218,7 +236,7 @@ mod tests {
                 })
                 .collect();
             let origin = m.net().random_peer(&mut rng);
-            let out = m.mira_query(origin, &query, q).unwrap();
+            let out = ask(&m, origin, &query, q);
             assert!(out.metrics.exact, "query {query:?}");
             assert_eq!(out.results, m.expected_results(&query));
         }
@@ -233,8 +251,8 @@ mod tests {
         let origin = m.net().random_peer(&mut rng);
         let wide = vec![(10.0, 60.0), (10.0, 60.0)];
         let narrow = vec![(10.0, 60.0), (34.9, 35.1)];
-        let w = m.mira_query(origin, &wide, 1).unwrap();
-        let n = m.mira_query(origin, &narrow, 2).unwrap();
+        let w = ask(&m, origin, &wide, 1);
+        let n = ask(&m, origin, &narrow, 2);
         assert!(
             n.metrics.messages < w.metrics.messages,
             "narrow {} vs wide {}",

@@ -224,6 +224,13 @@ mod tests {
         assert!(matches!(err, crate::ArmadaError::BadOrigin { .. }));
         let origin = a.net().live_peers().next().unwrap();
         assert!(a.pira_query(origin, 5.0, 1.0, 1).is_err());
+        // A NaN bound is an empty range: not a panic in the naming layer,
+        // nor an exact answer of nothing.
+        for (lo, hi) in [(10.0, f64::NAN), (f64::NAN, 600.0), (f64::NAN, f64::NAN)] {
+            let err = a.pira_query(origin, lo, hi, 1).unwrap_err();
+            let empty = kautz::naming::NamingError::EmptyRange { attribute: 0 };
+            assert_eq!(err, crate::ArmadaError::Naming(empty), "[{lo}, {hi}]");
+        }
     }
 
     #[test]

@@ -11,23 +11,25 @@
 //! threads by reference; [`register`] wires their builders into the
 //! [`SchemeRegistry`] under `"pira"`, `"seqwalk"`, and `"mira"`.
 //!
-//! The single-attribute adapters also opt into the dynamics and replication
-//! layers ([`RangeScheme::as_dynamic`], [`RangeScheme::as_replica_routing`])
-//! by handing out their engine: [`SingleArmada`] implements both once.
-//! FISSIONE supplies join/leave/crash/stabilize natively, and the engine
-//! adds the data-repair half — [`SingleArmada::repair_records`]
+//! The engine implements the dynamics layer ([`DynamicScheme`]) once, for
+//! either naming: FISSIONE supplies join/leave/crash/stabilize natively, and
+//! the engine adds the data-repair half — [`Armada::repair_records`]
 //! re-publishes whatever crashed peers lost, restoring the post-stabilize
-//! exactness contract.
+//! exactness contract for PIRA and MIRA alike. The single-attribute adapters
+//! hand their engine out through [`RangeScheme::as_dynamic`] and, for the
+//! replication layer, [`RangeScheme::as_replica_routing`] (close groups are
+//! keyed by one value, so only [`SingleArmada`] routes replicas).
 //!
 //! [`RangeOutcome::results`]: dht_api::RangeOutcome
 
-use crate::{ArmadaError, MultiArmada, QueryOutcome, SingleArmada};
+use crate::{Armada, ArmadaError, MultiArmada, QueryOutcome, SingleArmada};
 use dht_api::{
     BuildParams, Dht, DynamicScheme, FetchCost, MultiBuildParams, MultiRangeScheme, OutcomeCosts,
     QueryCtx, RangeOutcome, RangeRequest, RangeScheme, RectRequest, ReplicaRouting, SchemeError,
     SchemeRegistry,
 };
 use fissione::{FissioneConfig, RouteTree};
+use kautz::naming::{Naming, NamingError};
 use rand::rngs::SmallRng;
 use simnet::{NodeId, QueryScratch};
 
@@ -35,6 +37,9 @@ impl From<ArmadaError> for SchemeError {
     fn from(e: ArmadaError) -> Self {
         match e {
             ArmadaError::BadOrigin { origin } => SchemeError::BadOrigin { origin },
+            ArmadaError::Naming(NamingError::WrongArity { expected, got }) => {
+                SchemeError::WrongArity { expected, got }
+            }
             other => SchemeError::Query(other.to_string()),
         }
     }
@@ -188,12 +193,11 @@ impl RangeScheme for PiraScheme {
     }
 }
 
-/// FISSIONE-backed dynamics, shared by the PIRA and sequential-walk
-/// adapters through their engine: churn goes straight to the substrate, and
-/// stabilization pairs the overlay's invariant repair with a record-repair
-/// sweep re-publishing whatever crashes lost (the engine's record table is
-/// the ground truth).
-impl DynamicScheme for SingleArmada {
+/// FISSIONE-backed dynamics, one for both namings: churn goes straight to
+/// the substrate, and stabilization pairs the overlay's invariant repair
+/// with a record-repair sweep re-publishing whatever crashes lost (the
+/// engine's record table is the ground truth).
+impl<N: Naming> DynamicScheme for Armada<N> {
     fn join(&mut self, rng: &mut SmallRng) -> Result<NodeId, SchemeError> {
         self.net_mut().try_join(rng).map_err(SchemeError::from)
     }
@@ -216,7 +220,8 @@ impl DynamicScheme for SingleArmada {
     }
 }
 
-/// FISSIONE-backed replica routing, shared the same way: close groups come
+/// FISSIONE-backed replica routing, shared by the PIRA and sequential-walk
+/// adapters through their engine: close groups come
 /// from the substrate's Kautz neighborhood ([`Dht::replica_owners`]), and
 /// point fetches pay the real routed path to the holder plus one direct
 /// response hop — with the same edges priced by the engine's cost model for
@@ -389,7 +394,6 @@ impl RangeScheme for SeqWalkScheme {
 #[derive(Debug, Clone)]
 pub struct MiraScheme {
     inner: MultiArmada,
-    dims: usize,
     handles: Vec<u64>,
 }
 
@@ -405,7 +409,7 @@ impl MiraScheme {
         let mut inner = MultiArmada::build_with(cfg, params.n, &params.domains, rng)
             .map_err(|e| SchemeError::Build(e.to_string()))?;
         inner.set_net_model(params.net);
-        Ok(MiraScheme { inner, dims: params.domains.len(), handles: Vec::new() })
+        Ok(MiraScheme { inner, handles: Vec::new() })
     }
 
     /// The wrapped native engine.
@@ -438,13 +442,10 @@ impl MultiRangeScheme for MiraScheme {
     }
 
     fn dims(&self) -> usize {
-        self.dims
+        self.inner.naming().arity()
     }
 
     fn publish_point(&mut self, point: &[f64], handle: u64) -> Result<(), SchemeError> {
-        if point.len() != self.dims {
-            return Err(SchemeError::WrongArity { expected: self.dims, got: point.len() });
-        }
         self.inner.publish(point)?;
         self.handles.push(handle);
         Ok(())
@@ -469,9 +470,6 @@ impl MultiRangeScheme for MiraScheme {
         req: &RectRequest<'_>,
         cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        if req.rect().len() != self.dims {
-            return Err(SchemeError::WrongArity { expected: self.dims, got: req.rect().len() });
-        }
         let faults = cx.faults_within(self.node_count(), |peer| self.inner.net().is_live(peer))?;
         let (out, records) = crate::mira::query(
             &self.inner,

@@ -179,7 +179,9 @@ proptest! {
         };
         let query = [side(q0, w0, 50.0), side(q1, w1, 200.0)];
         let origin = m.net().random_peer(&mut rng);
-        let out = m.mira_query(origin, &query, seed).unwrap();
+        let mut scratch = simnet::QueryScratch::new();
+        let (out, _) =
+            armada::mira::query(&m, origin, &query, seed, None, false, &mut scratch).unwrap();
         prop_assert!(out.metrics.exact, "missed peers for {:?}", query);
         // The destinations MIRA counts — the matching peers of the corner
         // region's run — are the ones a scan of every peer finds.

@@ -364,24 +364,8 @@ impl BaselineReport {
     ///
     /// The first differing line of the two artifacts.
     pub fn check(&self, committed: &str) -> Result<(), String> {
-        let ours = self.to_json();
-        let (mut a, mut b) = (ours.lines(), committed.lines());
-        for line in 1.. {
-            match (a.next(), b.next()) {
-                (None, None) => break,
-                (ours, theirs) if ours == theirs => {}
-                (ours, theirs) => {
-                    let show = |l: Option<&str>| l.unwrap_or("<end of file>").to_string();
-                    return Err(format!(
-                        "the regenerated baseline differs from the committed one at line {line}:\n  \
-                         this tree: {}\n  committed: {}",
-                        show(ours),
-                        show(theirs)
-                    ));
-                }
-            }
-        }
-        Ok(())
+        crate::output::compare_lines(&self.to_json(), committed)
+            .map_err(|e| format!("the regenerated baseline {e}"))
     }
 }
 

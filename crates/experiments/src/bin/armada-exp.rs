@@ -6,6 +6,7 @@
 //! ```sh
 //! cargo run --release -p armada-experiments --bin armada-exp -- table1 --quick
 //! cargo run --release -p armada-experiments --bin armada-exp -- all_experiments
+//! cargo run --release -p armada-experiments --bin armada-exp -- all_experiments --quick --check
 //! cargo run --release -p armada-experiments --bin armada-exp -- churn_sweep --quick \
 //!     --schemes pira,dcf-can --plans massacre,steady-churn --threads 4
 //! cargo run --release -p armada-experiments --bin armada-exp -- bench_baseline --check
@@ -15,9 +16,12 @@
 //!
 //! * The paper artifacts and ablations (`table1`, `fig5`–`fig8`,
 //!   `fissione_props`, `mira_bounds`, `topk_eval`, `ablation_*`,
-//!   `fault_tolerance`) take `--quick` only; `all_experiments` runs the
-//!   twelve of them in sequence. Each prints its Markdown table and writes
-//!   `target/experiments/<name>.csv`.
+//!   `fault_tolerance`) take `--quick` and `--check` only;
+//!   `all_experiments` runs the twelve of them in sequence. Each prints its
+//!   Markdown table and writes `target/experiments/<name>.csv`. With
+//!   `--quick --check` each instead compares its CSV with the committed
+//!   `artifacts/quick/<name>.csv` line for line, writes nothing, and exits
+//!   non-zero naming the file and its first differing line.
 //! * The sweeps (`churn_sweep`, `replication_sweep`, `latency_sweep`,
 //!   `partition_sweep`) also take `--schemes a,b`, `--plans a,b`,
 //!   `--nets a,b` and `--threads N` for local iteration; with no filters
@@ -70,27 +74,36 @@ fn run(args: &[String]) -> Result<(), Failure> {
     };
     let scale = if has_flag(args, "quick") { Scale::Quick } else { Scale::Full };
     match name.as_str() {
-        "bench_baseline" => return bench_baseline(scale, args),
-        "trace_explain" => return trace_explain(args),
-        "all_experiments" => {
-            cli::reject_unknown_flags(args, &["quick"])?;
-            for (name, run) in &EXPERIMENTS {
-                if let Run::Artifact(artifact) = run {
-                    emit(&artifact(scale), name);
-                }
-            }
-        }
+        "bench_baseline" => bench_baseline(scale, args),
+        "trace_explain" => trace_explain(args),
         name => {
             let sweep = EXPERIMENTS.iter().any(|(n, r)| *n == name && matches!(r, Run::Sweep(_)));
-            let filters: &[&str] =
-                if sweep { &["schemes", "plans", "nets", "threads"] } else { &[] };
-            cli::reject_unknown_flags(args, &[&["quick"], filters].concat())?;
-            for (csv, table) in cli::run(name, scale, &Filters::parse(args)?)? {
-                emit(&table, csv);
+            let flags: &[&str] =
+                if sweep { &["schemes", "plans", "nets", "threads"] } else { &["check"] };
+            cli::reject_unknown_flags(args, &[&["quick"], flags].concat())?;
+            let check = has_flag(args, "check");
+            if check && scale == Scale::Full {
+                return Err("--check compares with the committed --quick CSVs: add --quick"
+                    .to_string()
+                    .into());
             }
+            let names: Vec<&str> = match name {
+                "all_experiments" => EXPERIMENTS
+                    .iter()
+                    .filter(|(_, run)| matches!(run, Run::Artifact(_)))
+                    .map(|(name, _)| *name)
+                    .collect(),
+                name => vec![name],
+            };
+            let filters = Filters::parse(args)?;
+            for name in names {
+                for (csv, table) in cli::run(name, scale, &filters)? {
+                    emit(&table, csv, check)?;
+                }
+            }
+            Ok(())
         }
     }
-    Ok(())
 }
 
 fn bench_baseline(scale: Scale, args: &[String]) -> Result<(), Failure> {
@@ -136,14 +149,31 @@ fn bench_baseline(scale: Scale, args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Prints a table's markdown and writes its CSV: every artifact and sweep
-/// subcommand's epilogue.
-fn emit(table: &Table, name: &str) {
+/// Prints a table's markdown, then writes its CSV, or with `check` compares
+/// it with the committed one under `artifacts/quick/` and writes nothing:
+/// every artifact and sweep subcommand's epilogue.
+fn emit(table: &Table, name: &str, check: bool) -> Result<(), Failure> {
     print!("{}", table.to_markdown());
+    if check {
+        let path = output::golden_dir().join(format!("{name}.csv"));
+        let committed = std::fs::read_to_string(&path)
+            .map_err(|e| Failure(1, format!("cannot read {}: {e}", path.display())))?;
+        output::compare_lines(&table.to_csv(), &committed).map_err(|e| {
+            let shown = path.display();
+            let rerun = format!("`armada-exp {name} --quick` and copy its CSV over {shown}");
+            Failure(
+                1,
+                format!("the regenerated {shown} {e}\nif the change is intended, run {rerun}"),
+            )
+        })?;
+        println!("\n[check] {} matches\n", path.display());
+        return Ok(());
+    }
     match table.write_csv(name) {
         Ok(path) => println!("\n[csv] {}\n", path.display()),
         Err(e) => eprintln!("warning: could not write csv: {e}"),
     }
+    Ok(())
 }
 
 fn trace_explain(args: &[String]) -> Result<(), Failure> {

@@ -285,12 +285,14 @@ mod tests {
     }
 
     /// Replaces the per-binary smoke steps: every subcommand in the
-    /// dispatch table runs at quick scale and yields non-empty tables.
+    /// dispatch table runs at quick scale and yields non-empty tables, and
+    /// each paper artifact's CSV is the committed one under
+    /// `artifacts/quick/`.
     #[test]
     fn every_experiment_is_registered_and_runs_quick() {
         let mut seen = std::collections::BTreeSet::new();
         let mut csvs = std::collections::BTreeSet::new();
-        for (name, _) in &EXPERIMENTS {
+        for (name, kind) in &EXPERIMENTS {
             assert!(seen.insert(*name), "{name} registered twice");
             assert!(
                 !["all_experiments", "bench_baseline", "trace_explain"].contains(name),
@@ -301,6 +303,12 @@ mod tests {
             for (csv, table) in tables {
                 assert!(csvs.insert(csv), "{csv}.csv written twice");
                 assert!(!table.rows.is_empty() && !table.columns.is_empty(), "{name}/{csv} empty");
+                if matches!(kind, Run::Artifact(_)) {
+                    let path = crate::output::golden_dir().join(format!("{csv}.csv"));
+                    let golden = std::fs::read_to_string(&path).unwrap();
+                    let moved = crate::output::compare_lines(&table.to_csv(), &golden);
+                    assert_eq!(moved, Ok(()), "{}", path.display());
+                }
             }
         }
         assert!(csvs.contains("partition_retry_premium"));

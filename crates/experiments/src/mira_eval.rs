@@ -4,7 +4,7 @@
 
 use crate::output::Table;
 use crate::{paper, Scale};
-use armada::MultiArmada;
+use armada::{mira, MultiArmada};
 use fissione::FissioneConfig;
 use rand::Rng;
 
@@ -35,6 +35,7 @@ pub fn run(scale: Scale) -> Table {
             FissioneConfig { object_id_len: paper::OBJECT_ID_LEN, ..FissioneConfig::default() };
         let mut rng = simnet::rng_from_seed(0x314a ^ m as u64);
         let armada = MultiArmada::build_with(cfg, n, &domains, &mut rng).expect("build");
+        let mut scratch = simnet::QueryScratch::new();
         for &side_pct in &[1.0f64, 10.0, 40.0] {
             let side = side_pct; // domain is [0,100] ⇒ percent = units
             let mut sum = 0f64;
@@ -49,7 +50,9 @@ pub fn run(scale: Scale) -> Table {
                     })
                     .collect();
                 let origin = armada.net().random_peer(&mut rng);
-                let out = armada.mira_query(origin, &query, q as u64).expect("query");
+                let (out, _) =
+                    mira::query(&armada, origin, &query, q as u64, None, false, &mut scratch)
+                        .expect("query");
                 sum += f64::from(out.metrics.delay);
                 max = max.max(f64::from(out.metrics.delay));
                 dest += out.metrics.dest_peers as f64;

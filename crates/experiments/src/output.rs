@@ -115,6 +115,39 @@ pub fn output_dir() -> PathBuf {
     workspace_root().join("target/experiments")
 }
 
+/// Where the committed `--quick` CSVs of the twelve paper artifacts live:
+/// `artifacts/quick/` in the workspace.
+pub fn golden_dir() -> PathBuf {
+    workspace_root().join("artifacts/quick")
+}
+
+/// Compares a regenerated artifact with the `committed` one line for line:
+/// every golden artifact is simulated, so any difference is a moved number.
+///
+/// # Errors
+///
+/// The first differing line of the two, as `differs from the committed one
+/// at line …` (callers prefix what was regenerated).
+pub fn compare_lines(ours: &str, committed: &str) -> Result<(), String> {
+    let (mut a, mut b) = (ours.lines(), committed.lines());
+    for line in 1.. {
+        match (a.next(), b.next()) {
+            (None, None) => break,
+            (ours, theirs) if ours == theirs => {}
+            (ours, theirs) => {
+                let show = |l: Option<&str>| l.unwrap_or("<end of file>").to_string();
+                return Err(format!(
+                    "differs from the committed one at line {line}:\n  this tree: {}\n  \
+                     committed: {}",
+                    show(ours),
+                    show(theirs)
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,6 +179,16 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new("T", &["a", "b"]);
         t.push_row(vec!["only-one".into()]);
+    }
+
+    #[test]
+    fn compare_lines_names_the_first_differing_line() {
+        let csv = sample().to_csv();
+        assert_eq!(compare_lines(&csv, &csv), Ok(()));
+        let e = compare_lines(&csv, &csv.replace("3.00", "3.01")).unwrap_err();
+        assert!(e.contains("line 3") && e.contains("this tree: 2,3.00"), "{e}");
+        let e = compare_lines(&csv, "x,y\n").unwrap_err();
+        assert!(e.contains("line 2") && e.contains("committed: <end of file>"), "{e}");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub enum NamingError {
         /// Attributes supplied.
         got: usize,
     },
-    /// A query range was empty (`lo > hi`).
+    /// A query range was empty (`lo > hi`, or a NaN bound).
     EmptyRange {
         /// Index of the offending attribute.
         attribute: usize,
@@ -66,6 +66,22 @@ impl std::fmt::Display for NamingError {
 }
 
 impl std::error::Error for NamingError {}
+
+/// What a record store needs of a naming scheme: how many attributes a
+/// point has, and the ObjectID it is published under. [`SingleHash`] names
+/// one-attribute points, [`MultiHash`] `m`-attribute ones.
+pub trait Naming {
+    /// Attributes per point.
+    fn arity(&self) -> usize;
+
+    /// The ObjectID of a point of [`arity`](Self::arity) attributes (each
+    /// coordinate clamped into its domain).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NamingError::WrongArity`] on arity mismatch.
+    fn point_id(&self, point: &[f64]) -> Result<KautzStr, NamingError>;
+}
 
 /// A closed attribute domain `[L, H]` with finite endpoints, `L < H`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,9 +180,9 @@ impl SingleHash {
     ///
     /// # Errors
     ///
-    /// Returns [`NamingError::EmptyRange`] if `lo > hi`.
+    /// Returns [`NamingError::EmptyRange`] if `lo > hi` or a bound is NaN.
     pub fn region(&self, lo: f64, hi: f64) -> Result<KautzRegion, NamingError> {
-        if lo > hi {
+        if lo.is_nan() || hi.is_nan() || lo > hi {
             return Err(NamingError::EmptyRange { attribute: 0 });
         }
         let low_t = self.object_id(lo);
@@ -182,6 +198,19 @@ impl SingleHash {
     /// Returns an error if the prefix is deeper than [`MAX_DEPTH`].
     pub fn prefix_interval(&self, prefix: &KautzStr) -> Result<BoundaryInterval, KautzError> {
         crate::partition::interval_of_prefix(prefix)
+    }
+}
+
+impl Naming for SingleHash {
+    fn arity(&self) -> usize {
+        1
+    }
+
+    fn point_id(&self, point: &[f64]) -> Result<KautzStr, NamingError> {
+        match *point {
+            [value] => Ok(self.object_id(value)),
+            _ => Err(NamingError::WrongArity { expected: 1, got: point.len() }),
+        }
     }
 }
 
@@ -276,11 +305,6 @@ impl MultiHash {
         self.k
     }
 
-    /// Number of attributes `m`.
-    pub fn arity(&self) -> usize {
-        self.spaces.len()
-    }
-
     /// The per-attribute domains.
     pub fn spaces(&self) -> &[ValueSpace] {
         &self.spaces
@@ -327,7 +351,8 @@ impl MultiHash {
     ///
     /// # Errors
     ///
-    /// Returns an error on arity mismatch or an empty per-attribute range.
+    /// Returns an error on arity mismatch or an empty per-attribute range
+    /// (`lo > hi` or a NaN bound).
     pub fn query_rect(&self, query: &[(f64, f64)]) -> Result<ScaledRect, NamingError> {
         if query.len() != self.spaces.len() {
             return Err(NamingError::WrongArity { expected: self.spaces.len(), got: query.len() });
@@ -335,7 +360,7 @@ impl MultiHash {
         let mut lo = Vec::with_capacity(query.len());
         let mut hi = Vec::with_capacity(query.len());
         for (i, (&(a, b), space)) in query.iter().zip(self.spaces.iter()).enumerate() {
-            if a > b {
+            if a.is_nan() || b.is_nan() || a > b {
                 return Err(NamingError::EmptyRange { attribute: i });
             }
             lo.push(space.normalize(a));
@@ -367,6 +392,16 @@ impl MultiHash {
         out: &mut Vec<BoundaryInterval>,
     ) -> Result<(), KautzError> {
         rect_of_prefix_into(prefix, self.spaces.len(), out)
+    }
+}
+
+impl Naming for MultiHash {
+    fn arity(&self) -> usize {
+        self.spaces.len()
+    }
+
+    fn point_id(&self, point: &[f64]) -> Result<KautzStr, NamingError> {
+        self.object_id(point)
     }
 }
 
@@ -417,6 +452,37 @@ mod tests {
     fn region_rejects_reversed_query() {
         let naming = SingleHash::new(0.0, 1.0, 4).unwrap();
         assert!(matches!(naming.region(0.9, 0.1), Err(NamingError::EmptyRange { .. })));
+    }
+
+    #[test]
+    fn nan_bounds_are_empty_ranges() {
+        // A NaN bound normalises to the domain's low end: `(10, NaN)` used to
+        // reach `KautzRegion::new` inverted and panic, and `(NaN, 600)` to
+        // name a region that holds no value of the range.
+        let empty = |r: Result<(), NamingError>| matches!(r, Err(NamingError::EmptyRange { .. }));
+        let single = SingleHash::new(0.0, 1000.0, 24).unwrap();
+        let multi = MultiHash::new(&[(0.0, 1000.0), (0.0, 1000.0)], 24).unwrap();
+        for (lo, hi) in [(10.0, f64::NAN), (f64::NAN, 600.0), (f64::NAN, f64::NAN)] {
+            assert!(empty(single.region(lo, hi).map(|_| ())), "[{lo}, {hi}]");
+            assert!(
+                empty(multi.corner_region(&[(lo, hi), (0.0, 1.0)]).map(|_| ())),
+                "[{lo}, {hi}]"
+            );
+            assert!(empty(multi.query_rect(&[(0.0, 1.0), (lo, hi)]).map(|_| ())), "[{lo}, {hi}]");
+        }
+    }
+
+    #[test]
+    fn point_ids_check_arity_and_agree_with_object_ids() {
+        let single = SingleHash::new(0.0, 1000.0, 24).unwrap();
+        let multi = MultiHash::new(&[(0.0, 1000.0), (0.0, 1000.0)], 24).unwrap();
+        assert_eq!((single.arity(), multi.arity()), (1, 2));
+        assert_eq!(single.point_id(&[355.0]), Ok(single.object_id(355.0)));
+        assert_eq!(multi.point_id(&[1.0, 2.0]), multi.object_id(&[1.0, 2.0]));
+        let wrong = |expected, got| Err(NamingError::WrongArity { expected, got });
+        assert_eq!(single.point_id(&[1.0, 2.0]), wrong(1, 2));
+        assert_eq!(single.point_id(&[]), wrong(1, 0));
+        assert_eq!(multi.point_id(&[1.0]), wrong(2, 1));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! The same test pins two layouts without a stopwatch: what `publish` and
 //! a no-op `re_replicate` ask of the allocator per record on the
 //! replication layer must not depend on the peer count, and neither must
-//! what `publish` asks for on bare `pira` at the paper's ObjectID length,
-//! which has a ceiling of its own.
+//! what `publish` asks for on bare `pira` and `mira` at the paper's
+//! ObjectID length, each of which has a ceiling of its own.
 //!
 //! Everything runs inside ONE `#[test]` so the process-wide counter is
 //! never shared with a concurrent test thread; queries are driven
@@ -132,21 +132,37 @@ fn placement_cost(n: usize) -> [(f64, f64); 2] {
     [per_record(published, RECORDS), per_record(repaired, 2 * RECORDS)]
 }
 
+const PUBLISHED: usize = 2048;
+
 /// Bytes `publish` asks of the allocator per record on bare `pira` at the
 /// paper's ObjectID length and `n` peers, onto a scheme that already holds
 /// as many records again.
 fn publish_bytes_per_record(n: usize) -> f64 {
-    const RECORDS: usize = 2048;
     let params = BuildParams::new(n, DOMAIN.0, DOMAIN.1).with_object_id_len(100);
     let mut rng = simnet::rng_from_seed(0xa110c);
     let mut scheme = standard_registry().build_single("pira", &params, &mut rng).unwrap();
     let mut publish = |from: usize| {
-        for h in from..from + RECORDS {
+        for h in from..from + PUBLISHED {
             scheme.publish(rng.gen_range(DOMAIN.0..=DOMAIN.1), h as u64).unwrap();
         }
     };
     publish(0);
-    metered(|| publish(RECORDS)).1 / RECORDS as f64
+    metered(|| publish(PUBLISHED)).1 / PUBLISHED as f64
+}
+
+/// The same on bare `mira` over two attributes.
+fn point_bytes_per_record(n: usize) -> f64 {
+    let params = MultiBuildParams::new(n, &[DOMAIN; 2]).with_object_id_len(100);
+    let mut rng = simnet::rng_from_seed(0xa110c);
+    let mut scheme = standard_registry().build_multi("mira", &params, &mut rng).unwrap();
+    let mut publish = |from: usize| {
+        for h in from..from + PUBLISHED {
+            let point = [0; 2].map(|_| rng.gen_range(DOMAIN.0..=DOMAIN.1));
+            scheme.publish_point(&point, h as u64).unwrap();
+        }
+    };
+    publish(0);
+    metered(|| publish(PUBLISHED)).1 / PUBLISHED as f64
 }
 
 #[test]
@@ -163,6 +179,14 @@ fn steady_state_allocations_per_query_stay_within_budget() {
     eprintln!("alloc budget: pira publish {small:.0} bytes/record at N = 500, {large:.0} at 2000");
     assert!(large <= 288.0, "pira publish: {large:.0} bytes per record exceeds budget 288");
     assert!((small - large).abs() <= 16.0, "pira publish: bytes per record depend on N");
+    // MIRA's publish pays the same table plus its naming's scaled point.
+    // The engine keeps every point in one flat column beside PIRA's values:
+    // measured 423 and 424, × 1.5 (455 and 456 while each point was a `Vec`
+    // of its own).
+    let [small, large] = [500, 2000].map(point_bytes_per_record);
+    eprintln!("alloc budget: mira publish {small:.0} bytes/record at N = 500, {large:.0} at 2000");
+    assert!(large <= 636.0, "mira publish: {large:.0} bytes per record exceeds budget 636");
+    assert!((small - large).abs() <= 16.0, "mira publish: bytes per record depend on N");
 
     // Placement and repair cost what one record costs, whatever N: a ring
     // re-derived per record would ask for 24 more bytes per peer here.

@@ -1,7 +1,7 @@
 //! The paper's quantitative claims, asserted as integration tests at
 //! reduced (but still statistically meaningful) scale.
 
-use armada::{MultiArmada, SingleArmada};
+use armada::{mira, MultiArmada, SingleArmada};
 use fissione::FissioneConfig;
 use rand::Rng;
 
@@ -120,6 +120,7 @@ fn claim_mira_bounds() {
     let n = 800;
     let armada = MultiArmada::build_with(cfg(), n, &[(0.0, 10.0), (0.0, 10.0)], &mut rng).unwrap();
     let log_n = (n as f64).log2();
+    let mut scratch = simnet::QueryScratch::new();
     for &side in &[0.1f64, 2.0, 9.9] {
         let mut total = 0f64;
         let mut max = 0f64;
@@ -128,8 +129,9 @@ fn claim_mira_bounds() {
             let lo0 = rng.gen_range(0.0..(10.0 - side));
             let lo1 = rng.gen_range(0.0..(10.0 - side));
             let origin = armada.net().random_peer(&mut rng);
-            let out =
-                armada.mira_query(origin, &[(lo0, lo0 + side), (lo1, lo1 + side)], q).unwrap();
+            let rect = [(lo0, lo0 + side), (lo1, lo1 + side)];
+            let (out, _) =
+                mira::query(&armada, origin, &rect, q, None, false, &mut scratch).unwrap();
             total += f64::from(out.metrics.delay);
             max = max.max(f64::from(out.metrics.delay));
         }
