@@ -116,7 +116,7 @@ pub(crate) fn descend<S>(
 
     let mut sim: Sim<Msg> = Sim::from_scratch(seed, sim_scratch).with_net(*model);
     if let Some(faults) = faults {
-        sim = sim.with_faults_ref(faults);
+        sim = sim.with_faults(faults);
     }
     if trace {
         sim = sim.with_trace(simnet::TraceSink::new());

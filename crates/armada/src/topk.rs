@@ -11,7 +11,7 @@
 //! count is `O(log(H − L) / δ₀)`, so the total stays polylogarithmic
 //! whenever the data is not pathologically sparse near the top.
 
-use crate::{ArmadaError, QueryMetrics, RecordId, SingleArmada};
+use crate::{ArmadaError, RecordId, SingleArmada};
 use simnet::NodeId;
 
 /// Result of a top-k query.
@@ -94,24 +94,6 @@ impl SingleArmada {
             .collect();
         ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         ranked.into_iter().take(k).map(|(_, r)| r).collect()
-    }
-}
-
-/// Convenience conversion: a top-k outcome viewed as ordinary query metrics
-/// (dest/reached peers are not tracked across probes).
-impl TopKOutcome {
-    /// Collapses the outcome into the shared metrics shape.
-    pub fn as_metrics(&self) -> QueryMetrics {
-        QueryMetrics {
-            delay: self.delay,
-            // Top-k probes predate the cost-model layer and report hops
-            // only; under the unit model latency equals hop depth.
-            latency: u64::from(self.delay),
-            messages: self.messages,
-            dest_peers: 0,
-            reached_peers: 0,
-            exact: true,
-        }
     }
 }
 

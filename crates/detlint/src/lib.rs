@@ -20,9 +20,10 @@
 //!   only by the `bench/` harness, which sits outside the scanned roots.
 //! * **D3** — no ambient or shared-RNG draws (`thread_rng`, `from_entropy`,
 //!   `rand::random`): delivery and dispatch paths must derive all
-//!   randomness as pure functions of `(seed, index)` — the PR 5
-//!   `LatencyModel::Uniform` bug class, where jitter drawn from a shared
-//!   stream in delivery order leaked scheduling order into edge costs.
+//!   randomness as pure functions of `(seed, index)` — the bug class of
+//!   the simulator's old scheduling-jitter model (since deleted), whose
+//!   draws from a shared stream in delivery order leaked scheduling order
+//!   into edge costs.
 //! * **D4** — no unordered iteration (`.keys()` / `.values()` /
 //!   `.drain()` / `.iter()` / `for … in`) over a hash collection flowing
 //!   onward without an intervening sort. This is the rule that catches a
@@ -41,7 +42,7 @@
 //! * **D6** — no `.clone()` of query-path routing state (`FaultPlan`,
 //!   `NetModel`, `KautzRegion`) in library code. These types are the
 //!   per-query constants of the hot path; the zero-allocation work gave
-//!   every consumer a borrow-or-intern alternative (`Sim::with_faults_ref`
+//!   every consumer a borrow-or-intern alternative (`Sim::with_faults`
 //!   borrows the caller's plan, schemes hold region tables by index), so a
 //!   clone on a query path is an O(plan)-per-query allocation regression
 //!   waiting to happen. Per-run setup clones (a sweep handing an owned

@@ -192,8 +192,9 @@ impl SchemeRegistry {
     ///
     /// # Errors
     ///
-    /// [`SchemeError::UnknownScheme`] for unregistered names; otherwise
-    /// whatever the scheme's own builder returns.
+    /// [`SchemeError::UnknownScheme`] for unregistered names,
+    /// [`SchemeError::Build`] for a network of no peers; otherwise whatever
+    /// the scheme's own builder returns.
     ///
     /// # Example
     ///
@@ -265,6 +266,7 @@ impl SchemeRegistry {
             .single
             .get(base)
             .ok_or_else(|| SchemeError::UnknownScheme { name: name.to_string(), kind: "single" })?;
+        refuse_empty(params.n)?;
         let overridden;
         let effective = match suffixes.net {
             Some(net) => {
@@ -290,8 +292,7 @@ impl SchemeRegistry {
     ///
     /// # Errors
     ///
-    /// [`SchemeError::UnknownScheme`] for unregistered names; otherwise
-    /// whatever the scheme's own builder returns.
+    /// As [`build_single`](Self::build_single).
     pub fn build_multi(
         &self,
         name: &str,
@@ -303,6 +304,7 @@ impl SchemeRegistry {
             .multi
             .get(base)
             .ok_or_else(|| SchemeError::UnknownScheme { name: name.to_string(), kind: "multi" })?;
+        refuse_empty(params.n)?;
         let overridden;
         let effective = match suffix_net {
             Some(net) => {
@@ -322,6 +324,15 @@ impl SchemeRegistry {
     /// Names of all registered multi-attribute schemes, sorted.
     pub fn multi_names(&self) -> Vec<&str> {
         self.multi.keys().map(String::as_str).collect()
+    }
+}
+
+/// A network of no peers is refused here, once, for every scheme: no
+/// substrate is asked to build one.
+fn refuse_empty(n: usize) -> Result<(), SchemeError> {
+    match n {
+        0 => Err(SchemeError::Build("a network needs at least one peer (n = 0)".to_string())),
+        _ => Ok(()),
     }
 }
 

@@ -263,7 +263,7 @@ pub fn query(
 
     let mut sim: Sim<DcfMsg> = Sim::from_scratch(seed, sim_scratch).with_net(*model);
     if let Some(faults) = faults {
-        sim = sim.with_faults_ref(faults);
+        sim = sim.with_faults(faults);
     }
     if trace {
         sim = sim.with_trace(simnet::TraceSink::new());

@@ -17,15 +17,16 @@
 //! * The paper artifacts and ablations (`table1`, `fig5`–`fig8`,
 //!   `fissione_props`, `mira_bounds`, `topk_eval`, `ablation_*`,
 //!   `fault_tolerance`) take `--quick` and `--check` only;
-//!   `all_experiments` runs the twelve of them in sequence. Each prints its
-//!   Markdown table and writes `target/experiments/<name>.csv`. With
-//!   `--quick --check` each instead compares its CSV with the committed
-//!   `artifacts/quick/<name>.csv` line for line, writes nothing, and exits
-//!   non-zero naming the file and its first differing line.
+//!   `all_experiments` runs them and the four sweeps in sequence. Each
+//!   prints its Markdown table and writes `target/experiments/<name>.csv`.
+//!   With `--quick --check` each instead compares its CSV with the
+//!   committed `artifacts/quick/<name>.csv` line for line, writes nothing,
+//!   and exits non-zero naming the file and its first differing line.
 //! * The sweeps (`churn_sweep`, `replication_sweep`, `latency_sweep`,
 //!   `partition_sweep`) also take `--schemes a,b`, `--plans a,b`,
 //!   `--nets a,b` and `--threads N` for local iteration; with no filters
-//!   each runs its committed configuration. A name outside the
+//!   each runs its committed configuration, the one `--check` compares
+//!   (a filter beside `--check` is a usage error). A name outside the
 //!   experiment's catalog is an error that prints the catalog.
 //! * `bench_baseline` runs the baseline grid and persists
 //!   `BENCH_baseline.json` at the workspace root (`--quick` runs land
@@ -78,21 +79,19 @@ fn run(args: &[String]) -> Result<(), Failure> {
         "trace_explain" => trace_explain(args),
         name => {
             let sweep = EXPERIMENTS.iter().any(|(n, r)| *n == name && matches!(r, Run::Sweep(_)));
-            let flags: &[&str] =
-                if sweep { &["schemes", "plans", "nets", "threads"] } else { &["check"] };
-            cli::reject_unknown_flags(args, &[&["quick"], flags].concat())?;
+            let filters: &[&str] = if sweep { &Filters::FLAGS } else { &[] };
+            cli::reject_unknown_flags(args, &[&["quick", "check"], filters].concat())?;
             let check = has_flag(args, "check");
             if check && scale == Scale::Full {
                 return Err("--check compares with the committed --quick CSVs: add --quick"
                     .to_string()
                     .into());
             }
+            if check {
+                Filters::reject_with_check(args)?;
+            }
             let names: Vec<&str> = match name {
-                "all_experiments" => EXPERIMENTS
-                    .iter()
-                    .filter(|(_, run)| matches!(run, Run::Artifact(_)))
-                    .map(|(name, _)| *name)
-                    .collect(),
+                "all_experiments" => EXPERIMENTS.iter().map(|(name, _)| *name).collect(),
                 name => vec![name],
             };
             let filters = Filters::parse(args)?;

@@ -40,20 +40,19 @@ pub fn flag_list(args: &[String], name: &str) -> Result<Option<Vec<String>>, Str
         .map(|v| v.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect()))
 }
 
+/// The names of the `--flags` in `args`, without their `=value`.
+fn flag_names(args: &[String]) -> impl Iterator<Item = &str> {
+    args.iter()
+        .filter_map(|a| a.strip_prefix("--"))
+        .map(|body| body.split('=').next().unwrap_or(body))
+}
+
 /// Rejects every `--flag` in `args` that is not in `known`, so a typo or a
 /// retired spelling is an error instead of a silently unfiltered run.
 pub fn reject_unknown_flags(args: &[String], known: &[&str]) -> Result<(), String> {
-    for a in args {
-        if let Some(body) = a.strip_prefix("--") {
-            let name = body.split('=').next().unwrap_or(body);
-            if !known.contains(&name) {
-                let known: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
-                return Err(format!(
-                    "unknown flag --{name} (this command takes: {})",
-                    known.join(", ")
-                ));
-            }
-        }
+    if let Some(name) = flag_names(args).find(|name| !known.contains(name)) {
+        let known: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
+        return Err(format!("unknown flag --{name} (this command takes: {})", known.join(", ")));
     }
     Ok(())
 }
@@ -81,6 +80,19 @@ impl Default for Filters {
 }
 
 impl Filters {
+    /// The four filter flags.
+    pub const FLAGS: [&'static str; 4] = ["schemes", "plans", "nets", "threads"];
+
+    /// Refuses a filter flag beside `--check`: a sweep's committed CSVs are
+    /// its whole default configuration, so a filtered run has nothing to be
+    /// compared with.
+    pub fn reject_with_check(args: &[String]) -> Result<(), String> {
+        match flag_names(args).find(|name| Self::FLAGS.contains(name)) {
+            Some(name) => Err(format!("--check runs the committed configuration: drop --{name}")),
+            None => Ok(()),
+        }
+    }
+
     /// Parses the four filter flags out of `args` (other flags are the
     /// caller's). Net models have one catalog and are checked here, as is
     /// `--threads` (a positive integer); schemes and plans are checked
@@ -161,17 +173,18 @@ pub type Tables = Vec<(&'static str, Table)>;
 
 /// How a subcommand produces its tables.
 pub enum Run {
-    /// One of the twelve paper artifacts `all_experiments` regenerates: a
-    /// function of the scale alone, written under the subcommand's name.
+    /// One of the twelve paper artifacts: a function of the scale alone,
+    /// written under the subcommand's name.
     Artifact(fn(Scale) -> Table),
     /// A filterable sweep (ours), naming its own tables.
     Sweep(fn(Scale, &Filters) -> Result<Tables, String>),
 }
 
 /// `armada-exp`'s dispatch table: every table-producing subcommand, under
-/// the name its binary had. `all_experiments` runs the [`Run::Artifact`]
-/// entries in this order; `bench_baseline` and `trace_explain` are the two
-/// subcommands that yield more than tables and live in the binary.
+/// the name its binary had. `all_experiments` runs every entry in this
+/// order, sweeps in their default configuration; `bench_baseline` and
+/// `trace_explain` are the two subcommands that yield more than tables and
+/// live in the binary.
 pub const EXPERIMENTS: [(&str, Run); 16] = [
     ("fissione_props", Run::Artifact(substrate::run)),
     ("table1", Run::Artifact(table1::run)),
@@ -245,6 +258,17 @@ mod tests {
         let e = reject_unknown_flags(&args("--quick --net wan"), &known).unwrap_err();
         assert!(e.contains("--net ") && e.contains("--nets"), "{e}");
         assert!(reject_unknown_flags(&args("--quick --nets=wan --threads 2"), &known).is_ok());
+        // `--check` runs a sweep's committed configuration, unfiltered.
+        assert!(Filters::reject_with_check(&args("--quick --check")).is_ok());
+        for (filter, name) in [
+            ("--schemes pira", "--schemes"),
+            ("--plans=massacre", "--plans"),
+            ("--nets wan", "--nets"),
+            ("--threads 1", "--threads"),
+        ] {
+            let e = Filters::reject_with_check(&args(&format!("--quick --check {filter}")));
+            assert!(e.is_err_and(|e| e.ends_with(name)), "{filter}");
+        }
     }
 
     #[test]
@@ -286,13 +310,13 @@ mod tests {
 
     /// Replaces the per-binary smoke steps: every subcommand in the
     /// dispatch table runs at quick scale and yields non-empty tables, and
-    /// each paper artifact's CSV is the committed one under
+    /// each CSV, a sweep's included, is the committed one under
     /// `artifacts/quick/`.
     #[test]
     fn every_experiment_is_registered_and_runs_quick() {
         let mut seen = std::collections::BTreeSet::new();
         let mut csvs = std::collections::BTreeSet::new();
-        for (name, kind) in &EXPERIMENTS {
+        for (name, _) in &EXPERIMENTS {
             assert!(seen.insert(*name), "{name} registered twice");
             assert!(
                 !["all_experiments", "bench_baseline", "trace_explain"].contains(name),
@@ -303,18 +327,16 @@ mod tests {
             for (csv, table) in tables {
                 assert!(csvs.insert(csv), "{csv}.csv written twice");
                 assert!(!table.rows.is_empty() && !table.columns.is_empty(), "{name}/{csv} empty");
-                if matches!(kind, Run::Artifact(_)) {
-                    let path = crate::output::golden_dir().join(format!("{csv}.csv"));
-                    let golden = std::fs::read_to_string(&path).unwrap();
-                    let moved = crate::output::compare_lines(&table.to_csv(), &golden);
-                    assert_eq!(moved, Ok(()), "{}", path.display());
-                }
+                let path = crate::output::golden_dir().join(format!("{csv}.csv"));
+                let golden = std::fs::read_to_string(&path).unwrap();
+                let moved = crate::output::compare_lines(&table.to_csv(), &golden);
+                assert_eq!(moved, Ok(()), "{}", path.display());
             }
         }
         assert!(csvs.contains("partition_retry_premium"));
         assert_eq!(csvs.len(), 17, "the 17 CSVs the quick suite regenerates");
-        // `all_experiments` is the Artifact entries, in this order: exactly
-        // the twelve paper artifacts the old binary ran.
+        // The Artifact entries, the ones that take no filter flag, are
+        // exactly the twelve paper artifacts, in this order.
         let all: Vec<&str> = EXPERIMENTS
             .iter()
             .filter(|(_, run)| matches!(run, Run::Artifact(_)))

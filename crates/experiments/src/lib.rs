@@ -19,11 +19,11 @@
 //! | §6 future work (top-k) | [`topk_eval`] | `topk_eval` |
 //! | ablations (ours) | [`ablations`] | `ablation_flood`, `ablation_balance`, `ablation_pht` |
 //! | robustness (ours) | [`faults`] | `fault_tolerance` |
-//! | all twelve of the above | [`cli`] | `all_experiments` |
 //! | churn dynamics (ours) | [`churn_sweep`] | `churn_sweep` |
 //! | replication (ours) | [`replication_sweep`] | `replication_sweep` |
 //! | hostile networks (ours) | [`partition_sweep`] | `partition_sweep` |
 //! | latency in ms (ours) | [`latency_sweep`] | `latency_sweep` |
+//! | all sixteen of the above | [`cli`] | `all_experiments` |
 //! | perf baseline (ours) | [`baseline`] | `bench_baseline` |
 //! | query tracing (ours) | [`trace_explain`] | `trace_explain` |
 //!

@@ -115,8 +115,8 @@ pub fn output_dir() -> PathBuf {
     workspace_root().join("target/experiments")
 }
 
-/// Where the committed `--quick` CSVs of the twelve paper artifacts live:
-/// `artifacts/quick/` in the workspace.
+/// Where the committed `--quick` CSVs of the paper artifacts and the sweeps
+/// live: `artifacts/quick/` in the workspace.
 pub fn golden_dir() -> PathBuf {
     workspace_root().join("artifacts/quick")
 }

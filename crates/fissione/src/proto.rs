@@ -54,7 +54,7 @@ impl FissioneNet {
     ) -> Result<SimLookup, FissioneError> {
         self.peer(from)?;
         let key = self.object_key(target)?;
-        let mut sim: Sim<LookupMsg> = Sim::new(seed).with_faults_ref(faults);
+        let mut sim: Sim<LookupMsg> = Sim::new(seed).with_faults(faults);
         sim.send(from, from, 0, LookupMsg::Request { target: target.clone(), client: from });
 
         let mut result = SimLookup {

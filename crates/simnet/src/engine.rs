@@ -1,4 +1,4 @@
-//! The event-queue kernel: virtual clock, message scheduling, delivery.
+//! The simulator kernel: a unit-tick clock, message sending and delivery.
 
 use crate::counts::{Counted, SendCounts};
 use crate::faults::FaultPlan;
@@ -7,69 +7,12 @@ use crate::stats::SimStats;
 use crate::trace::{HopKind, TraceEvent, TraceSink, Verdict};
 use crate::{NodeId, SimTime};
 use rand::rngs::SmallRng;
-use std::borrow::Cow;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-/// Per-hop virtual latency model governing **event scheduling** (the
-/// simulator's clock).
-///
-/// The paper measures delay in hops, which corresponds to [`Unit`]. The
-/// other variants exist for jitter/sensitivity studies; hop-depth
-/// accounting (the reported metric) is independent of the latency model.
-///
-/// Sampling is **edge-keyed**: the cost of a hop is a pure function of
-/// `(model, sim seed, src, dst)`, never of the shared RNG stream — so the
-/// virtual time of a delivery cannot depend on how concurrently-scheduled
-/// events happened to interleave. (The [`Uniform`] variant used to draw
-/// from the simulator's `SmallRng` in delivery order, which made virtual
-/// times send-order-dependent; the regression is pinned by
-/// `uniform_latency_is_send_order_invariant` below.)
-///
-/// This is distinct from the [`NetModel`] cost layer ([`Sim::with_net`]),
-/// which *accumulates* per-edge costs along message chains without
-/// perturbing scheduling — see [`Envelope::cost`].
-///
-/// [`Unit`]: LatencyModel::Unit
-/// [`Uniform`]: LatencyModel::Uniform
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum LatencyModel {
-    /// Every hop takes exactly one tick (virtual time = hop count).
-    #[default]
-    Unit,
-    /// Every hop takes a fixed number of ticks.
-    Fixed(u64),
-    /// Hop latency keyed uniformly into `lo..=hi` ticks per edge.
-    Uniform {
-        /// Minimum per-hop latency.
-        lo: u64,
-        /// Maximum per-hop latency.
-        hi: u64,
-    },
-}
+/// The plan a [`Sim`] runs under until [`Sim::with_faults`] lends it one.
+static NO_FAULTS: FaultPlan = FaultPlan::new();
 
-impl LatencyModel {
-    /// The scheduling cost of edge `src → dst` under simulator seed `seed`
-    /// — a pure function of its arguments (no RNG stream; the hash is
-    /// [`crate::net::mix`], shared with [`NetModel`] edge costs).
-    fn cost(&self, seed: u64, src: NodeId, dst: NodeId) -> u64 {
-        match *self {
-            LatencyModel::Unit => 1,
-            LatencyModel::Fixed(t) => t,
-            LatencyModel::Uniform { lo, hi } => {
-                debug_assert!(lo <= hi, "empty latency range [{lo}, {hi}]");
-                let key = crate::net::mix(seed, src as u64, dst as u64);
-                // A full-domain span (hi − lo + 1 overflows) admits every
-                // u64, so the key is already a valid sample.
-                match (hi.wrapping_sub(lo)).checked_add(1) {
-                    Some(span) => lo + key % span,
-                    None => key,
-                }
-            }
-        }
-    }
-}
-
-/// A message delivered to a node.
+/// A message delivered to a node, at the simulator's [`now`](Sim::now).
 #[derive(Debug, Clone)]
 pub struct Envelope<M> {
     /// Sender node.
@@ -79,8 +22,6 @@ pub struct Envelope<M> {
     /// Overlay hop depth: number of hops from the protocol's origin. The
     /// initial self-delivery that starts a protocol has depth 0.
     pub hop: u32,
-    /// Virtual time of delivery.
-    pub at: SimTime,
     /// Accumulated [`NetModel`] cost (virtual milliseconds) along this
     /// message's forwarding chain: the parent envelope's cost plus the
     /// edge cost of the final hop. Under the default `unit` model this
@@ -91,61 +32,28 @@ pub struct Envelope<M> {
     pub payload: M,
 }
 
-struct Scheduled<M> {
-    at: SimTime,
-    seq: u64,
-    env: Envelope<M>,
-}
-
-// Manual ordering: BinaryHeap is a max-heap, so invert to pop earliest
-// (time, seq) first. Only `at` and `seq` participate — seq is unique, which
-// both breaks ties FIFO and spares `M: Eq` bounds.
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// The discrete-event simulator.
+/// The simulator: one clock in unit ticks and two delivery lanes.
 ///
-/// Generic over the protocol message type `M`. Create one `Sim` per
-/// query/protocol run — or, on hot paths, recycle the internal collections
-/// across runs via [`Sim::from_scratch`]/[`Sim::recycle`] so batch drivers
-/// amortize all queue/lane capacity.
+/// Generic over the protocol message type `M`. A network message lands one
+/// tick after it was sent, a self-delivery in the tick it was sent in; each
+/// lane is FIFO, so deliveries come in tick order and, within a tick, in
+/// send order. Create one `Sim` per query/protocol run — or, on hot paths,
+/// recycle the lanes across runs via [`Sim::from_scratch`]/[`Sim::recycle`]
+/// so batch drivers amortize their capacity.
 ///
-/// The fault plan is held as a [`Cow`]: batch query paths borrow the
-/// caller's plan ([`Sim::with_faults_ref`], zero clones per query) while
-/// tests and churn experiments that mutate the plan mid-run keep the owned
-/// form ([`Sim::with_faults`]; [`Sim::faults_mut`] clones on first write).
+/// The fault plan is borrowed for the run ([`Sim::with_faults`]) and never
+/// changes under it, so every verdict is decided at send time.
 pub struct Sim<'p, M> {
     now: SimTime,
-    seq: u64,
     seed: u64,
-    /// Far-future events (`at ≥ now + 2` when pushed). The common unit-tick
-    /// case never touches this heap: events landing at `now` or `now + 1`
-    /// go to the ready-time lanes below, which preserve `(at, seq)` order
-    /// by construction (the sequence counter is monotone, so lane FIFO
-    /// order *is* seq order).
-    queue: BinaryHeap<Scheduled<M>>,
-    /// The cohort being delivered: events at `now`, in seq order.
+    /// The tick being delivered: the network sends of the tick before, then
+    /// the self-deliveries of this one, in send order.
     cur: VecDeque<Envelope<M>>,
-    /// Events at `now + 1`, in seq order.
+    /// Network sends of this tick, delivered at `now + 1` in send order.
     next: VecDeque<Envelope<M>>,
     rng: SmallRng,
-    latency: LatencyModel,
     net: NetModel,
-    faults: Cow<'p, FaultPlan>,
+    faults: &'p FaultPlan,
     stats: SimStats,
     /// Hostile-fault bookkeeping, touched only when the matching family is
     /// attached: delivery attempts per directed edge (the loss plan's
@@ -169,20 +77,17 @@ impl<M> std::fmt::Debug for Sim<'_, M> {
 }
 
 impl<'p, M> Sim<'p, M> {
-    /// Creates a simulator with the default unit-latency model and no
-    /// faults, seeded deterministically.
+    /// Creates a simulator with the unit cost model and no faults, seeded
+    /// deterministically.
     pub fn new(seed: u64) -> Self {
         Sim {
             now: 0,
-            seq: 0,
             seed,
-            queue: BinaryHeap::new(),
             cur: VecDeque::new(),
             next: VecDeque::new(),
             rng: crate::rng_from_seed(seed),
-            latency: LatencyModel::Unit,
             net: NetModel::unit(),
-            faults: Cow::Owned(FaultPlan::default()),
+            faults: &NO_FAULTS,
             stats: SimStats::default(),
             counts: SendCounts::default(),
             trace: None,
@@ -190,12 +95,11 @@ impl<'p, M> Sim<'p, M> {
     }
 
     /// [`new`](Sim::new), recycling the collections parked in `scratch` by a
-    /// previous run's [`recycle`](Sim::recycle) — the event heap and cohort
-    /// lanes keep their grown capacity, so steady-state queries allocate
-    /// nothing for scheduling. The scratch's collections are left empty.
+    /// previous run's [`recycle`](Sim::recycle) — both lanes keep their
+    /// grown capacity, so steady-state queries allocate nothing for
+    /// scheduling. The scratch's collections are left empty.
     pub fn from_scratch(seed: u64, scratch: &mut SimScratch<M>) -> Self {
         let mut sim = Sim::new(seed);
-        sim.queue = std::mem::take(&mut scratch.queue);
         sim.cur = std::mem::take(&mut scratch.cur);
         sim.next = std::mem::take(&mut scratch.next);
         sim.counts = std::mem::take(&mut scratch.counts);
@@ -204,16 +108,13 @@ impl<'p, M> Sim<'p, M> {
     }
 
     /// Parks this simulator's collections in `scratch` for the next
-    /// [`from_scratch`](Sim::from_scratch), clearing them first. The heap,
-    /// the lanes and the fault counters all retain capacity across the
-    /// round trip; clearing the counters costs only the entries this run
-    /// filled.
+    /// [`from_scratch`](Sim::from_scratch), clearing them first. The lanes
+    /// and the fault counters retain capacity across the round trip;
+    /// clearing the counters costs only the entries this run filled.
     pub fn recycle(mut self, scratch: &mut SimScratch<M>) {
-        self.queue.clear();
         self.cur.clear();
         self.next.clear();
         self.counts.clear();
-        scratch.queue = std::mem::take(&mut self.queue);
         scratch.cur = std::mem::take(&mut self.cur);
         scratch.next = std::mem::take(&mut self.next);
         scratch.counts = std::mem::take(&mut self.counts);
@@ -231,12 +132,6 @@ impl<'p, M> Sim<'p, M> {
     /// Detaches and returns the trace sink, if one was attached.
     pub fn take_trace(&mut self) -> Option<TraceSink> {
         self.trace.take().map(|b| *b)
-    }
-
-    /// True when a trace sink is attached (protocols may use this to skip
-    /// building event metadata on the hot path).
-    pub fn tracing(&self) -> bool {
-        self.trace.is_some()
     }
 
     /// Records that the delivery in `env` *answers* the query — called by
@@ -258,12 +153,6 @@ impl<'p, M> Sim<'p, M> {
         }
     }
 
-    /// Replaces the latency model.
-    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
-        self
-    }
-
     /// Replaces the [`NetModel`] whose per-edge costs accumulate into
     /// [`Envelope::cost`]. Scheduling (and therefore event order, hop
     /// metrics, and message sets) is unaffected: the cost layer rides on
@@ -273,24 +162,9 @@ impl<'p, M> Sim<'p, M> {
         self
     }
 
-    /// The cost model in force.
-    pub fn net(&self) -> &NetModel {
-        &self.net
-    }
-
-    /// Replaces the fault plan (owned — the sim may mutate it mid-run via
-    /// [`faults_mut`](Sim::faults_mut) without touching the caller's copy).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = Cow::Owned(faults);
-        self
-    }
-
-    /// Replaces the fault plan by reference — the per-query hot path: no
-    /// clone, the plan is shared for the run. A later
-    /// [`faults_mut`](Sim::faults_mut) clones on first write, so borrowed
-    /// plans stay safe under mid-run mutation too.
-    pub fn with_faults_ref(mut self, faults: &'p FaultPlan) -> Self {
-        self.faults = Cow::Borrowed(faults);
+    /// Runs under `faults`, borrowed for the run: no clone per query.
+    pub fn with_faults(mut self, faults: &'p FaultPlan) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -302,27 +176,6 @@ impl<'p, M> Sim<'p, M> {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &SimStats {
         &self.stats
-    }
-
-    /// Clears statistics (keeps clock, faults and RNG state).
-    pub fn reset_stats(&mut self) {
-        self.stats = SimStats::default();
-    }
-
-    /// Mutable access to the fault plan (e.g. to crash nodes mid-run).
-    /// Clones a borrowed plan on first call — cold paths only.
-    pub fn faults_mut(&mut self) -> &mut FaultPlan {
-        self.faults.to_mut()
-    }
-
-    /// The fault plan in force.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// Deterministic RNG for protocol-level decisions.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
     }
 
     /// Sends a protocol message from `from` to `to` with explicit hop depth.
@@ -377,8 +230,7 @@ impl<'p, M> Sim<'p, M> {
                 }
             }
             // Partition: cross-side delivery is refused while the split is
-            // open. Checked at send time only — the epoch advances between
-            // protocol runs, never mid-run.
+            // open. The epoch advances between protocol runs, never mid-run.
             if let Some(part) = self.faults.partition() {
                 let seed = self.faults.plan_seed() ^ self.seed;
                 let epoch = self.faults.epoch();
@@ -446,7 +298,6 @@ impl<'p, M> Sim<'p, M> {
             }
             return;
         }
-        let latency = if is_network { self.latency.cost(self.seed, from, to) } else { 0 };
         let edge_cost = queueing + if is_network { self.net.edge_cost(from, to) } else { 0 };
         let cost = base_cost + edge_cost;
         if self.trace.is_some() {
@@ -461,20 +312,11 @@ impl<'p, M> Sim<'p, M> {
             };
             self.emit(ev);
         }
-        let env = Envelope { from, to, hop, at: self.now + latency, cost, payload };
-        self.enqueue(env);
-    }
-
-    /// Routes an event to the ready-time lane for its delivery time, or to
-    /// the heap when it lands further out than `now + 1`.
-    fn enqueue(&mut self, env: Envelope<M>) {
-        self.seq += 1;
-        if env.at == self.now {
-            self.cur.push_back(env);
-        } else if env.at == self.now + 1 {
+        let env = Envelope { from, to, hop, cost, payload };
+        if is_network {
             self.next.push_back(env);
         } else {
-            self.queue.push(Scheduled { at: env.at, seq: self.seq, env });
+            self.cur.push_back(env);
         }
     }
 
@@ -484,51 +326,24 @@ impl<'p, M> Sim<'p, M> {
         self.send_with_cost(received.to, to, received.hop + 1, received.cost, payload);
     }
 
-    /// Schedules a local (non-network) event at `delay` ticks in the future;
-    /// hop depth is preserved. Used for timers/retries. Not counted as a
-    /// message and free under every cost model.
-    pub fn schedule_local(&mut self, node: NodeId, delay: u64, hop: u32, payload: M) {
-        if self.faults.is_crashed(node) {
-            return;
-        }
-        let env = Envelope { from: node, to: node, hop, at: self.now + delay, cost: 0, payload };
-        self.enqueue(env);
-    }
-
-    /// Runs until the queue drains, calling `handler` for each delivery.
-    ///
-    /// Events are drained in ready-time cohorts: the whole cohort for the
-    /// current tick is assembled once, then delivered FIFO — the exact
-    /// `(at, seq)` order the per-event heap pops produced, without a heap
-    /// operation per unit-latency event.
-    ///
-    /// A node crashed *after* a message to it was scheduled still does not
-    /// receive it (the crash check is repeated at delivery time).
+    /// Runs until both lanes drain, calling `handler` for each delivery:
+    /// the current tick's lane first, then the next tick's sends move into
+    /// it and the clock advances by one.
     pub fn run<F>(&mut self, mut handler: F)
     where
         F: FnMut(&mut Sim<'p, M>, Envelope<M>),
     {
         loop {
             let Some(env) = self.cur.pop_front() else {
-                if self.advance() {
-                    continue;
+                if self.next.is_empty() {
+                    break;
                 }
-                break;
-            };
-            debug_assert!(env.at == self.now, "cohort member off its tick");
-            if self.faults.is_crashed(env.to) {
-                self.stats.messages_to_crashed += 1;
-                if self.trace.is_some() {
-                    let ev = TraceEvent::FaultVerdict {
-                        src: env.from,
-                        dst: env.to,
-                        verdict: Verdict::ToCrashed,
-                        plan: "crashed at delivery".to_string(),
-                    };
-                    self.emit(ev);
-                }
+                // Moved, not swapped: trading the two lanes' buffers each
+                // tick measured a higher peak RSS on wide scans.
+                self.cur.append(&mut self.next);
+                self.now += 1;
                 continue;
-            }
+            };
             self.stats.deliveries += 1;
             if env.from != env.to {
                 self.stats.max_hop_delivered = self.stats.max_hop_delivered.max(env.hop);
@@ -541,50 +356,24 @@ impl<'p, M> Sim<'p, M> {
         }
     }
 
-    /// Advances the clock to the earliest pending tick and assembles that
-    /// tick's cohort in `cur`. Heap events at the new tick were pushed
-    /// before its lane opened (at a smaller `now`), so they carry smaller
-    /// sequence numbers and drain first — the heap itself yields equal-time
-    /// events in seq order, and the lane is already FIFO-by-seq. Returns
-    /// `false` when nothing is pending.
-    fn advance(&mut self) -> bool {
-        debug_assert!(self.cur.is_empty(), "advance with an undelivered cohort");
-        let lane_t = if self.next.is_empty() { None } else { Some(self.now + 1) };
-        let heap_t = self.queue.peek().map(|s| s.at);
-        let Some(t) = [lane_t, heap_t].into_iter().flatten().min() else {
-            return false;
-        };
-        debug_assert!(t > self.now, "time must not run backwards");
-        while self.queue.peek().is_some_and(|s| s.at == t) {
-            let s = self.queue.pop().expect("peeked above");
-            self.cur.push_back(s.env);
-        }
-        if t == self.now + 1 {
-            self.cur.append(&mut self.next);
-        }
-        self.now = t;
-        true
-    }
-
-    /// Number of undelivered events still queued (non-zero only if `run`
-    /// has not been called or a handler re-enqueued work).
+    /// Number of undelivered messages still queued (non-zero before `run`
+    /// returns).
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.cur.len() + self.next.len()
+        self.cur.len() + self.next.len()
     }
 }
 
-/// Parked [`Sim`] collections for reuse across queries: the far-future
-/// event heap, both cohort lanes, and the fault-bookkeeping counters. One
-/// lives per driver thread; a query builds its simulator with
-/// [`Sim::from_scratch`] and parks the collections back with
-/// [`Sim::recycle`], so steady-state scheduling allocates nothing.
+/// Parked [`Sim`] collections for reuse across queries: both delivery
+/// lanes and the fault-bookkeeping counters. One lives per driver thread; a
+/// query builds its simulator with [`Sim::from_scratch`] and parks the
+/// collections back with [`Sim::recycle`], so steady-state scheduling
+/// allocates nothing.
 ///
 /// Recycling is observationally inert: a recycled `Sim` starts from the
 /// identical logical state as a fresh one (empty collections, fresh RNG,
 /// clock at zero) — only retained *capacity* differs, which no metric,
 /// digest, or trace can see.
 pub struct SimScratch<M> {
-    queue: BinaryHeap<Scheduled<M>>,
     cur: VecDeque<Envelope<M>>,
     next: VecDeque<Envelope<M>>,
     counts: SendCounts,
@@ -592,12 +381,7 @@ pub struct SimScratch<M> {
 
 impl<M> Default for SimScratch<M> {
     fn default() -> Self {
-        SimScratch {
-            queue: BinaryHeap::new(),
-            cur: VecDeque::new(),
-            next: VecDeque::new(),
-            counts: SendCounts::default(),
-        }
+        SimScratch { cur: VecDeque::new(), next: VecDeque::new(), counts: SendCounts::default() }
     }
 }
 
@@ -611,7 +395,6 @@ impl<M> SimScratch<M> {
 impl<M> std::fmt::Debug for SimScratch<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimScratch")
-            .field("queue_capacity", &self.queue.capacity())
             .field("lane_capacity", &(self.cur.capacity() + self.next.capacity()))
             .finish_non_exhaustive()
     }
@@ -620,16 +403,19 @@ impl<M> std::fmt::Debug for SimScratch<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{LossPlan, RateLimitPlan};
+    use crate::trace::TraceRecord;
+    use proptest::prelude::*;
 
     #[test]
     fn delivers_in_time_then_fifo_order() {
         let mut sim: Sim<&str> = Sim::new(1);
         sim.send(0, 1, 0, "a"); // t=1
         sim.send(0, 2, 0, "b"); // t=1, after "a"
-        sim.schedule_local(0, 0, 0, "now"); // t=0
+        sim.send(0, 0, 0, "now"); // t=0: a self-delivery lands in this tick
         let mut order = Vec::new();
-        sim.run(|_, env| order.push(env.payload));
-        assert_eq!(order, vec!["now", "a", "b"]);
+        sim.run(|sim, env| order.push((sim.now(), env.payload)));
+        assert_eq!(order, vec![(0, "now"), (1, "a"), (1, "b")]);
     }
 
     #[test]
@@ -656,8 +442,9 @@ mod tests {
 
     #[test]
     fn crashed_nodes_never_receive() {
-        let mut sim: Sim<()> = Sim::new(1);
-        sim.faults_mut().crash(1);
+        let mut plan = FaultPlan::new();
+        plan.crash(1);
+        let mut sim: Sim<()> = Sim::new(1).with_faults(&plan);
         sim.send(0, 1, 0, ());
         let mut delivered = 0;
         sim.run(|_, _| delivered += 1);
@@ -667,24 +454,9 @@ mod tests {
     }
 
     #[test]
-    fn crash_after_scheduling_still_blocks_delivery() {
-        let mut sim: Sim<u8> = Sim::new(1);
-        sim.send(0, 0, 0, 0);
-        let mut got_second = false;
-        sim.run(|sim, env| {
-            if env.payload == 0 {
-                sim.forward(&env, 1, 1);
-                sim.faults_mut().crash(1); // crash after the send
-            } else {
-                got_second = true;
-            }
-        });
-        assert!(!got_second);
-    }
-
-    #[test]
     fn drop_probability_one_drops_everything() {
-        let mut sim: Sim<()> = Sim::new(1).with_faults(FaultPlan::with_drop_prob(1.0));
+        let plan = FaultPlan::with_drop_prob(1.0);
+        let mut sim: Sim<()> = Sim::new(1).with_faults(&plan);
         sim.send(0, 1, 0, ());
         let mut delivered = 0;
         sim.run(|_, _| delivered += 1);
@@ -694,61 +466,29 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
+        // The drop-probability stream is the simulator's RNG: the seed picks
+        // which forwards survive, and so when and where the chain arrives.
+        let plan = FaultPlan::with_drop_prob(0.3);
         let run = |seed: u64| {
-            let mut sim: Sim<u64> =
-                Sim::new(seed).with_latency(LatencyModel::Uniform { lo: 1, hi: 9 });
-            sim.send(0, 0, 0, 10);
-            let mut times = Vec::new();
+            let mut sim: Sim<u64> = Sim::new(seed).with_faults(&plan);
+            for i in 0..8 {
+                sim.send(0, 0, 0, 10 + i);
+            }
+            let mut seen = Vec::new();
             sim.run(|sim, env| {
-                times.push(env.at);
+                seen.push((sim.now(), env.to, env.payload));
                 if env.payload > 0 {
                     sim.forward(&env, (env.to + 1) % 4, env.payload - 1);
                 }
             });
-            times
+            seen
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
     }
 
     #[test]
-    fn uniform_latency_accumulates_time() {
-        let mut sim: Sim<u8> = Sim::new(3).with_latency(LatencyModel::Fixed(5));
-        sim.send(0, 1, 0, 0);
-        sim.run(|_, _| {});
-        assert_eq!(sim.now(), 5);
-    }
-
-    #[test]
-    fn uniform_latency_is_send_order_invariant() {
-        // Regression: Uniform used to draw from the shared SmallRng in
-        // delivery order, so an edge's virtual cost depended on how sends
-        // interleaved. Edge-keyed sampling makes the cost a pure function
-        // of (seed, src, dst): the same plan sent in a different order
-        // yields the same per-edge delivery times.
-        let edges = [(0usize, 1usize), (2, 3), (4, 5), (1, 4), (3, 0)];
-        let deliver = |order: &[usize]| -> std::collections::BTreeMap<(NodeId, NodeId), SimTime> {
-            let mut sim: Sim<()> =
-                Sim::new(11).with_latency(LatencyModel::Uniform { lo: 1, hi: 50 });
-            for &i in order {
-                let (a, b) = edges[i];
-                sim.send(a, b, 0, ());
-            }
-            let mut times = std::collections::BTreeMap::new();
-            sim.run(|_, env| {
-                times.insert((env.from, env.to), env.at);
-            });
-            times
-        };
-        let forward = deliver(&[0, 1, 2, 3, 4]);
-        let reversed = deliver(&[4, 3, 2, 1, 0]);
-        assert_eq!(forward, reversed, "edge costs must not depend on send order");
-        assert!(forward.values().any(|&t| t > 1), "jitter must actually vary costs");
-    }
-
-    #[test]
     fn envelope_cost_accumulates_net_model_edges() {
-        use crate::net::NetModel;
         let wan = NetModel::wan();
         let mut sim: Sim<u8> = Sim::new(5).with_net(wan);
         sim.send(0, 0, 0, 3); // free self-delivery starts the chain
@@ -777,17 +517,17 @@ mod tests {
             || FaultPlan::new().with_partition(PartitionPlan::new(2, 1, 3)).with_plan_seed(0x9);
         let plan = new_plan();
         // Find a cross-side pair under this sim's effective verdict seed.
-        let probe: Sim<()> = Sim::new(4).with_faults_ref(&plan);
-        let seed = probe.faults().plan_seed() ^ 4;
+        let seed = plan.plan_seed() ^ 4;
         let part = *plan.partition().unwrap();
+        let unit = NetModel::unit();
         let a = 0;
         let b = (1..64)
-            .find(|&b| part.side_of(seed, a, probe.net()) != part.side_of(seed, b, probe.net()))
+            .find(|&b| part.side_of(seed, a, &unit) != part.side_of(seed, b, &unit))
             .expect("a 2-island split has both sides");
         let deliveries = |epoch: u64| {
             let mut p = new_plan();
             p.set_epoch(epoch);
-            let mut sim: Sim<()> = Sim::new(4).with_faults(p);
+            let mut sim: Sim<()> = Sim::new(4).with_faults(&p);
             sim.send(a, b, 0, ());
             let mut got = 0;
             sim.run(|_, _| got += 1);
@@ -801,10 +541,9 @@ mod tests {
 
     #[test]
     fn loss_plan_verdicts_are_replayable_and_counted() {
-        use crate::faults::LossPlan;
+        let plan = FaultPlan::new().with_loss(LossPlan::bernoulli(0.3));
         let run = |seed: u64| {
-            let plan = FaultPlan::new().with_loss(LossPlan::bernoulli(0.3));
-            let mut sim: Sim<u64> = Sim::new(seed).with_faults(plan);
+            let mut sim: Sim<u64> = Sim::new(seed).with_faults(&plan);
             for i in 0..200 {
                 sim.send(0, 1 + (i as usize % 7), 0, i);
             }
@@ -821,12 +560,11 @@ mod tests {
 
     #[test]
     fn loss_attempt_counter_gives_retries_fresh_verdicts() {
-        use crate::faults::LossPlan;
         // p=0.5: across 64 attempts of the same edge both verdicts occur —
         // proof the per-edge attempt counter advances (a retry is not
         // doomed to repeat its predecessor's fate).
         let plan = FaultPlan::new().with_loss(LossPlan::bernoulli(0.5));
-        let mut sim: Sim<u8> = Sim::new(6).with_faults(plan);
+        let mut sim: Sim<u8> = Sim::new(6).with_faults(&plan);
         for _ in 0..64 {
             sim.send(2, 3, 0, 0);
         }
@@ -837,14 +575,13 @@ mod tests {
 
     #[test]
     fn rate_limit_prices_overflow_without_perturbing_schedule() {
-        use crate::faults::RateLimitPlan;
         let plan = FaultPlan::new().with_rate_limit(RateLimitPlan::new(2, 5));
-        let mut sim: Sim<u8> = Sim::new(8).with_faults(plan);
+        let mut sim: Sim<u8> = Sim::new(8).with_faults(&plan);
         for _ in 0..4 {
             sim.send(0, 1, 0, 0);
         }
         let mut costs = Vec::new();
-        sim.run(|_, env| costs.push((env.at, env.cost)));
+        sim.run(|sim, env| costs.push((sim.now(), env.cost)));
         // Unit net model: base edge cost 1. Bucket of 2, then 5 ms × k.
         assert_eq!(
             costs.iter().map(|&(_, c)| c).collect::<Vec<_>>(),
@@ -859,11 +596,9 @@ mod tests {
 
     #[test]
     fn trace_records_hops_verdicts_and_deliveries() {
-        use crate::faults::LossPlan;
-        use crate::trace::{TraceEvent, TraceSink, Verdict};
         let plan = FaultPlan::new().with_loss(LossPlan::bernoulli(0.5));
         let run = || {
-            let mut sim: Sim<u8> = Sim::new(6).with_faults_ref(&plan).with_trace(TraceSink::new());
+            let mut sim: Sim<u8> = Sim::new(6).with_faults(&plan).with_trace(TraceSink::new());
             for _ in 0..16 {
                 sim.send(2, 3, 0, 0);
             }
@@ -898,18 +633,16 @@ mod tests {
 
     #[test]
     fn tracing_never_perturbs_stats_or_outcomes() {
-        use crate::faults::LossPlan;
-        use crate::trace::TraceSink;
         let plan = FaultPlan::new().with_loss(LossPlan::bernoulli(0.3));
         let run = |traced: bool| {
-            let mut sim: Sim<u64> = Sim::new(21).with_faults_ref(&plan).with_net(NetModel::wan());
+            let mut sim: Sim<u64> = Sim::new(21).with_faults(&plan).with_net(NetModel::wan());
             if traced {
                 sim = sim.with_trace(TraceSink::new());
             }
             sim.send(0, 0, 0, 6);
             let mut seen = Vec::new();
             sim.run(|sim, env| {
-                seen.push((env.to, env.hop, env.cost, env.at));
+                seen.push((env.to, env.hop, env.cost, sim.now()));
                 if env.payload > 0 {
                     sim.forward(&env, (env.to + 1) % 5, env.payload - 1);
                 }
@@ -923,31 +656,96 @@ mod tests {
     fn recycled_sim_replays_a_fresh_sim_exactly() {
         // A Sim built from recycled scratch must be logically identical to
         // a fresh one: same deliveries, same stats, same virtual times —
-        // under jittered latency (heap traffic) and a lossy plan (RNG +
-        // bookkeeping traffic), across several recycles.
-        use crate::faults::LossPlan;
-        let plan = FaultPlan::new().with_loss(LossPlan::bernoulli(0.3));
+        // under RNG-stream drops and a hash-verdict loss plan (RNG and
+        // bookkeeping traffic), with forwarding chains filling both lanes,
+        // across several recycles.
+        let plan = FaultPlan::with_drop_prob(0.2).with_loss(LossPlan::bernoulli(0.3));
         let run = |sim: &mut Sim<u64>| {
             for i in 0..40 {
-                sim.send(i % 7, (i + 1) % 7, 0, i as u64);
+                sim.send(i % 7, (i + i % 2) % 7, 0, i as u64 % 5);
             }
             let mut seen = Vec::new();
-            sim.run(|_, env| seen.push((env.from, env.to, env.at, env.payload)));
+            sim.run(|sim, env| {
+                seen.push((env.from, env.to, sim.now(), env.payload));
+                if env.payload > 0 {
+                    sim.forward(&env, (env.to + 3) % 7, env.payload - 1);
+                }
+            });
             (seen, sim.stats().clone())
         };
-        let fresh = {
-            let mut sim: Sim<u64> = Sim::new(17)
-                .with_latency(LatencyModel::Uniform { lo: 1, hi: 9 })
-                .with_faults_ref(&plan);
-            run(&mut sim)
-        };
+        let fresh = run(&mut Sim::new(17).with_faults(&plan));
+        assert!(fresh.1.messages_dropped > 0 && fresh.1.messages_lost > 0, "{:?}", fresh.1);
         let mut scratch = SimScratch::new();
         for round in 0..3 {
-            let mut sim: Sim<u64> = Sim::from_scratch(17, &mut scratch)
-                .with_latency(LatencyModel::Uniform { lo: 1, hi: 9 })
-                .with_faults_ref(&plan);
+            let mut sim: Sim<u64> = Sim::from_scratch(17, &mut scratch).with_faults(&plan);
             assert_eq!(run(&mut sim), fresh, "round {round} diverged");
             sim.recycle(&mut scratch);
+        }
+    }
+
+    // The lane contract, over random programs of self-deliveries and
+    // forwards under a lossy, rate-limited plan: deliveries come in tick
+    // order and, within a tick, in send order; a forward lands one tick
+    // after the delivery that sent it, a self-delivery in that delivery's
+    // tick; and a recycled simulator replays a fresh one.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn lanes_deliver_in_tick_then_send_order(
+            seed in any::<u64>(),
+            program in prop::collection::vec((any::<bool>(), 0usize..6), 1..96),
+        ) {
+            let plan = FaultPlan::new()
+                .with_loss(LossPlan::bernoulli(0.2))
+                .with_rate_limit(RateLimitPlan::new(2, 3));
+            // Message ids are send order. Each delivery takes the program's
+            // next two steps: `true` self-delivers, `false` forwards.
+            let drive = |sim: &mut Sim<'_, usize>| {
+                let mut sent: Vec<(bool, SimTime)> = vec![(true, 0)];
+                let mut got: Vec<(usize, SimTime)> = Vec::new();
+                let mut steps = program.iter();
+                sim.send(0, 0, 0, 0);
+                sim.run(|sim, env| {
+                    got.push((env.payload, sim.now()));
+                    for &(local, peer) in steps.by_ref().take(2) {
+                        let id = sent.len();
+                        sent.push((local, sim.now()));
+                        if local {
+                            sim.send_with_cost(env.to, env.to, env.hop, env.cost, id);
+                        } else {
+                            sim.forward(&env, (env.to + 1 + peer) % 7, id);
+                        }
+                    }
+                });
+                let json: Vec<String> = sim
+                    .take_trace()
+                    .map(|t| t.records().iter().map(TraceRecord::to_json_line).collect())
+                    .unwrap_or_default();
+                (sent, got, format!("{:?}", sim.stats()), json)
+            };
+            let traced = |sim: Sim<'static, usize>| sim.with_trace(TraceSink::new());
+            let fresh = drive(&mut traced(Sim::new(seed)).with_faults(&plan));
+            let (sent, got, _, _) = &fresh;
+            for pair in got.windows(2) {
+                let ((a, ta), (b, tb)) = (pair[0], pair[1]);
+                prop_assert!(ta < tb || (ta == tb && a < b), "{a}@{ta} before {b}@{tb}");
+            }
+            for &(id, tick) in got {
+                let (local, parent_tick) = sent[id];
+                prop_assert_eq!(tick, parent_tick + u64::from(!local), "message {}", id);
+            }
+            let mut delivered = vec![false; sent.len()];
+            got.iter().for_each(|&(id, _)| delivered[id] = true);
+            for (id, &(local, _)) in sent.iter().enumerate() {
+                prop_assert!(!local || delivered[id], "self-delivery {} was lost", id);
+            }
+            let mut scratch = SimScratch::new();
+            for round in 0..2 {
+                let mut sim = traced(Sim::from_scratch(seed, &mut scratch)).with_faults(&plan);
+                prop_assert_eq!(&drive(&mut sim), &fresh, "round {}", round);
+                sim.recycle(&mut scratch);
+            }
         }
     }
 
@@ -958,7 +756,6 @@ mod tests {
         // simulator's stats and trace equal a fresh one's byte for byte, and
         // each network send's ruling in the trace replays against attempt
         // indices and bucket counts kept in ordered maps.
-        use crate::trace::{TraceRecord, TraceSink};
         use std::collections::BTreeMap;
         let run = |sim: &mut Sim<'_, u64>, round: u64| -> (String, Vec<TraceRecord>) {
             for i in 0..24 {
@@ -982,10 +779,10 @@ mod tests {
             for round in 0..4 {
                 let seed = 90 + round;
                 let traced = |sim: Sim<'static, u64>| sim.with_trace(TraceSink::new());
-                let mut sim = traced(Sim::from_scratch(seed, &mut scratch)).with_faults_ref(&plan);
+                let mut sim = traced(Sim::from_scratch(seed, &mut scratch)).with_faults(&plan);
                 let (stats, records) = run(&mut sim, round);
                 sim.recycle(&mut scratch);
-                let mut fresh = traced(Sim::new(seed)).with_faults_ref(&plan);
+                let mut fresh = traced(Sim::new(seed)).with_faults(&plan);
                 let (fresh_stats, fresh) = run(&mut fresh, round);
                 assert_eq!(stats, fresh_stats, "{name} round {round}");
                 assert_eq!(json(&records), json(&fresh), "{name} round {round}");
@@ -1039,15 +836,6 @@ mod tests {
                 assert!(stats.contains(&format!("messages_throttled: {throttled},")), "{stats}");
             }
         }
-    }
-
-    #[test]
-    fn borrowed_fault_plan_clones_on_first_write_only() {
-        let plan = FaultPlan::new();
-        let mut sim: Sim<()> = Sim::new(1).with_faults_ref(&plan);
-        sim.faults_mut().crash(3); // copy-on-write: the caller's plan is untouched
-        assert!(sim.faults().is_crashed(3));
-        assert!(!plan.is_crashed(3));
     }
 
     #[test]

@@ -216,8 +216,10 @@ impl RateLimitPlan {
 /// * Every network message is dropped independently with probability
 ///   `drop_prob` (the legacy RNG-stream fault — the hostile families below
 ///   are hash-verdict and thread-count-invariant instead).
-/// * Crashed nodes silently discard anything addressed to them (checked both
-///   at send and at delivery time, so crashing mid-run works).
+/// * Crashed nodes silently discard anything addressed to them. A
+///   [`Sim`](crate::Sim) borrows its plan for the whole run, so the check
+///   is made once, when the message is sent; crashing a node is a change
+///   between runs.
 /// * Optional hostile families: [`LossPlan`], [`PartitionPlan`],
 ///   [`RateLimitPlan`] — see the module docs.
 ///
@@ -228,9 +230,7 @@ impl RateLimitPlan {
 ///
 /// let mut plan = FaultPlan::with_drop_prob(0.05);
 /// plan.crash(3);
-/// assert!(plan.is_crashed(3));
-/// plan.recover(3);
-/// assert!(!plan.is_crashed(3));
+/// assert!(plan.is_crashed(3) && !plan.is_crashed(4));
 ///
 /// let hostile = FaultPlan::named_hostile("split-brain").unwrap();
 /// assert!(hostile.partition().unwrap().active(1));
@@ -255,8 +255,16 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan with no faults.
-    pub fn new() -> Self {
-        FaultPlan::default()
+    pub const fn new() -> Self {
+        FaultPlan {
+            drop_prob: 0.0,
+            crashed: BTreeSet::new(),
+            loss: None,
+            partition: None,
+            rate_limit: None,
+            epoch: 0,
+            plan_seed: 0,
+        }
     }
 
     /// A plan dropping each message independently with probability `p`.
@@ -388,11 +396,6 @@ impl FaultPlan {
         self.crashed.insert(node);
     }
 
-    /// Clears a node's crashed status.
-    pub fn recover(&mut self, node: NodeId) {
-        self.crashed.remove(&node);
-    }
-
     /// Whether a node is crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
         self.crashed.contains(&node)
@@ -466,15 +469,14 @@ mod tests {
     }
 
     #[test]
-    fn crash_and_recover() {
+    fn crash_marks_each_node_once() {
         let mut plan = FaultPlan::new();
         plan.crash(7);
         plan.crash(9);
+        plan.crash(7);
         assert_eq!(plan.crashed_count(), 2);
-        assert!(plan.is_crashed(7));
-        plan.recover(7);
-        assert!(!plan.is_crashed(7));
-        assert_eq!(plan.crashed_nodes().collect::<Vec<_>>(), vec![9]);
+        assert!(plan.is_crashed(7) && !plan.is_crashed(8));
+        assert_eq!(plan.crashed_nodes().collect::<Vec<_>>(), vec![7, 9]);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! implemented the single-attribute range query scheme of Armada in the
 //! FISSIONE simulator", §4.3.3). This crate is that simulator, rebuilt:
 //!
-//! * [`Sim`] — an event queue with a virtual clock. Protocol logic is a
-//!   plain `FnMut(&mut Sim<M>, Envelope<M>)` handler, so node state lives in
+//! * [`Sim`] — a virtual clock in unit ticks and two delivery lanes: a
+//!   network message lands one tick after it was sent, a self-delivery in
+//!   the tick it was sent in. Protocol logic is a plain
+//!   `FnMut(&mut Sim<M>, Envelope<M>)` handler, so node state lives in
 //!   ordinary Rust structures captured by the closure.
 //! * [`Envelope`] — a delivered message carrying its **hop depth** (overlay
 //!   path length from the query origin), which is the paper's delay metric.
@@ -15,8 +17,6 @@
 //!   epoch-scheduled splits, [`RateLimitPlan`] token-bucket queueing
 //!   delay) whose every decision is a pure hash — see the
 //!   [`faults`](FaultPlan) module docs.
-//! * [`LatencyModel`] — per-hop scheduling latency (unit by default so
-//!   virtual time equals hop count; edge-keyed uniform for jitter studies).
 //! * [`NetModel`] — the network cost layer: named, seeded, deterministic
 //!   per-edge costs in virtual milliseconds (`unit`, `lan`, `wan`,
 //!   `cluster`, `straggler`), accumulated along message chains into
@@ -28,9 +28,10 @@
 //!   deterministically for the parallel drivers.
 //!
 //! Determinism: all randomness flows through a seeded [`rand::rngs::SmallRng`]
-//! and ties in the event queue break by sequence number, so a given seed
-//! always reproduces the same run — the property the experiment harness
-//! relies on to make figures reproducible.
+//! or a pure hash, and both lanes are FIFO, so deliveries come in tick order
+//! and, within a tick, in send order. A given seed always reproduces the
+//! same run — the property the experiment harness relies on to make figures
+//! reproducible.
 //!
 //! # Example
 //!
@@ -64,7 +65,7 @@ mod scratch;
 mod stats;
 mod trace;
 
-pub use engine::{Envelope, LatencyModel, Sim, SimScratch};
+pub use engine::{Envelope, Sim, SimScratch};
 pub use faults::{FaultPlan, LossPlan, PartitionPlan, RateLimitPlan, HOSTILE_PLAN_NAMES};
 pub use net::{mix, NetModel, NetModelKind, NET_MODEL_NAMES};
 pub use scratch::{Answers, QueryScratch};
@@ -74,8 +75,8 @@ pub use trace::{HopKind, TraceEvent, TraceRecord, TraceSink, Verdict};
 /// Identifier of a simulated node (index into the caller's node table).
 pub type NodeId = usize;
 
-/// Virtual simulation time, in abstract ticks (equals hop count under the
-/// default unit-latency model).
+/// Virtual simulation time in unit ticks: every network message takes
+/// exactly one, a self-delivery none.
 pub type SimTime = u64;
 
 /// Creates the deterministic RNG used across the suite.

@@ -185,11 +185,6 @@ impl SkipGraphNet {
         owner
     }
 
-    /// Records stored at a peer.
-    pub fn records_at(&self, node: NodeId) -> &[(f64, u64)] {
-        &self.records[node]
-    }
-
     /// Skip Graph search from `from` to the owner of `value`; returns
     /// `(owner, hops)`. Standard algorithm: at each level move toward the
     /// target as far as possible without overshooting, then descend.

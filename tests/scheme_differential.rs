@@ -301,6 +301,61 @@ fn out_of_range_origins_are_bad_origin_errors_everywhere() {
     assert!(wrong.is_empty(), "out-of-range origins not refused:\n{}", wrong.join("\n"));
 }
 
+/// Every registered name, both shapes, at N ∈ {0, 1, 2}: an empty network
+/// is a typed `Build` error, and a tiny one is either a typed error too or
+/// answers the whole-domain query exactly — never a panic inside a
+/// substrate, never an answer from a network nobody asked for.
+#[test]
+fn tiny_networks_are_built_or_refused_never_panic() {
+    use armada_suite::dht_api::MultiBuildParams;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    const RECORDS: u64 = 30;
+    let registry = standard_registry();
+    let domains = [DOMAIN, DOMAIN];
+    let mut wrong = Vec::new();
+    let mut check = |name: String, n: usize, run: &dyn Fn() -> Result<bool, SchemeError>| match (
+        n,
+        catch_unwind(AssertUnwindSafe(run)),
+    ) {
+        (_, Err(_)) => wrong.push(format!("{name} at n = {n}: panicked")),
+        (0, Ok(Err(SchemeError::Build(_)))) | (1.., Ok(Err(_) | Ok(true))) => {}
+        (_, Ok(other)) => wrong.push(format!("{name} at n = {n}: {other:?}")),
+    };
+    for n in 0..3 {
+        let params = BuildParams::new(n, DOMAIN.0, DOMAIN.1).with_object_id_len(24);
+        for name in registry.single_names() {
+            let run = || {
+                let mut rng = simnet::rng_from_seed(0x7171 ^ dht_api::fnv1a(name.as_bytes()));
+                let mut scheme = registry.build_single(name, &params, &mut rng)?;
+                for h in 0..RECORDS {
+                    scheme.publish(rng.gen_range(DOMAIN.0..=DOMAIN.1), h)?;
+                }
+                let origin = scheme.random_origin(&mut rng);
+                let out = scheme.range_query(origin, DOMAIN.0, DOMAIN.1, 0)?;
+                Ok(out.exact && out.results == (0..RECORDS).collect::<Vec<_>>())
+            };
+            check(format!("single {name}"), n, &run);
+        }
+        let params = MultiBuildParams::new(n, &domains).with_object_id_len(24);
+        for name in registry.multi_names() {
+            let run = || {
+                let mut rng = simnet::rng_from_seed(0x7171 ^ dht_api::fnv1a(name.as_bytes()));
+                let mut scheme = registry.build_multi(name, &params, &mut rng)?;
+                for h in 0..RECORDS {
+                    let p =
+                        [rng.gen_range(DOMAIN.0..=DOMAIN.1), rng.gen_range(DOMAIN.0..=DOMAIN.1)];
+                    scheme.publish_point(&p, h)?;
+                }
+                let origin = scheme.random_origin(&mut rng);
+                let out = scheme.rect_query(origin, &domains, 0)?;
+                Ok(out.exact && out.results == (0..RECORDS).collect::<Vec<_>>())
+            };
+            check(format!("multi {name}"), n, &run);
+        }
+    }
+    assert!(wrong.is_empty(), "tiny networks mishandled:\n{}", wrong.join("\n"));
+}
+
 /// Every registered single-attribute name × {bare, `+r3`, `@wan`,
 /// `+r3@wan@lossy-p/r3`}, all through `RangeScheme::query`.
 #[test]
