@@ -31,11 +31,12 @@
 //! both ways.
 //!
 //! The handler only *marks* an answer. The records are read after the run,
-//! by [`gather`], from the one ordered object table the network keeps.
+//! by [`gather`], from the one sorted object column the network keeps: a
+//! stretch of ranks that answered is one slice of it.
 
 use crate::engine::descent_budget;
 use crate::{ArmadaError, QueryMetrics, QueryOutcome, RecordId};
-use fissione::FissioneNet;
+use fissione::{FissioneNet, ObjectKey};
 use kautz::KautzRegion;
 use simnet::{Answers, Envelope, FaultPlan, NetModel, NodeId, Sim, SimScratch, TraceRecord};
 use std::ops::Range;
@@ -85,7 +86,8 @@ impl<S> Default for State<S> {
 /// sub-query's pruning state; `answers(state, rank)` says whether that
 /// peer's zone meets the query and `forwards(state, f, child, strip)`
 /// whether the subtree `ComS ++ child.id[strip..]` of the peer ranked
-/// `child` can; `keep` is the query itself, on records.
+/// `child` can; `keep(key, record)` is the query itself, on a record and the
+/// key it is stored under.
 ///
 /// Every peer forwards from its own row of the network's
 /// [`RouteTable`](fissione::RouteTable). With `trace` set the simulator's
@@ -108,7 +110,7 @@ pub(crate) fn descend<S>(
     prepare: impl Fn(&KautzRegion, usize) -> S,
     mut answers: impl FnMut(&S, usize) -> bool,
     mut forwards: impl FnMut(&S, usize, usize, usize) -> bool,
-    keep: impl Fn(RecordId) -> bool,
+    keep: impl Fn(ObjectKey, RecordId) -> bool,
 ) -> Result<(QueryOutcome, Option<Vec<TraceRecord>>), ArmadaError> {
     let origin_id = net.peer_id(origin).map_err(|_| ArmadaError::BadOrigin { origin })?;
     let table = net.route_table();
@@ -185,24 +187,24 @@ pub(crate) fn descend<S>(
 ///
 /// `run` is the region's destination run — the ranks of the peers whose
 /// zones meet `region` — so their stores are adjacent intervals of the
-/// object table: every maximal stretch of ranks that answered is one seek
-/// and one ordered pass (a fault-free PIRA query is one stretch). A peer
-/// outside the run stores nothing inside the region, so whether a stray
-/// answered changes nothing here.
+/// object column: every maximal stretch of ranks that answered is one slice
+/// of it (a fault-free PIRA query is one stretch), and `keep` sees each
+/// entry's key beside its record. A peer outside the run stores nothing
+/// inside the region, so whether a stray answered changes nothing here.
 pub fn gather(
     net: &FissioneNet,
     region: &KautzRegion,
     run: Range<usize>,
     answers: &mut Answers<RecordId>,
-    keep: impl Fn(RecordId) -> bool,
+    keep: impl Fn(ObjectKey, RecordId) -> bool,
 ) {
     let table = net.route_table();
     let mut rest = run;
     while let Some(first) = rest.clone().find(|&rank| answers.answered(rank)) {
         let end = (first..rest.end).find(|&rank| !answers.answered(rank)).unwrap_or(rest.end);
         let ends = (table.node(first), table.node(end - 1));
-        for handle in net.handles_in_stretch(ends, region.low(), region.high()) {
-            if keep(RecordId(handle)) {
+        for &(key, handle) in net.entries_in_stretch(ends, region.low(), region.high()) {
+            if keep(key, RecordId(handle)) {
                 answers.push(RecordId(handle));
             }
         }

@@ -22,6 +22,20 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordId(pub u64);
 
+/// The ledger's view of an id: [`Answers::results`](simnet::Answers::results)
+/// reads dense ids back out of a bitmap.
+impl From<u64> for RecordId {
+    fn from(id: u64) -> Self {
+        RecordId(id)
+    }
+}
+
+impl From<RecordId> for u64 {
+    fn from(record: RecordId) -> Self {
+        record.0
+    }
+}
+
 impl std::fmt::Display for RecordId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "record#{}", self.0)
@@ -237,11 +251,6 @@ impl Armada<SingleHash> {
         self.push(&[value]).expect("a value is a one-attribute point")
     }
 
-    /// Publishes many records.
-    pub fn publish_all<I: IntoIterator<Item = f64>>(&mut self, values: I) -> Vec<RecordId> {
-        values.into_iter().map(|v| self.publish(v)).collect()
-    }
-
     /// Ground truth: the set of peers whose region intersects the query's
     /// Kautz region (the paper's "Destpeers"). `O(log N + answer)` via the
     /// contiguity of zones in leaf order.
@@ -408,7 +417,7 @@ mod tests {
     fn expected_results_filters_by_value() {
         let mut rng = simnet::rng_from_seed(52);
         let mut a = SingleArmada::build_with(small_cfg(), 20, 0.0, 100.0, &mut rng).unwrap();
-        let ids = a.publish_all([10.0, 20.0, 30.0, 40.0]);
+        let ids = [10.0, 20.0, 30.0, 40.0].map(|v| a.publish(v));
         assert_eq!(a.expected_results(15.0, 35.0), vec![ids[1], ids[2]]);
         assert_eq!(a.expected_results(90.0, 95.0), vec![]);
     }

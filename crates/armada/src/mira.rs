@@ -14,7 +14,9 @@
 //!   hyper-rectangle of its PeerID intersects `Ω` (the same test that picks
 //!   the destinations), and a subtree is cut when its namespace prefix
 //!   `ComS ++ child.id[strip..]` maps to a rectangle disjoint from `Ω`;
-//! * the **record filter** is `point ∈ Ω`.
+//! * the **record filter** is `point ∈ Ω`, tested on every gathered record
+//!   (PIRA skips the test between its two boundary keys; a corner region's
+//!   keys carry no such promise).
 //!
 //! Like PIRA, MIRA is delay-bounded by the origin's PeerID length:
 //! `< 2·log₂N` worst case and `< log₂N` on average, independent of the
@@ -99,7 +101,9 @@ pub fn query(
             naming.prefix_rect_into(prefix, subtree).expect("subtree prefix within depth");
             rect.intersects(subtree)
         },
-        |record| in_rect(armada.point(record), ranges),
+        // `Multiple_hash` only preserves a partial order, so a key inside
+        // the corner region says nothing about the point: test every one.
+        |_, record| in_rect(armada.point(record), ranges),
     )
 }
 

@@ -16,13 +16,17 @@
 //!   [`intersects`](KeyRegion::intersects) it, and a child is forwarded to
 //!   iff its subtree prefix [does](KeyRegion::intersects_subtree) — a
 //!   delivery touches no ordered map and compares no strings;
-//! * the **record filter** is `lo ≤ value ≤ hi`.
+//! * the **record filter** is `lo ≤ value ≤ hi`, read only for a record
+//!   stored under one of the two boundary keys `ObjectKey(LowT)` and
+//!   `ObjectKey(HighT)`: `Single_hash` is monotone, so a key strictly
+//!   between them holds a value strictly inside the query (a NaN value
+//!   names the lowest key, so it can only sit on a boundary).
 //!
 //! The destination peers sorted by PeerID tile the query's ObjectID range,
-//! so what the peers that answered hold is read by [`gather`] as one ordered
-//! pass over one run of the network's object table, not a scan per peer. The
-//! result set is sorted either way, so the order in which the records were
-//! read is unobservable.
+//! so what the peers that answered hold is read by [`gather`] as one slice
+//! of the network's sorted object column, not a scan per peer. The ledger
+//! hands the result set back ascending whatever order the records were read
+//! in.
 //!
 //! Delay is bounded by `hops_left ≤ len(origin.id)` regardless of the range
 //! size: `< 2·log₂N` worst case, `< log₂N` on average — the paper's
@@ -31,9 +35,31 @@
 //! [`gather`]: crate::descent::gather
 
 use crate::descent::{descend, State};
-use crate::{ArmadaError, QueryOutcome, SingleArmada};
-use fissione::KeyRegion;
+use crate::{ArmadaError, QueryOutcome, RecordId, SingleArmada};
+use fissione::{KeyRegion, ObjectKey};
+use kautz::KautzRegion;
 use simnet::{FaultPlan, NodeId, QueryScratch, TraceRecord};
+
+/// PIRA's record filter for `[lo, hi]`, whose image is `region`: what
+/// [`query`] hands the gather. A record stored under a key strictly inside
+/// the region is an answer, so only one under a boundary key has its value
+/// read.
+pub fn record_filter<'a>(
+    armada: &'a SingleArmada,
+    region: &KautzRegion,
+    (lo, hi): (f64, f64),
+) -> impl Fn(ObjectKey, RecordId) -> bool + 'a {
+    let interior = strictly_inside(region);
+    move |key, record| interior(key) || (lo..=hi).contains(&armada.value(record))
+}
+
+/// Whether a key lies strictly between `region`'s endpoint keys: the
+/// records stored under such a key satisfy the query by `Single_hash`'s
+/// monotonicity.
+fn strictly_inside(region: &KautzRegion) -> impl Fn(ObjectKey) -> bool {
+    let (low, high) = (ObjectKey::new(region.low()), ObjectKey::new(region.high()));
+    move |key| low < key && key < high
+}
 
 /// Executes a PIRA range query; see the module docs. The engine's one
 /// full-surface entry point: an optional fault plan (drops, crashes, the
@@ -60,6 +86,7 @@ pub fn query(
     let region = armada.naming().region(lo, hi)?;
     let table = net.route_table();
     let run = table.run(region.low(), region.high())?;
+    let keep = record_filter(armada, &region, (lo, hi));
     descend(
         net,
         armada.net_model(),
@@ -74,7 +101,7 @@ pub fn query(
         |sub, _| KeyRegion::new(sub),
         |sub, rank| sub.intersects(table.key(rank)),
         |sub, f, child, strip| sub.intersects_subtree(f, table.key(child), strip),
-        |record| (lo..=hi).contains(&armada.value(record)),
+        keep,
     )
 }
 
@@ -297,6 +324,56 @@ mod tests {
                 records.iter().any(|r| matches!(r.event, simnet::TraceEvent::FaultVerdict { .. }));
         }
         assert!(saw_verdict, "15% drops over 20 queries must log at least one verdict");
+    }
+
+    /// A value for the interior-key rule: inside the domain, on or past
+    /// either end, ±∞ or NaN.
+    fn any_value(rng: &mut rand::rngs::SmallRng, (lo, hi): (f64, f64)) -> f64 {
+        match rng.gen_range(0..8) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => lo,
+            4 => hi,
+            5 => rng.gen_range(2.0 * lo - hi..=2.0 * hi - lo),
+            _ => rng.gen_range(lo..=hi),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn a_key_strictly_between_the_boundary_keys_holds_a_value_in_the_query(
+            seed in proptest::prelude::any::<u64>(),
+            k in proptest::prelude::prop_oneof![
+                proptest::prelude::Just(24usize),
+                proptest::prelude::Just(100),
+            ],
+        ) {
+            let mut rng = simnet::rng_from_seed(seed);
+            let low_end: f64 = rng.gen_range(-1e6..1e6);
+            let domain = (low_end, low_end + rng.gen_range(1e-3..1e6));
+            let naming = kautz::naming::SingleHash::new(domain.0, domain.1, k).unwrap();
+            let (lo, hi) = (any_value(&mut rng, domain), any_value(&mut rng, domain));
+            // A NaN or inverted bound never reaches the gather.
+            let Ok(region) = naming.region(lo, hi) else {
+                proptest::prop_assert!(lo.is_nan() || hi.is_nan() || lo > hi);
+                return Ok(());
+            };
+            let interior = super::strictly_inside(&region);
+            let key = |v| fissione::ObjectKey::new(&naming.object_id(v));
+            // NaN names the lowest key, which no key lies below: it can sit
+            // on the low boundary, never strictly inside.
+            proptest::prop_assert_eq!(key(f64::NAN), key(f64::NEG_INFINITY));
+            proptest::prop_assert!(!interior(key(f64::NAN)));
+            for _ in 0..64 {
+                let v = any_value(&mut rng, domain);
+                if interior(key(v)) {
+                    proptest::prop_assert!(lo <= v && v <= hi, "{v} outside [{lo}, {hi}]");
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,33 +45,24 @@ impl From<ArmadaError> for SchemeError {
     }
 }
 
-impl QueryOutcome {
-    /// The scheme-generic outcome with every result mapped through
-    /// `handle`.
-    fn outcome_with(self, handle: impl Fn(crate::RecordId) -> u64) -> RangeOutcome {
-        RangeOutcome::from_native(
-            self.results.iter().map(|&record| handle(record)).collect(),
-            OutcomeCosts {
-                hops: u64::from(self.metrics.delay),
-                latency: self.metrics.latency,
-                messages: self.metrics.messages,
-            },
-            self.metrics.dest_peers,
-            self.metrics.reached_peers,
-            self.metrics.exact,
-        )
-    }
-}
-
-/// Remaps a native outcome's `RecordId` results through a handle table.
+/// Remaps a native outcome's `RecordId` results through a handle table, in
+/// place: a `RecordId` is a `u64`, so the collect reuses the result buffer.
+/// Results arrive in `RecordId` order, so handles handed out in publish
+/// order — the common case — are ascending already;
+/// [`RangeOutcome::from_native`] sorts and dedups whatever is not.
 fn remap(out: QueryOutcome, handles: &[u64]) -> RangeOutcome {
-    let mut converted = out.outcome_with(|record| handles[record.0 as usize]);
-    // Results arrive in `RecordId` order, so handles handed out in publish
-    // order — the common case — are ascending already.
-    if !converted.results.is_sorted() {
-        converted.results.sort_unstable();
-    }
-    converted
+    let QueryOutcome { results, metrics } = out;
+    RangeOutcome::from_native(
+        results.into_iter().map(|record| handles[record.0 as usize]).collect(),
+        OutcomeCosts {
+            hops: u64::from(metrics.delay),
+            latency: metrics.latency,
+            messages: metrics.messages,
+        },
+        metrics.dest_peers,
+        metrics.reached_peers,
+        metrics.exact,
+    )
 }
 
 fn build_single(params: &BuildParams, rng: &mut SmallRng) -> Result<SingleArmada, SchemeError> {

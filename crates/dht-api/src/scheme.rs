@@ -67,14 +67,21 @@ pub struct OutcomeCosts {
 impl RangeOutcome {
     /// The shared adapter conversion: every scheme's `into_outcome()`
     /// funnels through here, so the hop/latency/messages/exactness
-    /// plumbing lives in one place and cannot drift per scheme.
+    /// plumbing lives in one place and cannot drift per scheme. It is also
+    /// where [`results`](Self::results)' contract is kept: handles come out
+    /// ascending and each once, however often one was published (sorted
+    /// only when they arrive unsorted).
     pub fn from_native(
-        results: Vec<u64>,
+        mut results: Vec<u64>,
         costs: OutcomeCosts,
         dest_peers: usize,
         reached_peers: usize,
         exact: bool,
     ) -> RangeOutcome {
+        if !results.is_sorted() {
+            results.sort_unstable();
+        }
+        results.dedup();
         RangeOutcome {
             results,
             delay: costs.hops,

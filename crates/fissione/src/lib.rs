@@ -12,7 +12,7 @@
 //! * **Storage**: live PeerIDs tile the namespace in leaf order, so the
 //!   published objects sorted by ObjectID are already partitioned peer by
 //!   peer into contiguous runs. The network keeps them that way — one
-//!   ordered table of `(`[`ObjectKey`]`, handle)` entries — and a peer
+//!   sorted column of `(`[`ObjectKey`]`, handle)` entries — and a peer
 //!   *stores* the entries in the key interval its PeerID covers
 //!   ([`PeerKey::interval`]): a store is derived from the cover, never
 //!   moved when the cover changes.

@@ -1,5 +1,5 @@
 //! The FISSIONE peer table: prefix-free cover, churn, neighbors, and the
-//! one ordered object table every peer's store is an interval of.
+//! one sorted object column every peer's store is an interval of.
 
 use crate::{BalanceRule, FissioneConfig, FissioneError};
 use kautz::{KautzRegion, KautzStr};
@@ -7,9 +7,9 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::NodeId;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::{Bound, Range, RangeInclusive};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// A live FISSIONE peer: its PeerID, and nothing else. What it *stores* is
 /// derived from that: the [`PeerKey::interval`] of the network's object
@@ -74,9 +74,11 @@ pub const MAX_OBJECT_ID_LEN: usize = 127;
 pub struct ObjectKey([u64; 4]);
 
 impl ObjectKey {
-    /// Keeps the key's 128 symbols: all of an ObjectID (whose length
-    /// `object_key` checks), and of a longer range bound all that matters.
-    fn new(id: &KautzStr) -> Self {
+    /// The key of `id`, which keeps its first 128 symbols: all of an
+    /// ObjectID, and of a longer range bound all that matters. A range
+    /// query's endpoints `LowT` and `HighT` compare against the table's
+    /// keys in this form.
+    pub fn new(id: &KautzStr) -> Self {
         let mut words = [0u64; 4];
         for (i, &s) in id.symbols().iter().take(2 * ENC_SYMS).enumerate() {
             words[i / 32] |= (u64::from(s) + 1) << (62 - 2 * (i % 32));
@@ -423,13 +425,82 @@ fn gap_between(own: usize, neighbor: usize) -> u8 {
     neighbor.saturating_sub(own) as u8
 }
 
+/// One published object: its key and its handle.
+type Entry = (ObjectKey, u64);
+
+/// Every published `(ObjectKey, handle)` pair, in one flat column: a
+/// publish appends, and the first read after a write sorts and dedups the
+/// whole column in place, so a key range is two binary searches and one
+/// slice. There is one stored copy at any time: in `appended` while writes
+/// are pending, in `sorted` once a reader has moved the pairs out and
+/// sorted them.
+#[derive(Debug, Default)]
+struct ObjectTable {
+    /// The pairs, unsorted, while `sorted` is unset; empty while it is set.
+    appended: Mutex<Vec<Entry>>,
+    /// The pairs in `(key, handle)` order, each once: set by the first
+    /// read after a write (a `OnceLock` because queries hold `&self` across
+    /// driver threads), taken back by the next write.
+    sorted: OnceLock<Vec<Entry>>,
+}
+
+/// A reader that panicked while sorting the column took the appended pairs
+/// with it: nothing is left to recover.
+const POISONED: &str = "a reader panicked while sorting the object column";
+
+impl ObjectTable {
+    /// Appends a pair, taking the sorted column back first if a read built
+    /// it.
+    fn push(&mut self, pair: Entry) {
+        let appended = self.appended.get_mut().expect(POISONED);
+        if let Some(sorted) = self.sorted.take() {
+            *appended = sorted;
+        }
+        appended.push(pair);
+    }
+
+    /// The column, ascending and distinct: the first call after a write
+    /// moves the appended pairs out, sorts and dedups them (`O(n log n)`;
+    /// concurrent first callers wait for one sort).
+    fn column(&self) -> &[Entry] {
+        self.sorted.get_or_init(|| {
+            let mut column = std::mem::take(&mut *self.appended.lock().expect(POISONED));
+            column.sort_unstable();
+            column.dedup();
+            column
+        })
+    }
+
+    /// The sorted column, for a writer that keeps it sorted.
+    fn column_mut(&mut self) -> &mut Vec<Entry> {
+        self.column();
+        self.sorted.get_mut().expect("`column` has just set it")
+    }
+}
+
+/// A clone reads the column through [`ObjectTable::column`], so it holds
+/// the sorted column whatever state the original was in.
+impl Clone for ObjectTable {
+    fn clone(&self) -> Self {
+        let sorted = OnceLock::from(self.column().to_vec());
+        ObjectTable { appended: Mutex::default(), sorted }
+    }
+}
+
 /// The FISSIONE network: a prefix-free cover of the Kautz namespace under
-/// churn, with neighbor computation and one ordered object table.
+/// churn, with neighbor computation and one sorted object column.
 ///
-/// Published objects live in one set sorted by [`ObjectKey`], not at peers:
-/// a peer *stores* the entries in the [`PeerKey::interval`] of its id, so a
-/// store is derived, never moved. Join, graceful leave, merge and
+/// Published objects live in one flat column sorted by [`ObjectKey`], not
+/// at peers: a peer *stores* the entries in the [`PeerKey::interval`] of its
+/// id, so a store is derived, never moved, and the stores of consecutive
+/// peers are one slice of the column. Join, graceful leave, merge and
 /// `stabilize` touch no object; a crash deletes the crashed peer's interval.
+///
+/// A publish is an `O(1)` append; the first read after it (a lookup, a
+/// range gather, a crash, [`report`](Self::report)) sorts the whole column
+/// once, where [`route_table`](Self::route_table) is built lazily too. A
+/// workload that loads its records and then queries pays one sort; one that
+/// interleaves a publish with every read pays a sort per read.
 ///
 /// `NodeId`s are stable: a peer keeps its id for its lifetime, and slots of
 /// departed peers are reused only by [`FissioneNet::stabilize`]'s internal
@@ -446,8 +517,8 @@ pub struct FissioneNet {
     /// Free slots as a min-heap: allocation recycles the lowest free index,
     /// matching the old slot scan without its O(N) cost.
     free_slots: BinaryHeap<Reverse<usize>>,
-    /// Every published `(ObjectID, handle)`, in ObjectID order.
-    objects: BTreeSet<(ObjectKey, u64)>,
+    /// Every published `(ObjectID, handle)`, sorted on read.
+    objects: ObjectTable,
     /// Handles [`crash`](Self::crash) has deleted from `objects` so far.
     lost_handles: u64,
     /// The routing table of the current cover: built by the first
@@ -473,7 +544,7 @@ impl FissioneNet {
             live: 0,
             depth_hist: Vec::new(),
             free_slots: BinaryHeap::new(),
-            objects: BTreeSet::new(),
+            objects: ObjectTable::default(),
             lost_handles: 0,
             table: OnceLock::new(),
         };
@@ -956,7 +1027,11 @@ impl FissioneNet {
     pub fn crash(&mut self, node: NodeId) -> Result<usize, FissioneError> {
         let (first, last) = PeerKey(enc_id(self.peer(node)?.id())).interval().into_inner();
         self.leave(node)?;
-        let lost = self.objects.extract_if((first, 0)..=(last, u64::MAX), |_| true).count();
+        let column = self.objects.column_mut();
+        let start = column.partition_point(|&(key, _)| key < first);
+        let end = start + column[start..].partition_point(|&(key, _)| key <= last);
+        column.drain(start..end);
+        let lost = end - start;
         self.lost_handles += lost as u64;
         Ok(lost)
     }
@@ -1148,17 +1223,17 @@ impl FissioneNet {
     }
 
     /// Table entries with keys in `[from, to]`, ascending (none when
-    /// `from > to`): one seek, then a walk.
-    fn entries(
-        &self,
-        from: ObjectKey,
-        to: ObjectKey,
-    ) -> impl Iterator<Item = (ObjectKey, u64)> + '_ {
-        self.objects.range((from, 0)..).copied().take_while(move |&(key, _)| key <= to)
+    /// `from > to`): two binary searches and a slice.
+    fn entries(&self, from: ObjectKey, to: ObjectKey) -> &[(ObjectKey, u64)] {
+        let column = self.objects.column();
+        let start = column.partition_point(|&(key, _)| key < from);
+        let end = start + column[start..].partition_point(|&(key, _)| key <= to);
+        &column[start..end]
     }
 
     /// Publishes an object handle; returns the storing peer. The pair is
-    /// stored once however often it is published.
+    /// stored once however often it is published. An `O(1)` append: the
+    /// next read sorts it into place (see [`FissioneNet`]).
     ///
     /// # Errors
     ///
@@ -1167,7 +1242,7 @@ impl FissioneNet {
     pub fn publish(&mut self, object: &KautzStr, handle: u64) -> Result<NodeId, FissioneError> {
         let key = self.object_key(object)?;
         let owner = self.owner_of_enc(key.head(), object.len())?;
-        self.objects.insert((key, handle));
+        self.objects.push((key, handle));
         Ok(owner)
     }
 
@@ -1188,28 +1263,26 @@ impl FissioneNet {
 
     /// The handles published under the ObjectID whose key is `key`.
     pub(crate) fn handles_under(&self, key: ObjectKey) -> impl Iterator<Item = u64> + '_ {
-        self.entries(key, key).map(|(_, handle)| handle)
+        self.entries(key, key).iter().map(|&(_, handle)| handle)
     }
 
-    /// The handles the consecutive peers `first ..= last` (PeerID order)
-    /// store under ObjectIDs in `[low, high]`, in ObjectID order: their
-    /// stores are adjacent intervals of the table, so a stretch of a range
-    /// query's destinations is one seek and one walk however many peers it
-    /// spans.
+    /// The entries the consecutive peers `first ..= last` (PeerID order)
+    /// store under ObjectIDs in `[low, high]`, in `(key, handle)` order:
+    /// their stores are adjacent intervals of the column, so a stretch of a
+    /// range query's destinations is one slice however many peers it spans.
     ///
     /// # Panics
     ///
     /// Panics if `first` or `last` is not live.
-    pub fn handles_in_stretch(
+    pub fn entries_in_stretch(
         &self,
         (first, last): (NodeId, NodeId),
         low: &KautzStr,
         high: &KautzStr,
-    ) -> impl Iterator<Item = u64> + '_ {
+    ) -> &[(ObjectKey, u64)] {
         let interval = |node| PeerKey(enc_id(self.peer(node).expect("live node").id())).interval();
         let (from, to) = (*interval(first).start(), *interval(last).end());
         self.entries(from.max(ObjectKey::new(low)), to.min(ObjectKey::new(high)))
-            .map(|(_, handle)| handle)
     }
 
     /// The handles `node` stores under ObjectIDs in `[low, high]` — the
@@ -1224,7 +1297,7 @@ impl FissioneNet {
         low: &KautzStr,
         high: &KautzStr,
     ) -> impl Iterator<Item = u64> + '_ {
-        self.handles_in_stretch((node, node), low, high)
+        self.entries_in_stretch((node, node), low, high).iter().map(|&(_, handle)| handle)
     }
 
     /// Verifies the hard invariants (complete prefix-free cover, well-formed
@@ -1278,8 +1351,8 @@ impl FissioneNet {
         // the configured length (which peer stores it needs no check: that
         // is read off the key).
         let is_object_id = |id: KautzStr| id.len() == self.cfg.object_id_len;
-        if !self.objects.iter().all(|(key, _)| key.decode(self.cfg.base).is_some_and(is_object_id))
-        {
+        let column = self.objects.column();
+        if !column.iter().all(|(key, _)| key.decode(self.cfg.base).is_some_and(is_object_id)) {
             return Err(FissioneError::InvariantViolated(report));
         }
         Ok(report)
@@ -1302,7 +1375,7 @@ impl FissioneNet {
             max_depth: self.max_depth(),
             min_depth: self.min_depth(),
             neighborhood_violations: violations,
-            total_objects: self.objects.len(),
+            total_objects: self.objects.column().len(),
         }
     }
 
@@ -2061,10 +2134,11 @@ mod tests {
     /// What `node` stores, read off the table: the entries in its interval.
     fn stored_at(net: &FissioneNet, node: NodeId) -> Vec<(KautzStr, u64)> {
         let (first, last) = key(net.peer_id(node).unwrap()).interval().into_inner();
-        net.entries(first, last).map(|(k, h)| (k.decode(2).expect("a valid key"), h)).collect()
+        let entries = net.entries(first, last).iter();
+        entries.map(|&(k, h)| (k.decode(2).expect("a valid key"), h)).collect()
     }
 
-    type Model = BTreeSet<(KautzStr, u64)>;
+    type Model = std::collections::BTreeSet<(KautzStr, u64)>;
 
     /// The model's pairs that satisfy `keep`, in table order.
     fn pairs(model: &Model, keep: impl Fn(&KautzStr) -> bool) -> Vec<(KautzStr, u64)> {
@@ -2080,8 +2154,8 @@ mod tests {
         let in_range = |o: &KautzStr| low <= o && o <= high;
         // The whole destination run as one stretch, then every peer alone.
         let run = net.peers_intersecting_range(low, high).unwrap();
-        let whole: Vec<u64> =
-            net.handles_in_stretch((run[0], *run.last().unwrap()), low, high).collect();
+        let stretch = net.entries_in_stretch((run[0], *run.last().unwrap()), low, high);
+        let whole: Vec<u64> = stretch.iter().map(|&(_, h)| h).collect();
         let expect = pairs(model, in_range);
         assert_eq!(whole, expect.iter().map(|&(_, h)| h).collect::<Vec<_>>(), "[{low}, {high}]");
         for node in net.live_peers() {
@@ -2117,6 +2191,47 @@ mod tests {
         Ok(())
     }
 
+    #[test]
+    fn a_clone_taken_with_appends_pending_reads_the_same_as_the_original() {
+        // Two identical networks under the same writes: `read` is read
+        // straight from its pending appends, `cloned` through a clone taken
+        // while they were pending, and a round of crashes meets both columns
+        // with appends pending.
+        let (mut read, mut cloned) = (build(60, 23), build(60, 23));
+        let mut model = Model::new();
+        let mut rng = simnet::rng_from_seed(230);
+        for round in 0..4u64 {
+            for h in 0..40 {
+                let pair = (KautzStr::random(2, 24, &mut rng), round * 8 + h % 8);
+                for net in [&mut read, &mut cloned] {
+                    net.publish(&pair.0, pair.1).unwrap();
+                }
+                model.insert(pair);
+            }
+            // A stored pair published again is still stored once.
+            let again = model.iter().nth(round as usize).cloned().unwrap();
+            for net in [&mut read, &mut cloned] {
+                net.publish(&again.0, again.1).unwrap();
+                assert!(net.objects.sorted.get().is_none(), "a publish takes the column back");
+            }
+            if round % 2 == 1 {
+                let victim = read.live_peers().nth(round as usize).unwrap();
+                let mut twin_model = model.clone();
+                crash(&mut read, &mut model, victim).unwrap();
+                crash(&mut cloned, &mut twin_model, victim).unwrap();
+                assert_eq!(model, twin_model);
+                continue;
+            }
+            let twin = cloned.clone();
+            assert_table_matches_the_model(&twin, &model, &mut rng.clone());
+            assert_table_matches_the_model(&cloned, &model, &mut rng.clone());
+            assert_table_matches_the_model(&read, &model, &mut rng);
+            assert_eq!(twin.objects.column(), read.objects.column());
+        }
+        assert_table_matches_the_model(&cloned, &model, &mut rng.clone());
+        assert_table_matches_the_model(&read, &model, &mut rng);
+    }
+
     /// Publishes the least and the greatest ObjectID below each of `peers`.
     fn publish_under(net: &mut FissioneNet, model: &mut Model, peers: &[NodeId]) {
         for &node in peers {
@@ -2132,7 +2247,11 @@ mod tests {
     // between them, against a model of the published pairs, and with the
     // routing table built before every operation: whichever one runs, no
     // object moves or goes missing unless a crash took it, and the next read
-    // sees the new cover, never the table of the old one.
+    // sees the new cover, never the table of the old one. The object column
+    // is read after one operation in three, so runs of publishes and crashes
+    // meet it unsorted, and every read → write → read transition occurs; a
+    // read with appends pending goes through a clone one time in two (the
+    // clone must read what the original would).
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -2167,6 +2286,12 @@ mod tests {
                     8 => drop(crash(&mut net, &mut model, victim)),
                     9 if net.peer(victim).unwrap().depth() < 20 => drop(net.split_leaf(victim)),
                     _ => drop(net.stabilize()),
+                }
+                if raw % 3 != 0 {
+                    continue;
+                }
+                if net.objects.sorted.get().is_none() && raw % 2 == 0 {
+                    check(&net.clone(), &model, &mut rng);
                 }
                 check(&net, &model, &mut rng);
             }

@@ -86,6 +86,13 @@ impl std::fmt::Debug for QueryScratch {
 /// nodes are listed in answer order: the query's
 /// [`latency`](Self::latency) is a pass over that list, not a sort of every
 /// delivery.
+///
+/// The records are ids (`u64`s or newtypes of one), handed over in any
+/// order and possibly more than once. [`results`](Self::results) returns
+/// them ascending and distinct without a sort when they are *dense* — the
+/// largest below 64 times their count: each sets one bit of a bitmap the
+/// ledger keeps, and the bits are read back in order and cleared. Sparser
+/// ids are sorted and deduplicated.
 pub struct Answers<R> {
     stamps: Vec<u32>,
     /// The cheapest accumulated cost an answering delivery carried, per
@@ -98,6 +105,9 @@ pub struct Answers<R> {
     /// A node outside the ground truth answered.
     stray: bool,
     records: Vec<R>,
+    /// Bit `id` set for each dense record id; all clear between calls to
+    /// [`results`](Self::results), which grows it to the largest id seen.
+    bits: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -118,6 +128,7 @@ impl<R> Default for Answers<R> {
             answered: Vec::new(),
             stray: false,
             records: Vec::new(),
+            bits: Vec::new(),
         }
     }
 }
@@ -201,13 +212,40 @@ impl<R: Copy + Ord> Answers<R> {
     pub fn exact(&self) -> bool {
         !self.stray && self.answered.len() == self.due
     }
+}
 
+impl<R: Copy + Ord + From<u64> + Into<u64>> Answers<R> {
     /// The query's result set: the records handed over, ascending and
-    /// distinct, in one allocation of their size.
+    /// distinct, in one allocation of at most their number. Dense ids (the
+    /// largest below 64 × their count) go through the bitmap, in
+    /// `O(count + largest / 64)`; sparser ones are sorted and deduplicated.
     pub fn results(&mut self) -> Vec<R> {
-        self.records.sort_unstable();
-        self.records.dedup();
-        self.records.clone()
+        let count = self.records.len();
+        let Some(largest) = self.records.iter().map(|&r| r.into()).max() else {
+            return Vec::new();
+        };
+        if largest / 64 >= count as u64 {
+            self.records.sort_unstable();
+            self.records.dedup();
+            return self.records.clone();
+        }
+        let words = largest as usize / 64 + 1;
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+        }
+        for &record in &self.records {
+            let id: u64 = record.into();
+            self.bits[id as usize / 64] |= 1 << (id % 64);
+        }
+        let mut results = Vec::with_capacity(count);
+        for (word, bits) in (0u64..).zip(&mut self.bits[..words]) {
+            let mut rest = std::mem::take(bits);
+            while rest != 0 {
+                results.push(R::from(word * 64 + u64::from(rest.trailing_zeros())));
+                rest &= rest - 1;
+            }
+        }
+        results
     }
 }
 
@@ -345,6 +383,70 @@ mod tests {
                 prop_assert_eq!(answers.latency(), last_first_arrival(&mut log));
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn results_are_the_sorted_distinct_records_either_side_of_the_density_rule(
+            rounds in prop::collection::vec(
+                (
+                    prop_oneof![Just(1u64), Just(64), Just(4096), Just(1 << 20), Just(u64::MAX)],
+                    prop::collection::vec((any::<u64>(), 0usize..3), 0..96),
+                ),
+                1..6,
+            ),
+        ) {
+            // One ledger across every round: a larger earlier query's bits
+            // must not leak into a later one.
+            let mut answers = Answers::<u64>::default();
+            for (span, draws) in rounds {
+                answers.begin(0, []);
+                // Ids below `span`, each handed over one to three times:
+                // small spans are dense, `u64::MAX` sparse up to its top.
+                let mut expect = Vec::new();
+                for &(raw, repeats) in &draws {
+                    let id = if span == u64::MAX { raw } else { raw % span };
+                    for _ in 0..=repeats {
+                        answers.push(id);
+                        expect.push(id);
+                    }
+                }
+                expect.sort_unstable();
+                expect.dedup();
+                prop_assert_eq!(answers.results(), expect);
+                prop_assert!(answers.bits.iter().all(|&w| w == 0), "a read clears the bitmap");
+            }
+        }
+    }
+
+    #[test]
+    fn results_take_both_sides_of_the_density_rule_and_clear_the_bitmap() {
+        let mut a = Answers::<u64>::default();
+        // Dense (largest 200 < 64 × 5), with repeats, out of order.
+        a.begin(0, []);
+        for id in [200, 3, 64, 3, 63] {
+            a.push(id);
+        }
+        assert_eq!(a.results(), vec![3, 63, 64, 200]);
+        assert!(a.bits.iter().all(|&w| w == 0), "the bitmap is clear after a read");
+        // Sparse (largest 1 000 ≥ 64 × 2): sorted, and no bit is set.
+        a.begin(0, []);
+        for id in [1000, 5, 1000] {
+            a.push(id);
+        }
+        assert_eq!(a.results(), vec![5, 1000]);
+        a.begin(0, []);
+        for id in [u64::MAX, 0, u64::MAX - 1] {
+            a.push(id);
+        }
+        assert_eq!(a.results(), vec![0, u64::MAX - 1, u64::MAX]);
+        // A smaller dense query after a larger one sees none of its bits.
+        a.begin(0, []);
+        a.push(1);
+        assert_eq!(a.results(), vec![1]);
+        assert!(a.bits.iter().all(|&w| w == 0));
     }
 
     #[test]

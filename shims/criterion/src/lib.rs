@@ -93,7 +93,7 @@ impl Bencher {
 
 impl Bencher {
     /// Times `routine` on a fresh input from `setup` per iteration; only
-    /// the routine is on the clock. Same warm-up and target as
+    /// the routine is on the clock, not the setup or dropping the output. Same warm-up and target as
     /// [`iter`](Self::iter), counting routine time alone.
     #[allow(clippy::disallowed_methods)]
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
@@ -106,8 +106,11 @@ impl Bencher {
             while done < iters && elapsed < budget {
                 let input = setup();
                 let start = Instant::now();
-                black_box(routine(input));
+                let output = black_box(routine(input));
                 elapsed += start.elapsed();
+                // Dropped off the clock, as real criterion drops a batch's
+                // outputs after timing it.
+                drop(output);
                 done += 1;
             }
             (done, elapsed)
@@ -142,22 +145,45 @@ fn fmt_duration(d: Duration) -> String {
     }
 }
 
-fn run_one(name: &str, mut f: impl FnMut(&mut Bencher)) {
+/// How much one iteration processes, set on a group with
+/// [`BenchmarkGroup::throughput`]. Real criterion reports a rate from it;
+/// this shim prints the time per element beside the time per iteration.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Elements (records, queries, …) per iteration.
+    Elements(u64),
+}
+
+fn run_one(name: &str, throughput: Option<Throughput>, mut f: impl FnMut(&mut Bencher)) {
     let mut b = Bencher { iterations: 0, elapsed: Duration::ZERO };
     f(&mut b);
     let mean = if b.iterations == 0 { Duration::ZERO } else { b.elapsed / b.iterations as u32 };
-    println!("{name:<40} {:>12}/iter ({} iters)", fmt_duration(mean), b.iterations);
+    let per = match throughput {
+        Some(Throughput::Elements(n)) if n > 0 => {
+            format!(", {}/element", fmt_duration(mean.div_f64(n as f64)))
+        }
+        _ => String::new(),
+    };
+    println!("{name:<40} {:>12}/iter ({} iters){per}", fmt_duration(mean), b.iterations);
 }
 
 /// A named group of related benchmarks.
 #[derive(Debug)]
 pub struct BenchmarkGroup {
     name: String,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup {
     /// Sets the sample count (accepted for API compatibility; ignored).
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
+        self
+    }
+
+    /// Sets how much each iteration of the group's next benchmarks
+    /// processes.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
         self
     }
 
@@ -167,7 +193,7 @@ impl BenchmarkGroup {
         F: FnMut(&mut Bencher, &I),
     {
         let label = format!("{}/{}", self.name, id);
-        run_one(&label, |b| f(b, input));
+        run_one(&label, self.throughput, |b| f(b, input));
         self
     }
 
@@ -177,7 +203,7 @@ impl BenchmarkGroup {
         F: FnMut(&mut Bencher),
     {
         let label = format!("{}/{}", self.name, id);
-        run_one(&label, &mut f);
+        run_one(&label, self.throughput, &mut f);
         self
     }
 
@@ -192,13 +218,13 @@ pub struct Criterion {}
 impl Criterion {
     /// Benches a single function.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        run_one(name, &mut f);
+        run_one(name, None, &mut f);
         self
     }
 
     /// Opens a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup {
-        BenchmarkGroup { name: name.into() }
+        BenchmarkGroup { name: name.into(), throughput: None }
     }
 }
 

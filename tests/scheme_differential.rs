@@ -301,6 +301,47 @@ fn out_of_range_origins_are_bad_origin_errors_everywhere() {
     assert!(wrong.is_empty(), "out-of-range origins not refused:\n{}", wrong.join("\n"));
 }
 
+/// A handle published more than once — under two values, and twice under
+/// one — comes back once, on every registered name, both shapes: the
+/// "ascending and deduplicated" promise of `RangeOutcome::results` holds
+/// whatever the scheme stores per publish.
+#[test]
+fn a_handle_published_twice_comes_back_once_everywhere() {
+    use armada_suite::dht_api::MultiBuildParams;
+    const N: usize = 40;
+    const PUBLISHED: [(f64, u64); 4] = [(120.0, 7), (870.0, 7), (120.0, 7), (500.0, 3)];
+    let registry = standard_registry();
+    let params = BuildParams::new(N, DOMAIN.0, DOMAIN.1).with_object_id_len(24);
+    let domains = [DOMAIN, DOMAIN];
+    let multi_params = MultiBuildParams::new(N, &domains).with_object_id_len(24);
+    let mut wrong = Vec::new();
+    for name in registry.single_names() {
+        let mut rng = simnet::rng_from_seed(0x7007 ^ dht_api::fnv1a(name.as_bytes()));
+        let mut scheme = registry.build_single(name, &params, &mut rng).expect("build");
+        for (value, handle) in PUBLISHED {
+            scheme.publish(value, handle).expect("publish");
+        }
+        let origin = scheme.random_origin(&mut rng);
+        let out = scheme.range_query(origin, DOMAIN.0, DOMAIN.1, 0).expect("query");
+        if out.results != [3, 7] {
+            wrong.push(format!("single {name}: {:?}", out.results));
+        }
+    }
+    for name in registry.multi_names() {
+        let mut rng = simnet::rng_from_seed(0x7007 ^ dht_api::fnv1a(name.as_bytes()));
+        let mut scheme = registry.build_multi(name, &multi_params, &mut rng).expect("build");
+        for (value, handle) in PUBLISHED {
+            scheme.publish_point(&[value, 1000.0 - value], handle).expect("publish");
+        }
+        let origin = scheme.random_origin(&mut rng);
+        let out = scheme.rect_query(origin, &domains, 0).expect("query");
+        if out.results != [3, 7] {
+            wrong.push(format!("multi {name}: {:?}", out.results));
+        }
+    }
+    assert!(wrong.is_empty(), "repeated handles not deduplicated:\n{}", wrong.join("\n"));
+}
+
 /// Every registered name, both shapes, at N ∈ {0, 1, 2}: an empty network
 /// is a typed `Build` error, and a tiny one is either a typed error too or
 /// answers the whole-domain query exactly — never a panic inside a
