@@ -22,6 +22,16 @@
 //! routing-table keys against the region; [`mira`](crate::mira) intersects
 //! rectangles.
 //!
+//! The query region arrives as its two endpoint [`ObjectKey`]s, and the
+//! prologue stays in key space: the sub-region split is
+//! [`kautz::key::split_region`], `|ComT|` the keys'
+//! [`common_prefix_len`](ObjectKey::common_prefix_len), and `ComS` the
+//! origin's [`PeerKey::longest_suffix_prefix`](fissione::PeerKey::longest_suffix_prefix)
+//! against it — no Kautz string is built. A sub-query's pruning state is
+//! whatever `prepare` makes of its keys: PIRA's stays a key
+//! ([`KeyRegion`](fissione::KeyRegion)), MIRA decodes its `ComS` to a string
+//! there because its rectangle test reads strings.
+//!
 //! The descent works on *ranks*, positions in the network's
 //! [`RouteTable`](fissione::RouteTable), which lists the peers in PeerID
 //! order: a peer's row is a rank interval, a region's destination run is a
@@ -37,7 +47,6 @@
 use crate::engine::descent_budget;
 use crate::{ArmadaError, QueryMetrics, QueryOutcome, RecordId};
 use fissione::{FissioneNet, ObjectKey};
-use kautz::KautzRegion;
 use simnet::{Answers, Envelope, FaultPlan, NetModel, NodeId, Sim, SimScratch, TraceRecord};
 use std::ops::Range;
 
@@ -76,13 +85,13 @@ impl<S> Default for State<S> {
     }
 }
 
-/// Runs one query: seeds a sub-query per sub-region of `region`, descends
-/// the origin's forward routing tree, and gathers what the peers that
-/// answered hold.
+/// Runs one query: seeds a sub-query per sub-region of `region` (its
+/// endpoint keys `(LowT, HighT)`), descends the origin's forward routing
+/// tree, and gathers what the peers that answered hold.
 ///
 /// `run` is the region's destination run (the ranks of the peers whose zones
 /// meet `region`) and `truth` the ranks of it a fault-free query must reach
-/// — the ones `answers` holds for. `prepare(sub_region, f)` builds a
+/// — the ones `answers` holds for. `prepare(sub_low, sub_high, f)` builds a
 /// sub-query's pruning state; `answers(state, rank)` says whether that
 /// peer's zone meets the query and `forwards(state, f, child, strip)`
 /// whether the subtree `ComS ++ child.id[strip..]` of the peer ranked
@@ -103,18 +112,19 @@ pub(crate) fn descend<S>(
     seed: u64,
     faults: Option<&FaultPlan>,
     trace: bool,
-    region: &KautzRegion,
+    region: (ObjectKey, ObjectKey),
     run: Range<usize>,
     truth: impl IntoIterator<Item = usize>,
     State { sim: sim_scratch, subs, answers: ledger }: &mut State<S>,
-    prepare: impl Fn(&KautzRegion, usize) -> S,
+    prepare: impl Fn(ObjectKey, ObjectKey, usize) -> S,
     mut answers: impl FnMut(&S, usize) -> bool,
     mut forwards: impl FnMut(&S, usize, usize, usize) -> bool,
     keep: impl Fn(ObjectKey, RecordId) -> bool,
 ) -> Result<(QueryOutcome, Option<Vec<TraceRecord>>), ArmadaError> {
-    let origin_id = net.peer_id(origin).map_err(|_| ArmadaError::BadOrigin { origin })?;
     let table = net.route_table();
-    let rank = table.rank(origin).expect("a live peer has a rank") as u32;
+    let rank = table.rank(origin).ok_or(ArmadaError::BadOrigin { origin })?;
+    let origin_key = table.key(rank);
+    let rank = rank as u32;
 
     let mut sim: Sim<Msg> = Sim::from_scratch(seed, sim_scratch).with_net(*model);
     if let Some(faults) = faults {
@@ -124,10 +134,10 @@ pub(crate) fn descend<S>(
         sim = sim.with_trace(simnet::TraceSink::new());
     }
     subs.clear();
-    for sub in region.split_by_common_prefix() {
-        let (f, hops_left) = descent_budget(origin_id, &sub.common_prefix());
+    for (low, high) in kautz::key::split_region(region.0, region.1) {
+        let (f, hops_left) = descent_budget(origin_key, low, low.common_prefix_len(high));
         sim.send(origin, origin, 0, Msg { sub: subs.len() as u8, rank, f, hops_left });
-        subs.push(prepare(&sub, f));
+        subs.push(prepare(low, high, f));
     }
 
     ledger.begin(table.len(), truth);
@@ -183,7 +193,7 @@ pub(crate) fn descend<S>(
 }
 
 /// Hands `answers` (indexed by rank) the records satisfying `keep` that the
-/// peers of `run` which answered hold inside `region`.
+/// peers of `run` which answered hold inside `region` (its endpoint keys).
 ///
 /// `run` is the region's destination run — the ranks of the peers whose
 /// zones meet `region` — so their stores are adjacent intervals of the
@@ -193,7 +203,7 @@ pub(crate) fn descend<S>(
 /// inside the region, so whether a stray answered changes nothing here.
 pub fn gather(
     net: &FissioneNet,
-    region: &KautzRegion,
+    (low, high): (ObjectKey, ObjectKey),
     run: Range<usize>,
     answers: &mut Answers<RecordId>,
     keep: impl Fn(ObjectKey, RecordId) -> bool,
@@ -203,7 +213,7 @@ pub fn gather(
     while let Some(first) = rest.clone().find(|&rank| answers.answered(rank)) {
         let end = (first..rest.end).find(|&rank| !answers.answered(rank)).unwrap_or(rest.end);
         let ends = (table.node(first), table.node(end - 1));
-        for &(key, handle) in net.entries_in_stretch(ends, region.low(), region.high()) {
+        for &(key, handle) in net.entries_in_stretch(ends, low, high) {
             if keep(key, RecordId(handle)) {
                 answers.push(RecordId(handle));
             }

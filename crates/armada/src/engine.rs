@@ -11,9 +11,8 @@
 //! destination peers are found.
 
 use crate::{ArmadaError, QueryOutcome};
-use fissione::{FissioneConfig, FissioneNet};
+use fissione::{FissioneConfig, FissioneNet, ObjectKey, PeerKey};
 use kautz::naming::{MultiHash, Naming, SingleHash};
-use kautz::KautzStr;
 use rand::rngs::SmallRng;
 use simnet::NodeId;
 use std::collections::BTreeSet;
@@ -151,10 +150,10 @@ impl<N: Naming> Armada<N> {
     /// Publishes a record at `point`: its ObjectID is the naming's, and it
     /// is stored at the owning peer.
     fn push(&mut self, point: &[f64]) -> Result<RecordId, ArmadaError> {
-        let object = self.naming.point_id(point)?;
+        let key = self.naming.point_id(point)?;
         let id = RecordId(self.record_count() as u64);
         self.records.extend_from_slice(point);
-        self.net.publish(&object, id.0).expect("ObjectIDs always have an owner");
+        self.net.publish(key, id.0).expect("ObjectIDs always have an owner");
         Ok(id)
     }
 
@@ -176,17 +175,17 @@ impl<N: Naming> Armada<N> {
         }
         self.repaired_through = lost;
         let (net, naming) = (&self.net, &self.naming);
-        let missing: Vec<(KautzStr, u64)> = (0..)
+        let missing: Vec<(ObjectKey, u64)> = (0..)
             .zip(self.records.chunks_exact(naming.arity()))
             .filter_map(|(handle, point)| {
-                let object = naming.point_id(point).expect("a stored point has the arity");
-                let (_, mut handles) = net.lookup(&object).expect("cover is complete");
-                (!handles.any(|h| h == handle)).then_some((object, handle))
+                let key = naming.point_id(point).expect("a stored point has the arity");
+                let (_, mut handles) = net.lookup(key).expect("cover is complete");
+                (!handles.any(|h| h == handle)).then_some((key, handle))
             })
             .collect();
         let restored = missing.len();
-        for (object, handle) in missing {
-            self.net.publish(&object, handle).expect("ObjectIDs always have an owner");
+        for (key, handle) in missing {
+            self.net.publish(key, handle).expect("ObjectIDs always have an owner");
         }
         restored
     }
@@ -259,8 +258,9 @@ impl Armada<SingleHash> {
     ///
     /// Returns an error for an empty range.
     pub fn ground_truth_peers(&self, lo: f64, hi: f64) -> Result<BTreeSet<NodeId>, ArmadaError> {
-        let region = self.naming.region(lo, hi)?;
-        Ok(self.net.peers_intersecting_range(region.low(), region.high())?.into_iter().collect())
+        let (low, high) = self.naming.region_keys(lo, hi)?;
+        let table = self.net.route_table();
+        Ok(table.run(low, high)?.map(|rank| table.node(rank)).collect())
     }
 
     /// Ground truth by exhaustive scan (`O(N·k)`), kept as the reference the
@@ -388,11 +388,13 @@ impl Armada<MultiHash> {
 }
 
 /// Computes `ComS` and the descent budget for a query sub-region whose
-/// endpoints share the common prefix `com_t`, from the origin's PeerID:
-/// `f = |ComS|`, `hops_left = b − f` (§4.2).
-pub(crate) fn descent_budget(origin_id: &KautzStr, com_t: &KautzStr) -> (usize, usize) {
-    let f = origin_id.longest_suffix_prefix(com_t);
-    (f, origin_id.len() - f)
+/// endpoints share their first `c` symbols (`ComT`, read off the endpoint
+/// `low`), from the origin's routing-table key: `f = |ComS|`, the longest
+/// suffix of the PeerID that prefixes `ComT`, and `hops_left = b − f`
+/// (§4.2).
+pub(crate) fn descent_budget(origin: PeerKey, low: ObjectKey, c: usize) -> (usize, usize) {
+    let f = origin.longest_suffix_prefix(low, c);
+    (f, origin.depth() - f)
 }
 
 #[cfg(test)]
@@ -541,12 +543,62 @@ mod tests {
 
     #[test]
     fn descent_budget_matches_paper_example() {
-        let p: KautzStr = "212".parse().unwrap();
-        let com_t: KautzStr = "0".parse().unwrap();
-        assert_eq!(descent_budget(&p, &com_t), (0, 3));
-        let com_t: KautzStr = "120".parse().unwrap();
-        assert_eq!(descent_budget(&p, &com_t), (2, 1));
-        let com_t: KautzStr = "212".parse().unwrap();
-        assert_eq!(descent_budget(&p, &com_t), (3, 0));
+        let ks = |s: &str| s.parse::<kautz::KautzStr>().unwrap();
+        let p = PeerKey::new(&ks("212"));
+        // `ComT` is the first `c` symbols of the sub-region's low end.
+        let budget = |low: &str, c| descent_budget(p, ObjectKey::new(&ks(low)), c);
+        assert_eq!(budget("0121", 1), (0, 3));
+        assert_eq!(budget("1202", 3), (2, 1));
+        assert_eq!(budget("2120", 3), (3, 0));
+        assert_eq!(budget("2120", 0), (0, 3));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        // The budget on keys against the string forms it replaced: every
+        // sub-region's `ComT` spelled out by `split_by_common_prefix` and
+        // `common_prefix`, and `ComS` by `longest_suffix_prefix`, from
+        // PeerIDs that end in a piece of `ComT` as often as not.
+        #[test]
+        fn descent_budget_equals_the_string_prologue(
+            seed in proptest::prelude::any::<u64>(),
+            k in proptest::prelude::prop_oneof![
+                proptest::prelude::Just(24usize),
+                proptest::prelude::Just(100),
+            ],
+        ) {
+            use rand::Rng;
+            let mut rng = simnet::rng_from_seed(seed);
+            let naming = SingleHash::new(0.0, 1000.0, k).unwrap();
+            let lo: f64 = rng.gen_range(0.0..1000.0);
+            let hi = lo + rng.gen_range(0.0..=1000.0 - lo) * rng.gen_range(0.0..=1.0f64).powi(8);
+            let region = naming.region(lo, hi).unwrap();
+            let (low, high) = naming.region_keys(lo, hi).unwrap();
+            let subs: Vec<_> = kautz::key::split_region(low, high).collect();
+            let want = region.split_by_common_prefix();
+            proptest::prop_assert_eq!(subs.len(), want.len());
+            for ((sub_low, sub_high), sub) in subs.into_iter().zip(&want) {
+                let com_t = sub.common_prefix();
+                let c = sub_low.common_prefix_len(sub_high);
+                proptest::prop_assert_eq!(c, com_t.len());
+                for _ in 0..8 {
+                    let depth = rng.gen_range(1..=fissione::MAX_PEER_DEPTH);
+                    let tail = com_t.take_front(rng.gen_range(0..=depth.min(c)));
+                    let id = loop {
+                        let head = kautz::KautzStr::random(2, depth - tail.len(), &mut rng);
+                        if let Ok(id) = head.concat(&tail) {
+                            break id;
+                        }
+                    };
+                    let f = id.longest_suffix_prefix(&com_t);
+                    proptest::prop_assert_eq!(
+                        descent_budget(PeerKey::new(&id), sub_low, c),
+                        (f, depth - f),
+                        "{} against {}", id, com_t
+                    );
+                }
+            }
+        }
     }
 }

@@ -18,6 +18,14 @@
 //!   (PIRA skips the test between its two boundary keys; a corner region's
 //!   keys carry no such promise).
 //!
+//! The corner region reaches the descent as its two endpoint keys
+//! ([`MultiHash::corner_keys`](kautz::naming::MultiHash::corner_keys),
+//! written from the scaled rectangle without a string), so the destination
+//! run, the sub-region split and `ComS` are key arithmetic as under PIRA.
+//! The rectangle test is not: it reads a prefix as a string, so `prepare`
+//! decodes each sub-query's `ComS` (at most three per query) to the
+//! [`KautzStr`] the subtree test extends per candidate child.
+//!
 //! Like PIRA, MIRA is delay-bounded by the origin's PeerID length:
 //! `< 2·log₂N` worst case and `< log₂N` on average, independent of the
 //! query volume.
@@ -65,12 +73,13 @@ pub fn query(
 ) -> Result<(QueryOutcome, Option<Vec<TraceRecord>>), ArmadaError> {
     let (net, naming) = (armada.net(), armada.naming());
     let rect = naming.query_rect(ranges)?;
-    let corner = naming.corner_region(ranges)?;
+    let corner = naming.corner_keys(&rect);
     let table = net.route_table();
-    let run = table.run(corner.low(), corner.high())?;
+    let run = table.run(corner.0, corner.1)?;
+    let base = net.config().base;
 
     let (state, Bufs { truth, prefix, zone, subtree }) = scratch.slot::<(State<KautzStr>, Bufs)>();
-    let prefix = prefix.get_or_insert_with(|| KautzStr::empty(corner.base()));
+    let prefix = prefix.get_or_insert_with(|| KautzStr::empty(base));
     // One definition of "destination": the test a visited peer answers by.
     let mut meets = |rank: usize| {
         let id = net.peer_id(table.node(rank)).expect("every rank is a live peer");
@@ -86,11 +95,13 @@ pub fn query(
         seed,
         faults,
         trace,
-        &corner,
+        corner,
         run,
         truth.iter().copied(),
         state,
-        |sub, f| sub.low().take_front(f),
+        // The rectangle test reads strings: `ComS` is decoded once per
+        // sub-query.
+        |low, _, f| low.truncate(f).decode(base).expect("a key's prefix is a Kautz string"),
         |_, rank| meets(rank),
         |com_s, _, child, strip| {
             // `ComS ++ cid[strip..]`; on a repeated junction symbol the

@@ -22,6 +22,12 @@
 //!   between them holds a value strictly inside the query (a NaN value
 //!   names the lowest key, so it can only sit on a boundary).
 //!
+//! The region is never spelled as Kautz strings: the naming emits `LowT`
+//! and `HighT` as keys ([`SingleHash::region_keys`]), and the destination
+//! run, the sub-region split, `ComS`, the pruning state and the gather all
+//! read keys. The string region ([`SingleHash::region`]) stays at the API
+//! edge and as the reference the tests check these against.
+//!
 //! The destination peers sorted by PeerID tile the query's ObjectID range,
 //! so what the peers that answered hold is read by [`gather`] as one slice
 //! of the network's sorted object column, not a scan per peer. The ledger
@@ -33,31 +39,31 @@
 //! headline result.
 //!
 //! [`gather`]: crate::descent::gather
+//! [`SingleHash::region_keys`]: kautz::naming::SingleHash::region_keys
+//! [`SingleHash::region`]: kautz::naming::SingleHash::region
 
 use crate::descent::{descend, State};
 use crate::{ArmadaError, QueryOutcome, RecordId, SingleArmada};
 use fissione::{KeyRegion, ObjectKey};
-use kautz::KautzRegion;
 use simnet::{FaultPlan, NodeId, QueryScratch, TraceRecord};
 
-/// PIRA's record filter for `[lo, hi]`, whose image is `region`: what
-/// [`query`] hands the gather. A record stored under a key strictly inside
-/// the region is an answer, so only one under a boundary key has its value
-/// read.
-pub fn record_filter<'a>(
-    armada: &'a SingleArmada,
-    region: &KautzRegion,
+/// PIRA's record filter for `[lo, hi]`, whose image is the region with
+/// endpoint keys `region`: what [`query`] hands the gather. A record stored
+/// under a key strictly inside the region is an answer, so only one under a
+/// boundary key has its value read.
+pub fn record_filter(
+    armada: &SingleArmada,
+    region: (ObjectKey, ObjectKey),
     (lo, hi): (f64, f64),
-) -> impl Fn(ObjectKey, RecordId) -> bool + 'a {
+) -> impl Fn(ObjectKey, RecordId) -> bool + '_ {
     let interior = strictly_inside(region);
     move |key, record| interior(key) || (lo..=hi).contains(&armada.value(record))
 }
 
-/// Whether a key lies strictly between `region`'s endpoint keys: the
-/// records stored under such a key satisfy the query by `Single_hash`'s
-/// monotonicity.
-fn strictly_inside(region: &KautzRegion) -> impl Fn(ObjectKey) -> bool {
-    let (low, high) = (ObjectKey::new(region.low()), ObjectKey::new(region.high()));
+/// Whether a key lies strictly between the endpoint keys `(low, high)`:
+/// the records stored under such a key satisfy the query by
+/// `Single_hash`'s monotonicity.
+fn strictly_inside((low, high): (ObjectKey, ObjectKey)) -> impl Fn(ObjectKey) -> bool {
     move |key| low < key && key < high
 }
 
@@ -83,10 +89,10 @@ pub fn query(
     scratch: &mut QueryScratch,
 ) -> Result<(QueryOutcome, Option<Vec<TraceRecord>>), ArmadaError> {
     let net = armada.net();
-    let region = armada.naming().region(lo, hi)?;
+    let region = armada.naming().region_keys(lo, hi)?;
     let table = net.route_table();
-    let run = table.run(region.low(), region.high())?;
-    let keep = record_filter(armada, &region, (lo, hi));
+    let run = table.run(region.0, region.1)?;
+    let keep = record_filter(armada, region, (lo, hi));
     descend(
         net,
         armada.net_model(),
@@ -94,11 +100,11 @@ pub fn query(
         seed,
         faults,
         trace,
-        &region,
+        region,
         run.clone(),
         run,
         scratch.slot::<State<KeyRegion>>(),
-        |sub, _| KeyRegion::new(sub),
+        |low, high, _| KeyRegion::new(low, high),
         |sub, rank| sub.intersects(table.key(rank)),
         |sub, f, child, strip| sub.intersects_subtree(f, table.key(child), strip),
         keep,
@@ -357,12 +363,12 @@ mod tests {
             let naming = kautz::naming::SingleHash::new(domain.0, domain.1, k).unwrap();
             let (lo, hi) = (any_value(&mut rng, domain), any_value(&mut rng, domain));
             // A NaN or inverted bound never reaches the gather.
-            let Ok(region) = naming.region(lo, hi) else {
+            let Ok(region) = naming.region_keys(lo, hi) else {
                 proptest::prop_assert!(lo.is_nan() || hi.is_nan() || lo > hi);
                 return Ok(());
             };
-            let interior = super::strictly_inside(&region);
-            let key = |v| fissione::ObjectKey::new(&naming.object_id(v));
+            let interior = super::strictly_inside(region);
+            let key = |v| naming.object_key(v);
             // NaN names the lowest key, which no key lies below: it can sit
             // on the low boundary, never strictly inside.
             proptest::prop_assert_eq!(key(f64::NAN), key(f64::NEG_INFINITY));

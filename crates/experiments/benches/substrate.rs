@@ -23,22 +23,21 @@ use rand::Rng;
 use simnet::QueryScratch;
 
 fn bench_naming(c: &mut Criterion) {
+    // Each naming twice: the ObjectID spelled as a string (the API edge and
+    // test oracle) and emitted as the key the engine publishes under.
     let single = SingleHash::new(0.0, 1000.0, 100).unwrap();
     let multi = MultiHash::new(&[(0.0, 100.0), (0.0, 100.0), (0.0, 100.0)], 100).unwrap();
     let mut rng = simnet::rng_from_seed(5);
     c.bench_function("single_hash_k100", |b| {
         b.iter(|| single.object_id(rng.gen_range(0.0..=1000.0)))
     });
-    c.bench_function("multiple_hash_m3_k100", |b| {
-        b.iter(|| {
-            multi
-                .object_id(&[
-                    rng.gen_range(0.0..=100.0),
-                    rng.gen_range(0.0..=100.0),
-                    rng.gen_range(0.0..=100.0),
-                ])
-                .unwrap()
-        })
+    c.bench_function("single_hash_key_k100", |b| {
+        b.iter(|| single.object_key(rng.gen_range(0.0..=1000.0)))
+    });
+    let mut point = || [0; 3].map(|_| rng.gen_range(0.0..=100.0));
+    c.bench_function("multiple_hash_m3_k100", |b| b.iter(|| multi.object_id(&point()).unwrap()));
+    c.bench_function("multiple_hash_key_m3_k100", |b| {
+        b.iter(|| multi.object_key(&point()).unwrap())
     });
 }
 
@@ -276,8 +275,8 @@ fn bench_pira(c: &mut Criterion) {
         let queries: Vec<_> = (0..64)
             .map(|_| {
                 let lo = rng.gen_range(0.0..=1000.0 - *width);
-                let region = armada.naming().region(lo, lo + *width).unwrap();
-                let run = table.run(region.low(), region.high()).unwrap();
+                let region = armada.naming().region_keys(lo, lo + *width).unwrap();
+                let run = table.run(region.0, region.1).unwrap();
                 (region, run, (lo, lo + *width))
             })
             .collect();
@@ -290,8 +289,8 @@ fn bench_pira(c: &mut Criterion) {
             for rank in run.clone() {
                 answers.first_answer(rank, 0);
             }
-            let keep = pira::record_filter(armada, region, *range);
-            descent::gather(armada.net(), region, run.clone(), &mut answers, keep);
+            let keep = pira::record_filter(armada, *region, *range);
+            descent::gather(armada.net(), *region, run.clone(), &mut answers, keep);
         };
         // The object column settled off the clock (the queries above did it
         // already; a gather run alone must too).
@@ -301,17 +300,17 @@ fn bench_pira(c: &mut Criterion) {
     group.finish();
 
     // Publish: a batch of 4 096 new pairs into the 10⁵-record table, the
-    // ObjectIDs given, then the one read that merges them in — what a
+    // ObjectIDs' keys given, then the one read that merges them in — what a
     // publish costs once a query has seen it, per record. Each iteration
     // starts from a copy of the loaded table (off the clock) that one
     // publish and read have given the headroom a loaded column has.
     let (_, _, armada, rng) = &mut nets[1];
     let ids: Vec<_> =
-        (0..4096).map(|_| armada.naming().object_id(rng.gen_range(0.0..=1000.0))).collect();
+        (0..4096).map(|_| armada.naming().object_key(rng.gen_range(0.0..=1000.0))).collect();
     let loaded = || {
         let mut net = armada.net().clone();
-        net.publish(&ids[0], 100_000).unwrap();
-        assert!(net.lookup(&ids[0]).unwrap().1.any(|h| h == 100_000));
+        net.publish(ids[0], 100_000).unwrap();
+        assert!(net.lookup(ids[0]).unwrap().1.any(|h| h == 100_000));
         net
     };
     let mut group = c.benchmark_group("fissione_publish");
@@ -320,10 +319,10 @@ fn bench_pira(c: &mut Criterion) {
         b.iter_batched(
             loaded,
             |mut net| {
-                for (handle, id) in (100_001..).zip(&ids) {
+                for (handle, &id) in (100_001..).zip(&ids) {
                     net.publish(id, handle).unwrap();
                 }
-                assert!(net.lookup(&ids[0]).unwrap().1.any(|h| h == 100_001));
+                assert!(net.lookup(ids[0]).unwrap().1.any(|h| h == 100_001));
                 net
             },
             BatchSize::LargeInput,

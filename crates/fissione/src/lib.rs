@@ -71,9 +71,10 @@ pub mod proto;
 mod routing;
 mod stats;
 
+pub use kautz::ObjectKey;
 pub use net::{
-    FissioneNet, InvariantReport, KeyRegion, ObjectKey, Peer, PeerKey, RouteTable,
-    MAX_OBJECT_ID_LEN, MAX_PEER_DEPTH,
+    FissioneNet, InvariantReport, KeyRegion, Peer, PeerKey, RouteTable, MAX_OBJECT_ID_LEN,
+    MAX_PEER_DEPTH,
 };
 pub use routing::{Route, RouteTree};
 pub use stats::{DegreeStats, DepthStats, RoutingSample};

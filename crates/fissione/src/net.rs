@@ -2,7 +2,7 @@
 //! one sorted object column every peer's store is an interval of.
 
 use crate::{BalanceRule, FissioneConfig, FissioneError};
-use kautz::{KautzRegion, KautzStr};
+use kautz::{KautzStr, ObjectKey};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::NodeId;
@@ -63,48 +63,6 @@ pub const MAX_PEER_DEPTH: usize = ENC_SYMS - 1;
 /// [`KautzStr::count`] (`join` draws a uniform namespace point; `3·2^(k−1)`
 /// must fit a `u128`) and [`ObjectKey`] (128 symbols) represent.
 pub const MAX_OBJECT_ID_LEN: usize = 127;
-
-/// The exact fixed-width form of an ObjectID: `enc_probe`'s packing
-/// continued past its 64-symbol window, so that key order is ObjectID order
-/// *and* distinct ids get distinct keys (the window alone merges ids that
-/// first differ after symbol 64). The object table sorted by key is the
-/// namespace in leaf order: the ObjectIDs below a PeerID are one contiguous
-/// interval of it, and so is a range query's answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ObjectKey([u64; 4]);
-
-impl ObjectKey {
-    /// The key of `id`, which keeps its first 128 symbols: all of an
-    /// ObjectID, and of a longer range bound all that matters. A range
-    /// query's endpoints `LowT` and `HighT` compare against the table's
-    /// keys in this form.
-    pub fn new(id: &KautzStr) -> Self {
-        let mut words = [0u64; 4];
-        for (i, &s) in id.symbols().iter().take(2 * ENC_SYMS).enumerate() {
-            words[i / 32] |= (u64::from(s) + 1) << (62 - 2 * (i % 32));
-        }
-        ObjectKey(words)
-    }
-
-    /// The [`enc_probe`] window of the id: its first [`ENC_SYMS`] symbols.
-    fn head(self) -> u128 {
-        u128::from(self.0[0]) << 64 | u128::from(self.0[1])
-    }
-
-    /// The least (`tail = 0`) or greatest (`u64::MAX`) key whose window is
-    /// `head`.
-    fn from_head(head: u128, tail: u64) -> Self {
-        ObjectKey([(head >> 64) as u64, head as u64, tail, tail])
-    }
-
-    /// The string this key encodes; `None` if no Kautz string does.
-    fn decode(self, base: u8) -> Option<KautzStr> {
-        let groups = (0..2 * ENC_SYMS).map(|i| (self.0[i / 32] >> (62 - 2 * (i % 32))) as u8 & 3);
-        let syms: Vec<u8> = groups.clone().take_while(|&g| g != 0).map(|g| g - 1).collect();
-        let padded = groups.skip(syms.len()).all(|g| g == 0);
-        KautzStr::new(base, syms).ok().filter(|_| padded)
-    }
-}
 
 /// Order-preserving fixed-width key for a PeerID: symbol `s` becomes the
 /// 2-bit group `s + 1`, packed MSB-first and zero-padded. Integer order on
@@ -167,23 +125,53 @@ fn enc_mask(n: usize) -> u128 {
 pub struct PeerKey(u128);
 
 impl PeerKey {
+    /// The key of a PeerID.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is empty or deeper than [`MAX_PEER_DEPTH`].
+    pub fn new(id: &KautzStr) -> Self {
+        assert!((1..=MAX_PEER_DEPTH).contains(&id.len()), "no PeerID has {} symbols", id.len());
+        PeerKey(enc_id(id))
+    }
+
+    /// The PeerID's length.
+    pub fn depth(self) -> usize {
+        enc_len(self.0)
+    }
+
     /// The keys of the ObjectIDs this PeerID prefixes: the interval of the
     /// object table the peer stores.
     pub fn interval(self) -> RangeInclusive<ObjectKey> {
         let below = (1u128 << (128 - 2 * enc_len(self.0))) - 1;
-        ObjectKey::from_head(self.0, 0)..=ObjectKey::from_head(self.0 | below, u64::MAX)
+        ObjectKey::with_heads(self.0..=self.0 | below)
+    }
+
+    /// The length of the longest suffix of this PeerID that is a prefix of
+    /// the first `n` symbols of `target` —
+    /// [`KautzStr::longest_suffix_prefix`] on keys: the last `j` symbols,
+    /// shifted to the front, against `target`'s first `j`.
+    pub fn longest_suffix_prefix(self, target: ObjectKey, n: usize) -> usize {
+        let (depth, head) = (enc_len(self.0), target.head());
+        (1..=depth.min(n))
+            .rev()
+            .find(|&j| self.0 << (2 * (depth - j)) == head & enc_mask(j))
+            .unwrap_or(0)
     }
 }
 
-/// A Kautz region `⟨low, high⟩` in key space: the `enc_probe` windows of
-/// its endpoints. A prefix `p` of `n ≤ MAX_PEER_DEPTH` symbols has a
-/// member of the region below it iff `low[..n] ≤ p ≤ high[..n]` (the
+/// A Kautz region `⟨low, high⟩` in key space: the [`ObjectKey::head`]
+/// windows of its endpoints. A prefix `p` of `n ≤ MAX_PEER_DEPTH` symbols
+/// has a member of the region below it iff `low[..n] ≤ p ≤ high[..n]` (the
 /// minimal extension of `p` is `≤ high` exactly when `p` is not above
 /// `high`'s first `n` symbols, and dually for `low`), and truncating a key
 /// to `n` symbols is one mask — so PIRA's two pruning predicates,
 /// [`KautzRegion::intersects_prefix`] and
 /// [`KautzRegion::intersects_prefix_parts`], become integer comparisons.
 /// The string forms stay the reference these are property-tested against.
+///
+/// [`KautzRegion::intersects_prefix`]: kautz::KautzRegion::intersects_prefix
+/// [`KautzRegion::intersects_prefix_parts`]: kautz::KautzRegion::intersects_prefix_parts
 #[derive(Debug, Clone, Copy)]
 pub struct KeyRegion {
     low: u128,
@@ -193,13 +181,9 @@ pub struct KeyRegion {
 }
 
 impl KeyRegion {
-    /// The key-space form of `region`.
-    pub fn new(region: &KautzRegion) -> Self {
-        KeyRegion {
-            low: enc_probe(region.low()),
-            high: enc_probe(region.high()),
-            len: region.string_len(),
-        }
+    /// The region `⟨low, high⟩` of equal-length keys.
+    pub fn new(low: ObjectKey, high: ObjectKey) -> Self {
+        KeyRegion { low: low.head(), high: high.head(), len: low.len() }
     }
 
     /// Whether some member of the region extends the `n`-symbol prefix
@@ -212,6 +196,8 @@ impl KeyRegion {
 
     /// Whether the peer's region intersects this one —
     /// [`KautzRegion::intersects_prefix`] of its PeerID.
+    ///
+    /// [`KautzRegion::intersects_prefix`]: kautz::KautzRegion::intersects_prefix
     pub fn intersects(&self, peer: PeerKey) -> bool {
         self.intersects_prefix_key(peer.0, enc_len(peer.0))
     }
@@ -225,6 +211,8 @@ impl KeyRegion {
     ///
     /// `f ≤ MAX_PEER_DEPTH`, and `ComS` plus the tail must fit a key
     /// (in a descent they total at most the child's own depth).
+    ///
+    /// [`KautzRegion::intersects_prefix_parts`]: kautz::KautzRegion::intersects_prefix_parts
     pub fn intersects_subtree(&self, f: usize, child: PeerKey, strip: usize) -> bool {
         debug_assert!(f <= MAX_PEER_DEPTH, "ComS of {f} symbols exceeds MAX_PEER_DEPTH");
         let head = self.low & enc_mask(f);
@@ -375,8 +363,8 @@ impl RouteTable {
     ///
     /// Returns [`FissioneError::TargetTooShort`] if `low` is shorter than
     /// its owning region's depth.
-    pub fn run(&self, low: &KautzStr, high: &KautzStr) -> Result<Range<usize>, FissioneError> {
-        let (low_key, high_key) = (enc_probe(low), enc_probe(high));
+    pub fn run(&self, low: ObjectKey, high: ObjectKey) -> Result<Range<usize>, FissioneError> {
+        let (low_key, high_key) = (low.head(), high.head());
         // `low`'s owner is the greatest key not above it, if that prefixes
         // it. A peer's region starts above `high` exactly when its key does
         // (a minimal extension never exceeds `high` while the two agree).
@@ -688,8 +676,8 @@ impl FissioneNet {
     /// Live peers whose regions intersect the lexicographic ObjectID range
     /// `[low, high]` (the query's "destination peers"), in PeerID order.
     ///
-    /// The routing table's [`RouteTable::run`] of `[low, high]` as node ids
-    /// (building the table if a membership change dropped it).
+    /// The routing table's [`RouteTable::run`] of the range's keys as node
+    /// ids (building the table if a membership change dropped it).
     ///
     /// # Errors
     ///
@@ -701,7 +689,8 @@ impl FissioneNet {
         high: &KautzStr,
     ) -> Result<Vec<NodeId>, FissioneError> {
         let table = self.route_table();
-        Ok(table.run(low, high)?.map(|rank| table.node(rank)).collect())
+        let run = table.run(ObjectKey::new(low), ObjectKey::new(high))?;
+        Ok(run.map(|rank| table.node(rank)).collect())
     }
 
     /// Out-neighbors of `node`: every live peer prefix-compatible with the
@@ -1211,15 +1200,28 @@ impl FissioneNet {
         [sib_node, target, newcomer]
     }
 
-    /// The table key of `object`, or [`FissioneError::ObjectIdLen`] unless
-    /// it has exactly `object_id_len` symbols: a string of another length
-    /// would sort into the table without being an ObjectID.
-    pub(crate) fn object_key(&self, object: &KautzStr) -> Result<ObjectKey, FissioneError> {
-        let (len, expected) = (object.len(), self.cfg.object_id_len);
-        if len != expected {
-            return Err(FissioneError::ObjectIdLen { len, expected });
+    /// `Ok(len)`, or [`FissioneError::ObjectIdLen`] unless `len` is the
+    /// configured `object_id_len`: a string of another length would sort
+    /// into the table without being an ObjectID.
+    fn object_id_len(&self, len: usize) -> Result<usize, FissioneError> {
+        let expected = self.cfg.object_id_len;
+        if len == expected {
+            Ok(len)
+        } else {
+            Err(FissioneError::ObjectIdLen { len, expected })
         }
-        Ok(ObjectKey::new(object))
+    }
+
+    /// The table key of `object`, refused as by
+    /// [`publish`](Self::publish) unless it has `object_id_len` symbols.
+    pub(crate) fn object_key(&self, object: &KautzStr) -> Result<ObjectKey, FissioneError> {
+        self.object_id_len(object.len()).map(|_| ObjectKey::new(object))
+    }
+
+    /// The peer that stores `key`, an ObjectID of `object_id_len` symbols.
+    fn key_owner(&self, key: ObjectKey) -> Result<NodeId, FissioneError> {
+        let len = self.object_id_len(key.len())?;
+        self.owner_of_enc(key.head(), len)
     }
 
     /// Table entries with keys in `[from, to]`, ascending (none when
@@ -1231,34 +1233,32 @@ impl FissioneNet {
         &column[start..end]
     }
 
-    /// Publishes an object handle; returns the storing peer. The pair is
-    /// stored once however often it is published. An `O(1)` append: the
-    /// next read sorts it into place (see [`FissioneNet`]).
+    /// Publishes an object handle under the ObjectID whose key is `key`;
+    /// returns the storing peer. The pair is stored once however often it
+    /// is published. An `O(1)` append: the next read sorts it into place
+    /// (see [`FissioneNet`]).
     ///
     /// # Errors
     ///
-    /// Returns [`FissioneError::ObjectIdLen`] unless `object` has exactly
+    /// Returns [`FissioneError::ObjectIdLen`] unless `key` encodes exactly
     /// `object_id_len` symbols.
-    pub fn publish(&mut self, object: &KautzStr, handle: u64) -> Result<NodeId, FissioneError> {
-        let key = self.object_key(object)?;
-        let owner = self.owner_of_enc(key.head(), object.len())?;
+    pub fn publish(&mut self, key: ObjectKey, handle: u64) -> Result<NodeId, FissioneError> {
+        let owner = self.key_owner(key)?;
         self.objects.push((key, handle));
         Ok(owner)
     }
 
-    /// All handles published under an exact ObjectID, ascending, with the
-    /// node id of the peer that stores them.
+    /// All handles published under the ObjectID whose key is `key`,
+    /// ascending, with the node id of the peer that stores them.
     ///
     /// # Errors
     ///
     /// As [`publish`](Self::publish).
     pub fn lookup(
         &self,
-        object: &KautzStr,
+        key: ObjectKey,
     ) -> Result<(NodeId, impl Iterator<Item = u64> + '_), FissioneError> {
-        let key = self.object_key(object)?;
-        let owner = self.owner_of_enc(key.head(), object.len())?;
-        Ok((owner, self.handles_under(key)))
+        Ok((self.key_owner(key)?, self.handles_under(key)))
     }
 
     /// The handles published under the ObjectID whose key is `key`.
@@ -1277,12 +1277,12 @@ impl FissioneNet {
     pub fn entries_in_stretch(
         &self,
         (first, last): (NodeId, NodeId),
-        low: &KautzStr,
-        high: &KautzStr,
+        low: ObjectKey,
+        high: ObjectKey,
     ) -> &[(ObjectKey, u64)] {
         let interval = |node| PeerKey(enc_id(self.peer(node).expect("live node").id())).interval();
         let (from, to) = (*interval(first).start(), *interval(last).end());
-        self.entries(from.max(ObjectKey::new(low)), to.min(ObjectKey::new(high)))
+        self.entries(from.max(low), to.min(high))
     }
 
     /// The handles `node` stores under ObjectIDs in `[low, high]` — the
@@ -1297,6 +1297,7 @@ impl FissioneNet {
         low: &KautzStr,
         high: &KautzStr,
     ) -> impl Iterator<Item = u64> + '_ {
+        let (low, high) = (ObjectKey::new(low), ObjectKey::new(high));
         self.entries_in_stretch((node, node), low, high).iter().map(|&(_, handle)| handle)
     }
 
@@ -1450,6 +1451,7 @@ impl FissioneNet {
 mod tests {
     use super::*;
     use crate::FissioneConfig;
+    use kautz::KautzRegion;
     use proptest::prelude::*;
 
     fn small_cfg() -> FissioneConfig {
@@ -1585,8 +1587,8 @@ mod tests {
         let mut rng = simnet::rng_from_seed(88);
         for h in 0..50u64 {
             let obj = KautzStr::random(2, net.config().object_id_len, &mut rng);
-            let owner = net.publish(&obj, h).unwrap();
-            let (found, handles) = net.lookup(&obj).unwrap();
+            let owner = net.publish(ObjectKey::new(&obj), h).unwrap();
+            let (found, handles) = net.lookup(ObjectKey::new(&obj)).unwrap();
             let handles: Vec<u64> = handles.collect();
             assert_eq!(found, owner);
             assert!(handles.contains(&h));
@@ -1600,7 +1602,7 @@ mod tests {
         let mut rng = simnet::rng_from_seed(9);
         for h in 0..200u64 {
             let obj = KautzStr::random(2, net.config().object_id_len, &mut rng);
-            net.publish(&obj, h).unwrap();
+            net.publish(ObjectKey::new(&obj), h).unwrap();
         }
         for _ in 0..50 {
             net.join(&mut rng);
@@ -1631,7 +1633,7 @@ mod tests {
         // Publish objects, then churn heavily.
         for h in 0..100u64 {
             let obj = KautzStr::random(2, net.config().object_id_len, &mut rng);
-            net.publish(&obj, h).unwrap();
+            net.publish(ObjectKey::new(&obj), h).unwrap();
         }
         for _ in 0..30 {
             let victim = net.random_peer(&mut rng);
@@ -1650,7 +1652,7 @@ mod tests {
         let mut published = 0;
         for h in 0..60u64 {
             let obj = KautzStr::random(2, net.config().object_id_len, &mut rng);
-            net.publish(&obj, h).unwrap();
+            net.publish(ObjectKey::new(&obj), h).unwrap();
             published += 1;
         }
         let victim = net.random_peer(&mut rng);
@@ -1843,6 +1845,11 @@ mod tests {
         KautzRegion::new(low, high).unwrap()
     }
 
+    /// The key-space form of a string region.
+    fn key_region(region: &KautzRegion) -> KeyRegion {
+        KeyRegion::new(ObjectKey::new(region.low()), ObjectKey::new(region.high()))
+    }
+
     /// `region` and the sub-regions PIRA routes it as.
     fn with_sub_regions(region: KautzRegion) -> Vec<KautzRegion> {
         let mut all = region.split_by_common_prefix();
@@ -1861,7 +1868,7 @@ mod tests {
         ) {
             let mut rng = simnet::rng_from_seed(seed);
             for region in with_sub_regions(random_region(k, share % k, &mut rng)) {
-                let keys = KeyRegion::new(&region);
+                let keys = key_region(&region);
                 // Every depth a live PeerID can have, past `k` included
                 // (a prefix longer than the region's strings meets nothing).
                 for n in 1..=MAX_PEER_DEPTH {
@@ -1880,6 +1887,39 @@ mod tests {
         }
 
         #[test]
+        fn peer_key_suffix_overlap_equals_the_string_form(
+            seed in any::<u64>(),
+            k in prop_oneof![Just(24usize), Just(100usize)],
+            share in 0usize..100,
+        ) {
+            let mut rng = simnet::rng_from_seed(seed);
+            let region = random_region(k, share % k, &mut rng);
+            let com_t = region.common_prefix();
+            let target = ObjectKey::new(region.low());
+            for _ in 0..32 {
+                // A PeerID of any live depth, often ending in a piece of
+                // `ComT` so that long overlaps occur.
+                let depth = rng.gen_range(1..=MAX_PEER_DEPTH);
+                let tail = com_t.take_front(rng.gen_range(0..=depth.min(com_t.len())));
+                let id = loop {
+                    let head = KautzStr::random(2, depth - tail.len(), &mut rng);
+                    if let Ok(id) = head.concat(&tail) {
+                        break id;
+                    }
+                };
+                let peer = PeerKey::new(&id);
+                prop_assert_eq!(peer.depth(), depth);
+                for n in [0, com_t.len().min(1), com_t.len() / 2, com_t.len()] {
+                    prop_assert_eq!(
+                        peer.longest_suffix_prefix(target, n),
+                        id.longest_suffix_prefix(&com_t.take_front(n)),
+                        "{} against {}[..{}]", id, com_t, n
+                    );
+                }
+            }
+        }
+
+        #[test]
         fn key_space_subtree_test_equals_intersects_prefix_parts(
             seed in any::<u64>(),
             k in prop_oneof![Just(24usize), Just(100usize)],
@@ -1888,7 +1928,7 @@ mod tests {
             let mut rng = simnet::rng_from_seed(seed);
             let (mut pruned, mut kept) = (0, 0);
             for region in with_sub_regions(random_region(k, share % k, &mut rng)) {
-                let keys = KeyRegion::new(&region);
+                let keys = key_region(&region);
                 for f in 0..=k.min(MAX_PEER_DEPTH) {
                     let com_s = region.low().take_front(f);
                     for _ in 0..6 {
@@ -1976,7 +2016,8 @@ mod tests {
             let (low, high) = (region.low(), region.high());
             let short = low.take_front(rng.gen_range(0..3));
             for (low, high) in [(low, high), (high, low), (&short, high)] {
-                let run = table.run(low, high).map(|run| run.map(|r| table.node(r)).collect());
+                let keys = (ObjectKey::new(low), ObjectKey::new(high));
+                let run = table.run(keys.0, keys.1).map(|run| run.map(|r| table.node(r)).collect());
                 assert_eq!(run, run_by_walk(net, low, high), "[{low}, {high}]");
                 too_short += usize::from(matches!(run, Err(FissioneError::TargetTooShort { .. })));
             }
@@ -2046,11 +2087,13 @@ mod tests {
         let mut net = build(50, 20);
         for len in [23, 25, 30, 200] {
             let stray = ks("0").min_extension(len);
-            let refused = FissioneError::ObjectIdLen { len, expected: 24 };
-            assert_eq!(net.publish(&stray, 7).unwrap_err(), refused);
-            assert_eq!(net.lookup(&stray).map(|_| ()).unwrap_err(), refused);
+            let refused = |len| FissioneError::ObjectIdLen { len, expected: 24 };
+            // A key keeps at most its first 128 symbols.
+            let key = ObjectKey::new(&stray);
+            assert_eq!(net.publish(key, 7).unwrap_err(), refused(len.min(128)));
+            assert_eq!(net.lookup(key).map(|_| ()).unwrap_err(), refused(len.min(128)));
             let sent = net.lookup_via_sim(0, &stray, 1, &simnet::FaultPlan::new());
-            assert_eq!(sent.unwrap_err(), refused);
+            assert_eq!(sent.unwrap_err(), refused(len));
         }
         assert_eq!(net.check_invariants().unwrap().total_objects, 0);
     }
@@ -2066,8 +2109,8 @@ mod tests {
         for len in [125, 126, MAX_OBJECT_ID_LEN] {
             let mut net = FissioneNet::build(cfg(len), 40, &mut rng).unwrap();
             let object = KautzStr::random(2, len, &mut rng);
-            let owner = net.publish(&object, 3).unwrap();
-            assert_eq!(net.lookup(&object).unwrap().0, owner);
+            let owner = net.publish(ObjectKey::new(&object), 3).unwrap();
+            assert_eq!(net.lookup(ObjectKey::new(&object)).unwrap().0, owner);
             assert_eq!(net.handles_under(ObjectKey::new(&object)).collect::<Vec<_>>(), [3]);
             assert_eq!(net.check_invariants().unwrap().total_objects, 1);
         }
@@ -2154,7 +2197,8 @@ mod tests {
         let in_range = |o: &KautzStr| low <= o && o <= high;
         // The whole destination run as one stretch, then every peer alone.
         let run = net.peers_intersecting_range(low, high).unwrap();
-        let stretch = net.entries_in_stretch((run[0], *run.last().unwrap()), low, high);
+        let keys = (ObjectKey::new(low), ObjectKey::new(high));
+        let stretch = net.entries_in_stretch((run[0], *run.last().unwrap()), keys.0, keys.1);
         let whole: Vec<u64> = stretch.iter().map(|&(_, h)| h).collect();
         let expect = pairs(model, in_range);
         assert_eq!(whole, expect.iter().map(|&(_, h)| h).collect::<Vec<_>>(), "[{low}, {high}]");
@@ -2166,7 +2210,7 @@ mod tests {
             assert_eq!(local, expect.iter().map(|&(_, h)| h).collect::<Vec<_>>(), "{id}");
         }
         for (object, _) in model {
-            let (owner, handles) = net.lookup(object).unwrap();
+            let (owner, handles) = net.lookup(ObjectKey::new(object)).unwrap();
             assert!(net.peer_id(owner).unwrap().is_prefix_of(object));
             let expect = pairs(model, |o| o == object);
             assert_eq!(
@@ -2204,14 +2248,14 @@ mod tests {
             for h in 0..40 {
                 let pair = (KautzStr::random(2, 24, &mut rng), round * 8 + h % 8);
                 for net in [&mut read, &mut cloned] {
-                    net.publish(&pair.0, pair.1).unwrap();
+                    net.publish(ObjectKey::new(&pair.0), pair.1).unwrap();
                 }
                 model.insert(pair);
             }
             // A stored pair published again is still stored once.
             let again = model.iter().nth(round as usize).cloned().unwrap();
             for net in [&mut read, &mut cloned] {
-                net.publish(&again.0, again.1).unwrap();
+                net.publish(ObjectKey::new(&again.0), again.1).unwrap();
                 assert!(net.objects.sorted.get().is_none(), "a publish takes the column back");
             }
             if round % 2 == 1 {
@@ -2237,7 +2281,7 @@ mod tests {
         for &node in peers {
             let id = net.peer_id(node).unwrap().clone();
             for object in [id.min_extension(24), id.max_extension(24)] {
-                assert_eq!(net.publish(&object, node as u64).unwrap(), node);
+                assert_eq!(net.publish(ObjectKey::new(&object), node as u64).unwrap(), node);
                 model.insert((object, node as u64));
             }
         }
@@ -2278,7 +2322,7 @@ mod tests {
                         let again = model.iter().nth(raw % model.len().max(1)).cloned();
                         let fresh = (KautzStr::random(2, 24, &mut rng), raw as u64 % 4);
                         let (object, handle) = again.filter(|_| op == 0).unwrap_or(fresh);
-                        net.publish(&object, handle).unwrap();
+                        net.publish(ObjectKey::new(&object), handle).unwrap();
                         model.insert((object, handle));
                     }
                     3..=5 => drop(net.join(&mut rng)),

@@ -101,7 +101,7 @@ impl FissioneNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FissioneConfig;
+    use crate::{FissioneConfig, ObjectKey};
 
     fn build(n: usize, seed: u64) -> FissioneNet {
         let cfg = FissioneConfig { object_id_len: 24, ..FissioneConfig::default() };
@@ -133,8 +133,8 @@ mod tests {
         let mut net = build(100, 52);
         let mut rng = simnet::rng_from_seed(520);
         let obj = KautzStr::random(2, 24, &mut rng);
-        net.publish(&obj, 77).unwrap();
-        net.publish(&obj, 78).unwrap();
+        net.publish(ObjectKey::new(&obj), 77).unwrap();
+        net.publish(ObjectKey::new(&obj), 78).unwrap();
         let from = net.random_peer(&mut rng);
         let out = net.lookup_via_sim(from, &obj, 1, &FaultPlan::new()).unwrap();
         assert_eq!(out.handles, vec![77, 78]);

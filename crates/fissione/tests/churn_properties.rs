@@ -1,7 +1,7 @@
 //! Property tests: the FISSIONE cover, storage and routing survive arbitrary
 //! churn schedules.
 
-use fissione::{BalanceRule, FissioneConfig, FissioneNet};
+use fissione::{BalanceRule, FissioneConfig, FissioneNet, ObjectKey};
 use kautz::KautzStr;
 use proptest::prelude::*;
 
@@ -62,7 +62,7 @@ proptest! {
                 }
                 Op::Publish(h) => {
                     let obj = KautzStr::random(2, 24, &mut rng);
-                    net.publish(&obj, h).unwrap();
+                    net.publish(ObjectKey::new(&obj), h).unwrap();
                     published += 1;
                 }
                 Op::Stabilize => {
@@ -94,7 +94,7 @@ proptest! {
         let mut placed = Vec::new();
         for &h in &objects {
             let obj = KautzStr::random(2, 24, &mut rng);
-            net.publish(&obj, h).unwrap();
+            net.publish(ObjectKey::new(&obj), h).unwrap();
             placed.push((obj, h));
         }
         // Grow some more, then every object must still be resolvable.
@@ -102,7 +102,7 @@ proptest! {
             net.join(&mut rng);
         }
         for (obj, h) in placed {
-            let (_owner, handles) = net.lookup(&obj).unwrap();
+            let (_owner, handles) = net.lookup(ObjectKey::new(&obj)).unwrap();
             let handles: Vec<u64> = handles.collect();
             prop_assert!(handles.contains(&h));
         }

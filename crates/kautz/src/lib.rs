@@ -19,7 +19,10 @@
 //! * [`naming`] — the order-preserving [`SingleHash`](naming::SingleHash)
 //!   (Definition 2: interval-preserving) and partial-order-preserving
 //!   [`MultiHash`](naming::MultiHash) (Definitions 3–4) object-naming
-//!   algorithms.
+//!   algorithms, which emit [`ObjectKey`]s directly.
+//! * [`key`] — [`ObjectKey`], the fixed-width form of an ObjectID the
+//!   object table sorts by, and the region arithmetic on it (the
+//!   sub-region split, `|ComT|`) a range query's prologue runs.
 //!
 //! # Example
 //!
@@ -45,10 +48,12 @@ mod region;
 mod string;
 
 pub mod fixed;
+pub mod key;
 pub mod naming;
 pub mod partition;
 
 pub use graph::KautzGraph;
+pub use key::ObjectKey;
 pub use region::KautzRegion;
 pub use string::{KautzStr, ParseKautzStrError};
 

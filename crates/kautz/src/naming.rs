@@ -10,12 +10,27 @@
 //! `KautzSpace(2,k)` via round-robin splits. The image of a rectangle query
 //! is a *subset* of the corner region `⟨F(mins), F(maxs)⟩`, so queries carry
 //! the exact rectangle and prune with [`MultiHash::prefix_rect`].
+//!
+//! # Keys and strings
+//!
+//! What the engine publishes under and queries with is the
+//! [`ObjectKey`] of a leaf, and the naming emits it directly:
+//! [`SingleHash::object_key`], [`SingleHash::region_keys`],
+//! [`MultiHash::object_key`] and [`MultiHash::corner_keys`] build no
+//! string (a byte transducer over the descent's split indices, see
+//! [`crate::partition`]). The string forms — [`SingleHash::object_id`],
+//! [`SingleHash::region`], [`MultiHash::object_id`],
+//! [`MultiHash::corner_region`] — stay as the API edge for callers that
+//! route to or print an ObjectID, and as the reference the keys are
+//! property-tested against. [`MultiHash::prefix_rect`] reads a prefix as a
+//! string too: MIRA's rectangle test has no key form yet.
 
 use crate::fixed::{BoundaryInterval, ScaledValue};
 use crate::partition::{
-    multiple_hash_scaled, rect_of_prefix, rect_of_prefix_into, single_hash_scaled, MAX_DEPTH,
+    multiple_hash_key, multiple_hash_key_with, multiple_hash_scaled, rect_of_prefix,
+    rect_of_prefix_into, single_hash_key, single_hash_scaled, MAX_DEPTH,
 };
-use crate::{KautzError, KautzRegion, KautzStr};
+use crate::{KautzError, KautzRegion, KautzStr, ObjectKey};
 
 /// Errors from constructing or using a naming scheme.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,19 +83,20 @@ impl std::fmt::Display for NamingError {
 impl std::error::Error for NamingError {}
 
 /// What a record store needs of a naming scheme: how many attributes a
-/// point has, and the ObjectID it is published under. [`SingleHash`] names
+/// point has, and the key of the ObjectID it is published under. [`SingleHash`] names
 /// one-attribute points, [`MultiHash`] `m`-attribute ones.
 pub trait Naming {
     /// Attributes per point.
     fn arity(&self) -> usize;
 
-    /// The ObjectID of a point of [`arity`](Self::arity) attributes (each
-    /// coordinate clamped into its domain).
+    /// The [`ObjectKey`] of the ObjectID of a point of
+    /// [`arity`](Self::arity) attributes (each coordinate clamped into its
+    /// domain).
     ///
     /// # Errors
     ///
     /// Returns [`NamingError::WrongArity`] on arity mismatch.
-    fn point_id(&self, point: &[f64]) -> Result<KautzStr, NamingError>;
+    fn point_id(&self, point: &[f64]) -> Result<ObjectKey, NamingError>;
 }
 
 /// A closed attribute domain `[L, H]` with finite endpoints, `L < H`.
@@ -175,6 +191,12 @@ impl SingleHash {
         single_hash_scaled(self.space.normalize(c), self.k)
     }
 
+    /// The key of `Single_hash(c, L, H, k)`:
+    /// `ObjectKey::new(&self.object_id(c))`, built without the string.
+    pub fn object_key(&self, c: f64) -> ObjectKey {
+        single_hash_key(self.space.normalize(c), self.k)
+    }
+
     /// The Kautz region `⟨Single_hash(lo), Single_hash(hi)⟩` holding every
     /// object with attribute value in `[lo, hi]` (§4.2).
     ///
@@ -182,12 +204,21 @@ impl SingleHash {
     ///
     /// Returns [`NamingError::EmptyRange`] if `lo > hi` or a bound is NaN.
     pub fn region(&self, lo: f64, hi: f64) -> Result<KautzRegion, NamingError> {
-        if lo.is_nan() || hi.is_nan() || lo > hi {
-            return Err(NamingError::EmptyRange { attribute: 0 });
-        }
+        check_range(lo, hi, 0)?;
         let low_t = self.object_id(lo);
         let high_t = self.object_id(hi);
         Ok(KautzRegion::new(low_t, high_t).expect("naming is monotone"))
+    }
+
+    /// [`region`](Self::region) as its endpoint keys `(LowT, HighT)`, the
+    /// form PIRA queries with.
+    ///
+    /// # Errors
+    ///
+    /// As [`region`](Self::region).
+    pub fn region_keys(&self, lo: f64, hi: f64) -> Result<(ObjectKey, ObjectKey), NamingError> {
+        check_range(lo, hi, 0)?;
+        Ok((self.object_key(lo), self.object_key(hi)))
     }
 
     /// The exact attribute subinterval owned by a prefix (a peer whose ID is
@@ -206,9 +237,9 @@ impl Naming for SingleHash {
         1
     }
 
-    fn point_id(&self, point: &[f64]) -> Result<KautzStr, NamingError> {
+    fn point_id(&self, point: &[f64]) -> Result<ObjectKey, NamingError> {
         match *point {
-            [value] => Ok(self.object_id(value)),
+            [value] => Ok(self.object_key(value)),
             _ => Err(NamingError::WrongArity { expected: 1, got: point.len() }),
         }
     }
@@ -333,6 +364,21 @@ impl MultiHash {
         Ok(multiple_hash_scaled(&scaled, self.k))
     }
 
+    /// The key of `Multiple_hash(v0, …, v(m-1))`:
+    /// `ObjectKey::new(&self.object_id(values)?)`, built without the string
+    /// (or a scaled copy of the point).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NamingError::WrongArity`] on arity mismatch.
+    pub fn object_key(&self, values: &[f64]) -> Result<ObjectKey, NamingError> {
+        if values.len() != self.spaces.len() {
+            return Err(NamingError::WrongArity { expected: self.spaces.len(), got: values.len() });
+        }
+        let value = |d: usize| self.spaces[d].normalize(values[d]);
+        Ok(multiple_hash_key_with(values.len(), self.k, value))
+    }
+
     /// The corner region `⟨Multiple_hash(mins), Multiple_hash(maxs)⟩` of a
     /// rectangle query. The query image is a subset of this region (partial-
     /// order preservation), which bounds MIRA's destination level.
@@ -345,6 +391,12 @@ impl MultiHash {
         let low_t = multiple_hash_scaled(rect.lo(), self.k);
         let high_t = multiple_hash_scaled(rect.hi(), self.k);
         Ok(KautzRegion::new(low_t, high_t).expect("naming preserves the partial order"))
+    }
+
+    /// The [`corner_region`](Self::corner_region) of a rectangle already in
+    /// scaled units, as its endpoint keys: the form MIRA queries with.
+    pub fn corner_keys(&self, rect: &ScaledRect) -> (ObjectKey, ObjectKey) {
+        (multiple_hash_key(rect.lo(), self.k), multiple_hash_key(rect.hi(), self.k))
     }
 
     /// Converts a raw rectangle query into exact scaled units.
@@ -360,9 +412,7 @@ impl MultiHash {
         let mut lo = Vec::with_capacity(query.len());
         let mut hi = Vec::with_capacity(query.len());
         for (i, (&(a, b), space)) in query.iter().zip(self.spaces.iter()).enumerate() {
-            if a.is_nan() || b.is_nan() || a > b {
-                return Err(NamingError::EmptyRange { attribute: i });
-            }
+            check_range(a, b, i)?;
             lo.push(space.normalize(a));
             hi.push(space.normalize(b));
         }
@@ -400,8 +450,18 @@ impl Naming for MultiHash {
         self.spaces.len()
     }
 
-    fn point_id(&self, point: &[f64]) -> Result<KautzStr, NamingError> {
-        self.object_id(point)
+    fn point_id(&self, point: &[f64]) -> Result<ObjectKey, NamingError> {
+        self.object_key(point)
+    }
+}
+
+/// [`NamingError::EmptyRange`] for `attribute` unless `lo ≤ hi` (a NaN
+/// bound is never in order).
+fn check_range(lo: f64, hi: f64, attribute: usize) -> Result<(), NamingError> {
+    if lo <= hi {
+        Ok(())
+    } else {
+        Err(NamingError::EmptyRange { attribute })
     }
 }
 
@@ -477,8 +537,9 @@ mod tests {
         let single = SingleHash::new(0.0, 1000.0, 24).unwrap();
         let multi = MultiHash::new(&[(0.0, 1000.0), (0.0, 1000.0)], 24).unwrap();
         assert_eq!((single.arity(), multi.arity()), (1, 2));
-        assert_eq!(single.point_id(&[355.0]), Ok(single.object_id(355.0)));
-        assert_eq!(multi.point_id(&[1.0, 2.0]), multi.object_id(&[1.0, 2.0]));
+        assert_eq!(single.point_id(&[355.0]), Ok(ObjectKey::new(&single.object_id(355.0))));
+        let id = multi.object_id(&[1.0, 2.0]).unwrap();
+        assert_eq!(multi.point_id(&[1.0, 2.0]), Ok(ObjectKey::new(&id)));
         let wrong = |expected, got| Err(NamingError::WrongArity { expected, got });
         assert_eq!(single.point_id(&[1.0, 2.0]), wrong(1, 2));
         assert_eq!(single.point_id(&[]), wrong(1, 0));
@@ -531,6 +592,80 @@ mod tests {
                 for depth in 1..=6 {
                     let node = naming.prefix_rect(&id.take_front(depth)).unwrap();
                     assert!(rect.intersects(&node), "point {p:?} depth {depth}");
+                }
+            }
+        }
+    }
+
+    /// A value for the key oracle: inside the domain, at or past either
+    /// end, ±∞, NaN, a subnormal or a signed zero.
+    fn any_value(rng: &mut rand::rngs::SmallRng, (lo, hi): (f64, f64)) -> f64 {
+        use rand::Rng;
+        match rng.gen_range(0..10) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => [lo, hi, 0.0, -0.0][rng.gen_range(0..4usize)],
+            4 => {
+                f64::from_bits(rng.gen_range(1..1u64 << 52)) * [1.0, -1.0][rng.gen_range(0..2usize)]
+            }
+            5 => rng.gen_range(2.0 * lo - hi..=2.0 * hi - lo),
+            _ => rng.gen_range(lo..=hi),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        // The keys the naming emits against the strings it spells, on
+        // domains that do and do not straddle zero (so subnormals land
+        // inside some and outside others).
+        #[test]
+        fn object_keys_are_the_keys_of_the_object_ids(
+            seed in proptest::prelude::any::<u64>(),
+            k in proptest::prelude::prop_oneof![
+                proptest::prelude::Just(24usize),
+                proptest::prelude::Just(100),
+                proptest::prelude::Just(120),
+            ],
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let domain = match rng.gen_range(0..3usize) {
+                0 => (0.0, 1e-310),
+                1 => (-1e-300, 1.0),
+                _ => {
+                    let low_end = rng.gen_range(-1e6..1e6);
+                    (low_end, low_end + rng.gen_range(1e-3..1e6))
+                }
+            };
+            let single = SingleHash::new(domain.0, domain.1, k).unwrap();
+            let multi = MultiHash::new(&[domain; 3], k).unwrap();
+            // NaN clamps to the domain's low end: the lowest key.
+            let lowest = ObjectKey::new(&KautzStr::empty(2).min_extension(k));
+            proptest::prop_assert_eq!(single.object_key(f64::NAN), lowest);
+            proptest::prop_assert_eq!(single.object_key(f64::NEG_INFINITY), lowest);
+            for _ in 0..32 {
+                let v = any_value(&mut rng, domain);
+                let id = single.object_id(v);
+                proptest::prop_assert_eq!(single.object_key(v), ObjectKey::new(&id), "{}", v);
+                let point = [v, any_value(&mut rng, domain), any_value(&mut rng, domain)];
+                let id = multi.object_id(&point).unwrap();
+                let key = multi.object_key(&point);
+                proptest::prop_assert_eq!(key, Ok(ObjectKey::new(&id)), "{:?}", point);
+                let (lo, hi) = (v, any_value(&mut rng, domain));
+                match single.region(lo, hi) {
+                    Ok(region) => {
+                        let keys = (ObjectKey::new(region.low()), ObjectKey::new(region.high()));
+                        proptest::prop_assert_eq!(single.region_keys(lo, hi), Ok(keys));
+                    }
+                    Err(e) => proptest::prop_assert_eq!(single.region_keys(lo, hi), Err(e)),
+                }
+                let rect = [(lo.min(hi), lo.max(hi)), (domain.0, v), (v, domain.1)];
+                let (scaled, region) = (multi.query_rect(&rect), multi.corner_region(&rect));
+                if let (Ok(scaled), Ok(region)) = (scaled, region) {
+                    let keys = (ObjectKey::new(region.low()), ObjectKey::new(region.high()));
+                    proptest::prop_assert_eq!(multi.corner_keys(&scaled), keys);
                 }
             }
         }

@@ -17,20 +17,11 @@
 //! valid to depth [`MAX_DEPTH`].
 
 use crate::fixed::{Boundary, BoundaryInterval, ScaledValue, BOUNDARY_DEN, SCALE};
-use crate::{KautzError, KautzStr};
+use crate::{KautzError, KautzStr, ObjectKey};
 
 /// Maximum supported partition-tree depth (limited by exact `u128`
 /// boundary arithmetic; the paper uses `k = 100`).
 pub const MAX_DEPTH: usize = 120;
-
-/// Depth of the precomputed leaf-symbol table: the top `TABLE_DEPTH` levels
-/// of the single-attribute descent collapse into one multiply and a table
-/// row copy. Limited by exact arithmetic: the jump computes `3p` in `u128`
-/// (`p ≤ 2^120`), and the residual shift needs `TABLE_DEPTH − 1 + 120 ≤ 127`.
-const TABLE_DEPTH: usize = 7;
-
-/// Leaves at `TABLE_DEPTH`: `3 · 2^(TABLE_DEPTH−1)`.
-const TABLE_LEAVES: usize = 3 << (TABLE_DEPTH - 1);
 
 /// The `idx`-th legal child symbol after `last` (alphabet `{0,1,2}` minus
 /// `last`, increasing) — the arithmetic form of
@@ -46,32 +37,32 @@ const fn child2(last: u8, idx: u8) -> u8 {
     }
 }
 
-/// Builds the depth-[`TABLE_DEPTH`] leaf table: row `j` holds the symbols
-/// of the `j`-th leaf in lexicographic order (root digit `j / 2^(D−1)`,
-/// then the binary digits of `j` high to low, each mapped through
-/// [`child2`]).
-const fn build_leaf_table() -> [[u8; TABLE_DEPTH]; TABLE_LEAVES] {
-    let mut table = [[0u8; TABLE_DEPTH]; TABLE_LEAVES];
-    let mut j = 0;
-    while j < TABLE_LEAVES {
-        let mut last = (j >> (TABLE_DEPTH - 1)) as u8;
-        table[j][0] = last;
-        let mut lvl = 1;
-        while lvl < TABLE_DEPTH {
-            let bit = ((j >> (TABLE_DEPTH - 1 - lvl)) & 1) as u8;
-            let sym = child2(last, bit);
-            table[j][lvl] = sym;
-            last = sym;
-            lvl += 1;
+/// The byte transducer of the binary levels. Indexed by the symbol before
+/// a run of eight levels and by their eight split indices (a byte, most
+/// significant first), it holds the eight symbols they pick, as key groups
+/// (16 bits, the first symbol highest), and the last of them.
+const fn build_byte_table() -> [[(u16, u8); 256]; 3] {
+    let mut table = [[(0u16, 0u8); 256]; 3];
+    let mut start = 0;
+    while start < 3 {
+        let mut byte = 0;
+        while byte < 256 {
+            let (mut groups, mut last, mut bit) = (0u16, start as u8, 0);
+            while bit < 8 {
+                last = child2(last, ((byte >> (7 - bit)) & 1) as u8);
+                groups = groups << 2 | (last as u16 + 1);
+                bit += 1;
+            }
+            table[start][byte] = (groups, last);
+            byte += 1;
         }
-        j += 1;
+        start += 1;
     }
     table
 }
 
-/// Flat leaf-symbol table for the top [`TABLE_DEPTH`] levels (4.3 KiB,
-/// computed at compile time).
-static LEAF_TABLE: [[u8; TABLE_DEPTH]; TABLE_LEAVES] = build_leaf_table();
+/// [`build_byte_table`], computed at compile time (3 KiB).
+static BYTE_TABLE: [[(u16, u8); 256]; 3] = build_byte_table();
 
 /// One exact ternary split step: which of the root's three equal pieces
 /// contains relative position `p ∈ [0, SCALE]`, and `p` rescaled within it.
@@ -88,8 +79,23 @@ fn step2(p: u128) -> (usize, u128) {
     (i, t - (i as u128) * SCALE)
 }
 
+/// The symbols of the descent to `x` (one per level, unbounded): the root
+/// step, then one binary step per level, each split index mapped through
+/// [`child2`]. The reference the key transducer is checked against.
+fn descent(x: ScaledValue) -> impl Iterator<Item = u8> {
+    let (root, mut p) = step3(x.raw());
+    let mut last = root as u8; // root children are the symbols 0, 1, 2 in order
+    std::iter::once(last).chain(std::iter::repeat_with(move || {
+        let (idx, rest) = step2(p);
+        p = rest;
+        last = child2(last, idx as u8);
+        last
+    }))
+}
+
 /// `Single_hash` on a pre-normalised value: the label of the depth-`k` leaf
-/// whose subinterval contains `x`.
+/// whose subinterval contains `x`, spelled symbol by symbol — the string
+/// form [`single_hash_key`] is tested against.
 ///
 /// Boundaries between siblings belong to the right sibling (intervals are
 /// half-open `[lo, hi)`), except the top of the space which belongs to the
@@ -100,42 +106,102 @@ fn step2(p: u128) -> (usize, u128) {
 /// Panics if `k == 0` or `k > `[`MAX_DEPTH`].
 pub fn single_hash_scaled(x: ScaledValue, k: usize) -> KautzStr {
     assert!(k > 0 && k <= MAX_DEPTH, "depth {k} out of range");
-    let mut syms = Vec::with_capacity(k);
-    let mut p = x.raw();
-    let mut last;
-    if k >= TABLE_DEPTH {
-        // Table jump over the top TABLE_DEPTH levels. With M = TABLE_LEAVES
-        // the composed descent computes leaf j = ⌊M·p / SCALE⌋ (clamped to
-        // M−1 at p = SCALE) and residual M·p − j·SCALE; since M = 3·2^(D−1),
-        // j = ⌊3p / 2^(121−D)⌋ and the residual is (3p − j·2^(121−D))·2^(D−1),
-        // both overflow-free in u128 — identical to D sequential step calls.
-        let t = 3 * p;
-        let shift = crate::fixed::SCALE_BITS + 1 - TABLE_DEPTH as u32;
-        let j = ((t >> shift) as usize).min(TABLE_LEAVES - 1);
-        p = (t - ((j as u128) << shift)) << (TABLE_DEPTH - 1);
-        let row = &LEAF_TABLE[j];
-        syms.extend_from_slice(row);
-        last = row[TABLE_DEPTH - 1];
-    } else {
-        let (idx, rest) = step3(p);
-        p = rest;
-        last = idx as u8; // root children are the symbols 0, 1, 2 in order
-        syms.push(last);
+    KautzStr::new(2, descent(x).take(k).collect::<Vec<_>>())
+        .expect("descent emits legal child symbols")
+}
+
+/// The key of the depth-`k` leaf reached from root child `root` by the
+/// binary split indices `levels`: bit `127 − j` is the index at level
+/// `j + 1`. The levels run through [`BYTE_TABLE`] a byte at a time, their
+/// groups written as if level 1 were symbol 0 (four bytes a word), then
+/// shifted one group right under the root's.
+fn key_of_descent(root: usize, levels: u128, k: usize) -> ObjectKey {
+    let mut words = [0u64; 4];
+    let mut last = root as u8;
+    for j in 0..(k - 1).div_ceil(8) {
+        let byte = (levels >> (120 - 8 * j)) as u8;
+        let (groups, end) = BYTE_TABLE[last as usize][byte as usize];
+        words[j / 4] |= u64::from(groups) << (48 - 16 * (j % 4));
+        last = end;
     }
-    for _ in syms.len()..k {
-        let (idx, rest) = step2(p);
-        p = rest;
-        last = child2(last, idx as u8);
-        syms.push(last);
+    let mut carry = (root as u64 + 1) << 62;
+    for word in &mut words {
+        (*word, carry) = (carry | *word >> 2, *word << 62);
     }
-    KautzStr::new(2, syms).expect("descent emits legal child symbols")
+    ObjectKey(words).truncate(k)
+}
+
+/// A binary-split residual's split indices, most significant first: its
+/// 120 bits, with the top of the space (`SCALE`, which takes the right
+/// child at every level) read as all ones.
+fn level_bits(p: u128) -> u128 {
+    p.min(SCALE - 1) << (128 - crate::fixed::SCALE_BITS)
+}
+
+/// `Single_hash` on a pre-normalised value, as a key: the root step, then
+/// the binary levels — the residual's bits — through the byte transducer.
+/// Equal to `ObjectKey::new(&single_hash_scaled(x, k))`, which debug
+/// builds check against the symbol-by-symbol descent.
+///
+/// # Panics
+///
+/// Panics if `k == 0` or `k > `[`MAX_DEPTH`].
+pub fn single_hash_key(x: ScaledValue, k: usize) -> ObjectKey {
+    assert!(k > 0 && k <= MAX_DEPTH, "depth {k} out of range");
+    let (root, p) = step3(x.raw());
+    let key = key_of_descent(root, level_bits(p), k);
+    debug_assert!(
+        key.len() == k && descent(x).take(k).enumerate().all(|(i, s)| key.symbol(i) == Some(s)),
+        "the key of {x:?} at depth {k} strays from the string descent"
+    );
+    key
+}
+
+/// `Multiple_hash` as a key, on `m` attributes whose scaled values
+/// `value(d)` yields (each read once): attribute `d`'s binary splits take
+/// its bits in turn at levels `d, d + m, …` (attribute 0's residual after
+/// the root step, from level `m`), so the split index of every level is
+/// scattered into one level word, which then runs through the same
+/// transducer as [`single_hash_key`].
+pub(crate) fn multiple_hash_key_with(
+    m: usize,
+    k: usize,
+    value: impl Fn(usize) -> ScaledValue,
+) -> ObjectKey {
+    assert!(m > 0, "at least one attribute required");
+    assert!(k > 0 && k <= MAX_DEPTH, "depth {k} out of range");
+    let mut root = 0;
+    let mut levels = 0u128;
+    for d in 0..m {
+        let mut bits = value(d).raw();
+        if d == 0 {
+            (root, bits) = step3(bits);
+        }
+        let bits = level_bits(bits);
+        let first = if d == 0 { m } else { d };
+        for (q, level) in (first..k).step_by(m).enumerate() {
+            levels |= (bits << q >> 127) << (128 - level);
+        }
+    }
+    key_of_descent(root, levels, k)
+}
+
+/// `Multiple_hash` on pre-normalised per-attribute values, as a key:
+/// `ObjectKey::new(&multiple_hash_scaled(values, k))` without the string.
+///
+/// # Panics
+///
+/// Panics if `values` is empty, `k == 0`, or `k > `[`MAX_DEPTH`].
+pub fn multiple_hash_key(values: &[ScaledValue], k: usize) -> ObjectKey {
+    multiple_hash_key_with(values.len(), k, |d| values[d])
 }
 
 /// `Multiple_hash` (§5) on pre-normalised per-attribute values: descends the
 /// partition tree splitting attribute `j mod m` at level `j` (ternary at the
 /// root, binary elsewhere).
 ///
-/// With `m = 1` this coincides with [`single_hash_scaled`].
+/// With `m = 1` this coincides with [`single_hash_scaled`]. The string
+/// form [`multiple_hash_key`] is tested against.
 ///
 /// # Panics
 ///
@@ -430,35 +496,61 @@ mod tests {
         assert!(matches!(rect_of_prefix(&long, 1), Err(KautzError::UnsupportedLength { .. })));
     }
 
-    #[test]
-    fn table_jump_matches_sequential_descent_exactly() {
-        // The flat-table fast path must agree symbol-for-symbol with the
-        // general sequential descent (multiple_hash_scaled with m = 1) at
-        // every depth — below, at, and above TABLE_DEPTH — including the
-        // clamped endpoints and values straddling split boundaries.
-        let depths = [1, 3, TABLE_DEPTH - 1, TABLE_DEPTH, TABLE_DEPTH + 1, 20, 100, MAX_DEPTH];
-        let mut values: Vec<u128> = vec![0, 1, SCALE - 1, SCALE];
-        // Dyadic and ternary split boundaries and their neighbours.
-        for d in 1..=10u32 {
-            for n in 0..(1u128 << d) {
-                let b = n * (SCALE >> d);
-                values.extend([b.saturating_sub(1), b, b + 1]);
+    /// Raw scaled values on and beside every level's exact split
+    /// boundaries down to depth `k`: level `j ≥ 1` of root child `i` splits
+    /// at `(i + n/2^j)/3` of the space, which is a whole raw value only
+    /// when 3 divides it, so its floor and the values around it are tried.
+    fn split_boundaries(k: usize) -> Vec<u128> {
+        let mut values = vec![0, 1, SCALE - 1, SCALE];
+        let mut s: u128 = 0x9e37_79b9_7f4a_7c15;
+        for j in 0..k as u32 {
+            let unit = SCALE >> j; // SCALE / 2^j
+            for i in 0..3u128 {
+                s = s.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(0x6361_1c88);
+                for n in [0, 1, (1u128 << j) - 1, s % (1u128 << j)] {
+                    let b = ((i << j) + n) * unit / 3;
+                    values.extend([b.saturating_sub(1), b, b + 1]);
+                }
             }
         }
-        // A deterministic pseudo-random sweep of the interior.
-        let mut s: u128 = 0x9e37_79b9_7f4a_7c15;
-        for _ in 0..500 {
-            s = s.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(0x6361_1c88);
-            values.push(s % (SCALE + 1));
+        values
+    }
+
+    #[test]
+    fn keys_equal_the_string_descent_on_every_split_boundary() {
+        // The transducer against the symbol-by-symbol descent, and both
+        // against `multiple_hash_scaled` with one attribute, at depths on
+        // both sides of every byte and word edge of the key.
+        for k in [1, 2, 8, 9, 17, 24, 32, 33, 64, 65, 100, MAX_DEPTH] {
+            for raw in split_boundaries(k) {
+                let x = ScaledValue::from_raw_clamped(raw);
+                let id = single_hash_scaled(x, k);
+                assert_eq!(single_hash_key(x, k), ObjectKey::new(&id), "raw {raw} depth {k}");
+                assert_eq!(multiple_hash_key(&[x], k), ObjectKey::new(&id), "raw {raw} depth {k}");
+                assert_eq!(id, multiple_hash_scaled(&[x], k), "raw {raw} depth {k}");
+            }
         }
-        for &raw in &values {
-            let x = ScaledValue::from_raw_clamped(raw);
-            for &k in &depths {
-                assert_eq!(
-                    single_hash_scaled(x, k),
-                    multiple_hash_scaled(&[x], k),
-                    "raw {raw} depth {k}"
-                );
+    }
+
+    #[test]
+    fn multi_attribute_keys_equal_the_string_descent_on_split_boundaries() {
+        // Every attribute takes values on and beside split boundaries, each
+        // its own stride through the list, for two to four attributes.
+        for k in [5, 24, 100, MAX_DEPTH] {
+            let values = split_boundaries(k / 2);
+            for m in 2..=4 {
+                for i in 0..values.len() {
+                    let point: Vec<ScaledValue> = (0..m)
+                        .map(|d| values[(i * (2 * d + 1) + d) % values.len()])
+                        .map(ScaledValue::from_raw_clamped)
+                        .collect();
+                    let id = multiple_hash_scaled(&point, k);
+                    assert_eq!(
+                        multiple_hash_key(&point, k),
+                        ObjectKey::new(&id),
+                        "{point:?} k {k}"
+                    );
+                }
             }
         }
     }

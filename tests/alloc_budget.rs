@@ -16,10 +16,10 @@
 //! replication layer must not depend on the peer count, and neither must
 //! what `publish` asks for on bare `pira` and `mira` at the paper's
 //! ObjectID length, each of which has a ceiling of its own. Those two read
-//! 212 and 440 bytes per record since the object table became one flat
-//! column (191 and 424 as an ordered set): a column grown by doubling asks
-//! for more bytes than it keeps, while what stays resident fell (≈ 2.5 MiB
-//! of `peak_rss_mb` at 10⁵ records).
+//! 112 and 128 bytes per record since the naming emits keys (212 and 440
+//! while every publish spelled its ObjectID as a 100-symbol string first;
+//! 191 and 424 as an ordered set before the object table became one flat
+//! column, whose doubling growth asks for more bytes than it keeps).
 //!
 //! Everything runs inside ONE `#[test]` so the process-wide counter is
 //! never shared with a concurrent test thread; queries are driven
@@ -176,22 +176,23 @@ fn steady_state_allocations_per_query_stay_within_budget() {
     // What the one object table buys, without a stopwatch. A record used to
     // cost a kept 100-byte string and a `Vec<u64>`, and a peer's first
     // record a whole map leaf, so the figure rose with the peer count
-    // (238 bytes at N = 500, 305 at N = 2000, one commit earlier); what is
-    // left is the naming layer's transient string and the set's amortised
-    // node growth, whoever the owner is. Measured 192 and 191: × 1.5. The
-    // flat column's doubling growth reads 212 at both sizes under the same
-    // ceiling.
+    // (238 bytes at N = 500, 305 at N = 2000, one commit earlier). Then it
+    // was the naming layer's transient string plus the table's amortised
+    // growth: 191 as an ordered set, 212 as the flat column. The naming
+    // now emits the key itself, so what is left is the column's and the
+    // value column's doubling growth, whoever the owner is: measured 112 at
+    // both sizes, × 1.5.
     let [small, large] = [500, 2000].map(publish_bytes_per_record);
     eprintln!("alloc budget: pira publish {small:.0} bytes/record at N = 500, {large:.0} at 2000");
-    assert!(large <= 288.0, "pira publish: {large:.0} bytes per record exceeds budget 288");
+    assert!(large <= 168.0, "pira publish: {large:.0} bytes per record exceeds budget 168");
     assert!((small - large).abs() <= 16.0, "pira publish: bytes per record depend on N");
-    // MIRA's publish pays the same table plus its naming's scaled point.
-    // The engine keeps every point in one flat column beside PIRA's values:
-    // measured 423 and 424, × 1.5 (455 and 456 while each point was a `Vec`
-    // of its own; 440 at both sizes since the object table is a column).
+    // MIRA's publish pays the same table plus a point twice PIRA's value.
+    // Measured 128 at both sizes since the key is written without a string
+    // or a scaled copy of the point, × 1.5 (440 with both; 455 while each
+    // point was a `Vec` of its own; 424 with an ordered set).
     let [small, large] = [500, 2000].map(point_bytes_per_record);
     eprintln!("alloc budget: mira publish {small:.0} bytes/record at N = 500, {large:.0} at 2000");
-    assert!(large <= 636.0, "mira publish: {large:.0} bytes per record exceeds budget 636");
+    assert!(large <= 192.0, "mira publish: {large:.0} bytes per record exceeds budget 192");
     assert!((small - large).abs() <= 16.0, "mira publish: bytes per record depend on N");
 
     // Placement and repair cost what one record costs, whatever N: a ring
@@ -212,19 +213,20 @@ fn steady_state_allocations_per_query_stay_within_budget() {
     // pht-chord ≈ 103, skipgraph ≈ 3.5, mira ≈ 28. The pre-optimization
     // pira figure at this N was ≈ 1854. The pira rungs sit at 1.5× now
     // that the handler fills no ordered sets and the ground truth is a
-    // range of routing-table ranks, not a list: what is left is per query
-    // (naming, sub-regions, one result buffer). They read 12.7, 12.7, 12.7,
-    // 36.0 and 14.4 while PIRA still built its destination list. Since the
-    // adapter maps record ids to handles in the result buffer itself, pira
-    // reads 8.01 (9.00 with a copy per query), so its three clean rungs sit
-    // at 12.
+    // range of routing-table ranks, not a list. They read 12.7, 12.7, 12.7,
+    // 36.0 and 14.4 while PIRA still built its destination list, and 8.01
+    // (9.00 with a copy per query) once the adapter mapped record ids to
+    // handles in the result buffer itself: what was left was the naming's
+    // two 100-symbol strings, the sub-regions and their common prefixes.
+    // Since the whole prologue runs on keys, pira reads 1.01 — the result
+    // buffer — and its three clean rungs sit at 1.5× that.
     // The dcf-can rungs likewise (measured 1.04 and 1.03, × 1.5 rounded up
     // to a whole allocation): the result buffer, and what scratch growth
     // the warm-up did not reach. pht-chord likewise (measured 7.6 once a
     // Chord route kept no path and the trie became an arena, × 1.5): the
     // result buffer and the two descent frontiers, per query.
     let budgets = [
-        ("pira", 12.0),
+        ("pira", 1.52),
         ("seqwalk", 220.0),
         ("dcf-can", 2.0),
         ("dcf-can-naive", 2.0),
@@ -232,18 +234,19 @@ fn steady_state_allocations_per_query_stay_within_budget() {
         ("skipgraph", 20.0),
         // Composed stacks: the wrappers thread the caller's scratch down
         // to the engine, so a faulted retry attempt costs what a bare
-        // query does. Measured: 9.01, 9.00, 25.18 and 10.61, each at 1.5×
-        // (8.02, 8.01, 23.21 and 9.91 with the in-place handle map).
+        // query does. Measured: 1.02, 1.01, 3.15 and 2.71 on keys, each at
+        // 1.5× (8.02, 8.01, 23.21 and 9.91 while the naming built strings;
+        // 9.01, 9.00, 25.18 and 10.61 before the in-place handle map).
         // The hostile rungs read 52.2 and 28.1 before the loss plan's
         // attempt counters became a flat table kept across recycles and
         // the fetch phase's buffers moved into the scratch (mostly
         // ordered-map nodes). A fetch phase allocates nothing per fetch or
         // per routed hop, in debug builds too (their per-fetch check prices
         // through the same scratch).
-        ("pira+r3", 12.0),
-        ("pira@wan", 12.0),
-        ("pira@lossy-p/r3", 38.0),
-        ("pira+r3@wan@lossy-p/r3", 16.0),
+        ("pira+r3", 1.53),
+        ("pira@wan", 1.52),
+        ("pira@lossy-p/r3", 4.73),
+        ("pira+r3@wan@lossy-p/r3", 4.07),
     ];
     let mixed = WorkloadGen::named("mixed", DOMAIN).unwrap();
     let mut failures = Vec::new();
@@ -254,26 +257,28 @@ fn steady_state_allocations_per_query_stay_within_budget() {
             failures.push(format!("{name}: {got:.2} allocs/query exceeds budget {ceiling}"));
         }
     }
-    // MIRA shares PIRA's descent and pays, per query, for two namings (the
-    // rectangle and its corner region); its corner run is a range of ranks
-    // and the destinations in it a scratch buffer: measured 20.35, at 1.5×
-    // (26.4 when both were lists built per query; 19.46 with the in-place
-    // handle map).
+    // MIRA shares PIRA's descent and pays, per query, for its scaled
+    // rectangle (two vectors) and one `ComS` string per sub-query, which
+    // its string-form rectangle test reads; the corner keys are written
+    // from the rectangle, its corner run is a range of ranks and the
+    // destinations in it a scratch buffer: measured 4.42, at 1.5× (19.46
+    // while the corner region was spelled twice over as strings; 26.4 when
+    // the run and the destinations were lists built per query).
     let got = rect_allocs_per_query("mira", 2);
-    eprintln!("alloc budget: {:>22} {got:>10.2} / {}", "mira", 31.0);
-    if got > 31.0 {
-        failures.push(format!("mira: {got:.2} allocs/query exceeds budget 31"));
+    eprintln!("alloc budget: {:>22} {got:>10.2} / {}", "mira", 6.63);
+    if got > 6.63 {
+        failures.push(format!("mira: {got:.2} allocs/query exceeds budget 6.63"));
     }
     // A hundred times the answer (≈ 2 → 200 peers and records) is not a
-    // hundred times the allocations: a non-empty answer is two allocations
-    // an empty one is not, a wide range splits into sub-regions more often
-    // (each a region of two strings and its common prefix), and the
-    // scratch's record buffer still grows by doubling whenever an answer
-    // outgrows every earlier one — 7.7 against 13.8 when this was written
-    // (8.7 against 20.8 while the ground truth was a list built per query
-    // and grown by doubling too). Per-peer or
-    // per-record bookkeeping (the three ordered sets the handler used to
-    // fill: 14.2 against 98.8) does not fit under it.
+    // hundred times the allocations: a non-empty answer is one allocation
+    // an empty one is not, and the scratch's record buffer still grows by
+    // doubling whenever an answer outgrows every earlier one — 0.88
+    // against 1.00 since the prologue runs on keys (6.9 against 12.8 while
+    // a wide range's extra sub-regions were each two strings and a common
+    // prefix; 8.7 against 20.8 while the ground truth was a list built per
+    // query and grown by doubling too). Per-peer or per-record bookkeeping
+    // (the three ordered sets the handler used to fill: 14.2 against 98.8)
+    // does not fit under it, nor do strings per sub-region.
     //
     // dcf-can the same way over a tenfold range (some twenty zones against
     // some two hundred at this N): the flood's ground truth, stamps, informed-set frames and
@@ -287,7 +292,7 @@ fn steady_state_allocations_per_query_stay_within_budget() {
     // doubling — 7.9 against 17.8 when this was written. One allocation per
     // get or per hop does not fit under it.
     for (name, widths, slack) in [
-        ("pira", [2.0, 200.0], 9.0),
+        ("pira", [2.0, 200.0], 1.0),
         ("dcf-can", [20.0, 200.0], 8.0),
         ("pht-chord", [20.0, 200.0], 16.0),
     ] {

@@ -342,6 +342,40 @@ fn a_handle_published_twice_comes_back_once_everywhere() {
     assert!(wrong.is_empty(), "repeated handles not deduplicated:\n{}", wrong.join("\n"));
 }
 
+/// Query bounds at ±∞ or past the domain clamp to it, and records
+/// published past it clamp to its ends: every registered single-attribute
+/// name answers such a query with exactly the records whose value lies in
+/// the closed range — a record at −5 is in `[−∞, 500]` and in `[−10, 10]`,
+/// one at 1005 in `[500, +∞]` and in `[990, 2000]`, though both are named
+/// like the domain's ends.
+#[test]
+fn infinite_and_out_of_domain_bounds_are_exact_everywhere() {
+    const N: usize = 60;
+    const INF: f64 = f64::INFINITY;
+    let values = [-5.0, 0.0, 4.0, 10.0, 250.0, 500.0, 730.5, 990.0, 999.0, 1000.0, 1005.0];
+    let queries = [(-INF, 500.0), (500.0, INF), (-INF, INF), (-10.0, 10.0), (990.0, 2000.0)];
+    let registry = standard_registry();
+    let params = BuildParams::new(N, DOMAIN.0, DOMAIN.1).with_object_id_len(24);
+    let mut wrong = Vec::new();
+    for name in registry.single_names() {
+        let mut rng = simnet::rng_from_seed(0x1f ^ dht_api::fnv1a(name.as_bytes()));
+        let mut scheme = registry.build_single(name, &params, &mut rng).expect("build");
+        for (handle, &value) in (0..).zip(&values) {
+            scheme.publish(value, handle).expect("publish");
+        }
+        for (q, &(lo, hi)) in (0..).zip(&queries) {
+            let expected: Vec<u64> =
+                (0..).zip(&values).filter(|&(_, &v)| lo <= v && v <= hi).map(|(h, _)| h).collect();
+            let origin = scheme.random_origin(&mut rng);
+            match scheme.range_query(origin, lo, hi, q) {
+                Ok(out) if out.results == expected && out.exact => {}
+                other => wrong.push(format!("{name} [{lo}, {hi}]: {other:?}, want {expected:?}")),
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "clamped bounds answered wrongly:\n{}", wrong.join("\n"));
+}
+
 /// Every registered name, both shapes, at N ∈ {0, 1, 2}: an empty network
 /// is a typed `Build` error, and a tiny one is either a typed error too or
 /// answers the whole-domain query exactly — never a panic inside a
