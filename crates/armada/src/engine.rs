@@ -393,7 +393,7 @@ impl Armada<MultiHash> {
 /// suffix of the PeerID that prefixes `ComT`, and `hops_left = b − f`
 /// (§4.2).
 pub(crate) fn descent_budget(origin: PeerKey, low: ObjectKey, c: usize) -> (usize, usize) {
-    let f = origin.longest_suffix_prefix(low, c);
+    let f = origin.longest_suffix_prefix(low.head(), c);
     (f, origin.depth() - f)
 }
 
@@ -586,7 +586,7 @@ mod tests {
                     let depth = rng.gen_range(1..=fissione::MAX_PEER_DEPTH);
                     let tail = com_t.take_front(rng.gen_range(0..=depth.min(c)));
                     let id = loop {
-                        let head = kautz::KautzStr::random(2, depth - tail.len(), &mut rng);
+                        let head = kautz::KautzStr::random(depth - tail.len(), &mut rng);
                         if let Ok(id) = head.concat(&tail) {
                             break id;
                         }

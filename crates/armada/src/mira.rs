@@ -76,10 +76,9 @@ pub fn query(
     let corner = naming.corner_keys(&rect);
     let table = net.route_table();
     let run = table.run(corner.0, corner.1)?;
-    let base = net.config().base;
 
     let (state, Bufs { truth, prefix, zone, subtree }) = scratch.slot::<(State<KautzStr>, Bufs)>();
-    let prefix = prefix.get_or_insert_with(|| KautzStr::empty(base));
+    let prefix = prefix.get_or_insert_with(KautzStr::empty);
     // One definition of "destination": the test a visited peer answers by.
     let mut meets = |rank: usize| {
         let id = net.peer_id(table.node(rank)).expect("every rank is a live peer");
@@ -101,7 +100,7 @@ pub fn query(
         state,
         // The rectangle test reads strings: `ComS` is decoded once per
         // sub-query.
-        |low, _, f| low.truncate(f).decode(base).expect("a key's prefix is a Kautz string"),
+        |low, _, f| low.truncate(f).decode().expect("a key's prefix is a Kautz string"),
         |_, rank| meets(rank),
         |com_s, _, child, strip| {
             // `ComS ++ cid[strip..]`; on a repeated junction symbol the

@@ -13,7 +13,7 @@
 //! of Armada.
 
 use crate::{ArmadaError, QueryMetrics, QueryOutcome, RecordId, SingleArmada};
-use simnet::{HopKind, TraceEvent, TraceRecord, TraceSink};
+use simnet::{HopKind, NodeId, TraceEvent, TraceRecord, TraceSink};
 use std::collections::BTreeSet;
 
 /// Executes a sequential range walk: route to the first destination, then
@@ -31,7 +31,7 @@ use std::collections::BTreeSet;
 /// for empty ranges.
 pub fn query(
     armada: &SingleArmada,
-    origin: simnet::NodeId,
+    origin: NodeId,
     lo: f64,
     hi: f64,
     trace: bool,
@@ -40,9 +40,9 @@ pub fn query(
     if !net.is_live(origin) {
         return Err(ArmadaError::BadOrigin { origin });
     }
-    let region = armada.naming().region(lo, hi)?;
-    let destinations = net.peers_intersecting_range(region.low(), region.high())?;
-    let truth: BTreeSet<simnet::NodeId> = destinations.iter().copied().collect();
+    let (low, high) = armada.naming().region_keys(lo, hi)?;
+    let table = net.route_table();
+    let run = table.run(low, high)?;
 
     let mut sink = trace.then(TraceSink::new);
     if let Some(s) = &mut sink {
@@ -62,9 +62,10 @@ pub fn query(
 
     // Phase 1: DHT-route to the first destination (the owner of LowT).
     let model = armada.net_model();
+    let low_id = low.decode().expect("LowT is a Kautz string");
     // Every routed edge joins the critical path, priced by the cost model.
     let (first, (mut delay, mut latency)) =
-        net.route_fold(origin, region.low(), (0u32, 0u64), |(hop, cum), src, dst| {
+        net.route_fold(origin, &low_id, (0u32, 0u64), |(hop, cum), src, dst| {
             let edge = model.edge_cost(src, dst);
             let (hop, cum) = (hop + 1, cum + edge);
             if let Some(s) = &mut sink {
@@ -82,24 +83,25 @@ pub fn query(
             }
             (hop, cum)
         })?;
-    debug_assert_eq!(Some(&first), destinations.first());
+    debug_assert_eq!(first, table.node(run.start));
     let mut messages = u64::from(delay);
 
     // Phase 2: walk the contiguous destination run, one hop per successor.
     // The walk is strictly sequential, so every successor edge joins the
     // critical path in both currencies.
     let mut results: BTreeSet<RecordId> = BTreeSet::new();
-    for (i, &peer) in destinations.iter().enumerate() {
-        if i > 0 {
+    let mut prev: Option<NodeId> = None;
+    for peer in run.clone().map(|rank| table.node(rank)) {
+        if let Some(prev) = prev {
             messages += 1;
             delay += 1;
-            let edge = model.edge_cost(destinations[i - 1], peer);
+            let edge = model.edge_cost(prev, peer);
             latency += edge;
             if let Some(s) = &mut sink {
                 s.emit(
                     u64::from(delay),
                     TraceEvent::Hop {
-                        src: destinations[i - 1],
+                        src: prev,
                         dst: peer,
                         hop: delay,
                         edge_cost_ms: edge,
@@ -115,13 +117,14 @@ pub fn query(
                 TraceEvent::Answer { node: peer, hop: delay, cost_ms: latency },
             );
         }
-        for h in net.handles_in_range(peer, region.low(), region.high()) {
+        for &(_, h) in net.entries_in_stretch((peer, peer), low, high) {
             let record = RecordId(h);
             let v = armada.value(record);
             if v >= lo && v <= hi {
                 results.insert(record);
             }
         }
+        prev = Some(peer);
     }
 
     Ok((
@@ -131,8 +134,8 @@ pub fn query(
                 delay,
                 latency,
                 messages,
-                dest_peers: truth.len(),
-                reached_peers: truth.len(),
+                dest_peers: run.len(),
+                reached_peers: run.len(),
                 exact: true,
             },
         },

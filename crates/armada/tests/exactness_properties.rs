@@ -212,8 +212,9 @@ proptest! {
         let lo = lo_frac * 1000.0;
         let hi = (lo + size_frac * (1000.0 - lo)).min(1000.0);
         let origin = a.net().random_peer(&mut rng);
-        let region = a.naming().region(lo, hi).unwrap();
-        let due = a.net().peers_intersecting_range(region.low(), region.high()).unwrap();
+        let (low, high) = a.naming().region_keys(lo, hi).unwrap();
+        let table = a.net().route_table();
+        let due: Vec<NodeId> = table.run(low, high).unwrap().map(|r| table.node(r)).collect();
         let mut faults = FaultPlan::with_drop_prob(drop_prob);
         let crashed: Vec<_> = due.iter().copied().step_by(2).filter(|&p| p != origin).collect();
         crashed.iter().for_each(|&p| faults.crash(p));
@@ -237,7 +238,7 @@ proptest! {
         let wanted = |r: &RecordId| (lo..=hi).contains(&a.value(*r));
         let per_peer: BTreeSet<RecordId> = answered
             .iter()
-            .flat_map(|&p| a.net().handles_in_range(p, region.low(), region.high()))
+            .flat_map(|&p| a.net().entries_in_stretch((p, p), low, high).iter().map(|&(_, h)| h))
             .map(RecordId)
             .filter(wanted)
             .collect();

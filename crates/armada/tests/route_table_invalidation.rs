@@ -172,7 +172,7 @@ fn routes_never_read_a_table_built_before_a_membership_change() {
         let mut rng = simnet::rng_from_seed(940);
         let mut routed = Vec::new();
         for _ in 0..12 {
-            let object = KautzStr::random(2, 24, &mut rng);
+            let object = KautzStr::random(24, &mut rng);
             let peer_id = net.peer_id(peers[rng.gen_range(0..peers.len())]).unwrap().clone();
             for target in [peer_id, object.take_front(3), object] {
                 let from = peers[rng.gen_range(0..peers.len())];

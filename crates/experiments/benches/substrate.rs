@@ -54,7 +54,7 @@ fn bench_routing(c: &mut Criterion) {
         net.route_table();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let target = KautzStr::random(2, 100, &mut rng);
+                let target = KautzStr::random(100, &mut rng);
                 let from = net.random_peer(&mut rng);
                 net.route(from, &target).unwrap()
             });

@@ -100,11 +100,7 @@ pub mod balance {
             ("LocalMin (paper)", BalanceRule::LocalMin { max_steps: 32 }),
             ("RandomOwner", BalanceRule::RandomOwner),
         ] {
-            let cfg = FissioneConfig {
-                object_id_len: paper::OBJECT_ID_LEN,
-                balance: rule,
-                ..FissioneConfig::default()
-            };
+            let cfg = FissioneConfig { object_id_len: paper::OBJECT_ID_LEN, balance: rule };
             let mut rng = simnet::rng_from_seed(0xba1a ^ name.len() as u64);
             let armada =
                 SingleArmada::build_with(cfg, n, paper::DOMAIN_LO, paper::DOMAIN_HI, &mut rng)

@@ -22,11 +22,11 @@ impl FissioneNet {
     /// Kautz string (uniform over the namespace).
     pub fn key_to_kautz(&self, key: u64) -> KautzStr {
         let k = self.config().object_id_len;
-        let count = KautzStr::count(self.config().base, k);
+        let count = KautzStr::count(k);
         // Spread the 64-bit key over the (much larger) u128 rank space by
         // Fibonacci-hash style mixing, then reduce.
         let spread = (key as u128).wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835);
-        KautzStr::unrank(self.config().base, k, spread % count).expect("rank reduced into range")
+        KautzStr::unrank(k, spread % count).expect("rank reduced into range")
     }
 }
 

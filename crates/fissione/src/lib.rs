@@ -4,11 +4,13 @@
 //!
 //! # Model
 //!
-//! * **PeerIDs** are variable-length base-2 Kautz strings forming a
-//!   *maximal prefix-free cover* of the Kautz namespace: every ObjectID
-//!   (length-`k`, default 100) has exactly one peer whose PeerID prefixes it.
+//! * **PeerIDs** are variable-length base-2 Kautz strings (alphabet
+//!   `{0, 1, 2}`) forming a *maximal prefix-free cover* of the Kautz
+//!   namespace: every ObjectID (length-`k`, default 100) has exactly one
+//!   peer whose PeerID prefixes it.
 //!   Equivalently, live peers are the leaf frontier of a pruned partition
-//!   tree [`kautz::partition`].
+//!   tree [`kautz::partition`]. A fresh network is the three root peers
+//!   `0`, `1` and `2`, and no network shrinks below three peers.
 //! * **Storage**: live PeerIDs tile the namespace in leaf order, so the
 //!   published objects sorted by ObjectID are already partitioned peer by
 //!   peer into contiguous runs. The network keeps them that way — one
@@ -54,7 +56,7 @@
 //! net.check_invariants()?;
 //!
 //! // Exact-match lookup: route from a random peer to an object's owner.
-//! let object = KautzStr::random(2, net.config().object_id_len, &mut rng);
+//! let object = KautzStr::random(net.config().object_id_len, &mut rng);
 //! let from = net.random_peer(&mut rng);
 //! let route = net.route(from, &object)?;
 //! assert_eq!(route.dest(), net.owner_of(&object)?);
@@ -71,11 +73,8 @@ pub mod proto;
 mod routing;
 mod stats;
 
-pub use kautz::ObjectKey;
-pub use net::{
-    FissioneNet, InvariantReport, KeyRegion, Peer, PeerKey, RouteTable, MAX_OBJECT_ID_LEN,
-    MAX_PEER_DEPTH,
-};
+pub use kautz::{KeyRegion, ObjectKey, PeerKey, MAX_PEER_DEPTH};
+pub use net::{FissioneNet, InvariantReport, Peer, RouteTable, MAX_OBJECT_ID_LEN};
 pub use routing::{Route, RouteTree};
 pub use stats::{DegreeStats, DepthStats, RoutingSample};
 
@@ -103,11 +102,10 @@ impl Default for BalanceRule {
     }
 }
 
-/// Static configuration of a FISSIONE network.
+/// Static configuration of a FISSIONE network. The Kautz base is the
+/// paper's 2 (alphabet `{0, 1, 2}`) and not configurable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FissioneConfig {
-    /// Kautz base `d` (the paper uses 2 throughout).
-    pub base: u8,
     /// ObjectID length `k` (the paper uses 100).
     pub object_id_len: usize,
     /// Leaf-split balancing rule for joins.
@@ -135,7 +133,7 @@ impl FissioneConfig {
 
 impl Default for FissioneConfig {
     fn default() -> Self {
-        FissioneConfig { base: 2, object_id_len: 100, balance: BalanceRule::default() }
+        FissioneConfig { object_id_len: 100, balance: BalanceRule::default() }
     }
 }
 
@@ -147,8 +145,8 @@ pub enum FissioneError {
         /// The offending node id.
         node: NodeId,
     },
-    /// The network would drop below its minimum size (the `base+1` root
-    /// peers).
+    /// The network would drop below its minimum size (the three root peers
+    /// `0`, `1` and `2`).
     TooSmall,
     /// A routing target was shorter than the deepest PeerID, so ownership
     /// is ambiguous.

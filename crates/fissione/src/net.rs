@@ -2,18 +2,22 @@
 //! one sorted object column every peer's store is an interval of.
 
 use crate::{BalanceRule, FissioneConfig, FissioneError};
-use kautz::{KautzStr, ObjectKey};
+use kautz::{KautzStr, ObjectKey, PeerKey, MAX_PEER_DEPTH};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::NodeId;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::ops::{Bound, Range, RangeInclusive};
+use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
 /// A live FISSIONE peer: its PeerID, and nothing else. What it *stores* is
 /// derived from that: the [`PeerKey::interval`] of the network's object
 /// table, the entries whose ObjectIDs the PeerID prefixes.
+///
+/// The network works on [`PeerKey`]s (the ordered cover is keyed by them);
+/// the string is written from the key at each membership change, and kept
+/// only for [`FissioneNet::peer_id`], which lends it out.
 #[derive(Debug, Clone)]
 pub struct Peer {
     id: KautzStr,
@@ -47,184 +51,17 @@ pub struct InvariantReport {
     pub total_objects: usize,
 }
 
-/// Symbol capacity of an encoded PeerID key (2 bits per symbol in a
-/// `u128`). Live depths stay far below this: a depth-64 cover would need
-/// on the order of 2⁶³ peers.
-const ENC_SYMS: usize = 64;
-
-/// The deepest PeerID the key arithmetic is defined for, one symbol short
-/// of the key's capacity: a query shifts keys by `2·f` bits for a `ComS` of
-/// `f ≤ depth` symbols, and a 128-bit shift by `2·ENC_SYMS` overflows.
-/// [`FissioneNet::split_leaf`] — the only operation that deepens a PeerID —
-/// refuses to pass it, so every live key satisfies it.
-pub const MAX_PEER_DEPTH: usize = ENC_SYMS - 1;
-
 /// The longest ObjectID a network can be configured for: the largest both
 /// [`KautzStr::count`] (`join` draws a uniform namespace point; `3·2^(k−1)`
 /// must fit a `u128`) and [`ObjectKey`] (128 symbols) represent.
 pub const MAX_OBJECT_ID_LEN: usize = 127;
 
-/// Order-preserving fixed-width key for a PeerID: symbol `s` becomes the
-/// 2-bit group `s + 1`, packed MSB-first and zero-padded. Integer order on
-/// keys coincides with lexicographic order on ids (a proper prefix sorts
-/// before its extensions because its padding groups are zero), and the
-/// subtree below a prefix is the contiguous key interval
-/// `[enc_id(p), enc_subtree_end(enc_id(p)))` — so every ordered-map probe
-/// on the cover is a `u128` comparison instead of a heap-indirected
-/// symbol-by-symbol compare. This is what keeps `build` and routing fast
-/// at N = 10⁶.
-///
-/// # Panics
-///
-/// Panics if `id` is deeper than [`ENC_SYMS`].
-pub(crate) fn enc_id(id: &KautzStr) -> u128 {
-    assert!(id.len() <= ENC_SYMS, "PeerID depth {} exceeds key capacity", id.len());
-    enc_probe(id)
-}
+/// The root peers `0`, `1` and `2`: the minimal cover, which never shrinks.
+const ROOTS: usize = 3;
 
-/// Key of the first [`ENC_SYMS`] symbols of an arbitrary-length string.
-/// Probes (ObjectIDs, typically length ~100) compare against peer keys
-/// exactly within that window, and live peer depths never approach it, so
-/// every order/prefix relation between a peer id and a probe is decided
-/// inside the window.
-pub(crate) fn enc_probe(s: &KautzStr) -> u128 {
-    let mut k = 0u128;
-    for (i, &sym) in s.symbols().iter().take(ENC_SYMS).enumerate() {
-        k |= (u128::from(sym) + 1) << (126 - 2 * i);
-    }
-    k
-}
-
-/// Symbol count encoded in a nonzero key (the position of its lowest
-/// nonzero 2-bit group).
-pub(crate) fn enc_len(k: u128) -> usize {
-    debug_assert_ne!(k, 0, "the empty string is never a PeerID");
-    (129 - k.trailing_zeros() as usize) / 2
-}
-
-/// Exclusive upper key of the subtree below nonzero key `k`; `None` means
-/// the subtree extends to the end of the keyspace.
-fn enc_subtree_end(k: u128) -> Option<u128> {
-    k.checked_add(1u128 << (128 - 2 * enc_len(k)))
-}
-
-/// Whether the id encoded by nonzero `k` is a (non-strict) prefix of the
-/// string encoded by `probe`.
-pub(crate) fn enc_is_prefix(k: u128, probe: u128) -> bool {
-    k <= probe && enc_subtree_end(k).is_none_or(|end| probe < end)
-}
-
-/// Mask keeping the leading `n ≤ ENC_SYMS` symbol groups of a key.
-fn enc_mask(n: usize) -> u128 {
-    u128::MAX.checked_shl(128 - 2 * n as u32).unwrap_or(0)
-}
-
-/// A live peer's `enc_id` key, as handed out by a [`RouteTable`]: the
-/// form in which a query handler compares PeerIDs against a [`KeyRegion`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeerKey(u128);
-
-impl PeerKey {
-    /// The key of a PeerID.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is empty or deeper than [`MAX_PEER_DEPTH`].
-    pub fn new(id: &KautzStr) -> Self {
-        assert!((1..=MAX_PEER_DEPTH).contains(&id.len()), "no PeerID has {} symbols", id.len());
-        PeerKey(enc_id(id))
-    }
-
-    /// The PeerID's length.
-    pub fn depth(self) -> usize {
-        enc_len(self.0)
-    }
-
-    /// The keys of the ObjectIDs this PeerID prefixes: the interval of the
-    /// object table the peer stores.
-    pub fn interval(self) -> RangeInclusive<ObjectKey> {
-        let below = (1u128 << (128 - 2 * enc_len(self.0))) - 1;
-        ObjectKey::with_heads(self.0..=self.0 | below)
-    }
-
-    /// The length of the longest suffix of this PeerID that is a prefix of
-    /// the first `n` symbols of `target` —
-    /// [`KautzStr::longest_suffix_prefix`] on keys: the last `j` symbols,
-    /// shifted to the front, against `target`'s first `j`.
-    pub fn longest_suffix_prefix(self, target: ObjectKey, n: usize) -> usize {
-        let (depth, head) = (enc_len(self.0), target.head());
-        (1..=depth.min(n))
-            .rev()
-            .find(|&j| self.0 << (2 * (depth - j)) == head & enc_mask(j))
-            .unwrap_or(0)
-    }
-}
-
-/// A Kautz region `⟨low, high⟩` in key space: the [`ObjectKey::head`]
-/// windows of its endpoints. A prefix `p` of `n ≤ MAX_PEER_DEPTH` symbols
-/// has a member of the region below it iff `low[..n] ≤ p ≤ high[..n]` (the
-/// minimal extension of `p` is `≤ high` exactly when `p` is not above
-/// `high`'s first `n` symbols, and dually for `low`), and truncating a key
-/// to `n` symbols is one mask — so PIRA's two pruning predicates,
-/// [`KautzRegion::intersects_prefix`] and
-/// [`KautzRegion::intersects_prefix_parts`], become integer comparisons.
-/// The string forms stay the reference these are property-tested against.
-///
-/// [`KautzRegion::intersects_prefix`]: kautz::KautzRegion::intersects_prefix
-/// [`KautzRegion::intersects_prefix_parts`]: kautz::KautzRegion::intersects_prefix_parts
-#[derive(Debug, Clone, Copy)]
-pub struct KeyRegion {
-    low: u128,
-    high: u128,
-    /// The region's string length `k`; longer prefixes intersect nothing.
-    len: usize,
-}
-
-impl KeyRegion {
-    /// The region `⟨low, high⟩` of equal-length keys.
-    pub fn new(low: ObjectKey, high: ObjectKey) -> Self {
-        KeyRegion { low: low.head(), high: high.head(), len: low.len() }
-    }
-
-    /// Whether some member of the region extends the `n`-symbol prefix
-    /// whose key is `prefix`: it lies between the endpoints' first `n`
-    /// symbols (none when the region's strings are shorter than that).
-    fn intersects_prefix_key(&self, prefix: u128, n: usize) -> bool {
-        let mask = enc_mask(n);
-        n <= self.len && self.low & mask <= prefix && prefix <= self.high & mask
-    }
-
-    /// Whether the peer's region intersects this one —
-    /// [`KautzRegion::intersects_prefix`] of its PeerID.
-    ///
-    /// [`KautzRegion::intersects_prefix`]: kautz::KautzRegion::intersects_prefix
-    pub fn intersects(&self, peer: PeerKey) -> bool {
-        self.intersects_prefix_key(peer.0, enc_len(peer.0))
-    }
-
-    /// PIRA's subtree test for an out-neighbor `child`: whether the region
-    /// intersects the prefix `ComS ++ child.id[strip..]`, where `ComS` is
-    /// the region's first `f` symbols —
-    /// [`KautzRegion::intersects_prefix_parts`]`(low[..f], child.id[strip..])`
-    /// with both of its fallbacks: a child no longer than `strip`, or a
-    /// junction that would repeat a symbol, tests `ComS` alone.
-    ///
-    /// `f ≤ MAX_PEER_DEPTH`, and `ComS` plus the tail must fit a key
-    /// (in a descent they total at most the child's own depth).
-    ///
-    /// [`KautzRegion::intersects_prefix_parts`]: kautz::KautzRegion::intersects_prefix_parts
-    pub fn intersects_subtree(&self, f: usize, child: PeerKey, strip: usize) -> bool {
-        debug_assert!(f <= MAX_PEER_DEPTH, "ComS of {f} symbols exceeds MAX_PEER_DEPTH");
-        let head = self.low & enc_mask(f);
-        let child_len = enc_len(child.0);
-        let (mut tail, mut tail_len) =
-            if strip < child_len { (child.0 << (2 * strip), child_len - strip) } else { (0, 0) };
-        if f > 0 && (head >> (128 - 2 * f)) & 3 == tail >> 126 {
-            (tail, tail_len) = (0, 0);
-        }
-        debug_assert!(f + tail_len <= ENC_SYMS, "subtree prefix exceeds key capacity");
-        self.intersects_prefix_key(head | tail >> (2 * f), f + tail_len)
-    }
+/// The PeerID a key arithmetic result encodes.
+fn label(key: PeerKey) -> KautzStr {
+    key.decode().expect("key arithmetic on PeerIDs yields PeerIDs")
 }
 
 /// Every live peer's routing state in one dense read-only structure, in
@@ -248,7 +85,7 @@ impl KeyRegion {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteTable {
     /// Key per rank, ascending.
-    keys: Vec<u128>,
+    keys: Vec<PeerKey>,
     /// `NodeId` per rank.
     nodes: Vec<u32>,
     /// Out-neighbors per rank: the rank interval `[first, end)`.
@@ -260,21 +97,15 @@ pub struct RouteTable {
 }
 
 /// The out-neighbors of the peer keyed `key` among the sorted cover `keys`,
-/// as a rank interval: the subtree below its shift `key << 2`, or, when
-/// that is empty, the key just before it if that one prefixes the shift.
-/// A depth-1 id's shift is empty and prefixes every PeerID.
-fn row_of(keys: &[u128], key: u128) -> Range<usize> {
-    let shift = key << 2;
-    if shift == 0 {
-        return 0..keys.len();
-    }
+/// as a rank interval: the subtree below its shift, or, when that is empty,
+/// the key just before it if that one prefixes the shift. A depth-1 id's
+/// shift is empty and prefixes every PeerID.
+fn row_of(keys: &[PeerKey], key: PeerKey) -> Range<usize> {
+    let (shift, last) = key.shift().below().into_inner();
     let first = keys.partition_point(|&k| k < shift);
-    let end = match enc_subtree_end(shift) {
-        Some(end_key) => first + keys[first..].partition_point(|&k| k < end_key),
-        None => keys.len(),
-    };
+    let end = first + keys[first..].partition_point(|&k| k <= last);
     match first.checked_sub(1) {
-        Some(ancestor) if first == end && enc_is_prefix(keys[ancestor], shift) => ancestor..first,
+        Some(ancestor) if first == end && keys[ancestor].is_prefix_of(shift) => ancestor..first,
         _ => first..end,
     }
 }
@@ -282,7 +113,7 @@ fn row_of(keys: &[u128], key: u128) -> Range<usize> {
 impl RouteTable {
     fn build(net: &FissioneNet) -> Self {
         let index = |n: usize| u32::try_from(n).expect("routing table indices fit u32");
-        let (keys, nodes): (Vec<u128>, Vec<u32>) =
+        let (keys, nodes): (Vec<PeerKey>, Vec<u32>) =
             net.by_id.iter().map(|(&key, &node)| (key, index(node))).unzip();
         let mut ranks = vec![u32::MAX; net.slots.len()];
         for (rank, &node) in nodes.iter().enumerate() {
@@ -298,10 +129,10 @@ impl RouteTable {
         let table = RouteTable { keys, nodes, rows, ranks, max_depth: net.max_depth() };
         #[cfg(debug_assertions)]
         {
-            let (mut shift, mut row) = (KautzStr::empty(net.cfg.base), Vec::new());
+            let mut row = Vec::new();
             for rank in 0..table.len() {
                 let node = table.node(rank);
-                net.out_neighbors_into(node, &mut shift, &mut row);
+                net.out_neighbors_into(node, &mut row);
                 let interval = table.out(rank).map(|r| table.node(r));
                 assert!(interval.eq(row.iter().copied()), "the row of peer {node} is no interval");
             }
@@ -338,8 +169,9 @@ impl RouteTable {
     /// # Panics
     ///
     /// Panics if `rank` is not below [`len`](Self::len).
+    #[inline]
     pub fn key(&self, rank: usize) -> PeerKey {
-        PeerKey(self.keys[rank])
+        self.keys[rank]
     }
 
     /// The ranks of the out-neighbors of the peer at `rank`, in
@@ -370,7 +202,7 @@ impl RouteTable {
         // (a minimal extension never exceeds `high` while the two agree).
         let owner = self.keys.partition_point(|&k| k <= low_key).checked_sub(1);
         match owner {
-            Some(first) if enc_is_prefix(self.keys[first], low_key) => {
+            Some(first) if self.keys[first].is_prefix_of(low_key) => {
                 Ok(first..first + self.keys[first..].partition_point(|&k| k <= high_key))
             }
             _ => Err(FissioneError::TargetTooShort {
@@ -380,28 +212,25 @@ impl RouteTable {
         }
     }
 
-    /// The bare [`enc_id`] key of the peer at `rank`: the integer a route
-    /// hop shifts.
-    pub(crate) fn enc(&self, rank: usize) -> u128 {
-        self.keys[rank]
-    }
-
     /// The rank among `ranks` whose key prefixes `probe`, if one does, and
     /// its key.
-    pub(crate) fn prefixing(&self, ranks: Range<usize>, probe: u128) -> Option<(usize, u128)> {
+    pub(crate) fn prefixing(
+        &self,
+        ranks: Range<usize>,
+        probe: PeerKey,
+    ) -> Option<(usize, PeerKey)> {
         let keys = &self.keys[ranks.clone()];
-        ranks.zip(keys.iter().copied()).find(|&(_, k)| enc_is_prefix(k, probe))
+        ranks.zip(keys.iter().copied()).find(|&(_, k)| k.is_prefix_of(probe))
     }
 }
 
 /// What one [`FissioneNet::stabilize`] call works on: every slot's gap and
-/// the buffers its neighbor walks reuse. A local of that call — a table that
+/// the buffer its neighbor walks reuse. A local of that call — a table that
 /// outlived it would have to be kept current by every join and leave.
 struct Gaps {
     /// Per slot, the deepest neighbor's depth minus the peer's own: 0 when
     /// no neighbor is deeper, and for a dead slot.
     gap: Vec<u8>,
-    label: KautzStr,
     row: Vec<NodeId>,
     /// The peers a migration moved, and their neighbors.
     moved: Vec<NodeId>,
@@ -497,8 +326,8 @@ impl Clone for ObjectTable {
 pub struct FissioneNet {
     cfg: FissioneConfig,
     slots: Vec<Option<Peer>>,
-    /// Live peers by [`enc_id`] key — iteration order is PeerID order.
-    by_id: BTreeMap<u128, NodeId>,
+    /// Live peers by key — iteration order is PeerID order.
+    by_id: BTreeMap<PeerKey, NodeId>,
     live: usize,
     /// `depth_hist[d]` = number of live peers with depth `d`.
     depth_hist: Vec<usize>,
@@ -517,7 +346,7 @@ pub struct FissioneNet {
 }
 
 impl FissioneNet {
-    /// Creates the minimal network: the `base + 1` root peers `0, 1, …, d`.
+    /// Creates the minimal network: the three root peers `0`, `1` and `2`.
     ///
     /// # Panics
     ///
@@ -536,14 +365,13 @@ impl FissioneNet {
             lost_handles: 0,
             table: OnceLock::new(),
         };
-        for sym in 0..=cfg.base {
-            let id = KautzStr::new(cfg.base, vec![sym]).expect("single symbol is valid");
-            net.insert_peer(id);
+        for sym in 0..ROOTS as u8 {
+            net.insert_peer(PeerKey::EMPTY.stem(sym));
         }
         net
     }
 
-    /// Builds a network of `n ≥ base + 1` peers by repeated joins.
+    /// Builds a network of `n ≥ 3` peers by repeated joins.
     ///
     /// # Errors
     ///
@@ -553,7 +381,7 @@ impl FissioneNet {
     /// is refused ([`try_join`](Self::try_join)).
     pub fn build(cfg: FissioneConfig, n: usize, rng: &mut SmallRng) -> Result<Self, FissioneError> {
         cfg.validate()?;
-        if n < cfg.base as usize + 1 {
+        if n < ROOTS {
             return Err(FissioneError::TooSmall);
         }
         let mut net = FissioneNet::new(cfg);
@@ -641,15 +469,19 @@ impl FissioneNet {
     /// Returns [`FissioneError::TargetTooShort`] if `s` is shorter than the
     /// owning region's depth (no PeerID prefixes it).
     pub fn owner_of(&self, s: &KautzStr) -> Result<NodeId, FissioneError> {
-        self.owner_of_enc(enc_probe(s), s.len())
+        self.owner_of_window(ObjectKey::new(s).head(), s.len())
     }
 
-    /// [`owner_of`](Self::owner_of) on an [`enc_probe`] key; `len` is the
-    /// probed string's full length (the error reports it).
-    pub(crate) fn owner_of_enc(&self, key: u128, len: usize) -> Result<NodeId, FissioneError> {
-        let candidate = self.by_id.range((Bound::Unbounded, Bound::Included(key))).next_back();
-        match candidate {
-            Some((&k, &node)) if enc_is_prefix(k, key) => Ok(node),
+    /// [`owner_of`](Self::owner_of) on the window of a string (the key of
+    /// its first 64 symbols, [`ObjectKey::head`]); `len` is the probed
+    /// string's full length (the error reports it).
+    pub(crate) fn owner_of_window(
+        &self,
+        window: PeerKey,
+        len: usize,
+    ) -> Result<NodeId, FissioneError> {
+        match self.by_id.range(..=window).next_back() {
+            Some((&k, &node)) if k.is_prefix_of(window) => Ok(node),
             _ => Err(self.target_too_short(len)),
         }
     }
@@ -661,36 +493,28 @@ impl FissioneNet {
     }
 
     /// Live peers whose PeerIDs start with `prefix` (PeerID order).
-    pub fn peers_with_prefix<'a>(
-        &'a self,
-        prefix: &'a KautzStr,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        // The whole subtree is one key interval — the empty prefix (len 0
-        // encodes to key 0) covers everything.
-        let lo = enc_probe(prefix);
-        let hi = if lo == 0 { None } else { enc_subtree_end(lo) };
-        let bounds = (Bound::Included(lo), hi.map_or(Bound::Unbounded, Bound::Excluded));
-        self.by_id.range(bounds).map(|(_, &n)| n)
+    pub fn peers_with_prefix(&self, prefix: &KautzStr) -> impl Iterator<Item = NodeId> + '_ {
+        self.by_id.range(ObjectKey::new(prefix).head().below()).map(|(_, &n)| n)
     }
 
-    /// Live peers whose regions intersect the lexicographic ObjectID range
-    /// `[low, high]` (the query's "destination peers"), in PeerID order.
-    ///
-    /// The routing table's [`RouteTable::run`] of the range's keys as node
-    /// ids (building the table if a membership change dropped it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FissioneError::TargetTooShort`] if `low` is shorter than
-    /// its owning region's depth.
-    pub fn peers_intersecting_range(
-        &self,
-        low: &KautzStr,
-        high: &KautzStr,
-    ) -> Result<Vec<NodeId>, FissioneError> {
-        let table = self.route_table();
-        let run = table.run(ObjectKey::new(low), ObjectKey::new(high))?;
-        Ok(run.map(|rank| table.node(rank)).collect())
+    /// The key of live peer `node`.
+    fn key_of(&self, node: NodeId) -> PeerKey {
+        PeerKey::new(self.peer(node).expect("live node").id())
+    }
+
+    /// Appends the live peers prefix-compatible with `prefix`, in PeerID
+    /// order: the one owning a *proper* prefix of it, if any, then every one
+    /// it prefixes (the cover is prefix-free, so never both). By
+    /// prefix-freeness nothing live sits between such an ancestor and
+    /// `prefix`, so it is the greatest key strictly below — one ordered-map
+    /// probe instead of one per prefix length.
+    fn compatible_into(&self, prefix: PeerKey, out: &mut Vec<NodeId>) {
+        if let Some((&k, &n)) = self.by_id.range(..prefix).next_back() {
+            if k.is_prefix_of(prefix) {
+                out.push(n);
+            }
+        }
+        out.extend(self.by_id.range(prefix.below()).map(|(_, &n)| n));
     }
 
     /// Out-neighbors of `node`: every live peer prefix-compatible with the
@@ -701,46 +525,30 @@ impl FissioneNet {
     ///
     /// Panics if `node` is not live.
     pub fn out_neighbors(&self, node: NodeId) -> Vec<NodeId> {
-        let mut shift = KautzStr::empty(self.cfg.base);
         let mut out = Vec::new();
-        self.out_neighbors_into(node, &mut shift, &mut out);
+        self.out_neighbors_into(node, &mut out);
         out
     }
 
     /// Buffer-reusing core of [`out_neighbors`](Self::out_neighbors):
-    /// overwrites `shift` (working storage) and `out` (the result, in the
-    /// same order `out_neighbors` produces). Query descent calls this once
-    /// per delivery, so steady-state routing allocates nothing here.
+    /// overwrites `out` with the result, in the same order. The shift is
+    /// one key shift, so a walk copies no string and encodes the PeerID
+    /// once.
     ///
     /// # Panics
     ///
     /// Panics if `node` is not live.
-    pub fn out_neighbors_into(&self, node: NodeId, shift: &mut KautzStr, out: &mut Vec<NodeId>) {
-        let id = self.peer(node).expect("live node").id();
-        shift.assign_drop_front(id, 1);
+    pub fn out_neighbors_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
-        // The unique peer owning a *proper* prefix of the shift, if any. By
-        // prefix-freeness nothing live sits between such an ancestor and
-        // the shift, so it is the greatest PeerID strictly below the shift
-        // — one ordered-map probe instead of one per prefix length.
-        let shift_key = enc_probe(shift);
-        if let Some((&k, &n)) =
-            self.by_id.range((Bound::Unbounded, Bound::Excluded(shift_key))).next_back()
-        {
-            if enc_is_prefix(k, shift_key) {
-                out.push(n);
-            }
-        }
-        // Peers extending (or equal to) the shift.
-        out.extend(self.peers_with_prefix(shift));
+        self.compatible_into(self.key_of(node).shift(), out);
     }
 
     /// The routing table of the current cover, built on the first call
     /// after a membership change (`O(N log N)`; concurrent first callers
     /// wait for one build) and shared by every reader until the next one.
     ///
-    /// Who builds one: PIRA and MIRA queries, `peers_intersecting_range`,
-    /// and every route — `next_hop`, `route_fold`, `route`,
+    /// Who builds one: PIRA, MIRA and sequential-walk queries, and every
+    /// route — `next_hop`, `route_fold`, `route`,
     /// `route_avoiding`, `lookup_via_sim` — hence a replica `fetch_cost`,
     /// also the ones `re_replicate` prices for the
     /// copies it places: one build per batch of membership changes, the
@@ -766,41 +574,25 @@ impl FissioneNet {
     ///
     /// Panics if `node` is not live.
     pub fn in_neighbors(&self, node: NodeId) -> Vec<NodeId> {
-        let mut stem = KautzStr::empty(self.cfg.base);
         let mut out = Vec::new();
-        self.in_neighbors_into(node, &mut stem, &mut out);
+        self.in_neighbors_into(node, &mut out);
         out
     }
 
     /// Buffer-reusing core of [`in_neighbors`](Self::in_neighbors):
-    /// overwrites `stem` (working storage) and `out` (the result, in the
-    /// same order `in_neighbors` produces).
+    /// overwrites `out` with the result, in the same order. Per first
+    /// symbol `a` in symbol order, the peers prefix-compatible with the
+    /// stem `a ++ id` — one prepended key group: `a ++` a proper prefix of
+    /// the id, or `a ++ id ++` any tail.
     ///
     /// # Panics
     ///
     /// Panics if `node` is not live.
-    pub fn in_neighbors_into(&self, node: NodeId, stem: &mut KautzStr, out: &mut Vec<NodeId>) {
-        let id = self.peer(node).expect("live node").id();
-        let first = id.first().expect("peer ids are non-empty");
+    pub fn in_neighbors_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
+        let key = self.key_of(node);
         out.clear();
-        for a in 0..=self.cfg.base {
-            if a == first {
-                continue;
-            }
-            stem.assign_prepend(a, id);
-            // W = a ++ (proper prefix of id): a proper prefix of the stem
-            // longer than zero — the same single-probe ancestor search as
-            // `out_neighbors_into` (the empty string is never a PeerID).
-            let stem_key = enc_probe(stem);
-            if let Some((&k, &n)) =
-                self.by_id.range((Bound::Unbounded, Bound::Excluded(stem_key))).next_back()
-            {
-                if enc_is_prefix(k, stem_key) {
-                    out.push(n);
-                }
-            }
-            // W = a ++ id ++ tail (includes a ++ id itself).
-            out.extend(self.peers_with_prefix(stem));
+        for a in (0..ROOTS as u8).filter(|&a| Some(a) != key.first()) {
+            self.compatible_into(key.stem(a), out);
         }
     }
 
@@ -829,7 +621,7 @@ impl FissioneNet {
     /// and cannot be halved. The configured `object_id_len` is too small
     /// for this many peers.
     pub fn try_join(&mut self, rng: &mut SmallRng) -> Result<NodeId, FissioneError> {
-        let probe = KautzStr::random(self.cfg.base, self.cfg.object_id_len, rng);
+        let probe = KautzStr::random(self.cfg.object_id_len, rng);
         let owner = self.owner_of(&probe).expect("cover is complete");
         let victim = match self.cfg.balance {
             BalanceRule::RandomOwner => owner,
@@ -864,7 +656,6 @@ impl FissioneNet {
     /// N = 10⁵–10⁶ (joins spend their time here).
     fn descend_to_local_min(&self, start: NodeId, max_steps: usize) -> NodeId {
         let mut cur = start;
-        let mut buf = KautzStr::empty(self.cfg.base);
         let (mut outs, mut ins) = (Vec::new(), Vec::new());
         // No live peer is shallower than the histogram's global minimum, so
         // a peer already there is a local minimum by definition — skip the
@@ -877,8 +668,8 @@ impl FissioneNet {
             if d == global_min {
                 break;
             }
-            self.out_neighbors_into(cur, &mut buf, &mut outs);
-            self.in_neighbors_into(cur, &mut buf, &mut ins);
+            self.out_neighbors_into(cur, &mut outs);
+            self.in_neighbors_into(cur, &mut ins);
             let best = outs
                 .iter()
                 .chain(ins.iter())
@@ -905,31 +696,18 @@ impl FissioneNet {
     /// sits at [`MAX_PEER_DEPTH`].
     pub fn split_leaf(&mut self, node: NodeId) -> (NodeId, NodeId) {
         self.cover_changed();
-        let old_id = self.slots[node].as_ref().expect("live node").id.clone();
+        let key = self.key_of(node);
+        let depth = key.depth();
+        assert!(depth < self.cfg.object_id_len, "peer regions cannot outgrow ObjectID resolution");
         assert!(
-            old_id.len() < self.cfg.object_id_len,
-            "peer regions cannot outgrow ObjectID resolution"
+            depth < MAX_PEER_DEPTH,
+            "cannot split a depth-{depth} leaf: PeerID keys hold MAX_PEER_DEPTH = {MAX_PEER_DEPTH} symbols"
         );
-        assert!(
-            old_id.len() < MAX_PEER_DEPTH,
-            "cannot split a depth-{} leaf: PeerID keys hold MAX_PEER_DEPTH = {MAX_PEER_DEPTH} symbols",
-            old_id.len()
-        );
-        let mut kids = old_id.child_symbols();
-        let a = kids.next().expect("base ≥ 1 gives two children");
-        let b = kids.next().expect("base ≥ 2 gives two children");
-        let left = old_id.child(a).expect("legal child");
-        let right = old_id.child(b).expect("legal child");
-        self.slots[node].as_mut().expect("live node").id = left.clone();
-
-        self.by_id.remove(&enc_id(&old_id));
-        self.by_id.insert(enc_id(&left), node);
-        self.bump_depth(old_id.len(), -1);
-        self.bump_depth(old_id.len() + 1, 1);
-
-        let newcomer = self.alloc_slot(Peer { id: right.clone() });
-        self.by_id.insert(enc_id(&right), newcomer);
-        self.bump_depth(old_id.len() + 1, 1);
+        let [left, right] = key.children();
+        self.relabel(node, key, left);
+        let newcomer = self.alloc_slot(Peer { id: label(right) });
+        self.by_id.insert(right, newcomer);
+        self.bump_depth(depth + 1, 1);
         self.live += 1;
         (node, newcomer)
     }
@@ -942,64 +720,51 @@ impl FissioneNet {
     /// Returns [`FissioneError::NoSuchPeer`] for dead ids and
     /// [`FissioneError::TooSmall`] when only the root peers remain.
     pub fn leave(&mut self, node: NodeId) -> Result<(), FissioneError> {
-        let id = self.peer(node)?.id().clone();
-        if self.live <= self.cfg.base as usize + 1 {
+        let key = PeerKey::new(self.peer(node)?.id());
+        if self.live <= ROOTS {
             return Err(FissioneError::TooSmall);
         }
         self.cover_changed();
 
         // Fast path: the sibling leaf exists and can absorb the parent.
-        if id.len() > 1 {
-            let sibling = Self::sibling_label(&id);
-            if let Some(&sib_node) = self.by_id.get(&enc_id(&sibling)) {
-                let parent = id.take_front(id.len() - 1);
-                self.free_slot(node, &id);
-                self.by_id.remove(&enc_id(&sibling));
-                self.by_id.insert(enc_id(&parent), sib_node);
-                self.slots[sib_node].as_mut().expect("live sibling").id = parent;
-                self.bump_depth(id.len(), -1);
-                self.bump_depth(id.len() - 1, 1);
+        if key.depth() > 1 {
+            if let Some(&sib_node) = self.by_id.get(&key.sibling()) {
+                self.free_slot(node, key);
+                self.relabel(sib_node, key.sibling(), key.parent());
                 return Ok(());
             }
         }
 
         // Donor path: merge the deepest sibling-leaf pair (inside the
-        // sibling subtree when one exists, else anywhere), freeing a peer
-        // that adopts the leaver's label.
-        let scope =
-            if id.len() > 1 { Self::sibling_label(&id) } else { KautzStr::empty(self.cfg.base) };
-        let deepest = self
-            .peers_with_prefix(&scope)
-            .filter(|&n| n != node)
-            .max_by_key(|&n| self.slots[n].as_ref().expect("live").id.len())
+        // sibling subtree when one exists, else anywhere; the last of the
+        // deepest in PeerID order), freeing a peer that adopts the leaver's
+        // label.
+        let scope = if key.depth() > 1 { key.sibling() } else { PeerKey::EMPTY };
+        let (deep, donor) = self
+            .by_id
+            .range(scope.below())
+            .map(|(&k, &n)| (k, n))
+            .filter(|&(_, n)| n != node)
+            .max_by_key(|&(k, _)| k.depth())
             .ok_or(FissioneError::TooSmall)?;
-        let deep_id = self.slots[deepest].as_ref().expect("live").id.clone();
-        if deep_id.len() <= scope.len().max(1) {
+        if deep.depth() <= scope.depth().max(1) {
             // Scope contains only its root: nothing to merge.
             return Err(FissioneError::TooSmall);
         }
 
         // Merge the deepest pair: its sibling must itself be a leaf.
-        let deep_sibling = Self::sibling_label(&deep_id);
         let sib_node =
-            *self.by_id.get(&enc_id(&deep_sibling)).expect("sibling of a deepest leaf is a leaf");
+            *self.by_id.get(&deep.sibling()).expect("sibling of a deepest leaf is a leaf");
         debug_assert_ne!(sib_node, node);
-        let parent = deep_id.take_front(deep_id.len() - 1);
-        self.by_id.remove(&enc_id(&deep_sibling));
-        self.by_id.insert(enc_id(&parent), sib_node);
-        self.slots[sib_node].as_mut().expect("live sibling").id = parent;
-        self.bump_depth(deep_id.len(), -2);
-        self.bump_depth(deep_id.len() - 1, 1);
+        self.relabel(sib_node, deep.sibling(), deep.parent());
+        self.by_id.remove(&deep);
+        self.bump_depth(deep.depth(), -1);
 
         // The freed donor adopts the leaver's label, and with it the
-        // leaver's interval.
-        self.by_id.remove(&enc_id(&deep_id));
-        self.slots[deepest].as_mut().expect("live donor").id = id.clone();
-        // The donor replaces the leaver under the same label, so the depth
-        // histogram at `id.len()` is unchanged; only the slot and live count
-        // of the leaver go away.
-        self.by_id.insert(enc_id(&id), deepest);
-        self.slots[node] = None;
+        // leaver's interval: the depth histogram at the leaver's depth is
+        // unchanged; only the leaver's slot and live count go away.
+        self.slots[donor] = self.slots[node].take();
+        self.by_id.insert(key, donor);
         self.free_slots.push(Reverse(node));
         self.live -= 1;
         Ok(())
@@ -1014,7 +779,7 @@ impl FissioneNet {
     ///
     /// Same conditions as [`FissioneNet::leave`].
     pub fn crash(&mut self, node: NodeId) -> Result<usize, FissioneError> {
-        let (first, last) = PeerKey(enc_id(self.peer(node)?.id())).interval().into_inner();
+        let (first, last) = PeerKey::new(self.peer(node)?.id()).interval().into_inner();
         self.leave(node)?;
         let column = self.objects.column_mut();
         let start = column.partition_point(|&(key, _)| key < first);
@@ -1063,15 +828,10 @@ impl FissioneNet {
     /// reverse of the out-neighbor relation, so each edge `u → v` is folded
     /// into both endpoints' gaps.
     fn gaps(&self) -> Gaps {
-        let mut gaps = Gaps {
-            gap: vec![0; self.slots.len()],
-            label: KautzStr::empty(self.cfg.base),
-            row: Vec::new(),
-            moved: Vec::new(),
-        };
+        let mut gaps = Gaps { gap: vec![0; self.slots.len()], row: Vec::new(), moved: Vec::new() };
         for (node, slot) in self.slots.iter().enumerate() {
             let Some(peer) = slot else { continue };
-            self.out_neighbors_into(node, &mut gaps.label, &mut gaps.row);
+            self.out_neighbors_into(node, &mut gaps.row);
             for &nb in &gaps.row {
                 let (depth, nb_depth) = (peer.depth(), self.depth_of(nb));
                 gaps.gap[node] = gaps.gap[node].max(gap_between(depth, nb_depth));
@@ -1082,14 +842,14 @@ impl FissioneNet {
     }
 
     /// The gap of live peer `node`, derived from both its neighbor sets.
-    fn gap_of(&self, node: NodeId, label: &mut KautzStr, row: &mut Vec<NodeId>) -> u8 {
+    fn gap_of(&self, node: NodeId, row: &mut Vec<NodeId>) -> u8 {
         let depth = self.depth_of(node);
         let widest = |row: &[NodeId]| {
             row.iter().map(|&nb| gap_between(depth, self.depth_of(nb))).max().unwrap_or(0)
         };
-        self.out_neighbors_into(node, label, row);
+        self.out_neighbors_into(node, row);
         let out_gap = widest(row);
-        self.in_neighbors_into(node, label, row);
+        self.in_neighbors_into(node, row);
         out_gap.max(widest(row))
     }
 
@@ -1136,15 +896,15 @@ impl FissioneNet {
         gaps.moved.clear();
         for node in changed {
             gaps.moved.push(node);
-            self.out_neighbors_into(node, &mut gaps.label, &mut gaps.row);
+            self.out_neighbors_into(node, &mut gaps.row);
             gaps.moved.extend_from_slice(&gaps.row);
-            self.in_neighbors_into(node, &mut gaps.label, &mut gaps.row);
+            self.in_neighbors_into(node, &mut gaps.row);
             gaps.moved.extend_from_slice(&gaps.row);
         }
         gaps.moved.sort_unstable();
         gaps.moved.dedup();
         for &node in &gaps.moved {
-            gaps.gap[node] = self.gap_of(node, &mut gaps.label, &mut gaps.row);
+            gaps.gap[node] = self.gap_of(node, &mut gaps.row);
         }
         true
     }
@@ -1174,25 +934,16 @@ impl FissioneNet {
     /// (now their parent), `target` (now its left child) and the newcomer on
     /// the right child.
     fn migrate(&mut self, donor: NodeId, target: NodeId) -> [NodeId; 3] {
-        let deep_id = self.slots[donor].as_ref().expect("live").id.clone();
-        debug_assert!(deep_id.len() > 1, "root peers are never deepest in a violation");
-        let sibling = Self::sibling_label(&deep_id);
+        let deep = self.key_of(donor);
+        debug_assert!(deep.depth() > 1, "root peers are never deepest in a violation");
         let sib_node =
-            *self.by_id.get(&enc_id(&sibling)).expect("sibling of the deepest leaf is a leaf");
+            *self.by_id.get(&deep.sibling()).expect("sibling of the deepest leaf is a leaf");
         // Both sit two levels or more below the target, so neither is it.
         debug_assert_ne!(donor, target, "the deepest leaf violates nothing");
         debug_assert_ne!(sib_node, target, "the donor's sibling is as deep as the donor");
         self.cover_changed();
-        let parent = deep_id.take_front(deep_id.len() - 1);
-        self.by_id.remove(&enc_id(&sibling));
-        self.by_id.insert(enc_id(&parent), sib_node);
-        self.slots[sib_node].as_mut().expect("live").id = parent;
-        self.bump_depth(deep_id.len(), -2);
-        self.bump_depth(deep_id.len() - 1, 1);
-        self.by_id.remove(&enc_id(&deep_id));
-        self.live -= 1; // donor temporarily out
-        self.slots[donor] = None;
-        self.free_slots.push(Reverse(donor));
+        self.relabel(sib_node, deep.sibling(), deep.parent());
+        self.free_slot(donor, deep); // the donor, out until the split
 
         // Split the target; the lowest free slot takes the right child.
         let (kept, newcomer) = self.split_leaf(target);
@@ -1221,7 +972,7 @@ impl FissioneNet {
     /// The peer that stores `key`, an ObjectID of `object_id_len` symbols.
     fn key_owner(&self, key: ObjectKey) -> Result<NodeId, FissioneError> {
         let len = self.object_id_len(key.len())?;
-        self.owner_of_enc(key.head(), len)
+        self.owner_of_window(key.head(), len)
     }
 
     /// Table entries with keys in `[from, to]`, ascending (none when
@@ -1280,25 +1031,9 @@ impl FissioneNet {
         low: ObjectKey,
         high: ObjectKey,
     ) -> &[(ObjectKey, u64)] {
-        let interval = |node| PeerKey(enc_id(self.peer(node).expect("live node").id())).interval();
+        let interval = |node| self.key_of(node).interval();
         let (from, to) = (*interval(first).start(), *interval(last).end());
         self.entries(from.max(low), to.min(high))
-    }
-
-    /// The handles `node` stores under ObjectIDs in `[low, high]` — the
-    /// local scan one destination peer performs to answer a range query.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not live.
-    pub fn handles_in_range(
-        &self,
-        node: NodeId,
-        low: &KautzStr,
-        high: &KautzStr,
-    ) -> impl Iterator<Item = u64> + '_ {
-        let (low, high) = (ObjectKey::new(low), ObjectKey::new(high));
-        self.entries_in_stretch((node, node), low, high).iter().map(|&(_, handle)| handle)
     }
 
     /// Verifies the hard invariants (complete prefix-free cover, well-formed
@@ -1315,7 +1050,7 @@ impl FissioneNet {
         for (i, slot) in self.slots.iter().enumerate() {
             if let Some(p) = slot {
                 live += 1;
-                if self.by_id.get(&enc_id(&p.id)) != Some(&i) {
+                if self.by_id.get(&PeerKey::new(&p.id)) != Some(&i) {
                     return Err(FissioneError::InvariantViolated(report));
                 }
             }
@@ -1329,9 +1064,9 @@ impl FissioneNet {
         }
         // Prefix-freeness: adjacent sorted ids must not nest (encoded key
         // order is id order, and nesting is exactly the prefix interval).
-        let keys: Vec<u128> = self.by_id.keys().copied().collect();
+        let keys: Vec<PeerKey> = self.by_id.keys().copied().collect();
         for w in keys.windows(2) {
-            if enc_is_prefix(w[0], w[1]) {
+            if w[0].is_prefix_of(w[1]) {
                 return Err(FissioneError::InvariantViolated(report));
             }
         }
@@ -1343,7 +1078,7 @@ impl FissioneNet {
         let d_max = report.max_depth as u32;
         let mut total: u128 = 0;
         for &k in self.by_id.keys() {
-            total += 1u128 << (d_max - enc_len(k) as u32);
+            total += 1u128 << (d_max - k.depth() as u32);
         }
         if total != 3u128 << (d_max - 1) {
             return Err(FissioneError::InvariantViolated(report));
@@ -1351,9 +1086,9 @@ impl FissioneNet {
         // The object table: every key is the exact form of an ObjectID of
         // the configured length (which peer stores it needs no check: that
         // is read off the key).
-        let is_object_id = |id: KautzStr| id.len() == self.cfg.object_id_len;
-        let column = self.objects.column();
-        if !column.iter().all(|(key, _)| key.decode(self.cfg.base).is_some_and(is_object_id)) {
+        let is_object_id =
+            |key: &ObjectKey| key.decode().is_some_and(|id| id.len() == self.cfg.object_id_len);
+        if !self.objects.column().iter().all(|(key, _)| is_object_id(key)) {
             return Err(FissioneError::InvariantViolated(report));
         }
         Ok(report)
@@ -1393,24 +1128,23 @@ impl FissioneNet {
         self.slots[node].as_ref().expect("live").id.len()
     }
 
-    fn sibling_label(id: &KautzStr) -> KautzStr {
-        let parent = id.take_front(id.len() - 1);
-        let last = id.last().expect("non-empty");
-        let other = parent
-            .child_symbols()
-            .find(|&s| s != last)
-            .expect("base ≥ 2 ⇒ a sibling symbol exists");
-        parent.child(other).expect("legal child")
-    }
-
-    fn insert_peer(&mut self, id: KautzStr) -> NodeId {
+    fn insert_peer(&mut self, key: PeerKey) -> NodeId {
         self.cover_changed();
-        let key = enc_id(&id);
-        let node = self.alloc_slot(Peer { id: id.clone() });
-        self.bump_depth(id.len(), 1);
+        self.bump_depth(key.depth(), 1);
+        let node = self.alloc_slot(Peer { id: label(key) });
         self.by_id.insert(key, node);
         self.live += 1;
         node
+    }
+
+    /// Moves live peer `node` from key `from` to key `to`, rewriting its
+    /// PeerID from the key.
+    fn relabel(&mut self, node: NodeId, from: PeerKey, to: PeerKey) {
+        self.by_id.remove(&from);
+        self.by_id.insert(to, node);
+        self.slots[node].as_mut().expect("live node").id = label(to);
+        self.bump_depth(from.depth(), -1);
+        self.bump_depth(to.depth(), 1);
     }
 
     fn alloc_slot(&mut self, peer: Peer) -> NodeId {
@@ -1426,12 +1160,12 @@ impl FissioneNet {
         }
     }
 
-    fn free_slot(&mut self, node: NodeId, id: &KautzStr) {
+    fn free_slot(&mut self, node: NodeId, key: PeerKey) {
         // Remove the by_id entry only if it still points at this slot (the
         // label may already have been adopted by a donor).
-        if self.by_id.get(&enc_id(id)) == Some(&node) {
-            self.by_id.remove(&enc_id(id));
-            self.bump_depth(id.len(), -1);
+        if self.by_id.get(&key) == Some(&node) {
+            self.by_id.remove(&key);
+            self.bump_depth(key.depth(), -1);
         }
         self.slots[node] = None;
         self.free_slots.push(Reverse(node));
@@ -1512,7 +1246,7 @@ mod tests {
         let net = build(300, 3);
         let mut rng = simnet::rng_from_seed(33);
         for _ in 0..200 {
-            let s = KautzStr::random(2, net.config().object_id_len, &mut rng);
+            let s = KautzStr::random(net.config().object_id_len, &mut rng);
             let owner = net.owner_of(&s).unwrap();
             let owner_id = net.peer_id(owner).unwrap();
             assert!(owner_id.is_prefix_of(&s));
@@ -1586,7 +1320,7 @@ mod tests {
         let mut net = build(100, 8);
         let mut rng = simnet::rng_from_seed(88);
         for h in 0..50u64 {
-            let obj = KautzStr::random(2, net.config().object_id_len, &mut rng);
+            let obj = KautzStr::random(net.config().object_id_len, &mut rng);
             let owner = net.publish(ObjectKey::new(&obj), h).unwrap();
             let (found, handles) = net.lookup(ObjectKey::new(&obj)).unwrap();
             let handles: Vec<u64> = handles.collect();
@@ -1601,7 +1335,7 @@ mod tests {
         let mut net = FissioneNet::new(small_cfg());
         let mut rng = simnet::rng_from_seed(9);
         for h in 0..200u64 {
-            let obj = KautzStr::random(2, net.config().object_id_len, &mut rng);
+            let obj = KautzStr::random(net.config().object_id_len, &mut rng);
             net.publish(ObjectKey::new(&obj), h).unwrap();
         }
         for _ in 0..50 {
@@ -1616,7 +1350,7 @@ mod tests {
         let mut rng = simnet::rng_from_seed(10);
         let mut net = FissioneNet::new(small_cfg());
         // Split "0" into 01, 02; then have 02 leave: 01 should become 0.
-        let zero = *net.by_id.get(&enc_id(&ks("0"))).unwrap();
+        let zero = *net.by_id.get(&key(&ks("0"))).unwrap();
         let (left, right) = net.split_leaf(zero);
         assert_eq!(net.peer_id(left).unwrap(), &ks("01"));
         assert_eq!(net.peer_id(right).unwrap(), &ks("02"));
@@ -1632,7 +1366,7 @@ mod tests {
         let mut net = FissioneNet::build(small_cfg(), 60, &mut rng).unwrap();
         // Publish objects, then churn heavily.
         for h in 0..100u64 {
-            let obj = KautzStr::random(2, net.config().object_id_len, &mut rng);
+            let obj = KautzStr::random(net.config().object_id_len, &mut rng);
             net.publish(ObjectKey::new(&obj), h).unwrap();
         }
         for _ in 0..30 {
@@ -1651,7 +1385,7 @@ mod tests {
         let mut net = FissioneNet::build(small_cfg(), 40, &mut rng).unwrap();
         let mut published = 0;
         for h in 0..60u64 {
-            let obj = KautzStr::random(2, net.config().object_id_len, &mut rng);
+            let obj = KautzStr::random(net.config().object_id_len, &mut rng);
             net.publish(ObjectKey::new(&obj), h).unwrap();
             published += 1;
         }
@@ -1832,145 +1566,17 @@ mod tests {
     }
 
     fn key(id: &KautzStr) -> PeerKey {
-        PeerKey(enc_id(id))
+        PeerKey::new(id)
     }
 
     /// A region of `k`-symbol strings whose endpoints share their first
     /// `share` symbols (junction permitting) and are otherwise independent.
     fn random_region(k: usize, share: usize, rng: &mut SmallRng) -> KautzRegion {
-        let a = KautzStr::random(2, k, rng);
-        let b = KautzStr::random(2, k, rng);
+        let a = KautzStr::random(k, rng);
+        let b = KautzStr::random(k, rng);
         let b = a.take_front(share).concat(&b.drop_front(share)).unwrap_or(b);
         let (low, high) = if a <= b { (a, b) } else { (b, a) };
         KautzRegion::new(low, high).unwrap()
-    }
-
-    /// The key-space form of a string region.
-    fn key_region(region: &KautzRegion) -> KeyRegion {
-        KeyRegion::new(ObjectKey::new(region.low()), ObjectKey::new(region.high()))
-    }
-
-    /// `region` and the sub-regions PIRA routes it as.
-    fn with_sub_regions(region: KautzRegion) -> Vec<KautzRegion> {
-        let mut all = region.split_by_common_prefix();
-        all.push(region);
-        all
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        #[test]
-        fn key_space_region_test_equals_intersects_prefix(
-            seed in any::<u64>(),
-            k in prop_oneof![Just(24usize), Just(100usize)],
-            share in 0usize..100,
-        ) {
-            let mut rng = simnet::rng_from_seed(seed);
-            for region in with_sub_regions(random_region(k, share % k, &mut rng)) {
-                let keys = key_region(&region);
-                // Every depth a live PeerID can have, past `k` included
-                // (a prefix longer than the region's strings meets nothing).
-                for n in 1..=MAX_PEER_DEPTH {
-                    let (low, high) = (region.low().take_front(n), region.high().take_front(n));
-                    let edge = [low.successor(), high.successor()].into_iter().flatten();
-                    let probes = [low.clone(), high.clone(), KautzStr::random(2, n, &mut rng)];
-                    for p in probes.into_iter().chain(edge) {
-                        prop_assert_eq!(
-                            keys.intersects(key(&p)),
-                            region.intersects_prefix(&p),
-                            "{} ∩ {}", region, p
-                        );
-                    }
-                }
-            }
-        }
-
-        #[test]
-        fn peer_key_suffix_overlap_equals_the_string_form(
-            seed in any::<u64>(),
-            k in prop_oneof![Just(24usize), Just(100usize)],
-            share in 0usize..100,
-        ) {
-            let mut rng = simnet::rng_from_seed(seed);
-            let region = random_region(k, share % k, &mut rng);
-            let com_t = region.common_prefix();
-            let target = ObjectKey::new(region.low());
-            for _ in 0..32 {
-                // A PeerID of any live depth, often ending in a piece of
-                // `ComT` so that long overlaps occur.
-                let depth = rng.gen_range(1..=MAX_PEER_DEPTH);
-                let tail = com_t.take_front(rng.gen_range(0..=depth.min(com_t.len())));
-                let id = loop {
-                    let head = KautzStr::random(2, depth - tail.len(), &mut rng);
-                    if let Ok(id) = head.concat(&tail) {
-                        break id;
-                    }
-                };
-                let peer = PeerKey::new(&id);
-                prop_assert_eq!(peer.depth(), depth);
-                for n in [0, com_t.len().min(1), com_t.len() / 2, com_t.len()] {
-                    prop_assert_eq!(
-                        peer.longest_suffix_prefix(target, n),
-                        id.longest_suffix_prefix(&com_t.take_front(n)),
-                        "{} against {}[..{}]", id, com_t, n
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn key_space_subtree_test_equals_intersects_prefix_parts(
-            seed in any::<u64>(),
-            k in prop_oneof![Just(24usize), Just(100usize)],
-            share in 0usize..100,
-        ) {
-            let mut rng = simnet::rng_from_seed(seed);
-            let (mut pruned, mut kept) = (0, 0);
-            for region in with_sub_regions(random_region(k, share % k, &mut rng)) {
-                let keys = key_region(&region);
-                for f in 0..=k.min(MAX_PEER_DEPTH) {
-                    let com_s = region.low().take_front(f);
-                    for _ in 0..6 {
-                        // A child of any live depth, stripped by anything up
-                        // to past its end (`strip ≥ len(child)`: no tail).
-                        let child_len = rng.gen_range(1..=MAX_PEER_DEPTH);
-                        let strip = rng.gen_range(0..child_len + 3);
-                        let t = child_len.saturating_sub(strip);
-                        if f + t > ENC_SYMS {
-                            continue;
-                        }
-                        // The tail continues the region's own endpoints as
-                        // often as not (else nearly everything prunes); a
-                        // random tail repeats the junction symbol one time
-                        // in three.
-                        let end = [region.low(), region.high()][rng.gen_range(0..2usize)];
-                        let tail = if f + t <= k && rng.gen_range(0..2) == 0 {
-                            end.drop_front(f).take_front(t)
-                        } else {
-                            KautzStr::random(2, t, &mut rng)
-                        };
-                        let child = loop {
-                            let head = KautzStr::random(2, child_len - t, &mut rng);
-                            if let Ok(child) = head.concat(&tail) {
-                                break child;
-                            }
-                        };
-                        let expect = region.intersects_prefix_parts(
-                            &com_s,
-                            child.symbols().get(strip..).unwrap_or(&[]),
-                        );
-                        prop_assert_eq!(
-                            keys.intersects_subtree(f, key(&child), strip),
-                            expect,
-                            "{} vs {} ++ {}[{}..]", region, com_s, child, strip
-                        );
-                        if expect { kept += 1 } else { pruned += 1 }
-                    }
-                }
-            }
-            prop_assert!(pruned > 0 && kept > 0, "one-sided case: {} pruned, {} kept", pruned, kept);
-        }
     }
 
     /// The table against the cover it was built from: its keys are the
@@ -1981,9 +1587,9 @@ mod tests {
         let table = net.route_table();
         assert_eq!(table.len(), net.len());
         for (rank, (&k, &node)) in net.by_id.iter().enumerate() {
-            assert_eq!((table.enc(rank), table.node(rank)), (k, node), "rank {rank}");
+            assert_eq!((table.key(rank), table.node(rank)), (k, node), "rank {rank}");
             assert_eq!(table.rank(node), Some(rank));
-            assert_eq!(table.key(rank), key(net.peer_id(node).unwrap()));
+            assert_eq!(k, key(net.peer_id(node).unwrap()));
             let row: Vec<NodeId> = table.out(rank).map(|r| table.node(r)).collect();
             assert_eq!(row, net.out_neighbors(node), "row of {}", net.peer_id(node).unwrap());
         }
@@ -1999,8 +1605,8 @@ mod tests {
         low: &KautzStr,
         high: &KautzStr,
     ) -> Result<Vec<NodeId>, FissioneError> {
-        let first = enc_id(net.peer_id(net.owner_of(low)?).unwrap());
-        let high = enc_probe(high);
+        let first = key(net.peer_id(net.owner_of(low)?).unwrap());
+        let high = ObjectKey::new(high).head();
         Ok(net.by_id.range(first..).take_while(|&(&k, _)| k <= high).map(|(_, &n)| n).collect())
     }
 
@@ -2067,22 +1673,6 @@ mod tests {
     }
 
     #[test]
-    fn ids_that_first_differ_past_the_window_get_distinct_ordered_keys() {
-        let mut rng = simnet::rng_from_seed(19);
-        for k in [100, 120] {
-            let a = KautzStr::random(2, k, &mut rng);
-            let stem = a.take_front(90);
-            let other = stem.child_symbols().find(|&s| s != a.symbols()[90]).unwrap();
-            let b = stem.child(other).unwrap().min_extension(k);
-            assert_eq!(a.common_prefix_len(&b), 90);
-            let (ka, kb) = (ObjectKey::new(&a), ObjectKey::new(&b));
-            assert_eq!(ka.head(), kb.head(), "the window alone cannot tell them apart");
-            assert_eq!(ka.cmp(&kb), a.cmp(&b));
-            assert_ne!(ka, kb);
-        }
-    }
-
-    #[test]
     fn object_ids_of_another_length_are_refused_at_the_door() {
         let mut net = build(50, 20);
         for len in [23, 25, 30, 200] {
@@ -2108,7 +1698,7 @@ mod tests {
         }
         for len in [125, 126, MAX_OBJECT_ID_LEN] {
             let mut net = FissioneNet::build(cfg(len), 40, &mut rng).unwrap();
-            let object = KautzStr::random(2, len, &mut rng);
+            let object = KautzStr::random(len, &mut rng);
             let owner = net.publish(ObjectKey::new(&object), 3).unwrap();
             assert_eq!(net.lookup(ObjectKey::new(&object)).unwrap().0, owner);
             assert_eq!(net.handles_under(ObjectKey::new(&object)).collect::<Vec<_>>(), [3]);
@@ -2119,7 +1709,7 @@ mod tests {
     #[test]
     fn a_join_below_the_object_id_resolution_is_refused() {
         let cfg = FissioneConfig { object_id_len: 4, ..FissioneConfig::default() };
-        let capacity = KautzStr::count(2, 4) as usize;
+        let capacity = KautzStr::count(4) as usize;
         let refused = FissioneError::ObjectIdTooShort { depth: 4, object_id_len: 4 };
         let mut rng = simnet::rng_from_seed(22);
         // More peers than ObjectIDs.
@@ -2135,50 +1725,18 @@ mod tests {
         let mut twin = rng.clone();
         assert_eq!(net.try_join(&mut rng), Err(refused.clone()));
         // The refused join drew its namespace point all the same.
-        KautzStr::random(2, 4, &mut twin);
+        KautzStr::random(4, &mut twin);
         assert_eq!(rng.gen::<u64>(), twin.gen::<u64>());
         let limit = dht_api::DynamicDht::join(&mut net, &mut rng);
         assert_eq!(limit, Err(dht_api::SchemeError::Build(refused.to_string())));
         assert_eq!(net.check_invariants().unwrap(), full);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn object_keys_order_and_partition_like_the_strings(
-            seed in any::<u64>(),
-            k in prop_oneof![Just(24usize), Just(64), Just(65), Just(100), Just(120)],
-            share in 0usize..120,
-        ) {
-            let mut rng = simnet::rng_from_seed(seed);
-            let region = random_region(k, share % k, &mut rng);
-            let (a, b) = (region.low(), region.high());
-            let (ka, kb) = (ObjectKey::new(a), ObjectKey::new(b));
-            // Same order, and equal keys only for equal ids.
-            prop_assert_eq!(ka.cmp(&kb), a.cmp(b), "{} vs {}", a, b);
-            prop_assert_eq!(ka.decode(2).as_ref(), Some(a));
-            prop_assert_eq!(ka.head(), enc_probe(a));
-            // A peer of any live depth stores exactly what its id prefixes.
-            for n in 1..=MAX_PEER_DEPTH.min(k) {
-                let (low, high) = (a.take_front(n), b.take_front(n));
-                let edge = [low.successor(), high.successor()].into_iter().flatten();
-                let peers = [low.clone(), high.clone(), KautzStr::random(2, n, &mut rng)];
-                for p in peers.into_iter().chain(edge) {
-                    for (o, ko) in [(a, ka), (b, kb)] {
-                        let stores = key(&p).interval().contains(&ko);
-                        prop_assert_eq!(stores, p.is_prefix_of(o), "{} under {}", o, p);
-                    }
-                }
-            }
-        }
-    }
-
     /// What `node` stores, read off the table: the entries in its interval.
     fn stored_at(net: &FissioneNet, node: NodeId) -> Vec<(KautzStr, u64)> {
         let (first, last) = key(net.peer_id(node).unwrap()).interval().into_inner();
         let entries = net.entries(first, last).iter();
-        entries.map(|&(k, h)| (k.decode(2).expect("a valid key"), h)).collect()
+        entries.map(|&(k, h)| (k.decode().expect("a valid key"), h)).collect()
     }
 
     type Model = std::collections::BTreeSet<(KautzStr, u64)>;
@@ -2192,20 +1750,23 @@ mod tests {
     /// the model; `[low, high]` is the range the range reads are tried on.
     fn assert_table_matches_the_model(net: &FissioneNet, model: &Model, rng: &mut SmallRng) {
         assert_eq!(net.report().total_objects, model.len());
-        let ends = [KautzStr::random(2, 24, rng), KautzStr::random(2, 24, rng)];
+        let ends = [KautzStr::random(24, rng), KautzStr::random(24, rng)];
         let (low, high) = (ends.iter().min().unwrap(), ends.iter().max().unwrap());
         let in_range = |o: &KautzStr| low <= o && o <= high;
         // The whole destination run as one stretch, then every peer alone.
-        let run = net.peers_intersecting_range(low, high).unwrap();
         let keys = (ObjectKey::new(low), ObjectKey::new(high));
-        let stretch = net.entries_in_stretch((run[0], *run.last().unwrap()), keys.0, keys.1);
+        let table = net.route_table();
+        let run = table.run(keys.0, keys.1).unwrap();
+        let (first, last) = (table.node(run.start), table.node(run.end - 1));
+        let stretch = net.entries_in_stretch((first, last), keys.0, keys.1);
         let whole: Vec<u64> = stretch.iter().map(|&(_, h)| h).collect();
         let expect = pairs(model, in_range);
         assert_eq!(whole, expect.iter().map(|&(_, h)| h).collect::<Vec<_>>(), "[{low}, {high}]");
         for node in net.live_peers() {
             let id = net.peer_id(node).unwrap();
             assert_eq!(stored_at(net, node), pairs(model, |o| id.is_prefix_of(o)), "store of {id}");
-            let local: Vec<u64> = net.handles_in_range(node, low, high).collect();
+            let local = net.entries_in_stretch((node, node), keys.0, keys.1).iter();
+            let local: Vec<u64> = local.map(|&(_, h)| h).collect();
             let expect = pairs(model, |o| id.is_prefix_of(o) && in_range(o));
             assert_eq!(local, expect.iter().map(|&(_, h)| h).collect::<Vec<_>>(), "{id}");
         }
@@ -2246,7 +1807,7 @@ mod tests {
         let mut rng = simnet::rng_from_seed(230);
         for round in 0..4u64 {
             for h in 0..40 {
-                let pair = (KautzStr::random(2, 24, &mut rng), round * 8 + h % 8);
+                let pair = (KautzStr::random(24, &mut rng), round * 8 + h % 8);
                 for net in [&mut read, &mut cloned] {
                     net.publish(ObjectKey::new(&pair.0), pair.1).unwrap();
                 }
@@ -2320,7 +1881,7 @@ mod tests {
                     // A fresh pair two times in three, else one stored before.
                     0..=2 => {
                         let again = model.iter().nth(raw % model.len().max(1)).cloned();
-                        let fresh = (KautzStr::random(2, 24, &mut rng), raw as u64 % 4);
+                        let fresh = (KautzStr::random(24, &mut rng), raw as u64 % 4);
                         let (object, handle) = again.filter(|_| op == 0).unwrap_or(fresh);
                         net.publish(ObjectKey::new(&object), handle).unwrap();
                         model.insert((object, handle));

@@ -114,7 +114,7 @@ mod tests {
         let net = build(300, 51);
         let mut rng = simnet::rng_from_seed(510);
         for q in 0..100u64 {
-            let target = KautzStr::random(2, 24, &mut rng);
+            let target = KautzStr::random(24, &mut rng);
             let from = net.random_peer(&mut rng);
             let walk = net.route(from, &target).unwrap();
             let sim = net.lookup_via_sim(from, &target, q, &FaultPlan::new()).unwrap();
@@ -132,7 +132,7 @@ mod tests {
     fn sim_lookup_returns_stored_handles() {
         let mut net = build(100, 52);
         let mut rng = simnet::rng_from_seed(520);
-        let obj = KautzStr::random(2, 24, &mut rng);
+        let obj = KautzStr::random(24, &mut rng);
         net.publish(ObjectKey::new(&obj), 77).unwrap();
         net.publish(ObjectKey::new(&obj), 78).unwrap();
         let from = net.random_peer(&mut rng);
@@ -149,7 +149,7 @@ mod tests {
         let mut completed = 0;
         let trials = 100;
         for q in 0..trials {
-            let target = KautzStr::random(2, 24, &mut rng);
+            let target = KautzStr::random(24, &mut rng);
             let from = net.random_peer(&mut rng);
             let out = net.lookup_via_sim(from, &target, q, &faults).unwrap();
             if out.completed {
@@ -164,7 +164,7 @@ mod tests {
     fn sim_lookup_to_crashed_owner_never_completes() {
         let net = build(150, 54);
         let mut rng = simnet::rng_from_seed(540);
-        let target = KautzStr::random(2, 24, &mut rng);
+        let target = KautzStr::random(24, &mut rng);
         let owner = net.owner_of(&target).unwrap();
         let from = net.live_peers().find(|&n| n != owner).expect("another peer exists");
         let mut faults = FaultPlan::new();

@@ -10,7 +10,7 @@
 //! A hop is a read of the current peer's [`RouteTable`] row — §3's routing
 //! table *is* the out-neighbor list. `I` extends the left shift `C.id[1..]`,
 //! so its owner is by definition one of the out-neighbors the row holds: the
-//! hop forms `I` on the order-preserving `u128` keys with integer
+//! hop forms `I` on the order-preserving [`PeerKey`]s with integer
 //! operations, then scans the row (2–3 entries under balance) for the one
 //! key that prefixes `I`. A route stands at a *rank* (the peer's position in
 //! PeerID order), and a row is an interval of ranks, so the scan reads the
@@ -34,9 +34,9 @@
 //! and the slide, and the tests below hold routes against the §3 rule on
 //! strings and route trees against one route per target.
 
-use crate::net::{enc_is_prefix, enc_len, enc_probe, RouteTable};
+use crate::net::RouteTable;
 use crate::{FissioneError, FissioneNet};
-use kautz::KautzStr;
+use kautz::{KautzStr, ObjectKey, PeerKey};
 use simnet::{FaultPlan, NodeId};
 
 /// A completed route through the overlay.
@@ -67,56 +67,49 @@ impl Route {
     }
 }
 
-/// A routing target in key space: the [`enc_probe`] window of the target
-/// string (its first 64 symbols — live PeerID depths never approach that,
-/// so every prefix and suffix relation a hop needs is decided inside it)
-/// and the string's full length.
+/// A routing target in key space: the window of the target string (the
+/// key of its first 64 symbols, [`ObjectKey::head`] — live PeerID depths
+/// never approach that, so every prefix and suffix relation a hop needs is
+/// decided inside it) and the string's full length.
 #[derive(Debug, Clone, Copy)]
 struct Target {
-    probe: u128,
+    probe: PeerKey,
     len: usize,
 }
 
 impl Target {
     fn of(target: &KautzStr) -> Self {
-        Target { probe: enc_probe(target), len: target.len() }
+        Target { probe: ObjectKey::new(target).head(), len: target.len() }
     }
 }
 
 /// Where a route stands: at the live peer of rank `rank` (node id `node`,
 /// read as the hop lands, for the fold's edge callback and the result),
-/// whose `RouteTable::enc` key is `key`, and `j`, the length of the longest
-/// proper suffix of that key which prefixes the target (the overlap the
-/// next hop continues from).
+/// whose key is `key`, and `j`, the length of the longest proper suffix of
+/// that key which prefixes the target (the overlap the next hop continues
+/// from).
 #[derive(Debug, Clone, Copy)]
 struct At {
     rank: usize,
     node: NodeId,
-    key: u128,
+    key: PeerKey,
     j: usize,
 }
 
 impl At {
     /// A route's first position: the overlap found by sliding.
     fn start(table: &RouteTable, rank: usize, target: Target) -> Self {
-        let key = table.enc(rank);
+        let key = table.key(rank);
         At { rank, node: table.node(rank), key, j: overlap(key, target) }
     }
 }
 
 /// The longest proper suffix of the id keyed `id` that prefixes `target`:
-/// with the id's last `j` groups slid to the top of the key, they equal the
-/// target's first `j` iff the two keys first differ below them (a target
-/// shorter than `j` has a zero group there, an id never). The slide starts
-/// at `j = len − 1` and the first hit is the longest; it costs a constant
-/// shift and a `leading_zeros` per step, at most `len(id)` steps.
-fn overlap(id: u128, target: Target) -> usize {
-    let (mut suffix, mut j) = (id << 2, enc_len(id) - 1);
-    while j > 0 && (suffix ^ target.probe).leading_zeros() < 2 * j as u32 {
-        suffix <<= 2;
-        j -= 1;
-    }
-    j
+/// the longest suffix of its shift `id[1..]` that does. The slide starts at
+/// `j = len − 1` and the first hit is the longest; it costs a shift and a
+/// compare per step, at most `len(id)` steps.
+fn overlap(id: PeerKey, target: Target) -> usize {
+    id.shift().longest_suffix_prefix(target.probe, target.len)
 }
 
 /// One peer on the route [`FissioneNet::route_tree_fold`] walked last: where
@@ -207,15 +200,14 @@ impl FissioneNet {
         target: Target,
     ) -> Result<Option<(At, bool)>, FissioneError> {
         let At { rank, key: id, j, .. } = at;
-        if enc_is_prefix(id, target.probe) {
+        if id.is_prefix_of(target.probe) {
             return Ok(None);
         }
         debug_assert_eq!(j, overlap(id, target), "rank {rank} carried a wrong overlap");
-        let len = enc_len(id);
+        let len = id.depth();
         // The ideal continuation `id[1..] ++ target[j..]`, windowed like any
-        // other probe: the target laid over the shift's last `j` groups,
-        // which it repeats.
-        let ideal = (id << 2) | (target.probe >> (2 * (len - 1 - j)));
+        // other probe.
+        let ideal = id.shift_toward(target.probe, j);
         let ideal_len = len - 1 + target.len - j;
         // Its owner prefixes an extension of the shift `id[1..]`, which makes
         // it an out-neighbor; the cover being prefix-free, at most one key
@@ -224,12 +216,12 @@ impl FissioneNet {
             table.prefixing(table.out(rank), ideal).ok_or_else(|| self.target_too_short(ideal_len));
         debug_assert_eq!(
             next.clone().map(|(owner, _)| table.node(owner)),
-            self.owner_of_enc(ideal, ideal_len),
+            self.owner_of_window(ideal, ideal_len),
             "the row of rank {rank} and the ordered cover disagree on an owner"
         );
         let (next, key) = next?;
         debug_assert_ne!(next, rank, "Kautz shift cannot map a peer to itself");
-        let next_len = enc_len(key);
+        let next_len = key.depth();
         let carried = next_len + 1 >= len;
         let j = if carried { j + next_len + 1 - len } else { overlap(key, target) };
         Ok(Some((At { rank: next, node: table.node(next), key, j }, carried)))
@@ -311,16 +303,16 @@ impl FissioneNet {
         order.sort_unstable_by_key(|&i| keys[i as usize].probe);
         let cap = self.max_depth() + 2;
         // The probe of the target whose route `frames` holds.
-        let mut prev = 0u128;
+        let mut prev = PeerKey::EMPTY;
         for &i in order.iter() {
             let target = keys[i as usize];
             let start = At::start(table, rank, target);
             let mut depth = 0;
             if frames.first().is_some_and(|origin| origin.at.j == start.j) {
-                let common = ((target.probe ^ prev).leading_zeros() / 2) as usize;
+                let common = target.probe.common_prefix_len(prev);
                 while depth + 1 < frames.len()
                     && frames[depth + 1].need <= common
-                    && !enc_is_prefix(frames[depth].at.key, target.probe)
+                    && !frames[depth].at.key.is_prefix_of(target.probe)
                 {
                     depth += 1;
                 }
@@ -483,9 +475,9 @@ mod tests {
         also: &[NodeId],
     ) -> usize {
         let peers: Vec<NodeId> = net.live_peers().collect();
-        let mut targets = vec![KautzStr::empty(2)];
+        let mut targets = vec![KautzStr::empty()];
         for _ in 0..rounds {
-            let long = KautzStr::random(2, 100, rng);
+            let long = KautzStr::random(100, rng);
             targets.push(net.peer_id(peers[rng.gen_range(0..peers.len())]).unwrap().clone());
             targets.push(long.take_front(rng.gen_range(0..8)));
             targets.push(long);
@@ -588,10 +580,10 @@ mod tests {
         targets.extend(net.peer_id(from).ok().cloned());
         for _ in 0..12 {
             let id = net.peer_id(peers[rng.gen_range(0..peers.len())]).unwrap().clone();
-            let object = KautzStr::random(2, k, rng);
+            let object = KautzStr::random(k, rng);
             targets.push(id.min_extension(k));
             targets.push(object.take_front(rng.gen_range(0..8)));
-            targets.push(KautzStr::random(2, 100, rng));
+            targets.push(KautzStr::random(100, rng));
             targets.extend([id.clone(), id, object]);
         }
         let again = targets[rng.gen_range(0..targets.len())].clone();
@@ -691,7 +683,7 @@ mod tests {
         let net = build(200, 21);
         let mut rng = simnet::rng_from_seed(210);
         for _ in 0..100 {
-            let target = KautzStr::random(2, 24, &mut rng);
+            let target = KautzStr::random(24, &mut rng);
             let owner = net.owner_of(&target).unwrap();
             let from = net.random_peer(&mut rng);
             let route = net.route(from, &target).unwrap();
@@ -705,7 +697,7 @@ mod tests {
         let net = build(500, 22);
         let mut rng = simnet::rng_from_seed(220);
         for _ in 0..200 {
-            let target = KautzStr::random(2, 24, &mut rng);
+            let target = KautzStr::random(24, &mut rng);
             let from = net.random_peer(&mut rng);
             let route = net.route(from, &target).unwrap();
             let depth = net.peer(from).unwrap().depth();
@@ -720,7 +712,7 @@ mod tests {
         let mut total = 0usize;
         let queries = 500;
         for _ in 0..queries {
-            let target = KautzStr::random(2, 24, &mut rng);
+            let target = KautzStr::random(24, &mut rng);
             let from = net.random_peer(&mut rng);
             total += net.route(from, &target).unwrap().hops();
         }
@@ -733,7 +725,7 @@ mod tests {
         let net = build(150, 24);
         let mut rng = simnet::rng_from_seed(240);
         for _ in 0..50 {
-            let target = KautzStr::random(2, 24, &mut rng);
+            let target = KautzStr::random(24, &mut rng);
             let from = net.random_peer(&mut rng);
             let route = net.route(from, &target).unwrap();
             for w in route.path().windows(2) {
@@ -751,7 +743,7 @@ mod tests {
     fn self_route_when_source_owns_target() {
         let net = build(100, 25);
         let mut rng = simnet::rng_from_seed(250);
-        let target = KautzStr::random(2, 24, &mut rng);
+        let target = KautzStr::random(24, &mut rng);
         let owner = net.owner_of(&target).unwrap();
         let route = net.route(owner, &target).unwrap();
         assert_eq!(route.hops(), 0);
@@ -765,7 +757,7 @@ mod tests {
         let mut successes = 0;
         let mut attempts = 0;
         for _ in 0..100 {
-            let target = KautzStr::random(2, 24, &mut rng);
+            let target = KautzStr::random(24, &mut rng);
             let owner = net.owner_of(&target).unwrap();
             let from = net.random_peer(&mut rng);
             if from == owner {

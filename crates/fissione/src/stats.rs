@@ -113,7 +113,7 @@ impl FissioneNet {
         let k = self.config().object_id_len;
         let hops: Vec<f64> = (0..queries)
             .map(|_| {
-                let target = KautzStr::random(self.config().base, k, rng);
+                let target = KautzStr::random(k, rng);
                 let from = self.random_peer(rng);
                 self.route(from, &target).expect("route succeeds").hops() as f64
             })

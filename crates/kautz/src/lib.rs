@@ -2,17 +2,17 @@
 //!
 //! This crate implements the combinatorial substrate shared by the
 //! FISSIONE constant-degree DHT (INFOCOM 2005) and the Armada delay-bounded
-//! range-query scheme (ICDCS 2006):
+//! range-query scheme (ICDCS 2006). The paper runs both on the base-2
+//! Kautz namespace, and so does this crate: the alphabet is `{0, 1, 2}`
+//! and the partition tree is `P(2,k)`.
 //!
 //! * [`KautzStr`] — validated Kautz strings (no two adjacent symbols equal)
-//!   over the alphabet `{0, …, d}`, with the lexicographic order `⪯`,
+//!   over the alphabet `{0, 1, 2}`, with the lexicographic order `⪯`,
 //!   prefix/suffix algebra, and a rank/unrank bijection onto
-//!   `0 .. (d+1)·d^(n-1)`.
+//!   `0 .. 3·2^(n-1)`.
 //! * [`KautzRegion`] — the set of length-`k` Kautz strings between two
 //!   endpoints (Definition 1 of the paper), with prefix-intersection tests and
 //!   the common-prefix splitting rule used by PIRA.
-//! * [`KautzGraph`] — the static Kautz graph `K(d,k)`, used as ground truth
-//!   for topology properties in tests.
 //! * [`partition`] — the partition tree `P(2,k)` (paper §4.1, Figure 3) with
 //!   **exact `u128` fixed-point arithmetic**, so naming stays correct for the
 //!   paper's `k = 100` where `f64` intervals would underflow.
@@ -20,9 +20,12 @@
 //!   (Definition 2: interval-preserving) and partial-order-preserving
 //!   [`MultiHash`](naming::MultiHash) (Definitions 3–4) object-naming
 //!   algorithms, which emit [`ObjectKey`]s directly.
-//! * [`key`] — [`ObjectKey`], the fixed-width form of an ObjectID the
-//!   object table sorts by, and the region arithmetic on it (the
-//!   sub-region split, `|ComT|`) a range query's prologue runs.
+//! * [`key`] — the one packing of a Kautz string into 2-bit groups:
+//!   [`ObjectKey`], the fixed-width form of an ObjectID the object table
+//!   sorts by, with the region arithmetic on it (the sub-region split,
+//!   `|ComT|`) a range query's prologue runs; [`PeerKey`], FISSIONE's
+//!   PeerID key, with the neighbour, split and routing arithmetic on it;
+//!   and [`KeyRegion`], PIRA's pruning predicates on those keys.
 //!
 //! # Example
 //!
@@ -43,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod graph;
 mod region;
 mod string;
 
@@ -52,32 +54,22 @@ pub mod key;
 pub mod naming;
 pub mod partition;
 
-pub use graph::KautzGraph;
-pub use key::ObjectKey;
+pub use key::{KeyRegion, ObjectKey, PeerKey, MAX_PEER_DEPTH};
 pub use region::KautzRegion;
 pub use string::{KautzStr, ParseKautzStrError};
 
 /// Errors produced when constructing or combining Kautz strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KautzError {
-    /// A symbol exceeded the base (symbols must lie in `0..=base`).
+    /// A symbol lay outside the alphabet `{0, 1, 2}`.
     SymbolOutOfRange {
         /// The offending symbol.
         symbol: u8,
-        /// The base `d` of the string (alphabet `{0..=d}`).
-        base: u8,
     },
     /// Two adjacent symbols were equal, which Kautz strings forbid.
     AdjacentRepeat {
         /// Index of the first symbol of the repeated pair.
         index: usize,
-    },
-    /// Operands had different bases.
-    BaseMismatch {
-        /// Base of the left operand.
-        left: u8,
-        /// Base of the right operand.
-        right: u8,
     },
     /// Operands had different lengths where equal lengths are required.
     LengthMismatch {
@@ -106,14 +98,11 @@ pub enum KautzError {
 impl std::fmt::Display for KautzError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            KautzError::SymbolOutOfRange { symbol, base } => {
-                write!(f, "symbol {symbol} out of range for base {base}")
+            KautzError::SymbolOutOfRange { symbol } => {
+                write!(f, "symbol {symbol} outside the alphabet {{0, 1, 2}}")
             }
             KautzError::AdjacentRepeat { index } => {
                 write!(f, "adjacent symbols at indices {index} and {} repeat", index + 1)
-            }
-            KautzError::BaseMismatch { left, right } => {
-                write!(f, "base mismatch: {left} vs {right}")
             }
             KautzError::LengthMismatch { left, right } => {
                 write!(f, "length mismatch: {left} vs {right}")

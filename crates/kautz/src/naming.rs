@@ -488,8 +488,8 @@ mod tests {
         for (a, b) in queries {
             let region = naming.region(a, b).unwrap();
             let whole = KautzRegion::new(
-                KautzStr::empty(2).min_extension(4),
-                KautzStr::empty(2).max_extension(4),
+                KautzStr::empty().min_extension(4),
+                KautzStr::empty().max_extension(4),
             )
             .unwrap();
             for leaf in whole.iter() {
@@ -642,7 +642,7 @@ mod tests {
             let single = SingleHash::new(domain.0, domain.1, k).unwrap();
             let multi = MultiHash::new(&[domain; 3], k).unwrap();
             // NaN clamps to the domain's low end: the lowest key.
-            let lowest = ObjectKey::new(&KautzStr::empty(2).min_extension(k));
+            let lowest = ObjectKey::new(&KautzStr::empty().min_extension(k));
             proptest::prop_assert_eq!(single.object_key(f64::NAN), lowest);
             proptest::prop_assert_eq!(single.object_key(f64::NEG_INFINITY), lowest);
             for _ in 0..32 {

@@ -106,7 +106,7 @@ fn descent(x: ScaledValue) -> impl Iterator<Item = u8> {
 /// Panics if `k == 0` or `k > `[`MAX_DEPTH`].
 pub fn single_hash_scaled(x: ScaledValue, k: usize) -> KautzStr {
     assert!(k > 0 && k <= MAX_DEPTH, "depth {k} out of range");
-    KautzStr::new(2, descent(x).take(k).collect::<Vec<_>>())
+    KautzStr::new(descent(x).take(k).collect::<Vec<_>>())
         .expect("descent emits legal child symbols")
 }
 
@@ -211,7 +211,7 @@ pub fn multiple_hash_scaled(values: &[ScaledValue], k: usize) -> KautzStr {
     assert!(k > 0 && k <= MAX_DEPTH, "depth {k} out of range");
     let m = values.len();
     let mut state: Vec<u128> = values.iter().map(|v| v.raw()).collect();
-    let mut label = KautzStr::empty(2);
+    let mut label = KautzStr::empty();
     for level in 0..k {
         let dim = level % m;
         let (idx, rest) = if level == 0 { step3(state[dim]) } else { step2(state[dim]) };
@@ -452,7 +452,7 @@ mod tests {
         fn rect_via_walk(prefix: &KautzStr, m: usize) -> Vec<BoundaryInterval> {
             let mut lo = vec![0u128; m];
             let mut width = vec![BOUNDARY_DEN; m];
-            let mut context = KautzStr::empty(2);
+            let mut context = KautzStr::empty();
             for (level, &sym) in prefix.symbols().iter().enumerate() {
                 let dim = level % m;
                 let idx = context.child_symbols().position(|s| s == sym).unwrap();
@@ -469,7 +469,7 @@ mod tests {
                 })
                 .collect()
         }
-        let mut frontier = vec![KautzStr::empty(2)];
+        let mut frontier = vec![KautzStr::empty()];
         for _ in 0..=6 {
             let mut next = Vec::new();
             for p in &frontier {
@@ -492,7 +492,7 @@ mod tests {
         for i in 0..130 {
             syms.push(if i % 2 == 0 { 0 } else { 1 });
         }
-        let long = KautzStr::new(2, syms).unwrap();
+        let long = KautzStr::new(syms).unwrap();
         assert!(matches!(rect_of_prefix(&long, 1), Err(KautzError::UnsupportedLength { .. })));
     }
 

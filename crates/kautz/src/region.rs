@@ -3,8 +3,8 @@
 
 use crate::{KautzError, KautzStr};
 
-/// The Kautz region `⟨low, high⟩`: all Kautz strings `s` of the same base and
-/// length as the endpoints with `low ⪯ s ⪯ high`.
+/// The Kautz region `⟨low, high⟩`: all Kautz strings `s` of the same length
+/// as the endpoints with `low ⪯ s ⪯ high`.
 ///
 /// Regions are the image of value ranges under the order-preserving
 /// [`SingleHash`](crate::naming::SingleHash) naming (Definition 2), and the
@@ -33,13 +33,10 @@ impl KautzRegion {
     ///
     /// # Errors
     ///
-    /// Returns an error if the endpoints differ in base or length, or if
+    /// Returns an error if the endpoints differ in length, or if
     /// `low > high` (empty regions are not representable, mirroring the
     /// paper's definition).
     pub fn new(low: KautzStr, high: KautzStr) -> Result<Self, KautzError> {
-        if low.base() != high.base() {
-            return Err(KautzError::BaseMismatch { left: low.base(), right: high.base() });
-        }
         if low.len() != high.len() {
             return Err(KautzError::LengthMismatch { left: low.len(), right: high.len() });
         }
@@ -64,18 +61,10 @@ impl KautzRegion {
         self.low.len()
     }
 
-    /// The base of the region's members.
-    pub fn base(&self) -> u8 {
-        self.low.base()
-    }
-
-    /// Whether `s` belongs to the region. Strings of a different length or
-    /// base never belong.
+    /// Whether `s` belongs to the region. Strings of a different length
+    /// never belong.
     pub fn contains(&self, s: &KautzStr) -> bool {
-        s.len() == self.low.len()
-            && s.base() == self.low.base()
-            && *s >= self.low
-            && *s <= self.high
+        s.len() == self.low.len() && *s >= self.low && *s <= self.high
     }
 
     /// Whether some member of the region has `prefix` as a prefix.
@@ -86,7 +75,7 @@ impl KautzRegion {
     /// `min_ext(prefix) ≤ high ∧ max_ext(prefix) ≥ low` — streamed
     /// symbol-by-symbol, so the test never materializes the extensions.
     pub fn intersects_prefix(&self, prefix: &KautzStr) -> bool {
-        if prefix.base() != self.base() || prefix.len() > self.string_len() {
+        if prefix.len() > self.string_len() {
             return false;
         }
         self.intersects_extended(prefix.symbols(), &[])
@@ -101,9 +90,6 @@ impl KautzRegion {
     /// the test degrades to `head` alone, matching PIRA's never-prune
     /// fallback for covers that violate the neighborhood invariant.
     pub fn intersects_prefix_parts(&self, head: &KautzStr, tail: &[u8]) -> bool {
-        if head.base() != self.base() {
-            return false;
-        }
         let tail = match (head.last(), tail.first()) {
             (Some(a), Some(&b)) if a == b => &[][..],
             _ => tail,
@@ -118,8 +104,8 @@ impl KautzRegion {
     /// max_ext(head ++ tail) ≥ low`, with both extensions streamed.
     fn intersects_extended(&self, head: &[u8], tail: &[u8]) -> bool {
         use std::cmp::Ordering;
-        cmp_extension(head, tail, self.base(), self.high.symbols(), true) != Ordering::Greater
-            && cmp_extension(head, tail, self.base(), self.low.symbols(), false) != Ordering::Less
+        cmp_extension(head, tail, self.high.symbols(), true) != Ordering::Greater
+            && cmp_extension(head, tail, self.low.symbols(), false) != Ordering::Less
     }
 
     /// The longest common prefix of the two endpoints (`ComT` in §4.2).
@@ -134,8 +120,8 @@ impl KautzRegion {
         self.high.rank() - self.low.rank() + 1
     }
 
-    /// Splits the region into at most `base + 1` sub-regions whose endpoints
-    /// share a non-empty common prefix (§4.2: "at most three" for base 2).
+    /// Splits the region into at most three sub-regions whose endpoints
+    /// share a non-empty common prefix (§4.2).
     ///
     /// If the endpoints already share a prefix the result is `[self]`.
     /// Otherwise the members are grouped by first symbol: the group of
@@ -152,7 +138,7 @@ impl KautzRegion {
         }
         let mut out = Vec::with_capacity((b - a + 1) as usize);
         for sym in a..=b {
-            let head = KautzStr::new(self.base(), vec![sym]).expect("single symbol");
+            let head = KautzStr::new(vec![sym]).expect("single symbol");
             let lo = if sym == a { self.low.clone() } else { head.min_extension(k) };
             let hi = if sym == b { self.high.clone() } else { head.max_extension(k) };
             out.push(KautzRegion::new(lo, hi).expect("group endpoints ordered"));
@@ -174,13 +160,7 @@ impl KautzRegion {
 /// extension symbols on the fly (the streamed twin of
 /// [`KautzStr::min_extension`]/[`KautzStr::max_extension`], which both
 /// continue a prefix one symbol at a time from the previous symbol alone).
-fn cmp_extension(
-    head: &[u8],
-    tail: &[u8],
-    base: u8,
-    other: &[u8],
-    min: bool,
-) -> std::cmp::Ordering {
+fn cmp_extension(head: &[u8], tail: &[u8], other: &[u8], min: bool) -> std::cmp::Ordering {
     let mut prev = None;
     for (i, &o) in other.iter().enumerate() {
         let sym = if i < head.len() {
@@ -194,8 +174,8 @@ fn cmp_extension(
             }
         } else {
             match prev {
-                Some(s) if s == base => base - 1,
-                _ => base,
+                Some(2) => 1,
+                _ => 2,
             }
         };
         match sym.cmp(&o) {
@@ -228,8 +208,8 @@ impl Iterator for Iter<'_> {
         if self.next_rank > self.last_rank {
             return None;
         }
-        let s = KautzStr::unrank(self.region.base(), self.region.string_len(), self.next_rank)
-            .expect("rank within region");
+        let s =
+            KautzStr::unrank(self.region.string_len(), self.next_rank).expect("rank within region");
         self.next_rank += 1;
         Some(s)
     }
@@ -305,7 +285,7 @@ mod tests {
             assert_eq!(r.intersects_prefix(&prefix), truth, "prefix {p}");
         }
         // The empty prefix intersects every non-empty region.
-        assert!(r.intersects_prefix(&KautzStr::empty(2)));
+        assert!(r.intersects_prefix(&KautzStr::empty()));
     }
 
     #[test]
@@ -322,7 +302,7 @@ mod tests {
         let heads = ["", "0", "01", "02", "2", "012", "020"];
         let tails: [&[u8]; 6] = [&[], &[0], &[2], &[0, 1], &[2, 0], &[1, 2, 0, 1]];
         for h in heads {
-            let head = if h.is_empty() { KautzStr::empty(2) } else { ks(h) };
+            let head = if h.is_empty() { KautzStr::empty() } else { ks(h) };
             for tail in tails {
                 let expect = match head.concat(&tail_str(tail)) {
                     Ok(w) => r.intersects_prefix(&w),
@@ -338,7 +318,7 @@ mod tests {
     }
 
     fn tail_str(tail: &[u8]) -> KautzStr {
-        KautzStr::new(2, tail.to_vec()).unwrap()
+        KautzStr::new(tail.to_vec()).unwrap()
     }
 
     #[test]

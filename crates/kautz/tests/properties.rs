@@ -7,15 +7,15 @@ use kautz::partition::{multiple_hash_scaled, rect_of_prefix, single_hash_scaled}
 use kautz::{KautzRegion, KautzStr};
 use proptest::prelude::*;
 
-/// Strategy: a uniformly random Kautz string of the given base and length.
-fn kautz_str(base: u8, len: usize) -> impl Strategy<Value = KautzStr> {
-    let count = KautzStr::count(base, len);
-    (0..count).prop_map(move |r| KautzStr::unrank(base, len, r).expect("rank in range"))
+/// Strategy: a uniformly random Kautz string of the given length.
+fn kautz_str(len: usize) -> impl Strategy<Value = KautzStr> {
+    let count = KautzStr::count(len);
+    (0..count).prop_map(move |r| KautzStr::unrank(len, r).expect("rank in range"))
 }
 
 /// Strategy: an ordered pair of same-length Kautz strings (a valid region).
-fn region(base: u8, len: usize) -> impl Strategy<Value = KautzRegion> {
-    (kautz_str(base, len), kautz_str(base, len)).prop_map(|(a, b)| {
+fn region(len: usize) -> impl Strategy<Value = KautzRegion> {
+    (kautz_str(len), kautz_str(len)).prop_map(|(a, b)| {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         KautzRegion::new(lo, hi).expect("ordered endpoints")
     })
@@ -23,29 +23,29 @@ fn region(base: u8, len: usize) -> impl Strategy<Value = KautzRegion> {
 
 proptest! {
     #[test]
-    fn unranked_strings_are_valid(s in kautz_str(2, 12)) {
-        prop_assert!(KautzStr::new(2, s.symbols().to_vec()).is_ok());
+    fn unranked_strings_are_valid(s in kautz_str(12)) {
+        prop_assert!(KautzStr::new(s.symbols().to_vec()).is_ok());
     }
 
     #[test]
-    fn rank_unrank_roundtrip(s in kautz_str(2, 20)) {
+    fn rank_unrank_roundtrip(s in kautz_str(20)) {
         let r = s.rank();
-        prop_assert_eq!(KautzStr::unrank(2, 20, r).unwrap(), s);
+        prop_assert_eq!(KautzStr::unrank(20, r).unwrap(), s);
     }
 
     #[test]
-    fn rank_is_order_isomorphic(a in kautz_str(2, 10), b in kautz_str(2, 10)) {
+    fn rank_is_order_isomorphic(a in kautz_str(10), b in kautz_str(10)) {
         prop_assert_eq!(a.cmp(&b), a.rank().cmp(&b.rank()));
     }
 
     #[test]
-    fn extensions_bound_all_extensions(prefix in kautz_str(2, 4), suffix_rank in 0u128..1000) {
+    fn extensions_bound_all_extensions(prefix in kautz_str(4), suffix_rank in 0u128..1000) {
         // Any length-10 extension of `prefix` lies between min/max extension.
         let k = 10;
         let tail_len = k - prefix.len();
         // Build an arbitrary valid tail by unranking within the allowed space
         // and gluing only if the junction is legal.
-        let tail = KautzStr::unrank(2, tail_len, suffix_rank % KautzStr::count(2, tail_len)).unwrap();
+        let tail = KautzStr::unrank(tail_len, suffix_rank % KautzStr::count(tail_len)).unwrap();
         if let Ok(full) = prefix.concat(&tail) {
             prop_assert!(prefix.min_extension(k) <= full);
             prop_assert!(full <= prefix.max_extension(k));
@@ -53,7 +53,7 @@ proptest! {
     }
 
     #[test]
-    fn longest_suffix_prefix_matches_bruteforce(a in kautz_str(2, 8), b in kautz_str(2, 8)) {
+    fn longest_suffix_prefix_matches_bruteforce(a in kautz_str(8), b in kautz_str(8)) {
         let fast = a.longest_suffix_prefix(&b);
         let mut brute = 0;
         for j in 1..=8usize {
@@ -65,15 +65,15 @@ proptest! {
     }
 
     #[test]
-    fn successor_is_rank_plus_one(s in kautz_str(2, 9)) {
+    fn successor_is_rank_plus_one(s in kautz_str(9)) {
         match s.successor() {
             Some(next) => prop_assert_eq!(next.rank(), s.rank() + 1),
-            None => prop_assert_eq!(s.rank(), KautzStr::count(2, 9) - 1),
+            None => prop_assert_eq!(s.rank(), KautzStr::count(9) - 1),
         }
     }
 
     #[test]
-    fn region_split_partitions_exactly(r in region(2, 6)) {
+    fn region_split_partitions_exactly(r in region(6)) {
         let parts = r.split_by_common_prefix();
         prop_assert!(parts.len() <= 3);
         // Non-empty common prefix in each part (unless k == 0).
@@ -91,7 +91,7 @@ proptest! {
     }
 
     #[test]
-    fn intersects_prefix_agrees_with_enumeration(r in region(2, 6), p in kautz_str(2, 3)) {
+    fn intersects_prefix_agrees_with_enumeration(r in region(6), p in kautz_str(3)) {
         let truth = r.iter().any(|s| p.is_prefix_of(&s));
         prop_assert_eq!(r.intersects_prefix(&p), truth);
     }

@@ -39,6 +39,9 @@ use skipgraph::SkipGraphNet;
 /// Bits per attribute for the z-order quantisation.
 pub const DEFAULT_BITS: u32 = 10;
 
+/// The most attributes a z-order key holds at [`DEFAULT_BITS`] bits each.
+pub const MAX_ARITY: usize = (sfc::MAX_KEY_BITS / DEFAULT_BITS) as usize;
+
 /// Errors returned by SCRAP operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScrapError {
@@ -54,6 +57,14 @@ pub enum ScrapError {
         /// Index of the offending attribute.
         attribute: usize,
     },
+    /// A build asked for no attributes, or for more than the z-order key
+    /// holds at [`DEFAULT_BITS`] bits each.
+    UnsupportedArity {
+        /// Supplied attribute count.
+        got: usize,
+        /// The most attributes a key holds ([`MAX_ARITY`]).
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for ScrapError {
@@ -64,6 +75,9 @@ impl std::fmt::Display for ScrapError {
             }
             ScrapError::EmptyRange { attribute } => {
                 write!(f, "empty range for attribute {attribute}")
+            }
+            ScrapError::UnsupportedArity { got, max } => {
+                write!(f, "SCRAP serves 1..={max} attributes, got {got}")
             }
         }
     }
@@ -105,8 +119,13 @@ impl ScrapNet {
     ///
     /// # Errors
     ///
-    /// Returns [`ScrapError::EmptyRange`] for an empty domain.
+    /// Returns [`ScrapError::UnsupportedArity`] unless there are
+    /// `1..=`[`MAX_ARITY`] domains, and [`ScrapError::EmptyRange`] for an
+    /// empty domain.
     pub fn build(n: usize, domains: &[(f64, f64)], rng: &mut SmallRng) -> Result<Self, ScrapError> {
+        if !(1..=MAX_ARITY).contains(&domains.len()) {
+            return Err(ScrapError::UnsupportedArity { got: domains.len(), max: MAX_ARITY });
+        }
         for (i, &(lo, hi)) in domains.iter().enumerate() {
             if lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less) {
                 return Err(ScrapError::EmptyRange { attribute: i });

@@ -25,6 +25,7 @@ impl From<ScrapError> for SchemeError {
         match e {
             ScrapError::WrongArity { expected, got } => SchemeError::WrongArity { expected, got },
             ScrapError::EmptyRange { .. } => SchemeError::Query(e.to_string()),
+            ScrapError::UnsupportedArity { .. } => SchemeError::Build(e.to_string()),
         }
     }
 }

@@ -11,6 +11,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// The widest z-order key a [`ZSpace`] lays out, in bits: `dims · bits`
+/// stays below 63 so a key and its successor fit a `u64`.
+pub const MAX_KEY_BITS: u32 = 62;
+
 /// A z-order key layout: `dims` attributes × `bits` bits each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ZSpace {
@@ -35,10 +39,11 @@ impl ZSpace {
     ///
     /// # Panics
     ///
-    /// Panics unless `1 ≤ dims`, `1 ≤ bits` and `dims·bits ≤ 62`.
+    /// Panics unless `1 ≤ dims`, `1 ≤ bits` and `dims·bits ≤`
+    /// [`MAX_KEY_BITS`].
     pub fn new(dims: u32, bits: u32) -> Self {
         assert!(dims >= 1 && bits >= 1, "degenerate z-space");
-        assert!(dims * bits <= 62, "key would overflow u64");
+        assert!(dims * bits <= MAX_KEY_BITS, "key would overflow u64");
         ZSpace { dims, bits }
     }
 

@@ -41,6 +41,9 @@ use simnet::NodeId;
 /// Default bits per attribute for the SFC quantisation.
 pub const DEFAULT_BITS: u32 = 10;
 
+/// The most attributes a z-order key holds at [`DEFAULT_BITS`] bits each.
+pub const MAX_ARITY: usize = (sfc::MAX_KEY_BITS / DEFAULT_BITS) as usize;
+
 /// Errors returned by Squid operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SquidError {
@@ -56,6 +59,14 @@ pub enum SquidError {
         /// Index of the offending attribute.
         attribute: usize,
     },
+    /// A build asked for no attributes, or for more than the z-order key
+    /// holds at [`DEFAULT_BITS`] bits each.
+    UnsupportedArity {
+        /// Supplied attribute count.
+        got: usize,
+        /// The most attributes a key holds ([`MAX_ARITY`]).
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for SquidError {
@@ -66,6 +77,9 @@ impl std::fmt::Display for SquidError {
             }
             SquidError::EmptyRange { attribute } => {
                 write!(f, "empty range for attribute {attribute}")
+            }
+            SquidError::UnsupportedArity { got, max } => {
+                write!(f, "Squid serves 1..={max} attributes, got {got}")
             }
         }
     }
@@ -111,8 +125,13 @@ impl SquidNet {
     ///
     /// # Errors
     ///
-    /// Returns [`SquidError::EmptyRange`] for an empty domain.
+    /// Returns [`SquidError::UnsupportedArity`] unless there are
+    /// `1..=`[`MAX_ARITY`] domains, and [`SquidError::EmptyRange`] for an
+    /// empty domain.
     pub fn build(n: usize, domains: &[(f64, f64)], rng: &mut SmallRng) -> Result<Self, SquidError> {
+        if !(1..=MAX_ARITY).contains(&domains.len()) {
+            return Err(SquidError::UnsupportedArity { got: domains.len(), max: MAX_ARITY });
+        }
         for (i, &(lo, hi)) in domains.iter().enumerate() {
             if lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less) {
                 return Err(SquidError::EmptyRange { attribute: i });

@@ -26,6 +26,7 @@ impl From<SquidError> for SchemeError {
         match e {
             SquidError::WrongArity { expected, got } => SchemeError::WrongArity { expected, got },
             SquidError::EmptyRange { .. } => SchemeError::Query(e.to_string()),
+            SquidError::UnsupportedArity { .. } => SchemeError::Build(e.to_string()),
         }
     }
 }

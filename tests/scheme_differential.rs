@@ -376,17 +376,17 @@ fn infinite_and_out_of_domain_bounds_are_exact_everywhere() {
     assert!(wrong.is_empty(), "clamped bounds answered wrongly:\n{}", wrong.join("\n"));
 }
 
-/// Every registered name, both shapes, at N ∈ {0, 1, 2}: an empty network
-/// is a typed `Build` error, and a tiny one is either a typed error too or
-/// answers the whole-domain query exactly — never a panic inside a
-/// substrate, never an answer from a network nobody asked for.
+/// Every registered name, both shapes, at N ∈ {0, 1, 2} (multi-attribute
+/// ones at every arity in {0, 1, 2, 6, 7}): an empty network is a typed
+/// `Build` error, and a tiny one is either a typed error too or answers
+/// the whole-domain query exactly — never a panic inside a substrate,
+/// never an answer from a network nobody asked for.
 #[test]
 fn tiny_networks_are_built_or_refused_never_panic() {
     use armada_suite::dht_api::MultiBuildParams;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     const RECORDS: u64 = 30;
     let registry = standard_registry();
-    let domains = [DOMAIN, DOMAIN];
     let mut wrong = Vec::new();
     let mut check = |name: String, n: usize, run: &dyn Fn() -> Result<bool, SchemeError>| match (
         n,
@@ -411,21 +411,27 @@ fn tiny_networks_are_built_or_refused_never_panic() {
             };
             check(format!("single {name}"), n, &run);
         }
-        let params = MultiBuildParams::new(n, &domains).with_object_id_len(24);
-        for name in registry.multi_names() {
-            let run = || {
-                let mut rng = simnet::rng_from_seed(0x7171 ^ dht_api::fnv1a(name.as_bytes()));
-                let mut scheme = registry.build_multi(name, &params, &mut rng)?;
-                for h in 0..RECORDS {
-                    let p =
-                        [rng.gen_range(DOMAIN.0..=DOMAIN.1), rng.gen_range(DOMAIN.0..=DOMAIN.1)];
-                    scheme.publish_point(&p, h)?;
-                }
-                let origin = scheme.random_origin(&mut rng);
-                let out = scheme.rect_query(origin, &domains, 0)?;
-                Ok(out.exact && out.results == (0..RECORDS).collect::<Vec<_>>())
-            };
-            check(format!("multi {name}"), n, &run);
+        // Every arity a multi-attribute scheme either serves or refuses:
+        // none, one, the two of the paper's grid, and both sides of the
+        // six a 62-bit z-order key holds at ten bits per attribute.
+        for d in [0, 1, 2, 6, 7] {
+            let domains = vec![DOMAIN; d];
+            let params = MultiBuildParams::new(n, &domains).with_object_id_len(24);
+            for name in registry.multi_names() {
+                let run = || {
+                    let mut rng = simnet::rng_from_seed(0x7171 ^ dht_api::fnv1a(name.as_bytes()));
+                    let mut scheme = registry.build_multi(name, &params, &mut rng)?;
+                    for h in 0..RECORDS {
+                        let p: Vec<f64> =
+                            (0..d).map(|_| rng.gen_range(DOMAIN.0..=DOMAIN.1)).collect();
+                        scheme.publish_point(&p, h)?;
+                    }
+                    let origin = scheme.random_origin(&mut rng);
+                    let out = scheme.rect_query(origin, &domains, 0)?;
+                    Ok(out.exact && out.results == (0..RECORDS).collect::<Vec<_>>())
+                };
+                check(format!("multi {name} with {d} attributes"), n, &run);
+            }
         }
     }
     assert!(wrong.is_empty(), "tiny networks mishandled:\n{}", wrong.join("\n"));
