@@ -73,17 +73,6 @@ fn build_single(params: &BuildParams, rng: &mut SmallRng) -> Result<SingleArmada
     Ok(armada)
 }
 
-/// The substrate label with the cost model appended when it is not the
-/// default hop-tick network (comparison tables stay unchanged under
-/// `unit`).
-fn substrate_label(base: &str, model: &simnet::NetModel) -> String {
-    if model.is_unit() {
-        base.to_string()
-    } else {
-        format!("{base} @ {}", model.name())
-    }
-}
-
 /// Armada's PIRA algorithm as a [`RangeScheme`].
 #[derive(Debug, Clone)]
 pub struct PiraScheme {
@@ -119,7 +108,7 @@ impl RangeScheme for PiraScheme {
     }
 
     fn substrate(&self) -> String {
-        substrate_label("FissionE", self.inner.net_model())
+        self.inner.net_model().label("FissionE")
     }
 
     fn degree(&self) -> String {
@@ -323,7 +312,7 @@ impl RangeScheme for SeqWalkScheme {
     }
 
     fn substrate(&self) -> String {
-        substrate_label("FissionE placement", self.inner.net_model())
+        self.inner.net_model().label("FissionE placement")
     }
 
     fn degree(&self) -> String {
@@ -421,7 +410,7 @@ impl MultiRangeScheme for MiraScheme {
     }
 
     fn substrate(&self) -> String {
-        substrate_label("FissionE", self.inner.net_model())
+        self.inner.net_model().label("FissionE")
     }
 
     fn degree(&self) -> String {

@@ -264,6 +264,55 @@ impl ChordNet {
         Ok(())
     }
 
+    /// Verifies the ring invariants Chord's routing and Squid's segment
+    /// walks trust: the ring is strictly ascending; every ring entry's slot
+    /// is live and holds that identifier, and the live slots number the
+    /// ring's length; the slab is `slots × 64` long, every live row's
+    /// finger `b` is `successor_of(id + 2^b)` and every dead row is
+    /// all-`usize::MAX`; the free heap holds exactly the dead slots, once
+    /// each.
+    ///
+    /// # Errors
+    ///
+    /// Returns a descriptive string on violation (test helper).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if let Some(w) = self.ring.windows(2).find(|w| w[0].0 >= w[1].0) {
+            return Err(format!("ring not ascending: {:#x} before {:#x}", w[0].0, w[1].0));
+        }
+        for &(id, slot) in &self.ring {
+            if self.slots.get(slot) != Some(&Some(id)) {
+                return Err(format!(
+                    "ring entry ({id:#x}, {slot}) but the slot holds {:?}",
+                    self.slots.get(slot)
+                ));
+            }
+        }
+        let live = self.slots.iter().filter(|s| s.is_some()).count();
+        if live != self.ring.len() {
+            return Err(format!("{live} live slots vs a ring of {}", self.ring.len()));
+        }
+        if self.fingers.len() != self.slots.len() * RING_BITS as usize {
+            return Err(format!("slab of {} for {} slots", self.fingers.len(), self.slots.len()));
+        }
+        for (slot, row) in self.fingers.chunks(RING_BITS as usize).enumerate() {
+            for (b, &finger) in row.iter().enumerate() {
+                let want = self.slots[slot]
+                    .map_or(DEAD_FINGER, |id| self.successor_of(id.wrapping_add(1 << b)));
+                if finger != want {
+                    return Err(format!("slot {slot} finger {b} is {finger}, want {want}"));
+                }
+            }
+        }
+        let mut free: Vec<NodeId> = self.free_slots.iter().map(|&Reverse(slot)| slot).collect();
+        free.sort_unstable();
+        let dead: Vec<NodeId> =
+            (0..self.slots.len()).filter(|&s| self.slots[s].is_none()).collect();
+        if free != dead {
+            return Err(format!("free heap {free:?} vs dead slots {dead:?}"));
+        }
+        Ok(())
+    }
+
     /// Greedy finger routing from `from` to the owner of ring point `key`.
     ///
     /// # Panics
@@ -667,6 +716,30 @@ mod tests {
         let incremental = net.fingers.clone();
         net.rebuild_all_fingers();
         assert_eq!(incremental, net.fingers, "incremental repair must converge exactly");
+    }
+
+    #[test]
+    fn invariants_hold_under_churn_and_catch_corruption() {
+        let mut rng = simnet::rng_from_seed(11);
+        let mut net = ChordNet::build(40, &mut rng);
+        for i in 0..60 {
+            if i % 3 == 0 {
+                net.join(&mut rng);
+            } else {
+                net.remove(net.random_node(&mut rng)).unwrap();
+            }
+            net.check_invariants().unwrap();
+        }
+        let mut stale = net.clone();
+        stale.free_slots.push(Reverse(stale.any_node()));
+        assert!(stale.check_invariants().unwrap_err().contains("free heap"));
+        let mut stale = net.clone();
+        let row = stale.any_node() * RING_BITS as usize;
+        stale.fingers[row + 5] = DEAD_FINGER;
+        assert!(stale.check_invariants().unwrap_err().contains("finger 5"));
+        let mut stale = net;
+        stale.ring.swap(0, 1);
+        assert!(stale.check_invariants().unwrap_err().contains("ascending"));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   (constant degree) and `chord` (logarithmic degree).
 //! * [`RangeScheme`] / [`MultiRangeScheme`] — the unified query interface
 //!   every scheme in the workspace implements, returning the shared
-//!   [`RangeOutcome`] metric vocabulary.
+//!   [`RangeOutcome`] metric vocabulary; [`OneAttribute`] serves a
+//!   one-attribute rectangle scheme through the first.
 //! * [`SchemeRegistry`] — name → builder tables so callers select schemes
 //!   at runtime as trait objects.
 //! * [`WorkloadGen`] — named, seeded query mixes (uniform, Zipf-skewed hot
@@ -103,8 +104,8 @@ pub use replication::{
     Replicated, ReplicationControl,
 };
 pub use scheme::{
-    MultiRangeScheme, OutcomeCosts, QueryCtx, RangeOutcome, RangeRequest, RangeScheme, RectRequest,
-    SchemeError,
+    MultiRangeScheme, OneAttribute, OutcomeCosts, QueryCtx, RangeOutcome, RangeRequest,
+    RangeScheme, RectRequest, SchemeError,
 };
 pub use workload::{WorkloadGen, WorkloadKind, WORKLOAD_NAMES};
 

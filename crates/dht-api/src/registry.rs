@@ -97,50 +97,45 @@ impl MultiBuildParams {
     }
 }
 
-/// Splits an optional `@net` suffix off a registry name (`"pira@wan"` ⇒
-/// `("pira", Some(wan))`), resolving it against the [`NetModel`] catalog.
-/// Used by the multi-attribute path, which accepts net suffixes only.
-fn split_net_suffix(name: &str) -> Result<(&str, Option<NetModel>), SchemeError> {
-    match name.rsplit_once('@') {
-        None => Ok((name, None)),
-        Some((base, net)) => {
-            let model = NetModel::named(net)
-                .ok_or_else(|| SchemeError::UnknownNetModel { name: net.to_string() })?;
-            Ok((base, Some(model)))
-        }
-    }
-}
-
-/// The `@` suffixes parsed off a single-attribute registry name: an
-/// optional net model and an optional hostile `plan[/rN]` spec.
-struct ParsedSuffixes {
+/// A registry name parsed into its stack, `base[+policy][@suffix…]`:
+/// an optional replica policy, and per `@` suffix a net model or a hostile
+/// `plan[/rN]` spec — each category at most once.
+struct Stack<'a> {
+    base: &'a str,
+    policy: Option<ReplicaPolicy>,
     net: Option<NetModel>,
     hostile: Option<(FaultPlan, Option<RetryPolicy>, String)>,
 }
 
-/// Splits every `@` suffix off a single-attribute registry name
-/// (`"pira+r3@wan@lossy-p/r2"` ⇒ base `"pira+r3"`, net `wan`, hostile
-/// `lossy-p` with a 2-attempt retry override). Each suffix resolves first
-/// against the [`NetModel`] catalog, then as a hostile spec; when both
-/// categories repeat, the rightmost spelling wins.
-fn split_suffixes(name: &str) -> Result<(&str, ParsedSuffixes), SchemeError> {
+/// Parses a registry name for either query shape
+/// (`"pira+r3@wan@lossy-p/r2"` ⇒ base `"pira"`, policy `r3`, net `wan`,
+/// hostile `lossy-p` with a 2-attempt retry override). Each suffix resolves
+/// first against the [`NetModel`] catalog, then as a hostile spec.
+fn parse_stack(name: &str) -> Result<Stack<'_>, SchemeError> {
     let mut parts = name.split('@');
-    let base = parts.next().expect("split yields at least one part");
-    let mut parsed = ParsedSuffixes { net: None, hostile: None };
+    let head = parts.next().expect("split yields at least one part");
+    let (mut net, mut hostile) = (None, None);
     for s in parts {
-        if let Some(net) = NetModel::named(s) {
-            parsed.net = Some(net);
+        let repeated = if let Some(model) = NetModel::named(s) {
+            net.replace(model).is_some()
         } else if let Some((plan, retry)) = parse_hostile_spec(s) {
-            parsed.hostile = Some((plan, retry, s.to_string()));
+            hostile.replace((plan, retry, s.to_string())).is_some()
         } else if s.contains('/') || s.starts_with("lossy-") || s.starts_with("island-") {
             // Clearly hostile-shaped but unparseable: name the right
             // catalog in the error.
             return Err(SchemeError::UnknownHostilePlan { name: s.to_string() });
         } else {
             return Err(SchemeError::UnknownNetModel { name: s.to_string() });
+        };
+        if repeated {
+            return Err(SchemeError::DuplicateSuffix { suffix: s.to_string() });
         }
     }
-    Ok((base, parsed))
+    let (base, policy) = match head.split_once('+') {
+        Some((base, suffix)) => (base, Some(ReplicaPolicy::named(suffix)?)),
+        None => (head, None),
+    };
+    Ok(Stack { base, policy, net, hostile })
 }
 
 /// Builder closure for a single-attribute scheme.
@@ -257,18 +252,14 @@ impl SchemeRegistry {
         // takes precedence over its params field. Composition order is
         // fixed: scheme, then replication, then the hostile wrapper
         // outermost (retries see replica-served answers).
-        let (name_sans_suffix, suffixes) = split_suffixes(name)?;
-        let (base, suffix_policy) = match name_sans_suffix.split_once('+') {
-            Some((base, suffix)) => (base, Some(ReplicaPolicy::named(suffix)?)),
-            None => (name_sans_suffix, None),
-        };
+        let stack = parse_stack(name)?;
         let builder = self
             .single
-            .get(base)
+            .get(stack.base)
             .ok_or_else(|| SchemeError::UnknownScheme { name: name.to_string(), kind: "single" })?;
         refuse_empty(params.n)?;
         let overridden;
-        let effective = match suffixes.net {
+        let effective = match stack.net {
             Some(net) => {
                 overridden = params.clone().with_net(net);
                 &overridden
@@ -276,10 +267,10 @@ impl SchemeRegistry {
             None => params,
         };
         let inner = builder(effective, rng)?;
-        let policy = suffix_policy.unwrap_or_else(|| params.replication.clone());
+        let policy = stack.policy.unwrap_or_else(|| params.replication.clone());
         let scheme: Box<dyn RangeScheme> =
             if policy.is_none() { inner } else { Box::new(Replicated::new(inner, policy)?) };
-        Ok(match suffixes.hostile {
+        Ok(match stack.hostile {
             None => scheme,
             Some((plan, retry, spec)) => {
                 let retry = retry.unwrap_or_else(RetryPolicy::none);
@@ -288,25 +279,36 @@ impl SchemeRegistry {
         })
     }
 
-    /// Builds the multi-attribute scheme registered under `name`.
+    /// Builds the multi-attribute scheme registered under `name`. Names
+    /// parse as in [`build_single`](Self::build_single), but no wrapper
+    /// serves rectangles: a replica policy or a hostile suffix is refused.
     ///
     /// # Errors
     ///
-    /// As [`build_single`](Self::build_single).
+    /// As [`build_single`](Self::build_single), plus
+    /// [`SchemeError::Unsupported`] for `"replication"` or
+    /// `"fault injection"`.
     pub fn build_multi(
         &self,
         name: &str,
         params: &MultiBuildParams,
         rng: &mut SmallRng,
     ) -> Result<Box<dyn MultiRangeScheme>, SchemeError> {
-        let (base, suffix_net) = split_net_suffix(name)?;
+        let stack = parse_stack(name)?;
         let builder = self
             .multi
-            .get(base)
+            .get(stack.base)
             .ok_or_else(|| SchemeError::UnknownScheme { name: name.to_string(), kind: "multi" })?;
         refuse_empty(params.n)?;
+        let unsupported = |feature| SchemeError::Unsupported { scheme: stack.base.into(), feature };
+        if stack.policy.is_some_and(|p| !p.is_none()) {
+            return Err(unsupported("replication"));
+        }
+        if stack.hostile.is_some() {
+            return Err(unsupported("fault injection"));
+        }
         let overridden;
-        let effective = match suffix_net {
+        let effective = match stack.net {
             Some(net) => {
                 overridden = params.clone().with_net(net);
                 &overridden
@@ -348,7 +350,7 @@ impl std::fmt::Debug for SchemeRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{RangeOutcome, RangeScheme};
+    use crate::scheme::{MultiRangeScheme, RangeOutcome, RangeScheme};
     use simnet::NodeId;
 
     /// A toy in-memory scheme for registry tests.
@@ -422,6 +424,60 @@ mod tests {
         reg
     }
 
+    /// A toy rectangle scheme of `dims` attributes that stores nothing.
+    struct LocalGrid {
+        dims: usize,
+    }
+
+    impl MultiRangeScheme for LocalGrid {
+        fn scheme_name(&self) -> &'static str {
+            "local-grid"
+        }
+
+        fn substrate(&self) -> String {
+            "none".into()
+        }
+
+        fn degree(&self) -> String {
+            "0".into()
+        }
+
+        fn node_count(&self) -> usize {
+            1
+        }
+
+        fn dims(&self) -> usize {
+            self.dims
+        }
+
+        fn publish_point(&mut self, _: &[f64], _: u64) -> Result<(), SchemeError> {
+            Ok(())
+        }
+
+        fn random_origin(&self, _: &mut SmallRng) -> NodeId {
+            0
+        }
+
+        fn rect_query(
+            &self,
+            _: NodeId,
+            _: &[(f64, f64)],
+            _: u64,
+        ) -> Result<RangeOutcome, SchemeError> {
+            Ok(RangeOutcome::from_native(vec![], Default::default(), 0, 0, true))
+        }
+    }
+
+    /// [`toy_registry`] plus `"local-grid"` as a multi-attribute scheme.
+    fn toy_registry_with_grid() -> SchemeRegistry {
+        let mut reg = toy_registry();
+        reg.register_multi(
+            "local-grid",
+            Box::new(|p, _rng| Ok(Box::new(LocalGrid { dims: p.domains.len() }))),
+        );
+        reg
+    }
+
     #[test]
     fn registry_builds_by_name_and_lists() {
         let reg = toy_registry();
@@ -438,7 +494,7 @@ mod tests {
 
     #[test]
     fn unknown_names_error_cleanly() {
-        let reg = toy_registry();
+        let reg = toy_registry_with_grid();
         let mut rng = simnet::rng_from_seed(1);
         let err = reg
             .build_single("missing", &BuildParams::new(8, 0.0, 1.0), &mut rng)
@@ -450,6 +506,26 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, SchemeError::UnknownScheme { kind: "multi", .. }));
+        // Multi names parse as single names do; what no rectangle wrapper
+        // serves is refused by name, and a repeated category is refused.
+        let params = MultiBuildParams::new(8, &[(0.0, 1.0)]);
+        let multi = |name| reg.build_multi(name, &params, &mut rng.clone()).map(|_| ());
+        assert!(multi("local-grid@wan").is_ok());
+        for (name, feature) in [
+            ("local-grid@lossy-p", "fault injection"),
+            ("local-grid@lossy-p/r2", "fault injection"),
+            ("local-grid+r3", "replication"),
+        ] {
+            let err = multi(name).unwrap_err();
+            assert!(
+                matches!(err, SchemeError::Unsupported { ref scheme, feature: f } if scheme == "local-grid" && f == feature),
+                "{name}: {err}"
+            );
+        }
+        let err = multi("local-grid@wan@lan").unwrap_err();
+        assert_eq!(err, SchemeError::DuplicateSuffix { suffix: "lan".into() });
+        let err = multi("missing@wan@lan").unwrap_err();
+        assert!(matches!(err, SchemeError::DuplicateSuffix { .. }), "{err}");
     }
 
     #[test]
@@ -495,6 +571,12 @@ mod tests {
         assert!(err.to_string().contains("dialup"));
         let err = reg.build_single("missing@wan", &params, &mut rng).map(|_| ()).unwrap_err();
         assert!(matches!(err, SchemeError::UnknownScheme { .. }), "{err}");
+        // A second net model is refused by name, not silently preferred.
+        for (name, suffix) in [("local-scan@wan@lan", "lan"), ("local-scan+r1@unit@wan", "wan")] {
+            let err = reg.build_single(name, &params, &mut rng).map(|_| ()).unwrap_err();
+            assert_eq!(err, SchemeError::DuplicateSuffix { suffix: suffix.into() }, "{name}");
+            assert!(err.to_string().contains(suffix), "{err}");
+        }
         // The params field drives the default; the suffix overrides it.
         let p = BuildParams::new(8, 0.0, 10.0).with_net(simnet::NetModel::wan());
         assert_eq!(p.net, simnet::NetModel::wan());
@@ -532,6 +614,14 @@ mod tests {
         assert!(matches!(err, SchemeError::UnknownHostilePlan { .. }), "{err}");
         let err = reg.build_single("local-scan@dialup", &params, &mut rng).map(|_| ()).unwrap_err();
         assert!(matches!(err, SchemeError::UnknownNetModel { .. }), "{err}");
+        // A second hostile spec is refused by name, not silently preferred.
+        for (name, suffix) in [
+            ("local-scan@lossy-p@bursty", "bursty"),
+            ("local-scan@bursty@wan@lossy-p/r2", "lossy-p/r2"),
+        ] {
+            let err = reg.build_single(name, &params, &mut rng).map(|_| ()).unwrap_err();
+            assert_eq!(err, SchemeError::DuplicateSuffix { suffix: suffix.into() }, "{name}");
+        }
         // The hostile wrapper sits outermost over replication refusals:
         // the replica error still surfaces.
         let err =

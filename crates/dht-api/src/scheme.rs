@@ -179,6 +179,12 @@ pub enum SchemeError {
         /// The name looked up.
         name: String,
     },
+    /// A registry name carries a second net model or a second hostile
+    /// spec (`"pira@wan@lan"`): a stack holds one of each.
+    DuplicateSuffix {
+        /// The repeating suffix.
+        suffix: String,
+    },
     /// A fault plan crashes an id that names no live peer — rejected
     /// instead of silently ignored, so a typo'd crash list (or one written
     /// before a peer departed) cannot pass as a fault-free run.
@@ -239,6 +245,9 @@ impl std::fmt::Display for SchemeError {
                      parameterized lossy-N / island-K; retry suffix /rN)",
                     simnet::HOSTILE_PLAN_NAMES.join(", ")
                 )
+            }
+            SchemeError::DuplicateSuffix { suffix } => {
+                write!(f, "suffix {suffix:?} repeats a category: one net model and one hostile spec per name")
             }
             SchemeError::FaultPlanOutOfRange { node, n } => {
                 write!(
@@ -460,8 +469,8 @@ impl<'a> QueryCtx<'a> {
 /// Implementations exist for all seven schemes of the paper's Table 1:
 /// Armada/PIRA, the sequential-walk reference, DCF-CAN (directed and naive
 /// flooding), PHT (over FissionE and over Chord), Skip Graph, Squid, and
-/// SCRAP (the latter two over one-dimensional builds of their native
-/// multi-attribute machinery).
+/// SCRAP (the latter two as one-attribute builds of their native
+/// [`MultiRangeScheme`] behind [`OneAttribute`]).
 ///
 /// # Two query methods
 ///
@@ -735,6 +744,95 @@ pub trait MultiRangeScheme: Send + Sync {
         let out = self.rect_query(req.origin, req.rect, req.seed)?;
         cx.trace_modeled(self.scheme_name(), req.origin, &out);
         Ok(out)
+    }
+}
+
+/// A one-attribute [`MultiRangeScheme`] seen as a [`RangeScheme`]: how a
+/// rectangle-native scheme (Squid, SCRAP) joins the single-attribute
+/// tables under its own name.
+///
+/// `publish(v, h)` is `publish_point(&[v], h)` and `range_query(o, lo, hi,
+/// s)` is `rect_query(o, &[(lo, hi)], s)`; the name, labels, node count and
+/// origin are the wrapped scheme's. Every capability hook keeps its
+/// default (`None` / `false`), so the adapter refuses faults, replication
+/// and churn exactly as a scheme without them does.
+///
+/// ```
+/// # use dht_api::{MultiRangeScheme, OneAttribute, RangeOutcome, RangeScheme, SchemeError};
+/// # struct Line(usize);
+/// # impl MultiRangeScheme for Line {
+/// #     fn scheme_name(&self) -> &'static str { "line" }
+/// #     fn substrate(&self) -> String { "local".into() }
+/// #     fn degree(&self) -> String { "0".into() }
+/// #     fn node_count(&self) -> usize { 1 }
+/// #     fn dims(&self) -> usize { self.0 }
+/// #     fn publish_point(&mut self, _: &[f64], _: u64) -> Result<(), SchemeError> { Ok(()) }
+/// #     fn random_origin(&self, _: &mut rand::rngs::SmallRng) -> usize { 0 }
+/// #     fn rect_query(&self, _: usize, _: &[(f64, f64)], _: u64)
+/// #         -> Result<RangeOutcome, SchemeError> {
+/// #         Ok(RangeOutcome { results: vec![7], delay: 1, latency: 1, messages: 1,
+/// #             dest_peers: 1, reached_peers: 1, exact: true })
+/// #     }
+/// # }
+/// let scheme = OneAttribute::new(Box::new(Line(1)))?;
+/// assert_eq!(scheme.scheme_name(), "line");
+/// assert_eq!(scheme.range_query(0, 10.0, 20.0, 0)?.results, vec![7]);
+/// // A rectangle of two attributes has no single-attribute reading.
+/// assert!(matches!(
+///     OneAttribute::new(Box::new(Line(2))).map(|_| ()),
+///     Err(SchemeError::WrongArity { expected: 1, got: 2 })
+/// ));
+/// # Ok::<(), SchemeError>(())
+/// ```
+pub struct OneAttribute(Box<dyn MultiRangeScheme>);
+
+impl OneAttribute {
+    /// Wraps `inner`.
+    ///
+    /// # Errors
+    ///
+    /// [`SchemeError::WrongArity`] unless `inner` has exactly one attribute.
+    pub fn new(inner: Box<dyn MultiRangeScheme>) -> Result<Self, SchemeError> {
+        match inner.dims() {
+            1 => Ok(OneAttribute(inner)),
+            got => Err(SchemeError::WrongArity { expected: 1, got }),
+        }
+    }
+}
+
+impl RangeScheme for OneAttribute {
+    fn scheme_name(&self) -> &'static str {
+        self.0.scheme_name()
+    }
+
+    fn substrate(&self) -> String {
+        self.0.substrate()
+    }
+
+    fn degree(&self) -> String {
+        self.0.degree()
+    }
+
+    fn node_count(&self) -> usize {
+        self.0.node_count()
+    }
+
+    fn publish(&mut self, value: f64, handle: u64) -> Result<(), SchemeError> {
+        self.0.publish_point(&[value], handle)
+    }
+
+    fn random_origin(&self, rng: &mut rand::rngs::SmallRng) -> NodeId {
+        self.0.random_origin(rng)
+    }
+
+    fn range_query(
+        &self,
+        origin: NodeId,
+        lo: f64,
+        hi: f64,
+        seed: u64,
+    ) -> Result<RangeOutcome, SchemeError> {
+        self.0.rect_query(origin, &[(lo, hi)], seed)
     }
 }
 

@@ -122,11 +122,7 @@ impl RangeScheme for DcfScheme {
     }
 
     fn substrate(&self) -> String {
-        if self.net_model.is_unit() {
-            "CAN (d = 2)".into()
-        } else {
-            format!("CAN (d = 2) @ {}", self.net_model.name())
-        }
+        self.net_model.label("CAN (d = 2)")
     }
 
     fn degree(&self) -> String {

@@ -68,12 +68,7 @@ impl<D: Dht> RangeScheme for PhtScheme<D> {
     }
 
     fn substrate(&self) -> String {
-        let model = self.pht.net_model();
-        if model.is_unit() {
-            self.pht.dht().name().into()
-        } else {
-            format!("{} @ {}", self.pht.dht().name(), model.name())
-        }
+        self.pht.net_model().label(self.pht.dht().name())
     }
 
     fn degree(&self) -> String {

@@ -1,110 +1,23 @@
 //! SCRAP behind the unified [`dht_api`] query interfaces.
 //!
-//! Like Squid, SCRAP natively answers hyper-rectangles
-//! ([`MultiRangeScheme`]); a one-dimensional build also serves the
-//! single-attribute [`RangeScheme`] contract. Both impls query through
-//! `&self`, so a built net is `Send + Sync` and shards across
-//! parallel-driver threads; [`register`] exposes both shapes under
-//! `"scrap"`.
+//! Like Squid, SCRAP natively answers hyper-rectangles, so it implements
+//! [`MultiRangeScheme`] only; [`register`] exposes it under `"scrap"` in
+//! both registries, the single-attribute name as a one-attribute build
+//! behind [`OneAttribute`]. Queries run through `&self`, so a built net is
+//! `Send + Sync` and shards across parallel-driver threads.
 //!
 //! SCRAP does **not** opt into the dynamics layer: it rides the static
 //! Skip Graph simulation, which has no join/leave/crash protocol, so
-//! [`RangeScheme::as_dynamic`] honestly stays `None` and epoch-driven
-//! churn runs skip it at runtime.
+//! [`RangeScheme::as_dynamic`](dht_api::RangeScheme::as_dynamic) honestly
+//! stays `None` and epoch-driven churn runs skip it at runtime.
 
-use crate::{ScrapError, ScrapNet, ScrapOutcome};
+use crate::ScrapNet;
 use dht_api::{
-    BuildParams, MultiBuildParams, MultiRangeScheme, OutcomeCosts, RangeOutcome, RangeRequest,
-    RangeScheme, RectRequest, SchemeError, SchemeRegistry,
+    MultiRangeScheme, NetModel, OneAttribute, RangeOutcome, RectRequest, SchemeError,
+    SchemeRegistry,
 };
 use rand::rngs::SmallRng;
 use simnet::NodeId;
-
-impl From<ScrapError> for SchemeError {
-    fn from(e: ScrapError) -> Self {
-        match e {
-            ScrapError::WrongArity { expected, got } => SchemeError::WrongArity { expected, got },
-            ScrapError::EmptyRange { .. } => SchemeError::Query(e.to_string()),
-            ScrapError::UnsupportedArity { .. } => SchemeError::Build(e.to_string()),
-        }
-    }
-}
-
-impl ScrapOutcome {
-    /// Converts into the scheme-generic outcome. SCRAP's destination unit
-    /// is the contiguous curve range; every range is queried, so queries
-    /// are exact by construction.
-    pub fn into_outcome(self) -> RangeOutcome {
-        RangeOutcome::from_native(
-            self.results,
-            OutcomeCosts {
-                hops: u64::from(self.delay),
-                latency: self.latency,
-                messages: self.messages,
-            },
-            self.ranges,
-            self.ranges,
-            true,
-        )
-    }
-}
-
-impl From<ScrapOutcome> for RangeOutcome {
-    fn from(out: ScrapOutcome) -> Self {
-        out.into_outcome()
-    }
-}
-
-impl RangeScheme for ScrapNet {
-    fn scheme_name(&self) -> &'static str {
-        "scrap"
-    }
-
-    fn substrate(&self) -> String {
-        if self.net_model().is_unit() {
-            "Skip Graph".into()
-        } else {
-            format!("Skip Graph @ {}", self.net_model().name())
-        }
-    }
-
-    fn degree(&self) -> String {
-        "O(logN)".into()
-    }
-
-    fn node_count(&self) -> usize {
-        self.len()
-    }
-
-    fn publish(&mut self, value: f64, handle: u64) -> Result<(), SchemeError> {
-        if self.dims() != 1 {
-            return Err(SchemeError::WrongArity { expected: self.dims(), got: 1 });
-        }
-        ScrapNet::publish(self, &[value], handle)?;
-        Ok(())
-    }
-
-    fn random_origin(&self, rng: &mut SmallRng) -> NodeId {
-        self.random_node(rng)
-    }
-
-    fn range_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<RangeOutcome, SchemeError> {
-        if self.dims() != 1 {
-            return Err(SchemeError::WrongArity { expected: self.dims(), got: 1 });
-        }
-        RangeRequest::new(origin, lo, hi, seed)?;
-        if origin >= self.len() {
-            return Err(SchemeError::BadOrigin { origin });
-        }
-        Ok(ScrapNet::range_query(self, origin, &[(lo, hi)])?.into_outcome())
-    }
-}
 
 impl MultiRangeScheme for ScrapNet {
     fn scheme_name(&self) -> &'static str {
@@ -112,11 +25,7 @@ impl MultiRangeScheme for ScrapNet {
     }
 
     fn substrate(&self) -> String {
-        if self.net_model().is_unit() {
-            "Skip Graph".into()
-        } else {
-            format!("Skip Graph @ {}", self.net_model().name())
-        }
+        self.net_model().label("Skip Graph")
     }
 
     fn degree(&self) -> String {
@@ -150,36 +59,36 @@ impl MultiRangeScheme for ScrapNet {
         if origin >= self.len() {
             return Err(SchemeError::BadOrigin { origin });
         }
-        Ok(ScrapNet::range_query(self, origin, rect)?.into_outcome())
+        Ok(ScrapNet::range_query(self, origin, rect)?)
     }
 }
 
-/// Registers `"scrap"` as both a single-attribute scheme (1-D build) and a
-/// multi-attribute scheme.
+fn build(
+    n: usize,
+    domains: &[(f64, f64)],
+    net: NetModel,
+    rng: &mut SmallRng,
+) -> Result<Box<dyn MultiRangeScheme>, SchemeError> {
+    let mut scrap =
+        ScrapNet::build(n, domains, rng).map_err(|e| SchemeError::Build(e.to_string()))?;
+    scrap.set_net_model(net);
+    Ok(Box::new(scrap))
+}
+
+/// Registers `"scrap"` as a multi-attribute scheme and, over a
+/// one-attribute build, as a single-attribute one.
 pub fn register(reg: &mut SchemeRegistry) {
     reg.register_single(
         "scrap",
-        Box::new(|p: &BuildParams, rng| {
-            let mut net = ScrapNet::build(p.n, &[p.domain], rng)
-                .map_err(|e| SchemeError::Build(e.to_string()))?;
-            net.set_net_model(p.net);
-            Ok(Box::new(net))
-        }),
+        Box::new(|p, rng| Ok(Box::new(OneAttribute::new(build(p.n, &[p.domain], p.net, rng)?)?))),
     );
-    reg.register_multi(
-        "scrap",
-        Box::new(|p: &MultiBuildParams, rng| {
-            let mut net = ScrapNet::build(p.n, &p.domains, rng)
-                .map_err(|e| SchemeError::Build(e.to_string()))?;
-            net.set_net_model(p.net);
-            Ok(Box::new(net))
-        }),
-    );
+    reg.register_multi("scrap", Box::new(|p, rng| build(p.n, &p.domains, p.net, rng)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht_api::{BuildParams, MultiBuildParams};
     use rand::Rng;
 
     #[test]

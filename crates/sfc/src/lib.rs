@@ -1,19 +1,193 @@
-//! Space-filling-curve utilities shared by the SFC-based range-query
-//! schemes (Squid's cluster refinement over Chord, SCRAP's z-order mapping
-//! over Skip Graph).
+//! The z-order front end shared by the SFC-based range-query schemes
+//! (Squid's cluster refinement over Chord, SCRAP's range walks over a Skip
+//! Graph).
 //!
 //! The z-order (Morton) curve interleaves the bits of `m` quantised
 //! attribute values into one key. A *cluster* is the set of keys sharing a
 //! prefix; it corresponds to an axis-aligned hyper-rectangle, so a rectangle
 //! query decomposes into a small set of maximal clusters — each of which is
 //! a **contiguous key range**, the property both schemes exploit.
+//!
+//! [`ZMap`] is everything a scheme needs from the curve: it validates the
+//! attribute domains once, maps a point to its key and a rectangle to its
+//! merged clusters, and reports malformed input as one [`ZError`]. The
+//! schemes keep only their back ends — how a key range is reached and read.
+//!
+//! # Example
+//!
+//! ```
+//! use sfc::ZMap;
+//!
+//! let map = ZMap::new(&[(0.0, 100.0), (0.0, 100.0)])?;
+//! let key = map.key(&[50.0, 50.0])?;
+//! let clusters = map.clusters(&[(40.0, 60.0), (40.0, 60.0)])?;
+//! assert!(clusters.iter().any(|c| (c.lo..=c.hi).contains(&key)));
+//! assert!(map.key(&[50.0]).is_err()); // one attribute short
+//! # Ok::<(), sfc::ZError>(())
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use dht_api::SchemeError;
+
 /// The widest z-order key a [`ZSpace`] lays out, in bits: `dims · bits`
 /// stays below 63 so a key and its successor fit a `u64`.
 pub const MAX_KEY_BITS: u32 = 62;
+
+/// Bits per attribute of a [`ZMap`]'s quantisation.
+pub const DEFAULT_BITS: u32 = 10;
+
+/// The most attributes a [`ZMap`] key holds at [`DEFAULT_BITS`] bits each.
+pub const MAX_ARITY: usize = (MAX_KEY_BITS / DEFAULT_BITS) as usize;
+
+/// Malformed input to a [`ZMap`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum ZError {
+    /// A point or rectangle had the wrong number of attributes.
+    WrongArity {
+        /// Expected attribute count.
+        expected: usize,
+        /// Supplied attribute count.
+        got: usize,
+    },
+    /// An attribute domain or query range was empty.
+    EmptyRange {
+        /// Index of the offending attribute.
+        attribute: usize,
+    },
+    /// A map asked for no attributes, or for more than a key holds at
+    /// [`DEFAULT_BITS`] bits each.
+    UnsupportedArity {
+        /// Supplied attribute count.
+        got: usize,
+        /// The most attributes a key holds ([`MAX_ARITY`]).
+        max: usize,
+    },
+}
+
+impl std::fmt::Display for ZError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ZError::WrongArity { expected, got } => {
+                write!(f, "expected {expected} attributes, got {got}")
+            }
+            ZError::EmptyRange { attribute } => write!(f, "empty range for attribute {attribute}"),
+            ZError::UnsupportedArity { got, max } => {
+                write!(f, "a z-order key serves 1..={max} attributes, got {got}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ZError {}
+
+impl From<ZError> for SchemeError {
+    fn from(e: ZError) -> Self {
+        match e {
+            ZError::WrongArity { expected, got } => SchemeError::WrongArity { expected, got },
+            ZError::EmptyRange { .. } => SchemeError::Query(e.to_string()),
+            ZError::UnsupportedArity { .. } => SchemeError::Build(e.to_string()),
+        }
+    }
+}
+
+/// Whether `point` lies in `rect` (inclusive on both ends of every
+/// attribute): the exact filter behind a cluster's quantised cells.
+pub fn contains(rect: &[(f64, f64)], point: &[f64]) -> bool {
+    point.iter().zip(rect).all(|(&v, &(lo, hi))| v >= lo && v <= hi)
+}
+
+/// The z-order map of a set of attribute domains: a [`ZSpace`] at
+/// [`DEFAULT_BITS`] bits per attribute over validated domains.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ZMap {
+    space: ZSpace,
+    domains: Vec<(f64, f64)>,
+}
+
+impl ZMap {
+    /// Maps the given per-attribute domains.
+    ///
+    /// # Errors
+    ///
+    /// [`ZError::UnsupportedArity`] unless there are `1..=`[`MAX_ARITY`]
+    /// domains, [`ZError::EmptyRange`] for a domain without `lo < hi`.
+    pub fn new(domains: &[(f64, f64)]) -> Result<Self, ZError> {
+        if !(1..=MAX_ARITY).contains(&domains.len()) {
+            return Err(ZError::UnsupportedArity { got: domains.len(), max: MAX_ARITY });
+        }
+        if let Some(attribute) = domains
+            .iter()
+            .position(|&(lo, hi)| lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less))
+        {
+            return Err(ZError::EmptyRange { attribute });
+        }
+        Ok(ZMap {
+            space: ZSpace::new(domains.len() as u32, DEFAULT_BITS),
+            domains: domains.to_vec(),
+        })
+    }
+
+    /// Number of attributes.
+    pub fn dims(&self) -> usize {
+        self.domains.len()
+    }
+
+    /// The key layout.
+    pub fn space(&self) -> ZSpace {
+        self.space
+    }
+
+    fn check_arity(&self, got: usize) -> Result<(), ZError> {
+        match self.dims() {
+            expected if expected == got => Ok(()),
+            expected => Err(ZError::WrongArity { expected, got }),
+        }
+    }
+
+    /// Quantises attribute `i`'s value to its cell.
+    fn cell(&self, i: usize, v: f64) -> u32 {
+        let (lo, hi) = self.domains[i];
+        self.space.quantize((v - lo) / (hi - lo))
+    }
+
+    /// The z-order key of `point`; out-of-domain values clamp to the edge.
+    ///
+    /// # Errors
+    ///
+    /// [`ZError::WrongArity`] unless `point` has [`dims`](Self::dims) values.
+    pub fn key(&self, point: &[f64]) -> Result<u64, ZError> {
+        self.check_arity(point.len())?;
+        let cells: Vec<u32> = point.iter().enumerate().map(|(i, &v)| self.cell(i, v)).collect();
+        Ok(self.space.interleave(&cells))
+    }
+
+    /// The maximal clusters meeting `rect`, merged and ordered by key: the
+    /// key ranges a query must read. Cells are quantised, so a cluster may
+    /// hold points just outside `rect`; filter them with [`contains`].
+    ///
+    /// # Errors
+    ///
+    /// [`ZError::WrongArity`] unless `rect` has [`dims`](Self::dims)
+    /// ranges, [`ZError::EmptyRange`] for the first range without
+    /// `lo ≤ hi`.
+    pub fn clusters(&self, rect: &[(f64, f64)]) -> Result<Vec<ZRange>, ZError> {
+        self.check_arity(rect.len())?;
+        let cells = rect
+            .iter()
+            .enumerate()
+            .map(|(attribute, &(lo, hi))| {
+                if lo <= hi {
+                    Ok((self.cell(attribute, lo), self.cell(attribute, hi)))
+                } else {
+                    Err(ZError::EmptyRange { attribute })
+                }
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(merge_ranges(self.space.decompose(&cells)))
+    }
+}
 
 /// A z-order key layout: `dims` attributes × `bits` bits each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,10 +252,9 @@ impl ZSpace {
         assert_eq!(coords.len(), self.dims as usize, "arity mismatch");
         let mut key = 0u64;
         for bit in (0..self.bits).rev() {
-            for (d, &c) in coords.iter().enumerate() {
+            for &c in coords {
                 assert!(c < 1 << self.bits, "coordinate overflows {} bits", self.bits);
                 key = (key << 1) | u64::from((c >> bit) & 1);
-                let _ = d;
             }
         }
         key
@@ -249,6 +422,51 @@ mod tests {
         ]);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0], ZRange { lo: 0, hi: 7, depth: 3 });
+    }
+
+    #[test]
+    fn zmap_refuses_malformed_input() {
+        assert_eq!(ZMap::new(&[]), Err(ZError::UnsupportedArity { got: 0, max: 6 }));
+        let seven = ZMap::new(&[(0.0, 1.0); 7]).unwrap_err();
+        assert_eq!(seven, ZError::UnsupportedArity { got: 7, max: MAX_ARITY });
+        assert!(seven.to_string().contains("1..=6") && seven.to_string().contains("got 7"));
+        assert_eq!(ZMap::new(&[(0.0, 1.0), (2.0, 2.0)]), Err(ZError::EmptyRange { attribute: 1 }));
+        assert_eq!(ZMap::new(&[(f64::NAN, 1.0)]), Err(ZError::EmptyRange { attribute: 0 }));
+        let map = ZMap::new(&[(0.0, 1.0); 2]).unwrap();
+        assert_eq!(map.key(&[0.5]), Err(ZError::WrongArity { expected: 2, got: 1 }));
+        assert_eq!(map.clusters(&[(0.0, 1.0)]), Err(ZError::WrongArity { expected: 2, got: 1 }));
+        for bad in [(0.6, 0.4), (f64::NAN, 0.4)] {
+            assert_eq!(map.clusters(&[(0.0, 1.0), bad]), Err(ZError::EmptyRange { attribute: 1 }));
+        }
+        // Each error keeps its meaning behind the scheme contract.
+        assert!(matches!(SchemeError::from(seven), SchemeError::Build(_)));
+        assert!(matches!(
+            SchemeError::from(ZError::EmptyRange { attribute: 1 }),
+            SchemeError::Query(_)
+        ));
+        assert_eq!(
+            SchemeError::from(ZError::WrongArity { expected: 2, got: 1 }),
+            SchemeError::WrongArity { expected: 2, got: 1 }
+        );
+    }
+
+    #[test]
+    fn zmap_clusters_hold_exactly_the_keys_of_the_rectangle() {
+        let map = ZMap::new(&[(0.0, 100.0), (-50.0, 50.0)]).unwrap();
+        let rect = [(12.5, 40.0), (-10.0, 3.0)];
+        let clusters = map.clusters(&rect).unwrap();
+        assert!(clusters.windows(2).all(|w| w[0].hi + 1 < w[1].lo), "merged and ordered");
+        let inside = |key: u64| clusters.iter().any(|c| (c.lo..=c.hi).contains(&key));
+        for i in 0..=40 {
+            for j in 0..=40 {
+                let point = [i as f64 * 2.5, j as f64 * 2.5 - 50.0];
+                let key = map.key(&point).unwrap();
+                assert!(!contains(&rect, &point) || inside(key), "{point:?} lost");
+            }
+        }
+        // Out-of-domain values clamp to the edge cells.
+        assert_eq!(map.key(&[-1.0, -99.0]), map.key(&[0.0, -50.0]));
+        assert_eq!(map.key(&[1e9, 1e9]).unwrap(), (1 << 20) - 1);
     }
 
     #[test]

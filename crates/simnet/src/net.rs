@@ -167,6 +167,16 @@ impl NetModel {
         self.kind == NetModelKind::Unit
     }
 
+    /// A comparison-table substrate label: `base` under `unit` (the tables
+    /// read as they always have), `"{base} @ {name}"` under any other model.
+    pub fn label(&self, base: &str) -> String {
+        if self.is_unit() {
+            base.to_string()
+        } else {
+            format!("{base} @ {}", self.name())
+        }
+    }
+
     /// Whether `node` is in the `straggler` model's deterministic slow-peer
     /// set (always false under every other model).
     pub fn is_straggler(&self, node: NodeId) -> bool {
@@ -277,6 +287,8 @@ mod tests {
         }
         assert!(NetModel::named("dialup").is_none());
         assert_eq!(NetModel::default(), NetModel::unit());
+        assert_eq!(NetModel::unit().label("Chord"), "Chord");
+        assert_eq!(NetModel::wan().label("Chord"), "Chord @ wan");
     }
 
     #[test]

@@ -46,11 +46,7 @@ impl RangeScheme for SkipGraphNet {
     }
 
     fn substrate(&self) -> String {
-        if self.net_model().is_unit() {
-            "— (is the overlay)".into()
-        } else {
-            format!("— (is the overlay) @ {}", self.net_model().name())
-        }
+        self.net_model().label("— (is the overlay)")
     }
 
     fn degree(&self) -> String {

@@ -10,6 +10,12 @@
 //! routing**, giving the `O(h·logN)` delay the Armada paper contrasts with
 //! PIRA's single-`logN` bound.
 //!
+//! The curve itself — domains, keys, clusters and their errors — is
+//! [`sfc::ZMap`]'s; this crate is the back end that reaches a cluster
+//! through Chord and walks the ring segment owning it. A query answers
+//! with the workspace's [`RangeOutcome`], whose destinations are the
+//! clusters visited.
+//!
 //! # Example
 //!
 //! ```
@@ -22,6 +28,7 @@
 //! let origin = net.random_node(&mut rng);
 //! let out = net.range_query(origin, &[(40.0, 60.0), (40.0, 60.0)])?;
 //! assert_eq!(out.results, vec![1]);
+//! assert!(out.exact && out.dest_peers >= 1); // one destination per cluster
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -33,87 +40,16 @@ pub mod scheme;
 pub use scheme::register;
 
 use chord::ChordNet;
-use dht_api::Dht;
+use dht_api::{Dht, OutcomeCosts, RangeOutcome};
 use rand::rngs::SmallRng;
-use sfc::{merge_ranges, ZSpace};
+use sfc::{ZError, ZMap};
 use simnet::NodeId;
-
-/// Default bits per attribute for the SFC quantisation.
-pub const DEFAULT_BITS: u32 = 10;
-
-/// The most attributes a z-order key holds at [`DEFAULT_BITS`] bits each.
-pub const MAX_ARITY: usize = (sfc::MAX_KEY_BITS / DEFAULT_BITS) as usize;
-
-/// Errors returned by Squid operations.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SquidError {
-    /// Wrong number of attributes.
-    WrongArity {
-        /// Expected attribute count.
-        expected: usize,
-        /// Supplied attribute count.
-        got: usize,
-    },
-    /// An attribute domain or query range was empty.
-    EmptyRange {
-        /// Index of the offending attribute.
-        attribute: usize,
-    },
-    /// A build asked for no attributes, or for more than the z-order key
-    /// holds at [`DEFAULT_BITS`] bits each.
-    UnsupportedArity {
-        /// Supplied attribute count.
-        got: usize,
-        /// The most attributes a key holds ([`MAX_ARITY`]).
-        max: usize,
-    },
-}
-
-impl std::fmt::Display for SquidError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SquidError::WrongArity { expected, got } => {
-                write!(f, "expected {expected} attributes, got {got}")
-            }
-            SquidError::EmptyRange { attribute } => {
-                write!(f, "empty range for attribute {attribute}")
-            }
-            SquidError::UnsupportedArity { got, max } => {
-                write!(f, "Squid serves 1..={max} attributes, got {got}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SquidError {}
-
-/// Result of a Squid range query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SquidOutcome {
-    /// Matching record handles, ascending.
-    pub results: Vec<u64>,
-    /// Critical-path delay: per refinement level, the slowest routing, plus
-    /// the ring-segment walks that collect cluster contents.
-    pub delay: u64,
-    /// The same per-level critical path priced in virtual milliseconds
-    /// under the deployment's [`NetModel`](simnet::NetModel): each Chord
-    /// routing charges its real finger path's edges plus the direct
-    /// response edge, each segment-walk step its successor edge.
-    /// `latency ≤ delay` under `unit` (an origin-owned cluster head pays
-    /// the response-message hop charge but no wire time).
-    pub latency: u64,
-    /// Total messages.
-    pub messages: u64,
-    /// Clusters visited (each costs one Chord routing).
-    pub clusters: usize,
-}
 
 /// A Squid deployment: Chord ring + SFC mapping + per-node storage.
 #[derive(Debug, Clone)]
 pub struct SquidNet {
     chord: ChordNet,
-    zspace: ZSpace,
-    domains: Vec<(f64, f64)>,
+    zmap: ZMap,
     /// Network cost model pricing routings and segment walks.
     net_model: simnet::NetModel,
     /// Per-node stored records `(zkey, point, handle)`.
@@ -125,24 +61,14 @@ impl SquidNet {
     ///
     /// # Errors
     ///
-    /// Returns [`SquidError::UnsupportedArity`] unless there are
-    /// `1..=`[`MAX_ARITY`] domains, and [`SquidError::EmptyRange`] for an
+    /// As [`ZMap::new`]: [`ZError::UnsupportedArity`] unless there are
+    /// `1..=`[`sfc::MAX_ARITY`] domains, [`ZError::EmptyRange`] for an
     /// empty domain.
-    pub fn build(n: usize, domains: &[(f64, f64)], rng: &mut SmallRng) -> Result<Self, SquidError> {
-        if !(1..=MAX_ARITY).contains(&domains.len()) {
-            return Err(SquidError::UnsupportedArity { got: domains.len(), max: MAX_ARITY });
-        }
-        for (i, &(lo, hi)) in domains.iter().enumerate() {
-            if lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less) {
-                return Err(SquidError::EmptyRange { attribute: i });
-            }
-        }
-        let chord = ChordNet::build(n, rng);
-        let zspace = ZSpace::new(domains.len() as u32, DEFAULT_BITS);
+    pub fn build(n: usize, domains: &[(f64, f64)], rng: &mut SmallRng) -> Result<Self, ZError> {
+        let zmap = ZMap::new(domains)?;
         Ok(SquidNet {
-            chord,
-            zspace,
-            domains: domains.to_vec(),
+            chord: ChordNet::build(n, rng),
+            zmap,
             net_model: simnet::NetModel::unit(),
             records: vec![Vec::new(); n],
         })
@@ -150,7 +76,7 @@ impl SquidNet {
 
     /// Replaces the network cost model queries price their edges with
     /// (`unit` by default). Hop and message metrics are model-invariant;
-    /// only [`SquidOutcome::latency`] moves.
+    /// only [`RangeOutcome::latency`] moves.
     pub fn set_net_model(&mut self, model: simnet::NetModel) {
         self.net_model = model;
     }
@@ -177,7 +103,7 @@ impl SquidNet {
 
     /// Number of attributes the system was built with.
     pub fn dims(&self) -> usize {
-        self.domains.len()
+        self.zmap.dims()
     }
 
     /// A uniformly random node.
@@ -188,63 +114,48 @@ impl SquidNet {
     /// Maps a z-order key onto the Chord ring (keys use the top bits so
     /// curve order equals ring order).
     fn ring_point(&self, zkey: u64) -> u64 {
-        zkey << (64 - self.zspace.key_bits())
-    }
-
-    fn quantize_point(&self, values: &[f64]) -> Result<Vec<u32>, SquidError> {
-        if values.len() != self.domains.len() {
-            return Err(SquidError::WrongArity { expected: self.domains.len(), got: values.len() });
-        }
-        Ok(values
-            .iter()
-            .zip(self.domains.iter())
-            .map(|(&v, &(lo, hi))| self.zspace.quantize((v - lo) / (hi - lo)))
-            .collect())
+        zkey << (64 - self.zmap.space().key_bits())
     }
 
     /// Publishes a record at the Chord node owning its curve position.
     ///
     /// # Errors
     ///
-    /// Returns [`SquidError::WrongArity`] on arity mismatch.
-    pub fn publish(&mut self, values: &[f64], handle: u64) -> Result<NodeId, SquidError> {
-        let coords = self.quantize_point(values)?;
-        let zkey = self.zspace.interleave(&coords);
+    /// [`ZError::WrongArity`] on arity mismatch.
+    pub fn publish(&mut self, values: &[f64], handle: u64) -> Result<NodeId, ZError> {
+        let zkey = self.zmap.key(values)?;
         let owner = self.chord.successor_of(self.ring_point(zkey));
         self.records[owner].push((zkey, values.to_vec(), handle));
         Ok(owner)
     }
 
     /// Executes a rectangle query from `origin` via recursive cluster
-    /// refinement.
+    /// refinement. The outcome's `delay` is the per-level critical path —
+    /// per refinement level, the slowest routing plus the ring-segment walk
+    /// that collects its cluster — and its `latency` the same path priced
+    /// under the deployment's [`NetModel`](simnet::NetModel): each Chord
+    /// routing charges its real finger path's edges plus the direct
+    /// response edge, each segment-walk step its successor edge
+    /// (`latency ≤ delay` under `unit`: an origin-owned cluster head pays
+    /// the response-message hop charge but no wire time). Every
+    /// overlapping cluster is visited, so the query is exact and its
+    /// destinations are the clusters.
     ///
     /// # Errors
     ///
-    /// Returns an error on arity mismatch or an empty per-attribute range.
+    /// As [`ZMap::clusters`]: arity mismatch or an empty per-attribute
+    /// range.
     pub fn range_query(
         &self,
         origin: NodeId,
         query: &[(f64, f64)],
-    ) -> Result<SquidOutcome, SquidError> {
-        if query.len() != self.domains.len() {
-            return Err(SquidError::WrongArity { expected: self.domains.len(), got: query.len() });
-        }
-        let mut qranges = Vec::with_capacity(query.len());
-        for (i, (&(lo, hi), &(dlo, dhi))) in query.iter().zip(self.domains.iter()).enumerate() {
-            if lo > hi {
-                return Err(SquidError::EmptyRange { attribute: i });
-            }
-            let a = self.zspace.quantize((lo - dlo) / (dhi - dlo));
-            let b = self.zspace.quantize((hi - dlo) / (dhi - dlo));
-            qranges.push((a, b));
-        }
-
+    ) -> Result<RangeOutcome, ZError> {
         // The SFC clusters overlapping the query, as contiguous key ranges
         // annotated with the refinement depth that produced them. Squid
         // refines clusters level by level, each level routed through Chord;
         // the per-level cost is the slowest routing of that level and a
         // cluster emitted at depth `d` has paid `d/dims` refinement rounds.
-        let clusters = merge_ranges(self.zspace.decompose(&qranges));
+        let clusters = self.zmap.clusters(query)?;
         let model = &self.net_model;
         let mut delay = 0u64;
         let mut latency = 0u64;
@@ -254,7 +165,7 @@ impl SquidNet {
         // Refinement levels: group clusters by depth (in interleaved bits ⇒
         // one "level" per dims bits). Every level contributes one parallel
         // round of Chord routings.
-        let dims = self.zspace.dims().max(1);
+        let dims = self.zmap.space().dims();
         let mut per_level: std::collections::BTreeMap<u32, Vec<&sfc::ZRange>> =
             std::collections::BTreeMap::new();
         for c in &clusters {
@@ -274,36 +185,27 @@ impl SquidNet {
                 messages += rtt;
                 // Walk the successor chain of nodes owning keys in
                 // [lo, hi]. A node with ring id `i` owns the keys in
-                // `(pred, i]`, so the segment ends at the first node whose
-                // id reaches `ring_point(hi)` — possibly wrapping past 0.
+                // `(pred, i]`, so a node whose id lies in `[a, b)` hands the
+                // walk on to its successor — at most once round the ring. A
+                // node whose id precedes `a` is the wrap node `ring[0]`: it
+                // owns the ring tail past the largest id, so the cluster
+                // ends there (at once when the whole cluster lies past the
+                // largest id). A one-node ring has nowhere to walk.
+                let (a, b) = (self.ring_point(cluster.lo), self.ring_point(cluster.hi));
                 let mut node = lookup.owner;
                 let mut walked = 0u64;
                 let mut walk_latency = 0u64;
-                let mut prev_id: Option<u64> = None;
                 loop {
                     for (zkey, point, handle) in &self.records[node] {
-                        let inside = *zkey >= cluster.lo
-                            && *zkey <= cluster.hi
-                            && point
-                                .iter()
-                                .zip(query.iter())
-                                .all(|(&v, &(lo, hi))| v >= lo && v <= hi);
-                        if inside {
+                        if (cluster.lo..=cluster.hi).contains(zkey) && sfc::contains(query, point) {
                             results.push(*handle);
                         }
                     }
                     let nid = self.chord.id_of(node);
-                    if nid >= self.ring_point(cluster.hi) {
-                        break; // this node's bucket covers through the top
+                    if !(a..b).contains(&nid) || walked as usize == self.len() || self.len() == 1 {
+                        break;
                     }
-                    if prev_id.is_some_and(|p| nid < p) {
-                        break; // wrapped: this node owns the ring tail
-                    }
-                    prev_id = Some(nid);
                     let succ = self.chord.successor_of(nid.wrapping_add(1));
-                    if succ == node {
-                        break; // single-node ring
-                    }
                     walk_latency += model.edge_cost(node, succ);
                     node = succ;
                     walked += 1;
@@ -315,10 +217,8 @@ impl SquidNet {
             delay += level_delay;
             latency += level_latency;
         }
-
-        results.sort_unstable();
-        results.dedup();
-        Ok(SquidOutcome { results, delay, latency, messages, clusters: clusters.len() })
+        let costs = OutcomeCosts { hops: delay, latency, messages };
+        Ok(RangeOutcome::from_native(results, costs, clusters.len(), clusters.len(), true))
     }
 
     /// Ground truth for tests: a direct scan over all stored records.
@@ -327,9 +227,7 @@ impl SquidNet {
             .records
             .iter()
             .flatten()
-            .filter(|(_, point, _)| {
-                point.iter().zip(query.iter()).all(|(&v, &(lo, hi))| v >= lo && v <= hi)
-            })
+            .filter(|(_, point, _)| sfc::contains(query, point))
             .map(|&(_, _, h)| h)
             .collect();
         out.sort_unstable();
@@ -382,7 +280,7 @@ mod tests {
             out.delay,
             2.0 * log_n
         );
-        assert!(out.clusters > 1, "a fat rectangle spans multiple clusters");
+        assert!(out.dest_peers > 1, "a fat rectangle spans multiple clusters");
     }
 
     #[test]
@@ -397,11 +295,29 @@ mod tests {
     #[test]
     fn squid_rejects_bad_queries() {
         let net = build2(20, 0, 4);
-        assert!(matches!(net.range_query(0, &[(0.0, 1.0)]), Err(SquidError::WrongArity { .. })));
+        assert!(matches!(net.range_query(0, &[(0.0, 1.0)]), Err(ZError::WrongArity { .. })));
         assert!(matches!(
             net.range_query(0, &[(5.0, 1.0), (0.0, 1.0)]),
-            Err(SquidError::EmptyRange { .. })
+            Err(ZError::EmptyRange { .. })
         ));
+    }
+
+    #[test]
+    fn a_cluster_past_the_largest_ring_id_is_not_a_ring_walk() {
+        // The domain's top cell sits past every Chord id (at these sizes),
+        // so its owner is the wrap node `ring[0]`: the walk must stop
+        // there, not go round the whole ring.
+        for n in [8usize, 20, 64] {
+            let mut rng = simnet::rng_from_seed(9);
+            let mut net = SquidNet::build(n, &[(0.0, 100.0)], &mut rng).unwrap();
+            net.publish(&[100.0], 7).unwrap();
+            let bound = 2.0 * (n as f64).log2() + 2.0;
+            for origin in 0..3 {
+                let out = net.range_query(origin, &[(100.0, 100.0)]).unwrap();
+                assert_eq!(out.results, vec![7]);
+                assert!(out.delay as f64 <= bound, "N = {n}, origin {origin}: delay {}", out.delay);
+            }
+        }
     }
 
     #[test]

@@ -1,107 +1,25 @@
 //! Squid behind the unified [`dht_api`] query interfaces.
 //!
-//! Squid natively answers hyper-rectangles ([`MultiRangeScheme`]); built
-//! over a single attribute it also serves the single-attribute
-//! [`RangeScheme`] contract, which is how it joins the cross-scheme
-//! differential workload. Both impls query through `&self` (cluster
+//! Squid natively answers hyper-rectangles, so it implements
+//! [`MultiRangeScheme`] only; [`register`] exposes it under `"squid"` in
+//! both registries, the single-attribute name as a one-attribute build
+//! behind [`OneAttribute`]. Queries run through `&self` (cluster
 //! refinement allocates per call), so a built net is `Send + Sync` and
-//! shards across parallel-driver threads; [`register`] exposes both
-//! shapes under `"squid"`.
+//! shards across parallel-driver threads.
 //!
 //! Squid does **not** opt into the dynamics layer: its SFC cluster tables
 //! are derived from a fixed Chord snapshot at build time (the native code
-//! has no churn path for them), so [`RangeScheme::as_dynamic`] honestly
+//! has no churn path for them), so
+//! [`RangeScheme::as_dynamic`](dht_api::RangeScheme::as_dynamic) honestly
 //! stays `None` and epoch-driven churn runs skip it at runtime.
 
-use crate::{SquidError, SquidNet, SquidOutcome};
+use crate::SquidNet;
 use dht_api::{
-    BuildParams, MultiBuildParams, MultiRangeScheme, OutcomeCosts, RangeOutcome, RangeRequest,
-    RangeScheme, RectRequest, SchemeError, SchemeRegistry,
+    MultiRangeScheme, NetModel, OneAttribute, RangeOutcome, RectRequest, SchemeError,
+    SchemeRegistry,
 };
 use rand::rngs::SmallRng;
 use simnet::NodeId;
-
-impl From<SquidError> for SchemeError {
-    fn from(e: SquidError) -> Self {
-        match e {
-            SquidError::WrongArity { expected, got } => SchemeError::WrongArity { expected, got },
-            SquidError::EmptyRange { .. } => SchemeError::Query(e.to_string()),
-            SquidError::UnsupportedArity { .. } => SchemeError::Build(e.to_string()),
-        }
-    }
-}
-
-impl SquidOutcome {
-    /// Converts into the scheme-generic outcome. Squid's destination unit
-    /// is the curve cluster; refinement visits every overlapping cluster,
-    /// so queries are exact by construction.
-    pub fn into_outcome(self) -> RangeOutcome {
-        RangeOutcome::from_native(
-            self.results,
-            OutcomeCosts { hops: self.delay, latency: self.latency, messages: self.messages },
-            self.clusters,
-            self.clusters,
-            true,
-        )
-    }
-}
-
-impl From<SquidOutcome> for RangeOutcome {
-    fn from(out: SquidOutcome) -> Self {
-        out.into_outcome()
-    }
-}
-
-impl RangeScheme for SquidNet {
-    fn scheme_name(&self) -> &'static str {
-        "squid"
-    }
-
-    fn substrate(&self) -> String {
-        if self.net_model().is_unit() {
-            "Chord".into()
-        } else {
-            format!("Chord @ {}", self.net_model().name())
-        }
-    }
-
-    fn degree(&self) -> String {
-        "O(logN)".into()
-    }
-
-    fn node_count(&self) -> usize {
-        self.len()
-    }
-
-    fn publish(&mut self, value: f64, handle: u64) -> Result<(), SchemeError> {
-        if self.dims() != 1 {
-            return Err(SchemeError::WrongArity { expected: self.dims(), got: 1 });
-        }
-        SquidNet::publish(self, &[value], handle)?;
-        Ok(())
-    }
-
-    fn random_origin(&self, rng: &mut SmallRng) -> NodeId {
-        self.random_node(rng)
-    }
-
-    fn range_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<RangeOutcome, SchemeError> {
-        if self.dims() != 1 {
-            return Err(SchemeError::WrongArity { expected: self.dims(), got: 1 });
-        }
-        RangeRequest::new(origin, lo, hi, seed)?;
-        if origin >= self.len() {
-            return Err(SchemeError::BadOrigin { origin });
-        }
-        Ok(SquidNet::range_query(self, origin, &[(lo, hi)])?.into_outcome())
-    }
-}
 
 impl MultiRangeScheme for SquidNet {
     fn scheme_name(&self) -> &'static str {
@@ -109,11 +27,7 @@ impl MultiRangeScheme for SquidNet {
     }
 
     fn substrate(&self) -> String {
-        if self.net_model().is_unit() {
-            "Chord".into()
-        } else {
-            format!("Chord @ {}", self.net_model().name())
-        }
+        self.net_model().label("Chord")
     }
 
     fn degree(&self) -> String {
@@ -147,36 +61,36 @@ impl MultiRangeScheme for SquidNet {
         if origin >= self.len() {
             return Err(SchemeError::BadOrigin { origin });
         }
-        Ok(SquidNet::range_query(self, origin, rect)?.into_outcome())
+        Ok(SquidNet::range_query(self, origin, rect)?)
     }
 }
 
-/// Registers `"squid"` as both a single-attribute scheme (1-D build) and a
-/// multi-attribute scheme.
+fn build(
+    n: usize,
+    domains: &[(f64, f64)],
+    net: NetModel,
+    rng: &mut SmallRng,
+) -> Result<Box<dyn MultiRangeScheme>, SchemeError> {
+    let mut squid =
+        SquidNet::build(n, domains, rng).map_err(|e| SchemeError::Build(e.to_string()))?;
+    squid.set_net_model(net);
+    Ok(Box::new(squid))
+}
+
+/// Registers `"squid"` as a multi-attribute scheme and, over a
+/// one-attribute build, as a single-attribute one.
 pub fn register(reg: &mut SchemeRegistry) {
     reg.register_single(
         "squid",
-        Box::new(|p: &BuildParams, rng| {
-            let mut net = SquidNet::build(p.n, &[p.domain], rng)
-                .map_err(|e| SchemeError::Build(e.to_string()))?;
-            net.set_net_model(p.net);
-            Ok(Box::new(net))
-        }),
+        Box::new(|p, rng| Ok(Box::new(OneAttribute::new(build(p.n, &[p.domain], p.net, rng)?)?))),
     );
-    reg.register_multi(
-        "squid",
-        Box::new(|p: &MultiBuildParams, rng| {
-            let mut net = SquidNet::build(p.n, &p.domains, rng)
-                .map_err(|e| SchemeError::Build(e.to_string()))?;
-            net.set_net_model(p.net);
-            Ok(Box::new(net))
-        }),
-    );
+    reg.register_multi("squid", Box::new(|p, rng| build(p.n, &p.domains, p.net, rng)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht_api::{BuildParams, MultiBuildParams};
     use rand::Rng;
 
     #[test]
@@ -212,13 +126,11 @@ mod tests {
         let params = MultiBuildParams::new(40, &[(0.0, 1.0), (0.0, 1.0)]);
         let multi = reg.build_multi("squid", &params, &mut rng).unwrap();
         assert_eq!(multi.dims(), 2);
-        // The same network viewed through the single-attribute trait must
-        // refuse, not silently mis-query.
-        let mut rng2 = simnet::rng_from_seed(931);
-        let net = SquidNet::build(40, &[(0.0, 1.0), (0.0, 1.0)], &mut rng2).unwrap();
+        // A two-attribute network has no single-attribute reading: the
+        // adapter refuses it instead of silently mis-querying.
         assert!(matches!(
-            RangeScheme::range_query(&net, 0, 0.1, 0.2, 0),
-            Err(SchemeError::WrongArity { .. })
+            OneAttribute::new(multi).map(|_| ()),
+            Err(SchemeError::WrongArity { expected: 1, got: 2 })
         ));
     }
 }

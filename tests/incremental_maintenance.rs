@@ -28,8 +28,10 @@ const DOMAIN: (f64, f64) = (0.0, 1000.0);
 const PLANS: [&str; 3] = ["steady-churn", "flash-crowd", "massacre"];
 
 /// Replays a plan's event stream straight onto a Chord ring (the same
-/// event lists and placement RNG `ChurnPlan::apply` would use).
+/// event lists and placement RNG `ChurnPlan::apply` would use), checking
+/// the ring's invariants after every event.
 fn churn_chord(net: &mut ChordNet, plan: &ChurnPlan, seed: u64, epochs: u64) {
+    net.check_invariants().unwrap_or_else(|e| panic!("built ring: {e}"));
     for epoch in 0..epochs {
         let mut rng = plan.epoch_rng(seed, epoch);
         for event in plan.events(epoch) {
@@ -43,6 +45,7 @@ fn churn_chord(net: &mut ChordNet, plan: &ChurnPlan, seed: u64, epochs: u64) {
                     let _ = net.remove(victim);
                 }
             }
+            net.check_invariants().unwrap_or_else(|e| panic!("epoch {epoch}, {event:?}: {e}"));
         }
     }
 }
