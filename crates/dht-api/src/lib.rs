@@ -166,6 +166,27 @@ pub trait Dht: Send + Sync {
         (lookup, per_edge * lookup.hops as u64)
     }
 
+    /// Appends [`route_key_latency`](Dht::route_key_latency)`(from, key,
+    /// net)` to `out` for every key in `keys`, in order: the pricing of a
+    /// batch of routed gets that all leave from one client, such as a PHT
+    /// range query's trie-node gets. The default routes one key at a time;
+    /// a substrate whose routes from one origin share hops may walk them
+    /// together (`chord` walks one route tree), keeping its buffers in
+    /// `scratch`, so long as every entry equals the key routed alone
+    /// (debug builds of PHT's range query hold each entry against a call
+    /// with that key alone).
+    fn route_keys(
+        &self,
+        from: NodeId,
+        keys: &[u64],
+        net: &NetModel,
+        scratch: &mut simnet::QueryScratch,
+        out: &mut Vec<(Lookup, u64)>,
+    ) {
+        let _ = scratch;
+        out.extend(keys.iter().map(|&key| self.route_key_latency(from, key, net)));
+    }
+
     /// Whether `node` is a live peer — what a layered scheme checks before
     /// it routes from a caller-supplied origin, since the routing methods
     /// may panic on a dead or unknown one.

@@ -18,6 +18,14 @@
 //! compares the constant-degree (FISSIONE) and `O(log N)`-degree (Chord)
 //! substrates under the same PHT.
 //!
+//! Which trie nodes a query gets depends only on the trie, so the
+//! simulator lists a query's gets first and prices them all in one
+//! [`Dht::route_keys`] call from the client — over Chord, one route tree
+//! walking each finger edge once for every get behind it. Every get is
+//! still charged its own full routing, and the probes and descent levels
+//! fold exactly as the algorithm runs them, so the delay stays
+//! `Θ(b·log N)`; only the simulator's work shrinks.
+//!
 //! # Example
 //!
 //! ```
@@ -42,7 +50,7 @@ pub mod scheme;
 pub use scheme::{register, DynamicPhtScheme, PhtScheme};
 
 use dht_api::Dht;
-use simnet::NodeId;
+use simnet::{NodeId, QueryScratch};
 
 /// Default key width in bits (quantisation of the attribute domain).
 pub const DEFAULT_WIDTH: u32 = 16;
@@ -324,28 +332,51 @@ impl<D: Dht> Pht<D> {
         }
     }
 
-    /// One DHT get of the trie node stored under `key` from the client:
-    /// returns `(hops_rtt, latency_rtt, messages)` — request routing plus a
-    /// one-hop direct response, in hops, cost-model virtual milliseconds,
-    /// and messages.
-    fn get_cost(&self, from: NodeId, key: u64) -> (u64, u64, u64) {
-        let (lookup, route_latency) = self.dht.route_key_latency(from, key, &self.net);
-        let rtt = lookup.hops as u64 + 1;
-        let latency = route_latency + self.net.edge_cost(lookup.owner, from);
-        (rtt, latency, rtt)
-    }
-
     /// Executes a range query from the client peer `from`.
     ///
     /// Follows the PHT paper's parallel algorithm: binary search for the
     /// deepest existing node on `lcp(lo_key, hi_key)`, then parallel descent
     /// over range-overlapping children.
     pub fn range_query(&self, from: NodeId, lo: f64, hi: f64) -> PhtOutcome {
+        self.range_query_scratch(from, lo, hi, &mut QueryScratch::new())
+    }
+
+    /// [`range_query`](Self::range_query) on the caller's reusable
+    /// buffers: the query's get keys, descent levels and the
+    /// substrate's route-tree buffers live in `scratch`, so a warm query
+    /// allocates only its result list. Reuse never moves an outcome.
+    ///
+    /// Which trie nodes a query gets depends only on the trie, never on
+    /// where they are stored, so the query first lists every get — the
+    /// binary-search probes, then the descent level by level — and prices
+    /// them in one [`Dht::route_keys`] call from the client. Each get costs
+    /// its request's routing plus a one-hop direct response, in hops,
+    /// cost-model virtual milliseconds and messages; probes add up
+    /// (sequential), a descent level costs its slowest get (parallel).
+    pub fn range_query_scratch(
+        &self,
+        from: NodeId,
+        lo: f64,
+        hi: f64,
+        scratch: &mut QueryScratch,
+    ) -> PhtOutcome {
+        let mut bufs = std::mem::take(scratch.slot::<QueryBufs>());
+        let out = self.query_on(from, lo, hi, &mut bufs, scratch);
+        *scratch.slot::<QueryBufs>() = bufs;
+        out
+    }
+
+    /// [`range_query_scratch`](Self::range_query_scratch) on its buffers.
+    fn query_on(
+        &self,
+        from: NodeId,
+        lo: f64,
+        hi: f64,
+        bufs: &mut QueryBufs,
+        scratch: &mut QueryScratch,
+    ) -> PhtOutcome {
+        let QueryBufs { keys, rounds, descent, hits, gets } = bufs;
         let (a, b) = (self.quantize(lo.min(hi)), self.quantize(hi.max(lo)));
-        let mut delay = 0u64;
-        let mut latency = 0u64;
-        let mut messages = 0u64;
-        let mut visited = 0usize;
 
         // Longest common prefix of the range endpoints.
         let lcp_len = (a ^ b).leading_zeros().saturating_sub(32 - self.width);
@@ -364,19 +395,20 @@ impl<D: Dht> Pht<D> {
 
         // Binary search over prefix lengths for the deepest existing node on
         // the lcp path (sequential DHT gets; a missing probe still pays its
-        // get).
+        // get). Each probe is a round of its own.
+        keys.clear();
+        rounds.clear();
         let (mut lo_len, mut hi_len) = (0u32, lcp_len);
         let mut start = 0;
         while lo_len <= hi_len {
             let mid = (lo_len + hi_len).div_ceil(2);
             let exists = mid <= deepest;
-            let key =
-                if exists { self.nodes[path[mid as usize]].key } else { lcp.prefix(mid).dht_key() };
-            let (rtt, lat, msg) = self.get_cost(from, key);
-            delay += rtt;
-            latency += lat; // binary-search probes are sequential
-            messages += msg;
-            visited += 1;
+            keys.push(if exists {
+                self.nodes[path[mid as usize]].key
+            } else {
+                lcp.prefix(mid).dht_key()
+            });
+            rounds.push(keys.len());
             if exists {
                 start = path[mid as usize];
                 if mid == hi_len {
@@ -392,54 +424,105 @@ impl<D: Dht> Pht<D> {
         }
 
         // Parallel descent from `start`, one level of arena indices at a
-        // time.
-        let mut results = Vec::new();
+        // time; each level is a round of parallel gets.
+        hits.clear();
+        descent.clear();
+        descent.push(start);
         let mut dest_leaves = 0usize;
-        let (mut frontier, mut next) = (vec![start], Vec::new());
-        while !frontier.is_empty() {
-            let mut level_delay = 0u64;
-            let mut level_latency = 0u64;
-            for &i in &frontier {
-                let node = &self.nodes[i];
-                let (rtt, lat, msg) = self.get_cost(from, node.key);
-                level_delay = level_delay.max(rtt);
-                level_latency = level_latency.max(lat); // parallel gets
-                messages += msg;
-                visited += 1;
+        let mut level = 0..1;
+        while !level.is_empty() {
+            for at in level.clone() {
+                let node = &self.nodes[descent[at]];
+                keys.push(node.key);
                 match &node.body {
                     Body::Leaf(entries) => {
-                        let mut hit = false;
-                        for &(k, v, h) in entries {
-                            if k >= a && k <= b && v >= lo && v <= hi {
-                                results.push(h);
-                                hit = true;
-                            }
-                        }
-                        if hit || node.label.overlaps(self.width, a, b) {
+                        let before = hits.len();
+                        hits.extend(
+                            entries
+                                .iter()
+                                .filter(|&&(k, v, _)| k >= a && k <= b && v >= lo && v <= hi)
+                                .map(|&(_, _, h)| h),
+                        );
+                        if hits.len() > before || node.label.overlaps(self.width, a, b) {
                             dest_leaves += 1;
                         }
                     }
-                    &Body::Internal(first) => next.extend(
-                        [first, first + 1]
-                            .into_iter()
-                            .filter(|&c| self.nodes[c].label.overlaps(self.width, a, b)),
-                    ),
+                    &Body::Internal(first) => {
+                        for child in [first, first + 1] {
+                            if self.nodes[child].label.overlaps(self.width, a, b) {
+                                descent.push(child);
+                            }
+                        }
+                    }
                 }
             }
-            delay += level_delay;
-            latency += level_latency;
-            std::mem::swap(&mut frontier, &mut next);
-            next.clear();
+            rounds.push(keys.len());
+            level = level.end..descent.len();
         }
 
-        results.sort_unstable();
-        PhtOutcome { results, delay, latency, messages, nodes_visited: visited, dest_leaves }
+        // Every get priced at once, then folded round by round: a round
+        // costs its slowest get, and the rounds run one after another.
+        gets.clear();
+        self.dht.route_keys(from, keys, &self.net, scratch, gets);
+        debug_assert_eq!(gets.len(), keys.len(), "one priced get per key");
+        if cfg!(debug_assertions) {
+            for (&key, &get) in keys.iter().zip(gets.iter()) {
+                assert_eq!(
+                    get,
+                    self.dht.route_key_latency(from, key, &self.net),
+                    "the batch priced the get {from} -> {key:#x} unlike a get alone"
+                );
+            }
+        }
+        let (mut delay, mut latency, mut messages) = (0u64, 0u64, 0u64);
+        let mut first = 0;
+        for &end in rounds.iter() {
+            let (mut round_delay, mut round_latency) = (0u64, 0u64);
+            for &(lookup, route_latency) in &gets[first..end] {
+                let rtt = lookup.hops as u64 + 1; // routed request + direct response
+                round_delay = round_delay.max(rtt);
+                round_latency =
+                    round_latency.max(route_latency + self.net.edge_cost(lookup.owner, from));
+                messages += rtt;
+            }
+            delay += round_delay;
+            latency += round_latency;
+            first = end;
+        }
+
+        hits.sort_unstable();
+        PhtOutcome {
+            results: hits.to_vec(),
+            delay,
+            latency,
+            messages,
+            nodes_visited: keys.len(),
+            dest_leaves,
+        }
     }
+}
+
+/// A range query's working buffers, kept in a query scratch slot across
+/// queries.
+#[derive(Debug, Default)]
+struct QueryBufs {
+    /// Every get's DHT key: the probes, then the descent in level order.
+    keys: Vec<u64>,
+    /// Where each round of gets ends in `keys`: one round per probe, then
+    /// one per descent level.
+    rounds: Vec<usize>,
+    /// The descent's trie nodes (arena indices), level after level.
+    descent: Vec<usize>,
+    /// Handles of the matching records.
+    hits: Vec<u64>,
+    /// Each get's routed lookup and path latency, as `keys`.
+    gets: Vec<(dht_api::Lookup, u64)>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
     use rand::Rng;
 
     fn chord_pht(n: usize, seed: u64) -> Pht<chord::ChordNet> {
@@ -543,6 +626,55 @@ mod tests {
             data.iter().filter(|&&(v, _)| (300.0..=500.0).contains(&v)).map(|&(_, h)| h).collect();
         expect.sort_unstable();
         assert_eq!(out.results, expect);
+    }
+
+    /// `route_keys` against one `route_key_latency` per key, from every
+    /// tenth live node, under `unit` and `wan`, on one reused scratch.
+    fn assert_batch_equals_gets_alone<D: Dht>(dht: &D, live: &[NodeId], rng: &mut SmallRng) {
+        let mut keys: Vec<u64> = (0..200).map(|_| rng.gen()).collect();
+        keys.extend_from_within(..20); // repeats
+        let mut scratch = QueryScratch::new();
+        let mut out = Vec::new();
+        for model in [simnet::NetModel::unit(), simnet::NetModel::wan()] {
+            for &from in live.iter().step_by(10) {
+                out.clear();
+                dht.route_keys(from, &keys, &model, &mut scratch, &mut out);
+                let alone: Vec<_> =
+                    keys.iter().map(|&key| dht.route_key_latency(from, key, &model)).collect();
+                assert_eq!(out, alone, "{} from {from}", dht.name());
+            }
+        }
+    }
+
+    #[test]
+    fn batched_gets_equal_gets_routed_alone_on_both_substrates() {
+        // Chord walks one route tree; FissionE keeps the per-key default.
+        let mut rng = simnet::rng_from_seed(8);
+        let chord = chord::ChordNet::build(300, &mut rng);
+        let live: Vec<NodeId> = chord.live_members().collect();
+        assert_batch_equals_gets_alone(&chord, &live, &mut rng);
+        let cfg =
+            fissione::FissioneConfig { object_id_len: 24, ..fissione::FissioneConfig::default() };
+        let fissione = fissione::FissioneNet::build(cfg, 120, &mut rng).unwrap();
+        let live: Vec<NodeId> = fissione.live_peers().collect();
+        assert_batch_equals_gets_alone(&fissione, &live, &mut rng);
+    }
+
+    #[test]
+    fn a_reused_scratch_never_moves_an_outcome() {
+        let mut pht = chord_pht(200, 9);
+        let mut rng = simnet::rng_from_seed(90);
+        for h in 0..600u64 {
+            pht.insert(rng.gen_range(0.0..=1000.0), h);
+        }
+        let mut scratch = QueryScratch::new();
+        for _ in 0..40 {
+            let lo = rng.gen_range(0.0..1000.0);
+            let hi = lo + rng.gen_range(0.0..300.0);
+            let from = pht.dht().random_node(&mut rng);
+            let reused = pht.range_query_scratch(from, lo, hi, &mut scratch);
+            assert_eq!(reused, pht.range_query(from, lo, hi), "[{lo}, {hi}] from {from}");
+        }
     }
 
     #[test]

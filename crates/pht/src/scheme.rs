@@ -13,11 +13,11 @@
 
 use crate::{Pht, PhtOutcome};
 use dht_api::{
-    BuildParams, Dht, DynamicDht, DynamicScheme, FetchCost, OutcomeCosts, RangeOutcome,
+    BuildParams, Dht, DynamicDht, DynamicScheme, FetchCost, OutcomeCosts, QueryCtx, RangeOutcome,
     RangeRequest, RangeScheme, ReplicaRouting, SchemeError, SchemeRegistry,
 };
 use rand::rngs::SmallRng;
-use simnet::NodeId;
+use simnet::{NodeId, QueryScratch};
 
 impl PhtOutcome {
     /// Converts into the scheme-generic outcome. PHT's destination unit is
@@ -95,11 +95,23 @@ impl<D: Dht> RangeScheme for PhtScheme<D> {
         hi: f64,
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
-        RangeRequest::new(origin, lo, hi, seed)?;
+        self.range_query_scratch(origin, lo, hi, seed, &mut QueryScratch::new())
+    }
+
+    fn query(
+        &self,
+        req: &RangeRequest,
+        cx: &mut QueryCtx<'_>,
+    ) -> Result<RangeOutcome, SchemeError> {
+        cx.refuse_faults(self.scheme_name)?;
+        let origin = req.origin();
         if !self.pht.dht().is_live(origin) {
             return Err(SchemeError::BadOrigin { origin });
         }
-        Ok(self.pht.range_query(origin, lo, hi).into_outcome())
+        let out =
+            self.pht.range_query_scratch(origin, req.lo(), req.hi(), cx.scratch).into_outcome();
+        cx.trace_modeled(self.scheme_name, origin, &out);
+        Ok(out)
     }
 }
 
@@ -157,6 +169,14 @@ impl<D: DynamicDht> RangeScheme for DynamicPhtScheme<D> {
         seed: u64,
     ) -> Result<RangeOutcome, SchemeError> {
         self.0.range_query(origin, lo, hi, seed)
+    }
+
+    fn query(
+        &self,
+        req: &RangeRequest,
+        cx: &mut QueryCtx<'_>,
+    ) -> Result<RangeOutcome, SchemeError> {
+        self.0.query(req, cx)
     }
 
     fn as_dynamic(&mut self) -> Option<&mut dyn DynamicScheme> {

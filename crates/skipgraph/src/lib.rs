@@ -185,6 +185,72 @@ impl SkipGraphNet {
         owner
     }
 
+    /// Verifies the structure search and the range walk trust: the keys
+    /// ascend strictly from `keys[0]` = the domain's low end; at every
+    /// level the links are mutual (`right(x) = y` exactly when
+    /// `left(y) = x`) and point up the key order; every level's list lies
+    /// inside one list of the level below; and every record sits in its
+    /// bucket `[keys[i], keys[i+1])` (values clamped into the domain, so
+    /// the last bucket runs to its top).
+    ///
+    /// # Errors
+    ///
+    /// Returns a descriptive string on violation (test helper).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if self.keys.first() != Some(&self.domain_lo) {
+            return Err(format!(
+                "keys[0] is {:?}, not the domain low {}",
+                self.keys.first(),
+                self.domain_lo
+            ));
+        }
+        if let Some(w) = self.keys.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!("keys not ascending: {} before {}", w[0], w[1]));
+        }
+        let n = self.keys.len();
+        // `head[x]`: the first node of `x`'s list one level down (level 0 is
+        // one list). Lists run in key order, so a left link points to a
+        // smaller id whose head is already known.
+        let mut below = vec![0; n];
+        for (level, links) in self.neighbors.iter().enumerate() {
+            if links.len() != n {
+                return Err(format!("level {level} links {} of {n} nodes", links.len()));
+            }
+            let mut head = vec![0; n];
+            for x in 0..n {
+                let (left, right) = links[x];
+                if let Some(y) = right {
+                    if y <= x || y >= n || links[y].0 != Some(x) {
+                        return Err(format!(
+                            "level {level}: {x} -> {y} is not mutual in key order"
+                        ));
+                    }
+                }
+                if let Some(y) = left {
+                    if y >= x || links[y].1 != Some(x) {
+                        return Err(format!(
+                            "level {level}: {y} <- {x} is not mutual in key order"
+                        ));
+                    }
+                }
+                head[x] = left.map_or(x, |y| head[y]);
+                if level > 0 && left.is_some_and(|y| below[y] != below[x]) {
+                    return Err(format!("level {level}: {x} leaves its level-{} list", level - 1));
+                }
+            }
+            below = head;
+        }
+        for (node, records) in self.records.iter().enumerate() {
+            if let Some(&(value, handle)) = records.iter().find(|&&(v, _)| self.owner_of(v) != node)
+            {
+                return Err(format!(
+                    "record {handle} ({value}) stored at {node}, outside its bucket"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Skip Graph search from `from` to the owner of `value`; returns
     /// `(owner, hops)`. Standard algorithm: at each level move toward the
     /// target as far as possible without overshooting, then descend.
@@ -374,6 +440,65 @@ mod tests {
         assert!(large.delay > small.delay + 100);
         // delay ≥ walk length = dest − 1.
         assert!(large.delay as usize >= large.dest_peers - 1);
+    }
+
+    #[test]
+    fn invariants_hold_and_catch_corruption() {
+        let mut rng = simnet::rng_from_seed(80);
+        for n in [1, 2, 3, 200] {
+            let mut net = build(n, 8 + n as u64);
+            for h in 0..300u64 {
+                net.publish(rng.gen_range(-10.0..=1010.0), h);
+            }
+            net.check_invariants().unwrap_or_else(|e| panic!("N = {n}: {e}"));
+        }
+        let net = build(200, 9);
+        net.check_invariants().unwrap();
+        let mut stale = net.clone();
+        stale.keys.swap(3, 4);
+        assert!(stale.check_invariants().unwrap_err().contains("ascending"));
+        let mut stale = net.clone();
+        stale.keys[0] = 1.0;
+        assert!(stale.check_invariants().unwrap_err().contains("domain low"));
+        let mut stale = net.clone();
+        stale.neighbors[0][5].1 = Some(7);
+        assert!(stale.check_invariants().unwrap_err().contains("mutual"));
+        // Node 100 moved into a level-2 list under the other level-1 list,
+        // its links kept mutual and in key order.
+        let mut stale = net.clone();
+        let head = |links: &[(Option<NodeId>, Option<NodeId>)], mut x: NodeId| {
+            while let Some(left) = links[x].0 {
+                x = left;
+            }
+            x
+        };
+        let z = 100;
+        let lv = &mut stale.neighbors;
+        let w = (0..200).find(|&w| head(&lv[1], w) != head(&lv[1], z)).unwrap();
+        let (l, r) = lv[2][z];
+        if let Some(l) = l {
+            lv[2][l].1 = r;
+        }
+        if let Some(r) = r {
+            lv[2][r].0 = l;
+        }
+        let mut members = vec![head(&lv[2], w)];
+        while let Some(next) = lv[2][members[members.len() - 1]].1 {
+            members.push(next);
+        }
+        let a = members.iter().copied().rfind(|&m| m < z);
+        let b = members.iter().copied().find(|&m| m > z);
+        lv[2][z] = (a, b);
+        if let Some(a) = a {
+            lv[2][a].1 = Some(z);
+        }
+        if let Some(b) = b {
+            lv[2][b].0 = Some(z);
+        }
+        assert!(stale.check_invariants().unwrap_err().contains("level-1 list"));
+        let mut stale = net;
+        stale.records[10].push((999.9, 77));
+        assert!(stale.check_invariants().unwrap_err().contains("record 77"));
     }
 
     #[test]
