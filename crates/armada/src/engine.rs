@@ -57,12 +57,12 @@ pub struct Armada<N> {
     repaired_through: u64,
 }
 
-/// Single-attribute Armada: `Single_hash` naming, queried by [`pira`].
-///
-/// [`pira`]: crate::pira
+/// Single-attribute Armada: `Single_hash` naming, queried by PIRA
+/// ([`descent::query`](crate::descent::query) over one range).
 pub type SingleArmada = Armada<SingleHash>;
 
-/// Multi-attribute Armada: `Multiple_hash` naming, queried by [`mira`].
+/// Multi-attribute Armada: `Multiple_hash` naming, queried by MIRA
+/// ([`descent::query`](crate::descent::query) over a rectangle).
 ///
 /// # Example
 ///
@@ -79,12 +79,10 @@ pub type SingleArmada = Armada<SingleHash>;
 /// // 1GB ≤ memory ≤ 4GB and 50GB ≤ disk ≤ 200GB (the paper's example).
 /// let rect = [(1024.0, 4096.0), (50.0, 200.0)];
 /// let mut scratch = simnet::QueryScratch::new();
-/// let (out, _) = armada::mira::query(&grid, origin, &rect, 3, None, false, &mut scratch)?;
+/// let (out, _) = armada::descent::query(&grid, origin, &rect, 3, None, false, &mut scratch)?;
 /// assert_eq!(out.results.len(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-///
-/// [`mira`]: crate::mira
 pub type MultiArmada = Armada<MultiHash>;
 
 impl<N: Naming> Armada<N> {
@@ -284,8 +282,8 @@ impl Armada<SingleHash> {
     }
 
     /// Runs a plain PIRA range query from `origin`: fresh buffers, no
-    /// faults, no trace. [`pira::query`](crate::pira::query) is the full
-    /// surface.
+    /// faults, no trace. [`descent::query`](crate::descent::query) is the
+    /// full surface.
     ///
     /// # Errors
     ///
@@ -314,7 +312,8 @@ impl Armada<SingleHash> {
         seed: u64,
         scratch: &mut simnet::QueryScratch,
     ) -> Result<QueryOutcome, ArmadaError> {
-        crate::pira::query(self, origin, lo, hi, seed, None, false, scratch).map(|(out, _)| out)
+        crate::descent::query(self, origin, &[(lo, hi)], seed, None, false, scratch)
+            .map(|(out, _)| out)
     }
 }
 
@@ -357,11 +356,9 @@ impl Armada<MultiHash> {
     }
 
     /// Ground truth: peers whose hyper-rectangle intersects the query, by
-    /// exhaustive scan (`O(N·k)`) — the reference [`mira::query`]'s
-    /// destinations (the matching peers of the corner region's run) are
-    /// tested against.
-    ///
-    /// [`mira::query`]: crate::mira::query
+    /// exhaustive scan (`O(N·k)`) — the reference
+    /// [`descent::query`](crate::descent::query)'s destinations (the
+    /// matching peers of the corner region's run) are tested against.
     ///
     /// # Errors
     ///
@@ -372,12 +369,7 @@ impl Armada<MultiHash> {
     ) -> Result<BTreeSet<NodeId>, ArmadaError> {
         let rect = self.naming.query_rect(query)?;
         let mut zone = Vec::new();
-        let meets = |&n: &NodeId| {
-            self.naming
-                .prefix_rect_into(self.net.peer_id(n).expect("live"), &mut zone)
-                .expect("peer depths are within naming depth");
-            rect.intersects(&zone)
-        };
+        let meets = |&n: &NodeId| rect.meets_prefix(self.net.peer_id(n).expect("live"), &mut zone);
         Ok(self.net.live_peers().filter(meets).collect())
     }
 

@@ -13,14 +13,14 @@
 //! 2. **Pruned forwarding over the FRT**: the forward routing tree
 //!    ([`ForwardRoutingTree`]) of the query origin contains, at level `i`,
 //!    every peer whose PeerID extends the suffix `u_{i+1}…u_b` of the
-//!    origin's ID. [`pira`] (single-attribute) and [`mira`]
-//!    (multi-attribute) descend this tree, pruning subtrees whose namespace
-//!    prefix cannot intersect the query, and answer at the destination
-//!    level. The two are one [`descent`] — one message, one handler, one
-//!    gather over the network's object table — around which each supplies
-//!    its region, its pruning predicate (an interval in key space; a
-//!    rectangle) and its record filter. The explicit tree is the oracle
-//!    their traces are tested against.
+//!    origin's ID. PIRA (single-attribute) and MIRA (multi-attribute) are
+//!    one query, [`descent::query`]: it descends this tree, pruning subtrees
+//!    whose namespace prefix cannot intersect the query, and answers at the
+//!    destination level — one message, one handler, one gather over the
+//!    network's object table. The naming decides the rest: a region that is
+//!    the query's image (`Single_hash`) is pruned and filtered in key space
+//!    alone; a corner region (`Multiple_hash`) adds the rectangle test. The explicit tree is the oracle their traces are
+//!    tested against.
 //!
 //! Both algorithms are **delay-bounded**: every query completes within the
 //! origin's ID length in hops — `< 2·log₂N` worst case and `< log₂N` on
@@ -55,8 +55,6 @@ pub mod descent;
 mod engine;
 mod frt;
 mod metrics;
-pub mod mira;
-pub mod pira;
 pub mod scheme;
 pub mod seqwalk;
 pub mod topk;

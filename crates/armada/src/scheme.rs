@@ -145,11 +145,10 @@ impl RangeScheme for PiraScheme {
         cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
         let faults = cx.faults_within(self.node_count(), |peer| self.inner.net().is_live(peer))?;
-        let (out, records) = crate::pira::query(
+        let (out, records) = crate::descent::query(
             &self.inner,
             req.origin(),
-            req.lo(),
-            req.hi(),
+            &[(req.lo(), req.hi())],
             req.seed(),
             faults,
             cx.trace.is_some(),
@@ -397,10 +396,10 @@ impl MiraScheme {
         &self.inner
     }
 
-    /// The engine's network, mutably: membership changes, which the
-    /// multi-attribute surface has no [`DynamicScheme`] hook for.
-    pub fn net_mut(&mut self) -> &mut fissione::FissioneNet {
-        self.inner.net_mut()
+    /// The wrapped native engine, mutably: it is the [`DynamicScheme`] the
+    /// multi-attribute surface has no hook for.
+    pub fn inner_mut(&mut self) -> &mut MultiArmada {
+        &mut self.inner
     }
 }
 
@@ -451,7 +450,7 @@ impl MultiRangeScheme for MiraScheme {
         cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
         let faults = cx.faults_within(self.node_count(), |peer| self.inner.net().is_live(peer))?;
-        let (out, records) = crate::mira::query(
+        let (out, records) = crate::descent::query(
             &self.inner,
             req.origin(),
             req.rect(),

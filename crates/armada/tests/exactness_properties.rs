@@ -87,7 +87,7 @@ proptest! {
         let mut scratch = simnet::QueryScratch::new();
 
         let origin = a.net().random_peer(&mut rng);
-        let run = armada::pira::query(&a, origin, lo, hi, seed, None, true, &mut scratch).unwrap();
+        let run = armada::descent::query(&a, origin, &[(lo, hi)], seed, None, true, &mut scratch).unwrap();
         let truth = a.ground_truth_peers_scan(lo, hi).unwrap();
         check_against_the_frt(a.net(), origin, &run, &truth, levels)?;
 
@@ -95,7 +95,7 @@ proptest! {
         // A thinner second side, so that the corner region bounds the
         // rectangle loosely and MIRA has subtrees to cut.
         let rect = [(lo, hi), (lo, lo + (hi - lo) / 8.0)];
-        let run = armada::mira::query(&m, origin, &rect, seed, None, true, &mut scratch).unwrap();
+        let run = armada::descent::query(&m, origin, &rect, seed, None, true, &mut scratch).unwrap();
         let truth = m.ground_truth_peers(&rect).unwrap();
         check_against_the_frt(m.net(), origin, &run, &truth, levels)?;
     }
@@ -181,7 +181,7 @@ proptest! {
         let origin = m.net().random_peer(&mut rng);
         let mut scratch = simnet::QueryScratch::new();
         let (out, _) =
-            armada::mira::query(&m, origin, &query, seed, None, false, &mut scratch).unwrap();
+            armada::descent::query(&m, origin, &query, seed, None, false, &mut scratch).unwrap();
         prop_assert!(out.metrics.exact, "missed peers for {:?}", query);
         // The destinations MIRA counts — the matching peers of the corner
         // region's run — are the ones a scan of every peer finds.
@@ -221,7 +221,7 @@ proptest! {
 
         let mut scratch = simnet::QueryScratch::new();
         let (out, trace) =
-            armada::pira::query(&a, origin, lo, hi, seed, Some(&faults), true, &mut scratch)
+            armada::descent::query(&a, origin, &[(lo, hi)], seed, Some(&faults), true, &mut scratch)
                 .unwrap();
         let answered: BTreeSet<_> = trace
             .unwrap()

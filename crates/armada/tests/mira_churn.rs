@@ -3,7 +3,7 @@
 //! `stabilize` (overlay repair plus record repair), leaves rectangle queries
 //! exact again.
 
-use armada::{mira, Armada};
+use armada::{descent, Armada};
 use dht_api::{ChurnPlan, DynamicScheme, CHURN_PLAN_NAMES};
 use fissione::FissioneConfig;
 use kautz::naming::MultiHash;
@@ -52,7 +52,7 @@ fn mira_is_exact_after_every_churn_plan_and_stabilize() {
             let rect = random_rect(&mut rng);
             let origin = engine.net().random_peer(&mut rng);
             let (out, _) =
-                mira::query(&engine, origin, &rect, q, None, false, &mut scratch).unwrap();
+                descent::query(&engine, origin, &rect, q, None, false, &mut scratch).unwrap();
             assert!(out.metrics.exact, "{name}: query {rect:?} missed peers");
             assert_eq!(out.results, engine.expected_results(&rect), "{name}: query {rect:?}");
         }

@@ -104,7 +104,8 @@ fn pira_never_reads_a_table_built_before_a_membership_change() {
             .into_iter()
             .enumerate()
             .map(|(q, (lo, hi))| {
-                armada::pira::query(a, origin, lo, hi, q as u64, None, true, scratch).unwrap()
+                armada::descent::query(a, origin, &[(lo, hi)], q as u64, None, true, scratch)
+                    .unwrap()
             })
             .collect::<Vec<_>>()
     };
@@ -135,7 +136,7 @@ fn mira_never_reads_a_table_built_before_a_membership_change() {
             .iter()
             .enumerate()
             .map(|(q, rect)| {
-                armada::mira::query(m, origin, rect, q as u64, None, true, scratch).unwrap()
+                armada::descent::query(m, origin, rect, q as u64, None, true, scratch).unwrap()
             })
             .collect::<Vec<_>>()
     };

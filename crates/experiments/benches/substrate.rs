@@ -1,23 +1,24 @@
 //! Criterion benches for the substrate building blocks: naming, routing,
 //! network construction, the three layers a replicated stack adds
 //! (placement, repair, the fetch route and a query's whole fetch phase),
-//! the parts of Armada's descent — the
+//! the parts of Armada's query — the
 //! routing table a membership epoch pays for once, the handler every
-//! delivery runs under PIRA's and under MIRA's predicate, the gather over
+//! delivery runs on a key region (PIRA) and with a rectangle left to test
+//! (MIRA), the gather over
 //! the object table a query ends with, and a batch of publishes into that
 //! table with the read that merges them in — and
 //! DCF's: the split-tree descent a query pays for once and the flood
 //! handler — and PHT's over Chord: the finger walk every trie get pays, and
 //! the whole layered query.
 
-use armada::{descent, pira, MultiArmada, SingleArmada};
+use armada::{descent, MultiArmada, SingleArmada};
 use armada_experiments::standard_registry;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use dht_api::{BuildParams, Dht, RangeScheme};
 use dht_can::dcf::{self, FloodMode};
 use dht_can::{hilbert, CanConfig, CanNet};
 use fissione::{FissioneConfig, FissioneNet};
-use kautz::naming::{MultiHash, SingleHash};
+use kautz::naming::{MultiHash, Naming, SingleHash};
 use kautz::KautzStr;
 use rand::Rng;
 use simnet::QueryScratch;
@@ -240,7 +241,7 @@ fn bench_pira(c: &mut Criterion) {
     }
     group.finish();
 
-    // The same handler under MIRA's predicate: two attributes over
+    // The same handler with a rectangle left to test: two attributes over
     // `[0, 1000]²`, rectangles with 50-wide sides, as many records as peers.
     let mut group = c.benchmark_group("mira_query");
     for n in [4000usize, 10_000] {
@@ -258,7 +259,7 @@ fn bench_pira(c: &mut Criterion) {
                 (lo, lo + 50.0)
             });
             let origin = armada.net().random_peer(&mut rng);
-            armada::mira::query(&armada, origin, &rect, seed, None, false, &mut scratch).unwrap()
+            descent::query(&armada, origin, &rect, seed, None, false, &mut scratch).unwrap()
         };
         // Both lazy tables, off the clock.
         query();
@@ -275,9 +276,10 @@ fn bench_pira(c: &mut Criterion) {
         let queries: Vec<_> = (0..64)
             .map(|_| {
                 let lo = rng.gen_range(0.0..=1000.0 - *width);
-                let region = armada.naming().region_keys(lo, lo + *width).unwrap();
-                let run = table.run(region.0, region.1).unwrap();
-                (region, run, (lo, lo + *width))
+                let range = [(lo, lo + *width)];
+                let region = armada.naming().query_region(&range).unwrap();
+                let run = table.run(region.0 .0, region.0 .1).unwrap();
+                (region, run, range)
             })
             .collect();
         let mut answers = simnet::Answers::default();
@@ -289,8 +291,8 @@ fn bench_pira(c: &mut Criterion) {
             for rank in run.clone() {
                 answers.first_answer(rank, 0);
             }
-            let keep = pira::record_filter(armada, *region, *range);
-            descent::gather(armada.net(), *region, run.clone(), &mut answers, keep);
+            let keep = descent::record_filter(armada, region, range);
+            descent::gather(armada.net(), region.0, run.clone(), &mut answers, keep);
         };
         // The object column settled off the clock (the queries above did it
         // already; a gather run alone must too).

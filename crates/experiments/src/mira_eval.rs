@@ -4,7 +4,7 @@
 
 use crate::output::Table;
 use crate::{paper, Scale};
-use armada::{mira, MultiArmada};
+use armada::{descent, MultiArmada};
 use fissione::FissioneConfig;
 use rand::Rng;
 
@@ -51,7 +51,7 @@ pub fn run(scale: Scale) -> Table {
                     .collect();
                 let origin = armada.net().random_peer(&mut rng);
                 let (out, _) =
-                    mira::query(&armada, origin, &query, q as u64, None, false, &mut scratch)
+                    descent::query(&armada, origin, &query, q as u64, None, false, &mut scratch)
                         .expect("query");
                 sum += f64::from(out.metrics.delay);
                 max = max.max(f64::from(out.metrics.delay));

@@ -9,7 +9,11 @@
 //! surjection (Definitions 3–4) from an `m`-attribute space onto
 //! `KautzSpace(2,k)` via round-robin splits. The image of a rectangle query
 //! is a *subset* of the corner region `⟨F(mins), F(maxs)⟩`, so queries carry
-//! the exact rectangle and prune with [`MultiHash::prefix_rect`].
+//! the exact rectangle and prune with [`ScaledRect::meets_prefix`].
+//! [`Naming::query_region`] is the one question a query asks of either: its
+//! region's endpoint keys, and the rectangle still to test when the region
+//! is not the query's exact image (always under `Multiple_hash`, never
+//! under `Single_hash`).
 //!
 //! # Keys and strings
 //!
@@ -22,13 +26,13 @@
 //! [`SingleHash::region`], [`MultiHash::object_id`],
 //! [`MultiHash::corner_region`] — stay as the API edge for callers that
 //! route to or print an ObjectID, and as the reference the keys are
-//! property-tested against. [`MultiHash::prefix_rect`] reads a prefix as a
+//! property-tested against. [`ScaledRect::meets_prefix`] reads a prefix as a
 //! string too: MIRA's rectangle test has no key form yet.
 
 use crate::fixed::{BoundaryInterval, ScaledValue};
 use crate::partition::{
-    multiple_hash_key, multiple_hash_key_with, multiple_hash_scaled, rect_of_prefix,
-    rect_of_prefix_into, single_hash_key, single_hash_scaled, MAX_DEPTH,
+    multiple_hash_key, multiple_hash_key_with, multiple_hash_scaled, rect_of_prefix_into,
+    single_hash_key, single_hash_scaled, MAX_DEPTH,
 };
 use crate::{KautzError, KautzRegion, KautzStr, ObjectKey};
 
@@ -83,8 +87,9 @@ impl std::fmt::Display for NamingError {
 impl std::error::Error for NamingError {}
 
 /// What a record store needs of a naming scheme: how many attributes a
-/// point has, and the key of the ObjectID it is published under. [`SingleHash`] names
-/// one-attribute points, [`MultiHash`] `m`-attribute ones.
+/// point has, the key of the ObjectID it is published under, and the region
+/// a rectangle query descends to. [`SingleHash`] names one-attribute
+/// points, [`MultiHash`] `m`-attribute ones.
 pub trait Naming {
     /// Attributes per point.
     fn arity(&self) -> usize;
@@ -97,6 +102,22 @@ pub trait Naming {
     ///
     /// Returns [`NamingError::WrongArity`] on arity mismatch.
     fn point_id(&self, point: &[f64]) -> Result<ObjectKey, NamingError>;
+
+    /// The region a query for the closed rectangle `rect` (one range per
+    /// attribute) descends to, as its endpoint keys, beside the rectangle in
+    /// scaled units when the region is wider than the query's image: then a
+    /// peer or a record of the region still has to meet it. `None` promises
+    /// the region is the image, so a key strictly inside it names a point
+    /// inside the query.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NamingError::WrongArity`] on arity mismatch and
+    /// [`NamingError::EmptyRange`] for a range with `lo > hi` or a NaN bound.
+    fn query_region(
+        &self,
+        rect: &[(f64, f64)],
+    ) -> Result<((ObjectKey, ObjectKey), Option<ScaledRect>), NamingError>;
 }
 
 /// A closed attribute domain `[L, H]` with finite endpoints, `L < H`.
@@ -243,6 +264,19 @@ impl Naming for SingleHash {
             _ => Err(NamingError::WrongArity { expected: 1, got: point.len() }),
         }
     }
+
+    /// [`region_keys`](Self::region_keys): interval preservation makes the
+    /// region the query's exact image.
+    #[inline]
+    fn query_region(
+        &self,
+        rect: &[(f64, f64)],
+    ) -> Result<((ObjectKey, ObjectKey), Option<ScaledRect>), NamingError> {
+        match *rect {
+            [(lo, hi)] => Ok((self.region_keys(lo, hi)?, None)),
+            _ => Err(NamingError::WrongArity { expected: 1, got: rect.len() }),
+        }
+    }
 }
 
 /// A rectangle query in scaled units: per-attribute closed ranges.
@@ -274,6 +308,18 @@ impl ScaledRect {
         node.iter()
             .zip(self.lo.iter().zip(self.hi.iter()))
             .all(|(iv, (&lo, &hi))| iv.intersects_query(lo, hi))
+    }
+
+    /// Whether the hyper-rectangle owned by `prefix` meets this query —
+    /// MIRA's answer and pruning test — with `buf` holding that rectangle
+    /// (overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the prefix is deeper than [`MAX_DEPTH`].
+    pub fn meets_prefix(&self, prefix: &KautzStr, buf: &mut Vec<BoundaryInterval>) -> bool {
+        rect_of_prefix_into(prefix, self.arity(), buf).expect("prefix within MAX_DEPTH");
+        self.intersects(buf)
     }
 
     /// Whether a scaled point lies inside the closed rectangle.
@@ -418,31 +464,6 @@ impl MultiHash {
         }
         Ok(ScaledRect { lo, hi })
     }
-
-    /// The exact hyper-rectangle owned by a prefix — MIRA's pruning
-    /// predicate is `query_rect.intersects(&prefix_rect(prefix))`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the prefix is deeper than [`MAX_DEPTH`].
-    pub fn prefix_rect(&self, prefix: &KautzStr) -> Result<Vec<BoundaryInterval>, KautzError> {
-        rect_of_prefix(prefix, self.spaces.len())
-    }
-
-    /// [`prefix_rect`](Self::prefix_rect) into a caller-owned buffer
-    /// (cleared first) — the allocation-free form MIRA's routing loop calls
-    /// per hop.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the prefix is deeper than [`MAX_DEPTH`].
-    pub fn prefix_rect_into(
-        &self,
-        prefix: &KautzStr,
-        out: &mut Vec<BoundaryInterval>,
-    ) -> Result<(), KautzError> {
-        rect_of_prefix_into(prefix, self.spaces.len(), out)
-    }
 }
 
 impl Naming for MultiHash {
@@ -452,6 +473,17 @@ impl Naming for MultiHash {
 
     fn point_id(&self, point: &[f64]) -> Result<ObjectKey, NamingError> {
         self.object_key(point)
+    }
+
+    /// [`corner_keys`](Self::corner_keys) beside the
+    /// [`query_rect`](Self::query_rect), whose corner region holds the
+    /// query's image but more besides.
+    fn query_region(
+        &self,
+        rect: &[(f64, f64)],
+    ) -> Result<((ObjectKey, ObjectKey), Option<ScaledRect>), NamingError> {
+        let scaled = self.query_rect(rect)?;
+        Ok((self.corner_keys(&scaled), Some(scaled)))
     }
 }
 
@@ -585,13 +617,14 @@ mod tests {
         let rect = naming.query_rect(&[(2.0, 4.0), (6.0, 9.0)]).unwrap();
         // If a leaf's object is inside the query, every ancestor must pass
         // the pruning test.
+        let mut node = Vec::new();
         for i in 0..=10 {
             for j in 0..=10 {
                 let p = [2.0 + 0.2 * i as f64, 6.0 + 0.3 * j as f64];
                 let id = naming.object_id(&p).unwrap();
                 for depth in 1..=6 {
-                    let node = naming.prefix_rect(&id.take_front(depth)).unwrap();
-                    assert!(rect.intersects(&node), "point {p:?} depth {depth}");
+                    let prefix = id.take_front(depth);
+                    assert!(rect.meets_prefix(&prefix, &mut node), "point {p:?} depth {depth}");
                 }
             }
         }

@@ -2,15 +2,29 @@
 //! (FISSIONE routing, PIRA/MIRA pruning) depend on.
 
 use kautz::fixed::ScaledValue;
-use kautz::naming::{MultiHash, SingleHash};
+use kautz::naming::{MultiHash, Naming, SingleHash};
 use kautz::partition::{multiple_hash_scaled, rect_of_prefix, single_hash_scaled};
 use kautz::{KautzRegion, KautzStr};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a uniformly random Kautz string of the given length.
 fn kautz_str(len: usize) -> impl Strategy<Value = KautzStr> {
     let count = KautzStr::count(len);
     (0..count).prop_map(move |r| KautzStr::unrank(len, r).expect("rank in range"))
+}
+
+/// A query bound: inside the domain, at or past either end, ±∞ or NaN.
+fn any_bound(rng: &mut SmallRng, (lo, hi): (f64, f64)) -> f64 {
+    match rng.gen_range(0..8) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => [lo, hi][rng.gen_range(0..2usize)],
+        4 => rng.gen_range(2.0 * lo - hi..=2.0 * hi - lo),
+        _ => rng.gen_range(lo..=hi),
+    }
 }
 
 /// Strategy: an ordered pair of same-length Kautz strings (a valid region).
@@ -167,5 +181,34 @@ proptest! {
         let region = naming.corner_region(&[(x0, x1), (y0, y1)]).unwrap();
         let p = [x0 + tx * (x1 - x0), y0 + ty * (y1 - y0)];
         prop_assert!(region.contains(&naming.object_id(&p).unwrap()));
+    }
+
+    // `Multiple_hash` at arity 1 is `Single_hash`: the same key for every
+    // point and the same region keys, or error, for every query (only
+    // `Multiple_hash` hands back a rectangle to test as well). A
+    // one-attribute MIRA query descends PIRA's sub-regions on the strength
+    // of this.
+    #[test]
+    fn one_attribute_multi_hash_is_single_hash(
+        seed in any::<u64>(),
+        k in prop_oneof![Just(24usize), Just(100), Just(120)],
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let low_end = rng.gen_range(-1e6..1e6);
+        let domain = (low_end, low_end + rng.gen_range(1e-3..1e6));
+        let single = SingleHash::new(domain.0, domain.1, k).unwrap();
+        let multi = MultiHash::new(&[domain], k).unwrap();
+        for _ in 0..32 {
+            let (a, b) = (any_bound(&mut rng, domain), any_bound(&mut rng, domain));
+            prop_assert_eq!(multi.object_key(&[a]), Ok(single.object_key(a)), "{}", a);
+            for rect in [[(a, b)], [(b, a)]] {
+                let want = single.query_region(&rect).map(|(keys, _)| keys);
+                prop_assert_eq!(multi.query_region(&rect).map(|(keys, _)| keys), want, "{:?}", rect);
+            }
+        }
+        for rect in [&[][..], &[domain; 2][..]] {
+            let keys = |r: Result<(_, _), _>| r.map(|(keys, _)| keys);
+            prop_assert_eq!(keys(multi.query_region(rect)), keys(single.query_region(rect)));
+        }
     }
 }

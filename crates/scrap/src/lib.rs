@@ -170,6 +170,7 @@ mod tests {
     #[test]
     fn scrap_is_exact_on_random_queries() {
         let net = build2(90, 300, 1);
+        net.skip.check_invariants().unwrap();
         let mut rng = simnet::rng_from_seed(10);
         for _ in 0..40 {
             let q: Vec<(f64, f64)> = (0..2)
@@ -198,6 +199,7 @@ mod tests {
     #[test]
     fn scrap_whole_space_returns_everything() {
         let net = build2(40, 100, 3);
+        net.skip.check_invariants().unwrap();
         let out = net.range_query(0, &[(0.0, 100.0), (0.0, 100.0)]).unwrap();
         assert_eq!(out.results.len(), 100);
         assert_eq!(out.dest_peers, 1, "the whole space is one curve range");

@@ -206,7 +206,7 @@ fn native_fault_plans_are_bounded_by_liveness_on_a_churned_network() {
         let point = [rng.gen_range(DOMAIN.0..=DOMAIN.1), rng.gen_range(DOMAIN.0..=DOMAIN.1)];
         mira.publish_point(&point, h).expect("publish");
     }
-    mira.net_mut().leave(N / 2).expect("a peer leaves");
+    mira.inner_mut().net_mut().leave(N / 2).expect("a peer leaves");
     let live: Vec<NodeId> = mira.inner().net().live_peers().collect();
     let req = RectRequest::new(live[0], &domains, 1).unwrap();
     check("mira", live, &|faults| {

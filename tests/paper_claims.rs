@@ -1,7 +1,7 @@
 //! The paper's quantitative claims, asserted as integration tests at
 //! reduced (but still statistically meaningful) scale.
 
-use armada::{mira, MultiArmada, SingleArmada};
+use armada::{descent, MultiArmada, SingleArmada};
 use fissione::FissioneConfig;
 use rand::Rng;
 
@@ -131,7 +131,7 @@ fn claim_mira_bounds() {
             let origin = armada.net().random_peer(&mut rng);
             let rect = [(lo0, lo0 + side), (lo1, lo1 + side)];
             let (out, _) =
-                mira::query(&armada, origin, &rect, q, None, false, &mut scratch).unwrap();
+                descent::query(&armada, origin, &rect, q, None, false, &mut scratch).unwrap();
             total += f64::from(out.metrics.delay);
             max = max.max(f64::from(out.metrics.delay));
         }

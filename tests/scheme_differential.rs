@@ -263,6 +263,56 @@ proptest! {
     }
 }
 
+/// PIRA is MIRA at arity one. Built from one seed over one attribute, with
+/// the same records, the two answer every query with the same
+/// `RangeOutcome`, field for field — results, hops, latency, messages,
+/// destinations, reached peers and exactness — on built covers and again
+/// after a churn plan and `stabilize`. A MIRA sub-query that forwarded into
+/// a sibling sub-query's subtree would reach peers twice and bill more
+/// messages than PIRA.
+#[test]
+fn pira_is_mira_at_arity_one() {
+    use armada_suite::armada::{MiraScheme, PiraScheme};
+    use armada_suite::dht_api::{DynamicScheme, MultiBuildParams, MultiRangeScheme};
+    for (n, seed, plan) in
+        [(50, 0x0a1, "steady-churn"), (700, 0x0a2, "massacre"), (3000, 0x0a3, "flash-crowd")]
+    {
+        let params = BuildParams::new(n, DOMAIN.0, DOMAIN.1).with_object_id_len(24);
+        let mut pira = PiraScheme::build(&params, &mut simnet::rng_from_seed(seed)).unwrap();
+        let params = MultiBuildParams::new(n, &[DOMAIN]).with_object_id_len(24);
+        let mut mira = MiraScheme::build(&params, &mut simnet::rng_from_seed(seed)).unwrap();
+        let mut rng = simnet::rng_from_seed(seed ^ 0xda7a);
+        for h in 0..2 * n as u64 {
+            let v = rng.gen_range(DOMAIN.0..=DOMAIN.1);
+            pira.publish(v, h).expect("publish");
+            mira.publish_point(&[v], h).expect("publish");
+        }
+        for cover in ["built", "churned"] {
+            if cover == "churned" {
+                let plan = ChurnPlan::named(plan).expect("cataloged").with_rate(n / 20);
+                let dynamic: [&mut dyn DynamicScheme; 2] =
+                    [pira.as_dynamic().expect("pira is dynamic"), mira.inner_mut()];
+                for scheme in dynamic {
+                    for epoch in 0..3 {
+                        plan.apply(scheme, seed, epoch).expect("plans tolerate refusals");
+                    }
+                    scheme.stabilize();
+                }
+            }
+            for q in 0..100u64 {
+                let lo: f64 = rng.gen_range(DOMAIN.0..DOMAIN.1);
+                let width = (DOMAIN.1 - DOMAIN.0) * rng.gen_range(0.0..1.0f64).powi(3);
+                let hi = (lo + width).min(DOMAIN.1);
+                let origin = pira.random_origin(&mut rng);
+                let single = pira.range_query(origin, lo, hi, q).expect("pira query");
+                let multi = mira.rect_query(origin, &[(lo, hi)], q).expect("mira query");
+                assert_eq!(single, multi, "N = {n}, {cover} cover: query {q} [{lo}, {hi}]");
+                assert!(single.exact, "N = {n}, {cover} cover: query {q} inexact");
+            }
+        }
+    }
+}
+
 /// A query from an origin past the live set is a typed `BadOrigin` on
 /// every registered name, both shapes — never a panic inside a substrate.
 #[test]
