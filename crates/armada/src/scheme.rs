@@ -205,8 +205,10 @@ impl<N: Naming> DynamicScheme for Armada<N> {
 /// point fetches pay the real routed path to the holder plus one direct
 /// response hop — with the same edges priced by the engine's cost model for
 /// the latency figure. A batch of fetches from one origin is priced over
-/// one route tree ([`fissione::FissioneNet::route_tree_fold`]); a single
-/// fetch is a batch of one, so every fetch is priced by the same code.
+/// one route tree ([`fissione::FissioneNet::route_tree_fold`]) whose
+/// targets are the holders' keys, read from the routing table by rank; a
+/// single fetch is a batch of one, so every fetch is priced by the same
+/// code.
 impl ReplicaRouting for SingleArmada {
     fn live_peers(&self) -> Vec<NodeId> {
         self.net().live_peers().collect()
@@ -244,15 +246,17 @@ impl SingleArmada {
         costs: &mut Vec<FetchCost>,
     ) {
         let (net, model) = (self.net(), self.net_model());
+        let table = net.route_table();
         // A local copy costs nothing and a dead holder has no PeerID to
-        // route to: only the others are walked, in `holders` order.
+        // route to: only the others are walked, in `holders` order, each
+        // by its rank's key.
         let routed = |&holder: &NodeId| match holder == origin {
             true => None,
-            false => net.peer_id(holder).ok(),
+            false => table.rank(holder),
         };
         net.route_tree_fold(
             origin,
-            holders.iter().filter_map(routed),
+            holders.iter().filter_map(routed).map(|rank| table.key(rank)),
             (0, 0),
             |(hops, ms), src, dst| (hops + 1, ms + model.edge_cost(src, dst)),
             tree,

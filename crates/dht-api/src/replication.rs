@@ -28,6 +28,16 @@
 //!   [`re_replicate`](ReplicationControl::re_replicate) after churn and
 //!   report the repair traffic as a per-epoch series.
 //!
+//! # Layout
+//!
+//! [`Replicated`] keeps its records in flat columns: the published
+//! `(value, handle)` pairs in publish order, the same records in value
+//! order (sorted by the first query after a publish), and the replica
+//! holders at `r − 1` slots per record. A query's ground truth is one slice
+//! of the value column; a primary answer as long as that slice needs no
+//! fetch, and otherwise the records it missed are priced as one fetch
+//! phase, in one [`ReplicaRouting::fetch_costs`] call.
+//!
 //! # Determinism and monotonicity
 //!
 //! Placement is a pure function of `(policy, record value, live peer set)`;
@@ -59,18 +69,11 @@ use crate::scheme::{QueryCtx, RangeOutcome, RangeRequest, RangeScheme, SchemeErr
 use rand::rngs::SmallRng;
 use simnet::{NodeId, QueryScratch};
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 /// Salt separating replica-fetch drop draws from every other seeded
 /// stream (workload, origin, churn).
 const FETCH_SALT: u64 = 0xfe7c_fe7c_fe7c_fe7c;
-
-/// The most fetches [`Replicated::recover`] prices in one
-/// [`ReplicaRouting::fetch_costs`] call: above a typical query's fetch
-/// phase (≈ 220 under `pira+r3@wan@lossy-p/r3` at N = 10⁴), so that one is
-/// priced whole, while a query fetching thousands of records keeps its
-/// per-fetch buffers at this size.
-const FETCH_BATCH: usize = 512;
 
 /// Replica placement disciplines a [`ReplicaPolicy`] can name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,13 +212,14 @@ impl Ring {
         Ring(ring)
     }
 
-    /// The first `r` peers clockwise from `key`'s ring point (fewer when
-    /// the ring is smaller): one binary search, then a walk.
-    fn owners(&self, key: u64, r: usize) -> Vec<NodeId> {
+    /// Appends the first `r` peers clockwise from `key`'s ring point
+    /// (fewer when the ring is smaller) to `out`: one binary search, then a
+    /// walk.
+    fn owners_into(&self, key: u64, r: usize, out: &mut Vec<NodeId>) {
         let ring = &self.0;
         let point = crate::fnv1a(&key.to_le_bytes());
         let start = ring.partition_point(|&(p, _)| p < point);
-        (0..r.min(ring.len())).map(|i| ring[(start + i) % ring.len()].1).collect()
+        out.extend((0..r.min(ring.len())).map(|i| ring[(start + i) % ring.len()].1));
     }
 }
 
@@ -226,7 +230,9 @@ impl Ring {
 /// `r + 1` — the property that makes recall monotone in the replication
 /// factor under identical churn histories.
 pub fn ring_owners(live: &[NodeId], key: u64, r: usize) -> Vec<NodeId> {
-    Ring::new(live).owners(key, r)
+    let mut owners = Vec::new();
+    Ring::new(live).owners_into(key, r, &mut owners);
+    owners
 }
 
 /// Hashes a record's attribute value into the opaque key space replica
@@ -264,11 +270,13 @@ pub trait ReplicaRouting {
 
     /// Appends [`fetch_cost`](Self::fetch_cost)`(origin, holder)` to
     /// `costs` for every holder in `holders`, in order: the pricing of a
-    /// query's whole fetch phase, which leaves from one origin. The default
-    /// prices one fetch at a time; a substrate whose routes from one origin
-    /// share hops may walk them together, keeping its buffers in `scratch`,
-    /// so long as every cost equals the fetch's priced alone (debug builds
-    /// of [`Replicated`] hold each cost against a call with that holder
+    /// query's whole fetch phase, which leaves from one origin, in one call
+    /// however many fetches it has (and of one record's copy transfers in
+    /// a repair pass). The default prices one fetch at a time; a substrate
+    /// whose routes from one origin share hops may walk them together —
+    /// FissionE walks one route tree — keeping its buffers in `scratch`, so
+    /// long as every cost equals the fetch's priced alone (debug builds of
+    /// [`Replicated`] hold each cost against a call with that holder
     /// alone).
     fn fetch_costs(
         &self,
@@ -365,73 +373,94 @@ pub struct Replicated {
     /// Every record ever published, in publish order — the ground truth
     /// queries are checked against and repair re-replicates from.
     published: Vec<(f64, u64)>,
-    /// `holders[i]` = peers currently holding a replica of record `i`
-    /// (the primary copy lives inside the inner scheme and is not listed).
-    holders: Vec<Vec<NodeId>>,
-    /// `(value, publish index)` of every record in value order, so a query
-    /// finds its in-range records in `O(log R + answer)`.
-    by_value: BTreeSet<(ValueOrd, usize)>,
+    /// The peers holding a replica of each record, `r − 1` slots per record
+    /// in publish order: record `i`'s holders are the first `held[i]` slots
+    /// from `i · (r − 1)`, in placement order (the primary copy lives inside
+    /// the inner scheme and is not listed).
+    holders: Vec<NodeId>,
+    held: Vec<u32>,
+    /// The published records in value order, so a query finds its
+    /// in-range records by two binary searches: sorted from `published` by
+    /// the first query after a publish (a `OnceLock` because queries hold
+    /// `&self` across driver threads) and dropped by the next publish.
+    by_value: OnceLock<Vec<Entry>>,
     /// The successor ring over the inner scheme's live peers; `None` once
     /// a membership call may have changed them (every one passes through
     /// this wrapper, which owns the inner scheme), rebuilt on next use.
     ring: Option<Ring>,
+    /// The owners `publish` places a record at, kept across calls.
+    owners: Vec<NodeId>,
 }
 
-/// A record value as an index key: `f64::total_cmp` order with `-0.0`
-/// folded onto `0.0`, which agrees with the range contract's `lo <= v &&
-/// v <= hi` on every non-NaN value and sorts NaNs outside every range.
-struct ValueOrd(f64);
+/// A published record in the value column: its value (`-0.0` folded onto
+/// `0.0`), publish index and handle. Ordered by `f64::total_cmp` of the
+/// value, then by publish index: that order agrees with the range
+/// contract's `lo <= v && v <= hi` on every non-NaN value and sorts NaNs
+/// outside every range.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    value: f64,
+    index: usize,
+    handle: u64,
+}
 
-impl ValueOrd {
-    fn new(value: f64) -> Self {
-        ValueOrd(if value == 0.0 { 0.0 } else { value })
+impl Entry {
+    fn new(value: f64, index: usize, handle: u64) -> Self {
+        Entry { value: fold_zero(value), index, handle }
     }
 }
 
-impl Ord for ValueOrd {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
+/// `value` with `-0.0` folded onto `0.0`.
+fn fold_zero(value: f64) -> f64 {
+    if value == 0.0 {
+        0.0
+    } else {
+        value
     }
 }
 
-impl PartialOrd for ValueOrd {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// A record the primary phase missed: its publish index and handle, and
+/// `slot`, the position of its handle among the distinct missing handles
+/// (whether a fetch for the handle landed is kept per slot).
+#[derive(Debug, Clone, Copy)]
+struct Missing {
+    index: usize,
+    handle: u64,
+    slot: usize,
 }
-
-impl PartialEq for ValueOrd {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for ValueOrd {}
 
 /// The buffers of one query's fetch phase ([`Replicated::recover`]),
 /// kept in a [`QueryScratch`] slot across queries.
 #[derive(Default)]
 struct FetchPhase {
-    /// Publish indices of the records in range, ascending.
-    in_range: Vec<usize>,
-    /// Their handles, ascending and deduplicated.
-    expected: Vec<u64>,
-    /// The handles the primary phase missed, ascending.
-    missing: Vec<u64>,
-    /// Per missing handle, whether a fetch for it landed.
+    /// The in-range records the primary phase missed, in publish order.
+    missing: Vec<Missing>,
+    /// Per slot, whether a fetch for that handle landed.
     got: Vec<bool>,
-    /// The current batch of fetches, in publish order: holder, and whether
-    /// it lands.
+    /// The fetches, in publish order: holder, and whether it lands.
     holders: Vec<NodeId>,
     lands: Vec<bool>,
     /// Their costs, in the same order.
     costs: Vec<FetchCost>,
+    /// The handles that landed, ascending.
+    landed: Vec<u64>,
     /// One fetch priced alone: what debug builds hold each cost against.
     alone: Vec<FetchCost>,
+    /// The in-range handles, ascending and distinct: what debug builds hold
+    /// the phase's answer against.
+    expected: Vec<u64>,
 }
 
 impl Replicated {
     /// Wraps `inner` under `policy`.
+    ///
+    /// `inner` must hold no records yet: every record is published through
+    /// the wrapper, which keeps them as the ground truth a query's answer
+    /// is completed from, and the fetch phase takes the inner scheme's
+    /// answer to be a part of the in-range records published that way. An
+    /// inner scheme that answers any other handle breaks that precondition
+    /// and leaves [`RangeOutcome::exact`] and the recovered answer
+    /// unspecified (debug builds panic at the first such query).
     ///
     /// # Errors
     ///
@@ -449,9 +478,30 @@ impl Replicated {
             policy,
             published: Vec::new(),
             holders: Vec::new(),
-            by_value: BTreeSet::new(),
+            held: Vec::new(),
+            by_value: OnceLock::new(),
             ring: None,
+            owners: Vec::new(),
         })
+    }
+
+    /// The published records valued in `[lo, hi]`, in value order: one
+    /// slice of the value column, which the first call after a publish
+    /// sorts from `published` (`O(R log R)`, once per batch of publishes;
+    /// concurrent first callers wait for one sort).
+    fn in_range(&self, lo: f64, hi: f64) -> &[Entry] {
+        let entries = self.by_value.get_or_init(|| {
+            let records = self.published.iter().enumerate();
+            let mut entries: Vec<Entry> =
+                records.map(|(index, &(value, handle))| Entry::new(value, index, handle)).collect();
+            entries
+                .sort_unstable_by(|a, b| a.value.total_cmp(&b.value).then(a.index.cmp(&b.index)));
+            entries
+        });
+        let (lo, hi) = (fold_zero(lo), fold_zero(hi));
+        let start = entries.partition_point(|e| e.value.total_cmp(&lo) == Ordering::Less);
+        let end = entries.partition_point(|e| e.value.total_cmp(&hi) != Ordering::Greater);
+        &entries[start..end.max(start)]
     }
 
     /// The wrapped scheme.
@@ -467,41 +517,38 @@ impl Replicated {
     ///
     /// Panics when fewer than `record + 1` records were published.
     pub fn replica_holders(&self, record: usize) -> &[NodeId] {
-        &self.holders[record]
+        let base = record * self.stride();
+        &self.holders[base..base + self.held[record] as usize]
+    }
+
+    /// Replica slots per record: `r − 1`.
+    fn stride(&self) -> usize {
+        self.policy.factor() - 1
     }
 
     fn routing(&self) -> &dyn ReplicaRouting {
         self.inner.as_replica_routing().expect("checked at construction")
     }
 
-    /// The policy's owners for the record keyed by `value`, primary first —
-    /// a pure function of `(value, policy, live membership)`:
-    /// [`ReplicaKind::Successor`] walks the cached ring (the same list
-    /// [`ring_owners`] computes over [`ReplicaRouting::live_peers`]),
-    /// [`ReplicaKind::NeighborSet`] asks the substrate for its
-    /// [`close_group`](ReplicaRouting::close_group).
-    fn owners(&mut self, value: f64) -> Vec<NodeId> {
+    /// Writes the policy's owners for the record keyed by `value` into
+    /// `owners`, primary first — a pure function of `(value, policy, live
+    /// membership)`: [`ReplicaKind::Successor`] walks the cached ring (the
+    /// same list [`ring_owners`] computes over
+    /// [`ReplicaRouting::live_peers`]), [`ReplicaKind::NeighborSet`] asks
+    /// the substrate for its [`close_group`](ReplicaRouting::close_group).
+    fn owners_into(&mut self, value: f64, owners: &mut Vec<NodeId>) {
+        owners.clear();
         let routing = self.inner.as_replica_routing().expect("checked at construction");
+        let r = self.policy.factor();
         match self.policy.kind() {
-            ReplicaKind::None => Vec::new(),
+            ReplicaKind::None => {}
             ReplicaKind::Successor => self
                 .ring
                 .get_or_insert_with(|| Ring::new(&routing.live_peers()))
-                .owners(value_key(value), self.policy.factor()),
-            ReplicaKind::NeighborSet => routing.close_group(value, self.policy.factor()),
+                .owners_into(value_key(value), r, owners),
+            ReplicaKind::NeighborSet => owners.extend(routing.close_group(value, r)),
         }
-    }
-
-    /// Publish indices of the records valued in `[lo, hi]`, ascending, into
-    /// `records`.
-    fn in_range(&self, lo: f64, hi: f64, records: &mut Vec<usize>) {
-        records.clear();
-        records.extend(
-            self.by_value
-                .range((ValueOrd::new(lo), 0)..=(ValueOrd::new(hi), usize::MAX))
-                .map(|&(_, idx)| idx),
-        );
-        records.sort_unstable();
+        assert!(owners.len() <= r, "a placement names at most r = {r} owners");
     }
 
     /// The second query phase: fetch records the primary path missed from
@@ -514,15 +561,19 @@ impl Replicated {
     /// hash-verdict loss (`lossy-p`, `bursty`) and its partitions never
     /// touch a fetch.
     ///
-    /// Deciding and pricing are separate: in publish order (the seeded
-    /// drop draws are consumed in it), each missing record's holder and
-    /// whether its fetch lands are decided; the decided fetches are then
-    /// priced together, [`FETCH_BATCH`] at a time, by
-    /// [`ReplicaRouting::fetch_costs`]. The phase's slowest fetch and
-    /// message sum do not depend on the order or grouping fetches are
-    /// priced in. Every buffer lives in `scratch`, so the phase allocates
-    /// nothing per query once grown, and the batch cap keeps the per-fetch
-    /// buffers at a typical query's size however wide a query is.
+    /// The ground truth is one slice of the value column. The primary
+    /// answer is a part of it (the precondition on [`new`](Self::new)), and
+    /// its handles are distinct, so one with as many results as the slice
+    /// has records is that truth: such a query costs two binary searches
+    /// and no fetch. Otherwise the missing records are found in one pass
+    /// over the slice, and deciding and pricing are separate: in publish
+    /// order (the seeded drop draws are consumed in it), each missing
+    /// record's holder and whether its fetch lands are decided; the decided
+    /// fetches are then priced together, in one
+    /// [`ReplicaRouting::fetch_costs`] call. The phase's slowest fetch and
+    /// message sum do not depend on the order fetches are priced in. Every
+    /// buffer lives in `scratch`, so the phase allocates nothing per query
+    /// once grown.
     ///
     /// When `fetch_log` is present every attempted fetch is recorded as
     /// `(holder, cost, recovered)`, in publish order — the trace plane's
@@ -555,84 +606,96 @@ impl Replicated {
         mut fetch_log: Option<&mut Vec<(NodeId, FetchCost, bool)>>,
     ) -> RangeOutcome {
         use rand::Rng as _;
-        let FetchPhase { in_range, expected, missing, got, holders, lands, costs, alone } = phase;
+        let FetchPhase { missing, got, holders, lands, costs, landed, alone, expected } = phase;
         let origin = req.origin();
-        self.in_range(req.lo(), req.hi(), in_range);
-        // Ground truth, ascending and deduplicated — the same contract as
-        // `RangeOutcome::results`.
-        expected.clear();
-        expected.extend(in_range.iter().map(|&idx| self.published[idx].1));
-        expected.sort_unstable();
-        expected.dedup();
-        if *expected == out.results {
+        let range = self.in_range(req.lo(), req.hi());
+        if cfg!(debug_assertions) {
+            // Ground truth, ascending and distinct — the same contract as
+            // `RangeOutcome::results`, which the primary answer must be a
+            // part of for the checks below to hold.
+            expected.clear();
+            expected.extend(range.iter().map(|e| e.handle));
+            expected.sort_unstable();
+            expected.dedup();
+            assert!(
+                out.results.iter().all(|h| expected.binary_search(h).is_ok()),
+                "the primary phase answered a record not published through the wrapper in [{}, {}]",
+                req.lo(),
+                req.hi()
+            );
+        }
+        if out.results.len() == range.len() {
+            debug_assert_eq!(out.results, *expected, "the no-fetch exit missed a record");
             return out;
         }
-        // `expected − results` by one merge over the two ascending lists;
-        // `got[i]` turns true once a fetch for `missing[i]` lands.
-        let mut have = out.results.iter().copied().peekable();
+        // `slice − results`, in publish order; a handle published twice
+        // shares one slot among its records.
         missing.clear();
-        missing.extend(expected.iter().copied().filter(|&h| {
-            while have.next_if(|&x| x < h).is_some() {}
-            have.peek() != Some(&h)
-        }));
+        missing.extend(
+            range
+                .iter()
+                .filter(|e| out.results.binary_search(&e.handle).is_err())
+                .map(|e| Missing { index: e.index, handle: e.handle, slot: 0 }),
+        );
+        missing.sort_unstable_by_key(|m| (m.handle, m.index));
+        let mut slots = 0;
+        for i in 0..missing.len() {
+            slots += usize::from(i == 0 || missing[i - 1].handle != missing[i].handle);
+            missing[i].slot = slots - 1;
+        }
+        missing.sort_unstable_by_key(|m| m.index);
         got.clear();
-        got.resize(missing.len(), false);
+        got.resize(slots, false);
         let mut fault_state =
             faults.map(|plan| (plan, simnet::rng_from_seed(req.seed() ^ FETCH_SALT)));
+        holders.clear();
+        lands.clear();
+        landed.clear();
+        for m in missing.iter() {
+            if got[m.slot] {
+                continue;
+            }
+            let mut copies = self.replica_holders(m.index).iter().copied();
+            let holder = match &fault_state {
+                None => copies.next(),
+                Some((plan, _)) => copies.find(|&h| !plan.is_crashed(h)),
+            };
+            let Some(holder) = holder else { continue };
+            let mut lands_here = true;
+            if let Some((plan, rng)) = &mut fault_state {
+                if plan.drop_prob() > 0.0 && rng.gen::<f64>() < plan.drop_prob() {
+                    lands_here = false; // paid for, lost in transit
+                }
+            }
+            got[m.slot] = lands_here;
+            holders.push(holder);
+            lands.push(lands_here);
+            if lands_here {
+                landed.push(m.handle); // and its later records are skipped
+            }
+        }
         let routing = self.routing();
         let (mut fetch_delay, mut fetch_latency) = (0u64, 0u64);
-        // Publish order: the seeded drop draws are consumed in it.
-        let mut records = in_range.iter();
-        loop {
-            holders.clear();
-            lands.clear();
-            for &idx in records.by_ref() {
-                let Ok(slot) = missing.binary_search(&self.published[idx].1) else { continue };
-                if got[slot] {
-                    continue;
-                }
-                let holder = match &fault_state {
-                    None => self.holders[idx].first().copied(),
-                    Some((plan, _)) => {
-                        self.holders[idx].iter().copied().find(|&h| !plan.is_crashed(h))
-                    }
-                };
-                let Some(holder) = holder else { continue };
-                let mut landed = true;
-                if let Some((plan, rng)) = &mut fault_state {
-                    if plan.drop_prob() > 0.0 && rng.gen::<f64>() < plan.drop_prob() {
-                        landed = false; // paid for, lost in transit
-                    }
-                }
-                got[slot] = landed;
-                holders.push(holder);
-                lands.push(landed);
-                if holders.len() == FETCH_BATCH {
-                    break;
-                }
-            }
-            if holders.is_empty() {
-                break;
-            }
-            costs.clear();
+        costs.clear();
+        if !holders.is_empty() {
             routing.fetch_costs(origin, holders, scratch, costs);
-            debug_assert_eq!(costs.len(), holders.len(), "one cost per fetch");
-            for ((&holder, &landed), &cost) in holders.iter().zip(lands.iter()).zip(costs.iter()) {
-                if cfg!(debug_assertions) {
-                    alone.clear();
-                    routing.fetch_costs(origin, &[holder], scratch, alone);
-                    assert_eq!(
-                        alone[..],
-                        [cost],
-                        "the batch priced the fetch {origin} -> {holder} unlike a fetch alone"
-                    );
-                }
-                fetch_delay = fetch_delay.max(cost.hops);
-                fetch_latency = fetch_latency.max(cost.latency);
-                out.messages += cost.messages;
-                if let Some(log) = fetch_log.as_deref_mut() {
-                    log.push((holder, cost, landed));
-                }
+        }
+        debug_assert_eq!(costs.len(), holders.len(), "one cost per fetch");
+        for ((&holder, &lands_here), &cost) in holders.iter().zip(lands.iter()).zip(costs.iter()) {
+            if cfg!(debug_assertions) {
+                alone.clear();
+                routing.fetch_costs(origin, &[holder], scratch, alone);
+                assert_eq!(
+                    alone[..],
+                    [cost],
+                    "the batch priced the fetch {origin} -> {holder} unlike a fetch alone"
+                );
+            }
+            fetch_delay = fetch_delay.max(cost.hops);
+            fetch_latency = fetch_latency.max(cost.latency);
+            out.messages += cost.messages;
+            if let Some(log) = fetch_log.as_deref_mut() {
+                log.push((holder, cost, lands_here));
             }
         }
         // Fetches run in parallel, but only after the primary phase came
@@ -641,15 +704,14 @@ impl Replicated {
         // critical paths extend by the slowest fetch in their own currency.
         out.delay += fetch_delay;
         out.latency += fetch_latency;
-        let recovered = got.iter().filter(|&&landed| landed).count();
+        let recovered = landed.len();
         if recovered == 0 {
             return out;
         }
-        out.results
-            .extend(missing.iter().zip(got.iter()).filter(|&(_, &landed)| landed).map(|(&h, _)| h));
-        out.results.sort_unstable();
-        out.results.dedup();
-        out.exact = out.results == *expected;
+        landed.sort_unstable();
+        merge_disjoint(&mut out.results, landed);
+        out.exact = recovered == slots;
+        debug_assert_eq!(out.exact, out.results == *expected, "exactness after the fetch phase");
         if out.exact {
             out.reached_peers = out.dest_peers;
         } else {
@@ -657,7 +719,7 @@ impl Replicated {
             // records, flooring so a partially-recovered query can never
             // report the full-recall figure exact recovery earns.
             let gap = out.dest_peers.saturating_sub(out.reached_peers);
-            let gain = gap * recovered / missing.len();
+            let gain = gap * recovered / slots;
             out.reached_peers = (out.reached_peers + gain)
                 .min(out.dest_peers.saturating_sub(1))
                 .max(out.reached_peers);
@@ -665,10 +727,19 @@ impl Replicated {
         out
     }
 
-    /// Drops every copy held by `node` (it crashed or departed).
+    /// Drops every copy held by `node` (it crashed or departed): one scan
+    /// of the holder table.
     fn evict(&mut self, node: NodeId) {
-        for hs in &mut self.holders {
-            hs.retain(|&h| h != node);
+        let stride = self.stride();
+        if stride == 0 {
+            return;
+        }
+        for (slots, held) in self.holders.chunks_exact_mut(stride).zip(&mut self.held) {
+            let count = *held as usize;
+            if let Some(at) = slots[..count].iter().position(|&h| h == node) {
+                slots.copy_within(at + 1..count, at);
+                *held -= 1;
+            }
         }
     }
 
@@ -693,6 +764,26 @@ impl Replicated {
 /// no outcome or cost node does.
 fn fetch_phase_start(latency: u64, trace: Option<&crate::QueryTrace>) -> u64 {
     trace.and_then(|t| t.events.last()).map_or(latency, |last| latency.max(last.time))
+}
+
+/// Merges `add` into `into`, both ascending and with no value in common,
+/// in place: `into` grows once, and the two are merged from the back.
+fn merge_disjoint(into: &mut Vec<u64>, add: &[u64]) {
+    let mut i = into.len();
+    into.resize(i + add.len(), 0);
+    let mut j = add.len();
+    for k in (0..into.len()).rev() {
+        if j == 0 {
+            break;
+        }
+        if i > 0 && into[i - 1] > add[j - 1] {
+            into[k] = into[i - 1];
+            i -= 1;
+        } else {
+            into[k] = add[j - 1];
+            j -= 1;
+        }
+    }
 }
 
 /// Splices a recorded fetch phase into a query trace: one
@@ -792,13 +883,23 @@ impl RangeScheme for Replicated {
     }
 
     fn publish(&mut self, value: f64, handle: u64) -> Result<(), SchemeError> {
-        let owners = if self.policy.is_none() { Vec::new() } else { self.owners(value) };
-        self.inner.publish(value, handle)?;
-        self.by_value.insert((ValueOrd::new(value), self.published.len()));
-        self.published.push((value, handle));
-        // The primary copy (owners[0]) lives inside the inner scheme.
-        self.holders.push(owners.into_iter().skip(1).collect());
-        Ok(())
+        let mut owners = std::mem::take(&mut self.owners);
+        if !self.policy.is_none() {
+            self.owners_into(value, &mut owners);
+        }
+        let published = self.inner.publish(value, handle);
+        if published.is_ok() {
+            let index = self.published.len();
+            self.by_value.take();
+            self.published.push((value, handle));
+            // The primary copy (owners[0]) lives inside the inner scheme.
+            let copies = owners.get(1..).unwrap_or(&[]);
+            self.holders.extend_from_slice(copies);
+            self.holders.resize((index + 1) * self.stride(), usize::MAX);
+            self.held.push(copies.len() as u32);
+        }
+        self.owners = owners;
+        published
     }
 
     fn random_origin(&self, rng: &mut SmallRng) -> NodeId {
@@ -892,25 +993,34 @@ impl ReplicationControl for Replicated {
         if self.policy.is_none() {
             return repair;
         }
-        // Buffers for the whole pass: the copies one record still needs,
-        // and their transfer costs.
+        // Buffers for the whole pass: one record's owners, the copies it
+        // still needs, and their transfer costs.
         let mut scratch = QueryScratch::new();
-        let (mut transfers, mut costs) = (Vec::new(), Vec::new());
+        let (mut owners, mut transfers, mut costs) = (Vec::new(), Vec::new(), Vec::new());
+        let stride = self.stride();
         for idx in 0..self.published.len() {
-            let owners = self.owners(self.published[idx].0);
+            self.owners_into(self.published[idx].0, &mut owners);
             let desired = owners.get(1..).unwrap_or(&[]);
-            let current = &mut self.holders[idx];
-            let before = current.len();
-            current.retain(|h| desired.contains(h));
-            let retired = before - current.len();
+            let slots = &mut self.holders[idx * stride..(idx + 1) * stride];
+            let before = self.held[idx] as usize;
+            let mut kept = 0;
+            for i in 0..before {
+                if desired.contains(&slots[i]) {
+                    slots[kept] = slots[i];
+                    kept += 1;
+                }
+            }
+            let retired = before - kept;
             repair.dropped += retired;
             repair.messages += retired as u64; // one retirement message each
             transfers.clear();
-            transfers.extend(desired.iter().copied().filter(|owner| !current.contains(owner)));
+            transfers
+                .extend(desired.iter().copied().filter(|owner| !slots[..kept].contains(owner)));
+            slots[kept..kept + transfers.len()].copy_from_slice(&transfers);
+            self.held[idx] = (kept + transfers.len()) as u32;
             if transfers.is_empty() {
                 continue;
             }
-            current.extend_from_slice(&transfers);
             repair.placed += transfers.len();
             // Copy transfers from the primary owner's side.
             costs.clear();
@@ -927,7 +1037,7 @@ impl ReplicationControl for Replicated {
     }
 
     fn replica_count(&self) -> usize {
-        self.holders.iter().map(Vec::len).sum()
+        self.held.iter().map(|&held| held as usize).sum()
     }
 
     fn label(&self) -> String {
@@ -938,6 +1048,7 @@ impl ReplicationControl for Replicated {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// A toy sharded scheme: each record lives at one owner chosen by
     /// consistent hashing; crashed owners lose their records until
@@ -1099,6 +1210,21 @@ mod tests {
         let req = RangeRequest::new(0, 0.0, 1000.0, 0).unwrap();
         let mut scratch = simnet::QueryScratch::new();
         scheme.query(&req, &mut QueryCtx { scratch: &mut scratch, faults, trace }).unwrap()
+    }
+
+    /// An inner scheme that already holds a record breaks the precondition
+    /// on [`Replicated::new`]: its answer is no longer a part of the
+    /// wrapper's ground truth, which debug builds catch at the first query.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the primary phase answered a record not published through")]
+    fn an_inner_answer_outside_the_published_records_is_caught() {
+        let mut inner = ShardScan::new(8);
+        inner.publish(5.0, 999).unwrap();
+        let mut wrapped = Replicated::new(Box::new(inner), ReplicaPolicy::successor(2)).unwrap();
+        wrapped.publish(6.0, 1).unwrap();
+        wrapped.publish(7.0, 2).unwrap();
+        query_all(&wrapped, None, None);
     }
 
     #[test]

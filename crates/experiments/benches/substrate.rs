@@ -14,7 +14,7 @@
 use armada::{descent, MultiArmada, SingleArmada};
 use armada_experiments::standard_registry;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
-use dht_api::{BuildParams, Dht, RangeScheme};
+use dht_api::{BuildParams, Dht, QueryCtx, RangeRequest, RangeScheme};
 use dht_can::dcf::{self, FloodMode};
 use dht_can::{hilbert, CanConfig, CanNet};
 use fissione::{FissioneConfig, FissioneNet};
@@ -178,19 +178,39 @@ fn bench_replication(c: &mut Criterion) {
     });
     // A query's whole fetch phase: one origin, 223 random holders (what a
     // `stack-hostile` query fetches on average), priced in one call
-    // through a scratch kept across iterations.
+    // through a scratch kept across iterations; then 1 200 (what one of its
+    // wide scans fetches), which share more of one tree.
     let mut scratch = QueryScratch::new();
-    let (mut holders, mut costs) = (Vec::with_capacity(223), Vec::with_capacity(223));
-    c.bench_function("replica_fetch_phase/10000", |b| {
-        b.iter(|| {
-            let origin = peers[rng.gen_range(0..peers.len())];
-            holders.clear();
-            holders.extend((0..223).map(|_| peers[rng.gen_range(0..peers.len())]));
-            costs.clear();
-            routing.fetch_costs(origin, &holders, &mut scratch, &mut costs);
-            costs.len()
-        })
-    });
+    let (mut holders, mut costs) = (Vec::with_capacity(1200), Vec::with_capacity(1200));
+    for (name, fetches) in
+        [("replica_fetch_phase/10000", 223), ("replica_fetch_phase/wide_1e4", 1200)]
+    {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let origin = peers[rng.gen_range(0..peers.len())];
+                holders.clear();
+                holders.extend((0..fetches).map(|_| peers[rng.gen_range(0..peers.len())]));
+                costs.clear();
+                routing.fetch_costs(origin, &holders, &mut scratch, &mut costs);
+                costs.len()
+            })
+        });
+    }
+    // A fetch phase with nothing to fetch: a `pira+r3` query on a clean
+    // network, whose primary answer (≈ 100 records of 10⁴) is the ground
+    // truth, so the phase only finds that out; the rest of the time is the
+    // primary phase.
+    let scheme = loaded("pira+r3", 10_000);
+    let query = |scratch: &mut QueryScratch, rng: &mut rand::rngs::SmallRng| {
+        let lo = rng.gen_range(0.0..990.0);
+        let origin = scheme.random_origin(rng);
+        let req = RangeRequest::new(origin, lo, lo + 10.0, 11).expect("a valid range");
+        let out = scheme.query(&req, &mut QueryCtx::new(scratch)).expect("a live origin");
+        debug_assert!(out.exact, "a clean network answers exactly");
+        out.results.len()
+    };
+    query(&mut scratch, &mut rng);
+    c.bench_function("replica_fetch_none/10000", |b| b.iter(|| query(&mut scratch, &mut rng)));
 }
 
 fn bench_pira(c: &mut Criterion) {

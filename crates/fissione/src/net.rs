@@ -65,47 +65,66 @@ fn label(key: PeerKey) -> KautzStr {
 }
 
 /// Every live peer's routing state in one dense read-only structure, in
-/// PeerID order: its [`PeerKey`] and its out-neighbors (§3's routing
-/// table), indexed by *rank*, the peer's position in that order. A query
-/// handler reads this instead of re-deriving a peer's neighbors from the
-/// ordered cover on every delivery, and a range query's destinations — one
-/// run of consecutive PeerIDs — are one range of ranks, so a wide descent
-/// reads the table in order.
+/// PeerID order: one row record per peer — its [`PeerKey`], its node id and
+/// its out-neighbors (§3's routing table) — indexed by *rank*, the peer's
+/// position in that order. A query handler reads this instead of
+/// re-deriving a peer's neighbors from the ordered cover on every delivery,
+/// and a range query's destinations — one run of consecutive PeerIDs — are
+/// one range of ranks, so a wide descent reads the table in order.
 ///
-/// A row is an interval of ranks, not a list. A peer's out-neighbors are
-/// the owner of a proper prefix of its shift `id[1..]`, or every peer that
-/// extends the shift (the cover is prefix-free, so never both): the
-/// extensions are one subtree of the cover, and the ancestor is the key
-/// just before where that subtree would start. Either way the row is
-/// consecutive ranks, in [`FissioneNet::out_neighbors`] order.
+/// A row's out-neighbors are an interval of ranks, not a list. A peer's
+/// out-neighbors are the owner of a proper prefix of its shift `id[1..]`,
+/// or every peer that extends the shift (the cover is prefix-free, so never
+/// both): the extensions are one subtree of the cover, and the ancestor is
+/// the key just before where that subtree would start. Either way the row
+/// is consecutive ranks, in [`FissioneNet::out_neighbors`] order.
 ///
 /// Built by [`FissioneNet::route_table`] on first use and dropped by every
 /// membership change; never updated in place (a split inserts a rank, which
 /// renumbers every rank after it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteTable {
-    /// Key per rank, ascending.
-    keys: Vec<PeerKey>,
-    /// `NodeId` per rank.
-    nodes: Vec<u32>,
-    /// Out-neighbors per rank: the rank interval `[first, end)`.
-    rows: Vec<(u32, u32)>,
+    /// One row per rank, ascending by key.
+    rows: Vec<Row>,
     /// Rank per slot; `u32::MAX` for a dead slot.
     ranks: Vec<u32>,
     /// The deepest PeerID's length, for [`run`](Self::run)'s error.
     max_depth: usize,
 }
 
-/// The out-neighbors of the peer keyed `key` among the sorted cover `keys`,
-/// as a rank interval: the subtree below its shift, or, when that is empty,
-/// the key just before it if that one prefixes the shift. A depth-1 id's
-/// shift is empty and prefixes every PeerID.
-fn row_of(keys: &[PeerKey], key: PeerKey) -> Range<usize> {
+/// What a route hop or a descent delivery reads of one rank, in one
+/// record: the peer's key and depth, its node id, and its out-neighbors as
+/// the rank interval `[first, end)`. 32 bytes, no larger than the columns
+/// it replaced took per rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Row {
+    pub(crate) key: PeerKey,
+    pub(crate) node: u32,
+    pub(crate) depth: u32,
+    first: u32,
+    end: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Row>() == 32, "a row is one half cache line");
+
+impl Row {
+    /// The ranks of this peer's out-neighbors.
+    #[inline]
+    pub(crate) fn out(&self) -> Range<usize> {
+        self.first as usize..self.end as usize
+    }
+}
+
+/// The out-neighbors of the peer keyed `key` among the rows of the sorted
+/// cover, as a rank interval: the subtree below its shift, or, when that is
+/// empty, the key just before it if that one prefixes the shift. A depth-1
+/// id's shift is empty and prefixes every PeerID.
+fn row_of(rows: &[Row], key: PeerKey) -> Range<usize> {
     let (shift, last) = key.shift().below().into_inner();
-    let first = keys.partition_point(|&k| k < shift);
-    let end = first + keys[first..].partition_point(|&k| k <= last);
+    let first = rows.partition_point(|r| r.key < shift);
+    let end = first + rows[first..].partition_point(|r| r.key <= last);
     match first.checked_sub(1) {
-        Some(ancestor) if first == end && keys[ancestor].is_prefix_of(shift) => ancestor..first,
+        Some(ancestor) if first == end && rows[ancestor].key.is_prefix_of(shift) => ancestor..first,
         _ => first..end,
     }
 }
@@ -113,20 +132,21 @@ fn row_of(keys: &[PeerKey], key: PeerKey) -> Range<usize> {
 impl RouteTable {
     fn build(net: &FissioneNet) -> Self {
         let index = |n: usize| u32::try_from(n).expect("routing table indices fit u32");
-        let (keys, nodes): (Vec<PeerKey>, Vec<u32>) =
-            net.by_id.iter().map(|(&key, &node)| (key, index(node))).unzip();
-        let mut ranks = vec![u32::MAX; net.slots.len()];
-        for (rank, &node) in nodes.iter().enumerate() {
-            ranks[node as usize] = index(rank);
-        }
-        let rows = keys
+        let mut rows: Vec<Row> = net
+            .by_id
             .iter()
-            .map(|&key| {
-                let row = row_of(&keys, key);
-                (index(row.start), index(row.end))
+            .map(|(&key, &node)| {
+                let depth = index(key.depth());
+                Row { key, node: index(node), depth, first: 0, end: 0 }
             })
             .collect();
-        let table = RouteTable { keys, nodes, rows, ranks, max_depth: net.max_depth() };
+        let mut ranks = vec![u32::MAX; net.slots.len()];
+        for rank in 0..rows.len() {
+            ranks[rows[rank].node as usize] = index(rank);
+            let out = row_of(&rows, rows[rank].key);
+            (rows[rank].first, rows[rank].end) = (index(out.start), index(out.end));
+        }
+        let table = RouteTable { rows, ranks, max_depth: net.max_depth() };
         #[cfg(debug_assertions)]
         {
             let mut row = Vec::new();
@@ -142,17 +162,24 @@ impl RouteTable {
 
     /// The number of live peers (one rank each).
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.rows.len()
     }
 
     /// Whether the table holds no peer (never: the root peers cannot leave).
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.rows.is_empty()
     }
 
     /// The rank of `node`; `None` unless it is a live peer.
+    #[inline]
     pub fn rank(&self, node: NodeId) -> Option<usize> {
         self.ranks.get(node).filter(|&&rank| rank != u32::MAX).map(|&rank| rank as usize)
+    }
+
+    /// The row of the peer at `rank`.
+    #[inline]
+    pub(crate) fn row(&self, rank: usize) -> Row {
+        self.rows[rank]
     }
 
     /// The peer at `rank`.
@@ -160,8 +187,9 @@ impl RouteTable {
     /// # Panics
     ///
     /// Panics if `rank` is not below [`len`](Self::len).
+    #[inline]
     pub fn node(&self, rank: usize) -> NodeId {
-        self.nodes[rank] as NodeId
+        self.rows[rank].node as NodeId
     }
 
     /// The key of the peer at `rank`.
@@ -171,7 +199,7 @@ impl RouteTable {
     /// Panics if `rank` is not below [`len`](Self::len).
     #[inline]
     pub fn key(&self, rank: usize) -> PeerKey {
-        self.keys[rank]
+        self.rows[rank].key
     }
 
     /// The ranks of the out-neighbors of the peer at `rank`, in
@@ -180,9 +208,9 @@ impl RouteTable {
     /// # Panics
     ///
     /// Panics if `rank` is not below [`len`](Self::len).
+    #[inline]
     pub fn out(&self, rank: usize) -> Range<usize> {
-        let (first, end) = self.rows[rank];
-        first as usize..end as usize
+        self.rows[rank].out()
     }
 
     /// The ranks of the peers whose regions intersect the lexicographic
@@ -200,10 +228,10 @@ impl RouteTable {
         // `low`'s owner is the greatest key not above it, if that prefixes
         // it. A peer's region starts above `high` exactly when its key does
         // (a minimal extension never exceeds `high` while the two agree).
-        let owner = self.keys.partition_point(|&k| k <= low_key).checked_sub(1);
+        let owner = self.rows.partition_point(|r| r.key <= low_key).checked_sub(1);
         match owner {
-            Some(first) if self.keys[first].is_prefix_of(low_key) => {
-                Ok(first..first + self.keys[first..].partition_point(|&k| k <= high_key))
+            Some(first) if self.rows[first].key.is_prefix_of(low_key) => {
+                Ok(first..first + self.rows[first..].partition_point(|r| r.key <= high_key))
             }
             _ => Err(FissioneError::TargetTooShort {
                 target_len: low.len(),
@@ -213,14 +241,14 @@ impl RouteTable {
     }
 
     /// The rank among `ranks` whose key prefixes `probe`, if one does, and
-    /// its key.
-    pub(crate) fn prefixing(
-        &self,
-        ranks: Range<usize>,
-        probe: PeerKey,
-    ) -> Option<(usize, PeerKey)> {
-        let keys = &self.keys[ranks.clone()];
-        ranks.zip(keys.iter().copied()).find(|&(_, k)| k.is_prefix_of(probe))
+    /// its row: each candidate is one record, read whole, and tested by
+    /// one masked compare at the depth it carries.
+    #[inline]
+    pub(crate) fn prefixing(&self, ranks: Range<usize>, probe: PeerKey) -> Option<(usize, Row)> {
+        let rows = &self.rows[ranks.clone()];
+        ranks
+            .zip(rows.iter().copied())
+            .find(|&(_, row)| row.key.is_prefix_at(row.depth as usize, probe))
     }
 }
 

@@ -13,29 +13,33 @@
 //! hop forms `I` on the order-preserving [`PeerKey`]s with integer
 //! operations, then scans the row (2–3 entries under balance) for the one
 //! key that prefixes `I`. A route stands at a *rank* (the peer's position in
-//! PeerID order), and a row is an interval of ranks, so the scan reads the
-//! neighbors' keys where they lie, in the table's key column; a rank becomes
-//! a `NodeId` only for the fold's edge callback and the result. The hop
-//! carries the next peer's `j` with it — a neighbor no shorter than the
-//! shift is `C.id[1..] ++ T[j..j']`, so `j'` follows from its length — and a
-//! route slides for `j` symbol by symbol only at its origin and after a
-//! short neighbor. A hop allocates nothing and never probes the global
-//! ordered cover; it costs two dependent reads (the row's interval, then
-//! the keys in it). The first route after a membership change builds the
-//! table ([`FissioneNet::route_table`]); every later one shares it.
+//! PeerID order) and carries that rank's row record — key, depth, node id
+//! and out-neighbors as an interval of ranks — so the scan reads the
+//! neighbors' records where they lie, one record per candidate, and the
+//! record it picks is the next position whole. The hop carries the next
+//! peer's `j` with it — a neighbor no shorter than the shift is
+//! `C.id[1..] ++ T[j..j']`, so `j'` follows from its length — and a route
+//! slides for `j` symbol by symbol only at its origin and after a short
+//! neighbor. A hop allocates nothing and never probes the global ordered
+//! cover; it costs one read of the candidates' records. The first route
+//! after a membership change builds the table
+//! ([`FissioneNet::route_table`]); every later one shares it.
 //!
-//! Many routes from one origin — a query's replica fetches — are walked as
-//! one route tree ([`FissioneNet::route_tree_fold`]): in target key order,
-//! each resumes from the deepest peer of the previous route it provably
-//! shares, so the hops near the origin are walked once for the batch.
+//! Many routes from one origin to PeerIDs — a query's replica fetches — are
+//! walked as one route tree ([`FissioneNet::route_tree_fold`]), whose
+//! targets are keys, not strings: in key order, each resumes from the
+//! deepest peer of the previous route it provably shares, so the hops near
+//! the origin are walked once for the tree, and the origin's suffixes are
+//! shifted once for it.
 //!
 //! Debug builds assert every hop — the pick, the error arm and the carried
 //! `j` — against the ordered-cover probe behind [`FissioneNet::owner_of`]
 //! and the slide, and the tests below hold routes against the §3 rule on
 //! strings and route trees against one route per target.
 
-use crate::net::RouteTable;
+use crate::net::{RouteTable, Row};
 use crate::{FissioneError, FissioneNet};
+use kautz::key::Suffixes;
 use kautz::{KautzStr, ObjectKey, PeerKey};
 use simnet::{FaultPlan, NodeId};
 
@@ -81,26 +85,33 @@ impl Target {
     fn of(target: &KautzStr) -> Self {
         Target { probe: ObjectKey::new(target).head(), len: target.len() }
     }
+
+    /// A PeerID target, given by its key.
+    fn key(probe: PeerKey) -> Self {
+        Target { probe, len: probe.depth() }
+    }
 }
 
-/// Where a route stands: at the live peer of rank `rank` (node id `node`,
-/// read as the hop lands, for the fold's edge callback and the result),
-/// whose key is `key`, and `j`, the length of the longest proper suffix of
-/// that key which prefixes the target (the overlap the next hop continues
-/// from).
+/// Where a route stands: at the live peer of rank `rank`, whose row
+/// (key, depth, node id and out-neighbors) is `row`, and `j`, the length of
+/// the longest proper suffix of that key which prefixes the target (the
+/// overlap the next hop continues from).
 #[derive(Debug, Clone, Copy)]
 struct At {
     rank: usize,
-    node: NodeId,
-    key: PeerKey,
+    row: Row,
     j: usize,
 }
 
 impl At {
     /// A route's first position: the overlap found by sliding.
     fn start(table: &RouteTable, rank: usize, target: Target) -> Self {
-        let key = table.key(rank);
-        At { rank, node: table.node(rank), key, j: overlap(key, target) }
+        let row = table.row(rank);
+        At { rank, row, j: overlap(row.key, target) }
+    }
+
+    fn node(&self) -> NodeId {
+        self.row.node as NodeId
     }
 }
 
@@ -124,25 +135,19 @@ struct Frame<A> {
 }
 
 /// What one call of [`FissioneNet::route_tree_fold`] works on and returns:
-/// the targets' keys, their sort order, the frames of the route walked
-/// last, and one result per target. Kept across calls (a query scratch
-/// slot), it allocates nothing once grown.
+/// the targets' keys beside their positions, in key order, the frames of
+/// the route walked last, and one result per target. Kept across calls (a
+/// query scratch slot), it allocates nothing once grown.
 #[derive(Debug)]
 pub struct RouteTree<A> {
-    targets: Vec<Target>,
-    order: Vec<u32>,
+    order: Vec<(PeerKey, u32)>,
     frames: Vec<Frame<A>>,
     results: Vec<Result<(NodeId, A), FissioneError>>,
 }
 
 impl<A> Default for RouteTree<A> {
     fn default() -> Self {
-        RouteTree {
-            targets: Vec::new(),
-            order: Vec::new(),
-            frames: Vec::new(),
-            results: Vec::new(),
-        }
+        RouteTree { order: Vec::new(), frames: Vec::new(), results: Vec::new() }
     }
 }
 
@@ -180,51 +185,54 @@ impl FissioneNet {
         let (table, rank) = self.table_at(node)?;
         let target = Target::of(target);
         let next = self.hop(table, At::start(table, rank, target), target)?;
-        Ok(next.map(|(next, _)| next.node))
+        Ok(next.map(|(next, _)| next.node()))
     }
 
     /// The hop rule: from `at`, the next position toward `target` and
     /// whether its overlap was carried (`true`) or had to be slid for.
     ///
     /// Cost: the ideal continuation is one shift of the current key, and
-    /// its owner is found among the row's 2–3 keys. The next peer's overlap
-    /// is carried, not slid for: the owner prefixes `id[1..] ++ T[j..]`, so
-    /// a next key of `l ≥ len − 1` symbols is `id[1..] ++ T[j..j']` with
-    /// `j' = j + l − (len − 1)`, and a longer overlap would make one of the
-    /// current id longer than `j`. Only a short neighbor (`l < len − 1`,
-    /// which the neighborhood invariant rules out) is slid for.
+    /// its owner is found among the row's 2–3 candidates, each one record
+    /// holding the key, depth and node id the next position needs. The next
+    /// peer's overlap is carried, not slid for: the owner prefixes
+    /// `id[1..] ++ T[j..]`, so a next key of `l ≥ len − 1` symbols is
+    /// `id[1..] ++ T[j..j']` with `j' = j + l − (len − 1)`, and a longer
+    /// overlap would make one of the current id longer than `j`. Only a
+    /// short neighbor (`l < len − 1`, which the neighborhood invariant rules
+    /// out) is slid for.
+    #[inline]
     fn hop(
         &self,
         table: &RouteTable,
         at: At,
         target: Target,
     ) -> Result<Option<(At, bool)>, FissioneError> {
-        let At { rank, key: id, j, .. } = at;
-        if id.is_prefix_of(target.probe) {
+        let At { rank, row, j } = at;
+        let (id, len) = (row.key, row.depth as usize);
+        if id.is_prefix_at(len, target.probe) {
             return Ok(None);
         }
         debug_assert_eq!(j, overlap(id, target), "rank {rank} carried a wrong overlap");
-        let len = id.depth();
         // The ideal continuation `id[1..] ++ target[j..]`, windowed like any
         // other probe.
-        let ideal = id.shift_toward(target.probe, j);
+        let ideal = id.shift_toward(len, target.probe, j);
         let ideal_len = len - 1 + target.len - j;
         // Its owner prefixes an extension of the shift `id[1..]`, which makes
         // it an out-neighbor; the cover being prefix-free, at most one key
         // in the row qualifies, and none exactly when no live PeerID does.
         let next =
-            table.prefixing(table.out(rank), ideal).ok_or_else(|| self.target_too_short(ideal_len));
+            table.prefixing(row.out(), ideal).ok_or_else(|| self.target_too_short(ideal_len));
         debug_assert_eq!(
-            next.clone().map(|(owner, _)| table.node(owner)),
+            next.clone().map(|(_, owner)| owner.node as NodeId),
             self.owner_of_window(ideal, ideal_len),
             "the row of rank {rank} and the ordered cover disagree on an owner"
         );
-        let (next, key) = next?;
+        let (next, row) = next?;
         debug_assert_ne!(next, rank, "Kautz shift cannot map a peer to itself");
-        let next_len = key.depth();
+        let next_len = row.depth as usize;
         let carried = next_len + 1 >= len;
-        let j = if carried { j + next_len + 1 - len } else { overlap(key, target) };
-        Ok(Some((At { rank: next, node: table.node(next), key, j }, carried)))
+        let j = if carried { j + next_len + 1 - len } else { overlap(row.key, target) };
+        Ok(Some((At { rank: next, row, j }, carried)))
     }
 
     /// Walks the route from `from` to the owner of `target` (an
@@ -253,9 +261,9 @@ impl FissioneNet {
         let cap = self.max_depth() + 2;
         for _ in 0..=cap {
             match self.hop(table, at, target)? {
-                None => return Ok((at.node, acc)),
+                None => return Ok((at.node(), acc)),
                 Some((next, _)) => {
-                    acc = f(acc, at.node, next.node);
+                    acc = f(acc, at.node(), next.node());
                     at = next;
                 }
             }
@@ -263,9 +271,10 @@ impl FissioneNet {
         unreachable!("routing exceeded its progress bound");
     }
 
-    /// [`route_fold`](Self::route_fold) from one origin to many targets at
-    /// once, priced as one route tree: `out.results()[i]` is what
-    /// `route_fold(from, targets[i], init, f)` returns, for a pure `f`.
+    /// [`route_fold`](Self::route_fold) from one origin to many PeerIDs at
+    /// once, given by key, priced as one route tree: `out.results()[i]` is
+    /// what `route_fold(from, id_i, init, f)` returns for the PeerID `id_i`
+    /// keyed `targets[i]`, for a pure `f`.
     ///
     /// Routes from one origin share their first hops, and a hop depends on
     /// the target only through the overlap it continues from and the
@@ -275,44 +284,47 @@ impl FissioneNet {
     /// target's, it agrees with the previous target on every symbol the
     /// walk to that peer appended (none of whose hops needed a slide), and
     /// no peer before that one owns it. `f` runs once per edge walked, and
-    /// a resumed target starts from the value folded up to its peer.
-    /// Allocates nothing once `out` has grown to the batch.
-    pub fn route_tree_fold<'t, A: Copy>(
+    /// a resumed target starts from the value folded up to its peer. The
+    /// origin's suffixes are shifted once per tree, so a target's overlap
+    /// at the origin is one masked compare per candidate length. Allocates
+    /// nothing once `out` has grown to the batch.
+    pub fn route_tree_fold<A: Copy>(
         &self,
         from: NodeId,
-        targets: impl IntoIterator<Item = &'t KautzStr>,
+        targets: impl IntoIterator<Item = PeerKey>,
         init: A,
         mut f: impl FnMut(A, NodeId, NodeId) -> A,
         out: &mut RouteTree<A>,
     ) {
-        let RouteTree { targets: keys, order, frames, results } = out;
-        keys.clear();
-        keys.extend(targets.into_iter().map(Target::of));
+        let RouteTree { order, frames, results } = out;
+        order.clear();
+        order.extend(targets.into_iter().zip(0..));
         results.clear();
         frames.clear();
         let (table, rank) = match self.table_at(from) {
             Ok(at) => at,
             Err(e) => {
-                results.extend(keys.iter().map(|_| Err(e.clone())));
+                results.extend(order.iter().map(|_| Err(e.clone())));
                 return;
             }
         };
-        results.resize(keys.len(), Ok((from, init)));
-        order.clear();
-        order.extend(0..u32::try_from(keys.len()).expect("route tree targets fit u32"));
-        order.sort_unstable_by_key(|&i| keys[i as usize].probe);
+        assert!(u32::try_from(order.len()).is_ok(), "route tree targets fit u32");
+        results.resize(order.len(), Ok((from, init)));
+        order.sort_unstable();
+        let origin = table.row(rank);
+        let slide = Suffixes::new(origin.key.shift());
         let cap = self.max_depth() + 2;
         // The probe of the target whose route `frames` holds.
         let mut prev = PeerKey::EMPTY;
-        for &i in order.iter() {
-            let target = keys[i as usize];
-            let start = At::start(table, rank, target);
+        for &(probe, i) in order.iter() {
+            let target = Target::key(probe);
+            let start = At { rank, row: origin, j: slide.longest_prefix_of(probe, target.len) };
             let mut depth = 0;
             if frames.first().is_some_and(|origin| origin.at.j == start.j) {
-                let common = target.probe.common_prefix_len(prev);
+                let common = probe.common_prefix_len(prev);
                 while depth + 1 < frames.len()
                     && frames[depth + 1].need <= common
-                    && !frames[depth].at.key.is_prefix_of(target.probe)
+                    && !frames[depth].at.row.key.is_prefix_of(probe)
                 {
                     depth += 1;
                 }
@@ -321,15 +333,15 @@ impl FissioneNet {
                 frames.clear();
                 frames.push(Frame { at: start, need: 0, acc: init });
             }
-            prev = target.probe;
+            prev = probe;
             let Frame { mut at, mut need, mut acc } = frames[depth];
             results[i as usize] = loop {
                 assert!(frames.len() <= cap + 2, "routing exceeded its progress bound");
                 match self.hop(table, at, target) {
-                    Ok(None) => break Ok((at.node, acc)),
+                    Ok(None) => break Ok((at.node(), acc)),
                     Err(e) => break Err(e),
                     Ok(Some((next, carried))) => {
-                        acc = f(acc, at.node, next.node);
+                        acc = f(acc, at.node(), next.node());
                         need = if carried && need != usize::MAX { next.j } else { usize::MAX };
                         at = next;
                         frames.push(Frame { at, need, acc });
@@ -563,52 +575,62 @@ mod tests {
         (hops + 1, simnet::mix(digest, src as u64, dst as u64))
     }
 
-    /// The batch of route-tree targets from `from`: the origin's own PeerID,
-    /// live PeerIDs (some twice), the ids in `departed`, ObjectIDs at the
-    /// network's length and at 100 symbols, ObjectID-length extensions of
-    /// PeerIDs (which share long prefixes with them), and prefixes too short
-    /// to have an owner.
+    /// `size` route-tree targets from `from`, drawn in turn from these
+    /// kinds: the origin's own PeerID, the ids in `departed`, live PeerIDs
+    /// (some drawn twice), ObjectIDs at the network's length and at the 64
+    /// symbols a key holds, ObjectID-length extensions of PeerIDs (which
+    /// share long prefixes with them), and prefixes too short to have an
+    /// owner.
     fn tree_targets(
         net: &FissioneNet,
         rng: &mut SmallRng,
         from: NodeId,
         departed: &[KautzStr],
+        size: usize,
     ) -> Vec<KautzStr> {
         let peers: Vec<NodeId> = net.live_peers().collect();
         let k = net.config().object_id_len;
-        let mut targets: Vec<KautzStr> = departed.to_vec();
-        targets.extend(net.peer_id(from).ok().cloned());
-        for _ in 0..12 {
+        let mut targets: Vec<KautzStr> = net.peer_id(from).ok().cloned().into_iter().collect();
+        targets.extend(departed.iter().cloned());
+        while targets.len() < size {
             let id = net.peer_id(peers[rng.gen_range(0..peers.len())]).unwrap().clone();
             let object = KautzStr::random(k, rng);
-            targets.push(id.min_extension(k));
-            targets.push(object.take_front(rng.gen_range(0..8)));
-            targets.push(KautzStr::random(100, rng));
-            targets.extend([id.clone(), id, object]);
+            targets.extend([
+                id.min_extension(k),
+                object.take_front(rng.gen_range(0..8)),
+                KautzStr::random(64, rng),
+                id.clone(),
+                id,
+                object,
+            ]);
         }
+        targets.truncate(size.max(1));
         let again = targets[rng.gen_range(0..targets.len())].clone();
-        targets.push(again);
+        *targets.last_mut().unwrap() = again;
         targets
     }
 
-    /// Holds one route tree per origin against one `route_fold` per target,
-    /// result for result, through one reused [`RouteTree`]; returns the
-    /// edges the trees walked and the edges the routes did.
+    /// Holds one route tree per origin, on the targets' keys, against one
+    /// `route_fold` per target on the strings, result for result, through
+    /// one reused [`RouteTree`]; returns the edges the trees walked and the
+    /// edges the routes did.
     fn assert_tree_equals_routes(
         net: &FissioneNet,
         rng: &mut SmallRng,
         origins: &[NodeId],
         departed: &[KautzStr],
+        size: usize,
     ) -> (u64, u64) {
         let mut tree = RouteTree::default();
         let (mut walked, mut routed) = (0, 0);
         for &from in origins {
-            let targets = tree_targets(net, rng, from, departed);
+            let targets = tree_targets(net, rng, from, departed, size);
             let count = |acc, src, dst| {
                 walked += 1;
                 path_digest(acc, src, dst)
             };
-            net.route_tree_fold(from, &targets, (0, 0), count, &mut tree);
+            let keys = targets.iter().map(|t| ObjectKey::new(t).head());
+            net.route_tree_fold(from, keys, (0, 0), count, &mut tree);
             assert_eq!(tree.results().len(), targets.len());
             for (target, got) in targets.iter().zip(tree.results()) {
                 let want = net.route_fold(from, target, (0, 0), path_digest);
@@ -625,7 +647,7 @@ mod tests {
             let mut rng = simnet::rng_from_seed(seed);
             let mut net = build(n, seed);
             let origins: Vec<NodeId> = (0..8).map(|_| net.random_peer(&mut rng)).collect();
-            let (walked, routed) = assert_tree_equals_routes(&net, &mut rng, &origins, &[]);
+            let (walked, routed) = assert_tree_equals_routes(&net, &mut rng, &origins, &[], 85);
             assert!(walked < routed, "N = {n}: the trees shared no hop");
             // Deepen some leaves past their neighbors' depth, so hops reach
             // short neighbors and slide; then a departed origin and departed
@@ -640,7 +662,44 @@ mod tests {
             if net.leave(leaver).is_ok() {
                 let mut origins: Vec<NodeId> = (0..8).map(|_| net.random_peer(&mut rng)).collect();
                 origins.push(leaver);
-                assert_tree_equals_routes(&net, &mut rng, &origins, &departed);
+                assert_tree_equals_routes(&net, &mut rng, &origins, &departed, 85);
+            }
+        }
+    }
+
+    /// The batch sizes a fetch phase prices — one fetch, a `stack-hostile`
+    /// query's ≈ 223, a wide scan's ≈ 1 200, and more — on a built cover and
+    /// on one churned without `stabilize`, where short neighbors make hops
+    /// slide.
+    #[test]
+    fn route_trees_equal_one_route_per_target_at_fetch_phase_sizes() {
+        let mut rng = simnet::rng_from_seed(34);
+        let mut net = build(700, 34);
+        let mut churned = net.clone();
+        let mut departed = Vec::new();
+        for op in 0..240 {
+            let victim = churned.random_peer(&mut rng);
+            let id = churned.peer_id(victim).unwrap().clone();
+            let gone = match op % 3 {
+                0 => churned.leave(victim).is_ok(),
+                1 => churned.crash(victim).is_ok(),
+                _ => {
+                    churned.join(&mut rng);
+                    false
+                }
+            };
+            if gone {
+                departed.push(id);
+            }
+        }
+        let violations = churned.check_invariants().unwrap().neighborhood_violations;
+        assert!(violations > 0, "an unstabilized cover with no short neighbor slides nowhere");
+        for net in [&mut net, &mut churned] {
+            for size in [1, 223, 1200, 3000] {
+                let origins = [net.random_peer(&mut rng), net.random_peer(&mut rng)];
+                let (walked, routed) =
+                    assert_tree_equals_routes(net, &mut rng, &origins, &departed, size);
+                assert!(size == 1 || walked < routed, "{size} targets shared no hop");
             }
         }
     }
@@ -673,7 +732,7 @@ mod tests {
                     departed.push(id);
                 }
                 let origins = [peers[raw % 7 % peers.len()], net.random_peer(&mut rng), victim];
-                assert_tree_equals_routes(&net, &mut rng, &origins, &departed);
+                assert_tree_equals_routes(&net, &mut rng, &origins, &departed, 85);
             }
         }
     }

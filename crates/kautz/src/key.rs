@@ -240,6 +240,14 @@ impl PeerKey {
         self.below().contains(&other)
     }
 
+    /// [`is_prefix_of`](Self::is_prefix_of) for a key whose depth is
+    /// known: one masked compare.
+    #[inline]
+    pub fn is_prefix_at(self, depth: usize, other: PeerKey) -> bool {
+        debug_assert_eq!(depth, self.depth(), "a key's depth is its own");
+        (self.0 ^ other.0) & mask(depth) == 0
+    }
+
     /// The keys of the ObjectIDs this PeerID prefixes: the interval of the
     /// object table the peer stores.
     pub fn interval(self) -> RangeInclusive<ObjectKey> {
@@ -311,12 +319,14 @@ impl PeerKey {
     }
 
     /// The window of `self[1..] ++ target[j..]`, where `target`'s first `j`
-    /// symbols are the last `j` of `self[1..]` (`j < depth`): a Kautz
-    /// route's ideal continuation from the peer keyed `self` toward
-    /// `target`, laid over the shift it repeats.
+    /// symbols are the last `j` of `self[1..]` (`j < depth`, the key's own
+    /// depth, which a route hop has at hand): a Kautz route's ideal
+    /// continuation from the peer keyed `self` toward `target`, laid over
+    /// the shift it repeats.
     #[inline]
-    pub fn shift_toward(self, target: PeerKey, j: usize) -> PeerKey {
-        PeerKey(self.0 << 2 | target.0 >> (2 * (self.depth() - 1 - j)))
+    pub fn shift_toward(self, depth: usize, target: PeerKey, j: usize) -> PeerKey {
+        debug_assert_eq!(depth, self.depth(), "a key's depth is its own");
+        PeerKey(self.0 << 2 | target.0 >> (2 * (depth - 1 - j)))
     }
 
     /// The length of the longest suffix of this key's string that is a
@@ -335,6 +345,36 @@ impl PeerKey {
     /// The string this key encodes; `None` if it encodes none.
     pub fn decode(self) -> Option<KautzStr> {
         ObjectKey([(self.0 >> 64) as u64, self.0 as u64, 0, 0]).decode()
+    }
+}
+
+/// [`PeerKey::longest_suffix_prefix`] of one key against many targets: the
+/// key's suffixes, each shifted to the front once, so a target costs one
+/// masked compare per candidate length and no shift.
+#[derive(Debug, Clone)]
+pub struct Suffixes {
+    depth: usize,
+    /// `front[j]` (`1 ≤ j ≤ depth`): the key's last `j` symbols, moved to
+    /// the front.
+    front: [u128; PEER_KEY_SYMS + 1],
+}
+
+impl Suffixes {
+    /// The suffixes of `key`.
+    pub fn new(key: PeerKey) -> Self {
+        let depth = key.depth();
+        let mut front = [0; PEER_KEY_SYMS + 1];
+        for (j, suffix) in front.iter_mut().enumerate().take(depth + 1).skip(1) {
+            *suffix = key.0 << (2 * (depth - j));
+        }
+        Suffixes { depth, front }
+    }
+
+    /// `key.longest_suffix_prefix(target, n)` for the `key` these are the
+    /// suffixes of.
+    #[inline]
+    pub fn longest_prefix_of(&self, target: PeerKey, n: usize) -> usize {
+        (1..=self.depth.min(n)).rev().find(|&j| self.front[j] == target.0 & mask(j)).unwrap_or(0)
     }
 }
 
@@ -592,6 +632,7 @@ mod tests {
                 for q in [p.clone(), longer] {
                     if q.len() <= PEER_KEY_SYMS {
                         prop_assert_eq!(key.is_prefix_of(window(&q)), id.is_prefix_of(&q));
+                        prop_assert_eq!(key.is_prefix_at(depth, window(&q)), id.is_prefix_of(&q));
                         prop_assert_eq!(window(&q).is_prefix_of(key), q.is_prefix_of(&id));
                         prop_assert_eq!(window(&q).cmp(&key), q.cmp(&id));
                     }
@@ -652,12 +693,15 @@ mod tests {
                 };
                 let peer = PeerKey::new(&id);
                 prop_assert_eq!(peer.depth(), depth);
+                let suffixes = Suffixes::new(peer);
                 for n in [0, com_t.len().min(1), com_t.len() / 2, com_t.len()] {
+                    let overlap = id.longest_suffix_prefix(&com_t.take_front(n));
                     prop_assert_eq!(
                         peer.longest_suffix_prefix(target, n),
-                        id.longest_suffix_prefix(&com_t.take_front(n)),
+                        overlap,
                         "{} against {}[..{}]", id, com_t, n
                     );
+                    prop_assert_eq!(suffixes.longest_prefix_of(target, n), overlap);
                 }
             }
         }
