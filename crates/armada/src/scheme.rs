@@ -218,12 +218,6 @@ impl ReplicaRouting for SingleArmada {
         self.net().replica_owners(dht_api::value_key(value), r)
     }
 
-    fn fetch_cost(&self, origin: NodeId, holder: NodeId) -> FetchCost {
-        let mut cost = Vec::with_capacity(1);
-        self.price_fetches(origin, &[holder], &mut RouteTree::default(), &mut cost);
-        cost[0]
-    }
-
     fn fetch_costs(
         &self,
         origin: NodeId,
@@ -231,22 +225,9 @@ impl ReplicaRouting for SingleArmada {
         scratch: &mut QueryScratch,
         costs: &mut Vec<FetchCost>,
     ) {
-        self.price_fetches(origin, holders, scratch.slot(), costs);
-    }
-}
-
-impl SingleArmada {
-    /// FissionE's one fetch pricing: [`ReplicaRouting::fetch_costs`] over
-    /// the route tree `tree`.
-    fn price_fetches(
-        &self,
-        origin: NodeId,
-        holders: &[NodeId],
-        tree: &mut RouteTree<(u64, u64)>,
-        costs: &mut Vec<FetchCost>,
-    ) {
         let (net, model) = (self.net(), self.net_model());
         let table = net.route_table();
+        let tree = scratch.slot::<RouteTree<(u64, u64)>>();
         // A local copy costs nothing and a dead holder has no PeerID to
         // route to: only the others are walked, in `holders` order, each
         // by its rank's key.

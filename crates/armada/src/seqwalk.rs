@@ -62,10 +62,9 @@ pub fn query(
 
     // Phase 1: DHT-route to the first destination (the owner of LowT).
     let model = armada.net_model();
-    let low_id = low.decode().expect("LowT is a Kautz string");
     // Every routed edge joins the critical path, priced by the cost model.
     let (first, (mut delay, mut latency)) =
-        net.route_fold(origin, &low_id, (0u32, 0u64), |(hop, cum), src, dst| {
+        net.route_fold(origin, low, (0u32, 0u64), |(hop, cum), src, dst| {
             let edge = model.edge_cost(src, dst);
             let (hop, cum) = (hop + 1, cum + edge);
             if let Some(s) = &mut sink {

@@ -164,9 +164,9 @@ fn routes_never_read_a_table_built_before_a_membership_change() {
     unbalance(base.net_mut());
     // Exact-match routes to PeerIDs, ObjectIDs and a prefix too short to
     // have an owner, replica fetch phases priced over the same walk (in one
-    // batch, and one fetch at a time), and the sequential walk's routed
-    // first phase: a list fixed by the network it runs on, so the same on a
-    // network and its clone.
+    // batch, and each fetch as a batch of one), and the sequential walk's
+    // routed first phase: a list fixed by the network it runs on, so the
+    // same on a network and its clone.
     let run = |scheme: &PiraScheme, scratch: &mut QueryScratch| {
         let net = scheme.inner().net();
         let peers: Vec<NodeId> = net.live_peers().collect();
@@ -181,7 +181,7 @@ fn routes_never_read_a_table_built_before_a_membership_change() {
             }
             // A fetch phase: random holders, one of them twice, the origin
             // itself and a node that is not live, priced in one batch that
-            // must agree with each fetch priced alone.
+            // must agree with each fetch priced as a batch of one.
             let origin = peers[rng.gen_range(0..peers.len())];
             let mut holders: Vec<NodeId> =
                 (0..4).map(|_| peers[rng.gen_range(0..peers.len())]).collect();
@@ -191,7 +191,9 @@ fn routes_never_read_a_table_built_before_a_membership_change() {
             scheme.inner().fetch_costs(origin, &holders, scratch, &mut batch);
             assert_eq!(batch.len(), holders.len());
             for (&holder, cost) in holders.iter().zip(batch) {
-                assert_eq!(cost, scheme.inner().fetch_cost(origin, holder), "{origin} -> {holder}");
+                let mut alone = Vec::new();
+                scheme.inner().fetch_costs(origin, &[holder], scratch, &mut alone);
+                assert_eq!(alone, [cost], "{origin} -> {holder}");
                 routed.push(Routed::Fetch(cost));
             }
         }

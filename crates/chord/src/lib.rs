@@ -37,11 +37,18 @@
 //! ```
 //! use chord::ChordNet;
 //! use dht_api::Dht;
+//! use simnet::{NetModel, QueryScratch};
 //!
 //! let mut rng = simnet::rng_from_seed(3);
 //! let net = ChordNet::build(128, &mut rng);
-//! let lookup = net.route_key(net.any_node(), 0xdead_beef);
-//! assert!(lookup.hops as f64 <= 2.0 * 128f64.log2());
+//! let mut gets = Vec::new();
+//! let keys = [0xdead_beef, 0xfeed];
+//! net.route_keys(net.any_node(), &keys, &NetModel::unit(), &mut QueryScratch::new(), &mut gets);
+//! for ((lookup, latency), key) in gets.into_iter().zip(keys) {
+//!     assert_eq!(lookup.owner, net.successor_of(key));
+//!     assert!(lookup.hops as f64 <= 2.0 * 128f64.log2());
+//!     assert_eq!(latency, lookup.hops as u64); // a unit edge per hop
+//! }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -594,18 +601,6 @@ fn splitmix64(v: u64) -> u64 {
 }
 
 impl Dht for ChordNet {
-    fn route_key(&self, from: NodeId, key: u64) -> Lookup {
-        self.route_point(from, key)
-    }
-
-    fn route_key_latency(&self, from: NodeId, key: u64, net: &simnet::NetModel) -> (Lookup, u64) {
-        // The real finger path, priced edge by edge.
-        let (owner, (hops, cost)) = self.route_fold(from, key, (0, 0), |(hops, cost), src, dst| {
-            (hops + 1, cost + net.edge_cost(src, dst))
-        });
-        (Lookup { owner, hops }, cost)
-    }
-
     fn route_keys(
         &self,
         from: NodeId,
@@ -614,15 +609,17 @@ impl Dht for ChordNet {
         scratch: &mut simnet::QueryScratch,
         out: &mut Vec<(Lookup, u64)>,
     ) {
-        // The same finger paths as `route_key_latency`, walked as one tree.
+        // The greedy finger paths, priced edge by edge, walked as one tree.
+        let price =
+            |(hops, cost): (usize, u64), src, dst| (hops + 1, cost + model.edge_cost(src, dst));
         let tree = scratch.slot::<RouteTree<(usize, u64)>>();
-        self.route_tree_fold(
-            from,
-            keys.iter().copied(),
-            (0, 0),
-            |(hops, cost), src, dst| (hops + 1, cost + model.edge_cost(src, dst)),
-            tree,
-        );
+        self.route_tree_fold(from, keys.iter().copied(), (0, 0), price, tree);
+        if cfg!(debug_assertions) {
+            for (&key, &got) in keys.iter().zip(tree.results()) {
+                let alone = self.route_fold(from, key, (0, 0), price);
+                assert_eq!(got, alone, "the tree routed {from} -> {key:#x} unlike a route alone");
+            }
+        }
         out.extend(
             tree.results().iter().map(|&(owner, (hops, cost))| (Lookup { owner, hops }, cost)),
         );
@@ -630,10 +627,6 @@ impl Dht for ChordNet {
 
     fn is_live(&self, node: NodeId) -> bool {
         ChordNet::is_live(self, node)
-    }
-
-    fn owner_of_key(&self, key: u64) -> NodeId {
-        self.successor_of(key)
     }
 
     fn replica_owners(&self, key: u64, r: usize) -> Vec<NodeId> {

@@ -17,7 +17,7 @@ proptest! {
         let mut rng = simnet::rng_from_seed(seed);
         let net = ChordNet::build(n, &mut rng);
         let from = from_raw % net.node_count();
-        let lookup = net.route_key(from, key);
+        let lookup = net.route_point(from, key);
         prop_assert_eq!(lookup.owner, net.successor_of(key));
         // Hop bound: never more than log2(N) + a small constant for the
         // final successor steps.

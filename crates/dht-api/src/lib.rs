@@ -141,40 +141,26 @@ pub struct Lookup {
 /// Keys are opaque `u64`s (layered schemes hash their labels into this
 /// space); the DHT maps each key deterministically onto one live peer.
 ///
+/// [`route_keys`](Dht::route_keys) is the one way a layered scheme routes:
+/// a single lookup is a batch of one key, so a hop counter or a fault
+/// verdict on routed hops has one place to go.
+///
 /// `Send + Sync` are supertraits: routing takes `&self`, and a layered
 /// scheme (e.g. PHT) can only satisfy [`RangeScheme`]'s thread-safety
 /// contract if its substrate satisfies the same one — which every routing
 /// table without interior mutability does for free.
 pub trait Dht: Send + Sync {
-    /// Routes from `from` to the peer owning `key`.
-    fn route_key(&self, from: NodeId, key: u64) -> Lookup;
-
-    /// [`route_key`](Dht::route_key) with the traversed path's virtual
-    /// latency under `net`: returns the lookup and the summed
-    /// [`NetModel::edge_cost`] of every edge actually routed through.
+    /// Routes from `from` to the owner of every key in `keys` and appends,
+    /// in order, each route's [`Lookup`] and its virtual latency under
+    /// `net`: the summed [`NetModel::edge_cost`] of every edge the route
+    /// crosses. A batch is what a layered scheme's gets from one client
+    /// cost, such as a PHT range query's trie-node gets. Routes from one
+    /// origin share hops, so a substrate walks them as one route tree
+    /// (`chord` and `fissione` do), keeping its buffers in `scratch`; every
+    /// entry equals the key routed alone, which debug builds of both hold
+    /// against the substrate's own single route.
     ///
-    /// **Accuracy:** the default implementation cannot see the substrate's
-    /// hop-by-hop path, so it prices each of the `hops` edges at the cost
-    /// of the *direct* `from → owner` edge — exact under `unit` (every
-    /// edge costs 1) and an explicit approximation elsewhere. Substrates
-    /// that expose real paths (`chord`, `fissione`) override it with true
-    /// per-edge accumulation; layered schemes (PHT) inherit whichever
-    /// accuracy their substrate provides.
-    fn route_key_latency(&self, from: NodeId, key: u64, net: &NetModel) -> (Lookup, u64) {
-        let lookup = self.route_key(from, key);
-        let per_edge = if lookup.hops == 0 { 0 } else { net.edge_cost(from, lookup.owner) };
-        (lookup, per_edge * lookup.hops as u64)
-    }
-
-    /// Appends [`route_key_latency`](Dht::route_key_latency)`(from, key,
-    /// net)` to `out` for every key in `keys`, in order: the pricing of a
-    /// batch of routed gets that all leave from one client, such as a PHT
-    /// range query's trie-node gets. The default routes one key at a time;
-    /// a substrate whose routes from one origin share hops may walk them
-    /// together (`chord` walks one route tree), keeping its buffers in
-    /// `scratch`, so long as every entry equals the key routed alone
-    /// (debug builds of PHT's range query hold each entry against a call
-    /// with that key alone).
+    /// May panic if `from` is not live ([`is_live`](Dht::is_live)).
     fn route_keys(
         &self,
         from: NodeId,
@@ -182,61 +168,20 @@ pub trait Dht: Send + Sync {
         net: &NetModel,
         scratch: &mut simnet::QueryScratch,
         out: &mut Vec<(Lookup, u64)>,
-    ) {
-        let _ = scratch;
-        out.extend(keys.iter().map(|&key| self.route_key_latency(from, key, net)));
-    }
+    );
 
     /// Whether `node` is a live peer — what a layered scheme checks before
-    /// it routes from a caller-supplied origin, since the routing methods
-    /// may panic on a dead or unknown one.
+    /// it routes from a caller-supplied origin, since
+    /// [`route_keys`](Dht::route_keys) may panic on a dead or unknown one.
     fn is_live(&self, node: NodeId) -> bool;
 
-    /// The peer owning `key`.
-    ///
-    /// **Cost:** the default implementation pays a full [`route_key`]
-    /// traversal from [`any_node`] to find the owner — `O(log N)` overlay
-    /// hops of simulated work, the opposite of free. Substrates with a
-    /// global view (`chord`, `fissione`) override it with an `O(log N)`
-    /// *local* table lookup that routes nothing; only those overrides are
-    /// cost-free. Callers that need the owner without paying (or charging)
-    /// routing should only rely on that on substrates known to override.
-    ///
-    /// [`route_key`]: Dht::route_key
-    /// [`any_node`]: Dht::any_node
-    fn owner_of_key(&self, key: u64) -> NodeId {
-        let probe = self.route_key(self.any_node(), key);
-        probe.owner
-    }
-
     /// The `r` distinct peers that should hold copies of `key`'s record —
-    /// the substrate's close group around the owner, primary first.
-    ///
-    /// **Cost:** the default implementation derives extra owners by salted
-    /// re-hashing, paying one [`owner_of_key`] probe per candidate — on
-    /// substrates without a local-owner override that is `O(r · log N)`
-    /// overlay hops of simulated work. Substrates with structural
-    /// neighborhoods override it with a *local* computation: `chord`
-    /// returns the key's ring successors (the classic successor list),
-    /// `fissione` the owner plus its Kautz neighbors. The result is always
-    /// deterministic in `(key, r, membership)` and clamped to the live
-    /// peer count.
-    ///
-    /// [`owner_of_key`]: Dht::owner_of_key
-    fn replica_owners(&self, key: u64, r: usize) -> Vec<NodeId> {
-        let want = r.max(1).min(self.node_count());
-        let mut owners = vec![self.owner_of_key(key)];
-        let mut salt: u64 = 0;
-        // The salt walk terminates even when few distinct owners exist.
-        while owners.len() < want && salt < 64 * want as u64 {
-            salt += 1;
-            let probe = self.owner_of_key(key ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            if !owners.contains(&probe) {
-                owners.push(probe);
-            }
-        }
-        owners
-    }
+    /// the substrate's close group around the owner, primary first, found
+    /// by a *local* computation that routes nothing: `chord` returns the
+    /// key's ring successors (the classic successor list), `fissione` the
+    /// owner plus its Kautz neighbors. Deterministic in `(key, r,
+    /// membership)` and clamped to the live peer count.
+    fn replica_owners(&self, key: u64, r: usize) -> Vec<NodeId>;
 
     /// Some live peer (used as a default probe source).
     fn any_node(&self) -> NodeId;

@@ -259,35 +259,28 @@ pub trait ReplicaRouting {
     /// down). Distinct, primary first.
     fn close_group(&self, value: f64, r: usize) -> Vec<NodeId>;
 
-    /// The cost of one point fetch from `origin` at `holder`: the overlay
-    /// routing path to the holder plus one direct response hop, in hops,
-    /// [`NetModel`](crate::NetModel) virtual milliseconds, and messages.
-    /// Implementations must price this with the same honesty as their
-    /// query paths (real routed edges where the substrate can route to a
-    /// node, the `O(log N)` lookup model otherwise — with latency
-    /// accumulated over the same edges the hop figure counts).
-    fn fetch_cost(&self, origin: NodeId, holder: NodeId) -> FetchCost;
-
-    /// Appends [`fetch_cost`](Self::fetch_cost)`(origin, holder)` to
-    /// `costs` for every holder in `holders`, in order: the pricing of a
-    /// query's whole fetch phase, which leaves from one origin, in one call
-    /// however many fetches it has (and of one record's copy transfers in
-    /// a repair pass). The default prices one fetch at a time; a substrate
-    /// whose routes from one origin share hops may walk them together —
-    /// FissionE walks one route tree — keeping its buffers in `scratch`, so
-    /// long as every cost equals the fetch's priced alone (debug builds of
-    /// [`Replicated`] hold each cost against a call with that holder
-    /// alone).
+    /// Appends the cost of a point fetch from `origin` at each holder in
+    /// `holders`, in order: the overlay routing path to the holder plus
+    /// one direct response hop, in hops, [`NetModel`](crate::NetModel)
+    /// virtual milliseconds, and messages. One call prices a query's whole
+    /// fetch phase, which leaves from one origin, however many fetches it
+    /// has (and one record's copy transfers in a repair pass); a single
+    /// fetch is a batch of one holder. Implementations price it with the
+    /// same honesty as their query paths (real routed edges where the
+    /// substrate can route to a node, the `O(log N)` lookup model
+    /// otherwise — with latency accumulated over the same edges the hop
+    /// figure counts). A substrate whose routes from one origin share hops
+    /// may walk them together — FissionE walks one route tree — keeping its
+    /// buffers in `scratch`, so long as every cost equals the fetch's
+    /// priced alone (debug builds of [`Replicated`] hold each cost against
+    /// a batch of that holder alone).
     fn fetch_costs(
         &self,
         origin: NodeId,
         holders: &[NodeId],
         scratch: &mut QueryScratch,
         costs: &mut Vec<FetchCost>,
-    ) {
-        let _ = scratch;
-        costs.extend(holders.iter().map(|&holder| self.fetch_cost(origin, holder)));
-    }
+    );
 }
 
 /// The cost of one replica point fetch (or copy transfer): the overlay
@@ -361,7 +354,7 @@ pub trait ReplicationControl {
 /// The wrapper reinterprets completeness at *data* granularity: when the
 /// primary path misses records that a live replica still holds, the
 /// wrapper fetches them (one point fetch per record, priced by
-/// [`ReplicaRouting::fetch_cost`]), adds the fetch messages to
+/// [`ReplicaRouting::fetch_costs`]), adds the fetch messages to
 /// [`RangeOutcome::messages`], extends [`RangeOutcome::delay`] by the
 /// slowest fetch (the fetch phase starts after the primary phase
 /// completes), and scales [`RangeOutcome::reached_peers`] by the recovered
@@ -1187,8 +1180,14 @@ mod tests {
         fn close_group(&self, value: f64, r: usize) -> Vec<NodeId> {
             ring_owners(&self.live(), value_key(value), r)
         }
-        fn fetch_cost(&self, _origin: NodeId, _holder: NodeId) -> FetchCost {
-            FetchCost { hops: 2, latency: 2, messages: 2 }
+        fn fetch_costs(
+            &self,
+            _origin: NodeId,
+            holders: &[NodeId],
+            _scratch: &mut QueryScratch,
+            costs: &mut Vec<FetchCost>,
+        ) {
+            costs.extend(holders.iter().map(|_| FetchCost { hops: 2, latency: 2, messages: 2 }));
         }
     }
 

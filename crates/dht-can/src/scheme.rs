@@ -199,33 +199,41 @@ impl ReplicaRouting for DcfScheme {
         self.net.replica_owners(value, r)
     }
 
-    fn fetch_cost(&self, origin: NodeId, holder: NodeId) -> FetchCost {
-        if origin == holder {
-            return FetchCost::default(); // the copy is local
-        }
+    fn fetch_costs(
+        &self,
+        origin: NodeId,
+        holders: &[NodeId],
+        _scratch: &mut QueryScratch,
+        costs: &mut Vec<FetchCost>,
+    ) {
         // Greedy-route to the holder zone's center, plus one direct
         // response hop — the same path pricing the query flood pays, with
         // the same edges charged by the cost model.
         let model = &self.net_model;
-        let response = model.edge_cost(holder, origin);
-        let (hops, route_latency) = self
-            .net
-            .zone(holder)
-            .map(|z| {
-                let rect = z.rect();
-                ((rect.x0 + rect.x1) / 2.0, (rect.y0 + rect.y1) / 2.0)
-            })
-            .and_then(|(cx, cy)| self.net.route_to_point(origin, cx, cy))
-            .map_or_else(
-                |_| {
-                    // Unroutable: fall back to the √N grid model, priced
-                    // at the direct origin→holder edge per modeled hop.
-                    let h = (self.net.len() as f64).sqrt().ceil() as u64;
-                    (h, h * model.edge_cost(origin, holder))
-                },
-                |path| (path.len().saturating_sub(1) as u64, model.path_cost(&path)),
-            );
-        FetchCost { hops: hops + 1, latency: route_latency + response, messages: hops + 1 }
+        costs.extend(holders.iter().map(|&holder| {
+            if origin == holder {
+                return FetchCost::default(); // the copy is local
+            }
+            let response = model.edge_cost(holder, origin);
+            let (hops, route_latency) = self
+                .net
+                .zone(holder)
+                .map(|z| {
+                    let rect = z.rect();
+                    ((rect.x0 + rect.x1) / 2.0, (rect.y0 + rect.y1) / 2.0)
+                })
+                .and_then(|(cx, cy)| self.net.route_to_point(origin, cx, cy))
+                .map_or_else(
+                    |_| {
+                        // Unroutable: fall back to the √N grid model, priced
+                        // at the direct origin→holder edge per modeled hop.
+                        let h = (self.net.len() as f64).sqrt().ceil() as u64;
+                        (h, h * model.edge_cost(origin, holder))
+                    },
+                    |path| (path.len().saturating_sub(1) as u64, model.path_cost(&path)),
+                );
+            FetchCost { hops: hops + 1, latency: route_latency + response, messages: hops + 1 }
+        }));
     }
 }
 

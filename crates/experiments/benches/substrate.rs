@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use dht_api::{BuildParams, Dht, QueryCtx, RangeRequest, RangeScheme};
 use dht_can::dcf::{self, FloodMode};
 use dht_can::{hilbert, CanConfig, CanNet};
-use fissione::{FissioneConfig, FissioneNet};
+use fissione::{FissioneConfig, FissioneNet, ObjectKey};
 use kautz::naming::{MultiHash, Naming, SingleHash};
 use kautz::KautzStr;
 use rand::Rng;
@@ -68,12 +68,14 @@ fn bench_routing(c: &mut Criterion) {
     let mut rng = simnet::rng_from_seed(16);
     let net = FissioneNet::build(FissioneConfig::default(), 10_000, &mut rng).unwrap();
     let peers: Vec<_> = net.live_peers().collect();
+    let ids: Vec<_> =
+        peers.iter().map(|&p| ObjectKey::new(net.peer_id(p).expect("live"))).collect();
     let wan = simnet::NetModel::named("wan").expect("a catalog model");
     net.route_table();
     c.bench_function("fissione_route_fold/10000", |b| {
         b.iter(|| {
             let from = peers[rng.gen_range(0..peers.len())];
-            let to = net.peer_id(peers[rng.gen_range(0..peers.len())]).expect("a live peer");
+            let to = ids[rng.gen_range(0..ids.len())];
             net.route_fold(from, to, (0u64, 0u64), |(hops, ms), src, dst| {
                 (hops + 1, ms + wan.edge_cost(src, dst))
             })
@@ -162,26 +164,31 @@ fn bench_replication(c: &mut Criterion) {
     }
     group.finish();
 
-    // The fetch route: one point fetch between two random live peers.
+    // The fetch route: one point fetch between two random live peers,
+    // priced as a batch of one holder through a scratch kept across
+    // iterations.
     let scheme = loaded("pira", 10_000);
     let routing = scheme.as_replica_routing().expect("pira routes replicas");
     let peers = routing.live_peers();
     let mut rng = simnet::rng_from_seed(9);
+    let mut scratch = QueryScratch::new();
+    let mut costs = Vec::with_capacity(1200);
     // The first fetch builds the routing table: keep it off the clock.
-    routing.fetch_cost(peers[0], peers[1]);
+    routing.fetch_costs(peers[0], &peers[1..2], &mut scratch, &mut costs);
     c.bench_function("replica_fetch_cost/10000", |b| {
         b.iter(|| {
             let origin = peers[rng.gen_range(0..peers.len())];
             let holder = peers[rng.gen_range(0..peers.len())];
-            routing.fetch_cost(origin, holder)
+            costs.clear();
+            routing.fetch_costs(origin, &[holder], &mut scratch, &mut costs);
+            costs[0]
         })
     });
     // A query's whole fetch phase: one origin, 223 random holders (what a
     // `stack-hostile` query fetches on average), priced in one call
     // through a scratch kept across iterations; then 1 200 (what one of its
     // wide scans fetches), which share more of one tree.
-    let mut scratch = QueryScratch::new();
-    let (mut holders, mut costs) = (Vec::with_capacity(1200), Vec::with_capacity(1200));
+    let mut holders = Vec::with_capacity(1200);
     for (name, fetches) in
         [("replica_fetch_phase/10000", 223), ("replica_fetch_phase/wide_1e4", 1200)]
     {

@@ -1,9 +1,9 @@
 //! FISSIONE as a generic [`dht_api::Dht`]: the exact-match interface layered
 //! schemes (PHT) consume — plus its [`DynamicDht`] churn capability.
 
-use crate::{FissioneError, FissioneNet};
+use crate::{FissioneError, FissioneNet, RouteTree};
 use dht_api::{Dht, DynamicDht, Lookup, SchemeError};
-use kautz::KautzStr;
+use kautz::{KautzStr, ObjectKey};
 use rand::rngs::SmallRng;
 use simnet::NodeId;
 
@@ -18,42 +18,47 @@ impl From<FissioneError> for SchemeError {
 }
 
 impl FissioneNet {
-    /// Maps an opaque 64-bit key deterministically onto an ObjectID-length
-    /// Kautz string (uniform over the namespace).
-    pub fn key_to_kautz(&self, key: u64) -> KautzStr {
+    /// The ObjectID an opaque 64-bit [`Dht`] key names: an
+    /// `object_id_len`-symbol Kautz string, uniform over the namespace,
+    /// given by its key. The key is spread over the (much larger) `u128`
+    /// rank space by Fibonacci-hash style mixing, then reduced and
+    /// unranked, so no string is built.
+    pub fn object_of_key(&self, key: u64) -> ObjectKey {
         let k = self.config().object_id_len;
-        let count = KautzStr::count(k);
-        // Spread the 64-bit key over the (much larger) u128 rank space by
-        // Fibonacci-hash style mixing, then reduce.
         let spread = (key as u128).wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835);
-        KautzStr::unrank(k, spread % count).expect("rank reduced into range")
+        ObjectKey::unrank(k, spread % KautzStr::count(k)).expect("rank reduced into range")
     }
 }
 
 impl Dht for FissioneNet {
-    fn route_key(&self, from: NodeId, key: u64) -> Lookup {
-        let (owner, hops) = self
-            .route_fold(from, &self.key_to_kautz(key), 0, |hops, _, _| hops + 1)
-            .expect("routing on a complete cover succeeds");
-        Lookup { owner, hops }
-    }
-
-    fn route_key_latency(&self, from: NodeId, key: u64, net: &simnet::NetModel) -> (Lookup, u64) {
-        // The real Kautz long path, priced edge by edge.
-        let (owner, (hops, cost)) = self
-            .route_fold(from, &self.key_to_kautz(key), (0, 0), |(hops, cost), src, dst| {
-                (hops + 1, cost + net.edge_cost(src, dst))
-            })
-            .expect("routing on a complete cover succeeds");
-        (Lookup { owner, hops }, cost)
+    fn route_keys(
+        &self,
+        from: NodeId,
+        keys: &[u64],
+        model: &simnet::NetModel,
+        scratch: &mut simnet::QueryScratch,
+        out: &mut Vec<(Lookup, u64)>,
+    ) {
+        // The Kautz long paths, priced edge by edge, walked as one tree on
+        // the targets' windows.
+        let price =
+            |(hops, cost): (usize, u64), src, dst| (hops + 1, cost + model.edge_cost(src, dst));
+        let tree = scratch.slot::<RouteTree<(usize, u64)>>();
+        let windows = keys.iter().map(|&key| self.object_of_key(key).head());
+        self.route_tree_fold(from, windows, (0, 0), price, tree);
+        for (&key, got) in keys.iter().zip(tree.results()) {
+            if cfg!(debug_assertions) {
+                let alone = self.route_fold(from, self.object_of_key(key), (0, 0), price);
+                assert_eq!(*got, alone, "the tree routed {from} -> {key:#x} unlike a route alone");
+            }
+            let &(owner, (hops, cost)) =
+                got.as_ref().expect("routing on a complete cover succeeds");
+            out.push((Lookup { owner, hops }, cost));
+        }
     }
 
     fn is_live(&self, node: NodeId) -> bool {
         FissioneNet::is_live(self, node)
-    }
-
-    fn owner_of_key(&self, key: u64) -> NodeId {
-        self.owner_of(&self.key_to_kautz(key)).expect("cover is complete")
     }
 
     fn replica_owners(&self, key: u64, r: usize) -> Vec<NodeId> {
@@ -61,7 +66,8 @@ impl Dht for FissioneNet {
         // neighbors, breadth-first — all local table reads, no routing
         // (the maidsafe close-group discipline on a constant-degree graph).
         let want = r.max(1).min(self.len());
-        let primary = Dht::owner_of_key(self, key);
+        let object = self.object_of_key(key);
+        let primary = self.owner_of_window(object.head(), object.len()).expect("cover is complete");
         let mut owners = vec![primary];
         let mut frontier = vec![primary];
         while owners.len() < want && !frontier.is_empty() {
@@ -124,18 +130,99 @@ impl DynamicDht for FissioneNet {
 #[cfg(test)]
 mod tests {
     use crate::{FissioneConfig, FissioneNet};
-    use dht_api::Dht;
+    use dht_api::{Dht, Lookup};
+    use kautz::{KautzStr, ObjectKey};
+    use proptest::prelude::*;
+    use rand::Rng;
+    use simnet::{NetModel, NodeId, QueryScratch};
+
+    /// The owner of the ObjectID a `Dht` key names, by the ordered cover.
+    fn owner(net: &FissioneNet, key: u64) -> NodeId {
+        net.lookup(net.object_of_key(key)).unwrap().0
+    }
 
     #[test]
     fn dht_interface_routes_to_owner() {
         let cfg = FissioneConfig { object_id_len: 24, ..FissioneConfig::default() };
         let mut rng = simnet::rng_from_seed(41);
         let net = FissioneNet::build(cfg, 150, &mut rng).unwrap();
-        for key in [0u64, 1, 42, u64::MAX, 0xdead_beef] {
+        let keys = [0u64, 1, 42, u64::MAX, 0xdead_beef];
+        let mut scratch = QueryScratch::new();
+        for _ in 0..5 {
             let from = net.random_node(&mut rng);
-            let lookup = net.route_key(from, key);
-            assert_eq!(lookup.owner, net.owner_of_key(key));
-            assert!(lookup.hops as f64 <= 2.0 * (150f64).log2());
+            let mut out = Vec::new();
+            net.route_keys(from, &keys, &NetModel::unit(), &mut scratch, &mut out);
+            assert_eq!(out.len(), keys.len());
+            for (&key, (lookup, latency)) in keys.iter().zip(out) {
+                assert_eq!(lookup.owner, owner(&net, key));
+                assert!(lookup.hops as f64 <= 2.0 * (150f64).log2());
+                assert_eq!(latency, lookup.hops as u64, "a unit edge per hop");
+            }
+        }
+    }
+
+    /// `route_keys` from `from` against one `route_fold` per key, under
+    /// `wan`: owner, hops and the summed edge costs.
+    fn assert_batch_equals_routes(net: &FissioneNet, from: NodeId, keys: &[u64]) {
+        let wan = NetModel::wan();
+        let mut out = Vec::new();
+        net.route_keys(from, keys, &wan, &mut QueryScratch::new(), &mut out);
+        assert_eq!(out.len(), keys.len());
+        for (&key, &got) in keys.iter().zip(&out) {
+            let (owner, (hops, cost)) = net
+                .route_fold(from, net.object_of_key(key), (0, 0), |(hops, cost), src, dst| {
+                    (hops + 1, cost + wan.edge_cost(src, dst))
+                })
+                .unwrap();
+            assert_eq!(got, (Lookup { owner, hops }, cost), "{from} -> {key:#x}");
+        }
+    }
+
+    // At ObjectID lengths below and above the 64-symbol window, on a built
+    // cover and on one churned (2 : 1 : 1 join, leave, crash) without
+    // `stabilize`, so short neighbors make hops slide: random keys, some
+    // drawn twice, and keys whose ObjectIDs the origin owns itself.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn route_keys_equals_one_route_fold_per_key(
+            seed in 0u64..1000,
+            len in prop_oneof![Just(24usize), Just(100)],
+            churn in 0usize..60,
+        ) {
+            let cfg = FissioneConfig { object_id_len: len, ..FissioneConfig::default() };
+            let mut rng = simnet::rng_from_seed(seed);
+            let mut net = FissioneNet::build(cfg, 60, &mut rng).unwrap();
+            for op in 0..churn {
+                let victim = net.random_peer(&mut rng);
+                match op % 4 {
+                    0 | 1 => drop(net.join(&mut rng)),
+                    2 => drop(net.leave(victim)),
+                    _ => drop(net.crash(victim)),
+                }
+            }
+            for _ in 0..3 {
+                let from = net.random_node(&mut rng);
+                let mut keys: Vec<u64> = (0..150).map(|_| rng.gen()).collect();
+                keys.extend_from_within(..20);
+                let own = (0..4000).map(|_| rng.gen()).filter(|&key| owner(&net, key) == from);
+                keys.extend(own.take(10));
+                assert_batch_equals_routes(&net, from, &keys);
+            }
+        }
+    }
+
+    #[test]
+    fn object_of_key_is_the_unranked_string_spelled_as_a_key() {
+        for len in [24, 100] {
+            let cfg = FissioneConfig { object_id_len: len, ..FissioneConfig::default() };
+            let net = FissioneNet::new(cfg);
+            for key in [0u64, 1, 7, 0xdead_beef, u64::MAX] {
+                let spread = (key as u128).wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835);
+                let id = KautzStr::unrank(len, spread % KautzStr::count(len)).unwrap();
+                assert_eq!(net.object_of_key(key), ObjectKey::new(&id), "{key:#x} at {len}");
+            }
         }
     }
 
@@ -169,14 +256,13 @@ mod tests {
 
     #[test]
     fn replica_owners_form_the_kautz_close_group() {
-        use dht_api::Dht;
         let cfg = FissioneConfig { object_id_len: 24, ..FissioneConfig::default() };
         let mut rng = simnet::rng_from_seed(44);
         let net = FissioneNet::build(cfg, 80, &mut rng).unwrap();
         for key in [0u64, 9, 0xfeed, u64::MAX] {
             let owners = net.replica_owners(key, 4);
             assert_eq!(owners.len(), 4);
-            assert_eq!(owners[0], net.owner_of_key(key), "primary is the key's owner");
+            assert_eq!(owners[0], owner(&net, key), "primary is the key's owner");
             let distinct: std::collections::BTreeSet<_> = owners.iter().collect();
             assert_eq!(distinct.len(), 4);
             assert!(owners.iter().all(|&o| net.is_live(o)));
@@ -193,10 +279,9 @@ mod tests {
         let cfg = FissioneConfig { object_id_len: 24, ..FissioneConfig::default() };
         let mut rng = simnet::rng_from_seed(42);
         let net = FissioneNet::build(cfg, 50, &mut rng).unwrap();
-        assert_eq!(net.key_to_kautz(7), net.key_to_kautz(7));
+        assert_eq!(net.object_of_key(7), net.object_of_key(7));
         // Sequential keys spread across distinct owners reasonably often.
-        let owners: std::collections::BTreeSet<_> =
-            (0..100u64).map(|k| net.owner_of_key(k)).collect();
+        let owners: std::collections::BTreeSet<_> = (0..100u64).map(|k| owner(&net, k)).collect();
         assert!(owners.len() > 25, "only {} distinct owners", owners.len());
     }
 }

@@ -576,10 +576,9 @@ impl FissioneNet {
     /// wait for one build) and shared by every reader until the next one.
     ///
     /// Who builds one: PIRA, MIRA and sequential-walk queries, and every
-    /// route — `next_hop`, `route_fold`, `route`,
-    /// `route_avoiding`, `lookup_via_sim` — hence a replica `fetch_cost`,
-    /// also the ones `re_replicate` prices for the
-    /// copies it places: one build per batch of membership changes, the
+    /// route — `next_hop`, `route_fold`, `route_tree_fold`, `route`,
+    /// `lookup_via_sim` — hence a PHT get batch and a replica fetch phase,
+    /// also the one `re_replicate` prices for the copies it places: one build per batch of membership changes, the
     /// same one the next query would have paid. Who must not: the paths that
     /// run *between* the changes of such a batch — `join`'s descent (the
     /// owner probe and the neighbor walks to a local minimum) and
@@ -982,19 +981,13 @@ impl FissioneNet {
     /// `Ok(len)`, or [`FissioneError::ObjectIdLen`] unless `len` is the
     /// configured `object_id_len`: a string of another length would sort
     /// into the table without being an ObjectID.
-    fn object_id_len(&self, len: usize) -> Result<usize, FissioneError> {
+    pub(crate) fn object_id_len(&self, len: usize) -> Result<usize, FissioneError> {
         let expected = self.cfg.object_id_len;
         if len == expected {
             Ok(len)
         } else {
             Err(FissioneError::ObjectIdLen { len, expected })
         }
-    }
-
-    /// The table key of `object`, refused as by
-    /// [`publish`](Self::publish) unless it has `object_id_len` symbols.
-    pub(crate) fn object_key(&self, object: &KautzStr) -> Result<ObjectKey, FissioneError> {
-        self.object_id_len(object.len()).map(|_| ObjectKey::new(object))
     }
 
     /// The peer that stores `key`, an ObjectID of `object_id_len` symbols.
@@ -1710,8 +1703,8 @@ mod tests {
             let key = ObjectKey::new(&stray);
             assert_eq!(net.publish(key, 7).unwrap_err(), refused(len.min(128)));
             assert_eq!(net.lookup(key).map(|_| ()).unwrap_err(), refused(len.min(128)));
-            let sent = net.lookup_via_sim(0, &stray, 1, &simnet::FaultPlan::new());
-            assert_eq!(sent.unwrap_err(), refused(len));
+            let sent = net.lookup_via_sim(0, key, 1, &simnet::FaultPlan::new());
+            assert_eq!(sent.unwrap_err(), refused(len.min(128)));
         }
         assert_eq!(net.check_invariants().unwrap().total_objects, 0);
     }

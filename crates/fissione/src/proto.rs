@@ -9,15 +9,15 @@
 //! act on individual messages, and (c) pins the simulator and the analytic
 //! walk to identical hop counts (tested below).
 
-use crate::{FissioneError, FissioneNet};
-use kautz::KautzStr;
+use crate::{FissioneError, FissioneNet, ObjectKey};
 use simnet::{Envelope, FaultPlan, NodeId, Sim};
 
 /// Messages of the simulated lookup protocol.
 #[derive(Debug, Clone)]
 enum LookupMsg {
-    /// A lookup request traveling toward the owner.
-    Request { target: KautzStr, client: NodeId },
+    /// A lookup request traveling toward the owner of the ObjectID keyed
+    /// `target`.
+    Request { target: ObjectKey, client: NodeId },
     /// The owner's reply, carrying the handles stored under the target.
     Response { handles: Vec<u64> },
 }
@@ -38,24 +38,25 @@ pub struct SimLookup {
 }
 
 impl FissioneNet {
-    /// Runs an exact-match lookup as a message protocol under `faults`.
+    /// Runs an exact-match lookup for the ObjectID keyed `key` as a message
+    /// protocol under `faults`.
     ///
     /// # Errors
     ///
     /// Returns [`FissioneError::NoSuchPeer`] if `from` is dead and
-    /// [`FissioneError::ObjectIdLen`] if `target` is not an ObjectID of this
+    /// [`FissioneError::ObjectIdLen`] if `key` is not an ObjectID of this
     /// network.
     pub fn lookup_via_sim(
         &self,
         from: NodeId,
-        target: &KautzStr,
+        key: ObjectKey,
         seed: u64,
         faults: &FaultPlan,
     ) -> Result<SimLookup, FissioneError> {
         self.peer(from)?;
-        let key = self.object_key(target)?;
+        self.object_id_len(key.len())?;
         let mut sim: Sim<LookupMsg> = Sim::new(seed).with_faults(faults);
-        sim.send(from, from, 0, LookupMsg::Request { target: target.clone(), client: from });
+        sim.send(from, from, 0, LookupMsg::Request { target: key, client: from });
 
         let mut result = SimLookup {
             owner: None,
@@ -67,7 +68,7 @@ impl FissioneNet {
         sim.run(|sim, env: Envelope<LookupMsg>| match &env.payload {
             LookupMsg::Request { target, client } => {
                 let node = env.to;
-                match self.next_hop(node, target) {
+                match self.next_hop(node, *target) {
                     Ok(None) => {
                         // This peer owns the target: answer directly.
                         result.owner = Some(node);
@@ -80,7 +81,7 @@ impl FissioneNet {
                         sim.forward(
                             &env,
                             next,
-                            LookupMsg::Request { target: target.clone(), client: *client },
+                            LookupMsg::Request { target: *target, client: *client },
                         );
                     }
                     Err(_) => { /* drop: unroutable under this fault plan */ }
@@ -101,7 +102,8 @@ impl FissioneNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FissioneConfig, ObjectKey};
+    use crate::FissioneConfig;
+    use kautz::KautzStr;
 
     fn build(n: usize, seed: u64) -> FissioneNet {
         let cfg = FissioneConfig { object_id_len: 24, ..FissioneConfig::default() };
@@ -117,7 +119,8 @@ mod tests {
             let target = KautzStr::random(24, &mut rng);
             let from = net.random_peer(&mut rng);
             let walk = net.route(from, &target).unwrap();
-            let sim = net.lookup_via_sim(from, &target, q, &FaultPlan::new()).unwrap();
+            let sim =
+                net.lookup_via_sim(from, ObjectKey::new(&target), q, &FaultPlan::new()).unwrap();
             assert_eq!(sim.owner, Some(walk.dest()));
             assert_eq!(sim.request_hops as usize, walk.hops());
             // Request forwards + one response hop (the self-owned case is
@@ -136,7 +139,7 @@ mod tests {
         net.publish(ObjectKey::new(&obj), 77).unwrap();
         net.publish(ObjectKey::new(&obj), 78).unwrap();
         let from = net.random_peer(&mut rng);
-        let out = net.lookup_via_sim(from, &obj, 1, &FaultPlan::new()).unwrap();
+        let out = net.lookup_via_sim(from, ObjectKey::new(&obj), 1, &FaultPlan::new()).unwrap();
         assert_eq!(out.handles, vec![77, 78]);
         assert!(out.completed);
     }
@@ -151,7 +154,7 @@ mod tests {
         for q in 0..trials {
             let target = KautzStr::random(24, &mut rng);
             let from = net.random_peer(&mut rng);
-            let out = net.lookup_via_sim(from, &target, q, &faults).unwrap();
+            let out = net.lookup_via_sim(from, ObjectKey::new(&target), q, &faults).unwrap();
             if out.completed {
                 completed += 1;
             }
@@ -169,7 +172,7 @@ mod tests {
         let from = net.live_peers().find(|&n| n != owner).expect("another peer exists");
         let mut faults = FaultPlan::new();
         faults.crash(owner);
-        let out = net.lookup_via_sim(from, &target, 1, &faults).unwrap();
+        let out = net.lookup_via_sim(from, ObjectKey::new(&target), 1, &faults).unwrap();
         assert!(!out.completed);
         assert_eq!(out.owner, None);
     }

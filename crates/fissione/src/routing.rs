@@ -25,12 +25,18 @@
 //! after a membership change builds the table
 //! ([`FissioneNet::route_table`]); every later one shares it.
 //!
-//! Many routes from one origin to PeerIDs — a query's replica fetches — are
-//! walked as one route tree ([`FissioneNet::route_tree_fold`]), whose
-//! targets are keys, not strings: in key order, each resumes from the
-//! deepest peer of the previous route it provably shares, so the hops near
-//! the origin are walked once for the tree, and the origin's suffixes are
-//! shifted once for it.
+//! A target enters as a key, never as a string: its window, the key of
+//! its first 64 symbols ([`ObjectKey::head`]), decides every hop, since a
+//! live PeerID has at most [`MAX_PEER_DEPTH`](kautz::MAX_PEER_DEPTH)
+//! symbols. [`FissioneNet::route`], which keeps the path, is the one door
+//! that takes a [`KautzStr`].
+//!
+//! Many routes from one origin — a query's replica fetches, a PHT query's
+//! trie-node gets ([`dht_api::Dht::route_keys`]) — are walked as one route
+//! tree ([`FissioneNet::route_tree_fold`]): in key order, each resumes from
+//! the deepest peer of the previous route it provably shares, so the hops
+//! near the origin are walked once for the tree, and the origin's suffixes
+//! are shifted once for it.
 //!
 //! Debug builds assert every hop — the pick, the error arm and the carried
 //! `j` — against the ordered-cover probe behind [`FissioneNet::owner_of`]
@@ -41,7 +47,7 @@ use crate::net::{RouteTable, Row};
 use crate::{FissioneError, FissioneNet};
 use kautz::key::Suffixes;
 use kautz::{KautzStr, ObjectKey, PeerKey};
-use simnet::{FaultPlan, NodeId};
+use simnet::NodeId;
 
 /// A completed route through the overlay.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +80,7 @@ impl Route {
 /// A routing target in key space: the window of the target string (the
 /// key of its first 64 symbols, [`ObjectKey::head`] — live PeerID depths
 /// never approach that, so every prefix and suffix relation a hop needs is
-/// decided inside it) and the string's full length.
+/// decided inside it) and the window's length.
 #[derive(Debug, Clone, Copy)]
 struct Target {
     probe: PeerKey,
@@ -82,13 +88,8 @@ struct Target {
 }
 
 impl Target {
-    fn of(target: &KautzStr) -> Self {
-        Target { probe: ObjectKey::new(target).head(), len: target.len() }
-    }
-
-    /// A PeerID target, given by its key.
-    fn key(probe: PeerKey) -> Self {
-        Target { probe, len: probe.depth() }
+    fn of(window: PeerKey) -> Self {
+        Target { probe: window, len: window.depth() }
     }
 }
 
@@ -168,9 +169,9 @@ impl FissioneNet {
         Ok((table, rank))
     }
 
-    /// The next hop from `node` toward `target`, or `None` if `node` already
-    /// owns it: a read of `node`'s row of the routing table (which this
-    /// call builds if a membership change dropped it).
+    /// The next hop from `node` toward the string keyed `target`, or `None`
+    /// if `node` already owns it: a read of `node`'s row of the routing
+    /// table (which this call builds if a membership change dropped it).
     ///
     /// # Errors
     ///
@@ -180,10 +181,10 @@ impl FissioneNet {
     pub fn next_hop(
         &self,
         node: NodeId,
-        target: &KautzStr,
+        target: ObjectKey,
     ) -> Result<Option<NodeId>, FissioneError> {
         let (table, rank) = self.table_at(node)?;
-        let target = Target::of(target);
+        let target = Target::of(target.head());
         let next = self.hop(table, At::start(table, rank, target), target)?;
         Ok(next.map(|(next, _)| next.node()))
     }
@@ -235,12 +236,12 @@ impl FissioneNet {
         Ok(Some((At { rank: next, row, j }, carried)))
     }
 
-    /// Walks the route from `from` to the owner of `target` (an
-    /// ObjectID-length Kautz string, or a PeerID), folding `f(acc, src,
-    /// dst)` over its edges in order. Returns the owner and the folded
-    /// value; nothing is allocated unless `f` does. The walk fetches the
-    /// routing table once — building it if this is the first route since a
-    /// membership change — and every hop reads one row of it.
+    /// Walks the route from `from` to the owner of the string keyed
+    /// `target` (an ObjectID, or a PeerID), folding `f(acc, src, dst)` over
+    /// its edges in order. Returns the owner and the folded value; nothing
+    /// is allocated unless `f` does. The walk fetches the routing table
+    /// once — building it if this is the first route since a membership
+    /// change — and every hop reads one row of it.
     ///
     /// # Errors
     ///
@@ -248,11 +249,11 @@ impl FissioneNet {
     pub fn route_fold<A>(
         &self,
         from: NodeId,
-        target: &KautzStr,
+        target: ObjectKey,
         init: A,
         mut f: impl FnMut(A, NodeId, NodeId) -> A,
     ) -> Result<(NodeId, A), FissioneError> {
-        let target = Target::of(target);
+        let target = Target::of(target.head());
         let mut acc = init;
         let (table, rank) = self.table_at(from)?;
         let mut at = At::start(table, rank, target);
@@ -271,10 +272,11 @@ impl FissioneNet {
         unreachable!("routing exceeded its progress bound");
     }
 
-    /// [`route_fold`](Self::route_fold) from one origin to many PeerIDs at
-    /// once, given by key, priced as one route tree: `out.results()[i]` is
-    /// what `route_fold(from, id_i, init, f)` returns for the PeerID `id_i`
-    /// keyed `targets[i]`, for a pure `f`.
+    /// [`route_fold`](Self::route_fold) from one origin to many targets at
+    /// once, given by their windows ([`ObjectKey::head`]), priced as one
+    /// route tree: `out.results()[i]` is what `route_fold(from, key_i, init,
+    /// f)` returns for the key `key_i` whose window is `targets[i]`, for a
+    /// pure `f`.
     ///
     /// Routes from one origin share their first hops, and a hop depends on
     /// the target only through the overlap it continues from and the
@@ -317,7 +319,7 @@ impl FissioneNet {
         // The probe of the target whose route `frames` holds.
         let mut prev = PeerKey::EMPTY;
         for &(probe, i) in order.iter() {
-            let target = Target::key(probe);
+            let target = Target::of(probe);
             let start = At { rank, row: origin, j: slide.longest_prefix_of(probe, target.len) };
             let mut depth = 0;
             if frames.first().is_some_and(|origin| origin.at.j == start.j) {
@@ -352,75 +354,18 @@ impl FissioneNet {
     }
 
     /// Routes from `from` to the owner of `target`, returning the full
-    /// path.
+    /// path: the one routing door that takes a string.
     ///
     /// # Errors
     ///
     /// Propagates [`FissioneNet::next_hop`] errors.
     pub fn route(&self, from: NodeId, target: &KautzStr) -> Result<Route, FissioneError> {
+        let target = ObjectKey::new(target);
         let (_, path) = self.route_fold(from, target, vec![from], |mut path, _, next| {
             path.push(next);
             path
         })?;
         Ok(Route { path })
-    }
-
-    /// Fault-tolerant routing: greedy Kautz routing with depth-first
-    /// backtracking around crashed peers. The message is modelled as
-    /// carrying its walk and visited set, which a real implementation can do
-    /// (the walk is `O(log N)` in the common case); Kautz graphs are
-    /// `d`-connected (§3), so any crash set smaller than `d` leaves the
-    /// owner reachable and this search finds it.
-    ///
-    /// The returned [`Route`] is the full walk *including backtrack steps*,
-    /// so `hops()` honestly counts every traversed edge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FissioneError::Unroutable`] when the source is crashed or
-    /// the owner is unreachable in the residual overlay.
-    pub fn route_avoiding(
-        &self,
-        from: NodeId,
-        target: &KautzStr,
-        faults: &FaultPlan,
-    ) -> Result<Route, FissioneError> {
-        if faults.is_crashed(from) {
-            return Err(FissioneError::Unroutable);
-        }
-        let mut visited = std::collections::BTreeSet::new();
-        visited.insert(from);
-        let mut stack = vec![from];
-        let mut walk = vec![from];
-        while let Some(&cur) = stack.last() {
-            let Some(ideal) = self.next_hop(cur, target)? else {
-                return Ok(Route { path: walk });
-            };
-            // Candidate order: the ideal greedy hop first, then the other
-            // out-neighbors, then in-neighbors (overlay links are
-            // bidirectional connections, so a detour may traverse one
-            // backwards — the approximate topology has out-degree-1 peers
-            // that would otherwise be stranded by a single crash).
-            let mut cands = self.out_neighbors(cur);
-            cands.extend(self.in_neighbors(cur));
-            cands.dedup();
-            cands.sort_by_key(|&n| n != ideal);
-            let next = cands.into_iter().find(|&n| !faults.is_crashed(n) && !visited.contains(&n));
-            match next {
-                Some(n) => {
-                    visited.insert(n);
-                    stack.push(n);
-                    walk.push(n);
-                }
-                None => {
-                    stack.pop();
-                    if let Some(&back) = stack.last() {
-                        walk.push(back);
-                    }
-                }
-            }
-        }
-        Err(FissioneError::Unroutable)
     }
 }
 
@@ -498,19 +443,20 @@ mod tests {
         let mut too_short = 0;
         for target in &targets {
             for &node in peers.iter().chain(also).chain(&[usize::MAX]) {
-                let hop = net.next_hop(node, target);
+                let hop = net.next_hop(node, ObjectKey::new(target));
                 assert_eq!(hop, next_hop_on_strings(net, node, target), "{node} -> {target}");
                 too_short += usize::from(matches!(hop, Err(FissioneError::TargetTooShort { .. })));
             }
             for &from in [peers[rng.gen_range(0..peers.len())]].iter().chain(also) {
-                let edges = net.route_fold(from, target, Vec::new(), |mut edges, src, dst| {
+                let key = ObjectKey::new(target);
+                let edges = net.route_fold(from, key, Vec::new(), |mut edges, src, dst| {
                     edges.push((src, dst));
                     edges
                 });
                 assert_eq!(edges, route_on_strings(net, from, target), "{from} -> {target}");
                 let Ok(route) = net.route(from, target) else { continue };
                 for model in &models {
-                    let folded = net.route_fold(from, target, (0, 0), |(hops, cost), src, dst| {
+                    let folded = net.route_fold(from, key, (0, 0), |(hops, cost), src, dst| {
                         (hops + 1, cost + model.edge_cost(src, dst))
                     });
                     let walked = (route.hops(), model.path_cost(route.path()));
@@ -633,7 +579,7 @@ mod tests {
             net.route_tree_fold(from, keys, (0, 0), count, &mut tree);
             assert_eq!(tree.results().len(), targets.len());
             for (target, got) in targets.iter().zip(tree.results()) {
-                let want = net.route_fold(from, target, (0, 0), path_digest);
+                let want = net.route_fold(from, ObjectKey::new(target), (0, 0), path_digest);
                 assert_eq!(*got, want, "{from} -> {target}");
                 routed += want.map_or(0, |(_, (hops, _))| hops);
             }
@@ -807,37 +753,5 @@ mod tests {
         let route = net.route(owner, &target).unwrap();
         assert_eq!(route.hops(), 0);
         assert_eq!(route.path(), &[owner]);
-    }
-
-    #[test]
-    fn route_avoiding_detours_around_crashes() {
-        let net = build(300, 26);
-        let mut rng = simnet::rng_from_seed(260);
-        let mut successes = 0;
-        let mut attempts = 0;
-        for _ in 0..100 {
-            let target = KautzStr::random(24, &mut rng);
-            let owner = net.owner_of(&target).unwrap();
-            let from = net.random_peer(&mut rng);
-            if from == owner {
-                continue;
-            }
-            // Crash the ideal first hop.
-            let Ok(Some(first)) = net.next_hop(from, &target) else { continue };
-            if first == owner {
-                continue; // crashing the owner makes the target unreachable
-            }
-            let mut faults = FaultPlan::new();
-            faults.crash(first);
-            attempts += 1;
-            if let Ok(route) = net.route_avoiding(from, &target, &faults) {
-                assert_eq!(route.dest(), owner);
-                assert!(route.path().iter().all(|&n| n != first));
-                successes += 1;
-            }
-        }
-        assert!(attempts > 20, "test must exercise detours");
-        let rate = successes as f64 / attempts as f64;
-        assert!(rate > 0.9, "detour success rate {rate}");
     }
 }

@@ -22,7 +22,7 @@
 //! [`KautzStr`] and [`KautzRegion`](crate::KautzRegion) stay the reference
 //! these are tested against.
 
-use crate::KautzStr;
+use crate::{KautzError, KautzStr};
 use std::ops::RangeInclusive;
 
 /// Symbol capacity of an [`ObjectKey`]: 2 bits per symbol in 256 bits.
@@ -50,6 +50,34 @@ impl ObjectKey {
             *word = groups << (64 - 2 * chunk.len());
         }
         ObjectKey(words)
+    }
+
+    /// The key of [`KautzStr::unrank`]`(len, rank)`, written group by group
+    /// without the string: each rank bit below the first symbol's picks
+    /// one of the two symbols that differ from the one before.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KautzError::RankOutOfRange`] if `rank` is not below
+    /// [`KautzStr::count`]`(len)`.
+    ///
+    /// # Panics
+    ///
+    /// As [`KautzStr::count`], for `len` above 127.
+    pub fn unrank(len: usize, rank: u128) -> Result<Self, KautzError> {
+        let count = KautzStr::count(len);
+        if rank >= count {
+            return Err(KautzError::RankOutOfRange { rank, count });
+        }
+        let mut words = [0u64; 4];
+        let mut prev = 3u8; // no symbol yet: the first takes its two bits whole
+        for i in 0..len {
+            let bits = (rank >> (len - 1 - i)) as u8;
+            let sym = if prev == 3 { bits } else { (bits & 1) + u8::from(bits & 1 >= prev) };
+            words[i / 32] |= u64::from(sym + 1) << (62 - 2 * (i % 32));
+            prev = sym;
+        }
+        Ok(ObjectKey(words))
     }
 
     /// The number of symbols encoded: the position of the last nonzero
@@ -492,6 +520,29 @@ mod tests {
         let long = ks("01").max_extension(200);
         assert_eq!(ObjectKey::new(&long).len(), KEY_SYMS);
         assert_eq!(ObjectKey::new(&long).symbol(KEY_SYMS), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The key written from a rank against the key of the string
+        // unranked, at the empty length, inside one word, at the window's
+        // edge (63, 64, 65), at the paper's 100 and at 127, the longest
+        // whose ranks fit a `u128`; at both ends of the rank space, at a
+        // random rank, and one past the end.
+        #[test]
+        fn unranked_keys_equal_the_keys_of_unranked_strings(
+            len in prop_oneof![
+                Just(0usize), Just(1), Just(63), Just(64), Just(65), Just(100), Just(127)
+            ],
+            raw in any::<u128>(),
+        ) {
+            let count = KautzStr::count(len);
+            for rank in [0, count - 1, raw % count, count] {
+                let want = KautzStr::unrank(len, rank).map(|id| ObjectKey::new(&id));
+                prop_assert_eq!(ObjectKey::unrank(len, rank), want, "rank {} of {}", rank, len);
+            }
+        }
     }
 
     #[test]

@@ -465,15 +465,6 @@ impl<D: Dht> Pht<D> {
         gets.clear();
         self.dht.route_keys(from, keys, &self.net, scratch, gets);
         debug_assert_eq!(gets.len(), keys.len(), "one priced get per key");
-        if cfg!(debug_assertions) {
-            for (&key, &get) in keys.iter().zip(gets.iter()) {
-                assert_eq!(
-                    get,
-                    self.dht.route_key_latency(from, key, &self.net),
-                    "the batch priced the get {from} -> {key:#x} unlike a get alone"
-                );
-            }
-        }
         let (mut delay, mut latency, mut messages) = (0u64, 0u64, 0u64);
         let mut first = 0;
         for &end in rounds.iter() {
@@ -522,6 +513,7 @@ struct QueryBufs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht_api::Lookup;
     use rand::rngs::SmallRng;
     use rand::Rng;
 
@@ -628,9 +620,16 @@ mod tests {
         assert_eq!(out.results, expect);
     }
 
-    /// `route_keys` against one `route_key_latency` per key, from every
-    /// tenth live node, under `unit` and `wan`, on one reused scratch.
-    fn assert_batch_equals_gets_alone<D: Dht>(dht: &D, live: &[NodeId], rng: &mut SmallRng) {
+    /// `route_keys` against `alone(from, key, model)` per key — the
+    /// lookup and summed edge costs of the substrate's own single route —
+    /// from every tenth live node, under `unit` and `wan`, on one reused
+    /// scratch.
+    fn assert_batch_equals_gets_alone<D: Dht>(
+        dht: &D,
+        live: &[NodeId],
+        alone: impl Fn(NodeId, u64, &simnet::NetModel) -> (Lookup, u64),
+        rng: &mut SmallRng,
+    ) {
         let mut keys: Vec<u64> = (0..200).map(|_| rng.gen()).collect();
         keys.extend_from_within(..20); // repeats
         let mut scratch = QueryScratch::new();
@@ -639,25 +638,39 @@ mod tests {
             for &from in live.iter().step_by(10) {
                 out.clear();
                 dht.route_keys(from, &keys, &model, &mut scratch, &mut out);
-                let alone: Vec<_> =
-                    keys.iter().map(|&key| dht.route_key_latency(from, key, &model)).collect();
-                assert_eq!(out, alone, "{} from {from}", dht.name());
+                let routed: Vec<_> = keys.iter().map(|&key| alone(from, key, &model)).collect();
+                assert_eq!(out, routed, "{} from {from}", dht.name());
             }
         }
     }
 
     #[test]
     fn batched_gets_equal_gets_routed_alone_on_both_substrates() {
-        // Chord walks one route tree; FissionE keeps the per-key default.
+        // Each substrate walks one route tree, held against its own
+        // `route_fold` per key.
+        let price = |model: &simnet::NetModel| {
+            let model = *model;
+            move |(hops, cost): (usize, u64), src, dst| (hops + 1, cost + model.edge_cost(src, dst))
+        };
         let mut rng = simnet::rng_from_seed(8);
         let chord = chord::ChordNet::build(300, &mut rng);
         let live: Vec<NodeId> = chord.live_members().collect();
-        assert_batch_equals_gets_alone(&chord, &live, &mut rng);
+        let alone = |from, key, model: &simnet::NetModel| {
+            let (owner, (hops, cost)) = chord.route_fold(from, key, (0, 0), price(model));
+            (Lookup { owner, hops }, cost)
+        };
+        assert_batch_equals_gets_alone(&chord, &live, alone, &mut rng);
         let cfg =
             fissione::FissioneConfig { object_id_len: 24, ..fissione::FissioneConfig::default() };
         let fissione = fissione::FissioneNet::build(cfg, 120, &mut rng).unwrap();
         let live: Vec<NodeId> = fissione.live_peers().collect();
-        assert_batch_equals_gets_alone(&fissione, &live, &mut rng);
+        let alone = |from, key, model: &simnet::NetModel| {
+            let object = fissione.object_of_key(key);
+            let (owner, (hops, cost)) =
+                fissione.route_fold(from, object, (0, 0), price(model)).unwrap();
+            (Lookup { owner, hops }, cost)
+        };
+        assert_batch_equals_gets_alone(&fissione, &live, alone, &mut rng);
     }
 
     #[test]

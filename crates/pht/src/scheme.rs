@@ -197,21 +197,26 @@ impl<D: DynamicDht> ReplicaRouting for DynamicPhtScheme<D> {
         self.0.pht.dht().replica_owners(dht_api::value_key(value), r)
     }
 
-    fn fetch_cost(&self, origin: NodeId, holder: NodeId) -> FetchCost {
-        if origin == holder {
-            return FetchCost::default(); // the copy is local
-        }
+    fn fetch_costs(
+        &self,
+        origin: NodeId,
+        holders: &[NodeId],
+        _scratch: &mut QueryScratch,
+        costs: &mut Vec<FetchCost>,
+    ) {
         // The generic substrate can route to a *key* but not to a node, so
-        // the fetch is priced with the `O(log N)` point-lookup model every
+        // a fetch is priced with the `O(log N)` point-lookup model every
         // PHT trie operation already uses, plus one direct response hop —
-        // each modeled hop priced at the direct origin→holder edge.
+        // each modeled hop priced at the direct origin→holder edge. A local
+        // copy costs nothing.
         let model = self.0.pht.net_model();
-        let hops = (self.node_count().max(2) as f64).log2().ceil() as u64;
-        FetchCost {
-            hops: hops + 1,
-            latency: (hops + 1) * model.edge_cost(origin, holder),
-            messages: hops + 1,
-        }
+        let hops = (self.node_count().max(2) as f64).log2().ceil() as u64 + 1;
+        costs.extend(holders.iter().map(|&holder| match holder == origin {
+            true => FetchCost::default(),
+            false => {
+                FetchCost { hops, latency: hops * model.edge_cost(origin, holder), messages: hops }
+            }
+        }));
     }
 }
 
@@ -356,11 +361,21 @@ mod tests {
         /// A substrate with no churn primitives at all — `Dht` only.
         struct OneNode;
         impl Dht for OneNode {
-            fn route_key(&self, _: NodeId, _: u64) -> dht_api::Lookup {
-                dht_api::Lookup { owner: 0, hops: 0 }
+            fn route_keys(
+                &self,
+                _: NodeId,
+                keys: &[u64],
+                _: &simnet::NetModel,
+                _: &mut QueryScratch,
+                out: &mut Vec<(dht_api::Lookup, u64)>,
+            ) {
+                out.extend(keys.iter().map(|_| (dht_api::Lookup { owner: 0, hops: 0 }, 0)));
             }
             fn is_live(&self, node: NodeId) -> bool {
                 node == 0
+            }
+            fn replica_owners(&self, _: u64, _: usize) -> Vec<NodeId> {
+                vec![0]
             }
             fn any_node(&self) -> NodeId {
                 0

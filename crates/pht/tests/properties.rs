@@ -73,12 +73,14 @@ impl MapTrie {
             .collect()
     }
 
-    /// The PHT query over the map, gets priced by `pht`'s substrate and
-    /// net model.
+    /// The PHT query over the map, each get priced alone (a batch of one
+    /// key) by `pht`'s substrate and net model.
     fn range_query<D: Dht>(&self, pht: &Pht<D>, from: usize, lo: f64, hi: f64) -> PhtOutcome {
         let get = |label: Label| {
-            let net = pht.net_model();
-            let (lookup, route) = pht.dht().route_key_latency(from, label.dht_key(), net);
+            let (net, mut routed) = (pht.net_model(), Vec::new());
+            let mut scratch = simnet::QueryScratch::new();
+            pht.dht().route_keys(from, &[label.dht_key()], net, &mut scratch, &mut routed);
+            let (lookup, route) = routed[0];
             let rtt = lookup.hops as u64 + 1;
             (rtt, route + net.edge_cost(lookup.owner, from))
         };

@@ -43,7 +43,7 @@ use chord::ChordNet;
 use dht_api::{Dht, OutcomeCosts, RangeOutcome};
 use rand::rngs::SmallRng;
 use sfc::{ZError, ZMap};
-use simnet::NodeId;
+use simnet::{NodeId, QueryScratch};
 
 /// A Squid deployment: Chord ring + SFC mapping + per-node storage.
 #[derive(Debug, Clone)]
@@ -171,14 +171,19 @@ impl SquidNet {
         for c in &clusters {
             per_level.entry(c.depth.div_ceil(dims)).or_default().push(c);
         }
+        // Each level's routings, to its clusters' first keys, priced in one
+        // batch: the real finger paths, edge by edge.
+        let (mut keys, mut gets) = (Vec::new(), Vec::new());
+        let mut scratch = QueryScratch::new();
         for (_, level_clusters) in per_level {
             let mut level_delay = 0u64;
             let mut level_latency = 0u64;
-            for cluster in level_clusters {
-                // Route to the cluster's first key: the real finger path,
-                // priced edge by edge, plus the direct response edge.
-                let (lookup, path_latency) =
-                    self.chord.route_key_latency(origin, self.ring_point(cluster.lo), model);
+            keys.clear();
+            keys.extend(level_clusters.iter().map(|cluster| self.ring_point(cluster.lo)));
+            gets.clear();
+            self.chord.route_keys(origin, &keys, model, &mut scratch, &mut gets);
+            for (cluster, &(lookup, path_latency)) in level_clusters.into_iter().zip(&gets) {
+                // The routing plus the direct response edge.
                 let rtt = lookup.hops as u64 + 1;
                 let rtt_latency = path_latency + model.edge_cost(lookup.owner, origin);
                 level_delay = level_delay.max(rtt);

@@ -243,6 +243,11 @@ fn steady_state_allocations_per_query_stay_within_budget() {
         ("dcf-can", 2.0),
         ("dcf-can-naive", 2.0),
         ("pht-chord", 1.5),
+        // pht-fissione: the result buffer, now that FissionE prices a
+        // query's gets on one route tree of key windows in the scratch
+        // (measured 1.01, × 1.5); it read 31.2 while every get unranked its
+        // ObjectID as a 100-symbol string and routed it alone.
+        ("pht-fissione", 1.52),
         ("skipgraph", 20.0),
         // Composed stacks: the wrappers thread the caller's scratch down
         // to the engine, so a faulted retry attempt costs what a bare

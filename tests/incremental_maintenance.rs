@@ -20,6 +20,7 @@ use armada_suite::dht_can::{CanConfig, CanNet};
 use armada_suite::fissione::{FissioneConfig, FissioneNet};
 use armada_suite::rand::Rng;
 use proptest::prelude::*;
+use simnet::{NetModel, QueryScratch};
 
 const DOMAIN: (f64, f64) = (0.0, 1000.0);
 
@@ -164,8 +165,16 @@ impl<D: Dht> RangeScheme for RouteProbe<D> {
     ) -> Result<RangeOutcome, SchemeError> {
         let key_lo = armada_suite::dht_api::fnv1a(&lo.to_bits().to_le_bytes()) ^ seed;
         let key_hi = armada_suite::dht_api::fnv1a(&hi.to_bits().to_le_bytes()) ^ seed;
-        let a = self.net.route_key(origin, key_lo);
-        let b = self.net.route_key(origin, key_hi);
+        let mut routed = Vec::new();
+        let unit = NetModel::unit();
+        self.net.route_keys(
+            origin,
+            &[key_lo, key_hi],
+            &unit,
+            &mut QueryScratch::new(),
+            &mut routed,
+        );
+        let &[(a, _), (b, _)] = routed.as_slice() else { unreachable!("one lookup per key") };
         let mut results: Vec<u64> =
             self.records.iter().filter(|&&(v, _)| v >= lo && v <= hi).map(|&(_, h)| h).collect();
         results.sort_unstable();

@@ -28,7 +28,7 @@ use armada_suite::dht_api::{
 use armada_suite::experiments::{dynamic_single_names, standard_registry};
 use proptest::prelude::*;
 use rand::Rng;
-use simnet::NodeId;
+use simnet::{NodeId, QueryScratch};
 
 const DOMAIN: (f64, f64) = (0.0, 1000.0);
 
@@ -99,7 +99,9 @@ impl PlacementModel {
             repair.messages += (before - current.len()) as u64;
             for &owner in desired {
                 if !current.contains(&owner) {
-                    let cost = routing.fetch_cost(owners[0], owner);
+                    let mut cost = Vec::new();
+                    routing.fetch_costs(owners[0], &[owner], &mut QueryScratch::new(), &mut cost);
+                    let cost = cost[0];
                     repair.messages += cost.messages;
                     repair.latency = repair.latency.max(cost.latency);
                     current.push(owner);

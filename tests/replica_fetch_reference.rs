@@ -2,17 +2,17 @@
 //! `RangeOutcome` field.
 //!
 //! The reference follows the documented rule with nothing shared but the
-//! inner scheme's primary answer and its `fetch_cost`: the expected answer
+//! inner scheme's primary answer and its `fetch_costs`: the expected answer
 //! is a brute-force scan of the published records, the missing records are
 //! expected minus results, and each is fetched in publish order from the
 //! first of its successor-ring owners (the primary aside, minus every peer
 //! the churn removed) that the fault plan has not crashed, with the plan's
 //! drop draws taken from the query seed in that order; each fetch is priced
-//! alone. It runs PIRA (whose fetches are priced over one route tree) and
-//! DCF-CAN (which keeps the default one-at-a-time pricing) under loss and
-//! burst-loss plans, a plan with message drops and crashed holders, and
-//! `massacre` churn left unstabilized; the records include a handle
-//! published twice (and, on a second PIRA network, none), and the
+//! alone, as a batch of one holder. It runs PIRA (whose fetches are priced
+//! over one route tree) and DCF-CAN (which prices one fetch at a time)
+//! under loss and burst-loss plans, a plan with message drops and crashed
+//! holders, and `massacre` churn left unstabilized; the records include a
+//! handle published twice (and, on a second PIRA network, none), and the
 //! whole-domain queries fetch more than 512 records at once.
 
 use armada_suite::dht_api::{
@@ -111,7 +111,9 @@ impl Published {
             if drop_prob == 0.0 || rng.gen::<f64>() >= drop_prob {
                 got.insert(handle);
             }
-            let cost = routing.fetch_cost(req.origin(), holder);
+            let mut cost = Vec::new();
+            routing.fetch_costs(req.origin(), &[holder], &mut QueryScratch::new(), &mut cost);
+            let cost = cost[0];
             fetches += 1;
             delay = delay.max(cost.hops);
             latency = latency.max(cost.latency);
