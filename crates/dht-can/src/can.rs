@@ -5,7 +5,13 @@
 //! free the slot, and later joins may recycle it — the same slot discipline
 //! `fissione` uses, so churn plans and drivers can hold `NodeId`s across
 //! membership events on either substrate.
+//!
+//! A zone is a slot of three columns indexed by its id: a dense [`Rect`]
+//! column, which greedy routing and the flood read, the records beside it,
+//! and one 32-byte row of `u32` neighbor ids. A split or a merge patches
+//! the slots it reshapes in place.
 
+use crate::adjacency::Adjacency;
 use crate::{hilbert, CanError};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -85,23 +91,24 @@ fn overlaps(a0: f64, a1: f64, b0: f64, b1: f64) -> bool {
     a0 < b1 && b0 < a1
 }
 
-/// One CAN zone: its rectangle and locally stored records.
-#[derive(Debug, Clone)]
-pub struct Zone {
-    rect: Rect,
+/// One live CAN zone as [`CanNet::zone`] reads it off the net's columns:
+/// its rectangle and locally stored records.
+#[derive(Debug, Clone, Copy)]
+pub struct Zone<'a> {
+    rect: &'a Rect,
     /// `(value, handle)` records whose curve point falls in this zone.
-    records: Vec<(f64, u64)>,
+    records: &'a [(f64, u64)],
 }
 
-impl Zone {
+impl<'a> Zone<'a> {
     /// The zone's rectangle.
-    pub fn rect(&self) -> &Rect {
-        &self.rect
+    pub fn rect(&self) -> &'a Rect {
+        self.rect
     }
 
     /// Records stored at this zone.
-    pub fn records(&self) -> &[(f64, u64)] {
-        &self.records
+    pub fn records(&self) -> &'a [(f64, u64)] {
+        self.records
     }
 }
 
@@ -123,12 +130,45 @@ impl Default for CanConfig {
     }
 }
 
+/// The absent tree node: the root's parent, and the first child of a leaf
+/// (whose [`SpanRow::next`] names its zone instead).
+const NO_NODE: u32 = u32::MAX;
+
+/// `node_of` of a free zone slot.
+const DEAD: usize = usize::MAX;
+
+/// A zone slot or tree-node index as the `u32` the columns store.
+fn fit(i: usize) -> u32 {
+    u32::try_from(i).ok().filter(|&i| i != NO_NODE).expect("fewer than 2^32 − 1 zones and nodes")
+}
+
 /// One node of the split tree: the BSP history of midpoint splits. Leaves
 /// carry live zones; internal nodes remember the rectangle a future merge
 /// restores. This is what makes departures always possible while keeping
 /// every peer's region a rectangle: a deepest internal node's children are
 /// both leaves, so *some* sibling pair can always merge back into its
 /// parent (FISSIONE's donor discipline, transplanted to rectangles).
+///
+/// This is the node's cold half, read by point lookups and maintenance;
+/// what a range descent reads is its [`SpanRow`], in a column of its own.
+#[derive(Debug, Clone)]
+struct SplitNode {
+    rect: Rect,
+    /// The parent node; [`NO_NODE`] at the root.
+    parent: u32,
+    depth: u32,
+}
+
+impl SplitNode {
+    /// The parent node; `None` at the root.
+    fn parent(&self) -> Option<usize> {
+        (self.parent != NO_NODE).then_some(self.parent as usize)
+    }
+}
+
+/// The hot half of a split-tree node: everything
+/// [`CanNet::zones_meeting_cells`] reads, 32 bytes beside the 40 of its
+/// [`SplitNode`].
 ///
 /// Splits alternate from the unit square: a node at even depth is a dyadic
 /// square, one at odd depth its left or right half, a 2:1 rectangle of two
@@ -137,56 +177,50 @@ impl Default for CanConfig {
 /// or two curve intervals of a length its depth fixes ([`block_len`]) —
 /// `span` keeps where they start, and "does this node meet a range of
 /// curve cells" is an integer comparison, not a box test.
-#[derive(Debug, Clone)]
-struct SplitNode {
-    rect: Rect,
+#[derive(Debug, Clone, Copy)]
+struct SpanRow {
     /// First curve cells of the node's aligned blocks: the bottom and top
     /// halves of a 2:1 rectangle (not necessarily adjacent on the curve),
     /// or the one block of a square, twice. A node below the cell
     /// resolution lies inside one cell: that cell, twice.
     span: [u64; 2],
-    parent: Option<usize>,
-    /// The live zone occupying this leaf; `None` for internal nodes.
-    zone: Option<NodeId>,
-    depth: u32,
-    /// Child tree-node indices after a split; `None` for leaves.
-    kids: Option<(u32, u32)>,
+    /// Curve cells per block: [`block_len`] of the node's depth.
+    len: u64,
+    /// The two child nodes after a split; `[NO_NODE, zone]` at a leaf.
+    next: [u32; 2],
 }
 
-// A 128-byte node (the span on top of `usize` depth and kids) read
-// +0.6–1.1 MiB `peak_rss_mb` on `dcf-can-uniform` — 6–10 % against the
-// benchmark's 10 % bound, from where glibc placed the tree `Vec`, not from
-// the bytes themselves. Narrowing `depth` and `kids` pays for the span.
-const _: () = assert!(std::mem::size_of::<SplitNode>() == 96);
+const _: () = assert!(std::mem::size_of::<SpanRow>() == 32);
+const _: () = assert!(std::mem::size_of::<SplitNode>() == 40);
 
-impl SplitNode {
-    /// A leaf holding `zone`, its span read off the curve of `order`.
-    fn leaf(order: u32, rect: Rect, depth: u32, parent: Option<usize>, zone: NodeId) -> Self {
+impl SpanRow {
+    /// The row of a leaf `rect` at `depth` holding `zone`, its span read
+    /// off the curve of `order`.
+    fn leaf(order: u32, rect: &Rect, depth: u32, zone: NodeId) -> Self {
         let side = 1u64 << order;
         let (x, y) = ((rect.x0 * side as f64) as u64, (rect.y0 * side as f64) as u64);
         let len = block_len(order, depth);
         let start = |y| hilbert::xy2d(order, x, y) & !(len - 1);
         let halves = depth % 2 == 1 && depth < 2 * order;
         let top = if halves { y + (1 << (order - depth / 2 - 1)) } else { y };
-        SplitNode {
-            rect,
-            span: [start(y), start(top)],
-            parent,
-            zone: Some(zone),
-            depth,
-            kids: None,
-        }
+        SpanRow { span: [start(y), start(top)], len, next: [NO_NODE, fit(zone)] }
     }
 
-    /// Child tree-node indices after a split; `None` for leaves.
+    /// Child node indices after a split; `None` for leaves.
     fn kids(&self) -> Option<(usize, usize)> {
-        self.kids.map(|(a, b)| (a as usize, b as usize))
+        let [a, b] = self.next;
+        (a != NO_NODE).then_some((a as usize, b as usize))
+    }
+
+    /// The live zone occupying a leaf; `None` for internal nodes.
+    fn zone(&self) -> Option<NodeId> {
+        let [a, b] = self.next;
+        (a == NO_NODE).then_some(b as NodeId)
     }
 
     /// Whether one of the node's cells lies in `[a, b]`.
-    fn meets_cells(&self, order: u32, a: u64, b: u64) -> bool {
-        let len = block_len(order, self.depth);
-        self.span.iter().any(|&s| s <= b && a < s + len)
+    fn meets_cells(&self, a: u64, b: u64) -> bool {
+        self.span.iter().any(|&s| s <= b && a < s + self.len)
     }
 }
 
@@ -202,12 +236,18 @@ fn block_len(order: u32, depth: u32) -> u64 {
 #[derive(Debug, Clone)]
 pub struct CanNet {
     cfg: CanConfig,
-    /// Slot table: `None` marks a departed zone whose slot may be recycled.
-    zones: Vec<Option<Zone>>,
-    neighbors: Vec<Vec<NodeId>>,
+    /// Each zone slot's rectangle (a free slot's last one, never read).
+    rects: Vec<Rect>,
+    /// Each zone slot's `(value, handle)` records; empty for free slots.
+    records: Vec<Vec<(f64, u64)>>,
+    /// Each zone slot's neighbors; empty for free slots.
+    adjacency: Adjacency,
     live: usize,
-    /// The split tree; `node_of[slot]` is the leaf a live zone occupies.
+    /// The split tree, one arena as two columns: `tree[i]` and `rows[i]`
+    /// are the two halves of node `i`. `node_of[slot]` is the leaf a live
+    /// zone occupies, [`DEAD`] for a free slot.
     tree: Vec<SplitNode>,
+    rows: Vec<SpanRow>,
     free_nodes: Vec<usize>,
     node_of: Vec<usize>,
     /// Free zone slots as a min-heap: allocation recycles the lowest free
@@ -226,10 +266,16 @@ impl CanNet {
     pub fn new(cfg: CanConfig) -> Self {
         CanNet {
             cfg,
-            zones: vec![Some(Zone { rect: Rect::UNIT, records: Vec::new() })],
-            neighbors: vec![Vec::new()],
+            rects: vec![Rect::UNIT],
+            records: vec![Vec::new()],
+            adjacency: {
+                let mut adjacency = Adjacency::default();
+                adjacency.push_slot();
+                adjacency
+            },
             live: 1,
-            tree: vec![SplitNode::leaf(cfg.hilbert_order, Rect::UNIT, 0, None, 0)],
+            tree: vec![SplitNode { rect: Rect::UNIT, parent: NO_NODE, depth: 0 }],
+            rows: vec![SpanRow::leaf(cfg.hilbert_order, &Rect::UNIT, 0, 0)],
             free_nodes: Vec::new(),
             node_of: vec![0],
             free_slots: BinaryHeap::new(),
@@ -270,19 +316,19 @@ impl CanNet {
 
     /// Whether `id` refers to a live zone.
     pub fn is_live(&self, id: NodeId) -> bool {
-        self.zones.get(id).is_some_and(Option::is_some)
+        self.node_of.get(id).is_some_and(|&node| node != DEAD)
     }
 
     /// One past the largest zone id ever handed out: the length a table
     /// indexed by [`NodeId`] needs, dead slots included.
     pub fn node_bound(&self) -> usize {
-        self.zones.len()
+        self.node_of.len()
     }
 
     /// Live zone ids in ascending slot order (a deterministic order churn
     /// plans rely on for victim selection).
     pub fn live_zones(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.zones.iter().enumerate().filter_map(|(i, z)| z.as_ref().map(|_| i))
+        (0..self.node_of.len()).filter(|&i| self.is_live(i))
     }
 
     /// The zone behind an id.
@@ -290,24 +336,39 @@ impl CanNet {
     /// # Errors
     ///
     /// Returns [`CanError::NoSuchZone`] for dead or unknown ids.
-    pub fn zone(&self, id: NodeId) -> Result<&Zone, CanError> {
-        self.zones.get(id).and_then(Option::as_ref).ok_or(CanError::NoSuchZone { zone: id })
+    pub fn zone(&self, id: NodeId) -> Result<Zone<'_>, CanError> {
+        if !self.is_live(id) {
+            return Err(CanError::NoSuchZone { zone: id });
+        }
+        Ok(Zone { rect: &self.rects[id], records: &self.records[id] })
     }
 
-    /// Neighbor zones (abutting on the torus); empty for dead ids.
+    /// A live zone's rectangle, read off the column without the liveness
+    /// check [`zone`](Self::zone) makes: the flood's and the route's read.
+    pub(crate) fn rect_of(&self, id: NodeId) -> &Rect {
+        &self.rects[id]
+    }
+
+    /// A live zone's records, read like [`rect_of`](Self::rect_of).
+    pub(crate) fn records_of(&self, id: NodeId) -> &[(f64, u64)] {
+        &self.records[id]
+    }
+
+    /// Neighbor zones (abutting on the torus), as the `u32` ids the
+    /// adjacency column stores; empty for dead ids.
     ///
     /// # Panics
     ///
     /// Panics for ids that never existed.
-    pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        &self.neighbors[id]
+    pub fn neighbors(&self, id: NodeId) -> &[u32] {
+        self.adjacency.get(id)
     }
 
     /// A uniformly random live zone id.
     pub fn random_zone(&self, rng: &mut SmallRng) -> NodeId {
         loop {
-            let i = rng.gen_range(0..self.zones.len());
-            if self.zones[i].is_some() {
+            let i = rng.gen_range(0..self.node_of.len());
+            if self.is_live(i) {
                 return i;
             }
         }
@@ -321,21 +382,21 @@ impl CanNet {
         // old linear scan found.
         assert!(self.tree[0].rect.contains(x, y), "zones tile the unit square");
         let mut node = 0;
-        while let Some((a, b)) = self.tree[node].kids() {
+        while let Some((a, b)) = self.rows[node].kids() {
             node = if self.tree[a].rect.contains(x, y) { a } else { b };
         }
-        self.tree[node].zone.expect("leaves carry live zones")
+        self.rows[node].zone().expect("leaves carry live zones")
     }
 
     /// Every live zone holding one of the curve cells `a..=b`, appended to
     /// `out` once each, in split-tree order; `out` is cleared first. These
     /// are the zones a DCF query over those cells must reach.
     ///
-    /// One descent of the split tree from the root: a node's children
-    /// partition its cells and every leaf's cells are its zone's, so a
-    /// subtree holds a hit iff its root meets the interval — one integer
-    /// test against the node's curve span, whatever the interval's shape
-    /// in the square. Debug builds check every answer against the box
+    /// One descent of the split tree's span rows from the root: a node's
+    /// children partition its cells and every leaf's cells are its zone's,
+    /// so a subtree holds a hit iff its root meets the interval — one
+    /// integer test against the node's curve span, whatever the interval's
+    /// shape in the square. Debug builds check every answer against the box
     /// descent ([`zones_intersecting_into`](Self::zones_intersecting_into)
     /// over the interval's aligned squares).
     ///
@@ -350,12 +411,12 @@ impl CanNet {
     }
 
     fn collect_meeting(&self, node: usize, a: u64, b: u64, out: &mut Vec<NodeId>) {
-        let split = &self.tree[node];
-        if !split.meets_cells(self.cfg.hilbert_order, a, b) {
+        let row = &self.rows[node];
+        if !row.meets_cells(a, b) {
             return;
         }
-        match split.kids() {
-            None => out.push(split.zone.expect("leaves carry live zones")),
+        match row.kids() {
+            None => out.push(row.zone().expect("leaves carry live zones")),
             Some((l, r)) => {
                 self.collect_meeting(l, a, b, out);
                 self.collect_meeting(r, a, b, out);
@@ -401,10 +462,10 @@ impl CanNet {
     }
 
     fn collect_intersecting(&self, node: usize, boxes: &mut [Rect], out: &mut Vec<NodeId>) {
-        let split = &self.tree[node];
+        let rect = self.tree[node].rect;
         let mut carried = 0;
         for i in 0..boxes.len() {
-            if boxes[i].intersects(&split.rect) {
+            if boxes[i].intersects(&rect) {
                 boxes.swap(carried, i);
                 carried += 1;
             }
@@ -412,8 +473,8 @@ impl CanNet {
         if carried == 0 {
             return;
         }
-        match split.kids() {
-            None => out.push(split.zone.expect("leaves carry live zones")),
+        match self.rows[node].kids() {
+            None => out.push(self.rows[node].zone().expect("leaves carry live zones")),
             Some((a, b)) => {
                 self.collect_intersecting(a, &mut boxes[..carried], out);
                 self.collect_intersecting(b, &mut boxes[..carried], out);
@@ -435,6 +496,7 @@ impl CanNet {
             let mut next = Vec::new();
             for &zone in &frontier {
                 for &neighbor in self.neighbors(zone) {
+                    let neighbor = neighbor as NodeId;
                     if owners.len() >= want {
                         break;
                     }
@@ -476,7 +538,7 @@ impl CanNet {
     ///
     /// Panics if `owner` is not live.
     pub fn split_zone(&mut self, owner: NodeId, px: f64, py: f64) -> NodeId {
-        let rect = self.zones[owner].as_ref().expect("live owner").rect;
+        let rect = *self.live_rect(owner);
         let vertical = (rect.x1 - rect.x0) >= (rect.y1 - rect.y0);
         let (keep, give) = if vertical {
             let mid = (rect.x0 + rect.x1) / 2.0;
@@ -505,15 +567,14 @@ impl CanNet {
             let t = ((value - lo) / (hi - lo)).clamp(0.0, 1.0);
             crate::hilbert::point_of_cell(order, crate::hilbert::cell_of(order, t))
         };
-        let owner_zone = self.zones[owner].as_mut().expect("live owner");
-        let old_records = std::mem::take(&mut owner_zone.records);
+        let old_records = std::mem::take(&mut self.records[owner]);
         let (kept, given): (Vec<_>, Vec<_>) = old_records.into_iter().partition(|&(v, _)| {
             let (x, y) = point(v);
             keep.contains(x, y)
         });
-        owner_zone.rect = keep;
-        owner_zone.records = kept;
-        let newcomer = self.alloc_slot(Zone { rect: give, records: given });
+        self.rects[owner] = keep;
+        self.records[owner] = kept;
+        let newcomer = self.alloc_slot(give, given);
 
         // Record the split in the tree: the owner's leaf becomes internal
         // with one child leaf per half.
@@ -521,32 +582,33 @@ impl CanNet {
         let depth = self.tree[parent].depth + 1;
         let keep_node = self.alloc_node(keep, depth, parent, owner);
         let give_node = self.alloc_node(give, depth, parent, newcomer);
-        let fit = |i: usize| u32::try_from(i).expect("a split tree of fewer than 2^32 nodes");
-        self.tree[parent].kids = Some((fit(keep_node), fit(give_node)));
-        self.tree[parent].zone = None;
+        self.rows[parent].next = [fit(keep_node), fit(give_node)];
         self.node_of[owner] = keep_node;
         self.node_of[newcomer] = give_node;
         self.refresh_merge_pair(parent);
-        if let Some(grand) = self.tree[parent].parent {
+        if let Some(grand) = self.tree[parent].parent() {
             self.refresh_merge_pair(grand);
         }
 
         // Recompute adjacency: candidates are the old neighbor set plus the
         // sibling pair itself.
-        let mut candidates = std::mem::take(&mut self.neighbors[owner]);
-        candidates.push(newcomer);
+        let (owner_id, newcomer_id) = (fit(owner), fit(newcomer));
+        let mut candidates = self.adjacency.get(owner).to_vec();
+        candidates.push(newcomer_id);
+        self.adjacency.clear(owner);
         // Drop stale back-references; they are rebuilt below.
         for &c in &candidates {
-            self.neighbors[c].retain(|&n| n != owner);
+            self.adjacency.retain(c as usize, |n| n != owner_id);
         }
         for &c in &candidates {
-            if c != owner && self.adjacent(owner, c) {
-                self.neighbors[owner].push(c);
-                self.neighbors[c].push(owner);
+            let z = c as usize;
+            if z != owner && self.adjacent(owner, z) {
+                self.adjacency.push(owner, c);
+                self.adjacency.push(z, owner_id);
             }
-            if c != newcomer && c != owner && self.adjacent(newcomer, c) {
-                self.neighbors[newcomer].push(c);
-                self.neighbors[c].push(newcomer);
+            if z != newcomer && z != owner && self.adjacent(newcomer, z) {
+                self.adjacency.push(newcomer, c);
+                self.adjacency.push(z, newcomer_id);
             }
         }
         newcomer
@@ -586,22 +648,24 @@ impl CanNet {
         if self.live <= 1 {
             return Err(CanError::TooSmall);
         }
-        let dropped =
-            if keep_records { 0 } else { self.zones[id].as_ref().expect("live").records.len() };
+        let dropped = if keep_records { 0 } else { self.records[id].len() };
+        let leaf = self.node_of[id];
+        let leaver_records = std::mem::take(&mut self.records[id]);
+        // Free the slot's liveness now; its old adjacency list stays until
+        // the affected set is collected from it.
+        self.node_of[id] = DEAD;
 
         // Fast path: the leaver's tree sibling is a leaf and can absorb the
         // parent rectangle directly.
-        if let Some(sibling) = self.leaf_sibling(id) {
-            let absorbed = self.zones[id].take().expect("live");
-            let parent = self.tree[self.node_of[id]].parent.expect("siblings have parents");
+        if let Some(sibling) = self.leaf_sibling(leaf) {
+            let parent = self.tree[leaf].parent().expect("siblings have parents");
             self.merge_pair_into(parent, sibling);
-            let sib = self.zones[sibling].as_mut().expect("live sibling");
             if keep_records {
-                sib.records.extend(absorbed.records);
+                self.records[sibling].extend(leaver_records);
             }
             self.live -= 1;
             let affected = self.collect_affected(&[sibling], &[id, sibling]);
-            self.neighbors[id].clear();
+            self.adjacency.clear(id);
             self.free_slots.push(Reverse(id));
             self.refresh_adjacency(&affected);
             return Ok(dropped);
@@ -611,32 +675,28 @@ impl CanNet {
         // that adopts the leaver's zone (and records on a graceful leave).
         let (parent, absorber, donor) =
             self.deepest_leaf_pair(id).expect("live > 1 implies a mergeable sibling pair");
-        let donor_zone = self.zones[donor].take().expect("live donor");
+        let donor_records = std::mem::take(&mut self.records[donor]);
         self.merge_pair_into(parent, absorber);
-        self.zones[absorber].as_mut().expect("live absorber").records.extend(donor_zone.records);
-        let leaver = self.zones[id].take().expect("live leaver");
-        self.zones[donor] = Some(Zone {
-            rect: leaver.rect,
-            records: if keep_records { leaver.records } else { Vec::new() },
-        });
-        self.node_of[donor] = self.node_of[id];
-        self.tree[self.node_of[donor]].zone = Some(donor);
+        self.records[absorber].extend(donor_records);
+        self.rects[donor] = self.rects[id];
+        self.records[donor] = if keep_records { leaver_records } else { Vec::new() };
+        self.node_of[donor] = leaf;
+        self.rows[leaf].next = [NO_NODE, fit(donor)];
         self.live -= 1;
         let affected = self.collect_affected(&[absorber, donor], &[id, donor, absorber]);
-        self.neighbors[id].clear();
+        self.adjacency.clear(id);
         self.free_slots.push(Reverse(id));
         self.refresh_adjacency(&affected);
         Ok(dropped)
     }
 
-    /// The live zone occupying the leaver's tree sibling, if that sibling
-    /// is a leaf.
-    fn leaf_sibling(&self, id: NodeId) -> Option<NodeId> {
-        let node = self.node_of[id];
-        let parent = self.tree[node].parent?;
-        let (a, b) = self.tree[parent].kids().expect("parents are internal");
+    /// The live zone occupying the tree sibling of leaf `node`, if that
+    /// sibling is a leaf.
+    fn leaf_sibling(&self, node: usize) -> Option<NodeId> {
+        let parent = self.tree[node].parent()?;
+        let (a, b) = self.rows[parent].kids().expect("parents are internal");
         let sibling = if a == node { b } else { a };
-        self.tree[sibling].zone
+        self.rows[sibling].zone()
     }
 
     /// The deepest internal node whose children are both leaves occupied by
@@ -649,8 +709,8 @@ impl CanNet {
         // the same winner the old full scan picked. `exclude` occupies one
         // leaf, so at most one candidate is skipped.
         for &(_, Reverse(parent)) in self.merge_pairs.iter().rev() {
-            let (a, b) = self.tree[parent].kids().expect("indexed pairs are internal");
-            let (za, zb) = (self.tree[a].zone.expect("leaf"), self.tree[b].zone.expect("leaf"));
+            let (a, b) = self.rows[parent].kids().expect("indexed pairs are internal");
+            let (za, zb) = (self.rows[a].zone().expect("leaf"), self.rows[b].zone().expect("leaf"));
             if za == exclude || zb == exclude {
                 continue;
             }
@@ -663,15 +723,14 @@ impl CanNet {
     /// absorbing zone takes over the parent rectangle, both child nodes are
     /// freed. The caller moves records and frees the other zone slot.
     fn merge_pair_into(&mut self, parent: usize, absorber: NodeId) {
-        let (a, b) = self.tree[parent].kids().expect("parent is internal");
-        self.tree[parent].kids = None;
-        self.tree[parent].zone = Some(absorber);
+        let (a, b) = self.rows[parent].kids().expect("parent is internal");
+        self.rows[parent].next = [NO_NODE, fit(absorber)];
         self.free_nodes.push(a);
         self.free_nodes.push(b);
         self.node_of[absorber] = parent;
-        self.zones[absorber].as_mut().expect("live absorber").rect = self.tree[parent].rect;
+        self.rects[absorber] = self.tree[parent].rect;
         self.refresh_merge_pair(parent);
-        if let Some(grand) = self.tree[parent].parent {
+        if let Some(grand) = self.tree[parent].parent() {
             self.refresh_merge_pair(grand);
         }
     }
@@ -680,9 +739,9 @@ impl CanNet {
     /// iff internal with both children leaves, keyed by child depth.
     fn refresh_merge_pair(&mut self, node: usize) {
         let key = (self.tree[node].depth + 1, Reverse(node));
-        let both_leaves = self.tree[node]
+        let both_leaves = self.rows[node]
             .kids()
-            .is_some_and(|(a, b)| self.tree[a].kids.is_none() && self.tree[b].kids.is_none());
+            .is_some_and(|(a, b)| self.rows[a].kids().is_none() && self.rows[b].kids().is_none());
         if both_leaves {
             self.merge_pairs.insert(key);
         } else {
@@ -697,11 +756,11 @@ impl CanNet {
     fn collect_affected(&self, reshaped: &[NodeId], involved: &[NodeId]) -> Vec<NodeId> {
         let mut affected: Vec<NodeId> = reshaped.to_vec();
         for &z in involved {
-            affected.extend(self.neighbors[z].iter().copied());
+            affected.extend(self.neighbors(z).iter().map(|&n| n as NodeId));
         }
         affected.sort_unstable();
         affected.dedup();
-        affected.retain(|&z| self.zones[z].is_some());
+        affected.retain(|&z| self.is_live(z));
         affected
     }
 
@@ -716,15 +775,18 @@ impl CanNet {
     fn refresh_adjacency(&mut self, affected: &[NodeId]) {
         let mut candidates: Vec<NodeId> = affected.to_vec();
         for &a in affected {
-            candidates.extend(self.neighbors[a].iter().copied());
+            candidates.extend(self.neighbors(a).iter().map(|&n| n as NodeId));
         }
         candidates.sort_unstable();
         candidates.dedup();
-        candidates.retain(|&z| self.zones[z].is_some());
+        candidates.retain(|&z| self.is_live(z));
         for &a in affected {
-            let nbrs: Vec<NodeId> =
-                candidates.iter().copied().filter(|&b| b != a && self.adjacent(a, b)).collect();
-            self.neighbors[a] = nbrs;
+            let nbrs: Vec<u32> = candidates
+                .iter()
+                .filter(|&&b| b != a && self.adjacent(a, b))
+                .map(|&b| fit(b))
+                .collect();
+            self.adjacency.set(a, &nbrs);
         }
         // Symmetry: everything `affected` now lists was itself affected (its
         // old list referenced an involved slot), so both ends were rebuilt.
@@ -741,13 +803,13 @@ impl CanNet {
     pub fn refresh_all_adjacency(&mut self) {
         let live: Vec<NodeId> = self.live_zones().collect();
         for &z in &live {
-            self.neighbors[z].clear();
+            self.adjacency.clear(z);
         }
         for (i, &a) in live.iter().enumerate() {
             for &b in &live[(i + 1)..] {
                 if self.adjacent(a, b) {
-                    self.neighbors[a].push(b);
-                    self.neighbors[b].push(a);
+                    self.adjacency.push(a, fit(b));
+                    self.adjacency.push(b, fit(a));
                 }
             }
         }
@@ -755,12 +817,21 @@ impl CanNet {
 
     /// Whether two live zones abut on the torus (share an edge of positive
     /// length).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both zones are live.
     pub fn adjacent(&self, a: NodeId, b: NodeId) -> bool {
-        let ra = self.zones[a].as_ref().expect("live").rect;
-        let rb = self.zones[b].as_ref().expect("live").rect;
+        let (ra, rb) = (self.live_rect(a), self.live_rect(b));
         let x_abut = abuts(ra.x0, ra.x1, rb.x0, rb.x1) && overlaps(ra.y0, ra.y1, rb.y0, rb.y1);
         let y_abut = abuts(ra.y0, ra.y1, rb.y0, rb.y1) && overlaps(ra.x0, ra.x1, rb.x0, rb.x1);
         x_abut || y_abut
+    }
+
+    /// A zone's rectangle, asserting that the zone is live.
+    fn live_rect(&self, id: NodeId) -> &Rect {
+        assert!(self.is_live(id), "zone {id} is not live");
+        &self.rects[id]
     }
 
     /// Publishes a record: the value's curve point decides the owning zone.
@@ -768,7 +839,7 @@ impl CanNet {
     pub fn publish(&mut self, value: f64, handle: u64) -> NodeId {
         let (x, y) = self.point_of_value(value);
         let owner = self.owner_of_point(x, y);
-        self.zones[owner].as_mut().expect("live owner").records.push((value, handle));
+        self.records[owner].push((value, handle));
         owner
     }
 
@@ -783,12 +854,12 @@ impl CanNet {
     pub fn route_to_point(&self, from: NodeId, x: f64, y: f64) -> Result<Vec<NodeId>, CanError> {
         let mut path = vec![from];
         let mut cur = from;
-        let mut cur_d = self.zone(cur)?.rect.torus_dist2(x, y);
+        let mut cur_d = self.zone(cur)?.rect().torus_dist2(x, y);
         while cur_d > 0.0 {
-            let next = self.neighbors[cur]
+            let next = self
+                .neighbors(cur)
                 .iter()
-                .copied()
-                .map(|n| (self.zones[n].as_ref().expect("live").rect.torus_dist2(x, y), n))
+                .map(|&n| (self.rects[n as usize].torus_dist2(x, y), n as NodeId))
                 .min_by(|a, b| a.partial_cmp(b).expect("distances are finite"))
                 .filter(|&(d, _)| d < cur_d);
             match next {
@@ -805,50 +876,71 @@ impl CanNet {
 
     /// Verifies the tiling invariants: live zones cover the unit square
     /// exactly (areas sum to 1 and are pairwise disjoint), the adjacency
-    /// lists are symmetric and correct, and dead slots carry no state.
+    /// lists are symmetric and correct, dead slots carry no state, the
+    /// rect column is each live zone's split-tree leaf, and every span row
+    /// is what its node's rectangle and depth give.
     ///
     /// # Errors
     ///
     /// Returns a descriptive string on violation (test helper).
     pub fn check_invariants(&self) -> Result<(), String> {
+        let slots = self.node_of.len();
+        if [self.rects.len(), self.records.len(), self.adjacency.slots()] != [slots; 3] {
+            return Err("zone columns differ in length".into());
+        }
+        self.adjacency.check()?;
+        if self.rows.len() != self.tree.len() {
+            return Err("split-tree columns differ in length".into());
+        }
         let live: Vec<NodeId> = self.live_zones().collect();
         if live.len() != self.live {
             return Err(format!("live count {} vs {} live slots", self.live, live.len()));
         }
-        let total: f64 = live.iter().map(|&z| self.zones[z].as_ref().unwrap().rect.area()).sum();
+        let total: f64 = live.iter().map(|&z| self.rects[z].area()).sum();
         if (total - 1.0).abs() > 1e-12 {
             return Err(format!("zone areas sum to {total}"));
         }
         for (i, &a) in live.iter().enumerate() {
             for &b in &live[(i + 1)..] {
-                let ra = self.zones[a].as_ref().unwrap().rect;
-                let rb = self.zones[b].as_ref().unwrap().rect;
-                if ra.intersects(&rb) {
+                if self.rects[a].intersects(&self.rects[b]) {
                     return Err(format!("zones {a} and {b} overlap"));
                 }
             }
         }
-        for (i, slot) in self.zones.iter().enumerate() {
-            if slot.is_none() && !self.neighbors[i].is_empty() {
-                return Err(format!("dead slot {i} still lists neighbors"));
+        for slot in (0..slots).filter(|&i| !self.is_live(i)) {
+            if !self.neighbors(slot).is_empty() {
+                return Err(format!("dead slot {slot} still lists neighbors"));
+            }
+            if !self.records[slot].is_empty() {
+                return Err(format!("dead slot {slot} still holds records"));
             }
         }
         // The free-slot heap holds exactly the dead slots.
-        let dead: BTreeSet<usize> =
-            self.zones.iter().enumerate().filter(|(_, z)| z.is_none()).map(|(i, _)| i).collect();
+        let dead: BTreeSet<usize> = (0..slots).filter(|&i| !self.is_live(i)).collect();
         let heap: BTreeSet<usize> = self.free_slots.iter().map(|&Reverse(i)| i).collect();
         if dead != heap {
             return Err(format!("free-slot heap {heap:?} disagrees with dead slots {dead:?}"));
         }
-        // The mergeable-pair index holds exactly the internal nodes (walked
-        // from the root, so freed arena entries cannot alias in) whose
-        // children are both leaves.
+        // Walked from the root, so freed arena entries cannot alias in:
+        // every span row is what its node's rectangle and depth give, every
+        // child names its parent, and the mergeable-pair index holds exactly
+        // the internal nodes whose children are both leaves.
+        let order = self.cfg.hilbert_order;
         let mut expected = BTreeSet::new();
         let mut stack = vec![0usize];
         while let Some(n) = stack.pop() {
-            if let Some((a, b)) = self.tree[n].kids() {
-                if self.tree[a].kids.is_none() && self.tree[b].kids.is_none() {
-                    expected.insert((self.tree[n].depth + 1, Reverse(n)));
+            let SplitNode { rect, depth, .. } = self.tree[n];
+            let want = SpanRow::leaf(order, &rect, depth, 0);
+            let row = self.rows[n];
+            if (row.span, row.len) != (want.span, want.len) {
+                return Err(format!("node {n}'s span row {row:?} disagrees with {want:?}"));
+            }
+            if let Some((a, b)) = row.kids() {
+                if self.tree[a].parent() != Some(n) || self.tree[b].parent() != Some(n) {
+                    return Err(format!("node {n}'s children name another parent"));
+                }
+                if self.rows[a].kids().is_none() && self.rows[b].kids().is_none() {
+                    expected.insert((depth + 1, Reverse(n)));
                 }
                 stack.push(a);
                 stack.push(b);
@@ -857,32 +949,33 @@ impl CanNet {
         if expected != self.merge_pairs {
             return Err("mergeable-pair index disagrees with the split tree".into());
         }
-        // Tree consistency: every live zone occupies a leaf carrying its id
-        // and rectangle.
+        // Every live zone occupies a leaf carrying its id, and the rect
+        // column holds that leaf's rectangle.
         for &z in &live {
             let node = self.node_of[z];
-            if self.tree[node].zone != Some(z) {
+            if self.rows[node].zone() != Some(z) {
                 return Err(format!("zone {z} not at its tree leaf"));
             }
-            if self.tree[node].rect != self.zones[z].as_ref().unwrap().rect {
+            if self.tree[node].rect != self.rects[z] {
                 return Err(format!("zone {z} rect disagrees with its tree leaf"));
             }
         }
         for &a in &live {
-            for &b in &self.neighbors[a] {
-                if self.zones[b].is_none() {
+            for &b in self.neighbors(a) {
+                let b = b as NodeId;
+                if !self.is_live(b) {
                     return Err(format!("{a} lists dead neighbor {b}"));
                 }
                 if !self.adjacent(a, b) {
                     return Err(format!("{a} lists non-adjacent {b}"));
                 }
-                if !self.neighbors[b].contains(&a) {
+                if !self.neighbors(b).contains(&fit(a)) {
                     return Err(format!("asymmetric adjacency {a} / {b}"));
                 }
             }
             // Completeness: every adjacent zone is listed.
             for &b in &live {
-                if b != a && self.adjacent(a, b) && !self.neighbors[a].contains(&b) {
+                if b != a && self.adjacent(a, b) && !self.neighbors(a).contains(&fit(b)) {
                     return Err(format!("{a} misses adjacent {b}"));
                 }
             }
@@ -893,33 +986,38 @@ impl CanNet {
     // ------------------------------------------------------------------
     // internals
 
-    fn alloc_slot(&mut self, zone: Zone) -> NodeId {
+    /// A slot for a new zone `rect` holding `records`; the caller sets its
+    /// `node_of` right after, which makes it live.
+    fn alloc_slot(&mut self, rect: Rect, records: Vec<(f64, u64)>) -> NodeId {
         // The free-slot heap pops the lowest free index — the same slot the
         // old `position(Option::is_none)` scan found, without the scan.
+        self.live += 1;
         if let Some(Reverse(i)) = self.free_slots.pop() {
-            debug_assert!(self.zones[i].is_none(), "free-slot heap out of sync");
-            self.zones[i] = Some(zone);
-            self.neighbors[i].clear();
-            self.live += 1;
+            debug_assert!(!self.is_live(i), "free-slot heap out of sync");
+            self.rects[i] = rect;
+            self.records[i] = records;
             i
         } else {
-            self.zones.push(Some(zone));
-            self.neighbors.push(Vec::new());
-            self.node_of.push(usize::MAX); // set by the caller right after
-            self.live += 1;
-            self.zones.len() - 1
+            self.rects.push(rect);
+            self.records.push(records);
+            self.adjacency.push_slot();
+            self.node_of.push(DEAD);
+            self.node_of.len() - 1
         }
     }
 
     /// A tree node for a new leaf `rect` under `parent`, holding `zone`:
     /// a recycled arena entry if one is free.
     fn alloc_node(&mut self, rect: Rect, depth: u32, parent: usize, zone: NodeId) -> usize {
-        let node = SplitNode::leaf(self.cfg.hilbert_order, rect, depth, Some(parent), zone);
+        let row = SpanRow::leaf(self.cfg.hilbert_order, &rect, depth, zone);
+        let node = SplitNode { rect, parent: fit(parent), depth };
         if let Some(i) = self.free_nodes.pop() {
             self.tree[i] = node;
+            self.rows[i] = row;
             i
         } else {
             self.tree.push(node);
+            self.rows.push(row);
             self.tree.len() - 1
         }
     }
@@ -1135,8 +1233,11 @@ mod tests {
         for i in 0..300 {
             if i % 2 == 0 {
                 let victim = net.random_zone(&mut rng);
-                *(if net.leaf_sibling(victim).is_some() { &mut absorbed } else { &mut donated }) +=
-                    1;
+                *(if net.leaf_sibling(net.node_of[victim]).is_some() {
+                    &mut absorbed
+                } else {
+                    &mut donated
+                }) += 1;
                 net.leave(victim).unwrap();
             } else {
                 recycled += usize::from(!net.free_nodes.is_empty());
@@ -1144,9 +1245,7 @@ mod tests {
             }
             let scan = |boxes: &[Rect]| -> Vec<NodeId> {
                 net.live_zones()
-                    .filter(|&z| {
-                        boxes.iter().any(|b| net.zones[z].as_ref().unwrap().rect.intersects(b))
-                    })
+                    .filter(|&z| boxes.iter().any(|b| net.rects[z].intersects(b)))
                     .collect()
             };
             let a = rng.gen_range(0..cells);
@@ -1173,8 +1272,8 @@ mod tests {
             // from the first cell to the last would claim cells between.
             apart += net
                 .live_zones()
-                .map(|z| &net.tree[net.node_of[z]])
-                .filter(|n| n.span[0].abs_diff(n.span[1]) > block_len(order, n.depth))
+                .map(|z| net.rows[net.node_of[z]])
+                .filter(|row| row.span[0].abs_diff(row.span[1]) > row.len)
                 .count();
         }
         net.check_invariants().unwrap();
@@ -1198,8 +1297,9 @@ mod tests {
             "{depths:?}"
         );
         for node in net.live_zones().map(|z| net.node_of[z]) {
-            let SplitNode { rect, span, depth, .. } = net.tree[node];
-            let len = block_len(3, depth);
+            let SplitNode { rect, depth, .. } = net.tree[node];
+            let SpanRow { span, len, .. } = net.rows[node];
+            assert_eq!(len, block_len(3, depth));
             let held: BTreeSet<u64> = span.iter().flat_map(|&s| s..s + len).collect();
             // The cells the rectangle overlaps with positive area.
             let cell_rect = |d: u64| {

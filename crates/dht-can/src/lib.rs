@@ -43,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod adjacency;
 mod can;
 pub mod dcf;
 pub mod hilbert;

@@ -1,14 +1,16 @@
 //! Property tests: Hilbert-curve invariants, CAN tiling under arbitrary
 //! growth, the split tree's curve-span descent against the box descent and
-//! the full-tiling scan, and DCF exactness on random workloads — with a
-//! scratch reused across membership changes.
+//! the full-tiling scan, DCF exactness on random workloads — with a
+//! scratch reused across membership changes — and the directed flood held
+//! to a reference that piggybacks copied informed sets.
 
 use dht_can::dcf::{self, DcfOutcome, FloodMode};
 use dht_can::{hilbert, CanConfig, CanNet, Rect};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use simnet::{NetModel, NodeId, QueryScratch, TraceRecord};
+use simnet::{Envelope, FaultPlan, NetModel, NodeId, QueryScratch, Sim, TraceRecord};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The reference the descent is tested against: every live zone tested
 /// against every box.
@@ -92,6 +94,167 @@ fn traced(
     scratch: &mut QueryScratch,
 ) -> (DcfOutcome, Option<Vec<TraceRecord>>) {
     dcf::query(net, origin, lo, hi, seed, mode, None, &NetModel::unit(), true, scratch).unwrap()
+}
+
+/// A reference flood message: greedy routing, or a flood message carrying
+/// a copy of its branch's informed set.
+#[derive(Debug, Clone)]
+enum RefMsg {
+    Route,
+    Flood(Vec<NodeId>),
+}
+
+/// Directed controlled flooding as Andrzejak and Xu state it, on a `Sim`
+/// of its own: route greedily to the median's zone, then every zone
+/// reached for the first time forwards to its neighbors in the range that
+/// the informed set its message carries lacks, and hands each of them a
+/// copy of that set with its targets added. Ground truth, dedup and
+/// latency are kept in ordered maps over a scan of every zone.
+fn reference_query(
+    net: &CanNet,
+    (origin, lo, hi, seed): (NodeId, f64, f64, u64),
+    faults: Option<&FaultPlan>,
+    model: &NetModel,
+) -> DcfOutcome {
+    let truth: BTreeSet<NodeId> =
+        scan(net, &image_of(net, cells_of(net, lo, hi))).into_iter().collect();
+    let (mx, my) = net.point_of_value((lo + hi) / 2.0);
+    let dist = |zone: NodeId| net.zone(zone).unwrap().rect().torus_dist2(mx, my);
+    let mut sim: Sim<RefMsg> = Sim::new(seed).with_net(*model);
+    if let Some(faults) = faults {
+        sim = sim.with_faults(faults);
+    }
+    sim.send(origin, origin, 0, RefMsg::Route);
+    // Each answering zone's cheapest arrival cost.
+    let mut arrivals: BTreeMap<NodeId, u64> = BTreeMap::new();
+    let (mut results, mut delay) = (Vec::new(), 0);
+    sim.run(|sim, env: Envelope<RefMsg>| {
+        let node = env.to;
+        match &env.payload {
+            RefMsg::Route if dist(node) > 0.0 => {
+                let next = net
+                    .neighbors(node)
+                    .iter()
+                    .map(|&n| n as NodeId)
+                    .min_by(|&a, &b| dist(a).partial_cmp(&dist(b)).unwrap())
+                    .unwrap();
+                sim.forward(&env, next, RefMsg::Route);
+            }
+            RefMsg::Route => {
+                sim.send_with_cost(node, node, env.hop, env.cost, RefMsg::Flood(vec![node]));
+            }
+            RefMsg::Flood(informed) => {
+                if !truth.contains(&node) {
+                    return;
+                }
+                if let Some(cost) = arrivals.get_mut(&node) {
+                    *cost = (*cost).min(env.cost);
+                    return;
+                }
+                arrivals.insert(node, env.cost);
+                delay = delay.max(env.hop);
+                let records = net.zone(node).unwrap().records();
+                results
+                    .extend(records.iter().filter(|&&(v, _)| v >= lo && v <= hi).map(|&(_, h)| h));
+                let targets: Vec<NodeId> = net
+                    .neighbors(node)
+                    .iter()
+                    .map(|&n| n as NodeId)
+                    .filter(|n| truth.contains(n) && !informed.contains(n))
+                    .collect();
+                let mut carried = informed.clone();
+                carried.extend(&targets);
+                for &t in &targets {
+                    sim.forward(&env, t, RefMsg::Flood(carried.clone()));
+                }
+            }
+        }
+    });
+    results.sort_unstable();
+    results.dedup();
+    DcfOutcome {
+        results,
+        delay,
+        latency: arrivals.values().copied().max().unwrap_or(0),
+        messages: sim.stats().messages_sent,
+        dest_zones: truth.len(),
+        reached_zones: arrivals.len(),
+        exact: arrivals.len() == truth.len(),
+    }
+}
+
+#[test]
+fn the_directed_flood_equals_the_copied_set_reference() {
+    // Built and churned CANs of three sizes; no plan, every hostile plan
+    // (`split-brain` at an epoch where it is open) and drops beside
+    // crashed zones; the `unit` and `wan` models; widths from a point to
+    // the whole domain.
+    let cfg = CanConfig { domain_lo: 0.0, domain_hi: 1000.0, ..CanConfig::default() };
+    let (mut fault_free_walks, mut dropped_walks) = (0, 0);
+    for (n, seed) in [(40usize, 1u64), (300, 2), (1200, 3)] {
+        for churned in [false, true] {
+            let mut rng = simnet::rng_from_seed(seed);
+            let mut net = CanNet::build(cfg, n, &mut rng).unwrap();
+            for h in 0..2 * n as u64 {
+                net.publish(rng.gen_range(0.0..=1000.0), h);
+            }
+            if churned {
+                for _ in 0..n / 2 {
+                    let (op, pick) = (rng.gen_range(0u8..4), rng.gen());
+                    churn(&mut net, &mut rng, op, pick);
+                }
+                net.check_invariants().unwrap();
+            }
+            let mut plans: Vec<(&str, Option<FaultPlan>)> = vec![("none", None)];
+            for name in simnet::HOSTILE_PLAN_NAMES {
+                let mut plan = FaultPlan::named_hostile(name).unwrap();
+                plan.set_epoch(1);
+                plans.push((name, Some(plan)));
+            }
+            let mut dropping = FaultPlan::with_drop_prob(0.3);
+            for _ in 0..n / 20 {
+                dropping.crash(net.random_zone(&mut rng));
+            }
+            plans.push(("drop", Some(dropping)));
+            let mut scratch = QueryScratch::new();
+            for (name, plan) in &plans {
+                for model in [NetModel::unit(), NetModel::wan()] {
+                    for q in 0..8u64 {
+                        let width = [0.0, 5.0, 40.0, 250.0, 1000.0][q as usize % 5];
+                        let lo = rng.gen_range(0.0..=1000.0 - width);
+                        let req = (net.random_zone(&mut rng), lo, lo + width, q);
+                        let (origin, lo, hi, seed) = req;
+                        let mode = FloodMode::Directed;
+                        let plan = plan.as_ref();
+                        let (got, _) = dcf::query(
+                            &net,
+                            origin,
+                            lo,
+                            hi,
+                            seed,
+                            mode,
+                            plan,
+                            &model,
+                            false,
+                            &mut scratch,
+                        )
+                        .unwrap();
+                        let want = reference_query(&net, req, plan, &model);
+                        let case = format!("{name} on N = {n} (churned {churned}), {req:?}");
+                        assert_eq!(got, want, "{case}");
+                        let walks = dcf::deep_walks(&mut scratch);
+                        match *name {
+                            "none" => fault_free_walks += walks,
+                            "drop" => dropped_walks += walks,
+                            _ => {}
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(fault_free_walks, 0, "a fault-free flood walked above a sender's parent");
+    assert!(dropped_walks > 0, "no dropped flood walked above a sender's parent");
 }
 
 proptest! {
@@ -265,7 +428,7 @@ proptest! {
             let own = *net.zone(z).unwrap().rect();
             prop_assert_eq!(box_descent(&net, &[own]), vec![z]);
             let mut edges: Vec<Rect> =
-                net.neighbors(z).iter().map(|&n| *net.zone(n).unwrap().rect()).collect();
+                net.neighbors(z).iter().map(|&n| *net.zone(n as NodeId).unwrap().rect()).collect();
             edges.push(Rect { x0: own.x1, x1: own.x1, ..own }); // zero width: no area, no hit
             let hits = sorted(box_descent(&net, &edges));
             prop_assert!(!hits.contains(&z));
@@ -286,9 +449,9 @@ proptest! {
             net.publish(rng.gen_range(0.0..=1000.0), h);
         }
         // One scratch lives through every query on every tiling; its
-        // stamps, frames and buffers from an earlier query — or an earlier
-        // tiling, whose zone ids may since have been freed and recycled —
-        // must match nothing in a later one.
+        // stamps, parent links and buffers from an earlier query — or an
+        // earlier tiling, whose zone ids may since have been freed and
+        // recycled — must match nothing in a later one.
         let mut reused = QueryScratch::new();
         let mut q = 0u64;
         for step in 0..=ops.len() {

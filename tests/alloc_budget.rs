@@ -236,10 +236,12 @@ fn steady_state_allocations_per_query_stay_within_budget() {
     // the result buffer, now that the query keeps its get keys, descent
     // levels and Chord route-tree buffers in the scratch; it read 7.6 (the
     // result buffer and the two descent frontiers, per query) once a Chord
-    // route kept no path and the trie became an arena.
+    // route kept no path and the trie became an arena. seqwalk and
+    // skipgraph sit at 1.5× what they measure in a debug build (5.88 and
+    // 3.48; their rungs were 220 and 20, far above any regression).
     let budgets = [
         ("pira", 1.52),
-        ("seqwalk", 220.0),
+        ("seqwalk", 8.82),
         ("dcf-can", 2.0),
         ("dcf-can-naive", 2.0),
         ("pht-chord", 1.5),
@@ -248,7 +250,7 @@ fn steady_state_allocations_per_query_stay_within_budget() {
         // (measured 1.01, × 1.5); it read 31.2 while every get unranked its
         // ObjectID as a 100-symbol string and routed it alone.
         ("pht-fissione", 1.52),
-        ("skipgraph", 20.0),
+        ("skipgraph", 5.22),
         // Composed stacks: the wrappers thread the caller's scratch down
         // to the engine, so a faulted retry attempt costs what a bare
         // query does. Measured: 1.02, 1.01, 3.15 and 2.71 on keys, each at
@@ -284,10 +286,16 @@ fn steady_state_allocations_per_query_stay_within_budget() {
     // destinations in it a scratch buffer: measured 4.42, at 1.5× (19.46
     // while the corner region was spelled twice over as strings; 26.4 when
     // the run and the destinations were lists built per query).
-    let got = rect_allocs_per_query("mira", 2);
-    eprintln!("alloc budget: {:>22} {got:>10.2} / {}", "mira", 6.63);
-    if got > 6.63 {
-        failures.push(format!("mira: {got:.2} allocs/query exceeds budget 6.63"));
+    //
+    // squid and SCRAP route every cluster or curve segment of a rectangle
+    // and answer with a list per destination: measured 635.07 and 615.10,
+    // at 1.5×.
+    for (name, ceiling) in [("mira", 6.63), ("squid", 953.0), ("scrap", 923.0)] {
+        let got = rect_allocs_per_query(name, 2);
+        eprintln!("alloc budget: {name:>22} {got:>10.2} / {ceiling}");
+        if got > ceiling {
+            failures.push(format!("{name}: {got:.2} allocs/query exceeds budget {ceiling}"));
+        }
     }
     // A hundred times the answer (≈ 2 → 200 peers and records) is not a
     // hundred times the allocations: a non-empty answer is one allocation
@@ -301,10 +309,11 @@ fn steady_state_allocations_per_query_stay_within_budget() {
     // does not fit under it, nor do strings per sub-region.
     //
     // dcf-can the same way over a tenfold range (some twenty zones against
-    // some two hundred at this N): the flood's ground truth, stamps, informed-set frames and
-    // targets all live in the scratch, so the difference is scratch
-    // growth alone — 1.01 against 1.00 when this was written, where a
-    // copied informed set per forwarding zone read 65.6 against 486.3.
+    // some two hundred at this N): the flood's ground truth, stamps,
+    // per-zone parent links and targets all live in the scratch, so the
+    // difference is scratch growth alone — 1.01 against 1.00 when this was
+    // written, where a copied informed set per forwarding zone read 65.6
+    // against 486.3.
     //
     // pht-chord over the same tenfold range sends some 1 050 messages a
     // query against 150 (a trie get is a Chord route of several hops plus
