@@ -10,17 +10,18 @@
 //!    value range becomes one Kautz region; `Multiple_hash` maps an
 //!    `m`-attribute space partial-order-preservingly, so a rectangle query is
 //!    bounded by its corner region.
-//! 2. **Pruned forwarding over the FRT**: the forward routing tree
-//!    ([`ForwardRoutingTree`]) of the query origin contains, at level `i`,
-//!    every peer whose PeerID extends the suffix `u_{i+1}…u_b` of the
-//!    origin's ID. PIRA (single-attribute) and MIRA (multi-attribute) are
-//!    one query, [`descent::query`]: it descends this tree, pruning subtrees
-//!    whose namespace prefix cannot intersect the query, and answers at the
-//!    destination level — one message, one handler, one gather over the
-//!    network's object table. The naming decides the rest: a region that is
-//!    the query's image (`Single_hash`) is pruned and filtered in key space
-//!    alone; a corner region (`Multiple_hash`) adds the rectangle test. The explicit tree is the oracle their traces are
-//!    tested against.
+//! 2. **Pruned forwarding over the FRT**: the forward routing tree of the
+//!    query origin contains, at level `i`, every peer whose PeerID extends
+//!    the suffix `u_{i+1}…u_b` of the origin's ID. PIRA (single-attribute)
+//!    and MIRA (multi-attribute) are one query, [`descent::query`]: it
+//!    descends this tree, pruning subtrees whose namespace prefix cannot
+//!    intersect the query, and answers at the destination level — one
+//!    message, one handler, one gather over the network's object table.
+//!    The naming decides the rest: a region that is the query's image
+//!    (`Single_hash`) is pruned and filtered in key space alone; a corner
+//!    region (`Multiple_hash`) adds the rectangle test. The explicit tree,
+//!    built in the crate's tests, is the oracle their traces are tested
+//!    against.
 //!
 //! Both algorithms are **delay-bounded**: every query completes within the
 //! origin's ID length in hops — `< 2·log₂N` worst case and `< log₂N` on
@@ -53,14 +54,12 @@
 
 pub mod descent;
 mod engine;
-mod frt;
 mod metrics;
 pub mod scheme;
 pub mod seqwalk;
 pub mod topk;
 
 pub use engine::{Armada, MultiArmada, RecordId, SingleArmada};
-pub use frt::ForwardRoutingTree;
 pub use metrics::{QueryMetrics, QueryOutcome};
 pub use scheme::{register, MiraScheme, PiraScheme, SeqWalkScheme};
 pub use topk::TopKOutcome;

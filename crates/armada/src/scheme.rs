@@ -129,16 +129,6 @@ impl RangeScheme for PiraScheme {
         self.inner.net().random_peer(rng)
     }
 
-    fn range_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<RangeOutcome, SchemeError> {
-        self.range_query_scratch(origin, lo, hi, seed, &mut QueryScratch::new())
-    }
-
     fn query(
         &self,
         req: &RangeRequest,
@@ -317,16 +307,6 @@ impl RangeScheme for SeqWalkScheme {
         self.inner.net().random_peer(rng)
     }
 
-    fn range_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<RangeOutcome, SchemeError> {
-        self.range_query_scratch(origin, lo, hi, seed, &mut QueryScratch::new())
-    }
-
     fn query(
         &self,
         req: &RangeRequest,
@@ -417,16 +397,6 @@ impl MultiRangeScheme for MiraScheme {
 
     fn random_origin(&self, rng: &mut SmallRng) -> NodeId {
         self.inner.net().random_peer(rng)
-    }
-
-    fn rect_query(
-        &self,
-        origin: NodeId,
-        rect: &[(f64, f64)],
-        seed: u64,
-    ) -> Result<RangeOutcome, SchemeError> {
-        let req = RectRequest::new(origin, rect, seed)?;
-        MultiRangeScheme::query(self, &req, &mut QueryCtx::new(&mut QueryScratch::new()))
     }
 
     fn query(

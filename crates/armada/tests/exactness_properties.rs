@@ -1,8 +1,11 @@
 //! Property tests: PIRA/MIRA exactness and delay bounds over randomly grown
 //! networks, random data and random queries — the core claims of the paper.
 
-use armada::{ForwardRoutingTree, MultiArmada, QueryOutcome, RecordId, SingleArmada};
+mod frt;
+
+use armada::{MultiArmada, QueryOutcome, RecordId, SingleArmada};
 use fissione::{FissioneConfig, FissioneNet};
+use frt::ForwardRoutingTree;
 use proptest::prelude::*;
 use rand::Rng;
 use simnet::{FaultPlan, NodeId, TraceEvent, TraceRecord};

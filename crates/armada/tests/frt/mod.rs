@@ -7,8 +7,8 @@
 //! level, ordered by PeerID.
 //!
 //! Queries never materialise the FRT — PIRA/MIRA traverse it implicitly by
-//! forwarding to out-neighbors — but the explicit construction here is the
-//! reference the tests check the traversal against.
+//! forwarding to out-neighbors — so the explicit construction lives here,
+//! in the test tree, as the reference the traversal is checked against.
 
 use fissione::FissioneNet;
 use kautz::KautzStr;
@@ -18,7 +18,6 @@ use std::collections::BTreeSet;
 /// An explicitly constructed forward routing tree.
 #[derive(Debug, Clone)]
 pub struct ForwardRoutingTree {
-    root: NodeId,
     levels: Vec<Vec<NodeId>>,
 }
 
@@ -45,12 +44,7 @@ impl ForwardRoutingTree {
             };
             levels.push(members);
         }
-        ForwardRoutingTree { root, levels }
-    }
-
-    /// The tree's root peer.
-    pub fn root(&self) -> NodeId {
-        self.root
+        ForwardRoutingTree { levels }
     }
 
     /// Number of levels (`len(root_id) + 1`).

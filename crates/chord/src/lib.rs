@@ -11,7 +11,7 @@
 //! drivers can hold ids across membership events. The simulator models the
 //! converged steady state the paper's analysis assumes: a membership event
 //! re-derives the affected finger tables synchronously, so
-//! [`stabilize`](dht_api::DynamicDht::stabilize) has no deferred repair to
+//! [`stabilize`](dht_api::DynamicScheme::stabilize) has no deferred repair to
 //! do and reports zero operations.
 //!
 //! # Routing state
@@ -54,7 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dht_api::{Dht, DynamicDht, Lookup, SchemeError};
+use dht_api::{Dht, DynamicScheme, Lookup, SchemeError};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::NodeId;
@@ -662,7 +662,7 @@ impl Dht for ChordNet {
     }
 }
 
-impl DynamicDht for ChordNet {
+impl DynamicScheme for ChordNet {
     fn join(&mut self, rng: &mut SmallRng) -> Result<NodeId, SchemeError> {
         Ok(ChordNet::join(self, rng))
     }
@@ -684,7 +684,7 @@ impl DynamicDht for ChordNet {
         0
     }
 
-    fn live_nodes(&self) -> Vec<NodeId> {
+    fn live_peers(&self) -> Vec<NodeId> {
         self.live_members().collect()
     }
 }

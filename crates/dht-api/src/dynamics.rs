@@ -4,16 +4,16 @@
 //! The paper's premise is range queries over a *dynamic* P2P system — Armada
 //! rides FissionE precisely because FissionE absorbs joins and departures
 //! with constant-cost maintenance — yet a query API alone only ever measures
-//! frozen networks. This module adds the second half of the contract:
+//! frozen networks. This module adds the second half of the contract.
 //!
-//! * [`DynamicScheme`] — what a scheme exposes when its substrate has churn
-//!   primitives: `join`, `leave`, `crash`, `stabilize`, `live_peers`.
-//!   Schemes opt in through [`RangeScheme::as_dynamic`], so drivers and
-//!   experiments discover support at runtime instead of hard-coding scheme
-//!   lists.
-//! * [`DynamicDht`] — the same primitives at the substrate level, for
-//!   layered schemes (PHT) that inherit dynamics from whatever [`Dht`] they
-//!   run over.
+//! [`DynamicScheme`] is what a scheme exposes when its substrate has churn
+//! primitives: `join`, `leave`, `crash`, `stabilize`, `live_peers`. Schemes
+//! opt in through [`RangeScheme::as_dynamic`], so drivers and experiments
+//! discover support at runtime instead of hard-coding scheme lists. A
+//! churn-capable substrate (`chord::ChordNet`, `fissione::FissioneNet`)
+//! implements the same trait, so a layered scheme (PHT) hands its
+//! substrate out as its dynamics: the substrate owns membership, the layer
+//! owns the index structure.
 //!
 //! The key contract is the **stabilize guarantee**: after
 //! [`stabilize`](DynamicScheme::stabilize) returns, every query must again
@@ -26,14 +26,14 @@
 //! `tests/scheme_differential.rs` pins this cross-scheme.
 //!
 //! [`RangeScheme::as_dynamic`]: crate::RangeScheme::as_dynamic
-//! [`Dht`]: crate::Dht
 
 use crate::scheme::SchemeError;
 use rand::rngs::SmallRng;
 use simnet::NodeId;
 
 /// Churn primitives of a range-query scheme whose substrate supports
-/// membership change.
+/// membership change, or of such a substrate itself (`chord::ChordNet`,
+/// `fissione::FissioneNet`).
 ///
 /// All methods take `&mut self`: membership events are serial, unlike
 /// queries. [`ParallelDriver::run_epochs`](crate::ParallelDriver::run_epochs)
@@ -78,42 +78,4 @@ pub trait DynamicScheme {
     /// All live peers, in a deterministic order (churn plans pick leave and
     /// crash victims by index into this list).
     fn live_peers(&self) -> Vec<NodeId>;
-}
-
-/// Churn primitives of a DHT substrate, mirroring [`DynamicScheme`] one
-/// layer down.
-///
-/// Layered schemes (PHT) forward their own [`DynamicScheme`] impl to the
-/// substrate's `DynamicDht`; the substrate owns membership, the layer owns
-/// the index structure. Implemented by `fissione::FissioneNet` and
-/// `chord::ChordNet`.
-pub trait DynamicDht: crate::Dht {
-    /// A new node joins; returns its id.
-    ///
-    /// # Errors
-    ///
-    /// Substrate-specific build-time limits (e.g. a region cannot split
-    /// below its resolution floor).
-    fn join(&mut self, rng: &mut SmallRng) -> Result<NodeId, SchemeError>;
-
-    /// Graceful departure.
-    ///
-    /// # Errors
-    ///
-    /// [`SchemeError::BadOrigin`] for dead ids; [`SchemeError::Query`] at
-    /// the minimum network size.
-    fn leave(&mut self, node: NodeId) -> Result<(), SchemeError>;
-
-    /// Abrupt failure (locally stored substrate state is lost).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`leave`](Self::leave).
-    fn crash(&mut self, node: NodeId) -> Result<(), SchemeError>;
-
-    /// Repairs overlay invariants; returns the number of operations.
-    fn stabilize(&mut self) -> usize;
-
-    /// All live nodes, in a deterministic order.
-    fn live_nodes(&self) -> Vec<NodeId>;
 }

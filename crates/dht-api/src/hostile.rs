@@ -201,18 +201,36 @@ impl Hostile {
     ///
     /// # Errors
     ///
-    /// [`SchemeError::FaultPlanOutOfRange`] when the plan crashes a peer
-    /// id outside `0..inner.node_count()` — rejected here instead of
-    /// silently ignoring the no-op entry.
+    /// [`SchemeError::FaultPlanOutOfRange`] when the plan crashes an id
+    /// that names no peer the crash could reach — rejected here instead
+    /// of silently ignoring the no-op entry. On the native path of a
+    /// scheme that churns, the engine routes to live peers, so the bound
+    /// is its [`live_peers`](crate::DynamicScheme::live_peers): a departed
+    /// peer's freed slot is refused and a peer that joined past
+    /// `node_count()` accepted. Otherwise it is `0..node_count()`, the ids
+    /// the response plane draws its destinations from.
     pub fn new(
-        inner: Box<dyn RangeScheme>,
+        mut inner: Box<dyn RangeScheme>,
         plan: FaultPlan,
         retry: RetryPolicy,
         net: NetModel,
         spec: impl Into<String>,
     ) -> Result<Hostile, SchemeError> {
-        if let Some(node) = plan.first_out_of_range(inner.node_count()) {
-            return Err(SchemeError::FaultPlanOutOfRange { node, n: inner.node_count() });
+        let n = inner.node_count();
+        let live = if inner.supports_fault_injection() {
+            inner.as_dynamic().map(|dynamic| dynamic.live_peers())
+        } else {
+            None
+        };
+        let offender = match live {
+            Some(mut peers) => {
+                peers.sort_unstable();
+                plan.first_not_live(|node| peers.binary_search(&node).is_ok())
+            }
+            None => plan.first_out_of_range(n),
+        };
+        if let Some(node) = offender {
+            return Err(SchemeError::FaultPlanOutOfRange { node, n });
         }
         Ok(Hostile { inner, plan, retry, net, spec: spec.into(), retries: AtomicU64::new(0) })
     }
@@ -503,16 +521,6 @@ impl RangeScheme for Hostile {
 
     fn random_origin(&self, rng: &mut rand::rngs::SmallRng) -> NodeId {
         self.inner.random_origin(rng)
-    }
-
-    fn range_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<RangeOutcome, SchemeError> {
-        self.range_query_scratch(origin, lo, hi, seed, &mut simnet::QueryScratch::new())
     }
 
     /// Runs under the *wrapped* plan; a caller-supplied plan that injects

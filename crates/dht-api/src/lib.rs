@@ -25,11 +25,11 @@
 //!   [`DriverReport`] summary statistics and merges per-thread
 //!   [`Summary`](simnet::Summary) statistics deterministically — the same
 //!   report for any thread count.
-//! * [`DynamicScheme`] / [`DynamicDht`] — the dynamics layer: churn
-//!   primitives (`join`/`leave`/`crash`/`stabilize`) a scheme exposes
-//!   through [`RangeScheme::as_dynamic`] when its substrate supports
-//!   membership change, with the stabilize guarantee that queries are
-//!   exact again afterwards.
+//! * [`DynamicScheme`] — the dynamics layer: churn primitives
+//!   (`join`/`leave`/`crash`/`stabilize`) a scheme exposes through
+//!   [`RangeScheme::as_dynamic`] when its substrate supports membership
+//!   change (a churn-capable substrate implements the same trait), with
+//!   the stabilize guarantee that queries are exact again afterwards.
 //! * [`ChurnPlan`] — named, seeded membership-dynamics plans (join storms,
 //!   leave storms, flash crowds, steady churn, crash massacres) whose
 //!   events are pure functions of `(plan, seed, epoch)`; driven by
@@ -93,7 +93,7 @@ mod workload;
 pub use churn::{ChurnEvent, ChurnPlan, ChurnStats, CHURN_PLAN_NAMES};
 pub use digest::DigestReport;
 pub use driver::{DriverReport, EpochSummary};
-pub use dynamics::{DynamicDht, DynamicScheme};
+pub use dynamics::DynamicScheme;
 pub use explain::{CostNode, QueryTrace};
 pub use hostile::{Hostile, HostileControl, RetryPolicy};
 pub use metrics::{Histogram, LoadSkew, MetricsRegistry, HISTOGRAM_BOUNDS};

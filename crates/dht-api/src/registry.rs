@@ -350,7 +350,7 @@ impl std::fmt::Debug for SchemeRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{MultiRangeScheme, RangeOutcome, RangeScheme};
+    use crate::scheme::{MultiRangeScheme, QueryCtx, RangeOutcome, RangeScheme, RectRequest};
     use simnet::NodeId;
 
     /// A toy in-memory scheme for registry tests.
@@ -458,11 +458,10 @@ mod tests {
             0
         }
 
-        fn rect_query(
+        fn query(
             &self,
-            _: NodeId,
-            _: &[(f64, f64)],
-            _: u64,
+            _: &RectRequest<'_>,
+            _: &mut QueryCtx<'_>,
         ) -> Result<RangeOutcome, SchemeError> {
             Ok(RangeOutcome::from_native(vec![], Default::default(), 0, 0, true))
         }

@@ -899,16 +899,6 @@ impl RangeScheme for Replicated {
         self.inner.random_origin(rng)
     }
 
-    fn range_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<RangeOutcome, SchemeError> {
-        self.range_query_scratch(origin, lo, hi, seed, &mut simnet::QueryScratch::new())
-    }
-
     /// The inner query under the same context, then the fetch phase —
     /// obeying the context's fault plan, spliced into its trace.
     fn query(

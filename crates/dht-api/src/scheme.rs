@@ -434,7 +434,7 @@ impl<'a> QueryCtx<'a> {
         n: usize,
         is_live: impl Fn(NodeId) -> bool,
     ) -> Result<Option<&'a simnet::FaultPlan>, SchemeError> {
-        match self.faults.and_then(|plan| plan.crashed_nodes().find(|&node| !is_live(node))) {
+        match self.faults.and_then(|plan| plan.first_not_live(is_live)) {
             Some(node) => Err(SchemeError::FaultPlanOutOfRange { node, n }),
             None => Ok(self.faults),
         }
@@ -477,54 +477,69 @@ impl<'a> QueryCtx<'a> {
 /// The trait has the `Read::read` / `read_vectored` shape. A scheme
 /// implements **one** of:
 ///
-/// * [`range_query`](Self::range_query) — the plain positional call. An
-///   analytic scheme implements only this; the provided
-///   [`query`](Self::query) answers a plain request through it, fills a
-///   requested trace with a modeled decomposition, and refuses a fault
-///   plan that injects.
 /// * [`query`](Self::query) — the full surface: a validated
 ///   [`RangeRequest`] plus a [`QueryCtx`] carrying scratch, faults and
-///   trace in one call. Simulation-backed schemes and the wrappers
-///   override this, and implement `range_query` as
-///   `self.range_query_scratch(…, &mut QueryScratch::new())`.
+///   trace in one call. Engines (the simulation-backed schemes) and the
+///   wrappers implement only this; the provided
+///   [`range_query`](Self::range_query) validates its bounds and runs it on
+///   a fresh [`QueryScratch`](simnet::QueryScratch).
+/// * [`range_query`](Self::range_query) — the plain positional call. An
+///   analytic scheme implements only this; the provided `query` answers a
+///   plain request through it, fills a requested trace with a modeled
+///   decomposition, and refuses a fault plan that injects.
 ///
-/// Overriding neither recurses forever, as with `Read`.
+/// Both are provided, each through the other, so a scheme implementing
+/// neither compiles: its first query recurses, as with `Read`. A debug
+/// build panics there with "implement `query` or `range_query`"; a release
+/// build overflows the stack. [`MultiRangeScheme`] has no such trap: its
+/// `query` is required.
+///
+/// An engine implements only `query`, keeping its buffers in the
+/// caller's scratch; the positional calls answer through it:
 ///
 /// ```
-/// # use dht_api::{QueryCtx, QueryTrace, RangeOutcome, RangeRequest, RangeScheme, SchemeError};
-/// # struct One;
-/// # impl RangeScheme for One {
-/// #     fn scheme_name(&self) -> &'static str { "one" }
+/// # use dht_api::{OutcomeCosts, QueryCtx, QueryTrace, RangeOutcome, RangeRequest, RangeScheme, SchemeError};
+/// /// Four peers holding the handles 0, 10, 20 and 30 at those values.
+/// struct Engine;
+/// impl RangeScheme for Engine {
+/// #     fn scheme_name(&self) -> &'static str { "engine" }
 /// #     fn substrate(&self) -> String { "local".into() }
-/// #     fn degree(&self) -> String { "0".into() }
-/// #     fn node_count(&self) -> usize { 1 }
+/// #     fn degree(&self) -> String { "1".into() }
+/// #     fn node_count(&self) -> usize { 4 }
 /// #     fn publish(&mut self, _: f64, _: u64) -> Result<(), SchemeError> { Ok(()) }
 /// #     fn random_origin(&self, _: &mut rand::rngs::SmallRng) -> usize { 0 }
-/// #     fn range_query(&self, o: usize, lo: f64, hi: f64, s: u64)
-/// #         -> Result<RangeOutcome, SchemeError> {
-/// #         RangeRequest::new(o, lo, hi, s)?;
-/// #         Ok(RangeOutcome { results: vec![7], delay: 2, latency: 2, messages: 3,
-/// #             dest_peers: 1, reached_peers: 1, exact: true })
-/// #     }
-/// # }
-/// # let scheme = One;
-/// # let origin = 0;
+///     fn query(&self, req: &RangeRequest, cx: &mut QueryCtx<'_>)
+///         -> Result<RangeOutcome, SchemeError> {
+///         cx.refuse_faults("engine")?;
+///         let hits = cx.scratch.slot::<Vec<u64>>();
+///         hits.clear();
+///         let held = [0, 10, 20, 30].into_iter();
+///         hits.extend(held.filter(|&v| (req.lo()..=req.hi()).contains(&(v as f64))));
+///         let costs = OutcomeCosts { hops: 1, latency: 1, messages: hits.len() as u64 };
+///         let out = RangeOutcome::from_native(hits.clone(), costs, hits.len(), hits.len(), true);
+///         cx.trace_modeled("engine", req.origin(), &out);
+///         Ok(out)
+///     }
+/// }
 /// // The plain call…
-/// let outcome = scheme.range_query(origin, 10.0, 20.0, 0)?;
-/// assert!(outcome.exact);
+/// let outcome = Engine.range_query(0, 5.0, 25.0, 1)?;
+/// assert_eq!(outcome.results, vec![10, 20]);
 /// assert!(outcome.mesg_ratio() >= 1.0); // messages per useful peer
 ///
-/// // …and the same query with a reused scratch and a trace, in one call.
+/// // …answers bit-identically with a reused scratch, and with a trace.
 /// let mut scratch = simnet::QueryScratch::new();
+/// for _ in 0..2 {
+///     assert_eq!(Engine.range_query_scratch(0, 5.0, 25.0, 1, &mut scratch)?, outcome);
+/// }
 /// let mut trace = QueryTrace::default();
-/// let request = RangeRequest::new(origin, 10.0, 20.0, 0)?;
-/// let traced = scheme.query(&request, &mut QueryCtx::new(&mut scratch).with_trace(&mut trace))?;
+/// let request = RangeRequest::new(0, 5.0, 25.0, 1)?;
+/// let traced = Engine.query(&request, &mut QueryCtx::new(&mut scratch).with_trace(&mut trace))?;
 /// assert_eq!(traced, outcome); // tracing observes, never perturbs
 /// assert_eq!(trace.root.total(), (outcome.delay, outcome.latency, outcome.messages));
 ///
 /// // Malformed bounds never reach a scheme: the request refuses them.
-/// assert!(matches!(RangeRequest::new(origin, 20.0, 10.0, 0), Err(SchemeError::EmptyRange { .. })));
-/// assert!(matches!(scheme.range_query(origin, f64::NAN, 10.0, 0), Err(SchemeError::EmptyRange { .. })));
+/// assert!(matches!(RangeRequest::new(0, 25.0, 5.0, 1), Err(SchemeError::EmptyRange { .. })));
+/// assert!(matches!(Engine.range_query(0, f64::NAN, 5.0, 1), Err(SchemeError::EmptyRange { .. })));
 /// # Ok::<(), SchemeError>(())
 /// ```
 ///
@@ -568,7 +583,9 @@ pub trait RangeScheme: Send + Sync {
     /// randomness (tie-breaking, simulation); pure schemes ignore it.
     /// Takes `&self`: queries never mutate scheme state, which is what
     /// lets [`ParallelDriver`](crate::ParallelDriver) share one instance
-    /// across threads.
+    /// across threads. The provided implementation is
+    /// [`range_query_scratch`](Self::range_query_scratch) on a fresh
+    /// scratch; only analytic schemes override it.
     ///
     /// # Errors
     ///
@@ -581,7 +598,9 @@ pub trait RangeScheme: Send + Sync {
         lo: f64,
         hi: f64,
         seed: u64,
-    ) -> Result<RangeOutcome, SchemeError>;
+    ) -> Result<RangeOutcome, SchemeError> {
+        self.range_query_scratch(origin, lo, hi, seed, &mut simnet::QueryScratch::new())
+    }
 
     /// Executes `req` under `cx` — scratch reuse, fault injection and
     /// tracing in any combination, on any stack. For identical requests
@@ -600,7 +619,11 @@ pub trait RangeScheme: Send + Sync {
         cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
         cx.refuse_faults(self.scheme_name())?;
+        #[cfg(debug_assertions)]
+        let depth = ProvidedQueryDepth::enter(self.scheme_name());
         let out = self.range_query(req.origin, req.lo, req.hi, req.seed)?;
+        #[cfg(debug_assertions)]
+        drop(depth);
         cx.trace_modeled(self.scheme_name(), req.origin, &out);
         Ok(out)
     }
@@ -674,12 +697,58 @@ pub trait RangeScheme: Send + Sync {
     }
 }
 
+/// How deep the provided [`RangeScheme::query`] nests on this thread, in
+/// debug builds. It calls `range_query`, whose provided form calls `query`
+/// again, so a scheme implementing neither nests without end; an analytic
+/// scheme answering through another's provided `query` nests once per
+/// layer. Past [`MAX_DEPTH`](Self::MAX_DEPTH) the first kind is assumed
+/// and named, instead of overflowing the stack.
+#[cfg(debug_assertions)]
+struct ProvidedQueryDepth;
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static PROVIDED_QUERY_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(debug_assertions)]
+impl ProvidedQueryDepth {
+    const MAX_DEPTH: u32 = 16;
+
+    /// Enters one level (left when the guard drops, unwinding included).
+    ///
+    /// # Panics
+    ///
+    /// Past `MAX_DEPTH` levels on this thread.
+    fn enter(scheme: &str) -> ProvidedQueryDepth {
+        let depth = PROVIDED_QUERY_DEPTH.with(|d| {
+            d.set(d.get() + 1);
+            d.get()
+        });
+        let guard = ProvidedQueryDepth;
+        assert!(
+            depth <= Self::MAX_DEPTH,
+            "scheme `{scheme}` recursed between the provided `RangeScheme::query` and \
+             `range_query`: implement `query` or `range_query`"
+        );
+        guard
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for ProvidedQueryDepth {
+    fn drop(&mut self) {
+        PROVIDED_QUERY_DEPTH.with(|d| d.set(d.get() - 1));
+    }
+}
+
 /// A multi-attribute range-query scheme: publish points, answer
 /// hyper-rectangle queries.
 ///
-/// Implemented by Armada/MIRA, Squid, and SCRAP. The same two-level shape
-/// as [`RangeScheme`]: implement [`rect_query`](Self::rect_query) *or*
-/// override [`query`](Self::query).
+/// Implemented by Armada/MIRA, Squid, and SCRAP. Every one is an engine,
+/// so [`query`](Self::query) is the one method a scheme implements for
+/// queries; [`rect_query`](Self::rect_query) is the positional call
+/// through it.
 ///
 /// # Thread safety
 ///
@@ -712,38 +781,42 @@ pub trait MultiRangeScheme: Send + Sync {
     /// A uniformly random live query origin.
     fn random_origin(&self, rng: &mut rand::rngs::SmallRng) -> NodeId;
 
-    /// Executes a plain rectangle query (one `(lo, hi)` per attribute).
+    /// Executes `req` under `cx`, with the contract of
+    /// [`RangeScheme::query`]: scratch reuse, fault injection and tracing
+    /// in any combination, the outcome bit-identical whatever scratch or
+    /// trace the context carries. A scheme without a native fault path
+    /// refuses an injecting plan ([`QueryCtx::refuse_faults`]) and fills a
+    /// requested trace itself ([`QueryCtx::trace_modeled`]).
     ///
     /// # Errors
     ///
     /// [`SchemeError::WrongArity`] on arity mismatch,
-    /// [`SchemeError::EmptyRange`] for a per-attribute range with
-    /// `lo > hi` or a NaN bound (validate with [`RectRequest::new`]),
-    /// scheme-specific wraps otherwise.
+    /// [`SchemeError::BadOrigin`] for dead origins,
+    /// [`SchemeError::Unsupported`] for an injecting plan the scheme
+    /// cannot simulate, scheme-specific wraps otherwise.
+    fn query(
+        &self,
+        req: &RectRequest<'_>,
+        cx: &mut QueryCtx<'_>,
+    ) -> Result<RangeOutcome, SchemeError>;
+
+    /// Executes a plain rectangle query (one `(lo, hi)` per attribute):
+    /// validate, then [`query`](Self::query) on a fresh scratch. Not meant
+    /// to be overridden.
+    ///
+    /// # Errors
+    ///
+    /// As [`query`](Self::query), plus [`SchemeError::EmptyRange`] for a
+    /// per-attribute range with `lo > hi` or a NaN bound (validate with
+    /// [`RectRequest::new`]).
     fn rect_query(
         &self,
         origin: NodeId,
         rect: &[(f64, f64)],
         seed: u64,
-    ) -> Result<RangeOutcome, SchemeError>;
-
-    /// Executes `req` under `cx`, with the contract of
-    /// [`RangeScheme::query`]: outcomes bit-identical to
-    /// [`rect_query`](Self::rect_query), a requested trace filled.
-    ///
-    /// # Errors
-    ///
-    /// As [`rect_query`](Self::rect_query); the provided implementation
-    /// adds [`SchemeError::Unsupported`] for a plan that injects faults.
-    fn query(
-        &self,
-        req: &RectRequest<'_>,
-        cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        cx.refuse_faults(self.scheme_name())?;
-        let out = self.rect_query(req.origin, req.rect, req.seed)?;
-        cx.trace_modeled(self.scheme_name(), req.origin, &out);
-        Ok(out)
+        let req = RectRequest::new(origin, rect, seed)?;
+        self.query(&req, &mut QueryCtx::new(&mut simnet::QueryScratch::new()))
     }
 }
 
@@ -751,14 +824,15 @@ pub trait MultiRangeScheme: Send + Sync {
 /// rectangle-native scheme (Squid, SCRAP) joins the single-attribute
 /// tables under its own name.
 ///
-/// `publish(v, h)` is `publish_point(&[v], h)` and `range_query(o, lo, hi,
-/// s)` is `rect_query(o, &[(lo, hi)], s)`; the name, labels, node count and
-/// origin are the wrapped scheme's. Every capability hook keeps its
-/// default (`None` / `false`), so the adapter refuses faults, replication
-/// and churn exactly as a scheme without them does.
+/// `publish(v, h)` is `publish_point(&[v], h)` and a `[lo, hi]` query is
+/// the rectangle `[(lo, hi)]`, run under the caller's [`QueryCtx`] (so a
+/// driver's scratch reaches the wrapped scheme); the name, labels, node
+/// count and origin are the wrapped scheme's. Every capability hook keeps
+/// its default (`None` / `false`), so the adapter refuses faults,
+/// replication and churn exactly as a scheme without them does.
 ///
 /// ```
-/// # use dht_api::{MultiRangeScheme, OneAttribute, RangeOutcome, RangeScheme, SchemeError};
+/// # use dht_api::{MultiRangeScheme, OneAttribute, QueryCtx, RangeOutcome, RangeScheme, RectRequest, SchemeError};
 /// # struct Line(usize);
 /// # impl MultiRangeScheme for Line {
 /// #     fn scheme_name(&self) -> &'static str { "line" }
@@ -768,7 +842,7 @@ pub trait MultiRangeScheme: Send + Sync {
 /// #     fn dims(&self) -> usize { self.0 }
 /// #     fn publish_point(&mut self, _: &[f64], _: u64) -> Result<(), SchemeError> { Ok(()) }
 /// #     fn random_origin(&self, _: &mut rand::rngs::SmallRng) -> usize { 0 }
-/// #     fn rect_query(&self, _: usize, _: &[(f64, f64)], _: u64)
+/// #     fn query(&self, _: &RectRequest<'_>, _: &mut QueryCtx<'_>)
 /// #         -> Result<RangeOutcome, SchemeError> {
 /// #         Ok(RangeOutcome { results: vec![7], delay: 1, latency: 1, messages: 1,
 /// #             dest_peers: 1, reached_peers: 1, exact: true })
@@ -825,14 +899,13 @@ impl RangeScheme for OneAttribute {
         self.0.random_origin(rng)
     }
 
-    fn range_query(
+    fn query(
         &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
+        req: &RangeRequest,
+        cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        self.0.rect_query(origin, &[(lo, hi)], seed)
+        let rect = [(req.lo, req.hi)];
+        self.0.query(&RectRequest { origin: req.origin, rect: &rect, seed: req.seed }, cx)
     }
 }
 
@@ -859,6 +932,34 @@ mod tests {
         assert_eq!(outcome(20, 1, 1).incre_ratio(1024), 0.0);
         assert_eq!(outcome(5, 4, 3).peer_recall(), 0.75);
         assert_eq!(outcome(5, 0, 0).peer_recall(), 1.0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "implement `query` or `range_query`")]
+    fn a_scheme_implementing_neither_query_method_is_named_in_debug() {
+        struct Neither;
+        impl RangeScheme for Neither {
+            fn scheme_name(&self) -> &'static str {
+                "neither"
+            }
+            fn substrate(&self) -> String {
+                "local".into()
+            }
+            fn degree(&self) -> String {
+                "0".into()
+            }
+            fn node_count(&self) -> usize {
+                1
+            }
+            fn publish(&mut self, _: f64, _: u64) -> Result<(), SchemeError> {
+                Ok(())
+            }
+            fn random_origin(&self, _: &mut rand::rngs::SmallRng) -> NodeId {
+                0
+            }
+        }
+        let _ = Neither.range_query(0, 0.0, 1.0, 0);
     }
 
     #[test]

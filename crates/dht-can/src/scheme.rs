@@ -144,16 +144,6 @@ impl RangeScheme for DcfScheme {
         self.net.random_zone(rng)
     }
 
-    fn range_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<RangeOutcome, SchemeError> {
-        self.range_query_scratch(origin, lo, hi, seed, &mut QueryScratch::new())
-    }
-
     fn query(
         &self,
         req: &RangeRequest,

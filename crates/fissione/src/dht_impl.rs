@@ -1,8 +1,8 @@
 //! FISSIONE as a generic [`dht_api::Dht`]: the exact-match interface layered
-//! schemes (PHT) consume — plus its [`DynamicDht`] churn capability.
+//! schemes (PHT) consume — plus its [`DynamicScheme`] churn capability.
 
 use crate::{FissioneError, FissioneNet, RouteTree};
-use dht_api::{Dht, DynamicDht, Lookup, SchemeError};
+use dht_api::{Dht, DynamicScheme, Lookup, SchemeError};
 use kautz::{KautzStr, ObjectKey};
 use rand::rngs::SmallRng;
 use simnet::NodeId;
@@ -105,7 +105,7 @@ impl Dht for FissioneNet {
     }
 }
 
-impl DynamicDht for FissioneNet {
+impl DynamicScheme for FissioneNet {
     fn join(&mut self, rng: &mut SmallRng) -> Result<NodeId, SchemeError> {
         self.try_join(rng).map_err(SchemeError::from)
     }
@@ -122,8 +122,8 @@ impl DynamicDht for FissioneNet {
         FissioneNet::stabilize(self)
     }
 
-    fn live_nodes(&self) -> Vec<NodeId> {
-        self.live_peers().collect()
+    fn live_peers(&self) -> Vec<NodeId> {
+        FissioneNet::live_peers(self).collect()
     }
 }
 
@@ -228,28 +228,28 @@ mod tests {
 
     #[test]
     fn dynamic_dht_churns_with_invariants_intact() {
-        use dht_api::DynamicDht;
+        use dht_api::DynamicScheme;
         let cfg = FissioneConfig { object_id_len: 24, ..FissioneConfig::default() };
         let mut rng = simnet::rng_from_seed(43);
         let mut net = FissioneNet::build(cfg, 60, &mut rng).unwrap();
         for _ in 0..20 {
-            DynamicDht::join(&mut net, &mut rng).unwrap();
+            DynamicScheme::join(&mut net, &mut rng).unwrap();
         }
         for _ in 0..15 {
-            let live = net.live_nodes();
-            DynamicDht::leave(&mut net, live[7]).unwrap();
+            let live = DynamicScheme::live_peers(&net);
+            DynamicScheme::leave(&mut net, live[7]).unwrap();
         }
         for _ in 0..5 {
-            let live = net.live_nodes();
-            DynamicDht::crash(&mut net, live[3]).unwrap();
+            let live = DynamicScheme::live_peers(&net);
+            DynamicScheme::crash(&mut net, live[3]).unwrap();
         }
-        DynamicDht::stabilize(&mut net);
+        DynamicScheme::stabilize(&mut net);
         net.check_invariants().unwrap();
-        assert_eq!(net.live_nodes().len(), 60);
+        assert_eq!(DynamicScheme::live_peers(&net).len(), 60);
         // Dead ids map to the unified error vocabulary.
         let dead = usize::MAX;
         assert!(matches!(
-            DynamicDht::leave(&mut net, dead),
+            DynamicScheme::leave(&mut net, dead),
             Err(dht_api::SchemeError::BadOrigin { .. })
         ));
     }

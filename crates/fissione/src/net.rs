@@ -1748,7 +1748,7 @@ mod tests {
         // The refused join drew its namespace point all the same.
         KautzStr::random(4, &mut twin);
         assert_eq!(rng.gen::<u64>(), twin.gen::<u64>());
-        let limit = dht_api::DynamicDht::join(&mut net, &mut rng);
+        let limit = dht_api::DynamicScheme::join(&mut net, &mut rng);
         assert_eq!(limit, Err(dht_api::SchemeError::Build(refused.to_string())));
         assert_eq!(net.check_invariants().unwrap(), full);
     }

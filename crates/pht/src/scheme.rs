@@ -4,17 +4,18 @@
 //! "runs on any DHT" design — a static substrate still makes a full
 //! [`RangeScheme`] whose [`as_dynamic`](RangeScheme::as_dynamic) honestly
 //! stays `None`. [`DynamicPhtScheme`] wraps it for substrates that also
-//! implement [`DynamicDht`], inheriting the dynamics capability the same
-//! way the thread-safety contract is inherited: churn forwards to the
-//! substrate, while the trie (modeled as DHT-replicated, as in the PHT
-//! paper) loses nothing to crashes. [`register`] wires up the two
+//! implement [`DynamicScheme`], inheriting the dynamics capability the
+//! same way the thread-safety contract is inherited: its dynamics *are*
+//! the substrate, while the trie (modeled as DHT-replicated, as in the PHT
+//! paper) loses nothing to crashes, so the substrate's `stabilize` repairs
+//! all there is. [`register`] wires up the two
 //! substrates the paper compares (`"pht-fissione"` and `"pht-chord"`),
 //! both dynamic.
 
 use crate::{Pht, PhtOutcome};
 use dht_api::{
-    BuildParams, Dht, DynamicDht, DynamicScheme, FetchCost, OutcomeCosts, QueryCtx, RangeOutcome,
-    RangeRequest, RangeScheme, ReplicaRouting, SchemeError, SchemeRegistry,
+    BuildParams, Dht, DynamicScheme, FetchCost, OutcomeCosts, QueryCtx, RangeOutcome, RangeRequest,
+    RangeScheme, ReplicaRouting, SchemeError, SchemeRegistry,
 };
 use rand::rngs::SmallRng;
 use simnet::{NodeId, QueryScratch};
@@ -88,16 +89,6 @@ impl<D: Dht> RangeScheme for PhtScheme<D> {
         self.pht.dht().random_node(rng)
     }
 
-    fn range_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<RangeOutcome, SchemeError> {
-        self.range_query_scratch(origin, lo, hi, seed, &mut QueryScratch::new())
-    }
-
     fn query(
         &self,
         req: &RangeRequest,
@@ -116,15 +107,16 @@ impl<D: Dht> RangeScheme for PhtScheme<D> {
 }
 
 /// [`PhtScheme`] over a churn-capable substrate: the same queries, plus
-/// the dynamics capability forwarded to the substrate's [`DynamicDht`].
+/// the substrate itself as the dynamics capability
+/// ([`as_dynamic`](RangeScheme::as_dynamic) hands it out).
 ///
-/// A separate wrapper (rather than a `DynamicDht` bound on [`PhtScheme`]
-/// itself) keeps the "runs on any DHT" promise: a static substrate still
+/// A separate wrapper (rather than a [`DynamicScheme`] bound on
+/// [`PhtScheme`] itself) keeps the "runs on any DHT" promise: a static substrate still
 /// builds a full [`RangeScheme`] whose `as_dynamic` returns `None`.
 #[derive(Debug, Clone)]
-pub struct DynamicPhtScheme<D: DynamicDht>(PhtScheme<D>);
+pub struct DynamicPhtScheme<D: Dht + DynamicScheme>(PhtScheme<D>);
 
-impl<D: DynamicDht> DynamicPhtScheme<D> {
+impl<D: Dht + DynamicScheme> DynamicPhtScheme<D> {
     /// Wraps a churn-capable substrate; parameters as [`PhtScheme::new`].
     pub fn new(dht: D, params: &BuildParams, scheme_name: &'static str, degree: String) -> Self {
         DynamicPhtScheme(PhtScheme::new(dht, params, scheme_name, degree))
@@ -136,7 +128,7 @@ impl<D: DynamicDht> DynamicPhtScheme<D> {
     }
 }
 
-impl<D: DynamicDht> RangeScheme for DynamicPhtScheme<D> {
+impl<D: Dht + DynamicScheme> RangeScheme for DynamicPhtScheme<D> {
     fn scheme_name(&self) -> &'static str {
         self.0.scheme_name()
     }
@@ -161,16 +153,6 @@ impl<D: DynamicDht> RangeScheme for DynamicPhtScheme<D> {
         self.0.random_origin(rng)
     }
 
-    fn range_query(
-        &self,
-        origin: NodeId,
-        lo: f64,
-        hi: f64,
-        seed: u64,
-    ) -> Result<RangeOutcome, SchemeError> {
-        self.0.range_query(origin, lo, hi, seed)
-    }
-
     fn query(
         &self,
         req: &RangeRequest,
@@ -180,7 +162,7 @@ impl<D: DynamicDht> RangeScheme for DynamicPhtScheme<D> {
     }
 
     fn as_dynamic(&mut self) -> Option<&mut dyn DynamicScheme> {
-        Some(self)
+        Some(self.0.pht.dht_mut())
     }
 
     fn as_replica_routing(&self) -> Option<&dyn ReplicaRouting> {
@@ -188,9 +170,9 @@ impl<D: DynamicDht> RangeScheme for DynamicPhtScheme<D> {
     }
 }
 
-impl<D: DynamicDht> ReplicaRouting for DynamicPhtScheme<D> {
+impl<D: Dht + DynamicScheme> ReplicaRouting for DynamicPhtScheme<D> {
     fn live_peers(&self) -> Vec<NodeId> {
-        self.0.pht.dht().live_nodes()
+        self.0.pht.dht().live_peers()
     }
 
     fn close_group(&self, value: f64, r: usize) -> Vec<NodeId> {
@@ -217,30 +199,6 @@ impl<D: DynamicDht> ReplicaRouting for DynamicPhtScheme<D> {
                 FetchCost { hops, latency: hops * model.edge_cost(origin, holder), messages: hops }
             }
         }));
-    }
-}
-
-impl<D: DynamicDht> DynamicScheme for DynamicPhtScheme<D> {
-    fn join(&mut self, rng: &mut SmallRng) -> Result<NodeId, SchemeError> {
-        self.0.pht.dht_mut().join(rng)
-    }
-
-    fn leave(&mut self, node: NodeId) -> Result<(), SchemeError> {
-        self.0.pht.dht_mut().leave(node)
-    }
-
-    fn crash(&mut self, node: NodeId) -> Result<(), SchemeError> {
-        self.0.pht.dht_mut().crash(node)
-    }
-
-    fn stabilize(&mut self) -> usize {
-        // The trie is DHT-replicated (see `Pht::dht_mut`); only the
-        // substrate's overlay invariants need repair.
-        self.0.pht.dht_mut().stabilize()
-    }
-
-    fn live_peers(&self) -> Vec<NodeId> {
-        self.0.pht.dht().live_nodes()
     }
 }
 

@@ -13,7 +13,7 @@
 
 use crate::ScrapNet;
 use dht_api::{
-    MultiRangeScheme, NetModel, OneAttribute, RangeOutcome, RectRequest, SchemeError,
+    MultiRangeScheme, NetModel, OneAttribute, QueryCtx, RangeOutcome, RectRequest, SchemeError,
     SchemeRegistry,
 };
 use rand::rngs::SmallRng;
@@ -49,17 +49,19 @@ impl MultiRangeScheme for ScrapNet {
         self.random_node(rng)
     }
 
-    fn rect_query(
+    fn query(
         &self,
-        origin: NodeId,
-        rect: &[(f64, f64)],
-        seed: u64,
+        req: &RectRequest<'_>,
+        cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        RectRequest::new(origin, rect, seed)?;
+        cx.refuse_faults("scrap")?;
+        let origin = req.origin();
         if origin >= self.len() {
             return Err(SchemeError::BadOrigin { origin });
         }
-        Ok(ScrapNet::range_query(self, origin, rect)?)
+        let out = ScrapNet::range_query(self, origin, req.rect())?;
+        cx.trace_modeled("scrap", origin, &out);
+        Ok(out)
     }
 }
 

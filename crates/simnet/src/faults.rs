@@ -376,6 +376,14 @@ impl FaultPlan {
         self.crashed.range(n..).next().copied()
     }
 
+    /// The first crashed node id that `is_live` refuses, if any — the
+    /// [`first_out_of_range`](Self::first_out_of_range) of a network whose
+    /// live ids are not `0..n` (a churned one, with freed slots and ids
+    /// handed out past its size). Asks `is_live` once per crashed id.
+    pub fn first_not_live(&self, is_live: impl Fn(NodeId) -> bool) -> Option<NodeId> {
+        self.crashed.iter().copied().find(|&node| !is_live(node))
+    }
+
     /// The message-drop probability.
     pub fn drop_prob(&self) -> f64 {
         self.drop_prob
@@ -489,6 +497,22 @@ mod tests {
         assert_eq!(plan.first_out_of_range(65), Some(99));
         assert_eq!(plan.first_out_of_range(10), Some(64));
         assert_eq!(FaultPlan::new().first_out_of_range(0), None);
+    }
+
+    #[test]
+    fn liveness_detection_finds_the_smallest_offender() {
+        let mut plan = FaultPlan::new();
+        plan.crash(3);
+        plan.crash(64);
+        plan.crash(99);
+        assert_eq!(plan.first_not_live(|_| true), None);
+        assert_eq!(plan.first_not_live(|node| node != 64 && node != 99), Some(64));
+        assert_eq!(plan.first_not_live(|node| node < 10), Some(64));
+        assert_eq!(plan.first_not_live(|node| node > 50), Some(3));
+        for n in [0, 10, 65, 100] {
+            assert_eq!(plan.first_not_live(|node| node < n), plan.first_out_of_range(n));
+        }
+        assert_eq!(FaultPlan::new().first_not_live(|_| false), None);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! # Example
 //!
 //! ```
+//! use simnet::QueryScratch;
 //! use squid::SquidNet;
 //!
 //! let mut rng = simnet::rng_from_seed(9);
@@ -26,7 +27,7 @@
 //! net.publish(&[50.0, 50.0], 1)?;
 //! net.publish(&[90.0, 10.0], 2)?;
 //! let origin = net.random_node(&mut rng);
-//! let out = net.range_query(origin, &[(40.0, 60.0), (40.0, 60.0)])?;
+//! let out = net.range_query(origin, &[(40.0, 60.0), (40.0, 60.0)], &mut QueryScratch::new())?;
 //! assert_eq!(out.results, vec![1]);
 //! assert!(out.exact && out.dest_peers >= 1); // one destination per cluster
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -141,6 +142,10 @@ impl SquidNet {
     /// overlapping cluster is visited, so the query is exact and its
     /// destinations are the clusters.
     ///
+    /// Each level's routings are priced as one [`Dht::route_keys`] batch
+    /// whose buffers live in `scratch`; reusing a scratch across queries
+    /// moves allocation counts only, never the outcome.
+    ///
     /// # Errors
     ///
     /// As [`ZMap::clusters`]: arity mismatch or an empty per-attribute
@@ -149,6 +154,7 @@ impl SquidNet {
         &self,
         origin: NodeId,
         query: &[(f64, f64)],
+        scratch: &mut QueryScratch,
     ) -> Result<RangeOutcome, ZError> {
         // The SFC clusters overlapping the query, as contiguous key ranges
         // annotated with the refinement depth that produced them. Squid
@@ -174,14 +180,13 @@ impl SquidNet {
         // Each level's routings, to its clusters' first keys, priced in one
         // batch: the real finger paths, edge by edge.
         let (mut keys, mut gets) = (Vec::new(), Vec::new());
-        let mut scratch = QueryScratch::new();
         for (_, level_clusters) in per_level {
             let mut level_delay = 0u64;
             let mut level_latency = 0u64;
             keys.clear();
             keys.extend(level_clusters.iter().map(|cluster| self.ring_point(cluster.lo)));
             gets.clear();
-            self.chord.route_keys(origin, &keys, model, &mut scratch, &mut gets);
+            self.chord.route_keys(origin, &keys, model, scratch, &mut gets);
             for (cluster, &(lookup, path_latency)) in level_clusters.into_iter().zip(&gets) {
                 // The routing plus the direct response edge.
                 let rtt = lookup.hops as u64 + 1;
@@ -259,6 +264,7 @@ mod tests {
     fn squid_is_exact_on_random_queries() {
         let net = build2(80, 300, 1);
         let mut rng = simnet::rng_from_seed(10);
+        let mut scratch = QueryScratch::new();
         for _ in 0..40 {
             let q: Vec<(f64, f64)> = (0..2)
                 .map(|_| {
@@ -267,8 +273,10 @@ mod tests {
                 })
                 .collect();
             let origin = net.random_node(&mut rng);
-            let out = net.range_query(origin, &q).unwrap();
+            let out = net.range_query(origin, &q, &mut QueryScratch::new()).unwrap();
             assert_eq!(out.results, net.expected_results(&q), "query {q:?}");
+            // A reused scratch moves allocations only, never the outcome.
+            assert_eq!(net.range_query(origin, &q, &mut scratch).unwrap(), out);
         }
     }
 
@@ -277,7 +285,9 @@ mod tests {
         let net = build2(256, 500, 2);
         let mut rng = simnet::rng_from_seed(20);
         let origin = net.random_node(&mut rng);
-        let out = net.range_query(origin, &[(20.0, 45.0), (30.0, 70.0)]).unwrap();
+        let out = net
+            .range_query(origin, &[(20.0, 45.0), (30.0, 70.0)], &mut QueryScratch::new())
+            .unwrap();
         let log_n = (256f64).log2();
         assert!(
             out.delay as f64 > 2.0 * log_n,
@@ -293,16 +303,21 @@ mod tests {
         let net = build2(50, 120, 3);
         let mut rng = simnet::rng_from_seed(30);
         let origin = net.random_node(&mut rng);
-        let out = net.range_query(origin, &[(0.0, 100.0), (0.0, 100.0)]).unwrap();
+        let out = net
+            .range_query(origin, &[(0.0, 100.0), (0.0, 100.0)], &mut QueryScratch::new())
+            .unwrap();
         assert_eq!(out.results.len(), 120);
     }
 
     #[test]
     fn squid_rejects_bad_queries() {
         let net = build2(20, 0, 4);
-        assert!(matches!(net.range_query(0, &[(0.0, 1.0)]), Err(ZError::WrongArity { .. })));
         assert!(matches!(
-            net.range_query(0, &[(5.0, 1.0), (0.0, 1.0)]),
+            net.range_query(0, &[(0.0, 1.0)], &mut QueryScratch::new()),
+            Err(ZError::WrongArity { .. })
+        ));
+        assert!(matches!(
+            net.range_query(0, &[(5.0, 1.0), (0.0, 1.0)], &mut QueryScratch::new()),
             Err(ZError::EmptyRange { .. })
         ));
     }
@@ -318,7 +333,8 @@ mod tests {
             net.publish(&[100.0], 7).unwrap();
             let bound = 2.0 * (n as f64).log2() + 2.0;
             for origin in 0..3 {
-                let out = net.range_query(origin, &[(100.0, 100.0)]).unwrap();
+                let out =
+                    net.range_query(origin, &[(100.0, 100.0)], &mut QueryScratch::new()).unwrap();
                 assert_eq!(out.results, vec![7]);
                 assert!(out.delay as f64 <= bound, "N = {n}, origin {origin}: delay {}", out.delay);
             }
@@ -334,7 +350,7 @@ mod tests {
             net.publish(&p, h).unwrap();
         }
         let q = [(0.2, 0.6), (0.1, 0.9), (0.4, 0.5)];
-        let out = net.range_query(0, &q).unwrap();
+        let out = net.range_query(0, &q, &mut QueryScratch::new()).unwrap();
         assert_eq!(out.results, net.expected_results(&q));
     }
 }

@@ -3,9 +3,9 @@
 //! Squid natively answers hyper-rectangles, so it implements
 //! [`MultiRangeScheme`] only; [`register`] exposes it under `"squid"` in
 //! both registries, the single-attribute name as a one-attribute build
-//! behind [`OneAttribute`]. Queries run through `&self` (cluster
-//! refinement allocates per call), so a built net is `Send + Sync` and
-//! shards across parallel-driver threads.
+//! behind [`OneAttribute`]. Queries run through `&self` (each level's
+//! routings keep their buffers in the caller's scratch), so a built net is
+//! `Send + Sync` and shards across parallel-driver threads.
 //!
 //! Squid does **not** opt into the dynamics layer: its SFC cluster tables
 //! are derived from a fixed Chord snapshot at build time (the native code
@@ -15,7 +15,7 @@
 
 use crate::SquidNet;
 use dht_api::{
-    MultiRangeScheme, NetModel, OneAttribute, RangeOutcome, RectRequest, SchemeError,
+    MultiRangeScheme, NetModel, OneAttribute, QueryCtx, RangeOutcome, RectRequest, SchemeError,
     SchemeRegistry,
 };
 use rand::rngs::SmallRng;
@@ -51,17 +51,19 @@ impl MultiRangeScheme for SquidNet {
         self.random_node(rng)
     }
 
-    fn rect_query(
+    fn query(
         &self,
-        origin: NodeId,
-        rect: &[(f64, f64)],
-        seed: u64,
+        req: &RectRequest<'_>,
+        cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        RectRequest::new(origin, rect, seed)?;
+        cx.refuse_faults("squid")?;
+        let origin = req.origin();
         if origin >= self.len() {
             return Err(SchemeError::BadOrigin { origin });
         }
-        Ok(SquidNet::range_query(self, origin, rect)?)
+        let out = SquidNet::range_query(self, origin, req.rect(), cx.scratch)?;
+        cx.trace_modeled("squid", origin, &out);
+        Ok(out)
     }
 }
 

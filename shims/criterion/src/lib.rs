@@ -16,6 +16,18 @@
 //! seed-deterministic simulated metrics next to wall-clock throughput.
 //! Extend this shim only with API the real criterion has (same
 //! signatures), so benches stay portable.
+//!
+//! # Filtering
+//!
+//! As with real criterion, `cargo bench --bench substrate -- 'a|b'` runs
+//! only the benchmarks whose id (`group/function`) contains `a` or `b`:
+//! the first command-line argument that is not a flag (cargo's `--bench`
+//! is one) is split at `|` into substrings, and a benchmark matching none
+//! is skipped. Unlike real criterion's regex, each piece is a plain
+//! substring. With no such argument everything runs. Only the timed
+//! closures are skipped: setup code a bench function runs outside its
+//! `bench_function` / `bench_with_input` closures (building a network,
+//! say) still runs for a filtered-out benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -154,7 +166,33 @@ pub enum Throughput {
     Elements(u64),
 }
 
-fn run_one(name: &str, throughput: Option<Throughput>, mut f: impl FnMut(&mut Bencher)) {
+/// The command line's benchmark filter: `|`-separated substrings of the
+/// ids to run; empty runs everything.
+#[derive(Debug, Default, Clone)]
+struct Filter(Vec<String>);
+
+impl Filter {
+    fn from_args(mut args: impl Iterator<Item = String>) -> Filter {
+        match args.find(|arg| !arg.starts_with('-')) {
+            Some(arg) => Filter(arg.split('|').map(str::to_string).collect()),
+            None => Filter::default(),
+        }
+    }
+
+    fn admits(&self, id: &str) -> bool {
+        self.0.is_empty() || self.0.iter().any(|piece| id.contains(piece.as_str()))
+    }
+}
+
+fn run_one(
+    name: &str,
+    filter: &Filter,
+    throughput: Option<Throughput>,
+    mut f: impl FnMut(&mut Bencher),
+) {
+    if !filter.admits(name) {
+        return;
+    }
     let mut b = Bencher { iterations: 0, elapsed: Duration::ZERO };
     f(&mut b);
     let mean = if b.iterations == 0 { Duration::ZERO } else { b.elapsed / b.iterations as u32 };
@@ -171,6 +209,7 @@ fn run_one(name: &str, throughput: Option<Throughput>, mut f: impl FnMut(&mut Be
 #[derive(Debug)]
 pub struct BenchmarkGroup {
     name: String,
+    filter: Filter,
     throughput: Option<Throughput>,
 }
 
@@ -193,7 +232,7 @@ impl BenchmarkGroup {
         F: FnMut(&mut Bencher, &I),
     {
         let label = format!("{}/{}", self.name, id);
-        run_one(&label, self.throughput, |b| f(b, input));
+        run_one(&label, &self.filter, self.throughput, |b| f(b, input));
         self
     }
 
@@ -203,7 +242,7 @@ impl BenchmarkGroup {
         F: FnMut(&mut Bencher),
     {
         let label = format!("{}/{}", self.name, id);
-        run_one(&label, self.throughput, &mut f);
+        run_one(&label, &self.filter, self.throughput, &mut f);
         self
     }
 
@@ -213,33 +252,46 @@ impl BenchmarkGroup {
 
 /// The benchmark harness entry point.
 #[derive(Debug, Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    filter: Filter,
+}
 
 impl Criterion {
+    /// Reads the benchmark filter from the process's command line (see
+    /// the crate docs); [`criterion_group!`] calls this.
+    #[must_use]
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = Filter::from_args(std::env::args().skip(1));
+        self
+    }
+
     /// Benches a single function.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        run_one(name, None, &mut f);
+        run_one(name, &self.filter, None, &mut f);
         self
     }
 
     /// Opens a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup {
-        BenchmarkGroup { name: name.into(), throughput: None }
+        BenchmarkGroup { name: name.into(), filter: self.filter.clone(), throughput: None }
     }
 }
 
-/// Declares a group of benchmark functions, mirroring criterion's macro.
+/// Declares a group of benchmark functions, mirroring criterion's macro:
+/// each group runs under the command line's filter.
 #[macro_export]
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         fn $group() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $($target(&mut criterion);)+
         }
     };
 }
 
-/// Declares the benchmark `main`, mirroring criterion's macro.
+/// Declares the benchmark `main`, mirroring criterion's macro: it runs
+/// every group, and each group skips the benchmarks the command line's
+/// filter excludes.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
@@ -247,4 +299,29 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Filter;
+
+    fn filter(args: &[&str]) -> Filter {
+        Filter::from_args(args.iter().map(|arg| arg.to_string()))
+    }
+
+    #[test]
+    fn the_first_non_flag_argument_filters_by_substring() {
+        let f = filter(&["--bench", "dcf_query|can_zones_meeting", "ignored"]);
+        assert!(f.admits("dcf_query/uniform_1e4"));
+        assert!(f.admits("can_zones_meeting/100000"));
+        assert!(!f.admits("pira_query/scan_1e5"));
+        assert!(!f.admits("ignored/1"));
+    }
+
+    #[test]
+    fn no_filter_argument_runs_everything() {
+        for args in [&[][..], &["--bench"][..]] {
+            assert!(filter(args).admits("pira_query/scan_1e5"), "{args:?}");
+        }
+    }
 }

@@ -288,9 +288,10 @@ fn steady_state_allocations_per_query_stay_within_budget() {
     // the run and the destinations were lists built per query).
     //
     // squid and SCRAP route every cluster or curve segment of a rectangle
-    // and answer with a list per destination: measured 635.07 and 615.10,
-    // at 1.5×.
-    for (name, ceiling) in [("mira", 6.63), ("squid", 953.0), ("scrap", 923.0)] {
+    // and answer with a list per destination: measured 626.48 and 615.10,
+    // at 1.5× (squid read 635.07 while each query routed its levels on a
+    // fresh scratch of its own instead of the caller's).
+    for (name, ceiling) in [("mira", 6.63), ("squid", 940.0), ("scrap", 923.0)] {
         let got = rect_allocs_per_query(name, 2);
         eprintln!("alloc budget: {name:>22} {got:>10.2} / {ceiling}");
         if got > ceiling {

@@ -8,10 +8,9 @@
 //! across threads, wall-clock timeouts, iteration order of a fault set)
 //! would shard-split differently at different thread counts and move the
 //! digest. The battery also pins the retry *trace* — messages and
-//! virtual-ms latency, where timeouts and backoff are priced — the
-//! wrap-time rejection of fault plans that name peers outside the
-//! scheme's id space, and the native engines' rejection of plans naming
-//! no live peer on a churned network.
+//! virtual-ms latency, where timeouts and backoff are priced — and the
+//! rejection of fault plans naming no live peer, at wrap time and by the
+//! native engines, on built and churned networks alike.
 
 use armada_suite::armada::MiraScheme;
 use armada_suite::dht_api::{
@@ -213,6 +212,51 @@ fn native_fault_plans_are_bounded_by_liveness_on_a_churned_network() {
         let mut scratch = QueryScratch::new();
         MultiRangeScheme::query(&mira, &req, &mut QueryCtx::new(&mut scratch).with_faults(faults))
     });
+}
+
+/// `name` at N = 100 after peers 0–9 leave gracefully, wrapped in a plan
+/// that crashes `node`.
+fn churned_with_crash(name: &str, node: NodeId) -> Result<Hostile, SchemeError> {
+    let mut scheme = build(name);
+    let dynamic = scheme.as_dynamic().expect("the scheme churns");
+    for node in 0..10 {
+        dynamic.leave(node).expect("a peer leaves");
+    }
+    let mut plan = FaultPlan::new();
+    plan.crash(node);
+    Hostile::new(scheme, plan, RetryPolicy::none(), Default::default(), "crash")
+}
+
+#[test]
+fn hostile_bounds_crash_plans_by_the_live_peers_of_a_churned_scheme() {
+    // Regression: `Hostile::new` bounded a plan by `0..node_count()`, so
+    // after 10 of 100 peers left, crashing the highest live id (99) was
+    // refused as out of range, while crashing a departed id below 90
+    // wrapped as a silent no-op.
+    let hostile =
+        churned_with_crash("pira", N - 1).expect("the highest live id is a peer to crash");
+    assert_eq!(hostile.node_count(), N - 10);
+    let out = hostile.range_query(N / 2, DOMAIN.0, DOMAIN.1, 1).expect("the query runs");
+    assert!(!out.exact, "the crash of live peer {} was a no-op", N - 1);
+    let err = churned_with_crash("pira", 5).err().expect("a departed id must not wrap");
+    assert_eq!(err, SchemeError::FaultPlanOutOfRange { node: 5, n: N - 10 });
+}
+
+#[test]
+fn hostile_bounds_generic_crash_plans_by_the_ids_the_response_plane_draws() {
+    // A scheme without a native fault path is degraded on the response
+    // plane, which draws its destinations from `0..node_count()` whatever
+    // ids the churned substrate has live: there a crash of live id 99 is
+    // never drawn (refused), and one of departed id 5 is (honoured).
+    for name in ["pht-chord", "pht-fissione"] {
+        let err = churned_with_crash(name, N - 1).err().expect("an undrawn id must not wrap");
+        assert_eq!(err, SchemeError::FaultPlanOutOfRange { node: N - 1, n: N - 10 }, "{name}");
+        let hostile = churned_with_crash(name, 5).expect("a drawn id is a slot to crash");
+        let bitten = (0..32).any(|seed| {
+            !hostile.range_query(N / 2, DOMAIN.0, DOMAIN.1, seed).expect("the query runs").exact
+        });
+        assert!(bitten, "{name}: the crash of slot 5 was a no-op on 32 whole-domain queries");
+    }
 }
 
 /// What a query under a fault plan returns.
