@@ -86,15 +86,19 @@ fn bench_routing(c: &mut Criterion) {
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("network_build");
     group.sample_size(10);
-    group.bench_function("fissione_1000", |b| {
-        let cfg = FissioneConfig { object_id_len: 100, ..FissioneConfig::default() };
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            let mut rng = simnet::rng_from_seed(seed);
-            FissioneNet::build(cfg, 1000, &mut rng).unwrap()
+    // 10⁵ is `pira-scan`'s set-up: a join's owner probe and split at the
+    // depth a large cover reaches.
+    for n in [1000usize, 100_000] {
+        group.bench_function(format!("fissione_{n}"), |b| {
+            let cfg = FissioneConfig { object_id_len: 100, ..FissioneConfig::default() };
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                let mut rng = simnet::rng_from_seed(seed);
+                FissioneNet::build(cfg, n, &mut rng).unwrap()
+            });
         });
-    });
+    }
     group.bench_function("chord_1000", |b| {
         let mut seed = 0u64;
         b.iter(|| {

@@ -136,7 +136,7 @@ mod tests {
     use rand::Rng;
     use simnet::{NetModel, NodeId, QueryScratch};
 
-    /// The owner of the ObjectID a `Dht` key names, by the ordered cover.
+    /// The owner of the ObjectID a `Dht` key names, by the partition tree.
     fn owner(net: &FissioneNet, key: u64) -> NodeId {
         net.lookup(net.object_of_key(key)).unwrap().0
     }

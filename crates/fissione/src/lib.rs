@@ -67,6 +67,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cover;
 mod dht_impl;
 mod net;
 pub mod proto;

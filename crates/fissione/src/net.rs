@@ -1,13 +1,14 @@
 //! The FISSIONE peer table: prefix-free cover, churn, neighbors, and the
 //! one sorted object column every peer's store is an interval of.
 
+use crate::cover::{Cover, Leaves, ROOTS};
 use crate::{BalanceRule, FissioneConfig, FissioneError};
 use kautz::{KautzStr, ObjectKey, PeerKey, MAX_PEER_DEPTH};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::NodeId;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
@@ -15,9 +16,10 @@ use std::sync::{Mutex, OnceLock};
 /// derived from that: the [`PeerKey::interval`] of the network's object
 /// table, the entries whose ObjectIDs the PeerID prefixes.
 ///
-/// The network works on [`PeerKey`]s (the ordered cover is keyed by them);
-/// the string is written from the key at each membership change, and kept
-/// only for [`FissioneNet::peer_id`], which lends it out.
+/// The network works on [`PeerKey`]s and on the partition tree whose
+/// leaves the peers are; the string is edited in place at each membership
+/// change (a split appends a symbol, a merge drops one), and kept only for
+/// [`FissioneNet::peer_id`], which lends it out.
 #[derive(Debug, Clone)]
 pub struct Peer {
     id: KautzStr,
@@ -56,19 +58,11 @@ pub struct InvariantReport {
 /// must fit a `u128`) and [`ObjectKey`] (128 symbols) represent.
 pub const MAX_OBJECT_ID_LEN: usize = 127;
 
-/// The root peers `0`, `1` and `2`: the minimal cover, which never shrinks.
-const ROOTS: usize = 3;
-
-/// The PeerID a key arithmetic result encodes.
-fn label(key: PeerKey) -> KautzStr {
-    key.decode().expect("key arithmetic on PeerIDs yields PeerIDs")
-}
-
 /// Every live peer's routing state in one dense read-only structure, in
 /// PeerID order: one row record per peer — its [`PeerKey`], its node id and
 /// its out-neighbors (§3's routing table) — indexed by *rank*, the peer's
 /// position in that order. A query handler reads this instead of
-/// re-deriving a peer's neighbors from the ordered cover on every delivery,
+/// re-deriving a peer's neighbors from the partition tree on every delivery,
 /// and a range query's destinations — one run of consecutive PeerIDs — are
 /// one range of ranks, so a wide descent reads the table in order.
 ///
@@ -132,14 +126,11 @@ fn row_of(rows: &[Row], key: PeerKey) -> Range<usize> {
 impl RouteTable {
     fn build(net: &FissioneNet) -> Self {
         let index = |n: usize| u32::try_from(n).expect("routing table indices fit u32");
-        let mut rows: Vec<Row> = net
-            .by_id
-            .iter()
-            .map(|(&key, &node)| {
-                let depth = index(key.depth());
-                Row { key, node: index(node), depth, first: 0, end: 0 }
-            })
-            .collect();
+        let mut rows: Vec<Row> = Vec::with_capacity(net.live);
+        rows.extend(net.cover.keyed(PeerKey::EMPTY).map(|(key, node)| {
+            let depth = index(key.depth());
+            Row { key, node: index(node), depth, first: 0, end: 0 }
+        }));
         let mut ranks = vec![u32::MAX; net.slots.len()];
         for rank in 0..rows.len() {
             ranks[rows[rank].node as usize] = index(rank);
@@ -335,6 +326,11 @@ impl Clone for ObjectTable {
 /// The FISSIONE network: a prefix-free cover of the Kautz namespace under
 /// churn, with neighbor computation and one sorted object column.
 ///
+/// The cover is the partition tree itself, its leaves the live peers
+/// (`cover.rs`): an owner probe and a neighbor walk descend it one step per
+/// symbol, a join splits one leaf and a leave merges two, so a membership
+/// change edits one tree node.
+///
 /// Published objects live in one flat column sorted by [`ObjectKey`], not
 /// at peers: a peer *stores* the entries in the [`PeerKey::interval`] of its
 /// id, so a store is derived, never moved, and the stores of consecutive
@@ -354,8 +350,9 @@ impl Clone for ObjectTable {
 pub struct FissioneNet {
     cfg: FissioneConfig,
     slots: Vec<Option<Peer>>,
-    /// Live peers by key — iteration order is PeerID order.
-    by_id: BTreeMap<PeerKey, NodeId>,
+    /// The partition tree, live peers at its leaves — in-order is PeerID
+    /// order.
+    cover: Cover,
     live: usize,
     /// `depth_hist[d]` = number of live peers with depth `d`.
     depth_hist: Vec<usize>,
@@ -382,21 +379,18 @@ impl FissioneNet {
     /// [`build`](Self::build) reports as an error instead.
     pub fn new(cfg: FissioneConfig) -> Self {
         cfg.validate().expect("a network needs a valid configuration");
-        let mut net = FissioneNet {
+        let root = |sym: u8| Some(Peer { id: KautzStr::new([sym]).expect("a symbol") });
+        FissioneNet {
             cfg,
-            slots: Vec::new(),
-            by_id: BTreeMap::new(),
-            live: 0,
-            depth_hist: Vec::new(),
+            slots: (0..ROOTS as u8).map(root).collect(),
+            cover: Cover::new([0, 1, 2]),
+            live: ROOTS,
+            depth_hist: vec![0, ROOTS],
             free_slots: BinaryHeap::new(),
             objects: ObjectTable::default(),
             lost_handles: 0,
             table: OnceLock::new(),
-        };
-        for sym in 0..ROOTS as u8 {
-            net.insert_peer(PeerKey::EMPTY.stem(sym));
         }
-        net
     }
 
     /// Builds a network of `n ≥ 3` peers by repeated joins.
@@ -459,7 +453,7 @@ impl FissioneNet {
 
     /// Iterates over live peers in PeerID order.
     pub fn live_peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.by_id.values().copied()
+        self.cover.leaves()
     }
 
     /// A uniformly random live peer.
@@ -489,8 +483,9 @@ impl FissioneNet {
 
     /// The unique live peer whose PeerID is a prefix of `s`.
     ///
-    /// Because live PeerIDs form a prefix-free cover, this is the peer with
-    /// the greatest PeerID `≤ s` — a single ordered-map probe.
+    /// Because live PeerIDs form a prefix-free cover, this is the leaf on
+    /// `s`'s path down the partition tree — one step per symbol of its
+    /// PeerID.
     ///
     /// # Errors
     ///
@@ -508,10 +503,7 @@ impl FissioneNet {
         window: PeerKey,
         len: usize,
     ) -> Result<NodeId, FissioneError> {
-        match self.by_id.range(..=window).next_back() {
-            Some((&k, &node)) if k.is_prefix_of(window) => Ok(node),
-            _ => Err(self.target_too_short(len)),
-        }
+        self.cover.owner(window).ok_or_else(|| self.target_too_short(len))
     }
 
     /// The error for a probed string of `target_len` symbols that no live
@@ -522,7 +514,7 @@ impl FissioneNet {
 
     /// Live peers whose PeerIDs start with `prefix` (PeerID order).
     pub fn peers_with_prefix(&self, prefix: &KautzStr) -> impl Iterator<Item = NodeId> + '_ {
-        self.by_id.range(ObjectKey::new(prefix).head().below()).map(|(_, &n)| n)
+        self.cover.below(ObjectKey::new(prefix).head()).unwrap_or_else(|_| Leaves::none())
     }
 
     /// The key of live peer `node`.
@@ -532,17 +524,14 @@ impl FissioneNet {
 
     /// Appends the live peers prefix-compatible with `prefix`, in PeerID
     /// order: the one owning a *proper* prefix of it, if any, then every one
-    /// it prefixes (the cover is prefix-free, so never both). By
-    /// prefix-freeness nothing live sits between such an ancestor and
-    /// `prefix`, so it is the greatest key strictly below — one ordered-map
-    /// probe instead of one per prefix length.
+    /// it prefixes (the cover is prefix-free, so never both): one descent
+    /// of the tree along `prefix`, which either meets that ancestor's leaf
+    /// or ends at the subtree of the rest.
     fn compatible_into(&self, prefix: PeerKey, out: &mut Vec<NodeId>) {
-        if let Some((&k, &n)) = self.by_id.range(..prefix).next_back() {
-            if k.is_prefix_of(prefix) {
-                out.push(n);
-            }
+        match self.cover.below(prefix) {
+            Ok(leaves) => out.extend(leaves),
+            Err(ancestor) => out.push(ancestor),
         }
-        out.extend(self.by_id.range(prefix.below()).map(|(_, &n)| n));
     }
 
     /// Out-neighbors of `node`: every live peer prefix-compatible with the
@@ -582,15 +571,15 @@ impl FissioneNet {
     /// same one the next query would have paid. Who must not: the paths that
     /// run *between* the changes of such a batch — `join`'s descent (the
     /// owner probe and the neighbor walks to a local minimum) and
-    /// `stabilize` — keep reading the ordered cover directly, or every
+    /// `stabilize` — keep walking the partition tree directly, or every
     /// join would pay an `O(N log N)` build for a table the split it ends
     /// in drops.
     pub fn route_table(&self) -> &RouteTable {
         self.table.get_or_init(|| RouteTable::build(self))
     }
 
-    /// Drops the routing table. Called by everything that rewrites
-    /// `by_id`, before it does.
+    /// Drops the routing table. Called by everything that edits the
+    /// partition tree, before it does.
     fn cover_changed(&mut self) {
         self.table.take();
     }
@@ -648,8 +637,9 @@ impl FissioneNet {
     /// and cannot be halved. The configured `object_id_len` is too small
     /// for this many peers.
     pub fn try_join(&mut self, rng: &mut SmallRng) -> Result<NodeId, FissioneError> {
-        let probe = KautzStr::random(self.cfg.object_id_len, rng);
-        let owner = self.owner_of(&probe).expect("cover is complete");
+        // The draw of `KautzStr::random`, walked down the tree bit by bit.
+        let len = self.cfg.object_id_len;
+        let owner = self.cover.owner_by_rank(len, rng.gen_range(0..KautzStr::count(len)));
         let victim = match self.cfg.balance {
             BalanceRule::RandomOwner => owner,
             BalanceRule::LocalMin { max_steps } => self.descend_to_local_min(owner, max_steps),
@@ -730,11 +720,14 @@ impl FissioneNet {
             depth < MAX_PEER_DEPTH,
             "cannot split a depth-{depth} leaf: PeerID keys hold MAX_PEER_DEPTH = {MAX_PEER_DEPTH} symbols"
         );
-        let [left, right] = key.children();
-        self.relabel(node, key, left);
-        let newcomer = self.alloc_slot(Peer { id: label(right) });
-        self.by_id.insert(right, newcomer);
-        self.bump_depth(depth + 1, 1);
+        let [left, right] = key.children().map(|child| child.symbol(depth).expect("a child"));
+        let id = &mut self.slots[node].as_mut().expect("live node").id;
+        let newcomer = Peer { id: id.child(right).expect("a child symbol") };
+        id.push(left).expect("a child symbol");
+        let newcomer = self.alloc_slot(newcomer);
+        self.cover.split(key, newcomer);
+        self.bump_depth(depth, -1);
+        self.bump_depth(depth + 1, 2);
         self.live += 1;
         (node, newcomer)
     }
@@ -754,12 +747,10 @@ impl FissioneNet {
         self.cover_changed();
 
         // Fast path: the sibling leaf exists and can absorb the parent.
-        if key.depth() > 1 {
-            if let Some(&sib_node) = self.by_id.get(&key.sibling()) {
-                self.free_slot(node, key);
-                self.relabel(sib_node, key.sibling(), key.parent());
-                return Ok(());
-            }
+        if let Some(sib_node) = self.cover.sibling(key) {
+            self.free_slot(node, key);
+            self.merge(sib_node, key.sibling());
+            return Ok(());
         }
 
         // Donor path: merge the deepest sibling-leaf pair (inside the
@@ -768,9 +759,8 @@ impl FissioneNet {
         // label.
         let scope = if key.depth() > 1 { key.sibling() } else { PeerKey::EMPTY };
         let (deep, donor) = self
-            .by_id
-            .range(scope.below())
-            .map(|(&k, &n)| (k, n))
+            .cover
+            .keyed(scope)
             .filter(|&(_, n)| n != node)
             .max_by_key(|&(k, _)| k.depth())
             .ok_or(FissioneError::TooSmall)?;
@@ -780,18 +770,16 @@ impl FissioneNet {
         }
 
         // Merge the deepest pair: its sibling must itself be a leaf.
-        let sib_node =
-            *self.by_id.get(&deep.sibling()).expect("sibling of a deepest leaf is a leaf");
+        let sib_node = self.cover.sibling(deep).expect("sibling of a deepest leaf is a leaf");
         debug_assert_ne!(sib_node, node);
-        self.relabel(sib_node, deep.sibling(), deep.parent());
-        self.by_id.remove(&deep);
         self.bump_depth(deep.depth(), -1);
+        self.merge(sib_node, deep.sibling());
 
         // The freed donor adopts the leaver's label, and with it the
         // leaver's interval: the depth histogram at the leaver's depth is
         // unchanged; only the leaver's slot and live count go away.
         self.slots[donor] = self.slots[node].take();
-        self.by_id.insert(key, donor);
+        self.cover.retag(key, donor);
         self.free_slots.push(Reverse(node));
         self.live -= 1;
         Ok(())
@@ -881,20 +869,23 @@ impl FissioneNet {
     }
 
     /// The round's `(donor, target)`: the last deepest leaf and the first
-    /// peer with the widest violating gap, both in PeerID order. `None` when
-    /// no gap reaches 2.
+    /// peer with the widest violating gap, both in PeerID order, from one
+    /// walk of the tree. `None` when no gap reaches 2.
     fn pick_migration(&self, gap: &[u8]) -> Option<(NodeId, NodeId)> {
         let mut worst: Option<(u8, NodeId)> = None;
-        for node in self.live_peers() {
+        let mut deepest = (0, 0);
+        for (key, node) in self.cover.keyed(PeerKey::EMPTY) {
             if gap[node] >= 2 && worst.is_none_or(|(widest, _)| gap[node] > widest) {
                 worst = Some((gap[node], node));
+            }
+            if key.depth() >= deepest.0 {
+                deepest = (key.depth(), node);
             }
         }
         let shallow = worst.map(|(_, node)| node);
         #[cfg(debug_assertions)]
         assert_eq!(shallow, self.worst_violation(), "the pick differs from the full scan's");
-        let shallow = shallow?;
-        let deepest = self.live_peers().max_by_key(|&n| self.depth_of(n)).expect("non-empty");
+        let (shallow, deepest) = (shallow?, deepest.1);
         debug_assert!(
             self.depth_of(deepest) >= self.depth_of(shallow) + 2,
             "a gap of 2 has a neighbor two levels down"
@@ -963,14 +954,13 @@ impl FissioneNet {
     fn migrate(&mut self, donor: NodeId, target: NodeId) -> [NodeId; 3] {
         let deep = self.key_of(donor);
         debug_assert!(deep.depth() > 1, "root peers are never deepest in a violation");
-        let sib_node =
-            *self.by_id.get(&deep.sibling()).expect("sibling of the deepest leaf is a leaf");
+        let sib_node = self.cover.sibling(deep).expect("sibling of the deepest leaf is a leaf");
         // Both sit two levels or more below the target, so neither is it.
         debug_assert_ne!(donor, target, "the deepest leaf violates nothing");
         debug_assert_ne!(sib_node, target, "the donor's sibling is as deep as the donor");
         self.cover_changed();
-        self.relabel(sib_node, deep.sibling(), deep.parent());
         self.free_slot(donor, deep); // the donor, out until the split
+        self.merge(sib_node, deep.sibling());
 
         // Split the target; the lowest free slot takes the right child.
         let (kept, newcomer) = self.split_leaf(target);
@@ -1066,42 +1056,24 @@ impl FissioneNet {
     /// failure.
     pub fn check_invariants(&self) -> Result<InvariantReport, FissioneError> {
         let report = self.report();
-        // Bookkeeping: by_id and slots agree.
-        let mut live = 0;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if let Some(p) = slot {
-                live += 1;
-                if self.by_id.get(&PeerKey::new(&p.id)) != Some(&i) {
-                    return Err(FissioneError::InvariantViolated(report));
-                }
-            }
-        }
-        if live != self.live || self.by_id.len() != live {
+        // The tree: every leaf is a live slot carrying the leaf's key, and
+        // there are as many leaves as live slots. Every internal node has
+        // both children, so the leaves are a complete prefix-free cover.
+        let carries = |key: PeerKey, node: NodeId| {
+            self.slots
+                .get(node)
+                .and_then(Option::as_ref)
+                .is_some_and(|p| PeerKey::new(&p.id) == key)
+        };
+        let mut leaves = 0;
+        let mut walk = self.cover.keyed(PeerKey::EMPTY).inspect(|_| leaves += 1);
+        let carried = walk.all(|(key, node)| carries(key, node));
+        let live = self.slots.iter().filter(|slot| slot.is_some()).count();
+        if !carried || leaves != self.live || live != self.live {
             return Err(FissioneError::InvariantViolated(report));
         }
         // A routing table that outlived a membership change would be stale.
         if self.table.get().is_some_and(|cached| *cached != RouteTable::build(self)) {
-            return Err(FissioneError::InvariantViolated(report));
-        }
-        // Prefix-freeness: adjacent sorted ids must not nest (encoded key
-        // order is id order, and nesting is exactly the prefix interval).
-        let keys: Vec<PeerKey> = self.by_id.keys().copied().collect();
-        for w in keys.windows(2) {
-            if w[0].is_prefix_of(w[1]) {
-                return Err(FissioneError::InvariantViolated(report));
-            }
-        }
-        // Completeness: region measures sum to 1. Peer at depth ℓ covers
-        // (1/(d+1))·(1/d)^(ℓ-1); with d = 2 and D = max depth:
-        // Σ 2^(D-ℓ) must equal 3·2^(D-1) · (1/3)·… — i.e. Σ 2^(D-ℓ) = 3·2^(D-1)/1?
-        // Work in units of 1/(3·2^(D-1)): each peer contributes 2^(D-ℓ),
-        // and the total must be 3·2^(D-1).
-        let d_max = report.max_depth as u32;
-        let mut total: u128 = 0;
-        for &k in self.by_id.keys() {
-            total += 1u128 << (d_max - k.depth() as u32);
-        }
-        if total != 3u128 << (d_max - 1) {
             return Err(FissioneError::InvariantViolated(report));
         }
         // The object table: every key is the exact form of an ObjectID of
@@ -1149,23 +1121,14 @@ impl FissioneNet {
         self.slots[node].as_ref().expect("live").id.len()
     }
 
-    fn insert_peer(&mut self, key: PeerKey) -> NodeId {
-        self.cover_changed();
-        self.bump_depth(key.depth(), 1);
-        let node = self.alloc_slot(Peer { id: label(key) });
-        self.by_id.insert(key, node);
-        self.live += 1;
-        node
-    }
-
-    /// Moves live peer `node` from key `from` to key `to`, rewriting its
-    /// PeerID from the key.
-    fn relabel(&mut self, node: NodeId, from: PeerKey, to: PeerKey) {
-        self.by_id.remove(&from);
-        self.by_id.insert(to, node);
-        self.slots[node].as_mut().expect("live node").id = label(to);
-        self.bump_depth(from.depth(), -1);
-        self.bump_depth(to.depth(), 1);
+    /// Merges the leaf `survivor`, keyed `key`, with its sibling leaf, whose
+    /// peer is already gone: `survivor` takes the parent's PeerID.
+    fn merge(&mut self, survivor: NodeId, key: PeerKey) {
+        self.cover.merge(key.parent(), survivor);
+        let id = &mut self.slots[survivor].as_mut().expect("live node").id;
+        *id = id.take_front(key.depth() - 1);
+        self.bump_depth(key.depth(), -1);
+        self.bump_depth(key.depth() - 1, 1);
     }
 
     fn alloc_slot(&mut self, peer: Peer) -> NodeId {
@@ -1181,13 +1144,10 @@ impl FissioneNet {
         }
     }
 
+    /// Frees the slot of `node`, keyed `key`, whose leaf a merge is about
+    /// to drop.
     fn free_slot(&mut self, node: NodeId, key: PeerKey) {
-        // Remove the by_id entry only if it still points at this slot (the
-        // label may already have been adopted by a donor).
-        if self.by_id.get(&key) == Some(&node) {
-            self.by_id.remove(&key);
-            self.bump_depth(key.depth(), -1);
-        }
+        self.bump_depth(key.depth(), -1);
         self.slots[node] = None;
         self.free_slots.push(Reverse(node));
         self.live -= 1;
@@ -1208,6 +1168,7 @@ mod tests {
     use crate::FissioneConfig;
     use kautz::KautzRegion;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn small_cfg() -> FissioneConfig {
         FissioneConfig { object_id_len: 24, ..FissioneConfig::default() }
@@ -1220,6 +1181,13 @@ mod tests {
 
     fn ks(s: &str) -> KautzStr {
         s.parse().unwrap()
+    }
+
+    /// The live peers by key, read off the slots: the ordered cover the tree's
+    /// answers are held against.
+    fn oracle(net: &FissioneNet) -> BTreeMap<PeerKey, NodeId> {
+        let slots = net.slots.iter().enumerate();
+        slots.filter_map(|(node, slot)| Some((PeerKey::new(&slot.as_ref()?.id), node))).collect()
     }
 
     #[test]
@@ -1371,7 +1339,7 @@ mod tests {
         let mut rng = simnet::rng_from_seed(10);
         let mut net = FissioneNet::new(small_cfg());
         // Split "0" into 01, 02; then have 02 leave: 01 should become 0.
-        let zero = *net.by_id.get(&key(&ks("0"))).unwrap();
+        let zero = net.owner_of(&ks("0")).unwrap();
         let (left, right) = net.split_leaf(zero);
         assert_eq!(net.peer_id(left).unwrap(), &ks("01"));
         assert_eq!(net.peer_id(right).unwrap(), &ks("02"));
@@ -1601,13 +1569,13 @@ mod tests {
     }
 
     /// The table against the cover it was built from: its keys are the
-    /// ordered cover's, rank for rank; `ranks` and `nodes` are inverse (a
+    /// oracle map's, rank for rank; `ranks` and `nodes` are inverse (a
     /// dead or unknown slot has no rank); and every live peer's row, mapped
     /// through `nodes`, is its out-neighbor list.
     fn assert_table_matches_the_cover(net: &FissioneNet) {
         let table = net.route_table();
         assert_eq!(table.len(), net.len());
-        for (rank, (&k, &node)) in net.by_id.iter().enumerate() {
+        for (rank, (k, node)) in oracle(net).into_iter().enumerate() {
             assert_eq!((table.key(rank), table.node(rank)), (k, node), "rank {rank}");
             assert_eq!(table.rank(node), Some(rank));
             assert_eq!(k, key(net.peer_id(node).unwrap()));
@@ -1619,7 +1587,7 @@ mod tests {
         }
     }
 
-    /// The destination run as the ordered-map walk it replaced: from `low`'s
+    /// The destination run as a walk of the oracle map: from `low`'s
     /// owner up to the last key not above `high`.
     fn run_by_walk(
         net: &FissioneNet,
@@ -1628,7 +1596,7 @@ mod tests {
     ) -> Result<Vec<NodeId>, FissioneError> {
         let first = key(net.peer_id(net.owner_of(low)?).unwrap());
         let high = ObjectKey::new(high).head();
-        Ok(net.by_id.range(first..).take_while(|&(&k, _)| k <= high).map(|(_, &n)| n).collect())
+        Ok(oracle(net).range(first..).take_while(|&(&k, _)| k <= high).map(|(_, &n)| n).collect())
     }
 
     /// [`RouteTable::run`] against the walk, on random regions of ObjectIDs
@@ -1947,6 +1915,170 @@ mod tests {
             let refused = crash(&mut net, &mut model, root);
             prop_assert_eq!(refused, Err(FissioneError::TooSmall));
             check(&net, &model, &mut rng);
+        }
+    }
+
+    /// The partition tree against the ordered map it replaced: on every cover
+    /// a few splits reach, and after churn, each probe of the tree answers what
+    /// the map of live peers by key answers.
+    mod cover_oracle {
+        use super::*;
+        use std::collections::BTreeSet;
+
+        /// Every cover that [`FissioneNet::split_leaf`] reaches from the three
+        /// roots with at most `max_peers` peers, each once, fewest peers first.
+        fn every_cover(max_peers: usize) -> Vec<FissioneNet> {
+            let mut level = vec![FissioneNet::new(small_cfg())];
+            let mut all = level.clone();
+            while level[0].len() < max_peers {
+                let mut seen = BTreeSet::new();
+                let mut next = Vec::new();
+                for net in &level {
+                    for node in net.live_peers() {
+                        let mut grown = net.clone();
+                        grown.split_leaf(node);
+                        if seen.insert(oracle(&grown).into_keys().collect::<Vec<_>>()) {
+                            next.push(grown);
+                        }
+                    }
+                }
+                all.extend(next.iter().cloned());
+                level = next;
+            }
+            all
+        }
+
+        /// The oracle's owner of `window`: the greatest key not above it, if that
+        /// prefixes it.
+        fn owner_in(map: &BTreeMap<PeerKey, NodeId>, window: PeerKey) -> Option<NodeId> {
+            let (&key, &node) = map.range(..=window).next_back()?;
+            key.is_prefix_of(window).then_some(node)
+        }
+
+        /// The oracle's peers prefix-compatible with `prefix`: the owner of a
+        /// proper prefix of it, then every peer it prefixes.
+        fn compatible_in(map: &BTreeMap<PeerKey, NodeId>, prefix: PeerKey) -> Vec<NodeId> {
+            let ancestor =
+                map.range(..prefix).next_back().filter(|(&key, _)| key.is_prefix_of(prefix));
+            let below = map.range(prefix.below());
+            ancestor.into_iter().chain(below).map(|(_, &node)| node).collect()
+        }
+
+        /// The strings a probe of the cover is tried on: the empty one, every
+        /// string of up to `short` symbols, and around every live PeerID its
+        /// parent, its children, its shift and its stems (the probes a neighbor
+        /// walk makes).
+        fn probes(net: &FissioneNet, short: usize) -> Vec<PeerKey> {
+            let mut probes = vec![PeerKey::EMPTY];
+            for len in 1..=short {
+                let all =
+                    (0..KautzStr::count(len)).map(|rank| KautzStr::unrank(len, rank).unwrap());
+                probes.extend(all.map(|s| PeerKey::new(&s)));
+            }
+            for key in oracle(net).into_keys() {
+                probes.extend([key, key.parent(), key.shift()]);
+                probes.extend(
+                    (0..ROOTS as u8).filter(|&a| Some(a) != key.first()).map(|a| key.stem(a)),
+                );
+                if key.depth() < MAX_PEER_DEPTH {
+                    probes.extend(key.children());
+                }
+            }
+            probes
+        }
+
+        /// Every probe of the tree against the oracle, and the tree's own checks.
+        fn assert_cover_matches_the_oracle(net: &FissioneNet, short: usize) {
+            net.check_invariants().unwrap();
+            let map = oracle(net);
+            assert!(net.live_peers().eq(map.values().copied()), "live peers");
+            let mut row = Vec::new();
+            for probe in probes(net, short) {
+                let owner = net.owner_of_window(probe, probe.depth()).ok();
+                assert_eq!(owner, owner_in(&map, probe), "owner of {probe:?}");
+                row.clear();
+                net.compatible_into(probe, &mut row);
+                assert_eq!(row, compatible_in(&map, probe), "compatible with {probe:?}");
+                let prefix = probe.decode().unwrap();
+                let under: Vec<NodeId> = map.range(probe.below()).map(|(_, &node)| node).collect();
+                assert!(net.peers_with_prefix(&prefix).eq(under), "peers with prefix {prefix}");
+            }
+            for (&key, &node) in &map {
+                assert_eq!(net.cover.owner(key), Some(node));
+                let sibling = (key.depth() > 1).then(|| map.get(&key.sibling()).copied()).flatten();
+                assert_eq!(net.cover.sibling(key), sibling, "sibling of {key:?}");
+            }
+            // A join's draw, walked by rank, lands on the owner of the string it
+            // ranks.
+            let len = net.max_depth() + 1;
+            for rank in (0..KautzStr::count(len)).step_by(3) {
+                let window = PeerKey::new(&KautzStr::unrank(len, rank).unwrap());
+                assert_eq!(Some(net.cover.owner_by_rank(len, rank)), owner_in(&map, window));
+            }
+        }
+
+        #[test]
+        fn every_small_cover_answers_as_the_ordered_map() {
+            let covers = every_cover(7);
+            let per_size: Vec<usize> =
+                (3..=7).map(|n| covers.iter().filter(|net| net.len() == n).count()).collect();
+            assert_eq!(per_size, [1, 3, 9, 28, 90]);
+            for net in &covers {
+                assert_cover_matches_the_oracle(net, 4);
+            }
+        }
+
+        #[test]
+        fn a_slot_that_disowns_its_leaf_fails_the_invariants() {
+            let mut net =
+                FissioneNet::build(small_cfg(), 10, &mut simnet::rng_from_seed(40)).unwrap();
+            let [a, b] = [0, 5].map(|i| net.live_peers().nth(i).unwrap());
+            let swap = |net: &mut FissioneNet| {
+                let ids = [a, b].map(|node| net.slots[node].take());
+                [net.slots[b], net.slots[a]] = ids;
+            };
+            swap(&mut net);
+            assert!(net.check_invariants().is_err(), "two slots swapped their PeerIDs");
+            swap(&mut net);
+            net.check_invariants().unwrap();
+        }
+
+        // Leave, crash, join, split, a migration between any deep pair and any
+        // leaf, and `stabilize`, interleaved on a network whose slot order is
+        // unrelated to PeerID order: after each, the tree against the oracle.
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn the_tree_answers_as_the_ordered_map_under_churn(
+                seed in 0u64..1000,
+                ops in prop::collection::vec((0u8..10, any::<usize>(), any::<usize>()), 1..40),
+            ) {
+                let mut rng = simnet::rng_from_seed(seed);
+                let mut net = churned(16, 4, seed);
+                for (op, raw, other) in ops {
+                    let peers: Vec<NodeId> = net.live_peers().collect();
+                    let victim = peers[raw % peers.len()];
+                    let sibling = |n: NodeId| net.cover.sibling(net.key_of(n));
+                    let paired: Vec<NodeId> =
+                        peers.iter().copied().filter(|&n| sibling(n).is_some()).collect();
+                    match op {
+                        0..=1 => drop(net.leave(victim)),
+                        2 => drop(net.crash(victim)),
+                        3..=4 => drop(net.join(&mut rng)),
+                        5 if net.depth_of(victim) < 20 => drop(net.split_leaf(victim)),
+                        6..=7 if !paired.is_empty() => {
+                            let donor = paired[other % paired.len()];
+                            let pair = [donor, sibling(donor).unwrap()];
+                            if !pair.contains(&victim) && net.depth_of(victim) < 20 {
+                                net.migrate(donor, victim);
+                            }
+                        }
+                        _ => drop(net.stabilize()),
+                    }
+                    assert_cover_matches_the_oracle(&net, 2);
+                }
+            }
         }
     }
 }

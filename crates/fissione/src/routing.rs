@@ -39,7 +39,7 @@
 //! are shifted once for it.
 //!
 //! Debug builds assert every hop — the pick, the error arm and the carried
-//! `j` — against the ordered-cover probe behind [`FissioneNet::owner_of`]
+//! `j` — against the partition-tree probe behind [`FissioneNet::owner_of`]
 //! and the slide, and the tests below hold routes against the §3 rule on
 //! strings and route trees against one route per target.
 
@@ -226,7 +226,7 @@ impl FissioneNet {
         debug_assert_eq!(
             next.clone().map(|(_, owner)| owner.node as NodeId),
             self.owner_of_window(ideal, ideal_len),
-            "the row of rank {rank} and the ordered cover disagree on an owner"
+            "the row of rank {rank} and the partition tree disagree on an owner"
         );
         let (next, row) = next?;
         debug_assert_ne!(next, rank, "Kautz shift cannot map a peer to itself");

@@ -249,6 +249,13 @@ impl PeerKey {
         ((self.0 >> 126) as u8).checked_sub(1)
     }
 
+    /// The `i`-th symbol; `None` at or past the end.
+    #[inline]
+    pub fn symbol(self, i: usize) -> Option<u8> {
+        let at = 126usize.checked_sub(2 * i)?;
+        ((self.0 >> at) as u8 & 3).checked_sub(1)
+    }
+
     /// The last symbol's group (`symbol + 1`), for a key of `depth ≥ 1`.
     #[inline]
     fn last_group(self, depth: usize) -> u128 {
@@ -658,6 +665,9 @@ mod tests {
             let key = PeerKey::new(&id);
             prop_assert_eq!(key.depth(), depth);
             prop_assert_eq!(key.decode().as_ref(), Some(&id));
+            for i in 0..=PEER_KEY_SYMS {
+                prop_assert_eq!(key.symbol(i), id.symbols().get(i).copied());
+            }
             prop_assert_eq!(key.shift(), window(&id.drop_front(1)));
             prop_assert_eq!(key.parent(), window(&id.take_front(depth - 1)));
             for a in (0..3).filter(|&a| Some(a) != id.first()) {

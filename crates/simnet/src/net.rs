@@ -186,9 +186,16 @@ impl NetModel {
 
     /// The virtual-millisecond cost of the overlay edge `src → dst`: a pure
     /// function of `(model, seed, src, dst)`, symmetric, 0 for self-edges.
+    ///
+    /// `unit` returns before the pair is hashed: every send of an unpriced
+    /// run asks for its edge.
+    #[inline]
     pub fn edge_cost(&self, src: NodeId, dst: NodeId) -> u64 {
         if src == dst {
             return 0;
+        }
+        if self.kind == NetModelKind::Unit {
+            return 1;
         }
         // Symmetry: hash the unordered pair.
         let (a, b) = if src <= dst { (src, dst) } else { (dst, src) };
