@@ -393,6 +393,18 @@ pub(crate) fn descent_budget(origin: PeerKey, low: ObjectKey, c: usize) -> (usiz
 mod tests {
     use super::*;
 
+    impl SingleArmada {
+        /// This system with its naming's ObjectIDs cut to `k` symbols,
+        /// fewer than its network's: a region's keys can then be too short
+        /// for a hop toward them to find an owner, which no consistent
+        /// build allows.
+        pub(crate) fn with_object_ids_cut_to(mut self, k: usize) -> Self {
+            let space = *self.naming.space();
+            self.naming = SingleHash::new(space.lo(), space.hi(), k).expect("a valid naming");
+            self
+        }
+    }
+
     fn small_cfg() -> FissioneConfig {
         FissioneConfig { object_id_len: 24, ..FissioneConfig::default() }
     }

@@ -312,17 +312,24 @@ impl RangeScheme for SeqWalkScheme {
         req: &RangeRequest,
         cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        cx.refuse_faults("seqwalk")?;
+        let faults = cx.faults_within(self.node_count(), |peer| self.inner.net().is_live(peer))?;
         let (out, records) = crate::seqwalk::query(
             &self.inner,
             req.origin(),
             req.lo(),
             req.hi(),
+            req.seed(),
+            faults,
             cx.trace.is_some(),
+            cx.scratch,
         )?;
         let out = remap(out, &self.handles);
         cx.trace_sim_records("seqwalk", records, &out);
         Ok(out)
+    }
+
+    fn supports_fault_injection(&self) -> bool {
+        true
     }
 
     fn as_dynamic(&mut self) -> Option<&mut dyn DynamicScheme> {

@@ -197,8 +197,10 @@ fn routes_never_read_a_table_built_before_a_membership_change() {
                 routed.push(Routed::Fetch(cost));
             }
         }
+        let origin = shallowest(net);
         let (walk, trace) =
-            armada::seqwalk::query(scheme.inner(), shallowest(net), 100.0, 400.0, true).unwrap();
+            armada::seqwalk::query(scheme.inner(), origin, 100.0, 400.0, 0, None, true, scratch)
+                .unwrap();
         routed.push(Routed::Walk(walk, trace));
         routed
     };

@@ -12,12 +12,13 @@
 //! Two execution paths, chosen per query by
 //! [`RangeScheme::supports_fault_injection`]:
 //!
-//! * **Native** — schemes whose engine runs a real simulator (PIRA,
-//!   DCF-CAN) receive the fault plan through their
+//! * **Native** — schemes whose engine runs a real simulator (PIRA, the
+//!   sequential walk, DCF-CAN) receive the fault plan through their
 //!   [`QueryCtx`]; the simulator itself drops, blocks, and throttles
 //!   messages, so loss interacts with the scheme's actual dissemination
-//!   tree.
-//! * **Generic** — every other scheme answers fault-free, and the wrapper
+//!   tree or chain.
+//! * **Generic** — every other scheme (PHT on either substrate and the
+//!   static baselines) answers fault-free, and the wrapper
 //!   degrades the *response plane*: each of the outcome's `dest_peers`
 //!   ground-truth destinations becomes a slot with a virtual peer
 //!   identity (a pure hash of `(plan, query seed, slot)`), and a slot's

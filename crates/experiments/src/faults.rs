@@ -3,13 +3,14 @@
 //!
 //! The paper evaluates fault-free networks; this extension quantifies how
 //! a scheme degrades when the overlay misbehaves (a dropped message prunes
-//! a whole subtree of PIRA's descent; a crashed zone swallows a flood
-//! branch). It is scheme-generic: anything whose
-//! [`query`](dht_api::RangeScheme::query) simulates the fault plan its
-//! [`QueryCtx`] carries is measured — discovered at runtime through
+//! a whole subtree of PIRA's descent, or the rest of a sequential walk; a
+//! crashed zone swallows a flood branch). It is scheme-generic: anything
+//! whose [`query`](dht_api::RangeScheme::query) simulates the fault plan
+//! its [`QueryCtx`] carries is measured — discovered at runtime through
 //! [`supports_fault_injection`](dht_api::RangeScheme::supports_fault_injection)
-//! (PIRA and both DCF-CAN variants today) — and everything is built by
-//! registry name, never through a native constructor.
+//! (PIRA, the sequential walk and both DCF-CAN variants today) — and
+//! everything is built by registry name, never through a native
+//! constructor.
 
 use crate::output::Table;
 use crate::{paper, standard_registry, Scale};
@@ -139,7 +140,7 @@ mod tests {
         let discovered = fault_capable_names();
         assert_eq!(
             discovered,
-            vec!["dcf-can", "dcf-can-naive", "pira"],
+            vec!["dcf-can", "dcf-can-naive", "pira", "seqwalk"],
             "runtime discovery should find exactly the overriding schemes"
         );
         let t = run(Scale::Quick);

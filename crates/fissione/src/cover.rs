@@ -135,13 +135,13 @@ impl Cover {
     /// node, or the empty key for the whole cover.
     pub(crate) fn keyed(&self, prefix: PeerKey) -> KeyedLeaves<'_> {
         let mut walk =
-            KeyedLeaves { links: &self.links, stack: [(0, PeerKey::EMPTY); STACK], len: 0 };
+            KeyedLeaves { links: &self.links, stack: [(0, 0, PeerKey::EMPTY); STACK], len: 0 };
         if prefix == PeerKey::EMPTY {
             for sym in (0..ROOTS as u8).rev() {
-                walk.push(self.links[usize::from(sym)], PeerKey::EMPTY.stem(sym));
+                walk.push(self.links[usize::from(sym)], 1, PeerKey::EMPTY.stem(sym));
             }
         } else {
-            walk.push(self.links[self.slot(prefix)], prefix);
+            walk.push(self.links[self.slot(prefix)], prefix.depth() as u32, prefix);
         }
         walk
     }
@@ -227,17 +227,18 @@ impl Iterator for Leaves<'_> {
 }
 
 /// [`Leaves`] with each leaf's key, derived on the way down: one
-/// [`PeerKey::children`] per internal node, nothing per leaf.
+/// [`PeerKey::children_at`] per internal node, nothing per leaf. Each entry
+/// carries its key's depth, so no step recounts it.
 #[derive(Debug, Clone)]
 pub(crate) struct KeyedLeaves<'a> {
     links: &'a [Link],
-    stack: [(Link, PeerKey); STACK],
+    stack: [(Link, u32, PeerKey); STACK],
     len: usize,
 }
 
 impl KeyedLeaves<'_> {
-    fn push(&mut self, link: Link, key: PeerKey) {
-        self.stack[self.len] = (link, key);
+    fn push(&mut self, link: Link, depth: u32, key: PeerKey) {
+        self.stack[self.len] = (link, depth, key);
         self.len += 1;
     }
 }
@@ -248,10 +249,11 @@ impl Iterator for KeyedLeaves<'_> {
     #[inline]
     fn next(&mut self) -> Option<(PeerKey, NodeId)> {
         self.len = self.len.checked_sub(1)?;
-        let (mut link, mut key) = self.stack[self.len];
+        let (mut link, mut depth, mut key) = self.stack[self.len];
         while !is_leaf(link) {
-            let [first, second] = key.children();
-            self.push(self.links[link as usize + 1], second);
+            let [first, second] = key.children_at(depth as usize);
+            depth += 1;
+            self.push(self.links[link as usize + 1], depth, second);
             (link, key) = (self.links[link as usize], first);
         }
         Some((key, node_of(link)))

@@ -70,7 +70,6 @@
 mod cover;
 mod dht_impl;
 mod net;
-pub mod proto;
 mod routing;
 mod stats;
 

@@ -565,10 +565,11 @@ impl FissioneNet {
     /// wait for one build) and shared by every reader until the next one.
     ///
     /// Who builds one: PIRA, MIRA and sequential-walk queries, and every
-    /// route — `next_hop`, `route_fold`, `route_tree_fold`, `route`,
-    /// `lookup_via_sim` — hence a PHT get batch and a replica fetch phase,
-    /// also the one `re_replicate` prices for the copies it places: one build per batch of membership changes, the
-    /// same one the next query would have paid. Who must not: the paths that
+    /// route — `next_hop`, `route_fold`, `route_tree_fold`, `route` —
+    /// hence a PHT get batch and a replica fetch phase, also the one
+    /// `re_replicate` prices for the copies it places: one build per batch
+    /// of membership changes, the same one the next query would have paid.
+    /// Who must not: the paths that
     /// run *between* the changes of such a batch — `join`'s descent (the
     /// owner probe and the neighbor walks to a local minimum) and
     /// `stabilize` — keep walking the partition tree directly, or every
@@ -1671,8 +1672,6 @@ mod tests {
             let key = ObjectKey::new(&stray);
             assert_eq!(net.publish(key, 7).unwrap_err(), refused(len.min(128)));
             assert_eq!(net.lookup(key).map(|_| ()).unwrap_err(), refused(len.min(128)));
-            let sent = net.lookup_via_sim(0, key, 1, &simnet::FaultPlan::new());
-            assert_eq!(sent.unwrap_err(), refused(len.min(128)));
         }
         assert_eq!(net.check_invariants().unwrap().total_objects, 0);
     }

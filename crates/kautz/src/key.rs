@@ -319,11 +319,19 @@ impl PeerKey {
     pub fn children(self) -> [PeerKey; 2] {
         let depth = self.depth();
         assert!((1..PEER_KEY_SYMS).contains(&depth), "a depth-{depth} key has no two children");
-        let (a, b) = match self.last_group(depth) {
-            1 => (2, 3),
-            2 => (1, 3),
-            _ => (1, 2),
-        };
+        self.children_at(depth)
+    }
+
+    /// [`children`](Self::children) of a key known to hold `depth` symbols,
+    /// `1 ≤ depth < 64`: a walk that tracks its depth steps down without
+    /// recounting it, and without a branch on the last symbol.
+    #[inline]
+    pub fn children_at(self, depth: usize) -> [PeerKey; 2] {
+        debug_assert_eq!(depth, self.depth(), "a walk lost count of its depth");
+        // The two groups other than the last, ascending: 2 and 3 below a 1,
+        // 1 and 3 below a 2, 1 and 2 below a 3.
+        let last = self.last_group(depth);
+        let (a, b) = (1 + u128::from(last == 1), 3 - u128::from(last == 3));
         let at = 126 - 2 * depth;
         [PeerKey(self.0 | a << at), PeerKey(self.0 | b << at)]
     }

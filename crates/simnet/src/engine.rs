@@ -231,10 +231,11 @@ impl<'p, M> Sim<'p, M> {
             }
             // Partition: cross-side delivery is refused while the split is
             // open. The epoch advances between protocol runs, never mid-run.
+            // Sides are the plan's alone: every query, and every retry of
+            // one, meets the same split.
             if let Some(part) = self.faults.partition() {
-                let seed = self.faults.plan_seed() ^ self.seed;
                 let epoch = self.faults.epoch();
-                if part.severed(seed, epoch, from, to, &self.net) {
+                if part.severed(self.faults.plan_seed(), epoch, from, to, &self.net) {
                     self.stats.messages_blocked += 1;
                     if self.trace.is_some() {
                         let plan = format!("partition epoch {epoch}");
@@ -516,8 +517,8 @@ mod tests {
         let new_plan =
             || FaultPlan::new().with_partition(PartitionPlan::new(2, 1, 3)).with_plan_seed(0x9);
         let plan = new_plan();
-        // Find a cross-side pair under this sim's effective verdict seed.
-        let seed = plan.plan_seed() ^ 4;
+        // Find a cross-side pair under this plan's sides.
+        let seed = plan.plan_seed();
         let part = *plan.partition().unwrap();
         let unit = NetModel::unit();
         let a = 0;
@@ -537,6 +538,23 @@ mod tests {
         assert_eq!(deliveries(1), (0, 1), "severed during the interval");
         assert_eq!(deliveries(2), (0, 1), "still severed");
         assert_eq!(deliveries(3), (1, 0), "healed at heal_epoch");
+    }
+
+    #[test]
+    fn partition_sides_are_the_plans_whatever_the_sim_seed() {
+        // One open split: the pair it severs is severed for every query
+        // seed, so a retry (which reseeds) cannot cross it either.
+        let mut open = FaultPlan::named_hostile("split-brain").unwrap().with_plan_seed(0x9);
+        open.set_epoch(1);
+        let (part, unit) = (*open.partition().unwrap(), NetModel::unit());
+        let side = |node| part.side_of(open.plan_seed(), node, &unit);
+        let b = (1..64).find(|&b| side(0) != side(b)).expect("a split has two sides");
+        for seed in 1..=8 {
+            let mut sim: Sim<()> = Sim::new(seed).with_faults(&open);
+            sim.send(0, b, 0, ());
+            sim.run(|_, _| panic!("seed {seed} crossed the split"));
+            assert_eq!(sim.stats().messages_blocked, 1, "seed {seed}");
+        }
     }
 
     #[test]

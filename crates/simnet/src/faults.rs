@@ -249,7 +249,8 @@ pub struct FaultPlan {
     /// The current partition epoch (advanced by the epoch driver; batch
     /// runs stay at 0).
     epoch: u64,
-    /// Seed mixed into every hash verdict (alongside the simulator seed).
+    /// Seed mixed into every hash verdict: alone for partition sides,
+    /// alongside the simulator seed for loss.
     plan_seed: u64,
 }
 

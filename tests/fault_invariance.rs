@@ -182,7 +182,7 @@ fn native_fault_plans_are_bounded_by_liveness_on_a_churned_network() {
 
     let registry = standard_registry();
     let params = BuildParams::new(N, DOMAIN.0, DOMAIN.1).with_object_id_len(32);
-    for name in ["pira", "dcf-can", "dcf-can-naive"] {
+    for name in ["pira", "seqwalk", "dcf-can", "dcf-can-naive"] {
         let mut rng = simnet::rng_from_seed(0x11fe);
         let mut scheme = registry.build_single(name, &params, &mut rng).expect("scheme builds");
         for h in 0..N as u64 {
