@@ -15,7 +15,7 @@
 //! A region whose endpoints share no prefix splits into at most three
 //! sub-regions that do (the paper's rule, [`kautz::key::split_region`]).
 //! Each sub-query descends the origin's forward routing tree as a message
-//! `(sub, f, hops_left)`:
+//! `(sub, hops_left)`, under the sub-query's `f`:
 //!
 //! * `f = |ComS|` where `ComS` is the longest string that is both a prefix
 //!   of the sub-region's common prefix `ComT` and a suffix of the origin's
@@ -24,15 +24,17 @@
 //!   destination level — exactly the strings prefixed by
 //!   `ComS ++ id[(f+d)..]`, so it forwards to an out-neighbor `C` iff the
 //!   *sub-query's* region meets a string prefixed by `ComS ++ C.id[(f+d−1)..]`
-//!   ([`KeyRegion::intersects_subtree`]) and, under a rectangle, that
-//!   prefix's hyper-rectangle meets the query
+//!   ([`SubtreeProbe::meets`], on `ComS`'s bits taken once per sub-query)
+//!   and, under a rectangle, that prefix's hyper-rectangle meets the query
 //!   ([`ScaledRect::meets_prefix`], on `ComS` decoded once per sub-query);
 //! * a visited peer answers iff its zone meets the query: its routing-table
 //!   key [intersects](KeyRegion::intersects) the sub-region, or under a
 //!   rectangle its own hyper-rectangle meets the query (at the destination
 //!   level `d = 0` that is every reached peer; answering along the way
 //!   additionally keeps the algorithm exact on covers that violate the
-//!   neighborhood invariant).
+//!   neighborhood invariant). The sender decides this while it holds the
+//!   child's row for the subtree test, and the message carries the answer,
+//!   so a delivery at `d = 0` reads no row.
 //!
 //! The destinations are the peers of the region's destination run — one
 //! range of routing-table ranks, found by two binary searches — whose zone
@@ -62,28 +64,30 @@ use crate::engine::{descent_budget, in_rect};
 use crate::{Armada, ArmadaError, QueryMetrics, QueryOutcome, RecordId};
 use fissione::{FissioneNet, KeyRegion, ObjectKey};
 use kautz::fixed::BoundaryInterval;
+use kautz::key::SubtreeProbe;
 use kautz::naming::{Naming, ScaledRect};
-use kautz::KautzStr;
+use kautz::{KautzStr, PeerKey};
 use simnet::{Answers, Envelope, FaultPlan, NodeId, QueryScratch, Sim, SimScratch, TraceRecord};
 use std::ops::Range;
 
 /// One in-flight sub-query message — `Copy`, so forwarding a message down
-/// the routing tree moves twenty-four bytes instead of cloning Kautz strings
-/// per hop. What the sub-query prunes with lives once per query in
-/// [`State::subs`], indexed by `sub`.
+/// the routing tree moves eight bytes instead of cloning Kautz strings per
+/// hop. What the sub-query prunes with, `f` included, lives once per query
+/// in [`State::subs`], indexed by `sub`.
 #[derive(Debug, Clone, Copy)]
 struct Msg {
     /// Index into the per-query sub-query table.
     sub: u8,
-    /// The receiver's routing-table rank (in what would be `sub`'s padding).
+    /// Remaining descent levels (at most [`fissione::MAX_PEER_DEPTH`]).
+    hops_left: u8,
+    /// Whether the receiver answers: its zone meets the query.
+    answers: bool,
+    /// The receiver's routing-table rank.
     rank: u32,
-    /// `|ComS|` for this sub-query.
-    f: usize,
-    /// Remaining descent levels.
-    hops_left: usize,
 }
 
-const _: () = assert!(std::mem::size_of::<Msg>() == 24, "a descent message outgrew 24 bytes");
+const _: () = assert!(std::mem::size_of::<Msg>() == 8, "a descent message outgrew 8 bytes");
+const _: () = assert!(std::mem::size_of::<Envelope<Msg>>() == 40, "an envelope outgrew 40 bytes");
 
 /// The query's reusable per-thread state, slotted into a [`QueryScratch`]:
 /// the simulator's collections plus the routing loop's working buffers.
@@ -91,9 +95,9 @@ const _: () = assert!(std::mem::size_of::<Msg>() == 24, "a descent message outgr
 /// invisible to results, metrics, and traces.
 struct State {
     sim: SimScratch<Msg>,
-    /// Each sub-query's region, and under a rectangle its `ComS` spelled
-    /// out for the rectangle test.
-    subs: Vec<(KeyRegion, Option<KautzStr>)>,
+    /// Each sub-query's subtree probe (its region and `ComS`), and under a
+    /// rectangle its `ComS` spelled out for the rectangle test.
+    subs: Vec<(SubtreeProbe, Option<KautzStr>)>,
     answers: Answers<RecordId>,
     /// Under a rectangle, the ranks of the run whose zone meets it.
     truth: Vec<usize>,
@@ -160,11 +164,14 @@ pub fn query<N: Naming>(
     subs.clear();
     for (low, high) in kautz::key::split_region(region.0, region.1) {
         let (f, hops_left) = descent_budget(origin_key, low, low.common_prefix_len(high));
-        sim.send(origin, origin, 0, Msg { sub: subs.len() as u8, rank, f, hops_left });
+        let keys = KeyRegion::new(low, high);
+        let answers = answers_at(net, &keys, scaled, (rank as usize, origin_key), zone);
+        let hops_left = u8::try_from(hops_left).expect("a PeerID is at most MAX_PEER_DEPTH long");
+        sim.send(origin, origin, 0, Msg { sub: subs.len() as u8, hops_left, answers, rank });
         // The rectangle test reads strings: `ComS` is decoded once per
         // sub-query.
         let com_s = scaled.map(|_| low.truncate(f).decode().expect("a key's prefix"));
-        subs.push((KeyRegion::new(low, high), com_s));
+        subs.push((keys.subtree_probe(f), com_s));
     }
     match scaled {
         None => ledger.begin(table.len(), run.clone()),
@@ -177,19 +184,22 @@ pub fn query<N: Naming>(
 
     let mut delay: u32 = 0;
     sim.run(|sim, env: Envelope<Msg>| {
-        let Msg { sub, rank, f, hops_left: d } = env.payload;
-        let (rank, (keys, com_s)) = (rank as usize, &subs[sub as usize]);
+        let Msg { sub, hops_left, answers: answered, rank } = env.payload;
+        let (rank, d, (probe, com_s)) =
+            (rank as usize, usize::from(hops_left), &subs[sub as usize]);
         debug_assert_eq!(table.node(rank), env.to, "a message names its receiver twice");
+        debug_assert_eq!(
+            answered,
+            answers_at(net, probe.region(), scaled, (rank, table.key(rank)), zone),
+            "the sender decided peer {} answers wrongly",
+            env.to
+        );
 
-        // Local answer: this peer's zone meets the query. It is marked once
-        // however many sub-regions the peer straddles (the ledger keeps its
-        // cheapest arrival); what it holds is read after the run, against
-        // the *full* query.
-        let answers = match scaled {
-            None => keys.intersects(table.key(rank)),
-            Some(rect) => zone_meets(net, rect, rank, zone),
-        };
-        if answers {
+        // Local answer: this peer's zone meets the query, as its sender
+        // found. It is marked once however many sub-regions the peer
+        // straddles (the ledger keeps its cheapest arrival); what it holds
+        // is read after the run, against the *full* query.
+        if answered {
             sim.trace_answer(&env);
             if ledger.first_answer(rank, env.cost) {
                 delay = delay.max(env.hop);
@@ -203,14 +213,16 @@ pub fn query<N: Naming>(
         // neighborhood invariant is violated), degrade to the never-prune
         // test `ComS`.
         if d > 0 {
-            let strip = f + d - 1; // transit-prefix length at the children
+            let strip = probe.f() + d - 1; // transit-prefix length at the children
             for c in table.out(rank) {
-                let forwards = keys.intersects_subtree(f, table.key(c), strip)
+                let key = table.key(c);
+                let forwards = probe.meets(key, table.depth(c), strip)
                     && scaled.zip(com_s.as_ref()).is_none_or(|(rect, com_s)| {
                         subtree_meets(net, rect, com_s, (c, strip), prefix, subtree)
                     });
                 if forwards {
-                    let msg = Msg { sub, rank: c as u32, f, hops_left: d - 1 };
+                    let answers = answers_at(net, probe.region(), scaled, (c, key), zone);
+                    let msg = Msg { sub, hops_left: hops_left - 1, answers, rank: c as u32 };
                     sim.forward(&env, table.node(c), msg);
                 }
             }
@@ -232,6 +244,23 @@ pub fn query<N: Naming>(
         exact: ledger.exact(),
     };
     Ok((QueryOutcome { results: ledger.results(), metrics }, records))
+}
+
+/// The one definition of "answers": whether the zone of the peer at `rank`,
+/// keyed `key`, meets the query — its key intersects the sub-region `keys`,
+/// or under a rectangle its hyper-rectangle meets it (`buf` is scratch).
+#[inline]
+fn answers_at(
+    net: &FissioneNet,
+    keys: &KeyRegion,
+    scaled: Option<&ScaledRect>,
+    (rank, key): (usize, PeerKey),
+    buf: &mut Vec<BoundaryInterval>,
+) -> bool {
+    match scaled {
+        None => keys.intersects(key),
+        Some(rect) => zone_meets(net, rect, rank, buf),
+    }
 }
 
 /// Under a rectangle, the one definition of "destination": whether the

@@ -193,6 +193,16 @@ impl RouteTable {
         self.rows[rank].key
     }
 
+    /// The depth of the peer at `rank`: its key's, read off its row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is not below [`len`](Self::len).
+    #[inline]
+    pub fn depth(&self, rank: usize) -> usize {
+        self.rows[rank].depth as usize
+    }
+
     /// The ranks of the out-neighbors of the peer at `rank`, in
     /// [`FissioneNet::out_neighbors`] order.
     ///

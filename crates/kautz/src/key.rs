@@ -465,29 +465,61 @@ impl KeyRegion {
         self.intersects_prefix_key(peer.0, peer.depth())
     }
 
-    /// PIRA's subtree test for an out-neighbor `child`: whether the region
-    /// intersects the prefix `ComS ++ child.id[strip..]`, where `ComS` is
-    /// the region's first `f` symbols —
+    /// PIRA's subtree test for a sub-query whose `ComS` is the region's
+    /// first `f` symbols, with what it needs of `ComS` taken once: see
+    /// [`SubtreeProbe::meets`]. `f ≤ MAX_PEER_DEPTH`.
+    pub fn subtree_probe(&self, f: usize) -> SubtreeProbe {
+        debug_assert!(f <= MAX_PEER_DEPTH, "ComS of {f} symbols exceeds MAX_PEER_DEPTH");
+        let head = self.low & mask(f);
+        // `ComS`'s last group, which a tail may not repeat; 0 (no group)
+        // when `ComS` is empty.
+        let junction = if f > 0 { (head >> (128 - 2 * f)) & 3 } else { 0 };
+        SubtreeProbe { region: *self, head, junction, f }
+    }
+}
+
+/// PIRA's subtree test of one sub-query ([`KeyRegion::subtree_probe`]):
+/// the region, `ComS`'s bits and its last symbol, read per candidate child
+/// without being recomputed.
+#[derive(Debug, Clone, Copy)]
+pub struct SubtreeProbe {
+    region: KeyRegion,
+    head: u128,
+    junction: u128,
+    f: usize,
+}
+
+impl SubtreeProbe {
+    /// `|ComS|`.
+    pub fn f(&self) -> usize {
+        self.f
+    }
+
+    /// The region probed.
+    pub fn region(&self) -> &KeyRegion {
+        &self.region
+    }
+
+    /// Whether the region intersects the prefix `ComS ++ child.id[strip..]`
+    /// of the out-neighbor keyed `child`, of `depth` symbols (its own) —
     /// [`KautzRegion::intersects_prefix_parts`]`(low[..f], child.id[strip..])`
     /// with both of its fallbacks: a child no longer than `strip`, or a
     /// junction that would repeat a symbol, tests `ComS` alone.
     ///
-    /// `f ≤ MAX_PEER_DEPTH`, and `ComS` plus the tail must fit a key
-    /// (in a descent they total at most the child's own depth).
+    /// `ComS` plus the tail must fit a key (in a descent they total at most
+    /// the child's own depth).
     ///
     /// [`KautzRegion::intersects_prefix_parts`]: crate::KautzRegion::intersects_prefix_parts
     #[inline]
-    pub fn intersects_subtree(&self, f: usize, child: PeerKey, strip: usize) -> bool {
-        debug_assert!(f <= MAX_PEER_DEPTH, "ComS of {f} symbols exceeds MAX_PEER_DEPTH");
-        let head = self.low & mask(f);
-        let child_len = child.depth();
+    pub fn meets(&self, child: PeerKey, depth: usize, strip: usize) -> bool {
+        debug_assert_eq!(depth, child.depth(), "a key's depth is its own");
         let (mut tail, mut tail_len) =
-            if strip < child_len { (child.0 << (2 * strip), child_len - strip) } else { (0, 0) };
-        if f > 0 && (head >> (128 - 2 * f)) & 3 == tail >> 126 {
+            if strip < depth { (child.0 << (2 * strip), depth - strip) } else { (0, 0) };
+        if tail >> 126 == self.junction {
             (tail, tail_len) = (0, 0);
         }
-        debug_assert!(f + tail_len <= PEER_KEY_SYMS, "subtree prefix exceeds key capacity");
-        self.intersects_prefix_key(head | tail >> (2 * f), f + tail_len)
+        debug_assert!(self.f + tail_len <= PEER_KEY_SYMS, "subtree prefix exceeds key capacity");
+        self.region.intersects_prefix_key(self.head | tail >> (2 * self.f), self.f + tail_len)
     }
 }
 
@@ -817,7 +849,7 @@ mod tests {
                             child.symbols().get(strip..).unwrap_or(&[]),
                         );
                         prop_assert_eq!(
-                            keys.intersects_subtree(f, PeerKey::new(&child), strip),
+                            keys.subtree_probe(f).meets(PeerKey::new(&child), child_len, strip),
                             expect,
                             "{} vs {} ++ {}[{}..]", region, com_s, child, strip
                         );

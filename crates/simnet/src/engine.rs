@@ -35,8 +35,9 @@ pub struct Envelope<M> {
 /// The simulator: one clock in unit ticks and two delivery lanes.
 ///
 /// Generic over the protocol message type `M`. A network message lands one
-/// tick after it was sent, a self-delivery in the tick it was sent in; each
-/// lane is FIFO, so deliveries come in tick order and, within a tick, in
+/// tick after it was sent, a self-delivery in the tick it was sent in. A
+/// tick delivers the network sends of the tick before, then its own
+/// self-deliveries; each lane is FIFO, so within a tick deliveries come in
 /// send order. Create one `Sim` per query/protocol run — or, on hot paths,
 /// recycle the lanes across runs via [`Sim::from_scratch`]/[`Sim::recycle`]
 /// so batch drivers amortize their capacity.
@@ -46,14 +47,20 @@ pub struct Envelope<M> {
 pub struct Sim<'p, M> {
     now: SimTime,
     seed: u64,
-    /// The tick being delivered: the network sends of the tick before, then
-    /// the self-deliveries of this one, in send order.
-    cur: VecDeque<Envelope<M>>,
-    /// Network sends of this tick, delivered at `now + 1` in send order.
-    next: VecDeque<Envelope<M>>,
+    /// Network sends in send order: the first `due` were sent the tick
+    /// before and land in this one, the rest land at `now + 1`. An
+    /// envelope is written once and read once.
+    network: VecDeque<Envelope<M>>,
+    due: usize,
+    /// Self-deliveries of this tick, in send order, delivered after its
+    /// network sends.
+    local: VecDeque<Envelope<M>>,
     rng: SmallRng,
     net: NetModel,
     faults: &'p FaultPlan,
+    /// Whether `faults` injects anything: a fault-free plan rules on no
+    /// send, so the verdict chain is skipped whole.
+    faulty: bool,
     stats: SimStats,
     /// Hostile-fault bookkeeping, touched only when the matching family is
     /// attached: delivery attempts per directed edge (the loss plan's
@@ -83,11 +90,13 @@ impl<'p, M> Sim<'p, M> {
         Sim {
             now: 0,
             seed,
-            cur: VecDeque::new(),
-            next: VecDeque::new(),
+            network: VecDeque::new(),
+            due: 0,
+            local: VecDeque::new(),
             rng: crate::rng_from_seed(seed),
             net: NetModel::unit(),
             faults: &NO_FAULTS,
+            faulty: false,
             stats: SimStats::default(),
             counts: SendCounts::default(),
             trace: None,
@@ -100,8 +109,8 @@ impl<'p, M> Sim<'p, M> {
     /// scheduling. The scratch's collections are left empty.
     pub fn from_scratch(seed: u64, scratch: &mut SimScratch<M>) -> Self {
         let mut sim = Sim::new(seed);
-        sim.cur = std::mem::take(&mut scratch.cur);
-        sim.next = std::mem::take(&mut scratch.next);
+        sim.network = std::mem::take(&mut scratch.network);
+        sim.local = std::mem::take(&mut scratch.local);
         sim.counts = std::mem::take(&mut scratch.counts);
         debug_assert!(sim.pending() == 0, "recycled scratch must arrive empty");
         sim
@@ -112,11 +121,11 @@ impl<'p, M> Sim<'p, M> {
     /// and the fault counters retain capacity across the round trip;
     /// clearing the counters costs only the entries this run filled.
     pub fn recycle(mut self, scratch: &mut SimScratch<M>) {
-        self.cur.clear();
-        self.next.clear();
+        self.network.clear();
+        self.local.clear();
         self.counts.clear();
-        scratch.cur = std::mem::take(&mut self.cur);
-        scratch.next = std::mem::take(&mut self.next);
+        scratch.network = std::mem::take(&mut self.network);
+        scratch.local = std::mem::take(&mut self.local);
         scratch.counts = std::mem::take(&mut self.counts);
     }
 
@@ -165,6 +174,7 @@ impl<'p, M> Sim<'p, M> {
     /// Runs under `faults`, borrowed for the run: no clone per query.
     pub fn with_faults(mut self, faults: &'p FaultPlan) -> Self {
         self.faults = faults;
+        self.faulty = !faults.is_fault_free();
         self
     }
 
@@ -203,102 +213,13 @@ impl<'p, M> Sim<'p, M> {
         payload: M,
     ) {
         let is_network = from != to;
-        // The rate limiter's queueing delay for this message (computed up
-        // front so the token bucket counts every send attempt — a throttled
-        // sender queues messages whether or not the network then loses
-        // them — but priced only onto messages that actually schedule).
-        let mut queueing = 0;
-        if is_network {
-            self.stats.messages_sent += 1;
-            if let Some(rl) = self.faults.rate_limit() {
-                queueing = rl.queue_delay(self.counts.bump(Counted::Peer(from)));
-                if queueing > 0 {
-                    self.stats.messages_throttled += 1;
-                    if self.trace.is_some() {
-                        // Throttled is a *pricing* verdict: the message
-                        // still schedules, with `queueing` folded into its
-                        // edge cost below.
-                        let plan = format!("rate-limit +{queueing}ms");
-                        let ev = TraceEvent::FaultVerdict {
-                            src: from,
-                            dst: to,
-                            verdict: Verdict::Throttled,
-                            plan,
-                        };
-                        self.emit(ev);
-                    }
-                }
-            }
-            // Partition: cross-side delivery is refused while the split is
-            // open. The epoch advances between protocol runs, never mid-run.
-            // Sides are the plan's alone: every query, and every retry of
-            // one, meets the same split.
-            if let Some(part) = self.faults.partition() {
-                let epoch = self.faults.epoch();
-                if part.severed(self.faults.plan_seed(), epoch, from, to, &self.net) {
-                    self.stats.messages_blocked += 1;
-                    if self.trace.is_some() {
-                        let plan = format!("partition epoch {epoch}");
-                        let ev = TraceEvent::FaultVerdict {
-                            src: from,
-                            dst: to,
-                            verdict: Verdict::Blocked,
-                            plan,
-                        };
-                        self.emit(ev);
-                    }
-                    return;
-                }
-            }
-            if self.faults.should_drop(&mut self.rng) {
-                self.stats.messages_dropped += 1;
-                if self.trace.is_some() {
-                    let ev = TraceEvent::FaultVerdict {
-                        src: from,
-                        dst: to,
-                        verdict: Verdict::Dropped,
-                        plan: "drop-prob".to_string(),
-                    };
-                    self.emit(ev);
-                }
-                return;
-            }
-            // Hash-verdict loss: the attempt index is this edge's delivery
-            // counter, so re-sends (retries) of the same edge get fresh
-            // verdicts while the whole stream stays a pure function of the
-            // event order — itself deterministic per seed.
-            if let Some(loss) = self.faults.loss() {
-                let attempt = self.counts.bump(Counted::Edge(from, to)) - 1;
-                let verdict = loss.lost(self.faults.plan_seed() ^ self.seed, from, to, attempt);
-                if verdict {
-                    self.stats.messages_lost += 1;
-                    if self.trace.is_some() {
-                        let plan = format!("hash-loss attempt {attempt}");
-                        let ev = TraceEvent::FaultVerdict {
-                            src: from,
-                            dst: to,
-                            verdict: Verdict::Lost,
-                            plan,
-                        };
-                        self.emit(ev);
-                    }
-                    return;
-                }
-            }
-        }
-        if self.faults.is_crashed(to) {
-            self.stats.messages_to_crashed += 1;
-            if self.trace.is_some() {
-                let ev = TraceEvent::FaultVerdict {
-                    src: from,
-                    dst: to,
-                    verdict: Verdict::ToCrashed,
-                    plan: "crashed receiver".to_string(),
-                };
-                self.emit(ev);
-            }
-            return;
-        }
+        self.stats.messages_sent += u64::from(is_network);
+        let queueing = if self.faulty {
+            let Some(queueing) = self.rule(from, to, is_network) else { return };
+            queueing
+        } else {
+            0
+        };
         let edge_cost = queueing + if is_network { self.net.edge_cost(from, to) } else { 0 };
         let cost = base_cost + edge_cost;
         if self.trace.is_some() {
@@ -315,9 +236,86 @@ impl<'p, M> Sim<'p, M> {
         }
         let env = Envelope { from, to, hop, cost, payload };
         if is_network {
-            self.next.push_back(env);
+            self.network.push_back(env);
         } else {
-            self.cur.push_back(env);
+            self.local.push_back(env);
+        }
+    }
+
+    /// The fault plan's verdict chain on one send: `None` if the message is
+    /// refused (counted and traced here), else the rate limiter's queueing
+    /// delay for it.
+    fn rule(&mut self, from: NodeId, to: NodeId, is_network: bool) -> Option<u64> {
+        // The rate limiter's queueing delay for this message (computed up
+        // front so the token bucket counts every send attempt — a throttled
+        // sender queues messages whether or not the network then loses
+        // them — but priced only onto messages that actually schedule).
+        let mut queueing = 0;
+        if is_network {
+            if let Some(rl) = self.faults.rate_limit() {
+                queueing = rl.queue_delay(self.counts.bump(Counted::Peer(from)));
+                if queueing > 0 {
+                    self.stats.messages_throttled += 1;
+                    // Throttled is a *pricing* verdict: the message still
+                    // schedules, with `queueing` folded into its edge cost.
+                    self.trace_verdict(from, to, Verdict::Throttled, || {
+                        format!("rate-limit +{queueing}ms")
+                    });
+                }
+            }
+            // Partition: cross-side delivery is refused while the split is
+            // open. The epoch advances between protocol runs, never mid-run.
+            // Sides are the plan's alone: every query, and every retry of
+            // one, meets the same split.
+            if let Some(part) = self.faults.partition() {
+                let epoch = self.faults.epoch();
+                if part.severed(self.faults.plan_seed(), epoch, from, to, &self.net) {
+                    self.stats.messages_blocked += 1;
+                    self.trace_verdict(from, to, Verdict::Blocked, || {
+                        format!("partition epoch {epoch}")
+                    });
+                    return None;
+                }
+            }
+            if self.faults.should_drop(&mut self.rng) {
+                self.stats.messages_dropped += 1;
+                self.trace_verdict(from, to, Verdict::Dropped, || "drop-prob".to_string());
+                return None;
+            }
+            // Hash-verdict loss: the attempt index is this edge's delivery
+            // counter, so re-sends (retries) of the same edge get fresh
+            // verdicts while the whole stream stays a pure function of the
+            // event order — itself deterministic per seed.
+            if let Some(loss) = self.faults.loss() {
+                let attempt = self.counts.bump(Counted::Edge(from, to)) - 1;
+                if loss.lost(self.faults.plan_seed() ^ self.seed, from, to, attempt) {
+                    self.stats.messages_lost += 1;
+                    self.trace_verdict(from, to, Verdict::Lost, || {
+                        format!("hash-loss attempt {attempt}")
+                    });
+                    return None;
+                }
+            }
+        }
+        if self.faults.is_crashed(to) {
+            self.stats.messages_to_crashed += 1;
+            self.trace_verdict(from, to, Verdict::ToCrashed, || "crashed receiver".to_string());
+            return None;
+        }
+        Some(queueing)
+    }
+
+    /// Traces a fault verdict on the send `src → dst`; `plan` names the
+    /// ruling component and is spelled only when a sink is attached.
+    fn trace_verdict(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        verdict: Verdict,
+        plan: impl FnOnce() -> String,
+    ) {
+        if self.trace.is_some() {
+            self.emit(TraceEvent::FaultVerdict { src, dst, verdict, plan: plan() });
         }
     }
 
@@ -328,20 +326,24 @@ impl<'p, M> Sim<'p, M> {
     }
 
     /// Runs until both lanes drain, calling `handler` for each delivery:
-    /// the current tick's lane first, then the next tick's sends move into
-    /// it and the clock advances by one.
+    /// the tick's due network sends, then its self-deliveries; then the
+    /// network sends made meanwhile fall due and the clock advances by one.
     pub fn run<F>(&mut self, mut handler: F)
     where
         F: FnMut(&mut Sim<'p, M>, Envelope<M>),
     {
         loop {
-            let Some(env) = self.cur.pop_front() else {
-                if self.next.is_empty() {
+            let next = if self.due > 0 {
+                self.due -= 1;
+                self.network.pop_front()
+            } else {
+                self.local.pop_front()
+            };
+            let Some(env) = next else {
+                if self.network.is_empty() {
                     break;
                 }
-                // Moved, not swapped: trading the two lanes' buffers each
-                // tick measured a higher peak RSS on wide scans.
-                self.cur.append(&mut self.next);
+                self.due = self.network.len();
                 self.now += 1;
                 continue;
             };
@@ -360,7 +362,7 @@ impl<'p, M> Sim<'p, M> {
     /// Number of undelivered messages still queued (non-zero before `run`
     /// returns).
     pub fn pending(&self) -> usize {
-        self.cur.len() + self.next.len()
+        self.network.len() + self.local.len()
     }
 }
 
@@ -375,14 +377,15 @@ impl<'p, M> Sim<'p, M> {
 /// clock at zero) — only retained *capacity* differs, which no metric,
 /// digest, or trace can see.
 pub struct SimScratch<M> {
-    cur: VecDeque<Envelope<M>>,
-    next: VecDeque<Envelope<M>>,
+    network: VecDeque<Envelope<M>>,
+    local: VecDeque<Envelope<M>>,
     counts: SendCounts,
 }
 
 impl<M> Default for SimScratch<M> {
     fn default() -> Self {
-        SimScratch { cur: VecDeque::new(), next: VecDeque::new(), counts: SendCounts::default() }
+        let counts = SendCounts::default();
+        SimScratch { network: VecDeque::new(), local: VecDeque::new(), counts }
     }
 }
 
@@ -396,7 +399,7 @@ impl<M> SimScratch<M> {
 impl<M> std::fmt::Debug for SimScratch<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimScratch")
-            .field("lane_capacity", &(self.cur.capacity() + self.next.capacity()))
+            .field("lane_capacity", &(self.network.capacity() + self.local.capacity()))
             .finish_non_exhaustive()
     }
 }
@@ -853,6 +856,256 @@ mod tests {
                 assert!(stats.contains(&format!("messages_lost: {lost},")), "{stats}");
                 assert!(stats.contains(&format!("messages_throttled: {throttled},")), "{stats}");
             }
+        }
+    }
+
+    /// The simulator as it was with two lanes, kept as the reference the
+    /// engine is checked against: `cur` holds the tick being delivered (the
+    /// tick before's network sends, then this tick's self-deliveries),
+    /// `next` this tick's network sends, and a tick ends with
+    /// `cur.append(&mut next)`. Every send runs the whole fault chain, its
+    /// attempt and bucket counters kept in ordered maps.
+    struct TwoLanes<'p> {
+        now: SimTime,
+        seed: u64,
+        cur: VecDeque<Envelope<u64>>,
+        next: VecDeque<Envelope<u64>>,
+        rng: SmallRng,
+        net: NetModel,
+        faults: &'p FaultPlan,
+        stats: SimStats,
+        attempts: std::collections::BTreeMap<(NodeId, NodeId), u64>,
+        sends: std::collections::BTreeMap<NodeId, u64>,
+        trace: TraceSink,
+    }
+
+    impl TwoLanes<'_> {
+        fn trace_verdict(&mut self, src: NodeId, dst: NodeId, verdict: Verdict, plan: String) {
+            self.trace.emit(self.now, TraceEvent::FaultVerdict { src, dst, verdict, plan });
+        }
+    }
+
+    /// What the delivery-order reference drives: the engine, or
+    /// [`TwoLanes`].
+    trait Lanes {
+        fn now(&self) -> SimTime;
+        fn send_with_cost(&mut self, from: NodeId, to: NodeId, hop: u32, base: u64, id: u64);
+        fn forward(&mut self, received: &Envelope<u64>, to: NodeId, id: u64);
+        fn answer(&mut self, env: &Envelope<u64>);
+        fn drain(&mut self, handler: &mut dyn FnMut(&mut Self, Envelope<u64>));
+    }
+
+    impl Lanes for Sim<'_, u64> {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn send_with_cost(&mut self, from: NodeId, to: NodeId, hop: u32, base: u64, id: u64) {
+            Sim::send_with_cost(self, from, to, hop, base, id);
+        }
+        fn forward(&mut self, received: &Envelope<u64>, to: NodeId, id: u64) {
+            Sim::forward(self, received, to, id);
+        }
+        fn answer(&mut self, env: &Envelope<u64>) {
+            self.trace_answer(env);
+        }
+        fn drain(&mut self, handler: &mut dyn FnMut(&mut Self, Envelope<u64>)) {
+            self.run(handler);
+        }
+    }
+
+    impl Lanes for TwoLanes<'_> {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn send_with_cost(&mut self, from: NodeId, to: NodeId, hop: u32, base: u64, id: u64) {
+            let is_network = from != to;
+            let mut queueing = 0;
+            if is_network {
+                self.stats.messages_sent += 1;
+                if let Some(rl) = self.faults.rate_limit() {
+                    let sent = self.sends.entry(from).or_insert(0);
+                    *sent += 1;
+                    queueing = rl.queue_delay(*sent);
+                    if queueing > 0 {
+                        self.stats.messages_throttled += 1;
+                        let plan = format!("rate-limit +{queueing}ms");
+                        self.trace_verdict(from, to, Verdict::Throttled, plan);
+                    }
+                }
+                if let Some(part) = self.faults.partition() {
+                    let epoch = self.faults.epoch();
+                    if part.severed(self.faults.plan_seed(), epoch, from, to, &self.net) {
+                        self.stats.messages_blocked += 1;
+                        let plan = format!("partition epoch {epoch}");
+                        return self.trace_verdict(from, to, Verdict::Blocked, plan);
+                    }
+                }
+                if self.faults.should_drop(&mut self.rng) {
+                    self.stats.messages_dropped += 1;
+                    return self.trace_verdict(from, to, Verdict::Dropped, "drop-prob".into());
+                }
+                if let Some(loss) = self.faults.loss() {
+                    let count = self.attempts.entry((from, to)).or_insert(0);
+                    let attempt = *count;
+                    *count += 1;
+                    if loss.lost(self.faults.plan_seed() ^ self.seed, from, to, attempt) {
+                        self.stats.messages_lost += 1;
+                        let plan = format!("hash-loss attempt {attempt}");
+                        return self.trace_verdict(from, to, Verdict::Lost, plan);
+                    }
+                }
+            }
+            if self.faults.is_crashed(to) {
+                self.stats.messages_to_crashed += 1;
+                return self.trace_verdict(from, to, Verdict::ToCrashed, "crashed receiver".into());
+            }
+            let edge_cost_ms = queueing + if is_network { self.net.edge_cost(from, to) } else { 0 };
+            let cost = base + edge_cost_ms;
+            let kind = if is_network { HopKind::Network } else { HopKind::Local };
+            let hop_event =
+                TraceEvent::Hop { src: from, dst: to, hop, edge_cost_ms, cost_ms: cost, kind };
+            self.trace.emit(self.now, hop_event);
+            let env = Envelope { from, to, hop, cost, payload: id };
+            if is_network {
+                self.next.push_back(env);
+            } else {
+                self.cur.push_back(env);
+            }
+        }
+        fn forward(&mut self, received: &Envelope<u64>, to: NodeId, id: u64) {
+            self.send_with_cost(received.to, to, received.hop + 1, received.cost, id);
+        }
+        fn answer(&mut self, env: &Envelope<u64>) {
+            let answer = TraceEvent::Answer { node: env.to, hop: env.hop, cost_ms: env.cost };
+            self.trace.emit(self.now, answer);
+        }
+        fn drain(&mut self, handler: &mut dyn FnMut(&mut Self, Envelope<u64>)) {
+            loop {
+                let Some(env) = self.cur.pop_front() else {
+                    if self.next.is_empty() {
+                        break;
+                    }
+                    self.cur.append(&mut self.next);
+                    self.now += 1;
+                    continue;
+                };
+                self.stats.deliveries += 1;
+                if env.from != env.to {
+                    self.stats.max_hop_delivered = self.stats.max_hop_delivered.max(env.hop);
+                }
+                let delivery =
+                    TraceEvent::Delivery { node: env.to, hop: env.hop, cost_ms: env.cost };
+                self.trace.emit(self.now, delivery);
+                handler(self, env);
+            }
+        }
+    }
+
+    /// One delivered envelope as the reference compares it:
+    /// `(now, from, to, hop, cost, payload)`.
+    type Delivered = (SimTime, NodeId, NodeId, u32, u64, u64);
+
+    /// Runs a program on `lanes`: the starting sends, then per delivery the
+    /// program's next steps — `(0, p)` forwards to peer `p`, `(1, p)` sends
+    /// from `p` to the receiver at a hop of its own, `(2, _)` sends to
+    /// itself mid-tick, `(3, _)` marks the delivery answered, and `(4, _)`
+    /// does nothing. Message ids are send order.
+    fn drive<L: Lanes>(
+        lanes: &mut L,
+        starts: &[(NodeId, NodeId)],
+        program: &[(u8, NodeId)],
+    ) -> Vec<Delivered> {
+        let mut id = 0;
+        for &(from, to) in starts {
+            lanes.send_with_cost(from, to, 0, 0, id);
+            id += 1;
+        }
+        let (mut got, mut steps) = (Vec::new(), program.iter());
+        lanes.drain(&mut |lanes, env| {
+            got.push((lanes.now(), env.from, env.to, env.hop, env.cost, env.payload));
+            for &(op, peer) in steps.by_ref().take(3) {
+                match op {
+                    0 => lanes.forward(&env, peer, id),
+                    1 => lanes.send_with_cost(peer, env.to, env.hop + 2, env.cost, id),
+                    2 => lanes.send_with_cost(env.to, env.to, env.hop, env.cost, id),
+                    3 => lanes.answer(&env),
+                    _ => {}
+                }
+                id += 1;
+            }
+        });
+        got
+    }
+
+    // The engine against the two-lane reference: over random programs of
+    // network sends, forwards and mid-tick self-sends, under a random plan
+    // of drops, hash loss, crashes, a rate limit and a partition, on a unit
+    // or a wan net, the delivered sequence, the stats and the trace are the
+    // reference's — traced or not, fresh or recycled.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn delivery_order_stats_and_trace_match_the_two_lane_reference(
+            seed in any::<u64>(),
+            starts in prop::collection::vec((0usize..8, 0usize..8), 1..6),
+            program in prop::collection::vec((0u8..5, 0usize..8), 0..160),
+            drop in prop_oneof![Just(0.0), 0.05f64..0.3],
+            (lossy, p, burst) in (any::<bool>(), 0.05f64..0.4, 1u64..4),
+            crashed in prop::collection::vec(0usize..8, 0..3),
+            (throttled, bucket, delay) in (any::<bool>(), 1u64..4, 1u64..6),
+            (split, islands, epoch) in (any::<bool>(), 2u64..4, 0u64..2),
+            wan in any::<bool>(),
+        ) {
+            // Every family is attached about half the time, so about one
+            // plan in thirty is fault-free.
+            let mut plan = FaultPlan::with_drop_prob(drop).with_plan_seed(seed.rotate_left(17));
+            if lossy {
+                plan = plan.with_loss(LossPlan::bursty(p, burst));
+            }
+            if throttled {
+                plan = plan.with_rate_limit(RateLimitPlan::new(bucket, delay));
+            }
+            if split {
+                plan = plan.with_partition(crate::faults::PartitionPlan::new(islands, 1, 3));
+                plan.set_epoch(epoch);
+            }
+            crashed.iter().for_each(|&node| plan.crash(node));
+            let net = if wan { NetModel::wan() } else { NetModel::unit() };
+
+            let mut reference = TwoLanes {
+                now: 0,
+                seed,
+                cur: VecDeque::new(),
+                next: VecDeque::new(),
+                rng: crate::rng_from_seed(seed),
+                net,
+                faults: &plan,
+                stats: SimStats::default(),
+                attempts: Default::default(),
+                sends: Default::default(),
+                trace: TraceSink::new(),
+            };
+            let want = drive(&mut reference, &starts, &program);
+            let want_trace: Vec<String> =
+                reference.trace.records().iter().map(TraceRecord::to_json_line).collect();
+
+            let mut scratch = SimScratch::new();
+            for round in 0..2 {
+                let mut sim = Sim::from_scratch(seed, &mut scratch)
+                    .with_net(net)
+                    .with_faults(&plan)
+                    .with_trace(TraceSink::new());
+                prop_assert_eq!(&drive(&mut sim, &starts, &program), &want, "round {}", round);
+                prop_assert_eq!(sim.stats(), &reference.stats, "round {}", round);
+                let trace = sim.take_trace().expect("sink attached");
+                let trace: Vec<String> = trace.records().iter().map(TraceRecord::to_json_line).collect();
+                prop_assert_eq!(&trace, &want_trace, "round {}", round);
+                sim.recycle(&mut scratch);
+            }
+            let mut untraced = Sim::new(seed).with_net(net).with_faults(&plan);
+            prop_assert_eq!(&drive(&mut untraced, &starts, &program), &want);
+            prop_assert_eq!(untraced.stats(), &reference.stats);
         }
     }
 

@@ -6,7 +6,8 @@
 //!
 //! * [`Sim`] — a virtual clock in unit ticks and two delivery lanes: a
 //!   network message lands one tick after it was sent, a self-delivery in
-//!   the tick it was sent in. Protocol logic is a plain
+//!   the tick it was sent in, after the tick's network deliveries. Each
+//!   envelope is written once and read once. Protocol logic is a plain
 //!   `FnMut(&mut Sim<M>, Envelope<M>)` handler, so node state lives in
 //!   ordinary Rust structures captured by the closure.
 //! * [`Envelope`] — a delivered message carrying its **hop depth** (overlay

@@ -594,6 +594,13 @@ const DCF_GOLDEN_DIGESTS: [(&str, u64); 5] = [
     ("dcf-can+r3", 0x0ba7_e0da_43e0_a2bd),
 ];
 const DCF_WAN_TRACE_JSONL_FNV: u64 = 0xb217_704c_ee65_32dd;
+/// The FNV-1a hash of the `trace_explain --sample 1/1 --format jsonl`
+/// stream for `pira+r3@wan@lossy-10/r2` at N = 250 and 100 queries (the
+/// stream CI validates against the schema) — recorded while `Sim` kept two
+/// delivery lanes and a descent message was 24 bytes, so a change to the
+/// simulator's delivery order or to PIRA's handler that moves one hop, one
+/// fault verdict, one virtual millisecond or one replica fetch fails here.
+const PIRA_LOSSY_TRACE_JSONL_FNV: u64 = 0x39e0_930f_dd56_e6e6;
 
 #[test]
 fn dcf_golden_digests_hold() {
@@ -634,6 +641,20 @@ fn dcf_golden_digests_hold() {
     let jsonl = run_sampled(&cfg, 1, Format::Jsonl).expect("trace stream renders");
     let got = dht_api::fnv1a(jsonl.as_bytes());
     assert_eq!(got, DCF_WAN_TRACE_JSONL_FNV, "dcf-can@wan trace stream moved to {got:#018x}");
+}
+
+#[test]
+fn pira_lossy_trace_stream_holds() {
+    use armada_suite::experiments::trace_explain::{run_sampled, Format, TraceExplainConfig};
+    let cfg = TraceExplainConfig {
+        scheme: "pira+r3@wan@lossy-10/r2".into(),
+        n: 250,
+        queries: 100,
+        ..TraceExplainConfig::default()
+    };
+    let jsonl = run_sampled(&cfg, 1, Format::Jsonl).expect("trace stream renders");
+    let got = dht_api::fnv1a(jsonl.as_bytes());
+    assert_eq!(got, PIRA_LOSSY_TRACE_JSONL_FNV, "{} trace stream moved to {got:#018x}", cfg.scheme);
 }
 
 /// `DigestReport`s of one fixed batch (N = 600, 600 records, 200 `mixed`
