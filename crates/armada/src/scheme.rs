@@ -149,10 +149,6 @@ impl RangeScheme for PiraScheme {
         Ok(out)
     }
 
-    fn supports_fault_injection(&self) -> bool {
-        true
-    }
-
     fn as_dynamic(&mut self) -> Option<&mut dyn DynamicScheme> {
         Some(&mut self.inner)
     }
@@ -326,10 +322,6 @@ impl RangeScheme for SeqWalkScheme {
         let out = remap(out, &self.handles);
         cx.trace_sim_records("seqwalk", records, &out);
         Ok(out)
-    }
-
-    fn supports_fault_injection(&self) -> bool {
-        true
     }
 
     fn as_dynamic(&mut self) -> Option<&mut dyn DynamicScheme> {
@@ -654,7 +646,7 @@ mod tests {
     }
 
     #[test]
-    fn pira_supports_fault_injection_through_the_trait() {
+    fn pira_simulates_fault_plans_through_the_trait() {
         let mut rng = simnet::rng_from_seed(805);
         let mut scheme = PiraScheme::build(&params(150), &mut rng).unwrap();
         for h in 0..150u64 {

@@ -43,7 +43,8 @@
 //! let net = ChordNet::build(128, &mut rng);
 //! let mut gets = Vec::new();
 //! let keys = [0xdead_beef, 0xfeed];
-//! net.route_keys(net.any_node(), &keys, &NetModel::unit(), &mut QueryScratch::new(), &mut gets);
+//! let unit = NetModel::unit();
+//! net.route_keys(net.any_node(), &keys, &unit, None, &mut QueryScratch::new(), &mut gets);
 //! for ((lookup, latency), key) in gets.into_iter().zip(keys) {
 //!     assert_eq!(lookup.owner, net.successor_of(key));
 //!     assert!(lookup.hops as f64 <= 2.0 * 128f64.log2());
@@ -451,7 +452,7 @@ impl ChordNet {
     /// Panics if `from` is dead.
     pub fn route_point(&self, from: NodeId, key: u64) -> Lookup {
         let (owner, hops) = self.route_fold(from, key, 0, |hops, _, _| hops + 1);
-        Lookup { owner, hops }
+        Lookup { owner, hops, arrived: true }
     }
 
     /// The clockwise distance from live `node` to its ring predecessor:
@@ -606,9 +607,19 @@ impl Dht for ChordNet {
         from: NodeId,
         keys: &[u64],
         model: &simnet::NetModel,
+        faults: Option<&mut simnet::Verdicts<'_>>,
         scratch: &mut simnet::QueryScratch,
         out: &mut Vec<(Lookup, u64)>,
     ) {
+        if let Some(verdicts) = faults {
+            for &key in keys {
+                let fold = |acc, src, dst| dht_api::faulted_edge(verdicts, model, acc, src, dst);
+                let (owner, (hops, latency, arrived)) =
+                    self.route_fold(from, key, (0, 0, true), fold);
+                out.push((Lookup { owner, hops, arrived }, latency));
+            }
+            return;
+        }
         // The greedy finger paths, priced edge by edge, walked as one tree.
         let price =
             |(hops, cost): (usize, u64), src, dst| (hops + 1, cost + model.edge_cost(src, dst));
@@ -621,7 +632,9 @@ impl Dht for ChordNet {
             }
         }
         out.extend(
-            tree.results().iter().map(|&(owner, (hops, cost))| (Lookup { owner, hops }, cost)),
+            tree.results()
+                .iter()
+                .map(|&(owner, (hops, cost))| (Lookup { owner, hops, arrived: true }, cost)),
         );
     }
 

@@ -44,11 +44,15 @@
 //!   ([`ReplicationControl`]), with repair traffic reported per epoch.
 //! * [`RetryPolicy`] / [`Hostile`] — the hostile-network layer: named
 //!   fault plans (per-edge loss, partitions, rate limits — see
-//!   [`simnet::FaultPlan`]) and seeded retry/timeout policies composable
-//!   over any scheme via `"pira@lossy-p/r2"`-style registry suffixes,
-//!   every verdict a pure hash so faulted reports stay bitwise
-//!   thread-count-invariant; epoch drivers advance partition epochs
-//!   through [`HostileControl`].
+//!   [`simnet::FaultPlan`]) and seeded retry/timeout policies composed
+//!   via `"pira@lossy-p/r2"`-style registry suffixes. Every engine that
+//!   simulates a plan loses real messages to the one
+//!   [`simnet::Verdicts`] chain — in `Sim`, or on a layered scheme's
+//!   routed gets ([`Dht::route_keys`]) — whose verdicts are a pure
+//!   function of the query seed and send order, so faulted reports stay
+//!   bitwise thread-count-invariant; a scheme that cannot refuses the
+//!   plan. Epoch drivers advance partition epochs through
+//!   [`HostileControl`].
 //!
 //! # Metric vocabulary (§4.3.3 of the paper)
 //!
@@ -132,8 +136,39 @@ use simnet::NodeId;
 pub struct Lookup {
     /// Peer responsible for the key.
     pub owner: NodeId,
-    /// Overlay hops from the source to the owner.
+    /// Overlay hops from the source to the owner: the sends the route
+    /// made, a refused one included.
     pub hops: usize,
+    /// Whether the route reached `owner`: false once a fault plan refused
+    /// one of its sends, always true without one.
+    pub arrived: bool,
+}
+
+/// What a route through a fault plan folds over its edges: the sends made,
+/// the virtual latency of those delivered, and whether the route still
+/// stands.
+pub type FaultedRoute = (usize, u64, bool);
+
+/// Folds the edge `src → dst` into a route ruled by `verdicts` — the
+/// `route_fold` step of [`Dht::route_keys`] under a plan. The send is
+/// made and counted; a refusal ends the route, so later edges fold
+/// nothing. A delivered send adds its edge cost under `net` and its
+/// queueing delay.
+#[inline]
+pub fn faulted_edge(
+    verdicts: &mut simnet::Verdicts<'_>,
+    net: &NetModel,
+    (hops, latency, arrived): FaultedRoute,
+    src: NodeId,
+    dst: NodeId,
+) -> FaultedRoute {
+    if !arrived {
+        return (hops, latency, false);
+    }
+    match verdicts.rule(src, dst, true, net, None) {
+        Some(queueing) => (hops + 1, latency + queueing + net.edge_cost(src, dst), true),
+        None => (hops + 1, latency, false),
+    }
 }
 
 /// The exact-match interface a layered scheme consumes.
@@ -143,7 +178,8 @@ pub struct Lookup {
 ///
 /// [`route_keys`](Dht::route_keys) is the one way a layered scheme routes:
 /// a single lookup is a batch of one key, so a hop counter or a fault
-/// verdict on routed hops has one place to go.
+/// verdict on routed hops has one place to go — the same
+/// [`simnet::Verdicts`] chain the simulator rules its sends with.
 ///
 /// `Send + Sync` are supertraits: routing takes `&self`, and a layered
 /// scheme (e.g. PHT) can only satisfy [`RangeScheme`]'s thread-safety
@@ -154,11 +190,18 @@ pub trait Dht: Send + Sync {
     /// in order, each route's [`Lookup`] and its virtual latency under
     /// `net`: the summed [`NetModel::edge_cost`] of every edge the route
     /// crosses. A batch is what a layered scheme's gets from one client
-    /// cost, such as a PHT range query's trie-node gets. Routes from one
-    /// origin share hops, so a substrate walks them as one route tree
-    /// (`chord` and `fissione` do), keeping its buffers in `scratch`; every
-    /// entry equals the key routed alone, which debug builds of both hold
-    /// against the substrate's own single route.
+    /// cost, such as a PHT range query's trie-node gets.
+    ///
+    /// Without `faults`, routes from one origin share hops, so a substrate
+    /// walks them as one route tree (`chord` and `fissione` do), keeping
+    /// its buffers in `scratch`; every entry equals the key routed alone,
+    /// which debug builds of both hold against the substrate's own single
+    /// route. With `faults`, every get is its own message: each key is
+    /// routed alone, in batch order, with every edge ruled by the chain
+    /// ([`faulted_edge`]). A refused edge ends that key's route — its entry
+    /// has `arrived` false and counts every send made, the refused one
+    /// included — and a delivered edge adds its queueing delay to the
+    /// latency.
     ///
     /// May panic if `from` is not live ([`is_live`](Dht::is_live)).
     fn route_keys(
@@ -166,6 +209,7 @@ pub trait Dht: Send + Sync {
         from: NodeId,
         keys: &[u64],
         net: &NetModel,
+        faults: Option<&mut simnet::Verdicts<'_>>,
         scratch: &mut simnet::QueryScratch,
         out: &mut Vec<(Lookup, u64)>,
     );

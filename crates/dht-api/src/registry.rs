@@ -274,7 +274,7 @@ impl SchemeRegistry {
             None => scheme,
             Some((plan, retry, spec)) => {
                 let retry = retry.unwrap_or_else(RetryPolicy::none);
-                Box::new(Hostile::new(scheme, plan, retry, effective.net, spec)?)
+                Box::new(Hostile::new(scheme, plan, retry, spec)?)
             }
         })
     }

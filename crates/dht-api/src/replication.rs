@@ -916,10 +916,6 @@ impl RangeScheme for Replicated {
         Ok(out)
     }
 
-    fn supports_fault_injection(&self) -> bool {
-        self.inner.supports_fault_injection()
-    }
-
     fn retry_attempts(&self) -> u64 {
         self.inner.retry_attempts()
     }
@@ -1105,9 +1101,6 @@ mod tests {
         }
         fn as_replica_routing(&self) -> Option<&dyn ReplicaRouting> {
             Some(self)
-        }
-        fn supports_fault_injection(&self) -> bool {
-            true
         }
         fn query(
             &self,

@@ -646,14 +646,6 @@ pub trait RangeScheme: Send + Sync {
         self.query(&RangeRequest::new(origin, lo, hi, seed)?, &mut QueryCtx::new(scratch))
     }
 
-    /// Whether [`query`](Self::query) simulates an injecting fault plan
-    /// natively instead of refusing it. [`Hostile`](crate::Hostile) picks
-    /// native vs response-plane degradation from this before it queries,
-    /// and experiments filter on it instead of hard-coding scheme lists.
-    fn supports_fault_injection(&self) -> bool {
-        false
-    }
-
     /// Cumulative retry attempts this scheme has spent beyond each query's
     /// first try — non-zero only on the [`Hostile`](crate::Hostile)
     /// wrapper, whose drivers read the delta around a batch to account

@@ -167,10 +167,6 @@ impl RangeScheme for DcfScheme {
         Ok(out)
     }
 
-    fn supports_fault_injection(&self) -> bool {
-        true
-    }
-
     fn as_dynamic(&mut self) -> Option<&mut dyn DynamicScheme> {
         Some(self)
     }

@@ -4,38 +4,19 @@
 //! The paper evaluates fault-free networks; this extension quantifies how
 //! a scheme degrades when the overlay misbehaves (a dropped message prunes
 //! a whole subtree of PIRA's descent, or the rest of a sequential walk; a
-//! crashed zone swallows a flood branch). It is scheme-generic: anything
-//! whose [`query`](dht_api::RangeScheme::query) simulates the fault plan
-//! its [`QueryCtx`] carries is measured — discovered at runtime through
-//! [`supports_fault_injection`](dht_api::RangeScheme::supports_fault_injection)
-//! (PIRA, the sequential walk and both DCF-CAN variants today) — and
-//! everything is built by registry name, never through a native
-//! constructor.
+//! crashed zone swallows a flood branch; a lost PHT get or response loses
+//! its trie node's subtree). Every scheme that churns
+//! ([`dynamic_single_names`]) simulates the plan its [`QueryCtx`] carries
+//! on its real messages — PIRA, the sequential walk, both DCF-CAN variants
+//! and PHT on either substrate — and everything is built by registry name,
+//! never through a native constructor. The static baselines refuse a plan
+//! and are not measured.
 
 use crate::output::Table;
-use crate::{paper, standard_registry, Scale};
+use crate::{dynamic_single_names, paper, standard_registry, Scale};
 use dht_api::{BuildParams, QueryCtx, RangeRequest, RangeScheme};
 use rand::Rng;
 use simnet::FaultPlan;
-
-/// Names of every registered single-attribute scheme that models
-/// per-query fault injection, discovered through the capability hook (no
-/// hard-coded scheme list — a new faulty-capable scheme joins R1 by
-/// registering itself).
-pub fn fault_capable_names() -> Vec<String> {
-    let registry = standard_registry();
-    let params = BuildParams::new(40, 0.0, 1000.0).with_object_id_len(24);
-    registry
-        .single_names()
-        .into_iter()
-        .filter(|name| {
-            let mut rng = simnet::rng_from_seed(0xfa17);
-            let scheme = registry.build_single(name, &params, &mut rng).expect("build");
-            scheme.supports_fault_injection()
-        })
-        .map(str::to_string)
-        .collect()
-}
 
 /// Runs the fault-tolerance study.
 pub fn run(scale: Scale) -> Table {
@@ -54,7 +35,7 @@ pub fn run(scale: Scale) -> Table {
         &["scheme", "fault", "level", "avg peer recall", "min recall", "avg delay", "exact rate"],
     );
 
-    for scheme_name in fault_capable_names() {
+    for scheme_name in dynamic_single_names() {
         let mut rng = simnet::rng_from_seed(0xfa17 ^ dht_api::fnv1a(scheme_name.as_bytes()));
         let scheme = registry.build_single(&scheme_name, &params, &mut rng).expect("build");
 
@@ -137,11 +118,11 @@ mod tests {
 
     #[test]
     fn fault_free_rows_are_perfect_and_loss_degrades() {
-        let discovered = fault_capable_names();
+        let discovered = dynamic_single_names();
         assert_eq!(
             discovered,
-            vec!["dcf-can", "dcf-can-naive", "pira", "seqwalk"],
-            "runtime discovery should find exactly the overriding schemes"
+            vec!["dcf-can", "dcf-can-naive", "pht-chord", "pht-fissione", "pira", "seqwalk"],
+            "runtime discovery should find exactly the churning schemes"
         );
         let t = run(Scale::Quick);
         // 8 rows per scheme: 5 loss levels + 3 crash fractions.

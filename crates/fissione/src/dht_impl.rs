@@ -36,9 +36,20 @@ impl Dht for FissioneNet {
         from: NodeId,
         keys: &[u64],
         model: &simnet::NetModel,
+        faults: Option<&mut simnet::Verdicts<'_>>,
         scratch: &mut simnet::QueryScratch,
         out: &mut Vec<(Lookup, u64)>,
     ) {
+        if let Some(verdicts) = faults {
+            for &key in keys {
+                let fold = |acc, src, dst| dht_api::faulted_edge(verdicts, model, acc, src, dst);
+                let routed = self.route_fold(from, self.object_of_key(key), (0, 0, true), fold);
+                let (owner, (hops, latency, arrived)) =
+                    routed.expect("routing on a complete cover succeeds");
+                out.push((Lookup { owner, hops, arrived }, latency));
+            }
+            return;
+        }
         // The Kautz long paths, priced edge by edge, walked as one tree on
         // the targets' windows.
         let price =
@@ -53,7 +64,7 @@ impl Dht for FissioneNet {
             }
             let &(owner, (hops, cost)) =
                 got.as_ref().expect("routing on a complete cover succeeds");
-            out.push((Lookup { owner, hops }, cost));
+            out.push((Lookup { owner, hops, arrived: true }, cost));
         }
     }
 
@@ -151,7 +162,7 @@ mod tests {
         for _ in 0..5 {
             let from = net.random_node(&mut rng);
             let mut out = Vec::new();
-            net.route_keys(from, &keys, &NetModel::unit(), &mut scratch, &mut out);
+            net.route_keys(from, &keys, &NetModel::unit(), None, &mut scratch, &mut out);
             assert_eq!(out.len(), keys.len());
             for (&key, (lookup, latency)) in keys.iter().zip(out) {
                 assert_eq!(lookup.owner, owner(&net, key));
@@ -166,7 +177,7 @@ mod tests {
     fn assert_batch_equals_routes(net: &FissioneNet, from: NodeId, keys: &[u64]) {
         let wan = NetModel::wan();
         let mut out = Vec::new();
-        net.route_keys(from, keys, &wan, &mut QueryScratch::new(), &mut out);
+        net.route_keys(from, keys, &wan, None, &mut QueryScratch::new(), &mut out);
         assert_eq!(out.len(), keys.len());
         for (&key, &got) in keys.iter().zip(&out) {
             let (owner, (hops, cost)) = net
@@ -174,7 +185,7 @@ mod tests {
                     (hops + 1, cost + wan.edge_cost(src, dst))
                 })
                 .unwrap();
-            assert_eq!(got, (Lookup { owner, hops }, cost), "{from} -> {key:#x}");
+            assert_eq!(got, (Lookup { owner, hops, arrived: true }, cost), "{from} -> {key:#x}");
         }
     }
 

@@ -24,7 +24,10 @@
 //! walking each finger edge once for every get behind it. Every get is
 //! still charged its own full routing, and the probes and descent levels
 //! fold exactly as the algorithm runs them, so the delay stays
-//! `Θ(b·log N)`; only the simulator's work shrinks.
+//! `Θ(b·log N)`; only the simulator's work shrinks. Under a fault plan
+//! which gets are sent depends on which came back, so the query routes
+//! round by round instead, each get alone through the plan's
+//! [`simnet::Verdicts`] chain: a lost get loses its trie node's subtree.
 //!
 //! # Example
 //!
@@ -49,8 +52,8 @@ pub mod scheme;
 
 pub use scheme::{register, DynamicPhtScheme, PhtScheme};
 
-use dht_api::Dht;
-use simnet::{NodeId, QueryScratch};
+use dht_api::{Dht, Lookup};
+use simnet::{NodeId, QueryScratch, Verdicts};
 
 /// Default key width in bits (quantisation of the attribute domain).
 pub const DEFAULT_WIDTH: u32 = 16;
@@ -171,6 +174,9 @@ pub struct PhtOutcome {
     pub nodes_visited: usize,
     /// Leaves whose bucket overlapped the range.
     pub dest_leaves: usize,
+    /// Destination leaves whose get was answered: `dest_leaves` unless a
+    /// fault plan lost one.
+    pub reached_leaves: usize,
 }
 
 /// A Prefix Hash Tree over a generic DHT substrate.
@@ -360,22 +366,46 @@ impl<D: Dht> Pht<D> {
         hi: f64,
         scratch: &mut QueryScratch,
     ) -> PhtOutcome {
+        self.range_query_under(from, lo, hi, None, scratch)
+    }
+
+    /// [`range_query_scratch`](Self::range_query_scratch), its gets lost
+    /// by a fault plan's verdict chain when `faults` is given.
+    ///
+    /// Under a plan, which gets are sent depends on which came back, so
+    /// the query routes round by round: each get alone through the chain
+    /// ([`Dht::route_keys`]), then its direct response. A binary-search
+    /// probe that goes unanswered reads as a missing node and the search
+    /// steps shallower — still correct, since the descent then starts at
+    /// an ancestor on the lcp path. A descent get that goes unanswered
+    /// loses its node's subtree. A round costs its slowest answered get;
+    /// `dest_leaves` is the fault-free count, found by a local trie walk,
+    /// and `reached_leaves` counts the answered ones.
+    pub(crate) fn range_query_under(
+        &self,
+        from: NodeId,
+        lo: f64,
+        hi: f64,
+        faults: Option<&mut Verdicts<'_>>,
+        scratch: &mut QueryScratch,
+    ) -> PhtOutcome {
         let mut bufs = std::mem::take(scratch.slot::<QueryBufs>());
-        let out = self.query_on(from, lo, hi, &mut bufs, scratch);
+        let out = self.query_on(from, lo, hi, faults, &mut bufs, scratch);
         *scratch.slot::<QueryBufs>() = bufs;
         out
     }
 
-    /// [`range_query_scratch`](Self::range_query_scratch) on its buffers.
+    /// [`range_query_under`](Self::range_query_under) on its buffers.
     fn query_on(
         &self,
         from: NodeId,
         lo: f64,
         hi: f64,
+        mut faults: Option<&mut Verdicts<'_>>,
         bufs: &mut QueryBufs,
         scratch: &mut QueryScratch,
     ) -> PhtOutcome {
-        let QueryBufs { keys, rounds, descent, hits, gets } = bufs;
+        let QueryBufs { keys, rounds, descent, hits, gets, answered } = bufs;
         let (a, b) = (self.quantize(lo.min(hi)), self.quantize(hi.max(lo)));
 
         // Longest common prefix of the range endpoints.
@@ -393,11 +423,32 @@ impl<D: Dht> Pht<D> {
             deepest += 1;
         }
 
+        // Ends the round of gets listed since the last one. Under a plan
+        // they go out now, and `answered` learns which came back; without
+        // one, every get is answered and all are priced after the walk.
+        keys.clear();
+        rounds.clear();
+        answered.clear();
+        let faulty = faults.is_some();
+        let mut cost = Cost::default();
+        let mut end_round = |keys: &[u64],
+                             rounds: &mut Vec<usize>,
+                             gets: &mut Vec<(Lookup, u64)>,
+                             answered: &mut Vec<bool>| {
+            let start = rounds.last().copied().unwrap_or(0);
+            rounds.push(keys.len());
+            if let Some(verdicts) = faults.as_deref_mut() {
+                gets.clear();
+                let (net, round) = (&self.net, &keys[start..]);
+                self.dht.route_keys(from, round, net, Some(&mut *verdicts), scratch, gets);
+                let reply = |owner| verdicts.rule(owner, from, owner != from, net, None);
+                cost.round(net, from, gets, reply, Some(answered));
+            }
+        };
+
         // Binary search over prefix lengths for the deepest existing node on
         // the lcp path (sequential DHT gets; a missing probe still pays its
         // get). Each probe is a round of its own.
-        keys.clear();
-        rounds.clear();
         let (mut lo_len, mut hi_len) = (0u32, lcp_len);
         let mut start = 0;
         while lo_len <= hi_len {
@@ -408,8 +459,8 @@ impl<D: Dht> Pht<D> {
             } else {
                 lcp.prefix(mid).dht_key()
             });
-            rounds.push(keys.len());
-            if exists {
+            end_round(keys, rounds, gets, answered);
+            if exists && (!faulty || answered[keys.len() - 1]) {
                 start = path[mid as usize];
                 if mid == hi_len {
                     break;
@@ -428,24 +479,29 @@ impl<D: Dht> Pht<D> {
         hits.clear();
         descent.clear();
         descent.push(start);
-        let mut dest_leaves = 0usize;
+        let mut reached_leaves = 0usize;
         let mut level = 0..1;
         while !level.is_empty() {
-            for at in level.clone() {
+            let first_get = keys.len();
+            keys.extend(descent[level.clone()].iter().map(|&at| self.nodes[at].key));
+            end_round(keys, rounds, gets, answered);
+            for (at, get) in level.clone().zip(first_get..) {
+                if faulty && !answered[get] {
+                    continue;
+                }
                 let node = &self.nodes[descent[at]];
-                keys.push(node.key);
                 match &node.body {
+                    // Every node the descent reaches overlaps the range:
+                    // `start` lies on the lcp path and a child is taken
+                    // only if it overlaps. So every leaf is a destination.
                     Body::Leaf(entries) => {
-                        let before = hits.len();
                         hits.extend(
                             entries
                                 .iter()
                                 .filter(|&&(k, v, _)| k >= a && k <= b && v >= lo && v <= hi)
                                 .map(|&(_, _, h)| h),
                         );
-                        if hits.len() > before || node.label.overlaps(self.width, a, b) {
-                            dest_leaves += 1;
-                        }
+                        reached_leaves += 1;
                     }
                     &Body::Internal(first) => {
                         for child in [first, first + 1] {
@@ -456,40 +512,89 @@ impl<D: Dht> Pht<D> {
                     }
                 }
             }
-            rounds.push(keys.len());
             level = level.end..descent.len();
         }
 
-        // Every get priced at once, then folded round by round: a round
-        // costs its slowest get, and the rounds run one after another.
-        gets.clear();
-        self.dht.route_keys(from, keys, &self.net, scratch, gets);
-        debug_assert_eq!(gets.len(), keys.len(), "one priced get per key");
-        let (mut delay, mut latency, mut messages) = (0u64, 0u64, 0u64);
-        let mut first = 0;
-        for &end in rounds.iter() {
-            let (mut round_delay, mut round_latency) = (0u64, 0u64);
-            for &(lookup, route_latency) in &gets[first..end] {
-                let rtt = lookup.hops as u64 + 1; // routed request + direct response
-                round_delay = round_delay.max(rtt);
-                round_latency =
-                    round_latency.max(route_latency + self.net.edge_cost(lookup.owner, from));
-                messages += rtt;
+        let dest_leaves = if faulty {
+            self.overlapping_leaves(path[deepest as usize], a, b)
+        } else {
+            // Every get priced at once, then folded round by round: a
+            // round costs its slowest get, and the rounds run one after
+            // another.
+            gets.clear();
+            self.dht.route_keys(from, keys, &self.net, None, scratch, gets);
+            debug_assert_eq!(gets.len(), keys.len(), "one priced get per key");
+            let mut first = 0;
+            for &end in rounds.iter() {
+                cost.round(&self.net, from, &gets[first..end], |_| Some(0), None);
+                first = end;
             }
-            delay += round_delay;
-            latency += round_latency;
-            first = end;
-        }
+            reached_leaves
+        };
 
         hits.sort_unstable();
         PhtOutcome {
             results: hits.to_vec(),
-            delay,
-            latency,
-            messages,
+            delay: cost.delay,
+            latency: cost.latency,
+            messages: cost.messages,
             nodes_visited: keys.len(),
             dest_leaves,
+            reached_leaves,
         }
+    }
+
+    /// The leaves under arena node `at` — itself overlapping `[a, b]` —
+    /// whose keys overlap `[a, b]`: a query's destinations, found by a
+    /// local walk that routes nothing.
+    fn overlapping_leaves(&self, at: usize, a: u32, b: u32) -> usize {
+        match self.nodes[at].body {
+            Body::Leaf(_) => 1,
+            Body::Internal(first) => [first, first + 1]
+                .into_iter()
+                .filter(|&child| self.nodes[child].label.overlaps(self.width, a, b))
+                .map(|child| self.overlapping_leaves(child, a, b))
+                .sum(),
+        }
+    }
+}
+
+/// A query's critical path and traffic, folded round by round.
+#[derive(Debug, Default)]
+struct Cost {
+    delay: u64,
+    latency: u64,
+    messages: u64,
+}
+
+impl Cost {
+    /// Folds one round of routed gets from `from`. A get costs its routed
+    /// request plus, if the request arrived, a one-hop direct response
+    /// whose ruling `reply(owner)` gives: its queueing delay, or `None`
+    /// when it is lost. The round costs its slowest answered get; each
+    /// get's answer is pushed onto `answered`, if given.
+    fn round(
+        &mut self,
+        net: &simnet::NetModel,
+        from: NodeId,
+        gets: &[(Lookup, u64)],
+        mut reply: impl FnMut(NodeId) -> Option<u64>,
+        mut answered: Option<&mut Vec<bool>>,
+    ) {
+        let (mut delay, mut latency) = (0u64, 0u64);
+        for &(lookup, route_latency) in gets {
+            self.messages += lookup.hops as u64 + u64::from(lookup.arrived);
+            let answer = if lookup.arrived { reply(lookup.owner) } else { None };
+            if let Some(queueing) = answer {
+                delay = delay.max(lookup.hops as u64 + 1); // routed request + direct response
+                latency = latency.max(route_latency + net.edge_cost(lookup.owner, from) + queueing);
+            }
+            if let Some(answered) = answered.as_deref_mut() {
+                answered.push(answer.is_some());
+            }
+        }
+        self.delay += delay;
+        self.latency += latency;
     }
 }
 
@@ -506,14 +611,16 @@ struct QueryBufs {
     descent: Vec<usize>,
     /// Handles of the matching records.
     hits: Vec<u64>,
-    /// Each get's routed lookup and path latency, as `keys`.
-    gets: Vec<(dht_api::Lookup, u64)>,
+    /// Each get's routed lookup and path latency: every key's after a
+    /// fault-free walk, the last round's under a plan.
+    gets: Vec<(Lookup, u64)>,
+    /// Whether each get, as `keys`, was answered.
+    answered: Vec<bool>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dht_api::Lookup;
     use rand::rngs::SmallRng;
     use rand::Rng;
 
@@ -637,7 +744,7 @@ mod tests {
         for model in [simnet::NetModel::unit(), simnet::NetModel::wan()] {
             for &from in live.iter().step_by(10) {
                 out.clear();
-                dht.route_keys(from, &keys, &model, &mut scratch, &mut out);
+                dht.route_keys(from, &keys, &model, None, &mut scratch, &mut out);
                 let routed: Vec<_> = keys.iter().map(|&key| alone(from, key, &model)).collect();
                 assert_eq!(out, routed, "{} from {from}", dht.name());
             }
@@ -657,7 +764,7 @@ mod tests {
         let live: Vec<NodeId> = chord.live_members().collect();
         let alone = |from, key, model: &simnet::NetModel| {
             let (owner, (hops, cost)) = chord.route_fold(from, key, (0, 0), price(model));
-            (Lookup { owner, hops }, cost)
+            (Lookup { owner, hops, arrived: true }, cost)
         };
         assert_batch_equals_gets_alone(&chord, &live, alone, &mut rng);
         let cfg =
@@ -668,7 +775,7 @@ mod tests {
             let object = fissione.object_of_key(key);
             let (owner, (hops, cost)) =
                 fissione.route_fold(from, object, (0, 0), price(model)).unwrap();
-            (Lookup { owner, hops }, cost)
+            (Lookup { owner, hops, arrived: true }, cost)
         };
         assert_batch_equals_gets_alone(&fissione, &live, alone, &mut rng);
     }

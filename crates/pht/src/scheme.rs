@@ -18,19 +18,19 @@ use dht_api::{
     RangeScheme, ReplicaRouting, SchemeError, SchemeRegistry,
 };
 use rand::rngs::SmallRng;
-use simnet::{NodeId, QueryScratch};
+use simnet::{NodeId, QueryScratch, Verdicts};
 
 impl PhtOutcome {
     /// Converts into the scheme-generic outcome. PHT's destination unit is
-    /// the trie leaf; the trie is authoritative, so queries are exact by
-    /// construction.
+    /// the trie leaf; the trie is authoritative, so a query is exact when
+    /// every destination leaf answered — always, without faults.
     pub fn into_outcome(self) -> RangeOutcome {
         RangeOutcome::from_native(
             self.results,
             OutcomeCosts { hops: self.delay, latency: self.latency, messages: self.messages },
             self.dest_leaves,
-            self.dest_leaves,
-            true,
+            self.reached_leaves,
+            self.reached_leaves == self.dest_leaves,
         )
     }
 }
@@ -94,13 +94,19 @@ impl<D: Dht> RangeScheme for PhtScheme<D> {
         req: &RangeRequest,
         cx: &mut QueryCtx<'_>,
     ) -> Result<RangeOutcome, SchemeError> {
-        cx.refuse_faults(self.scheme_name)?;
+        let dht = self.pht.dht();
+        let faults = cx.faults_within(dht.node_count(), |peer| dht.is_live(peer))?;
         let origin = req.origin();
-        if !self.pht.dht().is_live(origin) {
+        if !dht.is_live(origin) {
             return Err(SchemeError::BadOrigin { origin });
         }
-        let out =
-            self.pht.range_query_scratch(origin, req.lo(), req.hi(), cx.scratch).into_outcome();
+        let mut verdicts =
+            faults.filter(|plan| !plan.is_fault_free()).map(|plan| Verdicts::new(plan, req.seed()));
+        let (lo, hi) = (req.lo(), req.hi());
+        let out = self
+            .pht
+            .range_query_under(origin, lo, hi, verdicts.as_mut(), cx.scratch)
+            .into_outcome();
         cx.trace_modeled(self.scheme_name, origin, &out);
         Ok(out)
     }
@@ -324,10 +330,13 @@ mod tests {
                 _: NodeId,
                 keys: &[u64],
                 _: &simnet::NetModel,
+                _: Option<&mut Verdicts<'_>>,
                 _: &mut QueryScratch,
                 out: &mut Vec<(dht_api::Lookup, u64)>,
             ) {
-                out.extend(keys.iter().map(|_| (dht_api::Lookup { owner: 0, hops: 0 }, 0)));
+                out.extend(
+                    keys.iter().map(|_| (dht_api::Lookup { owner: 0, hops: 0, arrived: true }, 0)),
+                );
             }
             fn is_live(&self, node: NodeId) -> bool {
                 node == 0

@@ -79,7 +79,7 @@ impl MapTrie {
         let get = |label: Label| {
             let (net, mut routed) = (pht.net_model(), Vec::new());
             let mut scratch = simnet::QueryScratch::new();
-            pht.dht().route_keys(from, &[label.dht_key()], net, &mut scratch, &mut routed);
+            pht.dht().route_keys(from, &[label.dht_key()], net, None, &mut scratch, &mut routed);
             let (lookup, route) = routed[0];
             let rtt = lookup.hops as u64 + 1;
             (rtt, route + net.edge_cost(lookup.owner, from))
@@ -95,6 +95,7 @@ impl MapTrie {
             messages: 0,
             nodes_visited: 0,
             dest_leaves: 0,
+            reached_leaves: 0,
         };
         let (mut lo_len, mut hi_len) = (0u32, lcp_len);
         let mut start = Label::ROOT;
@@ -151,6 +152,7 @@ impl MapTrie {
             frontier = next;
         }
         out.results.sort_unstable();
+        out.reached_leaves = out.dest_leaves;
         out
     }
 }

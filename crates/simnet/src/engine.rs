@@ -1,12 +1,12 @@
 //! The simulator kernel: a unit-tick clock, message sending and delivery.
 
-use crate::counts::{Counted, SendCounts};
+use crate::counts::SendCounts;
 use crate::faults::FaultPlan;
 use crate::net::NetModel;
 use crate::stats::SimStats;
-use crate::trace::{HopKind, TraceEvent, TraceSink, Verdict};
+use crate::trace::{HopKind, TraceEvent, TraceSink};
+use crate::verdicts::Verdicts;
 use crate::{NodeId, SimTime};
-use rand::rngs::SmallRng;
 use std::collections::VecDeque;
 
 /// The plan a [`Sim`] runs under until [`Sim::with_faults`] lends it one.
@@ -43,10 +43,10 @@ pub struct Envelope<M> {
 /// so batch drivers amortize their capacity.
 ///
 /// The fault plan is borrowed for the run ([`Sim::with_faults`]) and never
-/// changes under it, so every verdict is decided at send time.
+/// changes under it, so every verdict is decided at send time, by the run's
+/// [`Verdicts`] chain.
 pub struct Sim<'p, M> {
     now: SimTime,
-    seed: u64,
     /// Network sends in send order: the first `due` were sent the tick
     /// before and land in this one, the rest land at `now + 1`. An
     /// envelope is written once and read once.
@@ -55,18 +55,12 @@ pub struct Sim<'p, M> {
     /// Self-deliveries of this tick, in send order, delivered after its
     /// network sends.
     local: VecDeque<Envelope<M>>,
-    rng: SmallRng,
     net: NetModel,
-    faults: &'p FaultPlan,
-    /// Whether `faults` injects anything: a fault-free plan rules on no
+    /// The plan's verdict chain, which also holds the run's counters.
+    verdicts: Verdicts<'p>,
+    /// Whether the plan injects anything: a fault-free plan rules on no
     /// send, so the verdict chain is skipped whole.
     faulty: bool,
-    stats: SimStats,
-    /// Hostile-fault bookkeeping, touched only when the matching family is
-    /// attached: delivery attempts per directed edge (the loss plan's
-    /// attempt index) and network messages per peer (the rate limiter's
-    /// bucket), in one flat table that is read by key and never iterated.
-    counts: SendCounts,
     /// The observability plane: `None` (the default) keeps every emission
     /// site a single branch with no allocation, so traced-off runs are
     /// bit-identical to pre-trace builds.
@@ -78,7 +72,7 @@ impl<M> std::fmt::Debug for Sim<'_, M> {
         f.debug_struct("Sim")
             .field("now", &self.now)
             .field("pending", &self.pending())
-            .field("stats", &self.stats)
+            .field("stats", self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -89,16 +83,12 @@ impl<'p, M> Sim<'p, M> {
     pub fn new(seed: u64) -> Self {
         Sim {
             now: 0,
-            seed,
             network: VecDeque::new(),
             due: 0,
             local: VecDeque::new(),
-            rng: crate::rng_from_seed(seed),
             net: NetModel::unit(),
-            faults: &NO_FAULTS,
+            verdicts: Verdicts::new(&NO_FAULTS, seed),
             faulty: false,
-            stats: SimStats::default(),
-            counts: SendCounts::default(),
             trace: None,
         }
     }
@@ -111,7 +101,7 @@ impl<'p, M> Sim<'p, M> {
         let mut sim = Sim::new(seed);
         sim.network = std::mem::take(&mut scratch.network);
         sim.local = std::mem::take(&mut scratch.local);
-        sim.counts = std::mem::take(&mut scratch.counts);
+        sim.verdicts.counts = std::mem::take(&mut scratch.counts);
         debug_assert!(sim.pending() == 0, "recycled scratch must arrive empty");
         sim
     }
@@ -123,10 +113,10 @@ impl<'p, M> Sim<'p, M> {
     pub fn recycle(mut self, scratch: &mut SimScratch<M>) {
         self.network.clear();
         self.local.clear();
-        self.counts.clear();
+        self.verdicts.counts.clear();
         scratch.network = std::mem::take(&mut self.network);
         scratch.local = std::mem::take(&mut self.local);
-        scratch.counts = std::mem::take(&mut self.counts);
+        scratch.counts = std::mem::take(&mut self.verdicts.counts);
     }
 
     /// Attaches a [`TraceSink`]: from here on every send verdict, scheduled
@@ -173,7 +163,7 @@ impl<'p, M> Sim<'p, M> {
 
     /// Runs under `faults`, borrowed for the run: no clone per query.
     pub fn with_faults(mut self, faults: &'p FaultPlan) -> Self {
-        self.faults = faults;
+        self.verdicts.plan = faults;
         self.faulty = !faults.is_fault_free();
         self
     }
@@ -185,7 +175,7 @@ impl<'p, M> Sim<'p, M> {
 
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        &self.verdicts.stats
     }
 
     /// Sends a protocol message from `from` to `to` with explicit hop depth.
@@ -213,9 +203,12 @@ impl<'p, M> Sim<'p, M> {
         payload: M,
     ) {
         let is_network = from != to;
-        self.stats.messages_sent += u64::from(is_network);
+        self.verdicts.stats.messages_sent += u64::from(is_network);
         let queueing = if self.faulty {
-            let Some(queueing) = self.rule(from, to, is_network) else { return };
+            let trace = self.trace.as_deref_mut().map(|sink| (sink, self.now));
+            let Some(queueing) = self.verdicts.rule(from, to, is_network, &self.net, trace) else {
+                return;
+            };
             queueing
         } else {
             0
@@ -239,83 +232,6 @@ impl<'p, M> Sim<'p, M> {
             self.network.push_back(env);
         } else {
             self.local.push_back(env);
-        }
-    }
-
-    /// The fault plan's verdict chain on one send: `None` if the message is
-    /// refused (counted and traced here), else the rate limiter's queueing
-    /// delay for it.
-    fn rule(&mut self, from: NodeId, to: NodeId, is_network: bool) -> Option<u64> {
-        // The rate limiter's queueing delay for this message (computed up
-        // front so the token bucket counts every send attempt — a throttled
-        // sender queues messages whether or not the network then loses
-        // them — but priced only onto messages that actually schedule).
-        let mut queueing = 0;
-        if is_network {
-            if let Some(rl) = self.faults.rate_limit() {
-                queueing = rl.queue_delay(self.counts.bump(Counted::Peer(from)));
-                if queueing > 0 {
-                    self.stats.messages_throttled += 1;
-                    // Throttled is a *pricing* verdict: the message still
-                    // schedules, with `queueing` folded into its edge cost.
-                    self.trace_verdict(from, to, Verdict::Throttled, || {
-                        format!("rate-limit +{queueing}ms")
-                    });
-                }
-            }
-            // Partition: cross-side delivery is refused while the split is
-            // open. The epoch advances between protocol runs, never mid-run.
-            // Sides are the plan's alone: every query, and every retry of
-            // one, meets the same split.
-            if let Some(part) = self.faults.partition() {
-                let epoch = self.faults.epoch();
-                if part.severed(self.faults.plan_seed(), epoch, from, to, &self.net) {
-                    self.stats.messages_blocked += 1;
-                    self.trace_verdict(from, to, Verdict::Blocked, || {
-                        format!("partition epoch {epoch}")
-                    });
-                    return None;
-                }
-            }
-            if self.faults.should_drop(&mut self.rng) {
-                self.stats.messages_dropped += 1;
-                self.trace_verdict(from, to, Verdict::Dropped, || "drop-prob".to_string());
-                return None;
-            }
-            // Hash-verdict loss: the attempt index is this edge's delivery
-            // counter, so re-sends (retries) of the same edge get fresh
-            // verdicts while the whole stream stays a pure function of the
-            // event order — itself deterministic per seed.
-            if let Some(loss) = self.faults.loss() {
-                let attempt = self.counts.bump(Counted::Edge(from, to)) - 1;
-                if loss.lost(self.faults.plan_seed() ^ self.seed, from, to, attempt) {
-                    self.stats.messages_lost += 1;
-                    self.trace_verdict(from, to, Verdict::Lost, || {
-                        format!("hash-loss attempt {attempt}")
-                    });
-                    return None;
-                }
-            }
-        }
-        if self.faults.is_crashed(to) {
-            self.stats.messages_to_crashed += 1;
-            self.trace_verdict(from, to, Verdict::ToCrashed, || "crashed receiver".to_string());
-            return None;
-        }
-        Some(queueing)
-    }
-
-    /// Traces a fault verdict on the send `src → dst`; `plan` names the
-    /// ruling component and is spelled only when a sink is attached.
-    fn trace_verdict(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        verdict: Verdict,
-        plan: impl FnOnce() -> String,
-    ) {
-        if self.trace.is_some() {
-            self.emit(TraceEvent::FaultVerdict { src, dst, verdict, plan: plan() });
         }
     }
 
@@ -347,9 +263,10 @@ impl<'p, M> Sim<'p, M> {
                 self.now += 1;
                 continue;
             };
-            self.stats.deliveries += 1;
+            let stats = &mut self.verdicts.stats;
+            stats.deliveries += 1;
             if env.from != env.to {
-                self.stats.max_hop_delivered = self.stats.max_hop_delivered.max(env.hop);
+                stats.max_hop_delivered = stats.max_hop_delivered.max(env.hop);
             }
             if self.trace.is_some() {
                 let ev = TraceEvent::Delivery { node: env.to, hop: env.hop, cost_ms: env.cost };
@@ -408,8 +325,9 @@ impl<M> std::fmt::Debug for SimScratch<M> {
 mod tests {
     use super::*;
     use crate::faults::{LossPlan, RateLimitPlan};
-    use crate::trace::TraceRecord;
+    use crate::trace::{TraceRecord, Verdict};
     use proptest::prelude::*;
+    use rand::rngs::SmallRng;
 
     #[test]
     fn delivers_in_time_then_fifo_order() {

@@ -18,6 +18,9 @@
 //!   epoch-scheduled splits, [`RateLimitPlan`] token-bucket queueing
 //!   delay) whose every decision is a pure hash — see the
 //!   [`faults`](FaultPlan) module docs.
+//! * [`Verdicts`] — the plan's verdict chain: one ruling per send,
+//!   refused or priced with its queueing delay. [`Sim`] runs it on every
+//!   scheduled send; a substrate's routed lookups run it on every edge.
 //! * [`NetModel`] — the network cost layer: named, seeded, deterministic
 //!   per-edge costs in virtual milliseconds (`unit`, `lan`, `wan`,
 //!   `cluster`, `straggler`), accumulated along message chains into
@@ -65,6 +68,7 @@ mod net;
 mod scratch;
 mod stats;
 mod trace;
+mod verdicts;
 
 pub use engine::{Envelope, Sim, SimScratch};
 pub use faults::{FaultPlan, LossPlan, PartitionPlan, RateLimitPlan, HOSTILE_PLAN_NAMES};
@@ -72,6 +76,7 @@ pub use net::{mix, NetModel, NetModelKind, NET_MODEL_NAMES};
 pub use scratch::{Answers, QueryScratch};
 pub use stats::{Samples, SimStats, Summary};
 pub use trace::{HopKind, TraceEvent, TraceRecord, TraceSink, Verdict};
+pub use verdicts::Verdicts;
 
 /// Identifier of a simulated node (index into the caller's node table).
 pub type NodeId = usize;

@@ -260,7 +260,7 @@ impl NetModel {
 /// shared by [`NetModel`] costs, the engine's edge-keyed scheduling
 /// jitter, and the hostile fault verdicts (one definition, so none of them
 /// can de-synchronize). Public because downstream layers (retry backoff
-/// jitter, response-plane fault models) must hash the same way.
+/// jitter) must hash the same way.
 ///
 /// # Example
 ///

@@ -186,7 +186,7 @@ impl SquidNet {
             keys.clear();
             keys.extend(level_clusters.iter().map(|cluster| self.ring_point(cluster.lo)));
             gets.clear();
-            self.chord.route_keys(origin, &keys, model, scratch, &mut gets);
+            self.chord.route_keys(origin, &keys, model, None, scratch, &mut gets);
             for (cluster, &(lookup, path_latency)) in level_clusters.into_iter().zip(&gets) {
                 // The routing plus the direct response edge.
                 let rtt = lookup.hops as u64 + 1;

@@ -1,7 +1,8 @@
 //! Churn and fault tolerance through the unified API: peers join, leave and
 //! crash between query epochs while the system keeps answering range
-//! queries; stabilization repairs what crashes lost; lossy links degrade
-//! recall gracefully.
+//! queries; stabilization repairs what crashes lost; lossy links cost
+//! recall — gracefully for PIRA and DCF-CAN, steeply for PHT, whose every
+//! trie-node get is a multi-hop route that loses its subtree with any hop.
 //!
 //! Everything here goes through the public surface — the registry, the
 //! `DynamicScheme` capability hook, `ChurnPlan`, and the epoch-mode
@@ -98,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             out.delay
         );
 
-        // Lossy network: recall degrades smoothly, never catastrophically.
+        // Lossy network: what each loss rate costs in recall.
         println!("  recall under message loss (100 queries each):");
         let mut scratch = simnet::QueryScratch::new();
         for p in [0.0, 0.05, 0.10, 0.20] {

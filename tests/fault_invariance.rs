@@ -14,9 +14,9 @@
 
 use armada_suite::armada::MiraScheme;
 use armada_suite::dht_api::{
-    BuildParams, ChurnPlan, DigestReport, Hostile, MultiBuildParams, MultiRangeScheme,
-    ParallelDriver, QueryCtx, RangeOutcome, RangeRequest, RangeScheme, RectRequest, RetryPolicy,
-    SchemeError, WorkloadGen,
+    BuildParams, ChurnPlan, DigestReport, DriverReport, Hostile, MultiBuildParams,
+    MultiRangeScheme, ParallelDriver, QueryCtx, RangeOutcome, RangeRequest, RangeScheme,
+    RectRequest, RetryPolicy, SchemeError, WorkloadGen,
 };
 use armada_suite::experiments::{dynamic_single_names, standard_registry};
 use armada_suite::rand::Rng;
@@ -46,14 +46,43 @@ fn build(name: &str) -> Box<dyn RangeScheme> {
     scheme
 }
 
-/// Batch digest under a hostile suffix. The scheme is rebuilt per call so
-/// no state (not even a benign cache) can leak between runs.
-fn batch_digest(name: &str, seed: u64, threads: usize, salt: u64) -> DigestReport {
+/// The batch report under a hostile suffix. The scheme is rebuilt per call
+/// so no state (not even a benign cache) can leak between runs.
+fn batch_report(
+    name: &str,
+    seed: u64,
+    threads: usize,
+    salt: u64,
+) -> Result<DriverReport, SchemeError> {
     let scheme = build(name);
     let workload = WorkloadGen::named("mixed", DOMAIN).expect("cataloged");
     let driver =
         ParallelDriver { queries: BATCH_QUERIES, seed, threads, shard_salt: salt, metrics: false };
-    DigestReport::of(&driver.run(scheme.as_ref(), &workload).expect("faulted queries degrade"))
+    driver.run(scheme.as_ref(), &workload)
+}
+
+/// Digest of [`batch_report`].
+fn batch_digest(name: &str, seed: u64, threads: usize, salt: u64) -> DigestReport {
+    DigestReport::of(&batch_report(name, seed, threads, salt).expect("faulted queries degrade"))
+}
+
+/// Every registered name under `suffix`: a scheme that churns simulates
+/// the plan and its digests are thread-count-invariant; a static baseline
+/// refuses the plan, typed.
+fn assert_every_name(suffix: &str, digest: fn(&str, u64, usize, u64) -> DigestReport) {
+    let dynamic = dynamic_single_names();
+    for name in standard_registry().single_names() {
+        let stack = format!("{name}@{suffix}");
+        if dynamic.iter().any(|d| d == name) {
+            assert_thread_invariant(suffix, &stack, digest);
+        } else {
+            let refused = batch_report(&stack, SEEDS[0], 1, 0).map(|_| ());
+            assert!(
+                matches!(refused, Err(SchemeError::Unsupported { feature: "fault injection", .. })),
+                "{stack}: {refused:?}"
+            );
+        }
+    }
 }
 
 /// Epoch-driven digest under a hostile suffix (partitions traverse their
@@ -94,18 +123,14 @@ fn assert_thread_invariant(
 
 #[test]
 fn lossy_batch_digests_are_thread_count_invariant_for_every_scheme() {
-    for name in standard_registry().single_names() {
-        assert_thread_invariant("lossy-p", &format!("{name}@lossy-p"), batch_digest);
-    }
+    assert_every_name("lossy-p", batch_digest);
 }
 
 #[test]
 fn retry_traces_are_thread_count_invariant() {
     // r3 puts retransmit counting, timeout pricing, and per-attempt
     // backoff jitter on the report path — all must merge identically.
-    for name in standard_registry().single_names() {
-        assert_thread_invariant("lossy-25/r3", &format!("{name}@lossy-25/r3"), batch_digest);
-    }
+    assert_every_name("lossy-25/r3", batch_digest);
 }
 
 #[test]
@@ -141,7 +166,7 @@ fn out_of_range_fault_plans_are_rejected_at_wrap_time() {
     let n = inner.node_count();
     let mut plan = FaultPlan::new();
     plan.crash(n + 7);
-    let err = Hostile::new(inner, plan, RetryPolicy::none(), Default::default(), "crash")
+    let err = Hostile::new(inner, plan, RetryPolicy::none(), "crash")
         .err()
         .expect("out-of-range plan must not wrap");
     match err {
@@ -182,7 +207,7 @@ fn native_fault_plans_are_bounded_by_liveness_on_a_churned_network() {
 
     let registry = standard_registry();
     let params = BuildParams::new(N, DOMAIN.0, DOMAIN.1).with_object_id_len(32);
-    for name in ["pira", "seqwalk", "dcf-can", "dcf-can-naive"] {
+    for name in ["pira", "seqwalk", "dcf-can", "dcf-can-naive", "pht-chord", "pht-fissione"] {
         let mut rng = simnet::rng_from_seed(0x11fe);
         let mut scheme = registry.build_single(name, &params, &mut rng).expect("scheme builds");
         for h in 0..N as u64 {
@@ -224,7 +249,7 @@ fn churned_with_crash(name: &str, node: NodeId) -> Result<Hostile, SchemeError> 
     }
     let mut plan = FaultPlan::new();
     plan.crash(node);
-    Hostile::new(scheme, plan, RetryPolicy::none(), Default::default(), "crash")
+    Hostile::new(scheme, plan, RetryPolicy::none(), "crash")
 }
 
 #[test]
@@ -232,30 +257,19 @@ fn hostile_bounds_crash_plans_by_the_live_peers_of_a_churned_scheme() {
     // Regression: `Hostile::new` bounded a plan by `0..node_count()`, so
     // after 10 of 100 peers left, crashing the highest live id (99) was
     // refused as out of range, while crashing a departed id below 90
-    // wrapped as a silent no-op.
-    let hostile =
-        churned_with_crash("pira", N - 1).expect("the highest live id is a peer to crash");
-    assert_eq!(hostile.node_count(), N - 10);
-    let out = hostile.range_query(N / 2, DOMAIN.0, DOMAIN.1, 1).expect("the query runs");
-    assert!(!out.exact, "the crash of live peer {} was a no-op", N - 1);
-    let err = churned_with_crash("pira", 5).err().expect("a departed id must not wrap");
-    assert_eq!(err, SchemeError::FaultPlanOutOfRange { node: 5, n: N - 10 });
-}
-
-#[test]
-fn hostile_bounds_generic_crash_plans_by_the_ids_the_response_plane_draws() {
-    // A scheme without a native fault path is degraded on the response
-    // plane, which draws its destinations from `0..node_count()` whatever
-    // ids the churned substrate has live: there a crash of live id 99 is
-    // never drawn (refused), and one of departed id 5 is (honoured).
-    for name in ["pht-chord", "pht-fissione"] {
-        let err = churned_with_crash(name, N - 1).err().expect("an undrawn id must not wrap");
-        assert_eq!(err, SchemeError::FaultPlanOutOfRange { node: N - 1, n: N - 10 }, "{name}");
-        let hostile = churned_with_crash(name, 5).expect("a drawn id is a slot to crash");
-        let bitten = (0..32).any(|seed| {
-            !hostile.range_query(N / 2, DOMAIN.0, DOMAIN.1, seed).expect("the query runs").exact
+    // wrapped as a silent no-op. PHT loses a get only where the crashed
+    // peer routes or owns one, so whole-domain queries are asked from every
+    // other live origin.
+    for name in ["pira", "pht-chord", "pht-fissione"] {
+        let hostile =
+            churned_with_crash(name, N - 1).expect("the highest live id is a peer to crash");
+        assert_eq!(hostile.node_count(), N - 10, "{name}");
+        let bitten = (10..N - 1).any(|origin| {
+            !hostile.range_query(origin, DOMAIN.0, DOMAIN.1, 1).expect("the query runs").exact
         });
-        assert!(bitten, "{name}: the crash of slot 5 was a no-op on 32 whole-domain queries");
+        assert!(bitten, "{name}: the crash of live peer {} was a no-op", N - 1);
+        let err = churned_with_crash(name, 5).err().expect("a departed id must not wrap");
+        assert_eq!(err, SchemeError::FaultPlanOutOfRange { node: 5, n: N - 10 }, "{name}");
     }
 }
 

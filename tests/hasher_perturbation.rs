@@ -28,7 +28,8 @@
 //! where the partition schedule is).
 
 use armada_suite::dht_api::{
-    BuildParams, ChurnPlan, DigestReport, MultiBuildParams, ParallelDriver, WorkloadGen,
+    BuildParams, ChurnPlan, DigestReport, DriverReport, MultiBuildParams, ParallelDriver,
+    SchemeError, WorkloadGen,
 };
 use armada_suite::experiments::{dynamic_single_names, standard_registry};
 use armada_suite::rand::Rng;
@@ -46,6 +47,11 @@ const ROUND_SALTS: [u64; 3] = [0, 0x5eed, 0xfeed_face_0ca1];
 /// Batch digest for a single-attribute scheme, built fresh per call so
 /// every run (and its hash state, if any crept back in) is independent.
 fn batch_digest(name: &str, threads: usize, salt: u64) -> DigestReport {
+    DigestReport::of(&batch_run(name, threads, salt).expect("the batch runs"))
+}
+
+/// The batch report [`batch_digest`] digests.
+fn batch_run(name: &str, threads: usize, salt: u64) -> Result<DriverReport, SchemeError> {
     let registry = standard_registry();
     let params = BuildParams::new(N, DOMAIN.0, DOMAIN.1).with_object_id_len(32);
     let mut rng = simnet::rng_from_seed(0x0ca9_a817);
@@ -61,7 +67,7 @@ fn batch_digest(name: &str, threads: usize, salt: u64) -> DigestReport {
         shard_salt: salt,
         metrics: false,
     };
-    DigestReport::of(&driver.run(scheme.as_ref(), &workload).expect("fault-free run"))
+    driver.run(scheme.as_ref(), &workload)
 }
 
 /// Epoch-driven digest for a dynamic scheme under churn: the scheme is
@@ -180,14 +186,19 @@ fn replicated_batch_digests_survive_perturbation() {
 fn hostile_batch_digests_survive_perturbation() {
     // `@lossy-p/r2` puts loss verdicts, retransmit counting, and
     // timeout/backoff latency pricing on the report path for every
-    // registered scheme — native fault injection and the generic
-    // response-plane degradation alike.
+    // scheme that simulates the plan; a static baseline refuses it, typed.
+    let dynamic = dynamic_single_names();
     for name in standard_registry().single_names() {
-        assert_perturbation_invariant_for(
-            "lossy-p/r2",
-            &format!("{name}@lossy-p/r2"),
-            batch_digest,
-        );
+        let stack = format!("{name}@lossy-p/r2");
+        if dynamic.iter().any(|d| d == name) {
+            assert_perturbation_invariant_for("lossy-p/r2", &stack, batch_digest);
+        } else {
+            let refused = batch_run(&stack, 1, 0).map(|_| ());
+            assert!(
+                matches!(refused, Err(SchemeError::Unsupported { feature: "fault injection", .. })),
+                "{stack}: {refused:?}"
+            );
+        }
     }
 }
 
@@ -248,9 +259,9 @@ fn traced_runs_digest_identically_to_untraced_runs() {
     // Tracing is an observer, never an actor: a traced batch must produce
     // the same `DriverReport` — digest-identical — as the plain batch,
     // through the full wrapper stack (replication, net models, hostile
-    // plans with native and generic retry paths alike).
+    // plans on Sim-run engines and on PHT's routed gets alike).
     let registry = standard_registry();
-    for name in ["pira", "seqwalk@straggler", "pira+r3@lossy-p/r2", "skipgraph@throttle"] {
+    for name in ["pira", "seqwalk@straggler", "pira+r3@lossy-p/r2", "pht-chord@throttle"] {
         let build = || {
             let params = BuildParams::new(N, DOMAIN.0, DOMAIN.1).with_object_id_len(32);
             let mut rng = simnet::rng_from_seed(0x0ca9_a817);

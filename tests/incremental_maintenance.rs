@@ -171,6 +171,7 @@ impl<D: Dht> RangeScheme for RouteProbe<D> {
             origin,
             &[key_lo, key_hi],
             &unit,
+            None,
             &mut QueryScratch::new(),
             &mut routed,
         );

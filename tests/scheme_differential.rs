@@ -26,7 +26,7 @@ use armada_suite::dht_api::{
     BuildParams, ChurnPlan, QueryCtx, QueryTrace, RangeRequest, RangeScheme, SchemeError,
     TraceEvent, CHURN_PLAN_NAMES,
 };
-use armada_suite::experiments::standard_registry;
+use armada_suite::experiments::{dynamic_single_names, standard_registry};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -488,7 +488,9 @@ fn tiny_networks_are_built_or_refused_never_panic() {
 }
 
 /// Every registered single-attribute name × {bare, `+r3`, `@wan`,
-/// `+r3@wan@lossy-p/r3`}, all through `RangeScheme::query`.
+/// `+r3@wan@lossy-p/r3`, `@wan@lossy-p/r3`}, all through
+/// `RangeScheme::query`. The unreplicated hostile stack is where PHT
+/// retries: replica fetches make its replicated answer whole.
 #[test]
 fn one_query_path_holds_on_every_stack() {
     const N: usize = 60;
@@ -503,9 +505,10 @@ fn one_query_path_holds_on_every_stack() {
         Ok::<_, SchemeError>(scheme)
     };
     let mut retried = Vec::new();
+    let dynamic = dynamic_single_names();
     for name in registry.single_names() {
         let routable = build(name).expect("bare build").as_replica_routing().is_some();
-        for suffix in ["", "+r3", "@wan", "+r3@wan@lossy-p/r3"] {
+        for suffix in ["", "+r3", "@wan", "+r3@wan@lossy-p/r3", "@wan@lossy-p/r3"] {
             let stack = if routable || !suffix.contains("+r3") {
                 format!("{name}{suffix}")
             } else {
@@ -520,6 +523,19 @@ fn one_query_path_holds_on_every_stack() {
             };
             let scheme = build(&stack).expect("stack builds");
             let hostile = stack.contains("lossy");
+            if hostile && !dynamic.iter().any(|d| d == name) {
+                // A static baseline cannot simulate the plan: every query
+                // refuses it, typed.
+                let refused = scheme.range_query(0, DOMAIN.0, DOMAIN.1, 0);
+                assert!(
+                    matches!(
+                        refused,
+                        Err(SchemeError::Unsupported { feature: "fault injection", .. })
+                    ),
+                    "{stack}: {refused:?}"
+                );
+                continue;
+            }
             let mut scratch = simnet::QueryScratch::new();
             let mut qrng = simnet::rng_from_seed(0x9e4 ^ dht_api::fnv1a(stack.as_bytes()));
             let mut saw_retry = false;
@@ -572,9 +588,9 @@ fn one_query_path_holds_on_every_stack() {
             }
         }
     }
-    // Both hostile execution paths retried somewhere: the native one (the
-    // engine simulates the plan) and the response-plane one.
-    for name in ["dcf-can", "skipgraph"] {
+    // Retries ran on both kinds of fault path: an engine on `Sim` and
+    // PHT's routed gets.
+    for name in ["dcf-can", "pht-chord"] {
         assert!(retried.iter().any(|s| s.starts_with(name)), "{name} never retried: {retried:?}");
     }
 }
