@@ -151,7 +151,7 @@ impl<N: Naming> Armada<N> {
         let key = self.naming.point_id(point)?;
         let id = RecordId(self.record_count() as u64);
         self.records.extend_from_slice(point);
-        self.net.publish(key, id.0).expect("ObjectIDs always have an owner");
+        self.net.publish(key, id.0).expect("the naming emits ObjectIDs of one length");
         Ok(id)
     }
 
@@ -183,7 +183,7 @@ impl<N: Naming> Armada<N> {
             .collect();
         let restored = missing.len();
         for (key, handle) in missing {
-            self.net.publish(key, handle).expect("ObjectIDs always have an owner");
+            self.net.publish(key, handle).expect("the naming emits ObjectIDs of one length");
         }
         restored
     }

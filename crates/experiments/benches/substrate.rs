@@ -6,7 +6,8 @@
 //! delivery runs on a key region (PIRA) and with a rectangle left to test
 //! (MIRA), the gather over
 //! the object table a query ends with, and a batch of publishes into that
-//! table with the read that merges them in — and
+//! table with the read that merges them in, and a membership batch with
+//! the query that rebuilds the routing table after it — and
 //! DCF's: the split-tree descent a query pays for once and the flood
 //! handler — and PHT's over Chord: the finger walk every trie get pays, and
 //! the whole layered query.
@@ -357,6 +358,36 @@ fn bench_pira(c: &mut Criterion) {
                 }
                 assert!(net.lookup(ids[0]).unwrap().1.any(|h| h == 100_001));
                 net
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+
+    // A membership batch and the query after it: a copy of the loaded 10⁵
+    // network (off the clock) takes 32 leaves and 32 joins, then answers
+    // one narrow PIRA query, which rebuilds the routing table the batch
+    // dropped. The churn is the same every iteration.
+    let (_, _, armada, _) = &nets[1];
+    let mut scratch = simnet::QueryScratch::new();
+    let mut group = c.benchmark_group("churn_then_query");
+    group.sample_size(10);
+    group.bench_function("100000", |b| {
+        b.iter_batched(
+            || armada.clone(),
+            |mut armada| {
+                let net = armada.net_mut();
+                let victims: Vec<_> = net.live_peers().step_by(5).take(32).collect();
+                for victim in victims {
+                    net.leave(victim).expect("a live peer above the minimum size");
+                }
+                let mut rng = simnet::rng_from_seed(16);
+                for _ in 0..32 {
+                    net.join(&mut rng);
+                }
+                let origin = net.random_peer(&mut rng);
+                armada.pira_query_scratch(origin, 500.0, 502.0, 1, &mut scratch).unwrap();
+                armada
             },
             BatchSize::LargeInput,
         );

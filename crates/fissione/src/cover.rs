@@ -100,19 +100,30 @@ impl Cover {
         is_leaf(link).then(|| node_of(link))
     }
 
+    /// The leaf whose PeerID is a prefix of `key` shorter than `depth`
+    /// symbols, and its depth: the walk along `key` for at most `depth − 1`
+    /// symbols, if it ends at a leaf.
+    #[inline]
+    pub(crate) fn leaf_above(&self, key: PeerKey, depth: usize) -> Option<(NodeId, usize)> {
+        let (link, followed) = self.walk(key, depth - 1)?;
+        is_leaf(link).then(|| (node_of(link), followed))
+    }
+
     /// The owner of [`KautzStr::unrank`](kautz::KautzStr::unrank)`(len,
-    /// rank)`, read off the rank's bits without writing the string: the
-    /// leading bits pick the root, each later bit a child.
-    pub(crate) fn owner_by_rank(&self, len: usize, rank: u128) -> NodeId {
-        let mut link = self.links[(rank >> (len - 1)) as usize];
-        for bit in (0..len - 1).rev() {
+    /// rank)` and its key, read off the rank's bits without writing the
+    /// string: the leading bits pick the root, each later bit a child.
+    pub(crate) fn owner_by_rank(&self, len: usize, rank: u128) -> (NodeId, PeerKey) {
+        let root = (rank >> (len - 1)) as usize;
+        let (mut link, mut key) = (self.links[root], PeerKey::EMPTY.stem(root as u8));
+        for (depth, bit) in (1..).zip((0..len - 1).rev()) {
             if is_leaf(link) {
                 break;
             }
-            link = self.links[link as usize + ((rank >> bit) as usize & 1)];
+            let side = (rank >> bit) as usize & 1;
+            (link, key) = (self.links[link as usize + side], key.children_at(depth)[side]);
         }
         assert!(is_leaf(link), "no leaf is deeper than the ObjectID");
-        node_of(link)
+        (node_of(link), key)
     }
 
     /// The leaves `prefix` prefixes, in PeerID order, or `Err` with the leaf

@@ -580,8 +580,8 @@ impl FissioneNet {
     /// `re_replicate` prices for the copies it places: one build per batch
     /// of membership changes, the same one the next query would have paid.
     /// Who must not: the paths that
-    /// run *between* the changes of such a batch — `join`'s descent (the
-    /// owner probe and the neighbor walks to a local minimum) and
+    /// run *between* the changes of such a batch — `join` (the owner probe
+    /// by rank, the three-path steps to a local minimum, the split) and
     /// `stabilize` — keep walking the partition tree directly, or every
     /// join would pay an `O(N log N)` build for a table the split it ends
     /// in drops.
@@ -651,16 +651,16 @@ impl FissioneNet {
         // The draw of `KautzStr::random`, walked down the tree bit by bit.
         let len = self.cfg.object_id_len;
         let owner = self.cover.owner_by_rank(len, rng.gen_range(0..KautzStr::count(len)));
-        let victim = match self.cfg.balance {
+        let (victim, key) = match self.cfg.balance {
             BalanceRule::RandomOwner => owner,
             BalanceRule::LocalMin { max_steps } => self.descend_to_local_min(owner, max_steps),
         };
-        let (depth, object_id_len) = (self.depth_of(victim), self.cfg.object_id_len);
+        debug_assert_eq!(key, self.key_of(victim), "the join carried the key of another peer");
+        let (depth, object_id_len) = (key.depth(), self.cfg.object_id_len);
         if depth >= object_id_len {
             return Err(FissioneError::ObjectIdTooShort { depth, object_id_len });
         }
-        let (_kept, newcomer) = self.split_leaf(victim);
-        Ok(newcomer)
+        Ok(self.split_keyed(victim, key))
     }
 
     /// [`try_join`](Self::try_join) for callers that sized `object_id_len`
@@ -673,42 +673,80 @@ impl FissioneNet {
         self.try_join(rng).expect("object_id_len resolves one level below the leaf a join splits")
     }
 
-    /// Hill-descends from `start` towards a peer whose depth is minimal
-    /// among its neighbors.
+    /// Hill-descends from `start`, a live peer and its key, towards a peer
+    /// whose depth is minimal among its neighbors; returns that peer and
+    /// its key.
     ///
-    /// Consumes no RNG and picks `min (depth, node)` over the neighbor
-    /// multiset — identical victim selection to sorting and deduplicating
-    /// first, since `min` over a multiset equals `min` over its set. The
-    /// buffer-reusing neighbor walks make this loop allocation-free after
-    /// the first step, which is what keeps `build` off the allocator at
-    /// N = 10⁵–10⁶ (joins spend their time here).
-    fn descend_to_local_min(&self, start: NodeId, max_steps: usize) -> NodeId {
+    /// Consumes no RNG. Each step moves to the `min (depth, node)` over the
+    /// neighbor set if that depth is below the current peer's `d`, and
+    /// reads it off at most three root-to-leaf paths of the partition tree,
+    /// not off the neighbor lists. Out-neighbors are the leaves
+    /// prefix-compatible with the shift (`d − 1` symbols): one strictly
+    /// below it has depth `≥ d`, so the only shallower one is the leaf its
+    /// path meets within `d − 1` steps. In-neighbors are the leaves
+    /// prefix-compatible with the two stems (`d + 1` symbols): every leaf
+    /// at or below a stem has depth `≥ d + 1`, so the only shallower one is
+    /// the leaf its path meets within `d − 1` steps. The neighbors
+    /// shallower than `d` are these (at most three), and the minimum over
+    /// them is the neighbor set's whenever that one is below `d`. Debug
+    /// builds assert every step against the full neighbor scan.
+    fn descend_to_local_min(
+        &self,
+        start: (NodeId, PeerKey),
+        max_steps: usize,
+    ) -> (NodeId, PeerKey) {
         let mut cur = start;
-        let (mut outs, mut ins) = (Vec::new(), Vec::new());
         // No live peer is shallower than the histogram's global minimum, so
-        // a peer already there is a local minimum by definition — skip the
-        // neighbor walks entirely. This prunes the *last* iteration of every
-        // descent (and whole descents that start at the global minimum),
-        // which is where large builds spend most of their join time.
+        // a peer already there is a local minimum by definition: the last
+        // step of most descents probes nothing.
         let global_min = self.min_depth();
         for _ in 0..max_steps {
-            let d = self.peer(cur).expect("live").depth();
-            if d == global_min {
+            if cur.1.depth() == global_min {
                 break;
             }
-            self.out_neighbors_into(cur, &mut outs);
-            self.in_neighbors_into(cur, &mut ins);
-            let best = outs
-                .iter()
-                .chain(ins.iter())
-                .map(|&n| (self.peer(n).expect("live").depth(), n))
-                .min();
-            match best {
-                Some((bd, bn)) if bd < d => cur = bn,
-                _ => break,
+            let next = self.shallower_neighbor(cur.1);
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                next.map(|(node, _)| node),
+                self.shallower_neighbor_by_scan(cur.0),
+                "the descent's pick differs from the neighbor scan's"
+            );
+            match next {
+                Some(next) => cur = next,
+                None => break,
             }
         }
         cur
+    }
+
+    /// The `min (depth, node)` over the neighbors of the peer keyed `key`
+    /// shallower than it, with its key: the leaves the paths of its shift
+    /// and of its two stems meet above its depth (see
+    /// [`descend_to_local_min`](Self::descend_to_local_min)). `key` must be
+    /// at depth 2 or more.
+    fn shallower_neighbor(&self, key: PeerKey) -> Option<(NodeId, PeerKey)> {
+        let depth = key.depth();
+        let stems = (0..ROOTS as u8).filter(|&a| Some(a) != key.first()).map(|a| key.stem(a));
+        std::iter::once(key.shift())
+            .chain(stems)
+            .filter_map(|path| {
+                let (node, above) = self.cover.leaf_above(path, depth)?;
+                Some((above, node, path.truncate(above)))
+            })
+            .min()
+            .map(|(_, node, key)| (node, key))
+    }
+
+    /// The reference [`shallower_neighbor`](Self::shallower_neighbor) is
+    /// asserted against: `min (depth, node)` over both neighbor lists of
+    /// `node`, if that depth is below its own.
+    #[cfg(any(test, debug_assertions))]
+    fn shallower_neighbor_by_scan(&self, node: NodeId) -> Option<NodeId> {
+        let (mut outs, mut ins) = (Vec::new(), Vec::new());
+        self.out_neighbors_into(node, &mut outs);
+        self.in_neighbors_into(node, &mut ins);
+        let best = outs.iter().chain(&ins).map(|&n| (self.depth_of(n), n)).min();
+        best.filter(|&(depth, _)| depth < self.depth_of(node)).map(|(_, n)| n)
     }
 
     /// Splits the leaf of `node` into its two children; `node` keeps the
@@ -723,8 +761,13 @@ impl FissioneNet {
     /// Panics if `node` is not live, sits at the ObjectID depth limit, or
     /// sits at [`MAX_PEER_DEPTH`].
     pub fn split_leaf(&mut self, node: NodeId) -> (NodeId, NodeId) {
+        (node, self.split_keyed(node, self.key_of(node)))
+    }
+
+    /// [`split_leaf`](Self::split_leaf) of `node`, keyed `key`: returns the
+    /// newcomer.
+    fn split_keyed(&mut self, node: NodeId, key: PeerKey) -> NodeId {
         self.cover_changed();
-        let key = self.key_of(node);
         let depth = key.depth();
         assert!(depth < self.cfg.object_id_len, "peer regions cannot outgrow ObjectID resolution");
         assert!(
@@ -740,7 +783,7 @@ impl FissioneNet {
         self.bump_depth(depth, -1);
         self.bump_depth(depth + 1, 2);
         self.live += 1;
-        (node, newcomer)
+        newcomer
     }
 
     /// Graceful departure: the peer's region — and with it the interval of
@@ -974,8 +1017,7 @@ impl FissioneNet {
         self.merge(sib_node, deep.sibling());
 
         // Split the target; the lowest free slot takes the right child.
-        let (kept, newcomer) = self.split_leaf(target);
-        debug_assert_eq!(kept, target);
+        let (_, newcomer) = self.split_leaf(target);
         [sib_node, target, newcomer]
     }
 
@@ -1006,19 +1048,20 @@ impl FissioneNet {
         &column[start..end]
     }
 
-    /// Publishes an object handle under the ObjectID whose key is `key`;
-    /// returns the storing peer. The pair is stored once however often it
-    /// is published. An `O(1)` append: the next read sorts it into place
-    /// (see [`FissioneNet`]).
+    /// Publishes an object handle under the ObjectID whose key is `key`.
+    /// The pair is stored once however often it is published. An `O(1)`
+    /// append: the next read sorts it into place (see [`FissioneNet`]), and
+    /// no owner is probed — the peer that stores it is read off the key
+    /// ([`lookup`](Self::lookup), [`owner_of`](Self::owner_of)).
     ///
     /// # Errors
     ///
     /// Returns [`FissioneError::ObjectIdLen`] unless `key` encodes exactly
     /// `object_id_len` symbols.
-    pub fn publish(&mut self, key: ObjectKey, handle: u64) -> Result<NodeId, FissioneError> {
-        let owner = self.key_owner(key)?;
+    pub fn publish(&mut self, key: ObjectKey, handle: u64) -> Result<(), FissioneError> {
+        self.object_id_len(key.len())?;
         self.objects.push((key, handle));
-        Ok(owner)
+        Ok(())
     }
 
     /// All handles published under the ObjectID whose key is `key`,
@@ -1321,10 +1364,10 @@ mod tests {
         let mut rng = simnet::rng_from_seed(88);
         for h in 0..50u64 {
             let obj = KautzStr::random(net.config().object_id_len, &mut rng);
-            let owner = net.publish(ObjectKey::new(&obj), h).unwrap();
+            net.publish(ObjectKey::new(&obj), h).unwrap();
             let (found, handles) = net.lookup(ObjectKey::new(&obj)).unwrap();
             let handles: Vec<u64> = handles.collect();
-            assert_eq!(found, owner);
+            assert_eq!(found, net.owner_of(&obj).unwrap());
             assert!(handles.contains(&h));
         }
         net.check_invariants().unwrap();
@@ -1697,7 +1740,8 @@ mod tests {
         for len in [125, 126, MAX_OBJECT_ID_LEN] {
             let mut net = FissioneNet::build(cfg(len), 40, &mut rng).unwrap();
             let object = KautzStr::random(len, &mut rng);
-            let owner = net.publish(ObjectKey::new(&object), 3).unwrap();
+            net.publish(ObjectKey::new(&object), 3).unwrap();
+            let owner = net.owner_of(&object).unwrap();
             assert_eq!(net.lookup(ObjectKey::new(&object)).unwrap().0, owner);
             assert_eq!(net.handles_under(ObjectKey::new(&object)).collect::<Vec<_>>(), [3]);
             assert_eq!(net.check_invariants().unwrap().total_objects, 1);
@@ -1840,7 +1884,8 @@ mod tests {
         for &node in peers {
             let id = net.peer_id(node).unwrap().clone();
             for object in [id.min_extension(24), id.max_extension(24)] {
-                assert_eq!(net.publish(ObjectKey::new(&object), node as u64).unwrap(), node);
+                net.publish(ObjectKey::new(&object), node as u64).unwrap();
+                assert_eq!(net.owner_of(&object).unwrap(), node);
                 model.insert((object, node as u64));
             }
         }
@@ -2018,11 +2063,61 @@ mod tests {
                 assert_eq!(net.cover.sibling(key), sibling, "sibling of {key:?}");
             }
             // A join's draw, walked by rank, lands on the owner of the string it
-            // ranks.
+            // ranks, and carries the owner's key.
             let len = net.max_depth() + 1;
             for rank in (0..KautzStr::count(len)).step_by(3) {
                 let window = PeerKey::new(&KautzStr::unrank(len, rank).unwrap());
-                assert_eq!(Some(net.cover.owner_by_rank(len, rank)), owner_in(&map, window));
+                let (node, key) = net.cover.owner_by_rank(len, rank);
+                assert_eq!(Some(node), owner_in(&map, window));
+                assert_eq!(map.get(&key), Some(&node), "the key of the owner of {window:?}");
+            }
+            // A descent step's three paths pick what the neighbor scan picks,
+            // at every peer the step can leave: above the shallowest depth.
+            for (&key, &node) in map.iter().filter(|(key, _)| key.depth() > net.min_depth()) {
+                let pick = net.shallower_neighbor(key);
+                assert_eq!(pick.map(|(n, _)| n), net.shallower_neighbor_by_scan(node), "{key:?}");
+                if let Some((n, carried)) = pick {
+                    assert_eq!(map.get(&carried), Some(&n), "the key carried from {key:?}");
+                }
+            }
+        }
+
+        /// [`FissioneNet::try_join`] with the reference pieces: the owner of
+        /// the drawn ObjectID's window, the neighbor-scan descent, and the
+        /// split that reads the victim's key off its slot.
+        fn join_by_scan(net: &mut FissioneNet, rng: &mut SmallRng) {
+            let len = net.cfg.object_id_len;
+            let drawn = ObjectKey::unrank(len, rng.gen_range(0..KautzStr::count(len))).unwrap();
+            let mut victim = net.cover.owner(drawn.head()).unwrap();
+            if let BalanceRule::LocalMin { max_steps } = net.cfg.balance {
+                let global_min = net.min_depth();
+                for _ in 0..max_steps {
+                    if net.depth_of(victim) == global_min {
+                        break;
+                    }
+                    match net.shallower_neighbor_by_scan(victim) {
+                        Some(next) => victim = next,
+                        None => break,
+                    }
+                }
+            }
+            net.split_leaf(victim);
+        }
+
+        #[test]
+        fn a_build_equals_the_build_by_neighbor_scan_join_by_join() {
+            let rules = [BalanceRule::RandomOwner, BalanceRule::default()];
+            for (seed, balance) in (50..).zip(rules) {
+                let cfg = FissioneConfig { balance, ..small_cfg() };
+                let (mut walked, mut scanned) = (FissioneNet::new(cfg), FissioneNet::new(cfg));
+                let (mut rng, mut twin) = [seed; 2].map(simnet::rng_from_seed).into();
+                while walked.len() < 2000 {
+                    walked.join(&mut rng);
+                    join_by_scan(&mut scanned, &mut twin);
+                    let at = walked.len();
+                    assert_eq!(cover(&walked), cover(&scanned), "{balance:?} at {at} peers");
+                }
+                walked.check_invariants().unwrap();
             }
         }
 

@@ -336,6 +336,13 @@ impl PeerKey {
         [PeerKey(self.0 | a << at), PeerKey(self.0 | b << at)]
     }
 
+    /// The key of the first `n ≤ 64` symbols (all of them when `n` is at
+    /// least [`depth`](Self::depth)): [`ObjectKey::truncate`]'s twin.
+    #[inline]
+    pub fn truncate(self, n: usize) -> PeerKey {
+        PeerKey(self.0 & mask(n))
+    }
+
     /// The key without its last symbol (the empty key stays empty).
     pub fn parent(self) -> PeerKey {
         PeerKey(self.0 & mask(self.depth().saturating_sub(1)))
@@ -710,6 +717,9 @@ mod tests {
             }
             prop_assert_eq!(key.shift(), window(&id.drop_front(1)));
             prop_assert_eq!(key.parent(), window(&id.take_front(depth - 1)));
+            for n in 0..=PEER_KEY_SYMS {
+                prop_assert_eq!(key.truncate(n), window(&id.take_front(n.min(depth))));
+            }
             for a in (0..3).filter(|&a| Some(a) != id.first()) {
                 let stem = KautzStr::new(vec![a]).unwrap().concat(&id).unwrap();
                 prop_assert_eq!(key.stem(a), window(&stem));
