@@ -22,8 +22,10 @@
 //! dense `u64` identifier column by slot — ≈ 1 MB at 10⁴ nodes, so a
 //! route's reads stay in L2. A hop takes the farthest finger at distance
 //! `≤ d` from one short row ([`ChordNet::route_fold`]). Joins and removals
-//! patch only the rows whose fingers move, and a row is built with one
-//! successor lookup per distinct finger.
+//! patch only the rows whose fingers move, and a newcomer's row is built
+//! with one successor lookup per distinct finger. A full build looks
+//! nothing up: it sweeps the ring once in clockwise order, one cursor per
+//! finger bit ([`ChordNet::refresh_all_fingers`]).
 //!
 //! Many routes from one origin — a PHT query's trie-node gets — are walked
 //! as one route tree ([`ChordNet::route_tree_fold`]): the keys go in
@@ -136,7 +138,9 @@ impl<A> RouteTree<A> {
 
 impl ChordNet {
     /// Builds a converged `n`-node ring with random identifiers. Slot `i`
-    /// holds the `i`-th smallest identifier.
+    /// holds the `i`-th smallest identifier. The finger rows come from one
+    /// sweep of the sorted ring ([`refresh_all_fingers`](Self::refresh_all_fingers)):
+    /// at most two laps per finger bit, no successor lookup.
     ///
     /// # Panics
     ///
@@ -160,7 +164,8 @@ impl ChordNet {
     }
 
     /// The distinct non-self fingers of a live node with identifier `id`,
-    /// in increasing clockwise distance: one successor lookup per finger.
+    /// in increasing clockwise distance: one successor lookup per finger
+    /// (a joining node's row; a full rebuild sweeps instead).
     /// Finger `b` lies at least `2^b` clockwise of `id`, so once a finger
     /// at distance `d` is found, every bit whose start `id + 2^b` is at most
     /// `d` away lands on it too and the next lookup is the first bit past
@@ -239,10 +244,42 @@ impl ChordNet {
     /// — the oracle the incremental `join`/`remove` repairs are pinned
     /// against. A converged network is a fixed point: calling this must
     /// never change [`finger_slab`](Self::finger_slab).
+    ///
+    /// One sweep in clockwise ring order, with no successor lookup: finger
+    /// `b`'s start point `id + 2^b` only moves clockwise as the sweep
+    /// advances, so its successor never moves back, and one cursor per bit
+    /// tracks it over the ring taken twice (the second lap, 2⁶⁴ further
+    /// on, holds the successors of starts that wrapped past `u64::MAX`).
+    /// Each cursor moves at most two laps over the whole sweep. A row reads
+    /// the cursors of the bits a joining node's row looks up, by the same
+    /// skip rule, and is stored at its exact length.
     pub fn refresh_all_fingers(&mut self) {
-        for i in 0..self.ring.len() {
-            let (id, slot) = self.ring[i];
-            self.rows[slot] = Some(self.finger_row(id));
+        let (ring, n) = (&self.ring, self.ring.len());
+        let mut cursor = [0usize; RING_BITS as usize];
+        let mut row = Vec::with_capacity(RING_BITS as usize);
+        for &(id, slot) in ring {
+            let mut b = 0;
+            while b < RING_BITS {
+                // Points on the ring taken twice compare as `(lap, id)`: a
+                // start that wrapped past `u64::MAX` is in the second lap.
+                let start = id.wrapping_add(1 << b);
+                let (target, c) = ((start < id, start), &mut cursor[b as usize]);
+                let finger = loop {
+                    let (lap, at) = if *c < n { (false, *c) } else { (true, *c - n) };
+                    if (lap, ring[at].0) >= target {
+                        break ring[at];
+                    }
+                    *c += 1;
+                };
+                let d = finger.0.wrapping_sub(id);
+                if d == 0 {
+                    break;
+                }
+                row.push(finger.1 as u32);
+                b = RING_BITS - d.leading_zeros();
+            }
+            self.rows[slot] = Some(row.to_vec());
+            row.clear();
         }
     }
 
@@ -1026,6 +1063,99 @@ mod tests {
         let incremental = net.rows.clone();
         net.refresh_all_fingers();
         assert_eq!(incremental, net.rows, "incremental repair must converge exactly");
+    }
+
+    /// The per-node rebuild `refresh_all_fingers` ran before its sweep:
+    /// one `finger_row` (a successor lookup per distinct finger) per ring
+    /// member — the reference the sweep is held to.
+    fn refresh_by_lookups(net: &mut ChordNet) {
+        for i in 0..net.ring.len() {
+            let (id, slot) = net.ring[i];
+            net.rows[slot] = Some(net.finger_row(id));
+        }
+    }
+
+    /// Sweeps `net`'s rows and checks every slot against the per-node
+    /// rebuild, each live row stored at its exact length.
+    fn assert_sweep_equals_lookups(net: &ChordNet) {
+        let (mut swept, mut looked_up) = (net.clone(), net.clone());
+        swept.refresh_all_fingers();
+        refresh_by_lookups(&mut looked_up);
+        assert_eq!(swept.rows, looked_up.rows, "ring {:x?}", net.ring);
+        for row in swept.rows.iter().flatten() {
+            assert_eq!(row.capacity(), row.len());
+        }
+    }
+
+    /// A ring on exactly these distinct identifiers, slot `i` holding
+    /// `ids[i]` (so slots need not follow ring order).
+    fn ring_of(ids: &[u64]) -> ChordNet {
+        let mut ring: Vec<(u64, NodeId)> = ids.iter().copied().zip(0..).collect();
+        ring.sort_unstable();
+        let rows = vec![Some(Vec::new()); ids.len()];
+        ChordNet { ring, ids: ids.to_vec(), rows, free_slots: BinaryHeap::new() }
+    }
+
+    #[test]
+    fn the_sweep_equals_one_finger_row_per_node_at_the_ring_edges() {
+        const M: u64 = u64::MAX;
+        let rings: [&[u64]; 12] = [
+            &[0],
+            &[M],
+            &[1 << 40],
+            &[0, M],
+            &[M - 1, 1],
+            &[3, 1 << 63],
+            &[0, 1, M],
+            &[M, M - 1, 0],
+            &[1 << 63, (1 << 63) + 1, (1 << 63) - 1],
+            &[0, 1, M - 1, M, 1 << 32],
+            &[M - 1, 17, 0, M, 1],
+            &[1 << 62, 3 << 62, 1 << 63, 0, 1 << 20],
+        ];
+        for ids in rings {
+            assert_sweep_equals_lookups(&ring_of(ids));
+        }
+        // Runs of adjacent identifiers at both ends of the identifier
+        // space and mid-ring, between spread ones.
+        let runs: Vec<u64> = (0..40)
+            .chain(M - 39..=M)
+            .chain((1 << 63) - 20..(1 << 63) + 20)
+            .chain((1..64).map(|b| (1u64 << b) + 1000).filter(|&id| id >= 40))
+            .collect();
+        assert_sweep_equals_lookups(&ring_of(&runs));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn the_sweep_equals_one_finger_row_per_node(
+            seed in any::<u64>(),
+            edges in prop::collection::vec(0u8..4, 0..4),
+            n in 1usize..120,
+            churn in prop::collection::vec(any::<bool>(), 60..61),
+        ) {
+            // A random ring of 2 000, with some of the extreme identifiers
+            // 0, 1, `u64::MAX - 1` and `u64::MAX` among its members.
+            let mut rng = simnet::rng_from_seed(seed);
+            let mut ids: Vec<u64> = (0..2000).map(|_| rng.gen()).collect();
+            ids.extend(edges.iter().map(|&e| [0, 1, u64::MAX - 1, u64::MAX][e as usize]));
+            ids.sort_unstable();
+            ids.dedup();
+            assert_sweep_equals_lookups(&ring_of(&ids));
+            // 60 mixed joins and removals leave dead and recycled slots out
+            // of ring order (a removal is refused on a one-node ring).
+            let mut net = ChordNet::build(n, &mut rng);
+            for join in churn {
+                if join {
+                    net.join(&mut rng);
+                } else {
+                    let _ = net.remove(net.random_node(&mut rng));
+                }
+            }
+            assert_sweep_equals_lookups(&net);
+        }
     }
 
     #[test]

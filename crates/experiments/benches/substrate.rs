@@ -100,14 +100,18 @@ fn bench_build(c: &mut Criterion) {
             });
         });
     }
-    group.bench_function("chord_1000", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            let mut rng = simnet::rng_from_seed(seed);
-            chord::ChordNet::build(1000, &mut rng)
+    // 10⁴ is `pht-chord-uniform`'s set-up, 10⁵ the layered baseline's
+    // scaling point.
+    for n in [1000usize, 10_000, 100_000] {
+        group.bench_function(format!("chord_{n}"), |b| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                let mut rng = simnet::rng_from_seed(seed);
+                chord::ChordNet::build(n, &mut rng)
+            });
         });
-    });
+    }
     group.finish();
 }
 

@@ -3,14 +3,18 @@
 //! The build environment has no access to crates.io, so the criterion API
 //! surface the workspace's benches use is reimplemented here: it times each
 //! benchmark over a fixed warm-up plus measured pass and prints a mean
-//! per-iteration figure. No statistical analysis, plotting, or baselines —
-//! just honest wall-clock numbers so `cargo bench` keeps working offline.
+//! per-iteration figure. A group that sets
+//! [`sample_size(n)`](BenchmarkGroup::sample_size) splits the measured pass
+//! into `n` samples of at least one iteration each, and prints the median
+//! sample's time per iteration with the fastest and slowest sample's. No
+//! further statistics, plotting, or baselines — just honest wall-clock
+//! numbers so `cargo bench` keeps working offline.
 //!
 //! # This is not the real `criterion`
 //!
 //! Contributor notes: there is no outlier rejection, no confidence
 //! interval, no HTML report, and no `--save-baseline` — treat the printed
-//! mean as a smoke-level signal, not a publishable measurement. The
+//! figure as a smoke-level signal, not a publishable measurement. The
 //! durable perf trajectory for this repo is the `bench_baseline` binary in
 //! `armada-experiments`, which persists `BENCH_baseline.json` with
 //! seed-deterministic simulated metrics next to wall-clock throughput.
@@ -65,15 +69,33 @@ impl Display for BenchmarkId {
     }
 }
 
+/// How long one benchmark's measured pass aims to take, split evenly
+/// between its samples.
+const MEASUREMENT: Duration = Duration::from_millis(200);
+
 /// Drives closures under measurement (`b.iter(..)`).
 #[derive(Debug)]
 pub struct Bencher {
+    /// How many samples the measured pass is split into.
+    samples: u32,
+    /// Each sample's time per iteration, in the order taken.
+    per_iter: Vec<Duration>,
+    /// Iterations over all samples.
     iterations: u64,
-    elapsed: Duration,
 }
 
 impl Bencher {
-    /// Times `routine`, first warming up briefly, then measuring.
+    fn new(samples: u32) -> Self {
+        Bencher { samples, per_iter: Vec::new(), iterations: 0 }
+    }
+
+    fn record(&mut self, elapsed: Duration, iters: u64) {
+        self.per_iter.push(elapsed / iters as u32);
+        self.iterations += iters;
+    }
+
+    /// Times `routine`, first warming up briefly, then measuring each
+    /// sample over the same iteration count.
     // Wall-clock is this shim's whole job (real criterion's stopwatch is
     // wall-clock too); it never runs on a simulation or report path, and
     // detlint excludes `shims/` for the same reason.
@@ -88,18 +110,15 @@ impl Bencher {
         }
         let per_iter = warm_start.elapsed() / warm_iters.max(1) as u32;
         // Target ~200ms of measurement, clamped to a sane iteration count.
-        let target = Duration::from_millis(200);
-        let iters = if per_iter.is_zero() {
-            1000
-        } else {
-            (target.as_nanos() / per_iter.as_nanos().max(1)).clamp(1, 100_000) as u64
-        };
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(routine());
+        let budget = MEASUREMENT / self.samples;
+        let iters = (budget.as_nanos() / per_iter.as_nanos().max(1)).clamp(1, 100_000) as u64;
+        for _ in 0..self.samples {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(routine());
+            }
+            self.record(start.elapsed(), iters);
         }
-        self.elapsed = start.elapsed();
-        self.iterations = iters;
     }
 }
 
@@ -128,7 +147,10 @@ impl Bencher {
             (done, elapsed)
         };
         timed(10, Duration::from_millis(50));
-        (self.iterations, self.elapsed) = timed(100_000, Duration::from_millis(200));
+        for _ in 0..self.samples {
+            let (done, elapsed) = timed(100_000, MEASUREMENT / self.samples);
+            self.record(elapsed, done);
+        }
     }
 }
 
@@ -184,25 +206,41 @@ impl Filter {
     }
 }
 
+/// The median of `times` (the mean of the two middle ones for an even
+/// count) and the smallest and largest; all zero when there are none.
+fn median_and_range(times: &[Duration]) -> (Duration, Duration, Duration) {
+    let mut sorted = times.to_vec();
+    sorted.sort_unstable();
+    match sorted.len() {
+        0 => (Duration::ZERO, Duration::ZERO, Duration::ZERO),
+        len => ((sorted[(len - 1) / 2] + sorted[len / 2]) / 2, sorted[0], sorted[len - 1]),
+    }
+}
+
 fn run_one(
     name: &str,
     filter: &Filter,
+    samples: u32,
     throughput: Option<Throughput>,
     mut f: impl FnMut(&mut Bencher),
 ) {
     if !filter.admits(name) {
         return;
     }
-    let mut b = Bencher { iterations: 0, elapsed: Duration::ZERO };
+    let mut b = Bencher::new(samples);
     f(&mut b);
-    let mean = if b.iterations == 0 { Duration::ZERO } else { b.elapsed / b.iterations as u32 };
+    let (median, min, max) = median_and_range(&b.per_iter);
     let per = match throughput {
         Some(Throughput::Elements(n)) if n > 0 => {
-            format!(", {}/element", fmt_duration(mean.div_f64(n as f64)))
+            format!(", {}/element", fmt_duration(median.div_f64(n as f64)))
         }
         _ => String::new(),
     };
-    println!("{name:<40} {:>12}/iter ({} iters){per}", fmt_duration(mean), b.iterations);
+    let spread = match b.per_iter.len() {
+        0 | 1 => String::new(),
+        k => format!(" in {k} samples, {} – {}", fmt_duration(min), fmt_duration(max)),
+    };
+    println!("{name:<40} {:>12}/iter ({} iters{spread}){per}", fmt_duration(median), b.iterations);
 }
 
 /// A named group of related benchmarks.
@@ -210,12 +248,20 @@ fn run_one(
 pub struct BenchmarkGroup {
     name: String,
     filter: Filter,
+    samples: u32,
     throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup {
-    /// Sets the sample count (accepted for API compatibility; ignored).
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
+    /// Times each of the group's next benchmarks as `n` samples, each at
+    /// least one iteration, and reports the median sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 10`, as real criterion does.
+    pub fn sample_size(&mut self, n: usize) -> &mut Self {
+        assert!(n >= 10, "sample size must be at least 10");
+        self.samples = u32::try_from(n).expect("a sample count that fits u32");
         self
     }
 
@@ -232,7 +278,7 @@ impl BenchmarkGroup {
         F: FnMut(&mut Bencher, &I),
     {
         let label = format!("{}/{}", self.name, id);
-        run_one(&label, &self.filter, self.throughput, |b| f(b, input));
+        run_one(&label, &self.filter, self.samples, self.throughput, |b| f(b, input));
         self
     }
 
@@ -242,7 +288,7 @@ impl BenchmarkGroup {
         F: FnMut(&mut Bencher),
     {
         let label = format!("{}/{}", self.name, id);
-        run_one(&label, &self.filter, self.throughput, &mut f);
+        run_one(&label, &self.filter, self.samples, self.throughput, &mut f);
         self
     }
 
@@ -267,13 +313,18 @@ impl Criterion {
 
     /// Benches a single function.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        run_one(name, &self.filter, None, &mut f);
+        run_one(name, &self.filter, 1, None, &mut f);
         self
     }
 
     /// Opens a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup {
-        BenchmarkGroup { name: name.into(), filter: self.filter.clone(), throughput: None }
+        BenchmarkGroup {
+            name: name.into(),
+            filter: self.filter.clone(),
+            samples: 1,
+            throughput: None,
+        }
     }
 }
 
@@ -303,7 +354,8 @@ macro_rules! criterion_main {
 
 #[cfg(test)]
 mod tests {
-    use super::Filter;
+    use super::{median_and_range, BatchSize, Bencher, Criterion, Filter};
+    use std::time::Duration;
 
     fn filter(args: &[&str]) -> Filter {
         Filter::from_args(args.iter().map(|arg| arg.to_string()))
@@ -323,5 +375,34 @@ mod tests {
         for args in [&[][..], &["--bench"][..]] {
             assert!(filter(args).admits("pira_query/scan_1e5"), "{args:?}");
         }
+    }
+
+    #[test]
+    fn a_sample_size_times_that_many_samples() {
+        let mut group = Criterion::default().benchmark_group("g");
+        assert_eq!(group.samples, 1, "one measured pass by default");
+        group.sample_size(12);
+        let mut b = Bencher::new(group.samples);
+        b.iter(|| std::hint::black_box(3u64).pow(5));
+        assert_eq!(b.per_iter.len(), 12);
+        assert!(b.iterations >= 12, "every sample runs at least once");
+        let mut b = Bencher::new(group.samples);
+        b.iter_batched(|| 7u64, |x| x * 2, BatchSize::SmallInput);
+        assert_eq!(b.per_iter.len(), 12);
+        assert!(b.iterations >= 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 10")]
+    fn a_sample_size_below_ten_is_refused() {
+        Criterion::default().benchmark_group("g").sample_size(2);
+    }
+
+    #[test]
+    fn the_median_sample_and_the_range_are_reported() {
+        let ms = Duration::from_millis;
+        assert_eq!(median_and_range(&[ms(5), ms(1), ms(3)]), (ms(3), ms(1), ms(5)));
+        assert_eq!(median_and_range(&[ms(4), ms(1), ms(2), ms(9)]), (ms(3), ms(1), ms(9)));
+        assert_eq!(median_and_range(&[]), (Duration::ZERO, Duration::ZERO, Duration::ZERO));
     }
 }
