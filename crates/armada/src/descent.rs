@@ -15,7 +15,7 @@
 //! A region whose endpoints share no prefix splits into at most three
 //! sub-regions that do (the paper's rule, [`kautz::key::split_region`]).
 //! Each sub-query descends the origin's forward routing tree as a message
-//! `(sub, hops_left)`, under the sub-query's `f`:
+//! `(sub, hops_left, inside)`, under the sub-query's `f`:
 //!
 //! * `f = |ComS|` where `ComS` is the longest string that is both a prefix
 //!   of the sub-region's common prefix `ComT` and a suffix of the origin's
@@ -24,22 +24,31 @@
 //!   destination level — exactly the strings prefixed by
 //!   `ComS ++ id[(f+d)..]`, so it forwards to an out-neighbor `C` iff the
 //!   *sub-query's* region meets a string prefixed by `ComS ++ C.id[(f+d−1)..]`
-//!   ([`SubtreeProbe::meets`], on `ComS`'s bits taken once per sub-query)
+//!   ([`SubtreeProbe::verdict`], on `ComS`'s bits taken once per sub-query)
 //!   and, under a rectangle, that prefix's hyper-rectangle meets the query
 //!   ([`ScaledRect::meets_prefix`], on `ComS` decoded once per sub-query);
-//! * a visited peer answers iff its zone meets the query: its routing-table
-//!   key [intersects](KeyRegion::intersects) the sub-region, or under a
-//!   rectangle its own hyper-rectangle meets the query (at the destination
-//!   level `d = 0` that is every reached peer; answering along the way
-//!   additionally keeps the algorithm exact on covers that violate the
-//!   neighborhood invariant). The sender decides this while it holds the
-//!   child's row for the subtree test, and the message carries the answer,
-//!   so a delivery at `d = 0` reads no row.
+//! * the verdict also says whether that prefix lies strictly between the
+//!   region's two boundary paths — *inside*, so that every extension of it
+//!   meets the region — and the message carries that bit. Below an inside
+//!   peer `X`, a child `C` with `depth(C) + 1 ≥ depth(X)` extends `X`'s
+//!   shift, so its subtree prefix extends `X`'s and is inside too: it is
+//!   forwarded with no key test (a shorter child, possible only where the
+//!   neighborhood invariant is violated, is tested). Only the children of
+//!   peers on the two boundary paths pay for the comparison;
+//! * a visited peer answers iff its zone meets the query: under the key
+//!   region, iff its rank lies in the sub-region's destination run (its
+//!   routing-table key [intersects](KeyRegion::intersects) the sub-region
+//!   exactly then), or under a rectangle iff its own hyper-rectangle meets
+//!   the query (at the destination level `d = 0` that is every reached
+//!   peer; answering along the way additionally keeps the algorithm exact
+//!   on covers that violate the neighborhood invariant). A delivery at
+//!   `d = 0` under the key region reads no row.
 //!
 //! The destinations are the peers of the region's destination run — one
 //! range of routing-table ranks, found by two binary searches — whose zone
 //! meets the query: the run itself when the region is the image, so no list
-//! is built.
+//! is built. A lone sub-query's run is the region's; a split region's
+//! sub-runs are searched inside it.
 //!
 //! The descent works on *ranks*, positions in the network's
 //! [`RouteTable`](fissione::RouteTable), which lists the peers in PeerID
@@ -66,7 +75,7 @@ use fissione::{FissioneNet, KeyRegion, ObjectKey};
 use kautz::fixed::BoundaryInterval;
 use kautz::key::SubtreeProbe;
 use kautz::naming::{Naming, ScaledRect};
-use kautz::{KautzStr, PeerKey};
+use kautz::KautzStr;
 use simnet::{Answers, Envelope, FaultPlan, NodeId, QueryScratch, Sim, SimScratch, TraceRecord};
 use std::ops::Range;
 
@@ -80,8 +89,9 @@ struct Msg {
     sub: u8,
     /// Remaining descent levels (at most [`fissione::MAX_PEER_DEPTH`]).
     hops_left: u8,
-    /// Whether the receiver answers: its zone meets the query.
-    answers: bool,
+    /// Whether the receiver's subtree prefix lies strictly inside the
+    /// sub-region, as its sender found ([`SubtreeProbe::verdict`]).
+    inside: bool,
     /// The receiver's routing-table rank.
     rank: u32,
 }
@@ -89,15 +99,25 @@ struct Msg {
 const _: () = assert!(std::mem::size_of::<Msg>() == 8, "a descent message outgrew 8 bytes");
 const _: () = assert!(std::mem::size_of::<Envelope<Msg>>() == 40, "an envelope outgrew 40 bytes");
 
+/// One sub-query, as the handler reads it per delivery.
+struct Sub {
+    /// The subtree probe: the sub-region and `ComS`.
+    probe: SubtreeProbe,
+    /// The sub-region's destination run: the ranks whose zone meets it.
+    run: Range<usize>,
+    /// Under a rectangle, `ComS` spelled out for the rectangle test.
+    com_s: Option<KautzStr>,
+    /// The levels below the origin, `b − f`.
+    hops_left: u8,
+}
+
 /// The query's reusable per-thread state, slotted into a [`QueryScratch`]:
 /// the simulator's collections plus the routing loop's working buffers.
 /// Every field is reset or overwritten before it is read, so reuse is
 /// invisible to results, metrics, and traces.
 struct State {
     sim: SimScratch<Msg>,
-    /// Each sub-query's subtree probe (its region and `ComS`), and under a
-    /// rectangle its `ComS` spelled out for the rectangle test.
-    subs: Vec<(SubtreeProbe, Option<KautzStr>)>,
+    subs: Vec<Sub>,
     answers: Answers<RecordId>,
     /// Under a rectangle, the ranks of the run whose zone meets it.
     truth: Vec<usize>,
@@ -154,6 +174,23 @@ pub fn query<N: Naming>(
     let State { sim: sim_scratch, subs, answers: ledger, truth, prefix, zone, subtree } =
         scratch.slot::<State>();
 
+    subs.clear();
+    for (low, high) in kautz::key::split_region(region.0, region.1) {
+        let (f, hops_left) = descent_budget(origin_key, low, low.common_prefix_len(high));
+        let hops_left = u8::try_from(hops_left).expect("a PeerID is at most MAX_PEER_DEPTH long");
+        // A lone sub-query's run is the query's; a split's lie inside it.
+        let run = if (low, high) == region {
+            run.clone()
+        } else {
+            table.run_in(run.clone(), low, high)?
+        };
+        // The rectangle test reads strings: `ComS` is decoded once per
+        // sub-query.
+        let com_s = scaled.map(|_| low.truncate(f).decode().expect("a key's prefix"));
+        let probe = KeyRegion::new(low, high).subtree_probe(f);
+        subs.push(Sub { probe, run, com_s, hops_left });
+    }
+
     let mut sim: Sim<Msg> = Sim::from_scratch(seed, sim_scratch).with_net(*armada.net_model());
     if let Some(faults) = faults {
         sim = sim.with_faults(faults);
@@ -161,17 +198,8 @@ pub fn query<N: Naming>(
     if trace {
         sim = sim.with_trace(simnet::TraceSink::new());
     }
-    subs.clear();
-    for (low, high) in kautz::key::split_region(region.0, region.1) {
-        let (f, hops_left) = descent_budget(origin_key, low, low.common_prefix_len(high));
-        let keys = KeyRegion::new(low, high);
-        let answers = answers_at(net, &keys, scaled, (rank as usize, origin_key), zone);
-        let hops_left = u8::try_from(hops_left).expect("a PeerID is at most MAX_PEER_DEPTH long");
-        sim.send(origin, origin, 0, Msg { sub: subs.len() as u8, hops_left, answers, rank });
-        // The rectangle test reads strings: `ComS` is decoded once per
-        // sub-query.
-        let com_s = scaled.map(|_| low.truncate(f).decode().expect("a key's prefix"));
-        subs.push((keys.subtree_probe(f), com_s));
+    for (sub, &Sub { hops_left, .. }) in subs.iter().enumerate() {
+        sim.send(origin, origin, 0, Msg { sub: sub as u8, hops_left, inside: false, rank });
     }
     match scaled {
         None => ledger.begin(table.len(), run.clone()),
@@ -184,21 +212,31 @@ pub fn query<N: Naming>(
 
     let mut delay: u32 = 0;
     sim.run(|sim, env: Envelope<Msg>| {
-        let Msg { sub, hops_left, answers: answered, rank } = env.payload;
-        let (rank, d, (probe, com_s)) =
+        let Msg { sub, hops_left, inside, rank } = env.payload;
+        let (rank, d, Sub { probe, run: sub_run, com_s, .. }) =
             (rank as usize, usize::from(hops_left), &subs[sub as usize]);
         debug_assert_eq!(table.node(rank), env.to, "a message names its receiver twice");
-        debug_assert_eq!(
-            answered,
-            answers_at(net, probe.region(), scaled, (rank, table.key(rank)), zone),
-            "the sender decided peer {} answers wrongly",
+        debug_assert!(
+            env.hop == 0
+                || Some(inside) == probe.verdict(table.key(rank), table.depth(rank), probe.f() + d),
+            "the sender placed peer {} against the sub-region wrongly",
             env.to
         );
 
-        // Local answer: this peer's zone meets the query, as its sender
-        // found. It is marked once however many sub-regions the peer
-        // straddles (the ledger keeps its cheapest arrival); what it holds
-        // is read after the run, against the *full* query.
+        // Local answer: this peer's zone meets the query — under a key
+        // region, its rank lies in the sub-region's run. It is marked once
+        // however many sub-regions the peer straddles (the ledger keeps its
+        // cheapest arrival); what it holds is read after the run, against
+        // the *full* query.
+        let answered = match scaled {
+            None => sub_run.contains(&rank),
+            Some(rect) => zone_meets(net, rect, rank, zone),
+        };
+        debug_assert!(
+            scaled.is_some() || answered == probe.region().intersects(table.key(rank)),
+            "the run of the sub-region and its key test disagree on peer {}",
+            env.to
+        );
         if answered {
             sim.trace_answer(&env);
             if ledger.first_answer(rank, env.cost) {
@@ -211,20 +249,27 @@ pub fn query<N: Naming>(
         // destination level. Children shorter than the transit prefix, or a
         // junction that would repeat a symbol (possible only when the
         // neighborhood invariant is violated), degrade to the never-prune
-        // test `ComS`.
+        // test `ComS`. Below an inside peer, a child at least as deep as its
+        // shift extends that shift, so its subtree prefix extends the
+        // peer's: inside too, with no test.
         if d > 0 {
             let strip = probe.f() + d - 1; // transit-prefix length at the children
+            let extends = if inside { table.depth(rank) - 1 } else { usize::MAX };
             for c in table.out(rank) {
-                let key = table.key(c);
-                let forwards = probe.meets(key, table.depth(c), strip)
-                    && scaled.zip(com_s.as_ref()).is_none_or(|(rect, com_s)| {
-                        subtree_meets(net, rect, com_s, (c, strip), prefix, subtree)
-                    });
-                if forwards {
-                    let answers = answers_at(net, probe.region(), scaled, (c, key), zone);
-                    let msg = Msg { sub, hops_left: hops_left - 1, answers, rank: c as u32 };
-                    sim.forward(&env, table.node(c), msg);
+                let depth = table.depth(c);
+                let verdict = if depth >= extends {
+                    Some(true)
+                } else {
+                    probe.verdict(table.key(c), depth, strip)
+                };
+                let Some(inside) = verdict else { continue };
+                if let Some((rect, com_s)) = scaled.zip(com_s.as_ref()) {
+                    if !subtree_meets(net, rect, com_s, (c, strip), prefix, subtree) {
+                        continue;
+                    }
                 }
+                let msg = Msg { sub, hops_left: hops_left - 1, inside, rank: c as u32 };
+                sim.forward(&env, table.node(c), msg);
             }
         }
     });
@@ -244,23 +289,6 @@ pub fn query<N: Naming>(
         exact: ledger.exact(),
     };
     Ok((QueryOutcome { results: ledger.results(), metrics }, records))
-}
-
-/// The one definition of "answers": whether the zone of the peer at `rank`,
-/// keyed `key`, meets the query — its key intersects the sub-region `keys`,
-/// or under a rectangle its hyper-rectangle meets it (`buf` is scratch).
-#[inline]
-fn answers_at(
-    net: &FissioneNet,
-    keys: &KeyRegion,
-    scaled: Option<&ScaledRect>,
-    (rank, key): (usize, PeerKey),
-    buf: &mut Vec<BoundaryInterval>,
-) -> bool {
-    match scaled {
-        None => keys.intersects(key),
-        Some(rect) => zone_meets(net, rect, rank, buf),
-    }
 }
 
 /// Under a rectangle, the one definition of "destination": whether the
@@ -337,7 +365,7 @@ pub fn gather(
     let mut rest = run;
     while let Some(first) = rest.clone().find(|&rank| answers.answered(rank)) {
         let end = (first..rest.end).find(|&rank| !answers.answered(rank)).unwrap_or(rest.end);
-        let ends = (table.node(first), table.node(end - 1));
+        let ends = (table.key(first), table.key(end - 1));
         for &(key, handle) in net.entries_in_stretch(ends, low, high) {
             if keep(key, RecordId(handle)) {
                 answers.push(RecordId(handle));

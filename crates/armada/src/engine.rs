@@ -261,21 +261,6 @@ impl Armada<SingleHash> {
         Ok(table.run(low, high)?.map(|rank| table.node(rank)).collect())
     }
 
-    /// Ground truth by exhaustive scan (`O(N·k)`), kept as the reference the
-    /// fast path is tested against.
-    pub fn ground_truth_peers_scan(
-        &self,
-        lo: f64,
-        hi: f64,
-    ) -> Result<BTreeSet<NodeId>, ArmadaError> {
-        let region = self.naming.region(lo, hi)?;
-        Ok(self
-            .net
-            .live_peers()
-            .filter(|&n| region.intersects_prefix(self.net.peer_id(n).expect("live")))
-            .collect())
-    }
-
     /// Ground truth: the records a correct query must return.
     pub fn expected_results(&self, lo: f64, hi: f64) -> Vec<RecordId> {
         self.records_in(&[(lo, hi)])
@@ -394,6 +379,21 @@ mod tests {
     use super::*;
 
     impl SingleArmada {
+        /// Ground truth by exhaustive scan (`O(N·k)`), the reference the
+        /// fast path is tested against.
+        fn ground_truth_peers_scan(
+            &self,
+            lo: f64,
+            hi: f64,
+        ) -> Result<BTreeSet<NodeId>, ArmadaError> {
+            let region = self.naming.region(lo, hi)?;
+            Ok(self
+                .net
+                .live_peers()
+                .filter(|&n| region.intersects_prefix(self.net.peer_id(n).expect("live")))
+                .collect())
+        }
+
         /// This system with its naming's ObjectIDs cut to `k` symbols,
         /// fewer than its network's: a region's keys can then be too short
         /// for a hop toward them to find an owner, which no consistent

@@ -3,16 +3,190 @@
 
 mod frt;
 
-use armada::{MultiArmada, QueryOutcome, RecordId, SingleArmada};
+use armada::{Armada, MultiArmada, QueryOutcome, RecordId, SingleArmada};
 use fissione::{FissioneConfig, FissioneNet};
 use frt::ForwardRoutingTree;
+use kautz::naming::Naming;
+use kautz::{KautzRegion, KautzStr};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::{FaultPlan, NodeId, TraceEvent, TraceRecord};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 fn small_cfg() -> FissioneConfig {
     FissioneConfig { object_id_len: 24, ..FissioneConfig::default() }
+}
+
+/// The peers whose PeerID meets the Kautz region of `[lo, hi]`, by a scan
+/// of every live peer (the paper's "Destpeers").
+fn peers_meeting(a: &SingleArmada, lo: f64, hi: f64) -> BTreeSet<NodeId> {
+    let region = a.naming().region(lo, hi).unwrap();
+    let net = a.net();
+    net.live_peers().filter(|&n| region.intersects_prefix(net.peer_id(n).unwrap())).collect()
+}
+
+/// A PIRA and a MIRA system of `n` peers each, then the joins and leaves
+/// `churn` draws (three joins to two leaves, as in
+/// `fissione/tests/churn_properties.rs`), stabilized or left as they fell;
+/// and the generator, for drawing what comes next.
+fn grown(
+    seed: u64,
+    n: usize,
+    churn: &[usize],
+    stabilize: bool,
+) -> (SingleArmada, MultiArmada, SmallRng) {
+    let mut rng = simnet::rng_from_seed(seed);
+    let mut a = SingleArmada::build_with(small_cfg(), n, 0.0, 1000.0, &mut rng).unwrap();
+    let mut m = MultiArmada::build_with(small_cfg(), n, &[(0.0, 1000.0); 2], &mut rng).unwrap();
+    for net in [a.net_mut(), m.net_mut()] {
+        for &raw in churn {
+            if raw % 5 < 3 {
+                net.join(&mut rng);
+            } else {
+                let peers: Vec<_> = net.live_peers().collect();
+                let _ = net.leave(peers[raw / 5 % peers.len()]);
+            }
+        }
+        if stabilize {
+            net.stabilize();
+        }
+    }
+    (a, m, rng)
+}
+
+/// What a descent did: each delivery `(node, hop, answers)` with its
+/// multiplicity, the messages sent, and each answering peer's first hop.
+#[derive(Debug, Default, PartialEq)]
+struct Deliveries {
+    deliveries: BTreeMap<(NodeId, u32, bool), usize>,
+    messages: u64,
+    first_answer: BTreeMap<NodeId, u32>,
+}
+
+impl Deliveries {
+    fn deliver(&mut self, node: NodeId, hop: u32, answers: bool) {
+        *self.deliveries.entry((node, hop, answers)).or_default() += 1;
+        if answers {
+            let first = self.first_answer.entry(node).or_insert(hop);
+            *first = hop.min(*first);
+        }
+    }
+
+    /// The deliveries of a traced fault-free query: a delivery answers iff
+    /// its handler's `Answer` event follows it.
+    fn of_trace(out: &QueryOutcome, trace: &[TraceRecord]) -> Self {
+        let mut seen = Deliveries { messages: out.metrics.messages, ..Deliveries::default() };
+        for (i, record) in trace.iter().enumerate() {
+            if let TraceEvent::Delivery { node, hop, .. } = record.event {
+                let answers = match trace.get(i + 1).map(|r| &r.event) {
+                    Some(&TraceEvent::Answer { node: n, hop: h, .. }) => (n, h) == (node, hop),
+                    _ => false,
+                };
+                seen.deliver(node, hop, answers);
+            }
+        }
+        seen
+    }
+}
+
+/// The descent of §4.2 on strings, breadth first, as the reference
+/// `descent::query` is held to: the region split by its first symbols, each
+/// sub-query from `origin` with `ComS` its longest suffix prefixing `ComT`
+/// and `|origin| − |ComS|` levels to go; a peer holding `d` levels answers
+/// iff its PeerID meets the sub-region (under a rectangle, its zone meets
+/// the rectangle) and forwards to an out-neighbor `C` iff
+/// [`KautzRegion::intersects_prefix_parts`]`(ComS, C.id[|ComS|+d−1..])`,
+/// with both of its fallbacks (and under a rectangle, the prefix's
+/// hyper-rectangle meets it too).
+fn string_descent<N: Naming>(
+    armada: &Armada<N>,
+    origin: NodeId,
+    rect: &[(f64, f64)],
+) -> Deliveries {
+    let net = armada.net();
+    let ((low, high), scaled) = armada.naming().query_region(rect).unwrap();
+    let region = KautzRegion::new(low.decode().unwrap(), high.decode().unwrap()).unwrap();
+    let origin_id = net.peer_id(origin).unwrap();
+    let mut subs = Vec::new();
+    let mut queue = VecDeque::new();
+    for sub in region.split_by_common_prefix() {
+        let f = origin_id.longest_suffix_prefix(&sub.common_prefix());
+        queue.push_back((subs.len(), origin, origin_id.len() - f, 0u32));
+        subs.push((sub.common_prefix().take_front(f), sub));
+    }
+    let (mut zone, mut prefix) = (Vec::new(), KautzStr::empty());
+    let mut seen = Deliveries::default();
+    while let Some((s, node, d, hop)) = queue.pop_front() {
+        let (com_s, sub) = &subs[s];
+        let id = net.peer_id(node).unwrap();
+        let answers = match &scaled {
+            None => sub.intersects_prefix(id),
+            Some(rect) => rect.meets_prefix(id, &mut zone),
+        };
+        seen.deliver(node, hop, answers);
+        if d == 0 {
+            continue;
+        }
+        let strip = com_s.len() + d - 1;
+        for c in net.out_neighbors(node) {
+            let tail = net.peer_id(c).unwrap().symbols().get(strip..).unwrap_or(&[]);
+            let forwards = sub.intersects_prefix_parts(com_s, tail)
+                && scaled.as_ref().is_none_or(|rect| {
+                    // A junction that repeats a symbol leaves `ComS` alone.
+                    prefix.assign_concat(com_s, tail);
+                    rect.meets_prefix(&prefix, &mut zone)
+                });
+            if forwards {
+                seen.messages += 1;
+                queue.push_back((s, c, d - 1, hop + 1));
+            }
+        }
+    }
+    seen
+}
+
+/// The records in `rect` whose owner answered in `seen`.
+fn held_by_answering<N: Naming>(
+    armada: &Armada<N>,
+    rect: &[(f64, f64)],
+    seen: &Deliveries,
+) -> Vec<RecordId> {
+    let net = armada.net();
+    (0..armada.record_count() as u64)
+        .map(RecordId)
+        .filter(|&r| armada.point(r).iter().zip(rect).all(|(v, (lo, hi))| lo <= v && v <= hi))
+        .filter(|&r| {
+            let id = armada.naming().point_id(armada.point(r)).unwrap().decode().unwrap();
+            seen.first_answer.contains_key(&net.owner_of(&id).unwrap())
+        })
+        .collect()
+}
+
+/// One traced `descent::query` against [`string_descent`]: the multiset
+/// of deliveries, the messages, the delay, the destinations and the
+/// results.
+fn check_against_the_strings<N: Naming>(
+    armada: &Armada<N>,
+    origin: NodeId,
+    rect: &[(f64, f64)],
+    dest_peers: usize,
+) -> Result<(), TestCaseError> {
+    let mut scratch = simnet::QueryScratch::new();
+    let (out, trace) =
+        armada::descent::query(armada, origin, rect, 7, None, true, &mut scratch).unwrap();
+    let want = string_descent(armada, origin, rect);
+    prop_assert_eq!(
+        &Deliveries::of_trace(&out, &trace.unwrap()),
+        &want,
+        "{:?} from {}",
+        rect,
+        origin
+    );
+    prop_assert_eq!(out.metrics.delay, want.first_answer.values().copied().max().unwrap_or(0));
+    prop_assert_eq!(out.metrics.dest_peers, dest_peers);
+    prop_assert_eq!(out.results, held_by_answering(armada, rect, &want));
+    Ok(())
 }
 
 /// The trace-level oracle of one traced descent from `origin`: every answer
@@ -68,30 +242,14 @@ proptest! {
         // extending it, so `peers_with_prefix`, and with it the tree's
         // level, rightly excludes it: only the answers and the delay are
         // asserted there.
-        let mut rng = simnet::rng_from_seed(seed);
-        let mut a = SingleArmada::build_with(small_cfg(), n, 0.0, 1000.0, &mut rng).unwrap();
-        let mut m = MultiArmada::build_with(small_cfg(), n, &[(0.0, 1000.0); 2], &mut rng).unwrap();
-        for net in [a.net_mut(), m.net_mut()] {
-            for &raw in &churn {
-                // Three joins to two leaves, as there.
-                if raw % 5 < 3 {
-                    net.join(&mut rng);
-                } else {
-                    let peers: Vec<_> = net.live_peers().collect();
-                    let _ = net.leave(peers[raw / 5 % peers.len()]);
-                }
-            }
-            if stabilize {
-                net.stabilize();
-            }
-        }
+        let (a, m, mut rng) = grown(seed, n, &churn, stabilize);
         let levels = churn.is_empty() || stabilize;
         let (lo, hi) = (q * 1000.0, (q + w * (1.0 - q)).min(1.0) * 1000.0);
         let mut scratch = simnet::QueryScratch::new();
 
         let origin = a.net().random_peer(&mut rng);
         let run = armada::descent::query(&a, origin, &[(lo, hi)], seed, None, true, &mut scratch).unwrap();
-        let truth = a.ground_truth_peers_scan(lo, hi).unwrap();
+        let truth = peers_meeting(&a, lo, hi);
         check_against_the_frt(a.net(), origin, &run, &truth, levels)?;
 
         let origin = m.net().random_peer(&mut rng);
@@ -239,9 +397,13 @@ proptest! {
         prop_assert_eq!(out.metrics.exact, answered.len() == due.len());
 
         let wanted = |r: &RecordId| (lo..=hi).contains(&a.value(*r));
+        let stretch = |p| {
+            let key = table.key(table.rank(p).unwrap());
+            a.net().entries_in_stretch((key, key), low, high).iter().map(|&(_, h)| h)
+        };
         let per_peer: BTreeSet<RecordId> = answered
             .iter()
-            .flat_map(|&p| a.net().entries_in_stretch((p, p), low, high).iter().map(|&(_, h)| h))
+            .flat_map(|&p| stretch(p))
             .map(RecordId)
             .filter(wanted)
             .collect();
@@ -281,5 +443,42 @@ proptest! {
         let out = a.pira_query(origin, lo, lo + 150.0, seed).unwrap();
         prop_assert!(out.metrics.exact);
         prop_assert_eq!(out.results, a.expected_results(lo, lo + 150.0));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn descents_equal_the_string_reference(
+        seed in 0u64..10_000,
+        n in 12usize..160,
+        churn in prop::collection::vec(any::<usize>(), 0..60),
+        stabilize in any::<bool>(),
+        q in 0f64..1.0, w in 0f64..1.0,
+    ) {
+        // The networks of `traced_descents_follow_the_forward_routing_tree`,
+        // on which the key-space descent, which tests the region only on its
+        // boundary paths, must do what the string descent does, message for
+        // message. Below an inside peer, a child shorter than the peer's
+        // shift occurs only on a churned cover left unstabilized (it
+        // violates the neighborhood invariant), and matters only below some
+        // queries: a cover gets four, and the property many cases.
+        let (mut a, mut m, mut rng) = grown(seed, n, &churn, stabilize);
+        for _ in 0..80 {
+            a.publish(rng.gen_range(0.0..=1000.0));
+            m.publish(&[rng.gen_range(0.0..=1000.0), rng.gen_range(0.0..=1000.0)]).unwrap();
+        }
+        for i in 0..4 {
+            let (q, w) =
+                if i == 0 { (q, w) } else { (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)) };
+            let (lo, hi) = (q * 1000.0, (q + w * (1.0 - q)).min(1.0) * 1000.0);
+            let origin = a.net().random_peer(&mut rng);
+            check_against_the_strings(&a, origin, &[(lo, hi)], peers_meeting(&a, lo, hi).len())?;
+            let origin = m.net().random_peer(&mut rng);
+            let rect = [(lo, hi), (lo, lo + (hi - lo) / 8.0)];
+            let dest_peers = m.ground_truth_peers(&rect).unwrap().len();
+            check_against_the_strings(&m, origin, &rect, dest_peers)?;
+        }
     }
 }

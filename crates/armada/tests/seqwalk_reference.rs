@@ -35,13 +35,14 @@ fn reference(
     let mut messages = u64::from(delay);
     let mut results = BTreeSet::new();
     let mut prev = None;
-    for peer in run.clone().map(|rank| table.node(rank)) {
+    for rank in run.clone() {
+        let (peer, key) = (table.node(rank), table.key(rank));
         if let Some(prev) = prev {
             messages += 1;
             delay += 1;
             latency += model.edge_cost(prev, peer);
         }
-        for &(_, handle) in net.entries_in_stretch((peer, peer), low, high) {
+        for &(_, handle) in net.entries_in_stretch((key, key), low, high) {
             let v = armada.value(RecordId(handle));
             if v >= lo && v <= hi {
                 results.insert(RecordId(handle));

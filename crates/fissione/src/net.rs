@@ -225,14 +225,31 @@ impl RouteTable {
     /// Returns [`FissioneError::TargetTooShort`] if `low` is shorter than
     /// its owning region's depth.
     pub fn run(&self, low: ObjectKey, high: ObjectKey) -> Result<Range<usize>, FissioneError> {
+        self.run_in(0..self.len(), low, high)
+    }
+
+    /// [`run`](Self::run), searched among the ranks `within` only: a
+    /// sub-region's run inside the run of a region that holds it.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run), and when `low`'s owner is not in `within`.
+    pub fn run_in(
+        &self,
+        within: Range<usize>,
+        low: ObjectKey,
+        high: ObjectKey,
+    ) -> Result<Range<usize>, FissioneError> {
         let (low_key, high_key) = (low.head(), high.head());
+        let rows = &self.rows[within.clone()];
         // `low`'s owner is the greatest key not above it, if that prefixes
         // it. A peer's region starts above `high` exactly when its key does
         // (a minimal extension never exceeds `high` while the two agree).
-        let owner = self.rows.partition_point(|r| r.key <= low_key).checked_sub(1);
+        let owner = rows.partition_point(|r| r.key <= low_key).checked_sub(1);
         match owner {
-            Some(first) if self.rows[first].key.is_prefix_of(low_key) => {
-                Ok(first..first + self.rows[first..].partition_point(|r| r.key <= high_key))
+            Some(first) if rows[first].key.is_prefix_of(low_key) => {
+                let end = first + rows[first..].partition_point(|r| r.key <= high_key);
+                Ok(within.start + first..within.start + end)
             }
             _ => Err(FissioneError::TargetTooShort {
                 target_len: low.len(),
@@ -1082,22 +1099,18 @@ impl FissioneNet {
         self.entries(key, key).iter().map(|&(_, handle)| handle)
     }
 
-    /// The entries the consecutive peers `first ..= last` (PeerID order)
-    /// store under ObjectIDs in `[low, high]`, in `(key, handle)` order:
-    /// their stores are adjacent intervals of the column, so a stretch of a
-    /// range query's destinations is one slice however many peers it spans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `first` or `last` is not live.
+    /// The entries the consecutive peers keyed `first ..= last` (PeerID
+    /// order, both ends read off the [`RouteTable`]) store under ObjectIDs
+    /// in `[low, high]`, in `(key, handle)` order: their stores are
+    /// adjacent intervals of the column, so a stretch of a range query's
+    /// destinations is one slice however many peers it spans.
     pub fn entries_in_stretch(
         &self,
-        (first, last): (NodeId, NodeId),
+        (first, last): (PeerKey, PeerKey),
         low: ObjectKey,
         high: ObjectKey,
     ) -> &[(ObjectKey, u64)] {
-        let interval = |node| self.key_of(node).interval();
-        let (from, to) = (*interval(first).start(), *interval(last).end());
+        let (from, to) = (*first.interval().start(), *last.interval().end());
         self.entries(from.max(low), to.min(high))
     }
 
@@ -1655,7 +1668,8 @@ mod tests {
 
     /// [`RouteTable::run`] against the walk, on random regions of ObjectIDs
     /// and of PeerID-length strings, both ways round, and on lower ends too
-    /// short to have an owner. Returns how many came out `TargetTooShort`.
+    /// short to have an owner, and [`RouteTable::run_in`] on each region's
+    /// sub-regions. Returns how many came out `TargetTooShort`.
     fn assert_runs_match_the_walk(net: &FissioneNet, rng: &mut SmallRng) -> usize {
         let table = net.route_table();
         let mut too_short = 0;
@@ -1669,6 +1683,13 @@ mod tests {
                 let run = table.run(keys.0, keys.1).map(|run| run.map(|r| table.node(r)).collect());
                 assert_eq!(run, run_by_walk(net, low, high), "[{low}, {high}]");
                 too_short += usize::from(matches!(run, Err(FissioneError::TargetTooShort { .. })));
+            }
+            // A sub-region's run, searched inside the region's, is its own.
+            let Ok(whole) = table.run(ObjectKey::new(low), ObjectKey::new(high)) else { continue };
+            for sub in region.split_by_common_prefix() {
+                let keys = (ObjectKey::new(sub.low()), ObjectKey::new(sub.high()));
+                let inside = table.run_in(whole.clone(), keys.0, keys.1);
+                assert_eq!(inside.ok(), table.run(keys.0, keys.1).ok(), "{sub} in {region}");
             }
         }
         too_short
@@ -1799,7 +1820,7 @@ mod tests {
         let keys = (ObjectKey::new(low), ObjectKey::new(high));
         let table = net.route_table();
         let run = table.run(keys.0, keys.1).unwrap();
-        let (first, last) = (table.node(run.start), table.node(run.end - 1));
+        let (first, last) = (table.key(run.start), table.key(run.end - 1));
         let stretch = net.entries_in_stretch((first, last), keys.0, keys.1);
         let whole: Vec<u64> = stretch.iter().map(|&(_, h)| h).collect();
         let expect = pairs(model, in_range);
@@ -1807,7 +1828,8 @@ mod tests {
         for node in net.live_peers() {
             let id = net.peer_id(node).unwrap();
             assert_eq!(stored_at(net, node), pairs(model, |o| id.is_prefix_of(o)), "store of {id}");
-            let local = net.entries_in_stretch((node, node), keys.0, keys.1).iter();
+            let key = table.key(table.rank(node).unwrap());
+            let local = net.entries_in_stretch((key, key), keys.0, keys.1).iter();
             let local: Vec<u64> = local.map(|&(_, h)| h).collect();
             let expect = pairs(model, |o| id.is_prefix_of(o) && in_range(o));
             assert_eq!(local, expect.iter().map(|&(_, h)| h).collect::<Vec<_>>(), "{id}");

@@ -436,6 +436,9 @@ impl Suffixes {
 /// to `n` symbols is one mask — so PIRA's two pruning predicates,
 /// [`KautzRegion::intersects_prefix`] and
 /// [`KautzRegion::intersects_prefix_parts`], become integer comparisons.
+/// Where both comparisons are strict, `p` lies *inside* the region: every
+/// extension of it (of at most the region's length) is a member or
+/// prefixes one, so no extension of `p` needs testing again.
 /// The string forms stay the reference these are property-tested against.
 ///
 /// [`KautzRegion::intersects_prefix`]: crate::KautzRegion::intersects_prefix
@@ -454,13 +457,16 @@ impl KeyRegion {
         KeyRegion { low: low.head().0, high: high.head().0, len: low.len() }
     }
 
-    /// Whether some member of the region extends the `n`-symbol prefix
-    /// whose key is `prefix`: it lies between the endpoints' first `n`
-    /// symbols (none when the region's strings are shorter than that).
+    /// Where the `n`-symbol prefix whose key is `prefix` lies against the
+    /// region: `None` if no member extends it (it lies outside the
+    /// endpoints' first `n` symbols, or the region's strings are shorter
+    /// than `n`), `Some(true)` if it lies strictly between them (inside),
+    /// `Some(false)` if it meets the region on one of their two paths.
     #[inline]
-    fn intersects_prefix_key(&self, prefix: u128, n: usize) -> bool {
+    fn prefix_verdict(&self, prefix: u128, n: usize) -> Option<bool> {
         let mask = mask(n);
-        n <= self.len && self.low & mask <= prefix && prefix <= self.high & mask
+        let (low, high) = (self.low & mask, self.high & mask);
+        (n <= self.len && low <= prefix && prefix <= high).then_some(low < prefix && prefix < high)
     }
 
     /// Whether the peer's region intersects this one —
@@ -469,12 +475,12 @@ impl KeyRegion {
     /// [`KautzRegion::intersects_prefix`]: crate::KautzRegion::intersects_prefix
     #[inline]
     pub fn intersects(&self, peer: PeerKey) -> bool {
-        self.intersects_prefix_key(peer.0, peer.depth())
+        self.prefix_verdict(peer.0, peer.depth()).is_some()
     }
 
     /// PIRA's subtree test for a sub-query whose `ComS` is the region's
     /// first `f` symbols, with what it needs of `ComS` taken once: see
-    /// [`SubtreeProbe::meets`]. `f ≤ MAX_PEER_DEPTH`.
+    /// [`SubtreeProbe::verdict`]. `f ≤ MAX_PEER_DEPTH`.
     pub fn subtree_probe(&self, f: usize) -> SubtreeProbe {
         debug_assert!(f <= MAX_PEER_DEPTH, "ComS of {f} symbols exceeds MAX_PEER_DEPTH");
         let head = self.low & mask(f);
@@ -507,18 +513,20 @@ impl SubtreeProbe {
         &self.region
     }
 
-    /// Whether the region intersects the prefix `ComS ++ child.id[strip..]`
-    /// of the out-neighbor keyed `child`, of `depth` symbols (its own) —
+    /// Where the prefix `ComS ++ child.id[strip..]` of the out-neighbor
+    /// keyed `child`, of `depth` symbols (its own), lies against the
+    /// region: `None` outside it, `Some(inside)` where it meets it —
     /// [`KautzRegion::intersects_prefix_parts`]`(low[..f], child.id[strip..])`
-    /// with both of its fallbacks: a child no longer than `strip`, or a
-    /// junction that would repeat a symbol, tests `ComS` alone.
+    /// with both of its fallbacks, a child no longer than `strip` or a
+    /// junction that would repeat a symbol testing `ComS` alone. A
+    /// fallback is never inside: `ComS` prefixes both endpoints.
     ///
     /// `ComS` plus the tail must fit a key (in a descent they total at most
     /// the child's own depth).
     ///
     /// [`KautzRegion::intersects_prefix_parts`]: crate::KautzRegion::intersects_prefix_parts
     #[inline]
-    pub fn meets(&self, child: PeerKey, depth: usize, strip: usize) -> bool {
+    pub fn verdict(&self, child: PeerKey, depth: usize, strip: usize) -> Option<bool> {
         debug_assert_eq!(depth, child.depth(), "a key's depth is its own");
         let (mut tail, mut tail_len) =
             if strip < depth { (child.0 << (2 * strip), depth - strip) } else { (0, 0) };
@@ -526,7 +534,7 @@ impl SubtreeProbe {
             (tail, tail_len) = (0, 0);
         }
         debug_assert!(self.f + tail_len <= PEER_KEY_SYMS, "subtree prefix exceeds key capacity");
-        self.region.intersects_prefix_key(self.head | tail >> (2 * self.f), self.f + tail_len)
+        self.region.prefix_verdict(self.head | tail >> (2 * self.f), self.f + tail_len)
     }
 }
 
@@ -818,7 +826,7 @@ mod tests {
         }
 
         #[test]
-        fn key_space_subtree_test_equals_intersects_prefix_parts(
+        fn key_space_subtree_verdict_equals_intersects_prefix_parts(
             seed in any::<u64>(),
             k in prop_oneof![Just(24usize), Just(100usize)],
             share in 0usize..100,
@@ -854,21 +862,61 @@ mod tests {
                                 break child;
                             }
                         };
-                        let expect = region.intersects_prefix_parts(
-                            &com_s,
-                            child.symbols().get(strip..).unwrap_or(&[]),
-                        );
+                        let tail = child.symbols().get(strip..).unwrap_or(&[]);
+                        let expect = region.intersects_prefix_parts(&com_s, tail);
+                        let verdict =
+                            keys.subtree_probe(f).verdict(PeerKey::new(&child), child_len, strip);
                         prop_assert_eq!(
-                            keys.subtree_probe(f).meets(PeerKey::new(&child), child_len, strip),
+                            verdict.is_some(),
                             expect,
                             "{} vs {} ++ {}[{}..]", region, com_s, child, strip
                         );
+                        if verdict == Some(true) {
+                            // Inside: the least and the greatest extension
+                            // of every length up to `k` meet the region.
+                            let prefix = KautzStr::new(tail.to_vec())
+                                .and_then(|tail| com_s.concat(&tail));
+                            prop_assert!(prefix.is_ok(), "fallback {} ++ {} inside", com_s, child);
+                            let prefix = prefix.unwrap();
+                            for ext in [prefix.min_extension(k), prefix.max_extension(k)] {
+                                for n in prefix.len()..=k {
+                                    prop_assert!(
+                                        region.intersects_prefix(&ext.take_front(n)),
+                                        "{} is inside {} but {} is not", prefix, region, ext
+                                    );
+                                }
+                            }
+                        }
                         if expect { kept += 1 } else { pruned += 1 }
                     }
                 }
             }
             prop_assert!(pruned > 0 && kept > 0, "one-sided case: {} pruned, {} kept", pruned, kept);
         }
+    }
+
+    #[test]
+    fn a_verdict_is_inside_only_strictly_between_the_boundary_paths() {
+        // ⟨0101, 2121⟩ is the whole length-4 space; `ComS` is empty.
+        let probe = key_region(&KautzRegion::new(ks("0101"), ks("2121")).unwrap()).subtree_probe(0);
+        let verdict =
+            |child: &str, strip| probe.verdict(PeerKey::new(&ks(child)), child.len(), strip);
+        assert_eq!(verdict("1", 0), Some(true), "between the first symbols 0 and 2");
+        assert_eq!(verdict("120", 0), Some(true));
+        assert_eq!(verdict("0", 0), Some(false), "on the low path");
+        assert_eq!(verdict("010", 0), Some(false));
+        assert_eq!(verdict("012", 0), Some(true), "off the low path, above it");
+        assert_eq!(verdict("2121", 0), Some(false), "on the high path, to its end");
+        assert_eq!(verdict("21201", 0), None, "longer than the region's strings");
+        assert_eq!(verdict("12", 2), Some(false), "no tail: `ComS` alone");
+        // ⟨0120, 0121⟩ shares `ComS` = 012: its fallback meets, never inside.
+        let narrow =
+            key_region(&KautzRegion::new(ks("0120"), ks("0121")).unwrap()).subtree_probe(3);
+        let verdict =
+            |child: &str, strip| narrow.verdict(PeerKey::new(&ks(child)), child.len(), strip);
+        assert_eq!(verdict("120", 1), Some(false), "junction 2 ++ 2");
+        assert_eq!(verdict("10", 1), Some(false), "tail 0, on the low path");
+        assert_eq!(verdict("010", 1), None, "01210 is longer than the region's strings");
     }
 
     proptest! {
