@@ -55,6 +55,33 @@ fn grown(
     (a, m, rng)
 }
 
+/// A PIRA and a MIRA system of `n` peers each, then the joins `deep`
+/// draws, each splitting a peer under one stem, the first two symbols of
+/// a peer drawn at build time: the stem's deepest peer for an even draw,
+/// any of its peers for an odd one. Left unstabilized, such a cover breaks
+/// the neighborhood invariant wholesale: a peer under the stem sits many
+/// levels below the out-neighbors its shift leads to.
+fn lopsided(seed: u64, n: usize, deep: &[usize]) -> (SingleArmada, MultiArmada, SmallRng) {
+    let mut rng = simnet::rng_from_seed(seed);
+    let mut a = SingleArmada::build_with(small_cfg(), n, 0.0, 1000.0, &mut rng).unwrap();
+    let mut m = MultiArmada::build_with(small_cfg(), n, &[(0.0, 1000.0); 2], &mut rng).unwrap();
+    let splittable = small_cfg().object_id_len - 1;
+    for net in [a.net_mut(), m.net_mut()] {
+        let stem = net.peer_id(net.random_peer(&mut rng)).unwrap().take_front(2);
+        for &raw in deep {
+            let under: Vec<(usize, NodeId)> = (net.live_peers())
+                .map(|p| (net.peer_id(p).unwrap().len(), p))
+                .filter(|&(depth, p)| {
+                    depth < splittable && stem.is_prefix_of(net.peer_id(p).unwrap())
+                })
+                .collect();
+            let Some(&(_, deepest)) = under.iter().max() else { break };
+            net.split_leaf(if raw % 2 == 0 { deepest } else { under[raw / 2 % under.len()].1 });
+        }
+    }
+    (a, m, rng)
+}
+
 /// What a descent did: each delivery `(node, hop, answers)` with its
 /// multiplicity, the messages sent, and each answering peer's first hop.
 #[derive(Debug, Default, PartialEq)]
@@ -464,21 +491,44 @@ proptest! {
         // shift occurs only on a churned cover left unstabilized (it
         // violates the neighborhood invariant), and matters only below some
         // queries: a cover gets four, and the property many cases.
-        let (mut a, mut m, mut rng) = grown(seed, n, &churn, stabilize);
-        for _ in 0..80 {
-            a.publish(rng.gen_range(0.0..=1000.0));
-            m.publish(&[rng.gen_range(0.0..=1000.0), rng.gen_range(0.0..=1000.0)]).unwrap();
-        }
-        for i in 0..4 {
-            let (q, w) =
-                if i == 0 { (q, w) } else { (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)) };
-            let (lo, hi) = (q * 1000.0, (q + w * (1.0 - q)).min(1.0) * 1000.0);
-            let origin = a.net().random_peer(&mut rng);
-            check_against_the_strings(&a, origin, &[(lo, hi)], peers_meeting(&a, lo, hi).len())?;
-            let origin = m.net().random_peer(&mut rng);
-            let rect = [(lo, hi), (lo, lo + (hi - lo) / 8.0)];
-            let dest_peers = m.ground_truth_peers(&rect).unwrap().len();
-            check_against_the_strings(&m, origin, &rect, dest_peers)?;
-        }
+        four_queries_against_the_strings(grown(seed, n, &churn, stabilize), (q, w))?;
     }
+
+    #[test]
+    fn descents_equal_the_string_reference_on_lopsided_covers(
+        seed in 0u64..10_000,
+        n in 12usize..100,
+        deep in prop::collection::vec(any::<usize>(), 8..10),
+        q in 0f64..1.0, w in 0f64..1.0,
+    ) {
+        // Covers built to break the neighborhood invariant: the children
+        // of an inside peer that are shorter than its shift, which the
+        // churned covers above rarely hold, are common here.
+        four_queries_against_the_strings(lopsided(seed, n, &deep), (q, w))?;
+    }
+}
+
+/// 80 records into each system, then four queries (the first over `(q, w)`
+/// as fractions of the domain, three drawn) held to [`string_descent`],
+/// on PIRA and on MIRA.
+fn four_queries_against_the_strings(
+    (mut a, mut m, mut rng): (SingleArmada, MultiArmada, SmallRng),
+    (q, w): (f64, f64),
+) -> Result<(), TestCaseError> {
+    for _ in 0..80 {
+        a.publish(rng.gen_range(0.0..=1000.0));
+        m.publish(&[rng.gen_range(0.0..=1000.0), rng.gen_range(0.0..=1000.0)]).unwrap();
+    }
+    for i in 0..4 {
+        let (q, w) =
+            if i == 0 { (q, w) } else { (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)) };
+        let (lo, hi) = (q * 1000.0, (q + w * (1.0 - q)).min(1.0) * 1000.0);
+        let origin = a.net().random_peer(&mut rng);
+        check_against_the_strings(&a, origin, &[(lo, hi)], peers_meeting(&a, lo, hi).len())?;
+        let origin = m.net().random_peer(&mut rng);
+        let rect = [(lo, hi), (lo, lo + (hi - lo) / 8.0)];
+        let dest_peers = m.ground_truth_peers(&rect).unwrap().len();
+        check_against_the_strings(&m, origin, &rect, dest_peers)?;
+    }
+    Ok(())
 }

@@ -10,9 +10,19 @@
 //! column, which greedy routing and the flood read, the records beside it,
 //! and one 32-byte row of `u32` neighbor ids. A split or a merge patches
 //! the slots it reshapes in place.
+//!
+//! The split tree knows where each node lies on the Hilbert curve: a node
+//! carries its span of curve cells and the curve's orientation there
+//! ([`hilbert::State`]), so a split derives its children's spans in
+//! O(1), with no curve walk. Values find their zone by curve cell
+//! ([`CanNet::owner_of_cell`]): a descent of integer compares, the
+//! geometric test left only below the cell resolution. Joins, whose
+//! points are random, find theirs geometrically
+//! ([`CanNet::owner_of_point`]).
 
 use crate::adjacency::Adjacency;
-use crate::{hilbert, CanError};
+use crate::hilbert::{self, State};
+use crate::CanError;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::NodeId;
@@ -156,7 +166,12 @@ struct SplitNode {
     rect: Rect,
     /// The parent node; [`NO_NODE`] at the root.
     parent: u32,
-    depth: u32,
+    depth: u16,
+    /// The curve's orientation on the node's square, twice, or on the
+    /// bottom and top squares of a 2:1 rectangle, as [`SpanRow::span`]
+    /// pairs them. A split reads it to place its children's blocks
+    /// (`alloc_node`); below the cell resolution it is inert.
+    states: [State; 2],
 }
 
 impl SplitNode {
@@ -176,7 +191,21 @@ impl SplitNode {
 /// cells is one aligned run of `4^k` positions, so a node's cells are one
 /// or two curve intervals of a length its depth fixes ([`block_len`]) —
 /// `span` keeps where they start, and "does this node meet a range of
-/// curve cells" is an integer comparison, not a box test.
+/// curve cells" is an integer comparison, not a box test. The same test is
+/// the door a value takes to its zone: [`CanNet::owner_of_cell`] steps to
+/// the child whose span holds the value's cell, and only inside one cell,
+/// where both children hold it, asks a rectangle.
+///
+/// A child's row comes from its parent's in O(1). A 2:1 rectangle's
+/// children are its two squares: `span[0]` and `span[1]` as they are. A
+/// square of state σ splits into its left and right halves, each the
+/// quadrants `(bx, 0)` and `(bx, 1)` stacked: quadrant `(bx, by)` is
+/// canonical `(cx, cy)` under σ, its block starts at
+/// `span + ((3·cx) ^ cy)·len` (`len` the child's), and its state is
+/// `σ ^ τ(cx, cy)` ([`hilbert::State`]). Once a node is one cell, its
+/// children are that cell too. [`SpanRow::leaf`] reads a row off the
+/// rectangle instead, by `xy2d` walks: it places the root, and is
+/// [`check_invariants`](CanNet::check_invariants)' oracle.
 #[derive(Debug, Clone, Copy)]
 struct SpanRow {
     /// First curve cells of the node's aligned blocks: the bottom and top
@@ -196,14 +225,21 @@ const _: () = assert!(std::mem::size_of::<SplitNode>() == 40);
 impl SpanRow {
     /// The row of a leaf `rect` at `depth` holding `zone`, its span read
     /// off the curve of `order`.
-    fn leaf(order: u32, rect: &Rect, depth: u32, zone: NodeId) -> Self {
+    fn leaf(order: u32, rect: &Rect, depth: u16, zone: NodeId) -> Self {
         let side = 1u64 << order;
         let (x, y) = ((rect.x0 * side as f64) as u64, (rect.y0 * side as f64) as u64);
         let len = block_len(order, depth);
+        let depth = u32::from(depth);
         let start = |y| hilbert::xy2d(order, x, y) & !(len - 1);
         let halves = depth % 2 == 1 && depth < 2 * order;
         let top = if halves { y + (1 << (order - depth / 2 - 1)) } else { y };
         SpanRow { span: [start(y), start(top)], len, next: [NO_NODE, fit(zone)] }
+    }
+
+    /// Whether the node lies within one curve cell, so that its children
+    /// share their cells and only geometry tells them apart.
+    fn within_a_cell(&self) -> bool {
+        self.len == 1 && self.span[0] == self.span[1]
     }
 
     /// Child node indices after a split; `None` for leaves.
@@ -227,8 +263,8 @@ impl SpanRow {
 /// Curve cells per aligned block of a split-tree node at `depth`: `4^k`
 /// for a square of side `2^k` cells or a 2:1 rectangle of two, 1 once the
 /// node is no bigger than a cell.
-fn block_len(order: u32, depth: u32) -> u64 {
-    1 << (2 * order.saturating_sub(depth.div_ceil(2)))
+fn block_len(order: u32, depth: u16) -> u64 {
+    1 << (2 * order.saturating_sub(u32::from(depth).div_ceil(2)))
 }
 
 /// A 2-d CAN whose zones tile the unit torus, with the attribute interval
@@ -253,13 +289,24 @@ pub struct CanNet {
     /// Free zone slots as a min-heap: allocation recycles the lowest free
     /// index, matching the slot-scan discipline without the O(N) scan.
     free_slots: BinaryHeap<Reverse<usize>>,
-    /// Internal tree nodes whose children are both leaves, keyed by
-    /// `(child depth, Reverse(node index))` so the deepest pair with the
-    /// lowest parent index is the last element — the merge candidate
+    /// Internal tree nodes whose children are both leaves, as a max-heap
+    /// keyed by `(child depth, Reverse(node index))`, so the deepest pair
+    /// with the lowest parent index is on top: the merge candidate
     /// [`deepest_leaf_pair`](Self::deepest_leaf_pair) used to find by a
-    /// full scan.
-    merge_pairs: BTreeSet<(u32, Reverse<usize>)>,
+    /// full scan. Deletion is lazy: a node that stops being a pair keeps
+    /// its entry until it surfaces and is popped, and a compaction drops
+    /// the stale entries once they outnumber the `leaf_pairs` valid ones
+    /// (plus [`HEAP_SLACK`]).
+    merge_pairs: BinaryHeap<(u32, Reverse<u32>)>,
+    /// How many nodes are leaf pairs now.
+    leaf_pairs: usize,
+    /// A split's adjacency candidates, kept for the next split.
+    candidates: Vec<u32>,
 }
+
+/// Stale entries the mergeable-pair heap may hold beyond as many as it has
+/// valid ones before it is compacted.
+const HEAP_SLACK: usize = 16;
 
 impl CanNet {
     /// Creates a single-zone network owning the whole square.
@@ -274,12 +321,19 @@ impl CanNet {
                 adjacency
             },
             live: 1,
-            tree: vec![SplitNode { rect: Rect::UNIT, parent: NO_NODE, depth: 0 }],
+            tree: vec![SplitNode {
+                rect: Rect::UNIT,
+                parent: NO_NODE,
+                depth: 0,
+                states: [State::default(); 2],
+            }],
             rows: vec![SpanRow::leaf(cfg.hilbert_order, &Rect::UNIT, 0, 0)],
             free_nodes: Vec::new(),
             node_of: vec![0],
             free_slots: BinaryHeap::new(),
-            merge_pairs: BTreeSet::new(),
+            merge_pairs: BinaryHeap::new(),
+            leaf_pairs: 0,
+            candidates: Vec::new(),
         }
     }
 
@@ -388,6 +442,50 @@ impl CanNet {
         self.rows[node].zone().expect("leaves carry live zones")
     }
 
+    /// The zone owning curve cell `cell`: the owner of the cell's centre
+    /// point, found without the point. One descent of the span rows, an
+    /// integer compare per node; only below the cell resolution, where two
+    /// leaves share the cell, does the centre point decide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` lies beyond the curve (debug builds).
+    pub fn owner_of_cell(&self, cell: u64) -> NodeId {
+        let mut node = 0;
+        while let Some(kids) = self.rows[node].kids() {
+            node = self.child_holding(node, kids, cell);
+        }
+        let owner = self.rows[node].zone().expect("leaves carry live zones");
+        #[cfg(debug_assertions)]
+        {
+            let (x, y) = hilbert::point_of_cell(self.cfg.hilbert_order, cell);
+            debug_assert_eq!(owner, self.owner_of_point(x, y), "cell {cell}");
+        }
+        owner
+    }
+
+    /// The child `a` or `b` of `node` that holds curve cell `cell`, one the
+    /// node holds: by span, or below the cell resolution by the cell's
+    /// centre point.
+    fn child_holding(&self, node: usize, (a, b): (usize, usize), cell: u64) -> usize {
+        let in_a = if self.rows[node].within_a_cell() {
+            let (x, y) = hilbert::point_of_cell(self.cfg.hilbert_order, cell);
+            self.tree[a].rect.contains(x, y)
+        } else {
+            self.rows[a].meets_cells(cell, cell)
+        };
+        if in_a {
+            a
+        } else {
+            b
+        }
+    }
+
+    /// The curve cell an attribute value maps to.
+    pub fn cell_of_value(&self, value: f64) -> u64 {
+        hilbert::cell_of(self.cfg.hilbert_order, self.normalize(value))
+    }
+
     /// Every live zone holding one of the curve cells `a..=b`, appended to
     /// `out` once each, in split-tree order; `out` is cleared first. These
     /// are the zones a DCF query over those cells must reach.
@@ -487,8 +585,7 @@ impl CanNet {
     /// adjacency lists — the CAN close group over rectangles. Deterministic
     /// in `(value, r, tiling)`, local table reads only, primary first.
     pub fn replica_owners(&self, value: f64, r: usize) -> Vec<NodeId> {
-        let (x, y) = self.point_of_value(value);
-        let primary = self.owner_of_point(x, y);
+        let primary = self.owner_of_cell(self.cell_of_value(value));
         let want = r.max(1).min(self.len());
         let mut owners = vec![primary];
         let mut frontier = vec![primary];
@@ -518,8 +615,7 @@ impl CanNet {
 
     /// The unit-square point assigned to an attribute value.
     pub fn point_of_value(&self, value: f64) -> (f64, f64) {
-        let cell = crate::hilbert::cell_of(self.cfg.hilbert_order, self.normalize(value));
-        crate::hilbert::point_of_cell(self.cfg.hilbert_order, cell)
+        hilbert::point_of_cell(self.cfg.hilbert_order, self.cell_of_value(value))
     }
 
     /// A new peer joins: picks a random point, splits its owner's zone along
@@ -539,61 +635,53 @@ impl CanNet {
     /// Panics if `owner` is not live.
     pub fn split_zone(&mut self, owner: NodeId, px: f64, py: f64) -> NodeId {
         let rect = *self.live_rect(owner);
-        let vertical = (rect.x1 - rect.x0) >= (rect.y1 - rect.y0);
-        let (keep, give) = if vertical {
+        // The low half (left or bottom) and the high one.
+        let halves = if (rect.x1 - rect.x0) >= (rect.y1 - rect.y0) {
             let mid = (rect.x0 + rect.x1) / 2.0;
-            let left = Rect { x1: mid, ..rect };
-            let right = Rect { x0: mid, ..rect };
-            if right.contains(px, py) {
-                (left, right)
-            } else {
-                (right, left)
-            }
+            [Rect { x1: mid, ..rect }, Rect { x0: mid, ..rect }]
         } else {
             let mid = (rect.y0 + rect.y1) / 2.0;
-            let bottom = Rect { y1: mid, ..rect };
-            let top = Rect { y0: mid, ..rect };
-            if top.contains(px, py) {
-                (bottom, top)
-            } else {
-                (top, bottom)
-            }
+            [Rect { y1: mid, ..rect }, Rect { y0: mid, ..rect }]
         };
-
-        // Repartition records.
-        let order = self.cfg.hilbert_order;
-        let (lo, hi) = (self.cfg.domain_lo, self.cfg.domain_hi);
-        let point = |value: f64| {
-            let t = ((value - lo) / (hi - lo)).clamp(0.0, 1.0);
-            crate::hilbert::point_of_cell(order, crate::hilbert::cell_of(order, t))
-        };
-        let old_records = std::mem::take(&mut self.records[owner]);
-        let (kept, given): (Vec<_>, Vec<_>) = old_records.into_iter().partition(|&(v, _)| {
-            let (x, y) = point(v);
-            keep.contains(x, y)
-        });
-        self.rects[owner] = keep;
-        self.records[owner] = kept;
-        let newcomer = self.alloc_slot(give, given);
+        let give = usize::from(halves[1].contains(px, py));
+        let keep = 1 - give;
+        self.rects[owner] = halves[keep];
+        let newcomer = self.alloc_slot(halves[give]);
 
         // Record the split in the tree: the owner's leaf becomes internal
         // with one child leaf per half.
         let parent = self.node_of[owner];
-        let depth = self.tree[parent].depth + 1;
-        let keep_node = self.alloc_node(keep, depth, parent, owner);
-        let give_node = self.alloc_node(give, depth, parent, newcomer);
+        let grand_was_pair = self.leaf_sibling(parent).is_some();
+        let keep_node = self.alloc_node(halves[keep], parent, keep, owner);
+        let give_node = self.alloc_node(halves[give], parent, give, newcomer);
         self.rows[parent].next = [fit(keep_node), fit(give_node)];
         self.node_of[owner] = keep_node;
         self.node_of[newcomer] = give_node;
-        self.refresh_merge_pair(parent);
+        self.refresh_merge_pair(parent, false);
         if let Some(grand) = self.tree[parent].parent() {
-            self.refresh_merge_pair(grand);
+            self.refresh_merge_pair(grand, grand_was_pair);
         }
+
+        // Repartition records: each goes to the half holding its cell.
+        let mut kept = std::mem::take(&mut self.records[owner]);
+        let mut given = Vec::new();
+        kept.retain(|&record| {
+            let cell = self.cell_of_value(record.0);
+            let stays = self.child_holding(parent, (keep_node, give_node), cell) == keep_node;
+            if !stays {
+                given.push(record);
+            }
+            stays
+        });
+        self.records[owner] = kept;
+        self.records[newcomer] = given;
 
         // Recompute adjacency: candidates are the old neighbor set plus the
         // sibling pair itself.
         let (owner_id, newcomer_id) = (fit(owner), fit(newcomer));
-        let mut candidates = self.adjacency.get(owner).to_vec();
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        candidates.extend_from_slice(self.adjacency.get(owner));
         candidates.push(newcomer_id);
         self.adjacency.clear(owner);
         // Drop stale back-references; they are rebuilt below.
@@ -611,6 +699,7 @@ impl CanNet {
                 self.adjacency.push(z, newcomer_id);
             }
         }
+        self.candidates = candidates;
         newcomer
     }
 
@@ -703,20 +792,41 @@ impl CanNet {
     /// zones other than `exclude`: `(parent node, absorbing zone, donor
     /// zone)`. Deterministic: maximum depth, then lowest parent index; the
     /// first child absorbs, the second donates its peer.
-    fn deepest_leaf_pair(&self, exclude: NodeId) -> Option<(usize, NodeId, NodeId)> {
-        // The mergeable-pair index is ordered (depth, Reverse(parent)), so
-        // reverse iteration yields maximum depth then lowest parent index —
-        // the same winner the old full scan picked. `exclude` occupies one
-        // leaf, so at most one candidate is skipped.
-        for &(_, Reverse(parent)) in self.merge_pairs.iter().rev() {
-            let (a, b) = self.rows[parent].kids().expect("indexed pairs are internal");
-            let (za, zb) = (self.rows[a].zone().expect("leaf"), self.rows[b].zone().expect("leaf"));
-            if za == exclude || zb == exclude {
-                continue;
+    fn deepest_leaf_pair(&mut self, exclude: NodeId) -> Option<(usize, NodeId, NodeId)> {
+        // The heap's order is (depth, Reverse(parent)), so its top valid
+        // entry is maximum depth then lowest parent index — the same
+        // winner the old full scan picked. Stale entries on top are popped
+        // for good; `exclude` occupies one leaf, so at most one pair is
+        // skipped, and it goes back.
+        let mut skipped = None;
+        let found = loop {
+            let Some(&(depth, Reverse(parent))) = self.merge_pairs.peek() else {
+                break None;
+            };
+            match self.valid_pair(depth, parent) {
+                None => drop(self.merge_pairs.pop()),
+                Some((za, zb)) if za == exclude || zb == exclude => {
+                    skipped = self.merge_pairs.pop();
+                }
+                Some((za, zb)) => break Some((parent as usize, za, zb)),
             }
-            return Some((parent, za, zb));
-        }
-        None
+        };
+        self.merge_pairs.extend(skipped);
+        found
+    }
+
+    /// The zones of the leaf pair under `node`, if it is one.
+    fn leaf_pair(&self, node: usize) -> Option<(NodeId, NodeId)> {
+        let (a, b) = self.rows[node].kids()?;
+        Some((self.rows[a].zone()?, self.rows[b].zone()?))
+    }
+
+    /// The zones of the pair a heap entry names, unless the entry is stale:
+    /// its node is no longer a leaf pair, or is one again at another depth
+    /// (a freed node the arena recycled).
+    fn valid_pair(&self, depth: u32, node: u32) -> Option<(NodeId, NodeId)> {
+        let node = node as usize;
+        (u32::from(self.tree[node].depth) + 1 == depth).then(|| self.leaf_pair(node)).flatten()
     }
 
     /// Collapses the sibling pair under `parent` into `parent` itself: the
@@ -729,23 +839,29 @@ impl CanNet {
         self.free_nodes.push(b);
         self.node_of[absorber] = parent;
         self.rects[absorber] = self.tree[parent].rect;
-        self.refresh_merge_pair(parent);
+        self.refresh_merge_pair(parent, true);
         if let Some(grand) = self.tree[parent].parent() {
-            self.refresh_merge_pair(grand);
+            self.refresh_merge_pair(grand, false);
         }
     }
 
-    /// Re-derives `node`'s membership in the mergeable-pair index: present
-    /// iff internal with both children leaves, keyed by child depth.
-    fn refresh_merge_pair(&mut self, node: usize) {
-        let key = (self.tree[node].depth + 1, Reverse(node));
-        let both_leaves = self.rows[node]
-            .kids()
-            .is_some_and(|(a, b)| self.rows[a].kids().is_none() && self.rows[b].kids().is_none());
-        if both_leaves {
-            self.merge_pairs.insert(key);
-        } else {
-            self.merge_pairs.remove(&key);
+    /// Keeps the mergeable-pair heap in step with `node`, which was a leaf
+    /// pair iff `was`: a node that has become one is pushed, keyed by child
+    /// depth; one that has stopped being one keeps its entry, now stale.
+    /// Once stale entries outnumber the valid ones by [`HEAP_SLACK`], the
+    /// heap is compacted in place to its valid entries, each once.
+    fn refresh_merge_pair(&mut self, node: usize, was: bool) {
+        let is = self.leaf_pair(node).is_some();
+        if is && !was {
+            self.merge_pairs.push((u32::from(self.tree[node].depth) + 1, Reverse(fit(node))));
+        }
+        self.leaf_pairs = self.leaf_pairs + usize::from(is) - usize::from(was);
+        if self.merge_pairs.len() > 2 * self.leaf_pairs + HEAP_SLACK {
+            let mut entries = std::mem::take(&mut self.merge_pairs).into_vec();
+            entries.retain(|&(depth, Reverse(node))| self.valid_pair(depth, node).is_some());
+            entries.sort_unstable();
+            entries.dedup();
+            self.merge_pairs = entries.into();
         }
     }
 
@@ -834,11 +950,10 @@ impl CanNet {
         &self.rects[id]
     }
 
-    /// Publishes a record: the value's curve point decides the owning zone.
+    /// Publishes a record: the value's curve cell decides the owning zone.
     /// Returns the zone id.
     pub fn publish(&mut self, value: f64, handle: u64) -> NodeId {
-        let (x, y) = self.point_of_value(value);
-        let owner = self.owner_of_point(x, y);
+        let owner = self.owner_of_cell(self.cell_of_value(value));
         self.records[owner].push((value, handle));
         owner
     }
@@ -923,8 +1038,9 @@ impl CanNet {
         }
         // Walked from the root, so freed arena entries cannot alias in:
         // every span row is what its node's rectangle and depth give, every
-        // child names its parent, and the mergeable-pair index holds exactly
-        // the internal nodes whose children are both leaves.
+        // child names its parent, and the mergeable-pair heap's valid
+        // entries are exactly the internal nodes whose children are both
+        // leaves.
         let order = self.cfg.hilbert_order;
         let mut expected = BTreeSet::new();
         let mut stack = vec![0usize];
@@ -939,15 +1055,22 @@ impl CanNet {
                 if self.tree[a].parent() != Some(n) || self.tree[b].parent() != Some(n) {
                     return Err(format!("node {n}'s children name another parent"));
                 }
-                if self.rows[a].kids().is_none() && self.rows[b].kids().is_none() {
-                    expected.insert((depth + 1, Reverse(n)));
+                if self.leaf_pair(n).is_some() {
+                    expected.insert((u32::from(depth) + 1, Reverse(fit(n))));
                 }
                 stack.push(a);
                 stack.push(b);
             }
         }
-        if expected != self.merge_pairs {
-            return Err("mergeable-pair index disagrees with the split tree".into());
+        let valid: BTreeSet<_> = (self.merge_pairs.iter().copied())
+            .filter(|&(depth, Reverse(node))| self.valid_pair(depth, node).is_some())
+            .collect();
+        if valid != expected || self.leaf_pairs != expected.len() {
+            return Err("mergeable-pair heap disagrees with the split tree".into());
+        }
+        let entries = self.merge_pairs.len();
+        if entries > 2 * self.leaf_pairs + HEAP_SLACK {
+            return Err(format!("{entries} heap entries for {} pairs", self.leaf_pairs));
         }
         // Every live zone occupies a leaf carrying its id, and the rect
         // column holds that leaf's rectangle.
@@ -986,31 +1109,49 @@ impl CanNet {
     // ------------------------------------------------------------------
     // internals
 
-    /// A slot for a new zone `rect` holding `records`; the caller sets its
-    /// `node_of` right after, which makes it live.
-    fn alloc_slot(&mut self, rect: Rect, records: Vec<(f64, u64)>) -> NodeId {
+    /// A slot for a new zone `rect`, holding no records; the caller sets
+    /// its `node_of` right after, which makes it live.
+    fn alloc_slot(&mut self, rect: Rect) -> NodeId {
         // The free-slot heap pops the lowest free index — the same slot the
         // old `position(Option::is_none)` scan found, without the scan.
         self.live += 1;
         if let Some(Reverse(i)) = self.free_slots.pop() {
             debug_assert!(!self.is_live(i), "free-slot heap out of sync");
             self.rects[i] = rect;
-            self.records[i] = records;
             i
         } else {
             self.rects.push(rect);
-            self.records.push(records);
+            self.records.push(Vec::new());
             self.adjacency.push_slot();
             self.node_of.push(DEAD);
             self.node_of.len() - 1
         }
     }
 
-    /// A tree node for a new leaf `rect` under `parent`, holding `zone`:
-    /// a recycled arena entry if one is free.
-    fn alloc_node(&mut self, rect: Rect, depth: u32, parent: usize, zone: NodeId) -> usize {
-        let row = SpanRow::leaf(self.cfg.hilbert_order, &rect, depth, zone);
-        let node = SplitNode { rect, parent: fit(parent), depth };
+    /// A tree node for a new leaf `rect`, the low (`half` 0: left or
+    /// bottom) or high half of `parent`, holding `zone`: a recycled arena
+    /// entry if one is free. Its span row and states come from the
+    /// parent's, as [`SpanRow`] tells.
+    fn alloc_node(&mut self, rect: Rect, parent: usize, half: usize, zone: NodeId) -> usize {
+        let up = &self.tree[parent];
+        let SpanRow { span, len, .. } = self.rows[parent];
+        let (span, len, states) = if up.depth % 2 == 1 {
+            ([span[half]; 2], len, [up.states[half]; 2])
+        } else if len == 1 {
+            (span, len, up.states)
+        } else {
+            let (len, quadrant) = (len / 4, |by| up.states[0].quadrant(half as u64, by));
+            let ((q0, s0), (q1, s1)) = (quadrant(0), quadrant(1));
+            ([span[0] + q0 * len, span[0] + q1 * len], len, [s0, s1])
+        };
+        let depth = up.depth.checked_add(1).expect("a split tree shallower than 2^16");
+        let row = SpanRow { span, len, next: [NO_NODE, fit(zone)] };
+        #[cfg(debug_assertions)]
+        {
+            let want = SpanRow::leaf(self.cfg.hilbert_order, &rect, depth, zone);
+            debug_assert_eq!((span, len), (want.span, want.len), "{rect:?} at depth {depth}");
+        }
+        let node = SplitNode { rect, parent: fit(parent), depth, states };
         if let Some(i) = self.free_nodes.pop() {
             self.tree[i] = node;
             self.rows[i] = row;
@@ -1290,7 +1431,7 @@ mod tests {
         net.leave(7).unwrap();
         net.crash(40).unwrap();
         let side = 8.0;
-        let depths: BTreeSet<u32> =
+        let depths: BTreeSet<u16> =
             net.live_zones().map(|z| net.tree[net.node_of[z]].depth).collect();
         assert!(
             depths.first() < Some(&6) && depths.contains(&6) && depths.last() > Some(&6),
@@ -1310,6 +1451,74 @@ mod tests {
             let want: BTreeSet<u64> = (0..64).filter(|&d| cell_rect(d).intersects(&rect)).collect();
             assert_eq!(held, want, "node {node} at depth {depth}: {rect:?}");
         }
+        // Every cell's owner is its centre point's, leaves that share a
+        // cell included.
+        for cell in 0..64 {
+            let (x, y) = hilbert::point_of_cell(3, cell);
+            assert_eq!(net.owner_of_cell(cell), net.owner_of_point(x, y), "cell {cell}");
+        }
+    }
+
+    /// The deepest leaf pair by a walk of the whole split tree: maximum
+    /// child depth, then lowest parent index, pairs holding `exclude`
+    /// skipped.
+    fn walked_deepest_pair(net: &CanNet, exclude: NodeId) -> Option<(usize, NodeId, NodeId)> {
+        let mut best = None;
+        let mut stack = vec![0usize];
+        while let Some(n) = stack.pop() {
+            if let Some((a, b)) = net.rows[n].kids() {
+                stack.extend([a, b]);
+                match net.leaf_pair(n) {
+                    Some((za, zb)) if za != exclude && zb != exclude => {
+                        let key = (net.tree[n].depth, Reverse(n));
+                        if best.is_none_or(|(k, _)| key > k) {
+                            best = Some((key, (n, za, zb)));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        best.map(|(_, pair)| pair)
+    }
+
+    #[test]
+    fn the_merge_heap_yields_the_walked_deepest_pair_under_churn() {
+        // Joins and departures by both paths for 10⁴ events, the net
+        // between 2 and ≈ 200 zones. Before each departure the heap's pick
+        // is asked for three exclusions: none, a zone of the deepest pair
+        // (skipped and pushed back) and that pair's other zone.
+        let mut net = build(60, 94);
+        let mut rng = simnet::rng_from_seed(940);
+        let (mut skipped, mut compactions) = (0, 0);
+        for i in 0..10_000 {
+            if net.len() < 2 || (net.len() < 200 && rng.gen_bool(0.5)) {
+                net.join(&mut rng);
+            } else {
+                let deepest = walked_deepest_pair(&net, DEAD);
+                let excludes = deepest.map_or([DEAD; 3], |(_, za, zb)| [DEAD, za, zb]);
+                for exclude in excludes {
+                    skipped += usize::from(exclude != DEAD);
+                    let (got, want) =
+                        (net.deepest_leaf_pair(exclude), walked_deepest_pair(&net, exclude));
+                    assert_eq!(got, want, "event {i}, exclude {exclude}");
+                }
+                let before = net.merge_pairs.len();
+                net.leave(net.random_zone(&mut rng)).unwrap();
+                compactions += usize::from(net.merge_pairs.len() + 1 < before);
+            }
+            assert!(
+                net.merge_pairs.len() <= 2 * net.leaf_pairs + HEAP_SLACK,
+                "{} entries for {} pairs after event {i}",
+                net.merge_pairs.len(),
+                net.leaf_pairs
+            );
+            if i % 500 == 0 {
+                net.check_invariants().unwrap();
+            }
+        }
+        net.check_invariants().unwrap();
+        assert!(skipped > 1000 && compactions > 10, "{skipped} skips, {compactions} compactions");
     }
 
     #[test]

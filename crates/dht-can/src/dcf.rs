@@ -42,7 +42,6 @@
 //! and the second also grows with the queried range — the behaviour the
 //! Armada paper's Figures 5 and 7 contrast with PIRA.
 
-use crate::hilbert;
 use crate::{CanError, CanNet};
 use simnet::{Answers, Envelope, FaultPlan, NetModel, NodeId, QueryScratch, Sim, SimScratch};
 
@@ -272,7 +271,6 @@ pub fn query(
         return Err(CanError::EmptyRange { lo, hi });
     }
     net.zone(origin)?;
-    let order = net.config().hilbert_order;
 
     let DcfScratch { sim: sim_scratch, truth, answers, reach, targets, deep_walks } =
         scratch.slot::<DcfScratch>();
@@ -281,9 +279,7 @@ pub fn query(
     // descent of the split tree turns it into the ground truth, stamped
     // per zone: from here on "does this zone meet the range" is
     // `answers.is_due`, one read.
-    let ta = hilbert::cell_of(order, net.normalize(lo));
-    let tb = hilbert::cell_of(order, net.normalize(hi));
-    net.zones_meeting_cells(ta, tb, truth);
+    net.zones_meeting_cells(net.cell_of_value(lo), net.cell_of_value(hi), truth);
     answers.begin(net.node_bound(), truth.iter().copied());
     if reach.len() < net.node_bound() {
         reach.resize(net.node_bound(), Reach::default());

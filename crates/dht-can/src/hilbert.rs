@@ -82,6 +82,38 @@ pub fn xy2d(order: u32, mut x: u64, mut y: u64) -> u64 {
     d
 }
 
+/// The orientation of one aligned block of the curve: the transform
+/// [`xy2d`] has applied to the coordinates by the time it reaches the
+/// block. Two bits, swap (bit 0: x and y trade places) and flip (bit 1:
+/// both are complemented). The two commute and each undoes itself, so
+/// states compose by XOR and there are four. The whole square is in
+/// state 0.
+///
+/// | state | quadrant `(bx, by)` read as `(cx, cy)` |
+/// |---|---|
+/// | 0 | `(bx, by)` |
+/// | 1, swap | `(by, bx)` |
+/// | 2, flip | `(1 − bx, 1 − by)` |
+/// | 3, both | `(1 − by, 1 − bx)` |
+///
+/// The canonical quadrant `(cx, cy)` is the `((3·cx) ^ cy)`-th quarter of
+/// the block along the curve, and its state is the block's XOR
+/// `τ(cx, cy)`: swap when `cy = 0`, plus flip when also `cx = 1`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct State(u8);
+
+impl State {
+    /// Quadrant `(bx, by)` of a block in this state, as geometry names it
+    /// (`bx = 1` right, `by = 1` top): its quarter of the block along the
+    /// curve, `0..4`, and its own state.
+    pub(crate) fn quadrant(self, bx: u64, by: u64) -> (u64, State) {
+        let (cx, cy) = if self.0 & 1 == 1 { (by, bx) } else { (bx, by) };
+        let (cx, cy) = if self.0 & 2 == 2 { (cx ^ 1, cy ^ 1) } else { (cx, cy) };
+        let tau = if cy == 0 { 1 | (cx as u8) << 1 } else { 0 };
+        ((3 * cx) ^ cy, State(self.0 ^ tau))
+    }
+}
+
 /// The curve cell containing the normalised value `t ∈ [0, 1]`.
 pub fn cell_of(order: u32, t: f64) -> u64 {
     let cells = 1u64 << (2 * order);
@@ -157,6 +189,24 @@ mod tests {
             for d in 0..(1u64 << (2 * order)) {
                 let (x, y) = d2xy(order, d);
                 assert_eq!(xy2d(order, x, y), d, "order {order} d {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn quadrant_states_walk_to_xy2d() {
+        // Descending from the whole square one quadrant per level, the
+        // states give every cell's curve position without `xy2d`.
+        for order in [1u32, 2, 3, 5] {
+            for x in 0..1u64 << order {
+                for y in 0..1u64 << order {
+                    let (mut d, mut state) = (0, State::default());
+                    for level in (0..order).rev() {
+                        let (q, next) = state.quadrant(x >> level & 1, y >> level & 1);
+                        (d, state) = (4 * d + q, next);
+                    }
+                    assert_eq!(d, xy2d(order, x, y), "order {order} cell ({x}, {y})");
+                }
             }
         }
     }

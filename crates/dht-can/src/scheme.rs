@@ -99,8 +99,7 @@ impl DcfScheme {
             .published
             .iter()
             .filter(|&&(v, h)| {
-                let (x, y) = self.net.point_of_value(v);
-                let owner = self.net.owner_of_point(x, y);
+                let owner = self.net.owner_of_cell(self.net.cell_of_value(v));
                 !self.net.zone(owner).expect("live owner").records().contains(&(v, h))
             })
             .copied()

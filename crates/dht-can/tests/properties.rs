@@ -1,6 +1,7 @@
 //! Property tests: Hilbert-curve invariants, CAN tiling under arbitrary
 //! growth, the split tree's curve-span descent against the box descent and
-//! the full-tiling scan, DCF exactness on random workloads — with a
+//! the full-tiling scan, its cell owners against the point owners, DCF
+//! exactness on random workloads — with a
 //! scratch reused across membership changes — and the directed flood held
 //! to a reference that piggybacks copied informed sets.
 
@@ -433,6 +434,42 @@ proptest! {
             let hits = sorted(box_descent(&net, &edges));
             prop_assert!(!hits.contains(&z));
             prop_assert_eq!(hits, scan(&net, &edges));
+        }
+    }
+
+    #[test]
+    fn cell_owners_are_the_owners_of_cell_centres(
+        fine in any::<bool>(),
+        n in 1usize..150,
+        seed in 0u64..10_000,
+        ops in prop::collection::vec((0u8..4, any::<u64>()), 0..60),
+        cell_raws in prop::collection::vec(any::<u64>(), 64..65),
+    ) {
+        // At order 3 a tiling of more than 64 zones has leaves below the
+        // cell resolution, which share a cell: every cell is checked. At
+        // order 20, 64 cells drawn at random are.
+        let order = if fine { 20 } else { 3 };
+        let cfg = CanConfig { hilbert_order: order, ..CanConfig::default() };
+        let mut rng = simnet::rng_from_seed(seed);
+        let mut net = CanNet::build(cfg, n, &mut rng).unwrap();
+        let cells = 1u64 << (2 * order);
+        let drawn: Vec<u64> = if fine {
+            cell_raws.iter().map(|&raw| raw % cells).collect()
+        } else {
+            (0..cells).collect()
+        };
+        // On the built net (round 0) and after the churn (round 1).
+        for round in 0..2 {
+            if round == 1 {
+                for &(op, pick) in &ops {
+                    churn(&mut net, &mut rng, op, pick);
+                }
+                net.check_invariants().map_err(TestCaseError::fail)?;
+            }
+            for &cell in &drawn {
+                let (x, y) = hilbert::point_of_cell(order, cell);
+                prop_assert_eq!(net.owner_of_cell(cell), net.owner_of_point(x, y), "cell {}", cell);
+            }
         }
     }
 

@@ -8,8 +8,8 @@
 //! the object table a query ends with, and a batch of publishes into that
 //! table with the read that merges them in, and a membership batch with
 //! the query that rebuilds the routing table after it — and
-//! DCF's: the split-tree descent a query pays for once and the flood
-//! handler — and PHT's over Chord: the finger walk every trie get pays, and
+//! DCF's: the split-tree descent a query pays for once, a batch of
+//! publishes and the flood handler — and PHT's over Chord: the finger walk every trie get pays, and
 //! the whole layered query.
 
 use armada::{descent, MultiArmada, SingleArmada};
@@ -109,6 +109,17 @@ fn bench_build(c: &mut Criterion) {
                 seed += 1;
                 let mut rng = simnet::rng_from_seed(seed);
                 chord::ChordNet::build(n, &mut rng)
+            });
+        });
+    }
+    // 10⁴ is `dcf-can-uniform`'s set-up, 10⁵ the flood's scaling point.
+    for n in [10_000usize, 100_000] {
+        group.bench_function(format!("can_{n}"), |b| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                let mut rng = simnet::rng_from_seed(seed);
+                CanNet::build(CanConfig::default(), n, &mut rng).unwrap()
             });
         });
     }
@@ -417,6 +428,27 @@ fn bench_dcf(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+
+    // Publish: 10⁴ values into a copy of a built 10⁴-zone net (off the
+    // clock), each placed by its curve cell.
+    let mut rng = simnet::rng_from_seed(14);
+    let built = CanNet::build(CanConfig::default(), 10_000, &mut rng).unwrap();
+    let values: Vec<f64> = (0..10_000).map(|_| rng.gen_range(0.0..=1000.0)).collect();
+    let mut group = c.benchmark_group("can_publish");
+    group.throughput(Throughput::Elements(values.len() as u64));
+    group.bench_function("10000", |b| {
+        b.iter_batched(
+            || built.clone(),
+            |mut net| {
+                for (handle, &value) in (0..).zip(&values) {
+                    net.publish(value, handle);
+                }
+                net
+            },
+            BatchSize::LargeInput,
+        );
+    });
     group.finish();
 
     // The whole engine: native queries over a warm scratch, at the
